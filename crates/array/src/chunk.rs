@@ -84,10 +84,10 @@ impl ChunkDescriptor {
 ///
 /// Retractions are **tombstones**: [`Chunk::retract_cell`] marks the
 /// row dead in a bitmap and decrements `bytes`/`cells` by the row's
-/// exact cost, without moving any storage. [`Chunk::iter_cells`] — the
-/// single iteration choke point every query operator reads through —
-/// skips tombstoned rows, so deleted cells vanish from answers
-/// immediately. A dictionary entry whose last referencing row was
+/// exact cost, without moving any storage. Every reader skips
+/// tombstoned rows — [`Chunk::iter_cells`] row by row, the query
+/// engine's scan masks through [`Chunk::tombstone_words`] — so deleted
+/// cells vanish from answers immediately. A dictionary entry whose last referencing row was
 /// tombstoned keeps its bytes until [`Chunk::compact`] rebuilds the
 /// columns from the surviving rows (deferred compaction).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -412,9 +412,8 @@ impl Chunk {
         self.columns.get(attr)
     }
 
-    /// Iterate `(cell_coords, row_index)` pairs over the **live** rows.
-    /// Tombstoned rows are skipped here — this is the single iteration
-    /// choke point, so every query operator is retraction-blind.
+    /// Iterate `(cell_coords, row_index)` pairs over the **live** rows;
+    /// tombstoned rows are skipped.
     pub fn iter_cells(&self) -> impl Iterator<Item = (&[i64], usize)> {
         self.cell_coords
             .chunks_exact((self.ndims as usize).max(1))

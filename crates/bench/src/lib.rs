@@ -2,7 +2,8 @@
 //!
 //! The reproduction harness for the paper's evaluation (§6): one function
 //! per table/figure in [`experiments`], rendered by the `fig4`…`table3`
-//! binaries, plus criterion microbenchmarks under `benches/`.
+//! binaries. Host-time measurement lives in `benchmark/` at the repository
+//! root, not here.
 
 #![warn(missing_docs)]
 

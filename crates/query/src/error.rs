@@ -1,6 +1,6 @@
 //! Error type for query execution.
 
-use array_model::{ArrayId, ChunkKey};
+use array_model::{ArrayId, AttributeType, ChunkKey};
 use std::fmt;
 
 /// Errors raised by the query engine.
@@ -44,6 +44,28 @@ pub enum QueryError {
         /// The attribute's declared type name.
         got: &'static str,
     },
+}
+
+/// The attribute types that widen to `f64` (measures).
+pub(crate) const NUMERIC: &[AttributeType] =
+    &[AttributeType::Int32, AttributeType::Int64, AttributeType::Float, AttributeType::Double];
+/// The attribute types that widen to `i64` (keys).
+pub(crate) const INTEGER: &[AttributeType] =
+    &[AttributeType::Int32, AttributeType::Int64, AttributeType::Char];
+
+/// Require `attribute`, declared as `ty`, to be one of the `accepted`
+/// types (described as `expected`): the typed refusal every operator
+/// makes up front instead of coercing or skipping a column's rows.
+pub(crate) fn require_type(
+    attribute: &str,
+    ty: AttributeType,
+    expected: &'static str,
+    accepted: &[AttributeType],
+) -> Result<()> {
+    if accepted.contains(&ty) {
+        return Ok(());
+    }
+    Err(QueryError::AttributeType { attribute: attribute.to_string(), expected, got: ty.name() })
 }
 
 impl fmt::Display for QueryError {

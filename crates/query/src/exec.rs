@@ -1,12 +1,18 @@
 //! Execution context: the cluster + catalog pair every operator runs
-//! against, plus shared helpers (chunk routing, attribute byte fractions).
+//! against, and the one scan path they all share —
+//! [`ExecutionContext::plan_scan`] decides which chunks a query touches,
+//! and the resulting [`ScanPlan`] charges them to the cost model and
+//! hands their selected rows to the operator.
 
 use crate::catalog::{Catalog, StoredArray};
 use crate::error::{QueryError, Result};
+use crate::ops::scan::SelectionMask;
 use crate::predicate::Predicate;
+use crate::stats::{scaled_bytes, WorkTracker};
 use array_model::{ArrayId, Chunk, ChunkCoords, ChunkDescriptor, Region};
 use cluster_sim::{Cluster, CostModel, NodeId, PayloadRead};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 /// Everything an operator needs to run.
 #[derive(Debug)]
@@ -32,7 +38,9 @@ pub struct ExecutionContext<'a> {
 /// **every** intersecting chunk before the prune decision, so failure
 /// modes (`NodeLost`, `Unplaced`) and degraded-read accounting are
 /// identical whether pruning is on or off — pruning can only remove
-/// work, never change an answer or mask an error.
+/// work, never change an answer or mask an error. The plan is also the
+/// crate's only way to charge a scan and to read its rows, so tombstones,
+/// the region and the pushed-down predicate are honoured in one place.
 pub struct ScanPlan<'a> {
     /// Chunks the operator must touch: descriptor, resident node, and the
     /// materialized payload (`None` on the metadata-only path).
@@ -40,10 +48,79 @@ pub struct ScanPlan<'a> {
     /// Chunks skipped because their zone map refuted the region or
     /// predicate (or they held no live cells). Zero when pruning is off.
     pub pruned: u64,
-    /// Whether every placed chunk's cells are readable
-    /// ([`ExecutionContext::cells_available`]) — i.e. whether the
-    /// operator may produce a cell-exact answer.
+    /// Whether *every* placed chunk's cells are readable, i.e. whether the
+    /// operator may answer cell-exactly. A partially materialized array
+    /// (one cycle ingested as cells, the next as bare descriptors) is not:
+    /// its operators return cost-model-only estimates rather than answer
+    /// over a subset of its cells.
     pub exact: bool,
+    /// The pruned chunks (`pruned` counts them), for operators that must
+    /// also count the chunk-to-chunk pulls pruning removed.
+    pub(crate) dead: Vec<(ChunkDescriptor, NodeId)>,
+    /// What the plan was made for; the row driver filters by both.
+    region: Option<&'a Region>,
+    pred: Option<(usize, &'a Predicate)>,
+}
+
+impl<'a> ScanPlan<'a> {
+    /// A plan over chunks the operator picked itself (kNN's ring
+    /// exploration is not a region scan), read unfiltered.
+    pub(crate) fn over(
+        visit: Vec<(ChunkDescriptor, NodeId, Option<&'a Chunk>)>,
+        exact: bool,
+    ) -> Self {
+        ScanPlan { visit, pruned: 0, exact, dead: Vec::new(), region: None, pred: None }
+    }
+
+    /// Charge the scan: every visited chunk is read where it lives
+    /// (`fraction` of its bytes — vertical partitioning), every pruned
+    /// chunk is only counted. `also` runs right after each chunk's scan
+    /// with the bytes charged, so an operator's further per-chunk costs
+    /// accumulate on the node in chunk order.
+    pub(crate) fn charge(
+        &self,
+        tracker: &mut WorkTracker<'_>,
+        fraction: f64,
+        mut also: impl FnMut(&mut WorkTracker<'_>, &ChunkDescriptor, NodeId, u64),
+    ) {
+        for (desc, node, _) in &self.visit {
+            let bytes = scaled_bytes(desc.bytes, fraction);
+            tracker.scan_chunk(*node, bytes);
+            also(tracker, desc, *node, bytes);
+        }
+        tracker.prune_chunks(self.pruned);
+    }
+
+    /// Every chunk of the scan by position: descriptor, resident node,
+    /// and whether it is visited (`false`: pruned).
+    pub(crate) fn homes(&self) -> BTreeMap<&ChunkCoords, (&ChunkDescriptor, NodeId, bool)> {
+        let live = self.visit.iter().map(|(d, n, _)| (&d.key.coords, (d, *n, true)));
+        let dead = self.dead.iter().map(|(d, n)| (&d.key.coords, (d, *n, false)));
+        live.chain(dead).collect()
+    }
+
+    /// The row driver: for each visited chunk, in row-major chunk order,
+    /// `f` gets the chunk and the mask of its rows that are live, inside
+    /// the planned region, and satisfy the pushed-down predicate. Masks
+    /// drain in ascending physical (insertion) order. Yields nothing
+    /// unless the plan is exact.
+    pub(crate) fn for_each_chunk(&self, mut f: impl FnMut(&'a Chunk, SelectionMask)) -> Result<()> {
+        if !self.exact {
+            return Ok(());
+        }
+        for (_, _, payload) in &self.visit {
+            let Some(chunk) = *payload else { continue };
+            let mut mask = SelectionMask::live(chunk);
+            if let Some(region) = self.region {
+                mask.retain_region(chunk, region);
+            }
+            if let Some((attr, pred)) = self.pred {
+                mask.retain_predicate(chunk, attr, pred)?;
+            }
+            f(chunk, mask);
+        }
+        Ok(())
+    }
 }
 
 impl<'a> ExecutionContext<'a> {
@@ -52,9 +129,10 @@ impl<'a> ExecutionContext<'a> {
         ExecutionContext { cluster, catalog, degraded: Cell::new(0), pruning: true }
     }
 
-    /// Enable or disable zone-map chunk pruning (on by default). The
-    /// differential suites run every query both ways and require
-    /// bit-identical answers.
+    /// Disable zone-map chunk pruning: the differential suites' reference
+    /// path — they run every query both ways and require bit-identical
+    /// answers. Not a tuning knob; production contexts always prune.
+    #[doc(hidden)]
     pub fn with_pruning(mut self, on: bool) -> Self {
         self.pruning = on;
         self
@@ -148,22 +226,14 @@ impl<'a> ExecutionContext<'a> {
         Some(chunk)
     }
 
-    /// Whether cell-exact execution is possible for `array`: *every*
-    /// placed chunk must be readable, from the cluster's node stores or
-    /// the catalog's whole-array copy. Operators use this to decide
-    /// between returning real answers and returning cost-model-only
-    /// estimates — a partially materialized array (say, one cycle
-    /// ingested as cells, the next as bare descriptors) fails the gate
-    /// and falls back to the model path rather than silently answering
-    /// over a subset of its cells. On the common path — the ingest
+    /// The [`ScanPlan::exact`] gate. On the common path — the ingest
     /// pipeline mirrors every placed chunk into the catalog's whole-array
-    /// copy — the gate is one linear scan: both chunk sets live in sorted
-    /// maps, so a zipped key comparison proves full coverage without
-    /// per-key lookups or any cluster locate/node machinery. Store-only
-    /// or mixed materializations fall through to an exact per-chunk probe
-    /// (catalog copy first, node store second — existence in either
-    /// source satisfies the gate).
-    pub fn cells_available(&self, array: &StoredArray) -> bool {
+    /// copy — it is one linear scan: both chunk sets live in sorted maps,
+    /// so a zipped key comparison proves full coverage without per-key
+    /// lookups or any cluster locate/node machinery. Store-only or mixed
+    /// materializations fall through to an exact per-chunk probe (catalog
+    /// copy first, node store second — either source satisfies the gate).
+    pub(crate) fn cells_available(&self, array: &StoredArray) -> bool {
         if array.descriptors.is_empty() {
             return false;
         }
@@ -180,68 +250,44 @@ impl<'a> ExecutionContext<'a> {
         })
     }
 
-    /// Iterate the materialized chunks of `array` that intersect `region`
-    /// (all chunks when `None`), in row-major chunk order. Chunks whose
-    /// payload is unavailable are skipped — callers gate on
-    /// [`ExecutionContext::cells_available`] first.
-    pub fn payload_chunks(
-        &'a self,
-        array: &'a StoredArray,
-        region: Option<&'a Region>,
-    ) -> impl Iterator<Item = (&'a ChunkCoords, &'a Chunk)> + 'a {
-        array
-            .descriptors
-            .keys()
-            .filter(move |coords| region.is_none_or(|r| r.intersects_chunk(&array.schema, coords)))
-            .filter_map(move |coords| self.chunk_payload(array, coords).map(|c| (coords, c)))
-    }
-
-    /// Chunks of `array` intersecting `region` (all chunks when `None`),
-    /// with their resident nodes.
-    pub fn chunks_in(
+    /// Whether pruning may drop `chunk` from a scan of `region` under
+    /// `pred`: it has no live cells, its zone map refutes the region, or
+    /// the predicate refutes its value summary / dictionary. Such a chunk
+    /// contributes zero rows, so answers are bit-identical either way.
+    pub(crate) fn refuted(
         &self,
-        array_id: ArrayId,
+        chunk: &Chunk,
         region: Option<&Region>,
-    ) -> Result<Vec<(ChunkDescriptor, NodeId)>> {
-        let array = self.catalog.array(array_id)?;
-        if let Some(r) = region {
-            if r.ndims() != array.schema.ndims() {
-                return Err(QueryError::RegionArity {
-                    expected: array.schema.ndims(),
-                    got: r.ndims(),
-                });
-            }
-        }
-        let mut out = Vec::new();
-        for (coords, desc) in &array.descriptors {
-            if region.is_none_or(|r| r.intersects_chunk(&array.schema, coords)) {
-                let node = self.node_of(array, coords, None)?;
-                out.push((*desc, node));
-            }
-        }
-        Ok(out)
+        pred: Option<(usize, &Predicate)>,
+    ) -> bool {
+        self.pruning
+            && (chunk.cell_count() == 0
+                || region.is_some_and(|r| chunk.zone().refutes_region(r))
+                || pred.is_some_and(|(attr, p)| p.refutes_chunk(chunk, attr)))
     }
 
     /// Plan a scan of `array_id` over `region` (all chunks when `None`),
-    /// optionally pushing down a predicate on attribute `pred.0`. This is
-    /// the single planning choke point for the vectorized operators:
+    /// optionally pushing down a predicate on attribute `pred.0`. Every
+    /// operator plans through here:
     ///
-    /// 1. every intersecting chunk is **routed** (`node_of`), so
-    ///    placement errors surface exactly as they would unpruned;
+    /// 1. every intersecting chunk is **routed** (`node_of`), in row-major
+    ///    chunk order, so placement errors surface exactly as they would
+    ///    unpruned;
     /// 2. when the array is cell-exact, every intersecting chunk's
     ///    payload is fetched once here and shared by the cost and answer
     ///    loops (degraded-read accounting is pruning-invariant);
-    /// 3. with pruning enabled, a fetched chunk is dropped from the visit
-    ///    list when it has no live cells, its zone map refutes `region`,
-    ///    or the pushed-down predicate refutes its value summary /
-    ///    dictionary. A pruned chunk contributes zero rows by
-    ///    construction, so answers are bit-identical either way.
-    pub fn plan_scan(
+    /// 3. with pruning enabled, a fetched chunk the query
+    ///    [refutes](ExecutionContext::refuted) is dropped from the visit
+    ///    list and counted as pruned.
+    pub fn plan_scan<'p>(
         &self,
         array_id: ArrayId,
-        region: Option<&Region>,
-        pred: Option<(usize, &Predicate)>,
-    ) -> Result<ScanPlan<'a>> {
+        region: Option<&'p Region>,
+        pred: Option<(usize, &'p Predicate)>,
+    ) -> Result<ScanPlan<'p>>
+    where
+        'a: 'p,
+    {
         let array = self.catalog.array(array_id)?;
         if let Some(r) = region {
             if r.ndims() != array.schema.ndims() {
@@ -253,27 +299,20 @@ impl<'a> ExecutionContext<'a> {
         }
         let exact = self.cells_available(array);
         let mut visit = Vec::new();
-        let mut pruned = 0u64;
+        let mut dead = Vec::new();
         for (coords, desc) in &array.descriptors {
             if !region.is_none_or(|r| r.intersects_chunk(&array.schema, coords)) {
                 continue;
             }
             let node = self.node_of(array, coords, None)?;
             let payload = if exact { self.chunk_payload(array, coords) } else { None };
-            if self.pruning {
-                if let Some(chunk) = payload {
-                    let dead = chunk.cell_count() == 0
-                        || region.is_some_and(|r| chunk.zone().refutes_region(r))
-                        || pred.is_some_and(|(attr, p)| p.refutes_chunk(chunk, attr));
-                    if dead {
-                        pruned += 1;
-                        continue;
-                    }
-                }
+            if payload.is_some_and(|chunk| self.refuted(chunk, region, pred)) {
+                dead.push((*desc, node));
+            } else {
+                visit.push((*desc, node, payload));
             }
-            visit.push((*desc, node, payload));
         }
-        Ok(ScanPlan { visit, pruned, exact })
+        Ok(ScanPlan { visit, pruned: dead.len() as u64, exact, dead, region, pred })
     }
 
     /// The byte fraction of a chunk occupied by the named attributes —
@@ -330,19 +369,26 @@ mod tests {
     }
 
     #[test]
-    fn chunks_in_region_filters_and_locates() {
+    fn plan_scan_region_filters_and_locates() {
         let (cluster, cat) = setup();
         let ctx = ExecutionContext::new(&cluster, &cat);
-        let all = ctx.chunks_in(ArrayId(0), None).unwrap();
-        assert_eq!(all.len(), 16);
+        let all = ctx.plan_scan(ArrayId(0), None, None).unwrap();
+        assert_eq!(all.visit.len(), 16);
         let corner = Region::new(vec![0, 0], vec![1, 1]);
-        let some = ctx.chunks_in(ArrayId(0), Some(&corner)).unwrap();
-        assert_eq!(some.len(), 1);
+        let some = ctx.plan_scan(ArrayId(0), Some(&corner), None).unwrap();
+        assert_eq!(some.visit.len(), 1);
         let bad = Region::new(vec![0], vec![1]);
         assert!(matches!(
-            ctx.chunks_in(ArrayId(0), Some(&bad)),
+            ctx.plan_scan(ArrayId(0), Some(&bad), None),
             Err(QueryError::RegionArity { .. })
         ));
+    }
+
+    /// Rows the plan's driver hands out, per visited chunk.
+    fn driven_rows(plan: &ScanPlan<'_>) -> Vec<u64> {
+        let mut rows = Vec::new();
+        plan.for_each_chunk(|_, mask| rows.push(mask.count())).unwrap();
+        rows
     }
 
     #[test]
@@ -369,15 +415,19 @@ mod tests {
             let array = cat.array(ArrayId(5)).unwrap();
             assert!(ctx.chunk_payload(array, &ChunkCoords::new([0])).is_some());
             assert!(ctx.chunk_payload(array, &ChunkCoords::new([1])).is_none());
-            assert!(!ctx.cells_available(array), "half-materialized must fail the gate");
-            assert_eq!(ctx.payload_chunks(array, None).count(), 1);
+            let plan = ctx.plan_scan(ArrayId(5), None, None).unwrap();
+            assert!(!plan.exact, "half-materialized must fail the gate");
+            assert_eq!(plan.visit.len(), 2, "both chunks are still routed and costed");
+            assert!(driven_rows(&plan).is_empty(), "an inexact plan must yield no rows");
         }
         // Attaching the missing payload opens the gate.
         cluster.attach_payload(d1.key, c1).unwrap();
         let ctx = ExecutionContext::new(&cluster, &cat);
         let array = cat.array(ArrayId(5)).unwrap();
-        assert!(ctx.cells_available(array));
-        assert_eq!(ctx.payload_chunks(array, None).count(), 2);
+        assert!(ctx.chunk_payload(array, &ChunkCoords::new([1])).is_some());
+        let plan = ctx.plan_scan(ArrayId(5), None, None).unwrap();
+        assert!(plan.exact);
+        assert_eq!(driven_rows(&plan), vec![1, 1]);
     }
 
     #[test]
@@ -449,6 +499,11 @@ mod tests {
         assert!(ctx.chunk_payload(array, &ChunkCoords::new([1])).is_some());
         assert_eq!(ctx.degraded_reads(), 0);
         assert!(!ctx.cells_available(array), "lost cells must close the exactness gate");
+        // Planning routes every chunk, so the lost one is a typed refusal.
+        assert!(matches!(
+            ctx.plan_scan(ArrayId(11), None, None),
+            Err(QueryError::NodeLost(k)) if k == d0.key
+        ));
     }
 
     #[test]
@@ -459,17 +514,18 @@ mod tests {
         let array = cat.array(ArrayId(0)).unwrap();
         // setup() places even-indexed chunks on node 0; the whole-array
         // catalog copy (from_array) stands in for every one of them.
-        let all = ctx.chunks_in(ArrayId(0), None).unwrap();
-        assert_eq!(all.len(), 16);
+        let all = ctx.plan_scan(ArrayId(0), None, None).unwrap();
+        assert_eq!(all.visit.len(), 16);
+        assert!(all.exact);
         // Every route lands on a serving node (node 0's eight chunks fail
-        // over to the coordinator), and exactly those eight count degraded.
-        assert!(all.iter().all(|(_, n)| *n == NodeId(1)));
-        assert_eq!(ctx.degraded_reads(), 8);
+        // over to the coordinator), and each of those eight counts
+        // degraded twice: once routed, once for its payload read.
+        assert!(all.visit.iter().all(|(_, n, _)| *n == NodeId(1)));
+        assert_eq!(ctx.degraded_reads(), 16);
         for coords in array.descriptors.keys() {
             assert!(ctx.chunk_payload(array, coords).is_some());
         }
-        assert_eq!(ctx.degraded_reads(), 16);
-        assert!(ctx.cells_available(array));
+        assert_eq!(ctx.degraded_reads(), 24);
     }
 
     #[test]

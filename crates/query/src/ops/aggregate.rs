@@ -8,11 +8,11 @@
 //! single contributor and the exchange disappears — the clustered
 //! partitioners' advantage on the Science benchmarks.
 
-use super::scan::{require_numeric, NumericSlice, SelectionMask};
+use super::scan::{numeric_attr, NumericSlice};
 use crate::error::{QueryError, Result};
 use crate::exec::ExecutionContext;
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
-use array_model::{ArrayId, Region};
+use array_model::{ArrayId, ChunkDescriptor, Region};
 use cluster_sim::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -132,8 +132,7 @@ fn grid_aggregate_impl(
         }
     }
     let fraction = ctx.attr_fraction(array, &[attr])?;
-    let attr_idx = array.attribute_index(attr)?;
-    require_numeric(attr, array.schema.attributes[attr_idx].ty, "numeric")?;
+    let attr_idx = numeric_attr(array, attr)?;
     let mut tracker = WorkTracker::new(ctx.cost());
 
     // --- cost: local partial aggregation, then exchange per group ---
@@ -142,22 +141,19 @@ fn grid_aggregate_impl(
     // contribute to each group region.
     let mut group_nodes: BTreeMap<Vec<i64>, BTreeMap<NodeId, u64>> = BTreeMap::new();
     let plan = ctx.plan_scan(array_id, region, None)?;
-    tracker.prune_chunks(plan.pruned);
-    let homes: BTreeMap<&array_model::ChunkCoords, (u64, NodeId)> =
-        plan.visit.iter().map(|(d, n, _)| (&d.key.coords, (d.bytes, *n))).collect();
-    for (desc, node, _) in &plan.visit {
-        let (desc, node) = (desc, *node);
-        let scan_bytes = scaled_bytes(desc.bytes, fraction);
-        tracker.scan_chunk(node, scan_bytes);
-        // Rolling windows pull the predecessor chunk along the rolling
-        // dimension; co-located columns answer from local disk.
-        if let Some(rd) = rolling_dim {
-            let mut prev = desc.key.coords;
-            prev[rd] -= 1;
-            if let Some(&(pbytes, pnode)) = homes.get(&prev) {
-                tracker.remote_fetch(node, pnode, scaled_bytes(pbytes, fraction));
-            }
+    let homes = plan.homes();
+    // Rolling windows pull the predecessor chunk along the rolling
+    // dimension; co-located columns answer from local disk.
+    let pull_prev = |tracker: &mut WorkTracker<'_>, desc: &ChunkDescriptor, node, live| {
+        let Some(rd) = rolling_dim else { return };
+        let mut prev = desc.key.coords;
+        prev[rd] -= 1;
+        if let Some(&(pdesc, pnode, plive)) = homes.get(&prev) {
+            tracker.pull(live && plive, node, pnode, scaled_bytes(pdesc.bytes, fraction));
         }
+    };
+    plan.charge(&mut tracker, fraction, |tracker, desc, node, scan_bytes| {
+        pull_prev(tracker, desc, node, true);
         let chunk_group: Vec<i64> = spec
             .dims
             .iter()
@@ -168,6 +164,9 @@ fn grid_aggregate_impl(
             })
             .collect();
         *group_nodes.entry(chunk_group).or_default().entry(node).or_default() += scan_bytes;
+    });
+    for (desc, node) in &plan.dead {
+        pull_prev(&mut tracker, desc, *node, false);
     }
     // Exchange: every non-owner contributor ships its partial state
     // (aggregation compresses the scanned bytes heavily) to the group
@@ -191,28 +190,16 @@ fn grid_aggregate_impl(
 
     // --- materialized answer ---
     let mut groups: BTreeMap<Vec<i64>, (f64, u64, f64)> = BTreeMap::new(); // (sum, count, max)
-    if plan.exact {
-        let nd = array.schema.ndims();
-        for (_, _, payload) in &plan.visit {
-            let Some(chunk) = payload else { continue };
-            let mut mask = SelectionMask::live(chunk);
-            if let Some(r) = region {
-                mask.retain_region(chunk, r);
-            }
-            // The attribute was type-checked up front, so every row folds
-            // a real measurement — never the historical `unwrap_or(0.0)`.
-            let col = NumericSlice::of(chunk, attr_idx).expect("type-checked numeric column");
-            let flat = chunk.coords_flat();
-            mask.for_each(|row| {
-                let v = col.get(row);
-                let cell = &flat[row * nd..(row + 1) * nd];
-                let entry = groups.entry(spec.key_of_cell(cell)).or_insert((0.0, 0, f64::MIN));
-                entry.0 += v;
-                entry.1 += 1;
-                entry.2 = entry.2.max(v);
-            });
-        }
-    }
+    plan.for_each_chunk(|chunk, mask| {
+        let col = NumericSlice::of(chunk, attr_idx);
+        mask.for_each_cell(chunk, |row, cell| {
+            let v = col.get(row);
+            let entry = groups.entry(spec.key_of_cell(cell)).or_insert((0.0, 0, f64::MIN));
+            entry.0 += v;
+            entry.1 += 1;
+            entry.2 = entry.2.max(v);
+        });
+    })?;
     let rows = groups
         .into_iter()
         .map(|(key, (sum, count, max))| {

@@ -5,18 +5,15 @@
 //! elapsed time is bounded by the most loaded node — storage skew shows up
 //! here directly (the AIS Houston-region selection).
 //!
-//! Both operators run through [`ExecutionContext::plan_scan`]: chunks
+//! Both operators plan through [`ExecutionContext::plan_scan`]: chunks
 //! whose zone map refutes the region or the pushed-down predicate are
-//! skipped before any payload byte is read, and the survivors are
-//! filtered column-at-a-time through a
-//! [`SelectionMask`](super::scan::SelectionMask) instead of per-row
-//! `iter_cells` dispatch.
+//! skipped before any payload byte is read, and the survivors' rows
+//! arrive already filtered, one selection mask per chunk.
 
-use super::scan::SelectionMask;
 use crate::error::Result;
 use crate::exec::ExecutionContext;
 use crate::predicate::Predicate;
-use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
+use crate::stats::{QueryStats, WorkTracker};
 use array_model::{ArrayId, Region, ScalarValue};
 
 /// Cells returned by a selection, with their coordinates.
@@ -52,38 +49,25 @@ pub fn subarray(
     let mut tracker = WorkTracker::new(ctx.cost());
 
     let plan = ctx.plan_scan(array_id, Some(region), None)?;
-    for (desc, node, _) in &plan.visit {
-        tracker.scan_chunk(*node, scaled_bytes(desc.bytes, fraction));
-    }
-    tracker.prune_chunks(plan.pruned);
+    plan.charge(&mut tracker, fraction, |_, _, _, _| {});
 
-    // Materialized answer when cells are available (catalog- or
-    // cluster-stored; the plan pre-fetched whichever holds them).
+    let attr_idx: Vec<usize> = if attrs.is_empty() {
+        (0..array.schema.attributes.len()).collect()
+    } else {
+        attrs.iter().map(|a| array.attribute_index(a)).collect::<Result<Vec<_>>>()?
+    };
     let mut out = CellSet::default();
-    if plan.exact {
-        let attr_idx: Vec<usize> = if attrs.is_empty() {
-            (0..array.schema.attributes.len()).collect()
-        } else {
-            attrs.iter().map(|a| array.attribute_index(a)).collect::<Result<Vec<_>>>()?
-        };
-        let nd = array.schema.ndims();
-        for (_, _, payload) in &plan.visit {
-            let Some(chunk) = payload else { continue };
-            let mut mask = SelectionMask::live(chunk);
-            mask.retain_region(chunk, region);
-            let flat = chunk.coords_flat();
-            mask.for_each(|row| {
-                let cell = &flat[row * nd..(row + 1) * nd];
-                let values = attr_idx
-                    .iter()
-                    .map(|&i| {
-                        chunk.column(i).expect("schema-shaped chunk").get(row).expect("row exists")
-                    })
-                    .collect();
-                out.cells.push((cell.to_vec(), values));
-            });
-        }
-    }
+    plan.for_each_chunk(|chunk, mask| {
+        mask.for_each_cell(chunk, |row, cell| {
+            let values = attr_idx
+                .iter()
+                .map(|&i| {
+                    chunk.column(i).expect("schema-shaped chunk").get(row).expect("row exists")
+                })
+                .collect();
+            out.cells.push((cell.to_vec(), values));
+        });
+    })?;
     Ok((out, tracker.finish()))
 }
 
@@ -110,21 +94,10 @@ pub fn filter_count(
     let mut tracker = WorkTracker::new(ctx.cost());
 
     let plan = ctx.plan_scan(array_id, Some(region), Some((attr_idx, predicate)))?;
-    for (desc, node, _) in &plan.visit {
-        tracker.scan_chunk(*node, scaled_bytes(desc.bytes, fraction));
-    }
-    tracker.prune_chunks(plan.pruned);
+    plan.charge(&mut tracker, fraction, |_, _, _, _| {});
 
     let mut count = 0u64;
-    if plan.exact {
-        for (_, _, payload) in &plan.visit {
-            let Some(chunk) = payload else { continue };
-            let mut mask = SelectionMask::live(chunk);
-            mask.retain_region(chunk, region);
-            mask.retain_predicate(chunk, attr_idx, predicate)?;
-            count += mask.count();
-        }
-    }
+    plan.for_each_chunk(|_, mask| count += mask.count())?;
     Ok((count, tracker.finish()))
 }
 

@@ -11,11 +11,12 @@
 //!   a small array replicated on every node, so the join is embarrassingly
 //!   parallel over the probe side.
 
+use super::scan::{int_key, integer_attr, numeric_attr, NumericSlice};
 use crate::error::Result;
 use crate::exec::ExecutionContext;
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
 use array_model::{ArrayId, Region};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Outcome of a join.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -28,9 +29,9 @@ pub struct JoinResult {
 }
 
 /// Join `left` and `right` where both arrays store a cell at the same
-/// position inside `region`. `combine(left_values, right_values)` folds a
-/// matched pair into a number (e.g. NDVI from two radiances); attribute
-/// indices are resolved by the caller through the schemas.
+/// position inside `region`. `combine(left_value, right_value)` folds a
+/// matched pair into a number (e.g. NDVI from two radiances); both
+/// attributes must be numeric.
 pub fn positional_join(
     ctx: &ExecutionContext<'_>,
     left: ArrayId,
@@ -44,65 +45,64 @@ pub fn positional_join(
     let ra = ctx.catalog.array(right)?;
     let lfrac = ctx.attr_fraction(la, &[left_attr])?;
     let rfrac = ctx.attr_fraction(ra, &[right_attr])?;
-    let lidx = la.attribute_index(left_attr)?;
-    let ridx = ra.attribute_index(right_attr)?;
+    let lidx = numeric_attr(la, left_attr)?;
+    let ridx = numeric_attr(ra, right_attr)?;
     let mut tracker = WorkTracker::new(ctx.cost());
 
-    // Pair up chunks by position.
-    let left_chunks: BTreeMap<_, _> = ctx
-        .chunks_in(left, Some(region))?
-        .into_iter()
-        .map(|(d, n)| (d.key.coords, (d, n)))
-        .collect();
-    for (rdesc, rnode) in ctx.chunks_in(right, Some(region))? {
-        let Some((ldesc, lnode)) = left_chunks.get(&rdesc.key.coords) else {
-            continue; // no partner -> no output, and pruned by metadata
-        };
+    // Pair up chunks by position. A chunk with no partner costs nothing
+    // (no output, refuted by metadata alone); a pair with a pruned side
+    // has no output either, so neither side is read.
+    let lplan = ctx.plan_scan(left, Some(region), None)?;
+    let rplan = ctx.plan_scan(right, Some(region), None)?;
+    let left_chunks = lplan.homes();
+    for (rdesc, rnode, _) in &rplan.visit {
+        let Some(&(ldesc, lnode, llive)) = left_chunks.get(&rdesc.key.coords) else { continue };
+        if !llive {
+            tracker.prune_chunks(2);
+            continue;
+        }
         let lbytes = scaled_bytes(ldesc.bytes, lfrac);
         let rbytes = scaled_bytes(rdesc.bytes, rfrac);
         // Both sides are scanned where they live.
-        tracker.scan_chunk(*lnode, lbytes);
-        tracker.scan_chunk(rnode, rbytes);
-        if lnode != &rnode {
-            // Ship the smaller side to the larger side's node.
-            if lbytes <= rbytes {
-                tracker.shuffle(*lnode, rnode, lbytes);
-            } else {
-                tracker.shuffle(rnode, *lnode, rbytes);
-            }
+        tracker.scan_chunk(lnode, lbytes);
+        tracker.scan_chunk(*rnode, rbytes);
+        // Ship the smaller side to the larger side's node.
+        if lbytes <= rbytes {
+            tracker.shuffle(lnode, *rnode, lbytes);
+        } else {
+            tracker.shuffle(*rnode, lnode, rbytes);
         }
     }
+    let dead_pairs = rplan.dead.iter().filter(|(d, _)| left_chunks.contains_key(&d.key.coords));
+    tracker.prune_chunks(2 * dead_pairs.count() as u64);
 
-    // Materialized answer.
+    // Materialized answer: per chunk pair, index the right rows by cell
+    // (the last-inserted row wins a shared cell) and probe with the left.
+    let mut right_rows = BTreeMap::new();
+    rplan.for_each_chunk(|chunk, mask| {
+        right_rows.insert(chunk.coords, (chunk, mask));
+    })?;
     let mut result = JoinResult::default();
-    if ctx.cells_available(la) && ctx.cells_available(ra) {
-        for (coords, lchunk) in ctx.payload_chunks(la, Some(region)) {
-            let Some(rchunk) = ctx.chunk_payload(ra, coords) else { continue };
-            // Index the right chunk's cells by coordinates.
-            let mut right_cells: BTreeMap<&[i64], usize> = BTreeMap::new();
-            for (cell, row) in rchunk.iter_cells() {
-                right_cells.insert(cell, row);
+    lplan.for_each_chunk(|lchunk, lmask| {
+        let Some((rchunk, rmask)) = right_rows.get(&lchunk.coords) else { return };
+        let mut right_cells: BTreeMap<&[i64], usize> = BTreeMap::new();
+        rmask.for_each_cell(rchunk, |row, cell| {
+            right_cells.insert(cell, row);
+        });
+        let (lcol, rcol) = (NumericSlice::of(lchunk, lidx), NumericSlice::of(rchunk, ridx));
+        lmask.for_each_cell(lchunk, |lrow, cell| {
+            if let Some(&rrow) = right_cells.get(cell) {
+                result.matches += 1;
+                result.combined_sum += combine(lcol.get(lrow), rcol.get(rrow));
             }
-            let lcol = lchunk.column(lidx).expect("schema-shaped chunk");
-            let rcol = rchunk.column(ridx).expect("schema-shaped chunk");
-            for (cell, lrow) in lchunk.iter_cells() {
-                if !region.contains_cell(cell) {
-                    continue;
-                }
-                if let Some(&rrow) = right_cells.get(cell) {
-                    if let (Some(lv), Some(rv)) = (lcol.get_f64(lrow), rcol.get_f64(rrow)) {
-                        result.matches += 1;
-                        result.combined_sum += combine(lv, rv);
-                    }
-                }
-            }
-        }
-    }
+        });
+    })?;
     Ok((result, tracker.finish()))
 }
 
 /// Probe-side join against a replicated build array keyed on an integer
 /// attribute: every probe chunk joins locally against the local replica.
+/// Both keys must be integer-valued (`int32`/`int64`/`char`).
 pub fn lookup_join(
     ctx: &ExecutionContext<'_>,
     probe: ArrayId,
@@ -114,45 +114,45 @@ pub fn lookup_join(
     let pa = ctx.catalog.array(probe)?;
     let ba = ctx.catalog.array(build)?;
     let pfrac = ctx.attr_fraction(pa, &[probe_key])?;
-    let pidx = pa.attribute_index(probe_key)?;
-    let bidx = ba.attribute_index(build_key)?;
+    let pidx = integer_attr(pa, probe_key)?;
+    let bidx = integer_attr(ba, build_key)?;
     let mut tracker = WorkTracker::new(ctx.cost());
 
     let build_bytes = ba.byte_size();
-    let mut nodes_seen = std::collections::BTreeSet::new();
-    for (desc, node) in ctx.chunks_in(probe, region)? {
-        tracker.scan_chunk(node, scaled_bytes(desc.bytes, pfrac));
+    let mut nodes_seen = BTreeSet::new();
+    let pplan = ctx.plan_scan(probe, region, None)?;
+    pplan.charge(&mut tracker, pfrac, |tracker, _, node, _| {
         // Each participating node reads its local replica of the build
         // side once.
         if nodes_seen.insert(node) {
             tracker.scan_chunk(node, build_bytes);
         }
+    });
+    // A node all of whose probe chunks were pruned never reads its replica.
+    for (_, node) in &pplan.dead {
+        if nodes_seen.insert(*node) {
+            tracker.prune_chunks(1);
+        }
     }
 
     // Materialized answer: hash the build side once, probe all cells.
     let mut result = JoinResult::default();
-    if ctx.cells_available(pa) && ctx.cells_available(ba) {
-        let mut build_keys: BTreeMap<i64, u64> = BTreeMap::new();
-        for (_, chunk) in ctx.payload_chunks(ba, None) {
+    let mut build_keys: BTreeMap<i64, u64> = BTreeMap::new();
+    if pplan.exact {
+        ctx.plan_scan(build, None, None)?.for_each_chunk(|chunk, mask| {
             let col = chunk.column(bidx).expect("schema-shaped chunk");
-            for (_, row) in chunk.iter_cells() {
-                if let Some(k) = col.get(row).and_then(|v| v.as_i64()) {
-                    *build_keys.entry(k).or_default() += 1;
-                }
-            }
-        }
-        for (_, chunk) in ctx.payload_chunks(pa, region) {
+            mask.for_each(|row| *build_keys.entry(int_key(col, row)).or_default() += 1);
+        })?;
+    }
+    if !build_keys.is_empty() {
+        pplan.for_each_chunk(|chunk, mask| {
             let col = chunk.column(pidx).expect("schema-shaped chunk");
-            for (cell, row) in chunk.iter_cells() {
-                if region.is_none_or(|r| r.contains_cell(cell)) {
-                    if let Some(k) = col.get(row).and_then(|v| v.as_i64()) {
-                        if let Some(&mult) = build_keys.get(&k) {
-                            result.matches += mult;
-                        }
-                    }
+            mask.for_each(|row| {
+                if let Some(&mult) = build_keys.get(&int_key(col, row)) {
+                    result.matches += mult;
                 }
-            }
-        }
+            });
+        })?;
     }
     Ok((result, tracker.finish()))
 }
@@ -254,6 +254,55 @@ mod tests {
         // probes: 1->1, 1->1, 2->2 (multiplicity 2), 3->0 = 1+1+2 = 4
         assert_eq!(result.matches, 4);
         assert_eq!(stats.bytes_shuffled, 0, "replicated build side never ships");
+    }
+
+    /// Place every chunk of `array` on node 0 and register it.
+    fn register(cluster: &mut Cluster, cat: &mut Catalog, array: Array) {
+        let stored = StoredArray::from_array(array);
+        for d in stored.descriptors.values() {
+            cluster.place(*d, NodeId(0)).unwrap();
+        }
+        cat.register(stored);
+    }
+
+    #[test]
+    fn positional_join_over_a_non_numeric_attribute_is_a_typed_error() {
+        // Used to skip every row through `get_f64() == None` and answer
+        // "0 matches" — indistinguishable from an honestly empty join.
+        let (mut cluster, mut cat) = setup(true);
+        let schema = ArraySchema::parse("T<tag:string>[x=0:7,2, y=0:7,2]").unwrap();
+        let mut tagged = Array::new(ArrayId(2), schema);
+        tagged.insert_cell(vec![0, 0], vec![ScalarValue::Str("a".into())]).unwrap();
+        register(&mut cluster, &mut cat, tagged);
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        let region = Region::new(vec![0, 0], vec![7, 7]);
+        for (l, r, la, ra) in [(2, 0, "tag", "r"), (0, 2, "r", "tag")] {
+            let err = positional_join(&ctx, ArrayId(l), ArrayId(r), &region, la, ra, |a, _| a)
+                .unwrap_err();
+            assert!(matches!(err, crate::QueryError::AttributeType { .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn lookup_join_over_a_non_integer_key_is_a_typed_error() {
+        // Used to skip every row through `as_i64() == None`: 0 matches.
+        let mut cluster = Cluster::new(1, u64::MAX, CostModel::default()).unwrap();
+        let mut cat = Catalog::new();
+        let mut probe =
+            Array::new(ArrayId(0), ArraySchema::parse("P<k:double, i:int64>[x=0:3,2]").unwrap());
+        probe.insert_cell(vec![0], vec![ScalarValue::Double(1.0), ScalarValue::Int64(1)]).unwrap();
+        register(&mut cluster, &mut cat, probe);
+        let mut build =
+            Array::new(ArrayId(1), ArraySchema::parse("V<id:double, i:int64>[v=0:3,4]").unwrap());
+        build.insert_cell(vec![0], vec![ScalarValue::Double(1.0), ScalarValue::Int64(1)]).unwrap();
+        cat.register(StoredArray::from_array(build).replicated());
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        for (pk, bk) in [("k", "i"), ("i", "id")] {
+            let err = lookup_join(&ctx, ArrayId(0), ArrayId(1), None, pk, bk).unwrap_err();
+            assert!(matches!(err, crate::QueryError::AttributeType { .. }), "{err}");
+        }
+        let (ok, _) = lookup_join(&ctx, ArrayId(0), ArrayId(1), None, "i", "i").unwrap();
+        assert_eq!(ok.matches, 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@ mod aggregate;
 mod filter;
 mod join;
 mod model;
-mod scan;
+pub(crate) mod scan;
 mod sort;
 mod window;
 

@@ -10,10 +10,11 @@
 //! * trajectory projection hands ships off across chunk boundaries, a
 //!   halo-like exchange.
 
+use super::scan::{numeric_attr, NumericSlice};
 use crate::error::{QueryError, Result};
-use crate::exec::ExecutionContext;
+use crate::exec::{ExecutionContext, ScanPlan};
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
-use array_model::{chunk_of, ArrayId, ChunkCoords, Region};
+use array_model::{chunk_of, ArrayId, ChunkCoords, ChunkDescriptor, Region};
 use cluster_sim::gb;
 use std::collections::BTreeMap;
 
@@ -44,86 +45,78 @@ pub fn kmeans(
     }
     let array = ctx.catalog.array(array_id)?;
     let fraction = ctx.attr_fraction(array, &[attr])?;
-    let attr_idx = array.attribute_index(attr)?;
+    let attr_idx = numeric_attr(array, attr)?;
     let mut tracker = WorkTracker::new(ctx.cost());
 
     // Cost: the first iteration reads the region from disk; the working
     // set then stays buffer-pool resident, so further iterations are pure
     // CPU. Every round ends with a small centroid exchange.
-    let chunks = ctx.chunks_in(array_id, Some(region))?;
+    let plan = ctx.plan_scan(array_id, Some(region), None)?;
     let coordinator = ctx.cluster.coordinator();
+    plan.charge(&mut tracker, fraction, |_, _, _, _| {});
     for iter in 0..iterations.max(1) {
-        for (desc, node) in &chunks {
-            let bytes = scaled_bytes(desc.bytes, fraction);
-            if iter == 0 {
-                tracker.scan_chunk(*node, bytes);
-            } else {
-                tracker.compute(*node, ctx.cost().cpu_secs(bytes));
+        for (desc, node, _) in &plan.visit {
+            if iter > 0 {
+                tracker.compute(*node, ctx.cost().cpu_secs(scaled_bytes(desc.bytes, fraction)));
             }
-        }
-        for (_, node) in &chunks {
             tracker.shuffle(*node, coordinator, (k * (array.schema.ndims() + 1) * 8) as u64);
         }
     }
 
     // Materialized answer: standard Lloyd iterations.
     let mut result = KMeansResult::default();
-    if ctx.cells_available(array) {
-        let mut points: Vec<Vec<f64>> = Vec::new();
-        for (_, chunk) in ctx.payload_chunks(array, Some(region)) {
-            let col = chunk.column(attr_idx).expect("schema-shaped chunk");
-            for (cell, row) in chunk.iter_cells() {
-                if region.contains_cell(cell) {
-                    let mut p: Vec<f64> = cell.iter().map(|&c| c as f64).collect();
-                    p.push(col.get_f64(row).unwrap_or(0.0));
-                    points.push(p);
+    let mut points: Vec<Vec<f64>> = Vec::new();
+    plan.for_each_chunk(|chunk, mask| {
+        let col = NumericSlice::of(chunk, attr_idx);
+        mask.for_each_cell(chunk, |row, cell| {
+            let mut p: Vec<f64> = cell.iter().map(|&c| c as f64).collect();
+            p.push(col.get(row));
+            points.push(p);
+        });
+    })?;
+    result.points = points.len() as u64;
+    if !points.is_empty() {
+        let dims = points[0].len();
+        let k = k.min(points.len());
+        // Deterministic init: evenly strided points.
+        let mut centroids: Vec<Vec<f64>> =
+            (0..k).map(|i| points[i * points.len() / k].clone()).collect();
+        let mut assign = vec![0usize; points.len()];
+        for _ in 0..iterations.max(1) {
+            for (pi, p) in points.iter().enumerate() {
+                let mut best = (f64::MAX, 0usize);
+                for (ci, c) in centroids.iter().enumerate() {
+                    let d: f64 = p.iter().zip(c).map(|(a, b)| (a - b) * (a - b)).sum();
+                    if d < best.0 {
+                        best = (d, ci);
+                    }
+                }
+                assign[pi] = best.1;
+            }
+            let mut sums = vec![vec![0.0; dims]; k];
+            let mut counts = vec![0u64; k];
+            for (pi, p) in points.iter().enumerate() {
+                counts[assign[pi]] += 1;
+                for (d, v) in p.iter().enumerate() {
+                    sums[assign[pi]][d] += v;
+                }
+            }
+            for ci in 0..k {
+                if counts[ci] > 0 {
+                    for d in 0..dims {
+                        centroids[ci][d] = sums[ci][d] / counts[ci] as f64;
+                    }
                 }
             }
         }
-        result.points = points.len() as u64;
-        if !points.is_empty() {
-            let dims = points[0].len();
-            let k = k.min(points.len());
-            // Deterministic init: evenly strided points.
-            let mut centroids: Vec<Vec<f64>> =
-                (0..k).map(|i| points[i * points.len() / k].clone()).collect();
-            let mut assign = vec![0usize; points.len()];
-            for _ in 0..iterations.max(1) {
-                for (pi, p) in points.iter().enumerate() {
-                    let mut best = (f64::MAX, 0usize);
-                    for (ci, c) in centroids.iter().enumerate() {
-                        let d: f64 = p.iter().zip(c).map(|(a, b)| (a - b) * (a - b)).sum();
-                        if d < best.0 {
-                            best = (d, ci);
-                        }
-                    }
-                    assign[pi] = best.1;
-                }
-                let mut sums = vec![vec![0.0; dims]; k];
-                let mut counts = vec![0u64; k];
-                for (pi, p) in points.iter().enumerate() {
-                    counts[assign[pi]] += 1;
-                    for (d, v) in p.iter().enumerate() {
-                        sums[assign[pi]][d] += v;
-                    }
-                }
-                for ci in 0..k {
-                    if counts[ci] > 0 {
-                        for d in 0..dims {
-                            centroids[ci][d] = sums[ci][d] / counts[ci] as f64;
-                        }
-                    }
-                }
-            }
-            result.inertia = points
-                .iter()
-                .zip(&assign)
-                .map(|(p, &ci)| {
-                    p.iter().zip(&centroids[ci]).map(|(a, b)| (a - b) * (a - b)).sum::<f64>()
-                })
-                .sum();
-            result.centroids = centroids;
-        }
+        result.inertia = points
+            .iter()
+            .zip(&assign)
+            .map(|(p, &ci)| {
+                p.iter().zip(&centroids[ci]).map(|(a, b)| (a - b) * (a - b)).sum::<f64>()
+            })
+            .sum();
+        result.centroids = centroids;
     }
     Ok((result, tracker.finish()))
 }
@@ -165,7 +158,7 @@ pub fn knn(
         std::collections::HashSet::new();
     // The O(chunks) materialization gate is invariant across the batch;
     // evaluate it once, not per query.
-    let cells_available = ctx.cells_available(array);
+    let exact = ctx.cells_available(array);
     for q in queries {
         if q.len() != array.schema.ndims() {
             return Err(QueryError::RegionArity { expected: array.schema.ndims(), got: q.len() });
@@ -178,25 +171,33 @@ pub fn knn(
             ctx.cluster.locate(&array.key_for(&home)).unwrap_or_else(|| ctx.cluster.coordinator());
 
         let mut cells_found = 0u64;
-        let mut visited: Vec<ChunkCoords> = Vec::new();
+        // The chunks this query reads: ring exploration is not a region
+        // scan, so the operator assembles its own visit list.
+        let mut visited = Vec::new();
         'rings: for r in 0..=MAX_RING {
-            let ring = chunks_at_ring(&home, r);
-            let mut any = false;
-            for coords in ring {
-                if let Some(desc) = array.descriptors.get(&coords) {
-                    let holder = ctx.cluster.locate(&desc.key).unwrap_or(home_node);
-                    let bytes = scaled_bytes(desc.bytes, fraction);
-                    if warm.insert((home_node, coords)) {
-                        tracker.remote_fetch(home_node, holder, bytes);
-                    } else {
-                        // In-memory spatial-index probe of an already-warm
-                        // chunk: touches a small fraction of its pages.
-                        tracker.compute(home_node, ctx.cost().cpu_secs(bytes / 50) + 0.001);
+            for coords in chunks_at_ring(&home, r) {
+                let Some(desc) = array.descriptors.get(&coords) else { continue };
+                cells_found += desc.cells;
+                let payload = if exact { ctx.chunk_payload(array, &coords) } else { None };
+                let first_touch = warm.insert((home_node, coords));
+                if payload.is_some_and(|chunk| ctx.refuted(chunk, None, None)) {
+                    // An emptied chunk is never fetched; like a fetch, the
+                    // skip is counted once per node that would have made it.
+                    if first_touch {
+                        tracker.prune_chunks(1);
                     }
-                    cells_found += desc.cells;
-                    visited.push(coords);
-                    any = true;
+                    continue;
                 }
+                let holder = ctx.cluster.locate(&desc.key).unwrap_or(home_node);
+                let bytes = scaled_bytes(desc.bytes, fraction);
+                if first_touch {
+                    tracker.remote_fetch(home_node, holder, bytes);
+                } else {
+                    // In-memory spatial-index probe of an already-warm
+                    // chunk: touches a small fraction of its pages.
+                    tracker.compute(home_node, ctx.cost().cpu_secs(bytes / 50) + 0.001);
+                }
+                visited.push((*desc, holder, payload));
             }
             // Stop once we have enough candidates and looked at least one
             // ring beyond the first hit (so the true neighbours cannot
@@ -204,27 +205,19 @@ pub fn knn(
             if cells_found >= k as u64 * OVERSAMPLE && r >= 1 {
                 break 'rings;
             }
-            let _ = any;
         }
 
         // Materialized answer: distances within the visited chunks.
         let mut dists: Vec<f64> = Vec::new();
-        if cells_available {
-            for coords in &visited {
-                if let Some(chunk) = ctx.chunk_payload(array, coords) {
-                    for (cell, _) in chunk.iter_cells() {
-                        let d2: f64 = cell
-                            .iter()
-                            .zip(q)
-                            .map(|(a, b)| (*a - *b) as f64 * (*a - *b) as f64)
-                            .sum();
-                        dists.push(d2);
-                    }
-                }
-            }
-            dists.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-            dists.truncate(k);
-        }
+        ScanPlan::over(visited, exact).for_each_chunk(|chunk, mask| {
+            mask.for_each_cell(chunk, |_, cell| {
+                dists.push(
+                    cell.iter().zip(q).map(|(a, b)| (*a - *b) as f64 * (*a - *b) as f64).sum(),
+                );
+            });
+        })?;
+        dists.sort_by(f64::total_cmp);
+        dists.truncate(k);
         answers.push(KnnAnswer { query: q.clone(), neighbor_dist2: dists });
     }
     Ok((answers, tracker.finish()))
@@ -301,58 +294,58 @@ pub fn trajectory(
     }
     let (dx, dy) = (ndims - 2, ndims - 1);
     let fraction = ctx.attr_fraction(array, &[speed_attr, course_attr])?;
-    let sp_idx = array.attribute_index(speed_attr)?;
-    let co_idx = array.attribute_index(course_attr)?;
+    let sp_idx = numeric_attr(array, speed_attr)?;
+    let co_idx = numeric_attr(array, course_attr)?;
     let mut tracker = WorkTracker::new(ctx.cost());
 
-    let chunks = ctx.chunks_in(array_id, Some(region))?;
-    let homes: BTreeMap<&ChunkCoords, _> =
-        chunks.iter().map(|(d, n)| (&d.key.coords, *n)).collect();
-    for (desc, node) in &chunks {
-        tracker.scan_chunk(*node, scaled_bytes(desc.bytes, fraction));
-        // Handoff: projected objects that exit the chunk go to the planar
-        // face neighbours; remote neighbours cost a latency-bearing push of
-        // a small manifest.
+    let plan = ctx.plan_scan(array_id, Some(region), None)?;
+    let homes = plan.homes();
+    // Handoff: projected objects that exit the chunk go to the planar
+    // face neighbours; remote neighbours cost a latency-bearing push of
+    // a small manifest.
+    let hand_off = |tracker: &mut WorkTracker<'_>, desc: &ChunkDescriptor, node, live| {
         for dim in [dx, dy] {
             for delta in [-1i64, 1] {
                 let mut ncoords = desc.key.coords;
                 ncoords[dim] += delta;
-                if let Some(&nnode) = homes.get(&ncoords) {
-                    if nnode != *node {
-                        tracker.remote_fetch(*node, nnode, desc.bytes / 50);
+                if let Some(&(_, nnode, nlive)) = homes.get(&ncoords) {
+                    if nnode != node {
+                        tracker.pull(live && nlive, node, nnode, desc.bytes / 50);
                     }
                 }
             }
         }
+    };
+    plan.charge(&mut tracker, fraction, |tracker, desc, node, _| {
+        hand_off(tracker, desc, node, true);
+    });
+    for (desc, node) in &plan.dead {
+        hand_off(&mut tracker, desc, *node, false);
     }
     // Collision matching is a cheap local pass over projected manifests.
     tracker.coordinator(
-        gb(chunks.iter().map(|(d, _)| d.bytes / 50).sum::<u64>()) * ctx.cost().cpu_secs_per_gb,
+        gb(plan.visit.iter().map(|(d, _, _)| d.bytes / 50).sum::<u64>())
+            * ctx.cost().cpu_secs_per_gb,
     );
 
     // Materialized answer.
     let mut result = TrajectoryResult::default();
-    if ctx.cells_available(array) {
-        let mut landing: BTreeMap<Vec<i64>, u64> = BTreeMap::new();
-        for (_, chunk) in ctx.payload_chunks(array, Some(region)) {
-            let speeds = chunk.column(sp_idx).expect("schema-shaped chunk");
-            let courses = chunk.column(co_idx).expect("schema-shaped chunk");
-            for (cell, row) in chunk.iter_cells() {
-                if !region.contains_cell(cell) {
-                    continue;
-                }
-                let speed = speeds.get_f64(row).unwrap_or(0.0);
-                let course = courses.get_f64(row).unwrap_or(0.0).to_radians();
-                let mut dest = cell.to_vec();
-                dest[dx] += (speed * horizon * course.cos()).round() as i64;
-                dest[dy] += (speed * horizon * course.sin()).round() as i64;
-                result.projected += 1;
-                *landing.entry(dest).or_default() += 1;
-            }
-        }
-        result.collision_candidates =
-            landing.values().map(|&c| if c >= 2 { c * (c - 1) / 2 } else { 0 }).sum();
-    }
+    let mut landing: BTreeMap<Vec<i64>, u64> = BTreeMap::new();
+    plan.for_each_chunk(|chunk, mask| {
+        let speeds = NumericSlice::of(chunk, sp_idx);
+        let courses = NumericSlice::of(chunk, co_idx);
+        mask.for_each_cell(chunk, |row, cell| {
+            let speed = speeds.get(row);
+            let course = courses.get(row).to_radians();
+            let mut dest = cell.to_vec();
+            dest[dx] += (speed * horizon * course.cos()).round() as i64;
+            dest[dy] += (speed * horizon * course.sin()).round() as i64;
+            result.projected += 1;
+            *landing.entry(dest).or_default() += 1;
+        });
+    })?;
+    result.collision_candidates =
+        landing.values().map(|&c| if c >= 2 { c * (c - 1) / 2 } else { 0 }).sum();
     Ok((result, tracker.finish()))
 }
 
@@ -463,6 +456,37 @@ mod tests {
         // Both project to (6,4): one collision pair.
         assert_eq!(result.projected, 2);
         assert_eq!(result.collision_candidates, 1);
+    }
+
+    fn string_and_double_array() -> Array {
+        let schema = ArraySchema::parse("S<name:string, v:double>[x=0:7,4, y=0:7,4]").unwrap();
+        let mut a = Array::new(ArrayId(0), schema);
+        a.insert_cell(vec![1, 1], vec![ScalarValue::Str("a".into()), ScalarValue::Double(1.0)])
+            .unwrap();
+        a
+    }
+
+    #[test]
+    fn kmeans_over_a_string_attribute_is_a_typed_error() {
+        // Used to fold `get_f64().unwrap_or(0.0)` and cluster a
+        // constant-zero feature.
+        let (cluster, cat) = setup(string_and_double_array(), |_| NodeId(0));
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        let region = Region::new(vec![0, 0], vec![7, 7]);
+        let err = kmeans(&ctx, ArrayId(0), &region, "name", 1, 2).unwrap_err();
+        assert!(matches!(err, QueryError::AttributeType { .. }), "{err}");
+    }
+
+    #[test]
+    fn trajectory_over_a_string_attribute_is_a_typed_error() {
+        // Used to read speed/course 0.0 and "project" every ship in place.
+        let (cluster, cat) = setup(string_and_double_array(), |_| NodeId(0));
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        let region = Region::new(vec![0, 0], vec![7, 7]);
+        for (speed, course) in [("name", "v"), ("v", "name")] {
+            let err = trajectory(&ctx, ArrayId(0), &region, speed, course, 1.0).unwrap_err();
+            assert!(matches!(err, QueryError::AttributeType { .. }), "{err}");
+        }
     }
 
     #[test]

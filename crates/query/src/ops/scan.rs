@@ -1,16 +1,15 @@
 //! Column-at-a-time scan kernels.
 //!
-//! The operators in this crate historically walked `iter_cells` row by
-//! row, re-dispatching on the column type and re-testing the region per
-//! cell. The kernels here run the same logic **column-major** over a
-//! chunk's contiguous buffers: a [`SelectionMask`] starts as the
-//! complement of the tombstone bitmap, each filter stage (region, then
-//! predicate) narrows it with one typed pass over one buffer, and the
-//! surviving rows are consumed in ascending physical order — exactly the
-//! order `iter_cells` yields — so every answer is bit-identical to the
-//! row-at-a-time formulation.
+//! Every operator reads rows the same way: [`ScanPlan`](crate::ScanPlan)'s
+//! driver builds one [`SelectionMask`] per visited chunk — the complement
+//! of the tombstone bitmap, narrowed by one typed pass over one
+//! contiguous buffer per filter stage (region, then predicate) — and the
+//! operator drains the surviving rows in ascending physical (insertion)
+//! order, reading measures through a typed column view
+//! ([`NumericSlice`]) resolved once per chunk.
 
-use crate::error::{QueryError, Result};
+use crate::catalog::StoredArray;
+use crate::error::{require_type, QueryError, Result, INTEGER, NUMERIC};
 use crate::predicate::{Predicate, StrPred};
 use array_model::{AttributeColumn, AttributeType, Chunk, Region};
 
@@ -128,20 +127,7 @@ impl SelectionMask {
             }
             // The operators type-check before scanning, so a mismatch here
             // is a caller bug — still a typed error, never a silent skip.
-            (Predicate::Num(_), _) => {
-                return Err(QueryError::AttributeType {
-                    attribute: format!("#{attr}"),
-                    expected: "numeric",
-                    got: col.column_type().name(),
-                })
-            }
-            (Predicate::Str(_), _) => {
-                return Err(QueryError::AttributeType {
-                    attribute: format!("#{attr}"),
-                    expected: "string",
-                    got: col.column_type().name(),
-                })
-            }
+            _ => return pred.check_type(&format!("#{attr}"), col.column_type()),
         }
         Ok(())
     }
@@ -164,6 +150,14 @@ impl SelectionMask {
     /// Number of selected rows.
     pub fn count(&self) -> u64 {
         self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    /// Visit the selected rows of `chunk` (the chunk this mask was built
+    /// over) with their cell coordinates, in ascending physical order.
+    pub fn for_each_cell<'c>(&self, chunk: &'c Chunk, mut f: impl FnMut(usize, &'c [i64])) {
+        let nd = chunk.ndims();
+        let flat = chunk.coords_flat();
+        self.for_each(|row| f(row, &flat[row * nd..(row + 1) * nd]));
     }
 
     /// Visit the selected rows in ascending physical order.
@@ -194,15 +188,15 @@ pub(crate) enum NumericSlice<'a> {
 }
 
 impl<'a> NumericSlice<'a> {
-    /// The typed buffer of `chunk`'s column `attr`; `None` when the
-    /// column is not numeric (callers have type-checked already).
-    pub fn of(chunk: &'a Chunk, attr: usize) -> Option<Self> {
-        match chunk.column(attr)? {
-            AttributeColumn::Int32(v) => Some(NumericSlice::I32(v)),
-            AttributeColumn::Int64(v) => Some(NumericSlice::I64(v)),
-            AttributeColumn::Float(v) => Some(NumericSlice::F32(v)),
-            AttributeColumn::Double(v) => Some(NumericSlice::F64(v)),
-            _ => None,
+    /// The typed buffer of `chunk`'s column `attr`, which the operator has
+    /// already type-checked ([`numeric_attr`]) against the schema.
+    pub fn of(chunk: &'a Chunk, attr: usize) -> Self {
+        match chunk.column(attr) {
+            Some(AttributeColumn::Int32(v)) => NumericSlice::I32(v),
+            Some(AttributeColumn::Int64(v)) => NumericSlice::I64(v),
+            Some(AttributeColumn::Float(v)) => NumericSlice::F32(v),
+            Some(AttributeColumn::Double(v)) => NumericSlice::F64(v),
+            _ => unreachable!("numeric-typed attribute has a numeric column"),
         }
     }
 
@@ -218,23 +212,41 @@ impl<'a> NumericSlice<'a> {
     }
 }
 
-/// Require attribute `attr_idx` of `schema`-declared type to be numeric;
-/// the typed refusal the silent `unwrap_or(0.0)` coercion was replaced
-/// with.
-pub(crate) fn require_numeric(name: &str, ty: AttributeType, kinds: &'static str) -> Result<()> {
-    let ok = matches!(
-        ty,
-        AttributeType::Int32 | AttributeType::Int64 | AttributeType::Float | AttributeType::Double
-    );
-    if ok {
-        Ok(())
-    } else {
-        Err(QueryError::AttributeType {
-            attribute: name.to_string(),
-            expected: kinds,
-            got: ty.name(),
-        })
+/// The integer key at `row` of `col`, a column the operator has already
+/// type-checked ([`integer_attr`]) against the schema; widens exactly
+/// like `ScalarValue::as_i64`.
+#[inline]
+pub(crate) fn int_key(col: &AttributeColumn, row: usize) -> i64 {
+    match col {
+        AttributeColumn::Int32(v) => i64::from(v[row]),
+        AttributeColumn::Int64(v) => v[row],
+        AttributeColumn::Char(v) => i64::from(v[row]),
+        _ => unreachable!("integer-typed attribute has an integer column"),
     }
+}
+
+/// Resolve attribute `name` of `array` and require it numeric — a typed
+/// refusal instead of silently aggregating a string column as 0.0.
+pub(crate) fn numeric_attr(array: &StoredArray, name: &str) -> Result<usize> {
+    typed_attr(array, name, "numeric", NUMERIC)
+}
+
+/// Resolve attribute `name` of `array` and require it integer-valued
+/// (`int32`/`int64`/`char`) — a typed refusal instead of silently
+/// skipping every row of a float or string key column.
+pub(crate) fn integer_attr(array: &StoredArray, name: &str) -> Result<usize> {
+    typed_attr(array, name, "integer", INTEGER)
+}
+
+fn typed_attr(
+    array: &StoredArray,
+    name: &str,
+    expected: &'static str,
+    accepted: &[AttributeType],
+) -> Result<usize> {
+    let idx = array.attribute_index(name)?;
+    require_type(name, array.schema.attributes[idx].ty, expected, accepted)?;
+    Ok(idx)
 }
 
 #[cfg(test)]
@@ -271,7 +283,7 @@ mod tests {
         mask.retain_predicate(&chunk, 0, &Predicate::ge(2.0)).unwrap();
         assert_eq!(mask.count(), 2);
         let mut vals = Vec::new();
-        mask.for_each(|r| vals.push(NumericSlice::of(&chunk, 0).unwrap().get(r)));
+        mask.for_each(|r| vals.push(NumericSlice::of(&chunk, 0).get(r)));
         assert_eq!(vals, vec![2.0, 3.0]);
     }
 

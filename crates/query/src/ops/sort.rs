@@ -5,11 +5,11 @@
 //! coordinator, and finish with a serial merge — "non-trivial aggregation"
 //! whose cost follows the balance of the scan plus a small serial tail.
 
-use super::scan::{require_numeric, NumericSlice, SelectionMask};
-use crate::error::{QueryError, Result};
+use super::scan::{int_key, integer_attr, numeric_attr, NumericSlice};
+use crate::error::Result;
 use crate::exec::ExecutionContext;
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
-use array_model::{ArrayId, AttributeColumn, AttributeType, Region};
+use array_model::{ArrayId, Region};
 use cluster_sim::gb;
 use std::collections::BTreeSet;
 
@@ -25,7 +25,7 @@ pub struct QuantileResult {
 /// Estimate quantile `q` (0..=1) of `attr` over `region` from a uniform
 /// sample of `sample_fraction` of the cells.
 ///
-/// `attr` must be numeric (a typed [`QueryError::AttributeType`]
+/// `attr` must be numeric (a typed [`crate::QueryError::AttributeType`]
 /// otherwise). The sample is ordered with [`f64::total_cmp`], so NaN
 /// cells rank at the extremes instead of panicking the sort: negative
 /// NaNs below `-inf`, positive NaNs above `+inf` (IEEE 754 total order).
@@ -41,17 +41,18 @@ pub fn quantile(
 ) -> Result<(QuantileResult, QueryStats)> {
     let array = ctx.catalog.array(array_id)?;
     let fraction = ctx.attr_fraction(array, &[attr])?;
-    let attr_idx = array.attribute_index(attr)?;
-    require_numeric(attr, array.schema.attributes[attr_idx].ty, "numeric")?;
+    let attr_idx = numeric_attr(array, attr)?;
     let mut tracker = WorkTracker::new(ctx.cost());
     let coordinator = ctx.cluster.coordinator();
 
     let plan = ctx.plan_scan(array_id, region, None)?;
     let mut sample_bytes_total = 0u64;
+    // Charged by hand, not through `ScanPlan::charge`: sampling pushes
+    // down into the scan, so only the sampled pages of the column are
+    // read (a second rounding-up scale), then each node ships its sample
+    // to the coordinator.
     for (desc, node, _) in &plan.visit {
         let col_bytes = scaled_bytes(desc.bytes, fraction);
-        // Sampling pushes down into the scan: only the sampled pages are
-        // read, then each node ships its sample to the coordinator.
         let sample_bytes = scaled_bytes(col_bytes, sample_fraction.clamp(0.0, 1.0));
         tracker.scan_chunk(*node, sample_bytes);
         tracker.shuffle(*node, coordinator, sample_bytes);
@@ -68,40 +69,31 @@ pub fn quantile(
     // The stride counter advances only on region-selected live rows, so a
     // pruned chunk (zero such rows) never shifts which cells later chunks
     // contribute — sampling is pruning-invariant by construction.
-    let mut value = None;
-    let mut sampled_cells = 0u64;
-    if plan.exact {
-        let stride = (1.0 / sample_fraction.clamp(1e-6, 1.0)).round().max(1.0) as usize;
-        let mut sample: Vec<f64> = Vec::new();
-        let mut i = 0usize;
-        for (_, _, payload) in &plan.visit {
-            let Some(chunk) = payload else { continue };
-            let mut mask = SelectionMask::live(chunk);
-            if let Some(r) = region {
-                mask.retain_region(chunk, r);
+    let stride = (1.0 / sample_fraction.clamp(1e-6, 1.0)).round().max(1.0) as usize;
+    let mut sample: Vec<f64> = Vec::new();
+    let mut i = 0usize;
+    plan.for_each_chunk(|chunk, mask| {
+        let col = NumericSlice::of(chunk, attr_idx);
+        mask.for_each(|row| {
+            if i.is_multiple_of(stride) {
+                sample.push(col.get(row));
             }
-            let col = NumericSlice::of(chunk, attr_idx).expect("type-checked numeric column");
-            mask.for_each(|row| {
-                if i.is_multiple_of(stride) {
-                    sample.push(col.get(row));
-                }
-                i += 1;
-            });
-        }
-        sampled_cells = sample.len() as u64;
-        if !sample.is_empty() {
-            sample.sort_by(f64::total_cmp);
-            let idx = ((sample.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-            value = Some(sample[idx]);
-        }
+            i += 1;
+        });
+    })?;
+    let mut value = None;
+    if !sample.is_empty() {
+        sample.sort_by(f64::total_cmp);
+        let idx = ((sample.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+        value = Some(sample[idx]);
     }
-    Ok((QuantileResult { value, sampled_cells }, tracker.finish()))
+    Ok((QuantileResult { value, sampled_cells: sample.len() as u64 }, tracker.finish()))
 }
 
 /// Sorted distinct integer values of `attr` over `region` (the AIS
 /// "sorted log of distinct ship identifiers"). `attr` must be an
 /// integer-valued attribute (`int32`/`int64`/`char`); floats and strings
-/// are a typed [`QueryError::AttributeType`] — historically they were
+/// are a typed [`crate::QueryError::AttributeType`] — historically they were
 /// silently skipped, answering `[]`.
 pub fn distinct_sorted(
     ctx: &ExecutionContext<'_>,
@@ -111,50 +103,24 @@ pub fn distinct_sorted(
 ) -> Result<(Vec<i64>, QueryStats)> {
     let array = ctx.catalog.array(array_id)?;
     let fraction = ctx.attr_fraction(array, &[attr])?;
-    let attr_idx = array.attribute_index(attr)?;
-    let ty = array.schema.attributes[attr_idx].ty;
-    if !matches!(ty, AttributeType::Int32 | AttributeType::Int64 | AttributeType::Char) {
-        return Err(QueryError::AttributeType {
-            attribute: attr.to_string(),
-            expected: "integer",
-            got: ty.name(),
-        });
-    }
+    let attr_idx = integer_attr(array, attr)?;
     let mut tracker = WorkTracker::new(ctx.cost());
     let coordinator = ctx.cluster.coordinator();
 
     let plan = ctx.plan_scan(array_id, region, None)?;
-    for (desc, node, _) in &plan.visit {
-        let col_bytes = scaled_bytes(desc.bytes, fraction);
-        tracker.scan_chunk(*node, col_bytes);
+    plan.charge(&mut tracker, fraction, |tracker, _, node, col_bytes| {
         // Local distinct compresses heavily before the exchange.
-        tracker.shuffle(*node, coordinator, col_bytes / 20);
-    }
-    tracker.prune_chunks(plan.pruned);
+        tracker.shuffle(node, coordinator, col_bytes / 20);
+    });
     tracker.coordinator(0.5); // final merge of per-node distinct sets
 
     let mut out: BTreeSet<i64> = BTreeSet::new();
-    if plan.exact {
-        for (_, _, payload) in &plan.visit {
-            let Some(chunk) = payload else { continue };
-            let mut mask = SelectionMask::live(chunk);
-            if let Some(r) = region {
-                mask.retain_region(chunk, r);
-            }
-            match chunk.column(attr_idx).expect("schema-shaped chunk") {
-                AttributeColumn::Int32(v) => mask.for_each(|row| {
-                    out.insert(i64::from(v[row]));
-                }),
-                AttributeColumn::Int64(v) => mask.for_each(|row| {
-                    out.insert(v[row]);
-                }),
-                AttributeColumn::Char(v) => mask.for_each(|row| {
-                    out.insert(i64::from(v[row]));
-                }),
-                _ => unreachable!("integer-typed attribute has an integer column"),
-            }
-        }
-    }
+    plan.for_each_chunk(|chunk, mask| {
+        let col = chunk.column(attr_idx).expect("schema-shaped chunk");
+        mask.for_each(|row| {
+            out.insert(int_key(col, row));
+        });
+    })?;
     Ok((out.into_iter().collect(), tracker.finish()))
 }
 
@@ -162,6 +128,7 @@ pub fn distinct_sorted(
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, StoredArray};
+    use crate::QueryError;
     use array_model::{Array, ArraySchema, ScalarValue};
     use cluster_sim::{Cluster, CostModel, NodeId};
 

@@ -8,11 +8,12 @@
 //! the purest expression of why n-dimensional clustering wins spatial
 //! queries.
 
-use super::scan::require_numeric;
+use super::scan::{numeric_attr, NumericSlice};
 use crate::error::{QueryError, Result};
 use crate::exec::ExecutionContext;
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
-use array_model::{ArrayId, ChunkCoords, Region};
+use array_model::{ArrayId, ChunkDescriptor, Region};
+use std::collections::BTreeMap;
 
 /// Result of a windowed aggregate.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -40,25 +41,15 @@ pub fn window_aggregate(
         return Err(QueryError::InvalidArgument(format!("window radius {radius} is negative")));
     }
     let fraction = ctx.attr_fraction(array, &[attr])?;
-    let attr_idx = array.attribute_index(attr)?;
-    require_numeric(attr, array.schema.attributes[attr_idx].ty, "numeric")?;
+    let attr_idx = numeric_attr(array, attr)?;
     let mut tracker = WorkTracker::new(ctx.cost());
 
-    let chunks = ctx.chunks_in(array_id, Some(region))?;
+    let plan = ctx.plan_scan(array_id, Some(region), None)?;
     // Index participating chunks for neighbour lookups.
-    let homes: std::collections::BTreeMap<&ChunkCoords, (&_, _)> =
-        chunks.iter().map(|(d, n)| (&d.key.coords, (d, *n))).collect();
-
-    for (desc, node) in &chunks {
-        let bytes = scaled_bytes(desc.bytes, fraction);
-        tracker.scan_chunk(*node, bytes);
-        // Overlapping windows: each cell participates in (2r+1)^2 windows
-        // on the spatial plane, so the compute pass re-touches the data
-        // that many times (vectorized, so a damped multiplier).
-        let window_cells = ((2 * radius + 1) * (2 * radius + 1)) as f64;
-        tracker.compute(*node, ctx.cost().cpu_secs(bytes) * window_cells * 0.15);
-        // Halo: pull the boundary slab from every face-adjacent neighbour
-        // that participates in the query.
+    let homes = plan.homes();
+    // Halo: pull the boundary slab from every face-adjacent neighbour
+    // that participates in the query.
+    let pull_halo = |tracker: &mut WorkTracker<'_>, desc: &ChunkDescriptor, node, live| {
         for (dim, dimension) in array.schema.dimensions.iter().enumerate() {
             // Faces plus their edge/corner contributions (~1.5x a face).
             let slab_fraction =
@@ -66,34 +57,41 @@ pub fn window_aggregate(
             for delta in [-1i64, 1] {
                 let mut ncoords = desc.key.coords;
                 ncoords[dim] += delta;
-                if let Some((ndesc, nnode)) = homes.get(&ncoords) {
+                if let Some(&(ndesc, nnode, nlive)) = homes.get(&ncoords) {
                     let slab = scaled_bytes(ndesc.bytes, slab_fraction);
-                    tracker.remote_fetch(*node, *nnode, slab);
+                    tracker.pull(live && nlive, node, nnode, slab);
                 }
             }
         }
+    };
+    plan.charge(&mut tracker, fraction, |tracker, desc, node, bytes| {
+        // Overlapping windows: each cell participates in (2r+1)^2 windows
+        // on the spatial plane, so the compute pass re-touches the data
+        // that many times (vectorized, so a damped multiplier).
+        let window_cells = ((2 * radius + 1) * (2 * radius + 1)) as f64;
+        tracker.compute(node, ctx.cost().cpu_secs(bytes) * window_cells * 0.15);
+        pull_halo(tracker, desc, node, true);
+    });
+    for (desc, node) in &plan.dead {
+        pull_halo(&mut tracker, desc, *node, false);
     }
 
-    // Materialized answer: brute-force window average per cell.
+    // Materialized answer: brute-force window average per cell, over a
+    // point map of the region grown by the halo (a second plan: the halo
+    // read reaches chunks, and rows, the costed region does not).
     let mut result = WindowResult::default();
-    if ctx.cells_available(array) {
-        // Collect the region's cells into a point map first.
-        let mut points: std::collections::BTreeMap<Vec<i64>, f64> =
-            std::collections::BTreeMap::new();
+    if plan.exact {
+        let mut points: BTreeMap<Vec<i64>, f64> = BTreeMap::new();
         let grown = Region::new(
             region.low.iter().map(|v| v - radius).collect(),
             region.high.iter().map(|v| v + radius).collect(),
         );
-        for (_, chunk) in ctx.payload_chunks(array, Some(&grown)) {
-            let col = chunk.column(attr_idx).expect("schema-shaped chunk");
-            for (cell, row) in chunk.iter_cells() {
-                if grown.contains_cell(cell) {
-                    if let Some(v) = col.get_f64(row) {
-                        points.insert(cell.to_vec(), v);
-                    }
-                }
-            }
-        }
+        ctx.plan_scan(array_id, Some(&grown), None)?.for_each_chunk(|chunk, mask| {
+            let col = NumericSlice::of(chunk, attr_idx);
+            mask.for_each_cell(chunk, |row, cell| {
+                points.insert(cell.to_vec(), col.get(row));
+            });
+        })?;
         let mut total = 0.0;
         let mut outputs = 0u64;
         for (cell, _) in points.iter() {
@@ -121,7 +119,7 @@ pub fn window_aggregate(
 
 /// Recursive odometer over the window box, accumulating stored values.
 fn accumulate_window(
-    points: &std::collections::BTreeMap<Vec<i64>, f64>,
+    points: &BTreeMap<Vec<i64>, f64>,
     center: &[i64],
     radius: i64,
     dim: usize,

@@ -19,7 +19,7 @@
 //! sound: zone maps exclude NaNs from their min/max fold, and the rows
 //! the fold excluded could never match anyway.
 
-use crate::error::{QueryError, Result};
+use crate::error::{require_type, Result, NUMERIC};
 use array_model::{AttrZone, AttributeColumn, AttributeType, Chunk};
 
 /// Comparison against a numeric attribute. Integer columns are widened
@@ -158,27 +158,9 @@ impl Predicate {
     /// Check the predicate against the attribute's declared type; a
     /// mismatch is a typed [`QueryError::AttributeType`].
     pub fn check_type(&self, attribute: &str, ty: AttributeType) -> Result<()> {
-        let ok = match self {
-            Predicate::Num(_) => matches!(
-                ty,
-                AttributeType::Int32
-                    | AttributeType::Int64
-                    | AttributeType::Float
-                    | AttributeType::Double
-            ),
-            Predicate::Str(_) => matches!(ty, AttributeType::Str),
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(QueryError::AttributeType {
-                attribute: attribute.to_string(),
-                expected: match self {
-                    Predicate::Num(_) => "numeric",
-                    Predicate::Str(_) => "string",
-                },
-                got: ty.name(),
-            })
+        match self {
+            Predicate::Num(_) => require_type(attribute, ty, "numeric", NUMERIC),
+            Predicate::Str(_) => require_type(attribute, ty, "string", &[AttributeType::Str]),
         }
     }
 
@@ -265,6 +247,7 @@ fn next_float_up(f: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QueryError;
     use array_model::{ArraySchema, ChunkCoords, ScalarValue};
 
     #[test]

@@ -22,8 +22,9 @@ pub struct QueryStats {
     /// Chunks touched.
     pub chunks_visited: u64,
     /// Chunks whose zone map refuted the query's region or predicate, so
-    /// they were skipped before any payload byte was read. Disjoint from
-    /// `chunks_visited`: a chunk counts in exactly one of the two.
+    /// they were skipped before any payload byte was read — plus the
+    /// fetches such a chunk would have made or served. Disjoint from
+    /// `chunks_visited`: every touch counts in exactly one of the two.
     pub chunks_pruned: u64,
     /// Individual cross-node requests (halo fetches, kNN hops).
     pub remote_fetches: u64,
@@ -123,6 +124,18 @@ impl<'a> WorkTracker<'a> {
         self.stats.bytes_shuffled += bytes;
         self.stats.remote_fetches += 1;
         self.stats.chunks_visited += 1;
+    }
+
+    /// A pull between two chunks of one scan (halo slab, hand-off
+    /// manifest): a [`WorkTracker::remote_fetch`] when both ends are
+    /// visited (`live`); a pull pruning removed is only counted, so every
+    /// chunk touch of the unpruned plan is either visited or pruned.
+    pub(crate) fn pull(&mut self, live: bool, requester: NodeId, holder: NodeId, bytes: u64) {
+        if live {
+            self.remote_fetch(requester, holder, bytes);
+        } else {
+            self.prune_chunks(1);
+        }
     }
 
     /// Serial work at the coordinator after the parallel phase (final

@@ -142,7 +142,7 @@ fn run_fault_differential(
         let stripped = store_only_catalog(&faulted);
         let ctx = ExecutionContext::new(faulted.cluster(), &stripped);
         assert!(
-            ctx.cells_available(stripped.array(BROADCAST).unwrap()),
+            ctx.plan_scan(BROADCAST, None, None).unwrap().exact,
             "{tag}: node stores lost cells the census didn't notice"
         );
         let (store_answers, _) = probe_answers(faulted.cluster(), &stripped);
@@ -254,13 +254,20 @@ fn k1_crash_is_typed_loss_never_a_wrong_answer() {
         // Store-only path: routing any orphan is a typed refusal.
         let stripped = store_only_catalog(&faulted);
         let ctx = ExecutionContext::new(faulted.cluster(), &stripped);
+        // Planning routes every chunk before anything is read, so the
+        // orphans refuse a whole-array scan outright.
+        let err = ctx
+            .plan_scan(BROADCAST, None, None)
+            .err()
+            .expect("orphaned chunks must not route silently");
+        assert!(matches!(err, QueryError::NodeLost(_)), "{tag}: wrong error: {err}");
+        // The newest cycle landed after the crash and holds no orphan: it
+        // still routes, but the array-wide exactness gate stays closed.
+        let newest = AisWorkload::cycle_region(w.cycles - 1);
         assert!(
-            !ctx.cells_available(stripped.array(BROADCAST).unwrap()),
+            !ctx.plan_scan(BROADCAST, Some(&newest), None).unwrap().exact,
             "{tag}: availability gate ignored the data loss"
         );
-        let err =
-            ctx.chunks_in(BROADCAST, None).expect_err("orphaned chunks must not route silently");
-        assert!(matches!(err, QueryError::NodeLost(_)), "{tag}: wrong error: {err}");
     }
 }
 

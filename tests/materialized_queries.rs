@@ -361,7 +361,7 @@ fn run_ais_differential(cells_per_cycle: u64, cycles: usize) {
         let probe = AisWorkload::cycle_region(0);
         let full_ctx = ExecutionContext::new(runner.cluster(), runner.catalog());
         let store_ctx = ExecutionContext::new(runner.cluster(), &stripped);
-        assert!(store_ctx.cells_available(stripped.array(BROADCAST).unwrap()));
+        assert!(store_ctx.plan_scan(BROADCAST, Some(&probe), None).unwrap().exact);
         assert_eq!(
             ops::subarray(&full_ctx, BROADCAST, &probe, &[]).unwrap(),
             ops::subarray(&store_ctx, BROADCAST, &probe, &[]).unwrap(),
