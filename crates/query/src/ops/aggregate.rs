@@ -12,7 +12,7 @@ use super::scan::{numeric_attr, NumericSlice};
 use crate::error::{QueryError, Result};
 use crate::exec::ExecutionContext;
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
-use array_model::{ArrayId, ChunkDescriptor, Region};
+use array_model::{ArrayId, ChunkCoords, ChunkDescriptor, Region, MAX_DIMS};
 use cluster_sim::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -31,7 +31,9 @@ pub enum AggFn {
 }
 
 /// How to map cells to groups: keep `dims`, dividing each kept dimension's
-/// cell coordinate by the matching `coarsen` factor.
+/// cell coordinate by the matching `coarsen` factor. The fields are public,
+/// so the operators validate a spec when they run it (a typed
+/// [`QueryError::InvalidArgument`]), not when it is built.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupSpec {
     /// Dimension indices retained in the group key.
@@ -49,13 +51,7 @@ impl GroupSpec {
 
     /// Keep `dims`, coarsened by the paired factors.
     pub fn coarsened(dims: Vec<usize>, coarsen: Vec<i64>) -> Self {
-        assert_eq!(dims.len(), coarsen.len());
-        assert!(coarsen.iter().all(|&c| c >= 1));
         GroupSpec { dims, coarsen }
-    }
-
-    fn key_of_cell(&self, cell: &[i64]) -> Vec<i64> {
-        self.dims.iter().zip(&self.coarsen).map(|(&d, &c)| cell[d].div_euclid(c)).collect()
     }
 }
 
@@ -115,9 +111,26 @@ fn grid_aggregate_impl(
     rolling_dim: Option<usize>,
 ) -> Result<(Vec<GroupRow>, QueryStats)> {
     let array = ctx.catalog.array(array_id)?;
-    for &d in &spec.dims {
+    let invalid = |what: String| Err(QueryError::InvalidArgument(what));
+    // Unvalidated, a length mismatch silently truncated the key (`zip`), a
+    // zero divisor panicked in `div_euclid` and a negative one mis-grouped.
+    if spec.dims.len() != spec.coarsen.len() {
+        return invalid(format!(
+            "{} group dimensions but {} coarsening factors",
+            spec.dims.len(),
+            spec.coarsen.len()
+        ));
+    }
+    if spec.dims.len() > MAX_DIMS {
+        return invalid(format!("group key wider than {MAX_DIMS} dimensions"));
+    }
+    for (&d, &c) in spec.dims.iter().zip(&spec.coarsen) {
         if d >= array.schema.ndims() {
-            return Err(QueryError::InvalidArgument(format!("group dimension {d} out of range")));
+            return invalid(format!("group dimension {d} out of range"));
+        }
+        // The cost model coarsens in chunk units, `c * chunk_interval`.
+        if c < 1 || c.checked_mul(array.schema.dimensions[d].chunk_interval.max(1)).is_none() {
+            return invalid(format!("coarsening factor {c} of group dimension {d} out of range"));
         }
     }
     // The rolling dimension indexes the fixed-size chunk coordinate repr,
@@ -189,20 +202,44 @@ fn grid_aggregate_impl(
     }
 
     // --- materialized answer ---
-    let mut groups: BTreeMap<Vec<i64>, (f64, u64, f64)> = BTreeMap::new(); // (sum, count, max)
+    // Each group accumulates its rows in scan order (the order of the f64
+    // additions is part of the answer), so this stays one pass over the
+    // rows; what it avoids is a heap key and a tree descent per row. Keys
+    // are inline and ordered like the `Vec<i64>` they become at the end,
+    // the map only assigns each new key a slot in `states`, and a row that
+    // lands in the same group as the row before it skips the map.
+    let mut slots: BTreeMap<ChunkCoords, usize> = BTreeMap::new();
+    let mut states: Vec<(f64, u64, f64)> = Vec::new(); // (sum, count, max)
+    let mut key = ChunkCoords::zeros(spec.dims.len());
+    let mut previous = None;
     plan.for_each_chunk(|chunk, mask| {
         let col = NumericSlice::of(chunk, attr_idx);
         mask.for_each_cell(chunk, |row, cell| {
+            for ((k, &d), &c) in key.as_mut_slice().iter_mut().zip(&spec.dims).zip(&spec.coarsen) {
+                *k = cell[d].div_euclid(c);
+            }
+            let slot = match previous {
+                Some((same, slot)) if same == key => slot,
+                _ => {
+                    let slot = *slots.entry(key).or_insert_with(|| {
+                        states.push((0.0, 0, f64::MIN));
+                        states.len() - 1
+                    });
+                    previous = Some((key, slot));
+                    slot
+                }
+            };
             let v = col.get(row);
-            let entry = groups.entry(spec.key_of_cell(cell)).or_insert((0.0, 0, f64::MIN));
-            entry.0 += v;
-            entry.1 += 1;
-            entry.2 = entry.2.max(v);
+            let state = &mut states[slot];
+            state.0 += v;
+            state.1 += 1;
+            state.2 = state.2.max(v);
         });
     })?;
-    let rows = groups
+    let rows = slots
         .into_iter()
-        .map(|(key, (sum, count, max))| {
+        .map(|(key, slot)| {
+            let (sum, count, max) = states[slot];
             let value = match agg {
                 AggFn::Count => count as f64,
                 AggFn::Sum => sum,
@@ -215,7 +252,7 @@ fn grid_aggregate_impl(
                 }
                 AggFn::Max => max,
             };
-            GroupRow { key, value, cells: count }
+            GroupRow { key: key.to_vec(), value, cells: count }
         })
         .collect();
     Ok((rows, tracker.finish()))
@@ -334,6 +371,48 @@ mod tests {
             grid_aggregate(&ctx, ArrayId(0), None, "v", &spec, AggFn::Avg),
             Err(QueryError::InvalidArgument(_))
         ));
+    }
+
+    fn assert_spec_rejected(spec: GroupSpec) {
+        let (cluster, cat) = setup(|i| NodeId((i % 4) as u32));
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        for answer in [
+            grid_aggregate(&ctx, ArrayId(0), None, "v", &spec, AggFn::Sum),
+            rolling_aggregate(&ctx, ArrayId(0), None, "v", &spec, AggFn::Sum, 0),
+        ] {
+            assert!(matches!(answer, Err(QueryError::InvalidArgument(_))), "{spec:?}: {answer:?}");
+        }
+    }
+
+    #[test]
+    fn zero_coarsening_factor_is_rejected() {
+        // Used to reach `div_euclid(0)` and panic inside the scan.
+        assert_spec_rejected(GroupSpec { dims: vec![0], coarsen: vec![0] });
+        assert_spec_rejected(GroupSpec::coarsened(vec![1, 2], vec![2, 0]));
+    }
+
+    #[test]
+    fn negative_coarsening_factor_is_rejected() {
+        // Used to answer with mirrored, mis-sized groups.
+        assert_spec_rejected(GroupSpec { dims: vec![1, 2], coarsen: vec![2, -2] });
+    }
+
+    #[test]
+    fn mismatched_spec_lengths_are_rejected() {
+        // Used to be silently truncated to the shorter list by `zip`.
+        assert_spec_rejected(GroupSpec { dims: vec![1, 2], coarsen: vec![2] });
+        assert_spec_rejected(GroupSpec { dims: vec![1], coarsen: vec![2, 2] });
+    }
+
+    #[test]
+    fn coarsening_factor_overflowing_chunk_units_is_rejected() {
+        // `c * chunk_interval` (x chunks are 2 cells wide) used to
+        // overflow in the cost model.
+        assert_spec_rejected(GroupSpec { dims: vec![1], coarsen: vec![i64::MAX] });
+        assert_spec_rejected(GroupSpec {
+            dims: vec![0; MAX_DIMS + 1],
+            coarsen: vec![1; MAX_DIMS + 1],
+        });
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! * trajectory projection hands ships off across chunk boundaries, a
 //!   halo-like exchange.
 
+use super::keys::FlatKeys;
 use super::scan::{numeric_attr, NumericSlice};
 use crate::error::{QueryError, Result};
 use crate::exec::{ExecutionContext, ScanPlan};
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
 use array_model::{chunk_of, ArrayId, ChunkCoords, ChunkDescriptor, Region};
 use cluster_sim::gb;
-use std::collections::BTreeMap;
 
 /// k-means output.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -133,6 +133,12 @@ pub struct KnnAnswer {
 
 /// k-nearest-neighbour search for each query point, by expanding-ring
 /// exploration of the chunk grid.
+///
+/// The rings oversample — a query point sees thousands of candidate cells
+/// to keep `k` — so the answer is a selection, not a sort: partition the
+/// candidate distances around rank `k`, then order only the `k` survivors.
+/// Distances that tie under [`f64::total_cmp`] are the same bits, so the
+/// result equals sorting everything and truncating.
 pub fn knn(
     ctx: &ExecutionContext<'_>,
     array_id: ArrayId,
@@ -202,7 +208,7 @@ pub fn knn(
             // Stop once we have enough candidates and looked at least one
             // ring beyond the first hit (so the true neighbours cannot
             // hide in an unvisited adjacent chunk).
-            if cells_found >= k as u64 * OVERSAMPLE && r >= 1 {
+            if cells_found >= (k as u64).saturating_mul(OVERSAMPLE) && r >= 1 {
                 break 'rings;
             }
         }
@@ -216,8 +222,11 @@ pub fn knn(
                 );
             });
         })?;
-        dists.sort_by(f64::total_cmp);
-        dists.truncate(k);
+        if dists.len() > k {
+            dists.select_nth_unstable_by(k - 1, f64::total_cmp);
+            dists.truncate(k);
+        }
+        dists.sort_unstable_by(f64::total_cmp);
         answers.push(KnnAnswer { query: q.clone(), neighbor_dist2: dists });
     }
     Ok((answers, tracker.finish()))
@@ -328,24 +337,30 @@ pub fn trajectory(
             * ctx.cost().cpu_secs_per_gb,
     );
 
-    // Materialized answer.
+    // Materialized answer: project every ship, then count the ships per
+    // landing cell as runs of the sorted landing positions.
     let mut result = TrajectoryResult::default();
-    let mut landing: BTreeMap<Vec<i64>, u64> = BTreeMap::new();
+    let mut landing = FlatKeys::new(ndims);
     plan.for_each_chunk(|chunk, mask| {
         let speeds = NumericSlice::of(chunk, sp_idx);
         let courses = NumericSlice::of(chunk, co_idx);
         mask.for_each_cell(chunk, |row, cell| {
             let speed = speeds.get(row);
             let course = courses.get(row).to_radians();
-            let mut dest = cell.to_vec();
-            dest[dx] += (speed * horizon * course.cos()).round() as i64;
-            dest[dy] += (speed * horizon * course.sin()).round() as i64;
-            result.projected += 1;
-            *landing.entry(dest).or_default() += 1;
+            // The float-to-int casts saturate (a huge or infinite product
+            // lands on `i64::MAX`), so the shift must saturate too: a
+            // hostile attribute value parks the ship at the edge of the
+            // coordinate space instead of overflowing the scan.
+            let dest = landing.push(cell);
+            dest[dx] = dest[dx].saturating_add((speed * horizon * course.cos()).round() as i64);
+            dest[dy] = dest[dy].saturating_add((speed * horizon * course.sin()).round() as i64);
         });
     })?;
-    result.collision_candidates =
-        landing.values().map(|&c| if c >= 2 { c * (c - 1) / 2 } else { 0 }).sum();
+    result.projected = landing.len() as u64;
+    landing.for_each_run(|ships| {
+        let c = ships.len() as u64;
+        result.collision_candidates += c * (c - 1) / 2;
+    });
     Ok((result, tracker.finish()))
 }
 
@@ -455,6 +470,42 @@ mod tests {
         let (result, _) = trajectory(&ctx, ArrayId(0), &region, "speed", "course", 1.0).unwrap();
         // Both project to (6,4): one collision pair.
         assert_eq!(result.projected, 2);
+        assert_eq!(result.collision_candidates, 1);
+    }
+
+    #[test]
+    fn knn_with_a_huge_k_means_every_candidate() {
+        // `k * OVERSAMPLE` used to overflow (a debug panic) for k near
+        // `usize::MAX`; now the rings are simply never "enough" and the
+        // answer is every candidate they reach, ascending.
+        let (cluster, cat) = setup(two_cluster_array(), |i| NodeId((i % 4) as u32));
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        let (answers, _) = knn(&ctx, ArrayId(0), &[vec![2, 2]], usize::MAX).unwrap();
+        let dists = &answers[0].neighbor_dist2;
+        assert_eq!(dists.len(), 9, "the whole near blob, none of the far one");
+        assert_eq!(dists[..5], [0.0, 1.0, 1.0, 1.0, 1.0]);
+        assert!(dists.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn trajectory_saturates_on_hostile_speeds() {
+        // A huge or infinite speed casts to `i64::MAX`; adding that to a
+        // positive coordinate used to overflow the scan. Both ships now
+        // land on the same saturated cell: one collision pair.
+        let schema =
+            ArraySchema::parse("B<speed:double, course:double>[x=0:15,4, y=0:15,4]").unwrap();
+        let mut a = Array::new(ArrayId(0), schema);
+        for (cell, speed) in [(vec![4, 4], f64::INFINITY), (vec![9, 4], 1e300)] {
+            a.insert_cell(cell, vec![ScalarValue::Double(speed), ScalarValue::Double(0.0)])
+                .unwrap();
+        }
+        a.insert_cell(vec![12, 12], vec![ScalarValue::Double(f64::NAN), ScalarValue::Double(0.0)])
+            .unwrap();
+        let (cluster, cat) = setup(a, |_| NodeId(0));
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        let region = Region::new(vec![0, 0], vec![15, 15]);
+        let (result, _) = trajectory(&ctx, ArrayId(0), &region, "speed", "course", 1.0).unwrap();
+        assert_eq!(result.projected, 3);
         assert_eq!(result.collision_candidates, 1);
     }
 

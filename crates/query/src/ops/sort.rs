@@ -4,6 +4,15 @@
 //! Both run a parallel local pass, ship compact per-node summaries to the
 //! coordinator, and finish with a serial merge — "non-trivial aggregation"
 //! whose cost follows the balance of the scan plus a small serial tail.
+//!
+//! The materialized answers have the same shape. `distinct_sorted` sorts
+//! and deduplicates each chunk's keys locally — the compression the cost
+//! model charges the exchange for — and merges the survivors with one
+//! final sort; `quantile` selects the answer rank instead of sorting the
+//! sample. Neither adds floats, so — unlike the window and group sums —
+//! no evaluation order is part of these answers: each is a function of
+//! the values gathered, and equals the ordered-set / full-sort definition
+//! bit for bit however it is computed.
 
 use super::scan::{int_key, integer_attr, numeric_attr, NumericSlice};
 use crate::error::Result;
@@ -11,7 +20,6 @@ use crate::exec::ExecutionContext;
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
 use array_model::{ArrayId, Region};
 use cluster_sim::gb;
-use std::collections::BTreeSet;
 
 /// A sampled quantile estimate.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,9 +91,11 @@ pub fn quantile(
     })?;
     let mut value = None;
     if !sample.is_empty() {
-        sample.sort_by(f64::total_cmp);
+        // The value a full `total_cmp` sort would leave at the answer
+        // rank, by selection: O(n), and the same bits, because values that
+        // compare equal under the total order are the same bits.
         let idx = ((sample.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        value = Some(sample[idx]);
+        value = Some(*sample.select_nth_unstable_by(idx, f64::total_cmp).1);
     }
     Ok((QuantileResult { value, sampled_cells: sample.len() as u64 }, tracker.finish()))
 }
@@ -114,14 +124,22 @@ pub fn distinct_sorted(
     });
     tracker.coordinator(0.5); // final merge of per-node distinct sets
 
-    let mut out: BTreeSet<i64> = BTreeSet::new();
+    // Materialized answer: local distinct per chunk (a chunk repeats few
+    // keys many times, so its sorted, deduplicated keys are a small
+    // fraction of its rows), then one merge of the survivors.
+    let mut out: Vec<i64> = Vec::new();
+    let mut local: Vec<i64> = Vec::new();
     plan.for_each_chunk(|chunk, mask| {
         let col = chunk.column(attr_idx).expect("schema-shaped chunk");
-        mask.for_each(|row| {
-            out.insert(int_key(col, row));
-        });
+        local.clear();
+        mask.for_each(|row| local.push(int_key(col, row)));
+        local.sort_unstable();
+        local.dedup();
+        out.extend_from_slice(&local);
     })?;
-    Ok((out.into_iter().collect(), tracker.finish()))
+    out.sort_unstable();
+    out.dedup();
+    Ok((out, tracker.finish()))
 }
 
 #[cfg(test)]

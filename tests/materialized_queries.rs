@@ -496,10 +496,16 @@ fn check_modis_probe(
         }
     }
     assert_eq!(win.outputs, outputs, "{tag}: window outputs");
+    // The oracle sums in the operator's pinned order (centres and
+    // neighbours both ascending lexicographically), so the mean agrees to
+    // the bit, not to a tolerance.
     let mean = win.mean.expect("materialized window");
     let oracle_mean = total / outputs as f64;
-    let rel = (mean - oracle_mean).abs() / oracle_mean.abs().max(1e-12);
-    assert!(rel < 1e-9, "{tag}: window mean {mean} vs oracle {oracle_mean}");
+    assert_eq!(
+        mean.to_bits(),
+        oracle_mean.to_bits(),
+        "{tag}: window mean {mean} vs oracle {oracle_mean}"
+    );
 
     // aggregate family again, through the rolling variant (same answers,
     // extra predecessor fetches on the cost side).
