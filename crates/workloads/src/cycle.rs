@@ -2,6 +2,15 @@
 //! reorganize) → query, repeated per cycle, with node-hour accounting
 //! (Equation 1).
 //!
+//! What lives here is the driver's *surface*: its configuration
+//! ([`RunnerConfig`], [`ScalingPolicy`]), its errors ([`CycleError`]),
+//! its reports ([`CycleReport`], [`RunReport`]) and the loop —
+//! [`WorkloadRunner::run_cycle`] is one call per phase, in the paper's
+//! order, with a write-ahead record in front of each, and
+//! [`WorkloadRunner::recover`] is scan → checkpoint → replay. The state
+//! the phases transform and the phases themselves are `world.rs`; the
+//! log, its modes and the checkpoint eligibility rule are `durable.rs`.
+//!
 //! Two scaling policies drive the experiments:
 //!
 //! * [`ScalingPolicy::FixedStep`] — the §6.2 partitioner schedule: start
@@ -9,30 +18,22 @@
 //!   capacity trigger;
 //! * [`ScalingPolicy::Staircase`] — the §6.3 leading-staircase controller.
 
-use crate::durable::{self, DurabilityConfig};
-use crate::faults::{ErrorPolicy, FaultKind, FaultPlan};
-use crate::spec::{CellBatch, SuiteReport, Workload};
-use array_model::{
-    Array, ArrayError, ArrayId, ArraySchema, CellBuffer, ChunkCoords, ChunkDescriptor, ChunkKey,
-    DeltaSet, StringEncoding,
-};
+use crate::durable::{self, mismatch, DurabilityConfig, Wal};
+use crate::faults::{ErrorPolicy, FaultPlan};
+use crate::spec::{SuiteReport, Workload};
+use crate::world::{CycleFaults, RetractTally, World};
+use array_model::{Array, ArrayError, ArrayId, ChunkDescriptor, StringEncoding};
 use cluster_sim::{
-    gb, Cluster, ClusterError, CostModel, Flakiness, FlowSet, MidCrash, NodeHoursLedger, NodeId,
-    PhaseBreakdown, RebalancePlan,
+    gb, Cluster, ClusterError, CostModel, NodeHoursLedger, NodeState, PhaseBreakdown,
 };
-use durability::{
-    frame_record, ByteReader, ByteWriter, DurabilityError, FsyncPolicy, RecordReader, SharedLog,
-};
+use durability::DurabilityError;
 use elastic_core::{
-    batch_prefix_bytes, build_partitioner, route_batch, Partitioner, PartitionerConfig,
-    PartitionerKind, ProvisionDecision, RouteEpoch, StaircaseConfig, StaircaseProvisioner,
+    Partitioner, PartitionerConfig, PartitionerKind, StaircaseConfig, StaircaseProvisioner,
 };
-use query_engine::view::{ViewDef, ViewRegistry};
-use query_engine::{Catalog, ExecutionContext};
+use query_engine::view::{ViewApplyStats, ViewDef, ViewRegistry};
+use query_engine::Catalog;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
 /// What went wrong while driving a cycle. Workload batches are supposed to
 /// be collision-free, but a buggy (or adversarial) generator that re-emits
@@ -130,38 +131,24 @@ pub enum CycleError {
 
 impl fmt::Display for CycleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CycleError::Ingest { cycle, source } => {
-                write!(f, "cycle {cycle}: insert batch rejected: {source}")
-            }
-            CycleError::Derived { cycle, source } => {
-                write!(f, "cycle {cycle}: derived batch rejected: {source}")
-            }
-            CycleError::Reorg { cycle, source } => {
-                write!(f, "cycle {cycle}: rebalance plan rejected: {source}")
-            }
-            CycleError::Materialize { cycle, source } => {
-                write!(f, "cycle {cycle}: cell batch rejected: {source}")
-            }
+        let (cycle, what) = match self {
+            CycleError::Ingest { cycle, .. } => (cycle, "insert batch rejected"),
+            CycleError::Derived { cycle, .. } => (cycle, "derived batch rejected"),
+            CycleError::Reorg { cycle, .. } => (cycle, "rebalance plan rejected"),
+            CycleError::Materialize { cycle, .. } => (cycle, "cell batch rejected"),
             CycleError::UnknownArray { cycle, array } => {
-                write!(f, "cycle {cycle}: cell batch targets {array}, which is not in the catalog")
+                let tail = "which is not in the catalog";
+                return write!(f, "cycle {cycle}: cell batch targets {array}, {tail}");
             }
-            CycleError::Fault { cycle, source } => {
-                write!(f, "cycle {cycle}: fault injection refused: {source}")
-            }
-            CycleError::Recovery { cycle, source } => {
-                write!(f, "cycle {cycle}: post-recovery audit failed: {source}")
-            }
-            CycleError::Retract { cycle, source } => {
-                write!(f, "cycle {cycle}: retraction script rejected: {source}")
-            }
-            CycleError::ScaleIn { cycle, source } => {
-                write!(f, "cycle {cycle}: scale-in decommission failed: {source}")
-            }
-            CycleError::Durability { cycle, source } => {
-                write!(f, "cycle {cycle}: durability: {source}")
-            }
-        }
+            CycleError::Fault { cycle, .. } => (cycle, "fault injection refused"),
+            CycleError::Recovery { cycle, .. } => (cycle, "post-recovery audit failed"),
+            CycleError::Retract { cycle, .. } => (cycle, "retraction script rejected"),
+            CycleError::ScaleIn { cycle, .. } => (cycle, "scale-in decommission failed"),
+            CycleError::Durability { cycle, .. } => (cycle, "durability"),
+        };
+        // Every variant but `UnknownArray` chains to the error it wraps.
+        let source = std::error::Error::source(self).map_or(String::new(), |e| e.to_string());
+        write!(f, "cycle {cycle}: {what}: {source}")
     }
 }
 
@@ -256,7 +243,9 @@ pub struct RunnerConfig {
     /// runner state checkpoints periodically, so
     /// [`WorkloadRunner::recover`] can rebuild the exact pre-crash
     /// state. `None` (the default) runs purely in memory with zero
-    /// logging overhead.
+    /// logging overhead. A durable [`WorkloadRunner::run_all`] stops at
+    /// the first failing cycle whatever [`RunnerConfig::on_error`] says:
+    /// that cycle never committed, and recovery rolls it back.
     pub durability: Option<DurabilityConfig>,
 }
 
@@ -431,103 +420,6 @@ impl RunReport {
     }
 }
 
-/// Below this row count a parallel build cannot win: thread spawn and
-/// merge overhead dwarf the copying, so small batches run inline.
-const PARALLEL_BUILD_MIN_ROWS: usize = 4_096;
-
-/// Deterministically assign a chunk to one of `workers` build workers.
-/// Pure in the chunk coordinates, so every row of a chunk lands on the
-/// same worker whatever the row order — a chunk is always built whole by
-/// exactly one thread. Uses the in-tree `splitmix64` fold (the same
-/// deterministic hashing discipline as the hash partitioners) — cheap
-/// enough to run once per row in the serial pre-fan-out pass, unlike a
-/// fresh `DefaultHasher` per coordinate.
-fn build_worker_of(coords: &ChunkCoords, workers: usize) -> usize {
-    let mut h = coords.ndims() as u64;
-    for &c in coords.as_slice() {
-        h = elastic_core::hashing::splitmix64(h ^ c as u64);
-    }
-    (h % workers as u64) as usize
-}
-
-/// Build one flat cell batch into an [`Array`] of real chunks, fanning
-/// the chunk construction out over up to `threads` scoped workers.
-///
-/// The batch is validated once (shape via [`CellBuffer::matches`], bounds
-/// via [`CellBuffer::route`]), then rows are sharded by their owning
-/// chunk (`chunk_of` is pure in the cell) onto workers that build
-/// **disjoint** chunk sets; the per-worker arrays merge through
-/// [`Array::absorb`] into one deterministic, row-major result. Every
-/// chunk receives its rows in batch order regardless of which worker
-/// built it, so the output is **bit-identical** to the sequential build
-/// at every thread count.
-///
-/// The batch is consumed: the single-threaded path moves its
-/// variable-width values straight into the chunks
-/// ([`Array::insert_batch_owned`] — zero per-value allocations), while
-/// the sharded path clones from the shared buffer (workers cannot move
-/// out of a batch they all read) and drops it afterwards.
-pub fn build_cell_array(
-    id: ArrayId,
-    schema: ArraySchema,
-    rows: CellBuffer,
-    threads: usize,
-) -> Result<Array, ArrayError> {
-    build_cell_array_encoded(id, schema, rows, threads, StringEncoding::default())
-}
-
-/// [`build_cell_array`] with an explicit storage-side string encoding:
-/// the default dictionary-encodes chunk string columns (a batch whose
-/// transport is also dictionary-encoded scatters them as `u32` code
-/// remaps); [`StringEncoding::Plain`] reproduces the one-`String`-per-
-/// value representation for differential comparison.
-pub fn build_cell_array_encoded(
-    id: ArrayId,
-    schema: ArraySchema,
-    rows: CellBuffer,
-    threads: usize,
-    encoding: StringEncoding,
-) -> Result<Array, ArrayError> {
-    let mut fresh = Array::with_encoding(id, schema, encoding);
-    let workers = threads.max(1);
-    if workers == 1 || rows.len() < PARALLEL_BUILD_MIN_ROWS {
-        // Inline build: one validation + route pass, values moved.
-        fresh.insert_batch_owned(rows)?;
-        return Ok(fresh);
-    }
-    rows.matches(&fresh.schema)?;
-    let routed = rows.route(&fresh.schema)?;
-    // Bucket row indices by owning worker (pure in the chunk), keeping
-    // batch order within each bucket.
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); workers];
-    for (r, coords) in routed.iter().enumerate() {
-        buckets[build_worker_of(coords, workers)].push(r as u32);
-    }
-    let parts: Vec<Array> = std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .iter()
-            .map(|bucket| {
-                let schema = fresh.schema.clone();
-                let routed = &routed;
-                let rows = &rows;
-                scope.spawn(move || {
-                    let mut part = Array::with_encoding(id, schema, encoding);
-                    part.insert_routed_rows(rows, routed, bucket)
-                        .expect("batch was validated against this same schema");
-                    part
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("build worker panicked")).collect()
-    });
-    for part in parts {
-        // Worker chunk sets are disjoint by construction, so every merge
-        // is a wholesale move of fresh positions.
-        fresh.absorb(part)?;
-    }
-    Ok(fresh)
-}
-
 enum WorkloadRef<'w> {
     Borrowed(&'w dyn Workload),
     Owned(Box<dyn Workload>),
@@ -542,37 +434,30 @@ impl WorkloadRef<'_> {
     }
 }
 
-/// The runner's live durability wiring (present when
-/// [`RunnerConfig::durability`] is set).
-struct DurableState {
-    log: SharedLog,
-    checkpoint_every: usize,
-    fsync: FsyncPolicy,
-    /// [`durable::config_fingerprint`] of this run, written as the log's
-    /// genesis record and cross-checked on recovery.
-    fingerprint: u64,
-    /// Whether the genesis record has been appended (lazily, at the
-    /// first cycle — construction stays infallible).
-    genesis_written: bool,
-}
-
 /// Drives one workload against one partitioner and scaling policy.
 pub struct WorkloadRunner<'w> {
     workload: WorkloadRef<'w>,
     config: RunnerConfig,
-    cluster: Cluster,
-    catalog: Catalog,
-    partitioner: Box<dyn Partitioner>,
-    provisioner: Option<StaircaseProvisioner>,
-    views: ViewRegistry,
-    durable: Option<DurableState>,
-    /// Replay mode: the logged record payloads of the cycle being
-    /// re-executed. Each recomputed record is byte-compared against the
-    /// front of this queue instead of being appended.
-    replay: Option<VecDeque<Vec<u8>>>,
+    world: World,
+    /// The write-ahead log; `None` when [`RunnerConfig::durability`] is.
+    wal: Option<Wal>,
     /// First cycle [`WorkloadRunner::run_all`] executes — `0` for a
     /// fresh runner, the first un-logged cycle after a recovery.
     start_cycle: usize,
+}
+
+/// Log one record ahead of the transition it describes. With durability
+/// off this is the single branch a would-be record costs: `make` is
+/// never called.
+fn record(
+    wal: &mut Option<Wal>,
+    cycle: usize,
+    make: impl FnOnce() -> Vec<u8>,
+) -> Result<(), CycleError> {
+    match wal {
+        Some(wal) => wal.record(cycle, make),
+        None => Ok(()),
+    }
 }
 
 impl<'w> WorkloadRunner<'w> {
@@ -592,70 +477,9 @@ impl<'w> WorkloadRunner<'w> {
     }
 
     fn build(workload: WorkloadRef<'_>, config: RunnerConfig) -> WorkloadRunner<'_> {
-        let mut cluster = Cluster::with_replication(
-            config.initial_nodes,
-            config.node_capacity,
-            config.cost.clone(),
-            config.replication,
-        )
-        .expect("initial node count is positive");
-        let mut catalog = Catalog::new();
-        workload.get().register_arrays(&mut catalog);
-        // Register every array's chunk-grid extents so the cluster's
-        // placement index runs dense (O(1), allocation-free) instead of
-        // hashing. Unbounded dimensions take the workload's grid hint as
-        // their expected extent — exceeding it only spills to a hash map.
-        let hint = workload.get().grid_hint();
-        for stored in catalog.arrays() {
-            let extents: Vec<i64> = stored
-                .schema
-                .dimensions
-                .iter()
-                .enumerate()
-                .map(|(d, dim)| {
-                    dim.chunk_count()
-                        .or_else(|| {
-                            (stored.schema.ndims() == hint.ndims()).then(|| hint.chunk_counts[d])
-                        })
-                        .unwrap_or(1024)
-                        .max(1)
-                })
-                .collect();
-            cluster.register_array(stored.id, &extents);
-        }
-        let mut pconfig = config.partitioner_config.clone();
-        if pconfig.quad_plane.is_none() {
-            pconfig.quad_plane = Some(workload.get().quad_plane());
-        }
-        let partitioner =
-            build_partitioner(config.partitioner, &cluster, &workload.get().grid_hint(), &pconfig);
-        let provisioner = match &config.scaling {
-            ScalingPolicy::Staircase(cfg) => Some(StaircaseProvisioner::new(*cfg)),
-            _ => None,
-        };
-        let durable = config.durability.as_ref().map(|d| DurableState {
-            log: d.log.clone(),
-            checkpoint_every: d.checkpoint_every,
-            fsync: d.fsync_policy,
-            fingerprint: durable::config_fingerprint(
-                &config,
-                workload.get().name(),
-                workload.get().cycles(),
-            ),
-            genesis_written: false,
-        });
-        WorkloadRunner {
-            workload,
-            config,
-            cluster,
-            catalog,
-            partitioner,
-            provisioner,
-            views: ViewRegistry::new(),
-            durable,
-            replay: None,
-            start_cycle: 0,
-        }
+        let world = World::new(workload.get(), &config);
+        let wal = Wal::for_run(&config, workload.get());
+        WorkloadRunner { workload, config, world, wal, start_cycle: 0 }
     }
 
     /// Register an incremental materialized view. From now on each
@@ -666,41 +490,40 @@ impl<'w> WorkloadRunner<'w> {
     /// catalog oracle via [`array_model::DeltaSet::from_live_cells`] to
     /// backfill).
     pub fn register_view(&mut self, def: ViewDef) {
-        self.views.register(def);
+        self.world.views.register(def);
     }
 
     /// The registered incremental views and their current state.
     pub fn views(&self) -> &ViewRegistry {
-        &self.views
+        &self.world.views
     }
 
     /// Run just the §3.3 benchmark suites for `cycle` against the current
     /// placement (no ingest, no scale-out, no derived storage).
     pub fn run_suites_only(&self, cycle: usize) -> SuiteReport {
-        let ctx = ExecutionContext::new(&self.cluster, &self.catalog);
-        self.workload.get().run_suites(&ctx, cycle)
+        self.world.run_queries(self.workload.get(), cycle).0
     }
 
     /// The cluster (for inspection between cycles).
     pub fn cluster(&self) -> &Cluster {
-        &self.cluster
+        &self.world.cluster
     }
 
     /// The catalog (for inspection between cycles — e.g. running operators
     /// directly against the current placement).
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        &self.world.catalog
     }
 
     /// The provisioner, when the staircase policy is active.
     pub fn provisioner(&self) -> Option<&StaircaseProvisioner> {
-        self.provisioner.as_ref()
+        self.world.provisioner.as_ref()
     }
 
     /// The live partitioner (for inspection — the recovery differential
     /// suites probe its routing table for bit-identity).
     pub fn partitioner(&self) -> &dyn Partitioner {
-        self.partitioner.as_ref()
+        self.world.partitioner.as_ref()
     }
 
     /// First cycle [`WorkloadRunner::run_all`] will execute: `0` for a
@@ -710,785 +533,97 @@ impl<'w> WorkloadRunner<'w> {
         self.start_cycle
     }
 
-    fn durability_err(cycle: usize, source: DurabilityError) -> CycleError {
-        CycleError::Durability { cycle, source }
-    }
-
-    /// Append the genesis record if this is a durable runner touching an
-    /// empty log for the first time. Replayed runners already consumed
-    /// genesis during [`WorkloadRunner::recover`]'s scan.
-    fn wal_genesis(&mut self, cycle: usize) -> Result<(), CycleError> {
-        if self.replay.is_some() {
-            return Ok(());
-        }
-        let Some(d) = self.durable.as_mut() else { return Ok(()) };
-        if d.genesis_written {
-            return Ok(());
-        }
-        let framed = frame_record(&durable::genesis_payload(d.fingerprint));
-        let mut log = d.log.lock().expect("log mutex poisoned");
-        log.append(&framed).map_err(|e| Self::durability_err(cycle, e))?;
-        if d.fsync == FsyncPolicy::Always {
-            log.flush().map_err(|e| Self::durability_err(cycle, e))?;
-        }
-        drop(log);
-        d.genesis_written = true;
-        Ok(())
-    }
-
-    /// The write-ahead choke point: every logical record the cycle
-    /// produces flows through here *before* the transition it describes
-    /// is applied. Live mode appends (and under
-    /// [`FsyncPolicy::Always`], flushes); replay mode recomputes the
-    /// payload via `make` and byte-compares it against the logged
-    /// record — any divergence is a typed
-    /// [`DurabilityError::Mismatch`]. With durability off, `make` is
-    /// never called: the hot path pays one branch.
-    fn wal_record(
-        &mut self,
-        cycle: usize,
-        make: impl FnOnce() -> Vec<u8>,
-    ) -> Result<(), CycleError> {
-        if let Some(queue) = self.replay.as_mut() {
-            let Some(logged) = queue.pop_front() else {
-                return Err(Self::durability_err(
-                    cycle,
-                    DurabilityError::Mismatch {
-                        what: format!("cycle {cycle} record stream"),
-                        expected: "another logged record".to_string(),
-                        actual: "log exhausted mid-cycle".to_string(),
-                    },
-                ));
-            };
-            let recomputed = make();
-            if recomputed != logged {
-                return Err(Self::durability_err(
-                    cycle,
-                    DurabilityError::Mismatch {
-                        what: format!("cycle {cycle} {} record", durable::tag_name(&logged)),
-                        expected: format!(
-                            "{} bytes logged ({})",
-                            logged.len(),
-                            durable::tag_name(&logged)
-                        ),
-                        actual: format!(
-                            "{} bytes recomputed ({})",
-                            recomputed.len(),
-                            durable::tag_name(&recomputed)
-                        ),
-                    },
-                ));
-            }
-            return Ok(());
-        }
-        let Some(d) = self.durable.as_mut() else { return Ok(()) };
-        let framed = frame_record(&make());
-        let mut log = d.log.lock().expect("log mutex poisoned");
-        log.append(&framed).map_err(|e| Self::durability_err(cycle, e))?;
-        if d.fsync == FsyncPolicy::Always {
-            log.flush().map_err(|e| Self::durability_err(cycle, e))?;
-        }
-        Ok(())
-    }
-
-    /// Commit the cycle: append (or replay-verify) the `CycleEnd`
-    /// record, flush per the fsync policy, and checkpoint if the cycle
-    /// count says so. In replay mode also demands the logged cycle's
-    /// record queue is fully consumed — extra logged records the rerun
-    /// did not produce are divergence too.
-    fn wal_commit(&mut self, cycle: usize) -> Result<(), CycleError> {
-        self.wal_record(cycle, || durable::cycle_end_payload(cycle as u64))?;
-        if let Some(queue) = self.replay.as_ref() {
-            if !queue.is_empty() {
-                return Err(Self::durability_err(
-                    cycle,
-                    DurabilityError::Mismatch {
-                        what: format!("cycle {cycle} record stream"),
-                        expected: "CycleEnd as the last logged record".to_string(),
-                        actual: format!("{} logged records left unconsumed", queue.len()),
-                    },
-                ));
-            }
-            return Ok(());
-        }
-        let Some(d) = self.durable.as_ref() else { return Ok(()) };
-        if d.fsync == FsyncPolicy::PerCycle {
-            let mut log = d.log.lock().expect("log mutex poisoned");
-            log.flush().map_err(|e| Self::durability_err(cycle, e))?;
-        }
-        let next_cycle = cycle + 1;
-        if d.checkpoint_every > 0 && next_cycle.is_multiple_of(d.checkpoint_every) {
-            let blob = self.checkpoint_blob(next_cycle as u64);
-            let d = self.durable.as_ref().expect("checked above");
-            let mut log = d.log.lock().expect("log mutex poisoned");
-            log.write_checkpoint(next_cycle as u64, &blob)
-                .map_err(|e| Self::durability_err(cycle, e))?;
-        }
-        Ok(())
-    }
-
-    /// Serialize the runner's whole state — catalog (schemas,
-    /// descriptors, materialized payloads), cluster (roster, placement,
-    /// loads, replicas, tombstone ledgers), partitioner table,
-    /// provisioner history, and view states — as one framed checkpoint
-    /// record. `next_cycle` is the first cycle *not* reflected in the
-    /// state.
-    fn checkpoint_blob(&self, next_cycle: u64) -> Vec<u8> {
-        let d = self.durable.as_ref().expect("checkpoints require durability");
-        let mut w = ByteWriter::new();
-        w.put_u64(d.fingerprint);
-        w.put_u64(next_cycle);
-        self.catalog.encode_into(&mut w);
-        self.cluster.snapshot_into(&mut w);
-        w.put_bytes(&self.partitioner.table_snapshot());
-        match self.provisioner.as_ref() {
-            Some(p) => {
-                w.put_bool(true);
-                w.put_usize(p.history().len());
-                for &v in p.history() {
-                    w.put_f64(v);
-                }
-            }
-            None => w.put_bool(false),
-        }
-        self.views.export_states(&mut w);
-        frame_record(&w.into_bytes())
-    }
-
-    /// Most nodes a FixedStep policy will add in one cycle. Generous — the
-    /// paper's schedules add 2 — but finite, so a runaway demand signal
-    /// cannot allocate an unbounded roster; hitting the cap is surfaced
-    /// through [`CycleReport::scale_saturated`] rather than dropped.
-    const MAX_FIXED_STEP_ADD: u64 = 4096;
-
-    /// Decide how the roster changes for a projected `demand_bytes`:
-    /// nodes to add, nodes to release, and whether the decision
-    /// saturated the per-cycle cap. Both counts run off the *active*
-    /// roster — retired nodes keep their slot but contribute no
-    /// capacity.
-    ///
-    /// FixedStep is closed-form integer arithmetic: the smallest multiple
-    /// of `add` that brings `trigger × capacity` back above demand. (The
-    /// old implementation looped in f64 GB and silently stopped after 64
-    /// extra nodes, under-provisioning any cycle that needed more.)
-    /// Only the staircase controller ever asks to shrink, and only when
-    /// its `shrink_margin` hysteresis band is enabled.
-    fn scale_decision(&self, demand_bytes: u64) -> ScaleStep {
-        match &self.config.scaling {
-            ScalingPolicy::Fixed => ScaleStep::default(),
-            ScalingPolicy::FixedStep { add, trigger } => {
-                // Usable bytes per node under the trigger fraction. The one
-                // f64 rounding happens here, floor-ward, which can only
-                // over-provision by at most one step — never under.
-                let usable = (trigger * self.config.node_capacity as f64) as u64;
-                if usable == 0 {
-                    // Degenerate policy (zero trigger or capacity): no node
-                    // count can ever satisfy demand.
-                    return ScaleStep { saturated: demand_bytes > 0, ..ScaleStep::default() };
-                }
-                let needed = demand_bytes.div_ceil(usable);
-                let have = self.cluster.active_node_count() as u64;
-                if needed <= have {
-                    return ScaleStep::default();
-                }
-                let step = (*add).max(1) as u64;
-                let extra = (needed - have).div_ceil(step) * step;
-                if extra > Self::MAX_FIXED_STEP_ADD {
-                    ScaleStep { add: Self::MAX_FIXED_STEP_ADD as usize, saturated: true, remove: 0 }
-                } else {
-                    ScaleStep { add: extra as usize, ..ScaleStep::default() }
-                }
-            }
-            ScalingPolicy::Staircase(_) => {
-                match self
-                    .provisioner
-                    .as_ref()
-                    .expect("staircase policy keeps a provisioner")
-                    .decide(self.cluster.active_node_count(), gb(demand_bytes))
-                {
-                    ProvisionDecision::Stay => ScaleStep::default(),
-                    ProvisionDecision::ScaleOut { add_nodes } => {
-                        ScaleStep { add: add_nodes, ..ScaleStep::default() }
-                    }
-                    ProvisionDecision::ScaleIn { remove_nodes } => {
-                        ScaleStep { remove: remove_nodes, ..ScaleStep::default() }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Build each cell batch into real chunks via the array-model chunk
-    /// builder, fanning the chunk construction out over
-    /// `ingest_threads` scoped workers (see [`build_cell_array`]). The
-    /// returned arrays hold the cycle's fresh chunks only; descriptors
-    /// derived from them carry actual `byte_size()` / `cell_count()`
-    /// instead of sampled sizes.
-    fn build_cell_arrays(
-        &self,
-        cycle: usize,
-        batches: Vec<CellBatch>,
-    ) -> Result<Vec<Array>, CycleError> {
-        let threads = self.config.ingest_threads.max(1);
-        let mut out = Vec::with_capacity(batches.len());
-        for b in batches {
-            let schema = match self.catalog.array(b.array) {
-                Ok(stored) => stored.schema.clone(),
-                Err(_) => return Err(CycleError::UnknownArray { cycle, array: b.array }),
-            };
-            let fresh = build_cell_array_encoded(
-                b.array,
-                schema,
-                b.into_rows(),
-                threads,
-                self.config.string_encoding,
-            )
-            .map_err(|source| CycleError::Materialize { cycle, source })?;
-            out.push(fresh);
-        }
-        Ok(out)
-    }
-
-    /// Attach the freshly built chunks to the nodes that just received
-    /// their descriptors, and fold them into the catalog's whole-array
-    /// storage (the oracle the differential suites check against). Both
-    /// stores hold the **same** `Arc<Chunk>` handles: attaching is a
-    /// refcount bump per chunk, and rebalances move the handle — the old
-    /// per-chunk deep clone is gone.
-    fn store_cell_arrays(&mut self, cycle: usize, arrays: Vec<Array>) -> Result<(), CycleError> {
-        for fresh in arrays {
-            let id = fresh.id;
-            for (coords, chunk) in fresh.shared_chunks() {
-                self.cluster
-                    .attach_payload(ChunkKey::new(id, *coords), Arc::clone(chunk))
-                    .map_err(|source| CycleError::Ingest { cycle, source })?;
-            }
-            let stored = self.catalog.array_mut(id).expect("validated in build_cell_arrays");
-            let data = stored.data.get_or_insert_with(|| Array::new(id, stored.schema.clone()));
-            // `absorb` checks schema identity once and skips per-cell
-            // re-validation: `fresh` was built against this same schema
-            // in `build_cell_arrays`, and moves its chunk handles in
-            // wholesale.
-            data.absorb(fresh).map_err(|source| CycleError::Materialize { cycle, source })?;
-        }
-        Ok(())
-    }
-
-    /// Place a batch of chunks through the sharded route → place → commit
-    /// pipeline, returning the coordinator-fed flow set. With
-    /// `ingest_threads > 1` both routing and placement fan out over scoped
-    /// threads; the resulting placements, loads, and census are identical
-    /// to the single-threaded path.
-    fn place_batch(&mut self, batch: &[ChunkDescriptor]) -> Result<FlowSet, ClusterError> {
-        let coordinator = self.cluster.coordinator();
-        let threads = self.config.ingest_threads.max(1);
-        // Route the whole batch against one epoch snapshot...
-        let prefix = batch_prefix_bytes(batch);
-        let epoch = RouteEpoch::for_batch(&self.cluster, &prefix);
-        let mut routes = route_batch(self.partitioner.as_ref(), batch, &epoch, threads);
-        // Partitioners route against the full roster; with nodes out of
-        // service, divert each such hit to a deterministic accepting node.
-        // Fault-free runs skip this pass entirely, keeping the healthy
-        // path bit-identical to the pre-fault runner.
-        if self.cluster.has_faulted_nodes() {
-            for (desc, route) in batch.iter().zip(routes.iter_mut()) {
-                let accepts = self.cluster.node(*route).is_ok_and(|n| n.state().accepts_data());
-                if !accepts {
-                    *route =
-                        self.cluster.divert_route(&desc.key).ok_or(ClusterError::NoHealthyNodes)?;
-                }
-            }
-        }
-        // ...place it shard-parallel (rolls back wholesale on duplicates)...
-        self.cluster.place_batch(batch, &routes, threads)?;
-        // ...then commit the partitioner's table mutations sequentially
-        // (diverted routes included, so later lookups agree with the
-        // placement).
-        self.partitioner.commit(batch, &routes);
-        let mut flows = FlowSet::new();
-        for (desc, &node) in batch.iter().zip(&routes) {
-            flows.push(coordinator, node, desc.bytes);
-            // Replica copies cost real bytes too: the coordinator fans the
-            // same payload to every holder the placement just installed.
-            // Empty at k = 1.
-            for &holder in self.cluster.replica_holders(&desc.key) {
-                flows.push(coordinator, holder, desc.bytes);
-            }
-            if let Ok(array) = self.catalog.array_mut(desc.key.array) {
-                array.descriptors.insert(desc.key.coords, *desc);
-            }
-        }
-        Ok(flows)
-    }
-
-    /// Rewrite a scale-out rebalance plan against the faulted roster. The
-    /// partitioners are deliberately fault-blind — their ring/tree view
-    /// stays stable across crashes so fault-free runs stay bit-identical —
-    /// which means a plan can move chunks that a crash already promoted
-    /// elsewhere (or orphaned), or target a node that no longer accepts
-    /// data. Stale sources are dropped (there is nothing left to move);
-    /// unavailable destinations are diverted exactly like ingest routes.
-    /// Fault-free runs return the plan untouched.
-    fn sanitize_rebalance(&self, plan: RebalancePlan) -> RebalancePlan {
-        if !self.cluster.has_faulted_nodes() {
-            return plan;
-        }
-        let mut out = RebalancePlan::empty();
-        for m in plan.moves {
-            let source_live = self.cluster.locate(&m.key) == Some(m.from)
-                && self.cluster.node(m.from).is_ok_and(|n| n.state().serves_reads());
-            if !source_live {
-                continue;
-            }
-            let accepts = self.cluster.node(m.to).is_ok_and(|n| n.state().accepts_data());
-            let to = if accepts {
-                m.to
-            } else {
-                // A diverted move may land on a replica holder; the
-                // cluster supersedes that replica with the arriving
-                // primary, so any accepting node is a legal target.
-                match self.cluster.divert_route(&m.key) {
-                    Some(d) if d != m.from => d,
-                    _ => continue,
-                }
-            };
-            out.push(m.key, m.from, to, m.bytes);
-        }
-        out
-    }
-
-    /// Upper bound on plan → execute recovery passes per invocation. A
-    /// mid-repair crash creates deficits the in-flight plan cannot see,
-    /// so one pass is not always enough; flaky flows can starve a pass
-    /// without emptying the plan. Four passes converge every schedule the
-    /// suites drive while still bounding an adversarial one.
-    const MAX_RECOVERY_PASSES: usize = 4;
-
-    /// The faults scheduled for `cycle`, sorted into the phases that
-    /// execute them.
-    fn cycle_faults(&self, cycle: usize) -> CycleFaults {
-        let mut out = CycleFaults::default();
-        let Some(plan) = self.config.fault_plan.as_ref() else { return out };
-        for kind in plan.events_at(cycle) {
-            match kind {
-                FaultKind::Crash(_) | FaultKind::Drain(_) | FaultKind::Revive(_) => {
-                    out.start.push(kind)
-                }
-                FaultKind::CrashDuringRebalance(n) => out.rebalance_crashes.push(NodeId(n)),
-                FaultKind::CrashDuringRecovery { node, after_jobs } => {
-                    out.mid_crash = Some(MidCrash { after_jobs, node: NodeId(node) })
-                }
-                FaultKind::FlakyFlows { p } => {
-                    out.flaky = Some(Flakiness { p, seed: plan.cycle_seed(cycle) })
-                }
-            }
-        }
-        out
-    }
-
-    /// Drive recovery to convergence: plan → execute passes until the
-    /// plan comes back empty or stops making progress, then return any
-    /// refilled `Recovering` nodes to full service and audit the replica
-    /// books. Repair flows and backoff waits accumulate into `tally`.
-    fn run_recovery(
-        &mut self,
-        cycle: usize,
-        flaky: Option<Flakiness>,
-        mut mid_crash: Option<MidCrash>,
-        tally: &mut RepairTally,
-    ) -> Result<(), CycleError> {
-        let policy = self.config.fault_plan.as_ref().map(|p| p.backoff).unwrap_or_default();
-        for _ in 0..Self::MAX_RECOVERY_PASSES {
-            let plan = self.cluster.plan_recovery();
-            if plan.jobs.is_empty() {
-                break;
-            }
-            let outcome =
-                self.cluster.execute_recovery_with(&plan, &policy, flaky, mid_crash.take());
-            tally.bytes = tally.bytes.saturating_add(outcome.repair_bytes());
-            tally.secs += outcome.repair_secs(&self.config.cost);
-            tally.retries = tally.retries.saturating_add(u64::from(outcome.retries));
-            if outcome.repaired == 0 {
-                // No forward progress (retry budgets exhausted, or nothing
-                // repairable remains): stop rather than spin.
-                break;
-            }
-        }
-        if self.cluster.replica_census().is_full_strength() {
-            let refilled: Vec<NodeId> = self
-                .cluster
-                .nodes()
-                .filter(|n| n.state() == cluster_sim::NodeState::Recovering)
-                .map(|n| n.id)
-                .collect();
-            for id in refilled {
-                self.cluster
-                    .mark_recovered(id)
-                    .map_err(|source| CycleError::Fault { cycle, source })?;
-            }
-        }
-        self.cluster.verify_replica_books().map_err(|source| CycleError::Recovery { cycle, source })
-    }
-
-    /// Apply every batch's retraction script to the cluster's stored
-    /// payloads and mirror it into the catalog's whole-array oracle,
-    /// keeping both stores structurally in step (same tombstones, same
-    /// byte ledgers, same pruned chunks).
-    ///
-    /// Retractions are grouped by owning chunk and applied through
-    /// [`Cluster::retract_cells`], which shrinks the primary payload,
-    /// its descriptor, the node ledgers, and every replica copy in one
-    /// step. A chunk whose last live cell is retracted is evicted from
-    /// the placement outright (and its replica set dropped) — retired
-    /// bytes stop counting against demand immediately, which is what
-    /// lets the provisioner see the trough. A surviving chunk whose
-    /// tombstones now reach [`RunnerConfig::gc_tombstone_ratio`] of its
-    /// physical rows is compacted in place ([`Cluster::compact_chunk`]),
-    /// and the catalog oracle compacts the same chunks so both copies
-    /// stay structurally identical. Cells whose chunk was never placed
-    /// (or already evicted) count as `missing` rather than failing the
-    /// cycle: delete scripts replay against both oracle and store
-    /// copies, which may legitimately have pruned a chunk first.
-    ///
-    /// When incremental views watch the array, each retracted row's
-    /// values are captured through the tombstone choke point as a `-1`
-    /// delta and folded into the views before the cycle's inserts land.
-    fn apply_retractions(
-        &mut self,
-        cycle: usize,
-        batches: &[CellBatch],
-    ) -> Result<RetractTally, CycleError> {
-        let mut tally = RetractTally::default();
-        for b in batches {
-            let flat = b.retractions_flat();
-            if flat.is_empty() {
-                continue;
-            }
-            let schema = match self.catalog.array(b.array) {
-                Ok(stored) => stored.schema.clone(),
-                Err(_) => return Err(CycleError::UnknownArray { cycle, array: b.array }),
-            };
-            let nd = schema.ndims().max(1);
-            // Group the flat script by owning chunk so each placed chunk
-            // is touched once (one descriptor resize, one replica fan-out).
-            let mut by_chunk: std::collections::BTreeMap<ChunkCoords, Vec<i64>> =
-                std::collections::BTreeMap::new();
-            for cell in flat.chunks_exact(nd) {
-                let coords = array_model::chunk_of(&schema, cell)
-                    .map_err(|source| CycleError::Materialize { cycle, source })?;
-                by_chunk.entry(coords).or_default().extend_from_slice(cell);
-            }
-            let mut gc_coords: Vec<ChunkCoords> = Vec::new();
-            for (coords, cells) in by_chunk {
-                let key = ChunkKey::new(b.array, coords);
-                if self.cluster.locate(&key).is_none() {
-                    tally.missing += (cells.len() / nd) as u64;
-                    continue;
-                }
-                let outcome = self
-                    .cluster
-                    .retract_cells(&key, &cells)
-                    .map_err(|source| CycleError::Retract { cycle, source })?;
-                tally.retracted += outcome.retracted;
-                tally.missing += outcome.missing;
-                if outcome.remaining_cells == 0 {
-                    let eviction = self
-                        .cluster
-                        .evict_chunk(&key)
-                        .map_err(|source| CycleError::Retract { cycle, source })?;
-                    tally.evicted_chunks += 1;
-                    tally.evicted_bytes += eviction.bytes;
-                } else if self.config.gc_tombstone_ratio.is_finite()
-                    || self.config.gc_dangling_dict_bytes != u64::MAX
-                {
-                    // Threshold-triggered tombstone GC: row-ratio
-                    // pressure, or dangling-dictionary byte pressure
-                    // (checked lazily — the dictionary scan is
-                    // per-entry work the ratio check avoids). The
-                    // payload is present — retract_cells just touched
-                    // it.
-                    let payload =
-                        self.cluster.payload(&key).expect("retract_cells required a payload");
-                    let dead = payload.tombstone_count() as f64;
-                    let physical = payload.physical_cell_count() as f64;
-                    let ratio_trip = self.config.gc_tombstone_ratio.is_finite()
-                        && physical > 0.0
-                        && dead >= self.config.gc_tombstone_ratio * physical;
-                    let byte_trip = !ratio_trip
-                        && self.config.gc_dangling_dict_bytes != u64::MAX
-                        && payload.dangling_dict_bytes() >= self.config.gc_dangling_dict_bytes;
-                    if ratio_trip || byte_trip {
-                        let compaction = self
-                            .cluster
-                            .compact_chunk(&key)
-                            .map_err(|source| CycleError::Retract { cycle, source })?;
-                        tally.gc_compacted_chunks += 1;
-                        tally.gc_reclaimed_bytes += compaction.reclaimed_bytes;
-                        gc_coords.push(coords);
-                    }
-                }
-            }
-            // Mirror the script into the catalog oracle. The oracle's
-            // chunks were shared with the cluster until now; replaying
-            // the same deterministic script (retract-the-last-live-
-            // duplicate per coordinate) leaves both copies structurally
-            // identical, so the differential suites keep agreeing.
-            // Retracted values are captured here — the oracle holds the
-            // same rows — as the views' negative deltas.
-            let watched = self.views.reads(b.array);
-            let mut delta = DeltaSet::new();
-            let stored = self.catalog.array_mut(b.array).expect("validated above");
-            if let Some(data) = stored.data.as_mut() {
-                let outcome = data
-                    .delete_cells_capturing(flat, |cell, values| {
-                        if watched {
-                            delta.push(cell.to_vec(), values, -1);
-                        }
-                    })
-                    .map_err(|source| CycleError::Materialize { cycle, source })?;
-                for coords in data.prune_empty() {
-                    stored.descriptors.remove(&coords);
-                }
-                // GC'd chunks compact on the oracle too, before the
-                // descriptor refresh reads their rebuilt sizes.
-                for coords in &gc_coords {
-                    data.compact_chunk(coords);
-                }
-                for coords in outcome.touched {
-                    if let Some(chunk) = data.chunk(&coords) {
-                        stored.descriptors.insert(coords, chunk.descriptor(b.array));
-                    }
-                }
-            }
-            if watched && !delta.is_empty() {
-                let stats = self.views.apply(b.array, &delta);
-                tally.view_delta_rows += stats.delta_rows;
-                tally.view_rows_changed += stats.rows_changed;
-            }
-        }
-        Ok(tally)
-    }
-
-    /// Release up to `remove` nodes: drain the highest-id healthy nodes
-    /// through the flow solver and retire them (the staircase releases
-    /// its newest steps first, matching the tail-first capacity walk the
-    /// provisioner priced). Never drops the roster below the replication
-    /// factor's worth of serving nodes — a deeper shrink request is
-    /// clamped, not failed. Returns `(nodes retired, drain seconds,
-    /// drained bytes)`.
-    fn scale_in(&mut self, cycle: usize, remove: usize) -> Result<(usize, f64, u64), CycleError> {
-        let floor = self.config.replication.max(1);
-        let mut healthy: Vec<NodeId> = self
-            .cluster
-            .nodes()
-            .filter(|n| n.state() == cluster_sim::NodeState::Healthy)
-            .map(|n| n.id)
-            .collect();
-        healthy.sort_unstable();
-        let spare = healthy.len().saturating_sub(floor);
-        let mut removed = 0usize;
-        let mut secs = 0.0;
-        let mut bytes = 0u64;
-        for &id in healthy.iter().rev().take(remove.min(spare)) {
-            let report = self
-                .cluster
-                .decommission_node(id)
-                .map_err(|source| CycleError::ScaleIn { cycle, source })?;
-            secs += report.flows.elapsed_secs(&self.config.cost);
-            bytes += report.drained_bytes;
-            removed += 1;
-        }
-        Ok((removed, secs, bytes))
-    }
-
-    /// Execute one workload cycle.
+    /// Execute one workload cycle: the phases of `world.rs`, in order,
+    /// each one's input logged before it runs.
     pub fn run_cycle(&mut self, cycle: usize) -> Result<CycleReport, CycleError> {
-        // Write-ahead: open the cycle's log frame before anything
-        // mutates. `replay.is_some()` implies a durable runner, so one
-        // `durable` check covers both modes; with durability off this
-        // whole block is a single branch.
-        if self.durable.is_some() {
-            self.wal_genesis(cycle)?;
-            self.wal_record(cycle, || durable::cycle_start_payload(cycle as u64))?;
-            let digest = durable::fault_digest(self.config.fault_plan.as_ref(), cycle);
-            self.wal_record(cycle, || durable::faults_payload(cycle as u64, digest))?;
-        }
-        // Fault injection first: cycle-start crashes, drains, and
-        // revivals, then a recovery pass re-replicating whatever they
-        // exposed (a no-op sweep on an all-healthy roster).
-        let faults = self.cycle_faults(cycle);
-        for kind in &faults.start {
-            match *kind {
-                FaultKind::Crash(n) => self.cluster.crash_node(NodeId(n)).map(|_| ()),
-                FaultKind::Drain(n) => self.cluster.start_draining(NodeId(n)),
-                FaultKind::Revive(n) => self.cluster.revive_node(NodeId(n)),
-                _ => Ok(()),
-            }
-            .map_err(|source| CycleError::Fault { cycle, source })?;
-        }
-        let mut repair = RepairTally::default();
-        if self.cluster.has_faulted_nodes() {
-            self.run_recovery(cycle, faults.flaky, faults.mid_crash, &mut repair)?;
-        }
+        let Self { workload, config, world, wal, .. } = self;
+        let workload = workload.get();
+        let plan = config.fault_plan.as_ref();
+        record(wal, cycle, || durable::cycle_start_payload(cycle as u64))?;
+        record(wal, cycle, || {
+            durable::faults_payload(cycle as u64, durable::fault_digest(plan, cycle))
+        })?;
+
+        let faults = CycleFaults::scheduled(plan, cycle);
+        let mut repair = world.inject_faults(cycle, config, &faults)?;
 
         // Materialized workloads stream cells through the chunk builder
         // and ingest descriptors derived from the real payloads; metadata
-        // workloads place their sampled descriptors directly. Retraction
-        // scripts are applied first — the cycle's deletes shrink stored
-        // demand before the provisioner prices it, so a trough is
-        // visible the same cycle it opens.
-        let (batch, cell_arrays, retract) = match self.workload.get().cell_batch(cycle) {
-            Some(batches) => {
-                // Logged verbatim (cells, transport dictionaries, and
-                // retraction script) before any of it is applied.
-                self.wal_record(cycle, || durable::insert_cells_payload(&batches))?;
-                let retract = self.apply_retractions(cycle, &batches)?;
-                let arrays = self.build_cell_arrays(cycle, batches)?;
+        // workloads place their sampled descriptors directly. The batch
+        // is logged verbatim (cells, transport dictionaries, retraction
+        // script) before any of it is applied.
+        let mut view_stats = ViewApplyStats::default();
+        let (batch, arrays, retract) = match workload.cell_batch(cycle) {
+            Some(cells) => {
+                record(wal, cycle, || durable::insert_cells_payload(&cells))?;
+                let retract = world.retract(cycle, config, &cells, &mut view_stats)?;
+                let arrays = world.build_chunks(cycle, config, cells)?;
                 let descs: Vec<ChunkDescriptor> =
                     arrays.iter().flat_map(Array::descriptors).collect();
                 (descs, Some(arrays), retract)
             }
             None => {
-                let descs = self.workload.get().insert_batch(cycle);
-                self.wal_record(cycle, || durable::insert_meta_payload(&descs))?;
+                let descs = workload.insert_batch(cycle);
+                record(wal, cycle, || durable::insert_meta_payload(&descs))?;
                 (descs, None, RetractTally::default())
             }
         };
         let insert_bytes: u64 = batch.iter().map(|d| d.bytes).sum();
-        let projected_bytes = self.cluster.total_used().saturating_add(insert_bytes);
 
-        // Provision + reorganize BEFORE ingesting (§3.4: the database
-        // "redistributes the preexisting chunks, and finally inserts the
-        // new ones"). A shrink drains the released nodes through the
-        // same flow solver before the ingest lands.
-        let step = self.scale_decision(projected_bytes);
-        self.wal_record(cycle, || {
+        let step =
+            world.scale_decision(config, world.cluster.total_used().saturating_add(insert_bytes));
+        record(wal, cycle, || {
             durable::scale_payload(step.add as u64, step.remove as u64, step.saturated)
         })?;
-        let added = step.add;
-        let scale_saturated = step.saturated;
-        let mut reorg_secs = 0.0;
-        let mut moved_bytes = 0u64;
-        if added > 0 {
-            let new_nodes = self.cluster.add_nodes(added, self.config.node_capacity);
-            let plan = self.partitioner.scale_out(&self.cluster, &new_nodes);
-            let plan = self.sanitize_rebalance(plan);
-            moved_bytes = plan.moved_bytes();
-            let flows = self
-                .cluster
-                .apply_rebalance(&plan)
-                .map_err(|source| CycleError::Reorg { cycle, source })?;
-            reorg_secs = flows.elapsed_secs(&self.config.cost);
-        }
-        let mut removed_nodes = 0usize;
-        if step.remove > 0 {
-            let (removed, drain_secs, drained) = self.scale_in(cycle, step.remove)?;
-            removed_nodes = removed;
-            reorg_secs += drain_secs;
-            moved_bytes += drained;
-        }
-        // Rebalance-window crashes land here — after any data movement,
-        // before the ingest — and get their own recovery pass.
-        if !faults.rebalance_crashes.is_empty() {
-            for &node in &faults.rebalance_crashes {
-                self.cluster
-                    .crash_node(node)
-                    .map_err(|source| CycleError::Fault { cycle, source })?;
-            }
-            self.run_recovery(cycle, faults.flaky, None, &mut repair)?;
-        }
+        let reorg = world.provision(cycle, config, &step, &faults, &mut repair)?;
 
-        // Ingest.
-        let insert_flows =
-            self.place_batch(&batch).map_err(|source| CycleError::Ingest { cycle, source })?;
-        let mut view_delta_rows = retract.view_delta_rows;
-        let mut view_rows_changed = retract.view_rows_changed;
-        if let Some(arrays) = cell_arrays {
-            // The freshly built arrays hold exactly this cycle's inserted
-            // cells: extract them as +1 deltas for the registered views
-            // before the handles are absorbed into the stores. Applied
-            // after the retraction deltas (runner order), so views see
-            // the cycle's changes in the same order the stores do.
-            let insert_deltas: Vec<(ArrayId, DeltaSet)> = arrays
-                .iter()
-                .filter(|a| self.views.reads(a.id))
-                .map(|a| (a.id, DeltaSet::from_live_cells(a)))
-                .collect();
-            self.store_cell_arrays(cycle, arrays)?;
-            for (id, delta) in insert_deltas {
-                let stats = self.views.apply(id, &delta);
-                view_delta_rows += stats.delta_rows;
-                view_rows_changed += stats.rows_changed;
-            }
-        }
-        let insert_secs = insert_flows.elapsed_secs(&self.config.cost);
+        let insert_secs = world.ingest(cycle, config, &batch, arrays, &mut view_stats)?;
         // O(1): the cluster maintains its load moments incrementally.
-        let rsd_after_insert = self.cluster.balance_rsd();
+        let rsd_after_insert = world.cluster.balance_rsd();
 
-        // Query phase, plus storing derived findings.
-        let mut query_secs = 0.0;
-        let mut degraded_reads = 0u64;
         // Queries are read-only and their report is discarded during
         // replay, so a recovering runner skips them outright.
-        let suites = if self.config.run_queries && self.replay.is_none() {
-            let ctx = ExecutionContext::new(&self.cluster, &self.catalog);
-            let report = self.workload.get().run_suites(&ctx, cycle);
-            query_secs += report.total_secs();
-            degraded_reads = ctx.degraded_reads();
-            Some(report)
-        } else {
-            None
-        };
-        let derived = self.workload.get().derived_batch(cycle);
-        self.wal_record(cycle, || durable::derived_payload(&derived))?;
-        if !derived.is_empty() {
-            let derived_flows = self
-                .place_batch(&derived)
-                .map_err(|source| CycleError::Derived { cycle, source })?;
-            query_secs += derived_flows.elapsed_secs(&self.config.cost);
-        }
-
-        // Feed the controller the demand it will see next cycle.
-        if let Some(p) = self.provisioner.as_mut() {
-            p.observe(gb(self.cluster.total_used()));
-        }
+        let replaying = wal.as_ref().is_some_and(Wal::replaying);
+        let queried =
+            (config.run_queries && !replaying).then(|| world.run_queries(workload, cycle));
+        let (suites, degraded_reads) = queried.map_or((None, 0), |(report, n)| (Some(report), n));
+        let derived = workload.derived_batch(cycle);
+        record(wal, cycle, || durable::derived_payload(&derived))?;
+        let derived_secs = world.store_derived(cycle, config, &derived)?;
 
         // Commit point: everything this cycle did is now logged (and,
         // per the fsync policy, durable). A crash before this line rolls
         // the whole cycle back at recovery; after it, the cycle is
         // replayable.
-        self.wal_commit(cycle)?;
+        if let Some(wal) = wal {
+            wal.commit(cycle, |w| world.encode_into(w))?;
+        }
 
-        let census = self.cluster.replica_census();
         Ok(CycleReport {
             cycle,
-            nodes: self.cluster.active_node_count(),
-            added_nodes: added,
-            removed_nodes,
-            demand_gb: gb(self.cluster.total_used()),
+            nodes: world.cluster.active_node_count(),
+            added_nodes: step.add,
+            removed_nodes: reorg.removed_nodes,
+            demand_gb: gb(world.cluster.total_used()),
             phases: PhaseBreakdown {
                 insert_secs,
-                reorg_secs,
-                query_secs,
+                reorg_secs: reorg.reorg_secs,
+                query_secs: suites.as_ref().map_or(0.0, SuiteReport::total_secs) + derived_secs,
                 repair_secs: repair.secs,
             },
             rsd_after_insert,
-            moved_bytes,
+            moved_bytes: reorg.moved_bytes,
             insert_bytes,
             retracted_cells: retract.retracted,
             evicted_chunks: retract.evicted_chunks,
             evicted_bytes: retract.evicted_bytes,
             gc_compacted_chunks: retract.gc_compacted_chunks,
             gc_reclaimed_bytes: retract.gc_reclaimed_bytes,
-            view_delta_rows,
-            view_rows_changed,
-            scale_saturated,
-            crashed_nodes: self
-                .cluster
-                .nodes()
-                .filter(|n| n.state() == cluster_sim::NodeState::Crashed)
-                .count(),
-            under_replicated: census.under_replicated(),
+            view_delta_rows: view_stats.delta_rows,
+            view_rows_changed: view_stats.rows_changed,
+            scale_saturated: step.saturated,
+            crashed_nodes: world.nodes_in(NodeState::Crashed).len(),
+            under_replicated: world.cluster.replica_census().under_replicated(),
             repair_bytes: repair.bytes,
             repair_retries: repair.retries,
             degraded_reads,
@@ -1500,18 +635,18 @@ impl<'w> WorkloadRunner<'w> {
     /// default) the run stops at the first failure; under
     /// [`ErrorPolicy::RecordAndContinue`] the failing cycle is recorded in
     /// [`RunReport::failures`] and the run presses on against whatever
-    /// state survives.
+    /// state survives — unless the run is durable, which always stops
+    /// (see [`RunnerConfig::durability`]).
     /// A recovered runner resumes at [`WorkloadRunner::start_cycle`]
     /// (the recovered prefix is not re-run).
     pub fn run_all(&mut self) -> Result<RunReport, CycleError> {
         let mut cycles = Vec::with_capacity(self.workload.get().cycles());
         let mut failures = Vec::new();
+        let press_on = self.config.on_error == ErrorPolicy::RecordAndContinue && self.wal.is_none();
         for c in self.start_cycle..self.workload.get().cycles() {
             match self.run_cycle(c) {
                 Ok(report) => cycles.push(report),
-                Err(e) if self.config.on_error == ErrorPolicy::RecordAndContinue => {
-                    failures.push(FailedCycle { cycle: c, error: e.to_string() })
-                }
+                Err(e) if press_on => failures.push(FailedCycle { cycle: c, error: e.to_string() }),
                 Err(e) => return Err(e),
             }
         }
@@ -1523,12 +658,13 @@ impl<'w> WorkloadRunner<'w> {
     /// The recipe: scan the log for its committed prefix (a torn tail —
     /// a crash mid-append — is truncated at the last cycle commit
     /// marker), cross-check the genesis fingerprint against this
-    /// config, load the newest checkpoint that validates (corrupt or
-    /// missing checkpoints fall back to older ones, and with none left
-    /// the log replays from genesis), then **re-execute** every
-    /// committed cycle after the checkpoint with each recomputed record
-    /// byte-compared against the log. The result is bit-identical to
-    /// the pre-crash runner — placements, loads, census, tombstones,
+    /// config, load the newest *eligible* checkpoint (see `durable.rs`:
+    /// corrupt, missing, misfiled or ahead-of-the-log checkpoints fall
+    /// back to older ones, and with none left the log replays from
+    /// genesis), then **re-execute** every committed cycle after the
+    /// checkpoint with each recomputed record byte-compared against the
+    /// log. The result is bit-identical to the runner that committed
+    /// those cycles — placements, loads, census, tombstones,
     /// dictionaries, view states — or a typed
     /// [`CycleError::Durability`]; never a silently divergent state.
     ///
@@ -1558,262 +694,40 @@ impl<'w> WorkloadRunner<'w> {
         config: RunnerConfig,
         defs: Vec<ViewDef>,
     ) -> Result<WorkloadRunner<'_>, CycleError> {
-        if config.durability.is_none() {
-            return Err(Self::durability_err(
-                0,
-                DurabilityError::Mismatch {
-                    what: "recover() configuration".to_string(),
-                    expected: "RunnerConfig::durability = Some(..)".to_string(),
-                    actual: "None".to_string(),
-                },
-            ));
-        }
-        let mut runner = Self::build(workload, config);
-        let image = {
-            let d = runner.durable.as_ref().expect("durability checked above");
-            let mut log = d.log.lock().expect("log mutex poisoned");
-            log.read_log().map_err(|e| Self::durability_err(0, e))?
+        let durability_err = |cycle, source| CycleError::Durability { cycle, source };
+        let Some(mut wal) = Wal::for_run(&config, workload.get()) else {
+            let expected = "RunnerConfig::durability = Some(..)";
+            return Err(durability_err(0, mismatch("recover() configuration", expected, "None")));
         };
-        let scan = durable::scan_log(&image).map_err(|e| Self::durability_err(0, e))?;
-        let fingerprint = runner.durable.as_ref().expect("durable runner").fingerprint;
-        let Some(logged_fp) = scan.fingerprint else {
-            // Nothing was ever committed — a fresh start. The image may
-            // still hold a torn half-written genesis; clear it so
-            // future appends extend a valid log.
-            if !image.is_empty() {
-                let d = runner.durable.as_ref().expect("durable runner");
-                let mut log = d.log.lock().expect("log mutex poisoned");
-                log.truncate_log(0).map_err(|e| Self::durability_err(0, e))?;
-            }
-            for def in defs {
-                runner.views.register(def);
-            }
-            return Ok(runner);
-        };
-        if logged_fp != fingerprint {
-            return Err(Self::durability_err(
-                0,
-                DurabilityError::Mismatch {
-                    what: "genesis fingerprint".to_string(),
-                    expected: format!("{fingerprint:#018x} (this workload + config)"),
-                    actual: format!("{logged_fp:#018x} (logged)"),
-                },
-            ));
-        }
-        runner.durable.as_mut().expect("durable runner").genesis_written = true;
-        if scan.committed_len < image.len() as u64 {
-            // Torn tail: a crash tore the append after the last commit
-            // marker. Truncate so future appends extend a valid log.
-            let d = runner.durable.as_ref().expect("durable runner");
-            let mut log = d.log.lock().expect("log mutex poisoned");
-            log.truncate_log(scan.committed_len).map_err(|e| Self::durability_err(0, e))?;
-        }
+        let committed = wal.open()?;
+        let checkpoint = wal.newest_checkpoint(|state| {
+            World::decode(state, workload.get(), &config, defs.clone())
+        })?;
+        let (start_cycle, world) = checkpoint.unwrap_or_else(|| {
+            let mut world = World::new(workload.get(), &config);
+            defs.iter().cloned().for_each(|def| world.views.register(def));
+            (0, world)
+        });
 
-        // Newest checkpoint that validates end-to-end wins; anything
-        // invalid — torn, bit-flipped, missing — falls back to an older
-        // survivor, and with none left the log replays from genesis.
-        // The log is never compacted, so that fallback is always sound.
-        let seqs = {
-            let d = runner.durable.as_ref().expect("durable runner");
-            let mut log = d.log.lock().expect("log mutex poisoned");
-            log.checkpoint_seqs().map_err(|e| Self::durability_err(0, e))?
-        };
-        let mut next_cycle = 0u64;
-        let mut restored = false;
-        for &seq in seqs.iter().rev() {
-            let blob = {
-                let d = runner.durable.as_ref().expect("durable runner");
-                let mut log = d.log.lock().expect("log mutex poisoned");
-                match log.read_checkpoint(seq) {
-                    Ok(b) => b,
-                    Err(_) => continue,
-                }
-            };
-            if runner.restore_checkpoint(&blob, defs.clone()).is_ok() {
-                next_cycle = seq;
-                restored = true;
-                break;
-            }
+        // Re-execute the committed suffix: the log, still in replay mode,
+        // byte-checks every record instead of appending it.
+        let mut runner = WorkloadRunner { workload, config, world, wal: Some(wal), start_cycle };
+        while runner.start_cycle < committed {
+            runner.run_cycle(runner.start_cycle)?;
+            runner.start_cycle += 1;
         }
-        if !restored {
-            for def in defs {
-                runner.views.register(def);
-            }
-        }
-
-        // Re-execute the committed suffix, byte-checking every record.
-        let mut expected = next_cycle;
-        for (idx, records) in scan.cycles {
-            if idx < next_cycle {
-                continue;
-            }
-            if idx != expected {
-                return Err(Self::durability_err(
-                    expected as usize,
-                    DurabilityError::Mismatch {
-                        what: "committed cycle sequence".to_string(),
-                        expected: format!("cycle {expected}"),
-                        actual: format!("cycle {idx}"),
-                    },
-                ));
-            }
-            runner.replay = Some(records);
-            let result = runner.run_cycle(idx as usize);
-            runner.replay = None;
-            result?;
-            expected += 1;
-        }
-        runner.start_cycle = expected as usize;
         Ok(runner)
     }
-
-    /// Restore the runner's state from one checkpoint blob. Everything
-    /// decodes into locals first and is assigned only after the whole
-    /// blob validates, so a failed attempt leaves the runner untouched
-    /// and the caller free to try an older checkpoint. Returns the
-    /// checkpoint's `next_cycle`.
-    fn restore_checkpoint(
-        &mut self,
-        blob: &[u8],
-        defs: Vec<ViewDef>,
-    ) -> Result<u64, DurabilityError> {
-        let codec = |e: durability::CodecError| DurabilityError::Codec {
-            context: "checkpoint blob".to_string(),
-            source: e,
-        };
-        let mut frames = RecordReader::new(blob);
-        let payload = frames.next_record()?.ok_or(DurabilityError::Torn { offset: 0 })?;
-        let mut r = ByteReader::new(payload);
-        let fp = r.u64("checkpoint fingerprint").map_err(codec)?;
-        let d = self.durable.as_ref().expect("checkpoints require durability");
-        if fp != d.fingerprint {
-            return Err(DurabilityError::Mismatch {
-                what: "checkpoint fingerprint".to_string(),
-                expected: format!("{:#018x}", d.fingerprint),
-                actual: format!("{fp:#018x}"),
-            });
-        }
-        let next_cycle = r.u64("checkpoint next cycle").map_err(codec)?;
-        let catalog = Catalog::decode_from(&mut r).map_err(codec)?;
-        // Node payload stores re-alias the catalog oracle's chunks: the
-        // original run shared one `Arc<Chunk>` per chunk between both
-        // stores, and recovery reconstructs exactly that sharing.
-        let payload_of = |key: &ChunkKey| -> Option<Arc<array_model::Chunk>> {
-            catalog.array(key.array).ok()?.data.as_ref()?.shared_chunk(&key.coords).cloned()
-        };
-        let cluster = Cluster::restore_from(&mut r, self.config.cost.clone(), &payload_of)?;
-        let table = r.bytes("partitioner table").map_err(codec)?;
-        let provisioner = if r.bool("provisioner presence").map_err(codec)? {
-            if self.provisioner.is_none() {
-                return Err(DurabilityError::Mismatch {
-                    what: "provisioner presence".to_string(),
-                    expected: "no provisioner (policy is not staircase)".to_string(),
-                    actual: "checkpoint carries provisioner history".to_string(),
-                });
-            }
-            let ScalingPolicy::Staircase(cfg) = &self.config.scaling else {
-                unreachable!("provisioner implies staircase policy");
-            };
-            let mut p = StaircaseProvisioner::new(*cfg);
-            let n = r.usize("provisioner history length").map_err(codec)?;
-            for _ in 0..n {
-                p.observe(r.f64("provisioner history sample").map_err(codec)?);
-            }
-            Some(p)
-        } else {
-            if self.provisioner.is_some() {
-                return Err(DurabilityError::Mismatch {
-                    what: "provisioner presence".to_string(),
-                    expected: "provisioner history (staircase policy)".to_string(),
-                    actual: "checkpoint carries none".to_string(),
-                });
-            }
-            None
-        };
-        let views = ViewRegistry::import_states(defs, &mut r).map_err(codec)?;
-        r.finish("checkpoint blob").map_err(codec)?;
-        if frames.next_record()?.is_some() {
-            return Err(DurabilityError::Corruption {
-                offset: frames.offset(),
-                detail: "checkpoint blob carries more than one record".to_string(),
-            });
-        }
-        // Same recipe the partitioner snapshot tests pin: rebuild from
-        // kind + config against the restored roster, lay the table on
-        // top. Only after it validates does any assignment happen.
-        let mut pconfig = self.config.partitioner_config.clone();
-        if pconfig.quad_plane.is_none() {
-            pconfig.quad_plane = Some(self.workload.get().quad_plane());
-        }
-        let mut partitioner = build_partitioner(
-            self.config.partitioner,
-            &cluster,
-            &self.workload.get().grid_hint(),
-            &pconfig,
-        );
-        partitioner.table_restore(table).map_err(codec)?;
-        self.catalog = catalog;
-        self.cluster = cluster;
-        self.partitioner = partitioner;
-        self.provisioner = provisioner;
-        self.views = views;
-        Ok(next_cycle)
-    }
 }
 
-/// The faults one cycle executes, sorted by injection point.
-#[derive(Default)]
-struct CycleFaults {
-    /// Crash / drain / revive events applied at cycle start.
-    start: Vec<FaultKind>,
-    /// Nodes felled right after the rebalance phase.
-    rebalance_crashes: Vec<NodeId>,
-    /// Flow-drop injection threaded through every recovery pass.
-    flaky: Option<Flakiness>,
-    /// Mid-repair crash threaded through the first recovery pass.
-    mid_crash: Option<MidCrash>,
-}
-
-/// Accumulated repair cost across a cycle's recovery passes.
-#[derive(Default)]
-struct RepairTally {
-    bytes: u64,
-    secs: f64,
-    retries: u64,
-}
-
-/// One cycle's provisioning verdict: nodes to add, nodes to release,
-/// and whether the policy saturated its per-cycle cap. `add` and
-/// `remove` are never both nonzero — the staircase's hysteresis band
-/// guarantees a shrink can't re-trip the scale-out threshold.
-#[derive(Default)]
-struct ScaleStep {
-    add: usize,
-    remove: usize,
-    saturated: bool,
-}
-
-/// What a cycle's retraction script did, accumulated across batches.
-#[derive(Default)]
-struct RetractTally {
-    /// Cells tombstoned in placed chunks.
-    retracted: u64,
-    /// Retraction coordinates with no live cell to delete (never
-    /// inserted, already retracted, or their chunk already evicted).
-    missing: u64,
-    /// Chunks emptied outright and evicted from the placement.
-    evicted_chunks: usize,
-    /// Bytes those evicted chunks still carried.
-    evicted_bytes: u64,
-    /// Chunks the tombstone-ratio GC compacted.
-    gc_compacted_chunks: usize,
-    /// Net bytes those compactions reclaimed (store side).
-    gc_reclaimed_bytes: i64,
-    /// Retraction delta rows folded into registered views.
-    view_delta_rows: u64,
-    /// View output rows/groups changed by those retractions.
-    view_rows_changed: u64,
-}
+// The unit tests below reach these through `use super::*`.
+#[cfg(test)]
+use {
+    crate::faults::FaultKind,
+    crate::spec::CellBatch,
+    array_model::{ArraySchema, ChunkCoords, ChunkKey},
+    query_engine::ExecutionContext,
+};
 
 #[cfg(test)]
 mod tests {

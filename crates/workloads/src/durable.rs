@@ -1,6 +1,7 @@
 //! Crash-consistent durability for the cycle driver: the write-ahead
 //! log's event vocabulary, the config fingerprint that pins a log to the
-//! run that wrote it, and the recovery-time log scan.
+//! run that wrote it, the recovery-time log scan, and [`Wal`] — the one
+//! handle through which the runner touches its log.
 //!
 //! # Record vocabulary
 //!
@@ -26,23 +27,48 @@
 //! a typed [`DurabilityError::Mismatch`], never as a silently divergent
 //! answer.
 //!
-//! # Checkpoints
+//! # The `Wal` and its modes
+//!
+//! A runner holds `Option<Wal>`: `None` is durability off (a would-be
+//! record costs one branch). A `Wal` is **live** — [`Wal::record`]
+//! appends (genesis first, lazily); [`Wal::commit`] appends `CycleEnd`,
+//! flushes per the fsync policy and checkpoints when one is due — or,
+//! during recovery, **replaying** the logged cycles it has queued: the
+//! same two calls byte-compare against their records and write nothing.
+//!
+//! # Checkpoints, and which of them recovery may use
 //!
 //! Every [`DurabilityConfig::checkpoint_every`] committed cycles the
-//! runner serializes its whole state — catalog (schemas, descriptors,
-//! materialized cells), cluster (roster, placement, replicas),
-//! partitioner table, provisioner history, and view states — as one
-//! framed record stored under `seq = next_cycle`. Recovery loads the
-//! newest checkpoint that validates (corrupt ones are skipped to an
-//! older survivor; with none left it replays from genesis) and replays
-//! only the committed log suffix.
+//! runner stores its whole state (`World::encode_into` behind a
+//! `fingerprint, next_cycle` header) as one framed record under
+//! `seq = next_cycle`. Recovery ([`Wal::newest_checkpoint`]) resumes
+//! from the newest **eligible** checkpoint and replays the committed
+//! log suffix after it — from genesis if none is eligible; the log is
+//! never compacted. A checkpoint is eligible when it
+//!
+//! 1. reads back as exactly one valid frame and decodes — a lost, torn
+//!    or bit-flipped blob falls back to an older one;
+//! 2. is what its name says: the header carries this run's fingerprint
+//!    and `next_cycle == seq`. The key is a file name; checkpoint 2's
+//!    bytes stored as checkpoint 4 (a restored backup) pass (1) yet
+//!    describe another state — trusting the name resumed a six-cycle
+//!    run at cycle 5 with 6 chunks placed instead of 10, and no error;
+//! 3. is not ahead of the log: `seq` ≤ the cycles the scanned log
+//!    commits. Checkpoint writes are synced, appends under
+//!    [`FsyncPolicy::Never`] are not, so a crash can leave checkpoint 4
+//!    over a log ending at cycle 1. Resuming there appends cycle 4
+//!    after cycle 1, and once that checkpoint is lost the log is
+//!    unrecoverable (`log says cycle 2, rebuilt cycle 4`). Skipping it
+//!    keeps every recovered state a prefix of the durable log, which is
+//!    what makes the fall-back in (1) sound.
 
-use crate::cycle::{RunnerConfig, ScalingPolicy};
+use crate::cycle::{CycleError, RunnerConfig, ScalingPolicy};
 use crate::faults::{FaultKind, FaultPlan};
-use crate::spec::CellBatch;
+use crate::spec::{CellBatch, Workload};
 use array_model::{ChunkDescriptor, StringEncoding};
 use durability::{
-    ByteReader, ByteWriter, CodecError, DurabilityError, FsyncPolicy, RecordReader, SharedLog,
+    frame_record, ByteReader, ByteWriter, CodecError, DurabilityError, FsyncPolicy, LogStore,
+    RecordReader, SharedLog,
 };
 use elastic_core::hashing::splitmix64;
 use elastic_core::PartitionerKind;
@@ -138,46 +164,41 @@ pub enum WalEvent {
     },
 }
 
-pub(crate) fn genesis_payload(fingerprint: u64) -> Vec<u8> {
+/// One record payload: the tag byte, then whatever `body` writes.
+fn payload(tag: u8, body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u8(TAG_GENESIS);
-    w.put_u64(fingerprint);
+    w.put_u8(tag);
+    body(&mut w);
     w.into_bytes()
+}
+
+pub(crate) fn genesis_payload(fingerprint: u64) -> Vec<u8> {
+    payload(TAG_GENESIS, |w| w.put_u64(fingerprint))
 }
 
 pub(crate) fn cycle_start_payload(cycle: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(TAG_CYCLE_START);
-    w.put_u64(cycle);
-    w.into_bytes()
+    payload(TAG_CYCLE_START, |w| w.put_u64(cycle))
 }
 
 pub(crate) fn faults_payload(cycle: u64, digest: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(TAG_FAULTS);
-    w.put_u64(cycle);
-    w.put_u64(digest);
-    w.into_bytes()
+    payload(TAG_FAULTS, |w| {
+        w.put_u64(cycle);
+        w.put_u64(digest);
+    })
 }
 
 pub(crate) fn insert_cells_payload(batches: &[CellBatch]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(TAG_INSERT_CELLS);
-    w.put_usize(batches.len());
-    for b in batches {
-        b.encode_into(&mut w);
-    }
-    w.into_bytes()
+    payload(TAG_INSERT_CELLS, |w| {
+        w.put_usize(batches.len());
+        batches.iter().for_each(|b| b.encode_into(w));
+    })
 }
 
 fn descs_payload(tag: u8, descs: &[ChunkDescriptor]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(tag);
-    w.put_usize(descs.len());
-    for d in descs {
-        d.encode_into(&mut w);
-    }
-    w.into_bytes()
+    payload(tag, |w| {
+        w.put_usize(descs.len());
+        descs.iter().for_each(|d| d.encode_into(w));
+    })
 }
 
 pub(crate) fn insert_meta_payload(descs: &[ChunkDescriptor]) -> Vec<u8> {
@@ -189,19 +210,15 @@ pub(crate) fn derived_payload(descs: &[ChunkDescriptor]) -> Vec<u8> {
 }
 
 pub(crate) fn scale_payload(add: u64, remove: u64, saturated: bool) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(TAG_SCALE);
-    w.put_u64(add);
-    w.put_u64(remove);
-    w.put_bool(saturated);
-    w.into_bytes()
+    payload(TAG_SCALE, |w| {
+        w.put_u64(add);
+        w.put_u64(remove);
+        w.put_bool(saturated);
+    })
 }
 
 pub(crate) fn cycle_end_payload(cycle: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(TAG_CYCLE_END);
-    w.put_u64(cycle);
-    w.into_bytes()
+    payload(TAG_CYCLE_END, |w| w.put_u64(cycle))
 }
 
 impl WalEvent {
@@ -403,9 +420,10 @@ pub(crate) struct LogScan {
     /// The genesis fingerprint; `None` when the log is empty (a fresh
     /// run that never wrote genesis).
     pub fingerprint: Option<u64>,
-    /// Every **complete** cycle, in log order: its index and its record
-    /// payloads (`CycleStart` through `CycleEnd` inclusive).
-    pub cycles: Vec<(u64, VecDeque<Vec<u8>>)>,
+    /// Every **complete** cycle's record payloads (`CycleStart` through
+    /// `CycleEnd` inclusive). The log is never compacted, so the grammar
+    /// demands cycle indices `0, 1, 2, …`: position is index.
+    pub cycles: Vec<VecDeque<Vec<u8>>>,
     /// Byte offset after the last commit point — everything beyond it
     /// (a partial cycle, or a torn append) is discardable.
     pub committed_len: u64,
@@ -418,8 +436,8 @@ pub(crate) struct LogScan {
 pub(crate) fn scan_log(image: &[u8]) -> Result<LogScan, DurabilityError> {
     let mut reader = RecordReader::new(image);
     let mut scan = LogScan { fingerprint: None, cycles: Vec::new(), committed_len: 0 };
-    // In-flight cycle: (index, payloads accumulated since CycleStart).
-    let mut pending: Option<(u64, VecDeque<Vec<u8>>)> = None;
+    // In-flight cycle: payloads accumulated since its CycleStart.
+    let mut pending: Option<VecDeque<Vec<u8>>> = None;
     loop {
         let offset = reader.offset();
         let payload = match reader.next_record() {
@@ -448,31 +466,239 @@ pub(crate) fn scan_log(image: &[u8]) -> Result<LogScan, DurabilityError> {
                     return Err(corrupt("CycleStart inside an open cycle".to_string()));
                 }
                 let cycle = r.u64("cycle start index").map_err(|e| corrupt(e.to_string()))?;
-                let mut records = VecDeque::new();
-                records.push_back(payload.to_vec());
-                pending = Some((cycle, records));
+                if cycle != scan.cycles.len() as u64 {
+                    let next = scan.cycles.len();
+                    return Err(corrupt(format!("CycleStart for {cycle}, expected cycle {next}")));
+                }
+                pending = Some(VecDeque::from([payload.to_vec()]));
             }
             TAG_CYCLE_END => {
-                let Some((cycle, mut records)) = pending.take() else {
+                let Some(mut records) = pending.take() else {
                     return Err(corrupt("CycleEnd outside an open cycle".to_string()));
                 };
                 let end = r.u64("cycle end index").map_err(|e| corrupt(e.to_string()))?;
-                if end != cycle {
+                if end != scan.cycles.len() as u64 {
+                    let cycle = scan.cycles.len();
                     return Err(corrupt(format!("CycleEnd for {end} closes cycle {cycle}")));
                 }
                 records.push_back(payload.to_vec());
-                scan.cycles.push((cycle, records));
+                scan.cycles.push(records);
                 scan.committed_len = reader.offset();
             }
             _ => {
-                let Some((_, records)) = pending.as_mut() else {
-                    return Err(corrupt(format!(
-                        "{} record outside an open cycle",
-                        tag_name(payload)
-                    )));
+                let Some(records) = pending.as_mut() else {
+                    let name = tag_name(payload);
+                    return Err(corrupt(format!("{name} record outside an open cycle")));
                 };
                 records.push_back(payload.to_vec());
             }
         }
+    }
+}
+
+/// A [`DurabilityError::Mismatch`]: on `what`, the log (or the
+/// recovering config) promised `want`, recovery found `got`.
+pub(crate) fn mismatch(
+    what: impl Into<String>,
+    want: impl Into<String>,
+    got: impl Into<String>,
+) -> DurabilityError {
+    DurabilityError::Mismatch { what: what.into(), expected: want.into(), actual: got.into() }
+}
+
+/// A checkpoint section that failed to decode.
+pub(crate) fn checkpoint_codec(source: CodecError) -> DurabilityError {
+    DurabilityError::Codec { context: "checkpoint blob".to_string(), source }
+}
+
+fn durability_err(cycle: usize) -> impl FnOnce(DurabilityError) -> CycleError {
+    move |source| CycleError::Durability { cycle, source }
+}
+
+/// A durable runner's log: its wiring (where it lives, when it syncs
+/// and checkpoints), the run it belongs to, and its mode.
+pub(crate) struct Wal {
+    wiring: DurabilityConfig,
+    /// [`config_fingerprint`] of this run: the genesis record's payload
+    /// and every checkpoint's first field, cross-checked on recovery.
+    fingerprint: u64,
+    /// Whether the log opens with a genesis record yet. A fresh runner
+    /// appends it ahead of its first record, not at construction, which
+    /// stays infallible.
+    genesis_written: bool,
+    /// The committed cycles recovery has still to re-execute, oldest
+    /// first, each as its logged payloads. While any are left the log is
+    /// in replay mode: records are compared against the front cycle's
+    /// (front first) instead of appended.
+    replay: VecDeque<VecDeque<Vec<u8>>>,
+}
+
+impl Wal {
+    /// The log `config` asks for, live and unopened; `None` when the run
+    /// is not durable.
+    pub(crate) fn for_run(config: &RunnerConfig, workload: &dyn Workload) -> Option<Wal> {
+        let wiring = config.durability.clone()?;
+        let fingerprint = config_fingerprint(config, workload.name(), workload.cycles());
+        Some(Wal { wiring, fingerprint, genesis_written: false, replay: VecDeque::new() })
+    }
+
+    /// Every [`LogStore`] call: lock, call, and map failure — a mutex
+    /// poisoned by a panicked writer included — to a typed error.
+    fn with_log<T>(
+        &self,
+        cycle: usize,
+        op: impl FnOnce(&mut dyn LogStore) -> Result<T, DurabilityError>,
+    ) -> Result<T, CycleError> {
+        match self.wiring.log.lock() {
+            Ok(mut log) => op(&mut *log),
+            Err(_) => Err(DurabilityError::Io {
+                context: "lock the log".to_string(),
+                source: std::io::Error::other("mutex poisoned: a writer panicked mid-operation"),
+            }),
+        }
+        .map_err(durability_err(cycle))
+    }
+
+    /// Frame and append one record; [`FsyncPolicy::Always`] flushes it.
+    fn append(&self, cycle: usize, payload: &[u8]) -> Result<(), CycleError> {
+        let framed = frame_record(payload);
+        self.with_log(cycle, |log| {
+            log.append(&framed)?;
+            if self.wiring.fsync_policy == FsyncPolicy::Always {
+                log.flush()?;
+            }
+            Ok(())
+        })
+    }
+
+    /// The write-ahead choke point: every record a cycle produces comes
+    /// here *before* the transition it describes is applied. Live mode
+    /// appends it (behind the genesis record, on a new log); replay mode
+    /// byte-compares it with the logged one — divergence is a typed
+    /// [`DurabilityError::Mismatch`].
+    pub(crate) fn record(
+        &mut self,
+        cycle: usize,
+        make: impl FnOnce() -> Vec<u8>,
+    ) -> Result<(), CycleError> {
+        let Some(queue) = self.replay.front_mut() else {
+            if !self.genesis_written {
+                self.append(cycle, &genesis_payload(self.fingerprint))?;
+                self.genesis_written = true;
+            }
+            return self.append(cycle, &make());
+        };
+        let (logged, recomputed) = (queue.pop_front(), make());
+        if logged.as_deref() == Some(&recomputed[..]) {
+            return Ok(());
+        }
+        let sized = |p: &[u8], how| format!("{} bytes {how} ({})", p.len(), tag_name(p));
+        Err(durability_err(cycle)(mismatch(
+            format!("cycle {cycle} record stream"),
+            logged.map_or("no further record: log exhausted mid-cycle".into(), |l| {
+                sized(&l, "logged")
+            }),
+            sized(&recomputed, "recomputed"),
+        )))
+    }
+
+    /// Commit the cycle. Live: append `CycleEnd`, flush under
+    /// [`FsyncPolicy::PerCycle`], and if a checkpoint is due store what
+    /// `encode_state` writes. Replay: check `CycleEnd`, then move on to
+    /// the next logged cycle (after the last, the log is live again).
+    pub(crate) fn commit(
+        &mut self,
+        cycle: usize,
+        encode_state: impl FnOnce(&mut ByteWriter),
+    ) -> Result<(), CycleError> {
+        self.record(cycle, || cycle_end_payload(cycle as u64))?;
+        if let Some(queue) = self.replay.pop_front() {
+            // Nothing can be left over: the scan ends a logged cycle at
+            // its `CycleEnd`, which the record above just matched.
+            debug_assert!(queue.is_empty());
+            return Ok(());
+        }
+        if self.wiring.fsync_policy == FsyncPolicy::PerCycle {
+            self.with_log(cycle, |log| log.flush())?;
+        }
+        let next_cycle = cycle as u64 + 1;
+        let every = self.wiring.checkpoint_every as u64;
+        if every > 0 && next_cycle.is_multiple_of(every) {
+            let mut w = ByteWriter::new();
+            w.put_u64(self.fingerprint);
+            w.put_u64(next_cycle);
+            encode_state(&mut w);
+            let blob = frame_record(&w.into_bytes());
+            self.with_log(cycle, |log| log.write_checkpoint(next_cycle, &blob))?;
+        }
+        Ok(())
+    }
+
+    /// True while logged cycles are being re-executed.
+    pub(crate) fn replaying(&self) -> bool {
+        !self.replay.is_empty()
+    }
+
+    /// Recovery, step one: read the log, cross-check its genesis
+    /// fingerprint, and cut whatever follows the last commit point (a
+    /// torn append, a half-written cycle or genesis) so that appends
+    /// extend a valid log. The committed cycles — their number is
+    /// returned — are now queued for replay.
+    pub(crate) fn open(&mut self) -> Result<usize, CycleError> {
+        let image = self.with_log(0, |log| log.read_log())?;
+        let scan = scan_log(&image).map_err(durability_err(0))?;
+        if let Some(logged) = scan.fingerprint {
+            if logged != self.fingerprint {
+                return Err(durability_err(0)(mismatch(
+                    "genesis fingerprint",
+                    format!("{:#018x} (this workload + config)", self.fingerprint),
+                    format!("{logged:#018x} (logged)"),
+                )));
+            }
+            self.genesis_written = true;
+        }
+        if scan.committed_len < image.len() as u64 {
+            self.with_log(0, |log| log.truncate_log(scan.committed_len))?;
+        }
+        self.replay = scan.cycles.into();
+        Ok(self.replay.len())
+    }
+
+    /// Recovery, step two: the newest *eligible* checkpoint (module
+    /// docs: valid, honestly named, not ahead of the queued cycles) as
+    /// `(next_cycle, state)`, the cycles it covers dropped from the
+    /// replay queue; `None`: replay from genesis.
+    pub(crate) fn newest_checkpoint<T>(
+        &mut self,
+        decode: impl Fn(&[u8]) -> Result<T, DurabilityError>,
+    ) -> Result<Option<(usize, T)>, CycleError> {
+        let seqs = self.with_log(0, |log| log.checkpoint_seqs())?;
+        for &seq in seqs.iter().rev().filter(|&&seq| seq <= self.replay.len() as u64) {
+            let Ok(blob) = self.with_log(0, |log| log.read_checkpoint(seq)) else { continue };
+            if let Ok(state) = self.checkpoint_state(&blob, seq).and_then(&decode) {
+                self.replay.drain(..seq as usize);
+                return Ok(Some((seq as usize, state)));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Unframe a checkpoint and check its header; the rest is the state.
+    fn checkpoint_state<'b>(&self, blob: &'b [u8], seq: u64) -> Result<&'b [u8], DurabilityError> {
+        let mut frames = RecordReader::new(blob);
+        let (Some(payload), None) = (frames.next_record()?, frames.next_record()?) else {
+            let detail = "checkpoint blob is not exactly one record".to_string();
+            return Err(DurabilityError::Corruption { offset: frames.offset(), detail });
+        };
+        let mut r = ByteReader::new(payload);
+        let header = (
+            r.u64("checkpoint fingerprint").map_err(checkpoint_codec)?,
+            r.u64("checkpoint next cycle").map_err(checkpoint_codec)?,
+        );
+        if header != (self.fingerprint, seq) {
+            let (want, got) = (format!("{:x?}", (self.fingerprint, seq)), format!("{header:x?}"));
+            return Err(mismatch("checkpoint header (fingerprint, next cycle), in hex", want, got));
+        }
+        Ok(&payload[payload.len() - r.remaining()..])
     }
 }

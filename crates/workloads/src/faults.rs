@@ -103,7 +103,11 @@ pub enum ErrorPolicy {
     Abort,
     /// Record the failure in [`RunReport::failures`]
     /// (crate::RunReport::failures) and keep driving the remaining
-    /// cycles against whatever state survives.
+    /// cycles against whatever state survives. A durable run
+    /// ([`RunnerConfig::durability`](crate::RunnerConfig::durability))
+    /// stops at its first failing cycle regardless: the failed cycle's
+    /// partial effects were never logged, so nothing after it could be
+    /// replayed.
     RecordAndContinue,
 }
 

@@ -10,7 +10,10 @@
 //!   quarterly cycles (85 % of bytes in 5 % of chunks), trending insert
 //!   volume;
 //! * [`WorkloadRunner`] — §3.4's ingest → provision/reorganize → query
-//!   loop with Equation 1 node-hour accounting.
+//!   loop with Equation 1 node-hour accounting, in three files:
+//!   `cycle.rs` (config, errors, reports, the loop), `world.rs` (the
+//!   state a cycle transforms and one method per phase), `durable.rs`
+//!   (the write-ahead log, checkpoints, recovery's eligibility rule).
 
 #![warn(missing_docs)]
 
@@ -22,11 +25,11 @@ pub mod modis;
 mod rand_util;
 mod spec;
 pub mod synthetic;
+mod world;
 
 pub use ais::AisWorkload;
 pub use cycle::{
-    build_cell_array, build_cell_array_encoded, CycleError, CycleReport, FailedCycle, RunReport,
-    RunnerConfig, ScalingPolicy, WorkloadRunner,
+    CycleError, CycleReport, FailedCycle, RunReport, RunnerConfig, ScalingPolicy, WorkloadRunner,
 };
 pub use durable::{DurabilityConfig, WalEvent};
 pub use faults::{ErrorPolicy, FaultEvent, FaultKind, FaultPlan};
@@ -34,3 +37,4 @@ pub use modis::ModisWorkload;
 pub use rand_util::{lognormal, rng_for, standard_normal, zipf_weight};
 pub use spec::{CellBatch, QueryRecord, SuiteReport, Workload};
 pub use synthetic::{SpatialDistribution, SyntheticWorkload};
+pub use world::{build_cell_array, build_cell_array_encoded};

@@ -1,0 +1,858 @@
+//! The state a cycle transforms, and the phases that transform it.
+//!
+//! [`World`] is five values — exactly what a checkpoint serializes and
+//! recovery rebuilds: the `cluster` (roster, placement, loads, replicas,
+//! node payload stores), the `catalog` (schemas, descriptors, and the
+//! whole-array oracle copy sharing the node stores' `Arc<Chunk>`s), the
+//! `partitioner`'s routing table, the staircase `provisioner`'s demand
+//! history (present exactly under the staircase policy, which is
+//! *decided* from it — one source for that fact), and the incremental
+//! `views`. Construction, the partitioner recipe and the checkpoint
+//! format ([`World::encode_into`] / [`World::decode`]) live here and
+//! nowhere else; `decode` returns a new `World` or an error, so a failed
+//! restore has nothing it could leave half-updated.
+//!
+//! # The phases, and why in this order
+//!
+//! [`WorkloadRunner::run_cycle`](crate::WorkloadRunner::run_cycle) calls
+//! one method per phase of the paper's §3.4 cycle, logging each one's
+//! input first (nothing here touches the log); each returns the small
+//! tally the cycle report is assembled from.
+//!
+//! 1. [`World::inject_faults`] — cycle-start crashes, drains, revivals,
+//!    then repair to full replica strength: every later phase runs on
+//!    the roster the cycle really has.
+//! 2. [`World::retract`] — the delete script (eviction, tombstone GC,
+//!    negative view deltas). *Before* the scale decision: deletes shrink
+//!    stored demand before the provisioner prices it, so a trough is
+//!    priced the cycle it opens, not one cycle late.
+//! 3. [`World::build_chunks`] — cell batches become real chunks, whose
+//!    actual byte sizes are the cycle's insert demand.
+//! 4. [`World::scale_decision`], then [`World::provision`] — scale-out
+//!    and rebalance, or scale-in and drain. *Before* ingest (§3.4: the
+//!    database "redistributes the preexisting chunks, and finally
+//!    inserts the new ones"): the rebalance moves only old data, and the
+//!    new batch routes against the roster it will live on.
+//!    Rebalance-window crashes and their repair land in between.
+//! 5. [`World::ingest`] — route → place → commit the routing table →
+//!    attach payloads → positive view deltas (after the negative ones:
+//!    views see the cycle's changes in the order the stores do).
+//! 6. [`World::run_queries`] — read-only, over the post-ingest placement.
+//! 7. [`World::store_derived`] — the suites' products are placed like
+//!    any batch, then the controller sees the demand it faces next.
+
+use crate::cycle::{CycleError, RunnerConfig, ScalingPolicy};
+use crate::durable::{checkpoint_codec, mismatch};
+use crate::faults::{FaultKind, FaultPlan};
+use crate::spec::{CellBatch, SuiteReport, Workload};
+use array_model::{
+    Array, ArrayError, ArrayId, ArraySchema, CellBuffer, Chunk, ChunkCoords, ChunkDescriptor,
+    ChunkKey, DeltaSet, StringEncoding,
+};
+use cluster_sim::{
+    gb, Cluster, ClusterError, Flakiness, FlowSet, MidCrash, NodeId, NodeState, RebalancePlan,
+};
+use durability::{ByteReader, ByteWriter, DurabilityError};
+use elastic_core::{
+    batch_prefix_bytes, build_partitioner, route_batch, Partitioner, ProvisionDecision, RouteEpoch,
+    StaircaseProvisioner,
+};
+use query_engine::view::{ViewApplyStats, ViewDef, ViewRegistry};
+use query_engine::{Catalog, ExecutionContext, StoredArray};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// Below this row count a parallel build cannot win: thread spawn and
+/// merge overhead dwarf the copying, so small batches run inline.
+const PARALLEL_BUILD_MIN_ROWS: usize = 4_096;
+
+/// Deterministically assign a chunk to one of `workers` build workers.
+/// Pure in the chunk coordinates, so every row of a chunk lands on the
+/// same worker whatever the row order — a chunk is always built whole by
+/// exactly one thread. Uses the in-tree `splitmix64` fold (the same
+/// deterministic hashing discipline as the hash partitioners) — cheap
+/// enough to run once per row in the serial pre-fan-out pass, unlike a
+/// fresh `DefaultHasher` per coordinate.
+fn build_worker_of(coords: &ChunkCoords, workers: usize) -> usize {
+    let mut h = coords.ndims() as u64;
+    for &c in coords.as_slice() {
+        h = elastic_core::hashing::splitmix64(h ^ c as u64);
+    }
+    (h % workers as u64) as usize
+}
+
+/// Build one flat cell batch into an [`Array`] of real chunks, fanning
+/// the chunk construction out over up to `threads` scoped workers.
+///
+/// The batch is validated once (shape via [`CellBuffer::matches`], bounds
+/// via [`CellBuffer::route`]), then rows are sharded by their owning
+/// chunk (`chunk_of` is pure in the cell) onto workers that build
+/// **disjoint** chunk sets; the per-worker arrays merge through
+/// [`Array::absorb`] into one deterministic, row-major result. Every
+/// chunk receives its rows in batch order regardless of which worker
+/// built it, so the output is **bit-identical** to the sequential build
+/// at every thread count.
+///
+/// The batch is consumed: the single-threaded path moves its
+/// variable-width values straight into the chunks
+/// ([`Array::insert_batch_owned`] — zero per-value allocations), while
+/// the sharded path clones from the shared buffer (workers cannot move
+/// out of a batch they all read) and drops it afterwards.
+pub fn build_cell_array(
+    id: ArrayId,
+    schema: ArraySchema,
+    rows: CellBuffer,
+    threads: usize,
+) -> Result<Array, ArrayError> {
+    build_cell_array_encoded(id, schema, rows, threads, StringEncoding::default())
+}
+
+/// [`build_cell_array`] with an explicit storage-side string encoding:
+/// the default dictionary-encodes chunk string columns (a batch whose
+/// transport is also dictionary-encoded scatters them as `u32` code
+/// remaps); [`StringEncoding::Plain`] reproduces the one-`String`-per-
+/// value representation for differential comparison.
+pub fn build_cell_array_encoded(
+    id: ArrayId,
+    schema: ArraySchema,
+    rows: CellBuffer,
+    threads: usize,
+    encoding: StringEncoding,
+) -> Result<Array, ArrayError> {
+    let mut fresh = Array::with_encoding(id, schema, encoding);
+    let workers = threads.max(1);
+    if workers == 1 || rows.len() < PARALLEL_BUILD_MIN_ROWS {
+        // Inline build: one validation + route pass, values moved.
+        fresh.insert_batch_owned(rows)?;
+        return Ok(fresh);
+    }
+    rows.matches(&fresh.schema)?;
+    let routed = rows.route(&fresh.schema)?;
+    // Bucket row indices by owning worker (pure in the chunk), keeping
+    // batch order within each bucket.
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); workers];
+    for (r, coords) in routed.iter().enumerate() {
+        buckets[build_worker_of(coords, workers)].push(r as u32);
+    }
+    let parts: Vec<Array> = std::thread::scope(|scope| {
+        let handles: Vec<_> = buckets
+            .iter()
+            .map(|bucket| {
+                let schema = fresh.schema.clone();
+                let routed = &routed;
+                let rows = &rows;
+                scope.spawn(move || {
+                    let mut part = Array::with_encoding(id, schema, encoding);
+                    part.insert_routed_rows(rows, routed, bucket)
+                        .expect("batch was validated against this same schema");
+                    part
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("build worker panicked")).collect()
+    });
+    for part in parts {
+        // Worker chunk sets are disjoint by construction, so every merge
+        // is a wholesale move of fresh positions.
+        fresh.absorb(part)?;
+    }
+    Ok(fresh)
+}
+
+/// Everything a workload run mutates (see the module docs).
+pub(crate) struct World {
+    pub(crate) cluster: Cluster,
+    pub(crate) catalog: Catalog,
+    pub(crate) partitioner: Box<dyn Partitioner>,
+    pub(crate) provisioner: Option<StaircaseProvisioner>,
+    pub(crate) views: ViewRegistry,
+}
+
+impl World {
+    /// The world before cycle 0: `config.initial_nodes` empty nodes, the
+    /// workload's arrays registered, a fresh partitioner, no views.
+    pub(crate) fn new(workload: &dyn Workload, config: &RunnerConfig) -> World {
+        let mut cluster = Cluster::with_replication(
+            config.initial_nodes,
+            config.node_capacity,
+            config.cost.clone(),
+            config.replication,
+        )
+        .expect("initial node count is positive");
+        let mut catalog = Catalog::new();
+        workload.register_arrays(&mut catalog);
+        // Register every array's chunk-grid extents so the cluster's
+        // placement index runs dense (O(1), allocation-free) instead of
+        // hashing. Unbounded dimensions take the workload's grid hint as
+        // their expected extent — exceeding it only spills to a hash map.
+        let hint = workload.grid_hint();
+        for stored in catalog.arrays() {
+            let extents: Vec<i64> = stored
+                .schema
+                .dimensions
+                .iter()
+                .enumerate()
+                .map(|(d, dim)| {
+                    let hinted =
+                        (stored.schema.ndims() == hint.ndims()).then(|| hint.chunk_counts[d]);
+                    dim.chunk_count().or(hinted).unwrap_or(1024).max(1)
+                })
+                .collect();
+            cluster.register_array(stored.id, &extents);
+        }
+        let partitioner = Self::partitioner_for(workload, config, &cluster);
+        let provisioner = Self::provisioner_for(config);
+        World { cluster, catalog, partitioner, provisioner, views: ViewRegistry::new() }
+    }
+
+    /// The one recipe for a run's partitioner: kind + tunables (quad
+    /// plane defaulting to the workload's) against a roster. A decoded
+    /// world lays the checkpointed table on top.
+    fn partitioner_for(
+        workload: &dyn Workload,
+        config: &RunnerConfig,
+        cluster: &Cluster,
+    ) -> Box<dyn Partitioner> {
+        let mut pconfig = config.partitioner_config.clone();
+        if pconfig.quad_plane.is_none() {
+            pconfig.quad_plane = Some(workload.quad_plane());
+        }
+        build_partitioner(config.partitioner, cluster, &workload.grid_hint(), &pconfig)
+    }
+
+    /// A staircase policy keeps a controller; every other policy none.
+    fn provisioner_for(config: &RunnerConfig) -> Option<StaircaseProvisioner> {
+        match &config.scaling {
+            ScalingPolicy::Staircase(cfg) => Some(StaircaseProvisioner::new(*cfg)),
+            ScalingPolicy::Fixed | ScalingPolicy::FixedStep { .. } => None,
+        }
+    }
+
+    /// A checkpoint's state section: catalog (schemas, descriptors,
+    /// materialized payloads), cluster (roster, placement, loads,
+    /// replicas, tombstone ledgers), partitioner table, provisioner
+    /// history, view states.
+    pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
+        self.catalog.encode_into(w);
+        self.cluster.snapshot_into(w);
+        w.put_bytes(&self.partitioner.table_snapshot());
+        w.put_bool(self.provisioner.is_some());
+        if let Some(p) = &self.provisioner {
+            w.put_usize(p.history().len());
+            for &v in p.history() {
+                w.put_f64(v);
+            }
+        }
+        self.views.export_states(w);
+    }
+
+    /// Rebuild a world from a checkpoint's state section, for the same
+    /// `(workload, config)` and view definitions the writer had.
+    pub(crate) fn decode(
+        bytes: &[u8],
+        workload: &dyn Workload,
+        config: &RunnerConfig,
+        view_defs: Vec<ViewDef>,
+    ) -> Result<World, DurabilityError> {
+        let mut r = ByteReader::new(bytes);
+        let catalog = Catalog::decode_from(&mut r).map_err(checkpoint_codec)?;
+        // Node payload stores re-alias the catalog oracle's chunks: the
+        // original run shared one `Arc<Chunk>` per chunk between both
+        // stores, and recovery reconstructs exactly that sharing.
+        let payload_of = |key: &ChunkKey| -> Option<Arc<Chunk>> {
+            catalog.array(key.array).ok()?.data.as_ref()?.shared_chunk(&key.coords).cloned()
+        };
+        let cluster = Cluster::restore_from(&mut r, config.cost.clone(), &payload_of)?;
+        let mut partitioner = Self::partitioner_for(workload, config, &cluster);
+        let table = r.bytes("partitioner table").map_err(checkpoint_codec)?;
+        partitioner.table_restore(table).map_err(checkpoint_codec)?;
+        let mut provisioner = Self::provisioner_for(config);
+        let logged = r.bool("provisioner presence").map_err(checkpoint_codec)?;
+        if logged != provisioner.is_some() {
+            let (want, got) = (provisioner.is_some().to_string(), logged.to_string());
+            return Err(mismatch("provisioner presence (from the scaling policy)", want, got));
+        }
+        if let Some(p) = provisioner.as_mut() {
+            for _ in 0..r.usize("provisioner history length").map_err(checkpoint_codec)? {
+                p.observe(r.f64("provisioner history sample").map_err(checkpoint_codec)?);
+            }
+        }
+        let views = ViewRegistry::import_states(view_defs, &mut r).map_err(checkpoint_codec)?;
+        r.finish("checkpoint blob").map_err(checkpoint_codec)?;
+        Ok(World { cluster, catalog, partitioner, provisioner, views })
+    }
+
+    fn stored_mut(&mut self, cycle: usize, array: ArrayId) -> Result<&mut StoredArray, CycleError> {
+        self.catalog.array_mut(array).map_err(|_| CycleError::UnknownArray { cycle, array })
+    }
+
+    pub(crate) fn nodes_in(&self, state: NodeState) -> Vec<NodeId> {
+        self.cluster.nodes().filter(|n| n.state() == state).map(|n| n.id).collect()
+    }
+
+    /// Fold one array's delta into the views, counting rows in and out.
+    fn apply_delta(&mut self, array: ArrayId, delta: &DeltaSet, stats: &mut ViewApplyStats) {
+        let applied = self.views.apply(array, delta);
+        stats.delta_rows += applied.delta_rows;
+        stats.rows_changed += applied.rows_changed;
+    }
+
+    /// `node` if it accepts data; otherwise the deterministic accepting
+    /// node the cluster diverts `key` to, if any is left.
+    fn accepting(&self, node: NodeId, key: &ChunkKey) -> Option<NodeId> {
+        if self.cluster.node(node).is_ok_and(|n| n.state().accepts_data()) {
+            Some(node)
+        } else {
+            self.cluster.divert_route(key)
+        }
+    }
+
+    /// Phase 1. Inject the cycle-start faults, then re-replicate
+    /// whatever they exposed (skipped on an all-healthy roster).
+    pub(crate) fn inject_faults(
+        &mut self,
+        cycle: usize,
+        config: &RunnerConfig,
+        faults: &CycleFaults,
+    ) -> Result<RepairTally, CycleError> {
+        let refused = |source| CycleError::Fault { cycle, source };
+        for kind in config.fault_plan.iter().flat_map(|plan| plan.events_at(cycle)) {
+            match kind {
+                FaultKind::Crash(n) => self.cluster.crash_node(NodeId(n)).map(|_| ()),
+                FaultKind::Drain(n) => self.cluster.start_draining(NodeId(n)),
+                FaultKind::Revive(n) => self.cluster.revive_node(NodeId(n)),
+                // Injected later in the cycle: see `CycleFaults`.
+                _ => Ok(()),
+            }
+            .map_err(refused)?;
+        }
+        let mut repair = RepairTally::default();
+        if self.cluster.has_faulted_nodes() {
+            self.repair(cycle, config, faults.flaky, faults.mid_crash, &mut repair)?;
+        }
+        Ok(repair)
+    }
+
+    /// Upper bound on plan → execute recovery passes per invocation. A
+    /// mid-repair crash creates deficits the in-flight plan cannot see,
+    /// so one pass is not always enough; flaky flows can starve a pass
+    /// without emptying the plan. Four passes converge every schedule the
+    /// suites drive while still bounding an adversarial one.
+    const MAX_RECOVERY_PASSES: usize = 4;
+
+    /// Drive recovery to convergence: plan → execute passes until the
+    /// plan comes back empty or stops making progress, then return any
+    /// refilled `Recovering` nodes to full service and audit the replica
+    /// books. Repair flows and backoff waits accumulate into `tally`.
+    fn repair(
+        &mut self,
+        cycle: usize,
+        config: &RunnerConfig,
+        flaky: Option<Flakiness>,
+        mut mid_crash: Option<MidCrash>,
+        tally: &mut RepairTally,
+    ) -> Result<(), CycleError> {
+        let policy = config.fault_plan.as_ref().map(|p| p.backoff).unwrap_or_default();
+        for _ in 0..Self::MAX_RECOVERY_PASSES {
+            let plan = self.cluster.plan_recovery();
+            if plan.jobs.is_empty() {
+                break;
+            }
+            let outcome =
+                self.cluster.execute_recovery_with(&plan, &policy, flaky, mid_crash.take());
+            tally.bytes = tally.bytes.saturating_add(outcome.repair_bytes());
+            tally.secs += outcome.repair_secs(&config.cost);
+            tally.retries = tally.retries.saturating_add(u64::from(outcome.retries));
+            if outcome.repaired == 0 {
+                // No forward progress (retry budgets exhausted, or nothing
+                // repairable remains): stop rather than spin.
+                break;
+            }
+        }
+        if self.cluster.replica_census().is_full_strength() {
+            for id in self.nodes_in(NodeState::Recovering) {
+                let refused = |source| CycleError::Fault { cycle, source };
+                self.cluster.mark_recovered(id).map_err(refused)?;
+            }
+        }
+        self.cluster.verify_replica_books().map_err(|source| CycleError::Recovery { cycle, source })
+    }
+
+    /// Phase 2. Apply every batch's retraction script to the cluster's
+    /// stored payloads and mirror it into the catalog's whole-array
+    /// oracle, keeping both stores structurally in step (same
+    /// tombstones, same byte ledgers, same pruned chunks).
+    ///
+    /// Retractions are grouped by owning chunk and applied through
+    /// [`Cluster::retract_cells`], which shrinks the primary payload,
+    /// its descriptor, the node ledgers, and every replica copy in one
+    /// step. A chunk whose last live cell is retracted is evicted from
+    /// the placement outright (and its replica set dropped) — retired
+    /// bytes stop counting against demand immediately, which is what
+    /// lets the provisioner see the trough. A surviving chunk whose
+    /// tombstones now reach [`RunnerConfig::gc_tombstone_ratio`] of its
+    /// physical rows is compacted in place ([`Cluster::compact_chunk`]),
+    /// and the catalog oracle compacts the same chunks so both copies
+    /// stay structurally identical. Cells whose chunk was never placed
+    /// (or already evicted) are skipped rather than failing the
+    /// cycle: delete scripts replay against both oracle and store
+    /// copies, which may legitimately have pruned a chunk first.
+    ///
+    /// When incremental views watch the array, each retracted row's
+    /// values are captured through the tombstone choke point as a `-1`
+    /// delta and folded into the views before the cycle's inserts land.
+    pub(crate) fn retract(
+        &mut self,
+        cycle: usize,
+        config: &RunnerConfig,
+        batches: &[CellBatch],
+        view_stats: &mut ViewApplyStats,
+    ) -> Result<RetractTally, CycleError> {
+        let rejected = |source| CycleError::Retract { cycle, source };
+        let malformed = |source| CycleError::Materialize { cycle, source };
+        let gc_enabled =
+            config.gc_tombstone_ratio.is_finite() || config.gc_dangling_dict_bytes != u64::MAX;
+        let mut tally = RetractTally::default();
+        for b in batches {
+            let flat = b.retractions_flat();
+            if flat.is_empty() {
+                continue;
+            }
+            let schema = self.stored_mut(cycle, b.array)?.schema.clone();
+            let nd = schema.ndims().max(1);
+            // Group the flat script by owning chunk so each placed chunk
+            // is touched once (one descriptor resize, one replica fan-out).
+            let mut by_chunk: BTreeMap<ChunkCoords, Vec<i64>> = BTreeMap::new();
+            for cell in flat.chunks_exact(nd) {
+                let coords = array_model::chunk_of(&schema, cell).map_err(malformed)?;
+                by_chunk.entry(coords).or_default().extend_from_slice(cell);
+            }
+            let mut gc_coords: Vec<ChunkCoords> = Vec::new();
+            for (coords, cells) in by_chunk {
+                let key = ChunkKey::new(b.array, coords);
+                if self.cluster.locate(&key).is_none() {
+                    continue;
+                }
+                let outcome = self.cluster.retract_cells(&key, &cells).map_err(rejected)?;
+                tally.retracted += outcome.retracted;
+                if outcome.remaining_cells == 0 {
+                    let eviction = self.cluster.evict_chunk(&key).map_err(rejected)?;
+                    tally.evicted_chunks += 1;
+                    tally.evicted_bytes += eviction.bytes;
+                } else if gc_enabled {
+                    // Threshold-triggered tombstone GC: row-ratio
+                    // pressure, or dangling-dictionary byte pressure
+                    // (checked lazily — the dictionary scan is
+                    // per-entry work the ratio check avoids).
+                    let payload = self
+                        .cluster
+                        .payload(&key)
+                        .ok_or(ClusterError::NoPayload(key))
+                        .map_err(rejected)?;
+                    let dead = payload.tombstone_count() as f64;
+                    let physical = payload.physical_cell_count() as f64;
+                    let ratio_trip = config.gc_tombstone_ratio.is_finite()
+                        && physical > 0.0
+                        && dead >= config.gc_tombstone_ratio * physical;
+                    let byte_trip = !ratio_trip
+                        && config.gc_dangling_dict_bytes != u64::MAX
+                        && payload.dangling_dict_bytes() >= config.gc_dangling_dict_bytes;
+                    if ratio_trip || byte_trip {
+                        let compaction = self.cluster.compact_chunk(&key).map_err(rejected)?;
+                        tally.gc_compacted_chunks += 1;
+                        tally.gc_reclaimed_bytes += compaction.reclaimed_bytes;
+                        gc_coords.push(coords);
+                    }
+                }
+            }
+            // Mirror the script into the catalog oracle. The oracle's
+            // chunks were shared with the cluster until now; replaying
+            // the same deterministic script (retract-the-last-live-
+            // duplicate per coordinate) leaves both copies structurally
+            // identical, so the differential suites keep agreeing.
+            // Retracted values are captured here — the oracle holds the
+            // same rows — as the views' negative deltas.
+            let watched = self.views.reads(b.array);
+            let mut delta = DeltaSet::new();
+            let stored = self.stored_mut(cycle, b.array)?;
+            if let Some(data) = stored.data.as_mut() {
+                let outcome = data
+                    .delete_cells_capturing(flat, |cell, values| {
+                        if watched {
+                            delta.push(cell.to_vec(), values, -1);
+                        }
+                    })
+                    .map_err(malformed)?;
+                for coords in data.prune_empty() {
+                    stored.descriptors.remove(&coords);
+                }
+                // GC'd chunks compact on the oracle too, before the
+                // descriptor refresh reads their rebuilt sizes.
+                for coords in &gc_coords {
+                    data.compact_chunk(coords);
+                }
+                for coords in outcome.touched {
+                    if let Some(chunk) = data.chunk(&coords) {
+                        stored.descriptors.insert(coords, chunk.descriptor(b.array));
+                    }
+                }
+            }
+            if watched && !delta.is_empty() {
+                self.apply_delta(b.array, &delta, view_stats);
+            }
+        }
+        Ok(tally)
+    }
+
+    /// Phase 3. Build each cell batch into real chunks via the
+    /// array-model chunk builder, fanning the chunk construction out
+    /// over `ingest_threads` scoped workers (see [`build_cell_array`]).
+    /// The returned arrays hold the cycle's fresh chunks only;
+    /// descriptors derived from them carry actual `byte_size()` /
+    /// `cell_count()` instead of sampled sizes.
+    pub(crate) fn build_chunks(
+        &self,
+        cycle: usize,
+        config: &RunnerConfig,
+        batches: Vec<CellBatch>,
+    ) -> Result<Vec<Array>, CycleError> {
+        let threads = config.ingest_threads.max(1);
+        let build = |b: CellBatch| {
+            let Ok(stored) = self.catalog.array(b.array) else {
+                return Err(CycleError::UnknownArray { cycle, array: b.array });
+            };
+            let (id, schema, encoding) = (b.array, stored.schema.clone(), config.string_encoding);
+            build_cell_array_encoded(id, schema, b.into_rows(), threads, encoding)
+                .map_err(|source| CycleError::Materialize { cycle, source })
+        };
+        batches.into_iter().map(build).collect()
+    }
+
+    /// Most nodes a FixedStep policy will add in one cycle. Generous — the
+    /// paper's schedules add 2 — but finite, so a runaway demand signal
+    /// cannot allocate an unbounded roster; hitting the cap is surfaced
+    /// through [`CycleReport::scale_saturated`](crate::CycleReport::scale_saturated)
+    /// rather than dropped.
+    const MAX_FIXED_STEP_ADD: u64 = 4096;
+
+    /// Phase 4, the verdict. Decide how the roster changes for a
+    /// projected `demand_bytes`: nodes to add, nodes to release, and
+    /// whether the decision saturated the per-cycle cap. Both counts run
+    /// off the *active* roster — retired nodes keep their slot but
+    /// contribute no capacity.
+    ///
+    /// A world with a provisioner asks it (only the staircase ever
+    /// shrinks, and only when its `shrink_margin` hysteresis band is
+    /// enabled). FixedStep is closed-form integer arithmetic: the
+    /// smallest multiple of `add` that brings `trigger × capacity` back
+    /// above demand.
+    pub(crate) fn scale_decision(&self, config: &RunnerConfig, demand_bytes: u64) -> ScaleStep {
+        let step = |add, remove| ScaleStep { add, remove, saturated: false };
+        if let Some(provisioner) = &self.provisioner {
+            return match provisioner.decide(self.cluster.active_node_count(), gb(demand_bytes)) {
+                ProvisionDecision::Stay => step(0, 0),
+                ProvisionDecision::ScaleOut { add_nodes } => step(add_nodes, 0),
+                ProvisionDecision::ScaleIn { remove_nodes } => step(0, remove_nodes),
+            };
+        }
+        let ScalingPolicy::FixedStep { add, trigger } = &config.scaling else {
+            return step(0, 0);
+        };
+        // Usable bytes per node under the trigger fraction. The one
+        // f64 rounding happens here, floor-ward, which can only
+        // over-provision by at most one step — never under.
+        let usable = (trigger * config.node_capacity as f64) as u64;
+        if usable == 0 {
+            // Degenerate policy (zero trigger or capacity): no node
+            // count can ever satisfy demand.
+            return ScaleStep { saturated: demand_bytes > 0, ..step(0, 0) };
+        }
+        let needed = demand_bytes.div_ceil(usable);
+        let have = self.cluster.active_node_count() as u64;
+        if needed <= have {
+            return step(0, 0);
+        }
+        let stride = (*add).max(1) as u64;
+        let extra = (needed - have).div_ceil(stride) * stride;
+        if extra > Self::MAX_FIXED_STEP_ADD {
+            ScaleStep { saturated: true, ..step(Self::MAX_FIXED_STEP_ADD as usize, 0) }
+        } else {
+            step(extra as usize, 0)
+        }
+    }
+
+    /// Phase 4, the execution: grow and rebalance, or drain and retire;
+    /// then the rebalance-window crashes — after any data movement,
+    /// before the ingest — and the repair behind them.
+    pub(crate) fn provision(
+        &mut self,
+        cycle: usize,
+        config: &RunnerConfig,
+        step: &ScaleStep,
+        faults: &CycleFaults,
+        repair: &mut RepairTally,
+    ) -> Result<ReorgTally, CycleError> {
+        let mut tally = ReorgTally::default();
+        if step.add > 0 {
+            let new_nodes = self.cluster.add_nodes(step.add, config.node_capacity);
+            let plan = self.partitioner.scale_out(&self.cluster, &new_nodes);
+            let plan = self.sanitize_rebalance(plan);
+            tally.moved_bytes = plan.moved_bytes();
+            let rejected = |source| CycleError::Reorg { cycle, source };
+            let flows = self.cluster.apply_rebalance(&plan).map_err(rejected)?;
+            tally.reorg_secs = flows.elapsed_secs(&config.cost);
+        }
+        // Scale-in: drain the highest-id healthy nodes through the flow
+        // solver and retire them (the staircase releases its newest steps
+        // first, matching the tail-first capacity walk the provisioner
+        // priced). Never drops the roster below the replication factor's
+        // worth of serving nodes — a deeper shrink request is clamped,
+        // not failed. Drain time and bytes count as reorganization.
+        if step.remove > 0 {
+            let mut healthy = self.nodes_in(NodeState::Healthy);
+            healthy.sort_unstable();
+            let spare = healthy.len().saturating_sub(config.replication.max(1));
+            let mut drain_secs = 0.0;
+            let failed = |source| CycleError::ScaleIn { cycle, source };
+            for &id in healthy.iter().rev().take(step.remove.min(spare)) {
+                let report = self.cluster.decommission_node(id).map_err(failed)?;
+                drain_secs += report.flows.elapsed_secs(&config.cost);
+                tally.moved_bytes += report.drained_bytes;
+                tally.removed_nodes += 1;
+            }
+            tally.reorg_secs += drain_secs;
+        }
+        if !faults.rebalance_crashes.is_empty() {
+            let refused = |source| CycleError::Fault { cycle, source };
+            for &node in &faults.rebalance_crashes {
+                self.cluster.crash_node(node).map_err(refused)?;
+            }
+            self.repair(cycle, config, faults.flaky, None, repair)?;
+        }
+        Ok(tally)
+    }
+
+    /// Rewrite a scale-out rebalance plan against the faulted roster. The
+    /// partitioners are deliberately fault-blind — their ring/tree view
+    /// stays stable across crashes so fault-free runs stay bit-identical —
+    /// which means a plan can move chunks that a crash already promoted
+    /// elsewhere (or orphaned), or target a node that no longer accepts
+    /// data. Stale sources are dropped (there is nothing left to move);
+    /// unavailable destinations are diverted exactly like ingest routes.
+    /// Fault-free runs return the plan untouched.
+    fn sanitize_rebalance(&self, plan: RebalancePlan) -> RebalancePlan {
+        if !self.cluster.has_faulted_nodes() {
+            return plan;
+        }
+        let mut out = RebalancePlan::empty();
+        for m in plan.moves {
+            let source_live = self.cluster.locate(&m.key) == Some(m.from)
+                && self.cluster.node(m.from).is_ok_and(|n| n.state().serves_reads());
+            if !source_live {
+                continue;
+            }
+            // A diverted move may land on a replica holder; the cluster
+            // supersedes that replica with the arriving primary, so any
+            // accepting node but the source itself is a legal target.
+            match self.accepting(m.to, &m.key) {
+                Some(to) if to == m.to || to != m.from => out.push(m.key, m.from, to, m.bytes),
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// Phase 5. Place the cycle's descriptors, attach the fresh payloads
+    /// to the nodes that received them, fold the inserted cells into the
+    /// views as `+1` deltas. Returns the insert's simulated seconds.
+    pub(crate) fn ingest(
+        &mut self,
+        cycle: usize,
+        config: &RunnerConfig,
+        batch: &[ChunkDescriptor],
+        arrays: Option<Vec<Array>>,
+        view_stats: &mut ViewApplyStats,
+    ) -> Result<f64, CycleError> {
+        let rejected = |source| CycleError::Ingest { cycle, source };
+        let flows = self.place_batch(config, batch).map_err(rejected)?;
+        let arrays = arrays.unwrap_or_default();
+        // The freshly built arrays hold exactly this cycle's inserted
+        // cells: extract them as +1 deltas for the registered views
+        // before the chunk handles are absorbed into the stores.
+        let insert_deltas: Vec<(ArrayId, DeltaSet)> = arrays
+            .iter()
+            .filter(|a| self.views.reads(a.id))
+            .map(|a| (a.id, DeltaSet::from_live_cells(a)))
+            .collect();
+        // Attach the chunks to the nodes that just received their
+        // descriptors and fold them into the catalog's whole-array oracle.
+        // Both stores hold the **same** `Arc<Chunk>` handles: attaching is
+        // a refcount bump per chunk, and rebalances move the handle.
+        for fresh in arrays {
+            let id = fresh.id;
+            for (coords, chunk) in fresh.shared_chunks() {
+                let key = ChunkKey::new(id, *coords);
+                self.cluster.attach_payload(key, Arc::clone(chunk)).map_err(rejected)?;
+            }
+            let stored = self.stored_mut(cycle, id)?;
+            let data = stored.data.get_or_insert_with(|| Array::new(id, stored.schema.clone()));
+            // `absorb` checks schema identity once and skips per-cell
+            // re-validation: `fresh` was built against this same schema in
+            // `build_chunks`, and moves its chunk handles in wholesale.
+            data.absorb(fresh).map_err(|source| CycleError::Materialize { cycle, source })?;
+        }
+        for (id, delta) in insert_deltas {
+            self.apply_delta(id, &delta, view_stats);
+        }
+        Ok(flows.elapsed_secs(&config.cost))
+    }
+
+    /// Place a batch of chunks through the sharded route → place → commit
+    /// pipeline, returning the coordinator-fed flow set. With
+    /// `ingest_threads > 1` both routing and placement fan out over scoped
+    /// threads; the resulting placements, loads, and census are identical
+    /// to the single-threaded path.
+    fn place_batch(
+        &mut self,
+        config: &RunnerConfig,
+        batch: &[ChunkDescriptor],
+    ) -> Result<FlowSet, ClusterError> {
+        let coordinator = self.cluster.coordinator();
+        let threads = config.ingest_threads.max(1);
+        // Route the whole batch against one epoch snapshot...
+        let prefix = batch_prefix_bytes(batch);
+        let epoch = RouteEpoch::for_batch(&self.cluster, &prefix);
+        let mut routes = route_batch(self.partitioner.as_ref(), batch, &epoch, threads);
+        // Partitioners route against the full roster; with nodes out of
+        // service, divert each such hit to a deterministic accepting node.
+        // Fault-free runs skip this pass entirely, keeping the healthy
+        // path bit-identical to the pre-fault runner.
+        if self.cluster.has_faulted_nodes() {
+            for (desc, route) in batch.iter().zip(routes.iter_mut()) {
+                *route = self.accepting(*route, &desc.key).ok_or(ClusterError::NoHealthyNodes)?;
+            }
+        }
+        // ...place it shard-parallel (rolls back wholesale on duplicates)...
+        self.cluster.place_batch(batch, &routes, threads)?;
+        // ...then commit the partitioner's table mutations sequentially
+        // (diverted routes included, so later lookups agree with the
+        // placement).
+        self.partitioner.commit(batch, &routes);
+        let mut flows = FlowSet::new();
+        for (desc, &node) in batch.iter().zip(&routes) {
+            flows.push(coordinator, node, desc.bytes);
+            // Replica copies cost real bytes too: the coordinator fans the
+            // same payload to every holder the placement just installed.
+            // Empty at k = 1.
+            for &holder in self.cluster.replica_holders(&desc.key) {
+                flows.push(coordinator, holder, desc.bytes);
+            }
+            if let Ok(array) = self.catalog.array_mut(desc.key.array) {
+                array.descriptors.insert(desc.key.coords, *desc);
+            }
+        }
+        Ok(flows)
+    }
+
+    /// Phase 6. The workload's §3.3 suites over the current placement,
+    /// and the chunk reads not served by a healthy primary.
+    pub(crate) fn run_queries(&self, workload: &dyn Workload, cycle: usize) -> (SuiteReport, u64) {
+        let ctx = ExecutionContext::new(&self.cluster, &self.catalog);
+        let report = workload.run_suites(&ctx, cycle);
+        (report, ctx.degraded_reads())
+    }
+
+    /// Phase 7. Place the derived (query-product) chunks — returning the
+    /// simulated seconds that took — then feed the controller the demand
+    /// it will see next cycle.
+    pub(crate) fn store_derived(
+        &mut self,
+        cycle: usize,
+        config: &RunnerConfig,
+        derived: &[ChunkDescriptor],
+    ) -> Result<f64, CycleError> {
+        let mut secs = 0.0;
+        if !derived.is_empty() {
+            let rejected = |source| CycleError::Derived { cycle, source };
+            secs = self.place_batch(config, derived).map_err(rejected)?.elapsed_secs(&config.cost);
+        }
+        if let Some(p) = self.provisioner.as_mut() {
+            p.observe(gb(self.cluster.total_used()));
+        }
+        Ok(secs)
+    }
+}
+
+/// The cycle's scheduled faults that fire *inside* a phase (crashes,
+/// drains and revivals fire at cycle start, straight off the plan).
+#[derive(Default)]
+pub(crate) struct CycleFaults {
+    /// Nodes felled right after the rebalance phase.
+    rebalance_crashes: Vec<NodeId>,
+    /// Flow-drop injection threaded through every recovery pass.
+    flaky: Option<Flakiness>,
+    /// Mid-repair crash threaded through the first recovery pass.
+    mid_crash: Option<MidCrash>,
+}
+
+impl CycleFaults {
+    /// The faults `plan` schedules for `cycle`.
+    pub(crate) fn scheduled(plan: Option<&FaultPlan>, cycle: usize) -> CycleFaults {
+        let mut out = CycleFaults::default();
+        let Some(plan) = plan else { return out };
+        for kind in plan.events_at(cycle) {
+            match kind {
+                FaultKind::Crash(_) | FaultKind::Drain(_) | FaultKind::Revive(_) => {}
+                FaultKind::CrashDuringRebalance(n) => out.rebalance_crashes.push(NodeId(n)),
+                FaultKind::CrashDuringRecovery { node, after_jobs } => {
+                    out.mid_crash = Some(MidCrash { after_jobs, node: NodeId(node) })
+                }
+                FaultKind::FlakyFlows { p } => {
+                    out.flaky = Some(Flakiness { p, seed: plan.cycle_seed(cycle) })
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Accumulated repair cost across a cycle's recovery passes.
+#[derive(Default)]
+pub(crate) struct RepairTally {
+    pub(crate) bytes: u64,
+    pub(crate) secs: f64,
+    pub(crate) retries: u64,
+}
+
+/// One cycle's provisioning verdict: nodes to add, nodes to release,
+/// and whether the policy saturated its per-cycle cap. `add` and
+/// `remove` are never both nonzero — the staircase's hysteresis band
+/// guarantees a shrink can't re-trip the scale-out threshold.
+pub(crate) struct ScaleStep {
+    pub(crate) add: usize,
+    pub(crate) remove: usize,
+    pub(crate) saturated: bool,
+}
+
+/// What executing a [`ScaleStep`] cost, and the nodes actually retired.
+#[derive(Default)]
+pub(crate) struct ReorgTally {
+    pub(crate) removed_nodes: usize,
+    pub(crate) reorg_secs: f64,
+    pub(crate) moved_bytes: u64,
+}
+
+/// What a cycle's retraction script did, accumulated across batches.
+#[derive(Default)]
+pub(crate) struct RetractTally {
+    /// Cells tombstoned in placed chunks.
+    pub(crate) retracted: u64,
+    /// Chunks emptied outright and evicted from the placement.
+    pub(crate) evicted_chunks: usize,
+    /// Bytes those evicted chunks still carried.
+    pub(crate) evicted_bytes: u64,
+    /// Chunks the tombstone-ratio GC compacted.
+    pub(crate) gc_compacted_chunks: usize,
+    /// Net bytes those compactions reclaimed (store side).
+    pub(crate) gc_reclaimed_bytes: i64,
+}

@@ -557,3 +557,297 @@ fn mismatched_config_is_refused() {
         Err(CycleError::Durability { .. })
     ));
 }
+
+// ---------------------------------------------------------------------
+// Checkpoint eligibility, fsync policies, and what a crash really loses.
+// ---------------------------------------------------------------------
+
+use workloads::ErrorPolicy;
+
+/// A [`MemLog`] the test keeps a typed handle to (to crash it, misfile
+/// its checkpoints, read its bytes) while runners append through the
+/// same store.
+type Mem = Arc<Mutex<MemLog>>;
+
+fn mem_log() -> Mem {
+    Arc::new(Mutex::new(MemLog::new()))
+}
+
+fn durable_with(
+    cfg: &RunnerConfig,
+    log: durability::SharedLog,
+    policy: FsyncPolicy,
+) -> RunnerConfig {
+    let mut out = cfg.clone();
+    out.durability = Some(DurabilityConfig { log, checkpoint_every: 2, fsync_policy: policy });
+    out
+}
+
+/// What `mem` would hold after a crash: everything past its last flush
+/// is gone; checkpoints (atomic, synced writes) stay.
+fn crashed(mem: &Mem) -> MemLog {
+    let mut image = mem.lock().expect("mem log").clone();
+    image.crash();
+    image
+}
+
+fn meta_config() -> RunnerConfig {
+    let mut cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 1);
+    cfg.node_capacity = 100_000; // metadata bytes are sampled, keep roster stable
+    cfg
+}
+
+/// A checkpoint is identified by what it *says* it is, not by the name
+/// it is stored under: checkpoint 2's bytes filed as checkpoint 4 (a
+/// restored backup, a bad copy) validate end to end — CRC, fingerprint,
+/// every codec — but describe the state after two cycles, not four.
+/// Recovery must skip it exactly as it skips a bit flip.
+#[test]
+fn misfiled_checkpoint_is_skipped_not_trusted_by_name() {
+    let w = MetaWorkload { cycles: 6 };
+    let cfg = meta_config();
+    let probes = oracle_probes(&w, &cfg, &[]);
+
+    let mem = mem_log();
+    let mut live = WorkloadRunner::new(&w, durable(&cfg, mem.clone()));
+    for c in 0..5 {
+        live.run_cycle(c).expect("durable cycle");
+    }
+    let mut image = mem.lock().expect("mem log").clone();
+    let two = image.read_checkpoint(2).expect("checkpoint 2");
+    image.write_checkpoint(4, &two).expect("misfile checkpoint 2 as 4");
+
+    let mut rec = WorkloadRunner::recover(&w, durable(&cfg, shared(image)), Vec::new())
+        .expect("recovery falls back to the honest checkpoint");
+    assert_eq!(rec.start_cycle(), 5);
+    assert_eq!(rec.cluster().total_chunks(), 10, "five cycles x two chunks");
+    assert_probes_match(&probe(&rec), &probes[5], "misfiled checkpoint");
+    rec.run_all().expect("continuation");
+    assert_probes_match(&probe(&rec), probes.last().unwrap(), "misfiled checkpoint continuation");
+}
+
+/// A checkpoint write is synced; under `FsyncPolicy::Never` the log
+/// under it is not. After a crash the checkpoint store can therefore be
+/// *ahead* of the durable log. Resuming from such a checkpoint would
+/// append cycle 4 after cycle 1 — a log that recovers only as long as
+/// that checkpoint survives. A recovered state must be a prefix of the
+/// durable log.
+#[test]
+fn checkpoint_ahead_of_the_durable_log_is_skipped() {
+    let w = MetaWorkload { cycles: 6 };
+    let cfg = meta_config();
+    let probes = oracle_probes(&w, &cfg, &[]);
+
+    let mem = mem_log();
+    let mut synced =
+        WorkloadRunner::new(&w, durable_with(&cfg, mem.clone(), FsyncPolicy::PerCycle));
+    synced.run_cycle(0).expect("cycle 0");
+    synced.run_cycle(1).expect("cycle 1");
+    drop(synced);
+    let lazy_cfg = durable_with(&cfg, mem.clone(), FsyncPolicy::Never);
+    let mut lazy = WorkloadRunner::recover(&w, lazy_cfg, Vec::new()).expect("clean reopen");
+    assert_eq!(lazy.start_cycle(), 2);
+    lazy.run_cycle(2).expect("cycle 2");
+    lazy.run_cycle(3).expect("cycle 3");
+    drop(lazy);
+    assert_eq!(mem.lock().expect("mem log").checkpoint_seqs().expect("seqs"), vec![2, 4]);
+
+    // The crash keeps checkpoint 4 and a log that ends after cycle 1.
+    let survivor: Mem = Arc::new(Mutex::new(crashed(&mem)));
+    let mut rec = WorkloadRunner::recover(&w, durable(&cfg, survivor.clone()), Vec::new())
+        .expect("recovery from the durable prefix");
+    assert_eq!(
+        rec.start_cycle(),
+        2,
+        "the durable log commits two cycles, whatever checkpoint 4 says"
+    );
+    assert_probes_match(&probe(&rec), &probes[2], "checkpoint ahead of log");
+    rec.run_all().expect("continuation");
+    assert_probes_match(&probe(&rec), probes.last().unwrap(), "checkpoint ahead of log, finished");
+    drop(rec);
+
+    // The log the recovered runner extended stands on its own: with
+    // every checkpoint lost it still replays from genesis.
+    let mut bare = survivor.lock().expect("mem log").clone();
+    for seq in bare.checkpoint_seqs().expect("seqs") {
+        bare.drop_checkpoint(seq);
+    }
+    let rec = WorkloadRunner::recover(&w, durable(&cfg, shared(bare)), Vec::new())
+        .expect("genesis replay of the extended log");
+    assert_eq!(rec.start_cycle(), w.cycles());
+    assert_probes_match(&probe(&rec), probes.last().unwrap(), "genesis replay");
+}
+
+/// [`MetaWorkload`], except that cycle 1 re-emits cycle 0's chunk keys:
+/// a typed ingest failure in the middle of a run.
+struct CollidingMeta;
+
+impl Workload for CollidingMeta {
+    fn name(&self) -> &'static str {
+        "colliding-meta"
+    }
+    fn cycles(&self) -> usize {
+        3
+    }
+    fn register_arrays(&self, catalog: &mut Catalog) {
+        MetaWorkload { cycles: 3 }.register_arrays(catalog)
+    }
+    fn insert_batch(&self, cycle: usize) -> Vec<ChunkDescriptor> {
+        MetaWorkload { cycles: 3 }.insert_batch(if cycle == 1 { 0 } else { cycle })
+    }
+    fn derived_batch(&self, _cycle: usize) -> Vec<ChunkDescriptor> {
+        Vec::new()
+    }
+    fn grid_hint(&self) -> GridHint {
+        GridHint::new(vec![16])
+    }
+    fn run_suites(&self, _ctx: &ExecutionContext<'_>, _cycle: usize) -> SuiteReport {
+        SuiteReport::default()
+    }
+}
+
+/// A failed cycle's partial effects were never logged, so a durable
+/// run cannot press on past it and stay replayable: it stops at the
+/// first failing cycle even under `RecordAndContinue`, and the log it
+/// leaves behind recovers to the last committed cycle.
+#[test]
+fn durable_run_stops_at_its_first_failing_cycle() {
+    let mut cfg = meta_config();
+    cfg.on_error = ErrorPolicy::RecordAndContinue;
+    let mut oracle = WorkloadRunner::new_owned(CollidingMeta, cfg.clone());
+    oracle.run_cycle(0).expect("cycle 0 is clean");
+
+    let mem = mem_log();
+    let mut live = WorkloadRunner::new_owned(CollidingMeta, durable(&cfg, mem.clone()));
+    let err = live.run_all().expect_err("a durable run does not continue past a failed cycle");
+    assert!(matches!(err, CycleError::Ingest { cycle: 1, .. }), "got {err}");
+    drop(live);
+
+    let rec = WorkloadRunner::recover_owned(CollidingMeta, durable(&cfg, mem), Vec::new())
+        .expect("the failed cycle never committed; recovery rolls it back");
+    assert_eq!(rec.start_cycle(), 1);
+    assert_probes_match(&probe(&rec), &probe(&oracle), "rolled back to one cycle");
+}
+
+/// Recover `image`, check the recovered state against the oracle at
+/// its cycle count, then finish the run to the oracle's end state.
+/// Returns the cycle recovery resumed at.
+fn recover_and_finish(
+    w: &dyn Workload,
+    cfg: RunnerConfig,
+    defs: &[ViewDef],
+    probes: &[Probe],
+    ctx: &str,
+) -> usize {
+    let mut rec = WorkloadRunner::recover(w, cfg, defs.to_vec())
+        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+    let c = rec.start_cycle();
+    assert_probes_match(&probe(&rec), &probes[c], &format!("{ctx}: recovered at {c}"));
+    rec.run_all().unwrap_or_else(|e| panic!("{ctx}: continuation failed: {e}"));
+    assert_probes_match(&probe(&rec), probes.last().unwrap(), &format!("{ctx}: finished"));
+    c
+}
+
+/// For each fsync policy: run `c` cycles for every `c`, crash (the
+/// unflushed tail is lost, synced checkpoints are not), recover, finish.
+/// `Always` and `PerCycle` lose nothing that committed; `Never` loses
+/// the whole log and keeps checkpoints the log no longer covers. Then
+/// the newest surviving checkpoint is lost as well, and recovery must
+/// still succeed from what is left.
+fn crash_under_every_fsync_policy(kind: PartitionerKind, encoding: StringEncoding, k: usize) {
+    let w = ChurnyWorkload { cycles: 4, cells: 512 };
+    let cfg = base_config(kind, encoding, k);
+    let defs = view_defs();
+    let probes = oracle_probes(&w, &cfg, &defs);
+    for policy in [FsyncPolicy::Always, FsyncPolicy::PerCycle, FsyncPolicy::Never] {
+        for c in 0..=w.cycles() {
+            let ctx = format!("{kind} {encoding:?} k={k} {policy:?} crash after {c}");
+            let mem = mem_log();
+            let mut live = WorkloadRunner::new(&w, durable_with(&cfg, mem.clone(), policy));
+            for def in &defs {
+                live.register_view(def.clone());
+            }
+            for cycle in 0..c {
+                live.run_cycle(cycle).unwrap_or_else(|e| panic!("{ctx}: cycle {cycle}: {e}"));
+            }
+            drop(live);
+            let mut image = crashed(&mem);
+            let durable_cycles = if policy == FsyncPolicy::Never { 0 } else { c };
+            let resumed = recover_and_finish(
+                &w,
+                durable_with(&cfg, shared(image.clone()), policy),
+                &defs,
+                &probes,
+                &ctx,
+            );
+            assert_eq!(resumed, durable_cycles, "{ctx}: committed cycles that survive the crash");
+            if let Some(newest) = image.checkpoint_seqs().expect("seqs").pop() {
+                image.drop_checkpoint(newest);
+                let ctx = format!("{ctx}, checkpoint {newest} lost");
+                let cfg = durable_with(&cfg, shared(image), policy);
+                assert_eq!(recover_and_finish(&w, cfg, &defs, &probes, &ctx), durable_cycles);
+            }
+        }
+    }
+}
+
+/// The always-on slice: the default partitioner, replicas, a fault plan.
+#[test]
+fn crash_under_every_fsync_policy_recovers_a_durable_prefix() {
+    crash_under_every_fsync_policy(PartitionerKind::ConsistentHash, StringEncoding::default(), 2);
+}
+
+/// Every partitioner × dict/plain strings, k = 2 with the fault plan.
+#[test]
+#[ignore = "full matrix: run in release via cargo test --release -- --ignored"]
+fn fsync_policy_matrix() {
+    for kind in PartitionerKind::ALL {
+        for encoding in [StringEncoding::default(), StringEncoding::Plain] {
+            crash_under_every_fsync_policy(kind, encoding, 2);
+        }
+    }
+}
+
+/// Decoding a checkpoint and encoding the decoded state is the identity
+/// on bytes: a runner stopped mid-run, recovered (checkpoint 2 decoded,
+/// cycle 2 replayed) and driven to the end leaves the same WAL image
+/// and the same checkpoint blobs as the run that was never interrupted.
+#[test]
+fn recovered_run_writes_the_same_log_and_checkpoints() {
+    let w = ChurnyWorkload { cycles: 4, cells: 256 };
+    let cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 2);
+    let defs = view_defs();
+
+    let straight = mem_log();
+    let mut live = WorkloadRunner::new(&w, durable(&cfg, straight.clone()));
+    for def in &defs {
+        live.register_view(def.clone());
+    }
+    live.run_all().expect("uninterrupted run");
+
+    let resumed = mem_log();
+    let mut first = WorkloadRunner::new(&w, durable(&cfg, resumed.clone()));
+    for def in &defs {
+        first.register_view(def.clone());
+    }
+    for c in 0..3 {
+        first.run_cycle(c).expect("first leg");
+    }
+    drop(first);
+    let mut second = WorkloadRunner::recover(&w, durable(&cfg, resumed.clone()), defs.clone())
+        .expect("mid-run recovery");
+    assert_eq!(second.start_cycle(), 3);
+    second.run_all().expect("second leg");
+
+    let mut a = straight.lock().expect("mem log").clone();
+    let mut b = resumed.lock().expect("mem log").clone();
+    assert!(a.bytes() == b.bytes(), "WAL images differ");
+    assert_eq!(a.checkpoint_seqs().expect("seqs"), vec![2, 4]);
+    assert_eq!(b.checkpoint_seqs().expect("seqs"), vec![2, 4]);
+    for seq in [2, 4] {
+        assert!(
+            a.read_checkpoint(seq).expect("blob") == b.read_checkpoint(seq).expect("blob"),
+            "checkpoint {seq} blobs differ"
+        );
+    }
+}
