@@ -1,6 +1,6 @@
 //! Arrays: a schema plus the (sparse) set of chunks that hold its cells.
 
-use crate::cells::CellBuffer;
+use crate::cells::{CellBuffer, ScriptGroups};
 use crate::chunk::{ArrayId, Chunk, ChunkDescriptor, ChunkKey};
 use crate::coords::{chunk_of, ChunkCoords};
 use crate::error::{ArrayError, Result};
@@ -179,52 +179,65 @@ impl Array {
     }
 
     /// Apply a flat list of retraction coordinates (stride = the
-    /// schema's dimensionality): each cell is routed to its chunk and
-    /// the most recently inserted live cell there is tombstoned (see
-    /// [`Chunk::retract_cell`]). A cell with no live match counts as
-    /// `missing` rather than failing the batch — delete scripts are
-    /// replayed against both oracle and store copies, which may already
-    /// have pruned a chunk. Emptied chunks are left in place; callers
-    /// that need them gone follow up with [`Array::prune_empty`].
+    /// schema's dimensionality): the script is grouped by owning chunk
+    /// and each chunk retracts its share through the batch kernel
+    /// ([`Chunk::match_retractions`]) — per cell, the most recently
+    /// inserted live cell there is tombstoned. A cell with no live match
+    /// counts as `missing` rather than failing the batch — delete scripts
+    /// are replayed against both oracle and store copies, which may
+    /// already have pruned a chunk. A ragged or out-of-bounds script
+    /// fails before anything is retracted. Emptied chunks are left in
+    /// place; callers that need them gone follow up with
+    /// [`Array::prune_empty`].
     pub fn delete_cells(&mut self, flat: &[i64]) -> Result<RetractOutcome> {
         self.delete_cells_capturing(flat, |_, _| {})
     }
 
     /// [`Array::delete_cells`], additionally handing each retracted
-    /// row's coordinates and attribute values to `captured` — the
-    /// negative half of a cycle's logical delta, read through the
-    /// tombstone choke point ([`Chunk::retract_cell_indexed`]) before
-    /// storage is reclaimed. Missing cells produce no capture.
+    /// row's coordinates and attribute values to `captured`, **in script
+    /// order** — the negative half of a cycle's logical delta, read
+    /// before storage is reclaimed. Missing cells produce no capture.
     pub fn delete_cells_capturing(
         &mut self,
         flat: &[i64],
         mut captured: impl FnMut(&[i64], Vec<ScalarValue>),
     ) -> Result<RetractOutcome> {
-        let nd = self.schema.ndims().max(1);
-        if !flat.len().is_multiple_of(nd) {
-            return Err(ArrayError::Arity { expected: nd, got: flat.len() % nd });
+        let script = ScriptGroups::of(&self.schema, flat)?;
+        let matched = script.match_chunks(|coords| self.chunk(coords));
+        // Tombstoning keeps a row's values, so capturing first reads
+        // what the script is about to retract, in the order it lists it.
+        for (chunk, row) in matched.hits_in_script_order() {
+            let values = chunk.row_values(row).expect("a matched row is a physical row");
+            captured(chunk.cell(row).expect("a matched row is a physical row"), values);
         }
+        let matched = matched.into_rows();
         let mut out = RetractOutcome::default();
-        let mut touched = std::collections::BTreeSet::new();
-        for cell in flat.chunks_exact(nd) {
-            let coords = chunk_of(&self.schema, cell)?;
-            let Some(chunk) = self.chunks.get_mut(&coords) else {
-                out.missing += 1;
-                continue;
-            };
-            let chunk = Arc::make_mut(chunk);
-            match chunk.retract_cell_indexed(cell) {
-                Some((row, freed)) => {
-                    out.retracted += 1;
-                    out.freed_bytes += freed;
-                    touched.insert(coords);
-                    captured(cell, chunk.row_values(row).expect("retracted row has values"));
-                }
-                None => out.missing += 1,
+        for group in script.groups() {
+            let rows = matched[group.range].iter().flatten().copied();
+            let retracted = rows.clone().count() as u64;
+            if retracted > 0 {
+                let chunk = self.chunks.get_mut(&group.coords).expect("rows matched in it");
+                out.retracted += retracted;
+                out.freed_bytes += Arc::make_mut(chunk).tombstone_rows(rows);
+                out.touched.push(group.coords);
             }
         }
-        out.touched = touched.into_iter().collect();
+        out.missing = script.len() as u64 - out.retracted;
         Ok(out)
+    }
+
+    /// Take the chunk at `coords` out of the array, whatever it holds.
+    pub fn remove_chunk(&mut self, coords: &ChunkCoords) -> Option<Arc<Chunk>> {
+        self.chunks.remove(coords)
+    }
+
+    /// Put `chunk` at its own position, returning the handle it
+    /// replaced. The door for a caller that rebuilt one chunk elsewhere
+    /// (retraction, compaction) and wants every store to hold that one
+    /// handle; like [`Array::absorb`], it trusts the chunk to have been
+    /// built against this array's schema.
+    pub fn install_chunk(&mut self, chunk: Arc<Chunk>) -> Option<Arc<Chunk>> {
+        self.chunks.insert(chunk.coords, chunk)
     }
 
     /// Drop every empty chunk (all cells retracted), returning the

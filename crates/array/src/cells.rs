@@ -15,6 +15,7 @@
 //!
 //! [`Chunk::push_cells`]: crate::chunk::Chunk::push_cells
 
+use crate::chunk::Chunk;
 use crate::coords::{chunk_of, ChunkCoords};
 use crate::error::{ArrayError, Result};
 use crate::schema::ArraySchema;
@@ -196,36 +197,7 @@ impl CellBuffer {
         if self.ndims != schema.ndims() {
             return Err(ArrayError::Arity { expected: schema.ndims(), got: self.ndims });
         }
-        let nd = self.ndims.max(1);
-        // Per-dimension parameters hoisted out of the row loop. The body
-        // must agree with [`chunk_of`] — after the bounds check the
-        // numerator is non-negative, so `chunk_index`'s `div_euclid`
-        // reduces to the plain unsigned division used here (pinned by
-        // the debug assertion and the batch-vs-per-cell property tests).
-        let mut dims = [(0i64, 1i64, None::<i64>); crate::coords::MAX_DIMS];
-        for (slot, d) in dims.iter_mut().zip(&schema.dimensions) {
-            *slot = (d.start, d.chunk_interval, d.end);
-        }
-        // Sized up front: collecting an iterator of `Result`s would drop
-        // the size hint and regrow the 72-byte-per-row buffer log(n)
-        // times.
-        let mut out = Vec::with_capacity(self.len());
-        for cell in self.coords.chunks_exact(nd) {
-            let mut cc = ChunkCoords::zeros(nd);
-            let slots = cc.as_mut_slice();
-            for (d, (&coord, &(start, interval, end))) in cell.iter().zip(&dims).enumerate() {
-                if coord < start || end.is_some_and(|e| coord > e) {
-                    return Err(ArrayError::OutOfBounds {
-                        dimension: schema.dimensions[d].name.clone(),
-                        coordinate: coord,
-                    });
-                }
-                slots[d] = ((coord - start) as u64 / interval as u64) as i64;
-            }
-            debug_assert_eq!(cc, chunk_of(schema, cell).expect("bounds were checked"));
-            out.push(cc);
-        }
-        Ok(out)
+        route_cells(schema, &self.coords)
     }
 
     /// Serialize the batch verbatim — stride, flat coordinates, typed
@@ -311,6 +283,191 @@ impl CellBuffer {
                 (self.cell(r).to_vec(), values)
             })
             .collect()
+    }
+}
+
+/// Map every cell of a flat coordinate buffer (stride = the schema's
+/// dimensionality, which the caller has checked) to its owning chunk.
+/// Errors at the first out-of-bounds cell.
+fn route_cells(schema: &ArraySchema, flat: &[i64]) -> Result<Vec<ChunkCoords>> {
+    let nd = schema.ndims().max(1);
+    // Per-dimension parameters hoisted out of the row loop. The body
+    // must agree with [`chunk_of`] — after the bounds check the
+    // numerator is non-negative, so `chunk_index`'s `div_euclid`
+    // reduces to the plain unsigned division used here (pinned by
+    // the debug assertion and the batch-vs-per-cell property tests).
+    let mut dims = [(0i64, 1i64, None::<i64>); crate::coords::MAX_DIMS];
+    for (slot, d) in dims.iter_mut().zip(&schema.dimensions) {
+        *slot = (d.start, d.chunk_interval, d.end);
+    }
+    // Sized up front: collecting an iterator of `Result`s would drop
+    // the size hint and regrow the 72-byte-per-row buffer log(n)
+    // times.
+    let mut out = Vec::with_capacity(flat.len() / nd);
+    for cell in flat.chunks_exact(nd) {
+        let mut cc = ChunkCoords::zeros(nd);
+        let slots = cc.as_mut_slice();
+        for (d, (&coord, &(start, interval, end))) in cell.iter().zip(&dims).enumerate() {
+            if coord < start || end.is_some_and(|e| coord > e) {
+                return Err(ArrayError::OutOfBounds {
+                    dimension: schema.dimensions[d].name.clone(),
+                    coordinate: coord,
+                });
+            }
+            slots[d] = ((coord - start) as u64 / interval as u64) as i64;
+        }
+        debug_assert_eq!(cc, chunk_of(schema, cell).expect("bounds were checked"));
+        out.push(cc);
+    }
+    Ok(out)
+}
+
+/// A flat retraction script regrouped by owning chunk: each chunk's
+/// cells contiguous and in script order, the chunks ascending
+/// (row-major), plus the way back — which group and which regrouped
+/// position each script cell went to — so per-chunk results can be read
+/// out again **in script order** ([`ScriptMatch::hits_in_script_order`]).
+/// Built once per script with the ingest path's row grouping; the
+/// array's and the runner's retraction both walk it chunk by chunk.
+pub struct ScriptGroups {
+    nd: usize,
+    /// Chunk position of each group, ascending.
+    coords: Vec<ChunkCoords>,
+    /// `ends[g]`: one past group `g`'s last regrouped cell.
+    ends: Vec<usize>,
+    /// The script's cells, regrouped (flat, stride `nd`).
+    cells: Vec<i64>,
+    /// Script cell → its group.
+    group_of: Vec<u32>,
+    /// Script cell → its regrouped position.
+    regrouped: Vec<usize>,
+}
+
+/// One chunk's share of a [`ScriptGroups`].
+pub struct ScriptGroup<'a> {
+    /// The chunk the cells route to.
+    pub coords: ChunkCoords,
+    /// The regrouped positions this group occupies — the slice of a
+    /// whole-script match buffer that belongs to it.
+    pub range: std::ops::Range<usize>,
+    cells: &'a [i64],
+    nd: usize,
+}
+
+impl<'a> ScriptGroup<'a> {
+    /// The group's cells, in script order.
+    pub fn cells(&self) -> std::slice::ChunksExact<'a, i64> {
+        self.cells.chunks_exact(self.nd)
+    }
+}
+
+impl ScriptGroups {
+    /// Regroup `flat` (row-major cell coordinates, stride = `schema`'s
+    /// dimensionality). All-or-nothing: a ragged buffer is
+    /// [`ArrayError::Arity`], a cell outside the declared dimension
+    /// ranges [`ArrayError::OutOfBounds`], before anything is matched.
+    pub fn of(schema: &ArraySchema, flat: &[i64]) -> Result<Self> {
+        let nd = schema.ndims().max(1);
+        if !flat.len().is_multiple_of(nd) {
+            return Err(ArrayError::Arity { expected: nd, got: flat.len() % nd });
+        }
+        let routed = route_cells(schema, flat)?;
+        // The grouping indexes rows by `u32`, as every batch does.
+        let n = u32::try_from(routed.len()).map_err(|_| ArrayError::TooManyRows(routed.len()))?;
+        let groups = group_rows_by_chunk(&routed, 0..n);
+        // Group ids come out in first-seen order; rank them row-major so
+        // the walk is deterministic in the chunk, not in the script.
+        let mut by_coords: Vec<usize> = (0..groups.coords.len()).collect();
+        by_coords.sort_unstable_by_key(|&g| groups.coords[g]);
+        let mut rank = vec![0u32; by_coords.len()];
+        let mut next = Vec::with_capacity(by_coords.len());
+        let mut ends = Vec::with_capacity(by_coords.len());
+        let mut end = 0usize;
+        for (r, &g) in by_coords.iter().enumerate() {
+            rank[g] = r as u32; // r < groups ≤ n, which fits (checked above)
+            next.push(end);
+            end += groups.counts[g] as usize;
+            ends.push(end);
+        }
+        let mut cells = vec![0i64; flat.len()];
+        let mut regrouped = Vec::with_capacity(routed.len());
+        let mut group_of = groups.group_of;
+        for (cell, g) in flat.chunks_exact(nd).zip(&mut group_of) {
+            *g = rank[*g as usize];
+            let at = &mut next[*g as usize];
+            cells[*at * nd..][..nd].copy_from_slice(cell);
+            regrouped.push(*at);
+            *at += 1;
+        }
+        let coords = by_coords.iter().map(|&g| groups.coords[g]).collect();
+        Ok(ScriptGroups { nd, coords, ends, cells, group_of, regrouped })
+    }
+
+    /// Cells in the script.
+    pub fn len(&self) -> usize {
+        self.regrouped.len()
+    }
+
+    /// True for an empty script.
+    pub fn is_empty(&self) -> bool {
+        self.regrouped.is_empty()
+    }
+
+    /// The groups, ascending by chunk position.
+    pub fn groups(&self) -> impl Iterator<Item = ScriptGroup<'_>> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        self.coords.iter().zip(starts.zip(&self.ends)).map(|(&coords, (start, &end))| ScriptGroup {
+            coords,
+            range: start..end,
+            cells: &self.cells[start * self.nd..end * self.nd],
+            nd: self.nd,
+        })
+    }
+
+    /// Match every group against the chunk `chunk_at` finds at its
+    /// position ([`Chunk::match_retractions`]), read-only. A group whose
+    /// chunk is absent misses throughout.
+    pub fn match_chunks<'c>(
+        &self,
+        mut chunk_at: impl FnMut(&ChunkCoords) -> Option<&'c Chunk>,
+    ) -> ScriptMatch<'_, 'c> {
+        let mut rows = Vec::with_capacity(self.len());
+        let mut sources = Vec::with_capacity(self.coords.len());
+        for group in self.groups() {
+            let chunk = chunk_at(&group.coords);
+            match chunk {
+                Some(chunk) => chunk.match_retractions(group.cells(), &mut rows),
+                None => rows.resize(group.range.end, None),
+            }
+            sources.push(chunk);
+        }
+        ScriptMatch { script: self, sources, rows }
+    }
+}
+
+/// What a grouped script matched ([`ScriptGroups::match_chunks`]): per
+/// regrouped cell the physical row it retracts, or `None` for a miss,
+/// and the chunks the rows live in.
+pub struct ScriptMatch<'s, 'c> {
+    script: &'s ScriptGroups,
+    sources: Vec<Option<&'c Chunk>>,
+    rows: Vec<Option<u32>>,
+}
+
+impl<'c> ScriptMatch<'_, 'c> {
+    /// Every hit **in script order** — the order the script listed the
+    /// cells, whatever chunks they fell in — as `(chunk, physical row)`.
+    pub fn hits_in_script_order(&self) -> impl Iterator<Item = (&'c Chunk, usize)> + '_ {
+        self.script.group_of.iter().zip(&self.script.regrouped).filter_map(|(&g, &at)| {
+            let chunk = self.sources[g as usize]?;
+            Some((chunk, self.rows[at]? as usize))
+        })
+    }
+
+    /// The matched rows alone, one entry per regrouped cell: group `g`'s
+    /// are at its [`ScriptGroup::range`]. Releases the chunk borrows.
+    pub fn into_rows(self) -> Vec<Option<u32>> {
+        self.rows
     }
 }
 

@@ -461,10 +461,11 @@ impl Chunk {
     }
 
     /// [`Chunk::retract_cell`], additionally reporting **which** physical
-    /// row was tombstoned. This is the delta-capture choke point: the
-    /// row's attribute values stay readable (storage is only reclaimed by
-    /// [`Chunk::compact`]), so callers building retraction deltas read
-    /// them via [`Chunk::row_values`] right after the tombstone lands.
+    /// row was tombstoned: the newest live row at `cell`, found by a
+    /// reverse scan. This is the one-cell reference semantics; a script
+    /// of many cells goes through [`Chunk::match_retractions`], which
+    /// names the same rows without rescanning the chunk per cell (the
+    /// property suite holds the two equal).
     pub fn retract_cell_indexed(&mut self, cell: &[i64]) -> Option<(usize, u64)> {
         let nd = (self.ndims as usize).max(1);
         if cell.len() != nd {
@@ -481,34 +482,114 @@ impl Chunk {
         Some((row, freed))
     }
 
+    /// Match a whole retraction script against this chunk **without
+    /// mutating it**, appending one entry per script cell to `out`: the
+    /// physical row [`Chunk::retract_cell_indexed`] would tombstone if
+    /// the script were applied cell by cell in order — the most recently
+    /// inserted live duplicate first, a repeated script cell taking the
+    /// next one down — or `None` for a miss (no live cell left there, or
+    /// a cell of the wrong arity).
+    ///
+    /// This is the batch retraction kernel: the live rows are sorted by
+    /// coordinate once and each script cell binary-searches its run, so a
+    /// script costs O((rows + script) · log rows) where the one-cell
+    /// reference's reverse scan costs O(rows × script). Feed the matched
+    /// rows to [`Chunk::rows_byte_cost`] (what they would free) or
+    /// [`Chunk::tombstone_rows`] (retract them).
+    pub fn match_retractions<'a>(
+        &self,
+        script: impl IntoIterator<Item = &'a [i64]>,
+        out: &mut Vec<Option<u32>>,
+    ) {
+        let nd = (self.ndims as usize).max(1);
+        let coords_of = |row: u32| &self.cell_coords[row as usize * nd..][..nd];
+        // Live rows by coordinate; within a run of duplicates the most
+        // recent insertion (highest row) comes first.
+        let mut live: Vec<u32> = self
+            .iter_cells()
+            .map(|(_, row)| u32::try_from(row).expect("a chunk's rows are indexed by u32 batches"))
+            .collect();
+        live.sort_unstable_by(|&a, &b| coords_of(a).cmp(coords_of(b)).then(b.cmp(&a)));
+        // taken[i]: duplicates already consumed from the run that starts
+        // at sorted position `i`.
+        let mut taken = vec![0usize; live.len()];
+        out.extend(script.into_iter().map(|cell| {
+            if cell.len() != nd {
+                return None;
+            }
+            let run = live.partition_point(|&r| coords_of(r) < cell);
+            let row = *live.get(run + *taken.get(run)?)?;
+            (coords_of(row) == cell).then(|| {
+                taken[run] += 1;
+                row
+            })
+        }));
+    }
+
+    /// The exact bytes tombstoning `rows` would free: per row, its
+    /// coordinates plus each column's per-row cost (see
+    /// [`AttributeColumn::row_byte_cost`]). Dictionary entries are not
+    /// rows' to free, so a chunk whose every row is listed can still owe
+    /// `byte_size()` minus this — the residual an emptied chunk reports.
+    ///
+    /// # Panics
+    ///
+    /// If a row is past the physical row count.
+    pub fn rows_byte_cost(&self, rows: impl IntoIterator<Item = u32>) -> u64 {
+        rows.into_iter().map(|row| self.row_byte_cost(row as usize)).sum()
+    }
+
+    /// Tombstone the listed physical rows (the matches of
+    /// [`Chunk::match_retractions`] against this same chunk), returning
+    /// the bytes freed.
+    ///
+    /// # Panics
+    ///
+    /// If a row is past the physical row count or already tombstoned —
+    /// the list did not come from matching this chunk.
+    pub fn tombstone_rows(&mut self, rows: impl IntoIterator<Item = u32>) -> u64 {
+        rows.into_iter().map(|row| self.tombstone_row(row as usize)).sum()
+    }
+
     /// Every attribute value of physical row `row`, tombstoned or not —
     /// values survive until [`Chunk::compact`] reclaims storage. `None`
     /// when `row` is past the physical row count.
     pub fn row_values(&self, row: usize) -> Option<Vec<ScalarValue>> {
+        let mut values = Vec::with_capacity(self.columns.len());
+        self.extend_row_values(row, &mut values).then_some(values)
+    }
+
+    /// Append physical row `row`'s attribute values to `out` (the flat
+    /// form of [`Chunk::row_values`]: no `Vec` per row). Returns false,
+    /// appending nothing, when `row` is past the physical row count.
+    pub fn extend_row_values(&self, row: usize, out: &mut Vec<ScalarValue>) -> bool {
         if row >= self.physical_cell_count() {
-            return None;
+            return false;
         }
-        Some(
-            self.columns
-                .iter()
-                .map(|c| c.get(row).expect("columns cover every physical row"))
-                .collect(),
-        )
+        out.extend(self.columns.iter().map(|c| c.get(row).expect("columns cover every row")));
+        true
+    }
+
+    /// What physical row `row` costs: coordinates plus per-column bytes.
+    fn row_byte_cost(&self, row: usize) -> u64 {
+        let cols: u64 = self
+            .columns
+            .iter()
+            .map(|col| col.row_byte_cost(row).expect("columns cover every physical row"))
+            .sum();
+        (self.ndims as usize * 8) as u64 + cols
     }
 
     /// Tombstone physical row `row`, decrementing the running counters
     /// by the row's exact byte cost. Returns the bytes freed.
     fn tombstone_row(&mut self, row: usize) -> u64 {
-        debug_assert!(!self.is_tombstoned(row), "row is already tombstoned");
+        assert!(!self.is_tombstoned(row), "row {row} is already tombstoned");
+        let freed = self.row_byte_cost(row);
         let word = row / 64;
         if self.tombstones.len() <= word {
             self.tombstones.resize(word + 1, 0);
         }
         self.tombstones[word] |= 1u64 << (row % 64);
-        let mut freed = (self.ndims as usize * 8) as u64;
-        for col in &self.columns {
-            freed += col.row_byte_cost(row).expect("columns cover every row");
-        }
         self.bytes = self.bytes.checked_sub(freed).expect("byte counter underflow on retraction");
         self.cells = self.cells.checked_sub(1).expect("cell counter underflow on retraction");
         freed

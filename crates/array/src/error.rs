@@ -37,6 +37,9 @@ pub enum ArrayError {
     UnknownName(String),
     /// Absorbed a chunk into a position that already holds one.
     ChunkOccupied(String),
+    /// A batch or script holds more rows than the `u32` row index the
+    /// grouping kernels use can address.
+    TooManyRows(usize),
 }
 
 impl fmt::Display for ArrayError {
@@ -56,6 +59,9 @@ impl fmt::Display for ArrayError {
             ArrayError::UnknownName(name) => write!(f, "unknown dimension or attribute `{name}`"),
             ArrayError::ChunkOccupied(coords) => {
                 write!(f, "chunk position {coords} already holds a chunk")
+            }
+            ArrayError::TooManyRows(rows) => {
+                write!(f, "{rows} rows exceed the u32 row index of one batch")
             }
         }
     }

@@ -826,53 +826,105 @@ impl Cluster {
     }
 
     /// Retract materialized cells from a placed chunk, on every copy: the
-    /// primary payload is tombstoned through `Arc::make_mut`, the
-    /// shrunken descriptor replaces the resident one (byte ledgers and
-    /// the O(1) census moments follow the delta exactly), and every
-    /// replica holder swaps in the same post-retraction handle and
-    /// descriptor — so the attach-time invariant
-    /// (`desc.bytes == chunk.byte_size()`) keeps holding on all `k`
-    /// copies, and replicas stay a refcount bump, never a cell copy.
+    /// script is matched against the primary payload by the array
+    /// model's batch kernel (`Chunk::match_retractions`), the matched
+    /// rows are tombstoned on one copy of it, and that one handle is
+    /// installed ([`Cluster::install_payload`]) — the shrunken descriptor
+    /// replaces the resident one (byte ledgers and the O(1) census
+    /// moments follow the delta exactly) and every replica holder swaps
+    /// in the same post-retraction handle and descriptor, so the
+    /// attach-time invariant (`desc.bytes == chunk.byte_size()`) keeps
+    /// holding on all `k` copies, and replicas stay a refcount bump,
+    /// never a cell copy.
     ///
     /// `cells_flat` is row-major flattened cell coordinates at the chunk
-    /// key's arity. Cells with no live match count as `missing` —
-    /// retraction is idempotent, not an error. Requires the payload to be
-    /// attached ([`ClusterError::NoPayload`] otherwise; metadata-scale
-    /// runs shrink through [`Cluster::shrink_chunk`]) and the primary to
-    /// actually hold the chunk (a k=1 orphan on a wreck cannot retract).
+    /// key's arity; a ragged slice is [`ClusterError::RaggedCells`].
+    /// Cells with no live match count as `missing` — retraction is
+    /// idempotent, not an error. Requires the payload to be attached
+    /// ([`ClusterError::NoPayload`] otherwise; metadata-scale runs shrink
+    /// through [`Cluster::shrink_chunk`]) and the primary to actually
+    /// hold the chunk (a k=1 orphan on a wreck cannot retract).
     pub fn retract_cells(&mut self, key: &ChunkKey, cells_flat: &[i64]) -> Result<ChunkRetraction> {
-        let nd = key.coords.ndims().max(1);
-        assert_eq!(cells_flat.len() % nd, 0, "flat cells must be a multiple of the arity");
+        let arity = key.coords.ndims().max(1);
+        if !cells_flat.len().is_multiple_of(arity) {
+            return Err(ClusterError::RaggedCells { key: *key, len: cells_flat.len() });
+        }
+        let holder = self.payload_holder(key)?;
+        let handle = self.nodes[holder].payload_mut(key).expect("payload_holder found it");
+        let mut matched = Vec::with_capacity(cells_flat.len() / arity);
+        handle.match_retractions(cells_flat.chunks_exact(arity), &mut matched);
+        let rows = matched.iter().flatten().copied();
+        let retracted = rows.clone().count() as u64;
+        let mut freed_bytes = 0;
+        if retracted > 0 {
+            // Copy-on-write: a handle the catalog or a replica still
+            // shares is copied once here, and the copy goes to every
+            // holder below.
+            freed_bytes = Arc::make_mut(handle).tombstone_rows(rows);
+        }
+        let fresh = Arc::clone(handle);
+        let remaining_cells = fresh.cell_count();
+        if retracted > 0 {
+            self.install_payload(key, fresh)?;
+        }
+        let missing = matched.len() as u64 - retracted;
+        Ok(ChunkRetraction { retracted, missing, freed_bytes, remaining_cells })
+    }
+
+    /// Compact a placed chunk's payload: rebuild it from its surviving
+    /// rows (see `Chunk::compact`), dropping tombstones and dangling
+    /// dictionary entries, and install the rebuilt handle on the primary
+    /// and every replica copy — the same invariant discipline as
+    /// [`Cluster::retract_cells`]. This is the store-side half of the
+    /// runner's tombstone GC for a chunk the catalog does not share;
+    /// `Array::compact_chunk` is the other half.
+    pub fn compact_chunk(&mut self, key: &ChunkKey) -> Result<ChunkCompaction> {
+        let holder = self.payload_holder(key)?;
+        let handle = self.nodes[holder].payload_mut(key).expect("payload_holder found it");
+        let mut reclaimed_bytes = 0;
+        if handle.tombstone_count() > 0 {
+            reclaimed_bytes = Arc::make_mut(handle).compact();
+        }
+        let fresh = Arc::clone(handle);
+        let (bytes, cells) = (fresh.byte_size(), fresh.cell_count());
+        self.install_payload(key, fresh)?;
+        Ok(ChunkCompaction { reclaimed_bytes, bytes, cells })
+    }
+
+    /// The payload handle of a placed chunk on its resident node, or why
+    /// its cells cannot be reached there: [`ClusterError::MissingChunk`]
+    /// (not placed), [`ClusterError::NodeUnavailable`] (a k=1 orphan on a
+    /// wreck), [`ClusterError::NoPayload`] (metadata only).
+    pub fn primary_payload(&self, key: &ChunkKey) -> Result<&Arc<Chunk>> {
+        let holder = self.payload_holder(key)?;
+        Ok(self.nodes[holder].payload_shared(key).expect("payload_holder found it"))
+    }
+
+    /// Index of the node that holds `key`'s primary copy *and* its
+    /// payload, or why cells cannot be reached there.
+    fn payload_holder(&self, key: &ChunkKey) -> Result<usize> {
         let node = self.placement.get(key).ok_or(ClusterError::MissingChunk(*key))?;
-        let idx = node.0 as usize;
-        if !self.nodes[idx].holds(key) {
-            let state = self.nodes[idx].state();
-            return Err(ClusterError::NodeUnavailable { node: node.0, state });
+        let holder = &self.nodes[node.0 as usize];
+        if !holder.holds(key) {
+            return Err(ClusterError::NodeUnavailable { node: node.0, state: holder.state() });
         }
-        let mut out = ChunkRetraction::default();
-        let n = &mut self.nodes[idx];
-        let old_used = n.used_bytes();
-        let Some(handle) = n.payload_mut(key) else {
+        if !holder.has_payload(key) {
             return Err(ClusterError::NoPayload(*key));
-        };
-        {
-            let chunk = Arc::make_mut(handle);
-            for cell in cells_flat.chunks_exact(nd) {
-                match chunk.retract_cell(cell) {
-                    Some(freed) => {
-                        out.retracted += 1;
-                        out.freed_bytes += freed;
-                    }
-                    None => out.missing += 1,
-                }
-            }
         }
-        let fresh = Arc::clone(&*handle);
-        let desc = ChunkDescriptor::new(*key, fresh.byte_size(), fresh.cell_count());
-        out.remaining_cells = desc.cells;
-        n.resize(desc).expect("holds() checked above");
-        let new_used = n.used_bytes();
-        self.balance.on_change(old_used, new_used);
+        Ok(node.0 as usize)
+    }
+
+    /// Replace a placed chunk's payload on every copy with `chunk` — a
+    /// rebuilt version of the cells already there (rows tombstoned,
+    /// storage compacted). The primary and each replica holder take this
+    /// one handle, and their descriptors are resized to its
+    /// `byte_size()` / `cell_count()`, so ledgers and census follow and
+    /// `desc.bytes == chunk.byte_size()` keeps holding on all `k`
+    /// copies. Fails, changing nothing, under the conditions of
+    /// [`Cluster::retract_cells`].
+    pub fn install_payload(&mut self, key: &ChunkKey, chunk: Arc<Chunk>) -> Result<()> {
+        let holder = self.payload_holder(key)?;
+        let desc = ChunkDescriptor::new(*key, chunk.byte_size(), chunk.cell_count());
         // Field-level split borrow: `holders` borrows `self.replicas`,
         // the stores live in `self.nodes`.
         let holders = self.replicas.get(key).map_or(&[][..], |v| v.as_slice());
@@ -880,50 +932,16 @@ impl Cluster {
             let rn = &mut self.nodes[r.0 as usize];
             rn.resize_replica(desc).expect("replica index and node stores agree");
             if let Some(slot) = rn.replica_payload_mut(key) {
-                *slot = Arc::clone(&fresh);
+                *slot = Arc::clone(&chunk);
             }
         }
-        Ok(out)
-    }
-
-    /// Compact a placed chunk's payload in place: rebuild it from its
-    /// surviving rows (see `Chunk::compact`), dropping tombstones and
-    /// dangling dictionary entries. The shrunken descriptor replaces the
-    /// resident one on the primary and every replica copy, and every
-    /// holder swaps in the same post-compaction handle — the same
-    /// invariant discipline as [`Cluster::retract_cells`], so
-    /// `desc.bytes == chunk.byte_size()` keeps holding on all `k`
-    /// copies. This is the store-side half of the runner's automatic
-    /// tombstone GC; the catalog oracle mirrors it with
-    /// `Array::compact_chunk` so both copies stay structurally
-    /// identical.
-    pub fn compact_chunk(&mut self, key: &ChunkKey) -> Result<ChunkCompaction> {
-        let node = self.placement.get(key).ok_or(ClusterError::MissingChunk(*key))?;
-        let idx = node.0 as usize;
-        if !self.nodes[idx].holds(key) {
-            let state = self.nodes[idx].state();
-            return Err(ClusterError::NodeUnavailable { node: node.0, state });
-        }
-        let n = &mut self.nodes[idx];
+        let n = &mut self.nodes[holder];
         let old_used = n.used_bytes();
-        let Some(handle) = n.payload_mut(key) else {
-            return Err(ClusterError::NoPayload(*key));
-        };
-        let reclaimed_bytes = Arc::make_mut(handle).compact();
-        let fresh = Arc::clone(&*handle);
-        let desc = ChunkDescriptor::new(*key, fresh.byte_size(), fresh.cell_count());
-        n.resize(desc).expect("holds() checked above");
+        n.resize(desc).expect("payload_holder checked holds()");
+        n.store_payload(*key, chunk);
         let new_used = n.used_bytes();
         self.balance.on_change(old_used, new_used);
-        let holders = self.replicas.get(key).map_or(&[][..], |v| v.as_slice());
-        for &r in holders {
-            let rn = &mut self.nodes[r.0 as usize];
-            rn.resize_replica(desc).expect("replica index and node stores agree");
-            if let Some(slot) = rn.replica_payload_mut(key) {
-                *slot = Arc::clone(&fresh);
-            }
-        }
-        Ok(ChunkCompaction { reclaimed_bytes, bytes: desc.bytes, cells: desc.cells })
+        Ok(())
     }
 
     /// Metadata-scale retraction: shrink (or grow) a placed chunk's
@@ -1854,6 +1872,29 @@ mod tests {
             c.retract_cells(&d2.key, &[0]),
             Err(ClusterError::NoPayload(k)) if k == d2.key
         ));
+    }
+
+    /// A caller-supplied slice that is not a whole number of cells is a
+    /// typed error (as `Array::delete_cells` answers `Arity`), not a
+    /// panic, and leaves every book unchanged.
+    #[test]
+    fn retract_cells_rejects_a_ragged_slice_typed() {
+        use array_model::{ArraySchema, Chunk, ScalarValue};
+        let schema = ArraySchema::parse("A<v:double>[x=0:7,8, y=0:7,8]").unwrap();
+        let mut chunk = Chunk::new(&schema, ChunkCoords::new([0, 0]));
+        chunk.push_cell(&schema, vec![1, 2], vec![ScalarValue::Double(0.5)]).unwrap();
+        let key = ChunkKey::new(ArrayId(0), ChunkCoords::new([0, 0]));
+        let mut c = cluster(2);
+        c.place(ChunkDescriptor::new(key, chunk.byte_size(), 1), NodeId(0)).unwrap();
+        c.attach_payload(key, chunk).unwrap();
+        let before = c.total_used();
+        assert_eq!(
+            c.retract_cells(&key, &[1, 2, 3]),
+            Err(ClusterError::RaggedCells { key, len: 3 })
+        );
+        assert_eq!(c.total_used(), before);
+        assert_eq!(c.payload(&key).unwrap().cell_count(), 1);
+        assert_eq!(c.retract_cells(&key, &[1, 2]).unwrap().retracted, 1);
     }
 
     /// Compacting a tombstoned payload rebuilds it from survivors on the

@@ -64,6 +64,15 @@ pub enum ClusterError {
     /// only its metadata descriptor is resident (metadata-scale runs
     /// retract through descriptor shrinks instead).
     NoPayload(ChunkKey),
+    /// A flat cell-coordinate slice was not a whole number of cells at
+    /// the chunk key's arity.
+    RaggedCells {
+        /// The chunk the cells were addressed to; its dimensionality is
+        /// the arity the slice had to be a multiple of.
+        key: ChunkKey,
+        /// Length of the slice that was supplied.
+        len: usize,
+    },
 }
 
 /// How a payload drifted from its placed descriptor.
@@ -114,6 +123,9 @@ impl fmt::Display for ClusterError {
             }
             ClusterError::NoPayload(key) => {
                 write!(f, "chunk {key} has no materialized payload to retract cells from")
+            }
+            ClusterError::RaggedCells { key, len } => {
+                write!(f, "{len} coordinates are not a whole number of cells of chunk {key}")
             }
         }
     }

@@ -242,24 +242,48 @@ pub struct MaterializedView {
     stats: ViewStats,
 }
 
+/// A delta row after the linear stages: still the slices the
+/// [`DeltaSet`] lent out, unless a `Map` stage rewrote it.
+enum Staged<'a> {
+    Lent(&'a [i64], &'a [ScalarValue]),
+    Mapped(Row),
+}
+
+impl Staged<'_> {
+    fn parts(&self) -> (&[i64], &[ScalarValue]) {
+        match self {
+            Staged::Lent(c, v) => (c, v),
+            Staged::Mapped((c, v)) => (c, v),
+        }
+    }
+
+    fn into_row(self) -> Row {
+        match self {
+            Staged::Lent(c, v) => (c.to_vec(), v.to_vec()),
+            Staged::Mapped(row) => row,
+        }
+    }
+}
+
 /// Run a row through the linear stages; `None` when a filter drops it.
-fn apply_ops(ops: &[RowOp], coords: &[i64], values: &[ScalarValue]) -> Option<Row> {
-    let mut row: Option<Row> = None;
+fn apply_ops<'a>(
+    ops: &[RowOp],
+    coords: &'a [i64],
+    values: &'a [ScalarValue],
+) -> Option<Staged<'a>> {
+    let mut row = Staged::Lent(coords, values);
     for op in ops {
-        let (c, v) = match &row {
-            Some((c, v)) => (c.as_slice(), v.as_slice()),
-            None => (coords, values),
-        };
+        let (c, v) = row.parts();
         match op {
             RowOp::Filter(p) => {
                 if !p(c, v) {
                     return None;
                 }
             }
-            RowOp::Map(m) => row = Some(m(c, v)),
+            RowOp::Map(m) => row = Staged::Mapped(m(c, v)),
         }
     }
-    Some(row.unwrap_or_else(|| (coords.to_vec(), values.to_vec())))
+    Some(row)
 }
 
 impl MaterializedView {
@@ -309,8 +333,9 @@ impl MaterializedView {
             (ViewKind::Select { ops }, ViewState::Select { out }) => {
                 for rd in delta.rows() {
                     stats.delta_rows += 1;
-                    if let Some((c, v)) = apply_ops(ops, &rd.coords, &rd.values) {
-                        out.add(&c, &v, rd.weight);
+                    if let Some(row) = apply_ops(ops, rd.coords, rd.values) {
+                        let (c, v) = row.parts();
+                        out.add(c, v, rd.weight);
                         stats.rows_changed += 1;
                     }
                 }
@@ -322,9 +347,10 @@ impl MaterializedView {
                 let mut touched: BTreeSet<Vec<i64>> = BTreeSet::new();
                 for rd in delta.rows() {
                     stats.delta_rows += 1;
-                    if let Some((c, v)) = apply_ops(ops, &rd.coords, &rd.values) {
-                        let gk = group_by(&c, &v);
-                        groups.entry(gk.clone()).or_default().update(value(&c, &v), rd.weight);
+                    if let Some(row) = apply_ops(ops, rd.coords, rd.values) {
+                        let (c, v) = row.parts();
+                        let gk = group_by(c, v);
+                        groups.entry(gk.clone()).or_default().update(value(c, v), rd.weight);
                         touched.insert(gk);
                     }
                 }
@@ -432,9 +458,12 @@ fn join_side(
 ) -> u64 {
     let mut changed = 0;
     for rd in delta.rows() {
-        let Some((c, v)) = apply_ops(ops, &rd.coords, &rd.values) else { continue };
-        let key = key_fn(&c, &v);
-        let row = (c, v);
+        let Some(staged) = apply_ops(ops, rd.coords, rd.values) else { continue };
+        let (c, v) = staged.parts();
+        let key = key_fn(c, v);
+        // The join indexes and emits whole rows: a row that survived the
+        // filter is owned from here on.
+        let row = staged.into_row();
         if let Some(partners) = other_index.get(&key) {
             for (other, w_other) in partners.entries() {
                 let (l, r) = if swapped { (other, &row) } else { (&row, other) };

@@ -1241,6 +1241,127 @@ mod tests {
         }
     }
 
+    /// The whole-chunk drop against the sequence it replaces. Cycle 1's
+    /// script names exactly the live rows of four of six
+    /// dictionary-string chunks; the runner drops them without
+    /// tombstoning, and must report what tombstone-then-evict through
+    /// the public `retract_cells` + `evict_chunk` reports on a copy of
+    /// the cluster cycle 0 left — `evicted_bytes` included, which is the
+    /// (non-zero) dictionary residue of each emptied chunk — and leave
+    /// the same node ledgers and census behind.
+    #[test]
+    fn whole_chunk_drop_equals_tombstone_then_evict() {
+        let w = ChurnWorkload { cycles: 1, cells: 6 * 64 };
+        let mut cfg = config(PartitionerKind::RoundRobin);
+        cfg.run_queries = false;
+        cfg.replication = 2;
+        // ChurnWorkload's own cycle 1 would retract every other row; this
+        // test retracts chunks 0..4 whole, through the phase directly.
+        let mut runner = WorkloadRunner::new(&w, cfg.clone());
+        runner.run_cycle(0).expect("cycle 0 ingests");
+        let mut script = CellBatch::new(CHURN, &ChurnWorkload::schema());
+        (0..4 * 64).for_each(|x| script.push_retraction(&[x]));
+
+        let mut reference = runner.cluster().clone();
+        let (mut retracted, mut evicted_bytes) = (0, 0);
+        for chunk in 0..4 {
+            let key = ChunkKey::new(CHURN, ChunkCoords::new([chunk]));
+            let cells: Vec<i64> = (chunk * 64..(chunk + 1) * 64).collect();
+            let outcome = reference.retract_cells(&key, &cells).expect("placed with payload");
+            assert_eq!(outcome.remaining_cells, 0);
+            retracted += outcome.retracted;
+            evicted_bytes += reference.evict_chunk(&key).expect("still placed").bytes;
+        }
+        assert!(evicted_bytes > 0, "dictionary entries outlive their rows");
+
+        let mut stats = ViewApplyStats::default();
+        let tally = runner.world.retract(1, &cfg, &[script], &mut stats).expect("script applies");
+        assert_eq!(tally.retracted, retracted);
+        assert_eq!((tally.evicted_chunks, tally.evicted_bytes), (4, evicted_bytes));
+        assert_eq!((tally.gc_compacted_chunks, tally.gc_reclaimed_bytes), (0, 0));
+        let cluster = runner.cluster();
+        assert_eq!(cluster.loads(), reference.loads());
+        assert_eq!(cluster.total_chunks(), 2);
+        assert_eq!(cluster.balance_rsd().to_bits(), reference.balance_rsd().to_bits());
+        for (ours, theirs) in cluster.nodes().zip(reference.nodes()) {
+            assert_eq!(ours.replica_bytes(), theirs.replica_bytes());
+            assert_eq!(ours.payload_count(), theirs.payload_count());
+        }
+        cluster.verify_replica_books().expect("replica books balance");
+        let stored = runner.catalog().array(CHURN).unwrap();
+        assert_eq!(stored.descriptors.len(), 2);
+        assert_eq!(stored.data.as_ref().unwrap().chunk_count(), 2);
+    }
+
+    /// Where the stores hold separate copies of a chunk, each copy is
+    /// retracted by value and both end where the shared path ends: same
+    /// tallies, same chunks — and a chunk the cluster no longer places
+    /// is skipped there while the catalog still retracts its own.
+    #[test]
+    fn unshared_chunks_retract_by_value_to_the_same_state() {
+        let w = ChurnWorkload { cycles: 1, cells: 3 * 64 };
+        let mut cfg = config(PartitionerKind::RoundRobin);
+        cfg.run_queries = false;
+        cfg.gc_tombstone_ratio = 0.5;
+        // Chunk 0 loses half its rows (and compacts), chunk 1 all of
+        // them, chunk 2 one row.
+        let script = || {
+            let mut batch = CellBatch::new(CHURN, &ChurnWorkload::schema());
+            (0..64)
+                .step_by(2)
+                .chain(64..128)
+                .chain([130])
+                .for_each(|x| batch.push_retraction(&[x]));
+            [batch]
+        };
+        let key = |chunk: i64| ChunkKey::new(CHURN, ChunkCoords::new([chunk]));
+        let mut stats = ViewApplyStats::default();
+
+        let mut shared = WorkloadRunner::new(&w, cfg.clone());
+        shared.run_cycle(0).expect("cycle 0 ingests");
+        let want = shared.world.retract(1, &cfg, &script(), &mut stats).expect("script applies");
+        assert_eq!((want.retracted, want.evicted_chunks, want.gc_compacted_chunks), (97, 1, 1));
+
+        let mut split = WorkloadRunner::new(&w, cfg.clone());
+        split.run_cycle(0).expect("cycle 0 ingests");
+        let data = split.world.catalog.array_mut(CHURN).unwrap().data.as_mut().unwrap();
+        for chunk in 0..3 {
+            let copy = data.chunk(&ChunkCoords::new([chunk])).unwrap().clone();
+            data.install_chunk(std::sync::Arc::new(copy));
+        }
+        let got = split.world.retract(1, &cfg, &script(), &mut stats).expect("script applies");
+        assert_eq!(
+            (got.retracted, got.evicted_chunks, got.evicted_bytes),
+            (want.retracted, want.evicted_chunks, want.evicted_bytes)
+        );
+        assert_eq!(
+            (got.gc_compacted_chunks, got.gc_reclaimed_bytes),
+            (want.gc_compacted_chunks, want.gc_reclaimed_bytes)
+        );
+        assert_eq!(split.cluster().loads(), shared.cluster().loads());
+        let catalog_chunk = |r: &WorkloadRunner<'_>, chunk: i64| {
+            let data = r.catalog().array(CHURN).unwrap().data.as_ref().unwrap();
+            data.chunk(&ChunkCoords::new([chunk])).cloned()
+        };
+        for chunk in 0..3 {
+            assert_eq!(split.cluster().payload(&key(chunk)), shared.cluster().payload(&key(chunk)));
+            assert_eq!(catalog_chunk(&split, chunk), catalog_chunk(&shared, chunk));
+            assert_eq!(catalog_chunk(&split, chunk).as_ref(), split.cluster().payload(&key(chunk)));
+        }
+        assert_eq!(
+            split.catalog().array(CHURN).unwrap().descriptors,
+            shared.catalog().array(CHURN).unwrap().descriptors
+        );
+
+        // The cluster lost chunk 2: skipped there, retracted in the catalog.
+        split.world.cluster.evict_chunk(&key(2)).expect("placed");
+        let mut again = CellBatch::new(CHURN, &ChurnWorkload::schema());
+        again.push_retraction(&[131]);
+        let got = split.world.retract(2, &cfg, &[again], &mut stats).expect("script applies");
+        assert_eq!((got.retracted, got.evicted_chunks), (0, 0));
+        assert_eq!(catalog_chunk(&split, 2).unwrap().cell_count(), 62);
+    }
+
     #[test]
     fn crash_fault_recovers_and_reports_costs() {
         let w = mini_modis();

@@ -47,7 +47,7 @@ use crate::faults::{FaultKind, FaultPlan};
 use crate::spec::{CellBatch, SuiteReport, Workload};
 use array_model::{
     Array, ArrayError, ArrayId, ArraySchema, CellBuffer, Chunk, ChunkCoords, ChunkDescriptor,
-    ChunkKey, DeltaSet, StringEncoding,
+    ChunkKey, DeltaSet, ScriptGroups, StringEncoding,
 };
 use cluster_sim::{
     gb, Cluster, ClusterError, Flakiness, FlowSet, MidCrash, NodeId, NodeState, RebalancePlan,
@@ -59,7 +59,6 @@ use elastic_core::{
 };
 use query_engine::view::{ViewApplyStats, ViewDef, ViewRegistry};
 use query_engine::{Catalog, ExecutionContext, StoredArray};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Below this row count a parallel build cannot win: thread spawn and
@@ -157,6 +156,64 @@ pub fn build_cell_array_encoded(
         fresh.absorb(part)?;
     }
     Ok(fresh)
+}
+
+/// Threshold-triggered tombstone GC: does `payload` want compacting?
+/// Row-ratio pressure first, dangling-dictionary byte pressure second
+/// (checked lazily — the dictionary scan is per-entry work the ratio
+/// check avoids). Both thresholds default to "never".
+fn gc_trips(config: &RunnerConfig, payload: &Chunk) -> bool {
+    let dead = payload.tombstone_count() as f64;
+    let physical = payload.physical_cell_count() as f64;
+    let ratio_trip = config.gc_tombstone_ratio.is_finite()
+        && physical > 0.0
+        && dead >= config.gc_tombstone_ratio * physical;
+    ratio_trip
+        || (config.gc_dangling_dict_bytes != u64::MAX
+            && payload.dangling_dict_bytes() >= config.gc_dangling_dict_bytes)
+}
+
+/// What a retraction script does to one chunk: how many of its cells
+/// hit, and what becomes of the chunk.
+#[derive(Clone)]
+struct Retirement {
+    retracted: u64,
+    fate: Fate,
+}
+
+#[derive(Clone)]
+enum Fate {
+    /// No cell hit and the GC has nothing to do: the handle stands.
+    Stands,
+    /// The script names every live row: the chunk goes, whole, never
+    /// copied or tombstoned. `residual` is what the emptied chunk would
+    /// still have weighed — its size minus its rows' cost, non-zero when
+    /// dictionary entries outlive their rows.
+    Dropped { residual: u64 },
+    /// The rows were tombstoned on one copy of the chunk, which was then
+    /// compacted if that tripped the GC (`reclaimed`); every holder takes
+    /// this handle.
+    Rebuilt { chunk: Arc<Chunk>, reclaimed: Option<i64> },
+}
+
+impl Retirement {
+    /// Decide `chunk`'s fate under `rows`, the rows a script matched on
+    /// it — from the input alone: there is no threshold between dropping
+    /// and rebuilding, only whether the script covers the chunk.
+    fn of(config: &RunnerConfig, chunk: &Chunk, rows: impl Iterator<Item = u32> + Clone) -> Self {
+        let retracted = rows.clone().count() as u64;
+        let fate = if retracted == chunk.cell_count() {
+            Fate::Dropped { residual: chunk.byte_size() - chunk.rows_byte_cost(rows) }
+        } else if retracted == 0 && !gc_trips(config, chunk) {
+            Fate::Stands
+        } else {
+            let mut copy = chunk.clone();
+            copy.tombstone_rows(rows);
+            let reclaimed = gc_trips(config, &copy).then(|| copy.compact());
+            Fate::Rebuilt { chunk: Arc::new(copy), reclaimed }
+        };
+        Retirement { retracted, fate }
+    }
 }
 
 /// Everything a workload run mutates (see the module docs).
@@ -378,29 +435,39 @@ impl World {
         self.cluster.verify_replica_books().map_err(|source| CycleError::Recovery { cycle, source })
     }
 
-    /// Phase 2. Apply every batch's retraction script to the cluster's
-    /// stored payloads and mirror it into the catalog's whole-array
-    /// oracle, keeping both stores structurally in step (same
-    /// tombstones, same byte ledgers, same pruned chunks).
+    /// Phase 2. Apply every batch's retraction script — once per chunk,
+    /// to the one `Arc<Chunk>` the node stores and the catalog's
+    /// whole-array copy share — and leave both holding the same handle
+    /// again (same tombstones, same byte ledgers, same pruned chunks).
     ///
-    /// Retractions are grouped by owning chunk and applied through
-    /// [`Cluster::retract_cells`], which shrinks the primary payload,
-    /// its descriptor, the node ledgers, and every replica copy in one
-    /// step. A chunk whose last live cell is retracted is evicted from
-    /// the placement outright (and its replica set dropped) — retired
-    /// bytes stop counting against demand immediately, which is what
-    /// lets the provisioner see the trough. A surviving chunk whose
-    /// tombstones now reach [`RunnerConfig::gc_tombstone_ratio`] of its
-    /// physical rows is compacted in place ([`Cluster::compact_chunk`]),
-    /// and the catalog oracle compacts the same chunks so both copies
-    /// stay structurally identical. Cells whose chunk was never placed
-    /// (or already evicted) are skipped rather than failing the
-    /// cycle: delete scripts replay against both oracle and store
-    /// copies, which may legitimately have pruned a chunk first.
+    /// The script is grouped by owning chunk ([`ScriptGroups`]) and each
+    /// group is matched against its chunk by the array model's batch
+    /// kernel, read-only. From the matched rows, first the views'
+    /// negative deltas are captured **in script order**; then each chunk
+    /// gets one decision, made from the input alone:
     ///
-    /// When incremental views watch the array, each retracted row's
-    /// values are captured through the tombstone choke point as a `-1`
-    /// delta and folded into the views before the cycle's inserts land.
+    /// * **Drop.** The script names every live row of the chunk: the
+    ///   chunk is evicted — placement entry, primary, replicas, the
+    ///   catalog's map entry and descriptor — without being copied or
+    ///   tombstoned first. Retired bytes stop counting against demand
+    ///   immediately, which is what lets the provisioner see the trough.
+    /// * **Install.** Otherwise the rows are tombstoned on **one** copy
+    ///   of the chunk; if its tombstones now reach
+    ///   [`RunnerConfig::gc_tombstone_ratio`] of its physical rows (or
+    ///   its dangling dictionary bytes their threshold) that copy is
+    ///   compacted too; and the one resulting handle goes to the primary,
+    ///   every replica ([`Cluster::install_payload`]) and the catalog.
+    ///
+    /// **By value** where the two stores do not hold the same handle —
+    /// the cluster never placed the chunk or already lost it, or the
+    /// world was assembled from separate copies: each store's copy is
+    /// matched by the same kernel and gets the same decision, applied to
+    /// that store alone; the tally is the cluster's. A chunk the cluster
+    /// does not place is skipped there rather than failing the cycle
+    /// (delete scripts replay against both stores, which may
+    /// legitimately have pruned it first); one it places but cannot read
+    /// — a crashed k = 1 primary, a descriptor with no payload — refuses
+    /// the script, typed.
     pub(crate) fn retract(
         &mut self,
         cycle: usize,
@@ -410,94 +477,76 @@ impl World {
     ) -> Result<RetractTally, CycleError> {
         let rejected = |source| CycleError::Retract { cycle, source };
         let malformed = |source| CycleError::Materialize { cycle, source };
-        let gc_enabled =
-            config.gc_tombstone_ratio.is_finite() || config.gc_dangling_dict_bytes != u64::MAX;
         let mut tally = RetractTally::default();
         for b in batches {
             let flat = b.retractions_flat();
             if flat.is_empty() {
                 continue;
             }
-            let schema = self.stored_mut(cycle, b.array)?.schema.clone();
-            let nd = schema.ndims().max(1);
-            // Group the flat script by owning chunk so each placed chunk
-            // is touched once (one descriptor resize, one replica fan-out).
-            let mut by_chunk: BTreeMap<ChunkCoords, Vec<i64>> = BTreeMap::new();
-            for cell in flat.chunks_exact(nd) {
-                let coords = array_model::chunk_of(&schema, cell).map_err(malformed)?;
-                by_chunk.entry(coords).or_default().extend_from_slice(cell);
-            }
-            let mut gc_coords: Vec<ChunkCoords> = Vec::new();
-            for (coords, cells) in by_chunk {
-                let key = ChunkKey::new(b.array, coords);
-                if self.cluster.locate(&key).is_none() {
-                    continue;
-                }
-                let outcome = self.cluster.retract_cells(&key, &cells).map_err(rejected)?;
-                tally.retracted += outcome.retracted;
-                if outcome.remaining_cells == 0 {
-                    let eviction = self.cluster.evict_chunk(&key).map_err(rejected)?;
-                    tally.evicted_chunks += 1;
-                    tally.evicted_bytes += eviction.bytes;
-                } else if gc_enabled {
-                    // Threshold-triggered tombstone GC: row-ratio
-                    // pressure, or dangling-dictionary byte pressure
-                    // (checked lazily — the dictionary scan is
-                    // per-entry work the ratio check avoids).
-                    let payload = self
-                        .cluster
-                        .payload(&key)
-                        .ok_or(ClusterError::NoPayload(key))
-                        .map_err(rejected)?;
-                    let dead = payload.tombstone_count() as f64;
-                    let physical = payload.physical_cell_count() as f64;
-                    let ratio_trip = config.gc_tombstone_ratio.is_finite()
-                        && physical > 0.0
-                        && dead >= config.gc_tombstone_ratio * physical;
-                    let byte_trip = !ratio_trip
-                        && config.gc_dangling_dict_bytes != u64::MAX
-                        && payload.dangling_dict_bytes() >= config.gc_dangling_dict_bytes;
-                    if ratio_trip || byte_trip {
-                        let compaction = self.cluster.compact_chunk(&key).map_err(rejected)?;
-                        tally.gc_compacted_chunks += 1;
-                        tally.gc_reclaimed_bytes += compaction.reclaimed_bytes;
-                        gc_coords.push(coords);
-                    }
-                }
-            }
-            // Mirror the script into the catalog oracle. The oracle's
-            // chunks were shared with the cluster until now; replaying
-            // the same deterministic script (retract-the-last-live-
-            // duplicate per coordinate) leaves both copies structurally
-            // identical, so the differential suites keep agreeing.
-            // Retracted values are captured here — the oracle holds the
-            // same rows — as the views' negative deltas.
-            let watched = self.views.reads(b.array);
+            let unknown = |_| CycleError::UnknownArray { cycle, array: b.array };
+            let stored = self.catalog.array_mut(b.array).map_err(unknown)?;
+            let script = ScriptGroups::of(&stored.schema, flat).map_err(malformed)?;
+            let matched =
+                script.match_chunks(|coords| stored.data.as_ref().and_then(|d| d.chunk(coords)));
             let mut delta = DeltaSet::new();
-            let stored = self.stored_mut(cycle, b.array)?;
-            if let Some(data) = stored.data.as_mut() {
-                let outcome = data
-                    .delete_cells_capturing(flat, |cell, values| {
-                        if watched {
-                            delta.push(cell.to_vec(), values, -1);
+            if self.views.reads(b.array) {
+                for (chunk, row) in matched.hits_in_script_order() {
+                    delta.push_chunk_row(chunk, row, -1);
+                }
+            }
+            let matched = matched.into_rows();
+            for group in script.groups() {
+                let (coords, key) = (group.coords, ChunkKey::new(b.array, group.coords));
+                let ours = stored.data.as_ref().and_then(|d| d.shared_chunk(&coords));
+                let theirs = match self.cluster.primary_payload(&key) {
+                    Ok(handle) => Some(handle),
+                    Err(ClusterError::MissingChunk(_)) => None,
+                    Err(refused) => return Err(rejected(refused)),
+                };
+                let rows = matched[group.range.clone()].iter().flatten().copied();
+                let for_catalog = ours.map(|chunk| Retirement::of(config, chunk, rows));
+                let for_cluster = match (ours, theirs) {
+                    (Some(ours), Some(theirs)) if Arc::ptr_eq(ours, theirs) => for_catalog.clone(),
+                    // By value: the cluster's own copy, matched on its own.
+                    (_, Some(theirs)) => {
+                        let mut rows = Vec::with_capacity(group.range.len());
+                        theirs.match_retractions(group.cells(), &mut rows);
+                        Some(Retirement::of(config, theirs, rows.iter().flatten().copied()))
+                    }
+                    (_, None) => None,
+                };
+                if let Some(Retirement { retracted, fate }) = for_cluster {
+                    tally.retracted += retracted;
+                    match fate {
+                        Fate::Stands => {}
+                        Fate::Dropped { residual } => {
+                            self.cluster.evict_chunk(&key).map_err(rejected)?;
+                            tally.evicted_chunks += 1;
+                            tally.evicted_bytes += residual;
                         }
-                    })
-                    .map_err(malformed)?;
-                for coords in data.prune_empty() {
-                    stored.descriptors.remove(&coords);
+                        Fate::Rebuilt { chunk, reclaimed } => {
+                            self.cluster.install_payload(&key, chunk).map_err(rejected)?;
+                            tally.gc_compacted_chunks += usize::from(reclaimed.is_some());
+                            tally.gc_reclaimed_bytes += reclaimed.unwrap_or(0);
+                        }
+                    }
                 }
-                // GC'd chunks compact on the oracle too, before the
-                // descriptor refresh reads their rebuilt sizes.
-                for coords in &gc_coords {
-                    data.compact_chunk(coords);
-                }
-                for coords in outcome.touched {
-                    if let Some(chunk) = data.chunk(&coords) {
-                        stored.descriptors.insert(coords, chunk.descriptor(b.array));
+                if let Some(Retirement { fate, .. }) = for_catalog {
+                    let data = stored.data.as_mut().expect("`ours` was read out of it");
+                    match fate {
+                        Fate::Stands => {}
+                        Fate::Dropped { .. } => {
+                            data.remove_chunk(&coords);
+                            stored.descriptors.remove(&coords);
+                        }
+                        Fate::Rebuilt { chunk, .. } => {
+                            stored.descriptors.insert(coords, chunk.descriptor(b.array));
+                            data.install_chunk(chunk);
+                        }
                     }
                 }
             }
-            if watched && !delta.is_empty() {
+            if !delta.is_empty() {
                 self.apply_delta(b.array, &delta, view_stats);
             }
         }

@@ -326,6 +326,91 @@ fn run_modis_ttl_pair(cells_per_cycle: u64, days: usize, kind: PartitionerKind, 
     assert_eq!(store_got, want, "{tag}: store-only answers differ after TTL expiry");
 }
 
+// ------------------------------------------------------------- sharing --
+
+/// The two stores hold **one** chunk: every chunk of the catalog's
+/// whole-array copy is, pointer for pointer, the payload on its primary
+/// node and in every replica slot. A retraction or a compaction that
+/// rebuilt a chunk for one store and not the others splits them into
+/// equal-but-separate copies — invisible to every answer, and undone by
+/// recovery, which re-aliases them.
+fn assert_one_handle_per_chunk(tag: &str, runner: &WorkloadRunner<'_>, arrays: &[ArrayId]) {
+    let cluster = runner.cluster();
+    for &id in arrays {
+        let stored = runner.catalog().array(id).unwrap();
+        let Some(data) = stored.data.as_ref() else { continue };
+        for (coords, ours) in data.shared_chunks() {
+            let key = ChunkKey::new(id, *coords);
+            let primary =
+                cluster.payload_shared(&key).unwrap_or_else(|| panic!("{tag}: {key} lost"));
+            assert!(std::sync::Arc::ptr_eq(primary, ours), "{tag}: {key} primary is a copy");
+            for &holder in cluster.replica_holders(&key) {
+                let slot = cluster.node(holder).unwrap().replica_payload_shared(&key);
+                let slot = slot.unwrap_or_else(|| panic!("{tag}: {key} replica has no payload"));
+                assert!(std::sync::Arc::ptr_eq(slot, ours), "{tag}: {key} replica is a copy");
+            }
+        }
+    }
+}
+
+/// Dark-vessel retractions empty few chunks outright — most only lose
+/// rows, the case that used to un-share the stores — checked after every
+/// cycle.
+fn run_ais_sharing(
+    cells_per_cycle: u64,
+    kind: PartitionerKind,
+    encoding: StringEncoding,
+    k: usize,
+) {
+    let tag = format!("{kind}/{encoding:?}/k{k}/sharing");
+    let w = AisWorkload { cycles: 3, scale: 0.05, seed: 21, cells_per_cycle, dark_vessel_rate: 4 };
+    let mut runner = WorkloadRunner::new(&w, config(kind, cells_per_cycle * 90, encoding, k));
+    let mut tombstoned = 0;
+    for c in 0..w.cycles {
+        runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
+        assert_one_handle_per_chunk(&format!("{tag}/cycle {c}"), &runner, &[BROADCAST]);
+        let data = runner.catalog().array(BROADCAST).unwrap().data.as_ref().unwrap();
+        tombstoned += data.chunks().filter(|(_, chunk)| chunk.tombstone_count() > 0).count();
+    }
+    assert!(tombstoned > 0, "{tag}: every retraction emptied its chunk — vacuous");
+}
+
+/// MODIS TTL expiry is whole-chunk work: the aged-out day's chunks are
+/// dropped — all of them, none tombstoned — and the stores stay shared.
+fn run_modis_whole_chunk_expiry(cells_per_cycle: u64, kind: PartitionerKind, k: usize) {
+    let tag = format!("{kind}/modis-ttl/k{k}/drop");
+    let w = ModisWorkload { days: 4, scale: 0.05, seed: 33, cells_per_cycle, ttl_days: 1 };
+    let schema = ModisWorkload::band_schema("band");
+    let day_chunks = |day: usize| -> usize {
+        let batches = w.cell_batch(day).unwrap();
+        batches
+            .iter()
+            .map(|b| {
+                let cells = b.cells();
+                let chunks: BTreeSet<ChunkCoords> = cells
+                    .iter()
+                    .map(|(c, _)| elastic_array_db::array::chunk_of(&schema, c).unwrap())
+                    .collect();
+                chunks.len()
+            })
+            .sum()
+    };
+    let encoding = StringEncoding::default();
+    let mut runner = WorkloadRunner::new(&w, config(kind, cells_per_cycle * 95, encoding, k));
+    for c in 0..w.days {
+        let report = runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
+        let expired = if c >= w.ttl_days { day_chunks(c - w.ttl_days) } else { 0 };
+        assert_eq!(report.evicted_chunks, expired, "{tag}: cycle {c} drops the expired day");
+        assert_eq!(report.gc_compacted_chunks, 0, "{tag}: nothing was left to compact");
+        assert_one_handle_per_chunk(&format!("{tag}/cycle {c}"), &runner, &[BAND1, BAND2]);
+        for id in [BAND1, BAND2] {
+            let data = runner.catalog().array(id).unwrap().data.as_ref().unwrap();
+            let dead: u64 = data.chunks().map(|(_, chunk)| chunk.tombstone_count()).sum();
+            assert_eq!(dead, 0, "{tag}: cycle {c} left tombstones in {id}");
+        }
+    }
+}
+
 // -------------------------------------------------------------- tests --
 
 /// All 8 partitioners at dict/k=1: the broad sweep.
@@ -368,5 +453,31 @@ fn retraction_smoke() {
     run_ais_matrix(6_000, 4, &PartitionerKind::ALL);
     for kind in PartitionerKind::ALL {
         run_modis_ttl_pair(4_000, 4, kind, 2);
+    }
+}
+
+/// Regression: a partial retraction used to copy the chunk once for the
+/// node stores and once for the catalog, leaving two equal chunks where
+/// ingest had placed one shared handle (155 of 481 placed chunks after
+/// the first retracting cycle of this very run).
+#[test]
+fn partial_retraction_keeps_the_stores_on_one_handle() {
+    run_ais_sharing(4_000, PartitionerKind::ConsistentHash, StringEncoding::default(), 2);
+}
+
+/// Heavier CI smoke for the batch retraction path: store sharing after
+/// every AIS cycle and whole-chunk MODIS expiry, over all 8 partitioners
+/// × both string encodings × k ∈ {1, 2}. Run with
+/// `cargo test --release --test retraction_differential -- --ignored batch_retraction_smoke`.
+#[test]
+#[ignore = "heavy: run in release via the batch-retraction-smoke CI job"]
+fn batch_retraction_smoke() {
+    for kind in PartitionerKind::ALL {
+        for k in [1usize, 2] {
+            for encoding in [StringEncoding::default(), StringEncoding::Plain] {
+                run_ais_sharing(6_000, kind, encoding, k);
+            }
+            run_modis_whole_chunk_expiry(4_000, kind, k);
+        }
     }
 }
