@@ -7,8 +7,8 @@
 //! retractions are captured from the rows a retraction script matched
 //! ([`DeltaSet::push_chunk_row`], [`Array::delete_cells_capturing`])
 //! before storage is reclaimed. Downstream consumers (the query crate's
-//! incremental views) fold deltas in O(|Δ|), never rescanning the base
-//! array — so the transport here is deliberately *logical*: rebalances,
+//! incremental views) fold each delta into their own state, never
+//! rescanning the base array — so the transport here is deliberately *logical*: rebalances,
 //! failovers, and chunk compactions move bytes around without producing
 //! any delta at all.
 //!

@@ -1,12 +1,44 @@
 //! Per-view state: Z-sets, deterministic row keys, and per-group
-//! accumulators. Everything here is keyed and folded in a fixed total
+//! accumulators. Everything here is kept and folded in a fixed total
 //! order so that an incrementally maintained view and a from-scratch
 //! recompute build *bit-identical* state — integer weights are exact,
 //! and float aggregates are finalized by the same sorted fold over the
 //! same multiset on both paths.
+//!
+//! # Layout
+//!
+//! All state is **flat, sorted runs**; nothing is a tree and nothing is
+//! allocated per row.
+//!
+//! * A [`ZSet`] is one run of rows in [`array_model::DeltaSet`]'s layout
+//!   — every row's join key, coordinates and values end to end in three
+//!   buffers, plus per row the three end offsets and the weight — in
+//!   strictly ascending `(join key, row)` order with no zero weight. A
+//!   view's output leaves the key empty; a join side files each row
+//!   under its join key, so the rows of one key are adjacent and the
+//!   other side probes them with one forward cursor. Retiring a day of
+//!   rows frees (a share of) four buffers, not a heap cell per row.
+//! * A [`GroupState`]'s multiset is a strictly ascending
+//!   `Vec<(ord_bits, multiplicity)>`; minimum and maximum are its first
+//!   and last entry.
+//!
+//! # Maintenance
+//!
+//! The invariant is "the run is the consolidated, ordered Z-set of
+//! everything applied", and a delta maintains it by **one sort and one
+//! merge** ([`ZSet::merge`], [`GroupState::merge`]): the staged rows are
+//! sorted, then merged with the run in one linear pass that sums the
+//! weights of equal rows and drops zeros. That is O(|Δ| log |Δ|)
+//! comparisons plus a memmove-speed pass over the run — the right shape
+//! for the deltas the runner hands over (a whole cycle's rows for one
+//! array, a third to two thirds of the state). [`ZSet::add`] and
+//! [`GroupState::update`] are the one-entry forms over the same runs and
+//! cost a pass over the run *per row*; a spine of geometrically merged
+//! runs is the known way to make single-row deltas cheap and is
+//! deliberately not built, because no caller sends them.
 
 use array_model::ScalarValue;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 /// A deterministic, totally ordered image of a [`ScalarValue`]: integers
 /// widen to `i64`, floats become their raw bit patterns, strings stay
@@ -26,16 +58,39 @@ pub enum KeyScalar {
     Str(String),
 }
 
+/// [`KeyScalar`] with the string borrowed: the same variants in the same
+/// order under the same derived `Ord` (`str` and `String` compare
+/// alike), so comparing two images is comparing the two `KeyScalar`s
+/// without building either.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum KeyImage<'a> {
+    Int(i64),
+    F32(u32),
+    F64(u64),
+    Str(&'a str),
+}
+
+impl<'a> KeyImage<'a> {
+    fn of(v: &'a ScalarValue) -> Self {
+        match v {
+            ScalarValue::Int32(i) => KeyImage::Int(i64::from(*i)),
+            ScalarValue::Int64(i) => KeyImage::Int(*i),
+            ScalarValue::Char(c) => KeyImage::Int(i64::from(*c)),
+            ScalarValue::Float(f) => KeyImage::F32(f.to_bits()),
+            ScalarValue::Double(d) => KeyImage::F64(d.to_bits()),
+            ScalarValue::Str(s) => KeyImage::Str(s),
+        }
+    }
+}
+
 impl KeyScalar {
     /// The deterministic key image of `v`.
     pub fn of(v: &ScalarValue) -> KeyScalar {
-        match v {
-            ScalarValue::Int32(i) => KeyScalar::Int(*i as i64),
-            ScalarValue::Int64(i) => KeyScalar::Int(*i),
-            ScalarValue::Char(c) => KeyScalar::Int(*c as i64),
-            ScalarValue::Float(f) => KeyScalar::F32(f.to_bits()),
-            ScalarValue::Double(d) => KeyScalar::F64(d.to_bits()),
-            ScalarValue::Str(s) => KeyScalar::Str(s.clone()),
+        match KeyImage::of(v) {
+            KeyImage::Int(i) => KeyScalar::Int(i),
+            KeyImage::F32(b) => KeyScalar::F32(b),
+            KeyImage::F64(b) => KeyScalar::F64(b),
+            KeyImage::Str(s) => KeyScalar::Str(s.to_string()),
         }
     }
 }
@@ -70,103 +125,361 @@ pub fn row_key(coords: &[i64], values: &[ScalarValue]) -> RowKey {
     (coords.to_vec(), values.iter().map(KeyScalar::of).collect())
 }
 
-/// A Z-set: rows with signed integer multiplicities. Weights sum on
-/// insertion; a row whose weight reaches zero vanishes (so a view over
-/// a consistent insert/retract stream converges to exactly the
-/// surviving rows). Iteration order is the total order of [`RowKey`].
+/// The order of [`RowKey`], computed on the rows themselves:
+/// `cmp_rows(a, b) == row_key(a).cmp(&row_key(b))` for any two rows,
+/// without allocating. A tuple of `Vec`s compares its parts in turn and
+/// each `Vec` lexicographically — so do the slices here, the values
+/// through [`KeyImage`].
+pub fn cmp_rows(a: (&[i64], &[ScalarValue]), b: (&[i64], &[ScalarValue])) -> Ordering {
+    a.0.cmp(b.0).then_with(|| a.1.iter().map(KeyImage::of).cmp(b.1.iter().map(KeyImage::of)))
+}
+
+/// A delta row after a view's linear stages: still the slices the
+/// [`array_model::DeltaSet`] lent out, unless a `Map` stage rewrote it.
+pub(super) enum Staged<'a> {
+    Lent(&'a [i64], &'a [ScalarValue]),
+    Mapped(Row),
+}
+
+impl Staged<'_> {
+    pub(super) fn parts(&self) -> (&[i64], &[ScalarValue]) {
+        match self {
+            Staged::Lent(c, v) => (c, v),
+            Staged::Mapped((c, v)) => (c, v),
+        }
+    }
+}
+
+/// One row staged for [`ZSet::merge`]: the join key it files under
+/// (empty for a view's output), the row, and its weight.
+pub(super) struct StagedRow<'a> {
+    pub(super) key: Vec<KeyScalar>,
+    pub(super) row: Staged<'a>,
+    pub(super) weight: i64,
+}
+
+impl StagedRow<'_> {
+    fn sort_key(&self) -> (&[KeyScalar], (&[i64], &[ScalarValue])) {
+        (&self.key, self.row.parts())
+    }
+}
+
+/// `(join key, row)` order — the order of a [`ZSet`]'s run.
+fn cmp_keyed(
+    a: (&[KeyScalar], (&[i64], &[ScalarValue])),
+    b: (&[KeyScalar], (&[i64], &[ScalarValue])),
+) -> Ordering {
+    a.0.cmp(b.0).then_with(|| cmp_rows(a.1, b.1))
+}
+
+/// Sort staged rows into run order. Stable, so a delta that arrives in
+/// run order (chunks are walked in coordinate order) costs one pass.
+pub(super) fn sort_staged(staged: &mut [StagedRow<'_>]) {
+    staged.sort_by(|a, b| cmp_keyed(a.sort_key(), b.sort_key()));
+}
+
+/// Where one row ends in a [`ZSet`]'s three flat buffers, and its weight.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowEnd {
+    key: usize,
+    coords: usize,
+    values: usize,
+    weight: i64,
+}
+
+/// One row lent out of a [`ZSet`].
+#[derive(Debug, Clone, Copy)]
+pub struct Entry<'a> {
+    /// The join key the row is filed under (empty in a view's output).
+    pub key: &'a [KeyScalar],
+    /// The row's coordinates.
+    pub coords: &'a [i64],
+    /// The row's values.
+    pub values: &'a [ScalarValue],
+    /// Net weight — never zero.
+    pub weight: i64,
+}
+
+impl<'a> Entry<'a> {
+    fn sort_key(&self) -> (&'a [KeyScalar], (&'a [i64], &'a [ScalarValue])) {
+        (self.key, (self.coords, self.values))
+    }
+}
+
+/// A Z-set: rows with signed integer multiplicities, each optionally
+/// filed under a join key, kept as one flat sorted run (see the module
+/// docs). Weights sum on insertion; a row whose weight reaches zero
+/// vanishes (so a view over a consistent insert/retract stream converges
+/// to exactly the surviving rows). Iteration order is the join key's
+/// order, then the total order of [`RowKey`].
 #[derive(Debug, Clone, Default)]
 pub struct ZSet {
-    rows: BTreeMap<RowKey, (Row, i64)>,
+    keys: Vec<KeyScalar>,
+    coords: Vec<i64>,
+    values: Vec<ScalarValue>,
+    ends: Vec<RowEnd>,
 }
 
 impl ZSet {
-    /// Add `weight` copies of the row; returns the row's new net weight.
+    /// Add `weight` copies of the (unkeyed) row; returns the row's new
+    /// net weight. The one-row form of [`ZSet::merge`], at the same cost:
+    /// a pass over the run.
     pub fn add(&mut self, coords: &[i64], values: &[ScalarValue], weight: i64) -> i64 {
-        if weight == 0 {
-            return self.weight_of(coords, values);
-        }
-        let key = row_key(coords, values);
-        let entry = self.rows.entry(key).or_insert_with(|| ((coords.to_vec(), values.to_vec()), 0));
-        entry.1 += weight;
-        let w = entry.1;
-        if w == 0 {
-            self.rows.remove(&row_key(coords, values));
-        }
-        w
+        self.merge(vec![StagedRow { key: Vec::new(), row: Staged::Lent(coords, values), weight }]);
+        self.weight_of(coords, values)
     }
 
-    /// The net weight of a row (0 when absent).
+    /// The net weight of an (unkeyed) row (0 when absent).
     pub fn weight_of(&self, coords: &[i64], values: &[ScalarValue]) -> i64 {
-        self.rows.get(&row_key(coords, values)).map_or(0, |(_, w)| *w)
+        let row: (&[KeyScalar], _) = (&[], (coords, values));
+        let at = self.lower_bound(0, |e| cmp_keyed(e.sort_key(), row).is_lt());
+        match self.entries_from(at).next() {
+            Some(e) if cmp_keyed(e.sort_key(), row).is_eq() => e.weight,
+            _ => 0,
+        }
     }
 
     /// Distinct rows carried.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.ends.len()
     }
 
     /// True when no rows are carried.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.ends.is_empty()
     }
 
-    /// The rows and their weights, in key order.
-    pub fn entries(&self) -> impl Iterator<Item = (&Row, i64)> {
-        self.rows.values().map(|(row, w)| (row, *w))
+    /// Where row `i` starts in the buffers: where the row before it ends.
+    fn start_of(&self, i: usize) -> RowEnd {
+        i.checked_sub(1).map_or(RowEnd::default(), |before| self.ends[before])
     }
 
-    /// The deterministic identity of every row with its weight, in key
+    /// Row `i` of the run; panics past the end, like a slice.
+    fn entry(&self, i: usize) -> Entry<'_> {
+        let (start, end) = (self.start_of(i), self.ends[i]);
+        Entry {
+            key: &self.keys[start.key..end.key],
+            coords: &self.coords[start.coords..end.coords],
+            values: &self.values[start.values..end.values],
+            weight: end.weight,
+        }
+    }
+
+    /// The rows from position `from` on, in run order.
+    pub(super) fn entries_from(&self, from: usize) -> impl Iterator<Item = Entry<'_>> {
+        (from..self.len()).map(|i| self.entry(i))
+    }
+
+    /// The rows and their weights, in run order.
+    pub fn entries(&self) -> impl Iterator<Item = Entry<'_>> {
+        self.entries_from(0)
+    }
+
+    /// The first position at or after `from` whose row fails `below` —
+    /// `partition_point` over the tail of the run (`below` must hold for
+    /// a prefix of it). Callers advance a cursor through the run, so the
+    /// answer is usually a step or two past `from`: gallop out from there
+    /// (touching neighbouring rows, not log₂ n cold ones), then bisect.
+    pub(super) fn lower_bound(&self, from: usize, below: impl Fn(Entry<'_>) -> bool) -> usize {
+        let (mut lo, mut step) = (from, 1);
+        while lo + step <= self.len() && below(self.entry(lo + step - 1)) {
+            lo += step;
+            step *= 2;
+        }
+        // Everything before `lo` is below; row `hi`, if there is one, is not.
+        let mut hi = (lo + step - 1).min(self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if below(self.entry(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The deterministic identity of every row with its weight, in run
     /// order — the bit-exact comparison form.
     pub fn keyed_entries(&self) -> Vec<(Vec<i64>, Vec<KeyScalar>, i64)> {
-        self.rows.iter().map(|((c, v), (_, w))| (c.clone(), v.clone(), *w)).collect()
+        self.entries()
+            .map(|e| {
+                let (coords, values) = row_key(e.coords, e.values);
+                (coords, values, e.weight)
+            })
+            .collect()
+    }
+
+    /// Close the row just appended to the buffers.
+    fn end_row(&mut self, weight: i64) {
+        self.ends.push(RowEnd {
+            key: self.keys.len(),
+            coords: self.coords.len(),
+            values: self.values.len(),
+            weight,
+        });
+    }
+
+    /// Append a staged row (the caller keeps the run ordered).
+    fn push_staged(&mut self, staged: StagedRow<'_>) {
+        self.keys.extend(staged.key);
+        match staged.row {
+            Staged::Lent(coords, values) => {
+                self.coords.extend_from_slice(coords);
+                self.values.extend_from_slice(values);
+            }
+            Staged::Mapped((coords, values)) => {
+                self.coords.extend(coords);
+                self.values.extend(values);
+            }
+        }
+        self.end_row(staged.weight);
+    }
+
+    /// Move rows `range` of `old` onto the end of this run, leaving
+    /// placeholders behind: three block copies and an offset rebase.
+    fn move_rows(&mut self, old: &mut ZSet, range: std::ops::Range<usize>) {
+        if range.is_empty() {
+            return;
+        }
+        let (start, end) = (old.start_of(range.start), old.ends[range.end - 1]);
+        let (keys, coords, values) = (self.keys.len(), self.coords.len(), self.values.len());
+        self.keys.extend(
+            old.keys[start.key..end.key]
+                .iter_mut()
+                .map(|k| std::mem::replace(k, KeyScalar::Int(0))),
+        );
+        self.coords.extend_from_slice(&old.coords[start.coords..end.coords]);
+        self.values.extend(
+            old.values[start.values..end.values]
+                .iter_mut()
+                .map(|v| std::mem::replace(v, ScalarValue::Char(0))),
+        );
+        self.ends.extend(old.ends[range].iter().map(|e| RowEnd {
+            key: e.key - start.key + keys,
+            coords: e.coords - start.coords + coords,
+            values: e.values - start.values + values,
+            weight: e.weight,
+        }));
+    }
+
+    /// Fold a batch of staged rows — **sorted** by [`sort_staged`] — into
+    /// the run: one linear merge into fresh buffers, weights of equal
+    /// rows summed, zeros dropped. Rows of the old run between two staged
+    /// rows move as a block.
+    pub(super) fn merge(&mut self, staged: Vec<StagedRow<'_>>) {
+        if staged.is_empty() {
+            return;
+        }
+        debug_assert!(staged
+            .windows(2)
+            .all(|w| cmp_keyed(w[0].sort_key(), w[1].sort_key()).is_le()));
+        let mut old = std::mem::take(self);
+        self.keys.reserve(old.keys.len());
+        self.coords.reserve(old.coords.len());
+        self.values.reserve(old.values.len());
+        self.ends.reserve(old.ends.len() + staged.len());
+        let mut next = 0; // first row of `old` not yet merged
+        let mut staged = staged.into_iter().peekable();
+        while let Some(mut row) = staged.next() {
+            while let Some(dup) =
+                staged.next_if(|s| cmp_keyed(s.sort_key(), row.sort_key()).is_eq())
+            {
+                row.weight += dup.weight;
+            }
+            let at = old.lower_bound(next, |e| cmp_keyed(e.sort_key(), row.sort_key()).is_lt());
+            self.move_rows(&mut old, next..at);
+            next = at;
+            if at < old.len() && cmp_keyed(old.entry(at).sort_key(), row.sort_key()).is_eq() {
+                // The row is in the run already: it keeps its place with
+                // the summed weight, or cancels and is left behind.
+                old.ends[at].weight += row.weight;
+                next = at + 1;
+                if old.ends[at].weight != 0 {
+                    self.move_rows(&mut old, at..next);
+                }
+            } else if row.weight != 0 {
+                self.push_staged(row);
+            }
+        }
+        let rest = next..old.len();
+        self.move_rows(&mut old, rest);
     }
 }
 
-/// One group's accumulator: an exact row count plus a sorted multiset of
-/// the aggregated value (keyed by [`ord_bits`], so iteration order is
-/// numeric order) and cached extrema.
+/// One group's accumulator: an exact row count plus the sorted multiset
+/// of the aggregated value — a strictly ascending run of
+/// ([`ord_bits`], net multiplicity) pairs, so run order is numeric order.
 ///
 /// * `count`/`sum`/`avg` are exact under retraction: the count is integer
 ///   arithmetic, and sums are **re-folded from the multiset** in
 ///   ascending numeric order at finalization — never maintained as a
 ///   running float — so the incremental path and a from-scratch
 ///   recompute produce bit-identical doubles.
-/// * `min`/`max` are served from cached extrema; retracting the last
-///   copy of the extremum triggers a rescan of the affected group's
-///   multiset (O(log n) here, since the multiset is sorted — the rescan
-///   cost the paper-adjacent IVM literature pays per affected group).
+/// * `min`/`max` are the run's first and last entry: retracting the last
+///   copy of an extremum removes its entry, and the next one is simply
+///   there.
 #[derive(Debug, Clone, Default)]
 pub struct GroupState {
     /// Net row count (Z-set weight sum) — exact.
     pub count: i64,
-    /// Sorted multiset: [`ord_bits`] of each value → net multiplicity.
-    values: BTreeMap<u64, i64>,
-    min_bits: Option<u64>,
-    max_bits: Option<u64>,
+    /// Sorted multiset: ([`ord_bits`] of a value, net multiplicity),
+    /// strictly ascending, no zero multiplicity.
+    values: Vec<(u64, i64)>,
 }
 
 impl GroupState {
-    /// Fold `weight` copies of `value` into the group.
+    /// Fold `weight` copies of `value` into the group — the one-entry
+    /// form of [`GroupState::merge`]: a binary search and an insert.
     pub fn update(&mut self, value: f64, weight: i64) {
         self.count += weight;
         let bits = ord_bits(value);
-        let slot = self.values.entry(bits).or_insert(0);
-        *slot += weight;
-        let emptied = *slot == 0;
-        if emptied {
-            self.values.remove(&bits);
+        match self.values.binary_search_by_key(&bits, |&(b, _)| b) {
+            Ok(i) => {
+                self.values[i].1 += weight;
+                if self.values[i].1 == 0 {
+                    self.values.remove(i);
+                }
+            }
+            Err(i) if weight != 0 => self.values.insert(i, (bits, weight)),
+            Err(_) => {}
         }
-        if weight > 0 && !emptied {
-            // Cheap cached-extremum maintenance on insert.
-            self.min_bits = Some(self.min_bits.map_or(bits, |m| m.min(bits)));
-            self.max_bits = Some(self.max_bits.map_or(bits, |m| m.max(bits)));
-        } else if emptied && (self.min_bits == Some(bits) || self.max_bits == Some(bits)) {
-            // The retraction killed the cached extremum: rescan the
-            // affected group. The multiset is sorted by numeric order,
-            // so the rescan is its first/last key.
-            self.min_bits = self.values.keys().next().copied();
-            self.max_bits = self.values.keys().next_back().copied();
+    }
+
+    /// Fold a batch of `(ord_bits(value), weight)` pairs into the group:
+    /// one sort of the batch and one linear merge, multiplicities of
+    /// equal values summed, zeros dropped. O(|staged| log |staged| +
+    /// |group|) — the pass over the group is what
+    /// [`GroupState::fold_sum`] pays per touched group anyway.
+    pub fn merge(&mut self, staged: &mut [(u64, i64)]) {
+        staged.sort_unstable();
+        let old = std::mem::take(&mut self.values);
+        let mut merged: Vec<(u64, i64)> = Vec::with_capacity(old.len() + staged.len());
+        let mut fold = |bits: u64, weight: i64| match merged.last_mut() {
+            Some(last) if last.0 == bits => last.1 += weight,
+            _ => {
+                // The previous value is complete: keep it unless it cancelled.
+                if merged.last().is_some_and(|last| last.1 == 0) {
+                    merged.pop();
+                }
+                merged.push((bits, weight));
+            }
+        };
+        let mut old = old.into_iter().peekable();
+        for &(bits, weight) in staged.iter() {
+            self.count += weight;
+            while let Some((b, m)) = old.next_if(|&(b, _)| b <= bits) {
+                fold(b, m);
+            }
+            fold(bits, weight);
         }
+        for (b, m) in old {
+            fold(b, m);
+        }
+        if merged.last().is_some_and(|last| last.1 == 0) {
+            merged.pop();
+        }
+        self.values = merged;
     }
 
     /// True when the group carries no rows and can be dropped.
@@ -179,33 +492,40 @@ impl GroupState {
     /// what makes them bit-identical.
     pub fn fold_sum(&self) -> f64 {
         let mut sum = 0.0;
-        for (&bits, &mult) in &self.values {
+        for &(bits, mult) in &self.values {
             sum += from_ord_bits(bits) * mult as f64;
         }
         sum
     }
 
-    /// Cached minimum (numeric), if the group is non-empty.
+    /// Minimum (numeric), if the group is non-empty.
     pub fn min(&self) -> Option<f64> {
-        self.min_bits.map(from_ord_bits)
+        self.values.first().map(|&(bits, _)| from_ord_bits(bits))
     }
 
-    /// Cached maximum (numeric), if the group is non-empty.
+    /// Maximum (numeric), if the group is non-empty.
     pub fn max(&self) -> Option<f64> {
-        self.max_bits.map(from_ord_bits)
+        self.values.last().map(|&(bits, _)| from_ord_bits(bits))
     }
 }
 
 // ---------------------------------------------------------------------
-// Durable codecs. A Z-set is serialized as its rows-with-weights and
-// rebuilt through `add`, so the decoded set re-derives every RowKey from
-// the same bytes — bit-identical by the same argument that makes
-// incremental maintenance equal recompute. Group accumulators serialize
-// all four fields verbatim (the cached extrema are part of the state the
-// crash interrupted, not something to re-guess).
+// Durable codecs. The byte format predates the runs and is unchanged: a
+// Z-set is its rows-with-weights in run order, a join side is its
+// distinct keys in order, each followed by the Z-set of its rows, and a
+// group accumulator is count, multiset and two optional extrema. The
+// decoders rebuild the runs directly and check what the encoders
+// guarantee — strictly ascending keys and rows, no zero weight, no empty
+// join slot, a count that is the multiset's weight sum, extrema that are
+// the multiset's ends — so bytes no encoder wrote are a typed error, not
+// a state no delta stream could have built.
 // ---------------------------------------------------------------------
 
 use durability::{ByteReader, ByteWriter, CodecError};
+
+pub(super) fn invalid<T>(context: &'static str, detail: &str) -> Result<T, CodecError> {
+    Err(CodecError::Invalid { context, detail: detail.to_string() })
+}
 
 impl KeyScalar {
     /// Serialize as a one-byte tag plus the payload.
@@ -248,65 +568,120 @@ impl KeyScalar {
 }
 
 impl ZSet {
-    /// Serialize every row with its net weight, in key order.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_usize(self.rows.len());
-        for ((coords, values), weight) in self.rows.values() {
-            w.put_usize(coords.len());
-            for &c in coords {
+    fn encode_rows(w: &mut ByteWriter, rows: &[Entry<'_>]) {
+        w.put_usize(rows.len());
+        for e in rows {
+            w.put_usize(e.coords.len());
+            for &c in e.coords {
                 w.put_i64(c);
             }
-            w.put_usize(values.len());
-            for v in values {
+            w.put_usize(e.values.len());
+            for v in e.values {
                 v.encode_into(w);
             }
-            w.put_i64(*weight);
+            w.put_i64(e.weight);
         }
     }
 
-    /// Decode a Z-set written by [`ZSet::encode_into`], rebuilding each
-    /// row key through [`ZSet::add`].
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+    /// Read one Z-set's rows onto the end of the run, each filed under
+    /// `key`. Returns how many there were.
+    fn decode_rows(
+        &mut self,
+        r: &mut ByteReader<'_>,
+        key: &[KeyScalar],
+    ) -> Result<usize, CodecError> {
         let n = r.usize("zset row count")?;
-        let mut out = ZSet::default();
         for _ in 0..n {
-            let nc = r.usize("zset coord count")?;
-            let mut coords = Vec::with_capacity(nc.min(1 << 8));
-            for _ in 0..nc {
-                coords.push(r.i64("zset coord")?);
+            self.keys.extend_from_slice(key);
+            for _ in 0..r.usize("zset coord count")? {
+                self.coords.push(r.i64("zset coord")?);
             }
-            let nv = r.usize("zset value count")?;
-            let mut values = Vec::with_capacity(nv.min(1 << 8));
-            for _ in 0..nv {
-                values.push(ScalarValue::decode_from(r)?);
+            for _ in 0..r.usize("zset value count")? {
+                self.values.push(ScalarValue::decode_from(r)?);
             }
             let weight = r.i64("zset weight")?;
             if weight == 0 {
-                return Err(CodecError::Invalid {
-                    context: "zset weight",
-                    detail: "zero-weight row in snapshot (cancelled rows are never stored)"
-                        .to_string(),
-                });
+                return invalid(
+                    "zset weight",
+                    "zero-weight row in snapshot (cancelled rows are never stored)",
+                );
             }
-            out.add(&coords, &values, weight);
+            self.end_row(weight);
+            let rows = self.len();
+            if rows >= 2
+                && cmp_keyed(self.entry(rows - 2).sort_key(), self.entry(rows - 1).sort_key())
+                    .is_ge()
+            {
+                return invalid("zset row order", "rows are not strictly ascending");
+            }
+        }
+        Ok(n)
+    }
+
+    /// Serialize every (unkeyed) row with its net weight, in run order.
+    pub fn encode_into(&self, w: &mut ByteWriter) {
+        Self::encode_rows(w, &self.entries().collect::<Vec<_>>());
+    }
+
+    /// Decode a Z-set written by [`ZSet::encode_into`]: the rows must be
+    /// strictly ascending with no zero weight.
+    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let mut out = ZSet::default();
+        out.decode_rows(r, &[])?;
+        Ok(out)
+    }
+
+    /// Serialize a join side: its distinct keys in order, each followed
+    /// by the Z-set of the rows filed under it.
+    pub(super) fn encode_index_into(&self, w: &mut ByteWriter) {
+        let rows: Vec<Entry<'_>> = self.entries().collect();
+        let slots: Vec<&[Entry<'_>]> = rows.chunk_by(|a, b| a.key == b.key).collect();
+        w.put_usize(slots.len());
+        for slot in slots {
+            w.put_usize(slot[0].key.len());
+            for k in slot[0].key {
+                k.encode_into(w);
+            }
+            Self::encode_rows(w, slot);
+        }
+    }
+
+    /// Decode a join side written by [`ZSet::encode_index_into`]: keys
+    /// strictly ascending, no key without rows.
+    pub(super) fn decode_index_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let n = r.usize("join index len")?;
+        let mut out = ZSet::default();
+        let mut key = Vec::new();
+        for _ in 0..n {
+            key.clear();
+            for _ in 0..r.usize("join key len")? {
+                key.push(KeyScalar::decode_from(r)?);
+            }
+            // The last row read so far is filed under the previous key.
+            if out.entries_from(out.len().saturating_sub(1)).any(|e| e.key >= &key[..]) {
+                return invalid("join key order", "keys are not strictly ascending");
+            }
+            if out.decode_rows(r, &key)? == 0 {
+                return invalid("join index slot", "a key with no rows is never stored");
+            }
         }
         Ok(out)
     }
 }
 
 impl GroupState {
-    /// Serialize the accumulator verbatim: count, the sorted multiset,
-    /// and the cached extrema.
+    /// Serialize the accumulator: count, the sorted multiset, and its
+    /// two ends as optional extrema.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         w.put_i64(self.count);
         w.put_usize(self.values.len());
-        for (&bits, &mult) in &self.values {
+        for &(bits, mult) in &self.values {
             w.put_u64(bits);
             w.put_i64(mult);
         }
-        for opt in [self.min_bits, self.max_bits] {
-            match opt {
-                Some(bits) => {
+        for end in [self.values.first(), self.values.last()] {
+            match end {
+                Some(&(bits, _)) => {
                     w.put_bool(true);
                     w.put_u64(bits);
                 }
@@ -319,19 +694,33 @@ impl GroupState {
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let count = r.i64("group count")?;
         let n = r.usize("group multiset len")?;
-        let mut values = BTreeMap::new();
+        let mut values: Vec<(u64, i64)> = Vec::with_capacity(n.min(1 << 8));
+        let mut sum = Some(0i64);
         for _ in 0..n {
             let bits = r.u64("group value bits")?;
             let mult = r.i64("group multiplicity")?;
-            values.insert(bits, mult);
+            if values.last().is_some_and(|&(prev, _)| prev >= bits) {
+                return invalid("group value bits", "multiset is not strictly ascending");
+            }
+            if mult == 0 {
+                return invalid("group multiplicity", "a cancelled value is never stored");
+            }
+            sum = sum.and_then(|s| s.checked_add(mult));
+            values.push((bits, mult));
         }
-        let mut extrema = [None, None];
-        for slot in &mut extrema {
-            if r.bool("group extremum flag")? {
-                *slot = Some(r.u64("group extremum bits")?);
+        if sum != Some(count) {
+            return invalid("group count", "count is not the multiset's weight sum");
+        }
+        for end in [values.first(), values.last()] {
+            let stored = match r.bool("group extremum flag")? {
+                true => Some(r.u64("group extremum bits")?),
+                false => None,
+            };
+            if stored != end.map(|&(bits, _)| bits) {
+                return invalid("group extremum bits", "extremum is not the multiset's end");
             }
         }
-        Ok(GroupState { count, values, min_bits: extrema[0], max_bits: extrema[1] })
+        Ok(GroupState { count, values })
     }
 }
 

@@ -484,7 +484,7 @@ impl<'w> WorkloadRunner<'w> {
 
     /// Register an incremental materialized view. From now on each
     /// cycle's logical deltas — retractions first, then the cycle's
-    /// inserts — are folded into the view in O(|Δ|) instead of the view
+    /// inserts — are folded into the view's state instead of the view
     /// being recomputed. Registering mid-run starts the view empty: it
     /// reflects changes from the *next* cycle on (seed it from the
     /// catalog oracle via [`array_model::DeltaSet::from_live_cells`] to

@@ -416,3 +416,97 @@ fn dense_placement_insert_is_allocation_free_after_warmup() {
     assert!(acc >= 0.0);
     assert_eq!(cluster.total_chunks(), 65_536);
 }
+
+/// View maintenance allocates for what the public closure types hand
+/// back and for its flat buffers — not per row of state. The staged
+/// batch apply over sorted runs is measured warmed (a previous cycle has
+/// built every group and both join sides).
+#[test]
+fn view_batch_apply_allocations_are_bounded_by_the_closures() {
+    use array_model::DeltaSet;
+    use query_engine::view::{
+        AggKind, EmitFn, GroupKeyFn, JoinKeyFn, KeyScalar, PredFn, RowOp, ValueFn, ViewDef,
+        ViewRegistry,
+    };
+    use std::sync::Arc;
+
+    let (band1, band2, unread) = (ArrayId(0), ArrayId(1), ArrayId(9));
+    // `days` days of `pixels` rows `[minute, lon, lat] → [quality,
+    // radiance]` each, in one delta; a ninth of them lie in the belt the
+    // join keeps, and the radiances (shifted by `shift`) are distinct.
+    let days = |days: std::ops::Range<i64>, pixels: i64, shift: i64, weight: i64| {
+        let mut delta = DeltaSet::new();
+        for (d, p) in days.flat_map(|d| (0..pixels).map(move |p| (d, p))) {
+            let coords = vec![d * 1440 + p % 1440, p / 180, p % 180 - 90];
+            let radiance = ((d * pixels + p) * 7919 % 100_003 + shift) as f64 * 0.25;
+            delta.push(coords, vec![ScalarValue::Int32(1), ScalarValue::Double(radiance)], weight);
+        }
+        delta
+    };
+    let num = |v: &ScalarValue| v.as_f64().unwrap_or(0.0);
+    let by_day: GroupKeyFn = Arc::new(|c, _| vec![c[0].div_euclid(1440)]);
+    let radiance: ValueFn = Arc::new(move |_, v| num(&v[1]));
+    let belt: PredFn = Arc::new(|c, _| c[2].abs() <= 10);
+    let key: JoinKeyFn = Arc::new(|c, _| c.iter().map(|&x| KeyScalar::Int(x)).collect());
+    let emit: EmitFn =
+        Arc::new(move |l, r| (l.0.clone(), vec![ScalarValue::Double(num(&r.1[1]) - num(&l.1[1]))]));
+    let belt = || vec![RowOp::Filter(belt.clone())];
+
+    // Aggregate: 30 000 rows over 3 groups, every group already there.
+    let mut daily = ViewRegistry::new();
+    daily.register(ViewDef::aggregate("daily", band1, Vec::new(), by_day, radiance, AggKind::Avg));
+    let rows = 30_000i64;
+    let (warm, measured) = (days(0..3, rows / 3, 0, 1), days(0..3, rows / 3, 1, 1));
+    daily.apply(band1, &warm);
+    let start = allocation_count();
+    let stats = daily.apply(band1, &measured);
+    let aggregate_allocs = allocation_count() - start;
+    assert_eq!(stats.delta_rows, rows as u64);
+    assert!(
+        aggregate_allocs <= rows as usize + 64,
+        "a warmed {rows}-row aggregate apply over 3 groups allocated {aggregate_allocs} times; \
+         the budget is the GroupKeyFn's one Vec per row plus 64 (the per-row BTreeMap \
+         implementation allocated 63 636)"
+    );
+
+    // Join: nothing for a row the filter drops, a handful per survivor.
+    let mut ndvi = ViewRegistry::new();
+    ndvi.register(ViewDef::join("ndvi", band1, band2, belt(), belt(), key.clone(), key, emit));
+    ndvi.apply(band1, &days(0..1, 9_000, 0, 1));
+    ndvi.apply(band2, &days(0..1, 9_000, 1, 1));
+    let outside = {
+        let mut delta = DeltaSet::new();
+        for rd in days(1..2, 9_000, 0, 1).rows().filter(|rd| rd.coords[2].abs() > 10) {
+            delta.push(rd.coords.to_vec(), rd.values.to_vec(), 1);
+        }
+        delta
+    };
+    let start = allocation_count();
+    let stats = ndvi.apply(band1, &outside);
+    let dropped_allocs = allocation_count() - start;
+    assert_eq!((stats.delta_rows, stats.rows_changed), (outside.len() as u64, 0));
+    assert_eq!(
+        dropped_allocs,
+        0,
+        "a join apply of {} rows its filter drops allocated {dropped_allocs} times",
+        outside.len()
+    );
+    let retire = days(0..1, 9_000, 0, -1);
+    let survivors = retire.rows().filter(|rd| rd.coords[2].abs() <= 10).count();
+    let start = allocation_count();
+    let stats = ndvi.apply(band1, &retire);
+    let join_allocs = allocation_count() - start;
+    assert_eq!(stats.rows_changed, survivors as u64, "every survivor had a partner");
+    assert!(
+        join_allocs <= 6 * survivors + 64,
+        "a join apply with {survivors} surviving rows allocated {join_allocs} times; the budget \
+         is 6 per survivor (the per-row BTreeMap implementation allocated 14 700, 14 each)"
+    );
+
+    // An array no view reads is not looked at.
+    let start = allocation_count();
+    assert!(!ndvi.reads(unread));
+    let stats = ndvi.apply(unread, &retire);
+    assert_eq!(stats.delta_rows, 0);
+    assert_eq!(allocation_count() - start, 0, "an unread array's delta allocated");
+}

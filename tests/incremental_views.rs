@@ -24,7 +24,7 @@ use array_model::DeltaSet;
 use elastic_array_db::prelude::*;
 use query_engine::view::{
     AggKind, EmitFn, GroupKeyFn, JoinKeyFn, KeyScalar, MapFn, PredFn, RowOp, ValueFn, ViewDef,
-    ViewSnapshot,
+    ViewKind, ViewSnapshot,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -486,5 +486,79 @@ fn delta_smoke() {
     };
     for kind in PartitionerKind::ALL {
         run_faulted_twin(&w, kind, 2);
+    }
+}
+
+/// The benchmark's two views (the vegetation-index join over the
+/// equatorial belt, the daily mean radiance) plus a `Min` and a `Count`
+/// over the same days.
+fn modis_batch_views() -> Vec<ViewDef> {
+    let belt: PredFn = Arc::new(|c, _| c[2].abs() <= 10);
+    let belt = || vec![RowOp::Filter(belt.clone())];
+    let mut defs = modis_views();
+    let ViewKind::Join { ops, right_ops, .. } = &mut defs[0].kind else {
+        unreachable!("modis_views leads with the ndvi join")
+    };
+    (*ops, *right_ops) = (belt(), belt());
+    let day: GroupKeyFn = Arc::new(|c, _| vec![c[0].div_euclid(1440)]);
+    let radiance: ValueFn = Arc::new(|_, v| numeric(&v[1]));
+    for agg in [AggKind::Min, AggKind::Count] {
+        let name = format!("daily-{agg:?}");
+        defs.push(ViewDef::aggregate(name, BAND1, Vec::new(), day.clone(), radiance.clone(), agg));
+    }
+    defs
+}
+
+/// Heavier CI smoke for the batch apply at the benchmark's shape: MODIS
+/// at 100k pixels a day for 14 days with a 3-day TTL — deltas of a third
+/// of the state — across every partitioner at k ∈ {1, 2}. Views equal
+/// their recompute after every cycle, and what a checkpoint would write
+/// survives export → import → export byte for byte mid-run. Run with
+/// `cargo test --release --test incremental_views -- --ignored view_batch_smoke`.
+#[test]
+#[ignore = "heavy: run in release via the view-batch-smoke CI row"]
+fn view_batch_smoke() {
+    let w =
+        ModisWorkload { days: 14, scale: 0.05, seed: 33, cells_per_cycle: 100_000, ttl_days: 3 };
+    let export = |views: &query_engine::view::ViewRegistry| {
+        let mut bytes = durability::ByteWriter::new();
+        views.export_states(&mut bytes);
+        bytes.into_bytes()
+    };
+    for kind in PartitionerKind::ALL {
+        for k in [1, 2] {
+            let tag = format!("{kind}/modis-batch/k{k}");
+            let capacity = w.cells_per_cycle * 95;
+            let mut runner =
+                WorkloadRunner::new(&w, config(kind, capacity, StringEncoding::default(), k));
+            modis_batch_views().into_iter().for_each(|def| runner.register_view(def));
+            let mut retracted = 0u64;
+            for c in 0..w.days {
+                let report =
+                    runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
+                retracted += report.retracted_cells;
+                assert_views_match_recompute(&runner, &format!("{tag}/cycle{c}"));
+                if [4, 8, 12].contains(&c) {
+                    let bytes = export(runner.views());
+                    let mut reader = durability::ByteReader::new(&bytes);
+                    let imported = query_engine::view::ViewRegistry::import_states(
+                        modis_batch_views(),
+                        &mut reader,
+                    )
+                    .unwrap_or_else(|e| panic!("{tag}: cycle {c}: import: {e}"));
+                    assert!(reader.is_empty(), "{tag}: cycle {c}: import left bytes unread");
+                    assert!(export(&imported) == bytes, "{tag}: cycle {c}: re-export differs");
+                }
+            }
+            assert!(retracted > 0, "{tag}: TTL never expired a tile — vacuous");
+            for v in runner.views().views() {
+                let snap = v.snapshot();
+                assert!(
+                    !snap.rows.is_empty() || !snap.groups.is_empty(),
+                    "{tag}: view '{}' ended empty — vacuous",
+                    v.name()
+                );
+            }
+        }
     }
 }
