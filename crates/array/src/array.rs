@@ -1,7 +1,7 @@
 //! Arrays: a schema plus the (sparse) set of chunks that hold its cells.
 
-use crate::cells::{CellBuffer, ScriptGroups};
-use crate::chunk::{ArrayId, Chunk, ChunkDescriptor, ChunkKey};
+use crate::cells::{CellBuffer, RowGroups, ScriptGroups};
+use crate::chunk::{ArrayId, Chunk, ChunkDescriptor, ChunkKey, ColumnSet, Group};
 use crate::coords::{chunk_of, ChunkCoords};
 use crate::error::{ArrayError, Result};
 use crate::schema::ArraySchema;
@@ -44,7 +44,7 @@ pub struct Array {
     pub schema: ArraySchema,
     chunks: BTreeMap<ChunkCoords, Arc<Chunk>>,
     /// Physical representation of string columns in chunks this array
-    /// builds (per-cell inserts and the batch scatter alike).
+    /// builds (per-cell inserts and the batch kernel alike).
     encoding: StringEncoding,
 }
 
@@ -81,24 +81,15 @@ impl Array {
     ///
     /// Bit-identical to calling [`Array::insert_cell`] once per row in
     /// buffer order, but validated **once per batch** (shape via
-    /// [`CellBuffer::matches`], bounds via [`CellBuffer::route`]) and
-    /// copied column-at-a-time per chunk. All-or-nothing: any invalid row
-    /// fails the whole batch before the array is touched.
+    /// [`CellBuffer::matches`], bounds via [`RowGroups::of`]) and built
+    /// column-at-a-time per chunk ([`Chunk`]'s gather kernel).
+    /// All-or-nothing: any invalid row fails the whole batch before the
+    /// array is touched.
     pub fn insert_batch(&mut self, src: &CellBuffer) -> Result<()> {
         src.matches(&self.schema)?;
-        let routed = src.route(&self.schema)?;
-        // The whole batch in order: the plain range, so the sweeps pay no
-        // index-vector indirection.
-        let groups = crate::cells::group_rows_by_chunk(&routed, 0..src.len() as u32);
-        let built = Chunk::scatter_cells(
-            &self.schema,
-            crate::chunk::ColumnSet::Shared(src.columns()),
-            src.coords_flat(),
-            0..src.len() as u32,
-            &groups,
-            self.encoding,
-        );
-        self.merge_built(built);
+        let groups = RowGroups::of(&self.schema, src.coords_flat())?;
+        let all: Vec<_> = groups.iter().collect();
+        self.build(ColumnSet::Shared(src.columns()), src.coords_flat(), &all);
         Ok(())
     }
 
@@ -111,70 +102,45 @@ impl Array {
     /// (workers cannot move out of a shared batch).
     pub fn insert_batch_owned(&mut self, mut src: CellBuffer) -> Result<()> {
         src.matches(&self.schema)?;
-        let routed = src.route(&self.schema)?;
-        let rows = 0..src.len() as u32;
-        let groups = crate::cells::group_rows_by_chunk(&routed, rows.clone());
+        let groups = RowGroups::of(&self.schema, src.coords_flat())?;
+        let all: Vec<_> = groups.iter().collect();
         let (flat, cols) = src.parts_mut();
-        let built = Chunk::scatter_cells(
-            &self.schema,
-            crate::chunk::ColumnSet::Taken(cols),
-            flat,
-            rows,
-            &groups,
-            self.encoding,
-        );
-        self.merge_built(built);
+        self.build(ColumnSet::Taken(cols), flat, &all);
         Ok(())
     }
 
-    /// Insert the subset of `src`'s rows listed in `rows` (each `rows[i]`
-    /// indexes both the buffer and `routed`, its pre-computed chunk).
+    /// Insert the rows of the listed groups of `groups`, which must be
+    /// `src`'s own grouping under this array's schema
+    /// (`RowGroups::of(&array.schema, src.coords_flat())`).
     ///
     /// This is the worker half of sharded parallel chunk building: the
-    /// caller routes the batch once, partitions rows by chunk onto
-    /// workers, and each worker builds its disjoint chunk set with this
-    /// method. Rows must be listed in ascending order so in-chunk cell
-    /// order matches the sequential build. Shape is validated once per
-    /// call; `routed` must come from [`CellBuffer::route`] against this
-    /// array's schema (debug-asserted per row — a stale or
-    /// foreign-schema routing would otherwise file cells into chunks
-    /// that do not own them).
+    /// caller groups the batch once, deals whole groups — whole chunks —
+    /// onto workers, and each worker builds its disjoint chunk set with
+    /// this method through the same kernel as [`Array::insert_batch`].
+    /// A group keeps its rows in batch order whoever builds it, so the
+    /// result does not depend on the split. Shape is validated once per
+    /// call; the first row of each listed group is debug-asserted to
+    /// route where the group says (a foreign-schema grouping would
+    /// otherwise file cells into chunks that do not own them).
     ///
     /// # Panics
     ///
-    /// If a row index is out of range for the buffer or `routed` — an
-    /// index error, as with slice indexing, not a validation error.
-    pub fn insert_routed_rows(
+    /// If `groups` does not cover exactly `src`'s rows, or `which` names
+    /// a group it does not have — index errors, as with slice indexing,
+    /// not validation errors.
+    pub fn insert_groups(
         &mut self,
         src: &CellBuffer,
-        routed: &[ChunkCoords],
-        rows: &[u32],
+        groups: &RowGroups,
+        which: &[u32],
     ) -> Result<()> {
         src.matches(&self.schema)?;
-        assert!(
-            rows.iter().all(|&r| (r as usize) < src.len() && (r as usize) < routed.len()),
-            "row index out of range for a {}-row batch",
-            src.len()
-        );
-        #[cfg(debug_assertions)]
-        for &r in rows {
-            debug_assert_eq!(
-                routed[r as usize],
-                crate::coords::chunk_of(&self.schema, src.cell(r as usize))
-                    .expect("routed rows are in bounds"),
-                "routed[{r}] disagrees with chunk_of against this array's schema"
-            );
+        assert_eq!(groups.rows(), src.len(), "the grouping is not this batch's");
+        let listed: Vec<_> = which.iter().map(|&g| groups.group(g as usize)).collect();
+        for &(coords, rows) in &listed {
+            debug_assert_eq!(Ok(coords), chunk_of(&self.schema, src.cell(rows[0] as usize)));
         }
-        let groups = crate::cells::group_rows_by_chunk(routed, rows.iter().copied());
-        let built = Chunk::scatter_cells(
-            &self.schema,
-            crate::chunk::ColumnSet::Shared(src.columns()),
-            src.coords_flat(),
-            rows.iter().copied(),
-            &groups,
-            self.encoding,
-        );
-        self.merge_built(built);
+        self.build(ColumnSet::Shared(src.columns()), src.coords_flat(), &listed);
         Ok(())
     }
 
@@ -274,11 +240,11 @@ impl Array {
         (chunk.tombstone_count() > 0).then(|| Arc::make_mut(chunk).compact())
     }
 
-    /// Fold freshly scattered chunks into storage: a vacant position
-    /// takes the chunk wholesale; a revisited position appends —
+    /// Build one chunk per group and fold them into storage: a vacant
+    /// position takes the chunk wholesale; a revisited position appends —
     /// identical to per-cell insertion order.
-    fn merge_built(&mut self, built: Vec<Chunk>) {
-        for chunk in built {
+    fn build(&mut self, src: ColumnSet<'_>, flat: &[i64], groups: &[Group<'_>]) {
+        for chunk in Chunk::gather_cells(&self.schema, src, flat, groups, self.encoding) {
             match self.chunks.entry(chunk.coords) {
                 std::collections::btree_map::Entry::Vacant(e) => {
                     e.insert(Arc::new(chunk));
@@ -530,6 +496,78 @@ mod tests {
         a.compact_chunks();
         assert_eq!((a.cell_count(), a.byte_size()), (cells, bytes));
         assert!(a.chunks().all(|(_, c)| c.tombstone_count() == 0));
+    }
+
+    /// The same cells through `insert_cell` one by one and through one
+    /// `insert_batch`: equal chunk for chunk, or the same error.
+    fn per_cell_and_batch_agree(schema: &str, cells: &[i64]) -> Result<Array> {
+        let schema = ArraySchema::parse(schema).unwrap();
+        let mut buffer = CellBuffer::new(&schema);
+        let mut per_cell = Array::new(ArrayId(0), schema.clone());
+        let mut first_error = None;
+        for (&x, v) in cells.iter().zip(0i32..) {
+            buffer.push_row(&[x], &mut vec![ScalarValue::Int32(v)]).unwrap();
+            if let Err(e) = per_cell.insert_cell(vec![x], vec![ScalarValue::Int32(v)]) {
+                first_error.get_or_insert(e);
+            }
+        }
+        let mut batched = Array::new(ArrayId(0), schema);
+        match (batched.insert_batch(&buffer), first_error) {
+            (Ok(()), None) => {
+                let chunks =
+                    |a: &Array| a.chunks().map(|(c, k)| (*c, k.clone())).collect::<Vec<_>>();
+                assert_eq!(chunks(&batched), chunks(&per_cell));
+                Ok(batched)
+            }
+            (Err(batch), Some(cell)) => {
+                assert_eq!(batch, cell);
+                assert_eq!(batched.chunk_count(), 0, "a failed batch leaves the array untouched");
+                Err(batch)
+            }
+            (batch, cell) => panic!("insert_batch said {batch:?}, insert_cell said {cell:?}"),
+        }
+    }
+
+    /// ROADMAP 5a (i): a batch whose chunk-index box is as wide as `i64`
+    /// used to overflow `hi - lo + 1` while sizing the dense slot table.
+    #[test]
+    fn a_batch_spanning_the_whole_axis_groups_through_the_tree() {
+        let a = per_cell_and_batch_agree("A<v:int32>[x=0:*,1]", &[0, i64::MAX, 0]).unwrap();
+        assert_eq!(a.chunk_count(), 2);
+        assert_eq!(a.chunk(&ChunkCoords::new([0])).unwrap().cell_count(), 2);
+        assert_eq!(a.chunk(&ChunkCoords::new([i64::MAX])).unwrap().cell_count(), 1);
+    }
+
+    /// ROADMAP 5a (ii): `coord - start` overflowed for a negative start —
+    /// a panic in the test profile; in release the cell was filed under
+    /// chunk −2305843009213693950.
+    #[test]
+    fn insert_cell_files_the_far_end_of_a_negative_start_axis_correctly() {
+        let schema = ArraySchema::parse("A<v:int32>[x=-10:*,4]").unwrap();
+        let mut a = Array::new(ArrayId(0), schema.clone());
+        let at = a.insert_cell(vec![i64::MAX], vec![ScalarValue::Int32(1)]).unwrap();
+        // (2^63 - 1 + 10) / 4
+        assert_eq!(at, ChunkCoords::new([2_305_843_009_213_693_954]));
+        assert_eq!(chunk_of(&schema, &[i64::MAX]), Ok(at));
+        assert_eq!(schema.dimensions[0].chunk_index(i64::MAX), at.index(0));
+        let (lo, hi) = schema.dimensions[0].chunk_range(0);
+        assert_eq!((lo, hi), (-10, -7));
+    }
+
+    /// ROADMAP 5a (iii): the same cell through `insert_batch` panicked in
+    /// the test profile and in release disagreed with `insert_cell`.
+    #[test]
+    fn insert_batch_agrees_with_insert_cell_at_the_far_end_of_the_axis() {
+        let a = per_cell_and_batch_agree("A<v:int32>[x=-10:*,4]", &[i64::MAX, -10, 5]).unwrap();
+        assert_eq!(
+            a.chunks().map(|(c, _)| c.index(0)).collect::<Vec<_>>(),
+            [0, 3, 2_305_843_009_213_693_954]
+        );
+        // A chunk index that does not fit `i64` is out of bounds, typed,
+        // on both paths: `x=-10:*,1` would file `i64::MAX` under 2^63 + 9.
+        let err = per_cell_and_batch_agree("A<v:int32>[x=-10:*,1]", &[0, i64::MAX]).unwrap_err();
+        assert_eq!(err, ArrayError::OutOfBounds { dimension: "x".into(), coordinate: i64::MAX });
+        per_cell_and_batch_agree("A<v:int32>[x=-10:*,1]", &[i64::MAX - 10]).unwrap();
     }
 
     #[test]

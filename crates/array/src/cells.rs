@@ -6,19 +6,20 @@
 //! (stride = the schema's dimensionality) plus one typed
 //! [`AttributeColumn`] per attribute. Workload generators emit rows
 //! directly into this shape, so the whole row → chunk pipeline moves
-//! columns, not per-cell `Vec`s: routing reads coordinate slices in
-//! place, and chunk building copies column segments with the type
-//! dispatch hoisted out of the row loop (see [`Chunk::push_cells`]).
-//! String values intern into a per-column transport dictionary as they
-//! are emitted, so a buffered string is a `u32` code and the scatter
-//! into dictionary-encoded chunks is a code remap, not a string move.
+//! columns, not per-cell `Vec`s: [`RowGroups`] reads coordinate slices
+//! in place and sorts the batch's row *indices* by owning chunk, and
+//! chunk building gathers each column through that one row order (see
+//! [`Chunk::push_cells`]). String values intern into a per-column
+//! transport dictionary as they are emitted, so a buffered string is a
+//! `u32` code and building dictionary-encoded chunks is a code remap,
+//! not a string move.
 //!
 //! [`Chunk::push_cells`]: crate::chunk::Chunk::push_cells
 
 use crate::chunk::Chunk;
-use crate::coords::{chunk_of, ChunkCoords};
+use crate::coords::{chunk_of, ChunkCoords, MAX_DIMS};
 use crate::error::{ArrayError, Result};
-use crate::schema::ArraySchema;
+use crate::schema::{chunks_from_start, ArraySchema};
 use crate::value::{AttributeColumn, ScalarValue, StringEncoding};
 
 /// A batch of raw cells in flat columnar form, shaped by one schema.
@@ -50,7 +51,7 @@ impl CellBuffer {
     /// string into an uncapped per-column dictionary, so a buffered row's
     /// string values are `u32` codes and the whole batch carries each
     /// distinct string once. The storage-side cardinality cap is applied
-    /// per *chunk* column when the rows are scattered.
+    /// per *chunk* column when the rows are gathered into chunks.
     pub fn new(schema: &ArraySchema) -> Self {
         Self::with_encoding(schema, StringEncoding::transport())
     }
@@ -154,7 +155,7 @@ impl CellBuffer {
         &self.coords
     }
 
-    /// Split borrow for the consuming scatter: the coordinate buffer
+    /// Split borrow for the consuming build: the coordinate buffer
     /// (read) alongside mutable columns (values are *moved* out).
     pub(crate) fn parts_mut(&mut self) -> (&[i64], &mut [AttributeColumn]) {
         (&self.coords, &mut self.columns)
@@ -188,16 +189,6 @@ impl CellBuffer {
             }
         }
         Ok(())
-    }
-
-    /// Map every row to its owning chunk (pure in the cell, see
-    /// [`chunk_of`]), validating bounds for the whole batch before any
-    /// consumer mutates state. Errors at the first out-of-bounds row.
-    pub fn route(&self, schema: &ArraySchema) -> Result<Vec<ChunkCoords>> {
-        if self.ndims != schema.ndims() {
-            return Err(ArrayError::Arity { expected: schema.ndims(), got: self.ndims });
-        }
-        route_cells(schema, &self.coords)
     }
 
     /// Serialize the batch verbatim — stride, flat coordinates, typed
@@ -286,40 +277,226 @@ impl CellBuffer {
     }
 }
 
-/// Map every cell of a flat coordinate buffer (stride = the schema's
-/// dimensionality, which the caller has checked) to its owning chunk.
-/// Errors at the first out-of-bounds cell.
-fn route_cells(schema: &ArraySchema, flat: &[i64]) -> Result<Vec<ChunkCoords>> {
-    let nd = schema.ndims().max(1);
-    // Per-dimension parameters hoisted out of the row loop. The body
-    // must agree with [`chunk_of`] — after the bounds check the
-    // numerator is non-negative, so `chunk_index`'s `div_euclid`
-    // reduces to the plain unsigned division used here (pinned by
-    // the debug assertion and the batch-vs-per-cell property tests).
-    let mut dims = [(0i64, 1i64, None::<i64>); crate::coords::MAX_DIMS];
-    for (slot, d) in dims.iter_mut().zip(&schema.dimensions) {
-        *slot = (d.start, d.chunk_interval, d.end);
-    }
-    // Sized up front: collecting an iterator of `Result`s would drop
-    // the size hint and regrow the 72-byte-per-row buffer log(n)
-    // times.
-    let mut out = Vec::with_capacity(flat.len() / nd);
-    for cell in flat.chunks_exact(nd) {
-        let mut cc = ChunkCoords::zeros(nd);
-        let slots = cc.as_mut_slice();
-        for (d, (&coord, &(start, interval, end))) in cell.iter().zip(&dims).enumerate() {
-            if coord < start || end.is_some_and(|e| coord > e) {
-                return Err(ArrayError::OutOfBounds {
-                    dimension: schema.dimensions[d].name.clone(),
-                    coordinate: coord,
-                });
-            }
-            slots[d] = ((coord - start) as u64 / interval as u64) as i64;
+/// Largest chunk-index bounding-box volume the dense grouping table will
+/// allocate for (u32 slots, so 4 MB at the cap). A batch whose chunks
+/// span more positions than this groups through a tree.
+const DENSE_GROUP_MAX_VOLUME: usize = 1 << 20;
+
+/// The row → chunk partition of one flat coordinate buffer: which
+/// distinct chunks the rows touch and, per chunk, which rows — the one
+/// grouping batch insert, the sharded build and retraction scripts all
+/// start from.
+///
+/// Groups ascend by chunk position (row-major). `order` lists every row
+/// **group-major**: group `g` owns `order[starts[g]..starts[g + 1]]`,
+/// and inside that stretch rows keep batch order — which is what per-cell
+/// insertion order means, so a chunk gathered through its stretch is the
+/// chunk sequential inserts would have built.
+///
+/// # Cost
+///
+/// Two passes over the coordinates and one counting sort; per row a
+/// 4-byte group id and a 4-byte `order` entry, never a routed
+/// [`ChunkCoords`] (72 B — more than the row itself becomes in a chunk).
+///
+/// 1. **Check.** Every coordinate is compared against its dimension's
+///    range (all-or-nothing: the first offending row and dimension is the
+///    error, exactly as a per-cell [`chunk_of`] loop would report it) and
+///    folded into the batch's *coordinate* bounding box. No division: the
+///    chunk index is monotone in the coordinate, so the chunk-index box
+///    is the chunk index of the coordinate box's corners.
+/// 2. **Group.** Each row's chunk index is linearised against that box
+///    straight into a dense slot table that hands out group ids in
+///    first-seen order; a [`ChunkCoords`] is materialised once per
+///    *group*. A box wider than [`DENSE_GROUP_MAX_VOLUME`] positions (or
+///    one whose span overflows) keys a tree on a stack [`ChunkCoords`]
+///    per row instead.
+/// 3. **Sort.** The groups (a few hundred) are ranked by position, their
+///    sizes prefix-summed into `starts`, and one counting-sort sweep
+///    drops each row index into its group's stretch of `order`.
+///
+/// [`chunk_of`]: crate::coords::chunk_of
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowGroups {
+    coords: Vec<ChunkCoords>,
+    starts: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl RowGroups {
+    /// Group the rows of `flat` (row-major cell coordinates, stride =
+    /// `schema`'s dimensionality). All-or-nothing: a ragged buffer is
+    /// [`ArrayError::Arity`], more rows than a `u32` indexes
+    /// [`ArrayError::TooManyRows`], a cell outside the declared ranges
+    /// (or whose chunk index leaves `i64`) [`ArrayError::OutOfBounds`]
+    /// naming the first such row's first such dimension.
+    pub fn of(schema: &ArraySchema, flat: &[i64]) -> Result<Self> {
+        let nd = schema.ndims().max(1);
+        if !flat.len().is_multiple_of(nd) {
+            return Err(ArrayError::Arity { expected: nd, got: flat.len() % nd });
         }
-        debug_assert_eq!(cc, chunk_of(schema, cell).expect("bounds were checked"));
-        out.push(cc);
+        let n = flat.len() / nd;
+        // Rows are indexed by `u32` from here on.
+        u32::try_from(n).map_err(|_| ArrayError::TooManyRows(n))?;
+        if n == 0 {
+            return Ok(RowGroups { coords: Vec::new(), starts: vec![0], order: Vec::new() });
+        }
+        // Per-dimension parameters, hoisted out of the row loops.
+        let mut dims = [(0i64, 1i64, i64::MAX); MAX_DIMS];
+        for (slot, d) in dims.iter_mut().zip(&schema.dimensions) {
+            *slot = (d.start, d.chunk_interval, d.last_indexable());
+        }
+        let dims = &dims[..nd];
+
+        // Pass 1: bounds, and the coordinate bounding box.
+        let mut lo = [i64::MAX; MAX_DIMS];
+        let mut hi = [i64::MIN; MAX_DIMS];
+        for cell in flat.chunks_exact(nd) {
+            for (d, (&coord, &(start, _, last))) in cell.iter().zip(dims).enumerate() {
+                if coord < start || coord > last {
+                    return Err(ArrayError::OutOfBounds {
+                        dimension: schema.dimensions[d].name.clone(),
+                        coordinate: coord,
+                    });
+                }
+                lo[d] = lo[d].min(coord);
+                hi[d] = hi[d].max(coord);
+            }
+        }
+        // `DimensionDef::try_chunk_index` with the parameters hoisted: at
+        // or below `last_indexable`, so the quotient fits `i64`.
+        let index = |d: usize, coord: i64| {
+            let (start, interval, _) = dims[d];
+            chunks_from_start(start, interval, coord) as i64
+        };
+        // The chunk-index box and its volume; `None` when a span or the
+        // product overflows or passes the dense cap.
+        let mut base = [0i64; MAX_DIMS];
+        let mut span = [1usize; MAX_DIMS];
+        let mut volume = Some(1usize);
+        for d in 0..nd {
+            base[d] = index(d, lo[d]);
+            let width = index(d, hi[d])
+                .checked_sub(base[d])
+                .and_then(|w| w.checked_add(1))
+                .and_then(|w| usize::try_from(w).ok());
+            span[d] = width.unwrap_or(0);
+            volume = volume
+                .zip(width)
+                .and_then(|(v, w)| v.checked_mul(w))
+                .filter(|&v| v <= DENSE_GROUP_MAX_VOLUME);
+        }
+
+        // Pass 2: a first-seen group id per row, a `ChunkCoords` per group.
+        let mut coords: Vec<ChunkCoords> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut group_of: Vec<u32> = Vec::with_capacity(n);
+        let chunk_at = |cell: &[i64]| {
+            let mut cc = ChunkCoords::zeros(nd);
+            for (d, (slot, &coord)) in cc.as_mut_slice().iter_mut().zip(cell).enumerate() {
+                *slot = index(d, coord);
+            }
+            debug_assert_eq!(Ok(cc), chunk_of(schema, cell));
+            cc
+        };
+        if let Some(volume) = volume {
+            let mut slots = vec![u32::MAX; volume];
+            for cell in flat.chunks_exact(nd) {
+                let mut lin = 0usize;
+                for (d, &coord) in cell.iter().enumerate() {
+                    lin = lin * span[d] + (index(d, coord) - base[d]) as usize;
+                }
+                let slot = &mut slots[lin];
+                if *slot == u32::MAX {
+                    // Groups never outnumber rows, which fit `u32`.
+                    *slot = coords.len() as u32;
+                    coords.push(chunk_at(cell));
+                    counts.push(0);
+                }
+                counts[*slot as usize] += 1;
+                group_of.push(*slot);
+            }
+        } else {
+            let mut ids = std::collections::BTreeMap::new();
+            for cell in flat.chunks_exact(nd) {
+                let cc = chunk_at(cell);
+                let id = *ids.entry(cc).or_insert_with(|| {
+                    coords.push(cc);
+                    counts.push(0);
+                    coords.len() as u32 - 1
+                });
+                counts[id as usize] += 1;
+                group_of.push(id);
+            }
+        }
+
+        // Rank the groups by position, lay their stretches out in that
+        // order, and counting-sort the rows into them.
+        let mut by_position: Vec<u32> = (0..coords.len() as u32).collect();
+        by_position.sort_unstable_by_key(|&g| coords[g as usize]);
+        let mut starts = Vec::with_capacity(coords.len() + 1);
+        let mut next = vec![0u32; coords.len()];
+        let mut at = 0u32;
+        for &g in &by_position {
+            starts.push(at);
+            next[g as usize] = at;
+            at += counts[g as usize];
+        }
+        starts.push(at);
+        let mut order = vec![0u32; n];
+        for (row, &g) in (0u32..).zip(&group_of) {
+            let at = &mut next[g as usize];
+            order[*at as usize] = row;
+            *at += 1;
+        }
+        let coords = by_position.iter().map(|&g| coords[g as usize]).collect();
+        Ok(RowGroups { coords, starts, order })
     }
-    Ok(out)
+
+    /// Number of groups (distinct chunks touched).
+    pub fn len(&self) -> usize {
+        self.coords.len()
+    }
+
+    /// True when no row was grouped.
+    pub fn is_empty(&self) -> bool {
+        self.coords.is_empty()
+    }
+
+    /// Number of rows grouped.
+    pub fn rows(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Chunk position of each group, ascending (row-major).
+    pub fn coords(&self) -> &[ChunkCoords] {
+        &self.coords
+    }
+
+    /// Group `g` owns `order()[starts()[g]..starts()[g + 1]]`; one entry
+    /// more than there are groups.
+    pub fn starts(&self) -> &[u32] {
+        &self.starts
+    }
+
+    /// Every row, group-major; batch order within a group.
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// Group `g`: its chunk position and its rows in batch order.
+    ///
+    /// # Panics
+    ///
+    /// If `g` is not a group.
+    pub fn group(&self, g: usize) -> (ChunkCoords, &[u32]) {
+        (self.coords[g], &self.order[self.starts[g] as usize..self.starts[g + 1] as usize])
+    }
+
+    /// Every group, ascending by chunk position.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (ChunkCoords, &[u32])> + '_ {
+        (0..self.len()).map(|g| self.group(g))
+    }
 }
 
 /// A flat retraction script regrouped by owning chunk: each chunk's
@@ -327,20 +504,19 @@ fn route_cells(schema: &ArraySchema, flat: &[i64]) -> Result<Vec<ChunkCoords>> {
 /// (row-major), plus the way back — which group and which regrouped
 /// position each script cell went to — so per-chunk results can be read
 /// out again **in script order** ([`ScriptMatch::hits_in_script_order`]).
-/// Built once per script with the ingest path's row grouping; the
+/// Built once per script from the ingest path's [`RowGroups`]; the
 /// array's and the runner's retraction both walk it chunk by chunk.
 pub struct ScriptGroups {
     nd: usize,
-    /// Chunk position of each group, ascending.
-    coords: Vec<ChunkCoords>,
-    /// `ends[g]`: one past group `g`'s last regrouped cell.
-    ends: Vec<usize>,
+    /// The script's rows by chunk; regrouped position `p` holds script
+    /// cell `groups.order()[p]`.
+    groups: RowGroups,
     /// The script's cells, regrouped (flat, stride `nd`).
     cells: Vec<i64>,
     /// Script cell → its group.
     group_of: Vec<u32>,
     /// Script cell → its regrouped position.
-    regrouped: Vec<usize>,
+    regrouped: Vec<u32>,
 }
 
 /// One chunk's share of a [`ScriptGroups`].
@@ -363,44 +539,25 @@ impl<'a> ScriptGroup<'a> {
 
 impl ScriptGroups {
     /// Regroup `flat` (row-major cell coordinates, stride = `schema`'s
-    /// dimensionality). All-or-nothing: a ragged buffer is
-    /// [`ArrayError::Arity`], a cell outside the declared dimension
-    /// ranges [`ArrayError::OutOfBounds`], before anything is matched.
+    /// dimensionality) through [`RowGroups::of`], whose all-or-nothing
+    /// errors these are: nothing is matched before the whole script is
+    /// well-formed and in bounds.
     pub fn of(schema: &ArraySchema, flat: &[i64]) -> Result<Self> {
         let nd = schema.ndims().max(1);
-        if !flat.len().is_multiple_of(nd) {
-            return Err(ArrayError::Arity { expected: nd, got: flat.len() % nd });
+        let groups = RowGroups::of(schema, flat)?;
+        let mut cells = Vec::with_capacity(flat.len());
+        let mut group_of = vec![0u32; groups.rows()];
+        let mut regrouped = vec![0u32; groups.rows()];
+        for (g, (_, members)) in (0u32..).zip(groups.iter()) {
+            for &cell in members {
+                let cell = cell as usize;
+                group_of[cell] = g;
+                // A position in `order`, which `RowGroups::of` bounded.
+                regrouped[cell] = (cells.len() / nd) as u32;
+                cells.extend_from_slice(&flat[cell * nd..][..nd]);
+            }
         }
-        let routed = route_cells(schema, flat)?;
-        // The grouping indexes rows by `u32`, as every batch does.
-        let n = u32::try_from(routed.len()).map_err(|_| ArrayError::TooManyRows(routed.len()))?;
-        let groups = group_rows_by_chunk(&routed, 0..n);
-        // Group ids come out in first-seen order; rank them row-major so
-        // the walk is deterministic in the chunk, not in the script.
-        let mut by_coords: Vec<usize> = (0..groups.coords.len()).collect();
-        by_coords.sort_unstable_by_key(|&g| groups.coords[g]);
-        let mut rank = vec![0u32; by_coords.len()];
-        let mut next = Vec::with_capacity(by_coords.len());
-        let mut ends = Vec::with_capacity(by_coords.len());
-        let mut end = 0usize;
-        for (r, &g) in by_coords.iter().enumerate() {
-            rank[g] = r as u32; // r < groups ≤ n, which fits (checked above)
-            next.push(end);
-            end += groups.counts[g] as usize;
-            ends.push(end);
-        }
-        let mut cells = vec![0i64; flat.len()];
-        let mut regrouped = Vec::with_capacity(routed.len());
-        let mut group_of = groups.group_of;
-        for (cell, g) in flat.chunks_exact(nd).zip(&mut group_of) {
-            *g = rank[*g as usize];
-            let at = &mut next[*g as usize];
-            cells[*at * nd..][..nd].copy_from_slice(cell);
-            regrouped.push(*at);
-            *at += 1;
-        }
-        let coords = by_coords.iter().map(|&g| groups.coords[g]).collect();
-        Ok(ScriptGroups { nd, coords, ends, cells, group_of, regrouped })
+        Ok(ScriptGroups { nd, groups, cells, group_of, regrouped })
     }
 
     /// Cells in the script.
@@ -415,12 +572,14 @@ impl ScriptGroups {
 
     /// The groups, ascending by chunk position.
     pub fn groups(&self) -> impl Iterator<Item = ScriptGroup<'_>> {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        self.coords.iter().zip(starts.zip(&self.ends)).map(|(&coords, (start, &end))| ScriptGroup {
-            coords,
-            range: start..end,
-            cells: &self.cells[start * self.nd..end * self.nd],
-            nd: self.nd,
+        self.groups.coords().iter().zip(self.groups.starts().windows(2)).map(|(&coords, w)| {
+            let range = w[0] as usize..w[1] as usize;
+            ScriptGroup {
+                coords,
+                cells: &self.cells[range.start * self.nd..range.end * self.nd],
+                range,
+                nd: self.nd,
+            }
         })
     }
 
@@ -432,7 +591,7 @@ impl ScriptGroups {
         mut chunk_at: impl FnMut(&ChunkCoords) -> Option<&'c Chunk>,
     ) -> ScriptMatch<'_, 'c> {
         let mut rows = Vec::with_capacity(self.len());
-        let mut sources = Vec::with_capacity(self.coords.len());
+        let mut sources = Vec::with_capacity(self.groups.len());
         for group in self.groups() {
             let chunk = chunk_at(&group.coords);
             match chunk {
@@ -460,7 +619,7 @@ impl<'c> ScriptMatch<'_, 'c> {
     pub fn hits_in_script_order(&self) -> impl Iterator<Item = (&'c Chunk, usize)> + '_ {
         self.script.group_of.iter().zip(&self.script.regrouped).filter_map(|(&g, &at)| {
             let chunk = self.sources[g as usize]?;
-            Some((chunk, self.rows[at]? as usize))
+            Some((chunk, self.rows[at as usize]? as usize))
         })
     }
 
@@ -469,103 +628,6 @@ impl<'c> ScriptMatch<'_, 'c> {
     pub fn into_rows(self) -> Vec<Option<u32>> {
         self.rows
     }
-}
-
-/// Largest chunk-coordinate bounding-box volume the dense row-grouping
-/// index will allocate for (u32 slots, so 4 MB at the cap). A batch
-/// whose chunks span more positions than this falls back to tree-based
-/// grouping.
-const DENSE_GROUP_MAX_VOLUME: usize = 1 << 20;
-
-/// The row → chunk partition of one batch: which distinct chunks the
-/// listed rows touch, and each listed row's group, positionally aligned
-/// with the caller's row list. Group ids are assigned in first-seen
-/// order; group *ordering* is unspecified (each chunk is built
-/// independently), within-group row order is what determinism rides on.
-pub(crate) struct RowGroups {
-    /// Chunk position of each group.
-    pub coords: Vec<ChunkCoords>,
-    /// Rows per group.
-    pub counts: Vec<u32>,
-    /// `group_of[i]` is the group of the i-th *listed* row.
-    pub group_of: Vec<u32>,
-}
-
-/// A re-iterable selection of batch rows. The whole-batch case is the
-/// plain range `0..n` — no index vector, no per-access indirection; the
-/// sharded build workers pass their bucketed index lists.
-pub(crate) trait RowSel: Iterator<Item = u32> + Clone {}
-impl<I: Iterator<Item = u32> + Clone> RowSel for I {}
-
-/// Partition the selected rows by their routed chunk.
-///
-/// The common case runs dense: one pass computes the per-dimension
-/// bounding box of the routed coordinates, and — when its volume is
-/// modest, which holds for every workload batch (a cycle touches a few
-/// thousand chunk positions) — each row's group is found by indexing a
-/// flat slot table with the linearized coordinate, O(1) with no hashing
-/// or tree probes. Batches spanning a huge coordinate box fall back to a
-/// `BTreeMap`.
-pub(crate) fn group_rows_by_chunk(routed: &[ChunkCoords], rows: impl RowSel) -> RowGroups {
-    let mut out = RowGroups { coords: Vec::new(), counts: Vec::new(), group_of: Vec::new() };
-    let Some(first) = rows.clone().next() else { return out };
-    out.group_of.reserve(rows.size_hint().0);
-    let nd = routed[first as usize].ndims();
-    // Bounding box of the routed chunk coordinates over the listed rows.
-    let mut lo = routed[first as usize];
-    let mut hi = lo;
-    for r in rows.clone() {
-        let c = &routed[r as usize];
-        for d in 0..nd {
-            lo[d] = lo[d].min(c.index(d));
-            hi[d] = hi[d].max(c.index(d));
-        }
-    }
-    let mut volume = 1usize;
-    let mut dense = true;
-    for d in 0..nd {
-        match (hi[d] - lo[d] + 1).try_into().ok().and_then(|s: usize| volume.checked_mul(s)) {
-            Some(v) if v <= DENSE_GROUP_MAX_VOLUME => volume = v,
-            _ => {
-                dense = false;
-                break;
-            }
-        }
-    }
-    if dense {
-        let mut slots = vec![u32::MAX; volume];
-        for r in rows {
-            let c = &routed[r as usize];
-            let mut lin = 0usize;
-            for d in 0..nd {
-                lin = lin * (hi[d] - lo[d] + 1) as usize + (c.index(d) - lo[d]) as usize;
-            }
-            let slot = &mut slots[lin];
-            if *slot == u32::MAX {
-                *slot = out.coords.len() as u32;
-                out.coords.push(*c);
-                out.counts.push(0);
-            }
-            out.counts[*slot as usize] += 1;
-            out.group_of.push(*slot);
-        }
-    } else {
-        // Degenerate coordinate span: assign group ids through a tree.
-        let mut ids: std::collections::BTreeMap<ChunkCoords, u32> =
-            std::collections::BTreeMap::new();
-        for r in rows {
-            let c = routed[r as usize];
-            let next = out.coords.len() as u32;
-            let id = *ids.entry(c).or_insert_with(|| {
-                out.coords.push(c);
-                out.counts.push(0);
-                next
-            });
-            out.counts[id as usize] += 1;
-            out.group_of.push(id);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -619,13 +681,16 @@ mod tests {
         assert!(buf.matches(&s).is_ok());
         let other = ArraySchema::parse("B<i:int32>[x=0:7,2, y=0:7,2]").unwrap();
         assert!(matches!(buf.matches(&other), Err(ArrayError::Arity { .. })));
-        let routed = buf.route(&s).unwrap();
-        assert_eq!(routed, vec![ChunkCoords::new([0, 0])]);
+        let routed = RowGroups::of(&s, buf.coords_flat()).unwrap();
+        assert_eq!(routed.coords(), [ChunkCoords::new([0, 0])]);
         // An out-of-bounds row fails the whole batch before any mutation.
         vals.extend([ScalarValue::Int32(2), ScalarValue::Str("y".into())]);
         buf.push_row(&[7, 7], &mut vals).unwrap();
-        assert_eq!(buf.route(&s).unwrap().len(), 2);
+        assert_eq!(RowGroups::of(&s, buf.coords_flat()).unwrap().len(), 2);
         let tight = ArraySchema::parse("A<i:int32, s:string>[x=0:3,2, y=0:3,2]").unwrap();
-        assert!(matches!(buf.route(&tight), Err(ArrayError::OutOfBounds { .. })));
+        assert!(matches!(
+            RowGroups::of(&tight, buf.coords_flat()),
+            Err(ArrayError::OutOfBounds { .. })
+        ));
     }
 }

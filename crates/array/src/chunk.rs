@@ -6,12 +6,23 @@
 //! cell count — that partitioners and the cluster simulator reason about.
 //! At paper scale (hundreds of GB) only descriptors are materialized;
 //! tests and examples materialize full chunks.
+//!
+//! Chunks are built a batch at a time by one kernel,
+//! `Chunk::gather_cells`: the batch's rows are grouped by owning chunk
+//! once ([`RowGroups`](crate::RowGroups)) and every chunk buffer —
+//! coordinates, then each attribute column — is gathered through that
+//! one group-major row order into its final, exactly sized allocation.
+//! [`Array::insert_batch`](crate::Array::insert_batch), its consuming
+//! twin, [`Chunk::push_cells`] (one group) and the sharded build's
+//! workers ([`Array::insert_groups`](crate::Array::insert_groups)) all
+//! run it; per-cell [`Chunk::push_cell`] is the reference it is held
+//! equal to.
 
-use crate::cells::{CellBuffer, RowGroups, RowSel};
+use crate::cells::CellBuffer;
 use crate::coords::ChunkCoords;
 use crate::error::{ArrayError, Result};
 use crate::schema::ArraySchema;
-use crate::value::{AttributeColumn, DictColumn, ScalarValue, StringEncoding};
+use crate::value::{AttributeColumn, DictColumn, ScalarValue, StringDict, StringEncoding};
 use crate::zone::ZoneMap;
 use serde::{Deserialize, Serialize};
 
@@ -209,10 +220,11 @@ impl Chunk {
     /// nothing is appended. The caller is responsible for having routed
     /// every listed row to this chunk.
     ///
-    /// Convenience API: it scatters into a temporary chunk and appends
-    /// it, paying one extra copy so the copy/byte-accounting code lives
-    /// only in the scatter. The hot paths ([`crate::Array`]'s batch
-    /// inserts) scatter straight into their destination chunks.
+    /// Convenience API: it gathers the rows into a temporary chunk — the
+    /// batch kernel (`Chunk::gather_cells`) over one group — and
+    /// appends it, paying one extra copy so the copy/byte-accounting code
+    /// lives only in the kernel. The hot paths ([`crate::Array`]'s batch
+    /// inserts) gather straight into their destination chunks.
     ///
     /// # Panics
     ///
@@ -234,122 +246,127 @@ impl Chunk {
             "row index out of range for a {}-row batch",
             src.len()
         );
-        // One-group scatter, then a wholesale append — the same copy and
-        // byte-accounting code the batch pipeline runs, so the two paths
-        // cannot drift. The temporary takes this chunk's own string
-        // encoding; `append` reconciles representations either way.
-        let groups = RowGroups {
-            coords: vec![self.coords],
-            counts: vec![rows.len() as u32],
-            group_of: vec![0; rows.len()],
-        };
-        let mut built = Chunk::scatter_cells(
+        // The temporary takes this chunk's own string encoding; `append`
+        // reconciles representations either way.
+        let mut built = Chunk::gather_cells(
             schema,
             ColumnSet::Shared(src.columns()),
             src.coords_flat(),
-            rows.iter().copied(),
-            &groups,
+            &[(self.coords, rows)],
             self.encoding,
         );
         self.append(built.pop().expect("exactly one group"));
         Ok(())
     }
 
-    /// Build one chunk per group of `groups`, scattering the listed rows
-    /// of `src` into them in a **column-major sweep**: for the coordinate
-    /// buffer and then for every attribute, one sequential pass over the
-    /// source rows appends each value to its group's chunk. The source
-    /// reads stream (hardware-prefetch friendly) and the append targets
-    /// are one growing tail per group — a working set that stays
-    /// cache-resident — instead of the gather pattern's random reads
-    /// across the whole batch per chunk. Capacities come from the group
-    /// counts, so every buffer is sized exactly once.
+    /// The chunk-build kernel: one chunk per `(position, rows)` group,
+    /// each **gathered** from the batch — for the coordinate buffer and
+    /// then for every attribute, column by column, group `g`'s buffer is
+    /// one exact-size `extend` over `src[rows_g[0]], src[rows_g[1]], …`.
+    ///
+    /// # Cost contract
+    ///
+    /// The caller has paid one division pass and one counting sort
+    /// ([`RowGroups`](crate::RowGroups): the groups are stretches of its
+    /// one group-major row order). From there every value costs one
+    /// sequential write into its final, exactly sized buffer and one
+    /// random read inside the single source column being walked (0.8 MB
+    /// of `int32`, 1.6 MB of `int64` for a 200 k-row batch — cache-sized,
+    /// where the whole batch is not). Nothing is kept per value besides:
+    /// no destination `Vec` header is chased, no capacity is checked, no
+    /// length is stored until the group is done.
+    ///
+    /// The kernel this replaced *scattered*: one sweep per column in
+    /// batch order, `dsts[group_of[i]].push(src[i])`. Sequential reads,
+    /// but every value paid a pointer chase to its group's `Vec` header,
+    /// a capacity check and a length store across a few hundred append
+    /// tails (≈ 3.5 ns a value), and its grouping wrote a 72-byte routed
+    /// [`ChunkCoords`] per row and read them back twice. Measured on two
+    /// CPUs, 200 k AIS rows into 333–338 chunks of 10 attributes, ms per
+    /// build at steady state, scatter → gather: grouping 7.2 → 2.4, chunk
+    /// allocation 0.55 → 0.15, coordinates 1.6 → 1.25, an `int32` column
+    /// 0.70 → 0.27, `int64` 0.90 → 0.42, `char` 0.52 → 0.17, the
+    /// 128-string `receiver_id` 4.8 → 2.1, the one-string `provenance`
+    /// 1.45 → 0.37; 24–25 → 11.4 in all. Zone maps (2.2–2.7, now the
+    /// largest single phase) stay a separate fold over the built
+    /// buffers: bound by re-reading the 14 MB just written, not by its
+    /// own arithmetic — fusing it into the gather is open.
+    ///
+    /// # Strings
+    ///
+    /// A dictionary-encoded source column walks **one group at a time**
+    /// with one reusable `source code → chunk code` table for the whole
+    /// column: a code the group has not seen takes the next chunk code
+    /// and joins the group's seen-list; after the group the table is
+    /// reset through that list. A group that saw more distinct strings
+    /// than the cap has its column rebuilt plain from the same rows —
+    /// the state sequential insertion reaches; otherwise its dictionary
+    /// is bulk-built from the seen-list
+    /// ([`StringDict::from_distinct`](crate::StringDict): sized once,
+    /// each source entry's hash computed once per batch column, not per
+    /// chunk). No per-row string traffic, no `groups × dictionary` table.
     ///
     /// `src` distinguishes a borrowed batch (values cloned) from a
-    /// consumed one (variable-width values **moved** out — the hot
-    /// single-threaded ingest path, where a row's strings are allocated
-    /// once by the generator and never re-allocated downstream).
-    /// `encoding` is the **storage-side** string representation the built
-    /// chunks should carry; a dictionary-encoded batch scatters into
-    /// dictionary chunks by remapping `u32` codes (no per-row string
-    /// traffic at all), spilling any chunk whose column exceeds the cap.
-    ///
-    /// The caller has already validated the batch against `schema`
-    /// ([`crate::CellBuffer::matches`]); row order within each group is
+    /// consumed one (plain strings **moved** out — each listed row must
+    /// then be listed once). `encoding` is the **storage-side** string
+    /// representation the built chunks carry. The caller has validated
+    /// the batch against `schema` ([`crate::CellBuffer::matches`]) and
+    /// every row index against the batch; row order within a chunk is
     /// the listed order, identical to per-cell insertion.
-    pub(crate) fn scatter_cells(
+    pub(crate) fn gather_cells(
         schema: &ArraySchema,
         src: ColumnSet<'_>,
         flat: &[i64],
-        rows: impl RowSel,
-        groups: &RowGroups,
+        groups: &[Group<'_>],
         encoding: StringEncoding,
     ) -> Vec<Chunk> {
         let nd = schema.ndims();
+        // Specialize on the (tiny) dimensionality: a cell is then a
+        // fixed-size array and a group's coordinates one exact collect.
+        fn coords_of<const ND: usize>(flat: &[i64], rows: &[u32]) -> Vec<i64> {
+            let (cells, _) = flat.as_chunks::<ND>();
+            rows.iter().map(|&r| cells[r as usize]).collect::<Vec<_>>().into_flattened()
+        }
         let mut out: Vec<Chunk> = groups
-            .coords
             .iter()
-            .zip(&groups.counts)
-            .map(|(&coords, &n)| {
+            .map(|&(coords, rows)| {
                 let mut chunk = Chunk::with_encoding(schema, coords, encoding);
-                let n = n as usize;
-                chunk.cell_coords.reserve(n * nd);
-                for col in &mut chunk.columns {
-                    col.reserve(n);
-                }
+                chunk.cell_coords = match nd {
+                    1 => coords_of::<1>(flat, rows),
+                    2 => coords_of::<2>(flat, rows),
+                    3 => coords_of::<3>(flat, rows),
+                    4 => coords_of::<4>(flat, rows),
+                    _ => {
+                        let mut cells = Vec::with_capacity(rows.len() * nd);
+                        for &r in rows {
+                            cells.extend_from_slice(&flat[r as usize * nd..][..nd]);
+                        }
+                        cells
+                    }
+                };
                 // Cell count and coordinate bytes are known up front; the
-                // column sweeps below add each column's bytes.
-                chunk.cells = n as u64;
-                chunk.bytes = (n * nd * 8) as u64;
+                // column gathers below add each column's bytes.
+                chunk.cells = rows.len() as u64;
+                chunk.bytes = (rows.len() * nd * 8) as u64;
                 chunk
             })
             .collect();
-        // Specialize the sweep on the (tiny) dimensionality so the inner
-        // copy unrolls to straight-line pushes instead of a per-row
-        // variable-length memcpy.
-        fn sweep<const ND: usize>(
-            out: &mut [Chunk],
-            flat: &[i64],
-            rows: impl RowSel,
-            group_of: &[u32],
-        ) {
-            for (i, r) in rows.enumerate() {
-                let g = group_of[i] as usize;
-                let s: &[i64; ND] = flat[r as usize * ND..r as usize * ND + ND]
-                    .try_into()
-                    .expect("stride-exact slice");
-                out[g].cell_coords.extend_from_slice(s);
-            }
-        }
-        match nd {
-            1 => sweep::<1>(&mut out, flat, rows.clone(), &groups.group_of),
-            2 => sweep::<2>(&mut out, flat, rows.clone(), &groups.group_of),
-            3 => sweep::<3>(&mut out, flat, rows.clone(), &groups.group_of),
-            4 => sweep::<4>(&mut out, flat, rows.clone(), &groups.group_of),
-            _ => {
-                for (i, r) in rows.clone().enumerate() {
-                    let g = groups.group_of[i] as usize;
-                    let r = r as usize;
-                    out[g].cell_coords.extend_from_slice(&flat[r * nd..r * nd + nd]);
-                }
-            }
-        }
         match src {
             ColumnSet::Shared(cols) => {
                 for (a, src_col) in cols.iter().enumerate() {
-                    scatter_column(&mut out, a, src_col, rows.clone(), groups);
+                    gather_column(&mut out, a, src_col, groups, encoding);
                 }
             }
             ColumnSet::Taken(cols) => {
                 for (a, src_col) in cols.iter_mut().enumerate() {
-                    scatter_column_taking(&mut out, a, src_col, rows.clone(), groups);
+                    gather_column_taking(&mut out, a, src_col, groups, encoding);
                 }
             }
         }
-        // Freshly scattered chunks are tombstone-free, so the canonical
+        // Freshly gathered chunks are tombstone-free, so the canonical
         // fold over the built buffers yields a tight zone map.
         for chunk in &mut out {
-            chunk.zone = ZoneMap::compute(nd, &chunk.cell_coords, &chunk.columns);
+            chunk.zone.fold_rows(&chunk.cell_coords, &chunk.columns);
         }
         out
     }
@@ -837,7 +854,7 @@ impl Chunk {
     }
 }
 
-/// How [`Chunk::scatter_cells`] reads the batch's attribute columns:
+/// How [`Chunk::gather_cells`] reads the batch's attribute columns:
 /// borrowed (clone each value) or consumed (move variable-width values
 /// out, leaving the spent buffer behind).
 pub(crate) enum ColumnSet<'a> {
@@ -847,255 +864,150 @@ pub(crate) enum ColumnSet<'a> {
     Taken(&'a mut [AttributeColumn]),
 }
 
-/// One column of [`Chunk::scatter_cells`]'s sweep: append `src`'s value
-/// at every listed row to its group's chunk column. The type dispatch
-/// happens once per column; the inner loops are tight typed scatters.
-fn scatter_column(
+/// One `(chunk position, rows in batch order)` group of a build.
+pub(crate) type Group<'a> = (ChunkCoords, &'a [u32]);
+
+/// One column of [`Chunk::gather_cells`]: each group's chunk column is
+/// gathered from `src` at the group's rows. The type dispatch happens
+/// once per column; the inner loops are exact-size typed gathers.
+fn gather_column(
     chunks: &mut [Chunk],
     attr: usize,
     src: &AttributeColumn,
-    rows: impl RowSel,
-    groups: &RowGroups,
+    groups: &[Group<'_>],
+    encoding: StringEncoding,
 ) {
-    /// The fixed-width scatter: collect each group's typed column tail,
-    /// sweep the source once, then account `width` bytes per value.
-    fn fixed<T: Copy>(mut dsts: Vec<&mut Vec<T>>, src: &[T], rows: impl RowSel, group_of: &[u32]) {
-        for (i, r) in rows.enumerate() {
-            dsts[group_of[i] as usize].push(src[r as usize]);
-        }
-    }
-    macro_rules! scatter_fixed {
+    macro_rules! gather_fixed {
         ($variant:ident, $width:expr, $src:expr) => {{
-            let dsts = chunks
-                .iter_mut()
-                .map(|c| match &mut c.columns[attr] {
-                    AttributeColumn::$variant(v) => v,
-                    _ => unreachable!("batch was validated against the schema"),
-                })
-                .collect();
-            fixed(dsts, $src, rows.clone(), &groups.group_of);
-            for (chunk, &n) in chunks.iter_mut().zip(&groups.counts) {
-                chunk.bytes += u64::from(n) * $width;
+            for (chunk, &(_, rows)) in chunks.iter_mut().zip(groups) {
+                let AttributeColumn::$variant(dst) = &mut chunk.columns[attr] else {
+                    unreachable!("batch was validated against the schema")
+                };
+                dst.extend(rows.iter().map(|&r| $src[r as usize]));
+                chunk.bytes += rows.len() as u64 * $width;
             }
         }};
     }
     match src {
-        AttributeColumn::Int32(s) => scatter_fixed!(Int32, 4, s),
-        AttributeColumn::Int64(s) => scatter_fixed!(Int64, 8, s),
-        AttributeColumn::Float(s) => scatter_fixed!(Float, 4, s),
-        AttributeColumn::Double(s) => scatter_fixed!(Double, 8, s),
-        AttributeColumn::Char(s) => scatter_fixed!(Char, 1, s),
-        AttributeColumn::Dict(s) => scatter_dict_column(chunks, attr, s, rows, groups),
+        AttributeColumn::Int32(s) => gather_fixed!(Int32, 4, s),
+        AttributeColumn::Int64(s) => gather_fixed!(Int64, 8, s),
+        AttributeColumn::Float(s) => gather_fixed!(Float, 4, s),
+        AttributeColumn::Double(s) => gather_fixed!(Double, 8, s),
+        AttributeColumn::Char(s) => gather_fixed!(Char, 1, s),
+        AttributeColumn::Dict(s) => gather_dict_column(chunks, attr, s, groups, encoding),
         AttributeColumn::Str(s) => {
-            if matches!(chunks.first().map(|c| &c.columns[attr]), Some(AttributeColumn::Dict(_))) {
-                // Plain source into dictionary chunks (the compatibility
-                // path — the batch transport is normally dictionary-
-                // encoded): intern row-wise, spill handled per column.
-                scatter_strings_interning(chunks, attr, rows, groups, |r| s[r as usize].clone());
-                return;
-            }
-            // Plain → plain: accumulate per-group bytes alongside the
-            // clones.
-            let mut bytes = vec![0u64; chunks.len()];
-            {
-                let mut dsts: Vec<&mut Vec<String>> = chunks
-                    .iter_mut()
-                    .map(|c| match &mut c.columns[attr] {
-                        AttributeColumn::Str(v) => v,
-                        _ => unreachable!("batch was validated against the schema"),
-                    })
-                    .collect();
-                for (i, r) in rows.enumerate() {
-                    let g = groups.group_of[i] as usize;
-                    let v = &s[r as usize];
-                    bytes[g] += v.len() as u64 + 4;
-                    dsts[g].push(v.clone());
-                }
-            }
-            for (chunk, b) in chunks.iter_mut().zip(bytes) {
-                chunk.bytes += b;
-            }
+            gather_strings(chunks, attr, groups, encoding, |r| s[r as usize].clone())
         }
     }
 }
 
-/// The dictionary-source half of the string scatter, serving both
-/// dictionary and plain chunk targets.
-///
-/// For dictionary targets this is the hot path: pass A walks the listed
-/// rows once building a per-group `src code → dst code` remap table and
-/// each group's dictionary in first-seen row order (at most one string
-/// clone per *distinct* value per chunk — never per row), and decides
-/// which groups spill (more distinct strings than the cap; those groups'
-/// columns are replaced with plain storage, exactly the state sequential
-/// insertion would have reached). Pass B then moves one `u32` per row for
-/// dictionary groups and decodes rows only for spilled or plain-target
-/// groups.
-fn scatter_dict_column(
-    chunks: &mut [Chunk],
-    attr: usize,
-    src: &DictColumn,
-    rows: impl RowSel,
-    groups: &RowGroups,
-) {
-    /// Pass-B destination: one tail per group.
-    enum Tail<'a> {
-        Dict(&'a mut Vec<u32>),
-        Plain(&'a mut Vec<String>),
-    }
-    /// Largest `groups × src-dictionary` remap footprint pass A will
-    /// allocate (u32 slots, so 64 MB at the cap). A degenerate batch —
-    /// near-unique strings (the transport dictionary is uncapped) spread
-    /// over many chunks — falls back to the row-wise interning scatter,
-    /// whose memory is proportional to what the chunks actually store
-    /// and whose result is identical (sequential push semantics).
-    const DENSE_REMAP_MAX_SLOTS: usize = 1 << 24;
-    let src_dict = src.dict();
-    let codes = src.codes();
-    let dict_target =
-        matches!(chunks.first().map(|c| &c.columns[attr]), Some(AttributeColumn::Dict(_)));
-    if dict_target && chunks.len().saturating_mul(src_dict.len()) > DENSE_REMAP_MAX_SLOTS {
-        scatter_strings_interning(chunks, attr, rows, groups, |r| {
-            src_dict.get(codes[r as usize]).expect("codes index the dictionary").to_string()
-        });
-        return;
-    }
-    // Pass A: per-group first-seen remap tables. `remap[g][src_code]` is
-    // the destination code (or `u32::MAX` while unseen).
-    let mut remap: Vec<Vec<u32>> = Vec::new();
-    if dict_target {
-        remap = vec![vec![u32::MAX; src_dict.len()]; chunks.len()];
-        // Each group's src codes in first-seen order.
-        let mut orders: Vec<Vec<u32>> = vec![Vec::new(); chunks.len()];
-        for (i, r) in rows.clone().enumerate() {
-            let g = groups.group_of[i] as usize;
-            let code = codes[r as usize] as usize;
-            if remap[g][code] == u32::MAX {
-                remap[g][code] = orders[g].len() as u32;
-                orders[g].push(code as u32);
-            }
-        }
-        // Build each group's dictionary — or spill the group to plain
-        // storage when its cardinality crosses the cap (the column is
-        // still empty here, so the replacement is free).
-        for (g, chunk) in chunks.iter_mut().enumerate() {
-            let AttributeColumn::Dict(dst) = &mut chunk.columns[attr] else {
-                unreachable!("probed as dictionary above")
-            };
-            if orders[g].len() > dst.cap() as usize {
-                chunk.columns[attr] =
-                    AttributeColumn::Str(Vec::with_capacity(groups.counts[g] as usize));
-            } else {
-                let mut dict_bytes = 0u64;
-                for &code in &orders[g] {
-                    let s = src_dict.get(code).expect("codes index the dictionary");
-                    dict_bytes += s.len() as u64 + 4;
-                    dst.intern_in_order(s);
-                }
-                chunk.bytes += dict_bytes;
-            }
-        }
-    }
-    // Pass B: scatter codes (or decoded strings for plain/spilled
-    // groups).
-    let mut bytes = vec![0u64; chunks.len()];
-    {
-        let mut tails: Vec<Tail<'_>> = chunks
-            .iter_mut()
-            .map(|c| match &mut c.columns[attr] {
-                AttributeColumn::Dict(d) => Tail::Dict(d.codes_mut()),
-                AttributeColumn::Str(v) => Tail::Plain(v),
-                _ => unreachable!("batch was validated against the schema"),
-            })
-            .collect();
-        for (i, r) in rows.enumerate() {
-            let g = groups.group_of[i] as usize;
-            let code = codes[r as usize];
-            match &mut tails[g] {
-                Tail::Dict(dst) => {
-                    dst.push(remap[g][code as usize]);
-                    bytes[g] += 4;
-                }
-                Tail::Plain(dst) => {
-                    let s = src_dict.get(code).expect("codes index the dictionary");
-                    bytes[g] += s.len() as u64 + 4;
-                    dst.push(s.to_string());
-                }
-            }
-        }
-    }
-    for (chunk, b) in chunks.iter_mut().zip(bytes) {
-        chunk.bytes += b;
-    }
-}
-
-/// Row-wise interning scatter: push each listed row's string through the
-/// destination column's own `push_str` (dictionary insert with spill, or
-/// plain push), with per-group byte deltas folded into the chunks. Used
-/// where a remap table does not apply — a plain source feeding
-/// dictionary-encoded chunks.
-fn scatter_strings_interning(
-    chunks: &mut [Chunk],
-    attr: usize,
-    rows: impl RowSel,
-    groups: &RowGroups,
-    mut take: impl FnMut(u32) -> String,
-) {
-    let mut bytes = vec![0i64; chunks.len()];
-    for (i, r) in rows.enumerate() {
-        let g = groups.group_of[i] as usize;
-        bytes[g] += chunks[g].columns[attr].push_str(take(r));
-    }
-    for (chunk, b) in chunks.iter_mut().zip(bytes) {
-        chunk.bytes = chunk.bytes.checked_add_signed(b).expect("byte counter underflow");
-    }
-}
-
-/// The consuming variant of [`scatter_column`]: identical for
-/// fixed-width types (a copy is a copy) and for dictionary-encoded
-/// sources (codes copy either way), but **moves** each plain string out
-/// of the spent batch instead of cloning it — every row is scattered to
-/// exactly one chunk, so the string allocated by the generator is the
-/// string the chunk stores, with no intermediate allocation.
-fn scatter_column_taking(
+/// The consuming variant of [`gather_column`]: identical for fixed-width
+/// types (a copy is a copy) and for dictionary-encoded sources (codes
+/// copy either way), but **moves** each plain string out of the spent
+/// batch instead of cloning it — every row is gathered into exactly one
+/// chunk, so the string allocated by the generator is the string the
+/// chunk stores (or the one that seeds its dictionary), with no
+/// intermediate allocation.
+fn gather_column_taking(
     chunks: &mut [Chunk],
     attr: usize,
     src: &mut AttributeColumn,
-    rows: impl RowSel,
-    groups: &RowGroups,
+    groups: &[Group<'_>],
+    encoding: StringEncoding,
 ) {
     match src {
         AttributeColumn::Str(s) => {
-            if matches!(chunks.first().map(|c| &c.columns[attr]), Some(AttributeColumn::Dict(_))) {
-                // Plain source into dictionary chunks: the moved string
-                // seeds the dictionary on first appearance; duplicates
-                // are dropped.
-                scatter_strings_interning(chunks, attr, rows, groups, |r| {
-                    std::mem::take(&mut s[r as usize])
-                });
-                return;
+            gather_strings(chunks, attr, groups, encoding, |r| std::mem::take(&mut s[r as usize]))
+        }
+        shared => gather_column(chunks, attr, shared, groups, encoding),
+    }
+}
+
+/// A plain-string source column (the compatibility path — the batch
+/// transport is normally dictionary-encoded). Plain chunks take each
+/// group's strings as one exact-size collect; dictionary chunks intern
+/// them row by row through the column's own `push_str` (insert with
+/// spill), which *is* sequential insertion.
+fn gather_strings(
+    chunks: &mut [Chunk],
+    attr: usize,
+    groups: &[Group<'_>],
+    encoding: StringEncoding,
+    mut take: impl FnMut(u32) -> String,
+) {
+    for (chunk, &(_, rows)) in chunks.iter_mut().zip(groups) {
+        match encoding {
+            StringEncoding::Plain => {
+                let column = AttributeColumn::Str(rows.iter().map(|&r| take(r)).collect());
+                chunk.bytes += column.byte_size();
+                chunk.columns[attr] = column;
             }
-            let mut bytes = vec![0u64; chunks.len()];
-            {
-                let mut dsts: Vec<&mut Vec<String>> = chunks
-                    .iter_mut()
-                    .map(|c| match &mut c.columns[attr] {
-                        AttributeColumn::Str(v) => v,
-                        _ => unreachable!("batch was validated against the schema"),
-                    })
-                    .collect();
-                for (i, r) in rows.enumerate() {
-                    let g = groups.group_of[i] as usize;
-                    let v = std::mem::take(&mut s[r as usize]);
-                    bytes[g] += v.len() as u64 + 4;
-                    dsts[g].push(v);
-                }
-            }
-            for (chunk, b) in chunks.iter_mut().zip(bytes) {
-                chunk.bytes += b;
+            StringEncoding::Dict { .. } => {
+                let col = &mut chunk.columns[attr];
+                col.reserve(rows.len());
+                let delta: i64 = rows.iter().map(|&r| col.push_str(take(r))).sum();
+                chunk.bytes =
+                    chunk.bytes.checked_add_signed(delta).expect("byte counter underflow");
             }
         }
-        shared => scatter_column(chunks, attr, shared, rows, groups),
+    }
+}
+
+/// A dictionary-encoded source column, into dictionary or plain chunks:
+/// the walk [`Chunk::gather_cells`] documents under *Strings*.
+fn gather_dict_column(
+    chunks: &mut [Chunk],
+    attr: usize,
+    src: &DictColumn,
+    groups: &[Group<'_>],
+    encoding: StringEncoding,
+) {
+    let (codes, strings) = (src.codes(), src.dict().strings());
+    let decoded = |rows: &[u32]| {
+        AttributeColumn::Str(
+            rows.iter().map(|&r| strings[codes[r as usize] as usize].clone()).collect(),
+        )
+    };
+    let StringEncoding::Dict { cap } = encoding else {
+        for (chunk, &(_, rows)) in chunks.iter_mut().zip(groups) {
+            let column = decoded(rows);
+            chunk.bytes += column.byte_size();
+            chunk.columns[attr] = column;
+        }
+        return;
+    };
+    let hashes = src.dict().entry_hashes();
+    // Source code → this group's chunk code, `u32::MAX` while unseen; and
+    // the source codes the group has seen, in first-seen order. A group
+    // has fewer rows than `u32::MAX`, so fewer distinct codes.
+    let mut remap = vec![u32::MAX; strings.len()];
+    let mut seen: Vec<u32> = Vec::new();
+    for (chunk, &(_, rows)) in chunks.iter_mut().zip(groups) {
+        let mut chunk_codes = Vec::new();
+        chunk_codes.extend(rows.iter().map(|&r| {
+            let code = codes[r as usize];
+            let slot = &mut remap[code as usize];
+            if *slot == u32::MAX {
+                *slot = seen.len() as u32;
+                seen.push(code);
+            }
+            *slot
+        }));
+        let column = if seen.len() > cap as usize {
+            // More distinct strings than the cap: sequential insertion
+            // would have spilled this chunk's column to plain storage.
+            decoded(rows)
+        } else {
+            let dict = StringDict::from_distinct(
+                seen.iter().map(|&c| (strings[c as usize].as_str(), hashes[c as usize])),
+            );
+            AttributeColumn::Dict(DictColumn::from_parts(chunk_codes, dict, cap))
+        };
+        chunk.bytes += column.byte_size();
+        chunk.columns[attr] = column;
+        for code in seen.drain(..) {
+            remap[code as usize] = u32::MAX;
+        }
     }
 }
 

@@ -289,10 +289,11 @@ pub fn chunk_of(schema: &ArraySchema, cell: &[i64]) -> Result<ChunkCoords> {
     for (slot, (dim, &coord)) in
         out.as_mut_slice().iter_mut().zip(schema.dimensions.iter().zip(cell))
     {
-        if !dim.contains(coord) {
-            return Err(ArrayError::OutOfBounds { dimension: dim.name.clone(), coordinate: coord });
-        }
-        *slot = dim.chunk_index(coord);
+        // In bounds and indexable: a chunk index past `i64` is as
+        // unaddressable as a coordinate past `end`.
+        *slot = dim.try_chunk_index(coord).filter(|_| dim.contains(coord)).ok_or_else(|| {
+            ArrayError::OutOfBounds { dimension: dim.name.clone(), coordinate: coord }
+        })?;
     }
     Ok(out)
 }

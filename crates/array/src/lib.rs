@@ -34,7 +34,7 @@ mod value;
 pub mod zone;
 
 pub use array::{Array, RetractOutcome};
-pub use cells::{CellBuffer, ScriptGroup, ScriptGroups, ScriptMatch};
+pub use cells::{CellBuffer, RowGroups, ScriptGroup, ScriptGroups, ScriptMatch};
 pub use chunk::{ArrayId, Chunk, ChunkDescriptor, ChunkKey};
 pub use coords::{all_chunks, chunk_of, CellCoords, ChunkCoords, Region, MAX_DIMS};
 pub use delta::{DeltaSet, RowDelta};

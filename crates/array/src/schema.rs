@@ -44,9 +44,43 @@ impl DimensionDef {
     /// Chunk index that the cell coordinate `coord` falls into.
     ///
     /// Chunks are numbered from 0 at `start`; coordinates below `start`
-    /// are rejected by validation before this is called.
+    /// are rejected by validation before this is called, and for those
+    /// this returns [`DimensionDef::try_chunk_index`]'s answer. Total
+    /// for the rest: a coordinate below `start` gets the (negative)
+    /// euclidean index, and an index that does not fit `i64` saturates.
     pub fn chunk_index(&self, coord: i64) -> i64 {
-        (coord - self.start).div_euclid(self.chunk_interval)
+        self.try_chunk_index(coord).unwrap_or_else(|| {
+            let q = (i128::from(coord) - i128::from(self.start))
+                .div_euclid(i128::from(self.chunk_interval));
+            q.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
+        })
+    }
+
+    /// The chunk index of a coordinate at or above `start`, or `None`
+    /// when `coord` lies below `start` or the index does not fit `i64`
+    /// (`x=-10:*,1` holds `i64::MAX`, whose index is 2^63 + 9).
+    /// [`crate::chunk_of`] asks this; the batch grouping
+    /// ([`crate::RowGroups`]) bounds-checks against
+    /// [`DimensionDef::last_indexable`] and then runs the same division
+    /// (`chunks_from_start`) with the parameters hoisted.
+    #[inline]
+    pub fn try_chunk_index(&self, coord: i64) -> Option<i64> {
+        if coord < self.start {
+            return None;
+        }
+        i64::try_from(chunks_from_start(self.start, self.chunk_interval, coord)).ok()
+    }
+
+    /// The largest coordinate [`DimensionDef::try_chunk_index`] answers
+    /// for: the declared `end`, lowered to where the chunk index would
+    /// leave `i64`. A batch bounds-checks every row against this once
+    /// instead of checking every quotient.
+    pub(crate) fn last_indexable(&self) -> i64 {
+        let reach = i128::from(self.start)
+            + (i128::from(i64::MAX) + 1) * i128::from(self.chunk_interval)
+            - 1;
+        let reach = i64::try_from(reach).unwrap_or(i64::MAX);
+        self.end.map_or(reach, |end| end.min(reach))
     }
 
     /// The inclusive cell-coordinate range covered by chunk `idx`.
@@ -69,6 +103,17 @@ impl DimensionDef {
     pub fn contains(&self, coord: i64) -> bool {
         coord >= self.start && self.end.is_none_or(|end| coord <= end)
     }
+}
+
+/// How many whole chunks of `interval` cells lie between `start` and a
+/// coordinate at or above it — the chunk index, before it is known to fit
+/// `i64`. `coord - start` can exceed `i64::MAX` (start = -10, coord =
+/// `i64::MAX`) but never `u64::MAX`: subtract wrapping, read the
+/// difference unsigned.
+#[inline]
+pub(crate) fn chunks_from_start(start: i64, interval: i64, coord: i64) -> u64 {
+    debug_assert!(coord >= start && interval >= 1);
+    coord.wrapping_sub(start) as u64 / interval as u64
 }
 
 impl fmt::Display for DimensionDef {

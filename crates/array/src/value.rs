@@ -181,8 +181,8 @@ impl StringEncoding {
     /// The transport encoding cell *batches* use: dictionary-encoded with
     /// an effectively unbounded cap. Batches are transient (they exist to
     /// move rows into chunks), so spilling them would only forfeit the
-    /// fast code-remap scatter; the storage-side cap is applied per chunk
-    /// column when the rows are scattered.
+    /// fast code-remap build; the storage-side cap is applied per chunk
+    /// column when the rows are gathered into chunks.
     pub fn transport() -> Self {
         StringEncoding::Dict { cap: u32::MAX }
     }
@@ -201,6 +201,34 @@ fn dict_hash(s: &str) -> u64 {
     h
 }
 
+/// The reverse index's hasher: its keys already *are* 64-bit FNV hashes
+/// ([`dict_hash`]), so hashing them again (SipHash, the `HashMap`
+/// default) bought nothing — FNV is unkeyed either way, and a string
+/// whose hash collides outright lands in the collision list whatever
+/// the table does with it. The key is the hash.
+#[derive(Debug, Clone, Copy, Default)]
+struct HashIsKey(u64);
+
+impl std::hash::Hasher for HashIsKey {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys are ever hashed; fold anything else in FNV-style
+        // rather than panic.
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+type HashIndex = HashMap<u64, u32, std::hash::BuildHasherDefault<HashIsKey>>;
+
 /// An order-preserving string interner: code `i` is the `i`-th distinct
 /// string in first-appearance order, so two columns fed the same value
 /// sequence assign identical codes whatever path the rows took.
@@ -208,7 +236,9 @@ fn dict_hash(s: &str) -> u64 {
 /// The reverse index maps the string's 64-bit hash to its code rather
 /// than re-storing the key, so interning `n` distinct strings costs `n`
 /// string allocations (the entries themselves) plus amortized map
-/// growth — pinned by `tests/alloc_free_routing.rs`.
+/// growth — pinned by `tests/alloc_free_routing.rs`. A lookup hashes the
+/// string once (FNV-1a) and the table takes that hash as it is
+/// (`HashIsKey`).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StringDict {
     /// Distinct strings in first-appearance order; `strings[code]` is the
@@ -216,7 +246,7 @@ pub struct StringDict {
     strings: Vec<String>,
     /// `hash → first code with that hash`. Derived from `strings`;
     /// excluded from equality.
-    index: HashMap<u64, u32>,
+    index: HashIndex,
     /// Codes whose hash collided with an earlier entry's (vanishingly
     /// rare); scanned linearly after an index hit that mismatches.
     collisions: Vec<u32>,
@@ -235,9 +265,43 @@ impl StringDict {
         StringDict::default()
     }
 
+    /// Bulk-build from strings known to be pairwise **distinct**, each
+    /// with its [`dict_hash`] already computed — a chunk dictionary cut
+    /// out of a batch's transport dictionary, whose entries are hashed
+    /// once per batch column however many chunks they land in. The
+    /// string list and the index are sized once; the result is the
+    /// dictionary interning the strings one by one would have built.
+    pub(crate) fn from_distinct<'a>(
+        entries: impl ExactSizeIterator<Item = (&'a str, u64)>,
+    ) -> Self {
+        let mut dict = StringDict {
+            strings: Vec::with_capacity(entries.len()),
+            index: HashIndex::with_capacity_and_hasher(entries.len(), Default::default()),
+            collisions: Vec::new(),
+        };
+        for (s, hash) in entries {
+            debug_assert_eq!(hash, dict_hash(s));
+            debug_assert!(dict.find(hash, s).is_none(), "from_distinct on a repeated string");
+            dict.push_new(hash, s.to_string());
+        }
+        dict
+    }
+
+    /// The [`dict_hash`] of every entry, in code order: what
+    /// [`StringDict::from_distinct`] takes, computed once per source
+    /// dictionary.
+    pub(crate) fn entry_hashes(&self) -> Vec<u64> {
+        self.strings.iter().map(|s| dict_hash(s)).collect()
+    }
+
     /// Number of distinct strings interned.
     pub fn len(&self) -> usize {
         self.strings.len()
+    }
+
+    /// [`StringDict::len`] as the `u32` the zone maps store.
+    pub(crate) fn distinct(&self) -> u32 {
+        u32::try_from(self.strings.len()).expect("codes are u32, so are dictionary sizes")
     }
 
     /// True when nothing has been interned.
@@ -252,7 +316,12 @@ impl StringDict {
 
     /// The code of `s`, if it has been interned.
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        let &first = self.index.get(&dict_hash(s))?;
+        self.find(dict_hash(s), s)
+    }
+
+    /// [`StringDict::code_of`] for a string whose hash the caller holds.
+    fn find(&self, hash: u64, s: &str) -> Option<u32> {
+        let &first = self.index.get(&hash)?;
         if self.strings[first as usize] == s {
             return Some(first);
         }
@@ -262,26 +331,23 @@ impl StringDict {
     }
 
     /// Intern `s`, returning its (possibly fresh) code. Clones only on a
-    /// miss.
+    /// miss; hashes once either way.
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(code) = self.code_of(s) {
-            return code;
-        }
-        self.intern_new(s.to_string())
+        let hash = dict_hash(s);
+        self.find(hash, s).unwrap_or_else(|| self.push_new(hash, s.to_string()))
     }
 
     /// Intern an owned string, consuming it. Drops the allocation when
     /// the string was already present.
     pub fn intern_owned(&mut self, s: String) -> u32 {
-        if let Some(code) = self.code_of(&s) {
-            return code;
-        }
-        self.intern_new(s)
+        let hash = dict_hash(&s);
+        self.find(hash, &s).unwrap_or_else(|| self.push_new(hash, s))
     }
 
-    fn intern_new(&mut self, s: String) -> u32 {
-        let code = self.strings.len() as u32;
-        match self.index.entry(dict_hash(&s)) {
+    /// Append a string known to be absent, under its hash.
+    fn push_new(&mut self, hash: u64, s: String) -> u32 {
+        let code = self.distinct();
+        match self.index.entry(hash) {
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(code);
             }
@@ -364,7 +430,8 @@ impl DictColumn {
     /// spills the column to plain storage. `Ok` carries the byte delta
     /// (4 for a repeat, `4 + len + 4` when a dictionary entry was added).
     fn try_push(&mut self, s: String) -> std::result::Result<i64, String> {
-        if let Some(code) = self.dict.code_of(&s) {
+        let hash = dict_hash(&s);
+        if let Some(code) = self.dict.find(hash, &s) {
             self.codes.push(code);
             return Ok(4);
         }
@@ -372,23 +439,18 @@ impl DictColumn {
             return Err(s);
         }
         let added = s.len() as i64 + 4;
-        let code = self.dict.intern_owned(s);
+        let code = self.dict.push_new(hash, s);
         self.codes.push(code);
         Ok(added + 4)
     }
 
-    /// Pre-seed the dictionary with a string known to be absent — the
-    /// batch scatter builds each chunk's dictionary in first-seen row
-    /// order before scattering any codes.
-    pub(crate) fn intern_in_order(&mut self, s: &str) {
-        debug_assert!(self.dict.code_of(s).is_none(), "intern_in_order on a present string");
-        self.dict.intern(s);
-    }
-
-    /// Mutable access to the raw code column (the batch scatter appends
-    /// pre-remapped codes directly).
-    pub(crate) fn codes_mut(&mut self) -> &mut Vec<u32> {
-        &mut self.codes
+    /// A column from its parts: `codes` index `dict`, which holds at most
+    /// `cap` strings (the chunk builder remaps a group's codes, then cuts
+    /// its dictionary out of the batch's).
+    pub(crate) fn from_parts(codes: Vec<u32>, dict: StringDict, cap: u32) -> Self {
+        debug_assert!(dict.len() <= cap as usize);
+        debug_assert!(codes.iter().all(|&c| (c as usize) < dict.len()));
+        DictColumn { codes, dict, cap }
     }
 
     /// Decode every value into plain per-value storage (the spill
@@ -875,13 +937,14 @@ impl StringDict {
         let mut dict = StringDict::new();
         for _ in 0..n {
             let s = r.str("dict entry")?;
-            if dict.code_of(&s).is_some() {
+            let hash = dict_hash(&s);
+            if dict.find(hash, &s).is_some() {
                 return Err(CodecError::Invalid {
                     context: "dict entry",
                     detail: format!("duplicate interned string {s:?}"),
                 });
             }
-            dict.intern_new(s);
+            dict.push_new(hash, s);
         }
         Ok(dict)
     }

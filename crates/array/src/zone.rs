@@ -12,7 +12,7 @@
 //! The zone map is **conservative**: it always covers at least the live
 //! cells of its chunk. Concretely:
 //!
-//! * **Fresh builds are tight.** `scatter_cells`, `push_cells`, and
+//! * **Fresh builds are tight.** `gather_cells`, `push_cells`, and
 //!   `compact` compute the map canonically from the surviving rows, so a
 //!   freshly built or freshly compacted chunk has an exact summary.
 //! * **Appends merge.** Merging two canonical maps equals the canonical
@@ -119,7 +119,7 @@ impl AttrZone {
             AttributeColumn::Float(_) | AttributeColumn::Double(_) => {
                 AttrZone::Real { min: f64::INFINITY, max: f64::NEG_INFINITY, nans: 0 }
             }
-            AttributeColumn::Dict(d) => AttrZone::Dict { distinct: d.dict().len() as u32 },
+            AttributeColumn::Dict(d) => AttrZone::Dict { distinct: d.dict().distinct() },
             AttributeColumn::Str(_) => AttrZone::Str,
         }
     }
@@ -197,6 +197,18 @@ impl ZoneMap {
     /// the flat coordinate buffer and every column.
     pub(crate) fn compute(ndims: usize, flat_coords: &[i64], columns: &[AttributeColumn]) -> Self {
         let mut zone = ZoneMap::empty_for(ndims, columns);
+        zone.fold_rows(flat_coords, columns);
+        zone
+    }
+
+    /// Fold every row of a tombstone-free chunk state into a map that has
+    /// seen none of them — [`ZoneMap::compute`] in place, for the chunk
+    /// builder, whose chunks are born with an empty map over columns that
+    /// had not been filled (or spilled) yet.
+    pub(crate) fn fold_rows(&mut self, flat_coords: &[i64], columns: &[AttributeColumn]) {
+        self.sync_strings(columns);
+        let zone = self;
+        let ndims = zone.dims.len();
         if ndims > 0 {
             for row in flat_coords.chunks_exact(ndims) {
                 for (d, &c) in row.iter().enumerate() {
@@ -211,12 +223,11 @@ impl ZoneMap {
                 AttributeColumn::Char(v) => v.iter().for_each(|&x| zone.observe_i64(i64::from(x))),
                 AttributeColumn::Float(v) => v.iter().for_each(|&x| zone.observe_f64(f64::from(x))),
                 AttributeColumn::Double(v) => v.iter().for_each(|&x| zone.observe_f64(x)),
-                // Dict/Str summaries come from `empty_for` (cardinality /
-                // nothing) and need no per-row fold.
+                // Dict/Str summaries are the column's cardinality / nothing
+                // (`sync_strings` above) and need no per-row fold.
                 AttributeColumn::Dict(_) | AttributeColumn::Str(_) => {}
             }
         }
-        zone
     }
 
     /// Fold one incoming cell (coordinates + schema-order values) into
@@ -263,7 +274,7 @@ impl ZoneMap {
         for (zone, col) in self.attrs.iter_mut().zip(columns) {
             match col {
                 AttributeColumn::Dict(d) => {
-                    *zone = AttrZone::Dict { distinct: d.dict().len() as u32 }
+                    *zone = AttrZone::Dict { distinct: d.dict().distinct() }
                 }
                 AttributeColumn::Str(_) => *zone = AttrZone::Str,
                 _ => {}

@@ -3,7 +3,8 @@
 
 use array_model::{
     chunk_of, gilbert2d, hilbert_coords, hilbert_index, Array, ArrayId, ArraySchema, AttributeDef,
-    AttributeType, CellBuffer, ChunkCoords, DimensionDef, ScalarValue, StringEncoding, MAX_DIMS,
+    AttributeType, CellBuffer, Chunk, ChunkCoords, DimensionDef, RowGroups, ScalarValue,
+    StringEncoding, MAX_DIMS,
 };
 use proptest::prelude::*;
 
@@ -111,7 +112,246 @@ fn arb_schema() -> impl Strategy<Value = ArraySchema> {
     })
 }
 
+/// Schemas for the chunk-build model: one to **four** dimensions
+/// (bounded and `*`, negative starts — `arb_dimension`), one to four
+/// attributes of any type.
+fn arb_build_schema() -> impl Strategy<Value = ArraySchema> {
+    let dims = (1usize..5).prop_flat_map(|n| (0..n).map(arb_dimension).collect::<Vec<_>>());
+    let attrs = proptest::collection::vec(arb_type(), 1..5);
+    (dims, attrs).prop_map(|(dimensions, types)| {
+        let attributes =
+            types.into_iter().enumerate().map(|(i, ty)| AttributeDef::new(format!("a{i}"), ty));
+        ArraySchema::new("B", attributes.collect(), dimensions).expect("generated schema is valid")
+    })
+}
+
+/// Row counts for the chunk-build model: none, one, a handful, and —
+/// one case in four — enough that `build_cell_array_encoded` really
+/// fans out (it builds inline under 4 096 rows).
+fn arb_row_count() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..2, 2usize..90, 2usize..90, 4_096usize..4_400]
+}
+
+/// `count` deterministic in-bounds rows for `schema`. An unbounded
+/// dimension spreads over `2^spread_bits` coordinates (40 bits puts the
+/// chunk-index box far past the dense grouping table's 2^20 slots: the
+/// tree fallback); every third row or so repeats an earlier cell.
+fn build_rows(
+    schema: &ArraySchema,
+    seed: u64,
+    count: usize,
+    spread_bits: u32,
+) -> Vec<(Vec<i64>, Vec<ScalarValue>)> {
+    let mut rows: Vec<(Vec<i64>, Vec<ScalarValue>)> = Vec::with_capacity(count);
+    for i in 0..count {
+        let s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i as u64 * 0x0a5b_35c7_19d1);
+        let cell: Vec<i64> = if i > 0 && s.is_multiple_of(3) {
+            rows[(s >> 8) as usize % i].0.clone()
+        } else {
+            let coord = |(d, dim): (usize, &DimensionDef)| {
+                let span = dim.end.map_or(1u64 << spread_bits, |e| (e - dim.start + 1) as u64);
+                dim.start + (s.rotate_left(11 * d as u32 + 3) % span) as i64
+            };
+            schema.dimensions.iter().enumerate().map(coord).collect()
+        };
+        let value = |(a, attr): (usize, &AttributeDef)| {
+            value_for(attr.ty, s.rotate_right(13 * a as u32 + 1))
+        };
+        rows.push((cell, schema.attributes.iter().enumerate().map(value).collect()));
+    }
+    rows
+}
+
+fn buffer_of(schema: &ArraySchema, rows: &[(Vec<i64>, Vec<ScalarValue>)]) -> CellBuffer {
+    buffer_with(schema, rows, StringEncoding::transport())
+}
+
+/// `rows` as a batch whose string columns travel under `transport`.
+fn buffer_with(
+    schema: &ArraySchema,
+    rows: &[(Vec<i64>, Vec<ScalarValue>)],
+    transport: StringEncoding,
+) -> CellBuffer {
+    let mut buffer = CellBuffer::with_encoding(schema, transport);
+    let mut scratch = Vec::new();
+    for (cell, values) in rows {
+        scratch.extend(values.iter().cloned());
+        buffer.push_row(cell, &mut scratch).expect("schema-shaped");
+    }
+    buffer
+}
+
+/// Everything an array stores: its chunks (`==` covers zone maps and
+/// byte counters) and its encoded bytes.
+fn contents(array: &Array) -> (Vec<Chunk>, Vec<u8>) {
+    let mut w = durability::ByteWriter::new();
+    array.encode_into(&mut w);
+    (array.chunks().map(|(_, chunk)| chunk.clone()).collect(), w.into_bytes())
+}
+
+/// The storage-side encodings the model runs under: plain, the default
+/// cap, and caps small enough that `string_for`'s numbered tail lands on
+/// both sides of them.
+fn arb_encoding() -> impl Strategy<Value = StringEncoding> {
+    prop_oneof![
+        Just(StringEncoding::Plain),
+        Just(StringEncoding::default()),
+        (1u32..12).prop_map(|cap| StringEncoding::Dict { cap }),
+    ]
+}
+
 proptest! {
+    /// The grouping against its model — a `BTreeMap` from `chunk_of`,
+    /// row by row: groups ascend by chunk position, `order` is a
+    /// permutation of the rows that is ascending inside every group, and
+    /// `starts` are the prefix sums of the groups' sizes.
+    #[test]
+    fn row_groups_are_a_counting_sort_of_the_rows_by_chunk(
+        schema in arb_build_schema(),
+        seed in any::<u64>(),
+        count in arb_row_count(),
+        spread_bits in prop_oneof![Just(4u32), Just(18u32), Just(40u32)],
+    ) {
+        let rows = build_rows(&schema, seed, count, spread_bits);
+        let buffer = buffer_of(&schema, &rows);
+        let groups = RowGroups::of(&schema, buffer.coords_flat()).expect("in bounds");
+        let mut model = std::collections::BTreeMap::<ChunkCoords, Vec<u32>>::new();
+        for (row, (cell, _)) in (0u32..).zip(&rows) {
+            model.entry(chunk_of(&schema, cell).expect("in bounds")).or_default().push(row);
+        }
+        prop_assert_eq!(groups.rows(), count);
+        prop_assert_eq!(groups.is_empty(), count == 0);
+        prop_assert_eq!(groups.coords().to_vec(), model.keys().copied().collect::<Vec<_>>());
+        let mut start = 0u32;
+        for (g, members) in model.values().enumerate() {
+            prop_assert_eq!(groups.starts()[g], start);
+            prop_assert_eq!(groups.group(g).1, &members[..], "ascending: batch order in a group");
+            start += members.len() as u32;
+        }
+        prop_assert_eq!(groups.starts().len(), groups.len() + 1);
+        prop_assert_eq!(groups.starts()[groups.len()], start);
+        let mut sorted = groups.order().to_vec();
+        sorted.sort_unstable();
+        prop_assert_eq!(sorted, (0..count as u32).collect::<Vec<_>>(), "a permutation");
+        prop_assert_eq!(
+            groups.iter().map(|(coords, members)| (coords, members.to_vec())).collect::<Vec<_>>(),
+            model.into_iter().collect::<Vec<_>>()
+        );
+    }
+
+    /// Every way into the chunk-build kernel against per-cell inserts:
+    /// `insert_batch`, `insert_batch_owned`, the sharded
+    /// `build_cell_array_encoded` and a hand-dealt `insert_groups` split
+    /// store chunk-for-chunk `==` arrays with equal encoded bytes; and a
+    /// second batch into the same array appends exactly as per-cell
+    /// inserts would.
+    #[test]
+    fn every_chunk_build_path_equals_per_cell_inserts(
+        schema in arb_build_schema(),
+        seed in any::<u64>(),
+        count in arb_row_count(),
+        spread_bits in prop_oneof![Just(4u32), Just(18u32), Just(40u32)],
+        encoding in arb_encoding(),
+        plain_transport in any::<bool>(),
+        threads in 1usize..4,
+    ) {
+        let id = ArrayId(0);
+        let rows = build_rows(&schema, seed, count, spread_bits);
+        // Strings travel as transport-dictionary codes, or (the
+        // compatibility path) as one `String` per value.
+        let transport =
+            if plain_transport { StringEncoding::Plain } else { StringEncoding::transport() };
+        let buffer = buffer_with(&schema, &rows, transport);
+        let fresh = || Array::with_encoding(id, schema.clone(), encoding);
+        let mut per_cell = fresh();
+        for (cell, values) in &rows {
+            per_cell.insert_cell(cell.clone(), values.clone()).expect("in bounds");
+        }
+        let want = contents(&per_cell);
+
+        let mut batched = fresh();
+        batched.insert_batch(&buffer).expect("in bounds");
+        prop_assert_eq!(contents(&batched), want.clone(), "insert_batch");
+        let mut owned = fresh();
+        owned.insert_batch_owned(buffer.clone()).expect("in bounds");
+        prop_assert_eq!(contents(&owned), want.clone(), "insert_batch_owned");
+        let sharded = workloads::build_cell_array_encoded(
+            id, schema.clone(), buffer.clone(), threads, encoding,
+        ).expect("in bounds");
+        prop_assert_eq!(contents(&sharded), want.clone(), "build_cell_array_encoded x{}", threads);
+        // The worker half on its own, whatever the batch size: groups
+        // dealt round-robin onto `threads` arrays, absorbed back.
+        let groups = RowGroups::of(&schema, buffer.coords_flat()).expect("in bounds");
+        let mut dealt = fresh();
+        for worker in 0..threads {
+            let share: Vec<u32> =
+                (0..groups.len() as u32).filter(|g| *g as usize % threads == worker).collect();
+            let mut part = fresh();
+            part.insert_groups(&buffer, &groups, &share).expect("schema-shaped");
+            dealt.absorb(part).expect("disjoint chunk sets");
+        }
+        prop_assert_eq!(contents(&dealt), want.clone(), "insert_groups dealt {} ways", threads);
+
+        // Two batches, split anywhere (an empty half included).
+        let k = (seed >> 17) as usize % (count + 1);
+        let mut appended = fresh();
+        appended.insert_batch(&buffer_of(&schema, &rows[..k])).expect("in bounds");
+        appended.insert_batch_owned(buffer_of(&schema, &rows[k..])).expect("in bounds");
+        prop_assert_eq!(contents(&appended), want, "two batches split at {}", k);
+    }
+
+    /// One out-of-bounds row planted anywhere in a batch: every batch
+    /// path fails with the error the per-cell loop stops at — same
+    /// variant, dimension name and coordinate, i.e. the first offending
+    /// row's first offending dimension — and leaves the array untouched.
+    #[test]
+    fn a_planted_out_of_bounds_row_fails_the_batch_like_the_per_cell_loop(
+        schema in arb_build_schema(),
+        seed in any::<u64>(),
+        count in 1usize..90,
+        at in any::<u64>(),
+        encoding in arb_encoding(),
+        threads in 1usize..4,
+    ) {
+        let id = ArrayId(0);
+        let mut rows = build_rows(&schema, seed, count, 18);
+        // Push one row out on one dimension — and, half the time, on a
+        // second one too, so "first dimension" is a real question.
+        let bad = &mut rows[at as usize % count].0;
+        for pick in [at >> 8, at >> 20] {
+            let d = pick as usize % schema.ndims();
+            let dim = &schema.dimensions[d];
+            bad[d] = match dim.end {
+                Some(end) if pick & (1 << 40) != 0 => end + 1 + (pick >> 44) as i64,
+                _ => dim.start - 1 - (pick >> 44) as i64,
+            };
+            if at & (1 << 63) != 0 {
+                break;
+            }
+        }
+        let buffer = buffer_of(&schema, &rows);
+        let fresh = || Array::with_encoding(id, schema.clone(), encoding);
+        let mut per_cell = fresh();
+        let want = rows
+            .iter()
+            .find_map(|(cell, values)| per_cell.insert_cell(cell.clone(), values.clone()).err())
+            .expect("the planted row fails");
+        prop_assert!(matches!(want, array_model::ArrayError::OutOfBounds { .. }));
+
+        // Into an array that already holds chunks, so "untouched" is
+        // about something.
+        let mut target = fresh();
+        target.insert_batch(&buffer_of(&schema, &build_rows(&schema, !seed, 20, 18))).unwrap();
+        let before = contents(&target);
+        prop_assert_eq!(target.insert_batch(&buffer), Err(want.clone()));
+        prop_assert_eq!(target.insert_batch_owned(buffer.clone()), Err(want.clone()));
+        prop_assert_eq!(contents(&target), before);
+        prop_assert_eq!(RowGroups::of(&schema, buffer.coords_flat()), Err(want.clone()));
+        let sharded =
+            workloads::build_cell_array_encoded(id, schema.clone(), buffer, threads, encoding);
+        prop_assert_eq!(sharded.err(), Some(want));
+    }
+
     /// `Display` output must parse back to an identical schema.
     #[test]
     fn schema_text_roundtrips(schema in arb_schema()) {

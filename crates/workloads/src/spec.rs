@@ -82,7 +82,7 @@ impl SuiteReport {
 /// allocations per row instead of two `Vec`s per cell. String values
 /// intern through the buffer's per-column transport dictionary on the
 /// way in: the batch stores each distinct string once plus a `u32` code
-/// per row, and the chunk builder scatters the codes.
+/// per row, and the chunk builder remaps the codes chunk by chunk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellBatch {
     /// The array the cells belong to.

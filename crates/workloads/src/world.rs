@@ -47,7 +47,7 @@ use crate::faults::{FaultKind, FaultPlan};
 use crate::spec::{CellBatch, SuiteReport, Workload};
 use array_model::{
     Array, ArrayError, ArrayId, ArraySchema, CellBuffer, Chunk, ChunkCoords, ChunkDescriptor,
-    ChunkKey, DeltaSet, ScriptGroups, StringEncoding,
+    ChunkKey, DeltaSet, RowGroups, ScriptGroups, StringEncoding,
 };
 use cluster_sim::{
     gb, Cluster, ClusterError, Flakiness, FlowSet, MidCrash, NodeId, NodeState, RebalancePlan,
@@ -66,12 +66,11 @@ use std::sync::Arc;
 const PARALLEL_BUILD_MIN_ROWS: usize = 4_096;
 
 /// Deterministically assign a chunk to one of `workers` build workers.
-/// Pure in the chunk coordinates, so every row of a chunk lands on the
-/// same worker whatever the row order — a chunk is always built whole by
-/// exactly one thread. Uses the in-tree `splitmix64` fold (the same
-/// deterministic hashing discipline as the hash partitioners) — cheap
-/// enough to run once per row in the serial pre-fan-out pass, unlike a
-/// fresh `DefaultHasher` per coordinate.
+/// Pure in the chunk coordinates, so a chunk is always built whole by
+/// exactly one thread whatever the row order. Uses the in-tree
+/// `splitmix64` fold (the same deterministic hashing discipline as the
+/// hash partitioners); runs once per *chunk* of the batch's grouping,
+/// not per row.
 fn build_worker_of(coords: &ChunkCoords, workers: usize) -> usize {
     let mut h = coords.ndims() as u64;
     for &c in coords.as_slice() {
@@ -83,10 +82,12 @@ fn build_worker_of(coords: &ChunkCoords, workers: usize) -> usize {
 /// Build one flat cell batch into an [`Array`] of real chunks, fanning
 /// the chunk construction out over up to `threads` scoped workers.
 ///
-/// The batch is validated once (shape via [`CellBuffer::matches`], bounds
-/// via [`CellBuffer::route`]), then rows are sharded by their owning
-/// chunk (`chunk_of` is pure in the cell) onto workers that build
-/// **disjoint** chunk sets; the per-worker arrays merge through
+/// The batch is validated and grouped once (shape via
+/// [`CellBuffer::matches`], bounds and the row → chunk grouping via
+/// [`RowGroups::of`]); the groups — whole chunks — are then dealt onto
+/// workers that build **disjoint** chunk sets out of the one shared
+/// grouping ([`Array::insert_groups`], the kernel the single-threaded
+/// path runs), and the per-worker arrays merge through
 /// [`Array::absorb`] into one deterministic, row-major result. Every
 /// chunk receives its rows in batch order regardless of which worker
 /// built it, so the output is **bit-identical** to the sequential build
@@ -108,7 +109,7 @@ pub fn build_cell_array(
 
 /// [`build_cell_array`] with an explicit storage-side string encoding:
 /// the default dictionary-encodes chunk string columns (a batch whose
-/// transport is also dictionary-encoded scatters them as `u32` code
+/// transport is also dictionary-encoded builds them as `u32` code
 /// remaps); [`StringEncoding::Plain`] reproduces the one-`String`-per-
 /// value representation for differential comparison.
 pub fn build_cell_array_encoded(
@@ -121,28 +122,26 @@ pub fn build_cell_array_encoded(
     let mut fresh = Array::with_encoding(id, schema, encoding);
     let workers = threads.max(1);
     if workers == 1 || rows.len() < PARALLEL_BUILD_MIN_ROWS {
-        // Inline build: one validation + route pass, values moved.
+        // Inline build: one validation + grouping pass, values moved.
         fresh.insert_batch_owned(rows)?;
         return Ok(fresh);
     }
     rows.matches(&fresh.schema)?;
-    let routed = rows.route(&fresh.schema)?;
-    // Bucket row indices by owning worker (pure in the chunk), keeping
-    // batch order within each bucket.
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); workers];
-    for (r, coords) in routed.iter().enumerate() {
-        buckets[build_worker_of(coords, workers)].push(r as u32);
+    let groups = RowGroups::of(&fresh.schema, rows.coords_flat())?;
+    // Deal the groups onto their owning workers (pure in the chunk).
+    let mut shares: Vec<Vec<u32>> = vec![Vec::new(); workers];
+    for (g, coords) in (0u32..).zip(groups.coords()) {
+        shares[build_worker_of(coords, workers)].push(g);
     }
     let parts: Vec<Array> = std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
+        let handles: Vec<_> = shares
             .iter()
-            .map(|bucket| {
+            .map(|share| {
                 let schema = fresh.schema.clone();
-                let routed = &routed;
-                let rows = &rows;
+                let (rows, groups) = (&rows, &groups);
                 scope.spawn(move || {
                     let mut part = Array::with_encoding(id, schema, encoding);
-                    part.insert_routed_rows(rows, routed, bucket)
+                    part.insert_groups(rows, groups, share)
                         .expect("batch was validated against this same schema");
                     part
                 })

@@ -22,23 +22,38 @@ thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
+thread_local! {
+    /// Bytes this thread has asked for, and bytes it has handed back
+    /// (a `realloc` hands back the old size and asks for the new one).
+    static BYTES_ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    static BYTES_FREED: Cell<usize> = const { Cell::new(0) };
+}
+
 fn count_one() {
     // `try_with`: the allocator also runs while a thread is torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn count_bytes(allocated: usize, freed: usize) {
+    let _ = BYTES_ALLOCATED.try_with(|n| n.set(n.get() + allocated));
+    let _ = BYTES_FREED.try_with(|n| n.set(n.get() + freed));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_bytes(layout.size(), 0);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(0, layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        count_bytes(new_size, layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -49,6 +64,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocations the calling (measuring) thread has made so far.
 fn allocation_count() -> usize {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// `(allocated, freed)` bytes of the calling thread so far.
+fn byte_counts() -> (usize, usize) {
+    (BYTES_ALLOCATED.with(Cell::get), BYTES_FREED.with(Cell::get))
 }
 
 fn schema_3d() -> ArraySchema {
@@ -368,6 +388,109 @@ fn dict_scatter_allocations_are_amortized_and_string_free() {
         (plain_allocs as i64) >= 2 * rows_n,
         "plain strings should allocate per value (got {plain_allocs} for {rows_n} rows); \
          if this starts passing, the contrast leg no longer proves anything"
+    );
+}
+
+/// The chunk build allocates **per chunk**, and what it holds per *row*
+/// while it runs is two `u32`s: a group id and the row's slot in the
+/// group-major order. (It used to route every row to an inline 72-byte
+/// `ChunkCoords` first — more than the row becomes inside its chunk.)
+#[test]
+fn chunk_build_allocates_per_chunk_and_keeps_eight_bytes_per_row() {
+    let rows_n: i64 = 100_000;
+    // Ten fixed-width attributes, AIS-shaped; 8 x 8 x 8 chunks.
+    let schema = ArraySchema::parse(
+        "B<a:int32, b:int32, c:int32, d:int32, e:int32, f:int64, g:int64, h:char, \
+         i:double, j:float>[t=0:*,64, x=0:255,32, y=0:255,32]",
+    )
+    .unwrap();
+    let columns = schema.attributes.len();
+    let mut batch = CellBuffer::new(&schema);
+    let mut vals: Vec<ScalarValue> = Vec::with_capacity(columns);
+    for i in 0..rows_n {
+        let s = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let cell = [(s % 8) as i64 * 64, (i % 256), ((i / 256) % 256)];
+        vals.extend((0..5).map(|k| ScalarValue::Int32(i as i32 + k)));
+        vals.extend([
+            ScalarValue::Int64(i),
+            ScalarValue::Int64(-i),
+            ScalarValue::Char(b'a' + (i % 26) as u8),
+            ScalarValue::Double(i as f64 * 0.5),
+            ScalarValue::Float(i as f32),
+        ]);
+        batch.push_row(&cell, &mut vals).expect("schema-shaped row");
+    }
+
+    // Borrowing insert: the batch outlives the build, so every byte
+    // freed while it runs was the build's own scratch.
+    let mut array = Array::new(ArrayId(0), schema);
+    let (calls_before, (allocated_before, freed_before)) = (allocation_count(), byte_counts());
+    array.insert_batch(&batch).expect("in bounds");
+    let (calls, (allocated, freed)) = (allocation_count(), byte_counts());
+    let calls = calls - calls_before;
+    let held = (allocated - allocated_before) - (freed - freed_before);
+    let transient = (allocated - allocated_before) - held;
+
+    let chunks = array.chunk_count();
+    assert!(chunks >= 256, "want a real chunk population, got {chunks}");
+    assert_eq!(array.cell_count(), rows_n as u64);
+    assert!(held as u64 >= array.byte_size(), "the array holds at least its own payload");
+    assert!(
+        calls <= chunks * (columns + 6) + 64,
+        "building {rows_n} rows into {chunks} chunks of {columns} columns allocated {calls} \
+         times; the budget is {columns} + 6 per chunk (its buffers, zone map, column list, \
+         handle and map slot) plus 64 for the grouping (the scatter kernel: 8 804 for 512 \
+         chunks — it built every zone map twice)"
+    );
+    assert!(
+        transient <= 16 * rows_n as usize,
+        "the build freed {transient} bytes of its own scratch for {rows_n} rows, {} a row; the \
+         budget is 16 (a 4-byte group id and a 4-byte order slot per row, the rest per chunk). \
+         The scatter kernel freed 80 a row (8 023 632 in all): a 72-byte routed `ChunkCoords` \
+         and a 4-byte group id each, the rest per chunk",
+        transient / rows_n as usize
+    );
+}
+
+/// A chunk's dictionary is cut out of the batch's in one piece: one
+/// string list and one index table, each sized once, plus one clone per
+/// distinct string — never a table that grows entry by entry, never a
+/// `String` per row.
+#[test]
+fn chunk_dictionaries_are_sized_once() {
+    let rows_n: i64 = 100_000;
+    let distinct: usize = 32;
+    // Two string attributes of 32 values each, every chunk sees them all.
+    let schema =
+        ArraySchema::parse("D<recv:string, tag:string, v:int32>[t=0:*,64, x=0:255,32, y=0:255,32]")
+            .unwrap();
+    let mut batch = CellBuffer::new(&schema);
+    let mut vals: Vec<ScalarValue> = Vec::with_capacity(3);
+    for i in 0..rows_n {
+        let cell = [(i % 64), (i % 256), ((i / 256) % 256)];
+        vals.extend([
+            ScalarValue::Str(format!("r{:03}", i as usize % distinct)),
+            ScalarValue::Str(format!("tag-{}", (i as usize / 7) % distinct)),
+            ScalarValue::Int32(i as i32),
+        ]);
+        batch.push_row(&cell, &mut vals).expect("schema-shaped row");
+    }
+    let start = allocation_count();
+    let mut array = Array::new(ArrayId(0), schema);
+    array.insert_batch_owned(batch).expect("in bounds");
+    let calls = allocation_count() - start;
+    let chunks = array.chunk_count();
+    assert_eq!(chunks, 64);
+    assert_eq!(array.cell_count(), rows_n as u64);
+    // Per chunk: 3 columns + 6 as for any build, and per dictionary its
+    // string list, its index table and its 32 entries.
+    let budget = chunks * (3 + 6 + 2 * (distinct + 2)) + 64;
+    assert!(
+        calls <= budget,
+        "building {chunks} chunks with two {distinct}-string dictionaries each allocated \
+         {calls} times, budget {budget}: zero per-value `String`s under the cap ({rows_n} rows \
+         would cost 200 000) and at most one table growth per chunk dictionary (interning the \
+         entries one by one grew each index five times and each string list four: 6 560 in all)"
     );
 }
 

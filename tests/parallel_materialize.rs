@@ -214,3 +214,119 @@ fn parallel_materialize_smoke() {
         }
     }
 }
+
+/// The three storage-side string encodings the chunk build is pinned
+/// under: the default dictionary, plain strings, and a dictionary whose
+/// cap of 8 spills AIS `receiver_id` (128 distinct) in most chunks while
+/// `provenance` (one string) stays encoded.
+const BUILD_ENCODINGS: [StringEncoding; 3] =
+    [StringEncoding::Dict { cap: 4096 }, StringEncoding::Plain, StringEncoding::Dict { cap: 8 }];
+
+/// Cross-version golden. Every differential in the tree runs the gather
+/// kernel on both sides, so this pins the implementation it replaced
+/// (the per-column scatter over routed `ChunkCoords`): the CRC-32 of
+/// `Array::encode_into` — chunk order, coordinates, columns,
+/// dictionaries in code order, byte counters, zone maps — for one AIS
+/// cycle and one MODIS day, per encoding, at 1 and 3 build threads. The
+/// constants were computed at the commit before the kernel changed
+/// (`6f46c27`), where this test passes too.
+#[test]
+fn chunk_build_bytes_match_the_scatter_implementation() {
+    use workloads::build_cell_array_encoded;
+    let ais = AisWorkload { cells_per_cycle: 20_000, ..Default::default() };
+    let modis = ModisWorkload { cells_per_cycle: 10_000, ..Default::default() };
+    let band = ModisWorkload::band_schema("b");
+    let mut batches = ais.cell_batch(0).expect("materialized").into_iter();
+    let broadcast = batches.next().expect("one AIS batch");
+    let mut batches = modis.cell_batch(0).expect("materialized").into_iter();
+    let (band1, band2) = (batches.next().expect("band 1"), batches.next().expect("band 2"));
+    assert_eq!((broadcast.array, band1.array, band2.array), (BROADCAST, BAND1, BAND2));
+    // (rows, schema, [CRC per BUILD_ENCODINGS entry])
+    let golden: [(workloads::CellBatch, ArraySchema, [u32; 3]); 3] = [
+        (broadcast, AisWorkload::broadcast_schema(), [0x2a2e_576a, 0xd023_fe86, 0xff29_7570]),
+        (band1, band.clone(), [0x13b7_4a86, 0x4852_d218, 0x3d2a_ead7]),
+        (band2, band, [0x9916_c053, 0xcee2_d7e8, 0x743e_9749]),
+    ];
+    for (batch, schema, crcs) in golden {
+        let (id, rows) = (batch.array, batch.into_rows());
+        for (encoding, want) in BUILD_ENCODINGS.into_iter().zip(crcs) {
+            for threads in [1usize, 3] {
+                let built =
+                    build_cell_array_encoded(id, schema.clone(), rows.clone(), threads, encoding)
+                        .expect("in bounds");
+                let mut w = durability::ByteWriter::new();
+                built.encode_into(&mut w);
+                assert_eq!(
+                    durability::crc32(&w.into_bytes()),
+                    want,
+                    "{id} under {encoding:?} at {threads} threads: {} rows, {} chunks",
+                    rows.len(),
+                    built.chunk_count()
+                );
+            }
+        }
+    }
+}
+
+/// Release-scale leg of the chunk-build differential: three 200 k-row
+/// AIS cycles into one array and one 100 k-pixel MODIS day (both bands),
+/// built at 1, 2, 4 and 8 threads under each of [`BUILD_ENCODINGS`] —
+/// every build chunk-for-chunk `==` to the per-cell build of the same
+/// rows, and the encoded bytes equal across thread counts. Run with
+/// `cargo test --release --test parallel_materialize -- --ignored chunk_build_smoke`.
+#[test]
+#[ignore = "CI smoke: release-scale chunk build differential, run explicitly"]
+fn chunk_build_smoke() {
+    use workloads::build_cell_array_encoded;
+    let ais = AisWorkload { cycles: 3, cells_per_cycle: 200_000, ..Default::default() };
+    let modis = ModisWorkload { days: 1, cells_per_cycle: 100_000, ..Default::default() };
+    let band = ModisWorkload::band_schema("b");
+    let mut arrays: Vec<(ArrayId, ArraySchema, Vec<CellBuffer>)> = vec![
+        (BROADCAST, AisWorkload::broadcast_schema(), Vec::new()),
+        (BAND1, band.clone(), Vec::new()),
+        (BAND2, band, Vec::new()),
+    ];
+    let batches = (0..3).flat_map(|c| ais.cell_batch(c).expect("materialized"));
+    for batch in batches.chain(modis.cell_batch(0).expect("materialized")) {
+        let slot = arrays.iter_mut().find(|(id, ..)| *id == batch.array).expect("a known array");
+        slot.2.push(batch.into_rows());
+    }
+    for (id, schema, batches) in &arrays {
+        for encoding in BUILD_ENCODINGS {
+            let mut per_cell = Array::with_encoding(*id, schema.clone(), encoding);
+            for (cell, values) in batches.iter().flat_map(CellBuffer::rows) {
+                per_cell.insert_cell(cell, values).expect("in bounds");
+            }
+            let mut encoded: Option<Vec<u8>> = None;
+            for threads in [1usize, 2, 4, 8] {
+                let mut built = Array::with_encoding(*id, schema.clone(), encoding);
+                for rows in batches {
+                    let part = build_cell_array_encoded(
+                        *id,
+                        schema.clone(),
+                        rows.clone(),
+                        threads,
+                        encoding,
+                    );
+                    built.absorb(part.expect("in bounds")).expect("cycles share no chunk");
+                }
+                assert_eq!(built.chunk_count(), per_cell.chunk_count(), "{id} x{threads}");
+                for (coords, chunk) in per_cell.chunks() {
+                    assert_eq!(
+                        built.chunk(coords),
+                        Some(chunk),
+                        "{id} under {encoding:?} x{threads}: chunk {coords} differs"
+                    );
+                }
+                let mut w = durability::ByteWriter::new();
+                built.encode_into(&mut w);
+                let bytes = w.into_bytes();
+                let first = encoded.get_or_insert_with(|| bytes.clone());
+                assert!(
+                    *first == bytes,
+                    "{id} under {encoding:?}: encoded bytes differ at {threads} threads"
+                );
+            }
+        }
+    }
+}
