@@ -100,6 +100,59 @@ pub fn rolling_aggregate(
     grid_aggregate_impl(ctx, array_id, region, attr, spec, agg, Some(rolling_dim))
 }
 
+/// One group's running fold, in scan order.
+#[derive(Clone, Copy)]
+struct GroupState {
+    sum: f64,
+    count: u64,
+    /// Seeded with −∞, the identity of `max` over every `f64` including
+    /// −∞ itself (a finite seed such as `f64::MIN` would answer
+    /// −1.797e308 for a group of `-inf` rows). `f64::max` returns the
+    /// other operand when one is NaN, so NaN rows never win: a group
+    /// holding a number reports its largest number, and an all-NaN group
+    /// reports −∞.
+    max: f64,
+}
+
+impl Default for GroupState {
+    fn default() -> Self {
+        GroupState { sum: 0.0, count: 0, max: f64::NEG_INFINITY }
+    }
+}
+
+impl GroupState {
+    #[inline]
+    fn fold(&mut self, v: f64) {
+        self.sum += v;
+        self.count += 1;
+        self.max = self.max.max(v);
+    }
+}
+
+/// The groups met so far: the ordered map only hands each new key a slot
+/// in `states`, where the folding happens.
+#[derive(Default)]
+struct Groups {
+    slots: BTreeMap<ChunkCoords, usize>,
+    states: Vec<GroupState>,
+}
+
+impl Groups {
+    /// The slot of `key`'s state, created empty on first sight.
+    fn slot_of(&mut self, key: ChunkCoords) -> usize {
+        let states = &mut self.states;
+        *self.slots.entry(key).or_insert_with(|| {
+            states.push(GroupState::default());
+            states.len() - 1
+        })
+    }
+
+    fn state_of(&mut self, key: ChunkCoords) -> &mut GroupState {
+        let slot = self.slot_of(key);
+        &mut self.states[slot]
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn grid_aggregate_impl(
     ctx: &ExecutionContext<'_>,
@@ -192,7 +245,7 @@ fn grid_aggregate_impl(
         let owner = *contributors
             .iter()
             .max_by(|a, b| a.1.cmp(b.1).then(b.0 .0.cmp(&a.0 .0)))
-            .expect("non-empty")
+            .expect("two or more contributors: single-contributor groups were skipped")
             .0;
         for (&node, &bytes) in contributors {
             if node != owner {
@@ -208,12 +261,37 @@ fn grid_aggregate_impl(
     // are inline and ordered like the `Vec<i64>` they become at the end,
     // the map only assigns each new key a slot in `states`, and a row that
     // lands in the same group as the row before it skips the map.
-    let mut slots: BTreeMap<ChunkCoords, usize> = BTreeMap::new();
-    let mut states: Vec<(f64, u64, f64)> = Vec::new(); // (sum, count, max)
+    //
+    // A chunk whose zone-map box falls inside one group on every grouped
+    // dimension — the cost model's "chunk-level group key" case above,
+    // e.g. 4-cell AIS chunks under an 8-cell coarsening — skips the rows'
+    // keys altogether: its slot is resolved once and its rows fold into it
+    // in the same scan order, so the same additions happen in the same
+    // order. The box is a superset of the live rows even when stale
+    // (retractions never shrink it), so "the box is in one group" implies
+    // "every selected row is". The slot is only created once the mask is
+    // known to select a row: a group exists because a row is in it.
+    let mut groups = Groups::default();
     let mut key = ChunkCoords::zeros(spec.dims.len());
     let mut previous = None;
     plan.for_each_chunk(|chunk, mask| {
         let col = NumericSlice::of(chunk, attr_idx);
+        let zone = chunk.zone().dims();
+        let mut grouped = key.as_mut_slice().iter_mut().zip(&spec.dims).zip(&spec.coarsen);
+        // Fills `key` as it checks; the per-row path below overwrites it.
+        let one_group = grouped.all(|((k, &d), &c)| {
+            // `d` was validated against the schema, whose arity the zone has.
+            let z = zone[d];
+            *k = z.min.div_euclid(c);
+            !z.is_empty() && *k == z.max.div_euclid(c)
+        });
+        if one_group {
+            if mask.count() > 0 {
+                let state = groups.state_of(key);
+                mask.for_each(|row| state.fold(col.get(row)));
+            }
+            return;
+        }
         mask.for_each_cell(chunk, |row, cell| {
             for ((k, &d), &c) in key.as_mut_slice().iter_mut().zip(&spec.dims).zip(&spec.coarsen) {
                 *k = cell[d].div_euclid(c);
@@ -221,25 +299,20 @@ fn grid_aggregate_impl(
             let slot = match previous {
                 Some((same, slot)) if same == key => slot,
                 _ => {
-                    let slot = *slots.entry(key).or_insert_with(|| {
-                        states.push((0.0, 0, f64::MIN));
-                        states.len() - 1
-                    });
+                    let slot = groups.slot_of(key);
                     previous = Some((key, slot));
                     slot
                 }
             };
-            let v = col.get(row);
-            let state = &mut states[slot];
-            state.0 += v;
-            state.1 += 1;
-            state.2 = state.2.max(v);
+            groups.states[slot].fold(col.get(row));
         });
     })?;
-    let rows = slots
+    let rows = groups
+        .slots
         .into_iter()
         .map(|(key, slot)| {
-            let (sum, count, max) = states[slot];
+            let GroupState { sum, count, max } = groups.states[slot];
+            // `count as f64` is exact below 2^53 rows a group.
             let value = match agg {
                 AggFn::Count => count as f64,
                 AggFn::Sum => sum,
@@ -445,5 +518,179 @@ mod tests {
         let spec = GroupSpec::by_dims(vec![0]);
         let err = grid_aggregate(&ctx, ArrayId(3), None, "name", &spec, AggFn::Sum).unwrap_err();
         assert!(matches!(err, QueryError::AttributeType { .. }), "{err}");
+    }
+
+    // -- the chunk-in-one-group shortcut against the per-row definition --
+
+    /// Every group by the definition: an ordered map keyed by each row's
+    /// coarsened coordinates, folded in the order given (scan order).
+    fn groups_of(
+        rows: &[([i64; 2], f64)],
+        spec: &GroupSpec,
+        agg: AggFn,
+    ) -> Vec<(Vec<i64>, u64, u64)> {
+        let mut groups: BTreeMap<Vec<i64>, (f64, u64, f64)> = BTreeMap::new();
+        for (cell, v) in rows {
+            let key = spec.dims.iter().zip(&spec.coarsen).map(|(&d, &c)| cell[d].div_euclid(c));
+            let state = groups.entry(key.collect()).or_insert((0.0, 0, f64::NEG_INFINITY));
+            *state = (state.0 + v, state.1 + 1, state.2.max(*v));
+        }
+        let value = |(sum, count, max): (f64, u64, f64)| match agg {
+            AggFn::Count => count as f64,
+            AggFn::Sum => sum,
+            AggFn::Avg => sum / count as f64,
+            AggFn::Max => max,
+        };
+        groups.into_iter().map(|(k, s)| (k, value(s).to_bits(), s.1)).collect()
+    }
+
+    /// A 16 x 16 plane around the origin in 4 x 4 chunks, `rows` inserted
+    /// in order and `retract` retracted; returns the placed world and the
+    /// live rows in scan order (row-major chunks, insertion order inside).
+    fn plane(rows: &[[i64; 2]], retract: &[[i64; 2]]) -> (Cluster, Catalog, Vec<([i64; 2], f64)>) {
+        let mut cluster = Cluster::new(2, u64::MAX, CostModel::default()).unwrap();
+        let schema = ArraySchema::parse("G<v:double>[x=-8:7,4, y=-8:7,4]").unwrap();
+        let mut a = Array::new(ArrayId(0), schema);
+        let value = |i: usize| (i as f64 * 0.37).sin() * 1e3 + 1.0 / (i + 3) as f64;
+        for (i, cell) in rows.iter().enumerate() {
+            a.insert_cell(cell.to_vec(), vec![ScalarValue::Double(value(i))]).unwrap();
+        }
+        a.delete_cells(&retract.concat()).unwrap();
+        let mut live: Vec<([i64; 2], f64)> = rows
+            .iter()
+            .enumerate()
+            .filter(|(_, cell)| !retract.contains(cell))
+            .map(|(i, &cell)| (cell, value(i)))
+            .collect();
+        live.sort_by_key(|(cell, _)| [cell[0].div_euclid(4), cell[1].div_euclid(4)]);
+        let stored = StoredArray::from_array(a);
+        for (i, d) in stored.descriptors.values().enumerate() {
+            cluster.place(*d, NodeId((i % 2) as u32)).unwrap();
+        }
+        let mut cat = Catalog::new();
+        cat.register(stored);
+        (cluster, cat, live)
+    }
+
+    fn assert_groups(
+        world: &(Cluster, Catalog, Vec<([i64; 2], f64)>),
+        region: Option<&Region>,
+        spec: &GroupSpec,
+    ) -> Vec<Vec<i64>> {
+        let (cluster, cat, live) = world;
+        let selected: Vec<([i64; 2], f64)> = live
+            .iter()
+            .filter(|(cell, _)| region.is_none_or(|r| r.contains_cell(cell)))
+            .copied()
+            .collect();
+        let mut keys = Vec::new();
+        // Pruning off too: a chunk the zone map would have refuted is then
+        // visited with a mask that selects nothing.
+        for pruning in [true, false] {
+            let ctx = ExecutionContext::new(cluster, cat).with_pruning(pruning);
+            for agg in [AggFn::Count, AggFn::Sum, AggFn::Avg, AggFn::Max] {
+                let (got, _) = grid_aggregate(&ctx, ArrayId(0), region, "v", spec, agg).unwrap();
+                let got: Vec<_> =
+                    got.into_iter().map(|r| (r.key, r.value.to_bits(), r.cells)).collect();
+                assert_eq!(got, groups_of(&selected, spec, agg), "{agg:?} pruning {pruning}");
+                keys = got.into_iter().map(|(k, _, _)| k).collect();
+            }
+        }
+        keys
+    }
+
+    /// Every cell of the plane, in an order that revisits chunks.
+    fn every_cell() -> Vec<[i64; 2]> {
+        let mut cells: Vec<[i64; 2]> = (-8..8).flat_map(|x| (-8..8).map(move |y| [x, y])).collect();
+        cells.sort_by_key(|c| (c[0] * 5 + c[1] * 3).rem_euclid(7));
+        cells
+    }
+
+    #[test]
+    fn chunks_inside_one_group_fold_like_their_rows() {
+        let world = plane(&every_cell(), &[[-8, -8], [3, 3], [0, -1]]);
+        // 4-cell chunks under an 8-cell coarsening: every chunk in one
+        // group, four chunks to a group, negative keys under `div_euclid`.
+        let coarse = GroupSpec::coarsened(vec![0, 1], vec![8, 8]);
+        let keys = assert_groups(&world, None, &coarse);
+        assert_eq!(keys, [[-1, -1], [-1, 0], [0, -1], [0, 0]].map(Vec::from).to_vec());
+        // The chunk is the group; and one dimension only, reversed order.
+        assert_groups(&world, None, &GroupSpec::coarsened(vec![0, 1], vec![4, 4]));
+        assert_groups(&world, None, &GroupSpec::coarsened(vec![1], vec![16]));
+        assert_groups(&world, None, &GroupSpec::coarsened(vec![1, 0], vec![8, 4]));
+    }
+
+    #[test]
+    fn chunks_straddling_groups_still_key_every_row() {
+        let world = plane(&every_cell(), &[[1, 1]]);
+        // 3 divides no 4-cell chunk: every chunk straddles two groups.
+        assert_groups(&world, None, &GroupSpec::coarsened(vec![0, 1], vec![3, 5]));
+        // Under 5 the chunks -4..=-1 and 0..=3 sit in one group and the
+        // outer two straddle: both paths within one scan.
+        assert_groups(&world, None, &GroupSpec::coarsened(vec![0, 1], vec![5, 5]));
+        // One dimension inside a group, the other straddling.
+        assert_groups(&world, None, &GroupSpec::coarsened(vec![0, 1], vec![8, 3]));
+        assert_groups(&world, None, &GroupSpec::by_dims(vec![0, 1]));
+    }
+
+    #[test]
+    fn a_chunk_whose_mask_selects_nothing_creates_no_group() {
+        // Chunk (0, 0) holds only its two far corners, so its zone box
+        // spans the chunk — inside one 8-cell group — while the region
+        // reaches into the box and selects neither row.
+        let world = plane(&[[0, 0], [3, 3], [-4, -4], [-1, -2]], &[]);
+        let coarse = GroupSpec::coarsened(vec![0, 1], vec![8, 8]);
+        let region = Region::new(vec![-8, -8], vec![2, 2]);
+        let keys = assert_groups(&world, Some(&region), &coarse);
+        assert_eq!(keys, vec![vec![-1, -1], vec![0, 0]], "(0,0) selected, (3,3) not");
+        let hollow = Region::new(vec![-8, -8], vec![-1, 2]);
+        let keys = assert_groups(&world, Some(&hollow), &coarse);
+        assert_eq!(keys, vec![vec![-1, -1]], "chunk (0,0) is visited and contributes no group");
+        // A chunk emptied by retraction, visited with pruning off.
+        let emptied = plane(&[[0, 0], [3, 3], [-4, -4]], &[[0, 0], [3, 3]]);
+        assert_eq!(assert_groups(&emptied, None, &coarse), vec![vec![-1, -1]]);
+    }
+
+    #[test]
+    fn a_stale_zone_box_is_still_a_sound_group_bound() {
+        // Chunk (0, 0) under a 2-cell coarsening: rows in groups (0, 0)
+        // and (1, 1). Retracting the far one leaves a box that still
+        // spans both groups (retractions never shrink it), so the chunk
+        // takes the per-row path and reports only the live group...
+        let spec = GroupSpec::coarsened(vec![0, 1], vec![2, 2]);
+        let world = plane(&[[0, 0], [1, 1], [3, 3]], &[[3, 3]]);
+        assert_eq!(assert_groups(&world, None, &spec), vec![vec![0, 0]]);
+        // ...and under a coarsening the stale box does fit, the shortcut
+        // folds exactly the live rows.
+        let coarse = GroupSpec::coarsened(vec![0, 1], vec![8, 8]);
+        assert_eq!(assert_groups(&world, None, &coarse), vec![vec![0, 0]]);
+    }
+
+    #[test]
+    fn max_of_infinities_and_nans_is_not_a_finite_sentinel() {
+        // The fold used to start at `f64::MIN`: a group of `-inf` rows (or
+        // of NaNs, which `f64::max` skips) answered -1.797e308.
+        let mut cluster = Cluster::new(1, u64::MAX, CostModel::default()).unwrap();
+        let schema = ArraySchema::parse("X<v:double>[x=0:7,4]").unwrap();
+        let mut a = Array::new(ArrayId(0), schema);
+        let rows = [(0, f64::NEG_INFINITY), (1, f64::NEG_INFINITY), (4, f64::NAN), (5, f64::NAN)];
+        for (x, v) in rows {
+            a.insert_cell(vec![x], vec![ScalarValue::Double(v)]).unwrap();
+        }
+        let stored = StoredArray::from_array(a);
+        for d in stored.descriptors.values() {
+            cluster.place(*d, NodeId(0)).unwrap();
+        }
+        let mut cat = Catalog::new();
+        cat.register(stored);
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        // By chunk (the shortcut) and by cell pair (the per-row path).
+        for coarsen in [4, 2] {
+            let spec = GroupSpec::coarsened(vec![0], vec![coarsen]);
+            let (rows, _) = grid_aggregate(&ctx, ArrayId(0), None, "v", &spec, AggFn::Max).unwrap();
+            let values: Vec<f64> = rows.iter().map(|r| r.value).collect();
+            assert_eq!(values, vec![f64::NEG_INFINITY; 2], "coarsen {coarsen}");
+            assert_eq!(rows.iter().map(|r| r.cells).collect::<Vec<_>>(), vec![2, 2]);
+        }
     }
 }

@@ -39,6 +39,13 @@ impl FlatKeys {
         &self.flat[i * self.nd..(i + 1) * self.nd]
     }
 
+    /// The keys as fixed-arity cells, for a caller that has matched `ND`
+    /// against the arity the buffer was made with.
+    pub fn as_cells<const ND: usize>(&self) -> &[[i64; ND]] {
+        debug_assert_eq!(ND, self.nd);
+        self.flat.as_chunks::<ND>().0
+    }
+
     /// Visit each distinct key once, in ascending lexicographic order,
     /// with the push indices that hold it in ascending (push) order — the
     /// sort is stable, so `run.last()` is the entry a map insert would

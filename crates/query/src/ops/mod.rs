@@ -15,7 +15,7 @@ mod sort;
 mod window;
 
 pub use aggregate::{grid_aggregate, rolling_aggregate, AggFn, GroupRow, GroupSpec};
-pub use filter::{filter_count, subarray, CellSet};
+pub use filter::{filter_count, subarray, CellRows, CellRowsIter, CellSet};
 pub use join::{lookup_join, positional_join, JoinResult};
 pub use model::{kmeans, knn, trajectory, KMeansResult, KnnAnswer, TrajectoryResult};
 pub use sort::{distinct_sorted, quantile, QuantileResult};

@@ -7,6 +7,24 @@
 //! operator drains the surviving rows in ascending physical (insertion)
 //! order, reading measures through a typed column view
 //! ([`NumericSlice`]) resolved once per chunk.
+//!
+//! **Masks narrow a word at a time.** A filter stage never asks "is this
+//! row still selected, and does it pass?" row by row. It walks the mask's
+//! `u64` words: a word with no selected row is skipped without reading a
+//! value; otherwise the stage's test is evaluated for *all* of the word's
+//! (up to 64) physical rows into one `u64` — no branch on the outcome —
+//! and ANDed into the word. Two things follow, and both are contracts:
+//!
+//! * a stage's row test must be **total over physical rows**, not just
+//!   live or still-selected ones: it is evaluated for tombstoned rows and
+//!   for rows an earlier stage dropped. That is sound because a tombstoned
+//!   row keeps its coordinates, values and dictionary codes until
+//!   `Chunk::compact` rebuilds the chunk (at which point it is no longer a
+//!   physical row), so every buffer a test indexes covers every row the
+//!   mask can name;
+//! * the answer is that of testing only the selected rows: ANDing a
+//!   test's bit into a cleared bit leaves it cleared, so evaluating the
+//!   test for rows that are not selected changes nothing.
 
 use crate::catalog::StoredArray;
 use crate::error::{require_type, QueryError, Result, INTEGER, NUMERIC};
@@ -37,11 +55,6 @@ impl SelectionMask {
             }
         }
         SelectionMask { words, rows }
-    }
-
-    #[inline]
-    fn clear(&mut self, row: usize) {
-        self.words[row / 64] &= !(1u64 << (row % 64));
     }
 
     /// Keep only rows whose coordinates fall inside `region`. Dimensions
@@ -77,6 +90,7 @@ impl SelectionMask {
                 self.retain(|row| p.matches(f64::from(v[row])))
             }
             (Predicate::Num(p), AttributeColumn::Int64(v)) => {
+                // Rounds to the nearest `f64`, exactly as `ScalarValue::as_f64` widens.
                 self.retain(|row| p.matches(v[row] as f64))
             }
             (Predicate::Num(p), AttributeColumn::Float(v)) => {
@@ -86,36 +100,26 @@ impl SelectionMask {
             (Predicate::Str(p), AttributeColumn::Dict(dc)) => {
                 // Compile to code space: one acceptance bit per dictionary
                 // entry, then the row loop is a u32 index + bit test.
+                // Codes index the dictionary (`u32` to `usize` is lossless),
+                // so every code a row holds has a bit in `accept`.
                 let dict = dc.dict();
-                let accept: Vec<u64> = match p {
+                let mut accept = vec![0u64; dict.len().div_ceil(64)];
+                let mut accept_code = |c: usize| accept[c / 64] |= 1 << (c % 64);
+                match p {
                     StrPred::Eq(s) => {
-                        let mut bits = vec![0u64; dict.len().div_ceil(64)];
-                        if let Some(c) = dict.code_of(s) {
-                            bits[c as usize / 64] |= 1 << (c % 64);
-                        }
-                        bits
+                        dict.code_of(s).into_iter().for_each(|c| accept_code(c as usize))
                     }
-                    StrPred::In(set) => {
-                        let mut bits = vec![0u64; dict.len().div_ceil(64)];
-                        for s in set {
-                            if let Some(c) = dict.code_of(s) {
-                                bits[c as usize / 64] |= 1 << (c % 64);
-                            }
-                        }
-                        bits
-                    }
+                    StrPred::In(set) => set
+                        .iter()
+                        .filter_map(|s| dict.code_of(s))
+                        .for_each(|c| accept_code(c as usize)),
+                    // First-appearance codes are not ordered; scan the
+                    // dictionary entries (each distinct string once).
                     StrPred::Between(..) => {
-                        // First-appearance codes are not ordered; scan the
-                        // dictionary entries (each distinct string once).
-                        let mut bits = vec![0u64; dict.len().div_ceil(64)];
-                        for (c, s) in dict.strings().iter().enumerate() {
-                            if p.matches(s) {
-                                bits[c / 64] |= 1 << (c % 64);
-                            }
-                        }
-                        bits
+                        let strings = dict.strings().iter().enumerate();
+                        strings.filter(|(_, s)| p.matches(s)).for_each(|(c, _)| accept_code(c))
                     }
-                };
+                }
                 let codes = dc.codes();
                 self.retain(|row| {
                     let c = codes[row] as usize;
@@ -133,18 +137,28 @@ impl SelectionMask {
     }
 
     /// Narrow the mask: keep only selected rows for which `keep` holds.
+    ///
+    /// Word at a time (see the module doc): `keep` is called for every
+    /// physical row of every word that still selects a row — tombstoned
+    /// and already-dropped rows included — so it must be defined for any
+    /// `row < self.rows`.
     #[inline]
-    fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        for row in 0..self.rows {
-            if self.is_set(row) && !keep(row) {
-                self.clear(row);
+    fn retain(&mut self, keep: impl Fn(usize) -> bool) {
+        let rows = self.rows;
+        for (i, word) in self.words.iter_mut().enumerate() {
+            if *word == 0 {
+                continue;
             }
+            let base = i * 64;
+            // `live` sized the mask to `rows.div_ceil(64)` words, so
+            // `base < rows`; the last word covers the remainder.
+            let width = (rows - base).min(64);
+            let mut passed = 0u64;
+            for bit in 0..width {
+                passed |= u64::from(keep(base + bit)) << bit;
+            }
+            *word &= passed;
         }
-    }
-
-    #[inline]
-    fn is_set(&self, row: usize) -> bool {
-        self.words[row / 64] & (1u64 << (row % 64)) != 0
     }
 
     /// Number of selected rows.
@@ -165,6 +179,7 @@ impl SelectionMask {
         for (i, &word) in self.words.iter().enumerate() {
             let mut w = word;
             while w != 0 {
+                // `w != 0`, so this is a bit index below 64.
                 let bit = w.trailing_zeros() as usize;
                 f(i * 64 + bit);
                 w &= w - 1;
@@ -205,6 +220,7 @@ impl<'a> NumericSlice<'a> {
     pub fn get(&self, row: usize) -> f64 {
         match self {
             NumericSlice::I32(v) => f64::from(v[row]),
+            // Rounds to the nearest `f64`, like `ScalarValue::as_f64`.
             NumericSlice::I64(v) => v[row] as f64,
             NumericSlice::F32(v) => f64::from(v[row]),
             NumericSlice::F64(v) => v[row],
@@ -252,7 +268,8 @@ fn typed_attr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use array_model::{ArraySchema, ChunkCoords, ScalarValue};
+    use array_model::{ArraySchema, ChunkCoords, ScalarValue, StringEncoding};
+    use proptest::prelude::*;
 
     fn chunk_with(values: &[(i64, f64)]) -> (ArraySchema, Chunk) {
         let schema = ArraySchema::parse("A<v:double>[x=0:1023,1024]").unwrap();
@@ -309,5 +326,163 @@ mod tests {
         let mut mask = SelectionMask::live(&chunk);
         let err = mask.retain_predicate(&chunk, 0, &Predicate::str_eq("x")).unwrap_err();
         assert!(matches!(err, QueryError::AttributeType { .. }));
+    }
+
+    // -- word-at-a-time `retain` against the per-row loop it replaced --
+
+    const TAGS: [&str; 5] = ["ash", "birch", "cedar", "elm", "fir"];
+
+    /// One row's values from `bits`: duplicate-heavy, negative integers,
+    /// a NaN and both infinities among the floats, five strings.
+    fn row_values(bits: u64) -> Vec<ScalarValue> {
+        let pick = |shift: u32, n: u64| (bits >> shift) % n;
+        let d = match pick(8, 9) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            _ => pick(12, 9) as f64 - 4.0,
+        };
+        vec![
+            ScalarValue::Int32(pick(0, 9) as i32 - 4),
+            ScalarValue::Int64(pick(4, 9) as i64 - 4),
+            ScalarValue::Float(pick(16, 9) as f32 - 4.0),
+            ScalarValue::Double(d),
+            ScalarValue::Str(TAGS[pick(20, 5) as usize].into()),
+        ]
+    }
+
+    /// A one-chunk array of `bits.len()` rows at scattered coordinates,
+    /// then `retract` (row indices, modulo) tombstoned.
+    fn scattered_chunk(bits: &[u64], retract: &[usize], encoding: StringEncoding) -> Chunk {
+        let schema =
+            ArraySchema::parse("A<i:int32, l:int64, f:float, d:double, s:string>[x=0:255,256]")
+                .unwrap();
+        let mut chunk = Chunk::with_encoding(&schema, ChunkCoords::new([0]), encoding);
+        for &b in bits {
+            chunk.push_cell(&schema, vec![(b >> 24) as i64 % 256], row_values(b)).unwrap();
+        }
+        for &r in retract {
+            if !bits.is_empty() {
+                // Tombstones the newest live row at that cell, if any.
+                let cell = [(bits[r % bits.len()] >> 24) as i64 % 256];
+                chunk.retract_cell(&cell);
+            }
+        }
+        chunk
+    }
+
+    fn selected(mask: &SelectionMask) -> Vec<usize> {
+        let mut rows = Vec::new();
+        mask.for_each(|r| rows.push(r));
+        assert_eq!(mask.count(), rows.len() as u64);
+        rows
+    }
+
+    /// The loop `retain` used to be: one selected-bit test and one `keep`
+    /// call per row, over the row-at-a-time accessors.
+    fn per_row(chunk: &Chunk, keep: impl Fn(usize) -> bool) -> Vec<usize> {
+        (0..chunk.physical_cell_count()).filter(|&r| !chunk.is_tombstoned(r) && keep(r)).collect()
+    }
+
+    fn predicates() -> Vec<(usize, Predicate)> {
+        let mut all = Vec::new();
+        for attr in 0..4 {
+            all.extend(
+                [
+                    Predicate::lt(0.0),
+                    Predicate::le(-1.0),
+                    Predicate::gt(1.0),
+                    Predicate::ge(0.0),
+                    Predicate::eq_num(2.0),
+                    Predicate::between(-2.0, 1.0),
+                    Predicate::between(f64::NEG_INFINITY, f64::INFINITY),
+                ]
+                .map(|p| (attr, p)),
+            );
+        }
+        all.extend(
+            [
+                Predicate::str_eq("cedar"),
+                Predicate::str_eq("oak"),
+                Predicate::str_in(["ash", "fir", "oak"]),
+                Predicate::str_between("b", "d"),
+            ]
+            .map(|p| (4, p)),
+        );
+        all
+    }
+
+    fn assert_retain_matches_per_row(chunk: &Chunk, low: i64, high: i64) {
+        let region = Region::new(vec![low], vec![high]);
+        let in_region = |r: usize| region.contains_cell(chunk.cell(r).unwrap());
+        let mut by_region = SelectionMask::live(chunk);
+        by_region.retain_region(chunk, &region);
+        assert_eq!(selected(&by_region), per_row(chunk, in_region), "region {low}..={high}");
+        for (attr, pred) in predicates() {
+            let matches = |r: usize| match (&pred, chunk.column(attr).unwrap().get(r).unwrap()) {
+                (Predicate::Num(p), v) => p.matches(v.as_f64().unwrap()),
+                (Predicate::Str(p), ScalarValue::Str(s)) => p.matches(&s),
+                (Predicate::Str(_), v) => panic!("string predicate over {v:?}"),
+            };
+            let mut mask = SelectionMask::live(chunk);
+            mask.retain_predicate(chunk, attr, &pred).unwrap();
+            assert_eq!(selected(&mask), per_row(chunk, matches), "#{attr} {pred:?}");
+            // Stages compose: the second narrows what the first left.
+            mask.retain_region(chunk, &region);
+            let both = per_row(chunk, |r| matches(r) && in_region(r));
+            assert_eq!(selected(&mask), both, "#{attr} {pred:?} then region");
+        }
+    }
+
+    /// Dictionary-encoded, plain, and a dictionary capped below the five
+    /// tags so the column spills to plain storage mid-build.
+    const ENCODINGS: [StringEncoding; 3] = [
+        StringEncoding::Dict { cap: 4096 },
+        StringEncoding::Plain,
+        StringEncoding::Dict { cap: 2 },
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn word_wise_retain_equals_the_per_row_loop(
+            bits in proptest::collection::vec(any::<u64>(), 0..201),
+            retract in proptest::collection::vec(0usize..1000, 0..60),
+            low in 0i64..256,
+            len in 0i64..256,
+        ) {
+            for encoding in ENCODINGS {
+                let chunk = scattered_chunk(&bits, &retract, encoding);
+                assert_retain_matches_per_row(&chunk, low, low + len);
+            }
+        }
+    }
+
+    #[test]
+    fn retain_is_exact_at_word_boundaries() {
+        // rows % 64 in {0, 1, 63}, on both sides of one and two words.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for rows in [0usize, 1, 63, 64, 65, 127, 128, 129, 191, 192, 193] {
+            let bits: Vec<u64> = (0..rows)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                })
+                .collect();
+            // Retract the last row (the boundary bit), the first, and a
+            // whole word's worth so a zero word is skipped.
+            let mut retract: Vec<usize> = vec![rows.saturating_sub(1), 0];
+            retract.extend(64..128.min(rows));
+            for encoding in ENCODINGS {
+                let chunk = scattered_chunk(&bits, &retract, encoding);
+                if encoding == (StringEncoding::Dict { cap: 2 }) && rows >= 63 {
+                    assert!(matches!(chunk.column(4), Some(AttributeColumn::Str(_))), "spilled");
+                }
+                assert_retain_matches_per_row(&chunk, 16, 200);
+            }
+        }
     }
 }

@@ -5,14 +5,14 @@
 //! coordinator, and finish with a serial merge — "non-trivial aggregation"
 //! whose cost follows the balance of the scan plus a small serial tail.
 //!
-//! The materialized answers have the same shape. `distinct_sorted` sorts
-//! and deduplicates each chunk's keys locally — the compression the cost
-//! model charges the exchange for — and merges the survivors with one
-//! final sort; `quantile` selects the answer rank instead of sorting the
-//! sample. Neither adds floats, so — unlike the window and group sums —
-//! no evaluation order is part of these answers: each is a function of
-//! the values gathered, and equals the ordered-set / full-sort definition
-//! bit for bit however it is computed.
+//! The materialized answers are cheaper than that shape. `distinct_sorted`
+//! files every scanned key in one seen-table ([`SeenKeys`]) — a probe per
+//! row, none for a row that repeats the key before it — and sorts only
+//! the distinct keys at the end; `quantile` selects the answer rank
+//! instead of sorting the sample. Neither adds floats, so — unlike the
+//! window and group sums — no evaluation order is part of these answers:
+//! each is a function of the values gathered, and equals the ordered-set
+//! / full-sort definition bit for bit however it is computed.
 
 use super::scan::{int_key, integer_attr, numeric_attr, NumericSlice};
 use crate::error::Result;
@@ -68,7 +68,7 @@ pub fn quantile(
     }
     tracker.prune_chunks(plan.pruned);
     // Serial sort of the sample at the coordinator: n log n over the
-    // sampled bytes, priced as CPU work.
+    // sampled bytes, priced as CPU work (an estimate: `n` may round).
     let n = (sample_bytes_total / 8).max(1) as f64;
     tracker
         .coordinator(gb(sample_bytes_total) * ctx.cost().cpu_secs_per_gb * n.log2().max(1.0) / 8.0);
@@ -77,6 +77,7 @@ pub fn quantile(
     // The stride counter advances only on region-selected live rows, so a
     // pruned chunk (zero such rows) never shifts which cells later chunks
     // contribute — sampling is pruning-invariant by construction.
+    // The clamp bounds the stride to 1..=1e6, which `usize` holds exactly.
     let stride = (1.0 / sample_fraction.clamp(1e-6, 1.0)).round().max(1.0) as usize;
     let mut sample: Vec<f64> = Vec::new();
     let mut i = 0usize;
@@ -94,9 +95,12 @@ pub fn quantile(
         // The value a full `total_cmp` sort would leave at the answer
         // rank, by selection: O(n), and the same bits, because values that
         // compare equal under the total order are the same bits.
+        // A rank in `0..=len - 1`: `q` is clamped to the unit interval (a
+        // NaN `q` casts to rank 0) and `len - 1` is exact below 2^53.
         let idx = ((sample.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
         value = Some(*sample.select_nth_unstable_by(idx, f64::total_cmp).1);
     }
+    // `usize` to `u64` is lossless on every supported target.
     Ok((QuantileResult { value, sampled_cells: sample.len() as u64 }, tracker.finish()))
 }
 
@@ -124,22 +128,106 @@ pub fn distinct_sorted(
     });
     tracker.coordinator(0.5); // final merge of per-node distinct sets
 
-    // Materialized answer: local distinct per chunk (a chunk repeats few
-    // keys many times, so its sorted, deduplicated keys are a small
-    // fraction of its rows), then one merge of the survivors.
-    let mut out: Vec<i64> = Vec::new();
-    let mut local: Vec<i64> = Vec::new();
+    // Materialized answer: a function of the key *set*, so the keys go
+    // through one table over the whole scan and only the distinct ones are
+    // sorted. A run of rows repeating one key (a ship reports many times
+    // in a row) probes the table once.
+    let mut seen = SeenKeys::new();
+    let mut previous = None;
     plan.for_each_chunk(|chunk, mask| {
+        // A stored chunk carries one column per schema attribute.
         let col = chunk.column(attr_idx).expect("schema-shaped chunk");
-        local.clear();
-        mask.for_each(|row| local.push(int_key(col, row)));
-        local.sort_unstable();
-        local.dedup();
-        out.extend_from_slice(&local);
+        mask.for_each(|row| {
+            let key = int_key(col, row);
+            if previous != Some(key) {
+                seen.insert(key);
+                previous = Some(key);
+            }
+        });
     })?;
-    out.sort_unstable();
-    out.dedup();
-    Ok((out, tracker.finish()))
+    Ok((seen.into_sorted(), tracker.finish()))
+}
+
+/// The distinct `i64` keys of a scan: an open-addressed, linearly probed
+/// table that doubles at half load.
+///
+/// The hash is one multiplication (Fibonacci hashing), not `HashSet`'s
+/// SipHash: the probe is the whole per-row cost of `distinct_sorted`, and
+/// the keys are stored attribute values, not a protocol surface — keys
+/// crafted to collide can only slow a query down (a longer probe run),
+/// never change its answer.
+struct SeenKeys {
+    /// A power of two slots, at most half of them taken; [`Self::VACANT`]
+    /// marks a free one.
+    slots: Vec<i64>,
+    /// Taken slots.
+    len: usize,
+    /// Whether the key equal to [`Self::VACANT`] was inserted — the one
+    /// key the slots cannot hold.
+    vacant_key_seen: bool,
+}
+
+impl SeenKeys {
+    const VACANT: i64 = i64::MIN;
+    const INITIAL_SLOTS: usize = 1 << 10;
+
+    fn new() -> Self {
+        SeenKeys { slots: vec![Self::VACANT; Self::INITIAL_SLOTS], len: 0, vacant_key_seen: false }
+    }
+
+    /// Where `key` is held in `slots` (a power of two ≥ 2 of them, at
+    /// least one vacant, so the probe terminates), or the vacant slot that
+    /// ends its probe run. The run starts at the top `log2(len)` bits of a
+    /// Fibonacci product.
+    #[inline]
+    fn slot_for(slots: &[i64], key: i64) -> usize {
+        // Both casts are bit-level by intent: the key's two's-complement
+        // bits are the hash input, and the shifted product is < `len`.
+        let product = (key as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut at = (product >> (u64::BITS - slots.len().trailing_zeros())) as usize;
+        while slots[at] != Self::VACANT && slots[at] != key {
+            at = (at + 1) & (slots.len() - 1);
+        }
+        at
+    }
+
+    fn insert(&mut self, key: i64) {
+        if key == Self::VACANT {
+            self.vacant_key_seen = true;
+            return;
+        }
+        let at = Self::slot_for(&self.slots, key);
+        if self.slots[at] == key {
+            return;
+        }
+        self.slots[at] = key;
+        self.len += 1;
+        if self.len > self.slots.len() / 2 {
+            self.grow();
+        }
+    }
+
+    /// Double the table and re-file every key.
+    fn grow(&mut self) {
+        // Cannot overflow: a `Vec<i64>` holds at most `isize::MAX / 8` slots.
+        let doubled = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![Self::VACANT; doubled]);
+        for key in old.into_iter().filter(|&k| k != Self::VACANT) {
+            let at = Self::slot_for(&self.slots, key);
+            self.slots[at] = key;
+        }
+    }
+
+    /// The keys, ascending.
+    fn into_sorted(self) -> Vec<i64> {
+        let mut keys = self.slots;
+        keys.retain(|&k| k != Self::VACANT);
+        if self.vacant_key_seen {
+            keys.push(Self::VACANT);
+        }
+        keys.sort_unstable();
+        keys
+    }
 }
 
 #[cfg(test)]
@@ -261,5 +349,65 @@ mod tests {
         assert_eq!(values, vec![0]);
         let (q, _) = quantile(&ctx, ArrayId(0), Some(&region), "v", 1.0, 1.0).unwrap();
         assert_eq!(q.value, Some(9.0));
+    }
+
+    #[test]
+    fn seen_keys_hold_the_extremes_and_survive_growth() {
+        use std::collections::BTreeSet;
+        let mut seen = SeenKeys::new();
+        let mut oracle = BTreeSet::new();
+        // Both ends of `i64` (one of them is the vacant marker), their
+        // neighbours, zero and negatives; then enough distinct keys —
+        // spread by a multiplier so probe runs collide and wrap — to
+        // double the table more than twice, each inserted twice.
+        let edges = [i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1, 0, -1, 1, -77, i64::MIN];
+        let spread = (0..3_000i64).map(|i| (i - 1_500).wrapping_mul(0x1234_5678_9abc_def1));
+        let dense = -40..40i64;
+        for key in edges.into_iter().chain(spread.clone()).chain(dense).chain(spread) {
+            seen.insert(key);
+            oracle.insert(key);
+        }
+        assert!(seen.slots.len() >= 4 * SeenKeys::INITIAL_SLOTS, "grew at least twice");
+        assert_eq!(seen.len + 1, oracle.len(), "every key but the vacant marker holds a slot");
+        assert_eq!(seen.into_sorted(), oracle.into_iter().collect::<Vec<_>>());
+        assert_eq!(SeenKeys::new().into_sorted(), Vec::<i64>::new());
+    }
+
+    #[test]
+    fn distinct_spans_chunks_extremes_and_tombstones() {
+        // Keys repeat inside a chunk (runs of one key), across chunks,
+        // and include both ends of `i64`; one key lives only in rows that
+        // are retracted, so it must not be reported.
+        let mut cluster = Cluster::new(2, u64::MAX, CostModel::default()).unwrap();
+        let schema = ArraySchema::parse("D<id:int64>[x=0:4095,64]").unwrap();
+        let mut a = Array::new(ArrayId(5), schema);
+        let key_of = |x: i64| match x % 97 {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => -5,
+            _ => (x / 3) * 1_000_003 - 2_000_000_000,
+        };
+        for x in 0..4096i64 {
+            let key = if x == 100 || x == 2_000 { 424_242 } else { key_of(x) };
+            a.insert_cell(vec![x], vec![ScalarValue::Int64(key)]).unwrap();
+        }
+        a.delete_cells(&[100, 2_000]).unwrap();
+        let stored = StoredArray::from_array(a);
+        for (i, d) in stored.descriptors.values().enumerate() {
+            cluster.place(*d, NodeId((i % 2) as u32)).unwrap();
+        }
+        let mut cat = Catalog::new();
+        cat.register(stored);
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        let live = |x: &i64| *x != 100 && *x != 2_000;
+        for region in [None, Some(Region::new(vec![50], vec![3_000]))] {
+            let inside = |x: &i64| region.as_ref().is_none_or(|r| r.contains_cell(&[*x]));
+            let oracle: std::collections::BTreeSet<i64> =
+                (0..4096i64).filter(live).filter(inside).map(key_of).collect();
+            let (got, _) = distinct_sorted(&ctx, ArrayId(5), region.as_ref(), "id").unwrap();
+            assert!(got.len() > SeenKeys::INITIAL_SLOTS / 2, "enough keys to grow the table");
+            assert!(!got.contains(&424_242), "a retracted row's key is not an answer");
+            assert_eq!(got, oracle.into_iter().collect::<Vec<_>>());
+        }
     }
 }

@@ -29,7 +29,7 @@ use super::scan::{numeric_attr, NumericSlice};
 use crate::error::{QueryError, Result};
 use crate::exec::ExecutionContext;
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
-use array_model::{ArrayId, ChunkDescriptor, Region};
+use array_model::{ArrayId, ChunkDescriptor, Region, MAX_DIMS};
 
 /// Result of a windowed aggregate.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -62,6 +62,7 @@ pub fn window_aggregate(
     let too_wide =
         || QueryError::InvalidArgument(format!("window radius {radius} overflows the region"));
     let side = radius.checked_mul(2).and_then(|d| d.checked_add(1));
+    // A cost multiplier: rounding the cell count to the nearest `f64` is fine.
     let window_cells = side.and_then(|s| s.checked_mul(s)).ok_or_else(too_wide)? as f64;
     let grow = |corner: &[i64], by: i64| -> Option<Vec<i64>> {
         corner.iter().map(|v| v.checked_add(by)).collect()
@@ -81,7 +82,8 @@ pub fn window_aggregate(
     // that participates in the query.
     let pull_halo = |tracker: &mut WorkTracker<'_>, desc: &ChunkDescriptor, node, live| {
         for (dim, dimension) in array.schema.dimensions.iter().enumerate() {
-            // Faces plus their edge/corner contributions (~1.5x a face).
+            // Faces plus their edge/corner contributions (~1.5x a face);
+            // a cost estimate, so the casts may round.
             let slab_fraction =
                 (1.5 * radius as f64 / dimension.chunk_interval.max(1) as f64).min(1.0) * fraction;
             for delta in [-1i64, 1] {
@@ -143,6 +145,7 @@ fn window_means(
     });
     drop((cells, values));
     let (total, outputs) = sweep_windows(&points, &sorted, region, radius)?;
+    // `outputs as f64` is exact below 2^53 windows.
     let mean = (outputs > 0).then(|| total / outputs as f64);
     Ok(WindowResult { mean, outputs })
 }
@@ -150,20 +153,55 @@ fn window_means(
 /// Sum of window means, and how many windows, over `points` (distinct,
 /// ascending) for every centre inside `region`.
 ///
+/// The sweep's inner loop is key comparisons, so it runs over fixed-arity
+/// keys: `[i64; ND]` for the arities real schemas have, and keys padded
+/// with zeros to `MAX_DIMS` beyond that (equal padding never decides a
+/// lexicographic comparison, so the padded order is the unpadded one).
+fn sweep_windows(
+    points: &FlatKeys,
+    values: &[f64],
+    region: &Region,
+    radius: i64,
+) -> Result<(f64, u64)> {
+    let nd = region.ndims();
+    match nd {
+        1 => sweep(points.as_cells::<1>(), nd, values, region, radius),
+        2 => sweep(points.as_cells::<2>(), nd, values, region, radius),
+        3 => sweep(points.as_cells::<3>(), nd, values, region, radius),
+        4 => sweep(points.as_cells::<4>(), nd, values, region, radius),
+        _ => {
+            let padded: Vec<[i64; MAX_DIMS]> = (0..points.len())
+                .map(|i| {
+                    let mut key = [0; MAX_DIMS];
+                    // A schema has at most `MAX_DIMS` dimensions.
+                    key[..nd].copy_from_slice(points.get(i));
+                    key
+                })
+                .collect();
+            sweep(&padded, nd, values, region, radius)
+        }
+    }
+}
+
+/// [`sweep_windows`] over `nd`-dimensional keys held in `[i64; ND]`
+/// (`1 ≤ nd ≤ ND`, coordinates past `nd` all zero).
+///
 /// A window is the box `centre ± radius`. Split it by its *prefix* — the
 /// offsets over every dimension but the last: for one prefix offset the
 /// window's cells are those sharing the prefix `centre + offset` with a
 /// last coordinate in `[c - r, c + r]`, which in lexicographic order is
-/// one contiguous run starting at the first point `≥ (prefix, c - r)`.
-/// Centres are visited ascending, so for a fixed offset that start only
-/// ever moves forward: one monotone cursor per prefix offset finds every
-/// run with O(points) total stepping, and the runs are read sequentially.
-/// Visiting the offsets in odometer order (last prefix dimension fastest)
-/// and each run front to back adds the stored neighbours in ascending
-/// lexicographic order — the brute-force probe order, hence bit-identical
-/// sums (the module doc says why that is a contract).
-fn sweep_windows(
-    points: &FlatKeys,
+/// one contiguous run: from the first point `≥ (prefix, c - r)` to the
+/// last point `≤ (prefix, c + r)`. Centres are visited ascending, so for
+/// a fixed offset that start only ever moves forward: one monotone cursor
+/// per prefix offset finds every run with O(points) total stepping, and
+/// the runs are read sequentially. Visiting the offsets in odometer order
+/// (last prefix dimension fastest) and each run front to back adds the
+/// stored neighbours in ascending lexicographic order — the brute-force
+/// probe order, hence bit-identical sums (the module doc says why that is
+/// a contract).
+fn sweep<const ND: usize>(
+    points: &[[i64; ND]],
+    nd: usize,
     values: &[f64],
     region: &Region,
     radius: i64,
@@ -172,14 +210,13 @@ fn sweep_windows(
     if n == 0 {
         return Ok((0.0, 0));
     }
-    let nd = region.ndims();
     let last = nd - 1;
     // No stored centre has a stored neighbour further away than the data
     // spans, so clamp each prefix dimension's reach to that span: the
     // cursor count is then bounded by the data, not by the caller.
-    let mut reach = vec![radius; nd];
+    let mut reach = [radius; ND];
     for (d, r) in reach[..last].iter_mut().enumerate() {
-        let coords = (0..n).map(|i| points.get(i)[d]);
+        let coords = points.iter().map(|p| p[d]);
         let (lo, hi) = coords.fold((i64::MAX, i64::MIN), |(lo, hi), c| (lo.min(c), hi.max(c)));
         *r = radius.min(hi.saturating_sub(lo));
     }
@@ -190,31 +227,33 @@ fn sweep_windows(
             QueryError::InvalidArgument(format!("window radius {radius} has too many offsets"))
         })?;
     let mut cursors = vec![0usize; offsets];
-    let mut offset = vec![0i64; nd];
-    let mut target = vec![0i64; nd];
+    let mut offset = [0i64; ND];
     let (mut total, mut outputs) = (0.0, 0u64);
-    for i in 0..n {
-        let centre = points.get(i);
-        if !region.contains_cell(centre) {
+    for centre in points {
+        if !region.contains_cell(&centre[..nd]) {
             continue;
         }
         // Average the window around this cell (sparse: only stored cells
         // contribute, and the centre is one of them).
         let (mut sum, mut count) = (0.0, 0u64);
-        let run_end = centre[last] + radius;
-        for (o, &r) in offset.iter_mut().zip(&reach) {
+        for (o, &r) in offset[..nd].iter_mut().zip(&reach) {
             *o = -r;
         }
         for cursor in &mut cursors {
-            for ((t, &c), &o) in target.iter_mut().zip(centre).zip(&offset) {
-                *t = c + o;
+            // The run's first and last possible keys. The centre is inside
+            // the region and `window_aggregate` checked that the region
+            // grown by the radius fits `i64`, so neither sum overflows.
+            let mut first = *centre;
+            for (t, &o) in first.iter_mut().zip(&offset) {
+                *t += o;
             }
-            while *cursor < n && points.get(*cursor) < &target[..] {
+            let mut end = first;
+            end[last] = centre[last] + radius;
+            while *cursor < n && points[*cursor] < first {
                 *cursor += 1;
             }
-            for (j, value) in values.iter().enumerate().skip(*cursor) {
-                let point = points.get(j);
-                if point[..last] != target[..last] || point[last] > run_end {
+            for (point, value) in points[*cursor..].iter().zip(&values[*cursor..]) {
+                if *point > end {
                     break;
                 }
                 sum += value;
@@ -229,6 +268,7 @@ fn sweep_windows(
                 offset[d] = -reach[d];
             }
         }
+        // `count ≥ 1` (the centre's own run holds it); exact below 2^53.
         total += sum / count as f64;
         outputs += 1;
     }
@@ -291,16 +331,23 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 33) % n
         };
-        for nd in 1..=3usize {
+        // (dimensions, coordinate span, region high corner, radii). 12
+        // reaches past the data's span: the clamped-reach path. Four
+        // dimensions is the last fixed key arity; five travels as keys
+        // zero-padded to `MAX_DIMS`, which must order — and so sum —
+        // exactly as the unpadded ones (tighter, so the odometer oracle
+        // stays affordable).
+        let wide: (u64, i64, &[i64]) = (9, 4, &[0, 1, 2, 3, 12]);
+        let tight: (u64, i64, &[i64]) = (4, 1, &[0, 1, 2]);
+        for (nd, (span, high, radii)) in [(1, wide), (2, wide), (3, wide), (4, tight), (5, tight)] {
             let cells: Vec<(Vec<i64>, f64)> = (0..400)
                 .map(|i| {
-                    let cell = (0..nd).map(|_| next(9) as i64 - 2).collect();
+                    let cell = (0..nd).map(|_| next(span) as i64 - 2).collect();
                     (cell, (i as f64 * 0.37).sin() * 1e3 + 1.0 / (i + 3) as f64)
                 })
                 .collect();
-            let region = Region::new(vec![-1; nd], vec![4; nd]);
-            // 12 reaches past the data's span: the clamped-reach path.
-            for radius in [0, 1, 2, 3, 12] {
+            let region = Region::new(vec![-1; nd], vec![high; nd]);
+            for &radius in radii {
                 let mut keys = FlatKeys::new(nd);
                 for (cell, _) in &cells {
                     keys.push(cell);

@@ -633,3 +633,66 @@ fn view_batch_apply_allocations_are_bounded_by_the_closures() {
     assert_eq!(stats.delta_rows, 0);
     assert_eq!(allocation_count() - start, 0, "an unread array's delta allocated");
 }
+
+/// A selection's rows land in two flat buffers and a distinct scan files
+/// its keys in one table: both allocate per *chunk* (the selection mask,
+/// the projected column list) and per doubling of a buffer, never per
+/// returned or scanned row. The owned-pair result `subarray` used to
+/// build cost two heap cells per row.
+#[test]
+fn scans_allocate_per_chunk_not_per_row() {
+    use query_engine::ops;
+
+    let (n, per_chunk) = (40_000i64, 1_000i64);
+    let chunks = (n / per_chunk) as usize;
+    let schema = ArraySchema::parse(&format!("S<id:int64, v:double>[x=0:*,{per_chunk}]")).unwrap();
+    let mut array = Array::new(ArrayId(0), schema);
+    for x in 0..n {
+        // 8 000 distinct keys, each in a short run and again in a later
+        // chunk: the seen-table doubles four times past its first size.
+        let id = (x / 3) % 8_000 * 1_000_003 - 4_000_000_000;
+        array
+            .insert_cell(vec![x], vec![ScalarValue::Int64(id), ScalarValue::Double(x as f64 * 0.5)])
+            .unwrap();
+    }
+    let stored = StoredArray::from_array(array);
+    let mut cluster = Cluster::new(4, u64::MAX, CostModel::default()).unwrap();
+    for (i, desc) in stored.descriptors.values().enumerate() {
+        cluster.place(*desc, NodeId((i % 4) as u32)).unwrap();
+    }
+    assert_eq!(stored.descriptors.len(), chunks);
+    let mut catalog = Catalog::new();
+    catalog.register(stored);
+    let ctx = ExecutionContext::new(&cluster, &catalog);
+    let everything = Region::new(vec![0], vec![n - 1]);
+    let doublings = n.ilog2() as usize + 1;
+
+    let start = allocation_count();
+    let (cells, _) = ops::subarray(&ctx, ArrayId(0), &everything, &[]).unwrap();
+    let subarray_allocs = allocation_count() - start;
+    assert_eq!(cells.len(), n as usize);
+    assert!(
+        subarray_allocs <= 2 * chunks + 2 * doublings + 32,
+        "subarray of {n} fixed-width rows over {chunks} chunks allocated {subarray_allocs} times; \
+         the budget is 2 per chunk plus the two buffers' doublings (an owned pair per row is {})",
+        2 * n
+    );
+    // Reading the rows back borrows them.
+    let start = allocation_count();
+    let mut sum = 0.0;
+    for (cell, values) in &cells.cells {
+        sum += cell[0] as f64 + values[1].as_f64().unwrap_or(0.0);
+    }
+    assert_eq!(allocation_count() - start, 0, "iterating a CellSet allocated");
+    assert!(sum > 0.0);
+
+    let start = allocation_count();
+    let (distinct, _) = ops::distinct_sorted(&ctx, ArrayId(0), None, "id").unwrap();
+    let distinct_allocs = allocation_count() - start;
+    assert_eq!(distinct.len(), 8_000);
+    assert!(
+        distinct_allocs <= chunks + doublings + 32,
+        "distinct_sorted over {n} rows in {chunks} chunks allocated {distinct_allocs} times; \
+         the budget is 1 per chunk plus the table's doublings — nothing per row"
+    );
+}

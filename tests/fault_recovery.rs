@@ -67,7 +67,7 @@ fn probe_answers(cluster: &Cluster, catalog: &Catalog) -> (ProbeAnswers, u64) {
     let ctx = ExecutionContext::new(cluster, catalog);
     let probe = AisWorkload::cycle_region(0);
     let (cells, _) = ops::subarray(&ctx, BROADCAST, &probe, &[]).unwrap();
-    let mut subarray = cells.cells.clone();
+    let mut subarray = cells.cells.to_rows();
     subarray.sort_by(|a, b| a.0.cmp(&b.0));
     let (filter_count, _) =
         ops::filter_count(&ctx, BROADCAST, &probe, "speed", &Predicate::ge(10.0)).unwrap();
@@ -429,7 +429,7 @@ fn shrink_probe(cluster: &Cluster, catalog: &Catalog, cells: usize) -> (Vec<Row>
     let ctx = ExecutionContext::new(cluster, catalog);
     let probe = Region::new(vec![0], vec![cells as i64 - 1]);
     let (got, _) = ops::subarray(&ctx, SHRINK, &probe, &[]).unwrap();
-    let mut rows = got.cells.clone();
+    let mut rows = got.cells.to_rows();
     rows.sort_by(|a, b| a.0.cmp(&b.0));
     let (count, _) = ops::filter_count(&ctx, SHRINK, &probe, "v", &Predicate::ge(96.0)).unwrap();
     let spec = ops::GroupSpec::coarsened(vec![0], vec![256]);

@@ -15,9 +15,19 @@
 //! repeated cells, rows retracted before the query so chunks carry
 //! tombstones or are emptied outright, regions that reach past the array
 //! bounds), places them with several partitioners, and keeps its own book
-//! of which rows are live; `subarray` (a scan this suite does not change)
-//! must agree with that book, which is what lets the release-scale leg
-//! (`kernel_smoke`) take its rows from `subarray` instead.
+//! of which rows are live. `subarray` is a kernel too — its rows land in
+//! one flat `CellRows` through word-at-a-time selection masks — and what
+//! pins it is that book: every case requires `subarray`'s rows, in scan
+//! order, to equal the book's (built from the inserted rows and the
+//! retraction script alone, never from a scan). The crate's own tests
+//! hold the flat result against the owned pair per row it replaced and
+//! the masks against the per-row loop. That agreement is what lets the
+//! release-scale leg (`kernel_smoke`) take its rows from `subarray`.
+//! `grid_aggregate` keys a chunk whose zone box sits inside one group
+//! once, not per row: the 3-cell chunks here sit inside the groups of the
+//! 3-cell coarsening, straddle those of the 2-cell one and do either
+//! under the 5-cell one (a sparse chunk's tight box can fit where its
+//! extent would not), so both paths meet the ordered-map oracle.
 
 use elastic_array_db::array::chunk_of;
 use elastic_array_db::prelude::*;
@@ -270,7 +280,7 @@ fn group_oracle(
     let mut groups: BTreeMap<Vec<i64>, (f64, u64, f64)> = BTreeMap::new();
     for (cell, values) in rows {
         let key = spec.dims.iter().zip(&spec.coarsen).map(|(&d, &c)| cell[d].div_euclid(c));
-        let state = groups.entry(key.collect()).or_insert((0.0, 0, f64::MIN));
+        let state = groups.entry(key.collect()).or_insert((0.0, 0, f64::NEG_INFINITY));
         let v = num(&values[attr]);
         state.0 += v;
         state.1 += 1;
@@ -302,7 +312,7 @@ fn row_bits(rows: &[Row]) -> Vec<(&[i64], Vec<u64>)> {
 /// Every live row of `array` inside `region`, in scan order, through the
 /// one scan the property leg pins to its own book.
 fn scan(ctx: &ExecutionContext<'_>, array: ArrayId, region: &Region) -> Vec<Row> {
-    ops::subarray(ctx, array, region, &[]).unwrap().0.cells
+    ops::subarray(ctx, array, region, &[]).unwrap().0.cells.to_rows()
 }
 
 fn group_bits(rows: Vec<ops::GroupRow>) -> Vec<(Vec<i64>, u64, u64)> {

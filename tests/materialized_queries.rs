@@ -121,7 +121,7 @@ fn ais_probe_answers(w: &AisWorkload, cluster: &Cluster, catalog: &Catalog) -> P
     let ctx = ExecutionContext::new(cluster, catalog);
     let probe = AisWorkload::cycle_region(0);
     let (cells, _) = ops::subarray(&ctx, BROADCAST, &probe, &[]).unwrap();
-    let mut subarray = cells.cells.clone();
+    let mut subarray = cells.cells.to_rows();
     subarray.sort_by(|a, b| a.0.cmp(&b.0));
     let (filter_count, _) =
         ops::filter_count(&ctx, BROADCAST, &probe, "speed", &Predicate::ge(10.0)).unwrap();
@@ -164,7 +164,7 @@ fn check_ais_probe(
 
     // filter family: subarray returns exactly the emitted rows.
     let (cells, _) = ops::subarray(&ctx, BROADCAST, &probe, &[]).unwrap();
-    let mut got = cells.cells.clone();
+    let mut got = cells.cells.to_rows();
     got.sort_by(|a, b| a.0.cmp(&b.0));
     let mut want: Vec<Row> = rows0.to_vec();
     want.sort_by(|a, b| a.0.cmp(&b.0));
@@ -605,7 +605,7 @@ fn run_synthetic_differential(cells_per_cycle: u64, cycles: usize) {
             // even the double-valued sum is bit-exact.
             let plane = Region::new(vec![0, 0, 0], vec![0, w.grid_side - 1, w.grid_side - 1]);
             let (cells, _) = ops::subarray(&ctx, SYNTHETIC, &plane, &[]).unwrap();
-            let mut got = cells.cells.clone();
+            let mut got = cells.cells.to_rows();
             got.sort_by(|a, b| a.0.cmp(&b.0));
             let mut want = batches[0].clone();
             want.sort_by(|a, b| a.0.cmp(&b.0));

@@ -106,7 +106,7 @@ fn probe(
     let all = Region::new(vec![0, -180, 0], vec![i64::MAX / 2, -66, 90]);
     let (cells, stats) = ops::subarray(&ctx, BROADCAST, &all, &[]).unwrap();
     track("subarray", &stats);
-    let mut everything = cells.cells.clone();
+    let mut everything = cells.cells.to_rows();
     everything.sort_by(|a, b| a.0.cmp(&b.0));
 
     // Numeric zone pruning: voyage ids partition by cycle.

@@ -153,11 +153,11 @@ fn ais_probe_answers(w: &AisWorkload, cluster: &Cluster, catalog: &Catalog) -> P
     let ctx = ExecutionContext::new(cluster, catalog);
     let all = Region::new(vec![0, -180, 0], vec![i64::MAX / 2, -66, 90]);
     let (cells, _) = ops::subarray(&ctx, BROADCAST, &all, &[]).unwrap();
-    let mut everything = cells.cells.clone();
+    let mut everything = cells.cells.to_rows();
     everything.sort_by(|a, b| a.0.cmp(&b.0));
     let probe = AisWorkload::cycle_region(0);
     let (cells, _) = ops::subarray(&ctx, BROADCAST, &probe, &[]).unwrap();
-    let mut probe_rows = cells.cells.clone();
+    let mut probe_rows = cells.cells.to_rows();
     probe_rows.sort_by(|a, b| a.0.cmp(&b.0));
     let (filter_count, _) =
         ops::filter_count(&ctx, BROADCAST, &probe, "speed", &Predicate::ge(10.0)).unwrap();
@@ -304,7 +304,7 @@ fn run_modis_ttl_pair(cells_per_cycle: u64, days: usize, kind: PartitionerKind, 
         let mut bands = Vec::new();
         for id in [BAND1, BAND2] {
             let (cells, _) = ops::subarray(&ctx, id, &all, &[]).unwrap();
-            let mut rows = cells.cells.clone();
+            let mut rows = cells.cells.to_rows();
             rows.sort_by(|a, b| a.0.cmp(&b.0));
             bands.push(rows);
         }
