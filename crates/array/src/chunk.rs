@@ -19,11 +19,11 @@
 //! equal to.
 
 use crate::cells::CellBuffer;
-use crate::coords::ChunkCoords;
+use crate::coords::{ChunkCoords, MAX_DIMS};
 use crate::error::{ArrayError, Result};
 use crate::schema::ArraySchema;
 use crate::value::{AttributeColumn, DictColumn, ScalarValue, StringDict, StringEncoding};
-use crate::zone::ZoneMap;
+use crate::zone::{DimZone, ZoneMap};
 use serde::{Deserialize, Serialize};
 
 /// Identifier for an array within a catalog/cluster.
@@ -287,10 +287,20 @@ impl Chunk {
     /// allocation 0.55 → 0.15, coordinates 1.6 → 1.25, an `int32` column
     /// 0.70 → 0.27, `int64` 0.90 → 0.42, `char` 0.52 → 0.17, the
     /// 128-string `receiver_id` 4.8 → 2.1, the one-string `provenance`
-    /// 1.45 → 0.37; 24–25 → 11.4 in all. Zone maps (2.2–2.7, now the
-    /// largest single phase) stay a separate fold over the built
-    /// buffers: bound by re-reading the 14 MB just written, not by its
-    /// own arithmetic — fusing it into the gather is open.
+    /// 1.45 → 0.37; 24–25 → 11.4 in all.
+    ///
+    /// # Zone maps
+    ///
+    /// A chunk's zone map is folded **where its values are written**: the
+    /// bounding box over the coordinate buffer as soon as it is collected,
+    /// each attribute's zone right after that (chunk, column) gather,
+    /// while the few-KB buffer is still in L1 — through the typed,
+    /// branch-free folds of [`crate::zone`] (`DimZone::of_cells`,
+    /// `AttrZone::of_column`). It used to be a post-pass over all the
+    /// built chunks: 2.6 M values a batch through one enum arm each,
+    /// re-reading 14 MB the cache had long dropped (1.9 of 11.2 ms).
+    /// [`ZoneMap::compute`] is the definition the folds are held equal
+    /// to, bit for bit.
     ///
     /// # Strings
     ///
@@ -301,10 +311,14 @@ impl Chunk {
     /// reset through that list. A group that saw more distinct strings
     /// than the cap has its column rebuilt plain from the same rows —
     /// the state sequential insertion reaches; otherwise its dictionary
-    /// is bulk-built from the seen-list
-    /// ([`StringDict::from_distinct`](crate::StringDict): sized once,
-    /// each source entry's hash computed once per batch column, not per
-    /// chunk). No per-row string traffic, no `groups × dictionary` table.
+    /// is cut out of the batch's through the seen-list
+    /// (`StringDict::from_distinct`): the entries' text appended to one
+    /// arena, their end offsets to one list, both sized once — two
+    /// allocations a dictionary, where a `String` per entry and a hash
+    /// table per chunk were 26–43 k allocations a 336-chunk batch — and
+    /// nothing hashed: a dictionary builds its probe table when it is
+    /// first probed ([`StringDict`]). No per-row string traffic, no
+    /// `groups × dictionary` table.
     ///
     /// `src` distinguishes a borrowed batch (values cloned) from a
     /// consumed one (plain strings **moved** out — each listed row must
@@ -322,25 +336,33 @@ impl Chunk {
     ) -> Vec<Chunk> {
         let nd = schema.ndims();
         // Specialize on the (tiny) dimensionality: a cell is then a
-        // fixed-size array and a group's coordinates one exact collect.
-        fn coords_of<const ND: usize>(flat: &[i64], rows: &[u32]) -> Vec<i64> {
+        // fixed-size array, a group's coordinates one exact collect, and
+        // their bounding box `ND` min/max lanes over the cells just
+        // written.
+        fn coords_of<const ND: usize>(flat: &[i64], rows: &[u32], zone: &mut ZoneMap) -> Vec<i64> {
             let (cells, _) = flat.as_chunks::<ND>();
-            rows.iter().map(|&r| cells[r as usize]).collect::<Vec<_>>().into_flattened()
+            let cells: Vec<[i64; ND]> = rows.iter().map(|&r| cells[r as usize]).collect();
+            zone.set_dims(&DimZone::of_cells(&cells));
+            cells.into_flattened()
         }
         let mut out: Vec<Chunk> = groups
             .iter()
             .map(|&(coords, rows)| {
                 let mut chunk = Chunk::with_encoding(schema, coords, encoding);
                 chunk.cell_coords = match nd {
-                    1 => coords_of::<1>(flat, rows),
-                    2 => coords_of::<2>(flat, rows),
-                    3 => coords_of::<3>(flat, rows),
-                    4 => coords_of::<4>(flat, rows),
+                    1 => coords_of::<1>(flat, rows, &mut chunk.zone),
+                    2 => coords_of::<2>(flat, rows, &mut chunk.zone),
+                    3 => coords_of::<3>(flat, rows, &mut chunk.zone),
+                    4 => coords_of::<4>(flat, rows, &mut chunk.zone),
                     _ => {
                         let mut cells = Vec::with_capacity(rows.len() * nd);
+                        let mut dims = [DimZone::empty(); MAX_DIMS];
                         for &r in rows {
-                            cells.extend_from_slice(&flat[r as usize * nd..][..nd]);
+                            let cell = &flat[r as usize * nd..][..nd];
+                            dims.iter_mut().zip(cell).for_each(|(zone, &c)| zone.observe(c));
+                            cells.extend_from_slice(cell);
                         }
+                        chunk.zone.set_dims(&dims[..nd]);
                         cells
                     }
                 };
@@ -363,12 +385,18 @@ impl Chunk {
                 }
             }
         }
-        // Freshly gathered chunks are tombstone-free, so the canonical
-        // fold over the built buffers yields a tight zone map.
-        for chunk in &mut out {
-            chunk.zone.fold_rows(&chunk.cell_coords, &chunk.columns);
-        }
+        // Freshly gathered chunks are tombstone-free, so the folds above
+        // (each buffer's, right after it was written) are the canonical,
+        // tight zone map.
         out
+    }
+
+    /// Take a gathered variable-width column as attribute `attr` of a
+    /// chunk under construction: count its bytes, fold its zone.
+    fn install_column(&mut self, attr: usize, column: AttributeColumn) {
+        self.bytes += column.byte_size();
+        self.zone.set_attr(attr, &column);
+        self.columns[attr] = column;
     }
 
     /// Move every cell of `other` onto the end of this chunk, preserving
@@ -427,6 +455,17 @@ impl Chunk {
     /// The column for attribute index `attr`.
     pub fn column(&self, attr: usize) -> Option<&AttributeColumn> {
         self.columns.get(attr)
+    }
+
+    /// Every attribute column, in schema order.
+    pub fn columns(&self) -> &[AttributeColumn] {
+        &self.columns
+    }
+
+    /// The live physical rows, ascending.
+    pub fn live_rows(&self) -> impl Iterator<Item = u32> + Clone + '_ {
+        let rows = u32::try_from(self.physical_cell_count()).expect("a chunk's rows fit u32");
+        (0..rows).filter(|&row| !self.is_tombstoned(row as usize))
     }
 
     /// Iterate `(cell_coords, row_index)` pairs over the **live** rows;
@@ -522,10 +561,7 @@ impl Chunk {
         let coords_of = |row: u32| &self.cell_coords[row as usize * nd..][..nd];
         // Live rows by coordinate; within a run of duplicates the most
         // recent insertion (highest row) comes first.
-        let mut live: Vec<u32> = self
-            .iter_cells()
-            .map(|(_, row)| u32::try_from(row).expect("a chunk's rows are indexed by u32 batches"))
-            .collect();
+        let mut live: Vec<u32> = self.live_rows().collect();
         live.sort_unstable_by(|&a, &b| coords_of(a).cmp(coords_of(b)).then(b.cmp(&a)));
         // taken[i]: duplicates already consumed from the run that starts
         // at sorted position `i`.
@@ -572,19 +608,9 @@ impl Chunk {
     /// values survive until [`Chunk::compact`] reclaims storage. `None`
     /// when `row` is past the physical row count.
     pub fn row_values(&self, row: usize) -> Option<Vec<ScalarValue>> {
-        let mut values = Vec::with_capacity(self.columns.len());
-        self.extend_row_values(row, &mut values).then_some(values)
-    }
-
-    /// Append physical row `row`'s attribute values to `out` (the flat
-    /// form of [`Chunk::row_values`]: no `Vec` per row). Returns false,
-    /// appending nothing, when `row` is past the physical row count.
-    pub fn extend_row_values(&self, row: usize, out: &mut Vec<ScalarValue>) -> bool {
-        if row >= self.physical_cell_count() {
-            return false;
-        }
-        out.extend(self.columns.iter().map(|c| c.get(row).expect("columns cover every row")));
-        true
+        (row < self.physical_cell_count()).then(|| {
+            self.columns.iter().map(|c| c.get(row).expect("columns cover every row")).collect()
+        })
     }
 
     /// What physical row `row` costs: coordinates plus per-column bytes.
@@ -631,8 +657,8 @@ impl Chunk {
                     live[code as usize] = true;
                 }
             }
-            for (code, s) in dc.dict().strings().iter().enumerate() {
-                if !live[code] {
+            for (s, live) in dc.dict().iter().zip(live) {
+                if !live {
                     total += s.len() as u64 + 4;
                 }
             }
@@ -885,6 +911,7 @@ fn gather_column(
                 };
                 dst.extend(rows.iter().map(|&r| $src[r as usize]));
                 chunk.bytes += rows.len() as u64 * $width;
+                chunk.zone.set_attr(attr, &chunk.columns[attr]);
             }
         }};
     }
@@ -939,8 +966,7 @@ fn gather_strings(
         match encoding {
             StringEncoding::Plain => {
                 let column = AttributeColumn::Str(rows.iter().map(|&r| take(r)).collect());
-                chunk.bytes += column.byte_size();
-                chunk.columns[attr] = column;
+                chunk.install_column(attr, column);
             }
             StringEncoding::Dict { .. } => {
                 let col = &mut chunk.columns[attr];
@@ -948,6 +974,7 @@ fn gather_strings(
                 let delta: i64 = rows.iter().map(|&r| col.push_str(take(r))).sum();
                 chunk.bytes =
                     chunk.bytes.checked_add_signed(delta).expect("byte counter underflow");
+                chunk.zone.set_attr(attr, &chunk.columns[attr]);
             }
         }
     }
@@ -962,25 +989,21 @@ fn gather_dict_column(
     groups: &[Group<'_>],
     encoding: StringEncoding,
 ) {
-    let (codes, strings) = (src.codes(), src.dict().strings());
+    let (codes, dict) = (src.codes(), src.dict());
+    let entry = |code: u32| dict.get(code).expect("codes index the dictionary");
     let decoded = |rows: &[u32]| {
-        AttributeColumn::Str(
-            rows.iter().map(|&r| strings[codes[r as usize] as usize].clone()).collect(),
-        )
+        AttributeColumn::Str(rows.iter().map(|&r| entry(codes[r as usize]).to_string()).collect())
     };
     let StringEncoding::Dict { cap } = encoding else {
         for (chunk, &(_, rows)) in chunks.iter_mut().zip(groups) {
-            let column = decoded(rows);
-            chunk.bytes += column.byte_size();
-            chunk.columns[attr] = column;
+            chunk.install_column(attr, decoded(rows));
         }
         return;
     };
-    let hashes = src.dict().entry_hashes();
     // Source code → this group's chunk code, `u32::MAX` while unseen; and
     // the source codes the group has seen, in first-seen order. A group
     // has fewer rows than `u32::MAX`, so fewer distinct codes.
-    let mut remap = vec![u32::MAX; strings.len()];
+    let mut remap = vec![u32::MAX; dict.len()];
     let mut seen: Vec<u32> = Vec::new();
     for (chunk, &(_, rows)) in chunks.iter_mut().zip(groups) {
         let mut chunk_codes = Vec::new();
@@ -998,13 +1021,10 @@ fn gather_dict_column(
             // would have spilled this chunk's column to plain storage.
             decoded(rows)
         } else {
-            let dict = StringDict::from_distinct(
-                seen.iter().map(|&c| (strings[c as usize].as_str(), hashes[c as usize])),
-            );
+            let dict = StringDict::from_distinct(seen.iter().map(|&code| entry(code)));
             AttributeColumn::Dict(DictColumn::from_parts(chunk_codes, dict, cap))
         };
-        chunk.bytes += column.byte_size();
-        chunk.columns[attr] = column;
+        chunk.install_column(attr, column);
         for code in seen.drain(..) {
             remap[code as usize] = u32::MAX;
         }

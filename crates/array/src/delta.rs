@@ -5,7 +5,7 @@
 //! (`+1` insert, `-1` retraction). Inserts are extracted from the
 //! freshly built per-cycle arrays ([`DeltaSet::from_live_cells`]);
 //! retractions are captured from the rows a retraction script matched
-//! ([`DeltaSet::push_chunk_row`], [`Array::delete_cells_capturing`])
+//! ([`DeltaSet::extend_from_chunk`], [`Array::delete_cells_capturing`])
 //! before storage is reclaimed. Downstream consumers (the query crate's
 //! incremental views) fold each delta into their own state, never
 //! rescanning the base array — so the transport here is deliberately *logical*: rebalances,
@@ -17,11 +17,27 @@
 //! Three flat buffers, no allocation per row: every row's coordinates
 //! end to end, every row's values end to end, and per row the two end
 //! offsets plus the weight. [`DeltaSet::rows`] lends each row out as
-//! slices of the first two. Rows keep **capture order**: chunk order then
-//! insertion order for [`DeltaSet::from_live_cells`], and *script* order
-//! — the order the delete script listed the cells, whatever chunks they
-//! fell in — for captured retractions. Incremental consumers rely on
-//! that order being deterministic for bit-identical float folds.
+//! slices of the first two, and [`DeltaSet::clear`] empties all three
+//! keeping their capacity, so a caller that extracts a delta every cycle
+//! refills one set instead of allocating three buffers a cycle.
+//!
+//! Rows leave a chunk **a column at a time**
+//! ([`DeltaSet::extend_from_chunk`]): the listed rows' coordinates as one
+//! strided copy, then each attribute column as one typed loop into its
+//! slot of the row-major value buffer — the column's type is matched once
+//! per chunk, not once per value.
+//!
+//! The order of the rows is **deterministic** — a function of the stored
+//! arrays and the script, never of hashing or addresses — so a run and
+//! its replay extract the same sequence: chunk order (row-major) then
+//! physical row order for [`DeltaSet::from_live_cells`], and **chunk-major**
+//! for the retractions the cycle runner captures (each touched chunk's
+//! rows in the order the script listed them);
+//! [`Array::delete_cells_capturing`] hands its rows out in script order.
+//! Consumers **must not depend on it**: a delta means its multiset of
+//! `(coords, values, weight)`, and the incremental views fold one to the
+//! same bits whatever order its rows arrive in (`view/mod.rs`,
+//! "Determinism").
 //!
 //! [`Array::delete_cells_capturing`]: crate::Array::delete_cells_capturing
 
@@ -73,15 +89,50 @@ impl DeltaSet {
         self.end_row(weight);
     }
 
-    /// Append physical row `row` of `chunk` (tombstoned or not — values
-    /// survive until compaction) straight from its columns. Returns
-    /// false, appending nothing, when `row` is past the chunk's rows.
-    pub fn push_chunk_row(&mut self, chunk: &Chunk, row: usize, weight: i64) -> bool {
-        let Some(cell) = chunk.cell(row) else { return false };
-        self.coords.extend_from_slice(cell);
-        chunk.extend_row_values(row, &mut self.values);
-        self.end_row(weight);
-        true
+    /// Append the physical rows `rows` of `chunk` (tombstoned or not —
+    /// values survive until compaction), each at `weight`, a column at a
+    /// time (module docs): `rows` is walked once for the coordinates and
+    /// once per attribute.
+    ///
+    /// # Panics
+    ///
+    /// If a row is past the chunk's physical rows.
+    pub fn extend_from_chunk(
+        &mut self,
+        chunk: &Chunk,
+        rows: impl Iterator<Item = u32> + Clone,
+        weight: i64,
+    ) {
+        let (nd, columns) = (chunk.ndims(), chunk.columns());
+        let flat = chunk.coords_flat();
+        let mut n = 0;
+        for row in rows.clone() {
+            self.coords.extend_from_slice(&flat[row as usize * nd..][..nd]);
+            n += 1;
+        }
+        if n == 0 {
+            return;
+        }
+        // Row-major slots first (a fixed-width placeholder: nothing to
+        // drop when it is overwritten), then one typed sweep per column.
+        let (width, base) = (columns.len(), self.values.len());
+        self.values.resize_with(base + n * width, || ScalarValue::Char(0));
+        for (attr, column) in columns.iter().enumerate() {
+            column.fill_rows(rows.clone(), self.values[base + attr..].iter_mut().step_by(width));
+        }
+        let (mut coords, mut values) = (self.coords.len() - n * nd, base);
+        self.ends.extend((0..n).map(|_| {
+            coords += nd;
+            values += width;
+            RowEnd { coords, values, weight }
+        }));
+    }
+
+    /// Forget every row, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.coords.clear();
+        self.values.clear();
+        self.ends.clear();
     }
 
     fn end_row(&mut self, weight: i64) {
@@ -118,26 +169,27 @@ impl DeltaSet {
     }
 
     /// Every live cell of `array` as a `+1` delta, in row-major chunk
-    /// order and insertion order within each chunk. Two uses: turning a
+    /// order and physical row order within each chunk. Two uses: turning a
     /// cycle's freshly built insert arrays into their Δ, and feeding a
-    /// from-scratch recompute of a view from the catalog's oracle copy —
-    /// both walk cells in the same deterministic order, which is what
-    /// makes incremental-vs-recompute comparisons bit-exact.
+    /// from-scratch recompute of a view from the catalog's oracle copy.
     pub fn from_live_cells(array: &Array) -> Self {
+        let mut delta = DeltaSet::new();
+        delta.extend_live_cells(array);
+        delta
+    }
+
+    /// Append every live cell of `array` at weight `+1`
+    /// ([`DeltaSet::from_live_cells`] into a set that is being refilled).
+    pub fn extend_live_cells(&mut self, array: &Array) {
         // Sized exactly: three doubling buffers would otherwise peak at
         // three times what the rows need.
         let rows = usize::try_from(array.cell_count()).expect("live cells are resident rows");
-        let mut delta = DeltaSet {
-            coords: Vec::with_capacity(rows * array.schema.ndims()),
-            values: Vec::with_capacity(rows * array.schema.attributes.len()),
-            ends: Vec::with_capacity(rows),
-        };
+        self.coords.reserve(rows * array.schema.ndims());
+        self.values.reserve(rows * array.schema.attributes.len());
+        self.ends.reserve(rows);
         for (_, chunk) in array.shared_chunks() {
-            for (_, row) in chunk.iter_cells() {
-                delta.push_chunk_row(chunk, row, 1);
-            }
+            self.extend_from_chunk(chunk, chunk.live_rows(), 1);
         }
-        delta
     }
 }
 
@@ -241,6 +293,80 @@ mod tests {
         assert_eq!(captured.rows().nth(3).unwrap().values[0], ScalarValue::Double(7.5));
         for (coords, chunk) in reference.chunks() {
             assert_eq!(a.chunk(coords), Some(chunk), "stores agree at {coords}");
+        }
+    }
+
+    /// The column-at-a-time fill against the per-row form it replaced —
+    /// one `push` of `cell` + `row_values` per listed row — for every
+    /// column type, strings as dictionary codes, as a dictionary spilled
+    /// to plain and as plain; tombstoned and repeated rows in the list;
+    /// an empty list; and a set that is cleared and refilled.
+    #[test]
+    fn chunk_fill_equals_per_row_pushes_for_every_column_type() {
+        use crate::value::StringEncoding;
+        let schema = ArraySchema::parse(
+            "T<a:int32, b:int64, c:float, d:double, e:char, s:string, t:string>[x=0:*,64, y=0:9,10]",
+        )
+        .unwrap();
+        for encoding in
+            [StringEncoding::default(), StringEncoding::Dict { cap: 2 }, StringEncoding::Plain]
+        {
+            let mut a = Array::with_encoding(ArrayId(1), schema.clone(), encoding);
+            for i in 0..40i64 {
+                let values = vec![
+                    ScalarValue::Int32(i as i32 - 7),
+                    ScalarValue::Int64(i << 40),
+                    ScalarValue::Float(if i == 3 { f32::NAN } else { i as f32 / 3.0 }),
+                    ScalarValue::Double(-(i as f64)),
+                    ScalarValue::Char(b'a' + (i % 26) as u8),
+                    ScalarValue::Str(format!("s{}", i % 5)),
+                    ScalarValue::Str(if i % 2 == 0 { String::new() } else { "odd".into() }),
+                ];
+                a.insert_cell(vec![i, i % 10], values).unwrap();
+            }
+            a.delete_cells(&[5, 5, 11, 1]).unwrap();
+            let chunk = a.chunks().next().unwrap().1;
+            assert_eq!(
+                chunk.column(5).unwrap().as_dict().is_some(),
+                encoding == StringEncoding::default(),
+                "five strings spill a cap of two"
+            );
+            let per_row = |lists: &[(&[u32], i64)]| {
+                let mut delta = DeltaSet::new();
+                for &(rows, weight) in lists {
+                    for &row in rows {
+                        let row = row as usize;
+                        let values = chunk.row_values(row).unwrap();
+                        delta.push(chunk.cell(row).unwrap().to_vec(), values, weight);
+                    }
+                }
+                delta
+            };
+            // NaN != NaN: compare what the rows say, not the values.
+            let same = |a: &DeltaSet, b: &DeltaSet| format!("{a:?}") == format!("{b:?}");
+
+            let listed: &[u32] = &[39, 5, 0, 11, 11, 3, 20];
+            let mut filled = DeltaSet::new();
+            filled.extend_from_chunk(chunk, listed.iter().copied(), -1);
+            filled.extend_from_chunk(chunk, [].into_iter(), -1);
+            filled.extend_from_chunk(chunk, chunk.live_rows(), 1);
+            let live: Vec<u32> = chunk.iter_cells().map(|(_, row)| row as u32).collect();
+            assert_eq!(live.len(), 38);
+            assert!(same(&filled, &per_row(&[(listed, -1), (&live, 1)])));
+            assert_eq!((filled.len(), filled.net_weight()), (7 + 38, 38 - 7));
+            assert!(same(&DeltaSet::from_live_cells(&a), &per_row(&[(&live, 1)])));
+
+            // Refill: nothing of the first fill survives `clear`, and the
+            // buffers are not given back.
+            let held = (filled.coords.capacity(), filled.values.capacity(), filled.ends.capacity());
+            filled.clear();
+            assert!(filled.is_empty() && filled.rows().next().is_none());
+            filled.extend_from_chunk(chunk, [11, 2].into_iter(), 1);
+            assert!(same(&filled, &per_row(&[(&[11, 2], 1)])));
+            assert_eq!(
+                (filled.coords.capacity(), filled.values.capacity(), filled.ends.capacity()),
+                held
+            );
         }
     }
 

@@ -7,6 +7,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The scalar types an attribute may declare.
 ///
@@ -233,29 +234,65 @@ type HashIndex = HashMap<u64, u32, std::hash::BuildHasherDefault<HashIsKey>>;
 /// string in first-appearance order, so two columns fed the same value
 /// sequence assign identical codes whatever path the rows took.
 ///
-/// The reverse index maps the string's 64-bit hash to its code rather
-/// than re-storing the key, so interning `n` distinct strings costs `n`
-/// string allocations (the entries themselves) plus amortized map
-/// growth — pinned by `tests/alloc_free_routing.rs`. A lookup hashes the
-/// string once (FNV-1a) and the table takes that hash as it is
+/// # Layout
+///
+/// The entries live in **one arena**: their text end to end in `text`,
+/// and per entry the offset its text ends at (it starts where the
+/// previous one ended). A dictionary is two heap blocks however many
+/// strings it holds, [`StringDict::get`] is two loads and a slice, and
+/// cutting a chunk's dictionary out of a batch's
+/// (`StringDict::from_distinct`) is one exact-size append per entry — no
+/// `String` per entry, no hashing.
+///
+/// # The probe table
+///
+/// Looking a *string* up ([`StringDict::code_of`], and through it
+/// [`StringDict::intern`], a column's `push_str` and `append`) goes
+/// through a `hash → code` table that re-stores no key. It is a cache
+/// over the arena, excluded from equality, and built — once, sized for
+/// the entries there are — by the first lookup: a dictionary that is only
+/// ever decoded (every chunk a batch cuts, until a predicate probes it)
+/// never pays for one. Decoding a dictionary from bytes probes, to reject
+/// a repeated entry, so a decoded dictionary carries its table. A lookup
+/// hashes the string once (FNV-1a) and the table takes that hash as it is
 /// (`HashIsKey`).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StringDict {
-    /// Distinct strings in first-appearance order; `strings[code]` is the
-    /// decoded value of `code`.
-    strings: Vec<String>,
-    /// `hash → first code with that hash`. Derived from `strings`;
-    /// excluded from equality.
+    /// Every entry's text, end to end, in code order.
+    text: String,
+    /// `ends[code]`: the byte offset in `text` where entry `code` ends.
+    ends: Vec<usize>,
+    /// The probe table, once something has looked a string up. Boxed: a
+    /// column header carries a dictionary whether or not it is a string
+    /// column, and a store of small chunks is mostly headers.
+    probe: OnceLock<Box<Probe>>,
+}
+
+/// [`StringDict`]'s reverse index: `hash → first code with that hash`,
+/// and the codes whose hash collided with an earlier entry's (vanishingly
+/// rare; scanned linearly after an index hit that mismatches).
+#[derive(Debug, Clone, Default)]
+struct Probe {
     index: HashIndex,
-    /// Codes whose hash collided with an earlier entry's (vanishingly
-    /// rare); scanned linearly after an index hit that mismatches.
     collisions: Vec<u32>,
+}
+
+impl Probe {
+    /// File `code` under `hash`.
+    fn insert(&mut self, hash: u64, code: u32) {
+        match self.index.entry(hash) {
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(code);
+            }
+            std::collections::hash_map::Entry::Occupied(_) => self.collisions.push(code),
+        }
+    }
 }
 
 impl PartialEq for StringDict {
     fn eq(&self, other: &Self) -> bool {
-        // `index`/`collisions` are caches over `strings`.
-        self.strings == other.strings
+        // `probe` is a cache over the arena.
+        self.text == other.text && self.ends == other.ends
     }
 }
 
@@ -265,53 +302,58 @@ impl StringDict {
         StringDict::default()
     }
 
-    /// Bulk-build from strings known to be pairwise **distinct**, each
-    /// with its [`dict_hash`] already computed — a chunk dictionary cut
-    /// out of a batch's transport dictionary, whose entries are hashed
-    /// once per batch column however many chunks they land in. The
-    /// string list and the index are sized once; the result is the
-    /// dictionary interning the strings one by one would have built.
+    /// Bulk-build from strings known to be pairwise **distinct** — a
+    /// chunk dictionary cut out of a batch's transport dictionary. The
+    /// arena and the offsets are sized once; no probe table is built (see
+    /// the type docs); the result is the dictionary interning the strings
+    /// one by one would have built.
     pub(crate) fn from_distinct<'a>(
-        entries: impl ExactSizeIterator<Item = (&'a str, u64)>,
+        entries: impl ExactSizeIterator<Item = &'a str> + Clone,
     ) -> Self {
         let mut dict = StringDict {
-            strings: Vec::with_capacity(entries.len()),
-            index: HashIndex::with_capacity_and_hasher(entries.len(), Default::default()),
-            collisions: Vec::new(),
+            text: String::with_capacity(entries.clone().map(str::len).sum()),
+            ends: Vec::with_capacity(entries.len()),
+            probe: OnceLock::new(),
         };
-        for (s, hash) in entries {
-            debug_assert_eq!(hash, dict_hash(s));
-            debug_assert!(dict.find(hash, s).is_none(), "from_distinct on a repeated string");
-            dict.push_new(hash, s.to_string());
+        for s in entries {
+            debug_assert!(dict.iter().all(|e| e != s), "from_distinct on a repeated string");
+            dict.text.push_str(s);
+            dict.ends.push(dict.text.len());
         }
         dict
     }
 
-    /// The [`dict_hash`] of every entry, in code order: what
-    /// [`StringDict::from_distinct`] takes, computed once per source
-    /// dictionary.
-    pub(crate) fn entry_hashes(&self) -> Vec<u64> {
-        self.strings.iter().map(|s| dict_hash(s)).collect()
-    }
-
     /// Number of distinct strings interned.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// [`StringDict::len`] as the `u32` the zone maps store.
     pub(crate) fn distinct(&self) -> u32 {
-        u32::try_from(self.strings.len()).expect("codes are u32, so are dictionary sizes")
+        u32::try_from(self.ends.len()).expect("codes are u32, so are dictionary sizes")
     }
 
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 
     /// Decode one code.
     pub fn get(&self, code: u32) -> Option<&str> {
-        self.strings.get(code as usize).map(String::as_str)
+        let code = code as usize;
+        let end = *self.ends.get(code)?;
+        let start = code.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        Some(&self.text[start..end])
+    }
+
+    /// The distinct strings, in code order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + Clone {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let entry = &self.text[start..end];
+            start = end;
+            entry
+        })
     }
 
     /// The code of `s`, if it has been interned.
@@ -319,53 +361,54 @@ impl StringDict {
         self.find(dict_hash(s), s)
     }
 
+    /// The probe table, built from the arena on first use.
+    fn probe(&self) -> &Probe {
+        self.probe.get_or_init(|| {
+            let mut probe = Probe {
+                index: HashIndex::with_capacity_and_hasher(self.len(), Default::default()),
+                collisions: Vec::new(),
+            };
+            for (code, s) in (0u32..).zip(self.iter()) {
+                probe.insert(dict_hash(s), code);
+            }
+            Box::new(probe)
+        })
+    }
+
     /// [`StringDict::code_of`] for a string whose hash the caller holds.
     fn find(&self, hash: u64, s: &str) -> Option<u32> {
-        let &first = self.index.get(&hash)?;
-        if self.strings[first as usize] == s {
+        let probe = self.probe();
+        let &first = probe.index.get(&hash)?;
+        if self.get(first) == Some(s) {
             return Some(first);
         }
         // A different string owns this hash slot: the one we want, if
         // present, is in the collision list.
-        self.collisions.iter().copied().find(|&c| self.strings[c as usize] == s)
+        probe.collisions.iter().copied().find(|&c| self.get(c) == Some(s))
     }
 
-    /// Intern `s`, returning its (possibly fresh) code. Clones only on a
+    /// Intern `s`, returning its (possibly fresh) code. Copies only on a
     /// miss; hashes once either way.
     pub fn intern(&mut self, s: &str) -> u32 {
         let hash = dict_hash(s);
-        self.find(hash, s).unwrap_or_else(|| self.push_new(hash, s.to_string()))
-    }
-
-    /// Intern an owned string, consuming it. Drops the allocation when
-    /// the string was already present.
-    pub fn intern_owned(&mut self, s: String) -> u32 {
-        let hash = dict_hash(&s);
-        self.find(hash, &s).unwrap_or_else(|| self.push_new(hash, s))
+        self.find(hash, s).unwrap_or_else(|| self.push_new(hash, s))
     }
 
     /// Append a string known to be absent, under its hash.
-    fn push_new(&mut self, hash: u64, s: String) -> u32 {
+    fn push_new(&mut self, hash: u64, s: &str) -> u32 {
         let code = self.distinct();
-        match self.index.entry(hash) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(code);
-            }
-            std::collections::hash_map::Entry::Occupied(_) => self.collisions.push(code),
-        }
-        self.strings.push(s);
+        // Built before the entry lands, so the build does not file it too.
+        self.probe();
+        self.probe.get_mut().expect("built on the line above").insert(hash, code);
+        self.text.push_str(s);
+        self.ends.push(self.text.len());
         code
-    }
-
-    /// The distinct strings, in code order.
-    pub fn strings(&self) -> &[String] {
-        &self.strings
     }
 
     /// Stored bytes of the dictionary itself: each distinct string's
     /// payload plus a 4 B length prefix, counted **once** per entry.
     pub fn byte_size(&self) -> u64 {
-        self.strings.iter().map(|s| s.len() as u64 + 4).sum()
+        self.text.len() as u64 + 4 * self.ends.len() as u64
     }
 }
 
@@ -438,10 +481,9 @@ impl DictColumn {
         if self.dict.len() >= self.cap as usize {
             return Err(s);
         }
-        let added = s.len() as i64 + 4;
-        let code = self.dict.push_new(hash, s);
+        let code = self.dict.push_new(hash, &s);
         self.codes.push(code);
-        Ok(added + 4)
+        Ok(s.len() as i64 + 4 + 4)
     }
 
     /// A column from its parts: `codes` index `dict`, which holds at most
@@ -633,6 +675,45 @@ impl AttributeColumn {
             AttributeColumn::Char(v) => v.get(idx).copied().map(ScalarValue::Char),
             AttributeColumn::Str(v) => v.get(idx).cloned().map(ScalarValue::Str),
             AttributeColumn::Dict(d) => d.get(idx).map(|s| ScalarValue::Str(s.to_string())),
+        }
+    }
+
+    /// Box the values at `rows` into `slots`, pairwise — the
+    /// column-at-a-time form of [`AttributeColumn::get`]: the column's
+    /// type is matched once, then one typed loop runs.
+    ///
+    /// # Panics
+    ///
+    /// If a row is past the column.
+    pub(crate) fn fill_rows<'a>(
+        &self,
+        rows: impl Iterator<Item = u32>,
+        slots: impl Iterator<Item = &'a mut ScalarValue>,
+    ) {
+        macro_rules! fill {
+            ($values:expr, $variant:ident) => {
+                for (slot, row) in slots.zip(rows) {
+                    *slot = ScalarValue::$variant($values[row as usize]);
+                }
+            };
+        }
+        match self {
+            AttributeColumn::Int32(v) => fill!(v, Int32),
+            AttributeColumn::Int64(v) => fill!(v, Int64),
+            AttributeColumn::Float(v) => fill!(v, Float),
+            AttributeColumn::Double(v) => fill!(v, Double),
+            AttributeColumn::Char(v) => fill!(v, Char),
+            AttributeColumn::Str(v) => {
+                for (slot, row) in slots.zip(rows) {
+                    *slot = ScalarValue::Str(v[row as usize].clone());
+                }
+            }
+            AttributeColumn::Dict(d) => {
+                for (slot, row) in slots.zip(rows) {
+                    let s = d.get(row as usize).expect("row within the column");
+                    *slot = ScalarValue::Str(s.to_string());
+                }
+            }
         }
     }
 
@@ -840,8 +921,8 @@ impl AttributeColumn {
 // ---------------------------------------------------------------------
 // Durable codecs. Encodings are structural and bit-exact: floats travel
 // as raw bit patterns, dictionaries as their strings in code order (the
-// hash index and collision list are deterministic functions of that
-// order, so re-interning reproduces them exactly).
+// probe table is a deterministic function of that order, so it never
+// travels).
 // ---------------------------------------------------------------------
 
 use durability::{ByteReader, ByteWriter, CodecError};
@@ -923,22 +1004,23 @@ impl StringEncoding {
 
 impl StringDict {
     fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_usize(self.strings.len());
-        for s in &self.strings {
+        w.put_usize(self.len());
+        for s in self.iter() {
             w.put_str(s);
         }
     }
 
-    /// Rebuild by re-interning in code order. The original dictionary was
-    /// built first-appearance order too, so the hash index and collision
-    /// list come out identical, not merely equivalent.
+    /// Rebuild by re-interning in code order, which is what rejects a
+    /// repeated entry (and leaves the probe table built).
     fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let n = r.usize("dict entry count")?;
         let mut dict = StringDict::new();
         for _ in 0..n {
-            let s = r.str("dict entry")?;
-            let hash = dict_hash(&s);
-            if dict.find(hash, &s).is_some() {
+            let s = std::str::from_utf8(r.bytes("dict entry")?).map_err(|e| {
+                CodecError::Invalid { context: "dict entry", detail: format!("utf8: {e}") }
+            })?;
+            let hash = dict_hash(s);
+            if dict.find(hash, s).is_some() {
                 return Err(CodecError::Invalid {
                     context: "dict entry",
                     detail: format!("duplicate interned string {s:?}"),
@@ -1156,7 +1238,7 @@ mod tests {
         }
         let d = col.as_dict().expect("under the cap stays dictionary-encoded");
         assert_eq!(d.codes(), &[0, 1, 0, 2, 1]);
-        assert_eq!(d.dict().strings(), &["a".to_string(), "b".into(), "".into()]);
+        assert_eq!(d.dict().iter().collect::<Vec<_>>(), ["a", "b", ""]);
         assert_eq!(col.get(3), Some(ScalarValue::Str(String::new())));
         assert_eq!(col.get_str(4), Some("b"));
         assert_eq!(col.get(5), None);
@@ -1203,7 +1285,7 @@ mod tests {
         let delta = dst.append(src);
         assert_eq!(dst.byte_size() as i64, before + delta);
         let d = dst.as_dict().unwrap();
-        assert_eq!(d.dict().strings(), &["a".to_string(), "b".into(), "c".into()]);
+        assert_eq!(d.dict().iter().collect::<Vec<_>>(), ["a", "b", "c"]);
         assert_eq!(d.codes(), &[0, 1, 2, 1, 2]);
         // Sequential insertion builds the identical column.
         assert_eq!(dst, mk(&["a", "b", "c", "b", "c"], 16));
@@ -1232,6 +1314,57 @@ mod tests {
         assert_eq!(plain.get_str(1), Some("c"));
         assert_eq!(plain.get_str(2), Some("c"));
         assert!(plain.as_dict().is_none());
+    }
+
+    /// The probe table is a cache: a bulk-built dictionary has none, a
+    /// lookup builds it, a clone made before that builds its own — and
+    /// none of it shows in equality.
+    #[test]
+    fn the_probe_table_is_built_by_the_first_lookup_and_not_before() {
+        let cut = StringDict::from_distinct(["north", "", "south"].into_iter());
+        assert!(cut.probe.get().is_none(), "bulk build hashes nothing");
+        assert_eq!((cut.len(), cut.byte_size()), (3, (5 + 4) + 4 + (5 + 4)));
+        assert_eq!((cut.get(1), cut.get(2), cut.get(3)), (Some(""), Some("south"), None));
+        assert_eq!(cut.iter().collect::<Vec<_>>(), ["north", "", "south"]);
+        assert!(cut.probe.get().is_none(), "decoding and iterating probe nothing");
+
+        let cloned = cut.clone();
+        assert_eq!(cloned.code_of(""), Some(1));
+        assert_eq!(cloned.code_of("east"), None);
+        assert!(cloned.probe.get().is_some() && cut.probe.get().is_none());
+        assert_eq!(cloned, cut);
+
+        let mut grown = cut.clone();
+        assert_eq!(grown.intern("south"), 2);
+        assert_eq!(grown.intern("east"), 3, "a miss appends; the table follows");
+        assert_eq!((grown.code_of("east"), grown.code_of("north")), (Some(3), Some(0)));
+        assert_ne!(grown, cut);
+        assert_eq!(StringDict::new().code_of(""), None);
+    }
+
+    /// Entries whose hashes collide outright share one table slot: the
+    /// first keeps it, the rest go through the collision list — on the
+    /// live table and on one rebuilt from the arena.
+    #[test]
+    fn colliding_hashes_fall_back_to_the_collision_list() {
+        let mut dict = StringDict::new();
+        let forced = 0xDEAD_BEEF;
+        for (code, s) in (0u32..).zip(["a", "", "c"]) {
+            assert_eq!(dict.find(forced, s), None);
+            assert_eq!(dict.push_new(forced, s), code);
+        }
+        for (code, s) in (0u32..).zip(["a", "", "c"]) {
+            assert_eq!(dict.find(forced, s), Some(code));
+            assert_eq!(dict.get(code), Some(s));
+        }
+        assert_eq!(dict.find(forced, "d"), None);
+        assert_eq!(dict.probe().collisions, [1, 2]);
+        // The real hashes do not collide: a table rebuilt from the arena
+        // files the same entries one per slot.
+        let rebuilt = StringDict::from_distinct(dict.iter());
+        assert_eq!(rebuilt, dict);
+        assert_eq!((rebuilt.code_of(""), rebuilt.code_of("c")), (Some(1), Some(2)));
+        assert!(rebuilt.probe().collisions.is_empty());
     }
 
     #[test]

@@ -14,7 +14,11 @@
 //!
 //! * **Fresh builds are tight.** `gather_cells`, `push_cells`, and
 //!   `compact` compute the map canonically from the surviving rows, so a
-//!   freshly built or freshly compacted chunk has an exact summary.
+//!   freshly built or freshly compacted chunk has an exact summary. The
+//!   builder folds each buffer right where it is written, through the
+//!   typed folds below (`DimZone::of_cells`, `AttrZone::of_column`);
+//!   [`ZoneMap::compute`] — one `observe` per value — is the definition
+//!   they are held equal to.
 //! * **Appends merge.** Merging two canonical maps equals the canonical
 //!   map of the union (min/max folds are order-independent under a total
 //!   order), so incrementally grown chunks match batch-built ones —
@@ -63,9 +67,22 @@ impl DimZone {
         self.min > self.max
     }
 
-    fn observe(&mut self, v: i64) {
+    pub(crate) fn observe(&mut self, v: i64) {
         self.min = self.min.min(v);
         self.max = self.max.max(v);
+    }
+
+    /// The bounds of `cells` on each of their `ND` dimensions — what
+    /// [`DimZone::observe`] folds one coordinate at a time, as `ND`
+    /// independent min/max lanes over fixed-size cells.
+    pub(crate) fn of_cells<const ND: usize>(cells: &[[i64; ND]]) -> [DimZone; ND] {
+        let mut zones = [DimZone::empty(); ND];
+        for cell in cells {
+            for (zone, &c) in zones.iter_mut().zip(cell) {
+                zone.observe(c);
+            }
+        }
+        zones
     }
 
     fn merge(&mut self, other: &DimZone) {
@@ -121,6 +138,56 @@ impl AttrZone {
             }
             AttributeColumn::Dict(d) => AttrZone::Dict { distinct: d.dict().distinct() },
             AttributeColumn::Str(_) => AttrZone::Str,
+        }
+    }
+
+    /// The canonical zone of a tombstone-free column — what one
+    /// [`AttrZone::observe_i64`] / [`AttrZone::observe_f64`] per value
+    /// gives — as one typed, branch-free loop. The chunk builder calls
+    /// this on each column right after gathering it, while the column is
+    /// in cache.
+    pub(crate) fn of_column(col: &AttributeColumn) -> Self {
+        /// Integers fold at their own width and widen once at the end.
+        /// An empty column is the empty zone, not the width's extremes.
+        fn int<T: Copy + Ord + Into<i64>>(values: &[T]) -> AttrZone {
+            let Some(&first) = values.first() else {
+                return AttrZone::Int { min: i64::MAX, max: i64::MIN };
+            };
+            let (min, max) =
+                values.iter().fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            AttrZone::Int { min: min.into(), max: max.into() }
+        }
+        // Floats fold as the signed integers that order the way
+        // `total_cmp` does — the bits, a negative's magnitude flipped (the
+        // transform `total_cmp` itself applies, and its own inverse) — so
+        // `-0.0 < 0.0` and the seeds are the very `±inf` bit patterns
+        // `observe_f64` starts from. A NaN stands in as each side's seed:
+        // it moves neither bound, and is counted. `f32 → f64` is exact
+        // and keeps the order, so a `float` column folds at `f32` width
+        // and widens its two extrema.
+        macro_rules! real {
+            ($values:expr, $float:ty, $bits:ty) => {{
+                let flip = |bits: $bits| bits ^ ((bits >> (<$bits>::BITS - 1)) & <$bits>::MAX);
+                let key = |x: $float| flip(x.to_bits() as $bits);
+                let (seed_min, seed_max) = (key(<$float>::INFINITY), key(<$float>::NEG_INFINITY));
+                let (mut lo, mut hi, mut nans) = (seed_min, seed_max, 0u64);
+                for &x in $values {
+                    let nan = x.is_nan();
+                    lo = lo.min(if nan { seed_min } else { key(x) });
+                    hi = hi.max(if nan { seed_max } else { key(x) });
+                    nans += u64::from(nan);
+                }
+                let value = |key: $bits| f64::from(<$float>::from_bits(flip(key) as _));
+                AttrZone::Real { min: value(lo), max: value(hi), nans }
+            }};
+        }
+        match col {
+            AttributeColumn::Int32(v) => int(v),
+            AttributeColumn::Int64(v) => int(v),
+            AttributeColumn::Char(v) => int(v),
+            AttributeColumn::Float(v) => real!(v, f32, i32),
+            AttributeColumn::Double(v) => real!(v, f64, i64),
+            AttributeColumn::Dict(_) | AttributeColumn::Str(_) => AttrZone::empty_for(col),
         }
     }
 
@@ -193,22 +260,15 @@ impl ZoneMap {
         }
     }
 
-    /// Canonical map of a tombstone-free chunk state: fold every row of
-    /// the flat coordinate buffer and every column.
-    pub(crate) fn compute(ndims: usize, flat_coords: &[i64], columns: &[AttributeColumn]) -> Self {
+    /// Canonical map of a tombstone-free chunk state, by definition: one
+    /// `observe` per coordinate and per value. [`Chunk::compact`] rebuilds
+    /// through it; the chunk builder's fused folds (`set_dims`,
+    /// `set_attr`) are held equal to it, bit for bit, by the property
+    /// suite.
+    ///
+    /// [`Chunk::compact`]: crate::Chunk::compact
+    pub fn compute(ndims: usize, flat_coords: &[i64], columns: &[AttributeColumn]) -> Self {
         let mut zone = ZoneMap::empty_for(ndims, columns);
-        zone.fold_rows(flat_coords, columns);
-        zone
-    }
-
-    /// Fold every row of a tombstone-free chunk state into a map that has
-    /// seen none of them — [`ZoneMap::compute`] in place, for the chunk
-    /// builder, whose chunks are born with an empty map over columns that
-    /// had not been filled (or spilled) yet.
-    pub(crate) fn fold_rows(&mut self, flat_coords: &[i64], columns: &[AttributeColumn]) {
-        self.sync_strings(columns);
-        let zone = self;
-        let ndims = zone.dims.len();
         if ndims > 0 {
             for row in flat_coords.chunks_exact(ndims) {
                 for (d, &c) in row.iter().enumerate() {
@@ -224,10 +284,23 @@ impl ZoneMap {
                 AttributeColumn::Float(v) => v.iter().for_each(|&x| zone.observe_f64(f64::from(x))),
                 AttributeColumn::Double(v) => v.iter().for_each(|&x| zone.observe_f64(x)),
                 // Dict/Str summaries are the column's cardinality / nothing
-                // (`sync_strings` above) and need no per-row fold.
+                // (`empty_for` above) and need no per-row fold.
                 AttributeColumn::Dict(_) | AttributeColumn::Str(_) => {}
             }
         }
+        zone
+    }
+
+    /// The chunk builder's door for the bounding box: the bounds of the
+    /// coordinate buffer it has just collected.
+    pub(crate) fn set_dims(&mut self, dims: &[DimZone]) {
+        self.dims.copy_from_slice(dims);
+    }
+
+    /// The chunk builder's door for one attribute: the canonical zone of
+    /// the column it has just gathered ([`AttrZone::of_column`]).
+    pub(crate) fn set_attr(&mut self, attr: usize, col: &AttributeColumn) {
+        self.attrs[attr] = AttrZone::of_column(col);
     }
 
     /// Fold one incoming cell (coordinates + schema-order values) into

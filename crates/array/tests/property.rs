@@ -4,7 +4,7 @@
 use array_model::{
     chunk_of, gilbert2d, hilbert_coords, hilbert_index, Array, ArrayId, ArraySchema, AttributeDef,
     AttributeType, CellBuffer, Chunk, ChunkCoords, DimensionDef, RowGroups, ScalarValue,
-    StringEncoding, MAX_DIMS,
+    StringEncoding, ZoneMap, MAX_DIMS,
 };
 use proptest::prelude::*;
 
@@ -23,16 +23,35 @@ fn string_for(seed: u64) -> String {
     }
 }
 
-/// A deterministic scalar of the given type derived from a seed.
-fn value_for(ty: AttributeType, seed: u64) -> ScalarValue {
+/// A deterministic scalar of the given type derived from a seed. A
+/// quarter of the floats are the values a zone map has to get exactly
+/// right — both zeros, both infinities, negatives — and, only where
+/// `nans` says so (a NaN is not `==` to itself, and most suites compare
+/// values), NaNs of either sign.
+fn value_with(ty: AttributeType, seed: u64, nans: bool) -> ScalarValue {
+    let float = |magnitude: f64| match (seed >> 20) % 16 {
+        0 => -0.0,
+        1 => 0.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 | 5 => -magnitude,
+        6 if nans => f64::NAN,
+        7 if nans => -f64::NAN,
+        _ => magnitude,
+    };
     match ty {
         AttributeType::Int32 => ScalarValue::Int32(seed as i32),
         AttributeType::Int64 => ScalarValue::Int64(seed as i64),
-        AttributeType::Float => ScalarValue::Float((seed % 1_000) as f32 / 7.0),
-        AttributeType::Double => ScalarValue::Double((seed % 100_000) as f64 / 13.0),
+        AttributeType::Float => ScalarValue::Float(float((seed % 1_000) as f64 / 7.0) as f32),
+        AttributeType::Double => ScalarValue::Double(float((seed % 100_000) as f64 / 13.0)),
         AttributeType::Char => ScalarValue::Char((seed % 96 + 32) as u8),
         AttributeType::Str => ScalarValue::Str(string_for(seed)),
     }
+}
+
+/// [`value_with`], NaN-free: values that can be compared with `==`.
+fn value_for(ty: AttributeType, seed: u64) -> ScalarValue {
+    value_with(ty, seed, false)
 }
 
 fn arb_type() -> impl Strategy<Value = AttributeType> {
@@ -142,6 +161,17 @@ fn build_rows(
     count: usize,
     spread_bits: u32,
 ) -> Vec<(Vec<i64>, Vec<ScalarValue>)> {
+    build_rows_with(schema, seed, count, spread_bits, false)
+}
+
+/// [`build_rows`], with NaNs among the floats if `nans`.
+fn build_rows_with(
+    schema: &ArraySchema,
+    seed: u64,
+    count: usize,
+    spread_bits: u32,
+    nans: bool,
+) -> Vec<(Vec<i64>, Vec<ScalarValue>)> {
     let mut rows: Vec<(Vec<i64>, Vec<ScalarValue>)> = Vec::with_capacity(count);
     for i in 0..count {
         let s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i as u64 * 0x0a5b_35c7_19d1);
@@ -155,7 +185,7 @@ fn build_rows(
             schema.dimensions.iter().enumerate().map(coord).collect()
         };
         let value = |(a, attr): (usize, &AttributeDef)| {
-            value_for(attr.ty, s.rotate_right(13 * a as u32 + 1))
+            value_with(attr.ty, s.rotate_right(13 * a as u32 + 1), nans)
         };
         rows.push((cell, schema.attributes.iter().enumerate().map(value).collect()));
     }
@@ -179,6 +209,23 @@ fn buffer_with(
         buffer.push_row(cell, &mut scratch).expect("schema-shaped");
     }
     buffer
+}
+
+/// A zone map's encoded bytes: `==` on a map calls `-0.0` and `0.0` the
+/// same bound, its bytes do not.
+fn zone_bytes(zone: &ZoneMap) -> Vec<u8> {
+    let mut w = durability::ByteWriter::new();
+    zone.encode_into(&mut w);
+    w.into_bytes()
+}
+
+/// Every chunk of `array` carries, bit for bit, the zone map its buffers
+/// define ([`ZoneMap::compute`]: one `observe` per coordinate and value).
+fn assert_zones_are_canonical(array: &Array) {
+    for (coords, chunk) in array.chunks() {
+        let defined = ZoneMap::compute(chunk.ndims(), chunk.coords_flat(), chunk.columns());
+        assert_eq!(zone_bytes(chunk.zone()), zone_bytes(&defined), "zone map of chunk {coords}");
+    }
 }
 
 /// Everything an array stores: its chunks (`==` covers zone maps and
@@ -298,6 +345,43 @@ proptest! {
         appended.insert_batch(&buffer_of(&schema, &rows[..k])).expect("in bounds");
         appended.insert_batch_owned(buffer_of(&schema, &rows[k..])).expect("in bounds");
         prop_assert_eq!(contents(&appended), want, "two batches split at {}", k);
+        // `==` above holds the builder's zone maps to per-cell insertion's;
+        // this holds both to the definition, signed zeros included.
+        for built in [&per_cell, &batched, &owned, &sharded, &dealt, &appended] {
+            assert_zones_are_canonical(built);
+        }
+    }
+
+    /// The zone map the builder folds while it gathers is the one the
+    /// buffers define — with NaNs of either sign among the floats, which
+    /// the `==`-comparing suites cannot carry: per-cell insertion, the
+    /// batch kernel and the definition agree to the bit (encoded bytes:
+    /// the NaN count, `-0.0 < 0.0`, an all-NaN or all-`inf` column's
+    /// `±inf` seeds), borrowed or consumed batch, any storage encoding.
+    #[test]
+    fn built_zone_maps_are_the_definition_under_nans_zeros_and_infinities(
+        schema in arb_build_schema(),
+        seed in any::<u64>(),
+        count in 0usize..200,
+        encoding in arb_encoding(),
+    ) {
+        let rows = build_rows_with(&schema, seed, count, 4, true);
+        let buffer = buffer_of(&schema, &rows);
+        let fresh = || Array::with_encoding(ArrayId(0), schema.clone(), encoding);
+        let mut per_cell = fresh();
+        for (cell, values) in &rows {
+            per_cell.insert_cell(cell.clone(), values.clone()).expect("in bounds");
+        }
+        let mut batched = fresh();
+        batched.insert_batch(&buffer).expect("in bounds");
+        let mut owned = fresh();
+        owned.insert_batch_owned(buffer).expect("in bounds");
+        let want = contents(&per_cell).1;
+        prop_assert_eq!(contents(&batched).1, want.clone(), "insert_batch");
+        prop_assert_eq!(contents(&owned).1, want, "insert_batch_owned");
+        for built in [&per_cell, &batched, &owned] {
+            assert_zones_are_canonical(built);
+        }
     }
 
     /// One out-of-bounds row planted anywhere in a batch: every batch
@@ -732,7 +816,7 @@ proptest! {
                     })
                     .collect();
                 prop_assert_eq!(d.codes(), &codes[..]);
-                let dict: Vec<&str> = d.dict().strings().iter().map(String::as_str).collect();
+                let dict: Vec<&str> = d.dict().iter().collect();
                 prop_assert_eq!(dict, model.clone());
                 model.iter().map(|s| s.len() as u64 + 4).sum::<u64>()
                     + 4 * values.len() as u64
@@ -961,6 +1045,141 @@ proptest! {
             }
         }
     }
+    /// The arena dictionary against a `Vec<String>` interner. One string
+    /// column of one chunk goes through a random script — per-cell pushes,
+    /// batches (the builder cuts the batch's dictionary: `from_distinct`,
+    /// then `append` remaps it into the chunk's), retractions, compactions
+    /// — under a cap small enough to spill, over `string_for`'s strings
+    /// (the empty one included). After every step the column is the one
+    /// interning the physical rows in order gives: representation, codes,
+    /// entries through `get` and `iter`, `code_of` of every entry and of
+    /// an absent string (on the live dictionary and on a clone that is
+    /// probed before the original is), byte size, dangling bytes, and the
+    /// encoded bytes — written here entry by entry, as the `Vec<String>`
+    /// dictionary wrote them — which decode to an equal column.
+    #[test]
+    fn arena_dictionary_equals_a_vec_of_strings_interner(
+        script in proptest::collection::vec((0u8..10, any::<u64>()), 1..60),
+        cap in 1u32..9,
+    ) {
+        use array_model::AttributeColumn;
+        let schema = ArraySchema::parse("S<s:string>[x=0:*,1000000]").unwrap();
+        let encoding = StringEncoding::Dict { cap };
+        let mut chunk = Chunk::with_encoding(&schema, ChunkCoords::new([0]), encoding);
+        // The physical rows since the last compaction: (x, value, live).
+        let mut rows: Vec<(i64, String, bool)> = Vec::new();
+        let mut next_x = 0i64;
+        for &(op, seed) in &script {
+            match op {
+                0..=3 => {
+                    let value = string_for(seed);
+                    let pushed = vec![ScalarValue::Str(value.clone())];
+                    chunk.push_cell(&schema, vec![next_x], pushed).unwrap();
+                    rows.push((next_x, value, true));
+                    next_x += 1;
+                }
+                4..=6 => {
+                    let mut batch = CellBuffer::new(&schema);
+                    let mut scratch = Vec::new();
+                    for i in 0..seed % 7 {
+                        let value = string_for(seed.rotate_left(9 * i as u32 + 1));
+                        scratch.push(ScalarValue::Str(value.clone()));
+                        batch.push_row(&[next_x], &mut scratch).unwrap();
+                        rows.push((next_x, value, true));
+                        next_x += 1;
+                    }
+                    let all: Vec<u32> = (0..batch.len() as u32).collect();
+                    chunk.push_cells(&schema, &batch, &all).unwrap();
+                }
+                7 | 8 => {
+                    let live: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].2).collect();
+                    if let Some(&i) = live.get(seed as usize % live.len().max(1)) {
+                        prop_assert!(chunk.retract_cell(&[rows[i].0]).is_some());
+                        rows[i].2 = false;
+                    }
+                }
+                _ => {
+                    chunk.compact();
+                    rows.retain(|row| row.2);
+                }
+            }
+
+            // The model: intern the physical rows in order, spilling for
+            // good at the first string past the cap.
+            let mut entries: Vec<&str> = Vec::new();
+            let mut codes: Vec<u32> = Vec::new();
+            let mut spilled = false;
+            for (_, value, _) in &rows {
+                match entries.iter().position(|e| e == value) {
+                    Some(code) => codes.push(code as u32),
+                    None if entries.len() < cap as usize => {
+                        codes.push(entries.len() as u32);
+                        entries.push(value);
+                    }
+                    None => spilled = true,
+                }
+                if spilled {
+                    break;
+                }
+            }
+            let live = || rows.iter().filter(|row| row.2);
+            let column = chunk.column(0).unwrap();
+            prop_assert_eq!(column.as_dict().is_none(), spilled);
+            let mut model_bytes = durability::ByteWriter::new();
+            let Some(dc) = column.as_dict() else {
+                // (A spill carries tombstoned rows' payloads along until
+                // the next compaction; only the all-live size is modelled.)
+                if live().count() == rows.len() {
+                    let plain: u64 = rows.iter().map(|row| row.1.len() as u64 + 4).sum();
+                    prop_assert_eq!(chunk.byte_size(), 8 * rows.len() as u64 + plain);
+                }
+                prop_assert_eq!(chunk.dangling_dict_bytes(), 0);
+                continue;
+            };
+            let dict = dc.dict();
+            prop_assert_eq!(dc.codes(), &codes[..]);
+            prop_assert_eq!(dict.iter().collect::<Vec<_>>(), entries.clone());
+            prop_assert_eq!((dict.len(), dict.is_empty()), (entries.len(), entries.is_empty()));
+            let entry_bytes: u64 = entries.iter().map(|e| e.len() as u64 + 4).sum();
+            prop_assert_eq!(dict.byte_size(), entry_bytes);
+            prop_assert_eq!(chunk.byte_size(), (8 + 4) * live().count() as u64 + entry_bytes);
+            let referenced: u64 = entries
+                .iter()
+                .filter(|e| live().any(|row| row.1 == **e))
+                .map(|e| e.len() as u64 + 4)
+                .sum();
+            prop_assert_eq!(chunk.dangling_dict_bytes(), entry_bytes - referenced);
+            // A clone is probed first: it builds its own table, from an
+            // arena it did not intern into.
+            let cloned = dict.clone();
+            for probed in [&cloned, dict] {
+                for (code, entry) in (0u32..).zip(&entries) {
+                    prop_assert_eq!(probed.get(code), Some(*entry));
+                    prop_assert_eq!(probed.code_of(entry), Some(code));
+                }
+                prop_assert_eq!(probed.get(entries.len() as u32), None);
+                prop_assert_eq!(probed.code_of("never interned"), None);
+            }
+            model_bytes.put_u8(6);
+            model_bytes.put_u32(cap);
+            model_bytes.put_usize(entries.len());
+            entries.iter().for_each(|e| model_bytes.put_str(e));
+            model_bytes.put_usize(codes.len());
+            codes.iter().for_each(|&c| model_bytes.put_u32(c));
+            let model_bytes = model_bytes.into_bytes();
+            let mut encoded = durability::ByteWriter::new();
+            column.encode_into(&mut encoded);
+            prop_assert_eq!(&encoded.into_bytes(), &model_bytes);
+            let mut reader = durability::ByteReader::new(&model_bytes);
+            let decoded = AttributeColumn::decode_from(&mut reader).expect("round trip");
+            prop_assert_eq!(&decoded, column);
+            if let Some(last) = entries.last() {
+                let decoded = decoded.as_dict().expect("tag 6").dict();
+                prop_assert_eq!(decoded.code_of(last), Some(entries.len() as u32 - 1));
+            }
+        }
+    }
+
     /// The batch retraction kernel against its one-cell reference: a
     /// random chunk (duplicate coordinates, earlier tombstones, a
     /// dictionary string column) and a random script (hits, misses,

@@ -17,6 +17,15 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// An empty writer over a recycled buffer: `buf` is cleared and its
+    /// capacity kept, so a caller that encodes a payload of about the
+    /// same size again and again (a log record, a checkpoint) grows the
+    /// buffer once, not once per payload.
+    pub fn over(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Self { buf }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -74,6 +83,10 @@ impl ByteWriter {
 
     /// Append a length-prefixed byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
+        // Everything written here lands inside a record, whose length
+        // `seal_record` bounds by `MAX_RECORD_LEN` (2^28) before a byte
+        // of it is stored: a slice the prefix cannot hold never persists.
+        debug_assert!(u32::try_from(v.len()).is_ok(), "length prefix overflows u32");
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v);
     }

@@ -53,6 +53,14 @@ pub enum DurabilityError {
         /// The checkpoint sequence number.
         seq: u64,
     },
+    /// A record (or checkpoint) payload is longer than a frame may carry.
+    /// Nothing was written: a reader would reject the frame as corrupt.
+    RecordTooLarge {
+        /// The payload's length in bytes.
+        len: u64,
+        /// The cap it exceeds (at most `MAX_RECORD_LEN`).
+        cap: u32,
+    },
 }
 
 impl Clone for DurabilityError {
@@ -78,6 +86,9 @@ impl Clone for DurabilityError {
             },
             DurabilityError::MissingCheckpoint { seq } => {
                 DurabilityError::MissingCheckpoint { seq: *seq }
+            }
+            DurabilityError::RecordTooLarge { len, cap } => {
+                DurabilityError::RecordTooLarge { len: *len, cap: *cap }
             }
         }
     }
@@ -109,6 +120,10 @@ impl PartialEq for DurabilityError {
                 DurabilityError::MissingCheckpoint { seq: a },
                 DurabilityError::MissingCheckpoint { seq: b },
             ) => a == b,
+            (
+                DurabilityError::RecordTooLarge { len: a, cap: ca },
+                DurabilityError::RecordTooLarge { len: b, cap: cb },
+            ) => a == b && ca == cb,
             _ => false,
         }
     }
@@ -132,6 +147,9 @@ impl fmt::Display for DurabilityError {
             }
             DurabilityError::MissingCheckpoint { seq } => {
                 write!(f, "checkpoint {seq} missing from store")
+            }
+            DurabilityError::RecordTooLarge { len, cap } => {
+                write!(f, "record payload of {len} bytes exceeds the {cap}-byte frame cap")
             }
         }
     }

@@ -20,6 +20,15 @@
 //! logs cycle boundaries, placed cell batches, retraction scripts,
 //! scale decisions, and node lifecycle transitions).
 //!
+//! A writer frames **in place**: [`begin_record`] hands out a writer
+//! that already holds the header's twelve bytes, the payload is encoded
+//! behind them, and [`seal_record`] checks the length — an over-long
+//! payload is a typed [`DurabilityError::RecordTooLarge`], nothing is
+//! written — and patches the header. One recycled buffer per log, no
+//! copy of the payload. [`frame_record`] builds the same bytes from a
+//! finished payload and is the reference the in-place path is tested
+//! equal to.
+//!
 //! # Torn tails vs corruption
 //!
 //! A crash can tear the final append: the durable image ends with a
@@ -62,6 +71,6 @@ pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use crc::crc32;
 pub use error::DurabilityError;
 pub use log::{
-    frame_record, shared, FileLog, FsyncPolicy, LogStore, MemLog, RecordReader, SharedLog,
-    MAX_RECORD_LEN, RECORD_HEADER_LEN, RECORD_MAGIC,
+    begin_record, frame_record, seal_record, shared, FileLog, FsyncPolicy, LogStore, MemLog,
+    RecordReader, SharedLog, MAX_RECORD_LEN, RECORD_HEADER_LEN, RECORD_MAGIC,
 };

@@ -3,6 +3,7 @@
 //! its own tail or flip any byte — the fault injector the recovery
 //! tests drive.
 
+use crate::codec::ByteWriter;
 use crate::crc::crc32;
 use crate::error::DurabilityError;
 use std::collections::BTreeMap;
@@ -30,6 +31,44 @@ pub fn frame_record(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// Start a record **in place**: a writer over `recycled` (cleared, its
+/// capacity kept) that already holds the [`RECORD_HEADER_LEN`] header
+/// bytes, zeroed. The caller encodes the payload straight behind them and
+/// hands the bytes to [`seal_record`] — one buffer, encoded into and
+/// appended from, where [`frame_record`] allocates a second one, copies
+/// the payload into it and leaves the first to be dropped.
+pub fn begin_record(recycled: Vec<u8>) -> ByteWriter {
+    let mut w = ByteWriter::over(recycled);
+    for _ in 0..RECORD_HEADER_LEN / 4 {
+        w.put_u32(0);
+    }
+    w
+}
+
+/// Finish a record begun by [`begin_record`]: check the payload length
+/// against `cap` (itself held to [`MAX_RECORD_LEN`], past which a reader
+/// calls the frame corrupt), then patch magic, length and CRC-32 into the
+/// header bytes. `record` is then byte for byte what [`frame_record`]
+/// returns for the payload. An over-long payload is a typed
+/// [`DurabilityError::RecordTooLarge`] and `record` is left unsealed.
+///
+/// # Panics
+///
+/// If `record` is shorter than a header — it was not begun by
+/// [`begin_record`].
+pub fn seal_record(record: &mut [u8], cap: u32) -> Result<(), DurabilityError> {
+    let (header, payload) = record.split_at_mut(RECORD_HEADER_LEN);
+    let cap = cap.min(MAX_RECORD_LEN);
+    let len = u32::try_from(payload.len()).ok().filter(|&len| len <= cap).ok_or(
+        // `usize` is at most 64 bits wide on every supported target.
+        DurabilityError::RecordTooLarge { len: payload.len() as u64, cap },
+    )?;
+    header[..4].copy_from_slice(&RECORD_MAGIC.to_le_bytes());
+    header[4..8].copy_from_slice(&len.to_le_bytes());
+    header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
 }
 
 /// A cursor over a framed log image that yields record payloads and
@@ -365,6 +404,40 @@ mod tests {
         assert_eq!(r.next_record().unwrap(), Some(&b"gamma rays"[..]));
         assert_eq!(r.next_record().unwrap(), None);
         assert_eq!(r.offset(), buf.len() as u64);
+    }
+
+    /// The in-place framing against its reference, `frame_record`: the
+    /// same bytes for an empty, a short and a multi-KB payload, through a
+    /// buffer that is recycled (its stale contents must not leak); and
+    /// the length check — a typed error, the record left unsealed, the
+    /// cap itself capped at `MAX_RECORD_LEN`.
+    #[test]
+    fn in_place_framing_equals_frame_record_and_checks_the_length_first() {
+        let big: Vec<u8> = (0..5000u32).map(|i| (i * 31 % 251) as u8).collect();
+        let mut recycled = vec![0xAA; 64];
+        for payload in [&b""[..], b"alpha", &big] {
+            let mut w = begin_record(recycled);
+            assert_eq!(w.len(), RECORD_HEADER_LEN);
+            payload.iter().for_each(|&b| w.put_u8(b));
+            let mut record = w.into_bytes();
+            seal_record(&mut record, MAX_RECORD_LEN).unwrap();
+            assert_eq!(record, frame_record(payload));
+            let mut r = RecordReader::new(&record);
+            assert_eq!(r.next_record().unwrap(), Some(payload));
+            recycled = record;
+        }
+        let mut w = begin_record(recycled);
+        big.iter().for_each(|&b| w.put_u8(b));
+        let mut record = w.into_bytes();
+        let unsealed = record.clone();
+        assert_eq!(
+            seal_record(&mut record, 4999),
+            Err(DurabilityError::RecordTooLarge { len: 5000, cap: 4999 })
+        );
+        assert_eq!(record, unsealed, "a refused record is left as it was");
+        seal_record(&mut record, 5000).unwrap();
+        seal_record(&mut record, u32::MAX).unwrap();
+        assert_eq!(record, frame_record(&big));
     }
 
     #[test]

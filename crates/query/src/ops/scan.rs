@@ -116,7 +116,7 @@ impl SelectionMask {
                     // First-appearance codes are not ordered; scan the
                     // dictionary entries (each distinct string once).
                     StrPred::Between(..) => {
-                        let strings = dict.strings().iter().enumerate();
+                        let strings = dict.iter().enumerate();
                         strings.filter(|(_, s)| p.matches(s)).for_each(|(c, _)| accept_code(c))
                     }
                 }

@@ -195,7 +195,7 @@ impl Predicate {
                 match p {
                     StrPred::Eq(s) => dc.dict().code_of(s).is_none(),
                     StrPred::In(set) => set.iter().all(|s| dc.dict().code_of(s).is_none()),
-                    StrPred::Between(..) => dc.dict().strings().iter().all(|s| !p.matches(s)),
+                    StrPred::Between(..) => dc.dict().iter().all(|s| !p.matches(s)),
                 }
             }
             // Plain string columns carry no summary; numeric zones under

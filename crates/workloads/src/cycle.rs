@@ -26,7 +26,7 @@ use array_model::{Array, ArrayError, ArrayId, ChunkDescriptor, StringEncoding};
 use cluster_sim::{
     gb, Cluster, ClusterError, CostModel, NodeHoursLedger, NodeState, PhaseBreakdown,
 };
-use durability::DurabilityError;
+use durability::{ByteWriter, DurabilityError};
 use elastic_core::{
     Partitioner, PartitionerConfig, PartitionerKind, StaircaseConfig, StaircaseProvisioner,
 };
@@ -447,15 +447,15 @@ pub struct WorkloadRunner<'w> {
 }
 
 /// Log one record ahead of the transition it describes. With durability
-/// off this is the single branch a would-be record costs: `make` is
+/// off this is the single branch a would-be record costs: `body` is
 /// never called.
 fn record(
     wal: &mut Option<Wal>,
     cycle: usize,
-    make: impl FnOnce() -> Vec<u8>,
+    body: impl FnOnce(&mut ByteWriter),
 ) -> Result<(), CycleError> {
     match wal {
-        Some(wal) => wal.record(cycle, make),
+        Some(wal) => wal.record(cycle, body),
         None => Ok(()),
     }
 }
@@ -539,9 +539,9 @@ impl<'w> WorkloadRunner<'w> {
         let Self { workload, config, world, wal, .. } = self;
         let workload = workload.get();
         let plan = config.fault_plan.as_ref();
-        record(wal, cycle, || durable::cycle_start_payload(cycle as u64))?;
-        record(wal, cycle, || {
-            durable::faults_payload(cycle as u64, durable::fault_digest(plan, cycle))
+        record(wal, cycle, |w| durable::write_cycle_start(w, cycle as u64))?;
+        record(wal, cycle, |w| {
+            durable::write_faults(w, cycle as u64, durable::fault_digest(plan, cycle))
         })?;
 
         let faults = CycleFaults::scheduled(plan, cycle);
@@ -555,7 +555,7 @@ impl<'w> WorkloadRunner<'w> {
         let mut view_stats = ViewApplyStats::default();
         let (batch, arrays, retract) = match workload.cell_batch(cycle) {
             Some(cells) => {
-                record(wal, cycle, || durable::insert_cells_payload(&cells))?;
+                record(wal, cycle, |w| durable::write_insert_cells(w, &cells))?;
                 let retract = world.retract(cycle, config, &cells, &mut view_stats)?;
                 let arrays = world.build_chunks(cycle, config, cells)?;
                 let descs: Vec<ChunkDescriptor> =
@@ -564,7 +564,7 @@ impl<'w> WorkloadRunner<'w> {
             }
             None => {
                 let descs = workload.insert_batch(cycle);
-                record(wal, cycle, || durable::insert_meta_payload(&descs))?;
+                record(wal, cycle, |w| durable::write_insert_meta(w, &descs))?;
                 (descs, None, RetractTally::default())
             }
         };
@@ -572,8 +572,8 @@ impl<'w> WorkloadRunner<'w> {
 
         let step =
             world.scale_decision(config, world.cluster.total_used().saturating_add(insert_bytes));
-        record(wal, cycle, || {
-            durable::scale_payload(step.add as u64, step.remove as u64, step.saturated)
+        record(wal, cycle, |w| {
+            durable::write_scale(w, step.add as u64, step.remove as u64, step.saturated)
         })?;
         let reorg = world.provision(cycle, config, &step, &faults, &mut repair)?;
 
@@ -588,7 +588,7 @@ impl<'w> WorkloadRunner<'w> {
             (config.run_queries && !replaying).then(|| world.run_queries(workload, cycle));
         let (suites, degraded_reads) = queried.map_or((None, 0), |(report, n)| (Some(report), n));
         let derived = workload.derived_batch(cycle);
-        record(wal, cycle, || durable::derived_payload(&derived))?;
+        record(wal, cycle, |w| durable::write_derived(w, &derived))?;
         let derived_secs = world.store_derived(cycle, config, &derived)?;
 
         // Commit point: everything this cycle did is now logged (and,

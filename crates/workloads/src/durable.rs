@@ -9,8 +9,9 @@
 //! empty log, then per cycle, in order: `CycleStart`, `Faults`, exactly
 //! one of `InsertCells` (materialized path, the whole cell payload) or
 //! `InsertMeta` (metadata path, the sampled descriptors), `Scale`,
-//! `Derived`, `CycleEnd`. Every record is framed by
-//! [`durability::frame_record`] (magic + length + CRC-32), and
+//! `Derived`, `CycleEnd`. Every record is framed (magic + length +
+//! CRC-32) in place, in the one buffer it was encoded into
+//! ([`durability::begin_record`] / [`durability::seal_record`]), and
 //! **`CycleEnd` is the commit point**: recovery discards any records
 //! after the last `CycleEnd` — a crash mid-cycle rolls the whole cycle
 //! back, never replays half of one.
@@ -67,8 +68,8 @@ use crate::faults::{FaultKind, FaultPlan};
 use crate::spec::{CellBatch, Workload};
 use array_model::{ChunkDescriptor, StringEncoding};
 use durability::{
-    frame_record, ByteReader, ByteWriter, CodecError, DurabilityError, FsyncPolicy, LogStore,
-    RecordReader, SharedLog,
+    begin_record, seal_record, ByteReader, ByteWriter, CodecError, DurabilityError, FsyncPolicy,
+    LogStore, RecordReader, SharedLog, MAX_RECORD_LEN, RECORD_HEADER_LEN,
 };
 use elastic_core::hashing::splitmix64;
 use elastic_core::PartitionerKind;
@@ -109,7 +110,7 @@ const TAG_DERIVED: u8 = 6;
 const TAG_CYCLE_END: u8 = 7;
 
 /// One logical event in the write-ahead log. The runner's hot path
-/// encodes straight from borrowed data (see the `*_payload` helpers);
+/// encodes straight from borrowed data (see the `write_*` helpers);
 /// this owned form exists for decoding, inspection, and the codec
 /// property tests.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,76 +165,75 @@ pub enum WalEvent {
     },
 }
 
-/// One record payload: the tag byte, then whatever `body` writes.
-fn payload(tag: u8, body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+// One writer per record kind: the tag byte, then the body, straight into
+// whatever buffer the caller is assembling — the `Wal`'s kept frame on
+// the runner's path, a fresh one under `WalEvent::encode`.
+
+pub(crate) fn write_genesis(w: &mut ByteWriter, fingerprint: u64) {
+    w.put_u8(TAG_GENESIS);
+    w.put_u64(fingerprint);
+}
+
+pub(crate) fn write_cycle_start(w: &mut ByteWriter, cycle: u64) {
+    w.put_u8(TAG_CYCLE_START);
+    w.put_u64(cycle);
+}
+
+pub(crate) fn write_faults(w: &mut ByteWriter, cycle: u64, digest: u64) {
+    w.put_u8(TAG_FAULTS);
+    w.put_u64(cycle);
+    w.put_u64(digest);
+}
+
+pub(crate) fn write_insert_cells(w: &mut ByteWriter, batches: &[CellBatch]) {
+    w.put_u8(TAG_INSERT_CELLS);
+    w.put_usize(batches.len());
+    batches.iter().for_each(|b| b.encode_into(w));
+}
+
+fn write_descs(w: &mut ByteWriter, tag: u8, descs: &[ChunkDescriptor]) {
     w.put_u8(tag);
-    body(&mut w);
-    w.into_bytes()
+    w.put_usize(descs.len());
+    descs.iter().for_each(|d| d.encode_into(w));
 }
 
-pub(crate) fn genesis_payload(fingerprint: u64) -> Vec<u8> {
-    payload(TAG_GENESIS, |w| w.put_u64(fingerprint))
+pub(crate) fn write_insert_meta(w: &mut ByteWriter, descs: &[ChunkDescriptor]) {
+    write_descs(w, TAG_INSERT_META, descs)
 }
 
-pub(crate) fn cycle_start_payload(cycle: u64) -> Vec<u8> {
-    payload(TAG_CYCLE_START, |w| w.put_u64(cycle))
+pub(crate) fn write_derived(w: &mut ByteWriter, descs: &[ChunkDescriptor]) {
+    write_descs(w, TAG_DERIVED, descs)
 }
 
-pub(crate) fn faults_payload(cycle: u64, digest: u64) -> Vec<u8> {
-    payload(TAG_FAULTS, |w| {
-        w.put_u64(cycle);
-        w.put_u64(digest);
-    })
+pub(crate) fn write_scale(w: &mut ByteWriter, add: u64, remove: u64, saturated: bool) {
+    w.put_u8(TAG_SCALE);
+    w.put_u64(add);
+    w.put_u64(remove);
+    w.put_bool(saturated);
 }
 
-pub(crate) fn insert_cells_payload(batches: &[CellBatch]) -> Vec<u8> {
-    payload(TAG_INSERT_CELLS, |w| {
-        w.put_usize(batches.len());
-        batches.iter().for_each(|b| b.encode_into(w));
-    })
-}
-
-fn descs_payload(tag: u8, descs: &[ChunkDescriptor]) -> Vec<u8> {
-    payload(tag, |w| {
-        w.put_usize(descs.len());
-        descs.iter().for_each(|d| d.encode_into(w));
-    })
-}
-
-pub(crate) fn insert_meta_payload(descs: &[ChunkDescriptor]) -> Vec<u8> {
-    descs_payload(TAG_INSERT_META, descs)
-}
-
-pub(crate) fn derived_payload(descs: &[ChunkDescriptor]) -> Vec<u8> {
-    descs_payload(TAG_DERIVED, descs)
-}
-
-pub(crate) fn scale_payload(add: u64, remove: u64, saturated: bool) -> Vec<u8> {
-    payload(TAG_SCALE, |w| {
-        w.put_u64(add);
-        w.put_u64(remove);
-        w.put_bool(saturated);
-    })
-}
-
-pub(crate) fn cycle_end_payload(cycle: u64) -> Vec<u8> {
-    payload(TAG_CYCLE_END, |w| w.put_u64(cycle))
+pub(crate) fn write_cycle_end(w: &mut ByteWriter, cycle: u64) {
+    w.put_u8(TAG_CYCLE_END);
+    w.put_u64(cycle);
 }
 
 impl WalEvent {
     /// Encode the event as a record payload (unframed).
     pub fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
         match self {
-            WalEvent::Genesis { fingerprint } => genesis_payload(*fingerprint),
-            WalEvent::CycleStart { cycle } => cycle_start_payload(*cycle),
-            WalEvent::Faults { cycle, digest } => faults_payload(*cycle, *digest),
-            WalEvent::InsertCells { batches } => insert_cells_payload(batches),
-            WalEvent::InsertMeta { descs } => insert_meta_payload(descs),
-            WalEvent::Scale { add, remove, saturated } => scale_payload(*add, *remove, *saturated),
-            WalEvent::Derived { descs } => derived_payload(descs),
-            WalEvent::CycleEnd { cycle } => cycle_end_payload(*cycle),
+            WalEvent::Genesis { fingerprint } => write_genesis(&mut w, *fingerprint),
+            WalEvent::CycleStart { cycle } => write_cycle_start(&mut w, *cycle),
+            WalEvent::Faults { cycle, digest } => write_faults(&mut w, *cycle, *digest),
+            WalEvent::InsertCells { batches } => write_insert_cells(&mut w, batches),
+            WalEvent::InsertMeta { descs } => write_insert_meta(&mut w, descs),
+            WalEvent::Scale { add, remove, saturated } => {
+                write_scale(&mut w, *add, *remove, *saturated)
+            }
+            WalEvent::Derived { descs } => write_derived(&mut w, descs),
+            WalEvent::CycleEnd { cycle } => write_cycle_end(&mut w, *cycle),
         }
+        w.into_bytes()
     }
 
     /// Decode a record payload. Total: every malformed input yields a
@@ -531,6 +531,14 @@ pub(crate) struct Wal {
     /// in replay mode: records are compared against the front cycle's
     /// (front first) instead of appended.
     replay: VecDeque<VecDeque<Vec<u8>>>,
+    /// The one buffer every record and checkpoint is encoded into, sealed
+    /// in and written from ([`durability::begin_record`]): kept, so after
+    /// the first checkpoint nothing on the log path allocates or copies a
+    /// payload.
+    frame: Vec<u8>,
+    /// Longest payload a frame may carry: [`MAX_RECORD_LEN`], lowered
+    /// only by the test of the refusal.
+    record_cap: u32,
 }
 
 impl Wal {
@@ -539,7 +547,14 @@ impl Wal {
     pub(crate) fn for_run(config: &RunnerConfig, workload: &dyn Workload) -> Option<Wal> {
         let wiring = config.durability.clone()?;
         let fingerprint = config_fingerprint(config, workload.name(), workload.cycles());
-        Some(Wal { wiring, fingerprint, genesis_written: false, replay: VecDeque::new() })
+        Some(Wal {
+            wiring,
+            fingerprint,
+            genesis_written: false,
+            replay: VecDeque::new(),
+            frame: Vec::new(),
+            record_cap: MAX_RECORD_LEN,
+        })
     }
 
     /// Every [`LogStore`] call: lock, call, and map failure — a mutex
@@ -559,12 +574,37 @@ impl Wal {
         .map_err(durability_err(cycle))
     }
 
-    /// Frame and append one record; [`FsyncPolicy::Always`] flushes it.
-    fn append(&self, cycle: usize, payload: &[u8]) -> Result<(), CycleError> {
-        let framed = frame_record(payload);
-        self.with_log(cycle, |log| {
-            log.append(&framed)?;
-            if self.wiring.fsync_policy == FsyncPolicy::Always {
+    /// Encode one payload into the kept frame, behind a header
+    /// placeholder.
+    fn encode(&mut self, body: impl FnOnce(&mut ByteWriter)) {
+        let mut w = begin_record(std::mem::take(&mut self.frame));
+        body(&mut w);
+        self.frame = w.into_bytes();
+    }
+
+    /// Seal the frame [`Wal::encode`] filled — length checked first, a
+    /// payload no frame can carry is a typed error and nothing is written
+    /// — and hand it to `write`.
+    fn write_frame(
+        &mut self,
+        cycle: usize,
+        write: impl FnOnce(&mut dyn LogStore, &[u8]) -> Result<(), DurabilityError>,
+    ) -> Result<(), CycleError> {
+        seal_record(&mut self.frame, self.record_cap).map_err(durability_err(cycle))?;
+        self.with_log(cycle, |log| write(log, &self.frame))
+    }
+
+    /// Append one record; [`FsyncPolicy::Always`] flushes it.
+    fn append(
+        &mut self,
+        cycle: usize,
+        body: impl FnOnce(&mut ByteWriter),
+    ) -> Result<(), CycleError> {
+        self.encode(body);
+        let flush = self.wiring.fsync_policy == FsyncPolicy::Always;
+        self.write_frame(cycle, |log, record| {
+            log.append(record)?;
+            if flush {
                 log.flush()?;
             }
             Ok(())
@@ -574,22 +614,25 @@ impl Wal {
     /// The write-ahead choke point: every record a cycle produces comes
     /// here *before* the transition it describes is applied. Live mode
     /// appends it (behind the genesis record, on a new log); replay mode
-    /// byte-compares it with the logged one — divergence is a typed
-    /// [`DurabilityError::Mismatch`].
+    /// byte-compares its payload with the logged one — divergence is a
+    /// typed [`DurabilityError::Mismatch`].
     pub(crate) fn record(
         &mut self,
         cycle: usize,
-        make: impl FnOnce() -> Vec<u8>,
+        body: impl FnOnce(&mut ByteWriter),
     ) -> Result<(), CycleError> {
-        let Some(queue) = self.replay.front_mut() else {
+        if self.replay.is_empty() {
             if !self.genesis_written {
-                self.append(cycle, &genesis_payload(self.fingerprint))?;
+                let fingerprint = self.fingerprint;
+                self.append(cycle, |w| write_genesis(w, fingerprint))?;
                 self.genesis_written = true;
             }
-            return self.append(cycle, &make());
-        };
-        let (logged, recomputed) = (queue.pop_front(), make());
-        if logged.as_deref() == Some(&recomputed[..]) {
+            return self.append(cycle, body);
+        }
+        self.encode(body);
+        let recomputed = &self.frame[RECORD_HEADER_LEN..];
+        let logged = self.replay.front_mut().and_then(VecDeque::pop_front);
+        if logged.as_deref() == Some(recomputed) {
             return Ok(());
         }
         let sized = |p: &[u8], how| format!("{} bytes {how} ({})", p.len(), tag_name(p));
@@ -598,7 +641,7 @@ impl Wal {
             logged.map_or("no further record: log exhausted mid-cycle".into(), |l| {
                 sized(&l, "logged")
             }),
-            sized(&recomputed, "recomputed"),
+            sized(recomputed, "recomputed"),
         )))
     }
 
@@ -611,7 +654,7 @@ impl Wal {
         cycle: usize,
         encode_state: impl FnOnce(&mut ByteWriter),
     ) -> Result<(), CycleError> {
-        self.record(cycle, || cycle_end_payload(cycle as u64))?;
+        self.record(cycle, |w| write_cycle_end(w, cycle as u64))?;
         if let Some(queue) = self.replay.pop_front() {
             // Nothing can be left over: the scan ends a logged cycle at
             // its `CycleEnd`, which the record above just matched.
@@ -624,12 +667,13 @@ impl Wal {
         let next_cycle = cycle as u64 + 1;
         let every = self.wiring.checkpoint_every as u64;
         if every > 0 && next_cycle.is_multiple_of(every) {
-            let mut w = ByteWriter::new();
-            w.put_u64(self.fingerprint);
-            w.put_u64(next_cycle);
-            encode_state(&mut w);
-            let blob = frame_record(&w.into_bytes());
-            self.with_log(cycle, |log| log.write_checkpoint(next_cycle, &blob))?;
+            let fingerprint = self.fingerprint;
+            self.encode(|w| {
+                w.put_u64(fingerprint);
+                w.put_u64(next_cycle);
+                encode_state(w);
+            });
+            self.write_frame(cycle, |log, blob| log.write_checkpoint(next_cycle, blob))?;
         }
         Ok(())
     }
@@ -700,5 +744,59 @@ impl Wal {
             return Err(mismatch("checkpoint header (fingerprint, next cycle), in hex", want, got));
         }
         Ok(&payload[payload.len() - r.remaining()..])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::synthetic::SyntheticWorkload;
+    use durability::MemLog;
+    use std::sync::{Arc, Mutex};
+
+    /// A payload no frame may carry — a checkpoint of a large enough
+    /// world is one, `Wal::commit` hands over the whole encoded `World` —
+    /// fails the cycle with a typed error and writes nothing, where
+    /// `frame_record`'s assertion used to abort the process at the commit
+    /// point. Driven with the cap lowered (the real one is 256 MiB).
+    #[test]
+    fn an_oversized_record_or_checkpoint_is_a_typed_error_and_is_not_written() {
+        let log = Arc::new(Mutex::new(MemLog::new()));
+        let config = RunnerConfig {
+            durability: Some(DurabilityConfig {
+                log: log.clone(),
+                checkpoint_every: 1,
+                fsync_policy: FsyncPolicy::PerCycle,
+            }),
+            ..RunnerConfig::default()
+        };
+        let mut wal = Wal::for_run(&config, &SyntheticWorkload::default()).expect("durable");
+        wal.record_cap = 64;
+        let too_large = |len| CycleError::Durability {
+            cycle: 0,
+            source: DurabilityError::RecordTooLarge { len, cap: 64 },
+        };
+
+        wal.record(0, |w| write_cycle_start(w, 0)).expect("nine bytes fit");
+        let before = log.lock().unwrap().bytes().to_vec();
+        let refused = wal.record(0, |w| w.put_bytes(&[7; 100])).unwrap_err();
+        assert_eq!(refused, too_large(104));
+        assert_eq!(log.lock().unwrap().bytes(), before, "a refused record is not appended");
+
+        // The commit marker fits; the state behind it does not.
+        let refused = wal.commit(0, |w| w.put_bytes(&[7; 100])).unwrap_err();
+        assert_eq!(refused, too_large(8 + 8 + 104));
+        assert_eq!(log.lock().unwrap().checkpoint_seqs(), Ok(vec![]));
+
+        // The log is still one recovery accepts, and the frames after the
+        // refused ones are unaffected by them.
+        wal.record(1, |w| write_cycle_start(w, 1)).unwrap();
+        wal.commit(1, |w| w.put_u8(1)).expect("a small checkpoint fits");
+        let mut store = log.lock().unwrap();
+        assert_eq!(store.checkpoint_seqs(), Ok(vec![2]));
+        let scan = scan_log(store.bytes()).expect("every appended frame is valid");
+        assert_eq!(scan.fingerprint, Some(wal.fingerprint));
+        assert_eq!(scan.cycles.len(), 2);
+        assert_eq!(scan.committed_len, store.len());
     }
 }

@@ -222,6 +222,12 @@ pub(crate) struct World {
     pub(crate) partitioner: Box<dyn Partitioner>,
     pub(crate) provisioner: Option<StaircaseProvisioner>,
     pub(crate) views: ViewRegistry,
+    /// The one delta the phases extract into: cleared and refilled per
+    /// array by [`World::retract`] and [`World::ingest`], folded into the
+    /// views, and kept — after the first cycles its buffers are as large
+    /// as a cycle's largest delta and are not reallocated. Scratch, not
+    /// state: nothing reads it before clearing it, no checkpoint holds it.
+    delta: DeltaSet,
 }
 
 impl World {
@@ -258,7 +264,8 @@ impl World {
         }
         let partitioner = Self::partitioner_for(workload, config, &cluster);
         let provisioner = Self::provisioner_for(config);
-        World { cluster, catalog, partitioner, provisioner, views: ViewRegistry::new() }
+        let (views, delta) = (ViewRegistry::new(), DeltaSet::new());
+        World { cluster, catalog, partitioner, provisioner, views, delta }
     }
 
     /// The one recipe for a run's partitioner: kind + tunables (quad
@@ -335,7 +342,7 @@ impl World {
         }
         let views = ViewRegistry::import_states(view_defs, &mut r).map_err(checkpoint_codec)?;
         r.finish("checkpoint blob").map_err(checkpoint_codec)?;
-        Ok(World { cluster, catalog, partitioner, provisioner, views })
+        Ok(World { cluster, catalog, partitioner, provisioner, views, delta: DeltaSet::new() })
     }
 
     fn stored_mut(&mut self, cycle: usize, array: ArrayId) -> Result<&mut StoredArray, CycleError> {
@@ -346,11 +353,14 @@ impl World {
         self.cluster.nodes().filter(|n| n.state() == state).map(|n| n.id).collect()
     }
 
-    /// Fold one array's delta into the views, counting rows in and out.
-    fn apply_delta(&mut self, array: ArrayId, delta: &DeltaSet, stats: &mut ViewApplyStats) {
-        let applied = self.views.apply(array, delta);
-        stats.delta_rows += applied.delta_rows;
-        stats.rows_changed += applied.rows_changed;
+    /// Fold the extracted delta — one array's — into the views, counting
+    /// rows in and out.
+    fn apply_delta(&mut self, array: ArrayId, stats: &mut ViewApplyStats) {
+        if !self.delta.is_empty() {
+            let applied = self.views.apply(array, &self.delta);
+            stats.delta_rows += applied.delta_rows;
+            stats.rows_changed += applied.rows_changed;
+        }
     }
 
     /// `node` if it accepts data; otherwise the deterministic accepting
@@ -441,9 +451,11 @@ impl World {
     ///
     /// The script is grouped by owning chunk ([`ScriptGroups`]) and each
     /// group is matched against its chunk by the array model's batch
-    /// kernel, read-only. From the matched rows, first the views'
-    /// negative deltas are captured **in script order**; then each chunk
-    /// gets one decision, made from the input alone:
+    /// kernel, read-only. Then, chunk by chunk, the matched rows leave
+    /// the chunk as the views' negative delta — a column at a time, into
+    /// the world's kept buffer ([`DeltaSet::extend_from_chunk`]; chunk
+    /// order, which the views do not depend on) — and the chunk gets one
+    /// decision, made from the input alone:
     ///
     /// * **Drop.** The script names every live row of the chunk: the
     ///   chunk is evicted — placement entry, primary, replicas, the
@@ -485,15 +497,11 @@ impl World {
             let unknown = |_| CycleError::UnknownArray { cycle, array: b.array };
             let stored = self.catalog.array_mut(b.array).map_err(unknown)?;
             let script = ScriptGroups::of(&stored.schema, flat).map_err(malformed)?;
-            let matched =
-                script.match_chunks(|coords| stored.data.as_ref().and_then(|d| d.chunk(coords)));
-            let mut delta = DeltaSet::new();
-            if self.views.reads(b.array) {
-                for (chunk, row) in matched.hits_in_script_order() {
-                    delta.push_chunk_row(chunk, row, -1);
-                }
-            }
-            let matched = matched.into_rows();
+            let matched = script
+                .match_chunks(|coords| stored.data.as_ref().and_then(|d| d.chunk(coords)))
+                .into_rows();
+            let viewed = self.views.reads(b.array);
+            self.delta.clear();
             for group in script.groups() {
                 let (coords, key) = (group.coords, ChunkKey::new(b.array, group.coords));
                 let ours = stored.data.as_ref().and_then(|d| d.shared_chunk(&coords));
@@ -503,6 +511,11 @@ impl World {
                     Err(refused) => return Err(rejected(refused)),
                 };
                 let rows = matched[group.range.clone()].iter().flatten().copied();
+                if let (true, Some(chunk)) = (viewed, ours) {
+                    // Tombstoning keeps a row's values, but a dropped or
+                    // compacted chunk does not: read them out first.
+                    self.delta.extend_from_chunk(chunk, rows.clone(), -1);
+                }
                 let for_catalog = ours.map(|chunk| Retirement::of(config, chunk, rows));
                 let for_cluster = match (ours, theirs) {
                     (Some(ours), Some(theirs)) if Arc::ptr_eq(ours, theirs) => for_catalog.clone(),
@@ -545,9 +558,7 @@ impl World {
                     }
                 }
             }
-            if !delta.is_empty() {
-                self.apply_delta(b.array, &delta, view_stats);
-            }
+            self.apply_delta(b.array, view_stats);
         }
         Ok(tally)
     }
@@ -723,21 +734,19 @@ impl World {
     ) -> Result<f64, CycleError> {
         let rejected = |source| CycleError::Ingest { cycle, source };
         let flows = self.place_batch(config, batch).map_err(rejected)?;
-        let arrays = arrays.unwrap_or_default();
-        // The freshly built arrays hold exactly this cycle's inserted
-        // cells: extract them as +1 deltas for the registered views
-        // before the chunk handles are absorbed into the stores.
-        let insert_deltas: Vec<(ArrayId, DeltaSet)> = arrays
-            .iter()
-            .filter(|a| self.views.reads(a.id))
-            .map(|a| (a.id, DeltaSet::from_live_cells(a)))
-            .collect();
         // Attach the chunks to the nodes that just received their
         // descriptors and fold them into the catalog's whole-array oracle.
         // Both stores hold the **same** `Arc<Chunk>` handles: attaching is
         // a refcount bump per chunk, and rebalances move the handle.
-        for fresh in arrays {
+        for fresh in arrays.unwrap_or_default() {
             let id = fresh.id;
+            // A fresh array holds exactly this cycle's inserted cells:
+            // its +1 delta is read out before the chunk handles move into
+            // the stores, and folded into the views once they have.
+            self.delta.clear();
+            if self.views.reads(id) {
+                self.delta.extend_live_cells(&fresh);
+            }
             for (coords, chunk) in fresh.shared_chunks() {
                 let key = ChunkKey::new(id, *coords);
                 self.cluster.attach_payload(key, Arc::clone(chunk)).map_err(rejected)?;
@@ -748,9 +757,7 @@ impl World {
             // re-validation: `fresh` was built against this same schema in
             // `build_chunks`, and moves its chunk handles in wholesale.
             data.absorb(fresh).map_err(|source| CycleError::Materialize { cycle, source })?;
-        }
-        for (id, delta) in insert_deltas {
-            self.apply_delta(id, &delta, view_stats);
+            self.apply_delta(id, view_stats);
         }
         Ok(flows.elapsed_secs(&config.cost))
     }

@@ -452,10 +452,9 @@ fn chunk_build_allocates_per_chunk_and_keeps_eight_bytes_per_row() {
     );
 }
 
-/// A chunk's dictionary is cut out of the batch's in one piece: one
-/// string list and one index table, each sized once, plus one clone per
-/// distinct string — never a table that grows entry by entry, never a
-/// `String` per row.
+/// A chunk's dictionary is cut out of the batch's in one piece: one text
+/// arena and one offset list, each sized once — no `String` per entry,
+/// and no probe table until something looks a string up.
 #[test]
 fn chunk_dictionaries_are_sized_once() {
     let rows_n: i64 = 100_000;
@@ -483,15 +482,75 @@ fn chunk_dictionaries_are_sized_once() {
     assert_eq!(chunks, 64);
     assert_eq!(array.cell_count(), rows_n as u64);
     // Per chunk: 3 columns + 6 as for any build, and per dictionary its
-    // string list, its index table and its 32 entries.
-    let budget = chunks * (3 + 6 + 2 * (distinct + 2)) + 64;
+    // arena and its offsets.
+    let budget = chunks * (3 + 6 + 2 * 2) + 64;
     assert!(
         calls <= budget,
         "building {chunks} chunks with two {distinct}-string dictionaries each allocated \
          {calls} times, budget {budget}: zero per-value `String`s under the cap ({rows_n} rows \
-         would cost 200 000) and at most one table growth per chunk dictionary (interning the \
-         entries one by one grew each index five times and each string list four: 6 560 in all)"
+         would cost 200 000), zero per-entry ones (a `String` per entry plus an index table \
+         per dictionary: 5 184 in all) and no table before a lookup"
     );
+    // The first lookup builds the table: a third allocation, and its box.
+    let chunk = array.chunks().next().expect("64 chunks").1;
+    let dict = chunk.column(0).and_then(|c| c.as_dict()).expect("under the cap").dict();
+    let start = allocation_count();
+    assert_eq!(dict.code_of("r007"), Some(7));
+    assert_eq!(allocation_count() - start, 2, "the probe table, sized once, and its box");
+    let start = allocation_count();
+    assert_eq!(dict.code_of("r031"), Some(31));
+    assert_eq!(dict.code_of("absent"), None);
+    assert_eq!(allocation_count() - start, 0, "later lookups reuse it");
+}
+
+/// Delta extraction refills kept buffers: the first fill sizes them
+/// (exactly — three allocations), every later one of no more rows
+/// allocates nothing, whether it lists a chunk's live rows or the rows a
+/// script matched. The per-row form pushed one value at a time through
+/// three growing buffers, four fresh ones a cycle.
+#[test]
+fn a_refilled_delta_allocates_nothing() {
+    use array_model::DeltaSet;
+
+    let (n, per_chunk) = (40_000i64, 1_000i64);
+    let schema =
+        ArraySchema::parse(&format!("S<id:int64, v:double, q:int32>[x=0:*,{per_chunk}, y=0:7,8]"))
+            .unwrap();
+    let mut batch = CellBuffer::new(&schema);
+    let mut vals: Vec<ScalarValue> = Vec::with_capacity(3);
+    for x in 0..n {
+        vals.extend([
+            ScalarValue::Int64(x * 7),
+            ScalarValue::Double(x as f64 * 0.5),
+            ScalarValue::Int32(x as i32),
+        ]);
+        batch.push_row(&[x, x % 8], &mut vals).expect("schema-shaped row");
+    }
+    let mut array = Array::new(ArrayId(0), schema);
+    array.insert_batch_owned(batch).expect("in bounds");
+    assert_eq!(array.chunk_count(), (n / per_chunk) as usize);
+
+    let mut delta = DeltaSet::new();
+    let start = allocation_count();
+    delta.extend_live_cells(&array);
+    let first = allocation_count() - start;
+    assert_eq!(delta.len(), n as usize);
+    assert_eq!(first, 3, "coordinates, values and row ends, each sized once");
+
+    delta.clear();
+    let start = allocation_count();
+    delta.extend_live_cells(&array);
+    assert_eq!(allocation_count() - start, 0, "the second cycle's extraction allocated");
+    assert_eq!(delta.len(), n as usize);
+
+    delta.clear();
+    let start = allocation_count();
+    for (_, chunk) in array.chunks() {
+        let matched = [Some(3u32), None, Some(999), Some(3)];
+        delta.extend_from_chunk(chunk, matched.iter().flatten().copied(), -1);
+    }
+    assert_eq!(allocation_count() - start, 0, "a retraction capture into kept buffers allocated");
+    assert_eq!((delta.len(), delta.net_weight()), (3 * 40, -3 * 40));
 }
 
 #[test]
