@@ -345,6 +345,23 @@ impl Region {
         })
     }
 
+    /// The box of chunk positions — inclusive `(first, last)` corners,
+    /// one [`DimensionDef::chunk_band`] per dimension — that holds every
+    /// chunk [`Region::intersects_chunk`] accepts. Empty (some `first`
+    /// index above its `last`) when no chunk can. Chunk maps are ordered
+    /// row-major, so a scan seeks this box instead of testing every
+    /// chunk of the array.
+    ///
+    /// [`DimensionDef::chunk_band`]: crate::schema::DimensionDef::chunk_band
+    pub fn chunk_band(&self, schema: &ArraySchema) -> (ChunkCoords, ChunkCoords) {
+        let mut first = ChunkCoords::zeros(schema.ndims());
+        let mut last = first;
+        for (d, dim) in schema.dimensions.iter().enumerate() {
+            (first[d], last[d]) = dim.chunk_band(self.low[d], self.high[d]);
+        }
+        (first, last)
+    }
+
     /// Number of cells in the region (logical, not stored).
     pub fn cell_volume(&self) -> u128 {
         self.low.iter().zip(&self.high).map(|(lo, hi)| (hi - lo + 1).max(0) as u128).product()

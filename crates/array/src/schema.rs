@@ -84,14 +84,32 @@ impl DimensionDef {
     }
 
     /// The inclusive cell-coordinate range covered by chunk `idx`.
-    /// The high end is clamped to the dimension bound when one exists.
+    /// The high end is clamped to the dimension bound when one exists,
+    /// and both ends saturate at the ends of `i64`: the last chunk of
+    /// `x=0:*,1000` ends at `i64::MAX`, 807 cells in, not past it.
+    /// The inverse of [`DimensionDef::chunk_index`] wherever that does
+    /// not saturate.
     pub fn chunk_range(&self, idx: i64) -> (i64, i64) {
-        let lo = self.start + idx * self.chunk_interval;
-        let hi = lo + self.chunk_interval - 1;
-        match self.end {
-            Some(end) => (lo, hi.min(end)),
-            None => (lo, hi),
-        }
+        let lo = i128::from(self.start) + i128::from(idx) * i128::from(self.chunk_interval);
+        let hi = lo + i128::from(self.chunk_interval) - 1;
+        let sat = |v: i128| v.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64;
+        (sat(lo), self.end.map_or(sat(hi), |end| sat(hi).min(end)))
+    }
+
+    /// The inclusive chunk-index band `(first, last)` outside which no
+    /// chunk's [`DimensionDef::chunk_range`] meets the coordinate
+    /// interval `[low, high]` — how a scan turns a region into the run
+    /// of chunks to seek, from the same division the chunk build files
+    /// cells by. Both ends of a chunk's range grow with its index, so a
+    /// range starts at or below `high` exactly up to `chunk_index(high)`
+    /// and ends at or above `low` exactly from `chunk_index(low)`.
+    /// `first > last` when nothing can meet it. A range that saturated
+    /// onto an end of `i64` touches that bound itself, so the band stays
+    /// open there.
+    pub fn chunk_band(&self, low: i64, high: i64) -> (i64, i64) {
+        let first = if low == i64::MIN { i64::MIN } else { self.chunk_index(low) };
+        let last = if high == i64::MAX { i64::MAX } else { self.chunk_index(high) };
+        (first, last)
     }
 
     /// Number of chunks along this dimension, when bounded.
@@ -451,6 +469,25 @@ mod tests {
         assert_eq!(neg.chunk_index(-169), 0);
         assert_eq!(neg.chunk_index(-168), 1);
         assert_eq!(neg.chunk_range(0), (-180, -169));
+    }
+
+    #[test]
+    fn the_last_chunk_of_an_unbounded_dimension_ends_at_i64_max() {
+        // Unchecked, `lo + interval - 1` wrapped: release answered an
+        // empty range (so no region met the chunk), debug aborted.
+        let d = DimensionDef::unbounded("x", 0, 1000);
+        let last = d.chunk_index(i64::MAX);
+        assert_eq!(last, i64::MAX / 1000);
+        assert_eq!(d.chunk_range(last), (i64::MAX - 807, i64::MAX));
+        assert_eq!(d.chunk_range(last - 1), (i64::MAX - 1807, i64::MAX - 808));
+        // Indexes no coordinate files under saturate too.
+        assert_eq!(d.chunk_range(i64::MAX), (i64::MAX, i64::MAX));
+        assert_eq!(d.chunk_range(i64::MIN), (i64::MIN, i64::MIN));
+        let low = DimensionDef::unbounded("x", i64::MIN, 10);
+        assert_eq!(low.chunk_range(0), (i64::MIN, i64::MIN + 9));
+        assert_eq!(low.chunk_index(i64::MIN + 10), 1);
+        assert_eq!(low.chunk_band(i64::MIN + 3, i64::MIN + 25), (0, 2));
+        assert_eq!(d.chunk_band(i64::MAX - 5, i64::MAX), (last, i64::MAX));
     }
 
     #[test]

@@ -131,6 +131,35 @@ fn arb_schema() -> impl Strategy<Value = ArraySchema> {
     })
 }
 
+/// An `i64` drawn where the arithmetic breaks: within a few thousand of
+/// either end of the type, around zero, or anywhere.
+fn arb_edge_i64() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        (0i64..3_000).prop_map(|d| i64::MIN + d),
+        (0i64..3_000).prop_map(|d| i64::MAX - d),
+        -3_000i64..3_000,
+        any::<i64>(),
+    ]
+}
+
+/// A dimension whose start, end and interval sit at the ends of `i64` as
+/// often as not: intervals of 1, of a few thousand, and of most of the
+/// type; bounded and `*`.
+fn arb_edge_dimension() -> impl Strategy<Value = DimensionDef> {
+    let interval =
+        prop_oneof![1i64..4, 1i64..3_000, (0i64..3).prop_map(|d| i64::MAX - d), 1i64..i64::MAX];
+    (arb_edge_i64(), arb_edge_i64(), interval, any::<bool>()).prop_map(
+        |(a, b, interval, bounded)| {
+            let (start, end) = (a.min(b), a.max(b));
+            if bounded {
+                DimensionDef::bounded("x", start, end, interval)
+            } else {
+                DimensionDef::unbounded("x", start, interval)
+            }
+        },
+    )
+}
+
 /// Schemas for the chunk-build model: one to **four** dimensions
 /// (bounded and `*`, negative starts — `arb_dimension`), one to four
 /// attributes of any type.
@@ -587,6 +616,70 @@ proptest! {
                 brute,
                 "chunk {:?} vs region {:?}", chunk, region
             );
+        }
+    }
+
+    /// `chunk_index` files a coordinate, `chunk_range` says where that
+    /// chunk lies: wherever the index fits `i64` the two are inverse —
+    /// the range holds the coordinate, both its ends file back into the
+    /// same chunk, the next chunk starts one past it — up to and
+    /// including the chunks that end at `i64::MAX` or start at
+    /// `i64::MIN`, where the range saturates instead of wrapping.
+    #[test]
+    fn chunk_range_and_chunk_index_round_trip_at_both_ends_of_i64(
+        dim in arb_edge_dimension(),
+        coord in arb_edge_i64(),
+    ) {
+        let coord = coord.max(dim.start).min(dim.end.unwrap_or(i64::MAX));
+        if let Some(idx) = dim.try_chunk_index(coord) {
+            prop_assert_eq!(dim.chunk_index(coord), idx);
+            let (lo, hi) = dim.chunk_range(idx);
+            prop_assert!(lo <= coord && coord <= hi, "{dim}: {coord} outside [{lo}, {hi}]");
+            prop_assert!(lo >= dim.start && dim.contains(hi), "{dim}: [{lo}, {hi}] leaves it");
+            prop_assert_eq!(dim.try_chunk_index(lo), Some(idx));
+            prop_assert_eq!(dim.try_chunk_index(hi), Some(idx));
+            // Exact, not merely saturated: the width is the interval
+            // unless the dimension's end or the type's cuts it short.
+            let cut = hi == dim.end.unwrap_or(i64::MAX);
+            prop_assert!(cut || hi - lo == dim.chunk_interval - 1);
+            if !cut && idx < i64::MAX {
+                prop_assert_eq!(dim.chunk_range(idx + 1).0, hi + 1);
+            }
+        }
+    }
+
+    /// `chunk_band` never loses a chunk: whatever index a chunk has —
+    /// in the dimension, past its end, negative, at the ends of `i64` —
+    /// if its `chunk_range` meets `[low, high]` the band holds it. (The
+    /// scan decides by the range; the band only says where to look.)
+    /// And it is tight where it matters: for a region inside the type's
+    /// ends, both corners of the band are chunks that do meet it.
+    #[test]
+    fn chunk_band_holds_every_chunk_whose_range_meets_the_interval(
+        dim in arb_edge_dimension(),
+        low in arb_edge_i64(),
+        high in arb_edge_i64(),
+        probes in proptest::collection::vec((arb_edge_i64(), -3i64..4), 24),
+    ) {
+        let (first, last) = dim.chunk_band(low, high);
+        let meets = |idx: i64| {
+            let (lo, hi) = dim.chunk_range(idx);
+            lo <= high && hi >= low
+        };
+        // Probe around the band's corners, around the chunks of the
+        // interval's ends, and anywhere.
+        let anchors = [first, last, dim.chunk_index(low), dim.chunk_index(high), 0];
+        for (i, &(anywhere, nudge)) in probes.iter().enumerate() {
+            for idx in [anywhere, anchors[i % anchors.len()].saturating_add(nudge)] {
+                prop_assert!(
+                    !meets(idx) || (first <= idx && idx <= last),
+                    "{dim}: chunk {idx} meets [{low}, {high}] outside band [{first}, {last}]"
+                );
+            }
+        }
+        let inside = low <= high && low > i64::MIN && high < i64::MAX;
+        if inside && dim.end.is_none_or(|end| low <= end) && high >= dim.start {
+            prop_assert!(meets(first) && meets(last), "{dim}: band [{first}, {last}] is slack");
         }
     }
 

@@ -1,5 +1,6 @@
 //! The simulated shared-nothing cluster: node roster plus chunk placement.
 
+use crate::census::CopyTally;
 use crate::cost::CostModel;
 use crate::error::{ClusterError, Result};
 use crate::node::{Node, NodeId, NodeState};
@@ -154,6 +155,10 @@ pub struct Cluster {
     /// `nodes.len()` as its modulus) but leave every census denominator;
     /// tracked as a counter so [`Cluster::balance_rsd`] stays O(1).
     pub(crate) retired: usize,
+    /// Placed chunks by number of serving copies — the replica census,
+    /// kept current by every mutator that can change a chunk's
+    /// [`Cluster::serving_copies`] (see [`crate::census`]).
+    pub(crate) copies: CopyTally,
 }
 
 impl Cluster {
@@ -186,6 +191,7 @@ impl Cluster {
             replication: replication.max(1),
             replicas: BTreeMap::new(),
             retired: 0,
+            copies: CopyTally::default(),
         })
     }
 
@@ -321,9 +327,8 @@ impl Cluster {
         n.admit(desc);
         let new = n.used_bytes();
         self.balance.on_change(old, new);
-        if self.replication > 1 {
-            self.place_replicas(&desc);
-        }
+        let replicas = if self.replication > 1 { self.place_replicas(&desc) } else { 0 };
+        self.copies.add(1 + replicas, 1);
         Ok(())
     }
 
@@ -331,9 +336,9 @@ impl Cluster {
     /// route: a ring walk from a salted hash of the key, skipping the
     /// primary and every node not accepting data. Places up to `k−1`
     /// copies — fewer when the roster is too small, which the census
-    /// reports as the effective target.
-    fn place_replicas(&mut self, desc: &ChunkDescriptor) {
-        let Some(primary) = self.placement.get(&desc.key) else { return };
+    /// reports as the effective target — and returns how many.
+    fn place_replicas(&mut self, desc: &ChunkDescriptor) -> usize {
+        let Some(primary) = self.placement.get(&desc.key) else { return 0 };
         let len = self.nodes.len();
         let want = self.replication - 1;
         let start = self.replica_ring_start(&desc.key);
@@ -350,9 +355,11 @@ impl Cluster {
             self.nodes[idx].admit_replica(*desc);
             holders.push(cand);
         }
-        if !holders.is_empty() {
+        let placed = holders.len();
+        if placed > 0 {
             self.replicas.insert(desc.key, holders);
         }
+        placed
     }
 
     /// Which nodes hold a secondary copy of `key`, in replica-route
@@ -496,11 +503,16 @@ impl Cluster {
         // Replica admission rides after the primary batch, sequentially:
         // the secondary route is a pure function of each key, so the
         // outcome is identical whatever the thread count, and the k=1
-        // hot path never pays for it.
+        // hot path never pays for it. Every primary landed on a node that
+        // accepts data, so each chunk enters the census with that copy
+        // plus the replicas just admitted.
         if self.replication > 1 {
             for desc in batch {
-                self.place_replicas(desc);
+                let replicas = self.place_replicas(desc);
+                self.copies.add(1 + replicas, 1);
             }
+        } else {
+            self.copies.add(1, batch.len());
         }
         Ok(())
     }
@@ -674,6 +686,7 @@ impl Cluster {
         }
         let mut flows = FlowSet::new();
         for m in &plan.moves {
+            let copies = self.serving_copies(&m.key);
             let src = &mut self.nodes[m.from.0 as usize];
             let src_old = src.used_bytes();
             let (desc, payload) = src.evict(&m.key).expect("validated above");
@@ -701,6 +714,9 @@ impl Cluster {
                 dst.store_payload(m.key, chunk);
             }
             self.balance.on_change(dst_old, dst.used_bytes());
+            // The primary only changed address; a superseded replica is
+            // one copy fewer until the top-up below.
+            self.retally(&m.key, copies);
         }
         if self.replication > 1 {
             for m in &plan.moves {
@@ -725,6 +741,7 @@ impl Cluster {
         if have >= want {
             return;
         }
+        let copies = self.serving_copies(key);
         let len = self.nodes.len();
         let start = self.replica_ring_start(key);
         for step in 0..len {
@@ -746,6 +763,7 @@ impl Cluster {
             flows.push(primary, cand, desc.bytes);
             self.replicas.entry(*key).or_default().push(cand);
         }
+        self.retally(key, copies);
     }
 
     /// Crash `id`: wipe both of its stores (the failure model is
@@ -773,9 +791,14 @@ impl Cluster {
         if !self.nodes.iter().any(|n| n.id != id && n.state().serves_reads()) {
             return Err(ClusterError::NoHealthyNodes);
         }
-        let node = &mut self.nodes[idx];
+        let node = &self.nodes[idx];
         let primary_keys: Vec<ChunkKey> = node.descriptors().map(|d| d.key).collect();
         let replica_keys: Vec<ChunkKey> = node.replica_descriptors().map(|d| d.key).collect();
+        // Only the chunks with a copy on this node can change strength:
+        // the census pays for the wreck, not for the cluster.
+        let copies: Vec<usize> =
+            primary_keys.iter().chain(&replica_keys).map(|k| self.serving_copies(k)).collect();
+        let node = &mut self.nodes[idx];
         let old_used = node.used_bytes();
         node.wipe();
         node.set_state(NodeState::Crashed);
@@ -815,6 +838,9 @@ impl Cluster {
                 }
                 None => orphaned.push(*key),
             }
+        }
+        for (key, before) in primary_keys.iter().chain(&replica_keys).zip(copies) {
+            self.retally(key, before);
         }
         Ok(CrashReport {
             node: id,
@@ -990,6 +1016,7 @@ impl Cluster {
             let state = self.nodes[idx].state();
             return Err(ClusterError::NodeUnavailable { node: node.0, state });
         }
+        self.copies.remove(self.serving_copies(key));
         let n = &mut self.nodes[idx];
         let old = n.used_bytes();
         let (desc, _payload) = n.evict(key).expect("holds() checked above");
@@ -1069,6 +1096,7 @@ impl Cluster {
         let replica_keys: Vec<ChunkKey> =
             self.nodes[idx].replica_descriptors().map(|d| d.key).collect();
         for key in &replica_keys {
+            let copies = self.serving_copies(key);
             if let Some(holders) = self.replicas.get_mut(key) {
                 holders.retain(|&h| h != id);
                 if holders.is_empty() {
@@ -1076,6 +1104,7 @@ impl Cluster {
                 }
             }
             self.nodes[idx].evict_replica(key);
+            self.retally(key, copies);
         }
         self.nodes[idx].set_state(NodeState::Retired);
         self.retired += 1;
@@ -1130,36 +1159,12 @@ impl Cluster {
             .map(|n| n.id)
     }
 
-    /// Census of replica strength over every placed chunk: how many
-    /// serving copies (primary + replicas) each chunk has versus the
-    /// effective target `min(k, nodes able to host data)`.
-    pub fn replica_census(&self) -> ReplicaCensus {
-        let hosts = self.nodes.iter().filter(|n| n.state().accepts_data()).count();
-        let target = self.replication.min(hosts.max(1));
-        let mut census = ReplicaCensus { target, full: 0, under: 0, lost: 0 };
-        for (key, node) in self.placement.collect_sorted() {
-            let pn = &self.nodes[node.0 as usize];
-            let mut copies = usize::from(pn.state().serves_reads() && pn.holds(&key));
-            copies += self
-                .replica_holders(&key)
-                .iter()
-                .filter(|r| self.nodes[r.0 as usize].state().serves_reads())
-                .count();
-            if copies == 0 {
-                census.lost += 1;
-            } else if copies < target {
-                census.under += 1;
-            } else {
-                census.full += 1;
-            }
-        }
-        census
-    }
-
     /// Cross-check the replica-holder index against the per-node replica
     /// stores; the post-recovery consistency gate. Returns the first
-    /// disagreement as a typed error.
+    /// disagreement as a typed error. Debug builds also audit the kept
+    /// replica census against its definition (see [`crate::census`]).
     pub fn verify_replica_books(&self) -> Result<()> {
+        debug_assert_eq!(self.copies, self.walked_copies(), "replica census drifted");
         for (key, holders) in &self.replicas {
             for &h in holders {
                 let node = self.nodes.get(h.0 as usize).ok_or(ClusterError::UnknownNode(h.0))?;
@@ -1340,33 +1345,6 @@ pub struct DecommissionReport {
     /// replica top-ups that followed retirement — as one concurrent
     /// batch for timing.
     pub flows: FlowSet,
-}
-
-/// Replica-strength census over every placed chunk
-/// ([`Cluster::replica_census`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaCensus {
-    /// Effective per-chunk copy target: `min(k, nodes able to host data)`.
-    pub target: usize,
-    /// Chunks at or above the target number of serving copies.
-    pub full: usize,
-    /// Chunks below target but with at least one serving copy.
-    pub under: usize,
-    /// Chunks with no serving copy at all (data loss without the catalog
-    /// oracle).
-    pub lost: usize,
-}
-
-impl ReplicaCensus {
-    /// Every placed chunk is at full replica strength.
-    pub fn is_full_strength(&self) -> bool {
-        self.under == 0 && self.lost == 0
-    }
-
-    /// Chunks below the effective copy target (degraded + lost).
-    pub fn under_replicated(&self) -> usize {
-        self.under + self.lost
-    }
 }
 
 #[cfg(test)]

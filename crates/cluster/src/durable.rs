@@ -19,11 +19,11 @@
 //! - the replica-holder index verbatim, holder order preserved (it is
 //!   route order, consumed by failover promotion).
 //!
-//! `BalanceStats` and the retired-slot counter are recomputed from the
-//! restored nodes, and the serialized per-node byte ledgers plus
-//! [`Cluster::verify_replica_books`] act as corruption tripwires: any
-//! drift between stored and recomputed books surfaces as a typed
-//! [`DurabilityError::Mismatch`], never a silently wrong cluster.
+//! `BalanceStats`, the retired-slot counter and the replica census tally
+//! are recomputed from the restored books, and the serialized per-node
+//! byte ledgers plus [`Cluster::verify_replica_books`] act as corruption
+//! tripwires: any drift between stored and recomputed books surfaces as
+//! a typed [`DurabilityError::Mismatch`], never a silently wrong cluster.
 
 use crate::cluster::{BalanceStats, Cluster};
 use crate::cost::CostModel;
@@ -180,7 +180,12 @@ impl Cluster {
             }
             replicas.insert(key, v);
         }
-        let cluster = Cluster { nodes, placement, cost, balance, replication, replicas, retired };
+        let copies = Default::default();
+        let mut cluster =
+            Cluster { nodes, placement, cost, balance, replication, replicas, retired, copies };
+        // The replica census is derived state: recount it from the books
+        // just read instead of trusting (or storing) a second copy.
+        cluster.copies = cluster.walked_copies();
         cluster.verify_replica_books().map_err(|e| DurabilityError::Mismatch {
             what: "replica books".to_string(),
             expected: "replica index in lockstep with node replica stores".to_string(),

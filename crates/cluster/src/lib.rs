@@ -19,6 +19,7 @@
 
 #![warn(missing_docs)]
 
+mod census;
 mod cluster;
 mod cost;
 mod durable;
@@ -30,9 +31,10 @@ mod rebalance;
 mod recovery;
 mod transfer;
 
+pub use census::ReplicaCensus;
 pub use cluster::{
     ChunkCompaction, ChunkEviction, ChunkRetraction, Cluster, CrashReport, DecommissionReport,
-    PayloadRead, ReplicaCensus,
+    PayloadRead,
 };
 pub use cost::{gb, CostModel, BYTES_PER_GB};
 pub use error::{ClusterError, PayloadMismatch, Result};

@@ -189,25 +189,25 @@ impl RecoveryOutcome {
 }
 
 impl Cluster {
-    /// Serving copies of `key` counted from actual node stores: the
-    /// primary (when its node serves reads and still holds it) plus every
-    /// serving replica holder.
+    /// The nodes serving a copy of `key`, read from the actual node
+    /// stores: the primary first (when its node serves reads and still
+    /// holds the chunk), then every serving replica holder in route
+    /// order. The one definition of a *serving copy* — the census counts
+    /// these, repair planning sources from the first of them.
+    pub(crate) fn serving_nodes(&self, key: &ChunkKey) -> impl Iterator<Item = NodeId> + '_ {
+        let serves = |id: &NodeId| self.nodes[id.0 as usize].state().serves_reads();
+        let primary =
+            self.placement.get(key).filter(|p| serves(p) && self.nodes[p.0 as usize].holds(key));
+        primary.into_iter().chain(self.replica_holders(key).iter().copied().filter(serves))
+    }
+
+    /// How many serving copies `key` has ([`Cluster::serving_nodes`]).
     pub(crate) fn serving_copies(&self, key: &ChunkKey) -> usize {
-        let primary = self
-            .placement
-            .get(key)
-            .map(|p| &self.nodes[p.0 as usize])
-            .is_some_and(|n| n.state().serves_reads() && n.holds(key));
-        usize::from(primary)
-            + self
-                .replica_holders(key)
-                .iter()
-                .filter(|r| self.nodes[r.0 as usize].state().serves_reads())
-                .count()
+        self.serving_nodes(key).count()
     }
 
     /// Effective per-chunk copy target right now.
-    fn effective_target(&self) -> usize {
+    pub(crate) fn effective_target(&self) -> usize {
         let hosts = self.nodes.iter().filter(|n| n.state().accepts_data()).count();
         self.replication.min(hosts.max(1))
     }
@@ -218,30 +218,20 @@ impl Cluster {
     pub fn plan_recovery(&self) -> RepairPlan {
         let target = self.effective_target();
         let mut plan = RepairPlan::default();
-        for (key, primary) in self.placement.collect_sorted() {
-            let pn = &self.nodes[primary.0 as usize];
-            let primary_alive = pn.state().serves_reads() && pn.holds(&key);
-            let holders = self.replica_holders(&key);
-            let serving_replicas =
-                holders.iter().filter(|r| self.nodes[r.0 as usize].state().serves_reads()).count();
-            let copies = usize::from(primary_alive) + serving_replicas;
-            if copies == 0 {
+        for (key, primary) in self.placements() {
+            let mut serving = self.serving_nodes(&key);
+            let Some(source) = serving.next() else {
                 plan.unrecoverable.push(key);
                 continue;
-            }
+            };
+            let copies = 1 + serving.count();
             if copies >= target {
                 continue;
             }
-            let (source, bytes) = if primary_alive {
-                (primary, pn.descriptor(&key).map_or(0, |d| d.bytes))
-            } else {
-                let src = holders
-                    .iter()
-                    .copied()
-                    .find(|r| self.nodes[r.0 as usize].state().serves_reads())
-                    .expect("copies > 0 implies a serving holder");
-                (src, self.nodes[src.0 as usize].replica_descriptor(&key).map_or(0, |d| d.bytes))
-            };
+            let sn = &self.nodes[source.0 as usize];
+            let bytes =
+                sn.descriptor(&key).or_else(|| sn.replica_descriptor(&key)).map_or(0, |d| d.bytes);
+            let holders = self.replica_holders(&key);
             let mut deficit = target - copies;
             let len = self.nodes.len();
             let start = self.replica_ring_start(&key);
@@ -351,7 +341,9 @@ impl Cluster {
                 if let Some(chunk) = payload {
                     self.nodes[tgt.0 as usize].store_replica_payload(job.key, Arc::clone(&chunk));
                 }
+                let copies = self.serving_copies(&job.key);
                 self.replicas.entry(job.key).or_default().push(tgt);
+                self.retally(&job.key, copies);
                 out.flows.push(src, tgt, desc.bytes);
                 out.repaired += 1;
                 break;
@@ -370,12 +362,7 @@ impl Cluster {
     /// The deterministic fallback source: the serving primary, else the
     /// first serving replica holder in route order.
     fn alternate_source(&self, key: &ChunkKey) -> Option<NodeId> {
-        if let Some(primary) = self.placement.get(key) {
-            if self.source_serves(key, primary) {
-                return Some(primary);
-            }
-        }
-        self.replica_holders(key).iter().copied().find(|&r| self.source_serves(key, r))
+        self.serving_nodes(key).next()
     }
 
     /// The planned target if it still accepts data, else the next

@@ -272,7 +272,10 @@ impl<'a> ExecutionContext<'a> {
     ///
     /// 1. every intersecting chunk is **routed** (`node_of`), in row-major
     ///    chunk order, so placement errors surface exactly as they would
-    ///    unpruned;
+    ///    unpruned — and only those are touched: the descriptor map is
+    ///    sought at the region's chunk band
+    ///    (`StoredArray::descriptors_near`), so planning costs what the
+    ///    query names, not what the array has accumulated;
     /// 2. when the array is cell-exact, every intersecting chunk's
     ///    payload is fetched once here and shared by the cost and answer
     ///    loops (degraded-read accounting is pruning-invariant);
@@ -300,7 +303,7 @@ impl<'a> ExecutionContext<'a> {
         let exact = self.cells_available(array);
         let mut visit = Vec::new();
         let mut dead = Vec::new();
-        for (coords, desc) in &array.descriptors {
+        for (coords, desc) in array.descriptors_near(region) {
             if !region.is_none_or(|r| r.intersects_chunk(&array.schema, coords)) {
                 continue;
             }
@@ -526,6 +529,251 @@ mod tests {
             assert!(ctx.chunk_payload(array, coords).is_some());
         }
         assert_eq!(ctx.degraded_reads(), 24);
+    }
+
+    #[test]
+    fn subarray_reaches_the_chunk_that_ends_at_i64_max() {
+        // `chunk_range` of the last chunk of `x=0:*,1000` used to wrap:
+        // release planned 0 chunks and answered 0 rows, debug aborted.
+        let schema = ArraySchema::parse("A<v:int32>[x=0:*,1000]").unwrap();
+        let mut a = Array::new(ArrayId(4), schema);
+        a.insert_cell(vec![i64::MAX], vec![ScalarValue::Int32(7)]).unwrap();
+        a.insert_cell(vec![5], vec![ScalarValue::Int32(1)]).unwrap();
+        let stored = StoredArray::from_array(a);
+        let mut cluster = Cluster::new(2, u64::MAX, CostModel::default()).unwrap();
+        for d in stored.descriptors.values() {
+            cluster.place(*d, NodeId(1)).unwrap();
+        }
+        let mut cat = Catalog::new();
+        cat.register(stored);
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        let tail = Region::new(vec![i64::MAX - 5], vec![i64::MAX]);
+        let (cells, stats) = crate::ops::subarray(&ctx, ArrayId(4), &tail, &[]).unwrap();
+        assert_eq!(stats.chunks_visited, 1);
+        let rows: Vec<_> = cells.cells.iter().collect();
+        assert_eq!(rows, vec![(&[i64::MAX][..], &[ScalarValue::Int32(7)][..])]);
+        let all = Region::new(vec![i64::MIN], vec![i64::MAX]);
+        assert_eq!(ctx.plan_scan(ArrayId(4), Some(&all), None).unwrap().visit.len(), 2);
+    }
+
+    /// A seeded draw for the generators below (splitmix64): regions are
+    /// derived from the schema and chunks drawn before them, which a
+    /// strategy tuple cannot express.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> i64 {
+            (self.next() % n) as i64
+        }
+
+        /// Near either end of `i64`, around zero, or anywhere.
+        fn edge(&mut self) -> i64 {
+            match self.below(4) {
+                0 => i64::MIN + self.below(3_000),
+                1 => i64::MAX - self.below(3_000),
+                2 => self.below(6_000) - 3_000,
+                _ => self.next() as i64,
+            }
+        }
+    }
+
+    /// What the plan must equal: the whole descriptor map, filtered by
+    /// `Region::intersects_chunk`, in map order.
+    fn walked<'s>(array: &'s StoredArray, region: Option<&Region>) -> Vec<&'s ChunkDescriptor> {
+        array
+            .descriptors
+            .iter()
+            .filter(|(c, _)| region.is_none_or(|r| r.intersects_chunk(&array.schema, c)))
+            .map(|(_, d)| d)
+            .collect()
+    }
+
+    /// One to four dimensions with starts at the ends of `i64` as often
+    /// as not, bounded and `*`, intervals from 1 to most of the type.
+    fn edge_schema(draw: &mut Draw) -> ArraySchema {
+        use array_model::{AttributeDef, AttributeType, DimensionDef};
+        let dims = (0..1 + draw.below(4))
+            .map(|d| {
+                let start = draw.edge();
+                let interval = match draw.below(4) {
+                    0 => 1,
+                    1 => 1 + draw.below(50),
+                    2 => 1 + draw.below(1 << 40),
+                    _ => i64::MAX - draw.below(3),
+                };
+                let reach = if draw.below(2) == 0 { draw.below(500) } else { draw.edge() };
+                match draw.below(2) {
+                    0 => DimensionDef::unbounded(format!("d{d}"), start, interval),
+                    _ => DimensionDef::bounded(
+                        format!("d{d}"),
+                        start,
+                        start.saturating_add(reach.saturating_abs()),
+                        interval,
+                    ),
+                }
+            })
+            .collect();
+        ArraySchema::new("E", vec![AttributeDef::new("v", AttributeType::Int32)], dims).unwrap()
+    }
+
+    proptest::proptest! {
+        /// Band vs walk, metadata only: over schemas, sparse chunk sets
+        /// (indexes no cell could file under included) and regions at
+        /// the ends of `i64` — inside, straddling, wholly outside,
+        /// inverted, absent — the plan visits exactly the chunks the
+        /// full-map filter keeps, in its order, on the nodes that hold
+        /// them; a chunk left unplaced is `Unplaced` exactly when the
+        /// filter reaches it first; the wrong arity is `RegionArity`.
+        #[test]
+        fn plan_scan_equals_the_filter_of_the_whole_map(seed in proptest::prelude::any::<u64>()) {
+            let mut draw = Draw(seed);
+            let schema = edge_schema(&mut draw);
+            let n = schema.ndims();
+            // Chunk indexes cluster near 0 (so regions hit them), with
+            // strays: negative, past a bounded end, at the type's ends.
+            let index = |draw: &mut Draw, dim: &array_model::DimensionDef| match draw.below(8) {
+                0 => -1 - draw.below(3),
+                1 => dim.chunk_index(dim.end.unwrap_or(i64::MAX)).saturating_add(draw.below(3)),
+                2 => draw.edge(),
+                _ => draw.below(6),
+            };
+            let mut descs = Vec::new();
+            for i in 0..draw.below(40) {
+                let mut coords = ChunkCoords::zeros(n);
+                for (d, dim) in schema.dimensions.iter().enumerate() {
+                    coords[d] = index(&mut draw, dim);
+                }
+                let key = array_model::ChunkKey::new(ArrayId(2), coords);
+                descs.push(ChunkDescriptor::new(key, 100 + i as u64, 1));
+            }
+            let array = StoredArray::from_descriptors(ArrayId(2), schema.clone(), descs);
+            let mut cluster = Cluster::new(3, u64::MAX, CostModel::default()).unwrap();
+            let unplaced = match draw.below(3) {
+                0 => array.descriptors.keys().nth(draw.below(40) as usize).copied(),
+                _ => None,
+            };
+            for (i, (coords, d)) in array.descriptors.iter().enumerate() {
+                if Some(*coords) != unplaced {
+                    cluster.place(*d, NodeId((i % 3) as u32)).unwrap();
+                }
+            }
+            let mut cat = Catalog::new();
+            cat.register(array);
+            let array = cat.array(ArrayId(2)).unwrap();
+            let ctx = ExecutionContext::new(&cluster, &cat);
+
+            let mut regions = vec![None];
+            for _ in 0..24 {
+                // A corner: an end of some nearby chunk, nudged, or an
+                // end of the type.
+                let corner = |draw: &mut Draw, dim: &array_model::DimensionDef| {
+                    let (lo, hi) = dim.chunk_range(draw.below(9) - 2);
+                    match draw.below(8) {
+                        0 => i64::MIN,
+                        1 => i64::MAX,
+                        2 => draw.edge(),
+                        3 | 4 => lo.saturating_add(draw.below(5) - 2),
+                        _ => hi.saturating_add(draw.below(5) - 2),
+                    }
+                };
+                let (mut low, mut high) = (Vec::new(), Vec::new());
+                for dim in &schema.dimensions {
+                    let (a, b) = (corner(&mut draw, dim), corner(&mut draw, dim));
+                    // One corner pair in eight stays inverted.
+                    let (a, b) = if draw.below(8) == 0 { (a.max(b), a.min(b)) } else { (a.min(b), a.max(b)) };
+                    low.push(a);
+                    high.push(b);
+                }
+                regions.push(Some(Region::new(low, high)));
+            }
+            for region in &regions {
+                let region = region.as_ref();
+                let expect = walked(array, region);
+                let lost = expect.iter().find(|d| Some(d.key.coords) == unplaced);
+                match (ctx.plan_scan(ArrayId(2), region, None), lost) {
+                    (Err(QueryError::Unplaced(key)), Some(d)) => assert_eq!(key, d.key),
+                    (Ok(plan), None) => {
+                        assert!(plan.dead.is_empty() && plan.pruned == 0);
+                        let got: Vec<_> = plan.visit.iter().map(|(d, node, _)| (d, *node)).collect();
+                        let want: Vec<_> = expect
+                            .iter()
+                            .map(|d| (*d, cluster.locate(&d.key).expect("placed above")))
+                            .collect();
+                        assert_eq!(got, want, "{schema} over {region:?}");
+                    }
+                    (other, _) => panic!("{schema} over {region:?}: {:?}", other.map(|p| p.visit)),
+                }
+            }
+            let bad = Region::new(vec![0; n + 1], vec![9; n + 1]);
+            assert!(matches!(
+                ctx.plan_scan(ArrayId(2), Some(&bad), None),
+                Err(QueryError::RegionArity { expected, got }) if expected == n && got == n + 1
+            ));
+        }
+
+        /// Band vs walk over real cells: `visit` and `dead` together are
+        /// the filter of the whole map, each in map order — pruning only
+        /// moves a chunk from one list to the other.
+        #[test]
+        fn visit_and_dead_partition_the_filter_of_the_whole_map(seed in proptest::prelude::any::<u64>()) {
+            use array_model::{AttributeDef, AttributeType, DimensionDef};
+            let mut draw = Draw(seed);
+            let dims: Vec<DimensionDef> = (0..1 + draw.below(3))
+                .map(|d| {
+                    let (start, interval) = (draw.below(100) - 50, 1 + draw.below(8));
+                    match draw.below(2) {
+                        0 => DimensionDef::unbounded(format!("d{d}"), start, interval),
+                        _ => DimensionDef::bounded(format!("d{d}"), start, start + 40, interval),
+                    }
+                })
+                .collect();
+            let attrs = vec![AttributeDef::new("v", AttributeType::Int32)];
+            let schema = ArraySchema::new("M", attrs, dims).unwrap();
+            let mut a = Array::new(ArrayId(3), schema.clone());
+            for i in 0..draw.below(80) {
+                let cell = schema.dimensions.iter().map(|d| d.start + draw.below(41)).collect();
+                a.insert_cell(cell, vec![ScalarValue::Int32(i as i32)]).unwrap();
+            }
+            let stored = StoredArray::from_array(a);
+            let mut cluster = Cluster::new(2, u64::MAX, CostModel::default()).unwrap();
+            for (i, d) in stored.descriptors.values().enumerate() {
+                cluster.place(*d, NodeId((i % 2) as u32)).unwrap();
+            }
+            let mut cat = Catalog::new();
+            cat.register(stored);
+            let array = cat.array(ArrayId(3)).unwrap();
+            for _ in 0..16 {
+                let (mut low, mut high) = (Vec::new(), Vec::new());
+                for d in &schema.dimensions {
+                    let (a, b) = (d.start + draw.below(60) - 10, d.start + draw.below(60) - 10);
+                    low.push(a.min(b));
+                    high.push(a.max(b));
+                }
+                let region = Region::new(low, high);
+                let expect = walked(array, Some(&region));
+                let ctx = ExecutionContext::new(&cluster, &cat);
+                let plan = ctx.plan_scan(ArrayId(3), Some(&region), None).unwrap();
+                assert_eq!(plan.dead.len() as u64, plan.pruned);
+                let mut got: Vec<_> =
+                    plan.visit.iter().map(|(d, ..)| d).chain(plan.dead.iter().map(|(d, _)| d)).collect();
+                assert!(plan.visit.windows(2).all(|w| w[0].0.key < w[1].0.key));
+                assert!(plan.dead.windows(2).all(|w| w[0].0.key < w[1].0.key));
+                got.sort_by_key(|d| d.key);
+                assert_eq!(got, expect, "{schema} over {region:?}");
+                let unpruned = ExecutionContext::new(&cluster, &cat).with_pruning(false);
+                let plan = unpruned.plan_scan(ArrayId(3), Some(&region), None).unwrap();
+                assert!(plan.dead.is_empty());
+                assert_eq!(plan.visit.iter().map(|(d, ..)| d).collect::<Vec<_>>(), expect);
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use cluster_sim::{CostModel, FlowSet, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// What one query cost.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -62,8 +61,10 @@ pub fn scaled_bytes(bytes: u64, fraction: f64) -> u64 {
 #[derive(Debug)]
 pub struct WorkTracker<'a> {
     cost: &'a CostModel,
-    /// Per-node busy seconds during the parallel phase.
-    busy: BTreeMap<NodeId, f64>,
+    /// Per-node busy seconds during the parallel phase, indexed by node
+    /// id (ids are dense join-order indices) and grown on demand; a node
+    /// never charged reads as idle.
+    busy: Vec<f64>,
     /// Bulk data movement (shuffles), solved with endpoint contention.
     shuffle: FlowSet,
     /// Serial coordinator work after the parallel phase (merges, sorts).
@@ -76,23 +77,33 @@ impl<'a> WorkTracker<'a> {
     pub fn new(cost: &'a CostModel) -> Self {
         WorkTracker {
             cost,
-            busy: BTreeMap::new(),
+            busy: Vec::new(),
             shuffle: FlowSet::new(),
             coordinator_secs: 0.0,
             stats: QueryStats::default(),
         }
     }
 
+    /// `node`'s busy seconds, to add to.
+    #[inline]
+    fn busy_mut(&mut self, node: NodeId) -> &mut f64 {
+        let i = node.0 as usize;
+        if i >= self.busy.len() {
+            self.busy.resize(i + 1, 0.0);
+        }
+        &mut self.busy[i]
+    }
+
     /// Node `node` scans `bytes` of one chunk from local storage.
     pub fn scan_chunk(&mut self, node: NodeId, bytes: u64) {
-        *self.busy.entry(node).or_default() += self.cost.scan_secs(bytes);
+        *self.busy_mut(node) += self.cost.scan_secs(bytes);
         self.stats.bytes_scanned += bytes;
         self.stats.chunks_visited += 1;
     }
 
     /// Pure CPU work on a node (e.g. k-means iterations over cached data).
     pub fn compute(&mut self, node: NodeId, secs: f64) {
-        *self.busy.entry(node).or_default() += secs;
+        *self.busy_mut(node) += secs;
     }
 
     /// Record `n` chunks skipped by zone-map pruning. Pruned chunks cost
@@ -120,7 +131,7 @@ impl<'a> WorkTracker<'a> {
             self.scan_chunk(requester, bytes);
             return;
         }
-        *self.busy.entry(requester).or_default() += self.cost.remote_fetch_secs(bytes);
+        *self.busy_mut(requester) += self.cost.remote_fetch_secs(bytes);
         self.stats.bytes_shuffled += bytes;
         self.stats.remote_fetches += 1;
         self.stats.chunks_visited += 1;
@@ -147,7 +158,7 @@ impl<'a> WorkTracker<'a> {
     /// Fold everything into elapsed time:
     /// `max(per-node busy) + shuffle + coordinator`.
     pub fn finish(self) -> QueryStats {
-        let parallel = self.busy.values().fold(0.0f64, |acc, &s| acc.max(s));
+        let parallel = self.busy.iter().fold(0.0f64, |acc, &s| acc.max(s));
         let shuffle_secs = self.shuffle.elapsed_secs(self.cost);
         let mut stats = self.stats;
         stats.elapsed_secs = parallel + shuffle_secs + self.coordinator_secs;

@@ -579,6 +579,12 @@ impl<'w> WorkloadRunner<'w> {
 
         let insert_secs = world.ingest(cycle, config, &batch, arrays, &mut view_stats)?;
         // O(1): the cluster maintains its load moments incrementally.
+        // The rest of the report is as cheap — every field below is a
+        // counter a phase returned, a value the cluster keeps
+        // (`total_used`, `active_node_count`; `under_replicated` folds
+        // the kept replica census, k + 1 counters) or one pass over the
+        // roster (`crashed_nodes`): nothing in it grows with the chunks
+        // the run has placed.
         let rsd_after_insert = world.cluster.balance_rsd();
 
         // Queries are read-only and their report is discarded during
@@ -622,7 +628,11 @@ impl<'w> WorkloadRunner<'w> {
             view_delta_rows: view_stats.delta_rows,
             view_rows_changed: view_stats.rows_changed,
             scale_saturated: step.saturated,
-            crashed_nodes: world.nodes_in(NodeState::Crashed).len(),
+            crashed_nodes: world
+                .cluster
+                .nodes()
+                .filter(|n| n.state() == NodeState::Crashed)
+                .count(),
             under_replicated: world.cluster.replica_census().under_replicated(),
             repair_bytes: repair.bytes,
             repair_retries: repair.retries,

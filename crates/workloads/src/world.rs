@@ -802,8 +802,12 @@ impl World {
             for &holder in self.cluster.replica_holders(&desc.key) {
                 flows.push(coordinator, holder, desc.bytes);
             }
-            if let Ok(array) = self.catalog.array_mut(desc.key.array) {
-                array.descriptors.insert(desc.key.coords, *desc);
+        }
+        // File the descriptors in the catalog, one array lookup per run of
+        // equal array ids (a batch is usually one or two runs).
+        for run in batch.chunk_by(|a, b| a.key.array == b.key.array) {
+            if let Ok(array) = self.catalog.array_mut(run[0].key.array) {
+                array.descriptors.extend(run.iter().map(|desc| (desc.key.coords, *desc)));
             }
         }
         Ok(flows)

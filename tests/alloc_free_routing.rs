@@ -222,6 +222,39 @@ fn failover_payload_reads_never_allocate() {
     assert!(sink != u64::MAX, "keep the loop observable");
 }
 
+/// The replica census is a value the cluster keeps (`cluster/census.rs`):
+/// reading it folds k + 1 counters and one pass over the roster, so the
+/// per-cycle report may ask for it however many chunks are placed and in
+/// whatever state the roster is. The walk it replaced built and sorted a
+/// `Vec` of every placement — at least one allocation per call.
+#[test]
+fn replica_census_never_allocates() {
+    let mut cluster = Cluster::with_replication(5, u64::MAX, CostModel::default(), 2).unwrap();
+    assert!(cluster.register_array(ArrayId(0), &[100, 100]));
+    for i in 0..10_000i64 {
+        let key = ChunkKey::new(ArrayId(0), ChunkCoords::new([i / 100, i % 100]));
+        cluster.place(ChunkDescriptor::new(key, 100, 1), NodeId((i % 5) as u32)).unwrap();
+    }
+    assert!(cluster.replica_census().is_full_strength());
+    // One node down: its primaries were promoted onto their replicas and
+    // its replicas are gone, so about two chunks in five are a copy short.
+    let crash = cluster.crash_node(NodeId(3)).unwrap();
+    let short = crash.promoted + crash.dropped_replicas;
+    assert!(crash.orphaned.is_empty() && short > 3_000);
+
+    let start = allocation_count();
+    let mut under = 0;
+    for _ in 0..1_000 {
+        let census = cluster.replica_census();
+        under += census.under_replicated();
+        assert_eq!(census.full + census.under + census.lost, 10_000);
+    }
+    let allocs = allocation_count() - start;
+    assert_eq!(allocs, 0, "1k censuses of 10k chunks allocated {allocs} times");
+    assert_eq!(under, 1_000 * short, "every chunk that had a copy on the wreck");
+    assert_eq!(cluster.replica_census().lost, 0);
+}
+
 /// The materialized (cell-level) ingest path must be allocation-**lean**:
 /// O(1) amortized allocations per *row*. The old pipeline allocated two
 /// `Vec`s per cell (coordinates + values) before a row ever reached its
