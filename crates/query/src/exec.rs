@@ -6,12 +6,13 @@
 
 use crate::catalog::{Catalog, StoredArray};
 use crate::error::{QueryError, Result};
+use crate::ops::keys::CellBox;
 use crate::ops::scan::SelectionMask;
 use crate::predicate::Predicate;
 use crate::stats::{scaled_bytes, WorkTracker};
-use array_model::{ArrayId, Chunk, ChunkCoords, ChunkDescriptor, Region};
+use array_model::{ArrayId, Chunk, ChunkCoords, ChunkDescriptor, Region, MAX_DIMS};
 use cluster_sim::{Cluster, CostModel, NodeId, PayloadRead};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
 /// Everything an operator needs to run.
@@ -25,6 +26,10 @@ pub struct ExecutionContext<'a> {
     /// surviving replica or the catalog oracle standing in for a crashed
     /// node. Interior-mutable so the read path keeps taking `&self`.
     degraded: Cell<u64>,
+    /// [`ExecutionContext::cells_available`] per array, evaluated on first
+    /// use: the context borrows cluster and catalog immutably, so the
+    /// answer cannot change during its life.
+    exact: RefCell<BTreeMap<ArrayId, bool>>,
     /// Whether [`ExecutionContext::plan_scan`] may skip chunks whose zone
     /// map refutes the query. On by default; the pruning differentials
     /// turn it off to prove pruned answers are bit-identical.
@@ -99,6 +104,31 @@ impl<'a> ScanPlan<'a> {
         live.chain(dead).collect()
     }
 
+    /// A box holding every cell the row driver can select: the visited
+    /// chunks' zone boxes, each clipped to the planned region. A zone box
+    /// covers its chunk's live rows even when stale, so this is a superset
+    /// of the scan — the data's own box, as tight as metadata makes it.
+    /// Empty unless the plan is exact.
+    pub(crate) fn cell_box(&self, ndims: usize) -> CellBox {
+        let mut all = CellBox::empty(ndims);
+        let payloads = self.visit.iter().filter_map(|(_, _, payload)| *payload);
+        for chunk in payloads.filter(|_| self.exact) {
+            let (mut low, mut high) = ([0; MAX_DIMS], [0; MAX_DIMS]);
+            let zone = chunk.zone().dims();
+            debug_assert_eq!(zone.len(), ndims);
+            let selects = zone.iter().enumerate().all(|(d, z)| {
+                let (rlow, rhigh) =
+                    self.region.map_or((i64::MIN, i64::MAX), |r| (r.low[d], r.high[d]));
+                (low[d], high[d]) = (z.min.max(rlow), z.max.min(rhigh));
+                low[d] <= high[d]
+            });
+            if selects {
+                all.include(&low[..ndims], &high[..ndims]);
+            }
+        }
+        all
+    }
+
     /// The row driver: for each visited chunk, in row-major chunk order,
     /// `f` gets the chunk and the mask of its rows that are live, inside
     /// the planned region, and satisfy the pushed-down predicate. Masks
@@ -126,7 +156,13 @@ impl<'a> ScanPlan<'a> {
 impl<'a> ExecutionContext<'a> {
     /// Bundle a cluster and catalog.
     pub fn new(cluster: &'a Cluster, catalog: &'a Catalog) -> Self {
-        ExecutionContext { cluster, catalog, degraded: Cell::new(0), pruning: true }
+        ExecutionContext {
+            cluster,
+            catalog,
+            degraded: Cell::new(0),
+            exact: RefCell::default(),
+            pruning: true,
+        }
     }
 
     /// Disable zone-map chunk pruning: the differential suites' reference
@@ -226,14 +262,27 @@ impl<'a> ExecutionContext<'a> {
         Some(chunk)
     }
 
-    /// The [`ScanPlan::exact`] gate. On the common path — the ingest
-    /// pipeline mirrors every placed chunk into the catalog's whole-array
-    /// copy — it is one linear scan: both chunk sets live in sorted maps,
-    /// so a zipped key comparison proves full coverage without per-key
-    /// lookups or any cluster locate/node machinery. Store-only or mixed
-    /// materializations fall through to an exact per-chunk probe (catalog
-    /// copy first, node store second — either source satisfies the gate).
+    /// The [`ScanPlan::exact`] gate, evaluated once per array: it costs
+    /// what the array holds, and an operator may plan many scans.
     pub(crate) fn cells_available(&self, array: &StoredArray) -> bool {
+        if let Some(&known) = self.exact.borrow().get(&array.id) {
+            return known;
+        }
+        // Not `entry().or_insert_with`: the evaluation reads payloads
+        // through `&self` and must not run under the borrow.
+        let exact = self.every_chunk_readable(array);
+        self.exact.borrow_mut().insert(array.id, exact);
+        exact
+    }
+
+    /// On the common path — the ingest pipeline mirrors every placed
+    /// chunk into the catalog's whole-array copy — one linear scan: both
+    /// chunk sets live in sorted maps, so a zipped key comparison proves
+    /// full coverage without per-key lookups or any cluster locate/node
+    /// machinery. Store-only or mixed materializations fall through to an
+    /// exact per-chunk probe (catalog copy first, node store second —
+    /// either source satisfies the gate).
+    fn every_chunk_readable(&self, array: &StoredArray) -> bool {
         if array.descriptors.is_empty() {
             return false;
         }

@@ -7,12 +7,20 @@
 //! chunks are co-located (n-dimensional clustering), most groups have a
 //! single contributor and the exchange disappears — the clustered
 //! partitioners' advantage on the Science benchmarks.
+//!
+//! The materialized answer is one pass over the rows in scan order: a
+//! row's group is the key of its coarsened coordinates (`ops/keys.rs` —
+//! one `u64` ordinal inside the coarsened box of the chunks visited, or
+//! padded coordinates when that box is too large to number), a flat table
+//! hands each distinct key a slot where its rows fold, and the groups
+//! come out in key order, which is the order of their coordinates.
 
+use super::keys::{BoxEncoding, CellBox, Encoding, KeySlots};
 use super::scan::{numeric_attr, NumericSlice};
 use crate::error::{QueryError, Result};
-use crate::exec::ExecutionContext;
+use crate::exec::{ExecutionContext, ScanPlan};
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
-use array_model::{ArrayId, ChunkCoords, ChunkDescriptor, Region, MAX_DIMS};
+use array_model::{ArrayId, ChunkDescriptor, Region, MAX_DIMS};
 use cluster_sim::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -129,30 +137,6 @@ impl GroupState {
     }
 }
 
-/// The groups met so far: the ordered map only hands each new key a slot
-/// in `states`, where the folding happens.
-#[derive(Default)]
-struct Groups {
-    slots: BTreeMap<ChunkCoords, usize>,
-    states: Vec<GroupState>,
-}
-
-impl Groups {
-    /// The slot of `key`'s state, created empty on first sight.
-    fn slot_of(&mut self, key: ChunkCoords) -> usize {
-        let states = &mut self.states;
-        *self.slots.entry(key).or_insert_with(|| {
-            states.push(GroupState::default());
-            states.len() - 1
-        })
-    }
-
-    fn state_of(&mut self, key: ChunkCoords) -> &mut GroupState {
-        let slot = self.slot_of(key);
-        &mut self.states[slot]
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn grid_aggregate_impl(
     ctx: &ExecutionContext<'_>,
@@ -255,29 +239,78 @@ fn grid_aggregate_impl(
     }
 
     // --- materialized answer ---
-    // Each group accumulates its rows in scan order (the order of the f64
-    // additions is part of the answer), so this stays one pass over the
-    // rows; what it avoids is a heap key and a tree descent per row. Keys
-    // are inline and ordered like the `Vec<i64>` they become at the end,
-    // the map only assigns each new key a slot in `states`, and a row that
-    // lands in the same group as the row before it skips the map.
-    //
-    // A chunk whose zone-map box falls inside one group on every grouped
-    // dimension — the cost model's "chunk-level group key" case above,
-    // e.g. 4-cell AIS chunks under an 8-cell coarsening — skips the rows'
-    // keys altogether: its slot is resolved once and its rows fold into it
-    // in the same scan order, so the same additions happen in the same
-    // order. The box is a superset of the live rows even when stale
-    // (retractions never shrink it), so "the box is in one group" implies
-    // "every selected row is". The slot is only created once the mask is
-    // known to select a row: a group exists because a row is in it.
-    let mut groups = Groups::default();
-    let mut key = ChunkCoords::zeros(spec.dims.len());
+    // Nothing is computed for it unless the cells are there.
+    let mut rows = Vec::new();
+    if plan.exact {
+        // The box the coarsened keys live in: the scan's cell box, each
+        // grouped dimension coarsened (`div_euclid` by a positive factor
+        // is monotone, so corners coarsen to corners).
+        let cells = plan.cell_box(array.schema.ndims());
+        if !cells.is_empty() {
+            let (low, high) = cells.corners();
+            let corner = |of: &[i64]| {
+                let mut key = [0; MAX_DIMS];
+                for ((k, &d), &c) in key.iter_mut().zip(&spec.dims).zip(&spec.coarsen) {
+                    *k = of[d].div_euclid(c);
+                }
+                key
+            };
+            let n = spec.dims.len();
+            let mut keys = CellBox::empty(n);
+            keys.include(&corner(low)[..n], &corner(high)[..n]);
+            rows = match keys.encoding() {
+                BoxEncoding::Packed(e) => fold_groups(&e, &plan, attr_idx, spec, agg)?,
+                BoxEncoding::Padded(e) => fold_groups(&e, &plan, attr_idx, spec, agg)?,
+            };
+        }
+    }
+    Ok((rows, tracker.finish()))
+}
+
+/// The groups of `plan`'s rows under `spec`, keys ascending.
+///
+/// Each group accumulates its rows in scan order (the order of the f64
+/// additions is part of the answer), so this is one pass over the rows.
+/// A row's group is the key of its coarsened coordinates under `encoding`
+/// — one integer when the coarsened box packs — and [`KeySlots`] only
+/// hands each new key a slot in `states`, where the folding happens; a
+/// row that lands in the same group as the row before it skips the table.
+///
+/// A chunk whose zone-map box falls inside one group on every grouped
+/// dimension — the cost model's "chunk-level group key" case, e.g. 4-cell
+/// AIS chunks under an 8-cell coarsening — skips the rows' keys
+/// altogether: its slot is resolved once and its rows fold into it in the
+/// same scan order, so the same additions happen in the same order. The
+/// box is a superset of the live rows even when stale (retractions never
+/// shrink it), so "the box is in one group" implies "every selected row
+/// is". The slot is only created once the mask is known to select a row:
+/// a group exists because a row is in it.
+fn fold_groups<E: Encoding>(
+    encoding: &E,
+    plan: &ScanPlan<'_>,
+    attr_idx: usize,
+    spec: &GroupSpec,
+    agg: AggFn,
+) -> Result<Vec<GroupRow>> {
+    let n = spec.dims.len();
+    let mut slots = KeySlots::with_room_for(0);
+    let mut states: Vec<GroupState> = Vec::new();
+    let mut slot_of = |states: &mut Vec<GroupState>, key: &[i64; MAX_DIMS]| {
+        // A selected row is live and inside the region, so inside the box
+        // the encoding was made for.
+        let key = encoding.pack(&key[..n]).expect("a selected row is inside the scan's box");
+        let slot = slots.slot_of(key);
+        if slot == states.len() {
+            states.push(GroupState::default());
+        }
+        slot
+    };
+    let mut key = [0; MAX_DIMS];
     let mut previous = None;
     plan.for_each_chunk(|chunk, mask| {
         let col = NumericSlice::of(chunk, attr_idx);
         let zone = chunk.zone().dims();
-        let mut grouped = key.as_mut_slice().iter_mut().zip(&spec.dims).zip(&spec.coarsen);
+        let mut grouped = key.iter_mut().zip(&spec.dims).zip(&spec.coarsen);
         // Fills `key` as it checks; the per-row path below overwrites it.
         let one_group = grouped.all(|((k, &d), &c)| {
             // `d` was validated against the schema, whose arity the zone has.
@@ -287,48 +320,41 @@ fn grid_aggregate_impl(
         });
         if one_group {
             if mask.count() > 0 {
-                let state = groups.state_of(key);
+                let slot = slot_of(&mut states, &key);
+                let state = &mut states[slot];
                 mask.for_each(|row| state.fold(col.get(row)));
             }
             return;
         }
         mask.for_each_cell(chunk, |row, cell| {
-            for ((k, &d), &c) in key.as_mut_slice().iter_mut().zip(&spec.dims).zip(&spec.coarsen) {
+            for ((k, &d), &c) in key.iter_mut().zip(&spec.dims).zip(&spec.coarsen) {
                 *k = cell[d].div_euclid(c);
             }
             let slot = match previous {
                 Some((same, slot)) if same == key => slot,
                 _ => {
-                    let slot = groups.slot_of(key);
+                    let slot = slot_of(&mut states, &key);
                     previous = Some((key, slot));
                     slot
                 }
             };
-            groups.states[slot].fold(col.get(row));
+            states[slot].fold(col.get(row));
         });
     })?;
-    let rows = groups
-        .slots
-        .into_iter()
-        .map(|(key, slot)| {
-            let GroupState { sum, count, max } = groups.states[slot];
-            // `count as f64` is exact below 2^53 rows a group.
-            let value = match agg {
-                AggFn::Count => count as f64,
-                AggFn::Sum => sum,
-                AggFn::Avg => {
-                    if count > 0 {
-                        sum / count as f64
-                    } else {
-                        0.0
-                    }
-                }
-                AggFn::Max => max,
-            };
-            GroupRow { key: key.to_vec(), value, cells: count }
-        })
-        .collect();
-    Ok((rows, tracker.finish()))
+    let rows = slots.into_sorted().into_iter().map(|(key, slot)| {
+        let GroupState { sum, count, max } = states[slot];
+        // `count as f64` is exact below 2^53 rows a group.
+        let value = match agg {
+            AggFn::Count => count as f64,
+            AggFn::Sum => sum,
+            AggFn::Avg => sum / count as f64,
+            AggFn::Max => max,
+        };
+        let mut cell = vec![0; n];
+        encoding.unpack(key, &mut cell);
+        GroupRow { key: cell, value, cells: count }
+    });
+    Ok(rows.collect())
 }
 
 #[cfg(test)]
@@ -433,6 +459,15 @@ mod tests {
         assert!((sums[0].value - t0).abs() < 1e-9);
         let (maxs, _) = grid_aggregate(&ctx, ArrayId(0), None, "v", &spec, AggFn::Max).unwrap();
         assert_eq!(maxs[1].value, 133.0);
+    }
+
+    #[test]
+    fn a_spec_keeping_no_dimension_is_one_group() {
+        let (cluster, cat) = setup(|i| NodeId((i % 4) as u32));
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        let spec = GroupSpec::by_dims(vec![]);
+        let (rows, _) = grid_aggregate(&ctx, ArrayId(0), None, "v", &spec, AggFn::Max).unwrap();
+        assert_eq!(rows, vec![GroupRow { key: vec![], value: 133.0, cells: 32 }]);
     }
 
     #[test]

@@ -10,10 +10,18 @@
 //! * [`lookup_join`] — the AIS Broadcast ⋈ Vessel join: the build side is
 //!   a small array replicated on every node, so the join is embarrassingly
 //!   parallel over the probe side.
+//!
+//! `positional_join`'s materialized answer is a build and a probe of one
+//! flat table: every selected right row is filed under its cell's key
+//! (`ops/keys.rs` — the cell's `u64` ordinal inside the right scan's box,
+//! or padded coordinates when that box is too large to number), the left
+//! rows probe it in scan order, and a probe counts when the row it finds
+//! belongs to the right chunk at the left chunk's position.
 
+use super::keys::{BoxEncoding, Encoding, KeySlots};
 use super::scan::{int_key, integer_attr, numeric_attr, NumericSlice};
 use crate::error::Result;
-use crate::exec::ExecutionContext;
+use crate::exec::{ExecutionContext, ScanPlan};
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
 use array_model::{ArrayId, Region};
 use std::collections::{BTreeMap, BTreeSet};
@@ -74,30 +82,79 @@ pub fn positional_join(
         }
     }
     let dead_pairs = rplan.dead.iter().filter(|(d, _)| left_chunks.contains_key(&d.key.coords));
+    // `usize` to `u64` is lossless on every supported target.
     tracker.prune_chunks(2 * dead_pairs.count() as u64);
 
-    // Materialized answer: per chunk pair, index the right rows by cell
-    // (the last-inserted row wins a shared cell) and probe with the left.
-    let mut right_rows = BTreeMap::new();
-    rplan.for_each_chunk(|chunk, mask| {
-        right_rows.insert(chunk.coords, (chunk, mask));
-    })?;
+    // Materialized answer, computed only when both sides' cells are there.
+    let mut result = JoinResult::default();
+    if lplan.exact && rplan.exact {
+        // The right side's selected cells live in the right scan's box.
+        result = match rplan.cell_box(ra.schema.ndims()).encoding() {
+            BoxEncoding::Packed(e) => probe_pairs(&e, &lplan, &rplan, lidx, ridx, combine)?,
+            BoxEncoding::Padded(e) => probe_pairs(&e, &lplan, &rplan, lidx, ridx, combine)?,
+        };
+    }
+    Ok((result, tracker.finish()))
+}
+
+/// The join proper: file every selected right row under its cell's key in
+/// one table (the last-inserted row wins a shared cell), then probe it
+/// with the left rows in scan order — `combined_sum` adds in that order.
+/// Chunks pair by position, as in the cost model above: a probe counts
+/// only when the row it finds sits in the right chunk whose coordinates
+/// equal the left chunk's.
+fn probe_pairs<E: Encoding>(
+    encoding: &E,
+    lplan: &ScanPlan<'_>,
+    rplan: &ScanPlan<'_>,
+    lidx: usize,
+    ridx: usize,
+    combine: impl Fn(f64, f64) -> f64,
+) -> Result<JoinResult> {
+    let mut right = Vec::new();
+    rplan.for_each_chunk(|chunk, mask| right.push((chunk, mask)))?;
+    // The driver visits chunks in row-major order, which finds a partner.
+    debug_assert!(right.windows(2).all(|w| w[0].0.coords < w[1].0.coords));
+    let selected: u64 = right.iter().map(|(_, mask)| mask.count()).sum();
+    // A count of rows held in memory fits `usize`; were it ever not to,
+    // the table starts smaller and grows.
+    let mut cells = KeySlots::with_room_for(usize::try_from(selected).unwrap_or(0));
+    // By slot: the right chunk (as an index into `right`) and row that
+    // hold the cell.
+    let mut holders: Vec<(usize, usize)> = Vec::new();
+    for (at, (chunk, mask)) in right.iter().enumerate() {
+        mask.for_each_cell(chunk, |row, cell| {
+            // A selected row is live and inside the region, so inside
+            // the box the encoding was made for.
+            let key = encoding.pack(cell).expect("a selected row is inside the scan's box");
+            let slot = cells.slot_of(key);
+            if slot == holders.len() {
+                holders.push((at, row));
+            } else {
+                holders[slot] = (at, row);
+            }
+        });
+    }
+    let columns: Vec<_> = right.iter().map(|(chunk, _)| NumericSlice::of(chunk, ridx)).collect();
     let mut result = JoinResult::default();
     lplan.for_each_chunk(|lchunk, lmask| {
-        let Some((rchunk, rmask)) = right_rows.get(&lchunk.coords) else { return };
-        let mut right_cells: BTreeMap<&[i64], usize> = BTreeMap::new();
-        rmask.for_each_cell(rchunk, |row, cell| {
-            right_cells.insert(cell, row);
-        });
-        let (lcol, rcol) = (NumericSlice::of(lchunk, lidx), NumericSlice::of(rchunk, ridx));
+        let Ok(partner) = right.binary_search_by(|(chunk, _)| chunk.coords.cmp(&lchunk.coords))
+        else {
+            return;
+        };
+        let lcol = NumericSlice::of(lchunk, lidx);
         lmask.for_each_cell(lchunk, |lrow, cell| {
-            if let Some(&rrow) = right_cells.get(cell) {
-                result.matches += 1;
-                result.combined_sum += combine(lcol.get(lrow), rcol.get(rrow));
+            // A left cell outside the right side's box matches nothing.
+            let held = encoding.pack(cell).and_then(|key| cells.get(key));
+            if let Some((at, rrow)) = held.map(|slot| holders[slot]) {
+                if at == partner {
+                    result.matches += 1;
+                    result.combined_sum += combine(lcol.get(lrow), columns[at].get(rrow));
+                }
             }
         });
     })?;
-    Ok((result, tracker.finish()))
+    Ok(result)
 }
 
 /// Probe-side join against a replicated build array keyed on an integer
@@ -139,6 +196,8 @@ pub fn lookup_join(
     let mut result = JoinResult::default();
     let mut build_keys: BTreeMap<i64, u64> = BTreeMap::new();
     if pplan.exact {
+        // A stored chunk carries one column per schema attribute, and
+        // both indices were resolved against the schemas above.
         ctx.plan_scan(build, None, None)?.for_each_chunk(|chunk, mask| {
             let col = chunk.column(bidx).expect("schema-shaped chunk");
             mask.for_each(|row| *build_keys.entry(int_key(col, row)).or_default() += 1);

@@ -8,7 +8,7 @@
 mod aggregate;
 mod filter;
 mod join;
-mod keys;
+pub(crate) mod keys;
 mod model;
 pub(crate) mod scan;
 mod sort;

@@ -10,7 +10,7 @@
 //! * trajectory projection hands ships off across chunk boundaries, a
 //!   halo-like exchange.
 
-use super::keys::FlatKeys;
+use super::keys::{BoxEncoding, FlatKeys};
 use super::scan::{numeric_attr, NumericSlice};
 use crate::error::{QueryError, Result};
 use crate::exec::{ExecutionContext, ScanPlan};
@@ -54,12 +54,17 @@ pub fn kmeans(
     let plan = ctx.plan_scan(array_id, Some(region), None)?;
     let coordinator = ctx.cluster.coordinator();
     plan.charge(&mut tracker, fraction, |_, _, _, _| {});
+    // `k` centroids of `ndims + 1` doubles. `usize` to `u64` is lossless on
+    // every supported target; `k` is the caller's, so the product saturates
+    // (it used to overflow `usize`: a debug abort, a wrapped charge in
+    // release).
+    let centroid_bytes = (k as u64).saturating_mul(8 * (array.schema.ndims() as u64 + 1));
     for iter in 0..iterations.max(1) {
         for (desc, node, _) in &plan.visit {
             if iter > 0 {
                 tracker.compute(*node, ctx.cost().cpu_secs(scaled_bytes(desc.bytes, fraction)));
             }
-            tracker.shuffle(*node, coordinator, (k * (array.schema.ndims() + 1) * 8) as u64);
+            tracker.shuffle(*node, coordinator, centroid_bytes);
         }
     }
 
@@ -69,11 +74,14 @@ pub fn kmeans(
     plan.for_each_chunk(|chunk, mask| {
         let col = NumericSlice::of(chunk, attr_idx);
         mask.for_each_cell(chunk, |row, cell| {
+            // A coordinate as a feature: rounding to the nearest `f64` is
+            // the metric.
             let mut p: Vec<f64> = cell.iter().map(|&c| c as f64).collect();
             p.push(col.get(row));
             points.push(p);
         });
     })?;
+    // Lossless, as above.
     result.points = points.len() as u64;
     if !points.is_empty() {
         let dims = points[0].len();
@@ -104,6 +112,7 @@ pub fn kmeans(
             for ci in 0..k {
                 if counts[ci] > 0 {
                     for d in 0..dims {
+                        // Exact below 2^53 points a cluster.
                         centroids[ci][d] = sums[ci][d] / counts[ci] as f64;
                     }
                 }
@@ -135,10 +144,8 @@ pub struct KnnAnswer {
 /// exploration of the chunk grid.
 ///
 /// The rings oversample — a query point sees thousands of candidate cells
-/// to keep `k` — so the answer is a selection, not a sort: partition the
-/// candidate distances around rank `k`, then order only the `k` survivors.
-/// Distances that tie under [`f64::total_cmp`] are the same bits, so the
-/// result equals sorting everything and truncating.
+/// to keep `k` — so the answer is a selection, not a sort, and the
+/// candidates are never all held: see [`Nearest`].
 pub fn knn(
     ctx: &ExecutionContext<'_>,
     array_id: ArrayId,
@@ -162,8 +169,6 @@ pub fn knn(
     // is exactly where clustered placements save their latency.
     let mut warm: std::collections::HashSet<(cluster_sim::NodeId, ChunkCoords)> =
         std::collections::HashSet::new();
-    // The O(chunks) materialization gate is invariant across the batch;
-    // evaluate it once, not per query.
     let exact = ctx.cells_available(array);
     for q in queries {
         if q.len() != array.schema.ndims() {
@@ -207,29 +212,83 @@ pub fn knn(
             }
             // Stop once we have enough candidates and looked at least one
             // ring beyond the first hit (so the true neighbours cannot
-            // hide in an unvisited adjacent chunk).
+            // hide in an unvisited adjacent chunk). `usize` to `u64` is
+            // lossless on every supported target.
             if cells_found >= (k as u64).saturating_mul(OVERSAMPLE) && r >= 1 {
                 break 'rings;
             }
         }
 
         // Materialized answer: distances within the visited chunks.
-        let mut dists: Vec<f64> = Vec::new();
+        let mut nearest = Nearest::new(k);
         ScanPlan::over(visited, exact).for_each_chunk(|chunk, mask| {
             mask.for_each_cell(chunk, |_, cell| {
-                dists.push(
-                    cell.iter().zip(q).map(|(a, b)| (*a - *b) as f64 * (*a - *b) as f64).sum(),
-                );
+                // Two coordinates can be further apart than `i64::MAX`;
+                // the square forgets the sign, so such a gap is taken as
+                // `abs_diff`. (Not always: an `i64` converts to `f64` in
+                // one instruction, a `u64` does not — 2.4 ms of a 12 ms
+                // batch.) Rounding the gap to the nearest `f64` is the
+                // metric.
+                let gap2 = |(a, b): (&i64, &i64)| {
+                    let gap = a.checked_sub(*b).map_or_else(|| a.abs_diff(*b) as f64, |d| d as f64);
+                    gap * gap
+                };
+                nearest.offer(cell.iter().zip(q).map(gap2).sum());
             });
         })?;
-        if dists.len() > k {
-            dists.select_nth_unstable_by(k - 1, f64::total_cmp);
-            dists.truncate(k);
-        }
-        dists.sort_unstable_by(f64::total_cmp);
-        answers.push(KnnAnswer { query: q.clone(), neighbor_dist2: dists });
+        answers.push(KnnAnswer { query: q.clone(), neighbor_dist2: nearest.into_ascending() });
     }
     Ok((answers, tracker.finish()))
+}
+
+/// The `k` smallest of the distances offered, under [`f64::total_cmp`],
+/// in a buffer of at most `2k`: whenever it fills it is cut back to the
+/// `k` smallest by selection, and from then on a candidate greater than
+/// the largest survivor is not even stored. Distances that tie under the
+/// total order are the same bits, so which of them survives is
+/// unobservable: the result equals sorting every candidate and truncating.
+struct Nearest {
+    k: usize,
+    kept: Vec<f64>,
+    /// The `k`-th smallest distance as of the last cut; +∞ before it.
+    bound: f64,
+}
+
+impl Nearest {
+    fn new(k: usize) -> Self {
+        debug_assert!(k > 0);
+        Nearest { k, kept: Vec::new(), bound: f64::INFINITY }
+    }
+
+    #[inline]
+    fn offer(&mut self, dist: f64) {
+        // `>` is false when either side is a NaN, and where it is true the
+        // total order agrees: only a candidate that cannot rank is dropped.
+        if dist > self.bound {
+            return;
+        }
+        self.kept.push(dist);
+        // A `k` past `usize::MAX / 2` means "every candidate": no buffer
+        // gets that long.
+        if self.kept.len() >= self.k.saturating_mul(2) {
+            self.cut();
+        }
+    }
+
+    /// Keep the `k` smallest (callers ensure more than `k` are held).
+    fn cut(&mut self) {
+        let (_, kth, _) = self.kept.select_nth_unstable_by(self.k - 1, f64::total_cmp);
+        self.bound = *kth;
+        self.kept.truncate(self.k);
+    }
+
+    fn into_ascending(mut self) -> Vec<f64> {
+        if self.kept.len() > self.k {
+            self.cut();
+        }
+        self.kept.sort_unstable_by(f64::total_cmp);
+        self.kept
+    }
 }
 
 /// Chunk coordinates at exactly Chebyshev distance `r` from `home`,
@@ -356,11 +415,20 @@ pub fn trajectory(
             dest[dy] = dest[dy].saturating_add((speed * horizon * course.sin()).round() as i64);
         });
     })?;
+    // `usize` to `u64` is lossless on every supported target, here and
+    // for a cell's ship count.
     result.projected = landing.len() as u64;
-    landing.for_each_run(|ships| {
-        let c = ships.len() as u64;
+    let mut pairs_of = |ships: usize| {
+        let c = ships as u64;
         result.collision_candidates += c * (c - 1) / 2;
-    });
+    };
+    // A metadata-only plan yields no rows: nothing landed, nothing to key.
+    if plan.exact {
+        match landing.bounds().encoding() {
+            BoxEncoding::Packed(e) => landing.for_each_run(&e, |ships| pairs_of(ships.len())),
+            BoxEncoding::Padded(e) => landing.for_each_run(&e, |ships| pairs_of(ships.len())),
+        }
+    }
     Ok((result, tracker.finish()))
 }
 
@@ -420,6 +488,19 @@ mod tests {
         let ctx = ExecutionContext::new(&cluster, &cat);
         let region = Region::new(vec![0, 0], vec![15, 15]);
         assert!(kmeans(&ctx, ArrayId(0), &region, "v", 0, 5).is_err());
+    }
+
+    #[test]
+    fn kmeans_with_a_huge_k_means_one_centroid_a_point() {
+        // The centroid exchange was charged `k * (ndims + 1) * 8` in
+        // `usize`, which `k` near `usize::MAX` overflowed.
+        let (cluster, cat) = setup(two_cluster_array(), |_| NodeId(0));
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        let region = Region::new(vec![0, 0], vec![15, 15]);
+        let (result, stats) = kmeans(&ctx, ArrayId(0), &region, "v", usize::MAX, 2).unwrap();
+        assert_eq!((result.centroids.len(), result.points), (18, 18));
+        assert_eq!(result.inertia, 0.0);
+        assert!(stats.elapsed_secs.is_finite());
     }
 
     #[test]
@@ -485,6 +566,49 @@ mod tests {
         assert_eq!(dists.len(), 9, "the whole near blob, none of the far one");
         assert_eq!(dists[..5], [0.0, 1.0, 1.0, 1.0, 1.0]);
         assert!(dists.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn knn_distances_across_most_of_i64_do_not_overflow() {
+        // `(a - b) as f64` in `i64`: a debug abort, and in release a
+        // wrapped gap — the far cell answered 1.9958e35 instead of 3.24e38.
+        const END: i64 = 9_000_000_000_000_000_000;
+        let schema =
+            ArraySchema::parse(&format!("P<v:double>[x=-{END}:{END},9223372036854775807]"))
+                .unwrap();
+        let mut a = Array::new(ArrayId(0), schema);
+        for x in [-END, END] {
+            a.insert_cell(vec![x], vec![ScalarValue::Double(0.0)]).unwrap();
+        }
+        let (cluster, cat) = setup(a, |_| NodeId(0));
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        let (answers, _) = knn(&ctx, ArrayId(0), &[vec![-END]], 2).unwrap();
+        let gap = 2.0 * END as f64;
+        assert_eq!(answers[0].neighbor_dist2, vec![0.0, gap * gap]);
+        assert_eq!(gap * gap, 3.24e38);
+    }
+
+    #[test]
+    fn the_bounded_buffer_keeps_what_a_full_sort_would() {
+        // Ties (most values repeat), both zeros, +∞ several times over and
+        // NaNs of both signs, in an order that keeps refilling the buffer
+        // with survivors; k around the candidate count and at the extremes.
+        let pool = [3.0, 0.0, f64::INFINITY, 1.5, -0.0, 7.0, f64::NAN, 1.5, -f64::NAN, 0.25];
+        let offered: Vec<f64> =
+            (0..57usize).map(|i| pool[(i * 7 + i / 5) % pool.len()] * (1 + i % 3) as f64).collect();
+        let n = offered.len();
+        for k in [1, 2, 9, 10, 11, n / 2, n - 1, n, n + 1, 2 * n, usize::MAX] {
+            for take in [n, 3, 0] {
+                let mut nearest = Nearest::new(k);
+                offered[..take].iter().for_each(|&d| nearest.offer(d));
+                let mut want = offered[..take].to_vec();
+                want.sort_by(f64::total_cmp);
+                want.truncate(k);
+                let got = nearest.into_ascending();
+                let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "k {k} of {take}");
+            }
+        }
     }
 
     #[test]

@@ -149,7 +149,9 @@ pub fn distinct_sorted(
 }
 
 /// The distinct `i64` keys of a scan: an open-addressed, linearly probed
-/// table that doubles at half load.
+/// table that doubles at half load — the shape of `keys::KeySlots` without
+/// a slot per key, which is measurably cheaper for a pure set (the
+/// numbers are on `KeySlots`).
 ///
 /// The hash is one multiplication (Fibonacci hashing), not `HashSet`'s
 /// SipHash: the probe is the whole per-row cost of `distinct_sorted`, and

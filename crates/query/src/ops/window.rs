@@ -9,10 +9,14 @@
 //! queries.
 //!
 //! The materialized answer is a sort-then-sweep: the halo-grown region is
-//! drained into one flat coordinate buffer, sorted lexicographically once,
-//! and every window is read as a handful of contiguous runs of that
-//! sorted buffer (see `sweep_windows`) — sequential reads over
-//! array-ordered data instead of `(2r+1)^ndims` point lookups per cell.
+//! drained into one flat coordinate buffer, each cell becomes one key
+//! (`ops/keys.rs`: its row-major ordinal in the box the windows probe, a
+//! `u64`, or its padded coordinates when that box is too large to
+//! number), the `(key, scan index)` pairs are sorted once, and every
+//! window is read as a handful of contiguous runs of the sorted keys (see
+//! `sweep_windows`) — sequential reads over array-ordered data instead of
+//! `(2r+1)^ndims` point lookups per cell. One kernel, `sweep`, runs on
+//! both encodings; the data's bounds pick which.
 //!
 //! **The summation order is part of the answer.** `mean` is a sum of
 //! per-window means, each a sum of `f64`s, and float addition does not
@@ -24,7 +28,7 @@
 //! lexicographically (an odometer over the offsets, last dimension
 //! fastest) — and the brute force survives as this module's test oracle.
 
-use super::keys::FlatKeys;
+use super::keys::{BoxEncoding, CellBox, CellKey, Encoding, FlatKeys};
 use super::scan::{numeric_attr, NumericSlice};
 use crate::error::{QueryError, Result};
 use crate::exec::ExecutionContext;
@@ -134,145 +138,156 @@ fn window_means(
     region: &Region,
     radius: i64,
 ) -> Result<WindowResult> {
-    // Sort into fresh buffers and drop the scan-order copy before the
-    // sweep, so only one copy of the points is live while it runs.
-    let mut points = FlatKeys::new(region.ndims());
-    let mut sorted: Vec<f64> = Vec::with_capacity(values.len());
-    cells.for_each_run(|run| {
-        let kept = run[run.len() - 1];
-        points.push(cells.get(kept));
-        sorted.push(values[kept]);
-    });
-    drop((cells, values));
-    let (total, outputs) = sweep_windows(&points, &sorted, region, radius)?;
+    let bounds = cells.bounds();
+    if bounds.is_empty() {
+        return Ok(WindowResult::default());
+    }
+    // No stored centre has a stored neighbour further away than the data
+    // spans, so clamp each dimension's reach to that span: the cursor
+    // count is then bounded by the data, not by the caller, and so is the
+    // box every probed position `centre + offset` lies in — the data's
+    // bounds grown by the reach, which is what decides the encoding.
+    let nd = region.ndims();
+    let mut reach = [0; MAX_DIMS];
+    let (mut low, mut high) = ([0; MAX_DIMS], [0; MAX_DIMS]);
+    let (data_low, data_high) = bounds.corners();
+    for d in 0..nd {
+        reach[d] = radius.min(bounds.span(d));
+        // Saturating: a centre is inside the region, and `window_aggregate`
+        // checked that the region grown by the radius fits `i64`, so no
+        // probed position lies beyond the ends of the type.
+        (low[d], high[d]) =
+            (data_low[d].saturating_sub(reach[d]), data_high[d].saturating_add(reach[d]));
+    }
+    let mut probed = CellBox::empty(nd);
+    probed.include(&low[..nd], &high[..nd]);
+    let (total, outputs) = match probed.encoding() {
+        BoxEncoding::Packed(e) => sweep_windows(&e, cells, values, region, &reach[..nd])?,
+        BoxEncoding::Padded(e) => sweep_windows(&e, cells, values, region, &reach[..nd])?,
+    };
     // `outputs as f64` is exact below 2^53 windows.
     let mean = (outputs > 0).then(|| total / outputs as f64);
     Ok(WindowResult { mean, outputs })
 }
 
-/// Sum of window means, and how many windows, over `points` (distinct,
-/// ascending) for every centre inside `region`.
+/// Sum of window means, and how many windows, for every centre inside
+/// `region`: sort the scanned cells by key, keep the last value of each,
+/// and [`sweep`] the distinct points with one cursor per prefix offset.
 ///
-/// The sweep's inner loop is key comparisons, so it runs over fixed-arity
-/// keys: `[i64; ND]` for the arities real schemas have, and keys padded
-/// with zeros to `MAX_DIMS` beyond that (equal padding never decides a
-/// lexicographic comparison, so the padded order is the unpadded one).
-fn sweep_windows(
-    points: &FlatKeys,
-    values: &[f64],
-    region: &Region,
-    radius: i64,
-) -> Result<(f64, u64)> {
-    let nd = region.ndims();
-    match nd {
-        1 => sweep(points.as_cells::<1>(), nd, values, region, radius),
-        2 => sweep(points.as_cells::<2>(), nd, values, region, radius),
-        3 => sweep(points.as_cells::<3>(), nd, values, region, radius),
-        4 => sweep(points.as_cells::<4>(), nd, values, region, radius),
-        _ => {
-            let padded: Vec<[i64; MAX_DIMS]> = (0..points.len())
-                .map(|i| {
-                    let mut key = [0; MAX_DIMS];
-                    // A schema has at most `MAX_DIMS` dimensions.
-                    key[..nd].copy_from_slice(points.get(i));
-                    key
-                })
-                .collect();
-            sweep(&padded, nd, values, region, radius)
-        }
-    }
-}
-
-/// [`sweep_windows`] over `nd`-dimensional keys held in `[i64; ND]`
-/// (`1 ≤ nd ≤ ND`, coordinates past `nd` all zero).
-///
-/// A window is the box `centre ± radius`. Split it by its *prefix* — the
+/// A window is the box `centre ± reach`. Split it by its *prefix* — the
 /// offsets over every dimension but the last: for one prefix offset the
 /// window's cells are those sharing the prefix `centre + offset` with a
-/// last coordinate in `[c - r, c + r]`, which in lexicographic order is
-/// one contiguous run: from the first point `≥ (prefix, c - r)` to the
-/// last point `≤ (prefix, c + r)`. Centres are visited ascending, so for
-/// a fixed offset that start only ever moves forward: one monotone cursor
-/// per prefix offset finds every run with O(points) total stepping, and
-/// the runs are read sequentially. Visiting the offsets in odometer order
-/// (last prefix dimension fastest) and each run front to back adds the
-/// stored neighbours in ascending lexicographic order — the brute-force
-/// probe order, hence bit-identical sums (the module doc says why that is
-/// a contract).
-fn sweep<const ND: usize>(
-    points: &[[i64; ND]],
-    nd: usize,
-    values: &[f64],
+/// last coordinate within the reach of the centre's, which in key order
+/// (lexicographic order, under either encoding) is one contiguous run:
+/// from the first point `≥ centre + (offset, -reach)` to the last point
+/// `≤ centre + (offset, +reach)`. Shifting a key is linear, so each run's
+/// first key is the centre's plus a delta computed once per offset.
+fn sweep_windows<E: Encoding>(
+    encoding: &E,
+    cells: FlatKeys,
+    values: Vec<f64>,
     region: &Region,
-    radius: i64,
+    reach: &[i64],
 ) -> Result<(f64, u64)> {
-    let n = points.len();
-    if n == 0 {
-        return Ok((0.0, 0));
-    }
-    let last = nd - 1;
-    // No stored centre has a stored neighbour further away than the data
-    // spans, so clamp each prefix dimension's reach to that span: the
-    // cursor count is then bounded by the data, not by the caller.
-    let mut reach = [radius; ND];
-    for (d, r) in reach[..last].iter_mut().enumerate() {
-        let coords = points.iter().map(|p| p[d]);
-        let (lo, hi) = coords.fold((i64::MAX, i64::MIN), |(lo, hi), c| (lo.min(c), hi.max(c)));
-        *r = radius.min(hi.saturating_sub(lo));
-    }
+    let last = reach.len() - 1;
     let offsets = reach[..last]
         .iter()
         .try_fold(1usize, |count, &r| count.checked_mul(usize::try_from(2 * r + 1).ok()?))
         .ok_or_else(|| {
-            QueryError::InvalidArgument(format!("window radius {radius} has too many offsets"))
+            QueryError::InvalidArgument("the window has too many offsets".to_string())
         })?;
-    let mut cursors = vec![0usize; offsets];
-    let mut offset = [0i64; ND];
-    let (mut total, mut outputs) = (0.0, 0u64);
-    for centre in points {
-        if !region.contains_cell(&centre[..nd]) {
-            continue;
+    // The run starts, in odometer order (last prefix dimension fastest):
+    // visiting them in this order, and each run front to back, adds the
+    // stored neighbours in ascending lexicographic order.
+    let mut offset: Vec<i64> = reach.iter().map(|r| -r).collect();
+    let mut firsts = Vec::with_capacity(offsets);
+    for _ in 0..offsets {
+        firsts.push(encoding.delta(&offset));
+        for d in (0..last).rev() {
+            if offset[d] < reach[d] {
+                offset[d] += 1;
+                break;
+            }
+            offset[d] = -reach[d];
         }
+    }
+    offset.fill(0);
+    offset[last] = 2 * reach[last];
+    let run_length = encoding.delta(&offset);
+
+    // Sort into fresh buffers and drop the scan-order copy before the
+    // sweep, so only one copy of the points is live while it runs.
+    let mut points = Vec::new();
+    let mut sorted = Vec::new();
+    let mut centres = Vec::new();
+    cells.for_each_run(encoding, |run| {
+        let (key, kept) = run[run.len() - 1];
+        points.push(key);
+        sorted.push(values[kept]);
+        centres.push(region.contains_cell(cells.get(kept)));
+    });
+    drop((cells, values));
+    Ok(sweep(&points, &sorted, &centres, &firsts, run_length))
+}
+
+/// [`sweep_windows`] over `points` (distinct, ascending) holding `values`:
+/// the window of every point flagged in `centres` is the runs from
+/// `centre + first` to `centre + first + run_length`, one per `firsts`.
+///
+/// Centres are visited ascending, so for a fixed offset a run's start
+/// only ever moves forward: one monotone cursor per offset finds every
+/// run with O(points) total stepping, and the runs are read sequentially.
+/// The additions happen in the brute-force probe order, hence
+/// bit-identical sums (the module doc says why that is a contract).
+///
+/// A cursor moves about one point per centre — none, one or a few,
+/// unpredictably — so it steps without branching on a comparison: the
+/// points are sorted, so how many of the next four lie before the run is
+/// how far to move (four again if all do).
+fn sweep<K: CellKey>(
+    points: &[K],
+    values: &[f64],
+    centres: &[bool],
+    firsts: &[K],
+    run_length: K,
+) -> (f64, u64) {
+    let n = points.len();
+    debug_assert_eq!(values.len(), n);
+    let mut cursors = vec![0usize; firsts.len()];
+    let (mut total, mut outputs) = (0.0, 0u64);
+    for (&centre, _) in points.iter().zip(centres).filter(|(_, &inside)| inside) {
         // Average the window around this cell (sparse: only stored cells
         // contribute, and the centre is one of them).
         let (mut sum, mut count) = (0.0, 0u64);
-        for (o, &r) in offset[..nd].iter_mut().zip(&reach) {
-            *o = -r;
-        }
-        for cursor in &mut cursors {
-            // The run's first and last possible keys. The centre is inside
-            // the region and `window_aggregate` checked that the region
-            // grown by the radius fits `i64`, so neither sum overflows.
-            let mut first = *centre;
-            for (t, &o) in first.iter_mut().zip(&offset) {
-                *t += o;
-            }
-            let mut end = first;
-            end[last] = centre[last] + radius;
-            while *cursor < n && points[*cursor] < first {
-                *cursor += 1;
-            }
-            for (point, value) in points[*cursor..].iter().zip(&values[*cursor..]) {
-                if *point > end {
+        for (cursor, &delta) in cursors.iter_mut().zip(firsts) {
+            // Both are positions inside the box the encoding was made
+            // for: the data's bounds grown by the reach.
+            let first = centre.offset_by(delta);
+            let end = first.offset_by(run_length);
+            let mut at = *cursor;
+            while let Some(next) = points.get(at..at + 4) {
+                let before = next.iter().map(|point| usize::from(*point < first)).sum::<usize>();
+                at += before;
+                if before < 4 {
                     break;
                 }
-                sum += value;
+            }
+            // The last three points, which no block of four reaches.
+            while at < n && points[at] < first {
+                at += 1;
+            }
+            *cursor = at;
+            while at < n && points[at] <= end {
+                sum += values[at];
                 count += 1;
-            }
-            // Next prefix offset, last prefix dimension fastest.
-            for d in (0..last).rev() {
-                if offset[d] < reach[d] {
-                    offset[d] += 1;
-                    break;
-                }
-                offset[d] = -reach[d];
+                at += 1;
             }
         }
         // `count ≥ 1` (the centre's own run holds it); exact below 2^53.
         total += sum / count as f64;
         outputs += 1;
     }
-    Ok((total, outputs))
+    (total, outputs)
 }
 
 #[cfg(test)]
@@ -332,26 +347,43 @@ mod tests {
             (state >> 33) % n
         };
         // (dimensions, coordinate span, region high corner, radii). 12
-        // reaches past the data's span: the clamped-reach path. Four
-        // dimensions is the last fixed key arity; five travels as keys
-        // zero-padded to `MAX_DIMS`, which must order — and so sum —
-        // exactly as the unpadded ones (tighter, so the odometer oracle
-        // stays affordable).
+        // reaches past the data's span: the clamped-reach path, on the
+        // last dimension too. Four and five dimensions are tighter, so
+        // the odometer oracle stays affordable.
         let wide: (u64, i64, &[i64]) = (9, 4, &[0, 1, 2, 3, 12]);
         let tight: (u64, i64, &[i64]) = (4, 1, &[0, 1, 2]);
-        for (nd, (span, high, radii)) in [(1, wide), (2, wide), (3, wide), (4, tight), (5, tight)] {
-            let cells: Vec<(Vec<i64>, f64)> = (0..400)
+        // Each shape on both sides of the packing boundary: as drawn (a
+        // box of a few thousand cells, numbered), and with two far cells
+        // outside the region — one at each end of dimension 0, or of the
+        // last — so the probed box holds more than 2^64 cells whenever
+        // there is a second dimension, and the same windows are swept
+        // over padded keys. Alone, a dimension that long still packs: the
+        // packed sweep at the top of its range.
+        let far = [i64::MIN + 20, i64::MAX - 20];
+        let shapes = [(1, wide), (2, wide), (3, wide), (4, tight), (5, tight)];
+        for ((nd, (span, high, radii)), stretch) in shapes
+            .into_iter()
+            .flat_map(|shape| [None, Some(0), Some(shape.0 - 1)].map(|s| (shape, s)))
+        {
+            let mut cells: Vec<(Vec<i64>, f64)> = (0..400)
                 .map(|i| {
                     let cell = (0..nd).map(|_| next(span) as i64 - 2).collect();
                     (cell, (i as f64 * 0.37).sin() * 1e3 + 1.0 / (i + 3) as f64)
                 })
                 .collect();
+            for (i, end) in far.into_iter().enumerate().filter(|_| stretch.is_some()) {
+                let mut cell = cells[i].0.clone();
+                cell[stretch.unwrap_or(0)] = end;
+                cells.push((cell, 0.5 + i as f64));
+            }
             let region = Region::new(vec![-1; nd], vec![high; nd]);
             for &radius in radii {
                 let mut keys = FlatKeys::new(nd);
                 for (cell, _) in &cells {
                     keys.push(cell);
                 }
+                let packs = matches!(keys.bounds().encoding(), BoxEncoding::Packed(_));
+                assert_eq!(packs, stretch.is_none() || nd == 1, "nd {nd} stretched {stretch:?}");
                 let values = cells.iter().map(|(_, v)| *v).collect();
                 let got = window_means(keys, values, &region, radius).unwrap();
                 let want = brute_force(&cells, &region, radius);

@@ -2,14 +2,24 @@
 //!
 //! Contract under test: the materialized answers of the heavy operators
 //! — `window_aggregate`, `distinct_sorted`, `knn`, `quantile`,
-//! `trajectory`, `grid_aggregate` / `rolling_aggregate` — are computed by
-//! sort-then-sweep kernels over flat buffers, and every one of them must
-//! equal, **bit for bit**, the row-at-a-time definition it replaced: a
-//! point map probed by an odometer, an ordered set, a full sort, an
-//! ordered map of landing cells, an ordered map of group states. The
-//! oracles below are those definitions, written over the plain list of
-//! live rows in scan order (row-major chunk order, insertion order inside
-//! a chunk — the order the f64 sums are pinned to).
+//! `trajectory`, `grid_aggregate` / `rolling_aggregate`,
+//! `positional_join` — are computed by sort-then-sweep kernels and flat
+//! tables over cell keys, and every one of them must equal, **bit for
+//! bit**, the row-at-a-time definition it replaced: a point map probed by
+//! an odometer, an ordered set, a full sort, an ordered map of landing
+//! cells, an ordered map of group states, an ordered map of the right
+//! side's cells. The oracles below are those definitions, written over
+//! the plain list of live rows in scan order (row-major chunk order,
+//! insertion order inside a chunk — the order the f64 sums are pinned to).
+//!
+//! A cell key has two encodings (`crates/query/src/ops/keys.rs`): the
+//! cell's row-major ordinal in the data's box, or — when that box holds
+//! more than 2^64 cells — its padded coordinates. A third of the cases
+//! *stretch* one dimension (`STRETCHED`: unbounded from `i64::MIN`, live
+//! cells within a few steps of either end of `i64`, so more than 2^62
+//! apart), alone and beside ordinary dimensions, so window, groups, join
+//! and trajectory meet their oracles on the padded encoding too; the
+//! oracles never encode anything.
 //!
 //! The property leg builds small random sparse arrays (1 to 3 dimensions,
 //! repeated cells, rows retracted before the query so chunks carry
@@ -36,7 +46,7 @@ use proptest::prelude::*;
 use query_engine::ops::{self, AggFn, GroupSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use workloads::ais::BROADCAST;
-use workloads::modis::BAND1;
+use workloads::modis::{BAND1, BAND2};
 
 type Row = (Vec<i64>, Vec<ScalarValue>);
 
@@ -52,10 +62,34 @@ fn num(v: &ScalarValue) -> f64 {
     v.as_f64().expect("numeric attribute")
 }
 
-/// `nd` dimensions of 8 cells in chunks of 3: a 3-chunk-wide grid, so
-/// kNN's three rings reach every chunk from any home.
-fn schema(nd: usize) -> ArraySchema {
-    let dims: Vec<String> = (0..nd).map(|d| format!("d{d}=0:7,3")).collect();
+/// The other side of `positional_join`.
+const RIGHT: ArrayId = ArrayId(1);
+
+/// A stretched dimension: sixteen chunks of 2^60 cells cover all of `i64`
+/// (an interval the group cost model can still coarsen by 5).
+const STRETCHED: &str = "-9223372036854775808:*,1152921504606846976";
+
+/// The coordinate a drawn `0..8` stands for on a stretched dimension:
+/// four cells at the low end of `i64` and four at the high end, in the
+/// same order, each three cells (the largest radius) inside the type so
+/// that a window around any of them exists.
+fn stretched(v: i64) -> i64 {
+    if v < 4 {
+        i64::MIN + 3 + v
+    } else {
+        i64::MAX - 3 - (7 - v)
+    }
+}
+
+/// `nd` dimensions of 8 cells in chunks of `interval` (3: a 3-chunk-wide
+/// grid, so kNN's three rings reach every chunk from any home; on a
+/// stretched dimension they reach one end's cells or neither's).
+fn schema(nd: usize, stretch: Option<usize>, interval: i64) -> ArraySchema {
+    let dim = |d| match stretch {
+        Some(s) if s == d => format!("d{d}={STRETCHED}"),
+        _ => format!("d{d}=0:7,{interval}"),
+    };
+    let dims: Vec<String> = (0..nd).map(dim).collect();
     ArraySchema::parse(&format!(
         "K<v:double, q:double, i:int32, l:int64, c:char, speed:double, course:double>[{}]",
         dims.join(", ")
@@ -94,12 +128,18 @@ fn values(bits: u64) -> Vec<ScalarValue> {
 #[derive(Debug, Clone)]
 struct Case {
     nd: usize,
+    /// The dimension whose coordinates sit at the ends of `i64`, if any.
+    stretch: Option<usize>,
     /// Inserted rows, in insertion order.
     rows: Vec<Row>,
     /// Rows (by index, modulo) whose coordinates are retracted once each.
     retract: Vec<usize>,
     /// Also retract every row of the chunk holding row 0.
     empty_a_chunk: bool,
+    /// The join's right side: its rows, and its chunk interval — 3 pairs
+    /// every cell with its own chunk position, 4 only some of them.
+    right_rows: Vec<Row>,
+    right_interval: i64,
     region: Region,
     radius: i64,
     kind: PartitionerKind,
@@ -113,47 +153,89 @@ fn case() -> impl Strategy<Value = Case> {
         PartitionerKind::KdTree,
         PartitionerKind::ConsistentHash,
     ];
-    (1usize..4).prop_flat_map(move |nd| {
-        let row = (vec(0i64..8, nd), any::<u64>()).prop_map(|(cell, bits)| (cell, values(bits)));
+    (1usize..4, 0usize..9, 0usize..3).prop_flat_map(move |(nd, stretch, span)| {
+        // One case in three stretches a dimension (any of them), and two
+        // of those in three ask for a region that reaches both its ends.
+        let stretch = (stretch < 3).then_some(stretch % nd);
+        let both_ends = span > 0;
+        let at = move |d: usize, v: i64| if stretch == Some(d) { stretched(v) } else { v };
+        let row = move || {
+            (vec(0i64..8, nd), any::<u64>()).prop_map(move |(cell, bits)| {
+                (cell.iter().enumerate().map(|(d, &v)| at(d, v)).collect(), values(bits))
+            })
+        };
         let corner = (vec(-3i64..9, nd), vec(0i64..14, nd));
         let shape = (vec(0usize..1000, 0..40), any::<bool>(), 0i64..4, 0usize..4, 1usize..40);
-        (vec(row, 1..120), corner, shape).prop_map(
-            move |(rows, (low, len), (retract, empty_a_chunk, radius, kind, k))| {
-                let high = low.iter().zip(&len).map(|(l, n)| l + n).collect();
+        let right = (vec(row(), 0..90), 3i64..5);
+        (vec(row(), 1..120), right, corner, shape).prop_map(
+            move |(rows, right, (low, len), (retract, empty_a_chunk, radius, kind, k))| {
+                // On a stretched dimension the corners map like the cells.
+                let corner = |d: usize, v: i64, end: i64| match stretch {
+                    Some(s) if s == d && both_ends => stretched(end + v.rem_euclid(4)),
+                    Some(s) if s == d => stretched(v.clamp(0, 7)),
+                    _ => v,
+                };
+                let high = (0..nd).map(|d| corner(d, low[d] + len[d], 4)).collect();
+                let low = (0..nd).map(|d| corner(d, low[d], 0)).collect();
                 let region = Region::new(low, high);
-                Case { nd, rows, retract, empty_a_chunk, region, radius, kind: kinds[kind], k }
+                let (right_rows, right_interval) = right;
+                let kind = kinds[kind];
+                Case {
+                    nd,
+                    stretch,
+                    rows,
+                    retract,
+                    empty_a_chunk,
+                    right_rows,
+                    right_interval,
+                    region,
+                    radius,
+                    kind,
+                    k,
+                }
             },
         )
     })
 }
 
-/// The case materialized: a placed, catalogued array plus this suite's
-/// own book of its live rows in scan order.
+/// The case materialized: two placed, catalogued arrays plus this suite's
+/// own book of their live rows in scan order.
 struct World {
     schema: ArraySchema,
+    right_schema: ArraySchema,
     cluster: Cluster,
     catalog: Catalog,
     live: Vec<Row>,
+    right_live: Vec<Row>,
 }
 
-fn build(case: &Case) -> World {
-    let schema = schema(case.nd);
-    let mut array = Array::new(ARRAY, schema.clone());
-    for (cell, values) in &case.rows {
+/// `rows` inserted in order, then `retract` (row indices, modulo)
+/// retracted once each — and, with `empty_a_chunk`, every row of the
+/// chunk holding row 0. Returns the array and the book of its live rows.
+fn materialize(
+    id: ArrayId,
+    schema: &ArraySchema,
+    rows: &[Row],
+    retract: &[usize],
+    empty_a_chunk: bool,
+) -> (StoredArray, Vec<Row>) {
+    let mut array = Array::new(id, schema.clone());
+    for (cell, values) in rows {
         array.insert_cell(cell.clone(), values.clone()).unwrap();
     }
-    let chunk = |cell: &[i64]| chunk_of(&schema, cell).unwrap();
-    let mut retractions: Vec<&[i64]> =
-        case.retract.iter().map(|&i| case.rows[i % case.rows.len()].0.as_slice()).collect();
-    if case.empty_a_chunk {
-        let doomed = chunk(&case.rows[0].0);
-        retractions
-            .extend(case.rows.iter().map(|(c, _)| c.as_slice()).filter(|c| chunk(c) == doomed));
+    let chunk = |cell: &[i64]| chunk_of(schema, cell).unwrap();
+    let mut retractions: Vec<&[i64]> = match rows.len() {
+        0 => Vec::new(),
+        n => retract.iter().map(|&i| rows[i % n].0.as_slice()).collect(),
+    };
+    if empty_a_chunk && !rows.is_empty() {
+        let doomed = chunk(&rows[0].0);
+        retractions.extend(rows.iter().map(|(c, _)| c.as_slice()).filter(|c| chunk(c) == doomed));
     }
     // The book: a retraction tombstones the newest live row at its cell.
-    let mut alive = vec![true; case.rows.len()];
+    let mut alive = vec![true; rows.len()];
     for cell in &retractions {
-        let newest = (0..case.rows.len()).rev().find(|&i| alive[i] && case.rows[i].0 == *cell);
+        let newest = (0..rows.len()).rev().find(|&i| alive[i] && rows[i].0 == *cell);
         if let Some(i) = newest {
             alive[i] = false;
         }
@@ -161,21 +243,38 @@ fn build(case: &Case) -> World {
     array.delete_cells(&retractions.concat()).unwrap();
 
     let mut live: Vec<Row> =
-        case.rows.iter().zip(&alive).filter(|(_, &a)| a).map(|(r, _)| r.clone()).collect();
+        rows.iter().zip(&alive).filter(|(_, &a)| a).map(|(r, _)| r.clone()).collect();
     live.sort_by_key(|(cell, _)| chunk(cell)); // stable: insertion order inside a chunk
+    (StoredArray::from_array(array), live)
+}
 
-    let stored = StoredArray::from_array(array);
+fn build(case: &Case) -> World {
+    let schema = schema(case.nd, case.stretch, 3);
+    let right_schema = self::schema(case.nd, case.stretch, case.right_interval);
+    let (stored, live) = materialize(ARRAY, &schema, &case.rows, &case.retract, case.empty_a_chunk);
+    // The right side keeps its emptied chunks' neighbours: half the script.
+    let (right, right_live) = materialize(
+        RIGHT,
+        &right_schema,
+        &case.right_rows,
+        &case.retract[..case.retract.len() / 2],
+        false,
+    );
+
     let mut cluster = Cluster::new(3, u64::MAX, CostModel::default()).unwrap();
-    let grid = GridHint::new(vec![3; case.nd]);
+    let widths = (0..case.nd).map(|d| if case.stretch == Some(d) { 16 } else { 3 }).collect();
+    let grid = GridHint::new(widths);
     let mut partitioner =
         build_partitioner(case.kind, &cluster, &grid, &PartitionerConfig::default());
-    for desc in stored.descriptors.values() {
-        let node = partitioner.place(desc, &cluster);
-        cluster.place(*desc, node).unwrap();
-    }
     let mut catalog = Catalog::new();
-    catalog.register(stored);
-    World { schema, cluster, catalog, live }
+    for stored in [stored, right] {
+        for desc in stored.descriptors.values() {
+            let node = partitioner.place(desc, &cluster);
+            cluster.place(*desc, node).unwrap();
+        }
+        catalog.register(stored);
+    }
+    World { schema, right_schema, cluster, catalog, live, right_live }
 }
 
 // ------------------------------------------------------------- oracles --
@@ -220,7 +319,8 @@ fn window_oracle(rows: &[Row], attr: usize, region: &Region, radius: i64) -> (u6
 
 /// The candidate distances kNN's ring exploration reaches from `q` — it
 /// stops after the first ring (past the home chunk) by which `3k` cells
-/// were seen, at most three rings out — fully sorted, then truncated.
+/// were seen, at most three rings out — fully sorted, then truncated. A
+/// gap is a `u64`: two cells can be further apart than `i64::MAX`.
 fn knn_oracle(schema: &ArraySchema, rows: &[Row], q: &[i64], k: usize) -> Vec<u64> {
     let home = chunk_of(schema, q).unwrap();
     let rings: Vec<i64> =
@@ -238,7 +338,9 @@ fn knn_oracle(schema: &ArraySchema, rows: &[Row], q: &[i64], k: usize) -> Vec<u6
         .iter()
         .zip(&rings)
         .filter(|(_, &ring)| ring <= reach)
-        .map(|((c, _), _)| c.iter().zip(q).map(|(a, b)| (a - b) as f64 * (a - b) as f64).sum())
+        .map(|((c, _), _)| {
+            c.iter().zip(q).map(|(a, b)| a.abs_diff(*b) as f64 * a.abs_diff(*b) as f64).sum()
+        })
         .collect();
     dists.sort_by(f64::total_cmp);
     dists.truncate(k);
@@ -300,6 +402,47 @@ fn group_oracle(
         .collect()
 }
 
+/// `(matches, combined-sum bits)` from an ordered map of the right side's
+/// cells, filled in scan order (a repeated cell keeps its last row),
+/// probed by the left rows in scan order. Chunks pair by position: a
+/// probe counts only when the cell files under the same chunk coordinates
+/// on both sides.
+fn join_oracle(
+    (left, left_schema, left_attr): (&[&Row], &ArraySchema, usize),
+    (right, right_schema, right_attr): (&[&Row], &ArraySchema, usize),
+    combine: impl Fn(f64, f64) -> f64,
+) -> (u64, u64) {
+    let cells: BTreeMap<&[i64], f64> =
+        right.iter().map(|(c, v)| (c.as_slice(), num(&v[right_attr]))).collect();
+    let (mut matches, mut sum) = (0u64, 0.0);
+    for (cell, values) in left {
+        let paired = chunk_of(left_schema, cell).unwrap() == chunk_of(right_schema, cell).unwrap();
+        if let Some(&r) = cells.get(cell.as_slice()).filter(|_| paired) {
+            matches += 1;
+            sum += combine(num(&values[left_attr]), r);
+        }
+    }
+    (matches, sum_bits(sum))
+}
+
+/// A sum's bits, with every NaN as one: `q` holds infinities and NaNs, so
+/// a sum can be `inf - inf` or carry a NaN along, and IEEE 754 pins
+/// neither the sign nor the payload of the NaN an addition or a division
+/// returns (the compiler may commute the operands; debug and release
+/// builds differ).
+fn sum_bits(sum: f64) -> u64 {
+    if sum.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        sum.to_bits()
+    }
+}
+
+/// The vegetation-index combiner of the MODIS join (and the benchmark's).
+fn ndvi(b1: f64, b2: f64) -> f64 {
+    (b2 - b1) / (b2 + b1 + 1e-9)
+}
+
 /// Rows in `assert_eq!`-comparable form (a NaN cell must equal itself).
 fn row_bits(rows: &[Row]) -> Vec<(&[i64], Vec<u64>)> {
     let bits = |v: &ScalarValue| match v {
@@ -334,8 +477,9 @@ proptest! {
 
         // The book and the engine's scan agree on which rows are live, and
         // in which order — the premise of every oracle below.
-        let everything = Region::new(vec![0; nd], vec![7; nd]);
+        let everything = Region::new(vec![i64::MIN; nd], vec![i64::MAX; nd]);
         prop_assert_eq!(row_bits(&scan(&ctx, ARRAY, &everything)), row_bits(&world.live));
+        prop_assert_eq!(row_bits(&scan(&ctx, RIGHT, &everything)), row_bits(&world.right_live));
 
         let (win, _) = ops::window_aggregate(&ctx, ARRAY, region, "v", case.radius).unwrap();
         prop_assert_eq!(
@@ -350,8 +494,9 @@ proptest! {
             prop_assert_eq!(distinct, oracle.into_iter().collect::<Vec<_>>(), "{}", name);
         }
 
-        // A stored cell (ties with itself at 0), the far corner, and k both
-        // below and far above the candidate count.
+        // A stored cell (ties with itself at 0), the far corner (mid-range
+        // on a stretched dimension: 2^63 from every cell), and k both below
+        // and far above the candidate count.
         let points = [case.rows[0].0.clone(), vec![7; nd]];
         for k in [case.k, 10_000] {
             let (answers, _) = ops::knn(&ctx, ARRAY, &points, k).unwrap();
@@ -390,6 +535,22 @@ proptest! {
                 ops::rolling_aggregate(&ctx, ARRAY, Some(region), "v", &spec, agg, 0).unwrap();
             prop_assert_eq!(group_bits(got), want, "rolling {:?}", agg);
         }
+
+        let right: Vec<&Row> =
+            world.right_live.iter().filter(|(c, _)| region.contains_cell(c)).collect();
+        for (left_attr, right_attr, name) in [(V, Q, "q"), (V, V, "v")] {
+            let (got, _) =
+                ops::positional_join(&ctx, ARRAY, RIGHT, region, "v", name, ndvi).unwrap();
+            prop_assert_eq!(
+                (got.matches, sum_bits(got.combined_sum)),
+                join_oracle(
+                    (&selected, &world.schema, left_attr),
+                    (&right, &world.right_schema, right_attr),
+                    ndvi
+                ),
+                "v join {} over chunks of {}", name, case.right_interval
+            );
+        }
     }
 }
 
@@ -408,8 +569,8 @@ fn runner_config(kind: PartitionerKind, node_capacity: u64) -> RunnerConfig {
 
 /// Release-scale leg: one full-size AIS cycle (200k broadcasts) and one
 /// full-size MODIS day (100k pixels) under all 8 partitioners, the
-/// benchmark's own queries (r = 2 window, k = 10 neighbours) held against
-/// the oracles. Run with
+/// benchmark's own queries (r = 2 window, k = 10 neighbours, the NDVI
+/// join) held against the oracles. Run with
 /// `cargo test --release --test kernel_differential -- --ignored kernel_smoke`.
 #[test]
 #[ignore = "heavy: run in release via the smoke CI matrix"]
@@ -482,5 +643,18 @@ fn kernel_smoke() {
                 .unwrap();
         let want = group_oracle(&selected, attr(&schema, "si_value"), &spec, AggFn::Avg);
         assert_eq!(group_bits(got), want, "{kind}: rolling_aggregate");
+
+        let band2 = ModisWorkload::band_schema("Band2");
+        let right_rows = scan(&ctx, BAND2, &day);
+        let right: Vec<&Row> = right_rows.iter().collect();
+        let (got, _) =
+            ops::positional_join(&ctx, BAND1, BAND2, &day, "radiance", "radiance", ndvi).unwrap();
+        let want = join_oracle(
+            (&selected, &schema, radiance),
+            (&right, &band2, attr(&band2, "radiance")),
+            ndvi,
+        );
+        assert_eq!((got.matches, sum_bits(got.combined_sum)), want, "{kind}: positional_join");
+        assert!(want.0 > 10_000, "{kind}: vacuous — the bands share {} cells", want.0);
     }
 }
