@@ -30,9 +30,9 @@ pub struct RetractOutcome {
 /// is deterministic (row-major over chunk coordinates).
 ///
 /// Chunks are reference-counted (`Arc`): the materialized ingest path
-/// shares each freshly built chunk between a node's payload store and the
-/// catalog's whole-array oracle copy, so attaching a payload is a
-/// refcount bump, never a deep copy. Mutation goes through
+/// hands each freshly built chunk to the payload store of every node
+/// that holds a copy of it, so attaching a payload is a refcount bump,
+/// never a deep copy. Mutation goes through
 /// [`Arc::make_mut`], which is free while a chunk is unshared (the entire
 /// build phase) and degrades to copy-on-write if a shared chunk is ever
 /// written — aliased stores can never observe each other's edits.
@@ -149,9 +149,8 @@ impl Array {
     /// and each chunk retracts its share through the batch kernel
     /// ([`Chunk::match_retractions`]) — per cell, the most recently
     /// inserted live cell there is tombstoned. A cell with no live match
-    /// counts as `missing` rather than failing the batch — delete scripts
-    /// are replayed against both oracle and store copies, which may
-    /// already have pruned a chunk. A ragged or out-of-bounds script
+    /// counts as `missing` rather than failing the batch — a replayed
+    /// delete script may find its chunk already pruned. A ragged or out-of-bounds script
     /// fails before anything is retracted. Emptied chunks are left in
     /// place; callers that need them gone follow up with
     /// [`Array::prune_empty`].
@@ -232,9 +231,9 @@ impl Array {
 
     /// Compact one chunk (see [`Chunk::compact`]), returning the byte
     /// delta, or `None` when the position is vacant or tombstone-free.
-    /// The per-chunk door the runner's threshold-triggered tombstone GC
-    /// walks through, mirroring the cluster-side `compact_chunk` on the
-    /// catalog's oracle copy.
+    /// The whole-array counterpart of the cluster's per-chunk
+    /// `compact_chunk`, for a caller that keeps a reference copy in step
+    /// with the node stores.
     pub fn compact_chunk(&mut self, coords: &ChunkCoords) -> Option<i64> {
         let chunk = self.chunks.get_mut(coords)?;
         (chunk.tombstone_count() > 0).then(|| Arc::make_mut(chunk).compact())

@@ -171,7 +171,7 @@ impl DeltaSet {
     /// Every live cell of `array` as a `+1` delta, in row-major chunk
     /// order and physical row order within each chunk. Two uses: turning a
     /// cycle's freshly built insert arrays into their Δ, and feeding a
-    /// from-scratch recompute of a view from the catalog's oracle copy.
+    /// from-scratch recompute of a view from a whole-array reference copy.
     pub fn from_live_cells(array: &Array) -> Self {
         let mut delta = DeltaSet::new();
         delta.extend_live_cells(array);

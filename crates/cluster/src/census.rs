@@ -88,8 +88,8 @@ pub struct ReplicaCensus {
     pub full: usize,
     /// Chunks below target but with at least one serving copy.
     pub under: usize,
-    /// Chunks with no serving copy at all (data loss without the catalog
-    /// oracle).
+    /// Chunks with no serving copy at all: their cells are lost, and a
+    /// query that reaches one is refused (`NodeLost`), never answered.
     pub lost: usize,
 }
 
@@ -166,7 +166,6 @@ mod tests {
             threads: usize,
         },
         Evict(usize),
-        Shrink(usize, u64),
         /// Move the picked chunks, each onto one of its replica holders
         /// when it has any (the arriving primary supersedes that copy),
         /// else onto the picked node.
@@ -193,7 +192,6 @@ mod tests {
                 |(chunks, dup, threads)| Op::PlaceBatch { chunks, dup: dup == 0, threads }
             ),
             (0usize..64).prop_map(Op::Evict),
-            (0usize..64, 1u64..10_000).prop_map(|(i, bytes)| Op::Shrink(i, bytes)),
             proptest::collection::vec((0usize..64, 0u32..16), 1..8).prop_map(Op::Rebalance),
             (1usize..3).prop_map(Op::AddNodes),
             (0u32..16).prop_map(Op::Crash),
@@ -255,9 +253,6 @@ mod tests {
                 c.place_batch(&batch, &routes, *threads).is_ok()
             }
             Op::Evict(i) => nth_key(c, *i).is_some_and(|key| c.evict_chunk(&key).is_ok()),
-            Op::Shrink(i, bytes) => {
-                nth_key(c, *i).is_some_and(|key| c.shrink_chunk(&key, *bytes, 1).is_ok())
-            }
             Op::Rebalance(picks) => {
                 let mut plan = RebalancePlan::empty();
                 for &(i, to) in picks {

@@ -3,7 +3,7 @@
 use crate::census::CopyTally;
 use crate::cost::CostModel;
 use crate::error::{ClusterError, Result};
-use crate::node::{Node, NodeId, NodeState};
+use crate::node::{Node, NodeId, NodeState, Resident, Role};
 use crate::placement::{
     key_hash, splitmix64, DenseMeta, PlacementIndex, PlacementShard, SHARD_COUNT,
 };
@@ -195,11 +195,6 @@ impl Cluster {
         })
     }
 
-    /// The replication factor `k` in force.
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
     /// Register the chunk-grid extents of an array so its placements use
     /// the dense O(1) index. Optional — unregistered arrays work through a
     /// hash fallback — and a performance hint only: coordinates beyond the
@@ -324,7 +319,7 @@ impl Cluster {
         }
         self.placement.insert(desc.key, node);
         let old = n.used_bytes();
-        n.admit(desc);
+        n.admit(Role::Primary, Resident::new(desc, None));
         let new = n.used_bytes();
         self.balance.on_change(old, new);
         let replicas = if self.replication > 1 { self.place_replicas(&desc) } else { 0 };
@@ -332,28 +327,15 @@ impl Cluster {
         Ok(())
     }
 
-    /// Admit `desc`'s replica set on the chunk's deterministic secondary
-    /// route: a ring walk from a salted hash of the key, skipping the
-    /// primary and every node not accepting data. Places up to `k−1`
-    /// copies — fewer when the roster is too small, which the census
-    /// reports as the effective target — and returns how many.
+    /// Admit the freshly placed `desc`'s replica set on the first `k−1`
+    /// nodes of its [`Cluster::replica_ring`] — fewer when the roster is
+    /// too small, which the census reports as the effective target — and
+    /// return how many.
     fn place_replicas(&mut self, desc: &ChunkDescriptor) -> usize {
-        let Some(primary) = self.placement.get(&desc.key) else { return 0 };
-        let len = self.nodes.len();
-        let want = self.replication - 1;
-        let start = self.replica_ring_start(&desc.key);
-        let mut holders: Vec<NodeId> = Vec::with_capacity(want);
-        for step in 0..len {
-            if holders.len() == want {
-                break;
-            }
-            let idx = (start + step) % len;
-            let cand = self.nodes[idx].id;
-            if cand == primary || !self.nodes[idx].state().accepts_data() {
-                continue;
-            }
-            self.nodes[idx].admit_replica(*desc);
-            holders.push(cand);
+        let holders: Vec<NodeId> =
+            self.replica_ring(&desc.key).take(self.replication - 1).collect();
+        for &h in &holders {
+            self.nodes[h.0 as usize].admit(Role::Replica, Resident::new(*desc, None));
         }
         let placed = holders.len();
         if placed > 0 {
@@ -367,12 +349,6 @@ impl Cluster {
     /// allocation-free — safe on failover read paths.
     pub fn replica_holders(&self, key: &ChunkKey) -> &[NodeId] {
         self.replicas.get(key).map_or(&[], |v| v.as_slice())
-    }
-
-    /// Number of coordinate-range shards the placement index maintains —
-    /// the upper bound on useful `place_batch` parallelism.
-    pub fn ingest_shard_count(&self) -> usize {
-        SHARD_COUNT
     }
 
     /// Place a whole routed batch (`batch[i]` → `routes[i]`), fanning the
@@ -525,9 +501,9 @@ impl Cluster {
     /// materialized ingest path derives descriptors *from* payloads, so a
     /// mismatch means the metadata model and the cells drifted apart.
     ///
-    /// Accepts either an owned `Chunk` or a shared `Arc<Chunk>` handle.
-    /// The ingest pipeline passes the handle the catalog oracle also
-    /// holds, so attaching is a refcount bump — never a cell copy.
+    /// Accepts either an owned `Chunk` or a shared `Arc<Chunk>` handle:
+    /// the ingest pipeline passes the handle its chunk build produced, so
+    /// attaching is a refcount bump per copy — never a cell copy.
     ///
     /// With `k ≥ 2` the validated handle additionally fans out to every
     /// replica holder, each byte-validated against its own stored replica
@@ -545,41 +521,55 @@ impl Cluster {
             // since crashed; its placement entry still names the wreck.
             return Err(ClusterError::NodeUnavailable { node: node.0, state: holder.state() });
         }
-        let desc = holder.descriptor(&key).expect("placement and node stores agree");
-        Cluster::validate_payload(&key, desc, &chunk)?;
-        if holder.has_payload(&key) {
-            return Err(ClusterError::PayloadExists(key));
-        }
+        // A serving node holds every chunk placed on it (only a crash
+        // wipes a store, and the state check above excluded one).
+        let copy = holder.resident(Role::Primary, &key).expect("placement and node stores agree");
+        Cluster::validate_payload(copy, &chunk)?;
         // Validate the whole replica fan-out before the first store.
         let holders = self.replicas.get(&key).map_or(&[][..], |v| v.as_slice());
         for &r in holders {
-            let rn = &self.nodes[r.0 as usize];
-            let rdesc = rn.replica_descriptor(&key).expect("replica index and node stores agree");
-            Cluster::validate_payload(&key, rdesc, &chunk)?;
-            if rn.replica_payload_shared(&key).is_some() {
-                return Err(ClusterError::PayloadExists(key));
-            }
+            // `verify_replica_books`: every indexed holder stores the copy.
+            let copy = self.nodes[r.0 as usize]
+                .resident(Role::Replica, &key)
+                .expect("replica index and node stores agree");
+            Cluster::validate_payload(copy, &chunk)?;
         }
         // Field-level split borrow: `holders` borrows `self.replicas`,
         // the stores live in `self.nodes`.
         for &r in holders {
-            self.nodes[r.0 as usize].store_replica_payload(key, Arc::clone(&chunk));
+            Cluster::set_payload(&mut self.nodes[r.0 as usize], Role::Replica, &key, &chunk);
         }
-        self.nodes[node.0 as usize].store_payload(key, chunk);
+        Cluster::set_payload(&mut self.nodes[node.0 as usize], Role::Primary, &key, &chunk);
         Ok(())
     }
 
-    fn validate_payload(key: &ChunkKey, desc: &ChunkDescriptor, chunk: &Chunk) -> Result<()> {
+    /// Give the copy of `key` that `node` holds in `role` — the caller
+    /// has just probed it — the handle `chunk`.
+    fn set_payload(node: &mut Node, role: Role, key: &ChunkKey, chunk: &Arc<Chunk>) {
+        let slot = node.payload_slot(role, key);
+        debug_assert!(slot.is_some(), "{key} is not resident on {} as {role:?}", node.id);
+        if let Some(slot) = slot {
+            *slot = Some(Arc::clone(chunk));
+        }
+    }
+
+    /// The attach-time invariant: a copy takes only cells of exactly the
+    /// size its descriptor declares, and only once.
+    fn validate_payload(copy: &Resident, chunk: &Chunk) -> Result<()> {
+        let desc = copy.descriptor();
         if desc.bytes != chunk.byte_size() || desc.cells != chunk.cell_count() {
             return Err(ClusterError::PayloadMismatch(Box::new(crate::error::PayloadMismatch {
-                key: *key,
+                key: desc.key,
                 descriptor_bytes: desc.bytes,
                 payload_bytes: chunk.byte_size(),
                 descriptor_cells: desc.cells,
                 payload_cells: chunk.cell_count(),
             })));
         }
-        Ok(())
+        match copy.payload() {
+            Some(_) => Err(ClusterError::PayloadExists(desc.key)),
+            None => Ok(()),
+        }
     }
 
     /// Attach a payload to one specific **replica** copy of `key` on
@@ -600,28 +590,25 @@ impl Cluster {
         if n.state() == NodeState::Crashed {
             return Err(ClusterError::NodeUnavailable { node: node.0, state: n.state() });
         }
-        let desc =
-            n.replica_descriptor(&key).ok_or(ClusterError::NotAReplica { key, node: node.0 })?;
-        Cluster::validate_payload(&key, desc, &chunk)?;
-        if n.replica_payload_shared(&key).is_some() {
-            return Err(ClusterError::PayloadExists(key));
-        }
-        self.nodes[node.0 as usize].store_replica_payload(key, chunk);
+        let copy = n
+            .resident(Role::Replica, &key)
+            .ok_or(ClusterError::NotAReplica { key, node: node.0 })?;
+        Cluster::validate_payload(copy, &chunk)?;
+        Cluster::set_payload(&mut self.nodes[node.0 as usize], Role::Replica, &key, &chunk);
         Ok(())
     }
 
     /// The materialized payload of a chunk, read from its resident node.
     pub fn payload(&self, key: &ChunkKey) -> Option<&Chunk> {
-        let node = self.placement.get(key)?;
-        self.nodes[node.0 as usize].payload(key)
+        self.payload_shared(key).map(Arc::as_ref)
     }
 
     /// The shared handle of a chunk's payload, read from its resident
-    /// node — for proving zero-copy sharing with the catalog oracle
+    /// node — for proving that every copy of a chunk shares one handle
     /// (`Arc::ptr_eq`) or taking a cheap co-owning reference.
     pub fn payload_shared(&self, key: &ChunkKey) -> Option<&Arc<Chunk>> {
         let node = self.placement.get(key)?;
-        self.nodes[node.0 as usize].payload_shared(key)
+        self.nodes[node.0 as usize].resident(Role::Primary, key)?.payload()
     }
 
     /// Number of chunks cluster-wide carrying a materialized payload.
@@ -634,22 +621,20 @@ impl Cluster {
     /// order. `None` when no serving node holds the cells. Allocation-free
     /// — this sits on every degraded query read.
     pub fn read_payload(&self, key: &ChunkKey) -> Option<PayloadRead<'_>> {
+        // The cells `node` can serve of its copy in `role`: one probe.
+        let served = |node: NodeId, role| {
+            let node = &self.nodes[node.0 as usize];
+            if !node.state().serves_reads() {
+                return None;
+            }
+            node.resident(role, key)?.payload()
+        };
         let primary = self.placement.get(key)?;
-        let node = &self.nodes[primary.0 as usize];
-        if node.state().serves_reads() {
-            if let Some(chunk) = node.payload_shared(key) {
-                return Some(PayloadRead::Primary(chunk));
-            }
+        if let Some(chunk) = served(primary, Role::Primary) {
+            return Some(PayloadRead::Primary(chunk));
         }
-        for &r in self.replica_holders(key) {
-            let rn = &self.nodes[r.0 as usize];
-            if rn.state().serves_reads() {
-                if let Some(chunk) = rn.replica_payload_shared(key) {
-                    return Some(PayloadRead::Failover(r, chunk));
-                }
-            }
-        }
-        None
+        let failover = |&r| Some(PayloadRead::Failover(r, served(r, Role::Replica)?));
+        self.replica_holders(key).iter().find_map(failover)
     }
 
     /// Execute a rebalance plan, validating each move against the actual
@@ -680,7 +665,7 @@ impl Cluster {
             }
             // A crashed source's chunks were wiped (its placement entries
             // may linger as k=1 orphans); moving one is impossible.
-            if !self.nodes[m.from.0 as usize].holds(&m.key) {
+            if self.nodes[m.from.0 as usize].resident(Role::Primary, &m.key).is_none() {
                 return Err(ClusterError::MissingChunk(m.key));
             }
         }
@@ -689,30 +674,22 @@ impl Cluster {
             let copies = self.serving_copies(&m.key);
             let src = &mut self.nodes[m.from.0 as usize];
             let src_old = src.used_bytes();
-            let (desc, payload) = src.evict(&m.key).expect("validated above");
+            // The validation pass found the copy there, and a plan moves
+            // a key once.
+            let copy = src.evict(Role::Primary, &m.key).expect("validated above");
             self.balance.on_change(src_old, src.used_bytes());
             // Materialized chunks time the wire transfer off the payload's
             // actual size (identical to desc.bytes by the attach-time
             // invariant, but read from the cells to keep the flow honest).
-            flows.push(m.from, m.to, payload.as_ref().map_or(desc.bytes, |c| c.byte_size()));
+            let desc = copy.descriptor();
+            flows.push(m.from, m.to, copy.payload().map_or(desc.bytes, |c| c.byte_size()));
             // The destination may hold a replica of this chunk; the
             // arriving primary supersedes it.
-            if let Some(holders) = self.replicas.get_mut(&m.key) {
-                if let Some(pos) = holders.iter().position(|&h| h == m.to) {
-                    holders.remove(pos);
-                    if holders.is_empty() {
-                        self.replicas.remove(&m.key);
-                    }
-                    self.nodes[m.to.0 as usize].evict_replica(&m.key);
-                }
-            }
+            self.drop_holder(&m.key, m.to);
             self.placement.insert(m.key, m.to);
             let dst = &mut self.nodes[m.to.0 as usize];
             let dst_old = dst.used_bytes();
-            dst.admit(desc);
-            if let Some(chunk) = payload {
-                dst.store_payload(m.key, chunk);
-            }
+            dst.admit(Role::Primary, copy);
             self.balance.on_change(dst_old, dst.used_bytes());
             // The primary only changed address; a superseded replica is
             // one copy fewer until the top-up below.
@@ -727,43 +704,40 @@ impl Cluster {
     }
 
     /// Restore `key`'s replica set to `k−1` distinct copies after its
-    /// primary moved: walk the chunk's deterministic replica ring for
-    /// fresh eligible holders, copying descriptor (and payload handle)
-    /// from the primary and recording one repair flow per new copy.
+    /// primary moved: the next nodes of its [`Cluster::replica_ring`]
+    /// each take a copy of the primary (descriptor and payload handle),
+    /// one repair flow per new copy.
     fn top_up_replicas(&mut self, key: &ChunkKey, flows: &mut FlowSet) {
         let Some(primary) = self.placement.get(key) else { return };
-        let Some(desc) = self.nodes[primary.0 as usize].descriptor(key).copied() else {
+        let Some(copy) = self.nodes[primary.0 as usize].resident(Role::Primary, key).cloned()
+        else {
             return;
         };
-        let payload = self.nodes[primary.0 as usize].payload_shared(key).cloned();
-        let want = self.replication - 1;
-        let have = self.replica_holders(key).len();
-        if have >= want {
+        let missing = (self.replication - 1).saturating_sub(self.replica_holders(key).len());
+        let fresh: Vec<NodeId> = self.replica_ring(key).take(missing).collect();
+        if fresh.is_empty() {
             return;
         }
         let copies = self.serving_copies(key);
-        let len = self.nodes.len();
-        let start = self.replica_ring_start(key);
-        for step in 0..len {
-            if self.replica_holders(key).len() >= want {
-                break;
-            }
-            let idx = (start + step) % len;
-            let cand = self.nodes[idx].id;
-            if cand == primary
-                || !self.nodes[idx].state().accepts_data()
-                || self.replica_holders(key).contains(&cand)
-            {
-                continue;
-            }
-            self.nodes[idx].admit_replica(desc);
-            if let Some(chunk) = &payload {
-                self.nodes[idx].store_replica_payload(*key, Arc::clone(chunk));
-            }
-            flows.push(primary, cand, desc.bytes);
-            self.replicas.entry(*key).or_default().push(cand);
+        for &node in &fresh {
+            self.nodes[node.0 as usize].admit(Role::Replica, copy.clone());
+            flows.push(primary, node, copy.descriptor().bytes);
         }
+        self.replicas.entry(*key).or_default().extend(fresh);
         self.retally(key, copies);
+    }
+
+    /// Strike `node` from `key`'s replica set — the index entry (the
+    /// whole entry once its last holder goes) and the copy in the node's
+    /// replica store, which is returned. `None` when it held none (or a
+    /// crash has already wiped the store).
+    fn drop_holder(&mut self, key: &ChunkKey, node: NodeId) -> Option<Resident> {
+        let holders = self.replicas.get_mut(key)?;
+        holders.remove(holders.iter().position(|&h| h == node)?);
+        if holders.is_empty() {
+            self.replicas.remove(key);
+        }
+        self.nodes[node.0 as usize].evict(Role::Replica, key)
     }
 
     /// Crash `id`: wipe both of its stores (the failure model is
@@ -792,8 +766,10 @@ impl Cluster {
             return Err(ClusterError::NoHealthyNodes);
         }
         let node = &self.nodes[idx];
-        let primary_keys: Vec<ChunkKey> = node.descriptors().map(|d| d.key).collect();
-        let replica_keys: Vec<ChunkKey> = node.replica_descriptors().map(|d| d.key).collect();
+        let keys = |role| -> Vec<ChunkKey> {
+            node.residents(role).map(|copy| copy.descriptor().key).collect()
+        };
+        let (primary_keys, replica_keys) = (keys(Role::Primary), keys(Role::Replica));
         // Only the chunks with a copy on this node can change strength:
         // the census pays for the wreck, not for the cluster.
         let copies: Vec<usize> =
@@ -804,40 +780,25 @@ impl Cluster {
         node.set_state(NodeState::Crashed);
         self.balance.on_change(old_used, 0);
         for key in &replica_keys {
-            if let Some(holders) = self.replicas.get_mut(key) {
-                holders.retain(|&h| h != id);
-                if holders.is_empty() {
-                    self.replicas.remove(key);
-                }
-            }
+            self.drop_holder(key, id);
         }
         let mut promoted = 0usize;
         let mut orphaned = Vec::new();
         for key in &primary_keys {
-            let holder = self.replicas.get(key).and_then(|h| h.first().copied());
-            match holder {
-                Some(h) => {
-                    if let Some(holders) = self.replicas.get_mut(key) {
-                        holders.remove(0);
-                        if holders.is_empty() {
-                            self.replicas.remove(key);
-                        }
-                    }
-                    let hn = &mut self.nodes[h.0 as usize];
-                    let (desc, payload) =
-                        hn.evict_replica(key).expect("replica index and node stores agree");
-                    let old = hn.used_bytes();
-                    hn.admit(desc);
-                    if let Some(chunk) = payload {
-                        hn.store_payload(*key, chunk);
-                    }
-                    let new = hn.used_bytes();
-                    self.balance.on_change(old, new);
-                    self.placement.insert(*key, h);
-                    promoted += 1;
-                }
-                None => orphaned.push(*key),
-            }
+            let Some(&h) = self.replica_holders(key).first() else {
+                orphaned.push(*key);
+                continue;
+            };
+            // `verify_replica_books`: an indexed holder stores the copy,
+            // and `h` is not the node just wiped (no node holds a chunk
+            // in both roles).
+            let copy = self.drop_holder(key, h).expect("replica index and node stores agree");
+            let hn = &mut self.nodes[h.0 as usize];
+            let old = hn.used_bytes();
+            hn.admit(Role::Primary, copy);
+            self.balance.on_change(old, hn.used_bytes());
+            self.placement.insert(*key, h);
+            promoted += 1;
         }
         for (key, before) in primary_keys.iter().chain(&replica_keys).zip(copies) {
             self.retally(key, before);
@@ -867,23 +828,21 @@ impl Cluster {
     /// key's arity; a ragged slice is [`ClusterError::RaggedCells`].
     /// Cells with no live match count as `missing` — retraction is
     /// idempotent, not an error. Requires the payload to be attached
-    /// ([`ClusterError::NoPayload`] otherwise; metadata-scale runs shrink
-    /// through [`Cluster::shrink_chunk`]) and the primary to actually
-    /// hold the chunk (a k=1 orphan on a wreck cannot retract).
+    /// ([`ClusterError::NoPayload`] otherwise) and the primary to
+    /// actually hold the chunk (a k=1 orphan on a wreck cannot retract).
     pub fn retract_cells(&mut self, key: &ChunkKey, cells_flat: &[i64]) -> Result<ChunkRetraction> {
         let arity = key.coords.ndims().max(1);
         if !cells_flat.len().is_multiple_of(arity) {
             return Err(ClusterError::RaggedCells { key: *key, len: cells_flat.len() });
         }
-        let holder = self.payload_holder(key)?;
-        let handle = self.nodes[holder].payload_mut(key).expect("payload_holder found it");
+        let handle = self.primary_payload_mut(key)?;
         let mut matched = Vec::with_capacity(cells_flat.len() / arity);
         handle.match_retractions(cells_flat.chunks_exact(arity), &mut matched);
         let rows = matched.iter().flatten().copied();
         let retracted = rows.clone().count() as u64;
         let mut freed_bytes = 0;
         if retracted > 0 {
-            // Copy-on-write: a handle the catalog or a replica still
+            // Copy-on-write: a handle a replica (or a caller) still
             // shares is copied once here, and the copy goes to every
             // holder below.
             freed_bytes = Arc::make_mut(handle).tombstone_rows(rows);
@@ -901,12 +860,9 @@ impl Cluster {
     /// rows (see `Chunk::compact`), dropping tombstones and dangling
     /// dictionary entries, and install the rebuilt handle on the primary
     /// and every replica copy — the same invariant discipline as
-    /// [`Cluster::retract_cells`]. This is the store-side half of the
-    /// runner's tombstone GC for a chunk the catalog does not share;
-    /// `Array::compact_chunk` is the other half.
+    /// [`Cluster::retract_cells`].
     pub fn compact_chunk(&mut self, key: &ChunkKey) -> Result<ChunkCompaction> {
-        let holder = self.payload_holder(key)?;
-        let handle = self.nodes[holder].payload_mut(key).expect("payload_holder found it");
+        let handle = self.primary_payload_mut(key)?;
         let mut reclaimed_bytes = 0;
         if handle.tombstone_count() > 0 {
             reclaimed_bytes = Arc::make_mut(handle).compact();
@@ -922,22 +878,27 @@ impl Cluster {
     /// (not placed), [`ClusterError::NodeUnavailable`] (a k=1 orphan on a
     /// wreck), [`ClusterError::NoPayload`] (metadata only).
     pub fn primary_payload(&self, key: &ChunkKey) -> Result<&Arc<Chunk>> {
-        let holder = self.payload_holder(key)?;
-        Ok(self.nodes[holder].payload_shared(key).expect("payload_holder found it"))
+        Ok(self.payload_holder(key)?.1)
     }
 
-    /// Index of the node that holds `key`'s primary copy *and* its
-    /// payload, or why cells cannot be reached there.
-    fn payload_holder(&self, key: &ChunkKey) -> Result<usize> {
+    /// [`Cluster::primary_payload`], to write through.
+    fn primary_payload_mut(&mut self, key: &ChunkKey) -> Result<&mut Arc<Chunk>> {
+        let (holder, _) = self.payload_holder(key)?;
+        let slot = self.nodes[holder].payload_slot(Role::Primary, key);
+        // `payload_holder` has just read the cells out of this slot.
+        Ok(slot.and_then(Option::as_mut).expect("payload_holder found it"))
+    }
+
+    /// Index of the node that holds `key`'s primary copy and the cells
+    /// on it — one probe of the node store — or why cells cannot be
+    /// reached there (see [`Cluster::primary_payload`]).
+    fn payload_holder(&self, key: &ChunkKey) -> Result<(usize, &Arc<Chunk>)> {
         let node = self.placement.get(key).ok_or(ClusterError::MissingChunk(*key))?;
         let holder = &self.nodes[node.0 as usize];
-        if !holder.holds(key) {
-            return Err(ClusterError::NodeUnavailable { node: node.0, state: holder.state() });
-        }
-        if !holder.has_payload(key) {
-            return Err(ClusterError::NoPayload(*key));
-        }
-        Ok(node.0 as usize)
+        let copy = holder
+            .resident(Role::Primary, key)
+            .ok_or(ClusterError::NodeUnavailable { node: node.0, state: holder.state() })?;
+        Ok((node.0 as usize, copy.payload().ok_or(ClusterError::NoPayload(*key))?))
     }
 
     /// Replace a placed chunk's payload on every copy with `chunk` — a
@@ -949,57 +910,22 @@ impl Cluster {
     /// copies. Fails, changing nothing, under the conditions of
     /// [`Cluster::retract_cells`].
     pub fn install_payload(&mut self, key: &ChunkKey, chunk: Arc<Chunk>) -> Result<()> {
-        let holder = self.payload_holder(key)?;
+        let (holder, _) = self.payload_holder(key)?;
         let desc = ChunkDescriptor::new(*key, chunk.byte_size(), chunk.cell_count());
         // Field-level split borrow: `holders` borrows `self.replicas`,
         // the stores live in `self.nodes`.
         let holders = self.replicas.get(key).map_or(&[][..], |v| v.as_slice());
         for &r in holders {
             let rn = &mut self.nodes[r.0 as usize];
-            rn.resize_replica(desc).expect("replica index and node stores agree");
-            if let Some(slot) = rn.replica_payload_mut(key) {
-                *slot = Arc::clone(&chunk);
-            }
+            // `verify_replica_books`: every indexed holder stores the copy.
+            rn.resize(Role::Replica, desc).expect("replica index and node stores agree");
+            Cluster::set_payload(rn, Role::Replica, key, &chunk);
         }
         let n = &mut self.nodes[holder];
         let old_used = n.used_bytes();
-        n.resize(desc).expect("payload_holder checked holds()");
-        n.store_payload(*key, chunk);
-        let new_used = n.used_bytes();
-        self.balance.on_change(old_used, new_used);
-        Ok(())
-    }
-
-    /// Metadata-scale retraction: shrink (or grow) a placed chunk's
-    /// descriptor to `bytes`/`cells` without touching payloads — there
-    /// are none at paper scale. The placement entry stays; the byte
-    /// ledgers and census moments follow the delta exactly, on the
-    /// primary and every replica copy. If a payload *is* attached its
-    /// actual size must agree ([`ClusterError::PayloadMismatch`]
-    /// otherwise), so the metadata door cannot break the attach
-    /// invariant.
-    pub fn shrink_chunk(&mut self, key: &ChunkKey, bytes: u64, cells: u64) -> Result<()> {
-        let node = self.placement.get(key).ok_or(ClusterError::MissingChunk(*key))?;
-        let idx = node.0 as usize;
-        if !self.nodes[idx].holds(key) {
-            let state = self.nodes[idx].state();
-            return Err(ClusterError::NodeUnavailable { node: node.0, state });
-        }
-        let desc = ChunkDescriptor::new(*key, bytes, cells);
-        if let Some(chunk) = self.nodes[idx].payload_shared(key) {
-            Cluster::validate_payload(key, &desc, chunk)?;
-        }
-        let n = &mut self.nodes[idx];
-        let old = n.used_bytes();
-        n.resize(desc).expect("holds() checked above");
-        let new = n.used_bytes();
-        self.balance.on_change(old, new);
-        let holders = self.replicas.get(key).map_or(&[][..], |v| v.as_slice());
-        for &r in holders {
-            self.nodes[r.0 as usize]
-                .resize_replica(desc)
-                .expect("replica index and node stores agree");
-        }
+        n.resize(Role::Primary, desc).expect("payload_holder found the copy");
+        Cluster::set_payload(n, Role::Primary, key, &chunk);
+        self.balance.on_change(old_used, n.used_bytes());
         Ok(())
     }
 
@@ -1012,20 +938,20 @@ impl Cluster {
     pub fn evict_chunk(&mut self, key: &ChunkKey) -> Result<ChunkEviction> {
         let node = self.placement.get(key).ok_or(ClusterError::MissingChunk(*key))?;
         let idx = node.0 as usize;
-        if !self.nodes[idx].holds(key) {
+        if self.nodes[idx].resident(Role::Primary, key).is_none() {
             let state = self.nodes[idx].state();
             return Err(ClusterError::NodeUnavailable { node: node.0, state });
         }
         self.copies.remove(self.serving_copies(key));
         let n = &mut self.nodes[idx];
         let old = n.used_bytes();
-        let (desc, _payload) = n.evict(key).expect("holds() checked above");
-        let new = n.used_bytes();
-        self.balance.on_change(old, new);
+        let evicted = n.evict(Role::Primary, key).expect("found resident just above");
+        let desc = evicted.descriptor();
+        self.balance.on_change(old, n.used_bytes());
         self.placement.remove(key);
         let holders = self.replicas.remove(key).unwrap_or_default();
         for &h in &holders {
-            self.nodes[h.0 as usize].evict_replica(key);
+            self.nodes[h.0 as usize].evict(Role::Replica, key);
         }
         Ok(ChunkEviction {
             node,
@@ -1057,6 +983,8 @@ impl Cluster {
         let mut plan = RebalancePlan::empty();
         for desc in node.descriptors() {
             let dest = {
+                // The loop body runs only when the node has chunks, and
+                // then the check above required a destination.
                 let best = projected
                     .iter_mut()
                     .min_by_key(|e| (e.0, e.1 .0))
@@ -1094,16 +1022,10 @@ impl Cluster {
             return Err(ClusterError::NoHealthyNodes);
         }
         let replica_keys: Vec<ChunkKey> =
-            self.nodes[idx].replica_descriptors().map(|d| d.key).collect();
+            self.nodes[idx].residents(Role::Replica).map(|copy| copy.descriptor().key).collect();
         for key in &replica_keys {
             let copies = self.serving_copies(key);
-            if let Some(holders) = self.replicas.get_mut(key) {
-                holders.retain(|&h| h != id);
-                if holders.is_empty() {
-                    self.replicas.remove(key);
-                }
-            }
-            self.nodes[idx].evict_replica(key);
+            self.drop_holder(key, id);
             self.retally(key, copies);
         }
         self.nodes[idx].set_state(NodeState::Retired);
@@ -1140,6 +1062,7 @@ impl Cluster {
             Ok(report) => Ok(report),
             Err(e) => {
                 if self.nodes[id.0 as usize].state() == NodeState::Draining {
+                    // `mark_recovered` accepts exactly this state.
                     self.mark_recovered(id).expect("draining cancels back to healthy");
                 }
                 Err(e)
@@ -1168,16 +1091,16 @@ impl Cluster {
         for (key, holders) in &self.replicas {
             for &h in holders {
                 let node = self.nodes.get(h.0 as usize).ok_or(ClusterError::UnknownNode(h.0))?;
-                if !node.holds_replica(key) {
+                if node.resident(Role::Replica, key).is_none() {
                     return Err(ClusterError::NotAReplica { key: *key, node: h.0 });
                 }
             }
         }
         for node in &self.nodes {
-            for desc in node.replica_descriptors() {
-                let indexed = self.replicas.get(&desc.key).is_some_and(|h| h.contains(&node.id));
-                if !indexed {
-                    return Err(ClusterError::NotAReplica { key: desc.key, node: node.id.0 });
+            for copy in node.residents(Role::Replica) {
+                let key = copy.descriptor().key;
+                if !self.replica_holders(&key).contains(&node.id) {
+                    return Err(ClusterError::NotAReplica { key, node: node.id.0 });
                 }
             }
         }
@@ -1218,15 +1141,6 @@ impl Cluster {
         self.balance.rsd(self.active_node_count())
     }
 
-    /// The most loaded node (by bytes); ties break toward the lower id.
-    pub fn most_loaded(&self) -> NodeId {
-        self.nodes
-            .iter()
-            .max_by(|a, b| a.used_bytes().cmp(&b.used_bytes()).then(b.id.0.cmp(&a.id.0)))
-            .expect("cluster is never empty")
-            .id
-    }
-
     /// Number of resident chunks cluster-wide. O(1).
     pub fn total_chunks(&self) -> usize {
         self.placement.len()
@@ -1240,11 +1154,23 @@ impl Cluster {
         self.placement.collect_sorted().into_iter()
     }
 
-    /// Start index of `key`'s deterministic replica ring — shared by
-    /// placement-time replica routing, rebalance top-up, and recovery
-    /// target selection so all three derive the same secondary route.
-    pub(crate) fn replica_ring_start(&self, key: &ChunkKey) -> usize {
-        (splitmix64(key_hash(key) ^ REPLICA_ROUTE_SALT) % self.nodes.len() as u64) as usize
+    /// `key`'s deterministic secondary route: the nodes that may take a
+    /// new replica of it, in ring order from a salted hash of the key —
+    /// every node that accepts data, but for the primary and the current
+    /// holders. Placement-time replica routing, rebalance top-up, repair
+    /// planning and repair-target fallback all take their nodes from the
+    /// front of this one walk.
+    pub(crate) fn replica_ring(&self, key: &ChunkKey) -> impl Iterator<Item = NodeId> + '_ {
+        let len = self.nodes.len();
+        // The roster is never empty and the remainder is below its length.
+        let start = (splitmix64(key_hash(key) ^ REPLICA_ROUTE_SALT) % len as u64) as usize;
+        let (primary, holders) = (self.placement.get(key), self.replica_holders(key));
+        (0..len)
+            .map(move |step| &self.nodes[(start + step) % len])
+            .filter(move |n| {
+                n.state().accepts_data() && Some(n.id) != primary && !holders.contains(&n.id)
+            })
+            .map(|n| n.id)
     }
 }
 
@@ -1265,11 +1191,6 @@ impl<'a> PayloadRead<'a> {
             PayloadRead::Primary(c) => c,
             PayloadRead::Failover(_, c) => c,
         }
-    }
-
-    /// Whether the read had to fail over to a replica.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, PayloadRead::Failover(..))
     }
 }
 
@@ -1361,6 +1282,11 @@ mod tests {
         Cluster::new(n, 1_000, CostModel::default()).unwrap()
     }
 
+    /// The replica copy of `key` on `holder`.
+    fn replica<'c>(c: &'c Cluster, holder: NodeId, key: &ChunkKey) -> &'c Resident {
+        c.node(holder).unwrap().resident(Role::Replica, key).expect("a replica is resident")
+    }
+
     #[test]
     fn rejects_empty_cluster() {
         assert!(Cluster::new(0, 1_000, CostModel::default()).is_err());
@@ -1408,16 +1334,6 @@ mod tests {
         let mut missing = RebalancePlan::empty();
         missing.push(desc(9, 1).key, NodeId(0), NodeId(1), 1);
         assert!(matches!(c.apply_rebalance(&missing), Err(ClusterError::MissingChunk(_))));
-    }
-
-    #[test]
-    fn most_loaded_breaks_ties_low() {
-        let mut c = cluster(3);
-        c.place(desc(1, 100), NodeId(1)).unwrap();
-        c.place(desc(2, 100), NodeId(2)).unwrap();
-        assert_eq!(c.most_loaded(), NodeId(1));
-        c.place(desc(3, 1), NodeId(2)).unwrap();
-        assert_eq!(c.most_loaded(), NodeId(2));
     }
 
     #[test]
@@ -1563,7 +1479,6 @@ mod tests {
         let flows = c.apply_rebalance(&plan).unwrap();
         assert_eq!(flows.network_bytes(), chunk.byte_size());
         assert_eq!(c.node(NodeId(0)).unwrap().payload_count(), 0);
-        assert_eq!(c.node(NodeId(1)).unwrap().payload(&key), Some(&chunk));
         assert_eq!(c.payload(&key), Some(&chunk));
 
         // Equal bytes but a different cell count is still a drift. Under
@@ -1623,7 +1538,8 @@ mod tests {
         plan.push(key, NodeId(0), NodeId(1), desc.bytes);
         let flows = c.apply_rebalance(&plan).unwrap();
         assert_eq!(flows.network_bytes(), chunk.byte_size());
-        assert_eq!(c.node(NodeId(1)).unwrap().payload(&key), Some(&chunk));
+        assert_eq!(c.locate(&key), Some(NodeId(1)));
+        assert_eq!(c.payload(&key), Some(&chunk));
         assert_eq!(c.loads()[1], chunk.byte_size());
     }
 
@@ -1678,8 +1594,8 @@ mod tests {
         let shared: Arc<Chunk> = Arc::new(chunk);
         c.attach_payload(key, Arc::clone(&shared)).unwrap();
         let holder = c.replica_holders(&key)[0];
-        let replica = c.node(holder).unwrap().replica_payload_shared(&key).unwrap();
-        assert!(Arc::ptr_eq(replica, &shared), "fan-out shares the handle, never copies cells");
+        let copy = replica(&c, holder, &key).payload().unwrap();
+        assert!(Arc::ptr_eq(copy, &shared), "fan-out shares the handle, never copies cells");
     }
 
     #[test]
@@ -1726,7 +1642,7 @@ mod tests {
             c.attach_replica_payload(key, holder, fat),
             Err(ClusterError::PayloadMismatch(_))
         ));
-        assert!(c.node(holder).unwrap().replica_payload_shared(&key).is_none());
+        assert!(replica(&c, holder, &key).payload().is_none());
         // Targeting a node that holds no replica is a typed error too.
         let non_holder =
             c.node_ids().into_iter().find(|&n| n != holder && Some(n) != c.locate(&key)).unwrap();
@@ -1763,7 +1679,7 @@ mod tests {
         let new_holder = c.replica_holders(&key)[0];
         assert_ne!(new_holder, holder, "replica may not co-locate with its primary");
         assert!(
-            c.node(new_holder).unwrap().replica_payload_shared(&key).is_some(),
+            replica(&c, new_holder, &key).payload().is_some(),
             "top-up carries the payload handle"
         );
     }
@@ -1834,9 +1750,9 @@ mod tests {
         assert_eq!(c.total_used(), stored.byte_size());
         assert!((c.balance_rsd() - relative_std_dev(&c.loads())).abs() < 1e-12);
         // The replica copy shrank in lockstep and still shares the handle.
-        let rn = c.node(holder).unwrap();
-        assert_eq!(rn.replica_descriptor(&key).unwrap().bytes, stored.byte_size());
-        assert!(Arc::ptr_eq(rn.replica_payload_shared(&key).unwrap(), stored));
+        let copy = replica(&c, holder, &key);
+        assert_eq!(copy.descriptor().bytes, stored.byte_size());
+        assert!(Arc::ptr_eq(copy.payload().unwrap(), stored));
         c.verify_replica_books().unwrap();
 
         // Re-retracting the same cells is idempotent: all missing.
@@ -1905,9 +1821,9 @@ mod tests {
         assert_eq!((new_desc.bytes, new_desc.cells), (stored.byte_size(), 3));
         assert_eq!(c.total_used(), stored.byte_size());
         let holder = c.replica_holders(&key)[0];
-        let rn = c.node(holder).unwrap();
-        assert_eq!(rn.replica_descriptor(&key).unwrap().bytes, stored.byte_size());
-        assert!(Arc::ptr_eq(rn.replica_payload_shared(&key).unwrap(), stored));
+        let copy = replica(&c, holder, &key);
+        assert_eq!(copy.descriptor().bytes, stored.byte_size());
+        assert!(Arc::ptr_eq(copy.payload().unwrap(), stored));
         c.verify_replica_books().unwrap();
 
         // A tombstone-free chunk compacts to a no-op, and metadata-only
@@ -1918,25 +1834,6 @@ mod tests {
         assert!(matches!(
             c.compact_chunk(&d2.key),
             Err(ClusterError::NoPayload(k)) if k == d2.key
-        ));
-    }
-
-    /// The metadata door: descriptor shrink flows through ledgers, census
-    /// moments, and replica descriptors, with no payload involved.
-    #[test]
-    fn shrink_chunk_adjusts_descriptors_and_census() {
-        let mut c = Cluster::with_replication(3, 1_000_000, CostModel::default(), 2).unwrap();
-        c.place(desc(1, 400), NodeId(0)).unwrap();
-        c.place(desc(2, 400), NodeId(1)).unwrap();
-        c.shrink_chunk(&desc(1, 0).key, 150, 1).unwrap();
-        assert_eq!(c.loads()[0], 150);
-        assert_eq!(c.total_used(), 550);
-        assert!((c.balance_rsd() - relative_std_dev(&c.loads())).abs() < 1e-12);
-        let holder = c.replica_holders(&desc(1, 0).key)[0];
-        assert_eq!(c.node(holder).unwrap().replica_descriptor(&desc(1, 0).key).unwrap().bytes, 150);
-        assert!(matches!(
-            c.shrink_chunk(&desc(7, 0).key, 1, 1),
-            Err(ClusterError::MissingChunk(_))
         ));
     }
 

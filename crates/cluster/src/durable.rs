@@ -8,10 +8,11 @@
 //!   registrations (geometry is re-derived by re-running
 //!   `register_dense`);
 //! - every node verbatim — lifecycle state, chunk/replica descriptors,
-//!   and *which* keys carry payloads, but not the payload cells
-//!   themselves (the catalog section of a checkpoint owns chunk bytes;
-//!   restore re-wires shared handles through a `payload_of` lookup so
-//!   node stores and catalog alias one `Arc<Chunk>` again);
+//!   and *which* copies carry payloads, but not the payload cells
+//!   themselves: the `k` copies of a chunk share one `Arc<Chunk>`, so the
+//!   caller writes each chunk's cells once, beside this snapshot, and
+//!   restore re-wires the shared handles through a `payload_of` lookup
+//!   (every copy of a chunk aliases one handle again);
 //! - the placement index entries, separately from the node stores.
 //!   They are not redundant: after a crash, an orphaned chunk keeps a
 //!   placement entry naming the wreck while every node store copy is
@@ -73,9 +74,10 @@ impl Cluster {
     }
 
     /// Rebuild a cluster from [`Cluster::snapshot_into`]. `payload_of`
-    /// resolves chunk payloads from the already-restored catalog so node
-    /// stores re-alias the catalog's `Arc<Chunk>` handles. The cost model
-    /// is config-derived and supplied by the caller, not serialized.
+    /// resolves a chunk's cells from wherever the caller kept them (a
+    /// checkpoint's cells section), and every copy that carried a payload
+    /// takes the handle it returns. The cost model is config-derived and
+    /// supplied by the caller, not serialized.
     ///
     /// Does not demand the reader be empty afterwards: the cluster
     /// section is embedded inside a larger checkpoint record.
@@ -178,7 +180,13 @@ impl Cluster {
                 }
                 v.push(h);
             }
-            replicas.insert(key, v);
+            if replicas.insert(key, v).is_some() {
+                return Err(DurabilityError::Mismatch {
+                    what: format!("replica holders of {key}"),
+                    expected: "a single entry per key".to_string(),
+                    actual: "duplicate entry in snapshot".to_string(),
+                });
+            }
         }
         let copies = Default::default();
         let mut cluster =
@@ -198,6 +206,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Role;
     use array_model::{ArraySchema, ChunkCoords};
 
     fn chunk_for(key: &ChunkKey) -> Arc<Chunk> {
@@ -214,7 +223,7 @@ mod tests {
     fn build_eventful_cluster() -> (Cluster, BTreeMap<ChunkKey, Arc<Chunk>>) {
         let mut cluster = Cluster::with_replication(4, u64::MAX, CostModel::default(), 2).unwrap();
         cluster.register_array(ArrayId(0), &[8, 8]);
-        let mut catalog = BTreeMap::new();
+        let mut cells = BTreeMap::new();
         for x in 0..8 {
             for y in 0..8 {
                 let key = ChunkKey::new(ArrayId(0), ChunkCoords::new([x, y]));
@@ -223,7 +232,7 @@ mod tests {
                 let node = NodeId(((x * 8 + y) % 4) as u32);
                 cluster.place(d, node).unwrap();
                 cluster.attach_payload(key, Arc::clone(&payload)).unwrap();
-                catalog.insert(key, payload);
+                cells.insert(key, payload);
             }
         }
         cluster.crash_node(NodeId(3)).unwrap();
@@ -231,17 +240,17 @@ mod tests {
         let plan = cluster.plan_drain(NodeId(2)).unwrap();
         cluster.apply_rebalance(&plan).unwrap();
         cluster.retire_node(NodeId(2)).unwrap();
-        (cluster, catalog)
+        (cluster, cells)
     }
 
     #[test]
     fn eventful_cluster_round_trips_bit_identically() {
-        let (cluster, catalog) = build_eventful_cluster();
+        let (cluster, cells) = build_eventful_cluster();
         let mut w = ByteWriter::new();
         cluster.snapshot_into(&mut w);
         let bytes = w.into_bytes();
 
-        let lookup = |key: &ChunkKey| catalog.get(key).cloned();
+        let lookup = |key: &ChunkKey| cells.get(key).cloned();
         let mut r = ByteReader::new(&bytes);
         let restored =
             Cluster::restore_from(&mut r, CostModel::default(), &lookup).expect("restore");
@@ -267,21 +276,122 @@ mod tests {
             cluster.placements().collect::<Vec<_>>(),
             restored.placements().collect::<Vec<_>>()
         );
-        // Payload handles alias the catalog (zero-copy restore).
-        for (key, chunk) in &catalog {
-            if let Some(p) = restored.payload_shared(key) {
-                assert!(Arc::ptr_eq(p, chunk), "payload of {key} must alias the catalog");
+        // Every restored copy aliases the one handle the lookup gave
+        // out (zero-copy restore), primaries and replicas alike.
+        let mut aliased = 0;
+        for node in restored.nodes() {
+            for role in [Role::Primary, Role::Replica] {
+                for payload in node.residents(role).filter_map(|copy| copy.payload()) {
+                    let handed = &cells[&payload.descriptor(ArrayId(0)).key];
+                    assert!(Arc::ptr_eq(payload, handed), "a copy on {} was rebuilt", node.id);
+                    aliased += 1;
+                }
             }
         }
+        assert!(aliased > cells.len() / 2, "most chunks survive the crash with a copy");
+    }
+
+    /// The snapshot bytes are a format other code reads back (every
+    /// checkpoint embeds them): the k = 2 cluster with payloads above
+    /// must encode to what it encoded to before the node kept one record
+    /// per copy — CRC and length computed at the parent commit.
+    #[test]
+    fn snapshot_bytes_equal_the_four_map_encoding() {
+        let (cluster, _) = build_eventful_cluster();
+        let mut w = ByteWriter::new();
+        cluster.snapshot_into(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!((bytes.len(), durability::crc32(&bytes)), (9689, 0xeed9_7b8c));
+    }
+
+    /// Every offset at which `needle` occurs in `bytes`.
+    fn occurrences(bytes: &[u8], needle: &[u8]) -> Vec<usize> {
+        (0..=bytes.len() - needle.len()).filter(|&at| bytes[at..].starts_with(needle)).collect()
+    }
+
+    /// Bytes a CRC merely failed to reject: a real snapshot — two nodes,
+    /// k = 2, chunks A and C on node 0 and B on node 1, every copy with
+    /// its payload — mutated one field at a time. Each mutation keeps the
+    /// byte ledgers balanced, so only the check it aims at can refuse it.
+    #[test]
+    fn mutated_snapshots_are_refused_typed() {
+        let mut cluster = Cluster::with_replication(2, u64::MAX, CostModel::default(), 2).unwrap();
+        let mut cells = BTreeMap::new();
+        let key = |x: i64| ChunkKey::new(ArrayId(0), ChunkCoords::new([x, 0]));
+        let (a, b, c) = (key(0), key(1), key(2));
+        for (key, node) in [(a, 0), (b, 1), (c, 0)] {
+            let payload = chunk_for(&key);
+            cluster.place(payload.descriptor(ArrayId(0)), NodeId(node)).unwrap();
+            cluster.attach_payload(key, Arc::clone(&payload)).unwrap();
+            cells.insert(key, payload);
+        }
+        let mut w = ByteWriter::new();
+        cluster.snapshot_into(&mut w);
+        let bytes = w.into_bytes();
+        let pattern = |key: &ChunkKey| {
+            let mut w = ByteWriter::new();
+            key.encode_into(&mut w);
+            w.into_bytes()
+        };
+        // A key is written six times, in this order: node 0's descriptor
+        // and payload-key lists, node 1's, the placement, the replica
+        // index (A and C are primaries on node 0, replicas on node 1).
+        const PRIMARY_DESC: usize = 0;
+        const PRIMARY_PAYLOAD_KEY: usize = 1;
+        const REPLICA_PAYLOAD_KEY: usize = 3;
+        const REPLICA_INDEX: usize = 5;
+        let at = |key: &ChunkKey, nth: usize| {
+            let found = occurrences(&bytes, &pattern(key));
+            assert_eq!(found.len(), 6, "{key} is written six times");
+            found[nth]
+        };
+        let restore = |bytes: &[u8]| {
+            let lookup = |key: &ChunkKey| cells.get(key).cloned();
+            Cluster::restore_from(&mut ByteReader::new(bytes), CostModel::default(), &lookup)
+        };
+        restore(&bytes).expect("the snapshot itself restores");
+        let refusal = |mutated: &[u8]| match restore(mutated) {
+            Err(DurabilityError::Mismatch { what, expected, actual }) => {
+                format!("{what}: expected {expected}, got {actual}")
+            }
+            other => panic!("expected a typed mismatch, got {:?}", other.map(|_| "a cluster")),
+        };
+        let overwrite = |at: usize, with: &[u8]| {
+            let mut mutated = bytes.clone();
+            mutated[at..at + with.len()].copy_from_slice(with);
+            mutated
+        };
+
+        // A payload key naming a chunk the node holds no descriptor for:
+        // the cells would be stranded — in either store.
+        let stranger = pattern(&key(7));
+        for (nth, role) in [(PRIMARY_PAYLOAD_KEY, "Primary"), (REPLICA_PAYLOAD_KEY, "Replica")] {
+            let why = refusal(&overwrite(at(&a, nth), &stranger));
+            assert!(why.contains(role) && why.contains("a descriptor resident beside it"), "{why}");
+        }
+        // A descriptor whose cell count its cells do not have. (Bytes are
+        // ledgered, so a byte drift trips the ledger check too; cells are
+        // not — only the attach-time check sees this one.)
+        let cells_field = at(&a, PRIMARY_DESC) + pattern(&a).len() + 8;
+        let why = refusal(&overwrite(cells_field, &2u64.to_le_bytes()));
+        assert!(why.contains("payload for") && why.contains("2 cells"), "{why}");
+        // One payload key listed twice (C's entry rewritten to A's): A
+        // would be attached twice and C silently left without cells.
+        let why = refusal(&overwrite(at(&c, PRIMARY_PAYLOAD_KEY), &pattern(&a)));
+        assert!(why.contains("listed twice"), "{why}");
+        // One key twice in the replica index: the later entry used to
+        // replace the earlier without a word.
+        let why = refusal(&overwrite(at(&c, REPLICA_INDEX), &pattern(&a)));
+        assert!(why.contains("replica holders") && why.contains("duplicate entry"), "{why}");
     }
 
     #[test]
     fn truncated_and_tampered_snapshots_fail_typed() {
-        let (cluster, catalog) = build_eventful_cluster();
+        let (cluster, cells) = build_eventful_cluster();
         let mut w = ByteWriter::new();
         cluster.snapshot_into(&mut w);
         let bytes = w.into_bytes();
-        let lookup = |key: &ChunkKey| catalog.get(key).cloned();
+        let lookup = |key: &ChunkKey| cells.get(key).cloned();
 
         // Every strict prefix is rejected (or, if it happens to parse,
         // the books cross-check trips) — never a panic.

@@ -39,7 +39,7 @@ pub use cluster::{
 pub use cost::{gb, CostModel, BYTES_PER_GB};
 pub use error::{ClusterError, PayloadMismatch, Result};
 pub use metrics::{relative_std_dev, NodeHoursLedger, PhaseBreakdown};
-pub use node::{Node, NodeId, NodeState};
+pub use node::{Node, NodeId, NodeState, Resident, Role};
 pub use rebalance::{ChunkMove, RebalancePlan};
 pub use recovery::{BackoffPolicy, Flakiness, MidCrash, RecoveryOutcome, RepairJob, RepairPlan};
 pub use transfer::{Flow, FlowSet};

@@ -84,21 +84,51 @@ impl fmt::Display for NodeState {
     }
 }
 
-/// One node: a storage budget plus the chunks resident on it.
-///
-/// Descriptors are always tracked; materialized runs additionally attach
-/// each chunk's cell payload, which then travels with the descriptor
-/// through rebalance moves. Payloads are held as shared `Arc<Chunk>`
-/// handles — the same chunk object the catalog's whole-array oracle
-/// copy holds — so attaching one is a refcount bump and a rebalance
-/// moves the handle, never the cells.
-///
-/// With replication (`k ≥ 2`) a node additionally carries a *replica*
-/// store: secondary copies of chunks whose primary lives elsewhere.
-/// Replica bytes are ledgered separately (`replica_bytes`) and are
-/// deliberately excluded from [`Node::used_bytes`], so the paper's
-/// balance census, skew metrics, and scaling triggers stay defined over
-/// primaries and remain bit-identical at every `k`.
+/// Which of a node's two stores a copy of a chunk lives in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// The copy the placement index names. Ledgered in
+    /// [`Node::used_bytes`], which is what the balance census, the skew
+    /// metrics and the scaling triggers read.
+    Primary,
+    /// A secondary copy (`k ≥ 2`) of a chunk whose primary lives
+    /// elsewhere. Ledgered apart, in [`Node::replica_bytes`], so the
+    /// paper's census stays defined over primaries and is bit-identical
+    /// at every `k`.
+    Replica,
+}
+
+/// One copy of a chunk resident on a node: its descriptor and, on a
+/// materialized run, its cells. One record, so no path can hold a payload
+/// without its descriptor or move one without the other. The cells are a
+/// shared `Arc<Chunk>` — every copy of a chunk holds the same handle, so
+/// a replica is a refcount bump and a rebalance moves the handle, never
+/// the cells.
+#[derive(Debug, Clone)]
+pub struct Resident {
+    desc: ChunkDescriptor,
+    payload: Option<Arc<Chunk>>,
+}
+
+impl Resident {
+    pub(crate) fn new(desc: ChunkDescriptor, payload: Option<Arc<Chunk>>) -> Self {
+        Resident { desc, payload }
+    }
+
+    /// What placement and the census know of the copy.
+    pub fn descriptor(&self) -> &ChunkDescriptor {
+        &self.desc
+    }
+
+    /// The copy's cells, when they are materialized.
+    pub fn payload(&self) -> Option<&Arc<Chunk>> {
+        self.payload.as_ref()
+    }
+}
+
+/// One node: a storage budget plus the chunk copies resident on it, one
+/// map per [`Role`] and a byte ledger beside each. The node stores are
+/// the only home a partitioned array's cells have.
 #[derive(Debug, Clone)]
 pub struct Node {
     /// This node's identifier.
@@ -108,10 +138,8 @@ pub struct Node {
     state: NodeState,
     used_bytes: u64,
     replica_bytes: u64,
-    chunks: BTreeMap<ChunkKey, ChunkDescriptor>,
-    payloads: BTreeMap<ChunkKey, Arc<Chunk>>,
-    replicas: BTreeMap<ChunkKey, ChunkDescriptor>,
-    replica_payloads: BTreeMap<ChunkKey, Arc<Chunk>>,
+    primaries: BTreeMap<ChunkKey, Resident>,
+    replicas: BTreeMap<ChunkKey, Resident>,
 }
 
 impl Node {
@@ -123,10 +151,8 @@ impl Node {
             state: NodeState::Healthy,
             used_bytes: 0,
             replica_bytes: 0,
-            chunks: BTreeMap::new(),
-            payloads: BTreeMap::new(),
+            primaries: BTreeMap::new(),
             replicas: BTreeMap::new(),
-            replica_payloads: BTreeMap::new(),
         }
     }
 
@@ -139,162 +165,9 @@ impl Node {
         self.state = state;
     }
 
-    /// Bytes currently stored.
+    /// Bytes stored as primaries.
     pub fn used_bytes(&self) -> u64 {
         self.used_bytes
-    }
-
-    /// Number of resident chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Fraction of capacity in use (may exceed 1.0 under overload).
-    pub fn utilization(&self) -> f64 {
-        if self.capacity_bytes == 0 {
-            return 0.0;
-        }
-        self.used_bytes as f64 / self.capacity_bytes as f64
-    }
-
-    /// Is the chunk resident here?
-    pub fn holds(&self, key: &ChunkKey) -> bool {
-        self.chunks.contains_key(key)
-    }
-
-    /// The resident descriptor for `key`, if any.
-    pub fn descriptor(&self, key: &ChunkKey) -> Option<&ChunkDescriptor> {
-        self.chunks.get(key)
-    }
-
-    /// Iterate resident chunks in deterministic (key) order.
-    pub fn descriptors(&self) -> impl Iterator<Item = &ChunkDescriptor> {
-        self.chunks.values()
-    }
-
-    pub(crate) fn admit(&mut self, desc: ChunkDescriptor) {
-        self.used_bytes = self.used_bytes.saturating_add(desc.bytes);
-        self.chunks.insert(desc.key, desc);
-    }
-
-    /// Store a descriptor without touching the byte ledger. The parallel
-    /// batch-placement path admits descriptors from per-node workers and
-    /// applies the byte loads afterwards from the merged per-shard deltas
-    /// (see `Cluster::place_batch`); the pair must always be used together.
-    pub(crate) fn admit_descriptor(&mut self, desc: ChunkDescriptor) {
-        self.chunks.insert(desc.key, desc);
-    }
-
-    /// Apply a byte-load delta accumulated by [`Node::admit_descriptor`].
-    pub(crate) fn add_load(&mut self, bytes: u64) {
-        self.used_bytes = self.used_bytes.saturating_add(bytes);
-    }
-
-    /// Remove a chunk and whatever payload it carries, keeping the
-    /// descriptor/payload pair structurally inseparable: no eviction path
-    /// can strand an orphaned payload on the node.
-    ///
-    /// The byte ledger uses checked subtraction: an eviction larger than
-    /// the ledger is an accounting bug (a retraction decremented a
-    /// descriptor without telling the node, or vice versa), so it panics
-    /// in debug builds instead of silently clamping to zero. Release
-    /// builds clamp, keeping the simulation alive.
-    pub(crate) fn evict(
-        &mut self,
-        key: &ChunkKey,
-    ) -> Option<(ChunkDescriptor, Option<Arc<Chunk>>)> {
-        let desc = self.chunks.remove(key)?;
-        self.used_bytes = self.used_bytes.checked_sub(desc.bytes).unwrap_or_else(|| {
-            debug_assert!(
-                false,
-                "byte ledger underflow: evicting {} bytes from a {}-byte ledger on {}",
-                desc.bytes, self.used_bytes, self.id
-            );
-            0
-        });
-        Some((desc, self.payloads.remove(key)))
-    }
-
-    /// Replace a resident chunk's descriptor in place (a retraction
-    /// shrank it), adjusting the byte ledger by the exact delta. Returns
-    /// the previous descriptor, or `None` when the chunk is not
-    /// resident. Shrink uses checked subtraction, as in [`Node::evict`].
-    pub(crate) fn resize(&mut self, desc: ChunkDescriptor) -> Option<ChunkDescriptor> {
-        let slot = self.chunks.get_mut(&desc.key)?;
-        let old = *slot;
-        *slot = desc;
-        if desc.bytes >= old.bytes {
-            self.used_bytes = self.used_bytes.saturating_add(desc.bytes - old.bytes);
-        } else {
-            let freed = old.bytes - desc.bytes;
-            self.used_bytes = self.used_bytes.checked_sub(freed).unwrap_or_else(|| {
-                debug_assert!(
-                    false,
-                    "byte ledger underflow: shrinking {} bytes from a {}-byte ledger on {}",
-                    freed, self.used_bytes, self.id
-                );
-                0
-            });
-        }
-        Some(old)
-    }
-
-    /// The replica-store counterpart of [`Node::resize`].
-    pub(crate) fn resize_replica(&mut self, desc: ChunkDescriptor) -> Option<ChunkDescriptor> {
-        let slot = self.replicas.get_mut(&desc.key)?;
-        let old = *slot;
-        *slot = desc;
-        if desc.bytes >= old.bytes {
-            self.replica_bytes = self.replica_bytes.saturating_add(desc.bytes - old.bytes);
-        } else {
-            let freed = old.bytes - desc.bytes;
-            self.replica_bytes = self.replica_bytes.checked_sub(freed).unwrap_or_else(|| {
-                debug_assert!(
-                    false,
-                    "replica ledger underflow: shrinking {} bytes from a {}-byte ledger on {}",
-                    freed, self.replica_bytes, self.id
-                );
-                0
-            });
-        }
-        Some(old)
-    }
-
-    /// Mutable handle to a resident primary payload (the retraction path
-    /// tombstones stored cells through `Arc::make_mut`).
-    pub(crate) fn payload_mut(&mut self, key: &ChunkKey) -> Option<&mut Arc<Chunk>> {
-        self.payloads.get_mut(key)
-    }
-
-    /// Mutable handle to a resident replica payload.
-    pub(crate) fn replica_payload_mut(&mut self, key: &ChunkKey) -> Option<&mut Arc<Chunk>> {
-        self.replica_payloads.get_mut(key)
-    }
-
-    /// The materialized payload of a resident chunk, when one is stored.
-    pub fn payload(&self, key: &ChunkKey) -> Option<&Chunk> {
-        self.payloads.get(key).map(Arc::as_ref)
-    }
-
-    /// The shared handle of a resident payload, when one is stored —
-    /// lets callers prove zero-copy sharing (`Arc::ptr_eq`) or take a
-    /// cheap co-owning reference.
-    pub fn payload_shared(&self, key: &ChunkKey) -> Option<&Arc<Chunk>> {
-        self.payloads.get(key)
-    }
-
-    /// Number of resident chunks carrying a materialized payload.
-    pub fn payload_count(&self) -> usize {
-        self.payloads.len()
-    }
-
-    pub(crate) fn store_payload(&mut self, key: ChunkKey, chunk: Arc<Chunk>) {
-        self.payloads.insert(key, chunk);
-    }
-
-    /// Whether a payload is already attached for `key` (primary store).
-    pub fn has_payload(&self, key: &ChunkKey) -> bool {
-        self.payloads.contains_key(key)
     }
 
     /// Bytes held as secondary replica copies (excluded from
@@ -303,64 +176,149 @@ impl Node {
         self.replica_bytes
     }
 
-    /// Number of secondary replica descriptors resident here.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
+    /// Number of resident primaries.
+    pub fn chunk_count(&self) -> usize {
+        self.primaries.len()
     }
 
-    /// Is a secondary copy of the chunk resident here?
-    pub fn holds_replica(&self, key: &ChunkKey) -> bool {
-        self.replicas.contains_key(key)
+    /// Fraction of capacity in use (may exceed 1.0 under overload).
+    pub fn utilization(&self) -> f64 {
+        if self.capacity_bytes == 0 {
+            return 0.0;
+        }
+        // A ratio for reports: f64 keeps 53 bits of each byte count.
+        self.used_bytes as f64 / self.capacity_bytes as f64
     }
 
-    /// The resident replica descriptor for `key`, if any.
-    pub fn replica_descriptor(&self, key: &ChunkKey) -> Option<&ChunkDescriptor> {
-        self.replicas.get(key)
+    fn store(&self, role: Role) -> &BTreeMap<ChunkKey, Resident> {
+        match role {
+            Role::Primary => &self.primaries,
+            Role::Replica => &self.replicas,
+        }
     }
 
-    /// Iterate resident replica copies in deterministic (key) order.
-    pub fn replica_descriptors(&self) -> impl Iterator<Item = &ChunkDescriptor> {
-        self.replicas.values()
+    /// A role's store and the ledger that accounts for it.
+    fn store_mut(&mut self, role: Role) -> (&mut BTreeMap<ChunkKey, Resident>, &mut u64) {
+        match role {
+            Role::Primary => (&mut self.primaries, &mut self.used_bytes),
+            Role::Replica => (&mut self.replicas, &mut self.replica_bytes),
+        }
     }
 
-    /// The shared payload handle of a resident replica copy, if attached.
-    pub fn replica_payload_shared(&self, key: &ChunkKey) -> Option<&Arc<Chunk>> {
-        self.replica_payloads.get(key)
+    /// The copy of `key` resident here in `role`, if any — descriptor and
+    /// cells in one probe.
+    pub fn resident(&self, role: Role, key: &ChunkKey) -> Option<&Resident> {
+        self.store(role).get(key)
     }
 
-    pub(crate) fn admit_replica(&mut self, desc: ChunkDescriptor) {
-        self.replica_bytes = self.replica_bytes.saturating_add(desc.bytes);
-        self.replicas.insert(desc.key, desc);
+    /// The copy of `key` resident here whatever its role — a node never
+    /// holds one chunk in both — which is what a repair reads from.
+    pub(crate) fn resident_in_any_role(&self, key: &ChunkKey) -> Option<&Resident> {
+        self.primaries.get(key).or_else(|| self.replicas.get(key))
     }
 
-    pub(crate) fn store_replica_payload(&mut self, key: ChunkKey, chunk: Arc<Chunk>) {
-        self.replica_payloads.insert(key, chunk);
+    /// Every copy resident here in `role`, in deterministic (key) order.
+    pub fn residents(&self, role: Role) -> impl Iterator<Item = &Resident> {
+        self.store(role).values()
     }
 
-    /// Remove a replica copy (descriptor + payload pair) from this node.
-    /// Checked subtraction, as in [`Node::evict`]: a replica-ledger
-    /// underflow panics in debug builds.
-    pub(crate) fn evict_replica(
-        &mut self,
-        key: &ChunkKey,
-    ) -> Option<(ChunkDescriptor, Option<Arc<Chunk>>)> {
-        let desc = self.replicas.remove(key)?;
-        self.replica_bytes = self.replica_bytes.checked_sub(desc.bytes).unwrap_or_else(|| {
+    /// The resident primary descriptor for `key`, if any.
+    pub fn descriptor(&self, key: &ChunkKey) -> Option<&ChunkDescriptor> {
+        self.primaries.get(key).map(Resident::descriptor)
+    }
+
+    /// Iterate resident primaries in deterministic (key) order.
+    pub fn descriptors(&self) -> impl Iterator<Item = &ChunkDescriptor> {
+        self.primaries.values().map(Resident::descriptor)
+    }
+
+    /// Number of resident primaries carrying materialized cells.
+    pub fn payload_count(&self) -> usize {
+        self.primaries.values().filter(|r| r.payload.is_some()).count()
+    }
+
+    /// Take a copy in, ledgering its bytes.
+    pub(crate) fn admit(&mut self, role: Role, copy: Resident) {
+        let (store, ledger) = self.store_mut(role);
+        *ledger = ledger.saturating_add(copy.desc.bytes);
+        store.insert(copy.desc.key, copy);
+    }
+
+    /// Store a primary descriptor without touching the byte ledger. The
+    /// parallel batch-placement path admits descriptors from per-node
+    /// workers and applies the byte loads afterwards from the merged
+    /// per-shard deltas (see `Cluster::place_batch`); the pair must
+    /// always be used together.
+    pub(crate) fn admit_descriptor(&mut self, desc: ChunkDescriptor) {
+        self.primaries.insert(desc.key, Resident::new(desc, None));
+    }
+
+    /// Apply a byte-load delta accumulated by [`Node::admit_descriptor`].
+    pub(crate) fn add_load(&mut self, bytes: u64) {
+        self.used_bytes = self.used_bytes.saturating_add(bytes);
+    }
+
+    /// Take `bytes` off a role's ledger, checked: a release larger than
+    /// the ledger is an accounting bug (a retraction decremented a
+    /// descriptor without telling the node, or vice versa), so it panics
+    /// in debug builds instead of silently clamping to zero. Release
+    /// builds clamp, keeping the simulation alive.
+    fn release(&mut self, role: Role, bytes: u64, doing: &str) {
+        let id = self.id;
+        let (name, ledger) = match role {
+            Role::Primary => ("byte", &mut self.used_bytes),
+            Role::Replica => ("replica", &mut self.replica_bytes),
+        };
+        *ledger = ledger.checked_sub(bytes).unwrap_or_else(|| {
             debug_assert!(
                 false,
-                "replica ledger underflow: evicting {} bytes from a {}-byte ledger on {}",
-                desc.bytes, self.replica_bytes, self.id
+                "{name} ledger underflow: {doing} {bytes} bytes from a {ledger}-byte ledger on {id}"
             );
             0
         });
-        Some((desc, self.replica_payloads.remove(key)))
+    }
+
+    /// Remove a copy — descriptor and whatever cells it carries, in one
+    /// piece — releasing its bytes ([`Node::release`]).
+    pub(crate) fn evict(&mut self, role: Role, key: &ChunkKey) -> Option<Resident> {
+        let copy = self.store_mut(role).0.remove(key)?;
+        self.release(role, copy.desc.bytes, "evicting");
+        Some(copy)
+    }
+
+    /// Replace a resident copy's descriptor in place (a retraction shrank
+    /// it), adjusting the ledger by the exact delta. Returns the previous
+    /// descriptor, or `None` when no such copy is resident.
+    pub(crate) fn resize(&mut self, role: Role, desc: ChunkDescriptor) -> Option<ChunkDescriptor> {
+        let (store, ledger) = self.store_mut(role);
+        let old = std::mem::replace(&mut store.get_mut(&desc.key)?.desc, desc);
+        if desc.bytes >= old.bytes {
+            *ledger = ledger.saturating_add(desc.bytes - old.bytes);
+        } else {
+            self.release(role, old.bytes - desc.bytes, "shrinking");
+        }
+        Some(old)
+    }
+
+    /// Where a resident copy's cells go: `None` inside when it is
+    /// metadata only, `None` outside when no such copy is resident.
+    /// Attaching writes the slot; the retraction path tombstones through
+    /// it (`Arc::make_mut`). The descriptor is out of reach from here —
+    /// only [`Node::resize`] changes it, with the ledger.
+    pub(crate) fn payload_slot(
+        &mut self,
+        role: Role,
+        key: &ChunkKey,
+    ) -> Option<&mut Option<Arc<Chunk>>> {
+        self.store_mut(role).0.get_mut(key).map(|copy| &mut copy.payload)
     }
 
     /// Serialize this node for a checkpoint: identity, budget, lifecycle
-    /// state, both descriptor stores, both byte ledgers (as cross-check
-    /// values), and *which* chunks carry payloads. The payload cells
-    /// themselves are not written here — the catalog section of the
-    /// checkpoint owns them, and restore re-wires the shared handles.
+    /// state, both byte ledgers (as cross-check values), and per role the
+    /// descriptors, then *which* of them carry cells. The cells themselves
+    /// are not written here — copies of a chunk share them, so the
+    /// checkpoint writes each once, in a section of its own, and restore
+    /// re-wires the shared handles.
     pub(crate) fn snapshot_into(&self, w: &mut durability::ByteWriter) {
         w.put_u32(self.id.0);
         w.put_u64(self.capacity_bytes);
@@ -373,33 +331,32 @@ impl Node {
         });
         w.put_u64(self.used_bytes);
         w.put_u64(self.replica_bytes);
-        w.put_usize(self.chunks.len());
-        for desc in self.chunks.values() {
-            desc.encode_into(w);
-        }
-        w.put_usize(self.payloads.len());
-        for key in self.payloads.keys() {
-            key.encode_into(w);
-        }
-        w.put_usize(self.replicas.len());
-        for desc in self.replicas.values() {
-            desc.encode_into(w);
-        }
-        w.put_usize(self.replica_payloads.len());
-        for key in self.replica_payloads.keys() {
-            key.encode_into(w);
+        for role in [Role::Primary, Role::Replica] {
+            let store = self.store(role);
+            w.put_usize(store.len());
+            for copy in store.values() {
+                copy.desc.encode_into(w);
+            }
+            let with_cells = || store.values().filter(|copy| copy.payload.is_some());
+            w.put_usize(with_cells().count());
+            for copy in with_cells() {
+                copy.desc.key.encode_into(w);
+            }
         }
     }
 
     /// Rebuild a node from [`Node::snapshot_into`], re-attaching payload
-    /// handles through `payload_of` (the restored catalog). The byte
-    /// ledgers are recomputed from the descriptors and cross-checked
-    /// against the serialized values — drift is surfaced as a typed
-    /// [`durability::DurabilityError::Mismatch`], never absorbed.
+    /// handles through `payload_of` (the checkpoint's cells). Nothing in
+    /// the bytes is taken on trust: a payload key must name a copy the
+    /// node holds, once, and cells whose size its descriptor declares
+    /// (the attach-time check), and the byte ledgers are recomputed from
+    /// the descriptors and compared with the serialized values — each a
+    /// typed [`durability::DurabilityError::Mismatch`], never absorbed.
     pub(crate) fn restore_from(
         r: &mut durability::ByteReader<'_>,
         payload_of: &dyn Fn(&ChunkKey) -> Option<Arc<Chunk>>,
     ) -> Result<Node, durability::DurabilityError> {
+        use durability::DurabilityError::Mismatch;
         let codec = |context: &str, source| durability::DurabilityError::Codec {
             context: context.to_string(),
             source,
@@ -427,38 +384,41 @@ impl Node {
             r.u64("node replica bytes").map_err(|e| codec("node replica bytes", e))?;
         let mut node = Node::new(id, capacity_bytes);
         node.state = state;
-        let attach = |key: &ChunkKey| {
-            payload_of(key).ok_or_else(|| durability::DurabilityError::Mismatch {
-                what: format!("payload for {key}"),
-                expected: "present in restored catalog".to_string(),
-                actual: "missing".to_string(),
-            })
-        };
-        let n = r.usize("node chunk count").map_err(|e| codec("node chunk count", e))?;
-        for _ in 0..n {
-            let desc = ChunkDescriptor::decode_from(r).map_err(|e| codec("chunk descriptor", e))?;
-            node.admit(desc);
-        }
-        let n = r.usize("node payload count").map_err(|e| codec("node payload count", e))?;
-        for _ in 0..n {
-            let key = ChunkKey::decode_from(r).map_err(|e| codec("payload key", e))?;
-            node.store_payload(key, attach(&key)?);
-        }
-        let n = r.usize("node replica count").map_err(|e| codec("node replica count", e))?;
-        for _ in 0..n {
-            let desc =
-                ChunkDescriptor::decode_from(r).map_err(|e| codec("replica descriptor", e))?;
-            node.admit_replica(desc);
-        }
-        let n = r
-            .usize("node replica payload count")
-            .map_err(|e| codec("node replica payload count", e))?;
-        for _ in 0..n {
-            let key = ChunkKey::decode_from(r).map_err(|e| codec("replica payload key", e))?;
-            node.store_replica_payload(key, attach(&key)?);
+        for role in [Role::Primary, Role::Replica] {
+            let n = r.usize("node copy count").map_err(|e| codec("node copy count", e))?;
+            for _ in 0..n {
+                let desc =
+                    ChunkDescriptor::decode_from(r).map_err(|e| codec("chunk descriptor", e))?;
+                node.admit(role, Resident::new(desc, None));
+            }
+            let n = r.usize("node payload count").map_err(|e| codec("node payload count", e))?;
+            for _ in 0..n {
+                let key = ChunkKey::decode_from(r).map_err(|e| codec("payload key", e))?;
+                let refused = |expected: &str, actual: &str| Mismatch {
+                    what: format!("{role:?} payload for {key} on {id}"),
+                    expected: expected.to_string(),
+                    actual: actual.to_string(),
+                };
+                let Some(copy) = node.store_mut(role).0.get_mut(&key) else {
+                    return Err(refused("a descriptor resident beside it", "none"));
+                };
+                if copy.payload.is_some() {
+                    return Err(refused("listed once", "listed twice"));
+                }
+                let chunk = payload_of(&key)
+                    .ok_or_else(|| refused("among the checkpoint's cells", "missing"))?;
+                if (copy.desc.bytes, copy.desc.cells) != (chunk.byte_size(), chunk.cell_count()) {
+                    let size = |bytes: u64, cells: u64| format!("{bytes} bytes / {cells} cells");
+                    return Err(refused(
+                        &size(copy.desc.bytes, copy.desc.cells),
+                        &size(chunk.byte_size(), chunk.cell_count()),
+                    ));
+                }
+                copy.payload = Some(chunk);
+            }
         }
         if node.used_bytes != want_used || node.replica_bytes != want_replica {
-            return Err(durability::DurabilityError::Mismatch {
+            return Err(Mismatch {
                 what: format!("byte ledgers of {id}"),
                 expected: format!("{want_used} used / {want_replica} replica"),
                 actual: format!("{} used / {} replica", node.used_bytes, node.replica_bytes),
@@ -467,16 +427,14 @@ impl Node {
         Ok(node)
     }
 
-    /// Drop every store on this node — primaries, replicas, payloads —
-    /// and zero both byte ledgers. Used by crash injection; the caller is
-    /// responsible for updating the cluster-level balance census.
+    /// Drop every copy on this node and zero both byte ledgers. Used by
+    /// crash injection; the caller is responsible for updating the
+    /// cluster-level balance census.
     pub(crate) fn wipe(&mut self) {
         self.used_bytes = 0;
         self.replica_bytes = 0;
-        self.chunks.clear();
-        self.payloads.clear();
+        self.primaries.clear();
         self.replicas.clear();
-        self.replica_payloads.clear();
     }
 }
 
@@ -489,33 +447,39 @@ mod tests {
         ChunkDescriptor::new(ChunkKey::new(ArrayId(0), ChunkCoords::new([i])), bytes, 1)
     }
 
+    fn bare(i: i64, bytes: u64) -> Resident {
+        Resident::new(desc(i, bytes), None)
+    }
+
     #[test]
     fn admit_and_evict_track_usage() {
         let mut n = Node::new(NodeId(0), 1000);
-        n.admit(desc(1, 300));
-        n.admit(desc(2, 200));
+        n.admit(Role::Primary, bare(1, 300));
+        n.admit(Role::Primary, bare(2, 200));
         assert_eq!(n.used_bytes(), 500);
         assert_eq!(n.chunk_count(), 2);
         assert!((n.utilization() - 0.5).abs() < 1e-12);
-        let (evicted, payload) = n.evict(&desc(1, 300).key).unwrap();
-        assert_eq!(evicted.bytes, 300);
-        assert!(payload.is_none(), "no payload was attached");
+        let evicted = n.evict(Role::Primary, &desc(1, 300).key).unwrap();
+        assert_eq!(evicted.descriptor().bytes, 300);
+        assert!(evicted.payload().is_none(), "no payload was attached");
         assert_eq!(n.used_bytes(), 200);
-        assert!(n.evict(&desc(9, 0).key).is_none());
+        assert!(n.evict(Role::Primary, &desc(9, 0).key).is_none());
+        assert!(n.evict(Role::Replica, &desc(2, 0).key).is_none(), "the stores are separate");
     }
 
     #[test]
     fn byte_ledgers_saturate_on_admit() {
         let mut n = Node::new(NodeId(0), u64::MAX);
-        n.admit(desc(1, u64::MAX - 10));
-        n.admit(desc(2, 100));
+        n.admit(Role::Primary, bare(1, u64::MAX - 10));
+        n.admit(Role::Primary, bare(2, 100));
         assert_eq!(n.used_bytes(), u64::MAX, "admit saturates, never wraps");
         n.add_load(u64::MAX);
         assert_eq!(n.used_bytes(), u64::MAX);
         let mut r = Node::new(NodeId(1), u64::MAX);
-        r.admit_replica(desc(3, u64::MAX - 1));
-        r.admit_replica(desc(4, 50));
+        r.admit(Role::Replica, bare(3, u64::MAX - 1));
+        r.admit(Role::Replica, bare(4, 50));
         assert_eq!(r.replica_bytes(), u64::MAX);
+        assert_eq!(r.used_bytes(), 0, "replica bytes stay out of the primary ledger");
     }
 
     // Over-eviction is an accounting bug, not a condition to paper over:
@@ -526,10 +490,10 @@ mod tests {
     #[should_panic(expected = "byte ledger underflow")]
     fn over_eviction_panics_in_debug() {
         let mut n = Node::new(NodeId(0), u64::MAX);
-        n.admit(desc(1, u64::MAX - 10));
-        n.admit(desc(2, 100)); // ledger saturates at u64::MAX
-        n.evict(&desc(1, u64::MAX - 10).key); // ledger: 10
-        n.evict(&desc(2, 100).key); // 100 > 10: underflow
+        n.admit(Role::Primary, bare(1, u64::MAX - 10));
+        n.admit(Role::Primary, bare(2, 100)); // ledger saturates at u64::MAX
+        n.evict(Role::Primary, &desc(1, 0).key); // ledger: 10
+        n.evict(Role::Primary, &desc(2, 0).key); // 100 > 10: underflow
     }
 
     #[cfg(debug_assertions)]
@@ -537,29 +501,29 @@ mod tests {
     #[should_panic(expected = "replica ledger underflow")]
     fn replica_over_eviction_panics_in_debug() {
         let mut r = Node::new(NodeId(1), u64::MAX);
-        r.admit_replica(desc(3, u64::MAX - 1));
-        r.admit_replica(desc(4, 50)); // saturates
-        r.evict_replica(&desc(3, u64::MAX - 1).key); // ledger: 1
-        r.evict_replica(&desc(4, 50).key); // 50 > 1: underflow
+        r.admit(Role::Replica, bare(3, u64::MAX - 1));
+        r.admit(Role::Replica, bare(4, 50)); // saturates
+        r.evict(Role::Replica, &desc(3, 0).key); // ledger: 1
+        r.evict(Role::Replica, &desc(4, 0).key); // 50 > 1: underflow
     }
 
     #[test]
     fn resize_adjusts_the_ledger_exactly() {
         let mut n = Node::new(NodeId(0), 1000);
-        n.admit(desc(1, 300));
-        n.admit(desc(2, 200));
-        let old = n.resize(ChunkDescriptor::new(desc(1, 0).key, 120, 1)).unwrap();
+        n.admit(Role::Primary, bare(1, 300));
+        n.admit(Role::Primary, bare(2, 200));
+        let old = n.resize(Role::Primary, ChunkDescriptor::new(desc(1, 0).key, 120, 1)).unwrap();
         assert_eq!(old.bytes, 300);
         assert_eq!(n.used_bytes(), 320);
         assert_eq!(n.descriptor(&desc(1, 0).key).unwrap().bytes, 120);
         // Growth works too (an insert into an existing chunk).
-        n.resize(ChunkDescriptor::new(desc(1, 0).key, 150, 2)).unwrap();
+        n.resize(Role::Primary, ChunkDescriptor::new(desc(1, 0).key, 150, 2)).unwrap();
         assert_eq!(n.used_bytes(), 350);
-        assert!(n.resize(desc(9, 10)).is_none(), "non-resident chunks cannot resize");
-        let mut r = Node::new(NodeId(1), 1000);
-        r.admit_replica(desc(3, 80));
-        r.resize_replica(ChunkDescriptor::new(desc(3, 0).key, 30, 1)).unwrap();
-        assert_eq!(r.replica_bytes(), 30);
+        assert!(n.resize(Role::Primary, desc(9, 10)).is_none(), "not resident: cannot resize");
+        assert!(n.resize(Role::Replica, desc(1, 10)).is_none(), "not resident as a replica");
+        n.admit(Role::Replica, bare(3, 80));
+        n.resize(Role::Replica, ChunkDescriptor::new(desc(3, 0).key, 30, 1)).unwrap();
+        assert_eq!((n.used_bytes(), n.replica_bytes()), (350, 30));
     }
 
     #[test]
@@ -582,13 +546,13 @@ mod tests {
     #[test]
     fn wipe_clears_every_store() {
         let mut n = Node::new(NodeId(0), 1000);
-        n.admit(desc(1, 100));
-        n.admit_replica(desc(2, 50));
+        n.admit(Role::Primary, bare(1, 100));
+        n.admit(Role::Replica, bare(2, 50));
         n.wipe();
         assert_eq!(n.used_bytes(), 0);
         assert_eq!(n.replica_bytes(), 0);
         assert_eq!(n.chunk_count(), 0);
-        assert_eq!(n.replica_count(), 0);
+        assert_eq!(n.residents(Role::Replica).count(), 0);
         assert_eq!(n.payload_count(), 0);
     }
 
@@ -596,9 +560,12 @@ mod tests {
     fn holds_and_descriptor_lookup() {
         let mut n = Node::new(NodeId(1), 1000);
         let d = desc(5, 42);
-        n.admit(d);
-        assert!(n.holds(&d.key));
+        n.admit(Role::Primary, Resident::new(d, None));
+        assert_eq!(n.resident(Role::Primary, &d.key).map(Resident::descriptor), Some(&d));
         assert_eq!(n.descriptor(&d.key), Some(&d));
-        assert!(!n.holds(&desc(6, 0).key));
+        assert!(n.resident(Role::Replica, &d.key).is_none());
+        assert!(n.resident(Role::Primary, &desc(6, 0).key).is_none());
+        assert!(n.payload_slot(Role::Primary, &d.key).is_some_and(|slot| slot.is_none()));
+        assert!(n.payload_slot(Role::Replica, &d.key).is_none(), "no copy, nowhere to attach");
     }
 }

@@ -59,11 +59,10 @@
 
 use crate::cluster::Cluster;
 use crate::cost::CostModel;
-use crate::node::NodeId;
+use crate::node::{NodeId, Role};
 use crate::placement::{key_hash, splitmix64};
 use crate::transfer::FlowSet;
 use array_model::ChunkKey;
-use std::sync::Arc;
 
 /// One planned re-replication: copy `key` (`bytes` on the wire) from
 /// `source` to `target`.
@@ -196,8 +195,8 @@ impl Cluster {
     /// these, repair planning sources from the first of them.
     pub(crate) fn serving_nodes(&self, key: &ChunkKey) -> impl Iterator<Item = NodeId> + '_ {
         let serves = |id: &NodeId| self.nodes[id.0 as usize].state().serves_reads();
-        let primary =
-            self.placement.get(key).filter(|p| serves(p) && self.nodes[p.0 as usize].holds(key));
+        let holds = |p: &NodeId| self.nodes[p.0 as usize].resident(Role::Primary, key).is_some();
+        let primary = self.placement.get(key).filter(|p| serves(p) && holds(p));
         primary.into_iter().chain(self.replica_holders(key).iter().copied().filter(serves))
     }
 
@@ -218,7 +217,7 @@ impl Cluster {
     pub fn plan_recovery(&self) -> RepairPlan {
         let target = self.effective_target();
         let mut plan = RepairPlan::default();
-        for (key, primary) in self.placements() {
+        for (key, _) in self.placements() {
             let mut serving = self.serving_nodes(&key);
             let Some(source) = serving.next() else {
                 plan.unrecoverable.push(key);
@@ -228,28 +227,10 @@ impl Cluster {
             if copies >= target {
                 continue;
             }
-            let sn = &self.nodes[source.0 as usize];
-            let bytes =
-                sn.descriptor(&key).or_else(|| sn.replica_descriptor(&key)).map_or(0, |d| d.bytes);
-            let holders = self.replica_holders(&key);
-            let mut deficit = target - copies;
-            let len = self.nodes.len();
-            let start = self.replica_ring_start(&key);
-            for step in 0..len {
-                if deficit == 0 {
-                    break;
-                }
-                let idx = (start + step) % len;
-                let cand = self.nodes[idx].id;
-                if cand == primary
-                    || !self.nodes[idx].state().accepts_data()
-                    || holders.contains(&cand)
-                {
-                    continue;
-                }
-                plan.jobs.push(RepairJob { key, bytes, source, target: cand });
-                deficit -= 1;
-            }
+            let held = self.nodes[source.0 as usize].resident_in_any_role(&key);
+            let bytes = held.map_or(0, |copy| copy.descriptor().bytes);
+            let targets = self.replica_ring(&key).take(target - copies);
+            plan.jobs.extend(targets.map(|target| RepairJob { key, bytes, source, target }));
         }
         plan
     }
@@ -325,26 +306,18 @@ impl Cluster {
                     out.unrecovered.push(job.key);
                     break;
                 };
-                let (desc, payload) = {
-                    let sn = &self.nodes[src.0 as usize];
-                    match sn.descriptor(&job.key) {
-                        Some(d) => (*d, sn.payload_shared(&job.key).cloned()),
-                        None => {
-                            let d = sn
-                                .replica_descriptor(&job.key)
-                                .expect("serving source holds a copy");
-                            (*d, sn.replica_payload_shared(&job.key).cloned())
-                        }
-                    }
-                };
-                self.nodes[tgt.0 as usize].admit_replica(desc);
-                if let Some(chunk) = payload {
-                    self.nodes[tgt.0 as usize].store_replica_payload(job.key, Arc::clone(&chunk));
-                }
+                // `src` passed `source_serves`, or came from
+                // `serving_nodes`: either way it holds a copy.
+                let copy = self.nodes[src.0 as usize]
+                    .resident_in_any_role(&job.key)
+                    .expect("serving source holds a copy")
+                    .clone();
+                let bytes = copy.descriptor().bytes;
+                self.nodes[tgt.0 as usize].admit(Role::Replica, copy);
                 let copies = self.serving_copies(&job.key);
                 self.replicas.entry(job.key).or_default().push(tgt);
                 self.retally(&job.key, copies);
-                out.flows.push(src, tgt, desc.bytes);
+                out.flows.push(src, tgt, bytes);
                 out.repaired += 1;
                 break;
             }
@@ -356,7 +329,7 @@ impl Cluster {
     fn source_serves(&self, key: &ChunkKey, node: NodeId) -> bool {
         self.nodes
             .get(node.0 as usize)
-            .is_some_and(|n| n.state().serves_reads() && (n.holds(key) || n.holds_replica(key)))
+            .is_some_and(|n| n.state().serves_reads() && n.resident_in_any_role(key).is_some())
     }
 
     /// The deterministic fallback source: the serving primary, else the
@@ -368,18 +341,10 @@ impl Cluster {
     /// The planned target if it still accepts data, else the next
     /// eligible node on the chunk's replica ring.
     fn resolve_target(&self, key: &ChunkKey, planned: NodeId) -> Option<NodeId> {
-        let ok = |id: NodeId| {
-            let n = &self.nodes[id.0 as usize];
-            n.state().accepts_data()
-                && Some(id) != self.placement.get(key)
-                && !self.replica_holders(key).contains(&id)
-        };
-        if ok(planned) {
-            return Some(planned);
-        }
-        let len = self.nodes.len();
-        let start = self.replica_ring_start(key);
-        (0..len).map(|step| self.nodes[(start + step) % len].id).find(|&c| ok(c))
+        // The ring is exactly the nodes eligible right now.
+        let mut ring = self.replica_ring(key).peekable();
+        let first = *ring.peek()?;
+        Some(if ring.any(|n| n == planned) { planned } else { first })
     }
 }
 

@@ -1,17 +1,24 @@
-//! The catalog: which arrays exist, their schemas, chunk metadata, and —
-//! when running at test scale — their materialized cells.
+//! The catalog: which arrays exist, their schemas and chunk metadata. The
+//! cells of a partitioned array are not here — they live in the cluster's
+//! node stores, each chunk on the nodes that own it; only a *replicated*
+//! array, which every node holds whole, keeps its cells with its
+//! registration.
 
 use crate::error::{QueryError, Result};
 use array_model::{Array, ArrayId, ArraySchema, ChunkCoords, ChunkDescriptor, ChunkKey, Region};
+use cluster_sim::{Cluster, NodeId};
 use std::collections::{btree_map, BTreeMap};
+use std::sync::Arc;
 
 /// One array registered with the engine.
 ///
 /// `descriptors` always carries the byte/cell metadata every operator's
-/// cost accounting needs. `data` optionally materializes the cells so the
-/// same operators can produce real answers (tests, examples, small runs).
-/// `replicated` marks small dimension arrays (the paper's 25 MB Vessel
-/// array) that live in full on every node, so reads are always local.
+/// cost accounting needs. `replicated` marks small dimension arrays (the
+/// paper's 25 MB Vessel array) that live in full on every node, so reads
+/// are always local — and `data` is where such an array's cells are: the
+/// engine reads it for replicated arrays only. For a partitioned array it
+/// is whatever the caller keeps there (a differential's reference copy);
+/// queries read that array's cells from the node stores.
 #[derive(Debug, Clone)]
 pub struct StoredArray {
     /// The array's identity.
@@ -20,7 +27,8 @@ pub struct StoredArray {
     pub schema: ArraySchema,
     /// Chunk metadata, keyed by chunk position.
     pub descriptors: BTreeMap<ChunkCoords, ChunkDescriptor>,
-    /// Materialized cells, when running at a scale that permits it.
+    /// The whole array's cells: a replicated array's one copy; never
+    /// read by the engine otherwise (see the type docs).
     pub data: Option<Array>,
     /// Replicated to every node instead of partitioned.
     pub replicated: bool,
@@ -163,12 +171,38 @@ impl Catalog {
     pub fn arrays(&self) -> impl Iterator<Item = &StoredArray> {
         self.arrays.values()
     }
+
+    /// The fixture of tests and examples: store `array` partitioned —
+    /// each chunk placed on the node `node_for(cluster, i, descriptor)`
+    /// picks (`i` counts chunks in row-major order), its cells attached
+    /// there — and register the schema and descriptors. The caller keeps
+    /// `array` itself as the oracle to compare answers against; chunks
+    /// are shared with it, not copied.
+    #[doc(hidden)]
+    pub fn place_array(
+        &mut self,
+        cluster: &mut Cluster,
+        array: &Array,
+        mut node_for: impl FnMut(&Cluster, usize, &ChunkDescriptor) -> NodeId,
+    ) -> cluster_sim::Result<()> {
+        let mut descriptors = Vec::with_capacity(array.chunk_count());
+        for (i, (_, chunk)) in array.shared_chunks().enumerate() {
+            let desc = chunk.descriptor(array.id);
+            let node = node_for(cluster, i, &desc);
+            cluster.place(desc, node)?;
+            cluster.attach_payload(desc.key, Arc::clone(chunk))?;
+            descriptors.push(desc);
+        }
+        self.register(StoredArray::from_descriptors(array.id, array.schema.clone(), descriptors));
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------
-// Durable codecs: checkpoints carry the whole catalog — schemas, chunk
-// metadata, and (when materialized) the cell payloads — so recovery can
-// rebuild the oracle and re-alias node payload stores from one source.
+// Durable codecs: a checkpoint carries every registration — schema,
+// chunk metadata, and `data` where an array has it (a replicated array's
+// cells). A partitioned array's cells are the node stores' to
+// checkpoint, not the catalog's.
 // ---------------------------------------------------------------------
 
 use durability::{ByteReader, ByteWriter, CodecError};

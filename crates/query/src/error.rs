@@ -24,7 +24,7 @@ pub enum QueryError {
     /// allocates on the per-chunk lookup path.
     Unplaced(ChunkKey),
     /// A chunk's only copies sat on nodes that crashed and no surviving
-    /// replica or catalog oracle can serve it — at `k = 1` this is the
+    /// replica can serve it — at `k = 1` this is the
     /// typed face of data loss, returned instead of a panic or a silent
     /// wrong answer. `Copy` key, lazily rendered, like
     /// [`QueryError::Unplaced`].

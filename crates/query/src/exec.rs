@@ -22,9 +22,8 @@ pub struct ExecutionContext<'a> {
     pub cluster: &'a Cluster,
     /// The arrays.
     pub catalog: &'a Catalog,
-    /// Reads answered by something other than a serving primary: a
-    /// surviving replica or the catalog oracle standing in for a crashed
-    /// node. Interior-mutable so the read path keeps taking `&self`.
+    /// Reads a surviving replica answered in place of the primary.
+    /// Interior-mutable so the read path keeps taking `&self`.
     degraded: Cell<u64>,
     /// [`ExecutionContext::cells_available`] per array, evaluated on first
     /// use: the context borrows cluster and catalog immutably, so the
@@ -180,7 +179,7 @@ impl<'a> ExecutionContext<'a> {
     }
 
     /// How many chunk reads (routing or payload) this context has served
-    /// from somewhere other than a healthy primary. Zero on a fault-free
+    /// from a replica because the primary could not. Zero on a fault-free
     /// cluster.
     pub fn degraded_reads(&self) -> u64 {
         self.degraded.get()
@@ -198,9 +197,8 @@ impl<'a> ExecutionContext<'a> {
     /// Which node holds this chunk. Replicated arrays are "held" by every
     /// node; callers pass the node that wants to read, and get it back.
     ///
-    /// When the primary has crashed, routing fails over: first serving
-    /// replica holder, then the coordinator if the catalog's whole-array
-    /// copy can stand in. Both failovers count as degraded reads. A chunk
+    /// When the primary has crashed, routing fails over to the first
+    /// serving replica holder, which counts as a degraded read. A chunk
     /// with no serving copy anywhere is a typed
     /// [`QueryError::NodeLost`] — never a panic, never a silent wrong
     /// answer.
@@ -221,45 +219,45 @@ impl<'a> ExecutionContext<'a> {
         match self.cluster.locate(&key) {
             Some(primary) if self.serves(primary) => Ok(primary),
             Some(_) => {
-                if let Some(&holder) =
-                    self.cluster.replica_holders(&key).iter().find(|&&r| self.serves(r))
-                {
-                    self.note_degraded();
-                    return Ok(holder);
-                }
-                if array.data.as_ref().is_some_and(|d| d.chunk(coords).is_some()) {
-                    self.note_degraded();
-                    return Ok(self.cluster.coordinator());
-                }
-                Err(QueryError::NodeLost(key))
+                let holders = self.cluster.replica_holders(&key);
+                let holder = holders.iter().find(|&&r| self.serves(r));
+                let holder = *holder.ok_or(QueryError::NodeLost(key))?;
+                self.note_degraded();
+                Ok(holder)
             }
             None => Err(QueryError::Unplaced(key)),
         }
     }
 
-    /// The materialized cells of one chunk, wherever they live: a serving
-    /// primary's chunk store first (cell-level ingest attaches payloads
-    /// there, and rebalances move them), then a surviving replica's store
-    /// (a degraded read), then the catalog's whole-array storage as the
-    /// oracle of last resort (degraded only when the primary exists but
-    /// is not serving — the metadata-only and store-free paths have
-    /// always used it). `None` when the chunk is metadata-only
-    /// everywhere.
+    /// The materialized cells of one chunk, from the one place they
+    /// live. A replicated array lives whole on every node — its cells are
+    /// the catalog's `data`, read locally. Every other array's cells live
+    /// in the node stores and nowhere else ([`Cluster::read_payload`]): a
+    /// serving primary's copy, else a surviving replica's (a degraded
+    /// read). `None` when no serving node holds the cells — the chunk is
+    /// metadata only, or lost.
     pub fn chunk_payload(&self, array: &'a StoredArray, coords: &ChunkCoords) -> Option<&'a Chunk> {
-        let key = array.key_for(coords);
-        match self.cluster.read_payload(&key) {
-            Some(PayloadRead::Primary(chunk)) => return Some(chunk.as_ref()),
-            Some(PayloadRead::Failover(_, chunk)) => {
-                self.note_degraded();
-                return Some(chunk.as_ref());
-            }
-            None => {}
-        }
-        let chunk = array.data.as_ref()?.chunk(coords)?;
-        if self.cluster.locate(&key).is_some_and(|n| !self.serves(n)) {
+        let (chunk, degraded) = self.read_cells(array, coords)?;
+        if degraded {
             self.note_degraded();
         }
         Some(chunk)
+    }
+
+    /// [`ExecutionContext::chunk_payload`] without the accounting: the
+    /// cells, and whether a replica had to supply them.
+    fn read_cells(
+        &self,
+        array: &'a StoredArray,
+        coords: &ChunkCoords,
+    ) -> Option<(&'a Chunk, bool)> {
+        if array.replicated {
+            return Some((array.data.as_ref()?.chunk(coords)?, false));
+        }
+        Some(match self.cluster.read_payload(&array.key_for(coords))? {
+            PayloadRead::Primary(chunk) => (chunk.as_ref(), false),
+            PayloadRead::Failover(_, chunk) => (chunk.as_ref(), true),
+        })
     }
 
     /// The [`ScanPlan::exact`] gate, evaluated once per array: it costs
@@ -275,28 +273,12 @@ impl<'a> ExecutionContext<'a> {
         exact
     }
 
-    /// On the common path — the ingest pipeline mirrors every placed
-    /// chunk into the catalog's whole-array copy — one linear scan: both
-    /// chunk sets live in sorted maps, so a zipped key comparison proves
-    /// full coverage without per-key lookups or any cluster locate/node
-    /// machinery. Store-only or mixed materializations fall through to an
-    /// exact per-chunk probe (catalog copy first, node store second —
-    /// either source satisfies the gate).
+    /// One probe per chunk, stopping at the first without cells (a
+    /// metadata-only array answers at its first chunk). A gate, not a
+    /// read: it counts nothing as degraded.
     fn every_chunk_readable(&self, array: &StoredArray) -> bool {
-        if array.descriptors.is_empty() {
-            return false;
-        }
-        if array
-            .data
-            .as_ref()
-            .is_some_and(|d| d.chunks().map(|(c, _)| c).eq(array.descriptors.keys()))
-        {
-            return true;
-        }
-        array.descriptors.keys().all(|coords| {
-            array.data.as_ref().is_some_and(|d| d.chunk(coords).is_some())
-                || self.chunk_payload(array, coords).is_some()
-        })
+        !array.descriptors.is_empty()
+            && array.descriptors.keys().all(|coords| self.read_cells(array, coords).is_some())
     }
 
     /// Whether pruning may drop `chunk` from a scan of `region` under
@@ -400,8 +382,8 @@ mod tests {
     use array_model::{Array, ArraySchema, ScalarValue};
     use cluster_sim::CostModel;
 
-    fn setup() -> (Cluster, Catalog) {
-        let mut cluster = Cluster::new(2, u64::MAX, CostModel::default()).unwrap();
+    /// 8 x 8 cells in sixteen 2 x 2 chunks.
+    fn grid() -> Array {
         let schema = ArraySchema::parse("A<v:int32, w:double>[x=0:7,2, y=0:7,2]").unwrap();
         let mut a = Array::new(ArrayId(0), schema);
         for x in 0..8 {
@@ -410,13 +392,14 @@ mod tests {
                     .unwrap();
             }
         }
-        let stored = StoredArray::from_array(a);
-        // Alternate chunks across the two nodes.
-        for (i, d) in stored.descriptors.values().enumerate() {
-            cluster.place(*d, NodeId((i % 2) as u32)).unwrap();
-        }
+        a
+    }
+
+    /// [`grid`], its chunks alternating across two nodes.
+    fn setup() -> (Cluster, Catalog) {
+        let mut cluster = Cluster::new(2, u64::MAX, CostModel::default()).unwrap();
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &grid(), |_, i, _| NodeId((i % 2) as u32)).unwrap();
         (cluster, cat)
     }
 
@@ -537,7 +520,6 @@ mod tests {
         cluster.attach_payload(d1.key, c1).unwrap();
         cluster.crash_node(NodeId(0)).unwrap();
         let mut cat = Catalog::new();
-        // Store-only catalog: no whole-array oracle to fall back on.
         cat.register(StoredArray::from_descriptors(ArrayId(11), schema, [d0, d1]));
         let ctx = ExecutionContext::new(&cluster, &cat);
         let array = cat.array(ArrayId(11)).unwrap();
@@ -558,26 +540,27 @@ mod tests {
         ));
     }
 
+    /// A whole-array copy in the catalog answers nothing for a
+    /// partitioned array: with node 0's chunks lost at k = 1 the scan is
+    /// refused, and nothing was "degraded" — that word is for replicas.
     #[test]
-    fn catalog_oracle_backstops_crashed_k1_primaries_as_degraded() {
-        let (mut cluster, cat) = setup();
+    fn a_catalog_copy_does_not_backstop_crashed_k1_primaries() {
+        let (mut cluster, mut cat) = setup();
+        // The copy the runner used to keep beside the node stores.
+        cat.array_mut(ArrayId(0)).unwrap().data = Some(grid());
         cluster.crash_node(NodeId(0)).unwrap();
         let ctx = ExecutionContext::new(&cluster, &cat);
         let array = cat.array(ArrayId(0)).unwrap();
-        // setup() places even-indexed chunks on node 0; the whole-array
-        // catalog copy (from_array) stands in for every one of them.
-        let all = ctx.plan_scan(ArrayId(0), None, None).unwrap();
-        assert_eq!(all.visit.len(), 16);
-        assert!(all.exact);
-        // Every route lands on a serving node (node 0's eight chunks fail
-        // over to the coordinator), and each of those eight counts
-        // degraded twice: once routed, once for its payload read.
-        assert!(all.visit.iter().all(|(_, n, _)| *n == NodeId(1)));
-        assert_eq!(ctx.degraded_reads(), 16);
-        for coords in array.descriptors.keys() {
-            assert!(ctx.chunk_payload(array, coords).is_some());
-        }
-        assert_eq!(ctx.degraded_reads(), 24);
+        // setup() places even-indexed chunks on node 0: eight are lost.
+        let lost = array.descriptors.keys().filter(|c| ctx.chunk_payload(array, c).is_none());
+        assert_eq!(lost.count(), 8);
+        assert!(!ctx.cells_available(array));
+        assert!(matches!(ctx.plan_scan(ArrayId(0), None, None), Err(QueryError::NodeLost(_))));
+        assert!(matches!(
+            ctx.node_of(array, array.descriptors.keys().next().unwrap(), None),
+            Err(QueryError::NodeLost(_))
+        ));
+        assert_eq!(ctx.degraded_reads(), 0, "no replica served anything");
     }
 
     #[test]
@@ -588,13 +571,9 @@ mod tests {
         let mut a = Array::new(ArrayId(4), schema);
         a.insert_cell(vec![i64::MAX], vec![ScalarValue::Int32(7)]).unwrap();
         a.insert_cell(vec![5], vec![ScalarValue::Int32(1)]).unwrap();
-        let stored = StoredArray::from_array(a);
         let mut cluster = Cluster::new(2, u64::MAX, CostModel::default()).unwrap();
-        for d in stored.descriptors.values() {
-            cluster.place(*d, NodeId(1)).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &a, |_, _, _| NodeId(1)).unwrap();
         let ctx = ExecutionContext::new(&cluster, &cat);
         let tail = Region::new(vec![i64::MAX - 5], vec![i64::MAX]);
         let (cells, stats) = crate::ops::subarray(&ctx, ArrayId(4), &tail, &[]).unwrap();
@@ -791,13 +770,9 @@ mod tests {
                 let cell = schema.dimensions.iter().map(|d| d.start + draw.below(41)).collect();
                 a.insert_cell(cell, vec![ScalarValue::Int32(i as i32)]).unwrap();
             }
-            let stored = StoredArray::from_array(a);
             let mut cluster = Cluster::new(2, u64::MAX, CostModel::default()).unwrap();
-            for (i, d) in stored.descriptors.values().enumerate() {
-                cluster.place(*d, NodeId((i % 2) as u32)).unwrap();
-            }
             let mut cat = Catalog::new();
-            cat.register(stored);
+            cat.place_array(&mut cluster, &a, |_, i, _| NodeId((i % 2) as u32)).unwrap();
             let array = cat.array(ArrayId(3)).unwrap();
             for _ in 0..16 {
                 let (mut low, mut high) = (Vec::new(), Vec::new());

@@ -360,7 +360,7 @@ fn fold_groups<E: Encoding>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{Catalog, StoredArray};
+    use crate::catalog::Catalog;
     use array_model::{Array, ArraySchema, ScalarValue};
     use cluster_sim::{Cluster, CostModel};
 
@@ -380,12 +380,8 @@ mod tests {
                 }
             }
         }
-        let stored = StoredArray::from_array(a);
-        for (i, d) in stored.descriptors.values().enumerate() {
-            cluster.place(*d, place(i)).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &a, |_, i, _| place(i)).unwrap();
         (cluster, cat)
     }
 
@@ -543,12 +539,8 @@ mod tests {
         let schema = ArraySchema::parse("T<name:string>[x=0:3,2]").unwrap();
         let mut a = Array::new(ArrayId(3), schema);
         a.insert_cell(vec![0], vec![ScalarValue::Str("a".into())]).unwrap();
-        let stored = StoredArray::from_array(a);
-        for d in stored.descriptors.values() {
-            cluster.place(*d, NodeId(0)).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &a, |_, _, _| NodeId(0)).unwrap();
         let ctx = ExecutionContext::new(&cluster, &cat);
         let spec = GroupSpec::by_dims(vec![0]);
         let err = grid_aggregate(&ctx, ArrayId(3), None, "name", &spec, AggFn::Sum).unwrap_err();
@@ -598,12 +590,8 @@ mod tests {
             .map(|(i, &cell)| (cell, value(i)))
             .collect();
         live.sort_by_key(|(cell, _)| [cell[0].div_euclid(4), cell[1].div_euclid(4)]);
-        let stored = StoredArray::from_array(a);
-        for (i, d) in stored.descriptors.values().enumerate() {
-            cluster.place(*d, NodeId((i % 2) as u32)).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &a, |_, i, _| NodeId((i % 2) as u32)).unwrap();
         (cluster, cat, live)
     }
 
@@ -712,12 +700,8 @@ mod tests {
         for (x, v) in rows {
             a.insert_cell(vec![x], vec![ScalarValue::Double(v)]).unwrap();
         }
-        let stored = StoredArray::from_array(a);
-        for d in stored.descriptors.values() {
-            cluster.place(*d, NodeId(0)).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &a, |_, _, _| NodeId(0)).unwrap();
         let ctx = ExecutionContext::new(&cluster, &cat);
         // By chunk (the shortcut) and by cell pair (the per-row path).
         for coarsen in [4, 2] {

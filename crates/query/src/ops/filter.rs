@@ -234,13 +234,9 @@ mod tests {
                 a.insert_cell(vec![x, y], vec![ScalarValue::Int32((x * 8 + y) as i32)]).unwrap();
             }
         }
-        let stored = StoredArray::from_array(a);
-        for (i, d) in stored.descriptors.values().enumerate() {
-            let node = if spread { NodeId((i % 4) as u32) } else { NodeId(0) };
-            cluster.place(*d, node).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        let node = |i: usize| if spread { NodeId((i % 4) as u32) } else { NodeId(0) };
+        cat.place_array(&mut cluster, &a, |_, i, _| node(i)).unwrap();
         (cluster, cat)
     }
 
@@ -316,12 +312,8 @@ mod tests {
         let schema = ArraySchema::parse("S<name:string>[x=0:3,4]").unwrap();
         let mut a = Array::new(ArrayId(2), schema);
         a.insert_cell(vec![0], vec![ScalarValue::Str("a".into())]).unwrap();
-        let stored = StoredArray::from_array(a);
-        for d in stored.descriptors.values() {
-            cluster.place(*d, NodeId(0)).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &a, |_, _, _| NodeId(0)).unwrap();
         let ctx = ExecutionContext::new(&cluster, &cat);
         let region = Region::new(vec![0], vec![3]);
         let err = filter_count(&ctx, ArrayId(2), &region, "name", &Predicate::ge(1.0)).unwrap_err();
@@ -382,12 +374,8 @@ mod tests {
             }
         }
         a.delete_cells(&[0, 0, 4, 4, 11, 5]).unwrap();
-        let stored = StoredArray::from_array(a);
-        for (i, d) in stored.descriptors.values().enumerate() {
-            cluster.place(*d, NodeId((i % 2) as u32)).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &a, |_, i, _| NodeId((i % 2) as u32)).unwrap();
         (cluster, cat)
     }
 

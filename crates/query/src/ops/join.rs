@@ -241,16 +241,8 @@ mod tests {
                         .unwrap();
                 }
             }
-            let stored = StoredArray::from_array(a);
-            for (i, d) in stored.descriptors.values().enumerate() {
-                let node = if colocated {
-                    NodeId((i % 4) as u32)
-                } else {
-                    NodeId(((i + id as usize) % 4) as u32)
-                };
-                cluster.place(*d, node).unwrap();
-            }
-            cat.register(stored);
+            let shift = if colocated { 0 } else { id as usize };
+            cat.place_array(&mut cluster, &a, |_, i, _| NodeId(((i + shift) % 4) as u32)).unwrap();
         }
         (cluster, cat)
     }
@@ -295,11 +287,7 @@ mod tests {
         for (x, k) in [(0i64, 1i64), (1, 1), (2, 2), (3, 3)] {
             probe.insert_cell(vec![x], vec![ScalarValue::Int64(k)]).unwrap();
         }
-        let stored = StoredArray::from_array(probe);
-        for (i, d) in stored.descriptors.values().enumerate() {
-            cluster.place(*d, NodeId((i % 2) as u32)).unwrap();
-        }
-        cat.register(stored);
+        cat.place_array(&mut cluster, &probe, |_, i, _| NodeId((i % 2) as u32)).unwrap();
         // Build (replicated): keys 1,2,2 -> key 2 has multiplicity 2.
         let bschema = ArraySchema::parse("V<id:int64>[vid=0:2,3]").unwrap();
         let mut build = Array::new(ArrayId(1), bschema);
@@ -317,11 +305,7 @@ mod tests {
 
     /// Place every chunk of `array` on node 0 and register it.
     fn register(cluster: &mut Cluster, cat: &mut Catalog, array: Array) {
-        let stored = StoredArray::from_array(array);
-        for d in stored.descriptors.values() {
-            cluster.place(*d, NodeId(0)).unwrap();
-        }
-        cat.register(stored);
+        cat.place_array(cluster, &array, |_, _, _| NodeId(0)).unwrap();
     }
 
     #[test]
@@ -372,12 +356,9 @@ mod tests {
         let schema = ArraySchema::parse("C<r:double>[x=0:9,2, y=0:9,2]").unwrap();
         let mut extra = Array::new(ArrayId(2), schema);
         extra.insert_cell(vec![9, 9], vec![ScalarValue::Double(1.0)]).unwrap();
-        let stored = StoredArray::from_array(extra);
-        for d in stored.descriptors.values() {
-            cluster.place(*d, NodeId(0)).unwrap();
-        }
-        assert_eq!(stored.descriptors.keys().next(), Some(&ChunkCoords::new([4, 4])));
-        cat.register(stored);
+        register(&mut cluster, &mut cat, extra);
+        let only = cat.array(ArrayId(2)).unwrap().descriptors.keys().next();
+        assert_eq!(only, Some(&ChunkCoords::new([4, 4])));
         let ctx = ExecutionContext::new(&cluster, &cat);
         let region = Region::new(vec![8, 8], vec![9, 9]);
         let (result, stats) =

@@ -435,7 +435,7 @@ pub fn trajectory(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{Catalog, StoredArray};
+    use crate::catalog::Catalog;
     use array_model::{Array, ArraySchema, ScalarValue};
     use cluster_sim::{Cluster, CostModel, NodeId};
 
@@ -457,12 +457,8 @@ mod tests {
 
     fn setup(array: Array, place: impl Fn(usize) -> NodeId) -> (Cluster, Catalog) {
         let mut cluster = Cluster::new(4, u64::MAX, CostModel::default()).unwrap();
-        let stored = StoredArray::from_array(array);
-        for (i, d) in stored.descriptors.values().enumerate() {
-            cluster.place(*d, place(i)).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &array, |_, i, _| place(i)).unwrap();
         (cluster, cat)
     }
 

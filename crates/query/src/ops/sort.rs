@@ -235,7 +235,7 @@ impl SeenKeys {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{Catalog, StoredArray};
+    use crate::catalog::Catalog;
     use crate::QueryError;
     use array_model::{Array, ArraySchema, ScalarValue};
     use cluster_sim::{Cluster, CostModel, NodeId};
@@ -253,12 +253,8 @@ mod tests {
                 .unwrap();
             }
         }
-        let stored = StoredArray::from_array(a);
-        for (i, d) in stored.descriptors.values().enumerate() {
-            cluster.place(*d, NodeId((i % 2) as u32)).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &a, |_, i, _| NodeId((i % 2) as u32)).unwrap();
         (cluster, cat)
     }
 
@@ -303,12 +299,8 @@ mod tests {
             a.insert_cell(vec![x], vec![ScalarValue::Double(x as f64)]).unwrap();
         }
         a.insert_cell(vec![8], vec![ScalarValue::Double(f64::NAN)]).unwrap();
-        let stored = StoredArray::from_array(a);
-        for d in stored.descriptors.values() {
-            cluster.place(*d, NodeId(0)).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &a, |_, _, _| NodeId(0)).unwrap();
         let ctx = ExecutionContext::new(&cluster, &cat);
         // The historical code panicked here ("no NaN measurements").
         let (median, _) = quantile(&ctx, ArrayId(4), None, "v", 0.5, 1.0).unwrap();
@@ -394,12 +386,8 @@ mod tests {
             a.insert_cell(vec![x], vec![ScalarValue::Int64(key)]).unwrap();
         }
         a.delete_cells(&[100, 2_000]).unwrap();
-        let stored = StoredArray::from_array(a);
-        for (i, d) in stored.descriptors.values().enumerate() {
-            cluster.place(*d, NodeId((i % 2) as u32)).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &a, |_, i, _| NodeId((i % 2) as u32)).unwrap();
         let ctx = ExecutionContext::new(&cluster, &cat);
         let live = |x: &i64| *x != 100 && *x != 2_000;
         for region in [None, Some(Region::new(vec![50], vec![3_000]))] {

@@ -293,7 +293,7 @@ fn sweep<K: CellKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{Catalog, StoredArray};
+    use crate::catalog::Catalog;
     use array_model::{Array, ArraySchema, ScalarValue};
     use cluster_sim::{Cluster, CostModel, NodeId};
     use std::collections::BTreeMap;
@@ -407,12 +407,8 @@ mod tests {
                 a.insert_cell(vec![x, y], vec![ScalarValue::Double(1.0)]).unwrap();
             }
         }
-        let stored = StoredArray::from_array(a);
-        for (i, d) in stored.descriptors.values().enumerate() {
-            cluster.place(*d, place(i)).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &a, |_, i, _| place(i)).unwrap();
         (cluster, cat)
     }
 
@@ -496,12 +492,8 @@ mod tests {
                 a.insert_cell(vec![x, y], vec![ScalarValue::Double((x + y) as f64)]).unwrap();
             }
         }
-        let stored = StoredArray::from_array(a);
-        for d in stored.descriptors.values() {
-            cluster.place(*d, NodeId(0)).unwrap();
-        }
         let mut cat = Catalog::new();
-        cat.register(stored);
+        cat.place_array(&mut cluster, &a, |_, _, _| NodeId(0)).unwrap();
         let ctx = ExecutionContext::new(&cluster, &cat);
         // Window around (1,1) with r=1 covers the 3x3 block x,y in 0..=2:
         // mean of (x+y) = 2.0. Single-cell region isolates it.

@@ -224,7 +224,7 @@ pub struct RunnerConfig {
     pub on_error: ErrorPolicy,
     /// Automatic tombstone GC: a placed chunk whose tombstone count
     /// reaches this fraction of its physical rows is compacted in the
-    /// retraction step (store and oracle copies in lockstep), bounding
+    /// retraction step (every copy takes the one rebuilt handle), bounding
     /// the space amplification on-demand compaction left unbounded.
     /// `f64::INFINITY` disables the sweep. The default `0.5` keeps a
     /// chunk's dead rows below half its storage.
@@ -325,11 +325,11 @@ pub struct CycleReport {
     pub repair_bytes: u64,
     /// Failed repair attempts that were retried with backoff.
     pub repair_retries: u64,
-    /// Query-phase chunk reads served by something other than a healthy
-    /// primary (replica failover or the catalog oracle).
+    /// Query-phase chunk reads a surviving replica served in place of
+    /// the primary.
     pub degraded_reads: u64,
-    /// Chunks the automatic tombstone GC compacted this cycle (store
-    /// and oracle copies counted once).
+    /// Chunks the automatic tombstone GC compacted this cycle (each
+    /// counted once, however many copies hold it).
     pub gc_compacted_chunks: usize,
     /// Net bytes the GC compactions reclaimed (negative if a spill
     /// reversal grew a rebuilt column).
@@ -487,7 +487,7 @@ impl<'w> WorkloadRunner<'w> {
     /// inserts — are folded into the view's state instead of the view
     /// being recomputed. Registering mid-run starts the view empty: it
     /// reflects changes from the *next* cycle on (seed it from the
-    /// catalog oracle via [`array_model::DeltaSet::from_live_cells`] to
+    /// stored chunks via [`array_model::DeltaSet::extend_from_chunk`] to
     /// backfill).
     pub fn register_view(&mut self, def: ViewDef) {
         self.world.views.register(def);
@@ -509,8 +509,10 @@ impl<'w> WorkloadRunner<'w> {
         &self.world.cluster
     }
 
-    /// The catalog (for inspection between cycles — e.g. running operators
-    /// directly against the current placement).
+    /// The catalog — schemas and chunk metadata; the cells are in
+    /// [`WorkloadRunner::cluster`]'s node stores (for inspection between
+    /// cycles — e.g. running operators directly against the current
+    /// placement).
     pub fn catalog(&self) -> &Catalog {
         &self.world.catalog
     }
@@ -864,10 +866,9 @@ mod tests {
             assert_eq!(payload.byte_size(), desc.bytes);
             assert_eq!(payload.cell_count(), desc.cells);
         }
-        // The catalog keeps the whole-array oracle copy in sync.
-        let data = broadcast.data.as_ref().expect("materialized catalog storage");
-        assert_eq!(data.chunk_count(), broadcast.descriptors.len());
-        assert_eq!(data.byte_size(), broadcast.byte_size());
+        // The catalog keeps metadata only: the cells' one home is the
+        // node stores.
+        assert!(broadcast.data.is_none());
         // Derived products stayed metadata-only; only broadcast chunks
         // carry payloads.
         assert_eq!(cluster.payload_count(), broadcast.descriptors.len());
@@ -1126,8 +1127,8 @@ mod tests {
 
     /// The automatic tombstone GC bounds resident rows under sustained
     /// insert+retract churn; without it tombstones accumulate without
-    /// bound. Store and oracle compact in lockstep, so the attach
-    /// invariant and the oracle mirror both keep holding.
+    /// bound, and the attach invariant keeps holding through the GC's
+    /// descriptor rewrites.
     #[test]
     fn tombstone_gc_bounds_resident_bytes_under_churn() {
         let cycles = 4usize;
@@ -1167,13 +1168,6 @@ mod tests {
                     let payload = runner.cluster().payload(&key).expect("materialized run");
                     assert_eq!(payload.byte_size(), desc.bytes);
                     assert_eq!(payload.cell_count(), desc.cells);
-                    let oracle = stored
-                        .data
-                        .as_ref()
-                        .and_then(|d| d.chunk(coords))
-                        .expect("oracle mirrors the store");
-                    assert_eq!(oracle.byte_size(), payload.byte_size());
-                    assert_eq!(oracle.cell_count(), payload.cell_count());
                 }
             }
         }
@@ -1237,18 +1231,75 @@ mod tests {
         assert!(dangling(&off_runner) > 0, "without the trigger stranded entries accumulate");
 
         // The GC'd store ends strictly smaller in accounted bytes, and
-        // its books stay exact (descriptor == payload, store == oracle).
+        // its books stay exact (descriptor == payload).
         assert!(on_runner.cluster().total_used() < off_runner.cluster().total_used());
         for stored in on_runner.catalog().arrays() {
             for (coords, desc) in &stored.descriptors {
                 let key = ChunkKey::new(stored.id, *coords);
                 let payload = on_runner.cluster().payload(&key).expect("materialized run");
                 assert_eq!(payload.byte_size(), desc.bytes);
-                let oracle =
-                    stored.data.as_ref().and_then(|d| d.chunk(coords)).expect("oracle mirror");
-                assert_eq!(oracle.byte_size(), payload.byte_size());
             }
         }
+    }
+
+    /// A checkpoint's cells section lists what the node stores hold and
+    /// nothing else, and it round-trips: cells no copy takes, or cells
+    /// written twice — bytes a CRC merely failed to reject — are a typed
+    /// mismatch, never a world that would re-encode to fewer bytes than
+    /// it was decoded from.
+    #[test]
+    fn checkpoint_cells_round_trip_and_strays_are_refused_typed() {
+        let w = ChurnWorkload { cycles: 2, cells: 3 * 64 };
+        let mut cfg = config(PartitionerKind::RoundRobin);
+        cfg.run_queries = false;
+        cfg.replication = 2;
+        let mut runner = WorkloadRunner::new(&w, cfg.clone());
+        (0..2).for_each(|c| drop(runner.run_cycle(c).expect("cycle runs")));
+        let encode = |world: &World| {
+            let mut w = ByteWriter::new();
+            world.encode_into(&mut w);
+            w.into_bytes()
+        };
+        let bytes = encode(&runner.world);
+        let decode = |bytes: &[u8]| World::decode(bytes, &w, &cfg, Vec::new());
+        let back = decode(&bytes).unwrap_or_else(|e| panic!("round trip: {e}"));
+        assert_eq!(encode(&back), bytes, "checkpoint codec is not idempotent");
+        // Six chunks, two copies each, one handle per chunk again.
+        let key = ChunkKey::new(CHURN, ChunkCoords::new([0]));
+        let primary = back.cluster.payload_shared(&key).expect("restored with its cells");
+        assert_eq!(std::sync::Arc::strong_count(primary), 2);
+
+        // The section starts right after the catalog's: a count, then
+        // `array id, chunk` entries in key order — chunk 0 first.
+        let mut catalog = ByteWriter::new();
+        runner.world.catalog.encode_into(&mut catalog);
+        let (count_at, first_at) = (catalog.len(), catalog.len() + 8);
+        assert_eq!(bytes[count_at..first_at], 6u64.to_le_bytes());
+        let mut entry = ByteWriter::new();
+        CHURN.encode_into(&mut entry);
+        primary.encode_into(&mut entry);
+        let entry = entry.into_bytes();
+        assert_eq!(bytes[first_at..first_at + entry.len()], entry[..]);
+        let with_extra = |extra: &[u8]| {
+            let mut mutated = bytes[..count_at].to_vec();
+            mutated.extend_from_slice(&7u64.to_le_bytes());
+            mutated.extend_from_slice(extra);
+            mutated.extend_from_slice(&bytes[first_at..]);
+            mutated
+        };
+        let refusal = |mutated: &[u8]| match decode(mutated) {
+            Err(DurabilityError::Mismatch { what, actual, .. }) => format!("{what}: {actual}"),
+            other => panic!("expected a typed mismatch, got {:?}", other.map(|_| "a world").err()),
+        };
+        assert!(refusal(&with_extra(&entry)).contains("written twice"));
+        // The same cells filed at chunk position 40, which nothing holds.
+        // (An entry is the array id, then the chunk, which opens with its
+        // coordinates: an arity byte and one `i64`.)
+        let mut id = ByteWriter::new();
+        CHURN.encode_into(&mut id);
+        let mut stray = entry.clone();
+        stray[id.len() + 1..id.len() + 9].copy_from_slice(&40i64.to_le_bytes());
+        assert!(refusal(&with_extra(&stray)).contains("held by none"));
     }
 
     /// The whole-chunk drop against the sequence it replaces. Cycle 1's
@@ -1298,78 +1349,15 @@ mod tests {
             assert_eq!(ours.payload_count(), theirs.payload_count());
         }
         cluster.verify_replica_books().expect("replica books balance");
-        let stored = runner.catalog().array(CHURN).unwrap();
-        assert_eq!(stored.descriptors.len(), 2);
-        assert_eq!(stored.data.as_ref().unwrap().chunk_count(), 2);
-    }
+        assert_eq!(runner.catalog().array(CHURN).unwrap().descriptors.len(), 2);
 
-    /// Where the stores hold separate copies of a chunk, each copy is
-    /// retracted by value and both end where the shared path ends: same
-    /// tallies, same chunks — and a chunk the cluster no longer places
-    /// is skipped there while the catalog still retracts its own.
-    #[test]
-    fn unshared_chunks_retract_by_value_to_the_same_state() {
-        let w = ChurnWorkload { cycles: 1, cells: 3 * 64 };
-        let mut cfg = config(PartitionerKind::RoundRobin);
-        cfg.run_queries = false;
-        cfg.gc_tombstone_ratio = 0.5;
-        // Chunk 0 loses half its rows (and compacts), chunk 1 all of
-        // them, chunk 2 one row.
-        let script = || {
-            let mut batch = CellBatch::new(CHURN, &ChurnWorkload::schema());
-            (0..64)
-                .step_by(2)
-                .chain(64..128)
-                .chain([130])
-                .for_each(|x| batch.push_retraction(&[x]));
-            [batch]
-        };
-        let key = |chunk: i64| ChunkKey::new(CHURN, ChunkCoords::new([chunk]));
-        let mut stats = ViewApplyStats::default();
-
-        let mut shared = WorkloadRunner::new(&w, cfg.clone());
-        shared.run_cycle(0).expect("cycle 0 ingests");
-        let want = shared.world.retract(1, &cfg, &script(), &mut stats).expect("script applies");
-        assert_eq!((want.retracted, want.evicted_chunks, want.gc_compacted_chunks), (97, 1, 1));
-
-        let mut split = WorkloadRunner::new(&w, cfg.clone());
-        split.run_cycle(0).expect("cycle 0 ingests");
-        let data = split.world.catalog.array_mut(CHURN).unwrap().data.as_mut().unwrap();
-        for chunk in 0..3 {
-            let copy = data.chunk(&ChunkCoords::new([chunk])).unwrap().clone();
-            data.install_chunk(std::sync::Arc::new(copy));
-        }
-        let got = split.world.retract(1, &cfg, &script(), &mut stats).expect("script applies");
-        assert_eq!(
-            (got.retracted, got.evicted_chunks, got.evicted_bytes),
-            (want.retracted, want.evicted_chunks, want.evicted_bytes)
-        );
-        assert_eq!(
-            (got.gc_compacted_chunks, got.gc_reclaimed_bytes),
-            (want.gc_compacted_chunks, want.gc_reclaimed_bytes)
-        );
-        assert_eq!(split.cluster().loads(), shared.cluster().loads());
-        let catalog_chunk = |r: &WorkloadRunner<'_>, chunk: i64| {
-            let data = r.catalog().array(CHURN).unwrap().data.as_ref().unwrap();
-            data.chunk(&ChunkCoords::new([chunk])).cloned()
-        };
-        for chunk in 0..3 {
-            assert_eq!(split.cluster().payload(&key(chunk)), shared.cluster().payload(&key(chunk)));
-            assert_eq!(catalog_chunk(&split, chunk), catalog_chunk(&shared, chunk));
-            assert_eq!(catalog_chunk(&split, chunk).as_ref(), split.cluster().payload(&key(chunk)));
-        }
-        assert_eq!(
-            split.catalog().array(CHURN).unwrap().descriptors,
-            shared.catalog().array(CHURN).unwrap().descriptors
-        );
-
-        // The cluster lost chunk 2: skipped there, retracted in the catalog.
-        split.world.cluster.evict_chunk(&key(2)).expect("placed");
+        // The same script again: its chunks are no longer placed, so every
+        // group misses — retraction is idempotent, not an error.
         let mut again = CellBatch::new(CHURN, &ChurnWorkload::schema());
-        again.push_retraction(&[131]);
-        let got = split.world.retract(2, &cfg, &[again], &mut stats).expect("script applies");
-        assert_eq!((got.retracted, got.evicted_chunks), (0, 0));
-        assert_eq!(catalog_chunk(&split, 2).unwrap().cell_count(), 62);
+        (0..4 * 64).for_each(|x| again.push_retraction(&[x]));
+        let tally = runner.world.retract(2, &cfg, &[again], &mut stats).expect("script applies");
+        assert_eq!((tally.retracted, tally.evicted_chunks), (0, 0));
+        assert_eq!(runner.cluster().loads(), reference.loads());
     }
 
     #[test]

@@ -318,12 +318,20 @@ fn fold_f64(h: u64, v: f64) -> u64 {
 /// durability wiring itself. A recovering config whose fingerprint
 /// disagrees with the log's genesis record is a different run, and
 /// recovery refuses it.
+///
+/// The seed is the **format version** of everything the fingerprint
+/// guards — log records and the checkpoint layout (`World::encode_into`).
+/// `02`: a checkpoint carries its cells in a section of their own, read
+/// out of the node stores (`01` wrote them inside the catalog section, as
+/// a whole-array copy). Bumping it makes every older log and checkpoint a
+/// typed fingerprint mismatch instead of bytes decoded under the wrong
+/// layout.
 pub(crate) fn config_fingerprint(
     config: &RunnerConfig,
     workload_name: &str,
     workload_cycles: usize,
 ) -> u64 {
-    let mut h = fold(0x57414c5f46503031, 1); // "WAL_FP01", format version
+    let mut h = fold(0x57414c5f46503032, 1); // "WAL_FP02", format version
     for b in workload_name.bytes() {
         h = fold(h, u64::from(b));
     }
@@ -753,6 +761,79 @@ mod tests {
     use crate::synthetic::SyntheticWorkload;
     use durability::MemLog;
     use std::sync::{Arc, Mutex};
+
+    /// What `WAL_FP01` — the format in which a checkpoint's cells sat in
+    /// its catalog section — fingerprinted the default config over the
+    /// default synthetic workload as; computed at the last commit that
+    /// wrote that format.
+    const FP01_OF_THE_DEFAULT_RUN: u64 = 0x1bda_e535_e72c_44d0;
+
+    /// A log or a checkpoint written before the cells section existed is
+    /// refused by its fingerprint — typed, before a byte of its state is
+    /// decoded under the new layout.
+    #[test]
+    fn a_checkpoint_or_log_of_the_previous_format_is_refused_typed() {
+        let workload = SyntheticWorkload::default();
+        let log = Arc::new(Mutex::new(MemLog::new()));
+        let config = RunnerConfig {
+            durability: Some(DurabilityConfig {
+                log: log.clone(),
+                checkpoint_every: 1,
+                fsync_policy: FsyncPolicy::PerCycle,
+            }),
+            ..RunnerConfig::default()
+        };
+        let mut wal = Wal::for_run(&config, &workload).expect("durable");
+        assert_ne!(wal.fingerprint, FP01_OF_THE_DEFAULT_RUN, "the format version was bumped");
+
+        // A checkpoint under the old fingerprint, well framed and honestly
+        // named: its state (here: bytes no decoder would accept) is never
+        // looked at.
+        let old_checkpoint = |seq: u64| {
+            let mut w = begin_record(Vec::new());
+            w.put_u64(FP01_OF_THE_DEFAULT_RUN);
+            w.put_u64(seq);
+            w.put_bytes(b"a catalog section with the cells inside");
+            let mut blob = w.into_bytes();
+            seal_record(&mut blob, MAX_RECORD_LEN).unwrap();
+            blob
+        };
+        let refused = wal.checkpoint_state(&old_checkpoint(1), 1).unwrap_err();
+        assert!(
+            matches!(&refused, DurabilityError::Mismatch { what, .. } if what.contains("fingerprint")),
+            "{refused}"
+        );
+        // Recovery skips it without calling the decoder, and replays from
+        // genesis instead.
+        wal.record(0, |w| write_cycle_start(w, 0)).unwrap();
+        wal.commit(0, |w| w.put_u8(1)).unwrap();
+        log.lock().unwrap().write_checkpoint(1, &old_checkpoint(1)).unwrap();
+        let mut recovering = Wal::for_run(&config, &workload).expect("durable");
+        assert_eq!(recovering.open(), Ok(1));
+        let decoded = recovering.newest_checkpoint(|_| -> Result<(), DurabilityError> {
+            panic!("an old-format checkpoint reached the decoder")
+        });
+        assert_eq!(decoded, Ok(None));
+
+        // A whole log of the old format: refused at its genesis record.
+        let old_log = Arc::new(Mutex::new(MemLog::new()));
+        let mut genesis = begin_record(Vec::new());
+        write_genesis(&mut genesis, FP01_OF_THE_DEFAULT_RUN);
+        let mut genesis = genesis.into_bytes();
+        seal_record(&mut genesis, MAX_RECORD_LEN).unwrap();
+        old_log.lock().unwrap().append(&genesis).unwrap();
+        let mut config = config;
+        config.durability.as_mut().unwrap().log = old_log;
+        let refused = Wal::for_run(&config, &workload).expect("durable").open().unwrap_err();
+        assert!(
+            matches!(
+                &refused,
+                CycleError::Durability { source: DurabilityError::Mismatch { what, .. }, .. }
+                    if what == "genesis fingerprint"
+            ),
+            "{refused}"
+        );
+    }
 
     /// A payload no frame may carry — a checkpoint of a large enough
     /// world is one, `Wal::commit` hands over the whole encoded `World` —

@@ -109,8 +109,8 @@ impl CellBatch {
     /// cell this cycle deletes (AIS vessels going dark, MODIS tiles
     /// aging out). Retractions ride the same batch as the cycle's
     /// inserts but target *earlier* cycles' chunks; the driver applies
-    /// them to the cluster payloads and the catalog oracle before
-    /// building this cycle's fresh chunks. Panics on a coordinate of
+    /// them to the chunks in the node stores before building this
+    /// cycle's fresh ones. Panics on a coordinate of
     /// the wrong arity — a generator bug, not an input condition.
     pub fn push_retraction(&mut self, cell: &[i64]) {
         self.rows.push_retraction(cell).expect("generator emits schema-shaped retractions");
@@ -192,8 +192,8 @@ pub trait Workload {
     /// path: the driver places the sampled descriptors of
     /// [`Workload::insert_batch`]. `Some` makes the driver build real
     /// chunks from these cells, derive descriptors from the actual
-    /// payloads, attach the payloads to the nodes that receive them, and
-    /// keep a whole-array oracle copy in the catalog. Deterministic.
+    /// payloads, and hand each chunk to the nodes that own it — the node
+    /// stores are then the cells' only home. Deterministic.
     fn cell_batch(&self, _cycle: usize) -> Option<Vec<CellBatch>> {
         None
     }

@@ -2,9 +2,9 @@
 //!
 //! [`World`] is five values — exactly what a checkpoint serializes and
 //! recovery rebuilds: the `cluster` (roster, placement, loads, replicas,
-//! node payload stores), the `catalog` (schemas, descriptors, and the
-//! whole-array oracle copy sharing the node stores' `Arc<Chunk>`s), the
-//! `partitioner`'s routing table, the staircase `provisioner`'s demand
+//! and the node stores, which are the only home a partitioned array's
+//! cells have), the `catalog` (schemas and the descriptor map — metadata,
+//! no cells), the `partitioner`'s routing table, the staircase `provisioner`'s demand
 //! history (present exactly under the staircase policy, which is
 //! *decided* from it — one source for that fact), and the incremental
 //! `views`. Construction, the partitioner recipe and the checkpoint
@@ -50,7 +50,7 @@ use array_model::{
     ChunkKey, DeltaSet, RowGroups, ScriptGroups, StringEncoding,
 };
 use cluster_sim::{
-    gb, Cluster, ClusterError, Flakiness, FlowSet, MidCrash, NodeId, NodeState, RebalancePlan,
+    gb, Cluster, ClusterError, Flakiness, FlowSet, MidCrash, NodeId, NodeState, RebalancePlan, Role,
 };
 use durability::{ByteReader, ByteWriter, DurabilityError};
 use elastic_core::{
@@ -58,7 +58,8 @@ use elastic_core::{
     StaircaseProvisioner,
 };
 use query_engine::view::{ViewApplyStats, ViewDef, ViewRegistry};
-use query_engine::{Catalog, ExecutionContext, StoredArray};
+use query_engine::{Catalog, ExecutionContext};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Below this row count a parallel build cannot win: thread spawn and
@@ -174,13 +175,11 @@ fn gc_trips(config: &RunnerConfig, payload: &Chunk) -> bool {
 
 /// What a retraction script does to one chunk: how many of its cells
 /// hit, and what becomes of the chunk.
-#[derive(Clone)]
 struct Retirement {
     retracted: u64,
     fate: Fate,
 }
 
-#[derive(Clone)]
 enum Fate {
     /// No cell hit and the GC has nothing to do: the handle stands.
     Stands,
@@ -200,6 +199,7 @@ impl Retirement {
     /// it — from the input alone: there is no threshold between dropping
     /// and rebuilding, only whether the script covers the chunk.
     fn of(config: &RunnerConfig, chunk: &Chunk, rows: impl Iterator<Item = u32> + Clone) -> Self {
+        // usize → u64 widens on every target this builds for.
         let retracted = rows.clone().count() as u64;
         let fate = if retracted == chunk.cell_count() {
             Fate::Dropped { residual: chunk.byte_size() - chunk.rows_byte_cost(rows) }
@@ -291,12 +291,19 @@ impl World {
         }
     }
 
-    /// A checkpoint's state section: catalog (schemas, descriptors,
-    /// materialized payloads), cluster (roster, placement, loads,
-    /// replicas, tombstone ledgers), partitioner table, provisioner
-    /// history, view states.
+    /// A checkpoint's state section: catalog (schemas, descriptors),
+    /// cells (every chunk payload the node stores hold, once), cluster
+    /// (roster, placement, loads, replicas, which copies carry cells),
+    /// partitioner table, provisioner history, view states.
     pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
         self.catalog.encode_into(w);
+        let cells = self.stored_cells();
+        w.put_usize(cells.len());
+        for (key, chunk) in cells {
+            // A chunk writes its own coordinates; the array completes the key.
+            key.array.encode_into(w);
+            chunk.encode_into(w);
+        }
         self.cluster.snapshot_into(w);
         w.put_bytes(&self.partitioner.table_snapshot());
         w.put_bool(self.provisioner.is_some());
@@ -319,13 +326,25 @@ impl World {
     ) -> Result<World, DurabilityError> {
         let mut r = ByteReader::new(bytes);
         let catalog = Catalog::decode_from(&mut r).map_err(checkpoint_codec)?;
-        // Node payload stores re-alias the catalog oracle's chunks: the
-        // original run shared one `Arc<Chunk>` per chunk between both
-        // stores, and recovery reconstructs exactly that sharing.
-        let payload_of = |key: &ChunkKey| -> Option<Arc<Chunk>> {
-            catalog.array(key.array).ok()?.data.as_ref()?.shared_chunk(&key.coords).cloned()
-        };
-        let cluster = Cluster::restore_from(&mut r, config.cost.clone(), &payload_of)?;
+        let mut cells = BTreeMap::new();
+        for _ in 0..r.usize("cells section length").map_err(checkpoint_codec)? {
+            let array = ArrayId::decode_from(&mut r).map_err(checkpoint_codec)?;
+            let chunk = Chunk::decode_from(&mut r).map_err(checkpoint_codec)?;
+            let key = ChunkKey::new(array, chunk.coords);
+            if cells.insert(key, Arc::new(chunk)).is_some() {
+                return Err(mismatch(format!("cells of {key}"), "written once", "written twice"));
+            }
+        }
+        // Every copy of a chunk takes the one handle decoded for it: the
+        // run shared one `Arc<Chunk>` among a chunk's copies, and recovery
+        // reconstructs exactly that sharing.
+        let cluster =
+            Cluster::restore_from(&mut r, config.cost.clone(), &|key| cells.get(key).cloned())?;
+        // Cells no copy took would vanish from the next checkpoint: the
+        // section lists what the nodes hold, nothing else.
+        if let Some((key, _)) = cells.iter().find(|(_, chunk)| Arc::strong_count(chunk) == 1) {
+            return Err(mismatch(format!("cells of {key}"), "held by a node", "held by none"));
+        }
         let mut partitioner = Self::partitioner_for(workload, config, &cluster);
         let table = r.bytes("partitioner table").map_err(checkpoint_codec)?;
         partitioner.table_restore(table).map_err(checkpoint_codec)?;
@@ -345,8 +364,21 @@ impl World {
         Ok(World { cluster, catalog, partitioner, provisioner, views, delta: DeltaSet::new() })
     }
 
-    fn stored_mut(&mut self, cycle: usize, array: ArrayId) -> Result<&mut StoredArray, CycleError> {
-        self.catalog.array_mut(array).map_err(|_| CycleError::UnknownArray { cycle, array })
+    /// Every chunk payload the node stores hold, by key. A chunk's copies
+    /// share one handle (attach, top-up, repair and retraction all hand
+    /// every holder the same `Arc`), so the first copy met stands for
+    /// all of them — primaries are met first.
+    fn stored_cells(&self) -> BTreeMap<ChunkKey, &Arc<Chunk>> {
+        let mut cells = BTreeMap::new();
+        for role in [Role::Primary, Role::Replica] {
+            let copies = self.cluster.nodes().flat_map(|node| node.residents(role));
+            for copy in copies {
+                if let Some(payload) = copy.payload() {
+                    cells.entry(copy.descriptor().key).or_insert(payload);
+                }
+            }
+        }
+        cells
     }
 
     pub(crate) fn nodes_in(&self, state: NodeState) -> Vec<NodeId> {
@@ -444,41 +476,34 @@ impl World {
         self.cluster.verify_replica_books().map_err(|source| CycleError::Recovery { cycle, source })
     }
 
-    /// Phase 2. Apply every batch's retraction script — once per chunk,
-    /// to the one `Arc<Chunk>` the node stores and the catalog's
-    /// whole-array copy share — and leave both holding the same handle
-    /// again (same tombstones, same byte ledgers, same pruned chunks).
+    /// Phase 2. Apply every batch's retraction script to the node stores,
+    /// once per chunk, and keep the catalog's descriptor map in step.
     ///
-    /// The script is grouped by owning chunk ([`ScriptGroups`]) and each
-    /// group is matched against its chunk by the array model's batch
-    /// kernel, read-only. Then, chunk by chunk, the matched rows leave
-    /// the chunk as the views' negative delta — a column at a time, into
-    /// the world's kept buffer ([`DeltaSet::extend_from_chunk`]; chunk
-    /// order, which the views do not depend on) — and the chunk gets one
-    /// decision, made from the input alone:
+    /// The script is grouped by owning chunk ([`ScriptGroups`]); each
+    /// group is matched, read-only, against the chunk's primary copy
+    /// ([`Cluster::primary_payload`]) by the array model's batch kernel.
+    /// The matched rows leave the chunk as the views' negative delta — a
+    /// column at a time, into the world's kept buffer
+    /// ([`DeltaSet::extend_from_chunk`]; chunk order, which the views do
+    /// not depend on) — and the chunk gets one [`Retirement`], decided
+    /// from the input alone:
     ///
     /// * **Drop.** The script names every live row of the chunk: the
-    ///   chunk is evicted — placement entry, primary, replicas, the
-    ///   catalog's map entry and descriptor — without being copied or
-    ///   tombstoned first. Retired bytes stop counting against demand
-    ///   immediately, which is what lets the provisioner see the trough.
+    ///   chunk is evicted — placement entry, primary, replicas, catalog
+    ///   descriptor — without being copied or tombstoned first. Retired
+    ///   bytes stop counting against demand immediately, which is what
+    ///   lets the provisioner see the trough.
     /// * **Install.** Otherwise the rows are tombstoned on **one** copy
     ///   of the chunk; if its tombstones now reach
     ///   [`RunnerConfig::gc_tombstone_ratio`] of its physical rows (or
     ///   its dangling dictionary bytes their threshold) that copy is
-    ///   compacted too; and the one resulting handle goes to the primary,
-    ///   every replica ([`Cluster::install_payload`]) and the catalog.
+    ///   compacted too; and the one resulting handle goes to the primary
+    ///   and every replica ([`Cluster::install_payload`]).
     ///
-    /// **By value** where the two stores do not hold the same handle —
-    /// the cluster never placed the chunk or already lost it, or the
-    /// world was assembled from separate copies: each store's copy is
-    /// matched by the same kernel and gets the same decision, applied to
-    /// that store alone; the tally is the cluster's. A chunk the cluster
-    /// does not place is skipped there rather than failing the cycle
-    /// (delete scripts replay against both stores, which may
-    /// legitimately have pruned it first); one it places but cannot read
-    /// — a crashed k = 1 primary, a descriptor with no payload — refuses
-    /// the script, typed.
+    /// A group whose chunk is not placed — never inserted, or already
+    /// retracted whole — misses throughout: retraction is idempotent. A
+    /// chunk that is placed but cannot be read — a crashed k = 1 primary,
+    /// a descriptor with no payload — refuses the script, typed.
     pub(crate) fn retract(
         &mut self,
         cycle: usize,
@@ -489,6 +514,7 @@ impl World {
         let rejected = |source| CycleError::Retract { cycle, source };
         let malformed = |source| CycleError::Materialize { cycle, source };
         let mut tally = RetractTally::default();
+        let mut matched = Vec::new();
         for b in batches {
             let flat = b.retractions_flat();
             if flat.is_empty() {
@@ -497,64 +523,39 @@ impl World {
             let unknown = |_| CycleError::UnknownArray { cycle, array: b.array };
             let stored = self.catalog.array_mut(b.array).map_err(unknown)?;
             let script = ScriptGroups::of(&stored.schema, flat).map_err(malformed)?;
-            let matched = script
-                .match_chunks(|coords| stored.data.as_ref().and_then(|d| d.chunk(coords)))
-                .into_rows();
             let viewed = self.views.reads(b.array);
             self.delta.clear();
             for group in script.groups() {
                 let (coords, key) = (group.coords, ChunkKey::new(b.array, group.coords));
-                let ours = stored.data.as_ref().and_then(|d| d.shared_chunk(&coords));
-                let theirs = match self.cluster.primary_payload(&key) {
-                    Ok(handle) => Some(handle),
-                    Err(ClusterError::MissingChunk(_)) => None,
+                let chunk = match self.cluster.primary_payload(&key) {
+                    Ok(handle) => handle,
+                    Err(ClusterError::MissingChunk(_)) => continue,
                     Err(refused) => return Err(rejected(refused)),
                 };
-                let rows = matched[group.range.clone()].iter().flatten().copied();
-                if let (true, Some(chunk)) = (viewed, ours) {
+                matched.clear();
+                chunk.match_retractions(group.cells(), &mut matched);
+                let rows = matched.iter().flatten().copied();
+                if viewed {
                     // Tombstoning keeps a row's values, but a dropped or
                     // compacted chunk does not: read them out first.
                     self.delta.extend_from_chunk(chunk, rows.clone(), -1);
                 }
-                let for_catalog = ours.map(|chunk| Retirement::of(config, chunk, rows));
-                let for_cluster = match (ours, theirs) {
-                    (Some(ours), Some(theirs)) if Arc::ptr_eq(ours, theirs) => for_catalog.clone(),
-                    // By value: the cluster's own copy, matched on its own.
-                    (_, Some(theirs)) => {
-                        let mut rows = Vec::with_capacity(group.range.len());
-                        theirs.match_retractions(group.cells(), &mut rows);
-                        Some(Retirement::of(config, theirs, rows.iter().flatten().copied()))
+                let Retirement { retracted, fate } = Retirement::of(config, chunk, rows);
+                tally.retracted += retracted;
+                match fate {
+                    Fate::Stands => {}
+                    Fate::Dropped { residual } => {
+                        self.cluster.evict_chunk(&key).map_err(rejected)?;
+                        stored.descriptors.remove(&coords);
+                        tally.evicted_chunks += 1;
+                        tally.evicted_bytes += residual;
                     }
-                    (_, None) => None,
-                };
-                if let Some(Retirement { retracted, fate }) = for_cluster {
-                    tally.retracted += retracted;
-                    match fate {
-                        Fate::Stands => {}
-                        Fate::Dropped { residual } => {
-                            self.cluster.evict_chunk(&key).map_err(rejected)?;
-                            tally.evicted_chunks += 1;
-                            tally.evicted_bytes += residual;
-                        }
-                        Fate::Rebuilt { chunk, reclaimed } => {
-                            self.cluster.install_payload(&key, chunk).map_err(rejected)?;
-                            tally.gc_compacted_chunks += usize::from(reclaimed.is_some());
-                            tally.gc_reclaimed_bytes += reclaimed.unwrap_or(0);
-                        }
-                    }
-                }
-                if let Some(Retirement { fate, .. }) = for_catalog {
-                    let data = stored.data.as_mut().expect("`ours` was read out of it");
-                    match fate {
-                        Fate::Stands => {}
-                        Fate::Dropped { .. } => {
-                            data.remove_chunk(&coords);
-                            stored.descriptors.remove(&coords);
-                        }
-                        Fate::Rebuilt { chunk, .. } => {
-                            stored.descriptors.insert(coords, chunk.descriptor(b.array));
-                            data.install_chunk(chunk);
-                        }
+                    Fate::Rebuilt { chunk, reclaimed } => {
+                        let desc = chunk.descriptor(b.array);
+                        self.cluster.install_payload(&key, chunk).map_err(rejected)?;
+                        stored.descriptors.insert(coords, desc);
+                        tally.gc_compacted_chunks += usize::from(reclaimed.is_some());
+                        tally.gc_reclaimed_bytes += reclaimed.unwrap_or(0);
                     }
                 }
             }
@@ -721,9 +722,11 @@ impl World {
         out
     }
 
-    /// Phase 5. Place the cycle's descriptors, attach the fresh payloads
-    /// to the nodes that received them, fold the inserted cells into the
-    /// views as `+1` deltas. Returns the insert's simulated seconds.
+    /// Phase 5. Place the cycle's descriptors, hand each fresh chunk to
+    /// the nodes that own it (§3.4: the coordinator distributes the
+    /// incoming chunks; nothing of them stays behind), fold the inserted
+    /// cells into the views as `+1` deltas. Returns the insert's
+    /// simulated seconds.
     pub(crate) fn ingest(
         &mut self,
         cycle: usize,
@@ -735,14 +738,14 @@ impl World {
         let rejected = |source| CycleError::Ingest { cycle, source };
         let flows = self.place_batch(config, batch).map_err(rejected)?;
         // Attach the chunks to the nodes that just received their
-        // descriptors and fold them into the catalog's whole-array oracle.
-        // Both stores hold the **same** `Arc<Chunk>` handles: attaching is
-        // a refcount bump per chunk, and rebalances move the handle.
+        // descriptors: the primary and every replica take the **same**
+        // `Arc<Chunk>` handle — a refcount bump per copy — and rebalances
+        // move the handle.
         for fresh in arrays.unwrap_or_default() {
             let id = fresh.id;
             // A fresh array holds exactly this cycle's inserted cells:
-            // its +1 delta is read out before the chunk handles move into
-            // the stores, and folded into the views once they have.
+            // its +1 delta is read out of it, and folded into the views
+            // once the chunks are in the stores.
             self.delta.clear();
             if self.views.reads(id) {
                 self.delta.extend_live_cells(&fresh);
@@ -751,12 +754,6 @@ impl World {
                 let key = ChunkKey::new(id, *coords);
                 self.cluster.attach_payload(key, Arc::clone(chunk)).map_err(rejected)?;
             }
-            let stored = self.stored_mut(cycle, id)?;
-            let data = stored.data.get_or_insert_with(|| Array::new(id, stored.schema.clone()));
-            // `absorb` checks schema identity once and skips per-cell
-            // re-validation: `fresh` was built against this same schema in
-            // `build_chunks`, and moves its chunk handles in wholesale.
-            data.absorb(fresh).map_err(|source| CycleError::Materialize { cycle, source })?;
             self.apply_delta(id, view_stats);
         }
         Ok(flows.elapsed_secs(&config.cost))

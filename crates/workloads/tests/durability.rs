@@ -1,14 +1,15 @@
 //! Crash-consistent recovery differentials: a workload run is crashed
 //! at **every record boundary** its write-ahead log ever reached, and
 //! recovery must rebuild the exact oracle state — catalog, cluster
-//! books, partitioner table, provisioner history, view states, all
-//! byte-compared through their codecs — then finish the run to the
-//! same end state. Torn and corrupted images must land on a valid
+//! books, every copy's cells, partitioner table, provisioner history,
+//! view states, all byte-compared through their codecs — then finish
+//! the run to the same end state. Torn and corrupted images must land on a valid
 //! prefix state or a typed error; never a divergent answer.
 
 use array_model::{
     ArrayId, ArraySchema, ChunkCoords, ChunkDescriptor, ChunkKey, ScalarValue, StringEncoding,
 };
+use cluster_sim::Role;
 use durability::{shared, ByteWriter, DurabilityError, FsyncPolicy, LogStore, MemLog};
 use elastic_core::{GridHint, PartitionerKind};
 use query_engine::view::{AggKind, GroupKeyFn, ValueFn, ViewDef};
@@ -82,6 +83,13 @@ impl LogStore for SnapshottingLog {
 struct Probe {
     catalog: Vec<u8>,
     cluster: Vec<u8>,
+    /// The cells of every copy of every placed chunk — primary, then
+    /// each replica holder's, in placement order — through the chunk
+    /// codec: tombstone bitmaps, dictionaries, zone maps and all. The
+    /// catalog and cluster sections carry no cell (the first holds
+    /// metadata, the second says only *which* copies have cells), so
+    /// this is the surface that pins them, copy by copy.
+    cells: Vec<u8>,
     table: Vec<u8>,
     views: Vec<u8>,
     history: Vec<f64>,
@@ -94,9 +102,24 @@ fn probe(r: &WorkloadRunner<'_>) -> Probe {
     r.cluster().snapshot_into(&mut cluster);
     let mut views = ByteWriter::new();
     r.views().export_states(&mut views);
+    let mut cells = ByteWriter::new();
+    for (key, primary) in r.cluster().placements() {
+        let replicas = r.cluster().replica_holders(&key).iter().map(|&h| (h, Role::Replica));
+        for (node, role) in std::iter::once((primary, Role::Primary)).chain(replicas) {
+            let copy = r.cluster().node(node).expect("a roster id").resident(role, &key);
+            match copy.and_then(|copy| copy.payload()) {
+                Some(chunk) => {
+                    cells.put_bool(true);
+                    chunk.encode_into(&mut cells);
+                }
+                None => cells.put_bool(false),
+            }
+        }
+    }
     Probe {
         catalog: catalog.into_bytes(),
         cluster: cluster.into_bytes(),
+        cells: cells.into_bytes(),
         table: r.partitioner().table_snapshot(),
         views: views.into_bytes(),
         history: r.provisioner().map(|p| p.history().to_vec()).unwrap_or_default(),
@@ -106,6 +129,7 @@ fn probe(r: &WorkloadRunner<'_>) -> Probe {
 fn assert_probes_match(got: &Probe, want: &Probe, ctx: &str) {
     assert!(got.catalog == want.catalog, "{ctx}: catalog bytes diverged");
     assert!(got.cluster == want.cluster, "{ctx}: cluster snapshot diverged");
+    assert!(got.cells == want.cells, "{ctx}: stored cells diverged");
     assert!(got.table == want.table, "{ctx}: partitioner table diverged");
     assert!(got.views == want.views, "{ctx}: view states diverged");
     assert!(got.history == want.history, "{ctx}: provisioner history diverged");

@@ -42,11 +42,12 @@ fn main() {
     let mut partitioner =
         build_partitioner(PartitionerKind::KdTree, &cluster, &grid, &PartitionerConfig::default());
 
-    let stored = StoredArray::from_array(array);
-    for desc in stored.descriptors.values() {
-        let node = partitioner.place(desc, &cluster);
-        cluster.place(*desc, node).unwrap();
-    }
+    // Each chunk goes — descriptor and cells — to the node the
+    // partitioner picks; the catalog keeps the schema and the metadata.
+    let mut catalog = Catalog::new();
+    catalog
+        .place_array(&mut cluster, &array, |cluster, _, desc| partitioner.place(desc, cluster))
+        .unwrap();
     println!(
         "initial placement on 2 nodes: loads = {:?}, balance RSD = {:.0}%",
         cluster.loads(),
@@ -54,8 +55,6 @@ fn main() {
     );
 
     // --- 3. Run a real query through the engine. ---
-    let mut catalog = Catalog::new();
-    catalog.register(stored);
     let ctx = ExecutionContext::new(&cluster, &catalog);
     let region = Region::new(vec![0, 0], vec![15, 15]);
     let (cells, stats) = ops::subarray(&ctx, ArrayId(0), &region, &["i"]).unwrap();

@@ -16,13 +16,9 @@ fn scattered_setup() -> (Cluster, Catalog) {
             array.insert_cell(vec![x, y], vec![ScalarValue::Double((x + y) as f64)]).unwrap();
         }
     }
-    let stored = StoredArray::from_array(array);
     let mut cluster = Cluster::new(4, u64::MAX, CostModel::default()).unwrap();
-    for (i, desc) in stored.descriptors.values().enumerate() {
-        cluster.place(*desc, NodeId((i % 4) as u32)).unwrap();
-    }
     let mut catalog = Catalog::new();
-    catalog.register(stored);
+    catalog.place_array(&mut cluster, &array, |_, i, _| NodeId((i % 4) as u32)).unwrap();
     (cluster, catalog)
 }
 

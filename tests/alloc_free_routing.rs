@@ -747,14 +747,10 @@ fn scans_allocate_per_chunk_not_per_row() {
             .insert_cell(vec![x], vec![ScalarValue::Int64(id), ScalarValue::Double(x as f64 * 0.5)])
             .unwrap();
     }
-    let stored = StoredArray::from_array(array);
     let mut cluster = Cluster::new(4, u64::MAX, CostModel::default()).unwrap();
-    for (i, desc) in stored.descriptors.values().enumerate() {
-        cluster.place(*desc, NodeId((i % 4) as u32)).unwrap();
-    }
-    assert_eq!(stored.descriptors.len(), chunks);
     let mut catalog = Catalog::new();
-    catalog.register(stored);
+    catalog.place_array(&mut cluster, &array, |_, i, _| NodeId((i % 4) as u32)).unwrap();
+    assert_eq!(array.chunk_count(), chunks);
     let ctx = ExecutionContext::new(&cluster, &catalog);
     let everything = Region::new(vec![0], vec![n - 1]);
     let doublings = n.ilog2() as usize + 1;

@@ -8,18 +8,18 @@
 //!    operator answers over a fixed probe region equal the fault-free
 //!    twin's bit for bit, across crashes, diverted placements, flaky
 //!    repair flows, and mid-recovery crashes;
-//! 2. **store-path answers too** — the same answers come back with the
-//!    catalog's whole-array oracle stripped, so surviving replica copies
-//!    (promoted or repaired) demonstrably hold every cell; a silent
-//!    payload loss cannot hide behind the oracle;
+//! 2. **from the node stores alone** — those answers are read off the
+//!    surviving replica copies (promoted or repaired) and nothing else:
+//!    the cells have no second home a silent payload loss could hide
+//!    behind, and every scan stays cell-exact;
 //! 3. **full-strength recovery** — the replica census is back at the
 //!    copy target by the end of every cycle, and crash cycles report
 //!    repair traffic priced through the shared flow solver (bytes and
 //!    seconds), with retries when flows are flaky;
 //! 4. **typed loss at `k = 1`** — with no replicas a crash orphans
-//!    chunks: the store-only path returns `QueryError::NodeLost`, the
-//!    catalog-backed path answers exactly but counts degraded reads —
-//!    never a panic, never a silent wrong answer;
+//!    chunks: the runner's own stores answer `QueryError::NodeLost` —
+//!    never a panic, never a silent wrong answer, and never a "degraded"
+//!    read (that word counts replica failovers only);
 //! 5. **zero-interference ledger** — a fault-free `k = 2` run is
 //!    bit-identical to the `k = 1` run in everything the paper measures
 //!    (placements, loads, balance, scaling, moved/inserted bytes);
@@ -41,14 +41,6 @@ fn config(kind: PartitionerKind, node_capacity: u64, replication: usize) -> Runn
         replication,
         ..RunnerConfig::default()
     }
-}
-
-/// A catalog clone with the whole-array oracle stripped, so operators
-/// must answer from chunks stored on the cluster's nodes.
-fn store_only_catalog(runner: &WorkloadRunner<'_>) -> Catalog {
-    let mut cat = runner.catalog().clone();
-    cat.array_mut(BROADCAST).unwrap().data = None;
-    cat
 }
 
 /// Operator answers over AIS cycle 0's fixed probe region in
@@ -132,21 +124,17 @@ fn run_fault_differential(
         let fr = faulted.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: faulted run: {e}"));
         let cr = clean.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: clean run: {e}"));
 
-        // Answers: catalog path, faulted vs fault-free, bit for bit.
+        // Answers: faulted vs fault-free, bit for bit — the surviving
+        // copies alone hold every cell.
         let (want, clean_degraded) = probe_answers(clean.cluster(), clean.catalog());
         let (got, _) = probe_answers(faulted.cluster(), faulted.catalog());
         assert_eq!(got, want, "{tag}: faulted answers differ from the fault-free twin");
         assert_eq!(clean_degraded, 0, "{tag}: fault-free probe must not degrade");
-
-        // Answers: store-only path — replicas alone hold every cell.
-        let stripped = store_only_catalog(&faulted);
-        let ctx = ExecutionContext::new(faulted.cluster(), &stripped);
+        let ctx = ExecutionContext::new(faulted.cluster(), faulted.catalog());
         assert!(
             ctx.plan_scan(BROADCAST, None, None).unwrap().exact,
             "{tag}: node stores lost cells the census didn't notice"
         );
-        let (store_answers, _) = probe_answers(faulted.cluster(), &stripped);
-        assert_eq!(store_answers, want, "{tag}: store-only answers differ");
 
         // Recovery converged within the cycle: census back at target,
         // books consistent (the runner re-verifies them after every
@@ -212,9 +200,9 @@ fn faulted_runs_answer_bit_identically_and_recover_full_strength() {
 }
 
 /// Leg 4: at k = 1 a crash is typed data loss, not a wrong answer. The
-/// catalog-backed run completes exactly (the oracle backstops orphaned
-/// chunks as counted degraded reads); the store-only path refuses with
-/// `QueryError::NodeLost`.
+/// census says `lost`, and the runner's own cluster and catalog say the
+/// same to a query: `QueryError::NodeLost`. Nothing is "degraded" —
+/// that counter is for reads a replica served, and there are none.
 #[test]
 fn k1_crash_is_typed_loss_never_a_wrong_answer() {
     let w = AisWorkload {
@@ -230,14 +218,11 @@ fn k1_crash_is_typed_loss_never_a_wrong_answer() {
     // this scale, which would make the leg vacuous).
     for kind in [PartitionerKind::ConsistentHash, PartitionerKind::RoundRobin] {
         let tag = format!("{kind}/k1-crash");
-        // The fault-free k = 1 twin is the answer oracle.
-        let mut clean = WorkloadRunner::new(&w, config(kind, node_capacity, 1));
         let mut cfg = config(kind, node_capacity, 1);
         cfg.fault_plan = Some(FaultPlan::new(7).at(1, FaultKind::Crash(1)));
         let mut faulted = WorkloadRunner::new(&w, cfg);
         for c in 0..w.cycles {
             faulted.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
-            clean.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: clean cycle {c}: {e}"));
         }
 
         // The census reports the orphans as lost — honestly, not as
@@ -245,17 +230,10 @@ fn k1_crash_is_typed_loss_never_a_wrong_answer() {
         let census = faulted.cluster().replica_census();
         assert!(census.lost > 0, "{tag}: node 1 held nothing? census {census:?}");
 
-        // Catalog path: exact answers, degraded reads counted.
-        let (want, _) = probe_answers(clean.cluster(), clean.catalog());
-        let (got, degraded) = probe_answers(faulted.cluster(), faulted.catalog());
-        assert_eq!(got, want, "{tag}: oracle-backed answers drifted");
-        assert!(degraded > 0, "{tag}: orphaned reads were not counted as degraded");
-
-        // Store-only path: routing any orphan is a typed refusal.
-        let stripped = store_only_catalog(&faulted);
-        let ctx = ExecutionContext::new(faulted.cluster(), &stripped);
+        // The runner's own stores: routing any orphan is a typed refusal.
         // Planning routes every chunk before anything is read, so the
         // orphans refuse a whole-array scan outright.
+        let ctx = ExecutionContext::new(faulted.cluster(), faulted.catalog());
         let err = ctx
             .plan_scan(BROADCAST, None, None)
             .err()
@@ -268,6 +246,7 @@ fn k1_crash_is_typed_loss_never_a_wrong_answer() {
             !ctx.plan_scan(BROADCAST, Some(&newest), None).unwrap().exact,
             "{tag}: availability gate ignored the data loss"
         );
+        assert_eq!(ctx.degraded_reads(), 0, "{tag}: no replica exists to have served a read");
     }
 }
 
@@ -445,8 +424,8 @@ fn shrink_probe(cluster: &Cluster, catalog: &Catalog, cells: usize) -> (Vec<Row>
 /// The demand trough decides the same scale-IN steps in both runs (a
 /// crash changes *where* copies live, never *how many bytes* exist), so
 /// the faulted run drains and retires nodes while a casualty is down
-/// and repairs are flaky — and every probe answer, on the catalog path
-/// and the store-only path, matches the clean twin bit for bit.
+/// and repairs are flaky — and every probe answer matches the clean
+/// twin bit for bit.
 #[test]
 fn decommission_under_faults_matches_the_fault_free_shrink_twin() {
     // 16 B/cell: 2048 cells fill exactly two 16 KB nodes, so the run
@@ -503,14 +482,10 @@ fn decommission_under_faults_matches_the_fault_free_shrink_twin() {
             assert_eq!(fr.retracted_cells, cr.retracted_cells, "{tag}: retraction accounting");
             assert_eq!(fr.demand_gb.to_bits(), cr.demand_gb.to_bits(), "{tag}: demand");
 
-            // Answers: catalog path and store-only path, bit for bit.
+            // Answers, bit for bit.
             let want = shrink_probe(clean.cluster(), clean.catalog(), w.cells);
             let got = shrink_probe(faulted.cluster(), faulted.catalog(), w.cells);
             assert_eq!(got, want, "{tag}: faulted answers differ from the fault-free twin");
-            let mut stripped = faulted.catalog().clone();
-            stripped.array_mut(SHRINK).unwrap().data = None;
-            let store_got = shrink_probe(faulted.cluster(), &stripped, w.cells);
-            assert_eq!(store_got, want, "{tag}: store-only answers differ");
 
             // Recovery and retirement settle within the cycle.
             let census = faulted.cluster().replica_census();
@@ -586,9 +561,6 @@ fn fault_smoke() {
             let (want, _) = probe_answers(clean.cluster(), clean.catalog());
             let (got, _) = probe_answers(faulted.cluster(), faulted.catalog());
             assert_eq!(got, want, "{tag}: answers diverged");
-            let stripped = store_only_catalog(&faulted);
-            let (store_got, _) = probe_answers(faulted.cluster(), &stripped);
-            assert_eq!(store_got, want, "{tag}: store-only answers diverged");
             let census = faulted.cluster().replica_census();
             assert!(census.is_full_strength(), "{tag}: {census:?}");
         }

@@ -12,8 +12,9 @@
 //!
 //! The recompute oracle is mechanical: instantiate a *fresh* copy of
 //! the same [`ViewDef`] and feed it one bulk delta per input array,
-//! extracted from the catalog's whole-array oracle copy
-//! ([`DeltaSet::from_live_cells`]). Because view state depends only on
+//! extracted ([`DeltaSet::from_live_cells`]) from a whole-array copy this
+//! suite builds from the generator's batches alone ([`BatchOracle`] —
+//! the runner keeps none). Because view state depends only on
 //! the logical delta stream — never on placement — every leg's
 //! snapshots must also agree *across* partitioners, encodings, and
 //! replication factors, and the maintained identity view must equal
@@ -54,25 +55,47 @@ fn config(
 
 // -------------------------------------------------------------- oracle --
 
+/// The arrays as the generator's batches alone describe them: each
+/// cycle's retraction script, then its inserts, applied to a plain
+/// [`Array`] per id. Neither the runner nor its cluster or catalog is
+/// consulted, so what is recomputed from here is independent of every
+/// path under test.
+struct BatchOracle(BTreeMap<ArrayId, Array>);
+
+impl BatchOracle {
+    fn new(w: &dyn Workload) -> Self {
+        let mut catalog = Catalog::new();
+        w.register_arrays(&mut catalog);
+        BatchOracle(catalog.arrays().map(|a| (a.id, Array::new(a.id, a.schema.clone()))).collect())
+    }
+
+    /// Apply cycle `cycle`'s batches, in the order the runner does.
+    fn apply(&mut self, w: &dyn Workload, cycle: usize) {
+        for batch in w.cell_batch(cycle).unwrap_or_default() {
+            let array = self.0.get_mut(&batch.array).expect("batch targets a registered array");
+            array.delete_cells(batch.retractions_flat()).expect("script is in bounds");
+            array.insert_batch(batch.rows()).expect("rows are schema-shaped");
+        }
+    }
+}
+
 /// From-scratch recompute: a fresh view over the same definition, fed
-/// one bulk insert-delta per input array from the catalog's whole-array
-/// oracle copy. Shares every finalization path with the incremental
-/// form, so agreement must be bit-exact, not approximate.
-fn recompute(def: &ViewDef, catalog: &Catalog) -> ViewSnapshot {
+/// one bulk insert-delta per input array from the oracle's whole-array
+/// copy. Shares every finalization path with the incremental form, so
+/// agreement must be bit-exact, not approximate.
+fn recompute(def: &ViewDef, oracle: &BatchOracle) -> ViewSnapshot {
     let mut fresh = def.instantiate();
     for id in def.inputs() {
-        let stored = catalog.array(id).expect("view input is a registered array");
-        if let Some(data) = stored.data.as_ref() {
-            fresh.apply(id, &DeltaSet::from_live_cells(data));
-        }
+        let data = oracle.0.get(&id).expect("view input is a registered array");
+        fresh.apply(id, &DeltaSet::from_live_cells(data));
     }
     fresh.snapshot()
 }
 
 /// Check every registered view against its recompute oracle.
-fn assert_views_match_recompute(runner: &WorkloadRunner<'_>, tag: &str) {
+fn assert_views_match_recompute(runner: &WorkloadRunner<'_>, oracle: &BatchOracle, tag: &str) {
     for v in runner.views().views() {
-        let want = recompute(v.def(), runner.catalog());
+        let want = recompute(v.def(), oracle);
         assert_eq!(
             v.snapshot(),
             want,
@@ -170,11 +193,13 @@ fn run_ais_views(
     }
     let mut delta_rows = 0u64;
     let mut retracted = 0u64;
+    let mut oracle = BatchOracle::new(w);
     for c in 0..w.cycles {
         let report = runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
         delta_rows += report.view_delta_rows;
         retracted += report.retracted_cells;
-        assert_views_match_recompute(&runner, &format!("{tag}/cycle{c}"));
+        oracle.apply(w, c);
+        assert_views_match_recompute(&runner, &oracle, &format!("{tag}/cycle{c}"));
     }
     assert!(delta_rows > 0, "{tag}: no deltas reached the views");
     assert!(retracted > 0, "{tag}: no vessel went dark — vacuous differential");
@@ -252,10 +277,12 @@ fn run_modis_views(cells_per_cycle: u64, days: usize, kind: PartitionerKind, k: 
         runner.register_view(def);
     }
     let mut retracted = 0u64;
+    let mut oracle = BatchOracle::new(&w);
     for c in 0..days {
         let report = runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
         retracted += report.retracted_cells;
-        assert_views_match_recompute(&runner, &format!("{tag}/cycle{c}"));
+        oracle.apply(&w, c);
+        assert_views_match_recompute(&runner, &oracle, &format!("{tag}/cycle{c}"));
     }
     assert!(retracted > 0, "{tag}: TTL never expired a tile — vacuous");
     let ndvi = runner.views().view("ndvi").expect("registered");
@@ -354,10 +381,12 @@ fn scale_in_trough_drains_views_to_empty() {
     }
     let mut removed = 0usize;
     let mut peak_groups = 0usize;
+    let mut oracle = BatchOracle::new(&w);
     for c in 0..w.cycles {
         let report = runner.run_cycle(c).unwrap_or_else(|e| panic!("trough cycle {c}: {e}"));
         removed += report.removed_nodes;
-        assert_views_match_recompute(&runner, &format!("trough/cycle{c}"));
+        oracle.apply(&w, c);
+        assert_views_match_recompute(&runner, &oracle, &format!("trough/cycle{c}"));
         peak_groups =
             peak_groups.max(runner.views().view("bucket-Sum").unwrap().group_rows().len());
     }
@@ -407,6 +436,7 @@ fn run_faulted_twin(w: &AisWorkload, kind: PartitionerKind, k: usize) {
         clean.register_view(def);
     }
     let mut crashed = 0usize;
+    let mut oracle = BatchOracle::new(w);
     for c in 0..w.cycles {
         let fr = faulted.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: faulted cycle {c}: {e}"));
         clean.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: clean cycle {c}: {e}"));
@@ -419,7 +449,8 @@ fn run_faulted_twin(w: &AisWorkload, kind: PartitionerKind, k: usize) {
                 fv.name()
             );
         }
-        assert_views_match_recompute(&faulted, &format!("{tag}/cycle{c}"));
+        oracle.apply(w, c);
+        assert_views_match_recompute(&faulted, &oracle, &format!("{tag}/cycle{c}"));
     }
     assert!(crashed > 0, "{tag}: the schedule never crashed a node — vacuous");
 }
@@ -533,11 +564,13 @@ fn view_batch_smoke() {
                 WorkloadRunner::new(&w, config(kind, capacity, StringEncoding::default(), k));
             modis_batch_views().into_iter().for_each(|def| runner.register_view(def));
             let mut retracted = 0u64;
+            let mut oracle = BatchOracle::new(&w);
             for c in 0..w.days {
                 let report =
                     runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
                 retracted += report.retracted_cells;
-                assert_views_match_recompute(&runner, &format!("{tag}/cycle{c}"));
+                oracle.apply(&w, c);
+                assert_views_match_recompute(&runner, &oracle, &format!("{tag}/cycle{c}"));
                 if [4, 8, 12].contains(&c) {
                     let bytes = export(runner.views());
                     let mut reader = durability::ByteReader::new(&bytes);

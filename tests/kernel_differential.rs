@@ -218,7 +218,7 @@ fn materialize(
     rows: &[Row],
     retract: &[usize],
     empty_a_chunk: bool,
-) -> (StoredArray, Vec<Row>) {
+) -> (Array, Vec<Row>) {
     let mut array = Array::new(id, schema.clone());
     for (cell, values) in rows {
         array.insert_cell(cell.clone(), values.clone()).unwrap();
@@ -245,13 +245,13 @@ fn materialize(
     let mut live: Vec<Row> =
         rows.iter().zip(&alive).filter(|(_, &a)| a).map(|(r, _)| r.clone()).collect();
     live.sort_by_key(|(cell, _)| chunk(cell)); // stable: insertion order inside a chunk
-    (StoredArray::from_array(array), live)
+    (array, live)
 }
 
 fn build(case: &Case) -> World {
     let schema = schema(case.nd, case.stretch, 3);
     let right_schema = self::schema(case.nd, case.stretch, case.right_interval);
-    let (stored, live) = materialize(ARRAY, &schema, &case.rows, &case.retract, case.empty_a_chunk);
+    let (left, live) = materialize(ARRAY, &schema, &case.rows, &case.retract, case.empty_a_chunk);
     // The right side keeps its emptied chunks' neighbours: half the script.
     let (right, right_live) = materialize(
         RIGHT,
@@ -267,12 +267,10 @@ fn build(case: &Case) -> World {
     let mut partitioner =
         build_partitioner(case.kind, &cluster, &grid, &PartitionerConfig::default());
     let mut catalog = Catalog::new();
-    for stored in [stored, right] {
-        for desc in stored.descriptors.values() {
-            let node = partitioner.place(desc, &cluster);
-            cluster.place(*desc, node).unwrap();
-        }
-        catalog.register(stored);
+    for array in [left, right] {
+        catalog
+            .place_array(&mut cluster, &array, |cluster, _, desc| partitioner.place(desc, cluster))
+            .unwrap();
     }
     World { schema, right_schema, cluster, catalog, live, right_live }
 }

@@ -15,9 +15,8 @@
 //! 2. **elasticity invariance** — the same fixed-region answers are
 //!    re-checked after every cycle, across the scale-outs and rebalances
 //!    the run triggers, so chunk movement (payloads ride along) can never
-//!    change an answer; and the node-store path (catalog oracle copy
-//!    stripped) returns identical results *and identical cost stats* to
-//!    the catalog path;
+//!    change an answer — every one of which is read off the node stores,
+//!    the only place the cells are;
 //! 3. **model vs exact** — the metadata model the cost path runs on is
 //!    validated against the payloads: descriptor `bytes`/`cells` equal
 //!    the stored chunks exactly, full-width scans account every stored
@@ -83,16 +82,6 @@ fn assert_payload_integrity(runner: &WorkloadRunner<'_>, array_id: ArrayId) {
         assert_eq!(payload.byte_size(), desc.bytes, "{}: descriptor drifted", desc.key);
         assert_eq!(payload.cell_count(), desc.cells, "{}: cell count drifted", desc.key);
     }
-}
-
-/// A catalog clone whose whole-array oracle copy is stripped, so every
-/// operator must answer from the chunks stored on the cluster's nodes.
-fn store_only_catalog(runner: &WorkloadRunner<'_>, ids: &[ArrayId]) -> Catalog {
-    let mut cat = runner.catalog().clone();
-    for &id in ids {
-        cat.array_mut(id).unwrap().data = None;
-    }
-    cat
 }
 
 // ---------------------------------------------------------------- AIS --
@@ -356,24 +345,11 @@ fn run_ais_differential(cells_per_cycle: u64, cycles: usize) {
             "{kind}: dict bytes {dict_bytes} not below plain bytes {plain_bytes}"
         );
 
-        // Node-store path == catalog path, answers and stats alike.
-        let stripped = store_only_catalog(&runner, &[BROADCAST]);
+        // The catalog holds no cells for the scans above to have read.
+        assert!(runner.catalog().array(BROADCAST).unwrap().data.is_none());
         let probe = AisWorkload::cycle_region(0);
         let full_ctx = ExecutionContext::new(runner.cluster(), runner.catalog());
-        let store_ctx = ExecutionContext::new(runner.cluster(), &stripped);
-        assert!(store_ctx.plan_scan(BROADCAST, Some(&probe), None).unwrap().exact);
-        assert_eq!(
-            ops::subarray(&full_ctx, BROADCAST, &probe, &[]).unwrap(),
-            ops::subarray(&store_ctx, BROADCAST, &probe, &[]).unwrap(),
-            "{kind}: store-backed subarray diverges from the catalog path"
-        );
-        assert_eq!(
-            ops::distinct_sorted(&full_ctx, BROADCAST, Some(&probe), "ship_id").unwrap(),
-            ops::distinct_sorted(&store_ctx, BROADCAST, Some(&probe), "ship_id").unwrap(),
-            "{kind}: store-backed distinct diverges"
-        );
-        // And the store path still re-verifies against the raw oracle.
-        check_ais_probe(runner.cluster(), &stripped, &batches[0], kind, cycles);
+        assert!(full_ctx.plan_scan(BROADCAST, Some(&probe), None).unwrap().exact);
 
         // kNN is a pure function of the descriptors + cells, so answers
         // are identical whatever the partitioner scattered.
@@ -563,10 +539,10 @@ fn run_modis_differential(cells_per_cycle: u64, days: usize) {
         assert_payload_integrity(&runner, BAND1);
         assert_payload_integrity(&runner, BAND2);
 
-        // The node-store path answers identically with the catalog's
-        // oracle copies stripped from *both* join sides.
-        let stripped = store_only_catalog(&runner, &[BAND1, BAND2]);
-        check_modis_probe(runner.cluster(), &stripped, &band1_so_far, &band2[0], kind, days);
+        // Neither join side has cells anywhere but the node stores.
+        for id in [BAND1, BAND2] {
+            assert!(runner.catalog().array(id).unwrap().data.is_none());
+        }
 
         // join family, lookup flavour: a small replicated build side
         // registered alongside; every band-1 pixel probes platform_id=1,
@@ -709,15 +685,19 @@ fn dict_smoke() {
         // The cap really bit: at least one chunk's receiver column must
         // have spilled to plain storage while provenance stayed encoded.
         let stored = capped.catalog().array(BROADCAST).unwrap();
-        let data = stored.data.as_ref().expect("materialized catalog storage");
+        let chunks = || {
+            stored.descriptors.values().map(|desc| {
+                capped.cluster().payload(&desc.key).expect("integrity checked just above")
+            })
+        };
         let receiver_idx = 8;
         let provenance_idx = 9;
         assert!(
-            data.chunks().any(|(_, ch)| ch.column(receiver_idx).unwrap().as_dict().is_none()),
+            chunks().any(|ch| ch.column(receiver_idx).unwrap().as_dict().is_none()),
             "{kind}: no receiver column spilled under cap 8"
         );
         assert!(
-            data.chunks().all(|(_, ch)| ch.column(provenance_idx).unwrap().as_dict().is_some()),
+            chunks().all(|ch| ch.column(provenance_idx).unwrap().as_dict().is_some()),
             "{kind}: the single-string provenance column must never spill"
         );
     }

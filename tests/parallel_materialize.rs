@@ -3,13 +3,12 @@
 //!
 //! The contract under test: a materialized workload run must be
 //! **bit-identical** whatever `ingest_threads` is — cycle reports,
-//! placements, node loads, per-node payload stores, and the catalog's
-//! whole-array oracle copy all compare equal across thread counts for
-//! every partitioner. The sharded chunk build assigns whole chunks to
+//! placements, node loads and the per-node payload stores all compare
+//! equal across thread counts for every partitioner. The sharded chunk build assigns whole chunks to
 //! workers (pure in the chunk coordinates) and every chunk receives its
 //! rows in batch order, so parallelism can never reorder or split a
-//! chunk. Also pins the zero-copy payload contract: each placed chunk's
-//! payload is the *same* `Arc` the catalog oracle holds, not a copy.
+//! chunk. Also pins the single-home contract: the chunk the build
+//! produced is handed to its node and nothing else keeps hold of it.
 
 use elastic_array_db::prelude::*;
 use std::sync::Arc;
@@ -40,12 +39,10 @@ struct Snapshot {
     loads: Vec<u64>,
     /// Every placed payload, read from its resident node.
     payloads: Vec<(ChunkKey, array_model::Chunk)>,
-    /// The catalog oracle's whole-array chunks.
-    oracle: Vec<(ChunkCoords, array_model::Chunk)>,
 }
 
 /// Run `workload` materialized under `kind` at `threads`, snapshot every
-/// observable, and assert the zero-copy payload-sharing invariant.
+/// observable, and assert the single-home invariant.
 fn run_snapshot(
     workload: &dyn Workload,
     ids: &[ArrayId],
@@ -64,31 +61,24 @@ fn run_snapshot(
         .collect();
     let cluster = runner.cluster();
     let mut payloads = Vec::new();
-    let mut oracle = Vec::new();
     for &id in ids {
         let stored = runner.catalog().array(id).unwrap();
         assert!(!stored.descriptors.is_empty(), "{kind} x{threads}: nothing ingested for {id}");
-        let data = stored.data.as_ref().expect("materialized catalog storage");
+        assert!(stored.data.is_none(), "{kind} x{threads}: the catalog kept cells of {id}");
         for desc in stored.descriptors.values() {
             let shared = cluster
                 .payload_shared(&desc.key)
                 .unwrap_or_else(|| panic!("{kind} x{threads}: {} has no payload", desc.key));
             payloads.push((desc.key, shared.as_ref().clone()));
-            // Zero-copy: the node store and the catalog oracle hold the
-            // SAME chunk object — attach was a refcount bump, and every
-            // rebalance moved the handle, never the cells.
-            let (_, oracle_arc) = data
-                .shared_chunks()
-                .find(|(c, _)| **c == desc.key.coords)
-                .expect("oracle covers every placed chunk");
-            assert!(
-                Arc::ptr_eq(shared, oracle_arc),
-                "{kind} x{threads}: {} was deep-copied between node store and oracle",
+            // One home: at k = 1 the node store holds the only handle to
+            // the chunk — attach took the build's handle, every rebalance
+            // moved it, and nothing (no catalog, no builder) kept another.
+            assert_eq!(
+                Arc::strong_count(shared),
+                1,
+                "{kind} x{threads}: something besides the node store holds {}",
                 desc.key
             );
-        }
-        for (coords, chunk) in data.chunks() {
-            oracle.push((*coords, chunk.clone()));
         }
     }
     Snapshot {
@@ -96,7 +86,6 @@ fn run_snapshot(
         placements: cluster.placements().collect(),
         loads: cluster.loads(),
         payloads,
-        oracle,
     }
 }
 
@@ -108,7 +97,6 @@ fn assert_identical(kind: PartitionerKind, threads: usize, base: &Snapshot, got:
         got.payloads, base.payloads,
         "{kind}: node payload stores differ at {threads} threads"
     );
-    assert_eq!(got.oracle, base.oracle, "{kind}: catalog oracle differs at {threads} threads");
 }
 
 /// All 8 partitioners over a materialized AIS run (string attributes,

@@ -7,7 +7,7 @@
 //! runs the materialized AIS workload (inserts, dark-vessel
 //! retractions, tombstone-GC compactions, capacity-triggered
 //! scale-outs and rebalances) across all 8 partitioners and both
-//! string encodings, probes the catalog path and the store-only path,
+//! string encodings, probes the chunks placed on the cluster's nodes,
 //! and replays a WAL crash/recover cycle to prove zone maps survive
 //! the durability codecs still able to prune.
 //!
@@ -229,17 +229,9 @@ fn assert_pruning_neutral(cluster: &Cluster, catalog: &Catalog, cycles: usize, t
     }
 }
 
-/// A catalog clone whose whole-array oracle copy is stripped, so every
-/// operator answers from the chunks stored on the cluster's nodes —
-/// zone maps on the *placed* payloads must prune too.
-fn store_only_catalog(runner: &WorkloadRunner<'_>) -> Catalog {
-    let mut cat = runner.catalog().clone();
-    cat.array_mut(BROADCAST).unwrap().data = None;
-    cat
-}
-
 /// One full run: inserts + retractions + GC compactions + scale-outs,
-/// probed on the catalog path and the store-only path.
+/// probed where the cells are — the chunks placed on the cluster's
+/// nodes, whose zone maps do the pruning.
 fn run_pruning_pair(w: &AisWorkload, kind: PartitionerKind, encoding: StringEncoding) {
     let tag = format!("{kind}/{encoding:?}");
     let node_capacity = w.cells_per_cycle * 90;
@@ -253,8 +245,6 @@ fn run_pruning_pair(w: &AisWorkload, kind: PartitionerKind, encoding: StringEnco
     );
 
     assert_pruning_neutral(runner.cluster(), runner.catalog(), w.cycles, &tag);
-    let stripped = store_only_catalog(&runner);
-    assert_pruning_neutral(runner.cluster(), &stripped, w.cycles, &format!("{tag}/store-only"));
 }
 
 fn ais(cycles: usize, cells_per_cycle: u64) -> AisWorkload {

@@ -25,16 +25,13 @@ fn setup(kind: PartitionerKind) -> (Cluster, Catalog) {
                 .unwrap();
         }
     }
-    let stored = StoredArray::from_array(array);
     let mut cluster = Cluster::new(4, u64::MAX, CostModel::default()).unwrap();
     let grid = GridHint::new(vec![8, 8]);
     let mut partitioner = build_partitioner(kind, &cluster, &grid, &PartitionerConfig::default());
-    for desc in stored.descriptors.values() {
-        let node = partitioner.place(desc, &cluster);
-        cluster.place(*desc, node).unwrap();
-    }
     let mut catalog = Catalog::new();
-    catalog.register(stored);
+    catalog
+        .place_array(&mut cluster, &array, |cluster, _, desc| partitioner.place(desc, cluster))
+        .unwrap();
     (cluster, catalog)
 }
 
@@ -132,15 +129,12 @@ fn join_answers_are_placement_invariant() {
                 }
             }
         }
-        let stored = StoredArray::from_array(other);
         let grid = GridHint::new(vec![8, 8]);
         let mut partitioner =
             build_partitioner(kind, &cluster, &grid, &PartitionerConfig::default());
-        for desc in stored.descriptors.values() {
-            let node = partitioner.place(desc, &cluster);
-            cluster.place(*desc, node).unwrap();
-        }
-        catalog.register(stored);
+        catalog
+            .place_array(&mut cluster, &other, |cluster, _, desc| partitioner.place(desc, cluster))
+            .unwrap();
 
         let expected: u64 = naive_cells().iter().filter(|(x, _, _, _)| x % 2 == 0).count() as u64;
         let ctx = ExecutionContext::new(&cluster, &catalog);

@@ -18,6 +18,8 @@
 //! exactly the cells its baseline never sees, so after the *last*
 //! retraction lands the two runs describe the same array.
 
+use elastic_array_db::array::Chunk;
+use elastic_array_db::cluster::Role;
 use elastic_array_db::prelude::*;
 use query_engine::ops;
 use std::collections::{BTreeMap, BTreeSet};
@@ -182,16 +184,6 @@ fn ais_probe_answers(w: &AisWorkload, cluster: &Cluster, catalog: &Catalog) -> P
     }
 }
 
-/// A catalog clone whose whole-array oracle copy is stripped, so every
-/// operator must answer from the chunks stored on the cluster's nodes.
-fn store_only_catalog(runner: &WorkloadRunner<'_>, ids: &[ArrayId]) -> Catalog {
-    let mut cat = runner.catalog().clone();
-    for &id in ids {
-        cat.array_mut(id).unwrap().data = None;
-    }
-    cat
-}
-
 /// The independent raw-cell oracle: the surviving rows of the retracting
 /// generator, computed from the batches alone (inserts minus every
 /// retracted coordinate) without touching runner, cluster, or catalog.
@@ -217,8 +209,9 @@ fn surviving_rows(w: &AisWorkload) -> Vec<Row> {
 
 /// One lockstep pair: the dark-vessel run vs its never-inserted twin,
 /// compared at the end of the run (after the final retraction lands the
-/// two describe the same array) on the catalog path, the store-only
-/// path, and against the independent raw-cell oracle.
+/// two describe the same array) with each other and against the
+/// independent raw-cell oracle. Every answer is read off the tombstoned
+/// chunks in the node stores — the cells have no other home.
 fn run_ais_retraction_pair(
     w: &AisWorkload,
     kind: PartitionerKind,
@@ -240,8 +233,8 @@ fn run_ais_retraction_pair(
     // The retracting run stayed full strength through the deletes.
     assert!(dark.cluster().replica_census().is_full_strength(), "{tag}: census under strength");
 
-    // Catalog path: the insert+delete run equals the never-inserted
-    // baseline bit for bit, across every operator family.
+    // The insert+delete run equals the never-inserted baseline bit for
+    // bit, across every operator family.
     let want = ais_probe_answers(w, baseline.cluster(), baseline.catalog());
     let got = ais_probe_answers(w, dark.cluster(), dark.catalog());
     assert_eq!(got, want, "{tag}: insert+delete answers differ from the never-inserted baseline");
@@ -249,12 +242,6 @@ fn run_ais_retraction_pair(
     // Both agree with the independent raw-cell oracle.
     let oracle = surviving_rows(w);
     assert_eq!(got.everything, oracle, "{tag}: stored cells differ from the survivor oracle");
-
-    // Store-only path: tombstoned payloads on the nodes answer the same
-    // — the catalog's whole-array copy cannot be hiding the deletes.
-    let stripped = store_only_catalog(&dark, &[BROADCAST]);
-    let store_got = ais_probe_answers(w, dark.cluster(), &stripped);
-    assert_eq!(store_got, want, "{tag}: store-only answers differ after retraction");
 
     // Descriptor books track the retracted payloads exactly.
     let stored = dark.catalog().array(BROADCAST).unwrap();
@@ -320,42 +307,43 @@ fn run_modis_ttl_pair(cells_per_cycle: u64, days: usize, kind: PartitionerKind, 
     let got = scan(ttl.cluster(), ttl.catalog());
     assert_eq!(got, want, "{tag}: TTL-expired answers differ from the never-inserted baseline");
     assert!(want.1 > 0, "{tag}: join oracle found no partners — vacuous");
-
-    let stripped = store_only_catalog(&ttl, &[BAND1, BAND2]);
-    let store_got = scan(ttl.cluster(), &stripped);
-    assert_eq!(store_got, want, "{tag}: store-only answers differ after TTL expiry");
 }
 
 // ------------------------------------------------------------- sharing --
 
-/// The two stores hold **one** chunk: every chunk of the catalog's
-/// whole-array copy is, pointer for pointer, the payload on its primary
-/// node and in every replica slot. A retraction or a compaction that
-/// rebuilt a chunk for one store and not the others splits them into
-/// equal-but-separate copies — invisible to every answer, and undone by
-/// recovery, which re-aliases them.
-fn assert_one_handle_per_chunk(tag: &str, runner: &WorkloadRunner<'_>, arrays: &[ArrayId]) {
+/// The `k` copies of a chunk hold **one** chunk: the payload in every
+/// replica slot is, pointer for pointer, the payload on the primary
+/// node. A retraction or a compaction that rebuilt a chunk for one
+/// holder and not the others splits them into equal-but-separate copies
+/// — invisible to every answer, and undone by recovery, which re-aliases
+/// them. Returns the primaries it checked.
+fn assert_one_handle_per_chunk<'r>(
+    tag: &str,
+    runner: &'r WorkloadRunner<'_>,
+    arrays: &[ArrayId],
+) -> Vec<&'r Chunk> {
     let cluster = runner.cluster();
+    let mut primaries = Vec::new();
     for &id in arrays {
-        let stored = runner.catalog().array(id).unwrap();
-        let Some(data) = stored.data.as_ref() else { continue };
-        for (coords, ours) in data.shared_chunks() {
-            let key = ChunkKey::new(id, *coords);
+        for desc in runner.catalog().array(id).unwrap().descriptors.values() {
+            let key = desc.key;
             let primary =
                 cluster.payload_shared(&key).unwrap_or_else(|| panic!("{tag}: {key} lost"));
-            assert!(std::sync::Arc::ptr_eq(primary, ours), "{tag}: {key} primary is a copy");
             for &holder in cluster.replica_holders(&key) {
-                let slot = cluster.node(holder).unwrap().replica_payload_shared(&key);
+                let copy = cluster.node(holder).unwrap().resident(Role::Replica, &key);
+                let slot = copy.and_then(|copy| copy.payload());
                 let slot = slot.unwrap_or_else(|| panic!("{tag}: {key} replica has no payload"));
-                assert!(std::sync::Arc::ptr_eq(slot, ours), "{tag}: {key} replica is a copy");
+                assert!(std::sync::Arc::ptr_eq(slot, primary), "{tag}: {key} replica is a copy");
             }
+            primaries.push(primary.as_ref());
         }
     }
+    primaries
 }
 
 /// Dark-vessel retractions empty few chunks outright — most only lose
-/// rows, the case that used to un-share the stores — checked after every
-/// cycle.
+/// rows, the case that used to un-share a chunk's holders — checked
+/// after every cycle.
 fn run_ais_sharing(
     cells_per_cycle: u64,
     kind: PartitionerKind,
@@ -368,15 +356,15 @@ fn run_ais_sharing(
     let mut tombstoned = 0;
     for c in 0..w.cycles {
         runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
-        assert_one_handle_per_chunk(&format!("{tag}/cycle {c}"), &runner, &[BROADCAST]);
-        let data = runner.catalog().array(BROADCAST).unwrap().data.as_ref().unwrap();
-        tombstoned += data.chunks().filter(|(_, chunk)| chunk.tombstone_count() > 0).count();
+        let chunks =
+            assert_one_handle_per_chunk(&format!("{tag}/cycle {c}"), &runner, &[BROADCAST]);
+        tombstoned += chunks.iter().filter(|chunk| chunk.tombstone_count() > 0).count();
     }
     assert!(tombstoned > 0, "{tag}: every retraction emptied its chunk — vacuous");
 }
 
 /// MODIS TTL expiry is whole-chunk work: the aged-out day's chunks are
-/// dropped — all of them, none tombstoned — and the stores stay shared.
+/// dropped — all of them, none tombstoned — and the copies stay shared.
 fn run_modis_whole_chunk_expiry(cells_per_cycle: u64, kind: PartitionerKind, k: usize) {
     let tag = format!("{kind}/modis-ttl/k{k}/drop");
     let w = ModisWorkload { days: 4, scale: 0.05, seed: 33, cells_per_cycle, ttl_days: 1 };
@@ -402,12 +390,10 @@ fn run_modis_whole_chunk_expiry(cells_per_cycle: u64, kind: PartitionerKind, k: 
         let expired = if c >= w.ttl_days { day_chunks(c - w.ttl_days) } else { 0 };
         assert_eq!(report.evicted_chunks, expired, "{tag}: cycle {c} drops the expired day");
         assert_eq!(report.gc_compacted_chunks, 0, "{tag}: nothing was left to compact");
-        assert_one_handle_per_chunk(&format!("{tag}/cycle {c}"), &runner, &[BAND1, BAND2]);
-        for id in [BAND1, BAND2] {
-            let data = runner.catalog().array(id).unwrap().data.as_ref().unwrap();
-            let dead: u64 = data.chunks().map(|(_, chunk)| chunk.tombstone_count()).sum();
-            assert_eq!(dead, 0, "{tag}: cycle {c} left tombstones in {id}");
-        }
+        let chunks =
+            assert_one_handle_per_chunk(&format!("{tag}/cycle {c}"), &runner, &[BAND1, BAND2]);
+        let dead: u64 = chunks.iter().map(|chunk| chunk.tombstone_count()).sum();
+        assert_eq!(dead, 0, "{tag}: cycle {c} left tombstones");
     }
 }
 
@@ -457,16 +443,18 @@ fn retraction_smoke() {
 }
 
 /// Regression: a partial retraction used to copy the chunk once for the
-/// node stores and once for the catalog, leaving two equal chunks where
-/// ingest had placed one shared handle (155 of 481 placed chunks after
-/// the first retracting cycle of this very run).
+/// node stores and once for the whole-array copy the catalog then kept,
+/// leaving two equal chunks where ingest had placed one shared handle
+/// (155 of 481 placed chunks after the first retracting cycle of this
+/// very run). The second store is gone; what is left to pin is that the
+/// `k` holders of a chunk stay on one handle.
 #[test]
 fn partial_retraction_keeps_the_stores_on_one_handle() {
     run_ais_sharing(4_000, PartitionerKind::ConsistentHash, StringEncoding::default(), 2);
 }
 
-/// Heavier CI smoke for the batch retraction path: store sharing after
-/// every AIS cycle and whole-chunk MODIS expiry, over all 8 partitioners
+/// Heavier CI smoke for the batch retraction path: one handle per chunk
+/// across its holders after every AIS cycle and whole-chunk MODIS expiry, over all 8 partitioners
 /// × both string encodings × k ∈ {1, 2}. Run with
 /// `cargo test --release --test retraction_differential -- --ignored batch_retraction_smoke`.
 #[test]
