@@ -304,6 +304,10 @@ mod tests {
         for (i, op) in ops.iter().enumerate() {
             let before = c.copies.clone();
             let accepted = step(&mut c, op);
+            // In debug builds this also sums every node's held records
+            // against its replica ledger: a holder-ledger update dropped
+            // anywhere (top-up, repair, evict, ...) fails here.
+            c.verify_replica_books().unwrap_or_else(|e| panic!("k={k} step {i} {op:?}: {e}"));
             assert_eq!(c.copies, c.walked_copies(), "k={k} step {i} {op:?}: tally drifted");
             assert_eq!(c.replica_census(), walked_census(&c), "k={k} step {i} {op:?}");
             if !accepted {

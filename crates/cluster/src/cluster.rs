@@ -3,7 +3,7 @@
 use crate::census::CopyTally;
 use crate::cost::CostModel;
 use crate::error::{ClusterError, Result};
-use crate::node::{Node, NodeId, NodeState, Resident, Role};
+use crate::node::{Node, NodeId, NodeState, Resident};
 use crate::placement::{
     key_hash, splitmix64, DenseMeta, PlacementIndex, PlacementShard, SHARD_COUNT,
 };
@@ -91,7 +91,7 @@ fn place_shards(
             match shard.try_insert(dense, desc.key, routes[i]) {
                 Ok(()) => {
                     done += 1;
-                    out.deltas[routes[i].0 as usize] += desc.bytes;
+                    out.deltas[routes[i].slot()] += desc.bytes;
                 }
                 Err(_occupant) => {
                     // Bucket order follows batch order, so the first hit
@@ -120,7 +120,7 @@ fn admit_group(
 ) {
     for &i in indices {
         let i = i as usize;
-        group[routes[i].0 as usize - lo].admit_descriptor(batch[i]);
+        group[routes[i].slot() - lo].admit_descriptor(batch[i]);
     }
 }
 
@@ -145,10 +145,10 @@ pub struct Cluster {
     /// placed chunk targets. `1` (the default) is the pre-replication
     /// behavior, bit-for-bit.
     pub(crate) replication: usize,
-    /// Authoritative replica-holder index: which nodes carry a secondary
-    /// copy of each chunk, in replica-route order. Kept in lockstep with
-    /// the per-node replica stores ([`Cluster::verify_replica_books`]).
-    /// Empty at `k = 1`.
+    /// The replica index, the only book of who holds a copy: which nodes
+    /// carry a secondary copy of each chunk, in replica-route order. A
+    /// holder serves the chunk's one record (the primary's) and ledgers
+    /// its bytes in [`Node::replica_bytes`]. Empty at `k = 1`.
     pub(crate) replicas: BTreeMap<ChunkKey, Vec<NodeId>>,
     /// Nodes in the terminal `Retired` state. They keep their roster slot
     /// (node ids are join-order indices and every hash route takes
@@ -218,7 +218,7 @@ impl Cluster {
     }
 
     /// Whether any node is out of full service — the cheap guard callers
-    /// check before paying for route diversion or failover scans.
+    /// check before paying for route diversion.
     pub fn has_faulted_nodes(&self) -> bool {
         self.nodes.iter().any(|n| n.state() != NodeState::Healthy)
     }
@@ -227,7 +227,7 @@ impl Cluster {
     /// but stops accepting placements, replicas, and repairs — the
     /// scale-IN preparation state.
     pub fn start_draining(&mut self, id: NodeId) -> Result<()> {
-        let node = self.nodes.get_mut(id.0 as usize).ok_or(ClusterError::UnknownNode(id.0))?;
+        let node = self.nodes.get_mut(id.slot()).ok_or(ClusterError::UnknownNode(id.0))?;
         if node.state() != NodeState::Healthy {
             return Err(ClusterError::NodeUnavailable { node: id.0, state: node.state() });
         }
@@ -239,7 +239,7 @@ impl Cluster {
     /// accepts data again (that is how it refills), and serves what it
     /// holds until [`Cluster::mark_recovered`] promotes it.
     pub fn revive_node(&mut self, id: NodeId) -> Result<()> {
-        let node = self.nodes.get_mut(id.0 as usize).ok_or(ClusterError::UnknownNode(id.0))?;
+        let node = self.nodes.get_mut(id.slot()).ok_or(ClusterError::UnknownNode(id.0))?;
         if node.state() != NodeState::Crashed {
             return Err(ClusterError::NodeUnavailable { node: id.0, state: node.state() });
         }
@@ -250,7 +250,7 @@ impl Cluster {
     /// Return a `Recovering` (or `Draining`, cancelling the drain) node
     /// to full `Healthy` service.
     pub fn mark_recovered(&mut self, id: NodeId) -> Result<()> {
-        let node = self.nodes.get_mut(id.0 as usize).ok_or(ClusterError::UnknownNode(id.0))?;
+        let node = self.nodes.get_mut(id.slot()).ok_or(ClusterError::UnknownNode(id.0))?;
         match node.state() {
             NodeState::Recovering | NodeState::Draining => {
                 node.set_state(NodeState::Healthy);
@@ -281,7 +281,7 @@ impl Cluster {
 
     /// Borrow a node.
     pub fn node(&self, id: NodeId) -> Result<&Node> {
-        self.nodes.get(id.0 as usize).ok_or(ClusterError::UnknownNode(id.0))
+        self.nodes.get(id.slot()).ok_or(ClusterError::UnknownNode(id.0))
     }
 
     /// Iterate all nodes in join order.
@@ -310,7 +310,7 @@ impl Cluster {
     /// registered arrays at `k = 1`; with `k ≥ 2` the chunk's replica set
     /// is admitted on its deterministic secondary route as well.
     pub fn place(&mut self, desc: ChunkDescriptor, node: NodeId) -> Result<()> {
-        let n = self.nodes.get_mut(node.0 as usize).ok_or(ClusterError::UnknownNode(node.0))?;
+        let n = self.nodes.get_mut(node.slot()).ok_or(ClusterError::UnknownNode(node.0))?;
         if !n.state().accepts_data() {
             return Err(ClusterError::NodeUnavailable { node: node.0, state: n.state() });
         }
@@ -319,7 +319,7 @@ impl Cluster {
         }
         self.placement.insert(desc.key, node);
         let old = n.used_bytes();
-        n.admit(Role::Primary, Resident::new(desc, None));
+        n.admit(Resident::new(desc, None));
         let new = n.used_bytes();
         self.balance.on_change(old, new);
         let replicas = if self.replication > 1 { self.place_replicas(&desc) } else { 0 };
@@ -327,15 +327,15 @@ impl Cluster {
         Ok(())
     }
 
-    /// Admit the freshly placed `desc`'s replica set on the first `k−1`
-    /// nodes of its [`Cluster::replica_ring`] — fewer when the roster is
+    /// Name the first `k−1` nodes of the freshly placed `desc`'s
+    /// [`Cluster::replica_ring`] its holders — fewer when the roster is
     /// too small, which the census reports as the effective target — and
     /// return how many.
     fn place_replicas(&mut self, desc: &ChunkDescriptor) -> usize {
         let holders: Vec<NodeId> =
             self.replica_ring(&desc.key).take(self.replication - 1).collect();
         for &h in &holders {
-            self.nodes[h.0 as usize].admit(Role::Replica, Resident::new(*desc, None));
+            self.nodes[h.slot()].reledger_held(0, desc.bytes);
         }
         let placed = holders.len();
         if placed > 0 {
@@ -346,7 +346,7 @@ impl Cluster {
 
     /// Which nodes hold a secondary copy of `key`, in replica-route
     /// order. Empty at `k = 1` or for unreplicated chunks. O(log n) and
-    /// allocation-free — safe on failover read paths.
+    /// allocation-free.
     pub fn replica_holders(&self, key: &ChunkKey) -> &[NodeId] {
         self.replicas.get(key).map_or(&[], |v| v.as_slice())
     }
@@ -386,14 +386,13 @@ impl Cluster {
             return Ok(());
         }
         let node_count = self.nodes.len();
-        if let Some(bad) = routes.iter().find(|r| r.0 as usize >= node_count) {
+        if let Some(bad) = routes.iter().find(|r| r.slot() >= node_count) {
             return Err(ClusterError::UnknownNode(bad.0));
         }
         if self.has_faulted_nodes() {
-            if let Some(bad) =
-                routes.iter().find(|r| !self.nodes[r.0 as usize].state().accepts_data())
+            if let Some(bad) = routes.iter().find(|r| !self.nodes[r.slot()].state().accepts_data())
             {
-                let state = self.nodes[bad.0 as usize].state();
+                let state = self.nodes[bad.slot()].state();
                 return Err(ClusterError::NodeUnavailable { node: bad.0, state });
             }
         }
@@ -443,7 +442,7 @@ impl Cluster {
         // Phase 2: descriptor admission over disjoint node ranges.
         if workers == 1 || node_count == 1 {
             for (desc, node) in batch.iter().zip(routes) {
-                self.nodes[node.0 as usize].admit_descriptor(*desc);
+                self.nodes[node.slot()].admit_descriptor(*desc);
             }
         } else {
             // One bucketing pass keeps total work O(batch + nodes): each
@@ -451,7 +450,7 @@ impl Cluster {
             let group_size = node_count.div_ceil(workers);
             let mut node_buckets: Vec<Vec<u32>> = vec![Vec::new(); node_count.div_ceil(group_size)];
             for (i, node) in routes.iter().enumerate() {
-                node_buckets[node.0 as usize / group_size].push(i as u32);
+                node_buckets[node.slot() / group_size].push(i as u32);
             }
             std::thread::scope(|scope| {
                 for ((g, group), indices) in
@@ -494,147 +493,49 @@ impl Cluster {
     }
 
     /// Attach the materialized payload of an already-placed chunk to its
-    /// resident node. The payload then follows the descriptor through
-    /// every rebalance move. Fails when the chunk is not placed, or when
-    /// the payload's actual [`Chunk::byte_size`] / [`Chunk::cell_count`]
-    /// disagree with what the placed descriptor declares — the
-    /// materialized ingest path derives descriptors *from* payloads, so a
-    /// mismatch means the metadata model and the cells drifted apart.
+    /// record. The payload then follows the descriptor through every
+    /// rebalance move, and every replica holder serves it. Fails when the
+    /// chunk is not placed ([`ClusterError::MissingChunk`]), when its
+    /// record sat on a node that has since crashed
+    /// ([`ClusterError::NodeUnavailable`], a k=1 orphan), when the cells
+    /// are already attached ([`ClusterError::PayloadExists`]), or when the
+    /// payload's actual [`Chunk::byte_size`] / [`Chunk::cell_count`]
+    /// disagree with what the placed descriptor declares
+    /// ([`ClusterError::PayloadMismatch`]) — the materialized ingest path
+    /// derives descriptors *from* payloads, so a mismatch means the
+    /// metadata model and the cells drifted apart. A failed attach
+    /// changes nothing.
     ///
     /// Accepts either an owned `Chunk` or a shared `Arc<Chunk>` handle:
     /// the ingest pipeline passes the handle its chunk build produced, so
-    /// attaching is a refcount bump per copy — never a cell copy.
-    ///
-    /// With `k ≥ 2` the validated handle additionally fans out to every
-    /// replica holder, each byte-validated against its own stored replica
-    /// descriptor. All rejections — [`ClusterError::PayloadMismatch`] on
-    /// primary or replica drift, [`ClusterError::PayloadExists`] on a
-    /// double-attach, [`ClusterError::NodeUnavailable`] when the resident
-    /// node crashed — are checked before any store mutates, so a failed
-    /// attach leaves every book unchanged.
+    /// attaching is a refcount bump — never a cell copy. The descriptor
+    /// does not change, so no ledger moves.
     pub fn attach_payload(&mut self, key: ChunkKey, chunk: impl Into<Arc<Chunk>>) -> Result<()> {
         let chunk = chunk.into();
-        let node = self.placement.get(&key).ok_or(ClusterError::MissingChunk(key))?;
-        let holder = &self.nodes[node.0 as usize];
-        if !holder.state().serves_reads() {
-            // k=1 orphan: the chunk's only copy sat on a node that has
-            // since crashed; its placement entry still names the wreck.
-            return Err(ClusterError::NodeUnavailable { node: node.0, state: holder.state() });
-        }
-        // A serving node holds every chunk placed on it (only a crash
-        // wipes a store, and the state check above excluded one).
-        let copy = holder.resident(Role::Primary, &key).expect("placement and node stores agree");
-        Cluster::validate_payload(copy, &chunk)?;
-        // Validate the whole replica fan-out before the first store.
-        let holders = self.replicas.get(&key).map_or(&[][..], |v| v.as_slice());
-        for &r in holders {
-            // `verify_replica_books`: every indexed holder stores the copy.
-            let copy = self.nodes[r.0 as usize]
-                .resident(Role::Replica, &key)
-                .expect("replica index and node stores agree");
-            Cluster::validate_payload(copy, &chunk)?;
-        }
-        // Field-level split borrow: `holders` borrows `self.replicas`,
-        // the stores live in `self.nodes`.
-        for &r in holders {
-            Cluster::set_payload(&mut self.nodes[r.0 as usize], Role::Replica, &key, &chunk);
-        }
-        Cluster::set_payload(&mut self.nodes[node.0 as usize], Role::Primary, &key, &chunk);
-        Ok(())
-    }
-
-    /// Give the copy of `key` that `node` holds in `role` — the caller
-    /// has just probed it — the handle `chunk`.
-    fn set_payload(node: &mut Node, role: Role, key: &ChunkKey, chunk: &Arc<Chunk>) {
-        let slot = node.payload_slot(role, key);
-        debug_assert!(slot.is_some(), "{key} is not resident on {} as {role:?}", node.id);
-        if let Some(slot) = slot {
-            *slot = Some(Arc::clone(chunk));
-        }
-    }
-
-    /// The attach-time invariant: a copy takes only cells of exactly the
-    /// size its descriptor declares, and only once.
-    fn validate_payload(copy: &Resident, chunk: &Chunk) -> Result<()> {
-        let desc = copy.descriptor();
+        let (holder, record) = self.primary_record(&key)?;
+        let desc = record.descriptor();
         if desc.bytes != chunk.byte_size() || desc.cells != chunk.cell_count() {
             return Err(ClusterError::PayloadMismatch(Box::new(crate::error::PayloadMismatch {
-                key: desc.key,
+                key,
                 descriptor_bytes: desc.bytes,
                 payload_bytes: chunk.byte_size(),
                 descriptor_cells: desc.cells,
                 payload_cells: chunk.cell_count(),
             })));
         }
-        match copy.payload() {
-            Some(_) => Err(ClusterError::PayloadExists(desc.key)),
-            None => Ok(()),
+        if record.payload().is_some() {
+            return Err(ClusterError::PayloadExists(key));
         }
-    }
-
-    /// Attach a payload to one specific **replica** copy of `key` on
-    /// `node` — the targeted form recovery uses when it re-materializes a
-    /// single replica from a surviving source. Validates against that
-    /// node's stored replica descriptor; every rejection
-    /// ([`ClusterError::NotAReplica`], [`ClusterError::NodeUnavailable`],
-    /// [`ClusterError::PayloadMismatch`], [`ClusterError::PayloadExists`])
-    /// leaves books unchanged.
-    pub fn attach_replica_payload(
-        &mut self,
-        key: ChunkKey,
-        node: NodeId,
-        chunk: impl Into<Arc<Chunk>>,
-    ) -> Result<()> {
-        let chunk = chunk.into();
-        let n = self.nodes.get(node.0 as usize).ok_or(ClusterError::UnknownNode(node.0))?;
-        if n.state() == NodeState::Crashed {
-            return Err(ClusterError::NodeUnavailable { node: node.0, state: n.state() });
+        // `primary_record` has just read this slot's record.
+        if let Some(slot) = self.nodes[holder].payload_slot(&key) {
+            *slot = Some(chunk);
         }
-        let copy = n
-            .resident(Role::Replica, &key)
-            .ok_or(ClusterError::NotAReplica { key, node: node.0 })?;
-        Cluster::validate_payload(copy, &chunk)?;
-        Cluster::set_payload(&mut self.nodes[node.0 as usize], Role::Replica, &key, &chunk);
         Ok(())
     }
 
-    /// The materialized payload of a chunk, read from its resident node.
+    /// The materialized payload of a chunk, read from its record.
     pub fn payload(&self, key: &ChunkKey) -> Option<&Chunk> {
-        self.payload_shared(key).map(Arc::as_ref)
-    }
-
-    /// The shared handle of a chunk's payload, read from its resident
-    /// node — for proving that every copy of a chunk shares one handle
-    /// (`Arc::ptr_eq`) or taking a cheap co-owning reference.
-    pub fn payload_shared(&self, key: &ChunkKey) -> Option<&Arc<Chunk>> {
-        let node = self.placement.get(key)?;
-        self.nodes[node.0 as usize].resident(Role::Primary, key)?.payload()
-    }
-
-    /// Number of chunks cluster-wide carrying a materialized payload.
-    pub fn payload_count(&self) -> usize {
-        self.nodes.iter().map(Node::payload_count).sum()
-    }
-
-    /// Failover-aware payload read: the primary copy when its node still
-    /// serves reads, otherwise the first surviving replica copy in route
-    /// order. `None` when no serving node holds the cells. Allocation-free
-    /// — this sits on every degraded query read.
-    pub fn read_payload(&self, key: &ChunkKey) -> Option<PayloadRead<'_>> {
-        // The cells `node` can serve of its copy in `role`: one probe.
-        let served = |node: NodeId, role| {
-            let node = &self.nodes[node.0 as usize];
-            if !node.state().serves_reads() {
-                return None;
-            }
-            node.resident(role, key)?.payload()
-        };
-        let primary = self.placement.get(key)?;
-        if let Some(chunk) = served(primary, Role::Primary) {
-            return Some(PayloadRead::Primary(chunk));
-        }
-        let failover = |&r| Some(PayloadRead::Failover(r, served(r, Role::Replica)?));
-        self.replica_holders(key).iter().find_map(failover)
+        self.primary_payload(key).ok().map(Arc::as_ref)
     }
 
     /// Execute a rebalance plan, validating each move against the actual
@@ -657,7 +558,7 @@ impl Cluster {
                     actual: actual.0,
                 });
             }
-            let Some(dst) = self.nodes.get(m.to.0 as usize) else {
+            let Some(dst) = self.nodes.get(m.to.slot()) else {
                 return Err(ClusterError::UnknownNode(m.to.0));
             };
             if !dst.state().accepts_data() {
@@ -665,32 +566,34 @@ impl Cluster {
             }
             // A crashed source's chunks were wiped (its placement entries
             // may linger as k=1 orphans); moving one is impossible.
-            if self.nodes[m.from.0 as usize].resident(Role::Primary, &m.key).is_none() {
+            if self.nodes[m.from.slot()].resident(&m.key).is_none() {
                 return Err(ClusterError::MissingChunk(m.key));
             }
         }
         let mut flows = FlowSet::new();
         for m in &plan.moves {
             let copies = self.serving_copies(&m.key);
-            let src = &mut self.nodes[m.from.0 as usize];
+            let src = &mut self.nodes[m.from.slot()];
             let src_old = src.used_bytes();
-            // The validation pass found the copy there, and a plan moves
-            // a key once.
-            let copy = src.evict(Role::Primary, &m.key).expect("validated above");
+            // The validation pass found the record there, and a plan
+            // moves a key once.
+            let record = src.evict(&m.key).expect("validated above");
             self.balance.on_change(src_old, src.used_bytes());
             // Materialized chunks time the wire transfer off the payload's
             // actual size (identical to desc.bytes by the attach-time
             // invariant, but read from the cells to keep the flow honest).
-            let desc = copy.descriptor();
-            flows.push(m.from, m.to, copy.payload().map_or(desc.bytes, |c| c.byte_size()));
-            // The destination may hold a replica of this chunk; the
-            // arriving primary supersedes it.
-            self.drop_holder(&m.key, m.to);
+            let bytes = record.descriptor().bytes;
+            flows.push(m.from, m.to, record.payload().map_or(bytes, |c| c.byte_size()));
             self.placement.insert(m.key, m.to);
-            let dst = &mut self.nodes[m.to.0 as usize];
+            let dst = &mut self.nodes[m.to.slot()];
             let dst_old = dst.used_bytes();
-            dst.admit(Role::Primary, copy);
+            dst.admit(record);
             self.balance.on_change(dst_old, dst.used_bytes());
+            // The destination may have held a replica of this chunk; the
+            // arriving primary supersedes it.
+            if self.drop_holder(&m.key, m.to) {
+                self.nodes[m.to.slot()].reledger_held(bytes, 0);
+            }
             // The primary only changed address; a superseded replica is
             // one copy fewer until the top-up below.
             self.retally(&m.key, copies);
@@ -705,14 +608,11 @@ impl Cluster {
 
     /// Restore `key`'s replica set to `k−1` distinct copies after its
     /// primary moved: the next nodes of its [`Cluster::replica_ring`]
-    /// each take a copy of the primary (descriptor and payload handle),
-    /// one repair flow per new copy.
+    /// become holders of its record and ledger its bytes, one repair flow
+    /// per new copy.
     fn top_up_replicas(&mut self, key: &ChunkKey, flows: &mut FlowSet) {
-        let Some(primary) = self.placement.get(key) else { return };
-        let Some(copy) = self.nodes[primary.0 as usize].resident(Role::Primary, key).cloned()
-        else {
-            return;
-        };
+        let Ok((primary, record)) = self.primary_record(key) else { return };
+        let (primary, bytes) = (self.nodes[primary].id, record.descriptor().bytes);
         let missing = (self.replication - 1).saturating_sub(self.replica_holders(key).len());
         let fresh: Vec<NodeId> = self.replica_ring(key).take(missing).collect();
         if fresh.is_empty() {
@@ -720,44 +620,52 @@ impl Cluster {
         }
         let copies = self.serving_copies(key);
         for &node in &fresh {
-            self.nodes[node.0 as usize].admit(Role::Replica, copy.clone());
-            flows.push(primary, node, copy.descriptor().bytes);
+            self.nodes[node.slot()].reledger_held(0, bytes);
+            flows.push(primary, node, bytes);
         }
         self.replicas.entry(*key).or_default().extend(fresh);
         self.retally(key, copies);
     }
 
-    /// Strike `node` from `key`'s replica set — the index entry (the
-    /// whole entry once its last holder goes) and the copy in the node's
-    /// replica store, which is returned. `None` when it held none (or a
-    /// crash has already wiped the store).
-    fn drop_holder(&mut self, key: &ChunkKey, node: NodeId) -> Option<Resident> {
-        let holders = self.replicas.get_mut(key)?;
-        holders.remove(holders.iter().position(|&h| h == node)?);
+    /// Strike `node` from `key`'s holders (the whole index entry once its
+    /// last holder goes). Whether it was one; its replica ledger is the
+    /// caller's to settle.
+    fn drop_holder(&mut self, key: &ChunkKey, node: NodeId) -> bool {
+        let Some(holders) = self.replicas.get_mut(key) else { return false };
+        let Some(at) = holders.iter().position(|&h| h == node) else { return false };
+        holders.remove(at);
         if holders.is_empty() {
             self.replicas.remove(key);
         }
-        self.nodes[node.0 as usize].evict(Role::Replica, key)
+        true
     }
 
-    /// Crash `id`: wipe both of its stores (the failure model is
-    /// fail-stop with total local-storage loss), mark it `Crashed`, and
-    /// fail its lost primaries over to surviving replicas.
+    /// The chunks `node` holds a replica of, in key order: one pass over
+    /// the replica index.
+    fn held_by(&self, node: NodeId) -> Vec<ChunkKey> {
+        let held = self.replicas.iter().filter(|(_, holders)| holders.contains(&node));
+        held.map(|(key, _)| *key).collect()
+    }
+
+    /// Crash `id`: wipe its store (the failure model is fail-stop with
+    /// total local-storage loss), mark it `Crashed`, strike it from every
+    /// replica set, and fail its lost primaries over to surviving holders.
     ///
-    /// For every lost primary with at least one surviving replica copy,
-    /// the first holder in replica-route order is **promoted**
-    /// deterministically: its replica descriptor/payload pair moves into
-    /// its primary store, the placement index repoints, and the byte
-    /// ledgers follow (promotion is a local bookkeeping flip — the bytes
-    /// are already on the node — so it records no flow). Chunks with no
-    /// surviving copy (`k = 1`, or deeper failures than `k−1`) are
-    /// reported as orphaned; their placement entries keep naming the
+    /// For every lost primary with at least one surviving holder, the
+    /// first in replica-route order is **promoted** deterministically:
+    /// the chunk's record (the very one the holder served) moves onto it,
+    /// the placement index repoints, and the byte ledgers follow
+    /// (promotion is a local bookkeeping flip — the bytes are already on
+    /// the node — so it records no flow). Promotion is synchronous, so a
+    /// primary that does not serve never has a serving replica. Chunks
+    /// with no surviving copy (`k = 1`, or deeper failures than `k−1`)
+    /// are reported as orphaned; their placement entries keep naming the
     /// wreck so reads surface typed losses instead of silent misses.
     ///
     /// Refuses to crash the last serving node
     /// ([`ClusterError::NoHealthyNodes`]) or an already-crashed one.
     pub fn crash_node(&mut self, id: NodeId) -> Result<CrashReport> {
-        let idx = id.0 as usize;
+        let idx = id.slot();
         let state = self.nodes.get(idx).ok_or(ClusterError::UnknownNode(id.0))?.state();
         if matches!(state, NodeState::Crashed | NodeState::Retired) {
             return Err(ClusterError::NodeUnavailable { node: id.0, state });
@@ -765,40 +673,33 @@ impl Cluster {
         if !self.nodes.iter().any(|n| n.id != id && n.state().serves_reads()) {
             return Err(ClusterError::NoHealthyNodes);
         }
-        let node = &self.nodes[idx];
-        let keys = |role| -> Vec<ChunkKey> {
-            node.residents(role).map(|copy| copy.descriptor().key).collect()
-        };
-        let (primary_keys, replica_keys) = (keys(Role::Primary), keys(Role::Replica));
+        let primary_keys: Vec<ChunkKey> = self.nodes[idx].descriptors().map(|d| d.key).collect();
+        let replica_keys = self.held_by(id);
         // Only the chunks with a copy on this node can change strength:
         // the census pays for the wreck, not for the cluster.
         let copies: Vec<usize> =
             primary_keys.iter().chain(&replica_keys).map(|k| self.serving_copies(k)).collect();
         let node = &mut self.nodes[idx];
         let old_used = node.used_bytes();
-        node.wipe();
+        let records = node.wipe();
         node.set_state(NodeState::Crashed);
         self.balance.on_change(old_used, 0);
         for key in &replica_keys {
             self.drop_holder(key, id);
         }
-        let mut promoted = 0usize;
         let mut orphaned = Vec::new();
-        for key in &primary_keys {
-            let Some(&h) = self.replica_holders(key).first() else {
-                orphaned.push(*key);
+        for (key, record) in records {
+            let Some(&h) = self.replica_holders(&key).first() else {
+                orphaned.push(key);
                 continue;
             };
-            // `verify_replica_books`: an indexed holder stores the copy,
-            // and `h` is not the node just wiped (no node holds a chunk
-            // in both roles).
-            let copy = self.drop_holder(key, h).expect("replica index and node stores agree");
-            let hn = &mut self.nodes[h.0 as usize];
+            self.drop_holder(&key, h);
+            let hn = &mut self.nodes[h.slot()];
             let old = hn.used_bytes();
-            hn.admit(Role::Primary, copy);
+            hn.reledger_held(record.descriptor().bytes, 0);
+            hn.admit(record);
             self.balance.on_change(old, hn.used_bytes());
-            self.placement.insert(*key, h);
-            promoted += 1;
+            self.placement.insert(key, h);
         }
         for (key, before) in primary_keys.iter().chain(&replica_keys).zip(copies) {
             self.retally(key, before);
@@ -806,23 +707,20 @@ impl Cluster {
         Ok(CrashReport {
             node: id,
             lost_primaries: primary_keys.len(),
-            promoted,
+            promoted: primary_keys.len() - orphaned.len(),
             dropped_replicas: replica_keys.len(),
             orphaned,
         })
     }
 
-    /// Retract materialized cells from a placed chunk, on every copy: the
-    /// script is matched against the primary payload by the array
-    /// model's batch kernel (`Chunk::match_retractions`), the matched
-    /// rows are tombstoned on one copy of it, and that one handle is
-    /// installed ([`Cluster::install_payload`]) — the shrunken descriptor
-    /// replaces the resident one (byte ledgers and the O(1) census
-    /// moments follow the delta exactly) and every replica holder swaps
-    /// in the same post-retraction handle and descriptor, so the
-    /// attach-time invariant (`desc.bytes == chunk.byte_size()`) keeps
-    /// holding on all `k` copies, and replicas stay a refcount bump,
-    /// never a cell copy.
+    /// Retract materialized cells from a placed chunk: the script is
+    /// matched against the chunk's payload by the array model's batch
+    /// kernel (`Chunk::match_retractions`), the matched rows are
+    /// tombstoned on one copy of it, and that handle is installed
+    /// ([`Cluster::install_payload`]) — the shrunken descriptor replaces
+    /// the record's (byte ledgers, every holder's replica ledger and the
+    /// O(1) census moments follow the delta exactly), so the attach-time
+    /// invariant (`desc.bytes == chunk.byte_size()`) keeps holding.
     ///
     /// `cells_flat` is row-major flattened cell coordinates at the chunk
     /// key's arity; a ragged slice is [`ClusterError::RaggedCells`].
@@ -842,9 +740,8 @@ impl Cluster {
         let retracted = rows.clone().count() as u64;
         let mut freed_bytes = 0;
         if retracted > 0 {
-            // Copy-on-write: a handle a replica (or a caller) still
-            // shares is copied once here, and the copy goes to every
-            // holder below.
+            // Copy-on-write: a handle a caller still shares is copied
+            // once here, and the copy is installed below.
             freed_bytes = Arc::make_mut(handle).tombstone_rows(rows);
         }
         let fresh = Arc::clone(handle);
@@ -858,9 +755,8 @@ impl Cluster {
 
     /// Compact a placed chunk's payload: rebuild it from its surviving
     /// rows (see `Chunk::compact`), dropping tombstones and dangling
-    /// dictionary entries, and install the rebuilt handle on the primary
-    /// and every replica copy — the same invariant discipline as
-    /// [`Cluster::retract_cells`].
+    /// dictionary entries, and install the rebuilt handle — the same
+    /// invariant discipline as [`Cluster::retract_cells`].
     pub fn compact_chunk(&mut self, key: &ChunkKey) -> Result<ChunkCompaction> {
         let handle = self.primary_payload_mut(key)?;
         let mut reclaimed_bytes = 0;
@@ -873,10 +769,10 @@ impl Cluster {
         Ok(ChunkCompaction { reclaimed_bytes, bytes, cells })
     }
 
-    /// The payload handle of a placed chunk on its resident node, or why
-    /// its cells cannot be reached there: [`ClusterError::MissingChunk`]
-    /// (not placed), [`ClusterError::NodeUnavailable`] (a k=1 orphan on a
-    /// wreck), [`ClusterError::NoPayload`] (metadata only).
+    /// The payload handle of a placed chunk's record, or why its cells
+    /// cannot be reached: [`ClusterError::MissingChunk`] (not placed),
+    /// [`ClusterError::NodeUnavailable`] (a k=1 orphan on a wreck),
+    /// [`ClusterError::NoPayload`] (metadata only).
     pub fn primary_payload(&self, key: &ChunkKey) -> Result<&Arc<Chunk>> {
         Ok(self.payload_holder(key)?.1)
     }
@@ -884,74 +780,78 @@ impl Cluster {
     /// [`Cluster::primary_payload`], to write through.
     fn primary_payload_mut(&mut self, key: &ChunkKey) -> Result<&mut Arc<Chunk>> {
         let (holder, _) = self.payload_holder(key)?;
-        let slot = self.nodes[holder].payload_slot(Role::Primary, key);
+        let slot = self.nodes[holder].payload_slot(key);
         // `payload_holder` has just read the cells out of this slot.
         Ok(slot.and_then(Option::as_mut).expect("payload_holder found it"))
     }
 
-    /// Index of the node that holds `key`'s primary copy and the cells
-    /// on it — one probe of the node store — or why cells cannot be
-    /// reached there (see [`Cluster::primary_payload`]).
-    fn payload_holder(&self, key: &ChunkKey) -> Result<(usize, &Arc<Chunk>)> {
+    /// Slot of the node holding `key`'s primary and the record there —
+    /// one probe of its store — or why there is none:
+    /// [`ClusterError::MissingChunk`] (not placed),
+    /// [`ClusterError::NodeUnavailable`] (a k=1 orphan whose placement
+    /// still names the wreck).
+    pub(crate) fn primary_record(&self, key: &ChunkKey) -> Result<(usize, &Resident)> {
         let node = self.placement.get(key).ok_or(ClusterError::MissingChunk(*key))?;
-        let holder = &self.nodes[node.0 as usize];
-        let copy = holder
-            .resident(Role::Primary, key)
+        let holder = &self.nodes[node.slot()];
+        let record = holder
+            .resident(key)
             .ok_or(ClusterError::NodeUnavailable { node: node.0, state: holder.state() })?;
-        Ok((node.0 as usize, copy.payload().ok_or(ClusterError::NoPayload(*key))?))
+        Ok((node.slot(), record))
     }
 
-    /// Replace a placed chunk's payload on every copy with `chunk` — a
-    /// rebuilt version of the cells already there (rows tombstoned,
-    /// storage compacted). The primary and each replica holder take this
-    /// one handle, and their descriptors are resized to its
-    /// `byte_size()` / `cell_count()`, so ledgers and census follow and
-    /// `desc.bytes == chunk.byte_size()` keeps holding on all `k`
-    /// copies. Fails, changing nothing, under the conditions of
+    /// [`Cluster::primary_record`]'s slot and the cells on the record
+    /// (see [`Cluster::primary_payload`]).
+    fn payload_holder(&self, key: &ChunkKey) -> Result<(usize, &Arc<Chunk>)> {
+        let (holder, record) = self.primary_record(key)?;
+        Ok((holder, record.payload().ok_or(ClusterError::NoPayload(*key))?))
+    }
+
+    /// Replace a placed chunk's payload with `chunk` — a rebuilt version
+    /// of the cells already there (rows tombstoned, storage compacted).
+    /// The record takes this handle and its descriptor is resized to the
+    /// handle's `byte_size()` / `cell_count()`; the primary's ledger, the
+    /// census and each holder's replica ledger follow by the byte delta,
+    /// so `desc.bytes == chunk.byte_size()` keeps holding. Fails,
+    /// changing nothing, under the conditions of
     /// [`Cluster::retract_cells`].
     pub fn install_payload(&mut self, key: &ChunkKey, chunk: Arc<Chunk>) -> Result<()> {
         let (holder, _) = self.payload_holder(key)?;
         let desc = ChunkDescriptor::new(*key, chunk.byte_size(), chunk.cell_count());
-        // Field-level split borrow: `holders` borrows `self.replicas`,
-        // the stores live in `self.nodes`.
-        let holders = self.replicas.get(key).map_or(&[][..], |v| v.as_slice());
-        for &r in holders {
-            let rn = &mut self.nodes[r.0 as usize];
-            // `verify_replica_books`: every indexed holder stores the copy.
-            rn.resize(Role::Replica, desc).expect("replica index and node stores agree");
-            Cluster::set_payload(rn, Role::Replica, key, &chunk);
-        }
         let n = &mut self.nodes[holder];
         let old_used = n.used_bytes();
-        n.resize(Role::Primary, desc).expect("payload_holder found the copy");
-        Cluster::set_payload(n, Role::Primary, key, &chunk);
+        // `payload_holder` has just found the record on this node.
+        let old = n.resize(desc).expect("payload_holder found the record");
+        if let Some(slot) = n.payload_slot(key) {
+            *slot = Some(chunk);
+        }
         self.balance.on_change(old_used, n.used_bytes());
+        // Field-level split borrow: the holders are `self.replicas`, the
+        // ledgers live in `self.nodes`.
+        for h in self.replicas.get(key).into_iter().flatten() {
+            self.nodes[h.slot()].reledger_held(old.bytes, desc.bytes);
+        }
         Ok(())
     }
 
-    /// Evict a chunk from the cluster entirely — placement entry, primary
-    /// descriptor and payload, and every replica copy. The inverse of
+    /// Evict a chunk from the cluster entirely — placement entry, record
+    /// (descriptor and payload), and every holder's copy. The inverse of
     /// [`Cluster::place`] and the retraction path's end state: once a
     /// chunk's last live cell is gone, keeping it would pin a placement
     /// slot, descriptor bytes, and replica upkeep forever. The primary
     /// must actually hold the chunk (crashed-orphan entries fail typed).
     pub fn evict_chunk(&mut self, key: &ChunkKey) -> Result<ChunkEviction> {
-        let node = self.placement.get(key).ok_or(ClusterError::MissingChunk(*key))?;
-        let idx = node.0 as usize;
-        if self.nodes[idx].resident(Role::Primary, key).is_none() {
-            let state = self.nodes[idx].state();
-            return Err(ClusterError::NodeUnavailable { node: node.0, state });
-        }
+        let (idx, _) = self.primary_record(key)?;
         self.copies.remove(self.serving_copies(key));
         let n = &mut self.nodes[idx];
-        let old = n.used_bytes();
-        let evicted = n.evict(Role::Primary, key).expect("found resident just above");
+        let (node, old) = (n.id, n.used_bytes());
+        // `primary_record` has just found the record on this node.
+        let evicted = n.evict(key).expect("primary_record found it");
         let desc = evicted.descriptor();
         self.balance.on_change(old, n.used_bytes());
         self.placement.remove(key);
         let holders = self.replicas.remove(key).unwrap_or_default();
         for &h in &holders {
-            self.nodes[h.0 as usize].evict(Role::Replica, key);
+            self.nodes[h.slot()].reledger_held(desc.bytes, 0);
         }
         Ok(ChunkEviction {
             node,
@@ -1009,7 +909,7 @@ impl Cluster {
     /// leaves every census denominator and never serves or accepts
     /// anything again. Refuses to retire the last serving node.
     pub fn retire_node(&mut self, id: NodeId) -> Result<FlowSet> {
-        let idx = id.0 as usize;
+        let idx = id.slot();
         let node = self.nodes.get(idx).ok_or(ClusterError::UnknownNode(id.0))?;
         match node.state() {
             NodeState::Healthy | NodeState::Draining => {}
@@ -1021,11 +921,12 @@ impl Cluster {
         if !self.nodes.iter().any(|n| n.id != id && n.state().serves_reads()) {
             return Err(ClusterError::NoHealthyNodes);
         }
-        let replica_keys: Vec<ChunkKey> =
-            self.nodes[idx].residents(Role::Replica).map(|copy| copy.descriptor().key).collect();
+        let replica_keys = self.held_by(id);
         for key in &replica_keys {
             let copies = self.serving_copies(key);
             self.drop_holder(key, id);
+            let bytes = self.primary_record(key).map_or(0, |(_, record)| record.descriptor().bytes);
+            self.nodes[idx].reledger_held(bytes, 0);
             self.retally(key, copies);
         }
         self.nodes[idx].set_state(NodeState::Retired);
@@ -1061,7 +962,7 @@ impl Cluster {
         match run() {
             Ok(report) => Ok(report),
             Err(e) => {
-                if self.nodes[id.0 as usize].state() == NodeState::Draining {
+                if self.nodes[id.slot()].state() == NodeState::Draining {
                     // `mark_recovered` accepts exactly this state.
                     self.mark_recovered(id).expect("draining cancels back to healthy");
                 }
@@ -1082,29 +983,60 @@ impl Cluster {
             .map(|n| n.id)
     }
 
-    /// Cross-check the replica-holder index against the per-node replica
-    /// stores; the post-recovery consistency gate. Returns the first
-    /// disagreement as a typed error. Debug builds also audit the kept
-    /// replica census against its definition (see [`crate::census`]).
+    /// Check what the replica index must keep true; the post-recovery
+    /// and post-restore consistency gate. Every replicated key's record
+    /// is resident on a serving node, and its holders are distinct roster
+    /// nodes that serve reads and are not the primary — so a primary that
+    /// does not serve never has a serving replica, and no read ever needs
+    /// to fail over. Returns the first violation as a typed error
+    /// ([`ClusterError::DuplicateChunk`] for a second copy on one node).
+    /// Debug builds also audit the kept replica census against its
+    /// definition (see [`crate::census`]) and each node's replica ledger
+    /// against the bytes of the records it holds.
     pub fn verify_replica_books(&self) -> Result<()> {
         debug_assert_eq!(self.copies, self.walked_copies(), "replica census drifted");
         for (key, holders) in &self.replicas {
-            for &h in holders {
-                let node = self.nodes.get(h.0 as usize).ok_or(ClusterError::UnknownNode(h.0))?;
-                if node.resident(Role::Replica, key).is_none() {
-                    return Err(ClusterError::NotAReplica { key: *key, node: h.0 });
+            let primary = self.nodes[self.primary_record(key)?.0].id;
+            for (i, h) in holders.iter().enumerate() {
+                if *h == primary || holders[..i].contains(h) {
+                    return Err(ClusterError::DuplicateChunk(*key));
+                }
+            }
+            for &id in std::iter::once(&primary).chain(holders) {
+                let state = self.node(id)?.state();
+                if !state.serves_reads() {
+                    return Err(ClusterError::NodeUnavailable { node: id.0, state });
                 }
             }
         }
-        for node in &self.nodes {
-            for copy in node.residents(Role::Replica) {
-                let key = copy.descriptor().key;
-                if !self.replica_holders(&key).contains(&node.id) {
-                    return Err(ClusterError::NotAReplica { key, node: node.id.0 });
-                }
+        if cfg!(debug_assertions) {
+            for (node, held) in self.nodes.iter().zip(self.held_records()) {
+                let bytes =
+                    held.iter().fold(0u64, |sum, r| sum.saturating_add(r.descriptor().bytes));
+                debug_assert_eq!(
+                    node.replica_bytes(),
+                    bytes,
+                    "replica ledger of {} drifted",
+                    node.id
+                );
             }
         }
         Ok(())
+    }
+
+    /// Per roster slot, the records of the chunks that node holds a
+    /// replica of, in key order: what its checkpoint section lists and
+    /// what its replica ledger sums.
+    pub(crate) fn held_records(&self) -> Vec<Vec<&Resident>> {
+        let mut held = vec![Vec::new(); self.nodes.len()];
+        for (key, holders) in &self.replicas {
+            // A replicated key's record is resident (`verify_replica_books`).
+            let Ok((_, record)) = self.primary_record(key) else { continue };
+            for h in holders {
+                held[h.slot()].push(record);
+            }
+        }
+        held
     }
 
     /// Per-node stored bytes, in join order. The input to every balance
@@ -1171,26 +1103,6 @@ impl Cluster {
                 n.state().accepts_data() && Some(n.id) != primary && !holders.contains(&n.id)
             })
             .map(|n| n.id)
-    }
-}
-
-/// Where a failover-aware payload read was served from.
-#[derive(Debug)]
-pub enum PayloadRead<'a> {
-    /// The primary copy on the chunk's placed node.
-    Primary(&'a Arc<Chunk>),
-    /// A surviving replica copy — a degraded read — and the node that
-    /// served it.
-    Failover(NodeId, &'a Arc<Chunk>),
-}
-
-impl<'a> PayloadRead<'a> {
-    /// The served payload handle, whichever copy supplied it.
-    pub fn chunk(&self) -> &'a Arc<Chunk> {
-        match self {
-            PayloadRead::Primary(c) => c,
-            PayloadRead::Failover(_, c) => c,
-        }
     }
 }
 
@@ -1280,11 +1192,6 @@ mod tests {
 
     fn cluster(n: usize) -> Cluster {
         Cluster::new(n, 1_000, CostModel::default()).unwrap()
-    }
-
-    /// The replica copy of `key` on `holder`.
-    fn replica<'c>(c: &'c Cluster, holder: NodeId, key: &ChunkKey) -> &'c Resident {
-        c.node(holder).unwrap().resident(Role::Replica, key).expect("a replica is resident")
     }
 
     #[test]
@@ -1470,7 +1377,6 @@ mod tests {
         fat.push_cell(&schema, vec![0], vec![ScalarValue::Double(1.0)]).unwrap();
         assert!(matches!(c.attach_payload(key, fat), Err(ClusterError::PayloadMismatch(_))));
         c.attach_payload(key, chunk.clone()).unwrap();
-        assert_eq!(c.payload_count(), 1);
         assert_eq!(c.payload(&key).unwrap().cell_count(), 1);
         // A rebalance move carries the payload and times the flow off the
         // cells' actual bytes.
@@ -1478,7 +1384,7 @@ mod tests {
         plan.push(key, NodeId(0), NodeId(1), desc.bytes);
         let flows = c.apply_rebalance(&plan).unwrap();
         assert_eq!(flows.network_bytes(), chunk.byte_size());
-        assert_eq!(c.node(NodeId(0)).unwrap().payload_count(), 0);
+        assert!(c.node(NodeId(0)).unwrap().resident(&key).is_none());
         assert_eq!(c.payload(&key), Some(&chunk));
 
         // Equal bytes but a different cell count is still a drift. Under
@@ -1586,16 +1492,23 @@ mod tests {
         assert_eq!(a.balance_rsd().to_bits(), k1.balance_rsd().to_bits());
     }
 
+    /// A holder serves the chunk's one record: attaching sets one slot,
+    /// shared with the caller, and the holder's ledger (which counted
+    /// the bytes at placement) does not move.
     #[test]
     fn attach_fans_out_to_every_replica() {
         let (_, chunk, key, d) = payload_chunk();
         let mut c = Cluster::with_replication(3, 1_000_000, CostModel::default(), 2).unwrap();
         c.place(d, NodeId(0)).unwrap();
+        let holder = c.replica_holders(&key)[0];
+        assert_eq!(c.node(holder).unwrap().replica_bytes(), d.bytes);
         let shared: Arc<Chunk> = Arc::new(chunk);
         c.attach_payload(key, Arc::clone(&shared)).unwrap();
-        let holder = c.replica_holders(&key)[0];
-        let copy = replica(&c, holder, &key).payload().unwrap();
-        assert!(Arc::ptr_eq(copy, &shared), "fan-out shares the handle, never copies cells");
+        let served = c.primary_payload(&key).unwrap();
+        assert!(Arc::ptr_eq(served, &shared), "attach shares the handle, never copies cells");
+        assert_eq!(Arc::strong_count(&shared), 2, "one record, one slot");
+        assert_eq!(c.node(holder).unwrap().replica_bytes(), d.bytes);
+        c.verify_replica_books().unwrap();
     }
 
     #[test]
@@ -1608,7 +1521,7 @@ mod tests {
         assert!(
             matches!(c.attach_payload(key, chunk), Err(ClusterError::PayloadExists(k)) if k == key)
         );
-        assert_eq!(c.payload_count(), 1, "the original payload is untouched");
+        assert_eq!(c.payload(&key).map(Chunk::cell_count), Some(1), "the original is untouched");
         assert_eq!(c.loads(), loads);
     }
 
@@ -1623,7 +1536,7 @@ mod tests {
             c.attach_payload(key, chunk),
             Err(ClusterError::NodeUnavailable { node: 1, .. })
         ));
-        assert_eq!(c.payload_count(), 0);
+        assert!(c.payload(&key).is_none());
         assert_eq!(c.loads(), loads);
     }
 
@@ -1634,29 +1547,19 @@ mod tests {
         let mut c = Cluster::with_replication(3, 1_000_000, CostModel::default(), 2).unwrap();
         c.place(d, NodeId(0)).unwrap();
         let holder = c.replica_holders(&key)[0];
-        // A drifted payload aimed straight at the replica copy: the
-        // replica's own stored descriptor catches the byte/cell mismatch.
+        // A drifted payload: the one descriptor catches the byte/cell
+        // mismatch for every copy, and no ledger moves.
         let mut fat = chunk.clone();
         fat.push_cell(&schema, vec![0], vec![ScalarValue::Double(9.0)]).unwrap();
-        assert!(matches!(
-            c.attach_replica_payload(key, holder, fat),
-            Err(ClusterError::PayloadMismatch(_))
-        ));
-        assert!(replica(&c, holder, &key).payload().is_none());
-        // Targeting a node that holds no replica is a typed error too.
-        let non_holder =
-            c.node_ids().into_iter().find(|&n| n != holder && Some(n) != c.locate(&key)).unwrap();
-        assert!(matches!(
-            c.attach_replica_payload(key, non_holder, chunk.clone()),
-            Err(ClusterError::NotAReplica { .. })
-        ));
+        assert!(matches!(c.attach_payload(key, fat), Err(ClusterError::PayloadMismatch(_))));
+        assert!(c.payload(&key).is_none());
+        assert_eq!(c.node(holder).unwrap().replica_bytes(), d.bytes);
         // The well-formed attach still lands, and a second one is a
-        // double-attach on the replica store.
-        c.attach_replica_payload(key, holder, chunk.clone()).unwrap();
-        assert!(matches!(
-            c.attach_replica_payload(key, holder, chunk),
-            Err(ClusterError::PayloadExists(_))
-        ));
+        // double-attach.
+        c.attach_payload(key, chunk.clone()).unwrap();
+        assert!(matches!(c.attach_payload(key, chunk), Err(ClusterError::PayloadExists(_))));
+        assert_eq!(c.node(holder).unwrap().replica_bytes(), d.bytes);
+        c.verify_replica_books().unwrap();
     }
 
     #[test]
@@ -1678,10 +1581,9 @@ mod tests {
         assert!(c.replica_census().is_full_strength());
         let new_holder = c.replica_holders(&key)[0];
         assert_ne!(new_holder, holder, "replica may not co-locate with its primary");
-        assert!(
-            replica(&c, new_holder, &key).payload().is_some(),
-            "top-up carries the payload handle"
-        );
+        assert_eq!(c.node(new_holder).unwrap().replica_bytes(), d.bytes, "top-up ledgers it");
+        assert_eq!(c.node(holder).unwrap().replica_bytes(), 0, "the superseded copy is gone");
+        assert!(c.payload(&key).is_some(), "the record moved with its payload handle");
     }
 
     #[test]
@@ -1716,9 +1618,9 @@ mod tests {
         assert_eq!(c.total_used(), 4_000);
     }
 
-    /// A retraction shrinks the payload, the resident descriptor, the
-    /// byte ledgers, the census moments, and every replica copy — and the
-    /// replica handle stays shared with the primary, never a cell copy.
+    /// A retraction shrinks the payload, the record's descriptor, the
+    /// byte ledgers, the census moments, and every holder's replica
+    /// ledger.
     #[test]
     fn retract_cells_shrinks_every_copy() {
         use array_model::{ArraySchema, Chunk, ScalarValue};
@@ -1741,7 +1643,7 @@ mod tests {
         assert_eq!(out.remaining_cells, 2);
         assert_eq!(out.freed_bytes, 2 * (8 + 8), "two coord+double rows");
 
-        let stored = c.payload_shared(&key).unwrap();
+        let stored = c.primary_payload(&key).unwrap();
         assert_eq!(stored.cell_count(), 2);
         let new_desc = c.node(NodeId(0)).unwrap().descriptor(&key).copied().unwrap();
         assert_eq!(new_desc.bytes, stored.byte_size());
@@ -1749,10 +1651,8 @@ mod tests {
         assert_eq!(c.loads()[0], stored.byte_size());
         assert_eq!(c.total_used(), stored.byte_size());
         assert!((c.balance_rsd() - relative_std_dev(&c.loads())).abs() < 1e-12);
-        // The replica copy shrank in lockstep and still shares the handle.
-        let copy = replica(&c, holder, &key);
-        assert_eq!(copy.descriptor().bytes, stored.byte_size());
-        assert!(Arc::ptr_eq(copy.payload().unwrap(), stored));
+        // The holder's ledger shrank in lockstep with the one record.
+        assert_eq!(c.node(holder).unwrap().replica_bytes(), stored.byte_size());
         c.verify_replica_books().unwrap();
 
         // Re-retracting the same cells is idempotent: all missing.
@@ -1791,10 +1691,9 @@ mod tests {
         assert_eq!(c.retract_cells(&key, &[1, 2]).unwrap().retracted, 1);
     }
 
-    /// Compacting a tombstoned payload rebuilds it from survivors on the
-    /// primary and every replica copy: descriptor, ledgers, census, and
-    /// the shared handle all follow, and the attach invariant keeps
-    /// holding.
+    /// Compacting a tombstoned payload rebuilds it from survivors:
+    /// descriptor, ledgers (the holders' too), census, and the handle all
+    /// follow, and the attach invariant keeps holding.
     #[test]
     fn compact_chunk_reclaims_on_every_copy() {
         use array_model::{ArraySchema, Chunk, ScalarValue};
@@ -1809,11 +1708,11 @@ mod tests {
         c.place(d, NodeId(0)).unwrap();
         c.attach_payload(key, chunk).unwrap();
         c.retract_cells(&key, &[0, 2, 4]).unwrap();
-        assert_eq!(c.payload_shared(&key).unwrap().tombstone_count(), 3);
+        assert_eq!(c.primary_payload(&key).unwrap().tombstone_count(), 3);
 
         let out = c.compact_chunk(&key).unwrap();
         assert_eq!(out.cells, 3);
-        let stored = c.payload_shared(&key).unwrap();
+        let stored = c.primary_payload(&key).unwrap();
         assert_eq!(stored.tombstone_count(), 0);
         assert_eq!(stored.cell_count(), 3);
         assert_eq!(out.bytes, stored.byte_size());
@@ -1821,9 +1720,7 @@ mod tests {
         assert_eq!((new_desc.bytes, new_desc.cells), (stored.byte_size(), 3));
         assert_eq!(c.total_used(), stored.byte_size());
         let holder = c.replica_holders(&key)[0];
-        let copy = replica(&c, holder, &key);
-        assert_eq!(copy.descriptor().bytes, stored.byte_size());
-        assert!(Arc::ptr_eq(copy.payload().unwrap(), stored));
+        assert_eq!(c.node(holder).unwrap().replica_bytes(), stored.byte_size());
         c.verify_replica_books().unwrap();
 
         // A tombstone-free chunk compacts to a no-op, and metadata-only
@@ -1837,8 +1734,9 @@ mod tests {
         ));
     }
 
-    /// Evicting a chunk removes the placement entry, both stores, and the
-    /// replica set; the vacated placement slot is reusable.
+    /// Evicting a chunk removes the placement entry, the record, and the
+    /// replica set with its ledgers; the vacated placement slot is
+    /// reusable.
     #[test]
     fn evict_chunk_clears_placement_stores_and_replicas() {
         let mut c = Cluster::with_replication(3, 1_000_000, CostModel::default(), 2).unwrap();
@@ -1853,6 +1751,7 @@ mod tests {
         assert_eq!(c.total_chunks(), 1);
         assert_eq!(c.loads()[0], 0);
         assert!(c.replica_holders(&key).is_empty());
+        assert_eq!(c.nodes().map(Node::replica_bytes).sum::<u64>(), 100, "chunk 2's copy only");
         c.verify_replica_books().unwrap();
         assert!(matches!(c.evict_chunk(&key), Err(ClusterError::MissingChunk(_))));
         // The slot is reusable after eviction.

@@ -1,4 +1,4 @@
-//! Checkpoint codec for the whole cluster: roster, stores, placement,
+//! Checkpoint codec for the whole cluster: roster, records, placement,
 //! replica index.
 //!
 //! The snapshot serializes four things and *derives* everything else on
@@ -7,30 +7,37 @@
 //! - the replication factor and the placement index's dense-grid
 //!   registrations (geometry is re-derived by re-running
 //!   `register_dense`);
-//! - every node verbatim — lifecycle state, chunk/replica descriptors,
-//!   and *which* copies carry payloads, but not the payload cells
-//!   themselves: the `k` copies of a chunk share one `Arc<Chunk>`, so the
-//!   caller writes each chunk's cells once, beside this snapshot, and
-//!   restore re-wires the shared handles through a `payload_of` lookup
-//!   (every copy of a chunk aliases one handle again);
+//! - every node — lifecycle state, byte ledgers, its primaries'
+//!   descriptors and *which* of them carry payloads, but not the payload
+//!   cells themselves: the caller writes each chunk's cells once, beside
+//!   this snapshot, and restore re-wires the handles through a
+//!   `payload_of` lookup;
 //! - the placement index entries, separately from the node stores.
 //!   They are not redundant: after a crash, an orphaned chunk keeps a
-//!   placement entry naming the wreck while every node store copy is
-//!   gone, so placement ⊋ union-of-node-chunks;
-//! - the replica-holder index verbatim, holder order preserved (it is
-//!   route order, consumed by failover promotion).
+//!   placement entry naming the wreck while its record is gone, so
+//!   placement ⊋ union-of-node-chunks;
+//! - the replica index verbatim, holder order preserved (it is route
+//!   order, consumed by crash promotion).
+//!
+//! Each node's section also lists the replicas it holds — descriptor and
+//! payload flag per chunk, as the format has always carried them. They
+//! are *derived*: written from the replica index and the chunks' primary
+//! records, and on restore checked against the same, both ways — no
+//! entry missing, none extra, none whose descriptor or payload flag
+//! differs from its primary's.
 //!
 //! `BalanceStats`, the retired-slot counter and the replica census tally
 //! are recomputed from the restored books, and the serialized per-node
-//! byte ledgers plus [`Cluster::verify_replica_books`] act as corruption
-//! tripwires: any drift between stored and recomputed books surfaces as
-//! a typed [`DurabilityError::Mismatch`], never a silently wrong cluster.
+//! byte ledgers, the replica sections and [`Cluster::verify_replica_books`]
+//! act as corruption tripwires: any drift between stored and recomputed
+//! books surfaces as a typed [`DurabilityError::Mismatch`], never a
+//! silently wrong cluster.
 
 use crate::cluster::{BalanceStats, Cluster};
 use crate::cost::CostModel;
-use crate::node::{Node, NodeId, NodeState};
+use crate::node::{HeldSection, Node, NodeId, NodeState, Resident};
 use crate::placement::PlacementIndex;
-use array_model::{ArrayId, Chunk, ChunkKey};
+use array_model::{ArrayId, Chunk, ChunkDescriptor, ChunkKey};
 use durability::{ByteReader, ByteWriter, CodecError, DurabilityError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -54,8 +61,8 @@ impl Cluster {
             }
         }
         w.put_usize(self.nodes.len());
-        for node in &self.nodes {
-            node.snapshot_into(w);
+        for (node, held) in self.nodes.iter().zip(self.held_records()) {
+            node.snapshot_into(&held, w);
         }
         let entries = self.placement.collect_sorted();
         w.put_usize(entries.len());
@@ -75,9 +82,9 @@ impl Cluster {
 
     /// Rebuild a cluster from [`Cluster::snapshot_into`]. `payload_of`
     /// resolves a chunk's cells from wherever the caller kept them (a
-    /// checkpoint's cells section), and every copy that carried a payload
-    /// takes the handle it returns. The cost model is config-derived and
-    /// supplied by the caller, not serialized.
+    /// checkpoint's cells section), and every record that carried a
+    /// payload takes the handle it returns. The cost model is
+    /// config-derived and supplied by the caller, not serialized.
     ///
     /// Does not demand the reader be empty afterwards: the cluster
     /// section is embedded inside a larger checkpoint record.
@@ -126,11 +133,12 @@ impl Cluster {
         }
         let n = r.usize("node count").map_err(|e| codec("node count", e))?;
         let mut nodes = Vec::with_capacity(n.min(1 << 16));
+        let mut sections = Vec::with_capacity(n.min(1 << 16));
         let mut balance = BalanceStats::default();
         let mut retired = 0usize;
         for i in 0..n {
-            let node = Node::restore_from(r, payload_of)?;
-            if node.id != NodeId(i as u32) {
+            let (node, held) = Node::restore_from(r, payload_of)?;
+            if u32::try_from(i).ok() != Some(node.id.0) {
                 return Err(DurabilityError::Mismatch {
                     what: "node roster order".to_string(),
                     expected: format!("node {i} in slot {i} (ids are join-order indices)"),
@@ -142,12 +150,13 @@ impl Cluster {
                 retired += 1;
             }
             nodes.push(node);
+            sections.push(held);
         }
         let entries = r.usize("placement count").map_err(|e| codec("placement count", e))?;
         for _ in 0..entries {
             let key = ChunkKey::decode_from(r).map_err(|e| codec("placement key", e))?;
             let node = NodeId(r.u32("placement node").map_err(|e| codec("placement node", e))?);
-            if node.0 as usize >= nodes.len() {
+            if node.slot() >= nodes.len() {
                 return Err(DurabilityError::Mismatch {
                     what: format!("placement of {key}"),
                     expected: format!("a node id below {}", nodes.len()),
@@ -171,7 +180,7 @@ impl Cluster {
             let mut v = Vec::with_capacity(holders.min(1 << 8));
             for _ in 0..holders {
                 let h = NodeId(r.u32("replica holder").map_err(|e| codec("replica holder", e))?);
-                if h.0 as usize >= nodes.len() {
+                if h.slot() >= nodes.len() {
                     return Err(DurabilityError::Mismatch {
                         what: format!("replica holder of {key}"),
                         expected: format!("a node id below {}", nodes.len()),
@@ -191,12 +200,40 @@ impl Cluster {
         let copies = Default::default();
         let mut cluster =
             Cluster { nodes, placement, cost, balance, replication, replicas, retired, copies };
+        // The replica sections are derived: each must list exactly what
+        // the index and the primary records say the node holds.
+        for ((node, section), held) in
+            cluster.nodes.iter().zip(&sections).zip(cluster.held_records())
+        {
+            let entry =
+                |r: &&Resident| (r.descriptor().key, (*r.descriptor(), r.payload().is_some()));
+            if held.iter().map(entry).eq(section.iter().map(|(key, listed)| (*key, *listed))) {
+                continue;
+            }
+            let derived: HeldSection = held.iter().map(entry).collect();
+            let differs = |key: &&ChunkKey| derived.get(key) != section.get(key);
+            if let Some(key) = derived.keys().chain(section.keys()).find(differs) {
+                let show = |copy: Option<&(ChunkDescriptor, bool)>| match copy {
+                    None => "no copy".to_string(),
+                    Some((d, cells)) => {
+                        format!("{} bytes / {} cells, cells attached: {cells}", d.bytes, d.cells)
+                    }
+                };
+                return Err(DurabilityError::Mismatch {
+                    what: format!("replica of {key} on {}", node.id),
+                    expected: show(derived.get(key)),
+                    actual: show(section.get(key)),
+                });
+            }
+        }
         // The replica census is derived state: recount it from the books
         // just read instead of trusting (or storing) a second copy.
         cluster.copies = cluster.walked_copies();
         cluster.verify_replica_books().map_err(|e| DurabilityError::Mismatch {
             what: "replica books".to_string(),
-            expected: "replica index in lockstep with node replica stores".to_string(),
+            expected: "every replicated chunk's record on a serving primary, its holders \
+                       distinct serving nodes other than the primary"
+                .to_string(),
             actual: e.to_string(),
         })?;
         Ok(cluster)
@@ -206,7 +243,6 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::Role;
     use array_model::{ArraySchema, ChunkCoords};
 
     fn chunk_for(key: &ChunkKey) -> Arc<Chunk> {
@@ -276,19 +312,17 @@ mod tests {
             cluster.placements().collect::<Vec<_>>(),
             restored.placements().collect::<Vec<_>>()
         );
-        // Every restored copy aliases the one handle the lookup gave
-        // out (zero-copy restore), primaries and replicas alike.
+        // Every restored record aliases the one handle the lookup gave
+        // out (zero-copy restore); holders serve those same records.
         let mut aliased = 0;
         for node in restored.nodes() {
-            for role in [Role::Primary, Role::Replica] {
-                for payload in node.residents(role).filter_map(|copy| copy.payload()) {
-                    let handed = &cells[&payload.descriptor(ArrayId(0)).key];
-                    assert!(Arc::ptr_eq(payload, handed), "a copy on {} was rebuilt", node.id);
-                    aliased += 1;
-                }
+            for payload in node.residents().filter_map(|record| record.payload()) {
+                let handed = &cells[&payload.descriptor(ArrayId(0)).key];
+                assert!(Arc::ptr_eq(payload, handed), "a record on {} was rebuilt", node.id);
+                aliased += 1;
             }
         }
-        assert!(aliased > cells.len() / 2, "most chunks survive the crash with a copy");
+        assert_eq!(aliased, cells.len(), "at k = 2 every chunk survives one crash");
     }
 
     /// The snapshot bytes are a format other code reads back (every
@@ -309,80 +343,182 @@ mod tests {
         (0..=bytes.len() - needle.len()).filter(|&at| bytes[at..].starts_with(needle)).collect()
     }
 
-    /// Bytes a CRC merely failed to reject: a real snapshot — two nodes,
-    /// k = 2, chunks A and C on node 0 and B on node 1, every copy with
-    /// its payload — mutated one field at a time. Each mutation keeps the
-    /// byte ledgers balanced, so only the check it aims at can refuse it.
-    #[test]
-    fn mutated_snapshots_are_refused_typed() {
-        let mut cluster = Cluster::with_replication(2, u64::MAX, CostModel::default(), 2).unwrap();
-        let mut cells = BTreeMap::new();
-        let key = |x: i64| ChunkKey::new(ArrayId(0), ChunkCoords::new([x, 0]));
-        let (a, b, c) = (key(0), key(1), key(2));
-        for (key, node) in [(a, 0), (b, 1), (c, 0)] {
-            let payload = chunk_for(&key);
-            cluster.place(payload.descriptor(ArrayId(0)), NodeId(node)).unwrap();
-            cluster.attach_payload(key, Arc::clone(&payload)).unwrap();
-            cells.insert(key, payload);
+    /// `bytes` with every `(at, cut, insert)` edit applied: `cut` bytes at
+    /// offset `at` (of the original) replaced by `insert`.
+    fn edited(bytes: &[u8], edits: &[(usize, usize, &[u8])]) -> Vec<u8> {
+        let mut edits = edits.to_vec();
+        edits.sort_by_key(|&(at, ..)| std::cmp::Reverse(at));
+        let mut out = bytes.to_vec();
+        for (at, cut, insert) in edits {
+            out.splice(at..at + cut, insert.iter().copied());
         }
-        let mut w = ByteWriter::new();
-        cluster.snapshot_into(&mut w);
-        let bytes = w.into_bytes();
-        let pattern = |key: &ChunkKey| {
+        out
+    }
+
+    /// A two-node, k = 2 snapshot — chunks A and C on node 0, B on node
+    /// 1, each replicated on the other node, with or without cells —
+    /// plus where each key's `nth` encoding starts in it and why a
+    /// mutation of it is refused (a typed mismatch, or a panic).
+    struct Fixture {
+        bytes: Vec<u8>,
+        cells: BTreeMap<ChunkKey, Arc<Chunk>>,
+        keys: [ChunkKey; 3],
+    }
+
+    impl Fixture {
+        fn new(with_cells: bool) -> Fixture {
+            let mut cluster =
+                Cluster::with_replication(2, u64::MAX, CostModel::default(), 2).unwrap();
+            let mut cells = BTreeMap::new();
+            let keys = [0, 1, 2].map(|x| ChunkKey::new(ArrayId(0), ChunkCoords::new([x, 0])));
+            for (key, node) in keys.into_iter().zip([0, 1, 0]) {
+                let payload = chunk_for(&key);
+                cluster.place(payload.descriptor(ArrayId(0)), NodeId(node)).unwrap();
+                if with_cells {
+                    cluster.attach_payload(key, Arc::clone(&payload)).unwrap();
+                    cells.insert(key, payload);
+                }
+            }
+            let mut w = ByteWriter::new();
+            cluster.snapshot_into(&mut w);
+            let fixture = Fixture { bytes: w.into_bytes(), cells, keys };
+            fixture.refusal(&fixture.bytes).expect_err("the snapshot itself restores");
+            fixture
+        }
+
+        fn pattern(key: &ChunkKey) -> Vec<u8> {
             let mut w = ByteWriter::new();
             key.encode_into(&mut w);
             w.into_bytes()
+        }
+
+        /// Where the `nth` encoding of the `i`th key starts.
+        fn at(&self, i: usize, nth: usize) -> usize {
+            occurrences(&self.bytes, &Fixture::pattern(&self.keys[i]))[nth]
+        }
+
+        /// Why `mutated` does not restore: `Ok` with the mismatch
+        /// rendered, `Err` when it does restore.
+        fn refusal(&self, mutated: &[u8]) -> Result<String, ()> {
+            let lookup = |key: &ChunkKey| self.cells.get(key).cloned();
+            match Cluster::restore_from(
+                &mut ByteReader::new(mutated),
+                CostModel::default(),
+                &lookup,
+            ) {
+                Err(DurabilityError::Mismatch { what, expected, actual }) => {
+                    Ok(format!("{what}: expected {expected}, got {actual}"))
+                }
+                Ok(_) => Err(()),
+                Err(other) => panic!("expected a typed mismatch, got {other}"),
+            }
+        }
+
+        fn refused(&self, edits: &[(usize, usize, &[u8])]) -> String {
+            self.refusal(&edited(&self.bytes, edits)).expect("a mutated snapshot restored")
+        }
+    }
+
+    /// Bytes a CRC merely failed to reject: a real snapshot mutated one
+    /// field at a time. Each mutation keeps the byte ledgers balanced, so
+    /// only the check it aims at can refuse it.
+    #[test]
+    fn mutated_snapshots_are_refused_typed() {
+        const DESC: usize = 20 + 1; // a two-dimensional key
+        let u64_at = |bytes: &[u8], at: usize| {
+            u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"))
         };
-        // A key is written six times, in this order: node 0's descriptor
-        // and payload-key lists, node 1's, the placement, the replica
-        // index (A and C are primaries on node 0, replicas on node 1).
+        let (a, b, c) = (0, 1, 2);
+
+        // With cells, a key is written six times, in this order: node 0's
+        // descriptor and payload-key lists, node 1's, the placement, the
+        // replica index (A and C are primaries on node 0, replicas on 1).
+        let f = Fixture::new(true);
         const PRIMARY_DESC: usize = 0;
         const PRIMARY_PAYLOAD_KEY: usize = 1;
         const REPLICA_PAYLOAD_KEY: usize = 3;
         const REPLICA_INDEX: usize = 5;
-        let at = |key: &ChunkKey, nth: usize| {
-            let found = occurrences(&bytes, &pattern(key));
-            assert_eq!(found.len(), 6, "{key} is written six times");
-            found[nth]
-        };
-        let restore = |bytes: &[u8]| {
-            let lookup = |key: &ChunkKey| cells.get(key).cloned();
-            Cluster::restore_from(&mut ByteReader::new(bytes), CostModel::default(), &lookup)
-        };
-        restore(&bytes).expect("the snapshot itself restores");
-        let refusal = |mutated: &[u8]| match restore(mutated) {
-            Err(DurabilityError::Mismatch { what, expected, actual }) => {
-                format!("{what}: expected {expected}, got {actual}")
-            }
-            other => panic!("expected a typed mismatch, got {:?}", other.map(|_| "a cluster")),
-        };
-        let overwrite = |at: usize, with: &[u8]| {
-            let mut mutated = bytes.clone();
-            mutated[at..at + with.len()].copy_from_slice(with);
-            mutated
-        };
-
+        assert_eq!(occurrences(&f.bytes, &Fixture::pattern(&f.keys[a])).len(), 6);
         // A payload key naming a chunk the node holds no descriptor for:
-        // the cells would be stranded — in either store.
-        let stranger = pattern(&key(7));
-        for (nth, role) in [(PRIMARY_PAYLOAD_KEY, "Primary"), (REPLICA_PAYLOAD_KEY, "Replica")] {
-            let why = refusal(&overwrite(at(&a, nth), &stranger));
-            assert!(why.contains(role) && why.contains("a descriptor resident beside it"), "{why}");
+        // the cells would be stranded — in either section.
+        let stranger = Fixture::pattern(&ChunkKey::new(ArrayId(0), ChunkCoords::new([7, 0])));
+        for (nth, section) in [(PRIMARY_PAYLOAD_KEY, "primary"), (REPLICA_PAYLOAD_KEY, "replica")] {
+            let why = f.refused(&[(f.at(a, nth), stranger.len(), &stranger)]);
+            assert!(
+                why.contains(section) && why.contains("a descriptor resident beside it"),
+                "{why}"
+            );
         }
         // A descriptor whose cell count its cells do not have. (Bytes are
         // ledgered, so a byte drift trips the ledger check too; cells are
         // not — only the attach-time check sees this one.)
-        let cells_field = at(&a, PRIMARY_DESC) + pattern(&a).len() + 8;
-        let why = refusal(&overwrite(cells_field, &2u64.to_le_bytes()));
+        let why = f.refused(&[(f.at(a, PRIMARY_DESC) + DESC + 8, 8, &2u64.to_le_bytes())]);
         assert!(why.contains("payload for") && why.contains("2 cells"), "{why}");
         // One payload key listed twice (C's entry rewritten to A's): A
         // would be attached twice and C silently left without cells.
-        let why = refusal(&overwrite(at(&c, PRIMARY_PAYLOAD_KEY), &pattern(&a)));
+        let a_key = Fixture::pattern(&f.keys[a]);
+        let why = f.refused(&[(f.at(c, PRIMARY_PAYLOAD_KEY), DESC, &a_key)]);
         assert!(why.contains("listed twice"), "{why}");
         // One key twice in the replica index: the later entry used to
         // replace the earlier without a word.
-        let why = refusal(&overwrite(at(&c, REPLICA_INDEX), &pattern(&a)));
+        let why = f.refused(&[(f.at(c, REPLICA_INDEX), DESC, &a_key)]);
         assert!(why.contains("replica holders") && why.contains("duplicate entry"), "{why}");
+        // A replica section that drops C's cells while C's record keeps
+        // them: the holder would list a copy its primary does not match.
+        let count = f.at(a, REPLICA_PAYLOAD_KEY) - 8;
+        let why = f
+            .refused(&[(count, 8, &1u64.to_le_bytes()), (f.at(c, REPLICA_PAYLOAD_KEY), DESC, &[])]);
+        assert!(why.contains("replica of") && why.contains("cells attached: true"), "{why}");
+
+        // Metadata only — no payload-key lists, the case every metadata
+        // run checkpoints — each key is written four times: its primary
+        // descriptor and its replica descriptor (node order), the
+        // placement, the replica index. The replica sections are derived
+        // from the index and the primaries, and checked both ways.
+        let f = Fixture::new(false);
+        let (primary, replica) = (|i| if i == b { 1 } else { 0 }, |i| if i == b { 0 } else { 1 });
+        assert_eq!(occurrences(&f.bytes, &Fixture::pattern(&f.keys[a])).len(), 4);
+        // Each node's replica ledger is the eight bytes before its
+        // primary count, which precedes its first primary descriptor.
+        let ledger = |node: usize| f.at([a, b][node], primary([a, b][node])) - 16;
+        let bumped = |node: usize, delta: i64| {
+            let was = u64_at(&f.bytes, ledger(node));
+            (ledger(node), 8, was.checked_add_signed(delta).expect("in range").to_le_bytes())
+        };
+        let bytes_of = |i: usize| u64_at(&f.bytes, f.at(i, primary(i)) + DESC) as i64;
+        // A's replica descriptor on node 1 with a cell count its primary
+        // does not have: no ledger counts cells, no payload is attached.
+        let why = f.refused(&[(f.at(a, replica(a)) + DESC + 8, 8, &2u64.to_le_bytes())]);
+        assert!(
+            why.contains(&format!("replica of {} on n1", f.keys[a])) && why.contains("2 cells"),
+            "{why}"
+        );
+        // The same with bytes, and node 1's replica ledger edited to match.
+        let (at, cut, new) = bumped(1, 1);
+        let grown = (bytes_of(a) + 1) as u64;
+        let why =
+            f.refused(&[(f.at(a, replica(a)) + DESC, 8, &grown.to_le_bytes()), (at, cut, &new)]);
+        assert!(why.contains(&format!("replica of {} on n1", f.keys[a])), "{why}");
+        // An entry missing: node 1 stops listing C (count and ledger too).
+        let count = f.at(a, replica(a)) - 8;
+        let (at, cut, new) = bumped(1, -bytes_of(c));
+        let c_desc = (f.at(c, replica(c)), DESC + 16, &[][..]);
+        let why = f.refused(&[(count, 8, &1u64.to_le_bytes()), c_desc, (at, cut, &new)]);
+        assert!(
+            why.contains(&format!("replica of {} on n1", f.keys[c])) && why.contains("got no copy"),
+            "{why}"
+        );
+        // An entry extra: node 0 also lists its own primary A as held.
+        let count = f.at(b, replica(b)) - 8;
+        let (at, cut, new) = bumped(0, bytes_of(a));
+        let a_desc = f.bytes[f.at(a, primary(a))..][..DESC + 16].to_vec();
+        let extra = (f.at(b, replica(b)), 0, &a_desc[..]);
+        let why = f.refused(&[(count, 8, &2u64.to_le_bytes()), extra, (at, cut, &new)]);
+        assert!(
+            why.contains(&format!("replica of {} on n0", f.keys[a]))
+                && why.contains("expected no copy"),
+            "{why}"
+        );
     }
 
     #[test]

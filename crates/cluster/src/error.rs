@@ -9,7 +9,8 @@ use std::fmt;
 pub enum ClusterError {
     /// Referenced a node that does not exist.
     UnknownNode(u32),
-    /// Placed a chunk that is already resident somewhere.
+    /// Placed a chunk that is already resident somewhere, or found a
+    /// replica index naming one node twice for it.
     DuplicateChunk(ChunkKey),
     /// Moved or looked up a chunk that is not resident.
     MissingChunk(ChunkKey),
@@ -41,14 +42,6 @@ pub enum ClusterError {
     /// A payload was attached twice for the same chunk on the same node;
     /// re-attachment would silently shadow cells already being served.
     PayloadExists(ChunkKey),
-    /// A replica operation targeted a node that does not hold a replica
-    /// descriptor for the chunk.
-    NotAReplica {
-        /// The chunk whose replica was addressed.
-        key: ChunkKey,
-        /// The node that holds no such replica.
-        node: u32,
-    },
     /// Every node in the cluster is out of service; the operation needs
     /// at least one surviving node.
     NoHealthyNodes,
@@ -111,9 +104,6 @@ impl fmt::Display for ClusterError {
             }
             ClusterError::PayloadExists(key) => {
                 write!(f, "payload of {key} is already attached on its node")
-            }
-            ClusterError::NotAReplica { key, node } => {
-                write!(f, "node {node} holds no replica of chunk {key}")
             }
             ClusterError::NoHealthyNodes => {
                 write!(f, "no node in the cluster is in service")

@@ -34,12 +34,11 @@ mod transfer;
 pub use census::ReplicaCensus;
 pub use cluster::{
     ChunkCompaction, ChunkEviction, ChunkRetraction, Cluster, CrashReport, DecommissionReport,
-    PayloadRead,
 };
 pub use cost::{gb, CostModel, BYTES_PER_GB};
 pub use error::{ClusterError, PayloadMismatch, Result};
 pub use metrics::{relative_std_dev, NodeHoursLedger, PhaseBreakdown};
-pub use node::{Node, NodeId, NodeState, Resident, Role};
+pub use node::{Node, NodeId, NodeState, Resident};
 pub use rebalance::{ChunkMove, RebalancePlan};
 pub use recovery::{BackoffPolicy, Flakiness, MidCrash, RecoveryOutcome, RepairJob, RepairPlan};
 pub use transfer::{Flow, FlowSet};

@@ -74,11 +74,6 @@ impl NodeHoursLedger {
         self.cycles.push((nodes, phases));
     }
 
-    /// Number of cycles recorded (φ).
-    pub fn cycle_count(&self) -> usize {
-        self.cycles.len()
-    }
-
     /// Equation 1: Σ N_i (I_i + r_i + w_i), in node-hours.
     pub fn node_hours(&self) -> f64 {
         self.cycles.iter().map(|(n, p)| *n as f64 * p.total_secs()).sum::<f64>() / 3600.0
@@ -156,7 +151,7 @@ mod tests {
             },
         );
         assert!((ledger.node_hours() - 3.0).abs() < 1e-12);
-        assert_eq!(ledger.cycle_count(), 2);
+        assert_eq!(ledger.cycles().len(), 2);
         let totals = ledger.phase_totals();
         assert!((totals.insert_secs - 1500.0).abs() < 1e-12);
         assert!((ledger.elapsed_secs() - 3600.0).abs() < 1e-12);

@@ -1,6 +1,7 @@
 //! Simulated shared-nothing cluster nodes.
 
 use array_model::{Chunk, ChunkDescriptor, ChunkKey};
+use durability::{ByteReader, ByteWriter, CodecError, DurabilityError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -14,6 +15,17 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
 
+impl NodeId {
+    /// The node's roster slot: ids are join-order indices.
+    pub(crate) fn slot(self) -> usize {
+        // Lossless: the crate builds only where `usize` holds a `u32`
+        // (the assertion below).
+        self.0 as usize
+    }
+}
+
+const _: () = assert!(usize::BITS >= u32::BITS, "a node id must fit a roster index");
+
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
@@ -25,7 +37,7 @@ impl fmt::Display for NodeId {
 ///
 /// * `Healthy` — full member: serves reads, accepts placements, replicas,
 ///   and repairs.
-/// * `Crashed` — lost its stores; serves nothing and accepts nothing
+/// * `Crashed` — lost its store; serves nothing and accepts nothing
 ///   until revived.
 /// * `Draining` — scale-IN preparation: still serves reads but accepts no
 ///   new data, so placement, replica routing, and repair all route around
@@ -43,7 +55,7 @@ pub enum NodeState {
     /// Full member of the cluster.
     #[default]
     Healthy,
-    /// Failed; stores wiped, out of service.
+    /// Failed; store wiped, out of service.
     Crashed,
     /// Serving reads only while being emptied for scale-IN.
     Draining,
@@ -84,26 +96,13 @@ impl fmt::Display for NodeState {
     }
 }
 
-/// Which of a node's two stores a copy of a chunk lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// The copy the placement index names. Ledgered in
-    /// [`Node::used_bytes`], which is what the balance census, the skew
-    /// metrics and the scaling triggers read.
-    Primary,
-    /// A secondary copy (`k ≥ 2`) of a chunk whose primary lives
-    /// elsewhere. Ledgered apart, in [`Node::replica_bytes`], so the
-    /// paper's census stays defined over primaries and is bit-identical
-    /// at every `k`.
-    Replica,
-}
-
-/// One copy of a chunk resident on a node: its descriptor and, on a
-/// materialized run, its cells. One record, so no path can hold a payload
-/// without its descriptor or move one without the other. The cells are a
-/// shared `Arc<Chunk>` — every copy of a chunk holds the same handle, so
-/// a replica is a refcount bump and a rebalance moves the handle, never
-/// the cells.
+/// The one record of a chunk: its descriptor and, on a materialized run,
+/// its cells, resident on the node that holds the primary. A chunk has
+/// exactly one, so no path can hold a payload without its descriptor,
+/// move one without the other, or keep a second version of either. The
+/// nodes holding a replica (`k ≥ 2`) are names in the cluster's replica
+/// index and serve this same record; the cells are a shared `Arc<Chunk>`,
+/// so a rebalance moves the handle, never the cells.
 #[derive(Debug, Clone)]
 pub struct Resident {
     desc: ChunkDescriptor,
@@ -115,20 +114,27 @@ impl Resident {
         Resident { desc, payload }
     }
 
-    /// What placement and the census know of the copy.
+    /// What placement and the census know of the chunk.
     pub fn descriptor(&self) -> &ChunkDescriptor {
         &self.desc
     }
 
-    /// The copy's cells, when they are materialized.
+    /// The chunk's cells, when they are materialized.
     pub fn payload(&self) -> Option<&Arc<Chunk>> {
         self.payload.as_ref()
     }
 }
 
-/// One node: a storage budget plus the chunk copies resident on it, one
-/// map per [`Role`] and a byte ledger beside each. The node stores are
-/// the only home a partitioned array's cells have.
+/// A node's replica section as a checkpoint lists it: for each chunk the
+/// node holds a replica of, in key order, the descriptor and whether it
+/// carries cells. Written from the replica index and the primary records,
+/// and on restore checked against them, entry for entry.
+pub(crate) type HeldSection = BTreeMap<ChunkKey, (ChunkDescriptor, bool)>;
+
+/// One node: a storage budget, the records of the chunks whose primary
+/// it holds, and two byte ledgers — its primaries' bytes and the bytes
+/// of the replicas it holds. Which replicas those are is the cluster's
+/// replica index, not the node's.
 #[derive(Debug, Clone)]
 pub struct Node {
     /// This node's identifier.
@@ -139,7 +145,24 @@ pub struct Node {
     used_bytes: u64,
     replica_bytes: u64,
     primaries: BTreeMap<ChunkKey, Resident>,
-    replicas: BTreeMap<ChunkKey, Resident>,
+}
+
+/// Move a byte ledger from a copy's `old` size to its `new` one (`0` for
+/// a copy taken on or dropped). Growth saturates; a release larger than
+/// the ledger is an accounting bug (a retraction decremented a descriptor
+/// without telling the node, or vice versa), so it panics in debug builds
+/// instead of silently clamping to zero. Release builds clamp, keeping
+/// the simulation alive.
+fn reledger(ledger: &mut u64, old: u64, new: u64, name: &str, id: NodeId) {
+    let (grown, freed) = (ledger.saturating_add(new.saturating_sub(old)), old.saturating_sub(new));
+    *ledger = grown.checked_sub(freed).unwrap_or_else(|| {
+        debug_assert!(false, "{name} ledger underflow: {freed} bytes off {grown} on {id}");
+        0
+    });
+}
+
+fn codec(context: &str, source: CodecError) -> DurabilityError {
+    DurabilityError::Codec { context: context.to_string(), source }
 }
 
 impl Node {
@@ -152,7 +175,6 @@ impl Node {
             used_bytes: 0,
             replica_bytes: 0,
             primaries: BTreeMap::new(),
-            replicas: BTreeMap::new(),
         }
     }
 
@@ -170,8 +192,9 @@ impl Node {
         self.used_bytes
     }
 
-    /// Bytes held as secondary replica copies (excluded from
-    /// [`Node::used_bytes`] and the balance census).
+    /// Bytes held as replica copies (excluded from [`Node::used_bytes`]
+    /// and the balance census, so the paper's census stays defined over
+    /// primaries and is bit-identical at every `k`).
     pub fn replica_bytes(&self) -> u64 {
         self.replica_bytes
     }
@@ -181,45 +204,15 @@ impl Node {
         self.primaries.len()
     }
 
-    /// Fraction of capacity in use (may exceed 1.0 under overload).
-    pub fn utilization(&self) -> f64 {
-        if self.capacity_bytes == 0 {
-            return 0.0;
-        }
-        // A ratio for reports: f64 keeps 53 bits of each byte count.
-        self.used_bytes as f64 / self.capacity_bytes as f64
+    /// The record of `key`, when this node holds its primary —
+    /// descriptor and cells in one probe.
+    pub fn resident(&self, key: &ChunkKey) -> Option<&Resident> {
+        self.primaries.get(key)
     }
 
-    fn store(&self, role: Role) -> &BTreeMap<ChunkKey, Resident> {
-        match role {
-            Role::Primary => &self.primaries,
-            Role::Replica => &self.replicas,
-        }
-    }
-
-    /// A role's store and the ledger that accounts for it.
-    fn store_mut(&mut self, role: Role) -> (&mut BTreeMap<ChunkKey, Resident>, &mut u64) {
-        match role {
-            Role::Primary => (&mut self.primaries, &mut self.used_bytes),
-            Role::Replica => (&mut self.replicas, &mut self.replica_bytes),
-        }
-    }
-
-    /// The copy of `key` resident here in `role`, if any — descriptor and
-    /// cells in one probe.
-    pub fn resident(&self, role: Role, key: &ChunkKey) -> Option<&Resident> {
-        self.store(role).get(key)
-    }
-
-    /// The copy of `key` resident here whatever its role — a node never
-    /// holds one chunk in both — which is what a repair reads from.
-    pub(crate) fn resident_in_any_role(&self, key: &ChunkKey) -> Option<&Resident> {
-        self.primaries.get(key).or_else(|| self.replicas.get(key))
-    }
-
-    /// Every copy resident here in `role`, in deterministic (key) order.
-    pub fn residents(&self, role: Role) -> impl Iterator<Item = &Resident> {
-        self.store(role).values()
+    /// Every primary record here, in deterministic (key) order.
+    pub fn residents(&self) -> impl Iterator<Item = &Resident> {
+        self.primaries.values()
     }
 
     /// The resident primary descriptor for `key`, if any.
@@ -232,16 +225,10 @@ impl Node {
         self.primaries.values().map(Resident::descriptor)
     }
 
-    /// Number of resident primaries carrying materialized cells.
-    pub fn payload_count(&self) -> usize {
-        self.primaries.values().filter(|r| r.payload.is_some()).count()
-    }
-
-    /// Take a copy in, ledgering its bytes.
-    pub(crate) fn admit(&mut self, role: Role, copy: Resident) {
-        let (store, ledger) = self.store_mut(role);
-        *ledger = ledger.saturating_add(copy.desc.bytes);
-        store.insert(copy.desc.key, copy);
+    /// Take a primary record in, ledgering its bytes.
+    pub(crate) fn admit(&mut self, record: Resident) {
+        self.used_bytes = self.used_bytes.saturating_add(record.desc.bytes);
+        self.primaries.insert(record.desc.key, record);
     }
 
     /// Store a primary descriptor without touching the byte ledger. The
@@ -258,68 +245,47 @@ impl Node {
         self.used_bytes = self.used_bytes.saturating_add(bytes);
     }
 
-    /// Take `bytes` off a role's ledger, checked: a release larger than
-    /// the ledger is an accounting bug (a retraction decremented a
-    /// descriptor without telling the node, or vice versa), so it panics
-    /// in debug builds instead of silently clamping to zero. Release
-    /// builds clamp, keeping the simulation alive.
-    fn release(&mut self, role: Role, bytes: u64, doing: &str) {
-        let id = self.id;
-        let (name, ledger) = match role {
-            Role::Primary => ("byte", &mut self.used_bytes),
-            Role::Replica => ("replica", &mut self.replica_bytes),
-        };
-        *ledger = ledger.checked_sub(bytes).unwrap_or_else(|| {
-            debug_assert!(
-                false,
-                "{name} ledger underflow: {doing} {bytes} bytes from a {ledger}-byte ledger on {id}"
-            );
-            0
-        });
+    /// Remove a primary record — descriptor and whatever cells it
+    /// carries, in one piece — releasing its bytes.
+    pub(crate) fn evict(&mut self, key: &ChunkKey) -> Option<Resident> {
+        let record = self.primaries.remove(key)?;
+        reledger(&mut self.used_bytes, record.desc.bytes, 0, "byte", self.id);
+        Some(record)
     }
 
-    /// Remove a copy — descriptor and whatever cells it carries, in one
-    /// piece — releasing its bytes ([`Node::release`]).
-    pub(crate) fn evict(&mut self, role: Role, key: &ChunkKey) -> Option<Resident> {
-        let copy = self.store_mut(role).0.remove(key)?;
-        self.release(role, copy.desc.bytes, "evicting");
-        Some(copy)
-    }
-
-    /// Replace a resident copy's descriptor in place (a retraction shrank
-    /// it), adjusting the ledger by the exact delta. Returns the previous
-    /// descriptor, or `None` when no such copy is resident.
-    pub(crate) fn resize(&mut self, role: Role, desc: ChunkDescriptor) -> Option<ChunkDescriptor> {
-        let (store, ledger) = self.store_mut(role);
-        let old = std::mem::replace(&mut store.get_mut(&desc.key)?.desc, desc);
-        if desc.bytes >= old.bytes {
-            *ledger = ledger.saturating_add(desc.bytes - old.bytes);
-        } else {
-            self.release(role, old.bytes - desc.bytes, "shrinking");
-        }
+    /// Replace a primary's descriptor in place (a retraction shrank it),
+    /// adjusting the ledger by the exact delta. Returns the previous
+    /// descriptor, or `None` when the primary is not resident here.
+    pub(crate) fn resize(&mut self, desc: ChunkDescriptor) -> Option<ChunkDescriptor> {
+        let old = std::mem::replace(&mut self.primaries.get_mut(&desc.key)?.desc, desc);
+        reledger(&mut self.used_bytes, old.bytes, desc.bytes, "byte", self.id);
         Some(old)
     }
 
-    /// Where a resident copy's cells go: `None` inside when it is
-    /// metadata only, `None` outside when no such copy is resident.
+    /// Move the replica ledger from a held copy's `old` size to its `new`
+    /// one: `(0, bytes)` takes a copy on, `(bytes, 0)` drops it, anything
+    /// else follows its primary's resize.
+    pub(crate) fn reledger_held(&mut self, old: u64, new: u64) {
+        reledger(&mut self.replica_bytes, old, new, "replica", self.id);
+    }
+
+    /// Where a primary's cells go: `None` inside when it is metadata
+    /// only, `None` outside when the primary is not resident here.
     /// Attaching writes the slot; the retraction path tombstones through
     /// it (`Arc::make_mut`). The descriptor is out of reach from here —
     /// only [`Node::resize`] changes it, with the ledger.
-    pub(crate) fn payload_slot(
-        &mut self,
-        role: Role,
-        key: &ChunkKey,
-    ) -> Option<&mut Option<Arc<Chunk>>> {
-        self.store_mut(role).0.get_mut(key).map(|copy| &mut copy.payload)
+    pub(crate) fn payload_slot(&mut self, key: &ChunkKey) -> Option<&mut Option<Arc<Chunk>>> {
+        self.primaries.get_mut(key).map(|record| &mut record.payload)
     }
 
     /// Serialize this node for a checkpoint: identity, budget, lifecycle
-    /// state, both byte ledgers (as cross-check values), and per role the
-    /// descriptors, then *which* of them carry cells. The cells themselves
-    /// are not written here — copies of a chunk share them, so the
-    /// checkpoint writes each once, in a section of its own, and restore
-    /// re-wires the shared handles.
-    pub(crate) fn snapshot_into(&self, w: &mut durability::ByteWriter) {
+    /// state, both byte ledgers (as cross-check values), then its
+    /// primaries and the replicas it holds (`held`, the primary records
+    /// of those chunks in key order), each as descriptors followed by
+    /// *which* of them carry cells. The cells themselves are not written
+    /// here — the checkpoint writes each chunk's once, in a section of
+    /// its own, and restore re-wires the handles.
+    pub(crate) fn snapshot_into(&self, held: &[&Resident], w: &mut ByteWriter) {
         w.put_u32(self.id.0);
         w.put_u64(self.capacity_bytes);
         w.put_u8(match self.state {
@@ -331,36 +297,23 @@ impl Node {
         });
         w.put_u64(self.used_bytes);
         w.put_u64(self.replica_bytes);
-        for role in [Role::Primary, Role::Replica] {
-            let store = self.store(role);
-            w.put_usize(store.len());
-            for copy in store.values() {
-                copy.desc.encode_into(w);
-            }
-            let with_cells = || store.values().filter(|copy| copy.payload.is_some());
-            w.put_usize(with_cells().count());
-            for copy in with_cells() {
-                copy.desc.key.encode_into(w);
-            }
-        }
+        put_section(self.primaries.values(), w);
+        put_section(held.iter().copied(), w);
     }
 
     /// Rebuild a node from [`Node::snapshot_into`], re-attaching payload
-    /// handles through `payload_of` (the checkpoint's cells). Nothing in
-    /// the bytes is taken on trust: a payload key must name a copy the
-    /// node holds, once, and cells whose size its descriptor declares
-    /// (the attach-time check), and the byte ledgers are recomputed from
-    /// the descriptors and compared with the serialized values — each a
-    /// typed [`durability::DurabilityError::Mismatch`], never absorbed.
+    /// handles through `payload_of` (the checkpoint's cells), and return
+    /// its replica section for the cluster to check against the replica
+    /// index. Nothing in the bytes is taken on trust: a descriptor is
+    /// listed once, a payload key must name a descriptor of its section,
+    /// once, and cells whose size its descriptor declares (the
+    /// attach-time check), and the byte ledgers are recomputed from the
+    /// descriptors and compared with the serialized values — each a
+    /// typed [`DurabilityError::Mismatch`], never absorbed.
     pub(crate) fn restore_from(
-        r: &mut durability::ByteReader<'_>,
+        r: &mut ByteReader<'_>,
         payload_of: &dyn Fn(&ChunkKey) -> Option<Arc<Chunk>>,
-    ) -> Result<Node, durability::DurabilityError> {
-        use durability::DurabilityError::Mismatch;
-        let codec = |context: &str, source| durability::DurabilityError::Codec {
-            context: context.to_string(),
-            source,
-        };
+    ) -> Result<(Node, HeldSection), DurabilityError> {
         let id = NodeId(r.u32("node id").map_err(|e| codec("node id", e))?);
         let capacity_bytes = r.u64("node capacity").map_err(|e| codec("node capacity", e))?;
         let state = match r.u8("node state").map_err(|e| codec("node state", e))? {
@@ -370,13 +323,11 @@ impl Node {
             3 => NodeState::Recovering,
             4 => NodeState::Retired,
             tag => {
+                let detail = format!("unknown state tag {tag}");
                 return Err(codec(
                     "node state",
-                    durability::CodecError::Invalid {
-                        context: "node state",
-                        detail: format!("unknown state tag {tag}"),
-                    },
-                ))
+                    CodecError::Invalid { context: "node state", detail },
+                ));
             }
         };
         let want_used = r.u64("node used bytes").map_err(|e| codec("node used bytes", e))?;
@@ -384,58 +335,98 @@ impl Node {
             r.u64("node replica bytes").map_err(|e| codec("node replica bytes", e))?;
         let mut node = Node::new(id, capacity_bytes);
         node.state = state;
-        for role in [Role::Primary, Role::Replica] {
-            let n = r.usize("node copy count").map_err(|e| codec("node copy count", e))?;
-            for _ in 0..n {
-                let desc =
-                    ChunkDescriptor::decode_from(r).map_err(|e| codec("chunk descriptor", e))?;
-                node.admit(role, Resident::new(desc, None));
-            }
-            let n = r.usize("node payload count").map_err(|e| codec("node payload count", e))?;
-            for _ in 0..n {
-                let key = ChunkKey::decode_from(r).map_err(|e| codec("payload key", e))?;
-                let refused = |expected: &str, actual: &str| Mismatch {
-                    what: format!("{role:?} payload for {key} on {id}"),
-                    expected: expected.to_string(),
-                    actual: actual.to_string(),
-                };
-                let Some(copy) = node.store_mut(role).0.get_mut(&key) else {
-                    return Err(refused("a descriptor resident beside it", "none"));
-                };
-                if copy.payload.is_some() {
-                    return Err(refused("listed once", "listed twice"));
+        for (key, (desc, with_cells)) in read_section(r, id, "primary")? {
+            let refused = |expected: &str, actual: &str| DurabilityError::Mismatch {
+                what: format!("primary payload for {key} on {id}"),
+                expected: expected.to_string(),
+                actual: actual.to_string(),
+            };
+            let missing = || refused("among the checkpoint's cells", "missing");
+            let payload = with_cells.then(|| payload_of(&key).ok_or_else(missing)).transpose()?;
+            let size = |bytes: u64, cells: u64| format!("{bytes} bytes / {cells} cells");
+            if let Some(chunk) = payload.as_deref() {
+                let held = (chunk.byte_size(), chunk.cell_count());
+                if (desc.bytes, desc.cells) != held {
+                    return Err(refused(&size(desc.bytes, desc.cells), &size(held.0, held.1)));
                 }
-                let chunk = payload_of(&key)
-                    .ok_or_else(|| refused("among the checkpoint's cells", "missing"))?;
-                if (copy.desc.bytes, copy.desc.cells) != (chunk.byte_size(), chunk.cell_count()) {
-                    let size = |bytes: u64, cells: u64| format!("{bytes} bytes / {cells} cells");
-                    return Err(refused(
-                        &size(copy.desc.bytes, copy.desc.cells),
-                        &size(chunk.byte_size(), chunk.cell_count()),
-                    ));
-                }
-                copy.payload = Some(chunk);
             }
+            node.admit(Resident::new(desc, payload));
+        }
+        let held = read_section(r, id, "replica")?;
+        for (desc, _) in held.values() {
+            node.reledger_held(0, desc.bytes);
         }
         if node.used_bytes != want_used || node.replica_bytes != want_replica {
-            return Err(Mismatch {
+            return Err(DurabilityError::Mismatch {
                 what: format!("byte ledgers of {id}"),
                 expected: format!("{want_used} used / {want_replica} replica"),
                 actual: format!("{} used / {} replica", node.used_bytes, node.replica_bytes),
             });
         }
-        Ok(node)
+        Ok((node, held))
     }
 
-    /// Drop every copy on this node and zero both byte ledgers. Used by
-    /// crash injection; the caller is responsible for updating the
-    /// cluster-level balance census.
-    pub(crate) fn wipe(&mut self) {
+    /// Drop every primary on this node and zero both byte ledgers,
+    /// handing the records back — crash injection promotes them onto
+    /// surviving holders. The caller is responsible for the replica
+    /// index and the cluster-level balance census.
+    pub(crate) fn wipe(&mut self) -> BTreeMap<ChunkKey, Resident> {
         self.used_bytes = 0;
         self.replica_bytes = 0;
-        self.primaries.clear();
-        self.replicas.clear();
+        std::mem::take(&mut self.primaries)
     }
+}
+
+/// One section of [`Node::snapshot_into`]: the records' descriptors, then
+/// the keys of those with cells.
+fn put_section<'r>(
+    records: impl ExactSizeIterator<Item = &'r Resident> + Clone,
+    w: &mut ByteWriter,
+) {
+    w.put_usize(records.len());
+    for record in records.clone() {
+        record.desc.encode_into(w);
+    }
+    let with_cells = records.filter(|record| record.payload.is_some());
+    w.put_usize(with_cells.clone().count());
+    for record in with_cells {
+        record.desc.key.encode_into(w);
+    }
+}
+
+/// One section of [`Node::snapshot_into`] read back by key, refusing a
+/// descriptor listed twice and a payload key that names none of the
+/// section's descriptors, or one already named.
+fn read_section(
+    r: &mut ByteReader<'_>,
+    id: NodeId,
+    which: &str,
+) -> Result<HeldSection, DurabilityError> {
+    let refused =
+        |key: &ChunkKey, what: &str, expected: &str, actual: &str| DurabilityError::Mismatch {
+            what: format!("{which} {what} for {key} on {id}"),
+            expected: expected.to_string(),
+            actual: actual.to_string(),
+        };
+    let mut section = HeldSection::new();
+    let n = r.usize("node copy count").map_err(|e| codec("node copy count", e))?;
+    for _ in 0..n {
+        let desc = ChunkDescriptor::decode_from(r).map_err(|e| codec("chunk descriptor", e))?;
+        if section.insert(desc.key, (desc, false)).is_some() {
+            return Err(refused(&desc.key, "descriptor", "listed once", "listed twice"));
+        }
+    }
+    let n = r.usize("node payload count").map_err(|e| codec("node payload count", e))?;
+    for _ in 0..n {
+        let key = ChunkKey::decode_from(r).map_err(|e| codec("payload key", e))?;
+        let Some((_, with_cells)) = section.get_mut(&key) else {
+            return Err(refused(&key, "payload", "a descriptor resident beside it", "none"));
+        };
+        if std::mem::replace(with_cells, true) {
+            return Err(refused(&key, "payload", "listed once", "listed twice"));
+        }
+    }
+    Ok(section)
 }
 
 #[cfg(test)]
@@ -454,30 +445,30 @@ mod tests {
     #[test]
     fn admit_and_evict_track_usage() {
         let mut n = Node::new(NodeId(0), 1000);
-        n.admit(Role::Primary, bare(1, 300));
-        n.admit(Role::Primary, bare(2, 200));
+        n.admit(bare(1, 300));
+        n.admit(bare(2, 200));
         assert_eq!(n.used_bytes(), 500);
         assert_eq!(n.chunk_count(), 2);
-        assert!((n.utilization() - 0.5).abs() < 1e-12);
-        let evicted = n.evict(Role::Primary, &desc(1, 300).key).unwrap();
+        let evicted = n.evict(&desc(1, 300).key).unwrap();
         assert_eq!(evicted.descriptor().bytes, 300);
         assert!(evicted.payload().is_none(), "no payload was attached");
         assert_eq!(n.used_bytes(), 200);
-        assert!(n.evict(Role::Primary, &desc(9, 0).key).is_none());
-        assert!(n.evict(Role::Replica, &desc(2, 0).key).is_none(), "the stores are separate");
+        assert!(n.evict(&desc(9, 0).key).is_none());
+        n.reledger_held(0, 70);
+        assert_eq!((n.used_bytes(), n.replica_bytes()), (200, 70), "the ledgers are separate");
     }
 
     #[test]
     fn byte_ledgers_saturate_on_admit() {
         let mut n = Node::new(NodeId(0), u64::MAX);
-        n.admit(Role::Primary, bare(1, u64::MAX - 10));
-        n.admit(Role::Primary, bare(2, 100));
+        n.admit(bare(1, u64::MAX - 10));
+        n.admit(bare(2, 100));
         assert_eq!(n.used_bytes(), u64::MAX, "admit saturates, never wraps");
         n.add_load(u64::MAX);
         assert_eq!(n.used_bytes(), u64::MAX);
         let mut r = Node::new(NodeId(1), u64::MAX);
-        r.admit(Role::Replica, bare(3, u64::MAX - 1));
-        r.admit(Role::Replica, bare(4, 50));
+        r.reledger_held(0, u64::MAX - 1);
+        r.reledger_held(0, 50);
         assert_eq!(r.replica_bytes(), u64::MAX);
         assert_eq!(r.used_bytes(), 0, "replica bytes stay out of the primary ledger");
     }
@@ -490,10 +481,10 @@ mod tests {
     #[should_panic(expected = "byte ledger underflow")]
     fn over_eviction_panics_in_debug() {
         let mut n = Node::new(NodeId(0), u64::MAX);
-        n.admit(Role::Primary, bare(1, u64::MAX - 10));
-        n.admit(Role::Primary, bare(2, 100)); // ledger saturates at u64::MAX
-        n.evict(Role::Primary, &desc(1, 0).key); // ledger: 10
-        n.evict(Role::Primary, &desc(2, 0).key); // 100 > 10: underflow
+        n.admit(bare(1, u64::MAX - 10));
+        n.admit(bare(2, 100)); // ledger saturates at u64::MAX
+        n.evict(&desc(1, 0).key); // ledger: 10
+        n.evict(&desc(2, 0).key); // 100 > 10: underflow
     }
 
     #[cfg(debug_assertions)]
@@ -501,29 +492,31 @@ mod tests {
     #[should_panic(expected = "replica ledger underflow")]
     fn replica_over_eviction_panics_in_debug() {
         let mut r = Node::new(NodeId(1), u64::MAX);
-        r.admit(Role::Replica, bare(3, u64::MAX - 1));
-        r.admit(Role::Replica, bare(4, 50)); // saturates
-        r.evict(Role::Replica, &desc(3, 0).key); // ledger: 1
-        r.evict(Role::Replica, &desc(4, 0).key); // 50 > 1: underflow
+        r.reledger_held(0, u64::MAX - 1);
+        r.reledger_held(0, 50); // saturates
+        r.reledger_held(u64::MAX - 1, 0); // ledger: 1
+        r.reledger_held(50, 0); // 50 > 1: underflow
     }
 
     #[test]
     fn resize_adjusts_the_ledger_exactly() {
         let mut n = Node::new(NodeId(0), 1000);
-        n.admit(Role::Primary, bare(1, 300));
-        n.admit(Role::Primary, bare(2, 200));
-        let old = n.resize(Role::Primary, ChunkDescriptor::new(desc(1, 0).key, 120, 1)).unwrap();
+        n.admit(bare(1, 300));
+        n.admit(bare(2, 200));
+        let old = n.resize(ChunkDescriptor::new(desc(1, 0).key, 120, 1)).unwrap();
         assert_eq!(old.bytes, 300);
         assert_eq!(n.used_bytes(), 320);
         assert_eq!(n.descriptor(&desc(1, 0).key).unwrap().bytes, 120);
         // Growth works too (an insert into an existing chunk).
-        n.resize(Role::Primary, ChunkDescriptor::new(desc(1, 0).key, 150, 2)).unwrap();
+        n.resize(ChunkDescriptor::new(desc(1, 0).key, 150, 2)).unwrap();
         assert_eq!(n.used_bytes(), 350);
-        assert!(n.resize(Role::Primary, desc(9, 10)).is_none(), "not resident: cannot resize");
-        assert!(n.resize(Role::Replica, desc(1, 10)).is_none(), "not resident as a replica");
-        n.admit(Role::Replica, bare(3, 80));
-        n.resize(Role::Replica, ChunkDescriptor::new(desc(3, 0).key, 30, 1)).unwrap();
+        assert!(n.resize(desc(9, 10)).is_none(), "not resident: cannot resize");
+        // A held copy follows its primary's resize on the replica ledger.
+        n.reledger_held(0, 80);
+        n.reledger_held(80, 30);
         assert_eq!((n.used_bytes(), n.replica_bytes()), (350, 30));
+        n.reledger_held(30, 45);
+        assert_eq!(n.replica_bytes(), 45);
     }
 
     #[test]
@@ -546,26 +539,25 @@ mod tests {
     #[test]
     fn wipe_clears_every_store() {
         let mut n = Node::new(NodeId(0), 1000);
-        n.admit(Role::Primary, bare(1, 100));
-        n.admit(Role::Replica, bare(2, 50));
-        n.wipe();
+        n.admit(bare(1, 100));
+        n.reledger_held(0, 50);
+        let records = n.wipe();
+        assert_eq!(records.keys().collect::<Vec<_>>(), vec![&desc(1, 0).key], "handed back");
         assert_eq!(n.used_bytes(), 0);
         assert_eq!(n.replica_bytes(), 0);
         assert_eq!(n.chunk_count(), 0);
-        assert_eq!(n.residents(Role::Replica).count(), 0);
-        assert_eq!(n.payload_count(), 0);
+        assert_eq!(n.residents().count(), 0);
     }
 
     #[test]
     fn holds_and_descriptor_lookup() {
         let mut n = Node::new(NodeId(1), 1000);
         let d = desc(5, 42);
-        n.admit(Role::Primary, Resident::new(d, None));
-        assert_eq!(n.resident(Role::Primary, &d.key).map(Resident::descriptor), Some(&d));
+        n.admit(Resident::new(d, None));
+        assert_eq!(n.resident(&d.key).map(Resident::descriptor), Some(&d));
         assert_eq!(n.descriptor(&d.key), Some(&d));
-        assert!(n.resident(Role::Replica, &d.key).is_none());
-        assert!(n.resident(Role::Primary, &desc(6, 0).key).is_none());
-        assert!(n.payload_slot(Role::Primary, &d.key).is_some_and(|slot| slot.is_none()));
-        assert!(n.payload_slot(Role::Replica, &d.key).is_none(), "no copy, nowhere to attach");
+        assert!(n.resident(&desc(6, 0).key).is_none());
+        assert!(n.payload_slot(&d.key).is_some_and(|slot| slot.is_none()));
+        assert!(n.payload_slot(&desc(6, 0).key).is_none(), "no record, nowhere to attach");
     }
 }

@@ -16,36 +16,40 @@
 //! ```
 //!
 //! The failure model is **fail-stop with total local-storage loss**: a
-//! crash wipes the node's primary and replica stores and zeroes both
-//! byte ledgers. `Draining` (scale-IN preparation) keeps serving reads
-//! but accepts no new data, so every routing path — primary placement
-//! diversion, replica rings, repair targets — walks around it.
+//! crash wipes the node's store and zeroes both byte ledgers, strikes it
+//! from every replica set, and promotes each lost primary onto its first
+//! surviving holder before it returns. `Draining` (scale-IN
+//! preparation) keeps serving reads but accepts no new data, so every
+//! routing path — primary placement diversion, replica rings, repair
+//! targets — walks around it.
 //! `Recovering` is the inverse: a revived node rejoins empty and accepts
 //! data again, which is exactly how repair refills it.
 //!
 //! # Repair-plan derivation
 //!
 //! [`Cluster::plan_recovery`] scans placements in deterministic
-//! (ascending-key) order and counts each chunk's **serving copies** from
-//! the actual node stores — the ground truth, never a re-derived route.
-//! A chunk below the effective target `min(k, data-hosting nodes)` gets
-//! one [`RepairJob`] per missing copy: the source is the serving primary
-//! (crash-time promotion keeps primaries alive whenever any copy
-//! survived), else the first serving replica holder; targets come from
-//! the chunk's deterministic replica ring, skipping the primary, current
-//! holders, and every node not accepting data. Chunks with zero serving
-//! copies are unrecoverable from within the cluster and are reported,
-//! not silently dropped.
+//! (ascending-key) order and counts each chunk's **serving copies**: its
+//! primary when the record is resident on a serving node, plus every
+//! serving holder the replica index names — the ground truth, never a
+//! re-derived route. A chunk below the effective target
+//! `min(k, data-hosting nodes)` gets one [`RepairJob`] per missing copy:
+//! the source is the serving primary (crash-time promotion keeps
+//! primaries alive whenever any copy survived), else the first serving
+//! replica holder; targets come from the chunk's deterministic replica
+//! ring, skipping the primary, current holders, and every node not
+//! accepting data. Chunks with zero serving copies are unrecoverable
+//! from within the cluster and are reported, not silently dropped.
 //!
 //! [`Cluster::execute_recovery`] replays the plan against live state:
 //! each job re-validates its source and target (both may have failed
 //! since planning — or *during* execution, which the `mid_crash` hook of
 //! [`Cluster::execute_recovery_with`] injects deterministically) and
 //! falls over to an alternate serving source or the next ring target.
-//! Completed copies land in the replica books, and every transfer is
-//! pushed into one [`FlowSet`] so recovery time runs through the same
-//! half-duplex/fabric contention solver as rebalance — repair is costed,
-//! never free.
+//! A completed copy names its target a holder in the replica index and
+//! adds the chunk's bytes to the target's replica ledger, and every
+//! transfer is pushed into one [`FlowSet`] so recovery time runs through
+//! the same half-duplex/fabric contention solver as rebalance — repair is
+//! costed, never free.
 //!
 //! # Backoff policy
 //!
@@ -59,7 +63,7 @@
 
 use crate::cluster::Cluster;
 use crate::cost::CostModel;
-use crate::node::{NodeId, Role};
+use crate::node::NodeId;
 use crate::placement::{key_hash, splitmix64};
 use crate::transfer::FlowSet;
 use array_model::ChunkKey;
@@ -121,7 +125,7 @@ impl BackoffPolicy {
     /// Delay charged after failed attempt number `attempt` (0-based):
     /// `base_secs × factor^attempt`.
     pub fn delay_for(&self, attempt: u32) -> f64 {
-        self.base_secs * self.factor.powi(attempt as i32)
+        self.base_secs * self.factor.powi(i32::try_from(attempt).unwrap_or(i32::MAX))
     }
 }
 
@@ -138,6 +142,7 @@ pub struct Flakiness {
 impl Flakiness {
     fn fails(&self, key: &ChunkKey, attempt: u32) -> bool {
         let h = splitmix64(self.seed ^ key_hash(key) ^ (u64::from(attempt) << 32));
+        // Exact: both operands are below 2^53, so the ratio lies in [0, 1).
         ((h >> 11) as f64 / (1u64 << 53) as f64) < self.p
     }
 }
@@ -188,14 +193,14 @@ impl RecoveryOutcome {
 }
 
 impl Cluster {
-    /// The nodes serving a copy of `key`, read from the actual node
-    /// stores: the primary first (when its node serves reads and still
-    /// holds the chunk), then every serving replica holder in route
-    /// order. The one definition of a *serving copy* — the census counts
-    /// these, repair planning sources from the first of them.
+    /// The nodes serving a copy of `key`: the primary first (when its
+    /// node serves reads and still holds the record), then every serving
+    /// holder the replica index names, in route order. The one definition
+    /// of a *serving copy* — the census counts these, repair planning
+    /// sources from the first of them.
     pub(crate) fn serving_nodes(&self, key: &ChunkKey) -> impl Iterator<Item = NodeId> + '_ {
-        let serves = |id: &NodeId| self.nodes[id.0 as usize].state().serves_reads();
-        let holds = |p: &NodeId| self.nodes[p.0 as usize].resident(Role::Primary, key).is_some();
+        let serves = |id: &NodeId| self.nodes[id.slot()].state().serves_reads();
+        let holds = |p: &NodeId| self.nodes[p.slot()].resident(key).is_some();
         let primary = self.placement.get(key).filter(|p| serves(p) && holds(p));
         primary.into_iter().chain(self.replica_holders(key).iter().copied().filter(serves))
     }
@@ -227,8 +232,7 @@ impl Cluster {
             if copies >= target {
                 continue;
             }
-            let held = self.nodes[source.0 as usize].resident_in_any_role(&key);
-            let bytes = held.map_or(0, |copy| copy.descriptor().bytes);
+            let bytes = self.primary_record(&key).map_or(0, |(_, r)| r.descriptor().bytes);
             let targets = self.replica_ring(&key).take(target - copies);
             plan.jobs.extend(targets.map(|target| RepairJob { key, bytes, source, target }));
         }
@@ -306,14 +310,11 @@ impl Cluster {
                     out.unrecovered.push(job.key);
                     break;
                 };
-                // `src` passed `source_serves`, or came from
-                // `serving_nodes`: either way it holds a copy.
-                let copy = self.nodes[src.0 as usize]
-                    .resident_in_any_role(&job.key)
-                    .expect("serving source holds a copy")
-                    .clone();
-                let bytes = copy.descriptor().bytes;
-                self.nodes[tgt.0 as usize].admit(Role::Replica, copy);
+                // `src` serves a copy, so the record is resident: `src`
+                // holds it, or holds a replica of it (`verify_replica_books`).
+                let (_, record) = self.primary_record(&job.key).expect("a serving copy's record");
+                let bytes = record.descriptor().bytes;
+                self.nodes[tgt.slot()].reledger_held(0, bytes);
                 let copies = self.serving_copies(&job.key);
                 self.replicas.entry(job.key).or_default().push(tgt);
                 self.retally(&job.key, copies);
@@ -327,9 +328,7 @@ impl Cluster {
 
     /// Does `node` still serve a copy (primary or replica) of `key`?
     fn source_serves(&self, key: &ChunkKey, node: NodeId) -> bool {
-        self.nodes
-            .get(node.0 as usize)
-            .is_some_and(|n| n.state().serves_reads() && n.resident_in_any_role(key).is_some())
+        self.serving_nodes(key).any(|n| n == node)
     }
 
     /// The deterministic fallback source: the serving primary, else the

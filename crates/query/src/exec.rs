@@ -11,8 +11,8 @@ use crate::ops::scan::SelectionMask;
 use crate::predicate::Predicate;
 use crate::stats::{scaled_bytes, WorkTracker};
 use array_model::{ArrayId, Chunk, ChunkCoords, ChunkDescriptor, Region, MAX_DIMS};
-use cluster_sim::{Cluster, CostModel, NodeId, PayloadRead};
-use std::cell::{Cell, RefCell};
+use cluster_sim::{Cluster, CostModel, NodeId};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Everything an operator needs to run.
@@ -22,9 +22,6 @@ pub struct ExecutionContext<'a> {
     pub cluster: &'a Cluster,
     /// The arrays.
     pub catalog: &'a Catalog,
-    /// Reads a surviving replica answered in place of the primary.
-    /// Interior-mutable so the read path keeps taking `&self`.
-    degraded: Cell<u64>,
     /// [`ExecutionContext::cells_available`] per array, evaluated on first
     /// use: the context borrows cluster and catalog immutably, so the
     /// answer cannot change during its life.
@@ -40,8 +37,8 @@ pub struct ExecutionContext<'a> {
 /// pre-fetched when the array is cell-exact) plus the count of chunks the
 /// zone maps refuted. Routing (`node_of`) and payload fetching run for
 /// **every** intersecting chunk before the prune decision, so failure
-/// modes (`NodeLost`, `Unplaced`) and degraded-read accounting are
-/// identical whether pruning is on or off — pruning can only remove
+/// modes (`NodeLost`, `Unplaced`) are identical whether pruning is on or
+/// off — pruning can only remove
 /// work, never change an answer or mask an error. The plan is also the
 /// crate's only way to charge a scan and to read its rows, so tombstones,
 /// the region and the pushed-down predicate are honoured in one place.
@@ -155,13 +152,7 @@ impl<'a> ScanPlan<'a> {
 impl<'a> ExecutionContext<'a> {
     /// Bundle a cluster and catalog.
     pub fn new(cluster: &'a Cluster, catalog: &'a Catalog) -> Self {
-        ExecutionContext {
-            cluster,
-            catalog,
-            degraded: Cell::new(0),
-            exact: RefCell::default(),
-            pruning: true,
-        }
+        ExecutionContext { cluster, catalog, exact: RefCell::default(), pruning: true }
     }
 
     /// Disable zone-map chunk pruning: the differential suites' reference
@@ -178,30 +169,14 @@ impl<'a> ExecutionContext<'a> {
         self.cluster.cost_model()
     }
 
-    /// How many chunk reads (routing or payload) this context has served
-    /// from a replica because the primary could not. Zero on a fault-free
-    /// cluster.
-    pub fn degraded_reads(&self) -> u64 {
-        self.degraded.get()
-    }
-
-    fn note_degraded(&self) {
-        self.degraded.set(self.degraded.get().saturating_add(1));
-    }
-
-    /// Whether `node` is currently willing to serve reads.
-    fn serves(&self, node: NodeId) -> bool {
-        self.cluster.node(node).is_ok_and(|n| n.state().serves_reads())
-    }
-
-    /// Which node holds this chunk. Replicated arrays are "held" by every
-    /// node; callers pass the node that wants to read, and get it back.
+    /// Which node serves this chunk: the one holding its primary.
+    /// Replicated arrays are "held" by every node; callers pass the node
+    /// that wants to read, and get it back.
     ///
-    /// When the primary has crashed, routing fails over to the first
-    /// serving replica holder, which counts as a degraded read. A chunk
-    /// with no serving copy anywhere is a typed
-    /// [`QueryError::NodeLost`] — never a panic, never a silent wrong
-    /// answer.
+    /// A primary that does not serve is a typed [`QueryError::NodeLost`]
+    /// — never a panic, never a silent wrong answer. No replica can stand
+    /// in: a crash promotes a surviving holder before it returns, so a
+    /// chunk whose primary is down has no serving copy left.
     pub fn node_of(
         &self,
         array: &StoredArray,
@@ -216,53 +191,29 @@ impl<'a> ExecutionContext<'a> {
         // the error renders itself lazily at display time. This lookup
         // runs once per chunk per operator; the healthy path must stay
         // allocation-free (pinned by `tests/alloc_free_routing.rs`).
-        match self.cluster.locate(&key) {
-            Some(primary) if self.serves(primary) => Ok(primary),
-            Some(_) => {
-                let holders = self.cluster.replica_holders(&key);
-                let holder = holders.iter().find(|&&r| self.serves(r));
-                let holder = *holder.ok_or(QueryError::NodeLost(key))?;
-                self.note_degraded();
-                Ok(holder)
-            }
-            None => Err(QueryError::Unplaced(key)),
+        let primary = self.cluster.locate(&key).ok_or(QueryError::Unplaced(key))?;
+        match self.cluster.node(primary) {
+            Ok(node) if node.state().serves_reads() => Ok(primary),
+            _ => Err(QueryError::NodeLost(key)),
         }
     }
 
     /// The materialized cells of one chunk, from the one place they
     /// live. A replicated array lives whole on every node — its cells are
-    /// the catalog's `data`, read locally. Every other array's cells live
-    /// in the node stores and nowhere else ([`Cluster::read_payload`]): a
-    /// serving primary's copy, else a surviving replica's (a degraded
-    /// read). `None` when no serving node holds the cells — the chunk is
-    /// metadata only, or lost.
+    /// the catalog's `data`, read locally. Every other array's cells are
+    /// its record's, on the node holding its primary
+    /// ([`Cluster::primary_payload`]). `None` when that node does not hold
+    /// them — the chunk is metadata only, or lost.
     pub fn chunk_payload(&self, array: &'a StoredArray, coords: &ChunkCoords) -> Option<&'a Chunk> {
-        let (chunk, degraded) = self.read_cells(array, coords)?;
-        if degraded {
-            self.note_degraded();
-        }
-        Some(chunk)
-    }
-
-    /// [`ExecutionContext::chunk_payload`] without the accounting: the
-    /// cells, and whether a replica had to supply them.
-    fn read_cells(
-        &self,
-        array: &'a StoredArray,
-        coords: &ChunkCoords,
-    ) -> Option<(&'a Chunk, bool)> {
         if array.replicated {
-            return Some((array.data.as_ref()?.chunk(coords)?, false));
+            return array.data.as_ref()?.chunk(coords);
         }
-        Some(match self.cluster.read_payload(&array.key_for(coords))? {
-            PayloadRead::Primary(chunk) => (chunk.as_ref(), false),
-            PayloadRead::Failover(_, chunk) => (chunk.as_ref(), true),
-        })
+        self.cluster.primary_payload(&array.key_for(coords)).ok().map(|chunk| chunk.as_ref())
     }
 
     /// The [`ScanPlan::exact`] gate, evaluated once per array: it costs
     /// what the array holds, and an operator may plan many scans.
-    pub(crate) fn cells_available(&self, array: &StoredArray) -> bool {
+    pub(crate) fn cells_available(&self, array: &'a StoredArray) -> bool {
         if let Some(&known) = self.exact.borrow().get(&array.id) {
             return known;
         }
@@ -274,11 +225,10 @@ impl<'a> ExecutionContext<'a> {
     }
 
     /// One probe per chunk, stopping at the first without cells (a
-    /// metadata-only array answers at its first chunk). A gate, not a
-    /// read: it counts nothing as degraded.
-    fn every_chunk_readable(&self, array: &StoredArray) -> bool {
+    /// metadata-only array answers at its first chunk).
+    fn every_chunk_readable(&self, array: &'a StoredArray) -> bool {
         !array.descriptors.is_empty()
-            && array.descriptors.keys().all(|coords| self.read_cells(array, coords).is_some())
+            && array.descriptors.keys().all(|coords| self.chunk_payload(array, coords).is_some())
     }
 
     /// Whether pruning may drop `chunk` from a scan of `region` under
@@ -309,7 +259,7 @@ impl<'a> ExecutionContext<'a> {
     ///    query names, not what the array has accumulated;
     /// 2. when the array is cell-exact, every intersecting chunk's
     ///    payload is fetched once here and shared by the cost and answer
-    ///    loops (degraded-read accounting is pruning-invariant);
+    ///    loops;
     /// 3. with pruning enabled, a fetched chunk the query
     ///    [refutes](ExecutionContext::refuted) is dropped from the visit
     ///    list and counted as pruned.
@@ -478,29 +428,22 @@ mod tests {
         assert!(ctx.attr_fraction(array, &["nope"]).is_err());
     }
 
+    /// At k = 2 a crash promotes a holder before it returns, so every
+    /// chunk is read from its (new) primary: there is no state in which
+    /// a replica serves for a primary that is down.
     #[test]
-    fn failover_reads_come_from_replicas_and_count_degraded() {
+    fn k2_crash_promotes_before_any_read() {
         let mut cluster = Cluster::with_replication(3, u64::MAX, CostModel::default(), 2).unwrap();
-        let schema = ArraySchema::parse("F<v:int32>[x=0:3,2]").unwrap();
-        let mut c0 = Chunk::new(&schema, ChunkCoords::new([0]));
-        c0.push_cell(&schema, vec![0], vec![ScalarValue::Int32(7)]).unwrap();
-        let d0 = c0.descriptor(ArrayId(9));
-        cluster.place(d0, NodeId(0)).unwrap();
-        // Store the payload only on the replica holder: the primary serves
-        // metadata, the replica serves the cells — a degraded read.
-        let holder = cluster.replica_holders(&d0.key)[0];
-        cluster.attach_replica_payload(d0.key, holder, c0).unwrap();
         let mut cat = Catalog::new();
-        cat.register(StoredArray::from_descriptors(ArrayId(9), schema, [d0]));
+        cat.place_array(&mut cluster, &grid(), |_, _, _| NodeId(0)).unwrap();
+        cluster.crash_node(NodeId(0)).unwrap();
         let ctx = ExecutionContext::new(&cluster, &cat);
-        let array = cat.array(ArrayId(9)).unwrap();
-        assert_eq!(ctx.degraded_reads(), 0);
-        assert!(ctx.chunk_payload(array, &ChunkCoords::new([0])).is_some());
-        assert_eq!(ctx.degraded_reads(), 1);
-        // Routing still names the serving primary: only the payload read
-        // was degraded.
-        assert_eq!(ctx.node_of(array, &ChunkCoords::new([0]), None).unwrap(), NodeId(0));
-        assert_eq!(ctx.degraded_reads(), 1);
+        let array = cat.array(ArrayId(0)).unwrap();
+        for coords in array.descriptors.keys() {
+            assert_ne!(ctx.node_of(array, coords, None).unwrap(), NodeId(0));
+            assert!(ctx.chunk_payload(array, coords).is_some());
+        }
+        assert!(ctx.cells_available(array));
     }
 
     #[test]
@@ -528,10 +471,9 @@ mod tests {
             Err(QueryError::NodeLost(k)) if k == d0.key
         ));
         assert!(ctx.chunk_payload(array, &ChunkCoords::new([0])).is_none());
-        // The surviving chunk is untouched and un-degraded.
+        // The surviving chunk is untouched.
         assert_eq!(ctx.node_of(array, &ChunkCoords::new([1]), None).unwrap(), NodeId(1));
         assert!(ctx.chunk_payload(array, &ChunkCoords::new([1])).is_some());
-        assert_eq!(ctx.degraded_reads(), 0);
         assert!(!ctx.cells_available(array), "lost cells must close the exactness gate");
         // Planning routes every chunk, so the lost one is a typed refusal.
         assert!(matches!(
@@ -542,7 +484,7 @@ mod tests {
 
     /// A whole-array copy in the catalog answers nothing for a
     /// partitioned array: with node 0's chunks lost at k = 1 the scan is
-    /// refused, and nothing was "degraded" — that word is for replicas.
+    /// refused.
     #[test]
     fn a_catalog_copy_does_not_backstop_crashed_k1_primaries() {
         let (mut cluster, mut cat) = setup();
@@ -560,7 +502,6 @@ mod tests {
             ctx.node_of(array, array.descriptors.keys().next().unwrap(), None),
             Err(QueryError::NodeLost(_))
         ));
-        assert_eq!(ctx.degraded_reads(), 0, "no replica served anything");
     }
 
     #[test]

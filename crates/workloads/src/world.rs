@@ -50,7 +50,7 @@ use array_model::{
     ChunkKey, DeltaSet, RowGroups, ScriptGroups, StringEncoding,
 };
 use cluster_sim::{
-    gb, Cluster, ClusterError, Flakiness, FlowSet, MidCrash, NodeId, NodeState, RebalancePlan, Role,
+    gb, Cluster, ClusterError, Flakiness, FlowSet, MidCrash, NodeId, NodeState, RebalancePlan,
 };
 use durability::{ByteReader, ByteWriter, DurabilityError};
 use elastic_core::{
@@ -335,9 +335,8 @@ impl World {
                 return Err(mismatch(format!("cells of {key}"), "written once", "written twice"));
             }
         }
-        // Every copy of a chunk takes the one handle decoded for it: the
-        // run shared one `Arc<Chunk>` among a chunk's copies, and recovery
-        // reconstructs exactly that sharing.
+        // Each chunk's record takes the one handle decoded for it, as the
+        // run held one `Arc<Chunk>` per chunk.
         let cluster =
             Cluster::restore_from(&mut r, config.cost.clone(), &|key| cells.get(key).cloned())?;
         // Cells no copy took would vanish from the next checkpoint: the
@@ -364,21 +363,11 @@ impl World {
         Ok(World { cluster, catalog, partitioner, provisioner, views, delta: DeltaSet::new() })
     }
 
-    /// Every chunk payload the node stores hold, by key. A chunk's copies
-    /// share one handle (attach, top-up, repair and retraction all hand
-    /// every holder the same `Arc`), so the first copy met stands for
-    /// all of them — primaries are met first.
+    /// Every chunk payload the node stores hold, by key: one per chunk,
+    /// on its record (a replica holder serves that same record).
     fn stored_cells(&self) -> BTreeMap<ChunkKey, &Arc<Chunk>> {
-        let mut cells = BTreeMap::new();
-        for role in [Role::Primary, Role::Replica] {
-            let copies = self.cluster.nodes().flat_map(|node| node.residents(role));
-            for copy in copies {
-                if let Some(payload) = copy.payload() {
-                    cells.entry(copy.descriptor().key).or_insert(payload);
-                }
-            }
-        }
-        cells
+        let records = self.cluster.nodes().flat_map(|node| node.residents());
+        records.filter_map(|r| Some((r.descriptor().key, r.payload()?))).collect()
     }
 
     pub(crate) fn nodes_in(&self, state: NodeState) -> Vec<NodeId> {
@@ -810,12 +799,9 @@ impl World {
         Ok(flows)
     }
 
-    /// Phase 6. The workload's §3.3 suites over the current placement,
-    /// and the chunk reads not served by a healthy primary.
-    pub(crate) fn run_queries(&self, workload: &dyn Workload, cycle: usize) -> (SuiteReport, u64) {
-        let ctx = ExecutionContext::new(&self.cluster, &self.catalog);
-        let report = workload.run_suites(&ctx, cycle);
-        (report, ctx.degraded_reads())
+    /// Phase 6. The workload's §3.3 suites over the current placement.
+    pub(crate) fn run_queries(&self, workload: &dyn Workload, cycle: usize) -> SuiteReport {
+        workload.run_suites(&ExecutionContext::new(&self.cluster, &self.catalog), cycle)
     }
 
     /// Phase 7. Place the derived (query-product) chunks — returning the

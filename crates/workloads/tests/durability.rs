@@ -9,7 +9,6 @@
 use array_model::{
     ArrayId, ArraySchema, ChunkCoords, ChunkDescriptor, ChunkKey, ScalarValue, StringEncoding,
 };
-use cluster_sim::Role;
 use durability::{shared, ByteWriter, DurabilityError, FsyncPolicy, LogStore, MemLog};
 use elastic_core::{GridHint, PartitionerKind};
 use query_engine::view::{AggKind, GroupKeyFn, ValueFn, ViewDef};
@@ -83,12 +82,12 @@ impl LogStore for SnapshottingLog {
 struct Probe {
     catalog: Vec<u8>,
     cluster: Vec<u8>,
-    /// The cells of every copy of every placed chunk — primary, then
-    /// each replica holder's, in placement order — through the chunk
-    /// codec: tombstone bitmaps, dictionaries, zone maps and all. The
-    /// catalog and cluster sections carry no cell (the first holds
-    /// metadata, the second says only *which* copies have cells), so
-    /// this is the surface that pins them, copy by copy.
+    /// Per placed chunk, in placement order: the cells of its record
+    /// through the chunk codec — tombstone bitmaps, dictionaries, zone
+    /// maps and all — then the holders that serve that record, in route
+    /// order. The catalog and cluster sections carry no cell (the first
+    /// holds metadata, the second says only *which* records have cells),
+    /// so this is the surface that pins them, chunk by chunk.
     cells: Vec<u8>,
     table: Vec<u8>,
     views: Vec<u8>,
@@ -103,18 +102,17 @@ fn probe(r: &WorkloadRunner<'_>) -> Probe {
     let mut views = ByteWriter::new();
     r.views().export_states(&mut views);
     let mut cells = ByteWriter::new();
-    for (key, primary) in r.cluster().placements() {
-        let replicas = r.cluster().replica_holders(&key).iter().map(|&h| (h, Role::Replica));
-        for (node, role) in std::iter::once((primary, Role::Primary)).chain(replicas) {
-            let copy = r.cluster().node(node).expect("a roster id").resident(role, &key);
-            match copy.and_then(|copy| copy.payload()) {
-                Some(chunk) => {
-                    cells.put_bool(true);
-                    chunk.encode_into(&mut cells);
-                }
-                None => cells.put_bool(false),
+    for (key, _) in r.cluster().placements() {
+        match r.cluster().primary_payload(&key) {
+            Ok(chunk) => {
+                cells.put_bool(true);
+                chunk.encode_into(&mut cells);
             }
+            Err(_) => cells.put_bool(false),
         }
+        let holders = r.cluster().replica_holders(&key);
+        cells.put_usize(holders.len());
+        holders.iter().for_each(|h| cells.put_u32(h.0));
     }
     Probe {
         catalog: catalog.into_bytes(),

@@ -67,8 +67,8 @@ fn run_snapshot(
         assert!(stored.data.is_none(), "{kind} x{threads}: the catalog kept cells of {id}");
         for desc in stored.descriptors.values() {
             let shared = cluster
-                .payload_shared(&desc.key)
-                .unwrap_or_else(|| panic!("{kind} x{threads}: {} has no payload", desc.key));
+                .primary_payload(&desc.key)
+                .unwrap_or_else(|e| panic!("{kind} x{threads}: {e}"));
             payloads.push((desc.key, shared.as_ref().clone()));
             // One home: at k = 1 the node store holds the only handle to
             // the chunk — attach took the build's handle, every rebalance

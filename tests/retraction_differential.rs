@@ -19,7 +19,6 @@
 //! retraction lands the two runs describe the same array.
 
 use elastic_array_db::array::Chunk;
-use elastic_array_db::cluster::Role;
 use elastic_array_db::prelude::*;
 use query_engine::ops;
 use std::collections::{BTreeMap, BTreeSet};
@@ -311,34 +310,43 @@ fn run_modis_ttl_pair(cells_per_cycle: u64, days: usize, kind: PartitionerKind, 
 
 // ------------------------------------------------------------- sharing --
 
-/// The `k` copies of a chunk hold **one** chunk: the payload in every
-/// replica slot is, pointer for pointer, the payload on the primary
-/// node. A retraction or a compaction that rebuilt a chunk for one
-/// holder and not the others splits them into equal-but-separate copies
-/// — invisible to every answer, and undone by recovery, which re-aliases
-/// them. Returns the primaries it checked.
-fn assert_one_handle_per_chunk<'r>(
+/// The `k` copies of a chunk are **one** record, on its primary, whose
+/// descriptor matches its cells, and every holder ledgers that record's
+/// bytes. A retraction or a compaction that shrank a chunk without
+/// telling its holders leaves their replica ledgers at the old size —
+/// invisible to every answer, and to the census, which counts
+/// primaries. Returns the records' cells it checked.
+fn assert_holders_follow_one_record<'r>(
     tag: &str,
     runner: &'r WorkloadRunner<'_>,
     arrays: &[ArrayId],
 ) -> Vec<&'r Chunk> {
     let cluster = runner.cluster();
-    let mut primaries = Vec::new();
+    let mut held = vec![0u64; cluster.node_count()];
+    for (key, node) in cluster.placements() {
+        // A k = 1 orphan keeps its placement but has no record, and no holder.
+        let Some(desc) = cluster.node(node).unwrap().descriptor(&key) else { continue };
+        for h in cluster.replica_holders(&key) {
+            held[h.0 as usize] += desc.bytes;
+        }
+    }
+    for node in cluster.nodes() {
+        let want = held[node.id.0 as usize];
+        assert_eq!(node.replica_bytes(), want, "{tag}: {}'s replica ledger drifted", node.id);
+    }
+    let mut records = Vec::new();
     for &id in arrays {
         for desc in runner.catalog().array(id).unwrap().descriptors.values() {
             let key = desc.key;
-            let primary =
-                cluster.payload_shared(&key).unwrap_or_else(|| panic!("{tag}: {key} lost"));
-            for &holder in cluster.replica_holders(&key) {
-                let copy = cluster.node(holder).unwrap().resident(Role::Replica, &key);
-                let slot = copy.and_then(|copy| copy.payload());
-                let slot = slot.unwrap_or_else(|| panic!("{tag}: {key} replica has no payload"));
-                assert!(std::sync::Arc::ptr_eq(slot, primary), "{tag}: {key} replica is a copy");
-            }
-            primaries.push(primary.as_ref());
+            let chunk = cluster.primary_payload(&key).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            let node = cluster.node(cluster.locate(&key).unwrap()).unwrap();
+            let record = node.descriptor(&key).unwrap();
+            let sizes = (chunk.byte_size(), chunk.cell_count());
+            assert_eq!((record.bytes, record.cells), sizes, "{tag}: {key} left its cells");
+            records.push(chunk.as_ref());
         }
     }
-    primaries
+    records
 }
 
 /// Dark-vessel retractions empty few chunks outright — most only lose
@@ -357,14 +365,14 @@ fn run_ais_sharing(
     for c in 0..w.cycles {
         runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
         let chunks =
-            assert_one_handle_per_chunk(&format!("{tag}/cycle {c}"), &runner, &[BROADCAST]);
+            assert_holders_follow_one_record(&format!("{tag}/cycle {c}"), &runner, &[BROADCAST]);
         tombstoned += chunks.iter().filter(|chunk| chunk.tombstone_count() > 0).count();
     }
     assert!(tombstoned > 0, "{tag}: every retraction emptied its chunk — vacuous");
 }
 
 /// MODIS TTL expiry is whole-chunk work: the aged-out day's chunks are
-/// dropped — all of them, none tombstoned — and the copies stay shared.
+/// dropped — all of them, none tombstoned — and the holders follow.
 fn run_modis_whole_chunk_expiry(cells_per_cycle: u64, kind: PartitionerKind, k: usize) {
     let tag = format!("{kind}/modis-ttl/k{k}/drop");
     let w = ModisWorkload { days: 4, scale: 0.05, seed: 33, cells_per_cycle, ttl_days: 1 };
@@ -391,7 +399,7 @@ fn run_modis_whole_chunk_expiry(cells_per_cycle: u64, kind: PartitionerKind, k: 
         assert_eq!(report.evicted_chunks, expired, "{tag}: cycle {c} drops the expired day");
         assert_eq!(report.gc_compacted_chunks, 0, "{tag}: nothing was left to compact");
         let chunks =
-            assert_one_handle_per_chunk(&format!("{tag}/cycle {c}"), &runner, &[BAND1, BAND2]);
+            assert_holders_follow_one_record(&format!("{tag}/cycle {c}"), &runner, &[BAND1, BAND2]);
         let dead: u64 = chunks.iter().map(|chunk| chunk.tombstone_count()).sum();
         assert_eq!(dead, 0, "{tag}: cycle {c} left tombstones");
     }
@@ -446,16 +454,18 @@ fn retraction_smoke() {
 /// node stores and once for the whole-array copy the catalog then kept,
 /// leaving two equal chunks where ingest had placed one shared handle
 /// (155 of 481 placed chunks after the first retracting cycle of this
-/// very run). The second store is gone; what is left to pin is that the
-/// `k` holders of a chunk stay on one handle.
+/// very run). The second store is gone, and so is every replica's own
+/// record; what is left to pin is that the `k` holders of a chunk follow
+/// its one record.
 #[test]
 fn partial_retraction_keeps_the_stores_on_one_handle() {
     run_ais_sharing(4_000, PartitionerKind::ConsistentHash, StringEncoding::default(), 2);
 }
 
-/// Heavier CI smoke for the batch retraction path: one handle per chunk
-/// across its holders after every AIS cycle and whole-chunk MODIS expiry, over all 8 partitioners
-/// × both string encodings × k ∈ {1, 2}. Run with
+/// Heavier CI smoke for the batch retraction path: one record per chunk,
+/// its holders' ledgers following it, after every AIS cycle and
+/// whole-chunk MODIS expiry, over all 8 partitioners × both string
+/// encodings × k ∈ {1, 2}. Run with
 /// `cargo test --release --test retraction_differential -- --ignored batch_retraction_smoke`.
 #[test]
 #[ignore = "heavy: run in release via the batch-retraction-smoke CI job"]
