@@ -1,35 +1,15 @@
 //! Reproduce Figure 4: elastic partitioner insert and reorganization
 //! durations, with load-balancing labels (relative standard deviation).
 
-use bench_harness::experiments::{fig4_rows, AIS_SEED, MODIS_SEED};
-use bench_harness::table::{out_dir, pct, TextTable};
+use bench_harness::experiments::{fig4_rows, fig4_table, Fig4Row, AIS_SEED, MODIS_SEED};
+use bench_harness::table::out_dir;
 use workloads::{AisWorkload, ModisWorkload};
 
 fn main() {
     let modis = fig4_rows(&ModisWorkload::with_seed(MODIS_SEED));
     let ais = fig4_rows(&AisWorkload::with_seed(AIS_SEED));
 
-    let mut t = TextTable::new(&[
-        "Partitioning Scheme",
-        "Insert MODIS (min)",
-        "Reorg MODIS (min)",
-        "RSD MODIS",
-        "Insert AIS (min)",
-        "Reorg AIS (min)",
-        "RSD AIS",
-    ]);
-    for (m, a) in modis.iter().zip(&ais) {
-        assert_eq!(m.kind, a.kind);
-        t.row(vec![
-            m.kind.label().to_string(),
-            format!("{:.1}", m.insert_mins),
-            format!("{:.1}", m.reorg_mins),
-            pct(m.rsd),
-            format!("{:.1}", a.insert_mins),
-            format!("{:.1}", a.reorg_mins),
-            pct(a.rsd),
-        ]);
-    }
+    let t = fig4_table(&modis, &ais);
     println!("Figure 4: insert and reorganization durations; labels are load");
     println!("balance in relative standard deviation (lower = more even).\n");
     print!("{}", t.render());
@@ -42,10 +22,7 @@ fn main() {
         .collect();
     let glob: Vec<_> =
         modis.iter().zip(&ais).filter(|(m, _)| !m.kind.features().incremental_scale_out).collect();
-    let mean = |rows: &[(
-        &bench_harness::experiments::Fig4Row,
-        &bench_harness::experiments::Fig4Row,
-    )]| {
+    let mean = |rows: &[(&Fig4Row, &Fig4Row)]| {
         rows.iter().map(|(m, a)| m.reorg_mins + a.reorg_mins).sum::<f64>() / rows.len() as f64
     };
     println!(

@@ -1,33 +1,15 @@
 //! Reproduce Figure 5: total benchmark times per elastic partitioner,
 //! split into the Science and SPJ suites, for both workloads.
 
-use bench_harness::experiments::{fig5_rows, AIS_SEED, MODIS_SEED};
-use bench_harness::table::{out_dir, TextTable};
+use bench_harness::experiments::{fig5_rows, fig5_table, AIS_SEED, MODIS_SEED};
+use bench_harness::table::out_dir;
 use workloads::{AisWorkload, ModisWorkload};
 
 fn main() {
     let modis = fig5_rows(&ModisWorkload::with_seed(MODIS_SEED));
     let ais = fig5_rows(&AisWorkload::with_seed(AIS_SEED));
 
-    let mut t = TextTable::new(&[
-        "Partitioning Scheme",
-        "Science MODIS (min)",
-        "SPJ MODIS (min)",
-        "Science AIS (min)",
-        "SPJ AIS (min)",
-        "Total (min)",
-    ]);
-    for (m, a) in modis.iter().zip(&ais) {
-        assert_eq!(m.kind, a.kind);
-        t.row(vec![
-            m.kind.label().to_string(),
-            format!("{:.1}", m.science_mins),
-            format!("{:.1}", m.spj_mins),
-            format!("{:.1}", a.science_mins),
-            format!("{:.1}", a.spj_mins),
-            format!("{:.1}", m.science_mins + m.spj_mins + a.science_mins + a.spj_mins),
-        ]);
-    }
+    let t = fig5_table(&modis, &ais);
     println!("Figure 5: benchmark times for elastic partitioners.\n");
     print!("{}", t.render());
     if let Some(path) = t.write_csv(&out_dir(), "fig5") {

@@ -5,6 +5,7 @@
 //! (hundreds of simulated GB) complete in seconds of host time because
 //! only chunk metadata flows through the simulator.
 
+use crate::table::{pct, TextTable};
 use elastic_core::provision::{
     estimate_cost, tune_plan_ahead, ClusterSnapshot, CostEstimate, CostModelParams,
 };
@@ -41,22 +42,53 @@ pub struct Fig4Row {
     pub moved_gb: f64,
 }
 
+impl Fig4Row {
+    /// The bar of one §6.2 run.
+    pub fn of(report: &RunReport) -> Self {
+        let totals = report.phase_totals();
+        Fig4Row {
+            kind: report.partitioner,
+            insert_mins: totals.insert_secs / 60.0,
+            reorg_mins: totals.reorg_secs / 60.0,
+            rsd: report.mean_rsd(),
+            moved_gb: report.cycles.iter().map(|c| c.moved_bytes).sum::<u64>() as f64 / 1e9,
+        }
+    }
+}
+
 /// Figure 4 data for one workload.
 pub fn fig4_rows(workload: &dyn Workload) -> Vec<Fig4Row> {
     PartitionerKind::ALL
         .iter()
-        .map(|&kind| {
-            let report = section62_run(kind, workload, false);
-            let totals = report.phase_totals();
-            Fig4Row {
-                kind,
-                insert_mins: totals.insert_secs / 60.0,
-                reorg_mins: totals.reorg_secs / 60.0,
-                rsd: report.mean_rsd(),
-                moved_gb: report.cycles.iter().map(|c| c.moved_bytes).sum::<u64>() as f64 / 1e9,
-            }
-        })
+        .map(|&kind| Fig4Row::of(&section62_run(kind, workload, false)))
         .collect()
+}
+
+/// Figure 4 as the `fig4` binary prints it and writes `fig4.csv`: one
+/// row per scheme, MODIS beside AIS (rows paired by scheme).
+pub fn fig4_table(modis: &[Fig4Row], ais: &[Fig4Row]) -> TextTable {
+    let mut t = TextTable::new(&[
+        "Partitioning Scheme",
+        "Insert MODIS (min)",
+        "Reorg MODIS (min)",
+        "RSD MODIS",
+        "Insert AIS (min)",
+        "Reorg AIS (min)",
+        "RSD AIS",
+    ]);
+    for (m, a) in modis.iter().zip(ais) {
+        assert_eq!(m.kind, a.kind);
+        t.row(vec![
+            m.kind.label().to_string(),
+            format!("{:.1}", m.insert_mins),
+            format!("{:.1}", m.reorg_mins),
+            pct(m.rsd),
+            format!("{:.1}", a.insert_mins),
+            format!("{:.1}", a.reorg_mins),
+            pct(a.rsd),
+        ]);
+    }
+    t
 }
 
 /// One Figure 5 bar: benchmark minutes per suite.
@@ -70,19 +102,49 @@ pub struct Fig5Row {
     pub spj_mins: f64,
 }
 
+impl Fig5Row {
+    /// The bar of one §6.2 run with queries.
+    pub fn of(report: &RunReport) -> Self {
+        Fig5Row {
+            kind: report.partitioner,
+            science_mins: report.science_secs() / 60.0,
+            spj_mins: report.spj_secs() / 60.0,
+        }
+    }
+}
+
 /// Figure 5 data for one workload (full §6.2 runs with queries).
 pub fn fig5_rows(workload: &dyn Workload) -> Vec<Fig5Row> {
     PartitionerKind::ALL
         .iter()
-        .map(|&kind| {
-            let report = section62_run(kind, workload, true);
-            Fig5Row {
-                kind,
-                science_mins: report.science_secs() / 60.0,
-                spj_mins: report.spj_secs() / 60.0,
-            }
-        })
+        .map(|&kind| Fig5Row::of(&section62_run(kind, workload, true)))
         .collect()
+}
+
+/// Figure 5 as the `fig5` binary prints it and writes `fig5.csv`: one
+/// row per scheme, MODIS beside AIS (rows paired by scheme), and the
+/// total.
+pub fn fig5_table(modis: &[Fig5Row], ais: &[Fig5Row]) -> TextTable {
+    let mut t = TextTable::new(&[
+        "Partitioning Scheme",
+        "Science MODIS (min)",
+        "SPJ MODIS (min)",
+        "Science AIS (min)",
+        "SPJ AIS (min)",
+        "Total (min)",
+    ]);
+    for (m, a) in modis.iter().zip(ais) {
+        assert_eq!(m.kind, a.kind);
+        t.row(vec![
+            m.kind.label().to_string(),
+            format!("{:.1}", m.science_mins),
+            format!("{:.1}", m.spj_mins),
+            format!("{:.1}", a.science_mins),
+            format!("{:.1}", a.spj_mins),
+            format!("{:.1}", m.science_mins + m.spj_mins + a.science_mins + a.spj_mins),
+        ]);
+    }
+    t
 }
 
 /// Per-cycle series of one query for every scheme (Figures 6 and 7).

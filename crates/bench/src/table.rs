@@ -56,6 +56,13 @@ impl TextTable {
     /// the path on success).
     pub fn write_csv(&self, dir: &Path, name: &str) -> Option<std::path::PathBuf> {
         fs::create_dir_all(dir).ok()?;
+        let path = dir.join(format!("{name}.csv"));
+        fs::write(&path, self.csv()).ok()?;
+        Some(path)
+    }
+
+    /// The table as CSV text: the header, then each row, a line each.
+    pub fn csv(&self) -> String {
         let mut csv = String::new();
         let escape = |s: &str| {
             if s.contains(',') || s.contains('"') {
@@ -70,9 +77,7 @@ impl TextTable {
             csv.push_str(&row.iter().map(|s| escape(s)).collect::<Vec<_>>().join(","));
             csv.push('\n');
         }
-        let path = dir.join(format!("{name}.csv"));
-        fs::write(&path, csv).ok()?;
-        Some(path)
+        csv
     }
 }
 

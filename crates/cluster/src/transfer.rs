@@ -16,7 +16,6 @@
 
 use crate::cost::{gb, CostModel};
 use crate::node::NodeId;
-use std::collections::BTreeMap;
 
 /// One directed transfer of `bytes` from `src` to `dst`.
 ///
@@ -103,49 +102,61 @@ impl FlowSet {
     }
 
     /// Simulated elapsed seconds for the whole batch.
+    ///
+    /// The per-endpoint tallies live in one vector indexed by roster slot
+    /// (node ids are dense join-order indices, so it is as long as the
+    /// roster): one pass over the flows fills them, one pass over the
+    /// slots, ascending, folds the endpoints' busy times.
     pub fn elapsed_secs(&self, cost: &CostModel) -> f64 {
-        if self.flows.is_empty() {
+        let Some(last) = self.flows.iter().map(|f| f.src.slot().max(f.dst.slot())).max() else {
             return 0.0;
-        }
-        // Per-endpoint ingress/egress byte tallies.
-        let mut egress: BTreeMap<NodeId, u64> = BTreeMap::new();
-        let mut ingress: BTreeMap<NodeId, u64> = BTreeMap::new();
-        let mut local: BTreeMap<NodeId, u64> = BTreeMap::new();
-        let mut destinations: BTreeMap<NodeId, ()> = BTreeMap::new();
+        };
+        let mut tallies = vec![Endpoint::default(); last + 1];
+        let mut destinations = 0usize;
         for f in &self.flows {
-            destinations.insert(f.dst, ());
+            let dst = &mut tallies[f.dst.slot()];
+            destinations += usize::from(!dst.destination);
+            dst.destination = true;
+            dst.endpoint = true;
             if f.src == f.dst {
-                let e = local.entry(f.src).or_default();
-                *e = e.saturating_add(f.bytes);
+                dst.local = dst.local.saturating_add(f.bytes);
             } else {
-                let e = egress.entry(f.src).or_default();
-                *e = e.saturating_add(f.bytes);
-                let e = ingress.entry(f.dst).or_default();
-                *e = e.saturating_add(f.bytes);
+                dst.ingress = dst.ingress.saturating_add(f.bytes);
+                let src = &mut tallies[f.src.slot()];
+                src.endpoint = true;
+                src.egress = src.egress.saturating_add(f.bytes);
             }
         }
 
         let mut busiest: f64 = 0.0;
-        let mut endpoints: Vec<NodeId> = Vec::new();
-        endpoints.extend(egress.keys().copied());
-        endpoints.extend(ingress.keys().copied());
-        endpoints.extend(local.keys().copied());
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        for ep in endpoints {
-            let out = egress.get(&ep).copied().unwrap_or(0);
-            let inb = ingress.get(&ep).copied().unwrap_or(0);
-            let loc = local.get(&ep).copied().unwrap_or(0);
-            let busy =
-                cost.egress_secs(out) + cost.remote_ingest_secs(inb) + cost.local_write_secs(loc);
+        for t in tallies.iter().filter(|t| t.endpoint) {
+            let busy = cost.egress_secs(t.egress)
+                + cost.remote_ingest_secs(t.ingress)
+                + cost.local_write_secs(t.local);
             busiest = busiest.max(busy);
         }
 
         let fabric = gb(self.network_bytes()) * cost.fabric_secs_per_gb;
-        let overhead = cost.per_chunk_overhead_secs * self.chunk_count as f64
-            / destinations.len().max(1) as f64;
+        let overhead =
+            cost.per_chunk_overhead_secs * self.chunk_count as f64 / destinations.max(1) as f64;
         busiest.max(fabric) + overhead
     }
+}
+
+/// One node's share of a [`FlowSet`]: byte tallies (saturating, see
+/// [`FlowSet::total_bytes`]) and what it is to the batch.
+#[derive(Debug, Clone, Copy, Default)]
+struct Endpoint {
+    /// Bytes it sends to other nodes.
+    egress: u64,
+    /// Bytes other nodes send it.
+    ingress: u64,
+    /// Bytes it writes to itself.
+    local: u64,
+    /// Whether any flow starts or ends here.
+    endpoint: bool,
+    /// Whether any flow ends here.
+    destination: bool,
 }
 
 #[cfg(test)]
@@ -346,5 +357,88 @@ mod tests {
         fs.push(NodeId(0), NodeId(1), 0);
         // 4 chunks over 2 destinations -> 2 s of overhead.
         assert!((fs.elapsed_secs(&m) - 2.0).abs() < 1e-9);
+    }
+
+    /// The solver as it was: four ordered maps of per-endpoint tallies,
+    /// the endpoints walked ascending.
+    fn elapsed_by_maps(fs: &FlowSet, cost: &CostModel) -> f64 {
+        use std::collections::BTreeMap;
+        if fs.flows.is_empty() {
+            return 0.0;
+        }
+        let mut egress: BTreeMap<NodeId, u64> = BTreeMap::new();
+        let mut ingress: BTreeMap<NodeId, u64> = BTreeMap::new();
+        let mut local: BTreeMap<NodeId, u64> = BTreeMap::new();
+        let mut destinations: BTreeMap<NodeId, ()> = BTreeMap::new();
+        for f in &fs.flows {
+            destinations.insert(f.dst, ());
+            let add = |map: &mut BTreeMap<NodeId, u64>, node| {
+                let e = map.entry(node).or_default();
+                *e = e.saturating_add(f.bytes);
+            };
+            if f.src == f.dst {
+                add(&mut local, f.src);
+            } else {
+                add(&mut egress, f.src);
+                add(&mut ingress, f.dst);
+            }
+        }
+        let mut endpoints: Vec<NodeId> =
+            egress.keys().chain(ingress.keys()).chain(local.keys()).copied().collect();
+        endpoints.sort_unstable();
+        endpoints.dedup();
+        let mut busiest: f64 = 0.0;
+        for ep in endpoints {
+            let get = |map: &BTreeMap<NodeId, u64>| map.get(&ep).copied().unwrap_or(0);
+            let busy = cost.egress_secs(get(&egress))
+                + cost.remote_ingest_secs(get(&ingress))
+                + cost.local_write_secs(get(&local));
+            busiest = busiest.max(busy);
+        }
+        let fabric = gb(fs.network_bytes()) * cost.fabric_secs_per_gb;
+        let overhead =
+            cost.per_chunk_overhead_secs * fs.chunk_count as f64 / destinations.len().max(1) as f64;
+        busiest.max(fabric) + overhead
+    }
+
+    /// One draw: flows among sparse node ids, self-flows, zero and
+    /// saturating byte counts, under cost models that weigh the network,
+    /// the disk, the fabric and the per-chunk overhead differently — the
+    /// vector tallies give the maps' answer, to the bit.
+    fn check_tallies(seed: u64) {
+        let mut state = seed;
+        let mut next = |below: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % below
+        };
+        let nodes = [0, 1, 2, 3, 9, 63, 200].map(NodeId);
+        let bytes = [0, 1, 4_096, GB, 3 * GB + 7, u64::MAX / 3, u64::MAX];
+        let mut fs = FlowSet::new();
+        for _ in 0..next(40) {
+            let src = nodes[next(7) as usize];
+            // One flow in four is a local write.
+            let dst = if next(4) == 0 { src } else { nodes[next(7) as usize] };
+            fs.push(src, dst, bytes[next(7) as usize]);
+        }
+        let mut cost = model();
+        cost.per_chunk_overhead_secs = [0.0, 0.25, 3.0][next(3) as usize];
+        cost.net_secs_per_gb = [12.0, 2.0, 0.1][next(3) as usize];
+        cost.disk_secs_per_gb = [8.0, 30.0][next(2) as usize];
+        let (got, want) = (fs.elapsed_secs(&cost), elapsed_by_maps(&fs, &cost));
+        assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}: {:?}", fs.flows);
+    }
+
+    #[test]
+    fn vector_tallies_solve_like_the_maps() {
+        (0..5_000).for_each(check_tallies);
+    }
+
+    #[test]
+    #[ignore = "release-scale leg: cargo test --release -p cluster-sim --lib -- --ignored bookkeeping_smoke"]
+    fn flow_tallies_bookkeeping_smoke() {
+        (0..1_000_000).for_each(check_tallies);
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::catalog::{Catalog, StoredArray};
 use crate::error::{QueryError, Result};
-use crate::ops::keys::CellBox;
+use crate::ops::keys::{CellBox, CellIndex};
 use crate::ops::scan::SelectionMask;
 use crate::predicate::Predicate;
 use crate::stats::{scaled_bytes, WorkTracker};
@@ -92,12 +92,12 @@ impl<'a> ScanPlan<'a> {
         tracker.prune_chunks(self.pruned);
     }
 
-    /// Every chunk of the scan by position: descriptor, resident node,
-    /// and whether it is visited (`false`: pruned).
-    pub(crate) fn homes(&self) -> BTreeMap<&ChunkCoords, (&ChunkDescriptor, NodeId, bool)> {
-        let live = self.visit.iter().map(|(d, n, _)| (&d.key.coords, (d, *n, true)));
-        let dead = self.dead.iter().map(|(d, n)| (&d.key.coords, (d, *n, false)));
-        live.chain(dead).collect()
+    /// Every chunk of the scan by position, visited and pruned: a
+    /// [`ChunkIndex`].
+    pub(crate) fn homes(&self) -> ChunkIndex<'_> {
+        let live = self.visit.iter().map(|(d, n, _)| (d, *n, true));
+        let dead = self.dead.iter().map(|(d, n)| (d, *n, false));
+        ChunkIndex::new(live.chain(dead).collect())
     }
 
     /// A box holding every cell the row driver can select: the visited
@@ -146,6 +146,62 @@ impl<'a> ScanPlan<'a> {
             f(chunk, mask);
         }
         Ok(())
+    }
+}
+
+/// Every chunk of one scan by position ([`ScanPlan::homes`]): what the
+/// operators that look a chunk's neighbours up — window halo, trajectory
+/// hand-off, rolling predecessor, join pairing — probe once to six times
+/// per chunk. A chunk is one integer here (`ops/keys.rs`): its row-major
+/// ordinal in the box of the plan's chunk coordinates, or its padded
+/// coordinates when that box is too large to number, filed in a
+/// [`CellIndex`] at the position of its home.
+pub(crate) struct ChunkIndex<'p> {
+    /// The plan's arity (its schema's); a probe of another finds nothing.
+    nd: usize,
+    positions: CellIndex,
+    /// By position: descriptor, resident node, and whether the chunk is
+    /// visited (`false`: pruned).
+    homes: Vec<(&'p ChunkDescriptor, NodeId, bool)>,
+}
+
+impl<'p> ChunkIndex<'p> {
+    /// Index `homes`, distinct chunks.
+    fn new(mut homes: Vec<(&'p ChunkDescriptor, NodeId, bool)>) -> Self {
+        let nd = homes.first().map_or(0, |(d, ..)| d.key.coords.ndims());
+        // Every chunk of a plan has its array's arity; a descriptor set
+        // built by hand against another schema loses its strays here
+        // rather than panicking in the box.
+        debug_assert!(homes.iter().all(|(d, ..)| d.key.coords.ndims() == nd));
+        homes.retain(|(d, ..)| d.key.coords.ndims() == nd);
+        let coords = || homes.iter().map(|(d, ..)| d.key.coords.as_slice());
+        let mut bounds = CellBox::empty(nd);
+        coords().for_each(|c| bounds.include(c, c));
+        ChunkIndex { nd, positions: CellIndex::new(&bounds, homes.len(), coords()), homes }
+    }
+
+    /// The chunk at `coords`, if the scan planned it.
+    #[inline]
+    pub(crate) fn get(&self, coords: &ChunkCoords) -> Option<(&'p ChunkDescriptor, NodeId, bool)> {
+        if coords.ndims() != self.nd {
+            return None;
+        }
+        self.positions.position(coords.as_slice()).map(|at| self.homes[at])
+    }
+
+    /// The chunk `step` chunks from `coords` along `dim`, if the scan
+    /// planned it. Checked: past either end of chunk-index space there is
+    /// no position, so no chunk.
+    #[inline]
+    pub(crate) fn neighbour(
+        &self,
+        coords: &ChunkCoords,
+        dim: usize,
+        step: i64,
+    ) -> Option<(&'p ChunkDescriptor, NodeId, bool)> {
+        let mut at = *coords;
+        at[dim] = coords[dim].checked_add(step)?;
+        self.get(&at)
     }
 }
 
@@ -755,5 +811,182 @@ mod tests {
         let coords = ChunkCoords::new([0]);
         assert_eq!(ctx.node_of(arr, &coords, Some(NodeId(2))).unwrap(), NodeId(2));
         assert_eq!(ctx.node_of(arr, &coords, None).unwrap(), cluster.coordinator());
+    }
+
+    // -- the chunk index against the ordered map it replaced --
+
+    /// What `homes` was: every chunk of the scan in one ordered map.
+    fn homes_map<'p>(
+        plan: &'p ScanPlan<'_>,
+    ) -> BTreeMap<ChunkCoords, (&'p ChunkDescriptor, NodeId, bool)> {
+        let live = plan.visit.iter().map(|(d, n, _)| (d.key.coords, (d, *n, true)));
+        let dead = plan.dead.iter().map(|(d, n)| (d.key.coords, (d, *n, false)));
+        live.chain(dead).collect()
+    }
+
+    /// Every probe an operator makes, answered by the index as by the map:
+    /// each planned chunk and each of `strays`, the ±1 neighbour of every
+    /// one on every dimension (past either end of `i64` there is none),
+    /// and a probe of another arity.
+    fn assert_index_is_the_map(plan: &ScanPlan<'_>, strays: &[ChunkCoords]) {
+        let index = plan.homes();
+        let map = homes_map(plan);
+        for coords in map.keys().chain(strays) {
+            assert_eq!(index.get(coords), map.get(coords).copied(), "{coords:?}");
+            for dim in 0..coords.ndims() {
+                for step in [-1, 1] {
+                    let want = coords[dim].checked_add(step).and_then(|c| {
+                        let mut at = *coords;
+                        at[dim] = c;
+                        map.get(&at).copied()
+                    });
+                    assert_eq!(index.neighbour(coords, dim, step), want, "{coords:?} {dim} {step}");
+                }
+            }
+            let wider = ChunkCoords::new([coords.as_slice(), &[0]].concat());
+            assert_eq!(index.get(&wider), None);
+        }
+    }
+
+    /// One draw of the chunk-index property. Metadata only: a sparse
+    /// chunk set — a dense block at zero or against either end of `i64`,
+    /// so neighbours exist and some lie past the type, plus strays
+    /// anywhere, so most boxes of two or more dimensions are too large to
+    /// number and the index runs on padded keys — planned whole, over an
+    /// inverted region (an empty plan) and over regions. Then over real
+    /// cells with pruning on and off, so pruned chunks are indexed too.
+    ///
+    /// Returns whether the whole array's chunk box packs into a `u64`.
+    fn check_chunk_index(seed: u64) -> bool {
+        use array_model::{AttributeDef, AttributeType, ChunkKey, DimensionDef};
+        let mut draw = Draw(seed);
+        let schema = edge_schema(&mut draw);
+        let n = schema.ndims();
+        let block: Vec<i64> = (0..n)
+            .map(|_| match draw.below(3) {
+                0 => 0,
+                1 => i64::MAX - 2,
+                _ => i64::MIN,
+            })
+            .collect();
+        let near = |draw: &mut Draw| {
+            let mut coords = ChunkCoords::zeros(n);
+            for (d, &corner) in block.iter().enumerate() {
+                coords[d] = match draw.below(6) {
+                    0 => draw.edge(),
+                    _ => corner.saturating_add(draw.below(3)),
+                };
+            }
+            coords
+        };
+        let chosen: std::collections::BTreeSet<ChunkCoords> =
+            (0..draw.below(40)).map(|_| near(&mut draw)).collect();
+        let strays: Vec<ChunkCoords> = (0..8).map(|_| near(&mut draw)).collect();
+        let descs = chosen
+            .iter()
+            .enumerate()
+            .map(|(i, c)| ChunkDescriptor::new(ChunkKey::new(ArrayId(2), *c), 100 + i as u64, 1));
+        let array = StoredArray::from_descriptors(ArrayId(2), schema.clone(), descs);
+        let mut cluster = Cluster::new(3, u64::MAX, CostModel::default()).unwrap();
+        for (i, d) in array.descriptors.values().enumerate() {
+            cluster.place(*d, NodeId((i % 3) as u32)).unwrap();
+        }
+        let mut cat = Catalog::new();
+        cat.register(array);
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        let whole = ctx.plan_scan(ArrayId(2), None, None).unwrap();
+        assert_eq!(whole.visit.len(), chosen.len());
+        assert_index_is_the_map(&whole, &strays);
+        let volume = (0..n).fold(1u128, |v, d| {
+            let (low, high) =
+                chosen.iter().fold((i64::MAX, i64::MIN), |(l, h), c| (l.min(c[d]), h.max(c[d])));
+            v.saturating_mul(u128::from(high.abs_diff(low)) + 1)
+        });
+        let packs = chosen.is_empty() || volume <= u128::from(u64::MAX);
+        // No chunk spans all of `i64`, so none meets this one.
+        let inverted = Region::new(vec![i64::MAX; n], vec![i64::MIN; n]);
+        let empty = ctx.plan_scan(ArrayId(2), Some(&inverted), None).unwrap();
+        assert!(empty.visit.is_empty());
+        assert_index_is_the_map(&empty, &strays);
+        for _ in 0..4 {
+            let (mut low, mut high) = (Vec::new(), Vec::new());
+            for _ in 0..n {
+                let (a, b) = (draw.edge(), draw.edge());
+                low.push(a.min(b));
+                high.push(a.max(b));
+            }
+            let region = Region::new(low, high);
+            let plan = ctx.plan_scan(ArrayId(2), Some(&region), None).unwrap();
+            assert_index_is_the_map(&plan, &strays);
+        }
+
+        // Real cells: regions whose zone maps refute some chunks.
+        let dims: Vec<DimensionDef> = (0..1 + draw.below(3))
+            .map(|d| DimensionDef::bounded(format!("d{d}"), 0, 23, 1 + draw.below(4)))
+            .collect();
+        let attrs = vec![AttributeDef::new("v", AttributeType::Int32)];
+        let schema = ArraySchema::new("M", attrs, dims).unwrap();
+        let mut a = Array::new(ArrayId(3), schema.clone());
+        for i in 0..draw.below(120) {
+            let cell = schema.dimensions.iter().map(|_| draw.below(24)).collect();
+            a.insert_cell(cell, vec![ScalarValue::Int32(i as i32)]).unwrap();
+        }
+        let mut cluster = Cluster::new(2, u64::MAX, CostModel::default()).unwrap();
+        let mut cat = Catalog::new();
+        cat.place_array(&mut cluster, &a, |_, i, _| NodeId((i % 2) as u32)).unwrap();
+        let strays: Vec<ChunkCoords> = (0..8)
+            .map(|_| {
+                let coords: Vec<i64> =
+                    schema.dimensions.iter().map(|_| draw.below(26) - 1).collect();
+                ChunkCoords::new(coords)
+            })
+            .collect();
+        for _ in 0..6 {
+            let (mut low, mut high) = (Vec::new(), Vec::new());
+            for _ in &schema.dimensions {
+                let (a, b) = (draw.below(30) - 3, draw.below(30) - 3);
+                low.push(a.min(b));
+                high.push(a.max(b));
+            }
+            let region = Region::new(low, high);
+            for pruning in [true, false] {
+                let ctx = ExecutionContext::new(&cluster, &cat).with_pruning(pruning);
+                let plan = ctx.plan_scan(ArrayId(3), Some(&region), None).unwrap();
+                assert!(pruning || plan.dead.is_empty());
+                assert_index_is_the_map(&plan, &strays);
+            }
+        }
+        packs
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_chunk_index_answers_every_probe_like_the_map(seed in proptest::prelude::any::<u64>()) {
+            check_chunk_index(seed);
+        }
+    }
+
+    #[test]
+    #[ignore = "release-scale leg: cargo test --release -p query-engine --lib -- --ignored bookkeeping_smoke"]
+    fn chunk_index_bookkeeping_smoke() {
+        let packed = (0..20_000).filter(|&seed| check_chunk_index(seed)).count();
+        assert!((2_000..18_000).contains(&packed), "{packed} of 20 000 boxes packed");
+    }
+
+    #[test]
+    fn a_neighbour_outside_the_box_is_not_planned() {
+        // Chunks (0, 0) and (1, 0): the box is one chunk wide in y, so
+        // (0, 1) lies outside it — where a row-major ordinal that skipped
+        // the box check would land on (1, 0).
+        let (cluster, cat) = setup();
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        let corner = Region::new(vec![0, 0], vec![3, 1]);
+        let plan = ctx.plan_scan(ArrayId(0), Some(&corner), None).unwrap();
+        let index = plan.homes();
+        let (desc, node, live) = index.get(&ChunkCoords::new([0, 0])).unwrap();
+        assert_eq!((desc.key.coords, node, live), (ChunkCoords::new([0, 0]), NodeId(0), true));
+        assert_eq!(index.neighbour(&ChunkCoords::new([0, 0]), 0, 1).map(|h| h.2), Some(true));
+        assert_eq!(index.neighbour(&ChunkCoords::new([0, 0]), 0, -1), None);
+        assert_eq!(index.neighbour(&ChunkCoords::new([0, 0]), 1, 1), None, "outside the box");
     }
 }

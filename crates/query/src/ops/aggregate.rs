@@ -23,7 +23,6 @@ use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
 use array_model::{ArrayId, ChunkDescriptor, Region, MAX_DIMS};
 use cluster_sim::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Which aggregate to compute per group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -189,54 +188,31 @@ fn grid_aggregate_impl(
     // Bin chunks by their *chunk-level* group key (the group key of the
     // chunk's low corner, coarsened in chunk units) to find how many nodes
     // contribute to each group region.
-    let mut group_nodes: BTreeMap<Vec<i64>, BTreeMap<NodeId, u64>> = BTreeMap::new();
+    let mut contributions = Contributions::new();
     let plan = ctx.plan_scan(array_id, region, None)?;
     let homes = plan.homes();
     // Rolling windows pull the predecessor chunk along the rolling
     // dimension; co-located columns answer from local disk.
     let pull_prev = |tracker: &mut WorkTracker<'_>, desc: &ChunkDescriptor, node, live| {
         let Some(rd) = rolling_dim else { return };
-        let mut prev = desc.key.coords;
-        prev[rd] -= 1;
-        if let Some(&(pdesc, pnode, plive)) = homes.get(&prev) {
+        if let Some((pdesc, pnode, plive)) = homes.neighbour(&desc.key.coords, rd, -1) {
             tracker.pull(live && plive, node, pnode, scaled_bytes(pdesc.bytes, fraction));
         }
     };
     plan.charge(&mut tracker, fraction, |tracker, desc, node, scan_bytes| {
         pull_prev(tracker, desc, node, true);
-        let chunk_group: Vec<i64> = spec
-            .dims
-            .iter()
-            .zip(&spec.coarsen)
-            .map(|(&d, &c)| {
-                let (cell_lo, _) = array.schema.dimensions[d].chunk_range(desc.key.coords.index(d));
-                cell_lo.div_euclid(c * array.schema.dimensions[d].chunk_interval.max(1))
-            })
-            .collect();
-        *group_nodes.entry(chunk_group).or_default().entry(node).or_default() += scan_bytes;
+        let mut group = [0; MAX_DIMS];
+        for ((g, &d), &c) in group.iter_mut().zip(&spec.dims).zip(&spec.coarsen) {
+            let dimension = &array.schema.dimensions[d];
+            let (cell_lo, _) = dimension.chunk_range(desc.key.coords.index(d));
+            *g = cell_lo.div_euclid(c * dimension.chunk_interval.max(1));
+        }
+        contributions.add(group, node, scan_bytes);
     });
     for (desc, node) in &plan.dead {
         pull_prev(&mut tracker, desc, *node, false);
     }
-    // Exchange: every non-owner contributor ships its partial state
-    // (aggregation compresses the scanned bytes heavily) to the group
-    // owner — the contributor with the most bytes.
-    const STATE_FRACTION: f64 = 0.25;
-    for contributors in group_nodes.values() {
-        if contributors.len() <= 1 {
-            continue;
-        }
-        let owner = *contributors
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0 .0.cmp(&a.0 .0)))
-            .expect("two or more contributors: single-contributor groups were skipped")
-            .0;
-        for (&node, &bytes) in contributors {
-            if node != owner {
-                tracker.shuffle(node, owner, scaled_bytes(bytes, STATE_FRACTION));
-            }
-        }
-    }
+    contributions.exchange(|src, dst, bytes| tracker.shuffle(src, dst, bytes));
 
     // --- materialized answer ---
     // Nothing is computed for it unless the cells are there.
@@ -265,6 +241,68 @@ fn grid_aggregate_impl(
         }
     }
     Ok((rows, tracker.finish()))
+}
+
+/// The exchange's books: the bytes each node scanned for each chunk-level
+/// group, filed flat. A group key (zero-padded to `MAX_DIMS`) gets a dense
+/// slot in one table, a `(group slot, node)` pair a slot in another, and
+/// the pair's slot indexes its tally — two probes a chunk, no tree, and
+/// only the distinct pairs are ever sorted.
+struct Contributions {
+    groups: KeySlots<[i64; MAX_DIMS]>,
+    pairs: KeySlots<u64>,
+    /// By pair slot: the group's slot, the node, its bytes.
+    tallies: Vec<(usize, NodeId, u64)>,
+}
+
+impl Contributions {
+    fn new() -> Self {
+        Contributions {
+            groups: KeySlots::with_room_for(0),
+            pairs: KeySlots::with_room_for(0),
+            tallies: Vec::new(),
+        }
+    }
+
+    /// `node` scanned `bytes` of a chunk in `group`.
+    fn add(&mut self, group: [i64; MAX_DIMS], node: NodeId, bytes: u64) {
+        let slot = self.groups.slot_of(group);
+        // A group slot is below 2^32 — there are no more groups than the
+        // chunks the plan holds in memory — so the pair is exact. `usize`
+        // to `u64` is lossless on every supported target.
+        let pair = self.pairs.slot_of((slot as u64) << 32 | u64::from(node.0));
+        if pair == self.tallies.len() {
+            self.tallies.push((slot, node, 0));
+        }
+        self.tallies[pair].2 += bytes;
+    }
+
+    /// Exchange: in every group with two or more contributing nodes, each
+    /// non-owner ships its partial state (aggregation compresses the
+    /// scanned bytes heavily) to the owner — the contributor with the most
+    /// bytes, the lowest node id among equals. Groups go in key order and,
+    /// inside one, contributors in node order: the tallies sorted by the
+    /// group's rank and the node, then one pass over the groups.
+    fn exchange(self, mut ship: impl FnMut(NodeId, NodeId, u64)) {
+        const STATE_FRACTION: f64 = 0.25;
+        let by_key = self.groups.into_sorted();
+        let mut rank = vec![0; by_key.len()];
+        for (r, &(_, slot)) in by_key.iter().enumerate() {
+            rank[slot] = r;
+        }
+        let mut tallies = self.tallies;
+        tallies.sort_unstable_by_key(|&(slot, node, _)| (rank[slot], node));
+        for contributors in tallies.chunk_by(|a, b| a.0 == b.0).filter(|group| group.len() > 1) {
+            let owner = contributors
+                .iter()
+                .max_by(|a, b| a.2.cmp(&b.2).then(b.1.cmp(&a.1)))
+                .expect("two or more contributors")
+                .1;
+            for &(_, node, bytes) in contributors.iter().filter(|c| c.1 != owner) {
+                ship(node, owner, scaled_bytes(bytes, STATE_FRACTION));
+            }
+        }
+    }
 }
 
 /// The groups of `plan`'s rows under `spec`, keys ascending.
@@ -363,6 +401,7 @@ mod tests {
     use crate::catalog::Catalog;
     use array_model::{Array, ArraySchema, ScalarValue};
     use cluster_sim::{Cluster, CostModel};
+    use std::collections::BTreeMap;
 
     /// 3-D (t, x, y) array, 2 time steps; placement controlled by caller.
     fn setup(place: impl Fn(usize) -> NodeId) -> (Cluster, Catalog) {
@@ -711,5 +750,120 @@ mod tests {
             assert_eq!(values, vec![f64::NEG_INFINITY; 2], "coarsen {coarsen}");
             assert_eq!(rows.iter().map(|r| r.cells).collect::<Vec<_>>(), vec![2, 2]);
         }
+    }
+
+    #[test]
+    fn the_predecessor_of_the_first_chunk_index_is_not_planned() {
+        // A descriptor at rolling-dimension index `i64::MIN` (a catalog
+        // built from descriptors can hold one): its predecessor was
+        // `prev[rd] -= 1` — an overflow panic in debug builds, a wrap in
+        // release. There is no such position, so the cost is that of the
+        // same chunks where nothing lies before them.
+        let run = |first: i64| {
+            let schema = ArraySchema::parse("R<v:double>[t=0:*,1, y=0:3,2]").unwrap();
+            let coords = [[first, 0], [first + 1, 0], [first, 1]];
+            let descs: Vec<_> = coords
+                .iter()
+                .enumerate()
+                .map(|(i, c)| {
+                    let key =
+                        array_model::ChunkKey::new(ArrayId(4), array_model::ChunkCoords::new(c));
+                    ChunkDescriptor::new(key, 1_000 * (i as u64 + 1), 10)
+                })
+                .collect();
+            let mut cluster = Cluster::new(2, u64::MAX, CostModel::default()).unwrap();
+            for (i, d) in descs.iter().enumerate() {
+                cluster.place(*d, NodeId((i % 2) as u32)).unwrap();
+            }
+            let mut cat = Catalog::new();
+            cat.register(crate::catalog::StoredArray::from_descriptors(ArrayId(4), schema, descs));
+            let ctx = ExecutionContext::new(&cluster, &cat);
+            let spec = GroupSpec::by_dims(vec![1]);
+            rolling_aggregate(&ctx, ArrayId(4), None, "v", &spec, AggFn::Avg, 0).unwrap().1
+        };
+        let (edge, inner) = (run(i64::MIN), run(5));
+        assert_eq!(edge, inner);
+        assert_eq!(edge.remote_fetches, 1, "the one predecessor inside the array");
+    }
+
+    // -- the exchange's flat books against the nested maps they replaced --
+
+    /// The exchange as it was: bytes per node per group in ordered maps,
+    /// groups in key order, contributors in node order, the owner the
+    /// contributor with the most bytes (the lowest id among equals).
+    fn shuffles_by_maps(bins: &[(Vec<i64>, NodeId, u64)]) -> Vec<(NodeId, NodeId, u64)> {
+        let mut group_nodes: BTreeMap<Vec<i64>, BTreeMap<NodeId, u64>> = BTreeMap::new();
+        for (group, node, bytes) in bins {
+            *group_nodes.entry(group.clone()).or_default().entry(*node).or_default() += bytes;
+        }
+        let mut shuffles = Vec::new();
+        for contributors in group_nodes.values().filter(|c| c.len() > 1) {
+            let owner = *contributors
+                .iter()
+                .max_by(|a, b| a.1.cmp(b.1).then(b.0 .0.cmp(&a.0 .0)))
+                .expect("two or more")
+                .0;
+            for (&node, &bytes) in contributors.iter().filter(|(&node, _)| node != owner) {
+                shuffles.push((node, owner, scaled_bytes(bytes, 0.25)));
+            }
+        }
+        shuffles
+    }
+
+    /// One draw: bins over a handful of groups of `n` dimensions (keys at
+    /// both ends of `i64` too), sparse node ids, and byte counts that tie
+    /// often (so the owner is decided by the node order) — the same
+    /// shuffles in the same order, whatever order the bins arrive in.
+    fn check_exchange(seed: u64) {
+        let mut state = seed;
+        let mut next = |below: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % below
+        };
+        let n = next(MAX_DIMS as u64 + 1) as usize;
+        let values = [i64::MIN, -1, 0, 1, 2, i64::MAX];
+        let nodes = [0, 1, 2, 7, 31, 1_000].map(NodeId);
+        let bytes = [0, 1, 4, 4, 100, 100, 100, 7_919];
+        let groups: Vec<Vec<i64>> =
+            (0..1 + next(6)).map(|_| (0..n).map(|_| values[next(6) as usize]).collect()).collect();
+        let bins: Vec<(Vec<i64>, NodeId, u64)> = (0..next(80))
+            .map(|_| {
+                let group = groups[next(groups.len() as u64) as usize].clone();
+                (group, nodes[next(6) as usize], bytes[next(8) as usize])
+            })
+            .collect();
+        let mut contributions = Contributions::new();
+        for (group, node, bytes) in &bins {
+            let mut key = [0; MAX_DIMS];
+            key[..n].copy_from_slice(group);
+            contributions.add(key, *node, *bytes);
+        }
+        let mut shuffles = Vec::new();
+        contributions.exchange(|src, dst, bytes| shuffles.push((src, dst, bytes)));
+        assert_eq!(shuffles, shuffles_by_maps(&bins), "{bins:?}");
+    }
+
+    #[test]
+    fn the_exchange_ships_what_the_nested_maps_shipped() {
+        (0..2_000).for_each(check_exchange);
+        // Ties decided by the node order, and contributors shipped in it.
+        let bins = [(vec![3], NodeId(7), 5), (vec![3], NodeId(2), 5), (vec![3], NodeId(4), 1)];
+        let want = vec![(NodeId(4), NodeId(2), 1), (NodeId(7), NodeId(2), 2)];
+        assert_eq!(shuffles_by_maps(&bins), want);
+        let mut contributions = Contributions::new();
+        bins.iter()
+            .for_each(|(g, node, b)| contributions.add([g[0], 0, 0, 0, 0, 0, 0, 0], *node, *b));
+        let mut shuffles = Vec::new();
+        contributions.exchange(|src, dst, bytes| shuffles.push((src, dst, bytes)));
+        assert_eq!(shuffles, want);
+    }
+
+    #[test]
+    #[ignore = "release-scale leg: cargo test --release -p query-engine --lib -- --ignored bookkeeping_smoke"]
+    fn group_exchange_bookkeeping_smoke() {
+        (0..500_000).for_each(check_exchange);
     }
 }

@@ -24,7 +24,8 @@ use crate::error::Result;
 use crate::exec::{ExecutionContext, ScanPlan};
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
 use array_model::{ArrayId, Region};
-use std::collections::{BTreeMap, BTreeSet};
+use cluster_sim::NodeId;
+use std::collections::BTreeMap;
 
 /// Outcome of a join.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -64,7 +65,7 @@ pub fn positional_join(
     let rplan = ctx.plan_scan(right, Some(region), None)?;
     let left_chunks = lplan.homes();
     for (rdesc, rnode, _) in &rplan.visit {
-        let Some(&(ldesc, lnode, llive)) = left_chunks.get(&rdesc.key.coords) else { continue };
+        let Some((ldesc, lnode, llive)) = left_chunks.get(&rdesc.key.coords) else { continue };
         if !llive {
             tracker.prune_chunks(2);
             continue;
@@ -81,7 +82,7 @@ pub fn positional_join(
             tracker.shuffle(*rnode, lnode, rbytes);
         }
     }
-    let dead_pairs = rplan.dead.iter().filter(|(d, _)| left_chunks.contains_key(&d.key.coords));
+    let dead_pairs = rplan.dead.iter().filter(|(d, _)| left_chunks.get(&d.key.coords).is_some());
     // `usize` to `u64` is lossless on every supported target.
     tracker.prune_chunks(2 * dead_pairs.count() as u64);
 
@@ -176,18 +177,27 @@ pub fn lookup_join(
     let mut tracker = WorkTracker::new(ctx.cost());
 
     let build_bytes = ba.byte_size();
-    let mut nodes_seen = BTreeSet::new();
+    // Per node id (ids are dense join-order indices): whether the node
+    // has been seen yet.
+    let mut seen: Vec<bool> = Vec::new();
+    let mut first_sight = |node: NodeId| {
+        let i = node.0 as usize;
+        if i >= seen.len() {
+            seen.resize(i + 1, false);
+        }
+        !std::mem::replace(&mut seen[i], true)
+    };
     let pplan = ctx.plan_scan(probe, region, None)?;
     pplan.charge(&mut tracker, pfrac, |tracker, _, node, _| {
         // Each participating node reads its local replica of the build
         // side once.
-        if nodes_seen.insert(node) {
+        if first_sight(node) {
             tracker.scan_chunk(node, build_bytes);
         }
     });
     // A node all of whose probe chunks were pruned never reads its replica.
     for (_, node) in &pplan.dead {
-        if nodes_seen.insert(*node) {
+        if first_sight(*node) {
             tracker.prune_chunks(1);
         }
     }

@@ -10,13 +10,13 @@
 //! * trajectory projection hands ships off across chunk boundaries, a
 //!   halo-like exchange.
 
-use super::keys::{BoxEncoding, FlatKeys};
+use super::keys::{BoxEncoding, FlatKeys, KeySlots};
 use super::scan::{numeric_attr, NumericSlice};
 use crate::error::{QueryError, Result};
 use crate::exec::{ExecutionContext, ScanPlan};
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
-use array_model::{chunk_of, ArrayId, ChunkCoords, ChunkDescriptor, Region};
-use cluster_sim::gb;
+use array_model::{chunk_of, ArrayId, Chunk, ChunkCoords, ChunkDescriptor, Region, MAX_DIMS};
+use cluster_sim::{gb, NodeId};
 
 /// k-means output.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -163,16 +163,27 @@ pub fn knn(
 
     const MAX_RING: i64 = 3;
     const OVERSAMPLE: u64 = 3;
+    let exact = ctx.cells_available(array);
+    let nd = array.schema.ndims();
+    // Every ring position reached, filed under its padded coordinates:
+    // its slot in `reached` says what is there, looked up once per call
+    // however many query points' rings cover it.
+    let mut positions = KeySlots::with_room_for(0);
+    let mut reached: Vec<Option<Reached<'_>>> = Vec::new();
     // Buffer-pool semantics: once a node has read (or fetched) a chunk, a
     // later query running on the same node probes it from memory. Port-
     // concentrated query batches hit the same chunks over and over, which
-    // is exactly where clustered placements save their latency.
-    let mut warm: std::collections::HashSet<(cluster_sim::NodeId, ChunkCoords)> =
-        std::collections::HashSet::new();
-    let exact = ctx.cells_available(array);
+    // is exactly where clustered placements save their latency. A warm
+    // pair is one `u64`: the position's slot above the node id. (Exact
+    // below 2^32 positions — a table that holds that many does not fit in
+    // memory.)
+    let mut warm = KeySlots::with_room_for(0);
+    // One ring at a time, and the chunks one query reads, in kept buffers.
+    let mut ring = Vec::new();
+    let mut visited = Vec::new();
     for q in queries {
-        if q.len() != array.schema.ndims() {
-            return Err(QueryError::RegionArity { expected: array.schema.ndims(), got: q.len() });
+        if q.len() != nd {
+            return Err(QueryError::RegionArity { expected: nd, got: q.len() });
         }
         let home = chunk_of(&array.schema, q)
             .map_err(|e| QueryError::InvalidArgument(format!("query point out of bounds: {e}")))?;
@@ -184,14 +195,27 @@ pub fn knn(
         let mut cells_found = 0u64;
         // The chunks this query reads: ring exploration is not a region
         // scan, so the operator assembles its own visit list.
-        let mut visited = Vec::new();
         'rings: for r in 0..=MAX_RING {
-            for coords in chunks_at_ring(&home, r) {
-                let Some(desc) = array.descriptors.get(&coords) else { continue };
-                cells_found += desc.cells;
-                let payload = if exact { ctx.chunk_payload(array, &coords) } else { None };
-                let first_touch = warm.insert((home_node, coords));
-                if payload.is_some_and(|chunk| ctx.refuted(chunk, None, None)) {
+            ring_into(&home, r, &mut ring);
+            for &position in &ring {
+                let slot = positions.slot_of(position);
+                if slot == reached.len() {
+                    let coords = ChunkCoords::new(&position[..nd]);
+                    reached.push(array.descriptors.get(&coords).map(|desc| {
+                        let payload = if exact { ctx.chunk_payload(array, &coords) } else { None };
+                        Reached {
+                            desc,
+                            holder: ctx.cluster.locate(&desc.key),
+                            payload,
+                            refuted: payload.is_some_and(|chunk| ctx.refuted(chunk, None, None)),
+                        }
+                    }));
+                }
+                let Some(chunk) = reached[slot] else { continue };
+                cells_found += chunk.desc.cells;
+                // `usize` to `u64` is lossless on every supported target.
+                let first_touch = warm.insert((slot as u64) << 32 | u64::from(home_node.0));
+                if chunk.refuted {
                     // An emptied chunk is never fetched; like a fetch, the
                     // skip is counted once per node that would have made it.
                     if first_touch {
@@ -199,8 +223,8 @@ pub fn knn(
                     }
                     continue;
                 }
-                let holder = ctx.cluster.locate(&desc.key).unwrap_or(home_node);
-                let bytes = scaled_bytes(desc.bytes, fraction);
+                let holder = chunk.holder.unwrap_or(home_node);
+                let bytes = scaled_bytes(chunk.desc.bytes, fraction);
                 if first_touch {
                     tracker.remote_fetch(home_node, holder, bytes);
                 } else {
@@ -208,7 +232,7 @@ pub fn knn(
                     // chunk: touches a small fraction of its pages.
                     tracker.compute(home_node, ctx.cost().cpu_secs(bytes / 50) + 0.001);
                 }
-                visited.push((*desc, holder, payload));
+                visited.push((*chunk.desc, holder, chunk.payload));
             }
             // Stop once we have enough candidates and looked at least one
             // ring beyond the first hit (so the true neighbours cannot
@@ -221,7 +245,8 @@ pub fn knn(
 
         // Materialized answer: distances within the visited chunks.
         let mut nearest = Nearest::new(k);
-        ScanPlan::over(visited, exact).for_each_chunk(|chunk, mask| {
+        let plan = ScanPlan::over(std::mem::take(&mut visited), exact);
+        plan.for_each_chunk(|chunk, mask| {
             mask.for_each_cell(chunk, |_, cell| {
                 // Two coordinates can be further apart than `i64::MAX`;
                 // the square forgets the sign, so such a gap is taken as
@@ -237,8 +262,23 @@ pub fn knn(
             });
         })?;
         answers.push(KnnAnswer { query: q.clone(), neighbor_dist2: nearest.into_ascending() });
+        visited = plan.visit;
+        visited.clear();
     }
     Ok((answers, tracker.finish()))
+}
+
+/// A chunk at a ring position: what reaching it costs.
+#[derive(Clone, Copy)]
+struct Reached<'a> {
+    desc: &'a ChunkDescriptor,
+    /// The node holding its primary (`None`: unplaced, so read where the
+    /// query runs).
+    holder: Option<NodeId>,
+    /// Its cells, when the array is cell-exact.
+    payload: Option<&'a Chunk>,
+    /// Pruning refutes it (no live cells): it is never fetched.
+    refuted: bool,
 }
 
 /// The `k` smallest of the distances offered, under [`f64::total_cmp`],
@@ -291,36 +331,35 @@ impl Nearest {
     }
 }
 
-/// Chunk coordinates at exactly Chebyshev distance `r` from `home`,
-/// clipped to non-negative indices.
-#[allow(clippy::needless_range_loop)] // odometer indexes two arrays in lockstep
-fn chunks_at_ring(home: &ChunkCoords, r: i64) -> Vec<ChunkCoords> {
-    if r == 0 {
-        return vec![*home];
-    }
+/// The chunk positions at exactly Chebyshev distance `r` from `home`,
+/// first dimension fastest, into `ring` as padded coordinates. Clipped to
+/// non-negative indices, and to chunk-index space: a home within `r` of
+/// `i64::MAX` has fewer neighbours, not wrapped ones.
+fn ring_into(home: &ChunkCoords, r: i64, ring: &mut Vec<[i64; MAX_DIMS]>) {
+    ring.clear();
     let n = home.ndims();
-    let mut out = Vec::new();
-    let mut offsets = vec![-r; n];
-    'outer: loop {
-        if offsets.iter().any(|&o| o.abs() == r) {
-            let mut cand = Vec::with_capacity(n);
-            let mut ok = true;
-            for d in 0..n {
-                let idx = home[d] + offsets[d];
-                if idx < 0 {
-                    ok = false;
-                    break;
-                }
-                cand.push(idx);
-            }
-            if ok {
-                out.push(ChunkCoords::new(cand));
+    let mut position = [0; MAX_DIMS];
+    if r == 0 {
+        position[..n].copy_from_slice(home.as_slice());
+        ring.push(position);
+        return;
+    }
+    let mut offsets = [-r; MAX_DIMS];
+    loop {
+        if offsets[..n].iter().any(|&o| o.abs() == r) {
+            let inside = (0..n).all(|d| {
+                position[d] = home[d].checked_add(offsets[d]).unwrap_or(-1);
+                position[d] >= 0
+            });
+            if inside {
+                ring.push(position);
             }
         }
+        // The odometer: bump the first dimension, carrying upwards.
         let mut d = 0;
         loop {
             if d == n {
-                break 'outer;
+                return;
             }
             offsets[d] += 1;
             if offsets[d] <= r {
@@ -330,7 +369,6 @@ fn chunks_at_ring(home: &ChunkCoords, r: i64) -> Vec<ChunkCoords> {
             d += 1;
         }
     }
-    out
 }
 
 /// Trajectory projection output.
@@ -373,10 +411,8 @@ pub fn trajectory(
     // a small manifest.
     let hand_off = |tracker: &mut WorkTracker<'_>, desc: &ChunkDescriptor, node, live| {
         for dim in [dx, dy] {
-            for delta in [-1i64, 1] {
-                let mut ncoords = desc.key.coords;
-                ncoords[dim] += delta;
-                if let Some(&(_, nnode, nlive)) = homes.get(&ncoords) {
+            for step in [-1, 1] {
+                if let Some((_, nnode, nlive)) = homes.neighbour(&desc.key.coords, dim, step) {
                     if nnode != node {
                         tracker.pull(live && nlive, node, nnode, desc.bytes / 50);
                     }
@@ -660,14 +696,104 @@ mod tests {
         }
     }
 
+    /// The ring walk the kept buffer replaced — a `Vec` per ring and per
+    /// candidate — with its sum widened so it cannot overflow: the order
+    /// and the clipping `ring_into` must reproduce.
+    fn ring_by_vecs(home: &ChunkCoords, r: i64) -> Vec<Vec<i64>> {
+        if r == 0 {
+            return vec![home.as_slice().to_vec()];
+        }
+        let n = home.ndims();
+        let mut out = Vec::new();
+        let mut offsets = vec![-r; n];
+        'outer: loop {
+            if offsets.iter().any(|&o| o.abs() == r) {
+                let cand: Vec<i128> =
+                    (0..n).map(|d| i128::from(home[d]) + i128::from(offsets[d])).collect();
+                if cand.iter().all(|&i| (0..=i128::from(i64::MAX)).contains(&i)) {
+                    out.push(cand.into_iter().map(|i| i as i64).collect());
+                }
+            }
+            let mut d = 0;
+            loop {
+                if d == n {
+                    break 'outer;
+                }
+                offsets[d] += 1;
+                if offsets[d] <= r {
+                    break;
+                }
+                offsets[d] = -r;
+                d += 1;
+            }
+        }
+        out
+    }
+
     #[test]
     fn ring_enumeration_counts_match() {
-        let home = ChunkCoords::new([5, 5]);
-        assert_eq!(chunks_at_ring(&home, 0).len(), 1);
-        assert_eq!(chunks_at_ring(&home, 1).len(), 8);
-        assert_eq!(chunks_at_ring(&home, 2).len(), 16);
-        // Clipping at the array origin:
-        let corner = ChunkCoords::new([0, 0]);
-        assert_eq!(chunks_at_ring(&corner, 1).len(), 3);
+        let ring_of = |home: &ChunkCoords, r| {
+            let mut ring = vec![[7; MAX_DIMS]];
+            ring_into(home, r, &mut ring);
+            ring.iter().map(|p| p[..home.ndims()].to_vec()).collect::<Vec<_>>()
+        };
+        let counts = |home: [i64; 2]| -> Vec<usize> {
+            (0..3).map(|r| ring_of(&ChunkCoords::new(home), r).len()).collect()
+        };
+        assert_eq!(counts([5, 5]), [1, 8, 16]);
+        // Clipping at the array origin, and at the end of index space
+        // (where the sum used to overflow).
+        assert_eq!(counts([0, 0]), [1, 3, 5]);
+        assert_eq!(counts([i64::MAX, 0]), [1, 3, 5]);
+        let top = i64::MAX;
+        for home in [[5, 5, 5], [0, 3, top], [top, top - 1, 0], [top - 2, 1, top]] {
+            let home = ChunkCoords::new(home);
+            for r in 0..=3 {
+                assert_eq!(ring_of(&home, r), ring_by_vecs(&home, r), "{home:?} ring {r}");
+            }
+        }
+    }
+
+    /// `A<v, c>[x=-1:*,1, y=0:3,2]`: ships at `x = at, at - 1` on two y
+    /// chunks, chunks alternating over two nodes.
+    fn column_at(at: i64) -> (Cluster, Catalog) {
+        let schema = ArraySchema::parse("A<v:double, c:double>[x=-1:*,1, y=0:3,2]").unwrap();
+        let mut a = Array::new(ArrayId(0), schema);
+        for (x, y) in [(at, 1), (at - 1, 1), (at, 2)] {
+            let values = vec![ScalarValue::Double(1.0), ScalarValue::Double(90.0)];
+            a.insert_cell(vec![x, y], values).unwrap();
+        }
+        setup(a, |i| NodeId((i % 2) as u32))
+    }
+
+    #[test]
+    fn the_hand_off_stops_at_the_last_chunk_index() {
+        // Chunk `i64::MAX` (cells at `x = i64::MAX - 1`): the hand-off
+        // neighbour past it was `ncoords[dim] += 1` — an overflow panic in
+        // debug builds, a wrap in release. There is no such position, so
+        // the cost is that of the same column where nothing lies past it.
+        let project = |at: i64| {
+            let (cluster, cat) = column_at(at);
+            let region = Region::new(vec![at - 1, 0], vec![at, 3]);
+            let ctx = ExecutionContext::new(&cluster, &cat);
+            trajectory(&ctx, ArrayId(0), &region, "v", "c", 1.0).unwrap()
+        };
+        let (edge, inner) = (project(i64::MAX - 1), project(9));
+        assert_eq!(edge, inner);
+        assert_eq!(edge.0.projected, 3);
+    }
+
+    #[test]
+    fn knn_rings_stop_at_the_last_chunk_index() {
+        // The ring positions past chunk `i64::MAX` were `home[d] +
+        // offsets[d]`, which overflowed the same way; they are not there.
+        let near = |at: i64| {
+            let (cluster, cat) = column_at(at);
+            knn(&ExecutionContext::new(&cluster, &cat), ArrayId(0), &[vec![at, 1]], 2).unwrap()
+        };
+        let (edge, inner) = (near(i64::MAX - 1), near(9));
+        assert_eq!(edge.1, inner.1);
+        assert_eq!(edge.0[0].neighbor_dist2, inner.0[0].neighbor_dist2);
+        assert_eq!(edge.0[0].neighbor_dist2, [0.0, 1.0]);
     }
 }

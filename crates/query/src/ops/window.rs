@@ -90,10 +90,8 @@ pub fn window_aggregate(
             // a cost estimate, so the casts may round.
             let slab_fraction =
                 (1.5 * radius as f64 / dimension.chunk_interval.max(1) as f64).min(1.0) * fraction;
-            for delta in [-1i64, 1] {
-                let mut ncoords = desc.key.coords;
-                ncoords[dim] += delta;
-                if let Some(&(ndesc, nnode, nlive)) = homes.get(&ncoords) {
+            for step in [-1, 1] {
+                if let Some((ndesc, nnode, nlive)) = homes.neighbour(&desc.key.coords, dim, step) {
                     let slab = scaled_bytes(ndesc.bytes, slab_fraction);
                     tracker.pull(live && nlive, node, nnode, slab);
                 }
@@ -501,5 +499,40 @@ mod tests {
         let (result, _) = window_aggregate(&ctx, ArrayId(0), &region, "v", 1).unwrap();
         assert_eq!(result.outputs, 1);
         assert!((result.mean.unwrap() - 2.0).abs() < 1e-9);
+    }
+
+    /// `A<v, c>[x=-1:*,1, y=0:3,2]` with cells at `x = at, at - 1` on two
+    /// y chunks, chunks alternating over two nodes.
+    fn column_at(at: i64) -> (Cluster, Catalog) {
+        let schema = ArraySchema::parse("A<v:double, c:double>[x=-1:*,1, y=0:3,2]").unwrap();
+        let mut a = Array::new(ArrayId(0), schema);
+        for (x, y) in [(at, 1), (at - 1, 1), (at, 2)] {
+            let values = vec![ScalarValue::Double(x as f64 / 8.0), ScalarValue::Double(90.0)];
+            a.insert_cell(vec![x, y], values).unwrap();
+        }
+        let mut cluster = Cluster::new(2, u64::MAX, CostModel::default()).unwrap();
+        let mut cat = Catalog::new();
+        cat.place_array(&mut cluster, &a, |_, i, _| NodeId((i % 2) as u32)).unwrap();
+        (cluster, cat)
+    }
+
+    #[test]
+    fn the_halo_stops_at_the_last_chunk_index() {
+        // Cells at `x = i64::MAX - 1` sit in chunk `i64::MAX`: its halo
+        // neighbour past the end used to be `ncoords[dim] += 1` — an
+        // overflow panic in debug builds, a wrap in release. Now there is
+        // no such position, so the answer and the cost are those of the
+        // same column where nothing lies past it.
+        let top = i64::MAX - 1;
+        let run = |at: i64| {
+            let (cluster, cat) = column_at(at);
+            let ctx = ExecutionContext::new(&cluster, &cat);
+            let region = Region::new(vec![at - 1, 0], vec![at, 3]);
+            window_aggregate(&ctx, ArrayId(0), &region, "v", 1).unwrap()
+        };
+        let ((edge, edge_stats), (inner, inner_stats)) = (run(top), run(9));
+        assert_eq!(edge.outputs, inner.outputs);
+        assert_eq!(edge_stats, inner_stats);
+        assert!(edge_stats.remote_fetches > 0, "the halo inside the array still crosses nodes");
     }
 }

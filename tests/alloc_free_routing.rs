@@ -778,3 +778,77 @@ fn scans_allocate_per_chunk_not_per_row() {
          the budget is 1 per chunk plus the table's doublings — nothing per row"
     );
 }
+
+/// The cost model's per-chunk bookkeeping — the chunk index behind the
+/// window halo, the trajectory hand-off and the rolling predecessor, the
+/// group tallies, the flow tallies, kNN's ring walk — runs on flat tables
+/// and kept buffers, so a metadata-only operator allocates a bounded
+/// number of times per call (table doublings, one buffer each), not per
+/// chunk, per probe or per ring position. Measured on a warmed context
+/// over 4 096 chunks.
+#[test]
+fn cost_model_bookkeeping_allocates_per_call_not_per_chunk() {
+    use query_engine::ops;
+
+    let schema = ArraySchema::parse(
+        "A<speed:double, course:double, v:double>[t=0:*,16, x=0:511,16, y=0:511,16]",
+    )
+    .unwrap();
+    let mut cluster = Cluster::new(8, u64::MAX, CostModel::default()).unwrap();
+    assert!(cluster.register_array(ArrayId(0), &[4, 32, 32]));
+    let mut descs = Vec::new();
+    for t in 0..4i64 {
+        for x in 0..32i64 {
+            for y in 0..32i64 {
+                let key = ChunkKey::new(ArrayId(0), ChunkCoords::new([t, x, y]));
+                let desc = ChunkDescriptor::new(key, 4_096 + (x * y) as u64, 64);
+                // Stripes of four, so neighbours sit on one node or two.
+                cluster.place(desc, NodeId(((x / 4 + y / 4 + t) % 8) as u32)).unwrap();
+                descs.push(desc);
+            }
+        }
+    }
+    assert_eq!(descs.len(), 4_096);
+    let mut catalog = Catalog::new();
+    catalog.register(StoredArray::from_descriptors(ArrayId(0), schema, descs));
+    let ctx = ExecutionContext::new(&cluster, &catalog);
+    let all = Region::new(vec![0, 0, 0], vec![63, 511, 511]);
+    let spec = ops::GroupSpec::by_dims(vec![1, 2]);
+    let queries: Vec<Vec<i64>> =
+        (0..96).map(|i| vec![(i % 64), (i * 37) % 512, (i * 91) % 512]).collect();
+
+    let mut measured = Vec::new();
+    let mut count = |what: &'static str, run: &mut dyn FnMut() -> QueryStats| {
+        let warm = run();
+        let start = allocation_count();
+        let stats = run();
+        measured.push((what, allocation_count() - start));
+        assert_eq!(stats, warm, "{what} costs the same every call");
+        assert!(stats.elapsed_secs > 0.0 && stats.chunks_visited > 0, "{what}: {stats:?}");
+    };
+    count("window_aggregate", &mut || {
+        ops::window_aggregate(&ctx, ArrayId(0), &all, "v", 2).unwrap().1
+    });
+    count("trajectory", &mut || {
+        ops::trajectory(&ctx, ArrayId(0), &all, "speed", "course", 1.0).unwrap().1
+    });
+    count("rolling_aggregate", &mut || {
+        ops::rolling_aggregate(&ctx, ArrayId(0), Some(&all), "v", &spec, ops::AggFn::Avg, 0)
+            .unwrap()
+            .1
+    });
+    count("knn", &mut || ops::knn(&ctx, ArrayId(0), &queries, 10).unwrap().1);
+    // Measured here; the tree-keyed bookkeeping this replaced allocated
+    // 392, 390, 5 697 and 3 555 times on the same calls. kNN's budget is
+    // one answer per query point (it owns a copy of the point) plus 27.
+    let budget = [
+        ("window_aggregate", 17),
+        ("trajectory", 15),
+        ("rolling_aggregate", 45),
+        ("knn", queries.len() + 27),
+    ];
+    for ((what, allocs), (name, most)) in measured.into_iter().zip(budget) {
+        assert_eq!(what, name);
+        assert!(allocs <= most, "{what} over 4 096 chunks allocated {allocs} times, budget {most}");
+    }
+}
