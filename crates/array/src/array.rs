@@ -341,15 +341,12 @@ impl Array {
         self.id.encode_into(w);
         self.schema.encode_into(w);
         self.encoding.encode_into(w);
-        w.put_usize(self.chunks.len());
-        for chunk in self.chunks.values() {
-            chunk.encode_into(w);
-        }
+        w.put_list(self.chunks.values(), |w, chunk| chunk.encode_into(w));
     }
 
     /// Decode an array written by [`Array::encode_into`]. Chunks reattach
-    /// at their own coordinates; a payload whose chunk coordinates
-    /// collide or whose stride disagrees with the schema is rejected.
+    /// at their own coordinates, which the encoder wrote in order; a chunk
+    /// out of that order or shaped unlike the schema is rejected.
     pub fn decode_from(
         r: &mut durability::ByteReader<'_>,
     ) -> std::result::Result<Self, durability::CodecError> {
@@ -357,27 +354,14 @@ impl Array {
         let id = ArrayId::decode_from(r)?;
         let schema = ArraySchema::decode_from(r)?;
         let encoding = StringEncoding::decode_from(r)?;
-        let n = r.usize("array chunk count")?;
         let mut chunks = BTreeMap::new();
-        for _ in 0..n {
+        for _ in 0..r.count("array chunk count", 1)? {
             let chunk = Chunk::decode_from(r)?;
-            if chunk.coords.ndims() != schema.ndims() {
-                return Err(CodecError::Invalid {
-                    context: "array chunk",
-                    detail: format!(
-                        "chunk at {} has {} dims, schema has {}",
-                        chunk.coords,
-                        chunk.coords.ndims(),
-                        schema.ndims()
-                    ),
-                });
-            }
-            if chunks.insert(chunk.coords, Arc::new(chunk)).is_some() {
-                return Err(CodecError::Invalid {
-                    context: "array chunk",
-                    detail: "duplicate chunk coordinates".to_string(),
-                });
-            }
+            durability::ascending("array chunk coords", chunks.keys().next_back(), &chunk.coords)?;
+            chunk.matches(&schema).map_err(|e| {
+                CodecError::invalid("array chunk", format!("chunk at {}: {e}", chunk.coords))
+            })?;
+            chunks.insert(chunk.coords, Arc::new(chunk));
         }
         Ok(Array { id, schema, chunks, encoding })
     }

@@ -21,6 +21,7 @@ use crate::coords::{chunk_of, ChunkCoords, MAX_DIMS};
 use crate::error::{ArrayError, Result};
 use crate::schema::{chunks_from_start, ArraySchema};
 use crate::value::{AttributeColumn, ScalarValue, StringEncoding};
+use durability::{ByteReader, CodecError};
 
 /// A batch of raw cells in flat columnar form, shaped by one schema.
 ///
@@ -170,25 +171,7 @@ impl CellBuffer {
     /// every column type — once for the whole batch. This is the only
     /// schema check batched ingest pays; per-row work is pure copying.
     pub fn matches(&self, schema: &ArraySchema) -> Result<()> {
-        if self.ndims != schema.ndims() {
-            return Err(ArrayError::Arity { expected: schema.ndims(), got: self.ndims });
-        }
-        if self.columns.len() != schema.attributes.len() {
-            return Err(ArrayError::Arity {
-                expected: schema.attributes.len(),
-                got: self.columns.len(),
-            });
-        }
-        for (attr, col) in schema.attributes.iter().zip(&self.columns) {
-            if attr.ty != col.column_type() {
-                return Err(ArrayError::TypeMismatch {
-                    attribute: attr.name.clone(),
-                    expected: attr.ty.name(),
-                    got: col.column_type().name(),
-                });
-            }
-        }
-        Ok(())
+        matches_schema(schema, self.ndims, &self.columns)
     }
 
     /// Serialize the batch verbatim — stride, flat coordinates, typed
@@ -197,66 +180,20 @@ impl CellBuffer {
     /// insert path is bit-identical to replaying the original.
     pub fn encode_into(&self, w: &mut durability::ByteWriter) {
         w.put_usize(self.ndims);
-        w.put_usize(self.coords.len());
-        for &c in &self.coords {
-            w.put_i64(c);
-        }
-        w.put_usize(self.columns.len());
-        for col in &self.columns {
-            col.encode_into(w);
-        }
-        w.put_usize(self.retractions.len());
-        for &c in &self.retractions {
-            w.put_i64(c);
-        }
+        w.put_list(&self.coords, |w, &c| w.put_i64(c));
+        w.put_list(&self.columns, |w, col| col.encode_into(w));
+        w.put_list(&self.retractions, |w, &c| w.put_i64(c));
     }
 
     /// Decode a batch written by [`CellBuffer::encode_into`].
-    pub fn decode_from(
-        r: &mut durability::ByteReader<'_>,
-    ) -> std::result::Result<Self, durability::CodecError> {
-        use durability::CodecError;
+    pub fn decode_from(r: &mut ByteReader<'_>) -> std::result::Result<Self, CodecError> {
         let ndims = r.usize("batch ndims")?;
-        if ndims > crate::coords::MAX_DIMS {
-            return Err(CodecError::Invalid {
-                context: "batch ndims",
-                detail: format!("{ndims} exceeds MAX_DIMS {}", crate::coords::MAX_DIMS),
-            });
+        if !(1..=MAX_DIMS).contains(&ndims) {
+            let detail = format!("{ndims} outside 1..={MAX_DIMS}");
+            return Err(CodecError::invalid("batch ndims", detail));
         }
-        let n_coords = r.usize("batch coord count")?;
-        let mut coords = Vec::with_capacity(n_coords.min(1 << 20));
-        for _ in 0..n_coords {
-            coords.push(r.i64("batch coord")?);
-        }
-        if ndims > 0 && coords.len() % ndims != 0 {
-            return Err(CodecError::Invalid {
-                context: "batch coord count",
-                detail: format!("{} not a multiple of ndims {ndims}", coords.len()),
-            });
-        }
-        let ncols = r.usize("batch column count")?;
-        let mut columns = Vec::with_capacity(ncols.min(256));
-        for _ in 0..ncols {
-            columns.push(AttributeColumn::decode_from(r)?);
-        }
-        let rows = coords.len().checked_div(ndims).unwrap_or(0);
-        if let Some(bad) = columns.iter().find(|c| c.len() != rows) {
-            return Err(CodecError::Invalid {
-                context: "batch column",
-                detail: format!("column holds {} values, batch has {rows} rows", bad.len()),
-            });
-        }
-        let n_retr = r.usize("batch retraction count")?;
-        let mut retractions = Vec::with_capacity(n_retr.min(1 << 20));
-        for _ in 0..n_retr {
-            retractions.push(r.i64("batch retraction coord")?);
-        }
-        if ndims > 0 && retractions.len() % ndims != 0 {
-            return Err(CodecError::Invalid {
-                context: "batch retraction count",
-                detail: format!("{} not a multiple of ndims {ndims}", retractions.len()),
-            });
-        }
+        let (coords, columns) = read_rows(r, ndims)?;
+        let retractions = read_coords(r, "batch retraction coords", ndims)?;
         Ok(CellBuffer { ndims, coords, columns, retractions })
     }
 
@@ -275,6 +212,64 @@ impl CellBuffer {
             })
             .collect()
     }
+}
+
+/// The one shape check of cells against `schema` — a batch's
+/// ([`CellBuffer::matches`]) or a stored chunk's ([`Chunk::matches`]):
+/// the coordinate stride and every column's type.
+pub(crate) fn matches_schema(
+    schema: &ArraySchema,
+    ndims: usize,
+    columns: &[AttributeColumn],
+) -> Result<()> {
+    if ndims != schema.ndims() {
+        return Err(ArrayError::Arity { expected: schema.ndims(), got: ndims });
+    }
+    if columns.len() != schema.attributes.len() {
+        return Err(ArrayError::Arity { expected: schema.attributes.len(), got: columns.len() });
+    }
+    for (attr, col) in schema.attributes.iter().zip(columns) {
+        if attr.ty != col.column_type() {
+            return Err(ArrayError::TypeMismatch {
+                attribute: attr.name.clone(),
+                expected: attr.ty.name(),
+                got: col.column_type().name(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Read the rows a batch ([`CellBuffer::encode_into`]) or a chunk
+/// ([`Chunk::encode_into`]) writes: flat `ndims`-wide coordinates, then
+/// the typed columns, each one value per row.
+pub(crate) fn read_rows(
+    r: &mut ByteReader<'_>,
+    ndims: usize,
+) -> std::result::Result<(Vec<i64>, Vec<AttributeColumn>), CodecError> {
+    let coords = read_coords(r, "cell coords", ndims)?;
+    let columns = r.list("column count", 1, AttributeColumn::decode_from)?;
+    let rows = coords.len() / ndims;
+    match columns.iter().find(|c| c.len() != rows) {
+        Some(bad) => {
+            Err(CodecError::invalid("column", format!("{} values, {rows} rows", bad.len())))
+        }
+        None => Ok((coords, columns)),
+    }
+}
+
+/// Read a counted list of `i64`s that holds whole `ndims`-wide cells.
+fn read_coords(
+    r: &mut ByteReader<'_>,
+    context: &'static str,
+    ndims: usize,
+) -> std::result::Result<Vec<i64>, CodecError> {
+    let coords = r.list(context, 8, |r| r.i64(context))?;
+    if coords.len() % ndims != 0 {
+        let detail = format!("{} not a multiple of ndims {ndims}", coords.len());
+        return Err(CodecError::invalid(context, detail));
+    }
+    Ok(coords)
 }
 
 /// Largest chunk-index bounding-box volume the dense grouping table will

@@ -504,6 +504,13 @@ impl Chunk {
         self.encoding
     }
 
+    /// Validate the chunk's shape against `schema`: coordinate stride and
+    /// every column's type — what a chunk decoded on its own cannot know
+    /// it owes the array it is filed under.
+    pub fn matches(&self, schema: &ArraySchema) -> Result<()> {
+        crate::cells::matches_schema(schema, self.ndims(), &self.columns)
+    }
+
     /// Retract the most recently inserted **live** cell at `cell`.
     ///
     /// The row is tombstoned in place: `cell_count` drops by one and
@@ -768,6 +775,10 @@ impl ArrayId {
 }
 
 impl ChunkKey {
+    /// The fewest bytes [`ChunkKey::encode_into`] writes: an array id and
+    /// the coordinate arity, with no index behind it.
+    pub const MIN_ENCODED_LEN: usize = 4 + 1;
+
     /// Serialize array id + chunk coordinates.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         self.array.encode_into(w);
@@ -781,6 +792,9 @@ impl ChunkKey {
 }
 
 impl ChunkDescriptor {
+    /// The fewest bytes [`ChunkDescriptor::encode_into`] writes.
+    pub const MIN_ENCODED_LEN: usize = ChunkKey::MIN_ENCODED_LEN + 8 + 8;
+
     /// Serialize key + byte/cell totals.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         self.key.encode_into(w);
@@ -806,76 +820,51 @@ impl Chunk {
     pub fn encode_into(&self, w: &mut ByteWriter) {
         self.coords.encode_into(w);
         w.put_u8(self.ndims);
-        w.put_usize(self.cell_coords.len());
-        for &v in &self.cell_coords {
-            w.put_i64(v);
-        }
-        w.put_usize(self.columns.len());
-        for col in &self.columns {
-            col.encode_into(w);
-        }
+        w.put_list(&self.cell_coords, |w, &v| w.put_i64(v));
+        w.put_list(&self.columns, |w, col| col.encode_into(w));
         w.put_u64(self.bytes);
         w.put_u64(self.cells);
-        w.put_usize(self.tombstones.len());
-        for &word in &self.tombstones {
-            w.put_u64(word);
-        }
+        w.put_list(&self.tombstones, |w, &word| w.put_u64(word));
         self.encoding.encode_into(w);
         self.zone.encode_into(w);
     }
 
-    /// Decode a chunk written by [`Chunk::encode_into`]. Cross-field
-    /// shape invariants (coordinate stride, column row counts) are
-    /// re-validated so a damaged payload yields an error, not a chunk
-    /// that panics later.
+    /// Decode a chunk written by [`Chunk::encode_into`]. Its stride, row
+    /// counts, tombstones (within the rows, matching the live counter) and
+    /// zone map (covering the rows) are re-validated, so damaged bytes are
+    /// an error, not a chunk that panics or prunes a live cell later.
     pub fn decode_from(r: &mut ByteReader<'_>) -> std::result::Result<Self, CodecError> {
         let coords = ChunkCoords::decode_from(r)?;
         let ndims = r.u8("chunk ndims")?;
-        let n_coords = r.usize("cell coord count")?;
-        let mut cell_coords = Vec::with_capacity(n_coords.min(1 << 20));
-        for _ in 0..n_coords {
-            cell_coords.push(r.i64("cell coord")?);
+        if ndims == 0 || usize::from(ndims) != coords.ndims() {
+            let detail = format!("stride {ndims} for the chunk at {coords}");
+            return Err(CodecError::invalid("chunk ndims", detail));
         }
-        if ndims > 0 && cell_coords.len() % ndims as usize != 0 {
-            return Err(CodecError::Invalid {
-                context: "cell coord count",
-                detail: format!("{} not a multiple of ndims {ndims}", cell_coords.len()),
-            });
-        }
-        let ncols = r.usize("chunk column count")?;
-        let mut columns = Vec::with_capacity(ncols.min(256));
-        for _ in 0..ncols {
-            columns.push(AttributeColumn::decode_from(r)?);
-        }
-        let rows = if ndims == 0 { 0 } else { cell_coords.len() / ndims as usize };
-        if let Some(bad) = columns.iter().find(|c| c.len() != rows) {
-            return Err(CodecError::Invalid {
-                context: "chunk column",
-                detail: format!("column holds {} values, chunk has {rows} rows", bad.len()),
-            });
-        }
+        let (cell_coords, columns) = crate::cells::read_rows(r, ndims.into())?;
+        let rows = cell_coords.len() / usize::from(ndims);
         let bytes = r.u64("chunk bytes")?;
         let cells = r.u64("chunk cells")?;
-        let n_words = r.usize("tombstone word count")?;
-        let mut tombstones = Vec::with_capacity(n_words.min(1 << 16));
-        for _ in 0..n_words {
-            tombstones.push(r.u64("tombstone word")?);
+        let tombstones = r.list("tombstone word count", 8, |r| r.u64("tombstone word"))?;
+        // A retraction marks a row that exists, and the bitmap grows only
+        // to the word that row is in.
+        let past_the_rows = |(i, &word): (usize, &u64)| match rows.checked_sub(i * 64) {
+            None | Some(0) => true,
+            Some(left) => left < 64 && word >> left != 0,
+        };
+        if tombstones.iter().enumerate().any(past_the_rows) {
+            let detail = format!("a tombstone past the last of {rows} physical rows");
+            return Err(CodecError::invalid("tombstone bitmap", detail));
         }
         let dead: u64 = tombstones.iter().map(|w| u64::from(w.count_ones())).sum();
-        let live = (rows as u64).checked_sub(dead).ok_or_else(|| CodecError::Invalid {
-            context: "tombstone bitmap",
-            detail: format!("{dead} tombstones exceed {rows} physical rows"),
-        })?;
+        let live = rows as u64 - dead;
         if live != cells {
-            return Err(CodecError::Invalid {
-                context: "chunk cells",
-                detail: format!("counter says {cells} live cells, bitmap leaves {live}"),
-            });
+            let detail = format!("counter says {cells} live cells, bitmap leaves {live}");
+            return Err(CodecError::invalid("chunk cells", detail));
         }
         let encoding = StringEncoding::decode_from(r)?;
         let zone = ZoneMap::decode_from(r)?;
-        zone.validate_shape(ndims as usize, &columns)
-            .map_err(|detail| CodecError::Invalid { context: "chunk zone map", detail })?;
+        zone.check_covers(&ZoneMap::compute(ndims as usize, &cell_coords, &columns))
+            .map_err(|detail| CodecError::invalid("chunk zone map", detail))?;
         Ok(Chunk { coords, ndims, cell_coords, columns, bytes, cells, tombstones, encoding, zone })
     }
 }

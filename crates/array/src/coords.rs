@@ -191,10 +191,8 @@ impl ChunkCoords {
     ) -> std::result::Result<Self, durability::CodecError> {
         let len = r.u8("chunk coord arity")?;
         if usize::from(len) > MAX_DIMS {
-            return Err(durability::CodecError::Invalid {
-                context: "chunk coord arity",
-                detail: format!("{len} exceeds MAX_DIMS {MAX_DIMS}"),
-            });
+            let detail = format!("{len} exceeds MAX_DIMS {MAX_DIMS}");
+            return Err(durability::CodecError::invalid("chunk coord arity", detail));
         }
         let mut out = ChunkCoords::zeros(usize::from(len));
         for slot in out.as_mut_slice() {

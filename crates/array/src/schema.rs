@@ -341,13 +341,11 @@ impl ArraySchema {
     /// payload.
     pub fn encode_into(&self, w: &mut durability::ByteWriter) {
         w.put_str(&self.name);
-        w.put_usize(self.attributes.len());
-        for a in &self.attributes {
+        w.put_list(&self.attributes, |w, a| {
             w.put_str(&a.name);
             w.put_str(a.ty.name());
-        }
-        w.put_usize(self.dimensions.len());
-        for d in &self.dimensions {
+        });
+        w.put_list(&self.dimensions, |w, d| {
             w.put_str(&d.name);
             w.put_i64(d.start);
             match d.end {
@@ -358,7 +356,7 @@ impl ArraySchema {
                 None => w.put_bool(false),
             }
             w.put_i64(d.chunk_interval);
-        }
+        });
     }
 
     /// Decode a schema written by [`ArraySchema::encode_into`]. The
@@ -369,20 +367,17 @@ impl ArraySchema {
     ) -> std::result::Result<Self, durability::CodecError> {
         use durability::CodecError;
         let name = r.str("schema name")?;
-        let nattrs = r.usize("schema attribute count")?;
-        let mut attributes = Vec::with_capacity(nattrs.min(1024));
-        for _ in 0..nattrs {
+        let attributes = r.list("schema attribute count", 8, |r| {
             let aname = r.str("attribute name")?;
             let ty_name = r.str("attribute type")?;
-            let ty = AttributeType::parse(&ty_name).ok_or_else(|| CodecError::Invalid {
-                context: "attribute type",
-                detail: format!("unknown type `{ty_name}`"),
-            })?;
-            attributes.push(AttributeDef::new(aname, ty));
-        }
-        let ndims = r.usize("schema dimension count")?;
-        let mut dimensions = Vec::with_capacity(ndims.min(crate::coords::MAX_DIMS));
-        for _ in 0..ndims {
+            // The encoder writes a type's canonical name: an alias `parse`
+            // also takes (`int`) would not write back.
+            let ty = AttributeType::parse(&ty_name).filter(|ty| ty.name() == ty_name);
+            let detail = || format!("`{ty_name}` is no type's canonical name");
+            let ty = ty.ok_or_else(|| CodecError::invalid("attribute type", detail()))?;
+            Ok(AttributeDef::new(aname, ty))
+        })?;
+        let dimensions = r.list("schema dimension count", 4 + 8 + 1 + 8, |r| {
             let dname = r.str("dimension name")?;
             let start = r.i64("dimension start")?;
             let end = if r.bool("dimension bounded flag")? {
@@ -391,10 +386,10 @@ impl ArraySchema {
                 None
             };
             let chunk_interval = r.i64("dimension chunk interval")?;
-            dimensions.push(DimensionDef { name: dname, start, end, chunk_interval });
-        }
+            Ok(DimensionDef { name: dname, start, end, chunk_interval })
+        })?;
         ArraySchema::new(name, attributes, dimensions)
-            .map_err(|e| CodecError::Invalid { context: "array schema", detail: e.to_string() })
+            .map_err(|e| CodecError::invalid("array schema", e.to_string()))
     }
 }
 

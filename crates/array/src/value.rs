@@ -967,12 +967,7 @@ impl ScalarValue {
             3 => ScalarValue::Double(r.f64("double value")?),
             4 => ScalarValue::Char(r.u8("char value")?),
             5 => ScalarValue::Str(r.str("string value")?),
-            t => {
-                return Err(CodecError::Invalid {
-                    context: "scalar tag",
-                    detail: format!("unknown tag {t}"),
-                })
-            }
+            t => return Err(CodecError::invalid("scalar tag", format!("unknown tag {t}"))),
         })
     }
 }
@@ -994,37 +989,28 @@ impl StringEncoding {
         match r.u8("string encoding tag")? {
             0 => Ok(StringEncoding::Plain),
             1 => Ok(StringEncoding::Dict { cap: r.u32("dict cap")? }),
-            t => Err(CodecError::Invalid {
-                context: "string encoding tag",
-                detail: format!("unknown tag {t}"),
-            }),
+            t => Err(CodecError::invalid("string encoding tag", format!("unknown tag {t}"))),
         }
     }
 }
 
 impl StringDict {
     fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_usize(self.len());
-        for s in self.iter() {
-            w.put_str(s);
-        }
+        w.put_list(self.iter(), |w, s| w.put_str(s));
     }
 
     /// Rebuild by re-interning in code order, which is what rejects a
     /// repeated entry (and leaves the probe table built).
     fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let n = r.usize("dict entry count")?;
+        let n = r.count("dict entry count", 4)?;
         let mut dict = StringDict::new();
         for _ in 0..n {
-            let s = std::str::from_utf8(r.bytes("dict entry")?).map_err(|e| {
-                CodecError::Invalid { context: "dict entry", detail: format!("utf8: {e}") }
-            })?;
+            let s = std::str::from_utf8(r.bytes("dict entry")?)
+                .map_err(|e| CodecError::invalid("dict entry", format!("utf8: {e}")))?;
             let hash = dict_hash(s);
             if dict.find(hash, s).is_some() {
-                return Err(CodecError::Invalid {
-                    context: "dict entry",
-                    detail: format!("duplicate interned string {s:?}"),
-                });
+                let detail = format!("duplicate interned string {s:?}");
+                return Err(CodecError::invalid("dict entry", detail));
             }
             dict.push_new(hash, s);
         }
@@ -1036,27 +1022,20 @@ impl DictColumn {
     fn encode_into(&self, w: &mut ByteWriter) {
         w.put_u32(self.cap);
         self.dict.encode_into(w);
-        w.put_usize(self.codes.len());
-        for &c in &self.codes {
-            w.put_u32(c);
-        }
+        w.put_list(&self.codes, |w, &c| w.put_u32(c));
     }
 
     fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let cap = r.u32("dict cap")?;
         let dict = StringDict::decode_from(r)?;
-        let n = r.usize("dict code count")?;
-        let mut codes = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
+        let codes = r.list("dict code count", 4, |r| {
             let c = r.u32("dict code")?;
             if c as usize >= dict.len() {
-                return Err(CodecError::Invalid {
-                    context: "dict code",
-                    detail: format!("code {c} out of range for {} entries", dict.len()),
-                });
+                let detail = format!("code {c} out of range for {} entries", dict.len());
+                return Err(CodecError::invalid("dict code", detail));
             }
-            codes.push(c);
-        }
+            Ok(c)
+        })?;
         Ok(DictColumn { codes, dict, cap })
     }
 }
@@ -1067,31 +1046,19 @@ impl AttributeColumn {
         match self {
             AttributeColumn::Int32(v) => {
                 w.put_u8(0);
-                w.put_usize(v.len());
-                for &x in v {
-                    w.put_u32(x as u32);
-                }
+                w.put_list(v, |w, &x| w.put_u32(x as u32));
             }
             AttributeColumn::Int64(v) => {
                 w.put_u8(1);
-                w.put_usize(v.len());
-                for &x in v {
-                    w.put_i64(x);
-                }
+                w.put_list(v, |w, &x| w.put_i64(x));
             }
             AttributeColumn::Float(v) => {
                 w.put_u8(2);
-                w.put_usize(v.len());
-                for &x in v {
-                    w.put_u32(x.to_bits());
-                }
+                w.put_list(v, |w, &x| w.put_u32(x.to_bits()));
             }
             AttributeColumn::Double(v) => {
                 w.put_u8(3);
-                w.put_usize(v.len());
-                for &x in v {
-                    w.put_f64(x);
-                }
+                w.put_list(v, |w, &x| w.put_f64(x));
             }
             AttributeColumn::Char(v) => {
                 w.put_u8(4);
@@ -1099,10 +1066,7 @@ impl AttributeColumn {
             }
             AttributeColumn::Str(v) => {
                 w.put_u8(5);
-                w.put_usize(v.len());
-                for x in v {
-                    w.put_str(x);
-                }
+                w.put_list(v, |w, x| w.put_str(x));
             }
             AttributeColumn::Dict(d) => {
                 w.put_u8(6);
@@ -1117,54 +1081,18 @@ impl AttributeColumn {
     /// crashed process stored them.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match r.u8("column tag")? {
-            0 => {
-                let n = r.usize("int32 column len")?;
-                let mut v = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    v.push(r.u32("int32 cell")? as i32);
-                }
-                AttributeColumn::Int32(v)
-            }
-            1 => {
-                let n = r.usize("int64 column len")?;
-                let mut v = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    v.push(r.i64("int64 cell")?);
-                }
-                AttributeColumn::Int64(v)
-            }
-            2 => {
-                let n = r.usize("float column len")?;
-                let mut v = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    v.push(f32::from_bits(r.u32("float cell")?));
-                }
-                AttributeColumn::Float(v)
-            }
-            3 => {
-                let n = r.usize("double column len")?;
-                let mut v = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    v.push(r.f64("double cell")?);
-                }
-                AttributeColumn::Double(v)
-            }
+            0 => AttributeColumn::Int32(
+                r.list("int32 column len", 4, |r| Ok(r.u32("int32 cell")? as i32))?,
+            ),
+            1 => AttributeColumn::Int64(r.list("int64 column len", 8, |r| r.i64("int64 cell"))?),
+            2 => AttributeColumn::Float(
+                r.list("float column len", 4, |r| Ok(f32::from_bits(r.u32("float cell")?)))?,
+            ),
+            3 => AttributeColumn::Double(r.list("double column len", 8, |r| r.f64("double cell"))?),
             4 => AttributeColumn::Char(r.bytes("char column")?.to_vec()),
-            5 => {
-                let n = r.usize("string column len")?;
-                let mut v = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    v.push(r.str("string cell")?);
-                }
-                AttributeColumn::Str(v)
-            }
+            5 => AttributeColumn::Str(r.list("string column len", 4, |r| r.str("string cell"))?),
             6 => AttributeColumn::Dict(DictColumn::decode_from(r)?),
-            t => {
-                return Err(CodecError::Invalid {
-                    context: "column tag",
-                    detail: format!("unknown tag {t}"),
-                })
-            }
+            t => return Err(CodecError::invalid("column tag", format!("unknown tag {t}"))),
         })
     }
 }

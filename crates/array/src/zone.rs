@@ -416,48 +416,39 @@ const TAG_STR: u8 = 3;
 impl ZoneMap {
     /// Serialize the map.
     pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_usize(self.dims.len());
-        for d in &self.dims {
+        w.put_list(&self.dims, |w, d| {
             w.put_i64(d.min);
             w.put_i64(d.max);
-        }
-        w.put_usize(self.attrs.len());
-        for a in &self.attrs {
-            match a {
-                AttrZone::Int { min, max } => {
-                    w.put_u8(TAG_INT);
-                    w.put_i64(*min);
-                    w.put_i64(*max);
-                }
-                AttrZone::Real { min, max, nans } => {
-                    w.put_u8(TAG_REAL);
-                    w.put_f64(*min);
-                    w.put_f64(*max);
-                    w.put_u64(*nans);
-                }
-                AttrZone::Dict { distinct } => {
-                    w.put_u8(TAG_DICT);
-                    w.put_u32(*distinct);
-                }
-                AttrZone::Str => w.put_u8(TAG_STR),
+        });
+        w.put_list(&self.attrs, |w, a| match a {
+            AttrZone::Int { min, max } => {
+                w.put_u8(TAG_INT);
+                w.put_i64(*min);
+                w.put_i64(*max);
             }
-        }
+            AttrZone::Real { min, max, nans } => {
+                w.put_u8(TAG_REAL);
+                w.put_f64(*min);
+                w.put_f64(*max);
+                w.put_u64(*nans);
+            }
+            AttrZone::Dict { distinct } => {
+                w.put_u8(TAG_DICT);
+                w.put_u32(*distinct);
+            }
+            AttrZone::Str => w.put_u8(TAG_STR),
+        });
     }
 
     /// Decode a map written by [`ZoneMap::encode_into`].
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let ndims = r.usize("zone map dim count")?;
-        let mut dims = Vec::with_capacity(ndims.min(crate::coords::MAX_DIMS));
-        for _ in 0..ndims {
+        let dims = r.list("zone map dim count", 16, |r| {
             let min = r.i64("zone map dim min")?;
             let max = r.i64("zone map dim max")?;
-            dims.push(DimZone { min, max });
-        }
-        let nattrs = r.usize("zone map attr count")?;
-        let mut attrs = Vec::with_capacity(nattrs.min(64));
-        for _ in 0..nattrs {
-            let tag = r.u8("zone map attr tag")?;
-            attrs.push(match tag {
+            Ok(DimZone { min, max })
+        })?;
+        let attrs = r.list("zone map attr count", 1, |r| {
+            Ok(match r.u8("zone map attr tag")? {
                 TAG_INT => {
                     let min = r.i64("zone map int min")?;
                     let max = r.i64("zone map int max")?;
@@ -472,45 +463,47 @@ impl ZoneMap {
                 TAG_DICT => AttrZone::Dict { distinct: r.u32("zone map dict distinct")? },
                 TAG_STR => AttrZone::Str,
                 other => {
-                    return Err(CodecError::Invalid {
-                        context: "zone map attr tag",
-                        detail: format!("unknown tag {other}"),
-                    })
+                    let detail = format!("unknown tag {other}");
+                    return Err(CodecError::invalid("zone map attr tag", detail));
                 }
-            });
-        }
+            })
+        })?;
         Ok(ZoneMap { dims, attrs })
     }
 
-    /// Shape/variant agreement check used by the chunk decoder: the map
-    /// must have one `DimZone` per dimension and one `AttrZone` per
-    /// column, with each zone variant matching its column's physical
-    /// representation.
-    pub(crate) fn validate_shape(
-        &self,
-        ndims: usize,
-        columns: &[AttributeColumn],
-    ) -> Result<(), String> {
-        if self.dims.len() != ndims {
-            return Err(format!("{} dim zones for {ndims} dimensions", self.dims.len()));
+    /// The chunk decoder's check of a stored map against `exact`, what
+    /// [`ZoneMap::compute`] gives the chunk's rows: the same shape, and
+    /// covering it on every dimension and numeric attribute. A stale map
+    /// may be wider (a retraction never shrinks it), never narrower:
+    /// pruning by a narrower one could skip a live cell.
+    pub(crate) fn check_covers(&self, exact: &ZoneMap) -> Result<(), String> {
+        let (zones, dims) = (self.dims.len(), exact.dims.len());
+        if zones != dims {
+            return Err(format!("{zones} dim zones for {dims} dimensions"));
         }
-        if self.attrs.len() != columns.len() {
-            return Err(format!("{} attr zones for {} columns", self.attrs.len(), columns.len()));
+        if self.attrs.len() != exact.attrs.len() {
+            let (zones, columns) = (self.attrs.len(), exact.attrs.len());
+            return Err(format!("{zones} attr zones for {columns} columns"));
         }
-        for (i, (zone, col)) in self.attrs.iter().zip(columns).enumerate() {
-            let ok = matches!(
-                (zone, col),
+        let narrow = |(s, e): (&DimZone, &DimZone)| s.min > e.min || s.max < e.max;
+        if let Some(d) = self.dims.iter().zip(&exact.dims).position(narrow) {
+            return Err(format!("dim zone {d} is narrower than its cells"));
+        }
+        for (i, zone) in self.attrs.iter().zip(&exact.attrs).enumerate() {
+            let covers = match zone {
+                (AttrZone::Int { min, max }, AttrZone::Int { min: lo, max: hi }) => {
+                    min <= lo && max >= hi
+                }
                 (
-                    AttrZone::Int { .. },
-                    AttributeColumn::Int32(_)
-                        | AttributeColumn::Int64(_)
-                        | AttributeColumn::Char(_)
-                ) | (AttrZone::Real { .. }, AttributeColumn::Float(_) | AttributeColumn::Double(_))
-                    | (AttrZone::Dict { .. }, AttributeColumn::Dict(_))
-                    | (AttrZone::Str, AttributeColumn::Str(_))
-            );
-            if !ok {
-                return Err(format!("attr zone {i} does not match its column representation"));
+                    AttrZone::Real { min, max, nans },
+                    AttrZone::Real { min: lo, max: hi, nans: n },
+                ) => min.total_cmp(lo).is_le() && max.total_cmp(hi).is_ge() && nans >= n,
+                (AttrZone::Dict { distinct }, AttrZone::Dict { distinct: d }) => distinct == d,
+                (AttrZone::Str, AttrZone::Str) => true,
+                _ => return Err(format!("attr zone {i} does not match its column representation")),
+            };
+            if !covers {
+                return Err(format!("attr zone {i} does not cover its column"));
             }
         }
         Ok(())
@@ -615,10 +608,45 @@ mod tests {
     fn validate_shape_rejects_mismatches() {
         let cols = vec![AttributeColumn::Int32(vec![1])];
         let z = ZoneMap::compute(1, &[0], &cols);
-        assert!(z.validate_shape(1, &cols).is_ok());
-        assert!(z.validate_shape(2, &cols).is_err());
-        assert!(z.validate_shape(1, &[]).is_err());
+        assert!(z.check_covers(&ZoneMap::compute(1, &[0], &cols)).is_ok());
+        assert!(z.check_covers(&ZoneMap::compute(2, &[0, 0], &cols)).is_err());
+        assert!(z.check_covers(&ZoneMap::compute(1, &[0], &[])).is_err());
         let float_col = vec![AttributeColumn::Double(vec![1.0])];
-        assert!(z.validate_shape(1, &float_col).is_err());
+        assert!(z.check_covers(&ZoneMap::compute(1, &[0], &float_col)).is_err());
+    }
+
+    /// A stale map may be wider than its cells, never narrower — on a
+    /// dimension, an integer or float range, or a NaN count — and a
+    /// dictionary's cardinality is exact.
+    #[test]
+    fn a_stored_map_must_cover_its_cells() {
+        let cols = vec![
+            AttributeColumn::Int64(vec![5, -3]),
+            AttributeColumn::Double(vec![1.5, f64::NAN]),
+            AttributeColumn::Dict(crate::value::DictColumn::from_parts(
+                vec![0, 0],
+                crate::value::StringDict::from_distinct(["a"].into_iter()),
+                4,
+            )),
+        ];
+        let exact = ZoneMap::compute(1, &[2, 7], &cols);
+        assert_eq!(exact.check_covers(&exact), Ok(()));
+        let mut wider = exact.clone();
+        wider.dims[0].min = -1;
+        wider.attrs[0] = AttrZone::Int { min: -3, max: 6 };
+        wider.attrs[1] = AttrZone::Real { min: -0.0, max: 1.5, nans: 2 };
+        assert_eq!(wider.check_covers(&exact), Ok(()));
+        let narrower: [fn(&mut ZoneMap); 5] = [
+            |z| z.dims[0].max = 6,
+            |z| z.attrs[0] = AttrZone::Int { min: -2, max: 5 },
+            |z| z.attrs[1] = AttrZone::Real { min: 1.5, max: 1.5, nans: 0 },
+            |z| z.attrs[1] = AttrZone::Real { min: 1.5, max: 1.0, nans: 1 },
+            |z| z.attrs[2] = AttrZone::Dict { distinct: 2 },
+        ];
+        for (i, narrow) in narrower.iter().enumerate() {
+            let mut z = exact.clone();
+            narrow(&mut z);
+            assert!(z.check_covers(&exact).is_err(), "narrowing {i} accepted");
+        }
     }
 }

@@ -38,13 +38,9 @@ use crate::cost::CostModel;
 use crate::node::{HeldSection, Node, NodeId, NodeState, Resident};
 use crate::placement::PlacementIndex;
 use array_model::{ArrayId, Chunk, ChunkDescriptor, ChunkKey};
-use durability::{ByteReader, ByteWriter, CodecError, DurabilityError};
+use durability::{ascending, ByteReader, ByteWriter, CodecError, DurabilityError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-fn codec(context: &'static str, source: CodecError) -> DurabilityError {
-    DurabilityError::Codec { context: context.to_string(), source }
-}
 
 impl Cluster {
     /// Serialize the cluster for a checkpoint. Payload cells are *not*
@@ -52,32 +48,23 @@ impl Cluster {
     pub fn snapshot_into(&self, w: &mut ByteWriter) {
         w.put_usize(self.replication);
         let dense = self.placement.dense_registrations();
-        w.put_usize(dense.len());
-        for (array, extents) in &dense {
+        w.put_list(&dense, |w, (array, extents)| {
             array.encode_into(w);
-            w.put_usize(extents.len());
-            for &e in extents {
-                w.put_i64(e);
-            }
-        }
+            w.put_list(extents, |w, &e| w.put_i64(e));
+        });
         w.put_usize(self.nodes.len());
         for (node, held) in self.nodes.iter().zip(self.held_records()) {
             node.snapshot_into(&held, w);
         }
         let entries = self.placement.collect_sorted();
-        w.put_usize(entries.len());
-        for (key, node) in &entries {
+        w.put_list(&entries, |w, (key, node)| {
             key.encode_into(w);
             w.put_u32(node.0);
-        }
-        w.put_usize(self.replicas.len());
-        for (key, holders) in &self.replicas {
+        });
+        w.put_list(&self.replicas, |w, (key, holders)| {
             key.encode_into(w);
-            w.put_usize(holders.len());
-            for h in holders {
-                w.put_u32(h.0);
-            }
-        }
+            w.put_list(holders, |w, h| w.put_u32(h.0));
+        });
     }
 
     /// Rebuild a cluster from [`Cluster::snapshot_into`]. `payload_of`
@@ -93,35 +80,25 @@ impl Cluster {
         cost: CostModel,
         payload_of: &dyn Fn(&ChunkKey) -> Option<Arc<Chunk>>,
     ) -> Result<Cluster, DurabilityError> {
-        let replication =
-            r.usize("replication factor").map_err(|e| codec("replication factor", e))?;
+        let replication = r.usize("replication factor")?;
+        if replication == 0 {
+            let detail = "a cluster keeps at least one copy".to_string();
+            return Err(CodecError::invalid("replication factor", detail).into());
+        }
         let mut placement = PlacementIndex::new();
-        let n = r.usize("dense grid count").map_err(|e| codec("dense grid count", e))?;
-        for _ in 0..n {
-            let array = ArrayId::decode_from(r).map_err(|e| codec("dense grid array", e))?;
-            let ndims = r.usize("dense grid ndims").map_err(|e| codec("dense grid ndims", e))?;
-            if ndims == 0 || ndims > array_model::MAX_DIMS {
-                return Err(codec(
-                    "dense grid ndims",
-                    CodecError::Invalid {
-                        context: "dense grid ndims",
-                        detail: format!("{ndims} outside 1..={}", array_model::MAX_DIMS),
-                    },
-                ));
-            }
-            let mut extents = Vec::with_capacity(ndims);
-            for _ in 0..ndims {
-                extents
-                    .push(r.i64("dense grid extent").map_err(|e| codec("dense grid extent", e))?);
+        let mut last_grid = None;
+        for _ in 0..r.count("dense grid count", 4 + 8)? {
+            let array = ArrayId::decode_from(r)?;
+            ascending("dense grid array", last_grid.as_ref(), &array)?;
+            last_grid = Some(array);
+            let extents = r.list("dense grid ndims", 8, |r| r.i64("dense grid extent"))?;
+            if !(1..=array_model::MAX_DIMS).contains(&extents.len()) {
+                let detail = format!("{} outside 1..={}", extents.len(), array_model::MAX_DIMS);
+                return Err(CodecError::invalid("dense grid ndims", detail).into());
             }
             if extents.iter().any(|&e| e < 1) {
-                return Err(codec(
-                    "dense grid extent",
-                    CodecError::Invalid {
-                        context: "dense grid extent",
-                        detail: format!("non-positive extent in {extents:?}"),
-                    },
-                ));
+                let detail = format!("non-positive extent in {extents:?}");
+                return Err(CodecError::invalid("dense grid extent", detail).into());
             }
             if !placement.register_dense(array, &extents) {
                 return Err(DurabilityError::Mismatch {
@@ -131,9 +108,9 @@ impl Cluster {
                 });
             }
         }
-        let n = r.usize("node count").map_err(|e| codec("node count", e))?;
-        let mut nodes = Vec::with_capacity(n.min(1 << 16));
-        let mut sections = Vec::with_capacity(n.min(1 << 16));
+        let n = r.count("node count", Node::MIN_SNAPSHOT_LEN)?;
+        let mut nodes = Vec::with_capacity(n);
+        let mut sections = Vec::with_capacity(n);
         let mut balance = BalanceStats::default();
         let mut retired = 0usize;
         for i in 0..n {
@@ -152,10 +129,10 @@ impl Cluster {
             nodes.push(node);
             sections.push(held);
         }
-        let entries = r.usize("placement count").map_err(|e| codec("placement count", e))?;
-        for _ in 0..entries {
-            let key = ChunkKey::decode_from(r).map_err(|e| codec("placement key", e))?;
-            let node = NodeId(r.u32("placement node").map_err(|e| codec("placement node", e))?);
+        let mut last_key = None;
+        for _ in 0..r.count("placement count", ChunkKey::MIN_ENCODED_LEN + 4)? {
+            let key = ChunkKey::decode_from(r)?;
+            let node = NodeId(r.u32("placement node")?);
             if node.slot() >= nodes.len() {
                 return Err(DurabilityError::Mismatch {
                     what: format!("placement of {key}"),
@@ -170,32 +147,42 @@ impl Cluster {
                     actual: "duplicate entry in snapshot".to_string(),
                 });
             }
+            ascending("placement key", last_key.as_ref(), &key)?;
+            last_key = Some(key);
         }
-        let n = r.usize("replica index count").map_err(|e| codec("replica index count", e))?;
-        let mut replicas = BTreeMap::new();
-        for _ in 0..n {
-            let key = ChunkKey::decode_from(r).map_err(|e| codec("replica key", e))?;
-            let holders =
-                r.usize("replica holder count").map_err(|e| codec("replica holder count", e))?;
-            let mut v = Vec::with_capacity(holders.min(1 << 8));
-            for _ in 0..holders {
-                let h = NodeId(r.u32("replica holder").map_err(|e| codec("replica holder", e))?);
-                if h.slot() >= nodes.len() {
-                    return Err(DurabilityError::Mismatch {
-                        what: format!("replica holder of {key}"),
-                        expected: format!("a node id below {}", nodes.len()),
-                        actual: format!("{h}"),
-                    });
-                }
-                v.push(h);
+        // Every primary record is placed where it is. (A placement with
+        // no record is a crash's orphan, naming the wreck or its revival.)
+        for node in &nodes {
+            let misplaced = |d: &&ChunkDescriptor| placement.get(&d.key) != Some(node.id);
+            if let Some(d) = node.descriptors().find(misplaced) {
+                let placed = placement.get(&d.key);
+                return Err(DurabilityError::Mismatch {
+                    what: format!("placement of {}", d.key),
+                    expected: format!("{}, which holds its record", node.id),
+                    actual: placed.map_or("no entry".to_string(), |n| n.to_string()),
+                });
             }
-            if replicas.insert(key, v).is_some() {
+        }
+        let mut replicas = BTreeMap::new();
+        for _ in 0..r.count("replica index count", ChunkKey::MIN_ENCODED_LEN + 8)? {
+            let key = ChunkKey::decode_from(r)?;
+            let v = r.list("replica holder count", 4, |r| r.u32("replica holder").map(NodeId))?;
+            if let Some(h) = v.iter().find(|h| h.slot() >= nodes.len()) {
+                return Err(DurabilityError::Mismatch {
+                    what: format!("replica holder of {key}"),
+                    expected: format!("a node id below {}", nodes.len()),
+                    actual: format!("{h}"),
+                });
+            }
+            if replicas.contains_key(&key) {
                 return Err(DurabilityError::Mismatch {
                     what: format!("replica holders of {key}"),
                     expected: "a single entry per key".to_string(),
                     actual: "duplicate entry in snapshot".to_string(),
                 });
             }
+            ascending("replica index key", replicas.keys().next_back(), &key)?;
+            replicas.insert(key, v);
         }
         let copies = Default::default();
         let mut cluster =

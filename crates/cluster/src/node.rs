@@ -1,7 +1,7 @@
 //! Simulated shared-nothing cluster nodes.
 
 use array_model::{Chunk, ChunkDescriptor, ChunkKey};
-use durability::{ByteReader, ByteWriter, CodecError, DurabilityError};
+use durability::{ascending, ByteReader, ByteWriter, CodecError, DurabilityError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -161,11 +161,11 @@ fn reledger(ledger: &mut u64, old: u64, new: u64, name: &str, id: NodeId) {
     });
 }
 
-fn codec(context: &str, source: CodecError) -> DurabilityError {
-    DurabilityError::Codec { context: context.to_string(), source }
-}
-
 impl Node {
+    /// The fewest bytes [`Node::snapshot_into`] writes: id, budget, state,
+    /// both ledgers, and two empty sections.
+    pub(crate) const MIN_SNAPSHOT_LEN: usize = 4 + 8 + 1 + 8 + 8 + 2 * (8 + 8);
+
     /// A fresh, empty node.
     pub fn new(id: NodeId, capacity_bytes: u64) -> Self {
         Node {
@@ -314,9 +314,9 @@ impl Node {
         r: &mut ByteReader<'_>,
         payload_of: &dyn Fn(&ChunkKey) -> Option<Arc<Chunk>>,
     ) -> Result<(Node, HeldSection), DurabilityError> {
-        let id = NodeId(r.u32("node id").map_err(|e| codec("node id", e))?);
-        let capacity_bytes = r.u64("node capacity").map_err(|e| codec("node capacity", e))?;
-        let state = match r.u8("node state").map_err(|e| codec("node state", e))? {
+        let id = NodeId(r.u32("node id")?);
+        let capacity_bytes = r.u64("node capacity")?;
+        let state = match r.u8("node state")? {
             0 => NodeState::Healthy,
             1 => NodeState::Crashed,
             2 => NodeState::Draining,
@@ -324,15 +324,11 @@ impl Node {
             4 => NodeState::Retired,
             tag => {
                 let detail = format!("unknown state tag {tag}");
-                return Err(codec(
-                    "node state",
-                    CodecError::Invalid { context: "node state", detail },
-                ));
+                return Err(CodecError::invalid("node state", detail).into());
             }
         };
-        let want_used = r.u64("node used bytes").map_err(|e| codec("node used bytes", e))?;
-        let want_replica =
-            r.u64("node replica bytes").map_err(|e| codec("node replica bytes", e))?;
+        let want_used = r.u64("node used bytes")?;
+        let want_replica = r.u64("node replica bytes")?;
         let mut node = Node::new(id, capacity_bytes);
         node.state = state;
         for (key, (desc, with_cells)) in read_section(r, id, "primary")? {
@@ -361,6 +357,15 @@ impl Node {
                 what: format!("byte ledgers of {id}"),
                 expected: format!("{want_used} used / {want_replica} replica"),
                 actual: format!("{} used / {} replica", node.used_bytes, node.replica_bytes),
+            });
+        }
+        // A crash wipes a node, and only an empty node retires.
+        let (primaries, replicas) = (node.primaries.len(), held.len());
+        if matches!(state, NodeState::Crashed | NodeState::Retired) && primaries + replicas > 0 {
+            return Err(DurabilityError::Mismatch {
+                what: format!("records of {id}"),
+                expected: format!("none on a {state:?} node"),
+                actual: format!("{primaries} primaries, {replicas} replicas"),
             });
         }
         Ok((node, held))
@@ -396,7 +401,8 @@ fn put_section<'r>(
 
 /// One section of [`Node::snapshot_into`] read back by key, refusing a
 /// descriptor listed twice and a payload key that names none of the
-/// section's descriptors, or one already named.
+/// section's descriptors, or one already named — and either list out of
+/// the key order it was written in.
 fn read_section(
     r: &mut ByteReader<'_>,
     id: NodeId,
@@ -409,22 +415,25 @@ fn read_section(
             actual: actual.to_string(),
         };
     let mut section = HeldSection::new();
-    let n = r.usize("node copy count").map_err(|e| codec("node copy count", e))?;
-    for _ in 0..n {
-        let desc = ChunkDescriptor::decode_from(r).map_err(|e| codec("chunk descriptor", e))?;
-        if section.insert(desc.key, (desc, false)).is_some() {
+    for _ in 0..r.count("node copy count", ChunkDescriptor::MIN_ENCODED_LEN)? {
+        let desc = ChunkDescriptor::decode_from(r)?;
+        if section.contains_key(&desc.key) {
             return Err(refused(&desc.key, "descriptor", "listed once", "listed twice"));
         }
+        ascending("node copy key", section.keys().next_back(), &desc.key)?;
+        section.insert(desc.key, (desc, false));
     }
-    let n = r.usize("node payload count").map_err(|e| codec("node payload count", e))?;
-    for _ in 0..n {
-        let key = ChunkKey::decode_from(r).map_err(|e| codec("payload key", e))?;
+    let mut last = None;
+    for _ in 0..r.count("node payload count", ChunkKey::MIN_ENCODED_LEN)? {
+        let key = ChunkKey::decode_from(r)?;
         let Some((_, with_cells)) = section.get_mut(&key) else {
             return Err(refused(&key, "payload", "a descriptor resident beside it", "none"));
         };
         if std::mem::replace(with_cells, true) {
             return Err(refused(&key, "payload", "listed once", "listed twice"));
         }
+        ascending("node payload key", last.as_ref(), &key)?;
+        last = Some(key);
     }
     Ok(section)
 }

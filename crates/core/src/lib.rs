@@ -24,9 +24,9 @@ pub mod provision;
 
 pub use affinity::{AffinityAnalyzer, AffinityEdge, PairStats};
 pub use partition::{
-    batch_prefix_bytes, build_partitioner, route_batch, Append, ConsistentHash, ExtendibleHash,
-    GridHint, HilbertCurve, IncrementalQuadtree, KdTree, Partitioner, PartitionerConfig,
-    PartitionerFeatures, PartitionerKind, RoundRobin, RouteEpoch, UniformRange,
+    batch_prefix_bytes, build_partitioner, route_batch, unlocated, Append, ConsistentHash,
+    ExtendibleHash, GridHint, HilbertCurve, IncrementalQuadtree, KdTree, Partitioner,
+    PartitionerConfig, PartitionerFeatures, PartitionerKind, RoundRobin, RouteEpoch, UniformRange,
 };
 pub use provision::{
     prediction_error, tune_plan_ahead, tune_samples, CostModelParams, PlanAheadReport,

@@ -22,6 +22,7 @@ use super::{GridHint, Partitioner, PartitionerKind, RouteEpoch};
 use crate::partition::seq_index::SeqIndex;
 use array_model::{ChunkDescriptor, ChunkKey};
 use cluster_sim::{Cluster, NodeId, RebalancePlan};
+use durability::{ByteReader, CodecError};
 
 /// Append partitioner state.
 #[derive(Debug, Clone)]
@@ -71,32 +72,41 @@ impl Partitioner for Append {
 
     fn table_snapshot(&self) -> Vec<u8> {
         let mut w = durability::ByteWriter::new();
-        super::put_nodes(&mut w, &self.nodes);
+        w.put_list(&self.nodes, |w, n| w.put_u32(n.0));
         w.put_usize(self.cursor);
         w.put_u64(self.next_seq);
-        w.put_usize(self.ranges.len());
-        for &(seq, node) in &self.ranges {
+        w.put_list(&self.ranges, |w, &(seq, node)| {
             w.put_u64(seq);
             w.put_u32(node.0);
-        }
+        });
         self.seq_of.snapshot_into(&mut w);
         w.into_bytes()
     }
 
-    fn table_restore(&mut self, bytes: &[u8]) -> Result<(), durability::CodecError> {
-        let mut r = durability::ByteReader::new(bytes);
-        self.nodes = super::read_nodes(&mut r, "append nodes")?;
-        self.cursor = r.usize("append cursor")?;
-        self.next_seq = r.u64("append next seq")?;
-        let n = r.usize("append range count")?;
-        self.ranges = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let seq = r.u64("append range seq")?;
-            let node = NodeId(r.u32("append range node")?);
-            self.ranges.push((seq, node));
+    fn table_restore(&mut self, bytes: &[u8], roster: &[NodeId]) -> Result<(), CodecError> {
+        let mut r = ByteReader::new(bytes);
+        let nodes = super::read_roster(&mut r, roster, "append nodes")?;
+        let cursor = r.usize("append cursor")?;
+        if cursor >= nodes.len() {
+            return Err(CodecError::invalid("append cursor", format!("{cursor} past the roster")));
         }
-        self.seq_of.restore_from(&mut r)?;
-        r.finish("append snapshot tail")
+        let next_seq = r.u64("append next seq")?;
+        let ranges = r.list("append range count", 8 + 4, |r| {
+            Ok((r.u64("append range seq")?, super::read_node(r, roster, "append range node")?))
+        })?;
+        // Commit opens a range at the first sequence number and at every
+        // change of node after it, so placing anything opens one.
+        let ranges_written = ranges.first().map_or(next_seq == 0, |&(first, _)| first == 0)
+            && ranges.last().is_none_or(|&(last, _)| last < next_seq)
+            && ranges.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 != w[1].1);
+        if !ranges_written {
+            let detail = format!("{ranges:?} are not the ranges of {next_seq} placements");
+            return Err(CodecError::invalid("append range", detail));
+        }
+        self.seq_of.restore_from(&mut r, next_seq)?;
+        r.finish("append snapshot tail")?;
+        (self.nodes, self.cursor, self.next_seq, self.ranges) = (nodes, cursor, next_seq, ranges);
+        Ok(())
     }
 
     fn route(&self, desc: &ChunkDescriptor, ordinal: usize, epoch: &RouteEpoch<'_>) -> NodeId {

@@ -11,6 +11,7 @@ use super::{Partitioner, PartitionerKind, RouteEpoch};
 use crate::hashing::{hash_chunk_key, hash_ring_point};
 use array_model::{ChunkDescriptor, ChunkKey};
 use cluster_sim::{Cluster, NodeId, RebalancePlan};
+use durability::CodecError;
 use std::collections::BTreeMap;
 
 /// Consistent-hash ring partitioner.
@@ -62,25 +63,27 @@ impl Partitioner for ConsistentHash {
         // The ring verbatim: scale-out inserts points incrementally, so
         // the ring is history-dependent, not derivable from config alone.
         let mut w = durability::ByteWriter::new();
-        w.put_usize(self.ring.len());
-        for (&point, &node) in &self.ring {
+        w.put_list(&self.ring, |w, (&point, &node)| {
             w.put_u64(point);
             w.put_u32(node.0);
-        }
+        });
         w.into_bytes()
     }
 
-    fn table_restore(&mut self, bytes: &[u8]) -> Result<(), durability::CodecError> {
+    fn table_restore(&mut self, bytes: &[u8], roster: &[NodeId]) -> Result<(), CodecError> {
         let mut r = durability::ByteReader::new(bytes);
-        let n = r.usize("ring point count")?;
         let mut ring = BTreeMap::new();
-        for _ in 0..n {
+        for _ in 0..r.count("ring point count", 8 + 4)? {
             let point = r.u64("ring point")?;
-            let node = NodeId(r.u32("ring owner")?);
-            ring.insert(point, node);
+            durability::ascending("ring point", ring.keys().next_back(), &point)?;
+            ring.insert(point, super::read_node(&mut r, roster, "ring owner")?);
         }
+        if ring.is_empty() {
+            return Err(CodecError::invalid("ring point count", "an empty ring routes nowhere"));
+        }
+        r.finish("ring snapshot tail")?;
         self.ring = ring;
-        r.finish("ring snapshot tail")
+        Ok(())
     }
 
     fn route(&self, desc: &ChunkDescriptor, _ordinal: usize, _epoch: &RouteEpoch<'_>) -> NodeId {

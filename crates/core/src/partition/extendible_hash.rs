@@ -12,6 +12,7 @@ use super::{Partitioner, PartitionerKind, RouteEpoch};
 use crate::hashing::hash_chunk_key;
 use array_model::{ChunkDescriptor, ChunkKey};
 use cluster_sim::{Cluster, NodeId, RebalancePlan};
+use durability::CodecError;
 use std::collections::BTreeMap;
 
 /// A bucket: owns hashes `h` with `h & mask(depth) == pattern`.
@@ -101,27 +102,37 @@ impl Partitioner for ExtendibleHash {
         // The bucket cover mutates on every split, so it is written
         // verbatim as (depth, pattern, owner) triples.
         let mut w = durability::ByteWriter::new();
-        w.put_usize(self.buckets.len());
-        for (bucket, &node) in &self.buckets {
+        w.put_list(&self.buckets, |w, (bucket, &node)| {
             w.put_u32(bucket.depth);
             w.put_u64(bucket.pattern);
             w.put_u32(node.0);
-        }
+        });
         w.into_bytes()
     }
 
-    fn table_restore(&mut self, bytes: &[u8]) -> Result<(), durability::CodecError> {
+    fn table_restore(&mut self, bytes: &[u8], roster: &[NodeId]) -> Result<(), CodecError> {
         let mut r = durability::ByteReader::new(bytes);
-        let n = r.usize("bucket count")?;
         let mut buckets = BTreeMap::new();
-        for _ in 0..n {
-            let depth = r.u32("bucket depth")?;
-            let pattern = r.u64("bucket pattern")?;
-            let node = NodeId(r.u32("bucket owner")?);
-            buckets.insert(Bucket { depth, pattern }, node);
+        for _ in 0..r.count("bucket count", 4 + 8 + 4)? {
+            let bucket =
+                Bucket { depth: r.u32("bucket depth")?, pattern: r.u64("bucket pattern")? };
+            durability::ascending("bucket", buckets.keys().next_back(), &bucket)?;
+            if bucket.depth > 63 || bucket.pattern & !Bucket::mask(bucket.depth) != 0 {
+                let detail = format!("{bucket:?} is no bucket");
+                return Err(CodecError::invalid("bucket pattern", detail));
+            }
+            buckets.insert(bucket, super::read_node(&mut r, roster, "bucket owner")?);
         }
+        // Exactly one bucket owns each hash: read bit-reversed, a bucket's
+        // hashes are one span of the hash space, and the spans tile it.
+        let span = |b: &Bucket| (u128::from(b.pattern.reverse_bits()), 1u128 << (64 - b.depth));
+        if !super::tiles(buckets.keys().map(span).collect(), 1 << 64) {
+            let detail = "buckets overlap or leave hashes unowned";
+            return Err(CodecError::invalid("bucket cover", detail));
+        }
+        r.finish("bucket snapshot tail")?;
         self.buckets = buckets;
-        r.finish("bucket snapshot tail")
+        Ok(())
     }
 
     fn route(&self, desc: &ChunkDescriptor, _ordinal: usize, _epoch: &RouteEpoch<'_>) -> NodeId {
@@ -149,7 +160,6 @@ impl Partitioner for ExtendibleHash {
                 .0;
             // Weigh the victim's buckets by resident bytes.
             let victim_buckets = self.buckets_of(victim);
-            debug_assert!(!victim_buckets.is_empty());
             let mut bucket_bytes: BTreeMap<Bucket, u64> =
                 victim_buckets.iter().map(|&b| (b, 0)).collect();
             let mut chunk_homes: Vec<(ChunkKey, u64, Bucket)> = Vec::new();
@@ -169,11 +179,13 @@ impl Partitioner for ExtendibleHash {
                     }
                 }
             }
-            // Split the heaviest bucket on its next significant bit.
-            let (&heavy, _) = bucket_bytes
-                .iter()
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-                .expect("victim owns at least one bucket");
+            // Split the heaviest bucket on its next significant bit. A
+            // victim that owns none cannot be split.
+            let Some((&heavy, _)) =
+                bucket_bytes.iter().max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
+            else {
+                continue;
+            };
             let (low, high) = split_bucket(heavy);
             self.buckets.remove(&heavy);
             self.buckets.insert(low, victim);

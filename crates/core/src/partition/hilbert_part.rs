@@ -10,7 +10,8 @@
 use super::{GridHint, Partitioner, PartitionerKind, RouteEpoch};
 use array_model::{ChunkDescriptor, ChunkKey, HilbertOrder};
 use cluster_sim::{Cluster, NodeId, RebalancePlan};
-use std::collections::BTreeMap;
+use durability::CodecError;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Hilbert-range partitioner state.
 #[derive(Debug, Clone)]
@@ -91,35 +92,31 @@ impl Partitioner for HilbertCurve {
         // Order and curve dims are config-derived; the range table
         // (boundaries + owners) mutates at every split.
         let mut w = durability::ByteWriter::new();
-        w.put_usize(self.boundaries.len());
-        for &b in &self.boundaries {
-            w.put_u128(b);
-        }
-        super::put_nodes(&mut w, &self.owners);
+        w.put_list(&self.boundaries, |w, &b| w.put_u128(b));
+        w.put_list(&self.owners, |w, n| w.put_u32(n.0));
         w.into_bytes()
     }
 
-    fn table_restore(&mut self, bytes: &[u8]) -> Result<(), durability::CodecError> {
+    fn table_restore(&mut self, bytes: &[u8], roster: &[NodeId]) -> Result<(), CodecError> {
         let mut r = durability::ByteReader::new(bytes);
-        let n = r.usize("hilbert boundary count")?;
-        let mut boundaries = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            boundaries.push(r.u128("hilbert boundary")?);
-        }
-        let owners = super::read_nodes(&mut r, "hilbert owners")?;
+        let boundaries = r.list("hilbert boundary count", 16, |r| r.u128("hilbert boundary"))?;
+        let owners =
+            r.list("hilbert owners", 4, |r| super::read_node(r, roster, "hilbert owner"))?;
         if owners.len() != boundaries.len() + 1 {
-            return Err(durability::CodecError::Invalid {
-                context: "hilbert owners",
-                detail: format!(
-                    "{} owners for {} boundaries (want boundaries + 1)",
-                    owners.len(),
-                    boundaries.len()
-                ),
-            });
+            let detail = format!("{} owners for {} boundaries", owners.len(), boundaries.len());
+            return Err(CodecError::invalid("hilbert owners", detail));
         }
-        self.boundaries = boundaries;
-        self.owners = owners;
-        r.finish("hilbert snapshot tail")
+        // Ranges are consecutive stretches of the curve, one per owner.
+        if !boundaries.is_sorted() || boundaries.last() > Some(&self.order.index_space()) {
+            let detail = "boundaries do not ascend within the curve's index space";
+            return Err(CodecError::invalid("hilbert boundary", detail));
+        }
+        if owners.iter().collect::<BTreeSet<_>>().len() != owners.len() {
+            return Err(CodecError::invalid("hilbert owners", "a node owns two ranges"));
+        }
+        r.finish("hilbert snapshot tail")?;
+        (self.boundaries, self.owners) = (boundaries, owners);
+        Ok(())
     }
 
     fn route(&self, desc: &ChunkDescriptor, _ordinal: usize, _epoch: &RouteEpoch<'_>) -> NodeId {
@@ -142,15 +139,16 @@ impl Partitioner for HilbertCurve {
                 .max_by(|a, b| a.1.cmp(b.1).then(b.0 .0.cmp(&a.0 .0)))
                 .expect("cluster has preexisting nodes")
                 .0;
-            let pos = self
-                .owners
-                .iter()
-                .position(|&o| o == victim)
-                .expect("every node owns exactly one range");
+            // A node owns at most one range; one that owns none (a split
+            // skipped for want of room) cannot be split.
+            let Some(pos) = self.owners.iter().position(|&o| o == victim) else {
+                continue;
+            };
             let (lo, hi) = self.range_bounds(pos);
 
-            // Victim's chunks, netted against moves already planned in
-            // this scale-out, sorted along the curve.
+            // Victim's chunks inside its range, netted against moves
+            // already planned in this scale-out, sorted along the curve.
+            // (Only a fault's diverted route puts a chunk outside it.)
             let moved_keys: std::collections::HashSet<&ChunkKey> =
                 plan.moves.iter().map(|m| &m.key).collect();
             let mut resident: Vec<(u128, u64, ChunkKey)> = cluster
@@ -160,6 +158,7 @@ impl Partitioner for HilbertCurve {
                     node.descriptors()
                         .filter(|d| !moved_keys.contains(&d.key))
                         .map(|d| (self.index_of(&d.key), d.bytes, d.key))
+                        .filter(|(index, ..)| (lo..hi).contains(index))
                         .collect()
                 })
                 .unwrap_or_default();

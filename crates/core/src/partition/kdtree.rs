@@ -9,7 +9,8 @@
 use super::{GridHint, Partitioner, PartitionerKind, RouteEpoch};
 use array_model::{ChunkCoords, ChunkDescriptor, ChunkKey};
 use cluster_sim::{Cluster, NodeId, RebalancePlan};
-use std::collections::BTreeMap;
+use durability::CodecError;
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
 enum Tree {
@@ -33,6 +34,8 @@ pub struct KdTree {
     root: Tree,
     /// Dimension-cycling order for splits (see [`GridHint::split_priority`]).
     priority: Vec<usize>,
+    /// The hinted grid: the root's box is `0..extent`.
+    extent: Vec<i64>,
 }
 
 impl KdTree {
@@ -40,12 +43,12 @@ impl KdTree {
     /// cycling dimensions exactly as later skew-aware splits will.
     pub fn new(nodes: &[NodeId], grid: &GridHint) -> Self {
         assert!(!nodes.is_empty(), "need at least one node");
-        let ndims = grid.ndims();
-        let lo = vec![0i64; ndims];
-        let hi = grid.chunk_counts.clone();
+        let extent = grid.chunk_counts.clone();
+        let (lo, hi) = (vec![0i64; extent.len()], extent.clone());
         let mut tree = KdTree {
             root: Tree::Leaf { host: nodes[0], depth: 0, lo, hi },
             priority: grid.split_priority.clone(),
+            extent,
         };
         for &fresh in &nodes[1..] {
             // Before data arrives, split the shallowest (largest) leaf at
@@ -168,14 +171,8 @@ fn put_tree(w: &mut durability::ByteWriter, t: &Tree) {
             w.put_u8(0);
             w.put_u32(host.0);
             w.put_u32(*depth);
-            w.put_usize(lo.len());
-            for &v in lo {
-                w.put_i64(v);
-            }
-            w.put_usize(hi.len());
-            for &v in hi {
-                w.put_i64(v);
-            }
+            w.put_list(lo, |w, &v| w.put_i64(v));
+            w.put_list(hi, |w, &v| w.put_i64(v));
         }
         Tree::Internal { dim, split, left, right } => {
             w.put_u8(1);
@@ -187,41 +184,54 @@ fn put_tree(w: &mut durability::ByteWriter, t: &Tree) {
     }
 }
 
-fn read_tree(r: &mut durability::ByteReader<'_>) -> Result<Tree, durability::CodecError> {
-    fn read_box(
-        r: &mut durability::ByteReader<'_>,
-        context: &'static str,
-    ) -> Result<Vec<i64>, durability::CodecError> {
-        let n = r.usize(context)?;
-        if n > array_model::MAX_DIMS {
-            return Err(durability::CodecError::Invalid {
-                context,
-                detail: format!("{n} dims exceed MAX_DIMS {}", array_model::MAX_DIMS),
-            });
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(r.i64(context)?);
-        }
-        Ok(out)
+/// Read the subtree at `depth` whose box is `lo..hi`, as [`put_tree`]
+/// wrote it: split planes inside their box, leaves stating the depth and
+/// box above them, hosts on the roster (collected into `hosts`).
+///
+/// A tree of distinct hosts has at most `roster.len()` leaves, so no node
+/// is that deep: refusing deeper bytes bounds the recursion (and the
+/// drop) by the roster, not by the input.
+fn read_tree(
+    r: &mut durability::ByteReader<'_>,
+    roster: &[NodeId],
+    depth: u32,
+    (lo, hi): (Vec<i64>, Vec<i64>),
+    hosts: &mut Vec<NodeId>,
+) -> Result<Tree, CodecError> {
+    if depth as usize >= roster.len() {
+        let detail = format!("deeper than {} hosts can make it", roster.len());
+        return Err(CodecError::invalid("kd tree depth", detail));
     }
     match r.u8("kd tree node tag")? {
-        0 => Ok(Tree::Leaf {
-            host: NodeId(r.u32("kd leaf host")?),
-            depth: r.u32("kd leaf depth")?,
-            lo: read_box(r, "kd leaf lo")?,
-            hi: read_box(r, "kd leaf hi")?,
-        }),
-        1 => Ok(Tree::Internal {
-            dim: r.usize("kd split dim")?,
-            split: r.i64("kd split plane")?,
-            left: Box::new(read_tree(r)?),
-            right: Box::new(read_tree(r)?),
-        }),
-        tag => Err(durability::CodecError::Invalid {
-            context: "kd tree node tag",
-            detail: format!("unknown tag {tag}"),
-        }),
+        0 => {
+            let host = super::read_node(r, roster, "kd leaf host")?;
+            let stated = (
+                r.u32("kd leaf depth")?,
+                r.list("kd leaf lo", 8, |r| r.i64("kd leaf lo"))?,
+                r.list("kd leaf hi", 8, |r| r.i64("kd leaf hi"))?,
+            );
+            if stated != (depth, lo.clone(), hi.clone()) {
+                let detail = format!("{stated:?} is not the leaf's depth and box");
+                return Err(CodecError::invalid("kd leaf", detail));
+            }
+            hosts.push(host);
+            Ok(Tree::Leaf { host, depth, lo, hi })
+        }
+        1 => {
+            let dim = r.usize("kd split dim")?;
+            let split = r.i64("kd split plane")?;
+            if dim >= lo.len() || split <= lo[dim] || split >= hi[dim] {
+                let detail = format!("plane {split} on dim {dim} is not inside {lo:?}..{hi:?}");
+                return Err(CodecError::invalid("kd split", detail));
+            }
+            let (mut left_hi, mut right_lo) = (hi.clone(), lo.clone());
+            left_hi[dim] = split;
+            right_lo[dim] = split;
+            let left = read_tree(r, roster, depth + 1, (lo, left_hi), hosts)?;
+            let right = read_tree(r, roster, depth + 1, (right_lo, hi), hosts)?;
+            Ok(Tree::Internal { dim, split, left: Box::new(left), right: Box::new(right) })
+        }
+        tag => Err(CodecError::invalid("kd tree node tag", format!("unknown tag {tag}"))),
     }
 }
 
@@ -252,10 +262,17 @@ impl Partitioner for KdTree {
         w.into_bytes()
     }
 
-    fn table_restore(&mut self, bytes: &[u8]) -> Result<(), durability::CodecError> {
+    fn table_restore(&mut self, bytes: &[u8], roster: &[NodeId]) -> Result<(), CodecError> {
         let mut r = durability::ByteReader::new(bytes);
-        self.root = read_tree(&mut r)?;
-        r.finish("kd tree snapshot tail")
+        let root_box = (vec![0; self.extent.len()], self.extent.clone());
+        let mut hosts = Vec::new();
+        let root = read_tree(&mut r, roster, 0, root_box, &mut hosts)?;
+        if hosts.iter().collect::<BTreeSet<_>>().len() != hosts.len() {
+            return Err(CodecError::invalid("kd leaf host", "a host owns two leaves"));
+        }
+        r.finish("kd tree snapshot tail")?;
+        self.root = root;
+        Ok(())
     }
 
     fn route(&self, desc: &ChunkDescriptor, _ordinal: usize, _epoch: &RouteEpoch<'_>) -> NodeId {

@@ -57,6 +57,7 @@ pub use uniform_range::UniformRange;
 
 use array_model::{ChunkDescriptor, ChunkKey};
 use cluster_sim::{Cluster, NodeId, RebalancePlan};
+use durability::{ByteReader, CodecError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -360,25 +361,49 @@ pub fn route_batch(
     out
 }
 
-/// Snapshot helper: a length-prefixed `NodeId` list.
-pub(super) fn put_nodes(w: &mut durability::ByteWriter, nodes: &[NodeId]) {
-    w.put_usize(nodes.len());
-    for n in nodes {
-        w.put_u32(n.0);
-    }
+/// The first chunk `cluster` places that `p`'s table cannot locate. A
+/// table restored beside its cluster locates every placement (each went
+/// through [`Partitioner::commit`]), and scale-out relies on it.
+pub fn unlocated(p: &dyn Partitioner, cluster: &Cluster) -> Option<ChunkKey> {
+    cluster.placements().map(|(key, _)| key).find(|key| p.locate(key).is_none())
 }
 
-/// Restore helper: decode a list written by [`put_nodes`].
-pub(super) fn read_nodes(
-    r: &mut durability::ByteReader<'_>,
+/// Restore helper: one node a table names, which must be on the `roster`
+/// (a route to any other node places a chunk nowhere).
+pub(super) fn read_node(
+    r: &mut ByteReader<'_>,
+    roster: &[NodeId],
     context: &'static str,
-) -> Result<Vec<NodeId>, durability::CodecError> {
-    let n = r.usize(context)?;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(NodeId(r.u32(context)?));
+) -> Result<NodeId, CodecError> {
+    let node = NodeId(r.u32(context)?);
+    if !roster.contains(&node) {
+        return Err(CodecError::invalid(context, format!("{node} is not on the roster")));
     }
-    Ok(out)
+    Ok(node)
+}
+
+/// Restore helper for the schemes whose table is the roster itself, in
+/// join order (Append, Round Robin, Uniform Range): scale-out appends the
+/// nodes the cluster adds, so the list is exactly `roster`.
+pub(super) fn read_roster(
+    r: &mut ByteReader<'_>,
+    roster: &[NodeId],
+    context: &'static str,
+) -> Result<Vec<NodeId>, CodecError> {
+    let nodes = r.list(context, 4, |r| r.u32(context).map(NodeId))?;
+    if nodes != roster {
+        let detail = format!("{nodes:?} is not the roster {roster:?}");
+        return Err(CodecError::invalid(context, detail));
+    }
+    Ok(nodes)
+}
+
+/// True when the `(start, len)` spans tile `0..whole` exactly: in start
+/// order, each begins where the one before it ends.
+pub(super) fn tiles(mut spans: Vec<(u128, u128)>, whole: u128) -> bool {
+    spans.sort_unstable();
+    let next = |at: u128, &(start, len): &(u128, u128)| at.checked_add(len).filter(|_| start == at);
+    spans.iter().try_fold(0, next) == Some(whole)
 }
 
 /// The elastic partitioner interface (see module docs for the protocol).
@@ -432,8 +457,10 @@ pub trait Partitioner: Send + Sync {
     fn table_snapshot(&self) -> Vec<u8>;
 
     /// Restore the table from a [`Partitioner::table_snapshot`] payload
-    /// taken from a partitioner of the same kind and config.
-    fn table_restore(&mut self, bytes: &[u8]) -> Result<(), durability::CodecError>;
+    /// taken from a partitioner of the same kind and config, for `roster`
+    /// (the cluster's nodes, in join order). Only a table the scheme could
+    /// have written is accepted, so routing over it cannot panic.
+    fn table_restore(&mut self, bytes: &[u8], roster: &[NodeId]) -> Result<(), CodecError>;
 }
 
 /// Construct a partitioner of `kind` for a cluster's current nodes.

@@ -16,6 +16,7 @@
 use super::{GridHint, Partitioner, PartitionerKind, RouteEpoch};
 use array_model::{ChunkDescriptor, ChunkKey};
 use cluster_sim::{Cluster, NodeId, RebalancePlan};
+use durability::CodecError;
 use std::collections::BTreeMap;
 
 /// One quad cell: at `level`, the plane is a 2^level × 2^level grid and
@@ -262,41 +263,48 @@ impl Partitioner for IncrementalQuadtree {
         // Plane, max_bits, and extent are config-derived; the region
         // cover mutates on every refine/reassign.
         let mut w = durability::ByteWriter::new();
-        w.put_usize(self.regions.len());
-        for &(r, node) in &self.regions {
+        w.put_list(&self.regions, |w, &(r, node)| {
             w.put_u32(r.level);
             w.put_u64(r.x);
             w.put_u64(r.y);
             w.put_u32(node.0);
-        }
+        });
         w.into_bytes()
     }
 
-    fn table_restore(&mut self, bytes: &[u8]) -> Result<(), durability::CodecError> {
+    fn table_restore(&mut self, bytes: &[u8], roster: &[NodeId]) -> Result<(), CodecError> {
         let mut r = durability::ByteReader::new(bytes);
-        let n = r.usize("quad region count")?;
-        let mut regions = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
+        let regions = r.list("quad region count", 4 + 8 + 8 + 4, |r| {
             let level = r.u32("quad region level")?;
             if level > self.max_bits {
-                return Err(durability::CodecError::Invalid {
-                    context: "quad region level",
-                    detail: format!("level {level} exceeds max_bits {}", self.max_bits),
-                });
+                let detail = format!("level {level} exceeds max_bits {}", self.max_bits);
+                return Err(CodecError::invalid("quad region level", detail));
             }
-            let x = r.u64("quad region x")?;
-            let y = r.u64("quad region y")?;
-            let node = NodeId(r.u32("quad region owner")?);
-            regions.push((QuadRegion { level, x, y }, node));
+            let region =
+                QuadRegion { level, x: r.u64("quad region x")?, y: r.u64("quad region y")? };
+            if region.x >> level != 0 || region.y >> level != 0 {
+                let detail = format!("{region:?} is off the plane");
+                return Err(CodecError::invalid("quad region", detail));
+            }
+            Ok((region, super::read_node(r, roster, "quad region owner")?))
+        })?;
+        // Exactly one region holds each plane point: along the Z-order
+        // curve a region's points are one span of the plane, and the spans
+        // tile it.
+        let span = |(r, _): &(QuadRegion, NodeId)| {
+            let bit = |v: u64, b: u32| u128::from((v >> b) & 1);
+            let z = (0..r.level)
+                .fold(0, |z, b| z | bit(r.x, b) << (2 * b) | bit(r.y, b) << (2 * b + 1));
+            let shift = 2 * (self.max_bits - r.level);
+            (z << shift, 1u128 << shift)
+        };
+        if !super::tiles(regions.iter().map(span).collect(), 1 << (2 * self.max_bits)) {
+            let detail = "regions overlap or leave the plane bare";
+            return Err(CodecError::invalid("quad region", detail));
         }
-        if regions.is_empty() {
-            return Err(durability::CodecError::Invalid {
-                context: "quad region count",
-                detail: "empty region cover".to_string(),
-            });
-        }
+        r.finish("quad snapshot tail")?;
         self.regions = regions;
-        r.finish("quad snapshot tail")
+        Ok(())
     }
 
     fn route(&self, desc: &ChunkDescriptor, _ordinal: usize, _epoch: &RouteEpoch<'_>) -> NodeId {

@@ -15,6 +15,7 @@ use crate::partition::seq_index::SeqIndex;
 use crate::partition::GridHint;
 use array_model::{ChunkDescriptor, ChunkKey};
 use cluster_sim::{Cluster, NodeId, RebalancePlan};
+use durability::CodecError;
 
 /// Round Robin partitioner state.
 #[derive(Debug, Clone)]
@@ -46,18 +47,20 @@ impl Partitioner for RoundRobin {
 
     fn table_snapshot(&self) -> Vec<u8> {
         let mut w = durability::ByteWriter::new();
-        super::put_nodes(&mut w, &self.nodes);
+        w.put_list(&self.nodes, |w, n| w.put_u32(n.0));
         w.put_u64(self.next_seq);
         self.seq_of.snapshot_into(&mut w);
         w.into_bytes()
     }
 
-    fn table_restore(&mut self, bytes: &[u8]) -> Result<(), durability::CodecError> {
+    fn table_restore(&mut self, bytes: &[u8], roster: &[NodeId]) -> Result<(), CodecError> {
         let mut r = durability::ByteReader::new(bytes);
-        self.nodes = super::read_nodes(&mut r, "round robin nodes")?;
-        self.next_seq = r.u64("round robin next seq")?;
-        self.seq_of.restore_from(&mut r)?;
-        r.finish("round robin snapshot tail")
+        let nodes = super::read_roster(&mut r, roster, "round robin nodes")?;
+        let next_seq = r.u64("round robin next seq")?;
+        self.seq_of.restore_from(&mut r, next_seq)?;
+        r.finish("round robin snapshot tail")?;
+        (self.nodes, self.next_seq) = (nodes, next_seq);
+        Ok(())
     }
 
     fn route(&self, _desc: &ChunkDescriptor, ordinal: usize, _epoch: &RouteEpoch<'_>) -> NodeId {

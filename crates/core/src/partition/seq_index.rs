@@ -13,6 +13,7 @@
 //! arrays. Insert and lookup are O(1) array reads on the hot path.
 
 use array_model::{ChunkCoords, ChunkKey, MAX_DIMS};
+use durability::{ascending, ByteReader, CodecError};
 use std::collections::HashMap;
 
 /// Vacant-slot sentinel: sequence numbers are placement counters and
@@ -71,21 +72,34 @@ impl SeqIndex {
         Some(lin)
     }
 
+    /// Where `key` lives densely — `(array slot, linear index)` — or
+    /// `None` when it spills.
+    #[inline]
+    fn dense_slot(&self, key: &ChunkKey) -> Option<(usize, usize)> {
+        if key.array.0 >= ARRAY_ID_CAP {
+            return None;
+        }
+        self.volume?;
+        Some((key.array.0 as usize, self.linearize(&key.coords)?))
+    }
+
+    /// The grid of array slot `idx`, allocated on first use.
+    fn grid_mut(&mut self, idx: usize, volume: usize) -> &mut Vec<u64> {
+        if idx >= self.grids.len() {
+            self.grids.resize(idx + 1, None);
+        }
+        self.grids[idx].get_or_insert_with(|| vec![VACANT; volume])
+    }
+
     /// Record `seq` for `key`. O(1); allocates only on an array's first
     /// dense insert (the grid) or on spill-map growth.
     pub(super) fn insert(&mut self, key: ChunkKey, seq: u64) {
-        if key.array.0 < ARRAY_ID_CAP {
-            if let (Some(volume), Some(lin)) = (self.volume, self.linearize(&key.coords)) {
-                let idx = key.array.0 as usize;
-                if idx >= self.grids.len() {
-                    self.grids.resize(idx + 1, None);
-                }
-                let grid = self.grids[idx].get_or_insert_with(|| vec![VACANT; volume]);
-                grid[lin] = seq;
-                return;
+        match (self.volume, self.dense_slot(&key)) {
+            (Some(volume), Some((idx, lin))) => self.grid_mut(idx, volume)[lin] = seq,
+            _ => {
+                self.spill.insert(key, seq);
             }
         }
-        self.spill.insert(key, seq);
     }
 
     /// Serialize the **occupied** entries (dense grids are written
@@ -96,8 +110,7 @@ impl SeqIndex {
     pub(super) fn snapshot_into(&self, w: &mut durability::ByteWriter) {
         let occupied: Vec<(usize, &Vec<u64>)> =
             self.grids.iter().enumerate().filter_map(|(i, g)| g.as_ref().map(|g| (i, g))).collect();
-        w.put_usize(occupied.len());
-        for (idx, grid) in occupied {
+        w.put_list(occupied, |w, (idx, grid)| {
             w.put_usize(idx);
             let live = grid.iter().filter(|&&s| s != VACANT).count();
             w.put_usize(live);
@@ -105,80 +118,85 @@ impl SeqIndex {
                 w.put_usize(lin);
                 w.put_u64(seq);
             }
-        }
+        });
         // Deterministic spill order: sort by key.
         let mut spill: Vec<(&ChunkKey, &u64)> = self.spill.iter().collect();
         spill.sort_by_key(|(k, _)| **k);
-        w.put_usize(spill.len());
-        for (key, &seq) in spill {
+        w.put_list(spill, |w, (key, &seq)| {
             key.encode_into(w);
             w.put_u64(seq);
-        }
+        });
     }
 
     /// Restore entries from [`SeqIndex::snapshot_into`] onto this index,
     /// which must have been built with the same chunk counts (so grid
-    /// volumes agree).
+    /// volumes agree). Every sequence number is below `next_seq`, the
+    /// table's counter; slots, linear indices and spilled keys ascend as
+    /// they were written, and no spilled key is one a grid holds.
     pub(super) fn restore_from(
         &mut self,
-        r: &mut durability::ByteReader<'_>,
-    ) -> Result<(), durability::CodecError> {
-        use durability::CodecError;
-        let n_grids = r.usize("seq index grid count")?;
-        for _ in 0..n_grids {
+        r: &mut ByteReader<'_>,
+        next_seq: u64,
+    ) -> Result<(), CodecError> {
+        // No run counts past 2^63 placements (centuries at 10^9 a second),
+        // and counting on from a counter near 2^64 would overflow.
+        if next_seq > 1 << 63 {
+            return Err(CodecError::invalid("placement counter", format!("{next_seq}")));
+        }
+        let read_seq = |r: &mut ByteReader<'_>, context| match r.u64(context)? {
+            seq if seq < next_seq => Ok(seq),
+            seq => Err(CodecError::invalid(context, format!("{seq} is not below {next_seq}"))),
+        };
+        let mut last_slot = None;
+        for _ in 0..r.count("seq index grid count", 8 + 8)? {
             let idx = r.usize("seq index array slot")?;
+            ascending("seq index array slot", last_slot.as_ref(), &idx)?;
+            last_slot = Some(idx);
             let Some(volume) = self.volume else {
-                return Err(CodecError::Invalid {
-                    context: "seq index array slot",
-                    detail: "snapshot has dense grids, this hint backs none".to_string(),
-                });
+                let detail = "snapshot has dense grids, this hint backs none";
+                return Err(CodecError::invalid("seq index array slot", detail));
             };
             if idx >= ARRAY_ID_CAP as usize {
-                return Err(CodecError::Invalid {
-                    context: "seq index array slot",
-                    detail: format!("slot {idx} exceeds the array id cap"),
-                });
+                let detail = format!("slot {idx} exceeds the array id cap");
+                return Err(CodecError::invalid("seq index array slot", detail));
             }
-            if idx >= self.grids.len() {
-                self.grids.resize(idx + 1, None);
-            }
-            let grid = self.grids[idx].get_or_insert_with(|| vec![VACANT; volume]);
-            let live = r.usize("seq index entry count")?;
-            for _ in 0..live {
+            self.grid_mut(idx, volume);
+            let mut last_lin = None;
+            for _ in 0..r.count("seq index entry count", 8 + 8)? {
                 let lin = r.usize("seq index slot")?;
-                let seq = r.u64("seq index seq")?;
-                if lin >= grid.len() {
-                    return Err(CodecError::Invalid {
-                        context: "seq index slot",
-                        detail: format!("slot {lin} outside grid volume {}", grid.len()),
-                    });
+                ascending("seq index slot", last_lin.as_ref(), &lin)?;
+                last_lin = Some(lin);
+                let seq = read_seq(r, "seq index seq")?;
+                if lin >= volume {
+                    let detail = format!("slot {lin} outside grid volume {volume}");
+                    return Err(CodecError::invalid("seq index slot", detail));
                 }
-                grid[lin] = seq;
+                self.grid_mut(idx, volume)[lin] = seq;
             }
         }
-        let n_spill = r.usize("seq index spill count")?;
-        for _ in 0..n_spill {
+        let mut last_key = None;
+        for _ in 0..r.count("seq index spill count", ChunkKey::MIN_ENCODED_LEN + 8)? {
             let key = ChunkKey::decode_from(r)?;
-            let seq = r.u64("seq index spill seq")?;
-            self.spill.insert(key, seq);
+            ascending("seq index spill key", last_key.as_ref(), &key)?;
+            last_key = Some(key);
+            if self.dense_slot(&key).is_some() {
+                let detail = format!("{key} has a grid slot");
+                return Err(CodecError::invalid("seq index spill key", detail));
+            }
+            self.spill.insert(key, read_seq(r, "seq index spill seq")?);
         }
         Ok(())
     }
 
     /// The sequence recorded for `key`, if any. O(1).
     pub(super) fn get(&self, key: &ChunkKey) -> Option<u64> {
-        if key.array.0 < ARRAY_ID_CAP {
-            if let (Some(_), Some(lin)) = (self.volume, self.linearize(&key.coords)) {
-                return match self.grids.get(key.array.0 as usize)? {
-                    Some(grid) => match grid[lin] {
-                        VACANT => None,
-                        seq => Some(seq),
-                    },
-                    None => None,
-                };
-            }
+        let Some((idx, lin)) = self.dense_slot(key) else {
+            return self.spill.get(key).copied();
+        };
+        match self.grids.get(idx)?.as_ref()?[lin] {
+            VACANT => None,
+            seq => Some(seq),
         }
-        self.spill.get(key).copied()
     }
 }
 

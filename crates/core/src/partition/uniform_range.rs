@@ -15,6 +15,7 @@
 use super::{GridHint, Partitioner, PartitionerKind, RouteEpoch};
 use array_model::{ChunkDescriptor, ChunkKey};
 use cluster_sim::{Cluster, NodeId, RebalancePlan};
+use durability::CodecError;
 
 /// Uniform Range partitioner state.
 #[derive(Debug, Clone)]
@@ -92,20 +93,16 @@ impl Partitioner for UniformRange {
         // Grid and height come from config; only the roster (which grows
         // at every scale-out) is data-dependent.
         let mut w = durability::ByteWriter::new();
-        super::put_nodes(&mut w, &self.nodes);
+        w.put_list(&self.nodes, |w, n| w.put_u32(n.0));
         w.into_bytes()
     }
 
-    fn table_restore(&mut self, bytes: &[u8]) -> Result<(), durability::CodecError> {
+    fn table_restore(&mut self, bytes: &[u8], roster: &[NodeId]) -> Result<(), CodecError> {
         let mut r = durability::ByteReader::new(bytes);
-        self.nodes = super::read_nodes(&mut r, "uniform range nodes")?;
-        if self.nodes.is_empty() {
-            return Err(durability::CodecError::Invalid {
-                context: "uniform range nodes",
-                detail: "empty node roster".to_string(),
-            });
-        }
-        r.finish("uniform range snapshot tail")
+        let nodes = super::read_roster(&mut r, roster, "uniform range nodes")?;
+        r.finish("uniform range snapshot tail")?;
+        self.nodes = nodes;
+        Ok(())
     }
 
     fn route(&self, desc: &ChunkDescriptor, _ordinal: usize, _epoch: &RouteEpoch<'_>) -> NodeId {

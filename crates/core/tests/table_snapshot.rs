@@ -44,7 +44,8 @@ fn every_partitioner_round_trips_its_table() {
         // Recovery recipe: same kind + config + roster, snapshot on top.
         let snapshot = p.table_snapshot();
         let mut q = build_partitioner(kind, &cluster, &grid, &config);
-        q.table_restore(&snapshot).unwrap_or_else(|e| panic!("{kind}: restore failed: {e}"));
+        q.table_restore(&snapshot, &cluster.node_ids())
+            .unwrap_or_else(|e| panic!("{kind}: restore failed: {e}"));
 
         // Every historical placement resolves identically...
         for (key, _) in cluster.placements() {
@@ -82,7 +83,7 @@ fn corrupt_snapshots_fail_typed_never_panic() {
         for cut in 0..snapshot.len() {
             let mut q = build_partitioner(kind, &cluster, &grid, &config);
             assert!(
-                q.table_restore(&snapshot[..cut]).is_err(),
+                q.table_restore(&snapshot[..cut], &cluster.node_ids()).is_err(),
                 "{kind}: truncation at {cut} accepted"
             );
         }
@@ -90,6 +91,9 @@ fn corrupt_snapshots_fail_typed_never_panic() {
         let mut padded = snapshot.clone();
         padded.push(0xAB);
         let mut q = build_partitioner(kind, &cluster, &grid, &config);
-        assert!(q.table_restore(&padded).is_err(), "{kind}: trailing byte accepted");
+        assert!(
+            q.table_restore(&padded, &cluster.node_ids()).is_err(),
+            "{kind}: trailing byte accepted"
+        );
     }
 }

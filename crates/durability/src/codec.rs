@@ -1,7 +1,30 @@
 //! Hand-rolled little-endian binary codec: the primitive layer every
-//! durable payload (log events, checkpoint sections) is built from.
-//! Reads are cursor-based and total — malformed input yields a typed
-//! [`CodecError`], never a panic or a partial value.
+//! durable payload (log events, checkpoint sections, partitioner tables)
+//! is built from. Reads are cursor-based and total — malformed input
+//! yields a typed [`CodecError`], never a panic or a partial value.
+//!
+//! # The decode rules
+//!
+//! Every decoder in the workspace reads through three rules, kept here:
+//!
+//! 1. **A count is bounded by the input.** A list's `u64` length is read
+//!    by [`ByteReader::count`] (or [`ByteReader::list`]) with the fewest
+//!    bytes its encoder writes per item. A count whose items cannot fit
+//!    in the bytes left is [`CodecError::Truncated`] before anything is
+//!    allocated, so a reserve is the count itself.
+//! 2. **A list written in key order is read strictly ascending**
+//!    ([`ascending`]): a repeated or out-of-order key is refused, never a
+//!    silent overwrite of the earlier entry.
+//! 3. **A codec error carries its own context.** Every read names what it
+//!    decodes, and a [`DurabilityError`](crate::DurabilityError) takes the
+//!    `CodecError` whole (`?` converts).
+//!
+//! # The round-trip contract
+//!
+//! A decoder accepts only the bytes its encoder would write: an accepted
+//! value re-encodes to exactly the bytes it was decoded from. Bytes no
+//! encoder writes — a tombstone past the last row, a zone map narrower
+//! than its cells, a routing table that would panic — are a typed error.
 
 use std::fmt;
 
@@ -81,6 +104,19 @@ impl ByteWriter {
         self.put_u64(v as u64);
     }
 
+    /// Append a counted list — its `u64` length, then each item as
+    /// `put_one` writes it — which [`ByteReader::list`] (or a loop over
+    /// [`ByteReader::count`]) reads back.
+    pub fn put_list<I>(&mut self, items: I, mut put_one: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.put_usize(items.len());
+        items.for_each(|item| put_one(self, item));
+    }
+
     /// Append a length-prefixed byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
         // Everything written here lands inside a record, whose length
@@ -133,6 +169,30 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+impl CodecError {
+    /// A refusal: `context` decoded, but to a value `detail` says no
+    /// encoder writes.
+    pub fn invalid(context: &'static str, detail: impl Into<String>) -> Self {
+        CodecError::Invalid { context, detail: detail.into() }
+    }
+}
+
+/// Refuse `next` unless it sorts strictly after `last`, the key read
+/// before it from a list its encoder wrote in key order (rule 2 of the
+/// module docs).
+pub fn ascending<K: Ord + ?Sized>(
+    context: &'static str,
+    last: Option<&K>,
+    next: &K,
+) -> Result<(), CodecError> {
+    match last {
+        Some(last) if last >= next => {
+            Err(CodecError::invalid(context, "keys written in order are repeated or out of order"))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// A bounds-checked little-endian cursor over a byte slice.
 #[derive(Debug, Clone)]
 pub struct ByteReader<'a> {
@@ -161,10 +221,7 @@ impl<'a> ByteReader<'a> {
         if self.is_empty() {
             Ok(())
         } else {
-            Err(CodecError::Invalid {
-                context,
-                detail: format!("{} trailing bytes", self.remaining()),
-            })
+            Err(CodecError::invalid(context, format!("{} trailing bytes", self.remaining())))
         }
     }
 
@@ -187,7 +244,7 @@ impl<'a> ByteReader<'a> {
         match self.u8(context)? {
             0 => Ok(false),
             1 => Ok(true),
-            b => Err(CodecError::Invalid { context, detail: format!("bool byte {b}") }),
+            b => Err(CodecError::invalid(context, format!("bool byte {b}"))),
         }
     }
 
@@ -216,11 +273,46 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_bits(self.u64(context)?))
     }
 
-    /// Read a `u64` narrowed to `usize`.
+    /// Read a `u64` narrowed to `usize`. A value, not a length: a list's
+    /// count goes through [`ByteReader::count`].
     pub fn usize(&mut self, context: &'static str) -> Result<usize, CodecError> {
         let v = self.u64(context)?;
-        usize::try_from(v)
-            .map_err(|_| CodecError::Invalid { context, detail: format!("{v} overflows usize") })
+        usize::try_from(v).map_err(|_| CodecError::invalid(context, format!("{v} overflows usize")))
+    }
+
+    /// Read a list's `u64` count, refusing one whose items — each at
+    /// least `min_item_bytes` long, the smallest thing its encoder
+    /// writes per item — cannot fit in the bytes left (rule 1 of the
+    /// module docs).
+    pub fn count(
+        &mut self,
+        context: &'static str,
+        min_item_bytes: usize,
+    ) -> Result<usize, CodecError> {
+        debug_assert!(min_item_bytes > 0, "an item of no bytes bounds nothing");
+        let n = self.u64(context)?;
+        let remaining = self.remaining();
+        let wanted = usize::try_from(n).unwrap_or(usize::MAX).saturating_mul(min_item_bytes);
+        if wanted > remaining {
+            return Err(CodecError::Truncated { context, wanted, remaining });
+        }
+        Ok(n as usize)
+    }
+
+    /// Read a counted list ([`ByteReader::count`]) of items `read_one`
+    /// decodes.
+    pub fn list<T>(
+        &mut self,
+        context: &'static str,
+        min_item_bytes: usize,
+        mut read_one: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let n = self.count(context, min_item_bytes)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(read_one(self)?);
+        }
+        Ok(out)
     }
 
     /// Read a length-prefixed byte slice.
@@ -233,7 +325,7 @@ impl<'a> ByteReader<'a> {
     pub fn str(&mut self, context: &'static str) -> Result<String, CodecError> {
         let raw = self.bytes(context)?;
         String::from_utf8(raw.to_vec())
-            .map_err(|e| CodecError::Invalid { context, detail: format!("utf8: {e}") })
+            .map_err(|e| CodecError::invalid(context, format!("utf8: {e}")))
     }
 }
 
@@ -279,6 +371,42 @@ mod tests {
             let err = r.u64("value").unwrap_err();
             assert!(matches!(err, CodecError::Truncated { wanted: 8, .. }), "{err}");
         }
+    }
+
+    /// A count is refused before anything is allocated when its items
+    /// cannot fit in what is left; one that fits reads, and `list`
+    /// collects exactly that many.
+    #[test]
+    fn counts_are_bounded_by_the_input() {
+        let mut w = ByteWriter::new();
+        w.put_usize(3);
+        (0..3).for_each(|i| w.put_u32(i));
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.list("ids", 4, |r| r.u32("id")), Ok(vec![0, 1, 2]));
+        r.finish("ids").unwrap();
+        for min_item_bytes in [5, 8] {
+            let err = ByteReader::new(&bytes).count("ids", min_item_bytes).unwrap_err();
+            let want =
+                CodecError::Truncated { context: "ids", wanted: 3 * min_item_bytes, remaining: 12 };
+            assert_eq!(err, want);
+        }
+        let huge = u64::MAX.to_le_bytes();
+        let err = ByteReader::new(&huge).count("ids", 1).unwrap_err();
+        assert!(matches!(err, CodecError::Truncated { remaining: 0, .. }), "{err}");
+    }
+
+    #[test]
+    fn ascending_refuses_repeats_and_reversals() {
+        assert_eq!(ascending("k", None, &3), Ok(()));
+        assert_eq!(ascending("k", Some(&2), &3), Ok(()));
+        for last in [3, 4] {
+            assert!(matches!(
+                ascending("k", Some(&last), &3),
+                Err(CodecError::Invalid { context: "k", .. })
+            ));
+        }
+        assert_eq!(ascending::<[i64]>("k", Some(&[1, 2][..]), &[1, 3][..]), Ok(()));
     }
 
     #[test]

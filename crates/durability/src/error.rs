@@ -31,13 +31,9 @@ pub enum DurabilityError {
         /// Which check failed.
         detail: String,
     },
-    /// A record or checkpoint payload failed to decode.
-    Codec {
-        /// What was being decoded.
-        context: String,
-        /// The underlying codec failure.
-        source: CodecError,
-    },
+    /// A record or checkpoint payload failed to decode; the codec error
+    /// names what was being decoded.
+    Codec(CodecError),
     /// Recovered state disagrees with a logged cross-check (ledger
     /// totals, config fingerprints, replayed fault schedules).
     Mismatch {
@@ -63,6 +59,12 @@ pub enum DurabilityError {
     },
 }
 
+impl From<CodecError> for DurabilityError {
+    fn from(source: CodecError) -> Self {
+        DurabilityError::Codec(source)
+    }
+}
+
 impl Clone for DurabilityError {
     /// `std::io::Error` is not `Clone`; the clone preserves its kind and
     /// rendered message, which is everything the typed surface promises.
@@ -76,9 +78,7 @@ impl Clone for DurabilityError {
             DurabilityError::Corruption { offset, detail } => {
                 DurabilityError::Corruption { offset: *offset, detail: detail.clone() }
             }
-            DurabilityError::Codec { context, source } => {
-                DurabilityError::Codec { context: context.clone(), source: source.clone() }
-            }
+            DurabilityError::Codec(source) => DurabilityError::Codec(source.clone()),
             DurabilityError::Mismatch { what, expected, actual } => DurabilityError::Mismatch {
                 what: what.clone(),
                 expected: expected.clone(),
@@ -108,10 +108,7 @@ impl PartialEq for DurabilityError {
                 DurabilityError::Corruption { offset: a, detail: da },
                 DurabilityError::Corruption { offset: b, detail: db },
             ) => a == b && da == db,
-            (
-                DurabilityError::Codec { context: a, source: sa },
-                DurabilityError::Codec { context: b, source: sb },
-            ) => a == b && sa == sb,
+            (DurabilityError::Codec(a), DurabilityError::Codec(b)) => a == b,
             (
                 DurabilityError::Mismatch { what: a, expected: ea, actual: aa },
                 DurabilityError::Mismatch { what: b, expected: eb, actual: ab },
@@ -139,9 +136,7 @@ impl fmt::Display for DurabilityError {
             DurabilityError::Corruption { offset, detail } => {
                 write!(f, "corrupt record at byte {offset}: {detail}")
             }
-            DurabilityError::Codec { context, source } => {
-                write!(f, "undecodable {context}: {source}")
-            }
+            DurabilityError::Codec(source) => write!(f, "undecodable: {source}"),
             DurabilityError::Mismatch { what, expected, actual } => {
                 write!(f, "recovery mismatch on {what}: log says {expected}, rebuilt {actual}")
             }
@@ -159,7 +154,7 @@ impl std::error::Error for DurabilityError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DurabilityError::Io { source, .. } => Some(source),
-            DurabilityError::Codec { source, .. } => Some(source),
+            DurabilityError::Codec(source) => Some(source),
             _ => None,
         }
     }

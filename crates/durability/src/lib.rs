@@ -67,7 +67,7 @@ mod crc;
 mod error;
 mod log;
 
-pub use codec::{ByteReader, ByteWriter, CodecError};
+pub use codec::{ascending, ByteReader, ByteWriter, CodecError};
 pub use crc::crc32;
 pub use error::DurabilityError;
 pub use log::{

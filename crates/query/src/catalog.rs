@@ -205,7 +205,7 @@ impl Catalog {
 // checkpoint, not the catalog's.
 // ---------------------------------------------------------------------
 
-use durability::{ByteReader, ByteWriter, CodecError};
+use durability::{ascending, ByteReader, ByteWriter, CodecError};
 
 impl StoredArray {
     /// Serialize the array registration. Descriptors are written
@@ -216,10 +216,7 @@ impl StoredArray {
         self.id.encode_into(w);
         self.schema.encode_into(w);
         w.put_bool(self.replicated);
-        w.put_usize(self.descriptors.len());
-        for d in self.descriptors.values() {
-            d.encode_into(w);
-        }
+        w.put_list(self.descriptors.values(), |w, d| d.encode_into(w));
         match &self.data {
             Some(array) => {
                 w.put_bool(true);
@@ -234,30 +231,21 @@ impl StoredArray {
         let id = ArrayId::decode_from(r)?;
         let schema = ArraySchema::decode_from(r)?;
         let replicated = r.bool("stored array replicated flag")?;
-        let n = r.usize("stored array descriptor count")?;
         let mut descriptors = BTreeMap::new();
-        for _ in 0..n {
+        for _ in 0..r.count("stored array descriptor count", ChunkDescriptor::MIN_ENCODED_LEN)? {
             let d = ChunkDescriptor::decode_from(r)?;
             if d.key.array != id {
-                return Err(CodecError::Invalid {
-                    context: "stored array descriptor",
-                    detail: format!("descriptor for {} filed under {id:?}", d.key),
-                });
+                let detail = format!("descriptor for {} filed under {id:?}", d.key);
+                return Err(CodecError::invalid("stored array descriptor", detail));
             }
-            if descriptors.insert(d.key.coords, d).is_some() {
-                return Err(CodecError::Invalid {
-                    context: "stored array descriptor",
-                    detail: format!("duplicate descriptor at {}", d.key),
-                });
-            }
+            ascending("stored array descriptor", descriptors.keys().next_back(), &d.key.coords)?;
+            descriptors.insert(d.key.coords, d);
         }
         let data = if r.bool("stored array data flag")? {
             let array = Array::decode_from(r)?;
             if array.id != id {
-                return Err(CodecError::Invalid {
-                    context: "stored array data",
-                    detail: format!("payload array {:?} filed under {id:?}", array.id),
-                });
+                let detail = format!("payload array {:?} filed under {id:?}", array.id);
+                return Err(CodecError::invalid("stored array data", detail));
             }
             Some(array)
         } else {
@@ -270,24 +258,16 @@ impl StoredArray {
 impl Catalog {
     /// Serialize every registration, in `ArrayId` order.
     pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_usize(self.arrays.len());
-        for a in self.arrays.values() {
-            a.encode_into(w);
-        }
+        w.put_list(self.arrays.values(), |w, a| a.encode_into(w));
     }
 
     /// Decode a catalog written by [`Catalog::encode_into`].
     pub fn decode_from(r: &mut ByteReader<'_>) -> std::result::Result<Self, CodecError> {
-        let n = r.usize("catalog array count")?;
         let mut arrays = BTreeMap::new();
-        for _ in 0..n {
+        for _ in 0..r.count("catalog array count", 1)? {
             let a = StoredArray::decode_from(r)?;
-            if arrays.insert(a.id, a).is_some() {
-                return Err(CodecError::Invalid {
-                    context: "catalog array",
-                    detail: "duplicate array id".to_string(),
-                });
-            }
+            ascending("catalog array id", arrays.keys().next_back(), &a.id)?;
+            arrays.insert(a.id, a);
         }
         Ok(Catalog { arrays })
     }

@@ -60,7 +60,7 @@ pub use state::{
 };
 
 use array_model::{ArrayId, DeltaSet, ScalarValue};
-use state::{invalid, sort_staged, Staged, StagedRow};
+use state::{sort_staged, Staged, StagedRow};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -450,9 +450,10 @@ impl MaterializedView {
             }
             _ => unreachable!("state matches the definition by construction"),
         }
-        self.stats.delta_rows += stats.delta_rows;
-        self.stats.rows_changed += stats.rows_changed;
-        self.stats.applies += 1;
+        let total = &mut self.stats; // restored totals may be any `u64`: saturate
+        total.delta_rows = total.delta_rows.saturating_add(stats.delta_rows);
+        total.rows_changed = total.rows_changed.saturating_add(stats.rows_changed);
+        total.applies = total.applies.saturating_add(1);
         stats
     }
 
@@ -612,22 +613,14 @@ impl ViewRegistry {
 // configuration and lays the exported state over them, keyed by name.
 // ---------------------------------------------------------------------
 
-use durability::{ByteReader, ByteWriter, CodecError};
+use durability::{ascending, ByteReader, ByteWriter, CodecError};
 
 fn put_group_key(w: &mut ByteWriter, key: &[i64]) {
-    w.put_usize(key.len());
-    for &k in key {
-        w.put_i64(k);
-    }
+    w.put_list(key, |w, &k| w.put_i64(k));
 }
 
 fn read_group_key(r: &mut ByteReader<'_>) -> Result<Vec<i64>, CodecError> {
-    let n = r.usize("group key len")?;
-    let mut out = Vec::with_capacity(n.min(1 << 8));
-    for _ in 0..n {
-        out.push(r.i64("group key part")?);
-    }
-    Ok(out)
+    r.list("group key len", 8, |r| r.i64("group key part"))
 }
 
 impl MaterializedView {
@@ -643,11 +636,10 @@ impl MaterializedView {
             }
             ViewState::Aggregate { groups } => {
                 w.put_u8(1);
-                w.put_usize(groups.len());
-                for (key, (state, _)) in groups {
+                w.put_list(groups, |w, (key, (state, _))| {
                     put_group_key(w, key);
                     state.encode_into(w);
-                }
+                });
                 let out = || groups.iter().filter_map(|(key, (_, row))| Some((key, (*row)?)));
                 w.put_usize(out().count());
                 for (key, row) in out() {
@@ -680,26 +672,21 @@ impl MaterializedView {
             (1, ViewKind::Aggregate { .. }) => {
                 // Both lists are written in key order, and an output row
                 // is only ever written beside its group.
-                let ascending = |last: Option<&Vec<i64>>, key: &Vec<i64>| match last {
-                    Some(last) if last >= key => {
-                        invalid("group key order", "group keys are not strictly ascending")
-                    }
-                    _ => Ok(()),
-                };
                 let mut groups = BTreeMap::new();
-                for _ in 0..r.usize("view group count")? {
+                for _ in 0..r.count("view group count", 8 + GroupState::MIN_ENCODED_LEN)? {
                     let key = read_group_key(r)?;
-                    ascending(groups.keys().next_back(), &key)?;
+                    ascending("group key order", groups.keys().next_back(), &key)?;
                     groups.insert(key, (GroupState::decode_from(r)?, None));
                 }
                 let mut last = None;
-                for _ in 0..r.usize("view agg row count")? {
+                for _ in 0..r.count("view agg row count", 8 + 8 + 8)? {
                     let key = read_group_key(r)?;
-                    ascending(last.as_ref(), &key)?;
+                    ascending("group key order", last.as_ref(), &key)?;
                     let value = r.f64("agg row value")?;
                     let cells = r.u64("agg row cells")?;
                     let Some((_, row)) = groups.get_mut(&key) else {
-                        return invalid("agg row key", "an output row without its group");
+                        let detail = "an output row without its group";
+                        return Err(CodecError::invalid("agg row key", detail));
                     };
                     *row = Some(AggRow { value, cells });
                     last = Some(key);
@@ -712,16 +699,11 @@ impl MaterializedView {
                 out: ZSet::decode_from(r)?,
             },
             (tag @ 0..=2, _) => {
-                return Err(CodecError::Invalid {
-                    context: "view state tag",
-                    detail: format!("state tag {tag} does not match the shape of {def:?}"),
-                })
+                let detail = format!("state tag {tag} does not match the shape of {def:?}");
+                return Err(CodecError::invalid("view state tag", detail));
             }
             (tag, _) => {
-                return Err(CodecError::Invalid {
-                    context: "view state tag",
-                    detail: format!("unknown tag {tag}"),
-                })
+                return Err(CodecError::invalid("view state tag", format!("unknown tag {tag}")))
             }
         };
         Ok(MaterializedView { def, state, stats })
@@ -731,11 +713,10 @@ impl MaterializedView {
 impl ViewRegistry {
     /// Serialize every view's name and state, in registration order.
     pub fn export_states(&self, w: &mut ByteWriter) {
-        w.put_usize(self.views.len());
-        for view in &self.views {
+        w.put_list(&self.views, |w, view| {
             w.put_str(view.name());
             view.export_state(w);
-        }
+        });
     }
 
     /// Rebuild a registry from re-supplied definitions plus states
@@ -744,12 +725,10 @@ impl ViewRegistry {
     /// or extra definition is a typed error (the recovered run would
     /// silently diverge otherwise).
     pub fn import_states(defs: Vec<ViewDef>, r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let n = r.usize("registry view count")?;
+        let n = r.count("registry view count", 4 + 3 * 8 + 1)?;
         if n != defs.len() {
-            return Err(CodecError::Invalid {
-                context: "registry view count",
-                detail: format!("snapshot holds {n} views, caller supplied {} defs", defs.len()),
-            });
+            let detail = format!("snapshot holds {n} views, caller supplied {} defs", defs.len());
+            return Err(CodecError::invalid("registry view count", detail));
         }
         let mut defs: Vec<Option<ViewDef>> = defs.into_iter().map(Some).collect();
         let mut views = Vec::with_capacity(n);
@@ -759,9 +738,8 @@ impl ViewRegistry {
                 .iter_mut()
                 .find(|d| d.as_ref().is_some_and(|d| d.name == name))
                 .and_then(Option::take)
-                .ok_or_else(|| CodecError::Invalid {
-                    context: "registry view name",
-                    detail: format!("no definition supplied for snapshotted view {name:?}"),
+                .ok_or_else(|| {
+                    CodecError::invalid("registry view name", format!("no definition for {name:?}"))
                 })?;
             views.push(MaterializedView::import_state(def, r)?);
         }

@@ -521,11 +521,7 @@ impl GroupState {
 // a state no delta stream could have built.
 // ---------------------------------------------------------------------
 
-use durability::{ByteReader, ByteWriter, CodecError};
-
-pub(super) fn invalid<T>(context: &'static str, detail: &str) -> Result<T, CodecError> {
-    Err(CodecError::Invalid { context, detail: detail.to_string() })
-}
+use durability::{ascending, ByteReader, ByteWriter, CodecError};
 
 impl KeyScalar {
     /// Serialize as a one-byte tag plus the payload.
@@ -557,30 +553,18 @@ impl KeyScalar {
             1 => KeyScalar::F32(r.u32("key f32 bits")?),
             2 => KeyScalar::F64(r.u64("key f64 bits")?),
             3 => KeyScalar::Str(r.str("key string")?),
-            t => {
-                return Err(CodecError::Invalid {
-                    context: "key scalar tag",
-                    detail: format!("unknown tag {t}"),
-                })
-            }
+            t => return Err(CodecError::invalid("key scalar tag", format!("unknown tag {t}"))),
         })
     }
 }
 
 impl ZSet {
     fn encode_rows(w: &mut ByteWriter, rows: &[Entry<'_>]) {
-        w.put_usize(rows.len());
-        for e in rows {
-            w.put_usize(e.coords.len());
-            for &c in e.coords {
-                w.put_i64(c);
-            }
-            w.put_usize(e.values.len());
-            for v in e.values {
-                v.encode_into(w);
-            }
+        w.put_list(rows, |w, e| {
+            w.put_list(e.coords, |w, &c| w.put_i64(c));
+            w.put_list(e.values, |w, v| v.encode_into(w));
             w.put_i64(e.weight);
-        }
+        });
     }
 
     /// Read one Z-set's rows onto the end of the run, each filed under
@@ -590,21 +574,19 @@ impl ZSet {
         r: &mut ByteReader<'_>,
         key: &[KeyScalar],
     ) -> Result<usize, CodecError> {
-        let n = r.usize("zset row count")?;
+        let n = r.count("zset row count", 8 + 8 + 8)?;
         for _ in 0..n {
             self.keys.extend_from_slice(key);
-            for _ in 0..r.usize("zset coord count")? {
+            for _ in 0..r.count("zset coord count", 8)? {
                 self.coords.push(r.i64("zset coord")?);
             }
-            for _ in 0..r.usize("zset value count")? {
+            for _ in 0..r.count("zset value count", 2)? {
                 self.values.push(ScalarValue::decode_from(r)?);
             }
             let weight = r.i64("zset weight")?;
             if weight == 0 {
-                return invalid(
-                    "zset weight",
-                    "zero-weight row in snapshot (cancelled rows are never stored)",
-                );
+                let detail = "zero-weight row in snapshot (cancelled rows are never stored)";
+                return Err(CodecError::invalid("zset weight", detail));
             }
             self.end_row(weight);
             let rows = self.len();
@@ -612,7 +594,8 @@ impl ZSet {
                 && cmp_keyed(self.entry(rows - 2).sort_key(), self.entry(rows - 1).sort_key())
                     .is_ge()
             {
-                return invalid("zset row order", "rows are not strictly ascending");
+                let detail = "rows are not strictly ascending";
+                return Err(CodecError::invalid("zset row order", detail));
             }
         }
         Ok(n)
@@ -636,33 +619,29 @@ impl ZSet {
     pub(super) fn encode_index_into(&self, w: &mut ByteWriter) {
         let rows: Vec<Entry<'_>> = self.entries().collect();
         let slots: Vec<&[Entry<'_>]> = rows.chunk_by(|a, b| a.key == b.key).collect();
-        w.put_usize(slots.len());
-        for slot in slots {
-            w.put_usize(slot[0].key.len());
-            for k in slot[0].key {
-                k.encode_into(w);
-            }
+        w.put_list(slots, |w, slot| {
+            w.put_list(slot[0].key, |w, k| k.encode_into(w));
             Self::encode_rows(w, slot);
-        }
+        });
     }
 
     /// Decode a join side written by [`ZSet::encode_index_into`]: keys
     /// strictly ascending, no key without rows.
     pub(super) fn decode_index_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let n = r.usize("join index len")?;
+        let n = r.count("join index len", 8 + 8)?;
         let mut out = ZSet::default();
         let mut key = Vec::new();
         for _ in 0..n {
             key.clear();
-            for _ in 0..r.usize("join key len")? {
+            for _ in 0..r.count("join key len", 5)? {
                 key.push(KeyScalar::decode_from(r)?);
             }
             // The last row read so far is filed under the previous key.
-            if out.entries_from(out.len().saturating_sub(1)).any(|e| e.key >= &key[..]) {
-                return invalid("join key order", "keys are not strictly ascending");
-            }
+            let last = out.entries_from(out.len().saturating_sub(1)).next().map(|e| e.key);
+            ascending("join key order", last, &key[..])?;
             if out.decode_rows(r, &key)? == 0 {
-                return invalid("join index slot", "a key with no rows is never stored");
+                let detail = "a key with no rows is never stored";
+                return Err(CodecError::invalid("join index slot", detail));
             }
         }
         Ok(out)
@@ -670,15 +649,18 @@ impl ZSet {
 }
 
 impl GroupState {
+    /// The fewest bytes [`GroupState::encode_into`] writes: a count, an
+    /// empty multiset and two absent extrema.
+    pub(super) const MIN_ENCODED_LEN: usize = 8 + 8 + 1 + 1;
+
     /// Serialize the accumulator: count, the sorted multiset, and its
     /// two ends as optional extrema.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         w.put_i64(self.count);
-        w.put_usize(self.values.len());
-        for &(bits, mult) in &self.values {
+        w.put_list(&self.values, |w, &(bits, mult)| {
             w.put_u64(bits);
             w.put_i64(mult);
-        }
+        });
         for end in [self.values.first(), self.values.last()] {
             match end {
                 Some(&(bits, _)) => {
@@ -693,23 +675,22 @@ impl GroupState {
     /// Decode an accumulator written by [`GroupState::encode_into`].
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let count = r.i64("group count")?;
-        let n = r.usize("group multiset len")?;
-        let mut values: Vec<(u64, i64)> = Vec::with_capacity(n.min(1 << 8));
-        let mut sum = Some(0i64);
-        for _ in 0..n {
+        let mut last = None;
+        let values = r.list("group multiset len", 8 + 8, |r| {
             let bits = r.u64("group value bits")?;
+            ascending("group value bits", last.as_ref(), &bits)?;
+            last = Some(bits);
             let mult = r.i64("group multiplicity")?;
-            if values.last().is_some_and(|&(prev, _)| prev >= bits) {
-                return invalid("group value bits", "multiset is not strictly ascending");
-            }
             if mult == 0 {
-                return invalid("group multiplicity", "a cancelled value is never stored");
+                let detail = "a cancelled value is never stored";
+                return Err(CodecError::invalid("group multiplicity", detail));
             }
-            sum = sum.and_then(|s| s.checked_add(mult));
-            values.push((bits, mult));
-        }
+            Ok((bits, mult))
+        })?;
+        let sum = values.iter().try_fold(0i64, |sum, &(_, mult)| sum.checked_add(mult));
         if sum != Some(count) {
-            return invalid("group count", "count is not the multiset's weight sum");
+            let detail = "count is not the multiset's weight sum";
+            return Err(CodecError::invalid("group count", detail));
         }
         for end in [values.first(), values.last()] {
             let stored = match r.bool("group extremum flag")? {
@@ -717,7 +698,8 @@ impl GroupState {
                 false => None,
             };
             if stored != end.map(|&(bits, _)| bits) {
-                return invalid("group extremum bits", "extremum is not the multiset's end");
+                let detail = "extremum is not the multiset's end";
+                return Err(CodecError::invalid("group extremum bits", detail));
             }
         }
         Ok(GroupState { count, values })

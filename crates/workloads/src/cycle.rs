@@ -1295,13 +1295,14 @@ mod tests {
             other => panic!("expected a typed mismatch, got {:?}", other.map(|_| "a world").err()),
         };
         assert!(refusal(&with_extra(&entry)).contains("written twice"));
-        // The same cells filed at chunk position 40, which nothing holds.
-        // (An entry is the array id, then the chunk, which opens with its
-        // coordinates: an arity byte and one `i64`.)
+        // The same cells filed at chunk position -1, which nothing holds
+        // (and which sorts first, where the extra entry goes). An entry is
+        // the array id, then the chunk, which opens with its coordinates:
+        // an arity byte and one `i64`.
         let mut id = ByteWriter::new();
         CHURN.encode_into(&mut id);
         let mut stray = entry.clone();
-        stray[id.len() + 1..id.len() + 9].copy_from_slice(&40i64.to_le_bytes());
+        stray[id.len() + 1..id.len() + 9].copy_from_slice(&(-1i64).to_le_bytes());
         assert!(refusal(&with_extra(&stray)).contains("held by none"));
     }
 

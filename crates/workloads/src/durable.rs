@@ -187,14 +187,12 @@ pub(crate) fn write_faults(w: &mut ByteWriter, cycle: u64, digest: u64) {
 
 pub(crate) fn write_insert_cells(w: &mut ByteWriter, batches: &[CellBatch]) {
     w.put_u8(TAG_INSERT_CELLS);
-    w.put_usize(batches.len());
-    batches.iter().for_each(|b| b.encode_into(w));
+    w.put_list(batches, |w, b| b.encode_into(w));
 }
 
 fn write_descs(w: &mut ByteWriter, tag: u8, descs: &[ChunkDescriptor]) {
     w.put_u8(tag);
-    w.put_usize(descs.len());
-    descs.iter().for_each(|d| d.encode_into(w));
+    w.put_list(descs, |w, d| d.encode_into(w));
 }
 
 pub(crate) fn write_insert_meta(w: &mut ByteWriter, descs: &[ChunkDescriptor]) {
@@ -249,19 +247,15 @@ impl WalEvent {
                 digest: r.u64("faults digest")?,
             },
             TAG_INSERT_CELLS => {
-                let n = r.usize("insert batch count")?;
-                let mut batches = Vec::with_capacity(n.min(1 << 10));
-                for _ in 0..n {
-                    batches.push(CellBatch::decode_from(&mut r)?);
-                }
+                let batches = r.list("insert batch count", 1, CellBatch::decode_from)?;
                 WalEvent::InsertCells { batches }
             }
             TAG_INSERT_META | TAG_DERIVED => {
-                let n = r.usize("descriptor count")?;
-                let mut descs = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    descs.push(ChunkDescriptor::decode_from(&mut r)?);
-                }
+                let descs = r.list(
+                    "descriptor count",
+                    ChunkDescriptor::MIN_ENCODED_LEN,
+                    ChunkDescriptor::decode_from,
+                )?;
                 if tag == TAG_INSERT_META {
                     WalEvent::InsertMeta { descs }
                 } else {
@@ -275,10 +269,7 @@ impl WalEvent {
             },
             TAG_CYCLE_END => WalEvent::CycleEnd { cycle: r.u64("cycle end index")? },
             other => {
-                return Err(CodecError::Invalid {
-                    context: "wal event tag",
-                    detail: format!("unknown tag {other}"),
-                })
+                return Err(CodecError::invalid("wal event tag", format!("unknown tag {other}")))
             }
         };
         r.finish("wal event")?;
@@ -514,11 +505,6 @@ pub(crate) fn mismatch(
     DurabilityError::Mismatch { what: what.into(), expected: want.into(), actual: got.into() }
 }
 
-/// A checkpoint section that failed to decode.
-pub(crate) fn checkpoint_codec(source: CodecError) -> DurabilityError {
-    DurabilityError::Codec { context: "checkpoint blob".to_string(), source }
-}
-
 fn durability_err(cycle: usize) -> impl FnOnce(DurabilityError) -> CycleError {
     move |source| CycleError::Durability { cycle, source }
 }
@@ -743,10 +729,7 @@ impl Wal {
             return Err(DurabilityError::Corruption { offset: frames.offset(), detail });
         };
         let mut r = ByteReader::new(payload);
-        let header = (
-            r.u64("checkpoint fingerprint").map_err(checkpoint_codec)?,
-            r.u64("checkpoint next cycle").map_err(checkpoint_codec)?,
-        );
+        let header = (r.u64("checkpoint fingerprint")?, r.u64("checkpoint next cycle")?);
         if header != (self.fingerprint, seq) {
             let (want, got) = (format!("{:x?}", (self.fingerprint, seq)), format!("{header:x?}"));
             return Err(mismatch("checkpoint header (fingerprint, next cycle), in hex", want, got));

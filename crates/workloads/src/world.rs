@@ -42,7 +42,7 @@
 //!    any batch, then the controller sees the demand it faces next.
 
 use crate::cycle::{CycleError, RunnerConfig, ScalingPolicy};
-use crate::durable::{checkpoint_codec, mismatch};
+use crate::durable::mismatch;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::spec::{CellBatch, SuiteReport, Workload};
 use array_model::{
@@ -52,13 +52,13 @@ use array_model::{
 use cluster_sim::{
     gb, Cluster, ClusterError, Flakiness, FlowSet, MidCrash, NodeId, NodeState, RebalancePlan,
 };
-use durability::{ByteReader, ByteWriter, DurabilityError};
+use durability::{ascending, ByteReader, ByteWriter, DurabilityError};
 use elastic_core::{
-    batch_prefix_bytes, build_partitioner, route_batch, Partitioner, ProvisionDecision, RouteEpoch,
-    StaircaseProvisioner,
+    batch_prefix_bytes, build_partitioner, route_batch, unlocated, Partitioner, ProvisionDecision,
+    RouteEpoch, StaircaseProvisioner,
 };
 use query_engine::view::{ViewApplyStats, ViewDef, ViewRegistry};
-use query_engine::{Catalog, ExecutionContext};
+use query_engine::{Catalog, ExecutionContext, StoredArray};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -298,26 +298,27 @@ impl World {
     pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
         self.catalog.encode_into(w);
         let cells = self.stored_cells();
-        w.put_usize(cells.len());
-        for (key, chunk) in cells {
+        w.put_list(cells, |w, (key, chunk)| {
             // A chunk writes its own coordinates; the array completes the key.
             key.array.encode_into(w);
             chunk.encode_into(w);
-        }
+        });
         self.cluster.snapshot_into(w);
         w.put_bytes(&self.partitioner.table_snapshot());
         w.put_bool(self.provisioner.is_some());
         if let Some(p) = &self.provisioner {
-            w.put_usize(p.history().len());
-            for &v in p.history() {
-                w.put_f64(v);
-            }
+            w.put_list(p.history(), |w, &v| w.put_f64(v));
         }
         self.views.export_states(w);
     }
 
     /// Rebuild a world from a checkpoint's state section, for the same
-    /// `(workload, config)` and view definitions the writer had.
+    /// `(workload, config)` and view definitions the writer had. Besides
+    /// what each section's codec checks, the sections are checked against
+    /// each other and against the workload: the catalog registers the
+    /// workload's arrays, each chunk's cells fit their array's schema and
+    /// are held by a node, and the partitioner's table — on the restored
+    /// roster — locates every chunk the cluster places.
     pub(crate) fn decode(
         bytes: &[u8],
         workload: &dyn Workload,
@@ -325,15 +326,29 @@ impl World {
         view_defs: Vec<ViewDef>,
     ) -> Result<World, DurabilityError> {
         let mut r = ByteReader::new(bytes);
-        let catalog = Catalog::decode_from(&mut r).map_err(checkpoint_codec)?;
+        let catalog = Catalog::decode_from(&mut r)?;
+        fn registration(a: &StoredArray) -> (ArrayId, &ArraySchema, bool) {
+            (a.id, &a.schema, a.replicated)
+        }
+        let mut registered = Catalog::new();
+        workload.register_arrays(&mut registered);
+        if !catalog.arrays().map(registration).eq(registered.arrays().map(registration)) {
+            return Err(mismatch("catalog", "the workload's arrays and schemas", "others"));
+        }
         let mut cells = BTreeMap::new();
-        for _ in 0..r.usize("cells section length").map_err(checkpoint_codec)? {
-            let array = ArrayId::decode_from(&mut r).map_err(checkpoint_codec)?;
-            let chunk = Chunk::decode_from(&mut r).map_err(checkpoint_codec)?;
+        for _ in 0..r.count("cells section length", 4 + 1)? {
+            let array = ArrayId::decode_from(&mut r)?;
+            let chunk = Chunk::decode_from(&mut r)?;
             let key = ChunkKey::new(array, chunk.coords);
-            if cells.insert(key, Arc::new(chunk)).is_some() {
+            if cells.contains_key(&key) {
                 return Err(mismatch(format!("cells of {key}"), "written once", "written twice"));
             }
+            ascending("cells section key", cells.keys().next_back(), &key)?;
+            let fits = catalog.array(array).map_err(|e| e.to_string());
+            if let Err(e) = fits.and_then(|a| chunk.matches(&a.schema).map_err(|e| e.to_string())) {
+                return Err(mismatch(format!("cells of {key}"), "its array's schema", e));
+            }
+            cells.insert(key, Arc::new(chunk));
         }
         // Each chunk's record takes the one handle decoded for it, as the
         // run held one `Arc<Chunk>` per chunk.
@@ -345,21 +360,23 @@ impl World {
             return Err(mismatch(format!("cells of {key}"), "held by a node", "held by none"));
         }
         let mut partitioner = Self::partitioner_for(workload, config, &cluster);
-        let table = r.bytes("partitioner table").map_err(checkpoint_codec)?;
-        partitioner.table_restore(table).map_err(checkpoint_codec)?;
+        partitioner.table_restore(r.bytes("partitioner table")?, &cluster.node_ids())?;
+        if let Some(key) = unlocated(partitioner.as_ref(), &cluster) {
+            return Err(mismatch(format!("partitioner entry of {key}"), "present", "absent"));
+        }
         let mut provisioner = Self::provisioner_for(config);
-        let logged = r.bool("provisioner presence").map_err(checkpoint_codec)?;
+        let logged = r.bool("provisioner presence")?;
         if logged != provisioner.is_some() {
             let (want, got) = (provisioner.is_some().to_string(), logged.to_string());
             return Err(mismatch("provisioner presence (from the scaling policy)", want, got));
         }
         if let Some(p) = provisioner.as_mut() {
-            for _ in 0..r.usize("provisioner history length").map_err(checkpoint_codec)? {
-                p.observe(r.f64("provisioner history sample").map_err(checkpoint_codec)?);
+            for _ in 0..r.count("provisioner history length", 8)? {
+                p.observe(r.f64("provisioner history sample")?);
             }
         }
-        let views = ViewRegistry::import_states(view_defs, &mut r).map_err(checkpoint_codec)?;
-        r.finish("checkpoint blob").map_err(checkpoint_codec)?;
+        let views = ViewRegistry::import_states(view_defs, &mut r)?;
+        r.finish("checkpoint blob")?;
         Ok(World { cluster, catalog, partitioner, provisioner, views, delta: DeltaSet::new() })
     }
 
