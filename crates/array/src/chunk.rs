@@ -645,34 +645,6 @@ impl Chunk {
         freed
     }
 
-    /// Bytes held by dictionary entries that no **live** row references:
-    /// the storage retractions strand inside dict-encoded string columns.
-    /// Tombstoning a row frees only its 4-byte code — the interned string
-    /// it pointed at stays resident until [`Chunk::compact`] rebuilds the
-    /// column — so under churny workloads these dangling entries grow
-    /// without ever moving `tombstone_count` relative to fresh inserts.
-    /// The byte accounting matches the build-side dictionary charge
-    /// (`len + 4` per entry). O(physical rows × dict columns); zero for
-    /// plain-encoded chunks.
-    pub fn dangling_dict_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for col in &self.columns {
-            let Some(dc) = col.as_dict() else { continue };
-            let mut live = vec![false; dc.dict().len()];
-            for (_, row) in self.iter_cells() {
-                if let Some(&code) = dc.codes().get(row) {
-                    live[code as usize] = true;
-                }
-            }
-            for (s, live) in dc.dict().iter().zip(live) {
-                if !live {
-                    total += s.len() as u64 + 4;
-                }
-            }
-        }
-        total
-    }
-
     /// Reclaim tombstoned rows: rebuild the coordinate buffer and every
     /// column from the surviving rows, under the chunk's original string
     /// encoding — so dictionary entries with no remaining references are

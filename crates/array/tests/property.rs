@@ -1147,7 +1147,7 @@ proptest! {
     /// interning the physical rows in order gives: representation, codes,
     /// entries through `get` and `iter`, `code_of` of every entry and of
     /// an absent string (on the live dictionary and on a clone that is
-    /// probed before the original is), byte size, dangling bytes, and the
+    /// probed before the original is), byte size, and the
     /// encoded bytes — written here entry by entry, as the `Vec<String>`
     /// dictionary wrote them — which decode to an equal column.
     #[test]
@@ -1226,7 +1226,6 @@ proptest! {
                     let plain: u64 = rows.iter().map(|row| row.1.len() as u64 + 4).sum();
                     prop_assert_eq!(chunk.byte_size(), 8 * rows.len() as u64 + plain);
                 }
-                prop_assert_eq!(chunk.dangling_dict_bytes(), 0);
                 continue;
             };
             let dict = dc.dict();
@@ -1236,12 +1235,6 @@ proptest! {
             let entry_bytes: u64 = entries.iter().map(|e| e.len() as u64 + 4).sum();
             prop_assert_eq!(dict.byte_size(), entry_bytes);
             prop_assert_eq!(chunk.byte_size(), (8 + 4) * live().count() as u64 + entry_bytes);
-            let referenced: u64 = entries
-                .iter()
-                .filter(|e| live().any(|row| row.1 == **e))
-                .map(|e| e.len() as u64 + 4)
-                .sum();
-            prop_assert_eq!(chunk.dangling_dict_bytes(), entry_bytes - referenced);
             // A clone is probed first: it builds its own table, from an
             // arena it did not intern into.
             let cloned = dict.clone();

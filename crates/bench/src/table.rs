@@ -129,9 +129,11 @@ mod tests {
     fn csv_escapes_commas() {
         let mut t = TextTable::new(&["a"]);
         t.row(vec!["x,y".into()]);
-        let dir = std::env::temp_dir().join("ead-table-test");
+        // One directory per process: concurrent test runs never share it.
+        let dir = std::env::temp_dir().join(format!("ead-table-test-{}", std::process::id()));
         let path = t.write_csv(&dir, "esc").unwrap();
         let body = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
         assert!(body.contains("\"x,y\""));
     }
 }

@@ -229,15 +229,6 @@ pub struct RunnerConfig {
     /// `f64::INFINITY` disables the sweep. The default `0.5` keeps a
     /// chunk's dead rows below half its storage.
     pub gc_tombstone_ratio: f64,
-    /// Second, byte-denominated GC trigger: a placed chunk whose
-    /// dangling dictionary bytes (interned strings no live row
-    /// references — tombstoning frees only the 4-byte code, the string
-    /// stays until compaction) reach this count is compacted in the
-    /// retraction step, even when its *row* ratio is still below
-    /// [`RunnerConfig::gc_tombstone_ratio`]. Catches the churn shape
-    /// where a few huge strings die early in a chunk that keeps
-    /// accumulating live rows. `u64::MAX` (the default) disables it.
-    pub gc_dangling_dict_bytes: u64,
     /// Crash-consistent durability: when set, every cycle's logical
     /// events are written ahead to the configured log and the full
     /// runner state checkpoints periodically, so
@@ -275,7 +266,6 @@ impl Default for RunnerConfig {
             fault_plan: None,
             on_error: ErrorPolicy::default(),
             gc_tombstone_ratio: 0.5,
-            gc_dangling_dict_bytes: u64::MAX,
             durability: None,
         }
     }
@@ -690,40 +680,23 @@ impl<'w> WorkloadRunner<'w> {
         config: RunnerConfig,
         views: Vec<ViewDef>,
     ) -> Result<WorkloadRunner<'w>, CycleError> {
-        Self::recover_build(WorkloadRef::Borrowed(workload), config, views)
-    }
-
-    /// [`WorkloadRunner::recover`] taking ownership of the workload.
-    pub fn recover_owned(
-        workload: impl Workload + 'static,
-        config: RunnerConfig,
-        views: Vec<ViewDef>,
-    ) -> Result<WorkloadRunner<'static>, CycleError> {
-        WorkloadRunner::recover_build(WorkloadRef::Owned(Box::new(workload)), config, views)
-    }
-
-    fn recover_build(
-        workload: WorkloadRef<'_>,
-        config: RunnerConfig,
-        defs: Vec<ViewDef>,
-    ) -> Result<WorkloadRunner<'_>, CycleError> {
         let durability_err = |cycle, source| CycleError::Durability { cycle, source };
-        let Some(mut wal) = Wal::for_run(&config, workload.get()) else {
+        let Some(mut wal) = Wal::for_run(&config, workload) else {
             let expected = "RunnerConfig::durability = Some(..)";
             return Err(durability_err(0, mismatch("recover() configuration", expected, "None")));
         };
         let committed = wal.open()?;
-        let checkpoint = wal.newest_checkpoint(|state| {
-            World::decode(state, workload.get(), &config, defs.clone())
-        })?;
+        let checkpoint =
+            wal.newest_checkpoint(|state| World::decode(state, workload, &config, views.clone()))?;
         let (start_cycle, world) = checkpoint.unwrap_or_else(|| {
-            let mut world = World::new(workload.get(), &config);
-            defs.iter().cloned().for_each(|def| world.views.register(def));
+            let mut world = World::new(workload, &config);
+            views.iter().cloned().for_each(|def| world.views.register(def));
             (0, world)
         });
 
         // Re-execute the committed suffix: the log, still in replay mode,
         // byte-checks every record instead of appending it.
+        let workload = WorkloadRef::Borrowed(workload);
         let mut runner = WorkloadRunner { workload, config, world, wal: Some(wal), start_cycle };
         while runner.start_cycle < committed {
             runner.run_cycle(runner.start_cycle)?;
@@ -941,113 +914,6 @@ mod tests {
         assert_eq!(total, 16_000_000, "cycles 0 and 2 landed, cycle 1 did not");
     }
 
-    /// Materialized insert-then-delete script: the first `grow` cycles
-    /// each insert `cells` cells; every later cycle retracts one of the
-    /// earlier cycles wholesale, opening a demand trough for the
-    /// staircase's scale-in band.
-    struct TroughWorkload {
-        cycles: usize,
-        grow: usize,
-        cells: usize,
-    }
-
-    const TROUGH: ArrayId = ArrayId(3);
-
-    impl TroughWorkload {
-        fn schema() -> ArraySchema {
-            ArraySchema::parse("T<v:double>[x=0:*,64]").unwrap()
-        }
-    }
-
-    impl Workload for TroughWorkload {
-        fn name(&self) -> &'static str {
-            "trough"
-        }
-        fn cycles(&self) -> usize {
-            self.cycles
-        }
-        fn register_arrays(&self, catalog: &mut Catalog) {
-            catalog.register(query_engine::StoredArray::from_descriptors(
-                TROUGH,
-                Self::schema(),
-                [],
-            ));
-        }
-        fn insert_batch(&self, _cycle: usize) -> Vec<ChunkDescriptor> {
-            Vec::new()
-        }
-        fn cell_batch(&self, cycle: usize) -> Option<Vec<CellBatch>> {
-            use array_model::ScalarValue;
-            let mut batch = CellBatch::new(TROUGH, &Self::schema());
-            if cycle < self.grow {
-                let mut vals = Vec::with_capacity(1);
-                for i in 0..self.cells {
-                    let x = (cycle * self.cells + i) as i64;
-                    vals.push(ScalarValue::Double(x as f64));
-                    batch.push(&[x], &mut vals);
-                }
-            } else {
-                let old = cycle - self.grow;
-                for i in 0..self.cells {
-                    batch.push_retraction(&[(old * self.cells + i) as i64]);
-                }
-            }
-            Some(vec![batch])
-        }
-        fn derived_batch(&self, _cycle: usize) -> Vec<ChunkDescriptor> {
-            Vec::new()
-        }
-        fn grid_hint(&self) -> elastic_core::GridHint {
-            elastic_core::GridHint::new(vec![1024])
-        }
-        fn run_suites(&self, _ctx: &ExecutionContext<'_>, _cycle: usize) -> SuiteReport {
-            SuiteReport::default()
-        }
-    }
-
-    #[test]
-    fn demand_trough_shrinks_the_cluster() {
-        // 16 B/cell (one i64 coordinate + one double): 2048 cells fill
-        // exactly two 16 KB nodes, so the run climbs the staircase for
-        // three cycles and then walks it back down as deletes land.
-        let w = TroughWorkload { cycles: 6, grow: 3, cells: 2048 };
-        let mut cfg = config(PartitionerKind::RoundRobin);
-        cfg.node_capacity = 16_384;
-        cfg.run_queries = false;
-        cfg.scaling = ScalingPolicy::Staircase(StaircaseConfig {
-            node_capacity_gb: 16_384.0 / 1e9,
-            samples: 2,
-            plan_ahead: 1,
-            trigger: 1.0,
-            shrink_margin: 0.75,
-        });
-        let mut runner = WorkloadRunner::new_owned(w, cfg);
-        let report = runner.run_all().expect("trough run completes");
-        let peak = report.cycles.iter().map(|c| c.nodes).max().unwrap();
-        let last = report.cycles.last().unwrap();
-        assert!(peak > 2, "cluster must grow first (peak {peak})");
-        assert!(last.nodes < peak, "must end below the {peak}-node peak, got {}", last.nodes);
-        assert_eq!(last.nodes, 1, "an emptied store releases down to the one-node floor");
-        let removed: usize = report.cycles.iter().map(|c| c.removed_nodes).sum();
-        assert_eq!(removed, peak - 1, "every step above the floor was released");
-        let retracted: u64 = report.cycles.iter().map(|c| c.retracted_cells).sum();
-        assert_eq!(retracted, 3 * 2048, "every inserted cell was retracted");
-        let evicted: usize = report.cycles.iter().map(|c| c.evicted_chunks).sum();
-        assert_eq!(evicted, 96, "3 retracted cycles x 32 chunks each (64-cell chunks)");
-        // The books drain to zero and stay balanced: retired slots keep
-        // zero load, the placement holds no chunks, and the census is
-        // empty rather than under-replicated.
-        let cluster = runner.cluster();
-        assert_eq!(cluster.total_used(), 0);
-        assert_eq!(cluster.total_chunks(), 0);
-        assert_eq!(cluster.active_node_count(), 1);
-        assert_eq!(cluster.node_count() - cluster.active_node_count(), removed);
-        assert_eq!(cluster.balance_rsd(), 0.0);
-        // Drained bytes are accounted as reorg movement and time.
-        assert!(report.cycles.iter().any(|c| c.removed_nodes > 0 && c.moved_bytes > 0));
-        assert!(report.phase_totals().reorg_secs > 0.0);
-    }
-
     /// Sustained churn: every cycle inserts a fresh coordinate range and
     /// retracts half of the previous cycle's — chunks accumulate
     /// tombstones without ever emptying, the case on-demand compaction
@@ -1183,66 +1049,6 @@ mod tests {
             gc_runner.cluster().total_used(),
             off_runner.cluster().total_used()
         );
-    }
-
-    /// The byte-denominated GC trigger: with the row-ratio sweep
-    /// disabled outright, dangling dictionary bytes alone — interned
-    /// strings whose every referencing row was tombstoned, bytes the
-    /// 4-byte-code accounting of retraction can never free — trip
-    /// compaction. ChurnWorkload's `tag{i % 50}` strings guarantee every
-    /// half-retracted chunk strands some entries: a tag referenced only
-    /// by even rows dangles once the even rows die.
-    #[test]
-    fn dangling_dict_bytes_trigger_gc_without_ratio_pressure() {
-        let cycles = 3usize;
-        let cells = 1024usize;
-        let run = |threshold: u64| {
-            let mut cfg = config(PartitionerKind::RoundRobin);
-            cfg.run_queries = false;
-            cfg.gc_tombstone_ratio = f64::INFINITY;
-            cfg.gc_dangling_dict_bytes = threshold;
-            let mut runner = WorkloadRunner::new_owned(ChurnWorkload { cycles, cells }, cfg);
-            let report = runner.run_all().expect("churn run completes");
-            (report, runner)
-        };
-        let (on_report, on_runner) = run(1);
-        let (off_report, off_runner) = run(u64::MAX);
-
-        // Every previous-cycle chunk strands dictionary bytes when its
-        // even rows retract, so each compacts exactly once.
-        let compacted: usize = on_report.cycles.iter().map(|c| c.gc_compacted_chunks).sum();
-        assert_eq!(compacted, (cycles - 1) * cells / 64, "every churned chunk compacts once");
-        assert!(on_report.cycles.iter().map(|c| c.gc_reclaimed_bytes).sum::<i64>() > 0);
-        assert_eq!(
-            off_report.cycles.iter().map(|c| c.gc_compacted_chunks).sum::<usize>(),
-            0,
-            "u64::MAX disables the byte trigger"
-        );
-
-        let dangling = |runner: &WorkloadRunner<'_>| -> u64 {
-            let mut total = 0;
-            for stored in runner.catalog().arrays() {
-                for coords in stored.descriptors.keys() {
-                    let key = ChunkKey::new(stored.id, *coords);
-                    let payload = runner.cluster().payload(&key).expect("materialized run");
-                    total += payload.dangling_dict_bytes();
-                }
-            }
-            total
-        };
-        assert_eq!(dangling(&on_runner), 0, "byte-triggered GC clears every stranded entry");
-        assert!(dangling(&off_runner) > 0, "without the trigger stranded entries accumulate");
-
-        // The GC'd store ends strictly smaller in accounted bytes, and
-        // its books stay exact (descriptor == payload).
-        assert!(on_runner.cluster().total_used() < off_runner.cluster().total_used());
-        for stored in on_runner.catalog().arrays() {
-            for (coords, desc) in &stored.descriptors {
-                let key = ChunkKey::new(stored.id, *coords);
-                let payload = on_runner.cluster().payload(&key).expect("materialized run");
-                assert_eq!(payload.byte_size(), desc.bytes);
-            }
-        }
     }
 
     /// A checkpoint's cells section lists what the node stores hold and

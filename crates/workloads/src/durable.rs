@@ -385,7 +385,6 @@ pub(crate) fn config_fingerprint(
         }
     }
     h = fold_f64(h, config.gc_tombstone_ratio);
-    h = fold(h, config.gc_dangling_dict_bytes);
     h
 }
 

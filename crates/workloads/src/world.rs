@@ -159,18 +159,14 @@ pub fn build_cell_array_encoded(
 }
 
 /// Threshold-triggered tombstone GC: does `payload` want compacting?
-/// Row-ratio pressure first, dangling-dictionary byte pressure second
-/// (checked lazily — the dictionary scan is per-entry work the ratio
-/// check avoids). Both thresholds default to "never".
+/// Its tombstones have reached [`RunnerConfig::gc_tombstone_ratio`] of
+/// its physical rows.
 fn gc_trips(config: &RunnerConfig, payload: &Chunk) -> bool {
     let dead = payload.tombstone_count() as f64;
     let physical = payload.physical_cell_count() as f64;
-    let ratio_trip = config.gc_tombstone_ratio.is_finite()
+    config.gc_tombstone_ratio.is_finite()
         && physical > 0.0
-        && dead >= config.gc_tombstone_ratio * physical;
-    ratio_trip
-        || (config.gc_dangling_dict_bytes != u64::MAX
-            && payload.dangling_dict_bytes() >= config.gc_dangling_dict_bytes)
+        && dead >= config.gc_tombstone_ratio * physical
 }
 
 /// What a retraction script does to one chunk: how many of its cells
@@ -501,10 +497,9 @@ impl World {
     ///   lets the provisioner see the trough.
     /// * **Install.** Otherwise the rows are tombstoned on **one** copy
     ///   of the chunk; if its tombstones now reach
-    ///   [`RunnerConfig::gc_tombstone_ratio`] of its physical rows (or
-    ///   its dangling dictionary bytes their threshold) that copy is
-    ///   compacted too; and the one resulting handle goes to the primary
-    ///   and every replica ([`Cluster::install_payload`]).
+    ///   [`RunnerConfig::gc_tombstone_ratio`] of its physical rows that
+    ///   copy is compacted too; and the one resulting handle goes to the
+    ///   primary and every replica ([`Cluster::install_payload`]).
     ///
     /// A group whose chunk is not placed — never inserted, or already
     /// retracted whole — misses throughout: retraction is idempotent. A
@@ -594,12 +589,20 @@ impl World {
         batches.into_iter().map(build).collect()
     }
 
-    /// Most nodes a FixedStep policy will add in one cycle. Generous — the
+    /// Most nodes one cycle adds, whatever the policy. Generous — the
     /// paper's schedules add 2 — but finite, so a runaway demand signal
-    /// cannot allocate an unbounded roster; hitting the cap is surfaced
-    /// through [`CycleReport::scale_saturated`](crate::CycleReport::scale_saturated)
+    /// (or a restored provisioner history that implies one) cannot
+    /// allocate an unbounded roster; hitting the cap is surfaced through
+    /// [`CycleReport::scale_saturated`](crate::CycleReport::scale_saturated)
     /// rather than dropped.
-    const MAX_FIXED_STEP_ADD: u64 = 4096;
+    const MAX_STEP_ADD: u64 = 4096;
+
+    /// A scale-out of `add` nodes, held to [`World::MAX_STEP_ADD`].
+    fn scale_out_step(add: u64) -> ScaleStep {
+        let saturated = add > Self::MAX_STEP_ADD;
+        // At most MAX_STEP_ADD: the cast cannot truncate.
+        ScaleStep { add: add.min(Self::MAX_STEP_ADD) as usize, remove: 0, saturated }
+    }
 
     /// Phase 4, the verdict. Decide how the roster changes for a
     /// projected `demand_bytes`: nodes to add, nodes to release, and
@@ -611,13 +614,16 @@ impl World {
     /// shrinks, and only when its `shrink_margin` hysteresis band is
     /// enabled). FixedStep is closed-form integer arithmetic: the
     /// smallest multiple of `add` that brings `trigger × capacity` back
-    /// above demand.
+    /// above demand. Either way a scale-out is held to
+    /// [`World::MAX_STEP_ADD`].
     pub(crate) fn scale_decision(&self, config: &RunnerConfig, demand_bytes: u64) -> ScaleStep {
         let step = |add, remove| ScaleStep { add, remove, saturated: false };
         if let Some(provisioner) = &self.provisioner {
             return match provisioner.decide(self.cluster.active_node_count(), gb(demand_bytes)) {
                 ProvisionDecision::Stay => step(0, 0),
-                ProvisionDecision::ScaleOut { add_nodes } => step(add_nodes, 0),
+                ProvisionDecision::ScaleOut { add_nodes } => {
+                    Self::scale_out_step(u64::try_from(add_nodes).unwrap_or(u64::MAX))
+                }
                 ProvisionDecision::ScaleIn { remove_nodes } => step(0, remove_nodes),
             };
         }
@@ -639,12 +645,7 @@ impl World {
             return step(0, 0);
         }
         let stride = (*add).max(1) as u64;
-        let extra = (needed - have).div_ceil(stride) * stride;
-        if extra > Self::MAX_FIXED_STEP_ADD {
-            ScaleStep { saturated: true, ..step(Self::MAX_FIXED_STEP_ADD as usize, 0) }
-        } else {
-            step(extra as usize, 0)
-        }
+        Self::scale_out_step((needed - have).div_ceil(stride) * stride)
     }
 
     /// Phase 4, the execution: grow and rebalance, or drain and retire;

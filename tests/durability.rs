@@ -3,20 +3,24 @@
 //! recovery must rebuild the exact oracle state — catalog, cluster
 //! books, every copy's cells, partitioner table, provisioner history,
 //! view states, all byte-compared through their codecs — then finish
-//! the run to the same end state. Torn and corrupted images must land on a valid
-//! prefix state or a typed error; never a divergent answer.
+//! the run to the same end state. Torn and corrupted images must land on a
+//! valid prefix state or a typed error; never a divergent answer.
+//!
+//! The reference is a run without durability, observed after every cycle
+//! as a `testkit::State` (every surface's codec bytes); the materialized
+//! workload is `testkit::CellChurn`. One leg folds the log's own records into
+//! a `testkit::Oracle` and holds it to the workload-fed one.
 
-use array_model::{
-    ArrayId, ArraySchema, ChunkCoords, ChunkDescriptor, ChunkKey, ScalarValue, StringEncoding,
-};
-use durability::{shared, ByteWriter, DurabilityError, FsyncPolicy, LogStore, MemLog};
+use array_model::{ArrayId, ArraySchema, ChunkCoords, ChunkDescriptor, ChunkKey, StringEncoding};
+use durability::{shared, DurabilityError, FsyncPolicy, LogStore, MemLog};
 use elastic_core::{GridHint, PartitionerKind};
 use query_engine::view::{AggKind, GroupKeyFn, ValueFn, ViewDef};
 use query_engine::{Catalog, ExecutionContext, StoredArray};
 use std::sync::{Arc, Mutex};
+use testkit::{CellChurn, Oracle, State, CHURN};
 use workloads::{
-    CellBatch, CycleError, DurabilityConfig, FaultKind, FaultPlan, RunnerConfig, SuiteReport,
-    Workload, WorkloadRunner,
+    CycleError, DurabilityConfig, FaultKind, FaultPlan, RunnerConfig, SuiteReport, Workload,
+    WorkloadRunner,
 };
 
 // ---------------------------------------------------------------------
@@ -73,147 +77,24 @@ impl LogStore for SnapshottingLog {
 }
 
 // ---------------------------------------------------------------------
-// Bit-identity probe: the whole world, serialized.
-// ---------------------------------------------------------------------
-
-/// Every state surface a recovery must rebuild, as codec bytes —
-/// equality here is bit-identity of placements, loads, census,
-/// tombstones, dictionaries, routing tables, and view states at once.
-struct Probe {
-    catalog: Vec<u8>,
-    cluster: Vec<u8>,
-    /// Per placed chunk, in placement order: the cells of its record
-    /// through the chunk codec — tombstone bitmaps, dictionaries, zone
-    /// maps and all — then the holders that serve that record, in route
-    /// order. The catalog and cluster sections carry no cell (the first
-    /// holds metadata, the second says only *which* records have cells),
-    /// so this is the surface that pins them, chunk by chunk.
-    cells: Vec<u8>,
-    table: Vec<u8>,
-    views: Vec<u8>,
-    history: Vec<f64>,
-}
-
-fn probe(r: &WorkloadRunner<'_>) -> Probe {
-    let mut catalog = ByteWriter::new();
-    r.catalog().encode_into(&mut catalog);
-    let mut cluster = ByteWriter::new();
-    r.cluster().snapshot_into(&mut cluster);
-    let mut views = ByteWriter::new();
-    r.views().export_states(&mut views);
-    let mut cells = ByteWriter::new();
-    for (key, _) in r.cluster().placements() {
-        match r.cluster().primary_payload(&key) {
-            Ok(chunk) => {
-                cells.put_bool(true);
-                chunk.encode_into(&mut cells);
-            }
-            Err(_) => cells.put_bool(false),
-        }
-        let holders = r.cluster().replica_holders(&key);
-        cells.put_usize(holders.len());
-        holders.iter().for_each(|h| cells.put_u32(h.0));
-    }
-    Probe {
-        catalog: catalog.into_bytes(),
-        cluster: cluster.into_bytes(),
-        cells: cells.into_bytes(),
-        table: r.partitioner().table_snapshot(),
-        views: views.into_bytes(),
-        history: r.provisioner().map(|p| p.history().to_vec()).unwrap_or_default(),
-    }
-}
-
-fn assert_probes_match(got: &Probe, want: &Probe, ctx: &str) {
-    assert!(got.catalog == want.catalog, "{ctx}: catalog bytes diverged");
-    assert!(got.cluster == want.cluster, "{ctx}: cluster snapshot diverged");
-    assert!(got.cells == want.cells, "{ctx}: stored cells diverged");
-    assert!(got.table == want.table, "{ctx}: partitioner table diverged");
-    assert!(got.views == want.views, "{ctx}: view states diverged");
-    assert!(got.history == want.history, "{ctx}: provisioner history diverged");
-}
-
-// ---------------------------------------------------------------------
 // Workloads.
 // ---------------------------------------------------------------------
 
+/// The churn the crash matrices run: `cycles` of `cells` cells, 64-cell
+/// chunks along `x`, 37 distinct strings, and derived chunks of 4 KB and
+/// up. At 8 KB nodes it forces scale-outs.
+fn churn(cycles: usize, cells: usize) -> CellChurn {
+    CellChurn { cycles, cells, chunk: 64, tags: 37, grid: 32, derived: [4096, 17, 10] }
+}
+
 const ARR: ArrayId = ArrayId(0);
-const DERIVED: ArrayId = ArrayId(1);
-
-/// Materialized churn: every cycle inserts dictionary-interned strings
-/// and doubles over a 2-D grid, retracts half of the previous cycle's
-/// rows, stores a derived metadata chunk, and (at the chosen capacity)
-/// forces scale-outs — touching every record type the log knows.
-struct ChurnyWorkload {
-    cycles: usize,
-    cells: usize,
-}
-
-impl ChurnyWorkload {
-    fn schema() -> ArraySchema {
-        ArraySchema::parse("C<v:double, s:string>[x=0:*,64, y=0:3,2]").unwrap()
-    }
-
-    fn derived_schema() -> ArraySchema {
-        // Same dimensionality as the base array: the spatial
-        // partitioners route derived chunks through the quad plane too.
-        ArraySchema::parse("D<v:double>[x=0:*,1, y=0:0,1]").unwrap()
-    }
-}
-
-impl Workload for ChurnyWorkload {
-    fn name(&self) -> &'static str {
-        "churny"
-    }
-    fn cycles(&self) -> usize {
-        self.cycles
-    }
-    fn register_arrays(&self, catalog: &mut Catalog) {
-        catalog.register(StoredArray::from_descriptors(ARR, Self::schema(), []));
-        catalog.register(StoredArray::from_descriptors(DERIVED, Self::derived_schema(), []));
-    }
-    fn insert_batch(&self, _cycle: usize) -> Vec<ChunkDescriptor> {
-        Vec::new()
-    }
-    fn cell_batch(&self, cycle: usize) -> Option<Vec<CellBatch>> {
-        let mut batch = CellBatch::new(ARR, &Self::schema());
-        let mut vals = Vec::with_capacity(2);
-        for i in 0..self.cells {
-            let g = (cycle * self.cells + i) as i64;
-            vals.push(ScalarValue::Double(g as f64 * 0.25));
-            vals.push(ScalarValue::Str(format!("tag{}", g % 37)));
-            batch.push(&[g / 4, g % 4], &mut vals);
-        }
-        if cycle > 0 {
-            for i in (0..self.cells).step_by(2) {
-                let g = ((cycle - 1) * self.cells + i) as i64;
-                batch.push_retraction(&[g / 4, g % 4]);
-            }
-        }
-        Some(vec![batch])
-    }
-    fn derived_batch(&self, cycle: usize) -> Vec<ChunkDescriptor> {
-        vec![ChunkDescriptor::new(
-            ChunkKey::new(DERIVED, ChunkCoords::new([cycle as i64, 0])),
-            4096 + cycle as u64 * 17,
-            10,
-        )]
-    }
-    fn grid_hint(&self) -> GridHint {
-        GridHint::new(vec![32, 2])
-    }
-    fn quad_plane(&self) -> (usize, usize) {
-        (0, 1)
-    }
-    fn run_suites(&self, _ctx: &ExecutionContext<'_>, _cycle: usize) -> SuiteReport {
-        SuiteReport::default()
-    }
-}
 
 /// Tiny metadata-only workload — a log small enough to truncate at
-/// every single byte offset.
+/// every single byte offset. With `collide`, cycle 1 re-emits cycle 0's
+/// chunk keys: a typed ingest failure in the middle of a run.
 struct MetaWorkload {
     cycles: usize,
+    collide: bool,
 }
 
 impl Workload for MetaWorkload {
@@ -228,6 +109,7 @@ impl Workload for MetaWorkload {
         catalog.register(StoredArray::from_descriptors(ARR, schema, []));
     }
     fn insert_batch(&self, cycle: usize) -> Vec<ChunkDescriptor> {
+        let cycle = if self.collide && cycle == 1 { 0 } else { cycle };
         (0..2u64)
             .map(|i| {
                 ChunkDescriptor::new(
@@ -255,8 +137,8 @@ impl Workload for MetaWorkload {
 
 fn view_defs() -> Vec<ViewDef> {
     let group: GroupKeyFn = Arc::new(|c, _| vec![c[0].div_euclid(64)]);
-    let value: ValueFn = Arc::new(|_, v| if let ScalarValue::Double(d) = v[0] { d } else { 0.0 });
-    vec![ViewDef::aggregate("sum-by-chunk", ARR, Vec::new(), group, value, AggKind::Sum)]
+    let value: ValueFn = Arc::new(|_, v| testkit::num(&v[0]));
+    vec![ViewDef::aggregate("sum-by-chunk", CHURN, Vec::new(), group, value, AggKind::Sum)]
 }
 
 fn base_config(kind: PartitionerKind, encoding: StringEncoding, k: usize) -> RunnerConfig {
@@ -265,40 +147,57 @@ fn base_config(kind: PartitionerKind, encoding: StringEncoding, k: usize) -> Run
     let fault_plan =
         (k > 1).then(|| FaultPlan::new(7).at(1, FaultKind::Crash(1)).at(2, FaultKind::Revive(1)));
     RunnerConfig {
-        partitioner: kind,
-        node_capacity: 8 * 1024,
         initial_nodes: if k > 1 { 3 } else { 2 },
-        run_queries: false,
         string_encoding: encoding,
         replication: k,
         fault_plan,
-        ..RunnerConfig::default()
+        ..testkit::config(kind, 8 * 1024)
     }
+}
+
+fn meta_config() -> RunnerConfig {
+    let mut cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 1);
+    cfg.node_capacity = 100_000; // metadata bytes are sampled, keep roster stable
+    cfg
 }
 
 fn durable(cfg: &RunnerConfig, log: durability::SharedLog) -> RunnerConfig {
+    durable_with(cfg, log, FsyncPolicy::Always)
+}
+
+fn durable_with(
+    cfg: &RunnerConfig,
+    log: durability::SharedLog,
+    policy: FsyncPolicy,
+) -> RunnerConfig {
     let mut out = cfg.clone();
-    out.durability =
-        Some(DurabilityConfig { log, checkpoint_every: 2, fsync_policy: FsyncPolicy::Always });
+    out.durability = Some(DurabilityConfig { log, checkpoint_every: 2, fsync_policy: policy });
     out
 }
 
+/// Run `w` durably to its end, `defs` registered, and return the image
+/// its log store holds.
+fn durable_image(w: &dyn Workload, cfg: &RunnerConfig, defs: &[ViewDef]) -> MemLog {
+    let log = mem_log();
+    let mut live = WorkloadRunner::new(w, durable(cfg, log.clone()));
+    defs.iter().for_each(|def| live.register_view(def.clone()));
+    live.run_all().expect("durable run completes");
+    let image = log.lock().expect("mem log").clone();
+    image
+}
+
 /// Run the workload WITHOUT durability, capturing the serialized world
-/// after every cycle. `probes[c]` is the state with `c` complete
+/// after every cycle. `states[c]` is the state with `c` complete
 /// cycles — what a recovery landing at `start_cycle() == c` must equal.
-fn oracle_probes(w: &dyn Workload, cfg: &RunnerConfig, defs: &[ViewDef]) -> Vec<Probe> {
-    let mut cfg = cfg.clone();
-    cfg.durability = None;
-    let mut runner = WorkloadRunner::new(w, cfg);
-    for def in defs {
-        runner.register_view(def.clone());
-    }
-    let mut probes = vec![probe(&runner)];
+fn oracle_states(w: &dyn Workload, cfg: &RunnerConfig, defs: &[ViewDef]) -> Vec<State> {
+    let mut runner = WorkloadRunner::new(w, RunnerConfig { durability: None, ..cfg.clone() });
+    defs.iter().for_each(|def| runner.register_view(def.clone()));
+    let mut states = vec![State::of(&runner)];
     for c in 0..w.cycles() {
         runner.run_cycle(c).expect("oracle cycle");
-        probes.push(probe(&runner));
+        states.push(State::of(&runner));
     }
-    probes
+    states
 }
 
 /// The headline differential: run durably, then crash at every record
@@ -306,20 +205,18 @@ fn oracle_probes(w: &dyn Workload, cfg: &RunnerConfig, defs: &[ViewDef]) -> Vec<
 /// oracle state for its cycle count — then finishes the workload to
 /// the oracle's end state.
 fn crash_at_every_boundary(kind: PartitionerKind, encoding: StringEncoding, k: usize) {
-    let w = ChurnyWorkload { cycles: 4, cells: 512 };
+    let w = churn(4, 512);
     let cfg = base_config(kind, encoding, k);
     let defs = view_defs();
-    let probes = oracle_probes(&w, &cfg, &defs);
+    let states = oracle_states(&w, &cfg, &defs);
 
     let snaps: Arc<Mutex<Vec<MemLog>>> = Arc::new(Mutex::new(Vec::new()));
     let mut live =
         WorkloadRunner::new(&w, durable(&cfg, shared(SnapshottingLog::new(Arc::clone(&snaps)))));
-    for def in &defs {
-        live.register_view(def.clone());
-    }
+    defs.iter().for_each(|def| live.register_view(def.clone()));
     live.run_all().expect("durable run completes");
     let ctx = format!("{kind} {encoding:?} k={k}");
-    assert_probes_match(&probe(&live), probes.last().unwrap(), &format!("{ctx}: live end"));
+    State::of(&live).assert_same(states.last().unwrap(), &format!("{ctx}: live end"));
 
     let snaps = snaps.lock().expect("snaps mutex");
     assert!(snaps.len() > w.cycles() * 6, "one snapshot per record: got {}", snaps.len());
@@ -328,14 +225,11 @@ fn crash_at_every_boundary(kind: PartitionerKind, encoding: StringEncoding, k: u
             .unwrap_or_else(|e| panic!("{ctx}: boundary {i}: recovery failed: {e}"));
         let c = rec.start_cycle();
         assert!(c <= w.cycles(), "{ctx}: boundary {i}: start cycle {c} out of range");
-        assert_probes_match(&probe(&rec), &probes[c], &format!("{ctx}: boundary {i} cycle {c}"));
+        State::of(&rec).assert_same(&states[c], &format!("{ctx}: boundary {i} cycle {c}"));
         let mut rec = rec;
         rec.run_all().unwrap_or_else(|e| panic!("{ctx}: boundary {i}: continuation failed: {e}"));
-        assert_probes_match(
-            &probe(&rec),
-            probes.last().unwrap(),
-            &format!("{ctx}: boundary {i} continuation"),
-        );
+        State::of(&rec)
+            .assert_same(states.last().unwrap(), &format!("{ctx}: boundary {i} continuation"));
     }
 }
 
@@ -366,49 +260,37 @@ fn full_crash_matrix_all_partitioners() {
 }
 
 /// A staircase run carries provisioner history through checkpoint and
-/// replay; the probe pins it bit-for-bit.
+/// replay; the state pins it bit-for-bit.
 #[test]
 fn staircase_provisioner_history_survives_recovery() {
     use workloads::ScalingPolicy;
-    let w = ChurnyWorkload { cycles: 3, cells: 256 };
+    let w = churn(3, 256);
     let mut cfg = base_config(PartitionerKind::RoundRobin, StringEncoding::default(), 1);
     cfg.scaling = ScalingPolicy::Staircase(elastic_core::StaircaseConfig {
         node_capacity_gb: 8.0 * 1024.0 / 1e9,
         ..elastic_core::StaircaseConfig::paper_defaults()
     });
     let defs = view_defs();
-    let probes = oracle_probes(&w, &cfg, &defs);
+    let states = oracle_states(&w, &cfg, &defs);
 
-    let snaps: Arc<Mutex<Vec<MemLog>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut live =
-        WorkloadRunner::new(&w, durable(&cfg, shared(SnapshottingLog::new(Arc::clone(&snaps)))));
-    for def in &defs {
-        live.register_view(def.clone());
-    }
-    live.run_all().expect("staircase run completes");
-    let last = snaps.lock().expect("snaps mutex").last().cloned().expect("snapshots taken");
+    let last = durable_image(&w, &cfg, &defs);
     let rec = WorkloadRunner::recover(&w, durable(&cfg, shared(last)), defs.clone())
         .expect("staircase recovery");
     assert_eq!(rec.start_cycle(), w.cycles());
     assert!(rec.provisioner().expect("staircase provisioner").history().len() == w.cycles());
-    assert_probes_match(&probe(&rec), probes.last().unwrap(), "staircase");
+    State::of(&rec).assert_same(states.last().unwrap(), "staircase");
 }
 
 /// Torn-tail fuzz: the final log image truncated at EVERY byte offset.
-/// Recovery must land on the valid committed prefix (probe-equal to the
+/// Recovery must land on the valid committed prefix (state-equal to the
 /// oracle at that cycle count) or a typed error — and never panic.
 #[test]
 fn torn_tail_at_every_byte_offset_lands_on_valid_prefix() {
-    let w = MetaWorkload { cycles: 3 };
-    let mut cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 1);
-    cfg.node_capacity = 100_000; // metadata bytes are sampled, keep roster stable
-    let probes = oracle_probes(&w, &cfg, &[]);
+    let w = MetaWorkload { cycles: 3, collide: false };
+    let cfg = meta_config();
+    let states = oracle_states(&w, &cfg, &[]);
 
-    let snaps: Arc<Mutex<Vec<MemLog>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut live =
-        WorkloadRunner::new(&w, durable(&cfg, shared(SnapshottingLog::new(Arc::clone(&snaps)))));
-    live.run_all().expect("meta run completes");
-    let full = snaps.lock().expect("snaps mutex").last().cloned().expect("snapshots taken");
+    let full = durable_image(&w, &cfg, &[]);
 
     for cut in 0..=full.len() {
         let mut torn = full.clone();
@@ -417,7 +299,7 @@ fn torn_tail_at_every_byte_offset_lands_on_valid_prefix() {
             Ok(rec) => {
                 let c = rec.start_cycle();
                 assert!(c <= w.cycles(), "cut {cut}: start cycle {c} out of range");
-                assert_probes_match(&probe(&rec), &probes[c], &format!("cut {cut} cycle {c}"));
+                State::of(&rec).assert_same(&states[c], &format!("cut {cut} cycle {c}"));
             }
             Err(e) => panic!("cut {cut}: pure truncation must always recover, got: {e}"),
         }
@@ -430,16 +312,11 @@ fn torn_tail_at_every_byte_offset_lands_on_valid_prefix() {
 /// divergent answer, never a panic.
 #[test]
 fn corrupted_bytes_yield_typed_errors_or_valid_prefixes() {
-    let w = MetaWorkload { cycles: 3 };
-    let mut cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 1);
-    cfg.node_capacity = 100_000;
-    let probes = oracle_probes(&w, &cfg, &[]);
+    let w = MetaWorkload { cycles: 3, collide: false };
+    let cfg = meta_config();
+    let states = oracle_states(&w, &cfg, &[]);
 
-    let snaps: Arc<Mutex<Vec<MemLog>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut live =
-        WorkloadRunner::new(&w, durable(&cfg, shared(SnapshottingLog::new(Arc::clone(&snaps)))));
-    live.run_all().expect("meta run completes");
-    let full = snaps.lock().expect("snaps mutex").last().cloned().expect("snapshots taken");
+    let full = durable_image(&w, &cfg, &[]);
 
     let mut typed_errors = 0usize;
     for offset in (0..full.len()).step_by(3) {
@@ -449,11 +326,8 @@ fn corrupted_bytes_yield_typed_errors_or_valid_prefixes() {
             match WorkloadRunner::recover(&w, durable(&cfg, shared(bad)), Vec::new()) {
                 Ok(rec) => {
                     let c = rec.start_cycle();
-                    assert_probes_match(
-                        &probe(&rec),
-                        &probes[c],
-                        &format!("corrupt {offset}^{mask:#x} cycle {c}"),
-                    );
+                    State::of(&rec)
+                        .assert_same(&states[c], &format!("corrupt {offset}^{mask:#x} cycle {c}"));
                 }
                 Err(e) => {
                     assert!(
@@ -473,24 +347,19 @@ fn corrupted_bytes_yield_typed_errors_or_valid_prefixes() {
 /// replays from genesis — all landing on the exact end state.
 #[test]
 fn damaged_checkpoints_fall_back_without_divergence() {
-    let w = MetaWorkload { cycles: 4 };
-    let mut cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 1);
-    cfg.node_capacity = 100_000;
-    let probes = oracle_probes(&w, &cfg, &[]);
+    let w = MetaWorkload { cycles: 4, collide: false };
+    let cfg = meta_config();
+    let states = oracle_states(&w, &cfg, &[]);
 
-    let snaps: Arc<Mutex<Vec<MemLog>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut live =
-        WorkloadRunner::new(&w, durable(&cfg, shared(SnapshottingLog::new(Arc::clone(&snaps)))));
-    live.run_all().expect("meta run completes");
-    let full = snaps.lock().expect("snaps mutex").last().cloned().expect("snapshots taken");
+    let full = durable_image(&w, &cfg, &[]);
 
     // checkpoint_every = 2 over 4 cycles → checkpoints at seq 2 and 4.
-    let final_probe = probes.last().unwrap();
+    let final_state = states.last().unwrap();
     let recover_from = |log: MemLog, ctx: &str| {
         let rec = WorkloadRunner::recover(&w, durable(&cfg, shared(log)), Vec::new())
             .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
         assert_eq!(rec.start_cycle(), w.cycles(), "{ctx}");
-        assert_probes_match(&probe(&rec), final_probe, ctx);
+        State::of(&rec).assert_same(final_state, ctx);
     };
 
     let mut lost_newest = full.clone();
@@ -516,10 +385,9 @@ fn damaged_checkpoints_fall_back_without_divergence() {
 fn file_backend_survives_a_process_restart() {
     let dir = std::env::temp_dir().join(format!("wal-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let w = MetaWorkload { cycles: 4 };
-    let mut cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 1);
-    cfg.node_capacity = 100_000;
-    let probes = oracle_probes(&w, &cfg, &[]);
+    let w = MetaWorkload { cycles: 4, collide: false };
+    let cfg = meta_config();
+    let states = oracle_states(&w, &cfg, &[]);
 
     {
         let log = durability::FileLog::open(&dir).expect("open file log");
@@ -539,7 +407,7 @@ fn file_backend_survives_a_process_restart() {
     let rec = WorkloadRunner::recover(&w, durable(&cfg, shared(log)), Vec::new())
         .expect("file-backed recovery");
     assert_eq!(rec.start_cycle(), w.cycles());
-    assert_probes_match(&probe(&rec), probes.last().unwrap(), "file backend");
+    State::of(&rec).assert_same(states.last().unwrap(), "file backend");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -548,14 +416,10 @@ fn file_backend_survives_a_process_restart() {
 /// run can never silently diverge from its log.
 #[test]
 fn mismatched_config_is_refused() {
-    let w = MetaWorkload { cycles: 2 };
+    let w = MetaWorkload { cycles: 2, collide: false };
     let cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 1);
 
-    let snaps: Arc<Mutex<Vec<MemLog>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut live =
-        WorkloadRunner::new(&w, durable(&cfg, shared(SnapshottingLog::new(Arc::clone(&snaps)))));
-    live.run_all().expect("meta run completes");
-    let full = snaps.lock().expect("snaps mutex").last().cloned().expect("snapshots taken");
+    let full = durable_image(&w, &cfg, &[]);
 
     let mut other = base_config(PartitionerKind::RoundRobin, StringEncoding::default(), 1);
     other.durability = durable(&cfg, shared(full)).durability;
@@ -595,28 +459,12 @@ fn mem_log() -> Mem {
     Arc::new(Mutex::new(MemLog::new()))
 }
 
-fn durable_with(
-    cfg: &RunnerConfig,
-    log: durability::SharedLog,
-    policy: FsyncPolicy,
-) -> RunnerConfig {
-    let mut out = cfg.clone();
-    out.durability = Some(DurabilityConfig { log, checkpoint_every: 2, fsync_policy: policy });
-    out
-}
-
 /// What `mem` would hold after a crash: everything past its last flush
 /// is gone; checkpoints (atomic, synced writes) stay.
 fn crashed(mem: &Mem) -> MemLog {
     let mut image = mem.lock().expect("mem log").clone();
     image.crash();
     image
-}
-
-fn meta_config() -> RunnerConfig {
-    let mut cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 1);
-    cfg.node_capacity = 100_000; // metadata bytes are sampled, keep roster stable
-    cfg
 }
 
 /// A checkpoint is identified by what it *says* it is, not by the name
@@ -626,9 +474,9 @@ fn meta_config() -> RunnerConfig {
 /// Recovery must skip it exactly as it skips a bit flip.
 #[test]
 fn misfiled_checkpoint_is_skipped_not_trusted_by_name() {
-    let w = MetaWorkload { cycles: 6 };
+    let w = MetaWorkload { cycles: 6, collide: false };
     let cfg = meta_config();
-    let probes = oracle_probes(&w, &cfg, &[]);
+    let states = oracle_states(&w, &cfg, &[]);
 
     let mem = mem_log();
     let mut live = WorkloadRunner::new(&w, durable(&cfg, mem.clone()));
@@ -643,9 +491,9 @@ fn misfiled_checkpoint_is_skipped_not_trusted_by_name() {
         .expect("recovery falls back to the honest checkpoint");
     assert_eq!(rec.start_cycle(), 5);
     assert_eq!(rec.cluster().total_chunks(), 10, "five cycles x two chunks");
-    assert_probes_match(&probe(&rec), &probes[5], "misfiled checkpoint");
+    State::of(&rec).assert_same(&states[5], "misfiled checkpoint");
     rec.run_all().expect("continuation");
-    assert_probes_match(&probe(&rec), probes.last().unwrap(), "misfiled checkpoint continuation");
+    State::of(&rec).assert_same(states.last().unwrap(), "misfiled checkpoint continuation");
 }
 
 /// A checkpoint write is synced; under `FsyncPolicy::Never` the log
@@ -656,9 +504,9 @@ fn misfiled_checkpoint_is_skipped_not_trusted_by_name() {
 /// durable log.
 #[test]
 fn checkpoint_ahead_of_the_durable_log_is_skipped() {
-    let w = MetaWorkload { cycles: 6 };
+    let w = MetaWorkload { cycles: 6, collide: false };
     let cfg = meta_config();
-    let probes = oracle_probes(&w, &cfg, &[]);
+    let states = oracle_states(&w, &cfg, &[]);
 
     let mem = mem_log();
     let mut synced =
@@ -683,9 +531,9 @@ fn checkpoint_ahead_of_the_durable_log_is_skipped() {
         2,
         "the durable log commits two cycles, whatever checkpoint 4 says"
     );
-    assert_probes_match(&probe(&rec), &probes[2], "checkpoint ahead of log");
+    State::of(&rec).assert_same(&states[2], "checkpoint ahead of log");
     rec.run_all().expect("continuation");
-    assert_probes_match(&probe(&rec), probes.last().unwrap(), "checkpoint ahead of log, finished");
+    State::of(&rec).assert_same(states.last().unwrap(), "checkpoint ahead of log, finished");
     drop(rec);
 
     // The log the recovered runner extended stands on its own: with
@@ -697,35 +545,7 @@ fn checkpoint_ahead_of_the_durable_log_is_skipped() {
     let rec = WorkloadRunner::recover(&w, durable(&cfg, shared(bare)), Vec::new())
         .expect("genesis replay of the extended log");
     assert_eq!(rec.start_cycle(), w.cycles());
-    assert_probes_match(&probe(&rec), probes.last().unwrap(), "genesis replay");
-}
-
-/// [`MetaWorkload`], except that cycle 1 re-emits cycle 0's chunk keys:
-/// a typed ingest failure in the middle of a run.
-struct CollidingMeta;
-
-impl Workload for CollidingMeta {
-    fn name(&self) -> &'static str {
-        "colliding-meta"
-    }
-    fn cycles(&self) -> usize {
-        3
-    }
-    fn register_arrays(&self, catalog: &mut Catalog) {
-        MetaWorkload { cycles: 3 }.register_arrays(catalog)
-    }
-    fn insert_batch(&self, cycle: usize) -> Vec<ChunkDescriptor> {
-        MetaWorkload { cycles: 3 }.insert_batch(if cycle == 1 { 0 } else { cycle })
-    }
-    fn derived_batch(&self, _cycle: usize) -> Vec<ChunkDescriptor> {
-        Vec::new()
-    }
-    fn grid_hint(&self) -> GridHint {
-        GridHint::new(vec![16])
-    }
-    fn run_suites(&self, _ctx: &ExecutionContext<'_>, _cycle: usize) -> SuiteReport {
-        SuiteReport::default()
-    }
+    State::of(&rec).assert_same(states.last().unwrap(), "genesis replay");
 }
 
 /// A failed cycle's partial effects were never logged, so a durable
@@ -736,19 +556,20 @@ impl Workload for CollidingMeta {
 fn durable_run_stops_at_its_first_failing_cycle() {
     let mut cfg = meta_config();
     cfg.on_error = ErrorPolicy::RecordAndContinue;
-    let mut oracle = WorkloadRunner::new_owned(CollidingMeta, cfg.clone());
+    let w = MetaWorkload { cycles: 3, collide: true };
+    let mut oracle = WorkloadRunner::new(&w, cfg.clone());
     oracle.run_cycle(0).expect("cycle 0 is clean");
 
     let mem = mem_log();
-    let mut live = WorkloadRunner::new_owned(CollidingMeta, durable(&cfg, mem.clone()));
+    let mut live = WorkloadRunner::new(&w, durable(&cfg, mem.clone()));
     let err = live.run_all().expect_err("a durable run does not continue past a failed cycle");
     assert!(matches!(err, CycleError::Ingest { cycle: 1, .. }), "got {err}");
     drop(live);
 
-    let rec = WorkloadRunner::recover_owned(CollidingMeta, durable(&cfg, mem), Vec::new())
+    let rec = WorkloadRunner::recover(&w, durable(&cfg, mem), Vec::new())
         .expect("the failed cycle never committed; recovery rolls it back");
     assert_eq!(rec.start_cycle(), 1);
-    assert_probes_match(&probe(&rec), &probe(&oracle), "rolled back to one cycle");
+    State::of(&rec).assert_same(&State::of(&oracle), "rolled back to one cycle");
 }
 
 /// Recover `image`, check the recovered state against the oracle at
@@ -758,15 +579,15 @@ fn recover_and_finish(
     w: &dyn Workload,
     cfg: RunnerConfig,
     defs: &[ViewDef],
-    probes: &[Probe],
+    states: &[State],
     ctx: &str,
 ) -> usize {
     let mut rec = WorkloadRunner::recover(w, cfg, defs.to_vec())
         .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
     let c = rec.start_cycle();
-    assert_probes_match(&probe(&rec), &probes[c], &format!("{ctx}: recovered at {c}"));
+    State::of(&rec).assert_same(&states[c], &format!("{ctx}: recovered at {c}"));
     rec.run_all().unwrap_or_else(|e| panic!("{ctx}: continuation failed: {e}"));
-    assert_probes_match(&probe(&rec), probes.last().unwrap(), &format!("{ctx}: finished"));
+    State::of(&rec).assert_same(states.last().unwrap(), &format!("{ctx}: finished"));
     c
 }
 
@@ -777,18 +598,16 @@ fn recover_and_finish(
 /// the newest surviving checkpoint is lost as well, and recovery must
 /// still succeed from what is left.
 fn crash_under_every_fsync_policy(kind: PartitionerKind, encoding: StringEncoding, k: usize) {
-    let w = ChurnyWorkload { cycles: 4, cells: 512 };
+    let w = churn(4, 512);
     let cfg = base_config(kind, encoding, k);
     let defs = view_defs();
-    let probes = oracle_probes(&w, &cfg, &defs);
+    let states = oracle_states(&w, &cfg, &defs);
     for policy in [FsyncPolicy::Always, FsyncPolicy::PerCycle, FsyncPolicy::Never] {
         for c in 0..=w.cycles() {
             let ctx = format!("{kind} {encoding:?} k={k} {policy:?} crash after {c}");
             let mem = mem_log();
             let mut live = WorkloadRunner::new(&w, durable_with(&cfg, mem.clone(), policy));
-            for def in &defs {
-                live.register_view(def.clone());
-            }
+            defs.iter().for_each(|def| live.register_view(def.clone()));
             for cycle in 0..c {
                 live.run_cycle(cycle).unwrap_or_else(|e| panic!("{ctx}: cycle {cycle}: {e}"));
             }
@@ -799,7 +618,7 @@ fn crash_under_every_fsync_policy(kind: PartitionerKind, encoding: StringEncodin
                 &w,
                 durable_with(&cfg, shared(image.clone()), policy),
                 &defs,
-                &probes,
+                &states,
                 &ctx,
             );
             assert_eq!(resumed, durable_cycles, "{ctx}: committed cycles that survive the crash");
@@ -807,7 +626,7 @@ fn crash_under_every_fsync_policy(kind: PartitionerKind, encoding: StringEncodin
                 image.drop_checkpoint(newest);
                 let ctx = format!("{ctx}, checkpoint {newest} lost");
                 let cfg = durable_with(&cfg, shared(image), policy);
-                assert_eq!(recover_and_finish(&w, cfg, &defs, &probes, &ctx), durable_cycles);
+                assert_eq!(recover_and_finish(&w, cfg, &defs, &states, &ctx), durable_cycles);
             }
         }
     }
@@ -836,22 +655,15 @@ fn fsync_policy_matrix() {
 /// and the same checkpoint blobs as the run that was never interrupted.
 #[test]
 fn recovered_run_writes_the_same_log_and_checkpoints() {
-    let w = ChurnyWorkload { cycles: 4, cells: 256 };
+    let w = churn(4, 256);
     let cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 2);
     let defs = view_defs();
 
-    let straight = mem_log();
-    let mut live = WorkloadRunner::new(&w, durable(&cfg, straight.clone()));
-    for def in &defs {
-        live.register_view(def.clone());
-    }
-    live.run_all().expect("uninterrupted run");
+    let mut a = durable_image(&w, &cfg, &defs);
 
     let resumed = mem_log();
     let mut first = WorkloadRunner::new(&w, durable(&cfg, resumed.clone()));
-    for def in &defs {
-        first.register_view(def.clone());
-    }
+    defs.iter().for_each(|def| first.register_view(def.clone()));
     for c in 0..3 {
         first.run_cycle(c).expect("first leg");
     }
@@ -861,7 +673,6 @@ fn recovered_run_writes_the_same_log_and_checkpoints() {
     assert_eq!(second.start_cycle(), 3);
     second.run_all().expect("second leg");
 
-    let mut a = straight.lock().expect("mem log").clone();
     let mut b = resumed.lock().expect("mem log").clone();
     assert!(a.bytes() == b.bytes(), "WAL images differ");
     assert_eq!(a.checkpoint_seqs().expect("seqs"), vec![2, 4]);
@@ -872,4 +683,23 @@ fn recovered_run_writes_the_same_log_and_checkpoints() {
             "checkpoint {seq} blobs differ"
         );
     }
+}
+
+/// The oracle, fed from the log: a durable run's records decoded one by
+/// one (`RecordReader`, `WalEvent::decode`) and each committed cycle's
+/// cell batches folded make the same `testkit::Oracle` as the workload's
+/// own batches, and the runner recovered from that log holds exactly the
+/// oracle's cells.
+#[test]
+fn the_log_folds_into_the_oracle_the_workload_feeds() {
+    let w = churn(4, 512);
+    let cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 2);
+    let image = durable_image(&w, &cfg, &[]);
+    let from_log = Oracle::from_log(&w, image.bytes());
+    assert!(from_log == Oracle::after(&w, w.cycles), "the log's cells differ from the workload's");
+
+    let rec =
+        WorkloadRunner::recover(&w, durable(&cfg, shared(image)), Vec::new()).expect("recovery");
+    assert_eq!(rec.start_cycle(), w.cycles);
+    from_log.assert_stored(&rec, CHURN, "recovered from the log");
 }

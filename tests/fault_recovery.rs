@@ -24,72 +24,17 @@
 //!    bit-identical to the `k = 1` run in everything the paper measures
 //!    (placements, loads, balance, scaling, moved/inserted bytes);
 //!    replication shows up only in the insert-phase flow cost.
+//!
+//! The reference is the fault-free twin, asked the same questions through
+//! `testkit::Probe` (`Probe::ais`; `Probe::grow_retract` over the
+//! `testkit::GrowRetract` trough of the scale-IN twin), and the twin's
+//! whole array is held to `testkit::Oracle`, the generator's cells folded
+//! from scratch. `testkit::scripted_faults` is the scripted schedule.
 
 use elastic_array_db::prelude::*;
-use query_engine::{ops, QueryError};
+use query_engine::QueryError;
+use testkit::{scripted_faults, GrowRetract, Oracle, Probe};
 use workloads::ais::{AisWorkload, BROADCAST};
-use workloads::CellBatch;
-
-type Row = (Vec<i64>, Vec<ScalarValue>);
-
-fn config(kind: PartitionerKind, node_capacity: u64, replication: usize) -> RunnerConfig {
-    RunnerConfig {
-        node_capacity,
-        initial_nodes: 4,
-        partitioner: kind,
-        run_queries: false,
-        replication,
-        ..RunnerConfig::default()
-    }
-}
-
-/// Operator answers over AIS cycle 0's fixed probe region in
-/// bit-comparable form (floats stored as `to_bits()`).
-#[derive(Debug, PartialEq)]
-struct ProbeAnswers {
-    subarray: Vec<Row>,
-    filter_count: u64,
-    distinct_ids: Vec<i64>,
-    median_bits: Option<u64>,
-    groups: Vec<(Vec<i64>, u64, u64)>,
-}
-
-fn probe_answers(cluster: &Cluster, catalog: &Catalog) -> ProbeAnswers {
-    let ctx = ExecutionContext::new(cluster, catalog);
-    let probe = AisWorkload::cycle_region(0);
-    let (cells, _) = ops::subarray(&ctx, BROADCAST, &probe, &[]).unwrap();
-    let mut subarray = cells.cells.to_rows();
-    subarray.sort_by(|a, b| a.0.cmp(&b.0));
-    let (filter_count, _) =
-        ops::filter_count(&ctx, BROADCAST, &probe, "speed", &Predicate::ge(10.0)).unwrap();
-    let (distinct_ids, _) = ops::distinct_sorted(&ctx, BROADCAST, Some(&probe), "ship_id").unwrap();
-    let (q, _) = ops::quantile(&ctx, BROADCAST, Some(&probe), "speed", 0.5, 1.0).unwrap();
-    let spec = ops::GroupSpec::coarsened(vec![1, 2], vec![8, 8]);
-    let (rows, _) =
-        ops::grid_aggregate(&ctx, BROADCAST, Some(&probe), "speed", &spec, ops::AggFn::Sum)
-            .unwrap();
-    let mut groups: Vec<(Vec<i64>, u64, u64)> =
-        rows.iter().map(|r| (r.key.clone(), r.value.to_bits(), r.cells)).collect();
-    groups.sort();
-    ProbeAnswers {
-        subarray,
-        filter_count,
-        distinct_ids,
-        median_bits: q.value.map(f64::to_bits),
-        groups,
-    }
-}
-
-/// The scripted schedule the quick and smoke differentials share: a
-/// plain crash with flaky repair flows, a crash landing right after the
-/// rebalance phase, and a revival of the first casualty.
-fn fault_schedule(k: usize) -> FaultPlan {
-    FaultPlan::new(0xE1A5 + k as u64)
-        .at(1, FaultKind::Crash(1))
-        .at(1, FaultKind::FlakyFlows { p: 0.1 })
-        .at(2, FaultKind::CrashDuringRebalance(2))
-        .at(3, FaultKind::Revive(1))
-}
 
 /// Lockstep faulted-vs-fault-free twin runs under one partitioner.
 /// Returns the total repair retries observed (flakiness engagement is
@@ -105,17 +50,15 @@ fn run_fault_differential(
     // Two nodes are down at once by cycle 2; k + 2 initial nodes keep k
     // accepting survivors, so the effective copy target never collapses
     // and crash cycles always have repairs to do.
-    let mut faulted = WorkloadRunner::new(w, {
-        let mut cfg = config(kind, node_capacity, k);
-        cfg.initial_nodes = k + 2;
-        cfg.fault_plan = Some(fault_schedule(k));
-        cfg
-    });
-    let mut clean = WorkloadRunner::new(w, {
-        let mut cfg = config(kind, node_capacity, k);
-        cfg.initial_nodes = k + 2;
-        cfg
-    });
+    let mk = |fault_plan| RunnerConfig {
+        initial_nodes: k + 2,
+        replication: k,
+        fault_plan,
+        ..testkit::config(kind, node_capacity)
+    };
+    let mut faulted = WorkloadRunner::new(w, mk(Some(scripted_faults(k))));
+    let mut clean = WorkloadRunner::new(w, mk(None));
+    let (probe, mut oracle) = (Probe::ais(w), Oracle::new(w));
     let mut retries = 0;
     for c in 0..w.cycles {
         let tag = format!("{kind}/k{k}/cycle{c}");
@@ -123,9 +66,15 @@ fn run_fault_differential(
         let cr = clean.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: clean run: {e}"));
 
         // Answers: faulted vs fault-free, bit for bit — the surviving
-        // copies alone hold every cell.
-        let want = probe_answers(clean.cluster(), clean.catalog());
-        let got = probe_answers(faulted.cluster(), faulted.catalog());
+        // copies alone hold every cell — and the twin vs the oracle.
+        oracle.cycle(w, c);
+        let want = probe.answers(clean.cluster(), clean.catalog());
+        assert_eq!(
+            want.everything,
+            oracle.rows(BROADCAST),
+            "{tag}: the twin differs from the oracle"
+        );
+        let got = probe.answers(faulted.cluster(), faulted.catalog());
         assert_eq!(got, want, "{tag}: faulted answers differ from the fault-free twin");
         let ctx = ExecutionContext::new(faulted.cluster(), faulted.catalog());
         assert!(
@@ -179,13 +128,7 @@ fn run_fault_differential(
 /// Leg 1-3 quick version: schedule x all 8 partitioners at k = 2.
 #[test]
 fn faulted_runs_answer_bit_identically_and_recover_full_strength() {
-    let w = AisWorkload {
-        cycles: 4,
-        scale: 0.05,
-        seed: 21,
-        cells_per_cycle: 1_200,
-        ..Default::default()
-    };
+    let w = testkit::ais(4, 1_200);
     let node_capacity = w.cells_per_cycle * 90;
     let mut retries = 0;
     for kind in PartitionerKind::ALL {
@@ -201,21 +144,16 @@ fn faulted_runs_answer_bit_identically_and_recover_full_strength() {
 /// same to a query: `QueryError::NodeLost`.
 #[test]
 fn k1_crash_is_typed_loss_never_a_wrong_answer() {
-    let w = AisWorkload {
-        cycles: 3,
-        scale: 0.05,
-        seed: 21,
-        cells_per_cycle: 1_200,
-        ..Default::default()
-    };
+    let w = testkit::ais(3, 1_200);
     let node_capacity = w.cells_per_cycle * 90;
     // Hash and round-robin spreads guarantee node 1 holds chunks by the
     // crash cycle (space-partitioned schemes may leave a node empty at
     // this scale, which would make the leg vacuous).
     for kind in [PartitionerKind::ConsistentHash, PartitionerKind::RoundRobin] {
         let tag = format!("{kind}/k1-crash");
-        let mut cfg = config(kind, node_capacity, 1);
-        cfg.fault_plan = Some(FaultPlan::new(7).at(1, FaultKind::Crash(1)));
+        let fault_plan = Some(FaultPlan::new(7).at(1, FaultKind::Crash(1)));
+        let cfg =
+            RunnerConfig { initial_nodes: 4, fault_plan, ..testkit::config(kind, node_capacity) };
         let mut faulted = WorkloadRunner::new(&w, cfg);
         for c in 0..w.cycles {
             faulted.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
@@ -252,17 +190,16 @@ fn k1_crash_is_typed_loss_never_a_wrong_answer() {
 /// replica fan-out rides the same priced flows.
 #[test]
 fn fault_free_replication_changes_costs_only() {
-    let w = AisWorkload {
-        cycles: 3,
-        scale: 0.05,
-        seed: 21,
-        cells_per_cycle: 1_200,
-        ..Default::default()
-    };
+    let w = testkit::ais(3, 1_200);
     let node_capacity = w.cells_per_cycle * 90;
     for kind in PartitionerKind::ALL {
-        let mut base = WorkloadRunner::new(&w, config(kind, node_capacity, 1));
-        let mut rep = WorkloadRunner::new(&w, config(kind, node_capacity, 2));
+        let cfg = |replication| RunnerConfig {
+            initial_nodes: 4,
+            replication,
+            ..testkit::config(kind, node_capacity)
+        };
+        let mut base = WorkloadRunner::new(&w, cfg(1));
+        let mut rep = WorkloadRunner::new(&w, cfg(2));
         let br = base.run_all().unwrap();
         let rr = rep.run_all().unwrap();
         assert!(br.failures.is_empty() && rr.failures.is_empty());
@@ -310,24 +247,17 @@ fn fault_free_replication_changes_costs_only() {
 /// `Abort` surfaces the same cycle as the run error.
 #[test]
 fn fault_refusals_respect_the_error_policy() {
-    let w = AisWorkload {
-        cycles: 3,
-        scale: 0.05,
-        seed: 21,
-        cells_per_cycle: 600,
-        ..Default::default()
+    let w = testkit::ais(3, 600);
+    let cfg = RunnerConfig {
+        initial_nodes: 4,
+        replication: 2,
+        fault_plan: Some(FaultPlan::new(3).at(1, FaultKind::Revive(0))),
+        ..testkit::config(PartitionerKind::ConsistentHash, w.cells_per_cycle * 90)
     };
-    let kind = PartitionerKind::ConsistentHash;
-    let plan = || Some(FaultPlan::new(3).at(1, FaultKind::Revive(0)));
-
-    let mut cfg = config(kind, w.cells_per_cycle * 90, 2);
-    cfg.fault_plan = plan();
-    let err = WorkloadRunner::new(&w, cfg).run_all().expect_err("Abort must surface");
+    let err = WorkloadRunner::new(&w, cfg.clone()).run_all().expect_err("Abort must surface");
     assert!(matches!(err, CycleError::Fault { cycle: 1, .. }), "wrong error: {err}");
 
-    let mut cfg = config(kind, w.cells_per_cycle * 90, 2);
-    cfg.fault_plan = plan();
-    cfg.on_error = ErrorPolicy::RecordAndContinue;
+    let cfg = RunnerConfig { on_error: ErrorPolicy::RecordAndContinue, ..cfg };
     let report = WorkloadRunner::new(&w, cfg).run_all().unwrap();
     assert_eq!(report.cycles.iter().map(|c| c.cycle).collect::<Vec<_>>(), vec![0, 2]);
     assert_eq!(report.failures.len(), 1);
@@ -336,83 +266,6 @@ fn fault_refusals_respect_the_error_policy() {
 }
 
 // ----------------------------------------------------------- scale-IN --
-
-/// Materialized insert-then-delete script for the scale-IN twin: the
-/// first `grow` cycles each insert `cells` cells; every later cycle
-/// retracts one of the earlier cycles wholesale — except cycle 0, which
-/// survives as the fixed probe region — opening the demand trough that
-/// walks the staircase back down.
-struct ShrinkWorkload {
-    cycles: usize,
-    grow: usize,
-    cells: usize,
-}
-
-const SHRINK: ArrayId = ArrayId(4);
-
-impl ShrinkWorkload {
-    fn schema() -> ArraySchema {
-        ArraySchema::parse("S<v:double>[x=0:*,64]").unwrap()
-    }
-}
-
-impl Workload for ShrinkWorkload {
-    fn name(&self) -> &'static str {
-        "shrink"
-    }
-    fn cycles(&self) -> usize {
-        self.cycles
-    }
-    fn register_arrays(&self, catalog: &mut Catalog) {
-        catalog.register(StoredArray::from_descriptors(SHRINK, Self::schema(), []));
-    }
-    fn insert_batch(&self, _cycle: usize) -> Vec<ChunkDescriptor> {
-        Vec::new()
-    }
-    fn cell_batch(&self, cycle: usize) -> Option<Vec<CellBatch>> {
-        let mut batch = CellBatch::new(SHRINK, &Self::schema());
-        if cycle < self.grow {
-            let mut vals = Vec::with_capacity(1);
-            for i in 0..self.cells {
-                let x = (cycle * self.cells + i) as i64;
-                vals.push(ScalarValue::Double((x * 3) as f64));
-                batch.push(&[x], &mut vals);
-            }
-        } else {
-            // Retract cycle `cycle - grow + 1`: cycle 0 is never doomed.
-            let old = cycle - self.grow + 1;
-            for i in 0..self.cells {
-                batch.push_retraction(&[(old * self.cells + i) as i64]);
-            }
-        }
-        Some(vec![batch])
-    }
-    fn derived_batch(&self, _cycle: usize) -> Vec<ChunkDescriptor> {
-        Vec::new()
-    }
-    fn grid_hint(&self) -> GridHint {
-        GridHint::new(vec![1024])
-    }
-    fn run_suites(&self, _ctx: &ExecutionContext<'_>, _cycle: usize) -> SuiteReport {
-        SuiteReport::default()
-    }
-}
-
-/// Probe over the never-retracted cycle-0 cells, in bit-comparable form.
-fn shrink_probe(cluster: &Cluster, catalog: &Catalog, cells: usize) -> (Vec<Row>, u64, Vec<u64>) {
-    let ctx = ExecutionContext::new(cluster, catalog);
-    let probe = Region::new(vec![0], vec![cells as i64 - 1]);
-    let (got, _) = ops::subarray(&ctx, SHRINK, &probe, &[]).unwrap();
-    let mut rows = got.cells.to_rows();
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-    let (count, _) = ops::filter_count(&ctx, SHRINK, &probe, "v", &Predicate::ge(96.0)).unwrap();
-    let spec = ops::GroupSpec::coarsened(vec![0], vec![256]);
-    let (groups, _) =
-        ops::grid_aggregate(&ctx, SHRINK, Some(&probe), "v", &spec, ops::AggFn::Sum).unwrap();
-    let mut sums: Vec<u64> = groups.iter().map(|r| r.value.to_bits()).collect();
-    sums.sort();
-    (rows, count, sums)
-}
 
 /// Satellite leg: decommission during a crash/flaky-flow schedule must
 /// still produce answers bit-identical to the fault-free shrink twin.
@@ -423,26 +276,17 @@ fn shrink_probe(cluster: &Cluster, catalog: &Catalog, cells: usize) -> (Vec<Row>
 /// twin bit for bit.
 #[test]
 fn decommission_under_faults_matches_the_fault_free_shrink_twin() {
-    // 16 B/cell: 2048 cells fill exactly two 16 KB nodes, so the run
-    // climbs the staircase over the grow cycles and the two retraction
-    // cycles open the trough that walks it back down.
-    let w = ShrinkWorkload { cycles: 5, grow: 3, cells: 2048 };
-    let staircase = ScalingPolicy::Staircase(StaircaseConfig {
-        node_capacity_gb: 16_384.0 / 1e9,
-        samples: 2,
-        plan_ahead: 1,
-        trigger: 1.0,
-        shrink_margin: 0.75,
-    });
-    let mk = |fault_plan: Option<FaultPlan>| RunnerConfig {
-        node_capacity: 16_384,
-        initial_nodes: 2,
-        run_queries: false,
-        replication: 2,
-        scaling: staircase.clone(),
-        fault_plan,
-        ..RunnerConfig::default()
+    // The two retraction cycles open the trough that walks the staircase
+    // back down; cycle 0 survives as the fixed probe region.
+    let w = GrowRetract {
+        array: ArrayId(4),
+        cycles: 5,
+        grow: 3,
+        cells: 2048,
+        first_doomed: 1,
+        value: |x| (x * 3) as f64,
     };
+    let probe = Probe::grow_retract(&w, 96.0);
     for kind in [PartitionerKind::ConsistentHash, PartitionerKind::RoundRobin] {
         // Crash one node before the trough, another right as the first
         // decommission runs (two casualties retired around), flaky
@@ -452,12 +296,14 @@ fn decommission_under_faults_matches_the_fault_free_shrink_twin() {
             .at(3, FaultKind::Crash(2))
             .at(3, FaultKind::FlakyFlows { p: 0.1 })
             .at(4, FaultKind::Revive(1));
-        let mut cfg = mk(Some(plan));
-        cfg.partitioner = kind;
-        let mut faulted = WorkloadRunner::new(&w, cfg);
-        let mut cfg = mk(None);
-        cfg.partitioner = kind;
-        let mut clean = WorkloadRunner::new(&w, cfg);
+        let mk = |fault_plan| RunnerConfig {
+            replication: 2,
+            fault_plan,
+            ..GrowRetract::staircase(kind)
+        };
+        let mut faulted = WorkloadRunner::new(&w, mk(Some(plan)));
+        let mut clean = WorkloadRunner::new(&w, mk(None));
+        let mut oracle = Oracle::new(&w);
 
         let mut faulted_removed = 0;
         let mut clean_removed = 0;
@@ -477,9 +323,15 @@ fn decommission_under_faults_matches_the_fault_free_shrink_twin() {
             assert_eq!(fr.retracted_cells, cr.retracted_cells, "{tag}: retraction accounting");
             assert_eq!(fr.demand_gb.to_bits(), cr.demand_gb.to_bits(), "{tag}: demand");
 
-            // Answers, bit for bit.
-            let want = shrink_probe(clean.cluster(), clean.catalog(), w.cells);
-            let got = shrink_probe(faulted.cluster(), faulted.catalog(), w.cells);
+            // Answers, bit for bit, and the twin's cells are the oracle's.
+            oracle.cycle(&w, c);
+            let want = probe.answers(clean.cluster(), clean.catalog());
+            assert_eq!(
+                want.everything,
+                oracle.rows(w.array),
+                "{tag}: the twin differs from the oracle"
+            );
+            let got = probe.answers(faulted.cluster(), faulted.catalog());
             assert_eq!(got, want, "{tag}: faulted answers differ from the fault-free twin");
 
             // Recovery and retirement settle within the cycle.
@@ -504,13 +356,7 @@ fn decommission_under_faults_matches_the_fault_free_shrink_twin() {
 #[test]
 #[ignore = "heavy: run in release via the fault-smoke CI job"]
 fn fault_smoke() {
-    let w = AisWorkload {
-        cycles: 5,
-        scale: 0.05,
-        seed: 5,
-        cells_per_cycle: 6_000,
-        ..Default::default()
-    };
+    let w = AisWorkload { seed: 5, ..testkit::ais(5, 6_000) };
     let node_capacity = w.cells_per_cycle * 90;
     let mut retries = 0;
     for k in [2usize, 3] {
@@ -523,13 +369,7 @@ fn fault_smoke() {
     // A deeper schedule: drain a survivor, crash two nodes in the same
     // cycle (one mid-recovery), then revive. Two concurrent casualties
     // need k = 3, and a 6-node roster keeps accepting survivors around.
-    let w = AisWorkload {
-        cycles: 5,
-        scale: 0.05,
-        seed: 13,
-        cells_per_cycle: 6_000,
-        ..Default::default()
-    };
+    let w = AisWorkload { seed: 13, ..testkit::ais(5, 6_000) };
     for kind in PartitionerKind::ALL {
         let plan = FaultPlan::new(0xD6)
             .at(1, FaultKind::Crash(1))
@@ -538,23 +378,21 @@ fn fault_smoke() {
             .at(3, FaultKind::Crash(0))
             .at(3, FaultKind::CrashDuringRecovery { node: 2, after_jobs: 2 })
             .at(4, FaultKind::Revive(1));
-        let mut faulted = WorkloadRunner::new(&w, {
-            let mut cfg = config(kind, node_capacity, 3);
-            cfg.initial_nodes = 6;
-            cfg.fault_plan = Some(plan);
-            cfg
-        });
-        let mut clean = WorkloadRunner::new(&w, {
-            let mut cfg = config(kind, node_capacity, 3);
-            cfg.initial_nodes = 6;
-            cfg
-        });
+        let mk = |fault_plan| RunnerConfig {
+            initial_nodes: 6,
+            replication: 3,
+            fault_plan,
+            ..testkit::config(kind, node_capacity)
+        };
+        let mut faulted = WorkloadRunner::new(&w, mk(Some(plan)));
+        let mut clean = WorkloadRunner::new(&w, mk(None));
+        let probe = Probe::ais(&w);
         for c in 0..w.cycles {
             let tag = format!("{kind}/deep/cycle{c}");
             faulted.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: {e}"));
             clean.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: clean: {e}"));
-            let want = probe_answers(clean.cluster(), clean.catalog());
-            let got = probe_answers(faulted.cluster(), faulted.catalog());
+            let want = probe.answers(clean.cluster(), clean.catalog());
+            let got = probe.answers(faulted.cluster(), faulted.catalog());
             assert_eq!(got, want, "{tag}: answers diverged");
             let census = faulted.cluster().replica_census();
             assert!(census.is_full_strength(), "{tag}: {census:?}");

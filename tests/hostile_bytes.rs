@@ -19,6 +19,11 @@
 //!   contradict the config's fault schedule where no codec sees it; that
 //!   run may stop at a typed error, never at a panic.)
 //!
+//! The checkpoint surface is a `testkit::CellChurn` run's checkpoint 2, and
+//! its reference is the runner's own state re-encoded in the checkpoint
+//! layout: the run scales out after the checkpoint, so a restored table
+//! that lost a placement would reach its partitioner's `scale_out`.
+//!
 //! The default run takes a deterministic sample of every sweep. The full
 //! sweep: `cargo test --release --test hostile_bytes -- --ignored
 //! hostile_bytes_smoke`. Without `--release` it runs far slower but also
@@ -38,13 +43,14 @@ use elastic_core::{
     RouteEpoch,
 };
 use query_engine::view::{AggKind, GroupKeyFn, PredFn, RowOp, ValueFn, ViewDef, ViewRegistry};
-use query_engine::{Catalog, ExecutionContext, StoredArray};
+use query_engine::{Catalog, StoredArray};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
+use testkit::{CellChurn, CHURN};
 use workloads::{
-    CellBatch, DurabilityConfig, FaultKind, FaultPlan, RunnerConfig, ScalingPolicy, SuiteReport,
-    WalEvent, Workload, WorkloadRunner,
+    CellBatch, DurabilityConfig, FaultKind, FaultPlan, RunnerConfig, ScalingPolicy, WalEvent,
+    Workload, WorkloadRunner,
 };
 
 // ---------------------------------------------------------------------
@@ -339,67 +345,10 @@ fn sample_events() -> Vec<WalEvent> {
     ]
 }
 
-const CHURN: ArrayId = ArrayId(0);
-const DERIVED: ArrayId = ArrayId(1);
-
-/// Materialized churn small enough to recover thousands of times: each
-/// cycle inserts doubles and dictionary strings, retracts half of the
-/// previous cycle's rows and stores a derived metadata chunk.
-struct Churn;
-
-impl Churn {
-    fn schema() -> ArraySchema {
-        ArraySchema::parse("C<v:double, s:string>[x=0:*,16, y=0:3,2]").unwrap()
-    }
-}
-
-impl Workload for Churn {
-    fn name(&self) -> &'static str {
-        "hostile-churn"
-    }
-    fn cycles(&self) -> usize {
-        4
-    }
-    fn register_arrays(&self, catalog: &mut Catalog) {
-        catalog.register(StoredArray::from_descriptors(CHURN, Self::schema(), []));
-        let derived = ArraySchema::parse("D<v:double>[x=0:*,1, y=0:0,1]").unwrap();
-        catalog.register(StoredArray::from_descriptors(DERIVED, derived, []));
-    }
-    fn insert_batch(&self, _cycle: usize) -> Vec<ChunkDescriptor> {
-        Vec::new()
-    }
-    fn cell_batch(&self, cycle: usize) -> Option<Vec<CellBatch>> {
-        let cells = 64; // one chunk row of x per cycle: no chunk is built twice
-        let mut batch = CellBatch::new(CHURN, &Self::schema());
-        let mut vals = Vec::with_capacity(2);
-        for i in 0..cells {
-            let g = (cycle * cells + i) as i64;
-            vals.push(ScalarValue::Double(g as f64 * 0.25));
-            vals.push(ScalarValue::Str(format!("tag{}", g % 5)));
-            batch.push(&[g / 4, g % 4], &mut vals);
-        }
-        if cycle > 0 {
-            for i in (0..cells).step_by(2) {
-                let g = ((cycle - 1) * cells + i) as i64;
-                batch.push_retraction(&[g / 4, g % 4]);
-            }
-        }
-        Some(vec![batch])
-    }
-    fn derived_batch(&self, cycle: usize) -> Vec<ChunkDescriptor> {
-        let key = ChunkKey::new(DERIVED, ChunkCoords::new([cycle as i64, 0]));
-        vec![ChunkDescriptor::new(key, 512 + cycle as u64, 4)]
-    }
-    fn grid_hint(&self) -> GridHint {
-        GridHint::new(vec![16, 2])
-    }
-    fn quad_plane(&self) -> (usize, usize) {
-        (0, 1)
-    }
-    fn run_suites(&self, _ctx: &ExecutionContext<'_>, _cycle: usize) -> SuiteReport {
-        SuiteReport::default()
-    }
-}
+/// A churn small enough to recover thousands of times: one chunk row of
+/// `x` per cycle, so no chunk is built twice.
+const CHURN_RUN: CellChurn =
+    CellChurn { cycles: 4, cells: 64, chunk: 16, tags: 5, grid: 16, derived: [512, 1, 4] };
 
 fn churn_views() -> Vec<ViewDef> {
     let group: GroupKeyFn = Arc::new(|c, _| vec![c[0].div_euclid(16)]);
@@ -412,17 +361,17 @@ fn churn_views() -> Vec<ViewDef> {
 }
 
 /// Replicas and a crash before the checkpoint, a revival after it, and
-/// a staircase provisioner whose history the checkpoint carries.
+/// a staircase provisioner whose history the checkpoint carries. On
+/// 1.5 KB nodes the staircase scales out in cycle 2, the first cycle a
+/// recovery from checkpoint 2 runs live, so a restored table must scale
+/// out as well as route and locate.
 fn churn_config(log: durability::SharedLog) -> RunnerConfig {
     RunnerConfig {
-        partitioner: PartitionerKind::RoundRobin,
-        node_capacity: 8 * 1024,
         initial_nodes: 3,
-        run_queries: false,
         replication: 2,
         fault_plan: Some(FaultPlan::new(7).at(1, FaultKind::Crash(1)).at(3, FaultKind::Revive(1))),
         scaling: ScalingPolicy::Staircase(elastic_core::StaircaseConfig {
-            node_capacity_gb: 8.0 * 1024.0 / 1e9,
+            node_capacity_gb: 1536.0 / 1e9,
             ..elastic_core::StaircaseConfig::paper_defaults()
         }),
         durability: Some(DurabilityConfig {
@@ -430,7 +379,7 @@ fn churn_config(log: durability::SharedLog) -> RunnerConfig {
             checkpoint_every: 2,
             fsync_policy: FsyncPolicy::PerCycle,
         }),
-        ..RunnerConfig::default()
+        ..testkit::config(PartitionerKind::RoundRobin, 1536)
     }
 }
 
@@ -594,48 +543,65 @@ fn view_surface(sweep_by: Sweep) {
     });
 }
 
-fn checkpoint_surface(sweep_by: Sweep) {
-    // Two committed cycles and the checkpoint after them, nothing more:
-    // a recovery from it replays nothing and runs cycles 2 and 3 live.
+/// Two committed cycles of the churn run and the checkpoint after them,
+/// nothing more: a recovery from it replays nothing and runs cycles 2 and
+/// 3 live. Returns the log image and the checkpoint's payload.
+fn churn_checkpoint() -> (MemLog, Vec<u8>) {
     let log = Arc::new(Mutex::new(MemLog::new()));
-    let mut live = WorkloadRunner::new(&Churn, churn_config(log.clone()));
+    let mut live = WorkloadRunner::new(&CHURN_RUN, churn_config(log.clone()));
     churn_views().into_iter().for_each(|def| live.register_view(def));
     (0..2).for_each(|c| drop(live.run_cycle(c).expect("a clean cycle")));
     drop(live);
     let image = log.lock().expect("log").clone();
     let blob = image.clone().read_checkpoint(2).expect("checkpoint 2");
     let clean = RecordReader::new(&blob).next_record().expect("framed").expect("a record").to_vec();
-    const HEADER: usize = 16; // fingerprint, next cycle
-    sweep("checkpoint", &clean, sweep_by, |payload| {
-        let mut image = image.clone();
-        image.write_checkpoint(2, &frame_record(payload)).expect("mem log");
-        let mut runner =
-            WorkloadRunner::recover(&Churn, churn_config(shared(image)), churn_views())
-                .map_err(|e| format!("recovery failed: {e}"))?;
-        if runner.start_cycle() != 2 {
-            return Err(format!("recovered at cycle {}", runner.start_cycle()));
+    (image, clean)
+}
+
+/// The checkpoint payload's header: fingerprint, next cycle.
+const HEADER: usize = 16;
+
+/// Recover over `image` with checkpoint 2 replaced by `payload`, and use
+/// what was recovered: the `clean` payload must run to the end, scaling
+/// out on the way; any other must be refused for the log's own state, or
+/// be accepted as exactly the state it encodes.
+fn recover_checkpoint(image: &MemLog, clean: &[u8], payload: &[u8]) -> Result<Verdict, String> {
+    let mut image = image.clone();
+    image.write_checkpoint(2, &frame_record(payload)).expect("mem log");
+    let mut runner =
+        WorkloadRunner::recover(&CHURN_RUN, churn_config(shared(image)), churn_views())
+            .map_err(|e| format!("recovery failed: {e}"))?;
+    if runner.start_cycle() != 2 {
+        return Err(format!("recovered at cycle {}", runner.start_cycle()));
+    }
+    let state = world_bytes(&runner);
+    if payload == clean {
+        let run = runner.run_all().map_err(|e| format!("the clean run failed: {e}"))?;
+        if !run.cycles.iter().any(|c| c.added_nodes > 0) {
+            return Err("the clean run never scaled out after the checkpoint".into());
         }
-        let state = world_bytes(&runner);
-        if payload == clean {
-            runner.run_all().map_err(|e| format!("the clean run failed: {e}"))?;
-            return Ok(Verdict::Accepted);
-        }
-        if state == clean[HEADER..] {
-            // Refused and replayed: the run's own state, which the clean
-            // input above took to the end of the run.
-            return Ok(Verdict::Refused);
-        }
-        if payload.get(HEADER..) != Some(&state[..]) {
-            return Err("recovered a state that is neither the checkpoint's nor the log's".into());
-        }
-        // Accepted, and not the run's state. It may still contradict the
-        // config where no codec can see it — a crashed, empty node written
-        // as a healthy, empty one — and then the run stops, typed, when the
-        // schedule reaches it (reviving a node that is not down). A panic
-        // fails the sweep.
-        let _ = runner.run_all();
-        Ok(Verdict::Accepted)
-    });
+        return Ok(Verdict::Accepted);
+    }
+    if state == clean[HEADER..] {
+        // Refused and replayed: the run's own state, which the clean
+        // input above took to the end of the run.
+        return Ok(Verdict::Refused);
+    }
+    if payload.get(HEADER..) != Some(&state[..]) {
+        return Err("recovered a state that is neither the checkpoint's nor the log's".into());
+    }
+    // Accepted, and not the run's state. It may still contradict the
+    // config where no codec can see it — a crashed, empty node written
+    // as a healthy, empty one — and then the run stops, typed, when the
+    // schedule reaches it (reviving a node that is not down). A panic
+    // fails the sweep.
+    let _ = runner.run_all();
+    Ok(Verdict::Accepted)
+}
+
+fn checkpoint_surface(sweep_by: Sweep) {
+    let (image, clean) = churn_checkpoint();
+    sweep("checkpoint", &clean, sweep_by, |payload| recover_checkpoint(&image, &clean, payload));
 }
 
 fn table_surfaces(sweep_by: Sweep) {
@@ -776,6 +742,66 @@ fn the_table_inputs_that_panicked_are_refused() {
         let verdict = catch_unwind(AssertUnwindSafe(|| restore_and_use(kind, &cluster, &bytes)));
         assert!(matches!(verdict, Ok(Ok(Verdict::Refused))), "{kind} table, {input}");
     }
+}
+
+/// A checkpoint whose Round Robin table lost a placement restored, and the
+/// run's scale-out in cycle 2, the first cycle after the checkpoint,
+/// panicked on the missing sequence number. `World::decode` refuses a
+/// table that does not locate every placed chunk, and the log replays.
+/// Fed here: every same-length variant of the checkpoint's table that
+/// restores but loses a placement.
+#[test]
+fn a_checkpoint_table_that_lost_a_placement_is_refused() {
+    let (image, clean) = churn_checkpoint();
+    let views = churn_views();
+    let runner = WorkloadRunner::recover(&CHURN_RUN, churn_config(shared(image.clone())), views)
+        .expect("the clean checkpoint recovers");
+    let (table, cluster) = (runner.partitioner().table_snapshot(), runner.cluster());
+    let at = clean.windows(table.len()).position(|w| w == table).expect("the table's bytes");
+    let (grid, config) = (CHURN_RUN.grid_hint(), PartitionerConfig::default());
+    let lost =
+        (0..variant_count(&table)).filter_map(|i| variant(&table, i)).filter(|(_, bytes)| {
+            let mut q = build_partitioner(PartitionerKind::RoundRobin, cluster, &grid, &config);
+            let restored = q.table_restore(bytes, &cluster.node_ids()).is_ok();
+            bytes.len() == table.len() && restored && unlocated(q.as_ref(), cluster).is_some()
+        });
+    let mut fed = 0;
+    for (what, bytes) in lost {
+        let mut payload = clean.clone();
+        payload[at..at + table.len()].copy_from_slice(&bytes);
+        let verdict = recover_checkpoint(&image, &clean, &payload);
+        assert!(matches!(verdict, Ok(Verdict::Refused)), "table {what}: {:?}", verdict.err());
+        fed += 1;
+    }
+    assert!(fed > 0, "no variant of the table loses a placement");
+}
+
+/// A checkpoint's provisioner history is whatever `f64`s its codec reads.
+/// Samples of -1e300 made the staircase ask for some 10^15 nodes in the
+/// first cycle after the checkpoint, and the allocation aborted the
+/// process. Every policy's scale-out is now held to the per-cycle cap,
+/// and the cycle reports the step saturated.
+#[test]
+fn a_runaway_provisioner_history_saturates_the_step() {
+    let (mut image, clean) = churn_checkpoint();
+    let views = churn_views();
+    let runner = WorkloadRunner::recover(&CHURN_RUN, churn_config(shared(image.clone())), views)
+        .expect("the clean checkpoint recovers");
+    let history = runner.provisioner().expect("a staircase").history().to_vec();
+    let section = encoded(|w| {
+        w.put_bool(true);
+        w.put_list(&history, |w, &v| w.put_f64(v));
+    });
+    let at = clean.windows(section.len()).position(|w| w == section).expect("the history's bytes");
+    let runaway = encoded(|w| history.iter().for_each(|_| w.put_f64(-1e300)));
+    let mut payload = clean.clone();
+    payload[at + section.len() - runaway.len()..at + section.len()].copy_from_slice(&runaway);
+    image.write_checkpoint(2, &frame_record(&payload)).expect("mem log");
+    let mut runner =
+        WorkloadRunner::recover(&CHURN_RUN, churn_config(shared(image)), churn_views())
+            .expect("any history is accepted");
+    let run = runner.run_all().expect("the run finishes");
+    assert!(run.cycles.iter().any(|c| c.scale_saturated), "{:?}", run.cycles);
 }
 
 /// A K-d Tree table of 10 000 nested splits recursed once per split, and

@@ -10,137 +10,30 @@
 //! fault-injected twin whose crashes and failovers move bytes around
 //! underneath the view.
 //!
-//! The recompute oracle is mechanical: instantiate a *fresh* copy of
-//! the same [`ViewDef`] and feed it one bulk delta per input array,
-//! extracted ([`DeltaSet::from_live_cells`]) from a whole-array copy this
-//! suite builds from the generator's batches alone ([`BatchOracle`] —
-//! the runner keeps none). Because view state depends only on
-//! the logical delta stream — never on placement — every leg's
-//! snapshots must also agree *across* partitioners, encodings, and
-//! replication factors, and the maintained identity view must equal
-//! the independent raw-cell oracle computed from the generator's
-//! batches alone.
+//! The recompute oracle is mechanical (`testkit::Oracle::assert_views`):
+//! instantiate a *fresh* copy of the same [`ViewDef`] and feed it one
+//! bulk delta per input array, extracted (`DeltaSet::from_live_cells`)
+//! from a whole-array copy of `testkit::Oracle`'s cells, folded from the
+//! generator's batches alone — the runner keeps none. Because view state
+//! depends only on the logical delta stream — never on placement — every
+//! leg's snapshots must also agree *across* partitioners, encodings, and
+//! replication factors, and the maintained identity view must equal the
+//! oracle's raw cells, as must the arrays the views read (not re-scanned
+//! in the benchmark-shaped `view_batch_smoke`). The scale-in trough is
+//! `testkit::GrowRetract`, and the faulted twin runs
+//! `testkit::scripted_faults`.
 
-use array_model::DeltaSet;
 use elastic_array_db::prelude::*;
 use query_engine::view::{
     AggKind, EmitFn, GroupKeyFn, JoinKeyFn, KeyScalar, MapFn, PredFn, RowOp, ValueFn, ViewDef,
     ViewKind, ViewSnapshot,
 };
-use std::collections::BTreeMap;
 use std::sync::Arc;
+use testkit::{num, scripted_faults, GrowRetract, Oracle, Row};
 use workloads::ais::{AisWorkload, BROADCAST};
 use workloads::modis::{ModisWorkload, BAND1, BAND2};
-use workloads::CellBatch;
-
-type Row = (Vec<i64>, Vec<ScalarValue>);
-
-fn config(
-    kind: PartitionerKind,
-    node_capacity: u64,
-    encoding: StringEncoding,
-    k: usize,
-) -> RunnerConfig {
-    RunnerConfig {
-        node_capacity,
-        initial_nodes: 2,
-        partitioner: kind,
-        scaling: ScalingPolicy::FixedStep { add: 2, trigger: 0.8 },
-        run_queries: false,
-        string_encoding: encoding,
-        replication: k,
-        ..RunnerConfig::default()
-    }
-}
-
-// -------------------------------------------------------------- oracle --
-
-/// The arrays as the generator's batches alone describe them: each
-/// cycle's retraction script, then its inserts, applied to a plain
-/// [`Array`] per id. Neither the runner nor its cluster or catalog is
-/// consulted, so what is recomputed from here is independent of every
-/// path under test.
-struct BatchOracle(BTreeMap<ArrayId, Array>);
-
-impl BatchOracle {
-    fn new(w: &dyn Workload) -> Self {
-        let mut catalog = Catalog::new();
-        w.register_arrays(&mut catalog);
-        BatchOracle(catalog.arrays().map(|a| (a.id, Array::new(a.id, a.schema.clone()))).collect())
-    }
-
-    /// Apply cycle `cycle`'s batches, in the order the runner does.
-    fn apply(&mut self, w: &dyn Workload, cycle: usize) {
-        for batch in w.cell_batch(cycle).unwrap_or_default() {
-            let array = self.0.get_mut(&batch.array).expect("batch targets a registered array");
-            array.delete_cells(batch.retractions_flat()).expect("script is in bounds");
-            array.insert_batch(batch.rows()).expect("rows are schema-shaped");
-        }
-    }
-}
-
-/// From-scratch recompute: a fresh view over the same definition, fed
-/// one bulk insert-delta per input array from the oracle's whole-array
-/// copy. Shares every finalization path with the incremental form, so
-/// agreement must be bit-exact, not approximate.
-fn recompute(def: &ViewDef, oracle: &BatchOracle) -> ViewSnapshot {
-    let mut fresh = def.instantiate();
-    for id in def.inputs() {
-        let data = oracle.0.get(&id).expect("view input is a registered array");
-        fresh.apply(id, &DeltaSet::from_live_cells(data));
-    }
-    fresh.snapshot()
-}
-
-/// Check every registered view against its recompute oracle.
-fn assert_views_match_recompute(runner: &WorkloadRunner<'_>, oracle: &BatchOracle, tag: &str) {
-    for v in runner.views().views() {
-        let want = recompute(v.def(), oracle);
-        assert_eq!(
-            v.snapshot(),
-            want,
-            "{tag}: view '{}' diverged from from-scratch recompute",
-            v.name()
-        );
-    }
-}
-
-/// The independent raw-cell oracle: surviving rows of a retracting
-/// generator computed from the batches alone, without touching runner,
-/// cluster, catalog, or the view machinery.
-fn surviving_rows(w: &impl Workload, array: ArrayId) -> Vec<Row> {
-    let mut catalog = Catalog::new();
-    w.register_arrays(&mut catalog);
-    let dims = catalog.array(array).expect("registered").schema.dimensions.len();
-    let mut rows: BTreeMap<Vec<i64>, Vec<ScalarValue>> = BTreeMap::new();
-    for c in 0..w.cycles() {
-        for batch in w.cell_batch(c).unwrap_or_default() {
-            if batch.array != array {
-                continue;
-            }
-            for coords in batch.retractions_flat().chunks(dims) {
-                assert!(rows.remove(coords).is_some(), "retraction of a never-inserted cell");
-            }
-            for (coords, values) in batch.cells() {
-                assert!(rows.insert(coords, values).is_none(), "duplicate insert");
-            }
-        }
-    }
-    rows.into_iter().collect()
-}
 
 // --------------------------------------------------------------- views --
-
-fn numeric(v: &ScalarValue) -> f64 {
-    match v {
-        ScalarValue::Int32(i) => *i as f64,
-        ScalarValue::Int64(i) => *i as f64,
-        ScalarValue::Float(f) => *f as f64,
-        ScalarValue::Double(d) => *d,
-        ScalarValue::Char(c) => *c as f64,
-        ScalarValue::Str(_) => 0.0,
-    }
-}
 
 /// The AIS view set: an identity select (pinned against the raw-cell
 /// oracle), a filter+project pipeline, and one grouped aggregate per
@@ -149,7 +42,7 @@ fn ais_views() -> Vec<ViewDef> {
     let mut defs = Vec::new();
     defs.push(ViewDef::select("all-rows", BROADCAST, Vec::new()));
 
-    let fast: PredFn = Arc::new(|_, v| numeric(&v[0]) >= 10.0);
+    let fast: PredFn = Arc::new(|_, v| num(&v[0]) >= 10.0);
     let project: MapFn =
         Arc::new(|c, v| (c.to_vec(), vec![v[6].clone(), v[0].clone(), v[8].clone()]));
     defs.push(ViewDef::select(
@@ -159,7 +52,7 @@ fn ais_views() -> Vec<ViewDef> {
     ));
 
     let grid: GroupKeyFn = Arc::new(|c, _| vec![c[1].div_euclid(8), c[2].div_euclid(8)]);
-    let speed: ValueFn = Arc::new(|_, v| numeric(&v[0]));
+    let speed: ValueFn = Arc::new(|_, v| num(&v[0]));
     for agg in [AggKind::Count, AggKind::Sum, AggKind::Avg, AggKind::Min, AggKind::Max] {
         defs.push(ViewDef::aggregate(
             format!("grid-speed-{agg:?}"),
@@ -187,26 +80,32 @@ fn run_ais_views(
     k: usize,
 ) -> Vec<(String, ViewSnapshot)> {
     let tag = format!("{kind}/{encoding:?}/k{k}");
-    let mut runner = WorkloadRunner::new(w, config(kind, node_capacity, encoding, k));
+    let cfg = RunnerConfig {
+        string_encoding: encoding,
+        replication: k,
+        ..testkit::config(kind, node_capacity)
+    };
+    let mut runner = WorkloadRunner::new(w, cfg);
     for def in ais_views() {
         runner.register_view(def);
     }
     let mut delta_rows = 0u64;
     let mut retracted = 0u64;
-    let mut oracle = BatchOracle::new(w);
+    let mut oracle = Oracle::new(w);
     for c in 0..w.cycles {
         let report = runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
         delta_rows += report.view_delta_rows;
         retracted += report.retracted_cells;
-        oracle.apply(w, c);
-        assert_views_match_recompute(&runner, &oracle, &format!("{tag}/cycle{c}"));
+        oracle.cycle(w, c);
+        oracle.assert_views(&runner, &format!("{tag}/cycle{c}"));
+        oracle.assert_stored(&runner, BROADCAST, &format!("{tag}/cycle{c}"));
     }
     assert!(delta_rows > 0, "{tag}: no deltas reached the views");
     assert!(retracted > 0, "{tag}: no vessel went dark — vacuous differential");
 
     // The identity view equals the independent raw-cell oracle, with
     // every weight exactly 1.
-    let oracle = surviving_rows(w, BROADCAST);
+    let oracle = oracle.rows(BROADCAST);
     let got: Vec<Row> = runner
         .views()
         .view("all-rows")
@@ -228,7 +127,7 @@ fn run_ais_views(
 }
 
 fn run_ais_matrix(cells_per_cycle: u64, cycles: usize, kinds: &[PartitionerKind], ks: &[usize]) {
-    let w = AisWorkload { cycles, scale: 0.05, seed: 21, cells_per_cycle, dark_vessel_rate: 4 };
+    let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(cycles, cells_per_cycle) };
     let node_capacity = cells_per_cycle * 90;
     let mut reference: Option<Vec<(String, ViewSnapshot)>> = None;
     for &kind in kinds {
@@ -254,12 +153,12 @@ fn run_ais_matrix(cells_per_cycle: u64, cycles: usize, kinds: &[PartitionerKind]
 fn modis_views() -> Vec<ViewDef> {
     let key: JoinKeyFn = Arc::new(|c, _| c.iter().map(|&x| KeyScalar::Int(x)).collect());
     let emit: EmitFn = Arc::new(|l, r| {
-        let (b1, b2) = (numeric(&l.1[1]), numeric(&r.1[1]));
+        let (b1, b2) = (num(&l.1[1]), num(&r.1[1]));
         (l.0.clone(), vec![ScalarValue::Double((b2 - b1) / (b2 + b1 + 1e-9))])
     });
     let ndvi = ViewDef::join("ndvi", BAND1, BAND2, Vec::new(), Vec::new(), key.clone(), key, emit);
     let day: GroupKeyFn = Arc::new(|c, _| vec![c[0].div_euclid(1440)]);
-    let radiance: ValueFn = Arc::new(|_, v| numeric(&v[1]));
+    let radiance: ValueFn = Arc::new(|_, v| num(&v[1]));
     let daily =
         ViewDef::aggregate("daily-radiance", BAND1, Vec::new(), day, radiance, AggKind::Avg);
     vec![ndvi, daily]
@@ -271,18 +170,22 @@ fn modis_views() -> Vec<ViewDef> {
 fn run_modis_views(cells_per_cycle: u64, days: usize, kind: PartitionerKind, k: usize) {
     let tag = format!("{kind}/modis-ttl/k{k}");
     let w = ModisWorkload { days, scale: 0.05, seed: 33, cells_per_cycle, ttl_days: 1 };
-    let mut runner =
-        WorkloadRunner::new(&w, config(kind, cells_per_cycle * 95, StringEncoding::default(), k));
+    let mut runner = WorkloadRunner::new(
+        &w,
+        RunnerConfig { replication: k, ..testkit::config(kind, cells_per_cycle * 95) },
+    );
     for def in modis_views() {
         runner.register_view(def);
     }
     let mut retracted = 0u64;
-    let mut oracle = BatchOracle::new(&w);
+    let mut oracle = Oracle::new(&w);
     for c in 0..days {
         let report = runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
         retracted += report.retracted_cells;
-        oracle.apply(&w, c);
-        assert_views_match_recompute(&runner, &oracle, &format!("{tag}/cycle{c}"));
+        oracle.cycle(&w, c);
+        let tag = format!("{tag}/cycle{c}");
+        oracle.assert_views(&runner, &tag);
+        [BAND1, BAND2].iter().for_each(|&id| oracle.assert_stored(&runner, id, &tag));
     }
     assert!(retracted > 0, "{tag}: TTL never expired a tile — vacuous");
     let ndvi = runner.views().view("ndvi").expect("registered");
@@ -291,88 +194,26 @@ fn run_modis_views(cells_per_cycle: u64, days: usize, kind: PartitionerKind, k: 
 
 // -------------------------------------------------------- scale-in leg --
 
-/// Grows for `grow` cycles, then retracts one old cycle per cycle until
-/// the array is empty — the staircase walks the cluster back down, and
-/// the views must drain to empty through scale-in drains and GC
-/// compactions.
-#[derive(Clone)]
-struct GrowShrinkWorkload {
-    cycles: usize,
-    grow: usize,
-    cells: usize,
-}
-
-const TROUGH: ArrayId = ArrayId(7);
-
-impl GrowShrinkWorkload {
-    fn schema() -> ArraySchema {
-        ArraySchema::parse("T<v:double>[x=0:*,64]").unwrap()
-    }
-}
-
-impl Workload for GrowShrinkWorkload {
-    fn name(&self) -> &'static str {
-        "grow-shrink"
-    }
-    fn cycles(&self) -> usize {
-        self.cycles
-    }
-    fn register_arrays(&self, catalog: &mut Catalog) {
-        catalog.register(StoredArray::from_descriptors(TROUGH, Self::schema(), []));
-    }
-    fn insert_batch(&self, _cycle: usize) -> Vec<ChunkDescriptor> {
-        Vec::new()
-    }
-    fn cell_batch(&self, cycle: usize) -> Option<Vec<CellBatch>> {
-        let mut batch = CellBatch::new(TROUGH, &Self::schema());
-        if cycle < self.grow {
-            let mut vals = Vec::with_capacity(1);
-            for i in 0..self.cells {
-                let x = (cycle * self.cells + i) as i64;
-                vals.push(ScalarValue::Double((x % 97) as f64 - 48.0));
-                batch.push(&[x], &mut vals);
-            }
-        }
-        let old = cycle.wrapping_sub(self.grow);
-        if cycle >= self.grow && old < self.grow {
-            for i in 0..self.cells {
-                batch.push_retraction(&[(old * self.cells + i) as i64]);
-            }
-        }
-        Some(vec![batch])
-    }
-    fn derived_batch(&self, _cycle: usize) -> Vec<ChunkDescriptor> {
-        Vec::new()
-    }
-    fn grid_hint(&self) -> GridHint {
-        GridHint::new(vec![1024])
-    }
-    fn run_suites(&self, _ctx: &ExecutionContext<'_>, _cycle: usize) -> SuiteReport {
-        SuiteReport::default()
-    }
-}
-
 #[test]
 fn scale_in_trough_drains_views_to_empty() {
-    // 16 B/cell: 2048 cells fill exactly two 16 KB nodes, so the run
-    // climbs the staircase and then walks it back down as deletes land.
-    let w = GrowShrinkWorkload { cycles: 6, grow: 3, cells: 2048 };
-    let mut cfg = config(PartitionerKind::RoundRobin, 16_384, StringEncoding::default(), 1);
-    cfg.scaling = ScalingPolicy::Staircase(StaircaseConfig {
-        node_capacity_gb: 16_384.0 / 1e9,
-        samples: 2,
-        plan_ahead: 1,
-        trigger: 1.0,
-        shrink_margin: 0.75,
-    });
-    let mut runner = WorkloadRunner::new(&w, cfg);
-    runner.register_view(ViewDef::select("all-rows", TROUGH, Vec::new()));
+    // The run climbs the staircase and then walks it back down as the
+    // deletes land, until the array is empty.
+    let w = GrowRetract {
+        array: ArrayId(7),
+        cycles: 6,
+        grow: 3,
+        cells: 2048,
+        first_doomed: 0,
+        value: |x| (x % 97) as f64 - 48.0,
+    };
+    let mut runner = WorkloadRunner::new(&w, GrowRetract::staircase(PartitionerKind::RoundRobin));
+    runner.register_view(ViewDef::select("all-rows", w.array, Vec::new()));
     let bucket: GroupKeyFn = Arc::new(|c, _| vec![c[0].div_euclid(256)]);
-    let value: ValueFn = Arc::new(|_, v| numeric(&v[0]));
+    let value: ValueFn = Arc::new(|_, v| num(&v[0]));
     for agg in [AggKind::Sum, AggKind::Min, AggKind::Max] {
         runner.register_view(ViewDef::aggregate(
             format!("bucket-{agg:?}"),
-            TROUGH,
+            w.array,
             Vec::new(),
             bucket.clone(),
             value.clone(),
@@ -381,12 +222,13 @@ fn scale_in_trough_drains_views_to_empty() {
     }
     let mut removed = 0usize;
     let mut peak_groups = 0usize;
-    let mut oracle = BatchOracle::new(&w);
+    let mut oracle = Oracle::new(&w);
     for c in 0..w.cycles {
         let report = runner.run_cycle(c).unwrap_or_else(|e| panic!("trough cycle {c}: {e}"));
         removed += report.removed_nodes;
-        oracle.apply(&w, c);
-        assert_views_match_recompute(&runner, &oracle, &format!("trough/cycle{c}"));
+        oracle.cycle(&w, c);
+        oracle.assert_views(&runner, &format!("trough/cycle{c}"));
+        oracle.assert_stored(&runner, w.array, &format!("trough/cycle{c}"));
         peak_groups =
             peak_groups.max(runner.views().view("bucket-Sum").unwrap().group_rows().len());
     }
@@ -406,37 +248,26 @@ fn scale_in_trough_drains_views_to_empty() {
 
 // ------------------------------------------------------ faulted twin --
 
-/// The scripted fault schedule the retraction and recovery suites use:
-/// a crash with flaky repair flows, a crash right after a rebalance,
-/// and a revival of the first casualty.
-fn fault_schedule(k: usize) -> FaultPlan {
-    FaultPlan::new(0xE1A5 + k as u64)
-        .at(1, FaultKind::Crash(1))
-        .at(1, FaultKind::FlakyFlows { p: 0.1 })
-        .at(2, FaultKind::CrashDuringRebalance(2))
-        .at(3, FaultKind::Revive(1))
-}
-
 /// Crashes, failovers, and repairs move bytes, never logical cells: the
 /// faulted run's views must stay bit-identical to the fault-free twin's
 /// (and to recompute) every cycle.
 fn run_faulted_twin(w: &AisWorkload, kind: PartitionerKind, k: usize) {
     let tag = format!("{kind}/faulted/k{k}");
     let node_capacity = w.cells_per_cycle * 90;
-    let mk = |plan: Option<FaultPlan>| {
-        let mut cfg = config(kind, node_capacity, StringEncoding::default(), k);
-        cfg.initial_nodes = k + 2;
-        cfg.fault_plan = plan;
-        cfg
+    let mk = |fault_plan| RunnerConfig {
+        initial_nodes: k + 2,
+        replication: k,
+        fault_plan,
+        ..testkit::config(kind, node_capacity)
     };
-    let mut faulted = WorkloadRunner::new(w, mk(Some(fault_schedule(k))));
+    let mut faulted = WorkloadRunner::new(w, mk(Some(scripted_faults(k))));
     let mut clean = WorkloadRunner::new(w, mk(None));
     for def in ais_views() {
         faulted.register_view(def.clone());
         clean.register_view(def);
     }
     let mut crashed = 0usize;
-    let mut oracle = BatchOracle::new(w);
+    let mut oracle = Oracle::new(w);
     for c in 0..w.cycles {
         let fr = faulted.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: faulted cycle {c}: {e}"));
         clean.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: clean cycle {c}: {e}"));
@@ -449,8 +280,9 @@ fn run_faulted_twin(w: &AisWorkload, kind: PartitionerKind, k: usize) {
                 fv.name()
             );
         }
-        oracle.apply(w, c);
-        assert_views_match_recompute(&faulted, &oracle, &format!("{tag}/cycle{c}"));
+        oracle.cycle(w, c);
+        oracle.assert_views(&faulted, &format!("{tag}/cycle{c}"));
+        oracle.assert_stored(&faulted, BROADCAST, &format!("{tag}/cycle{c}"));
     }
     assert!(crashed > 0, "{tag}: the schedule never crashed a node — vacuous");
 }
@@ -486,13 +318,7 @@ fn modis_join_view_matches_recompute_under_ttl_expiry() {
 
 #[test]
 fn faulted_twin_views_match_fault_free() {
-    let w = AisWorkload {
-        cycles: 4,
-        scale: 0.05,
-        seed: 21,
-        cells_per_cycle: 1_200,
-        dark_vessel_rate: 4,
-    };
+    let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(4, 1_200) };
     for kind in [PartitionerKind::HilbertCurve, PartitionerKind::ConsistentHash] {
         run_faulted_twin(&w, kind, 2);
     }
@@ -508,13 +334,7 @@ fn delta_smoke() {
     for kind in PartitionerKind::ALL {
         run_modis_views(2_000, 4, kind, 2);
     }
-    let w = AisWorkload {
-        cycles: 4,
-        scale: 0.05,
-        seed: 21,
-        cells_per_cycle: 4_000,
-        dark_vessel_rate: 4,
-    };
+    let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(4, 4_000) };
     for kind in PartitionerKind::ALL {
         run_faulted_twin(&w, kind, 2);
     }
@@ -532,7 +352,7 @@ fn modis_batch_views() -> Vec<ViewDef> {
     };
     (*ops, *right_ops) = (belt(), belt());
     let day: GroupKeyFn = Arc::new(|c, _| vec![c[0].div_euclid(1440)]);
-    let radiance: ValueFn = Arc::new(|_, v| numeric(&v[1]));
+    let radiance: ValueFn = Arc::new(|_, v| num(&v[1]));
     for agg in [AggKind::Min, AggKind::Count] {
         let name = format!("daily-{agg:?}");
         defs.push(ViewDef::aggregate(name, BAND1, Vec::new(), day.clone(), radiance.clone(), agg));
@@ -560,17 +380,19 @@ fn view_batch_smoke() {
         for k in [1, 2] {
             let tag = format!("{kind}/modis-batch/k{k}");
             let capacity = w.cells_per_cycle * 95;
-            let mut runner =
-                WorkloadRunner::new(&w, config(kind, capacity, StringEncoding::default(), k));
+            let mut runner = WorkloadRunner::new(
+                &w,
+                RunnerConfig { replication: k, ..testkit::config(kind, capacity) },
+            );
             modis_batch_views().into_iter().for_each(|def| runner.register_view(def));
             let mut retracted = 0u64;
-            let mut oracle = BatchOracle::new(&w);
+            let mut oracle = Oracle::new(&w);
             for c in 0..w.days {
                 let report =
                     runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
                 retracted += report.retracted_cells;
-                oracle.apply(&w, c);
-                assert_views_match_recompute(&runner, &oracle, &format!("{tag}/cycle{c}"));
+                oracle.cycle(&w, c);
+                oracle.assert_views(&runner, &format!("{tag}/cycle{c}"));
                 if [4, 8, 12].contains(&c) {
                     let bytes = export(runner.views());
                     let mut reader = durability::ByteReader::new(&bytes);

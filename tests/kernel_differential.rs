@@ -38,6 +38,12 @@
 //! 3-cell coarsening, straddle those of the 2-cell one and do either
 //! under the 5-cell one (a sparse chunk's tight box can fit where its
 //! extent would not), so both paths meet the ordered-map oracle.
+//!
+//! These oracles read the rows in scan order, which is what the f64 sums
+//! are pinned to, not `testkit::Oracle`'s coordinate-ordered cells. The
+//! window's definition is `testkit::window_oracle`, which the
+//! materialized suite holds its window to as well; the smoke leg's runs
+//! start from `testkit::config`.
 
 use elastic_array_db::array::chunk_of;
 use elastic_array_db::prelude::*;
@@ -45,10 +51,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use query_engine::ops::{self, AggFn, GroupSpec};
 use std::collections::{BTreeMap, BTreeSet};
+use testkit::{num, window_oracle, Row};
 use workloads::ais::BROADCAST;
 use workloads::modis::{BAND1, BAND2};
-
-type Row = (Vec<i64>, Vec<ScalarValue>);
 
 const ARRAY: ArrayId = ArrayId(0);
 /// Attribute positions in [`schema`].
@@ -57,10 +62,6 @@ const Q: usize = 1;
 const INT_COLUMNS: [(&str, usize); 3] = [("i", 2), ("l", 3), ("c", 4)];
 const SPEED: usize = 5;
 const COURSE: usize = 6;
-
-fn num(v: &ScalarValue) -> f64 {
-    v.as_f64().expect("numeric attribute")
-}
 
 /// The other side of `positional_join`.
 const RIGHT: ArrayId = ArrayId(1);
@@ -276,44 +277,6 @@ fn build(case: &Case) -> World {
 }
 
 // ------------------------------------------------------------- oracles --
-
-/// Windowed mean by the definition: a point map (a repeated cell keeps
-/// its last value) probed once per offset of the window box by an
-/// odometer, last dimension fastest. `(outputs, mean bits)`.
-fn window_oracle(rows: &[Row], attr: usize, region: &Region, radius: i64) -> (u64, Option<u64>) {
-    let grown = Region::new(
-        region.low.iter().map(|v| v - radius).collect(),
-        region.high.iter().map(|v| v + radius).collect(),
-    );
-    let points: BTreeMap<&[i64], f64> = rows
-        .iter()
-        .filter(|(c, _)| grown.contains_cell(c))
-        .map(|(c, v)| (c.as_slice(), num(&v[attr])))
-        .collect();
-    let (mut total, mut outputs) = (0.0, 0u64);
-    for cell in points.keys().filter(|c| region.contains_cell(c)) {
-        let (mut sum, mut n) = (0.0, 0u64);
-        let mut offset = vec![-radius; cell.len()];
-        'odometer: loop {
-            let probe: Vec<i64> = cell.iter().zip(&offset).map(|(c, o)| c + o).collect();
-            if let Some(v) = points.get(probe.as_slice()) {
-                sum += v;
-                n += 1;
-            }
-            for d in (0..offset.len()).rev() {
-                if offset[d] < radius {
-                    offset[d] += 1;
-                    continue 'odometer;
-                }
-                offset[d] = -radius;
-            }
-            break;
-        }
-        total += sum / n as f64;
-        outputs += 1;
-    }
-    (outputs, (outputs > 0).then(|| (total / outputs as f64).to_bits()))
-}
 
 /// The candidate distances kNN's ring exploration reaches from `q` — it
 /// stops after the first ring (past the home chunk) by which `3k` cells
@@ -554,17 +517,6 @@ proptest! {
 
 // --------------------------------------------------------------- smoke --
 
-fn runner_config(kind: PartitionerKind, node_capacity: u64) -> RunnerConfig {
-    RunnerConfig {
-        node_capacity,
-        initial_nodes: 2,
-        partitioner: kind,
-        scaling: ScalingPolicy::FixedStep { add: 2, trigger: 0.8 },
-        run_queries: false,
-        ..RunnerConfig::default()
-    }
-}
-
 /// Release-scale leg: one full-size AIS cycle (200k broadcasts) and one
 /// full-size MODIS day (100k pixels) under all 8 partitioners, the
 /// benchmark's own queries (r = 2 window, k = 10 neighbours, the NDVI
@@ -576,7 +528,7 @@ fn kernel_smoke() {
     let attr = |schema: &ArraySchema, name: &str| schema.attribute_index(name).unwrap();
     for kind in PartitionerKind::ALL {
         let w = AisWorkload { cycles: 1, cells_per_cycle: 200_000, ..AisWorkload::default() };
-        let mut runner = WorkloadRunner::new(&w, runner_config(kind, 90 * 200_000));
+        let mut runner = WorkloadRunner::new(&w, testkit::config(kind, 90 * 200_000));
         runner.run_cycle(0).unwrap_or_else(|e| panic!("{kind}: AIS cycle: {e}"));
         let ctx = ExecutionContext::new(runner.cluster(), runner.catalog());
         let schema = AisWorkload::broadcast_schema();
@@ -614,7 +566,7 @@ fn kernel_smoke() {
         }
 
         let w = ModisWorkload { days: 1, cells_per_cycle: 100_000, ..ModisWorkload::default() };
-        let mut runner = WorkloadRunner::new(&w, runner_config(kind, 60 * 100_000 * 3));
+        let mut runner = WorkloadRunner::new(&w, testkit::config(kind, 60 * 100_000 * 3));
         runner.run_cycle(0).unwrap_or_else(|e| panic!("{kind}: MODIS day: {e}"));
         let ctx = ExecutionContext::new(runner.cluster(), runner.catalog());
         let schema = ModisWorkload::band_schema("Band1");

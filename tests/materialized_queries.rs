@@ -30,203 +30,86 @@
 //!    every scale-out + rebalance either run triggers). Byte accounting
 //!    legitimately differs between the encodings — placement may too —
 //!    but the answer space may not.
+//!
+//! The raw cells come from `testkit::Oracle`, folded from the generator's
+//! batches alone; the AIS answers are `testkit::Probe::ais`'s, and the
+//! descriptor books are checked by `testkit::assert_books`.
 
 use elastic_array_db::prelude::*;
 use query_engine::ops;
-use workloads::ais::{AisWorkload, BROADCAST};
+use testkit::{assert_books, num, window_oracle, Answers, Oracle, Probe, Row};
+use workloads::ais::BROADCAST;
 use workloads::modis::{ModisWorkload, BAND1, BAND2};
 use workloads::synthetic::{SyntheticWorkload, SYNTHETIC};
 
 use std::collections::{BTreeMap, BTreeSet};
 
-type Row = (Vec<i64>, Vec<ScalarValue>);
-
-fn config(kind: PartitionerKind, node_capacity: u64) -> RunnerConfig {
-    config_encoded(kind, node_capacity, StringEncoding::default())
-}
-
-fn config_encoded(
-    kind: PartitionerKind,
-    node_capacity: u64,
-    string_encoding: StringEncoding,
-) -> RunnerConfig {
-    RunnerConfig {
-        node_capacity,
-        initial_nodes: 2,
-        partitioner: kind,
-        partitioner_config: PartitionerConfig::default(),
-        scaling: ScalingPolicy::FixedStep { add: 2, trigger: 0.8 },
-        cost: CostModel::default(),
-        run_queries: false,
-        ingest_threads: 1,
-        string_encoding,
-        ..RunnerConfig::default()
-    }
-}
-
-fn num(v: &ScalarValue) -> f64 {
-    v.as_f64().expect("numeric attribute")
-}
-
-/// Every placed chunk of `array_id` must carry a payload whose real bytes
-/// and cells equal the descriptor the placement, census, and cost model
-/// saw — including after rebalances moved it between nodes.
-fn assert_payload_integrity(runner: &WorkloadRunner<'_>, array_id: ArrayId) {
-    let stored = runner.catalog().array(array_id).unwrap();
-    assert!(!stored.descriptors.is_empty(), "nothing ingested for {array_id}");
-    for desc in stored.descriptors.values() {
-        let payload = runner
-            .cluster()
-            .payload(&desc.key)
-            .unwrap_or_else(|| panic!("{}: payload missing after rebalances", desc.key));
-        assert_eq!(payload.byte_size(), desc.bytes, "{}: descriptor drifted", desc.key);
-        assert_eq!(payload.cell_count(), desc.cells, "{}: cell count drifted", desc.key);
-    }
-}
-
 // ---------------------------------------------------------------- AIS --
 
-/// Every operator family's answer over AIS cycle 0's fixed probe region,
-/// captured in bit-comparable form. Float-valued outputs are stored as
-/// `to_bits()`, so comparing two snapshots with `assert_eq!` demands
-/// **bit-identical** answers — the contract between the dictionary-
-/// encoded and plain-string builds of the same run.
-#[derive(Debug, PartialEq)]
-struct ProbeAnswers {
-    subarray: Vec<Row>,
-    filter_count: u64,
-    distinct_ids: Vec<i64>,
-    median_bits: Option<u64>,
-    groups: Vec<(Vec<i64>, u64, u64)>,
-    trajectory: (u64, u64),
-    knn: Vec<ops::KnnAnswer>,
-}
-
-/// Collect the probe answers from a run's current placement. Sorting the
-/// subarray rows removes the one legitimate order difference (chunk
-/// iteration order can differ between placements); every value inside a
-/// row — including the decoded strings — must match exactly.
-fn ais_probe_answers(w: &AisWorkload, cluster: &Cluster, catalog: &Catalog) -> ProbeAnswers {
-    let ctx = ExecutionContext::new(cluster, catalog);
-    let probe = AisWorkload::cycle_region(0);
-    let (cells, _) = ops::subarray(&ctx, BROADCAST, &probe, &[]).unwrap();
-    let mut subarray = cells.cells.to_rows();
-    subarray.sort_by(|a, b| a.0.cmp(&b.0));
-    let (filter_count, _) =
-        ops::filter_count(&ctx, BROADCAST, &probe, "speed", &Predicate::ge(10.0)).unwrap();
-    let (distinct_ids, _) = ops::distinct_sorted(&ctx, BROADCAST, Some(&probe), "ship_id").unwrap();
-    let (q, _) = ops::quantile(&ctx, BROADCAST, Some(&probe), "speed", 0.5, 1.0).unwrap();
-    let spec = ops::GroupSpec::coarsened(vec![1, 2], vec![8, 8]);
-    let (rows, _) =
-        ops::grid_aggregate(&ctx, BROADCAST, Some(&probe), "speed", &spec, ops::AggFn::Sum)
-            .unwrap();
-    let mut groups: Vec<(Vec<i64>, u64, u64)> =
-        rows.iter().map(|r| (r.key.clone(), r.value.to_bits(), r.cells)).collect();
-    groups.sort();
-    let newest = Region::new(vec![3 * 43_200, -180, 0], vec![4 * 43_200 - 1, -66, 90]);
-    let (traj, _) = ops::trajectory(&ctx, BROADCAST, &newest, "speed", "course", 0.25).unwrap();
-    let (knn, _) = ops::knn(&ctx, BROADCAST, &w.knn_queries(0, 8), 5).unwrap();
-    ProbeAnswers {
-        subarray,
-        filter_count,
-        distinct_ids,
-        median_bits: q.value.map(f64::to_bits),
-        groups,
-        trajectory: (traj.projected, traj.collision_candidates),
-        knn,
-    }
-}
-
-/// Oracle + operator checks over AIS cycle 0's fixed probe region. Run
-/// after every cycle: later cycles only append later time chunks, so
-/// these answers must survive every scale-out + rebalance bit-for-bit.
+/// The probe's answers over AIS cycle 0's fixed region, held against the
+/// raw-cell oracle `rows0` (the region's cells as the generator emitted
+/// them) and returned for the dict-vs-plain comparison. Run after every
+/// cycle: later cycles only append later time chunks, so these answers
+/// must survive every scale-out + rebalance bit for bit.
 fn check_ais_probe(
-    cluster: &Cluster,
-    catalog: &Catalog,
+    runner: &WorkloadRunner<'_>,
+    probe: &Probe,
     rows0: &[Row],
-    kind: PartitionerKind,
-    cycle: usize,
-) {
-    let ctx = ExecutionContext::new(cluster, catalog);
-    let probe = AisWorkload::cycle_region(0);
-    let tag = format!("{kind}/cycle{cycle}");
+    tag: &str,
+) -> Answers {
+    let got = probe.answers(runner.cluster(), runner.catalog());
 
     // filter family: subarray returns exactly the emitted rows.
-    let (cells, _) = ops::subarray(&ctx, BROADCAST, &probe, &[]).unwrap();
-    let mut got = cells.cells.to_rows();
-    got.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut want: Vec<Row> = rows0.to_vec();
-    want.sort_by(|a, b| a.0.cmp(&b.0));
-    assert_eq!(got, want, "{tag}: subarray disagrees with the raw-cell oracle");
-
-    let (count, _) =
-        ops::filter_count(&ctx, BROADCAST, &probe, "speed", &Predicate::ge(10.0)).unwrap();
+    assert_eq!(got.rows, rows0, "{tag}: subarray disagrees with the raw-cell oracle");
     let naive = rows0.iter().filter(|(_, v)| num(&v[0]) >= 10.0).count() as u64;
-    assert_eq!(count, naive, "{tag}: filter_count");
+    assert_eq!(got.filter_count, naive, "{tag}: filter_count");
 
     // sort family: distinct ship ids and the full-sample median speed.
-    let (ids, _) = ops::distinct_sorted(&ctx, BROADCAST, Some(&probe), "ship_id").unwrap();
-    let naive_ids: Vec<i64> = rows0
-        .iter()
-        .map(|(_, v)| v[6].as_i64().unwrap())
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    assert_eq!(ids, naive_ids, "{tag}: distinct_sorted");
-
-    let (q, _) = ops::quantile(&ctx, BROADCAST, Some(&probe), "speed", 0.5, 1.0).unwrap();
+    let naive_ids: BTreeSet<i64> = rows0.iter().map(|(_, v)| v[6].as_i64().unwrap()).collect();
+    assert_eq!(got.distinct, naive_ids.into_iter().collect::<Vec<_>>(), "{tag}: distinct_sorted");
     let mut speeds: Vec<f64> = rows0.iter().map(|(_, v)| num(&v[0])).collect();
     speeds.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let idx = ((speeds.len() - 1) as f64 * 0.5).round() as usize;
-    assert_eq!(q.value, Some(speeds[idx]), "{tag}: median speed");
-    assert_eq!(q.sampled_cells, rows0.len() as u64, "{tag}: full sample covers every cell");
+    let median = (Some(speeds[idx].to_bits()), rows0.len() as u64);
+    assert_eq!(got.median, median, "{tag}: median speed over a full sample");
 
-    // aggregate family: coarse port-traffic maps, Count and Sum. Speeds
-    // are integer-valued, so the f64 sums are exact in any order.
-    let spec = ops::GroupSpec::coarsened(vec![1, 2], vec![8, 8]);
-    for agg in [ops::AggFn::Count, ops::AggFn::Sum] {
-        let (rows, _) =
-            ops::grid_aggregate(&ctx, BROADCAST, Some(&probe), "speed", &spec, agg).unwrap();
-        let mut naive: BTreeMap<Vec<i64>, (f64, u64)> = BTreeMap::new();
-        for (cell, values) in rows0 {
-            let key = vec![cell[1].div_euclid(8), cell[2].div_euclid(8)];
-            let e = naive.entry(key).or_default();
-            e.0 += num(&values[0]);
-            e.1 += 1;
-        }
-        assert_eq!(rows.len(), naive.len(), "{tag}: group count");
-        for row in &rows {
-            let &(sum, count) = naive.get(&row.key).expect("oracle has the group");
-            let expect = match agg {
-                ops::AggFn::Count => count as f64,
-                _ => sum,
-            };
-            assert_eq!(row.value.to_bits(), expect.to_bits(), "{tag}: group {:?}", row.key);
-            assert_eq!(row.cells, count, "{tag}: group {:?} cells", row.key);
-        }
+    // aggregate family: coarse port-traffic maps, Sum (the probe's) and
+    // Count. Speeds are integer-valued, so the f64 sums are exact in any
+    // order.
+    let mut naive: BTreeMap<Vec<i64>, (f64, u64)> = BTreeMap::new();
+    for (cell, values) in rows0 {
+        let e = naive.entry(vec![cell[1].div_euclid(8), cell[2].div_euclid(8)]).or_default();
+        e.0 += num(&values[0]);
+        e.1 += 1;
     }
+    let want = |value: fn(f64, u64) -> f64| -> Vec<(Vec<i64>, u64, u64)> {
+        naive.iter().map(|(key, &(sum, n))| (key.clone(), value(sum, n).to_bits(), n)).collect()
+    };
+    assert_eq!(got.groups, want(|sum, _| sum), "{tag}: grid_aggregate Sum");
+    let ctx = ExecutionContext::new(runner.cluster(), runner.catalog());
+    let (region, groups, count) = (Some(&probe.region), &probe.groups, ops::AggFn::Count);
+    let (counts, _) = ops::grid_aggregate(&ctx, BROADCAST, region, "speed", groups, count).unwrap();
+    let mut counts: Vec<_> =
+        counts.into_iter().map(|r| (r.key, r.value.to_bits(), r.cells)).collect();
+    counts.sort();
+    assert_eq!(counts, want(|_, n| n as f64), "{tag}: grid_aggregate Count");
 
     // modeling/projection: collision prediction over cycle 0's newest
     // time chunk — pure integer outputs, recomputed from raw cells.
-    let newest = Region::new(vec![3 * 43_200, -180, 0], vec![4 * 43_200 - 1, -66, 90]);
-    let (traj, _) = ops::trajectory(&ctx, BROADCAST, &newest, "speed", "course", 0.25).unwrap();
+    let (newest, ..) = probe.trajectory.as_ref().expect("the AIS probe projects trajectories");
     let mut landing: BTreeMap<Vec<i64>, u64> = BTreeMap::new();
-    let mut projected = 0u64;
-    for (cell, values) in rows0 {
-        if !newest.contains_cell(cell) {
-            continue;
-        }
+    for (cell, values) in rows0.iter().filter(|(cell, _)| newest.contains_cell(cell)) {
         let speed = num(&values[0]);
         let course = num(&values[1]).to_radians();
         let mut dest = cell.clone();
         dest[1] += (speed * 0.25 * course.cos()).round() as i64;
         dest[2] += (speed * 0.25 * course.sin()).round() as i64;
-        projected += 1;
         *landing.entry(dest).or_default() += 1;
     }
-    let collisions: u64 = landing.values().map(|&c| if c >= 2 { c * (c - 1) / 2 } else { 0 }).sum();
-    assert_eq!(traj.projected, projected, "{tag}: trajectory projected");
-    assert_eq!(traj.collision_candidates, collisions, "{tag}: trajectory collisions");
+    let projected = landing.values().sum();
+    let collisions = landing.values().map(|&c| c * c.saturating_sub(1) / 2).sum();
+    assert_eq!(got.trajectory, Some((projected, collisions)), "{tag}: trajectory");
+    got
 }
 
 /// Model-vs-exact validation at the end of a run: the metadata estimates
@@ -257,6 +140,7 @@ fn check_ais_probe(
 ///   ±35 %).
 fn check_ais_model_tolerances(
     runner: &WorkloadRunner<'_>,
+    probe: &Probe,
     all_rows: &[Row],
     kind: PartitionerKind,
     encoding: StringEncoding,
@@ -266,14 +150,13 @@ fn check_ais_model_tolerances(
     let ctx = ExecutionContext::new(cluster, catalog);
     let broadcast = catalog.array(BROADCAST).unwrap();
 
-    // Descriptor cells are exact: they were derived from the payloads.
-    let model_cells: u64 = broadcast.descriptors.values().map(|d| d.cells).sum();
+    // Descriptor books are exact: they were derived from the payloads.
+    let model_cells = assert_books(runner, BROADCAST);
     assert_eq!(model_cells, all_rows.len() as u64, "{kind}: descriptor cell totals");
 
     // A full-width scan accounts every stored byte exactly — whatever
     // the encoding, descriptors carry the payloads' true byte sizes.
-    let everything = Region::new(vec![0, -180, 0], vec![i64::MAX / 2, -66, 90]);
-    let (cells, stats) = ops::subarray(&ctx, BROADCAST, &everything, &[]).unwrap();
+    let (cells, stats) = ops::subarray(&ctx, BROADCAST, &probe.whole, &[]).unwrap();
     assert_eq!(cells.len(), all_rows.len(), "{kind}: full scan returns every cell");
     assert_eq!(stats.bytes_scanned, broadcast.byte_size(), "{kind}: full-width scan bytes");
 
@@ -287,7 +170,7 @@ fn check_ais_model_tolerances(
     // in every chunk; disable pruning so the probe measures a full scan.
     let unpruned = ExecutionContext::new(cluster, catalog).with_pruning(false);
     let (_, stats) =
-        ops::filter_count(&unpruned, BROADCAST, &everything, "speed", &Predicate::gt(1e18))
+        ops::filter_count(&unpruned, BROADCAST, &probe.whole, "speed", &Predicate::gt(1e18))
             .unwrap();
     let exact_bytes: u64 = all_rows.len() as u64 * (3 * 8 + 4); // coords + int32 speed
     let rel = (stats.bytes_scanned as f64 - exact_bytes as f64).abs() / exact_bytes as f64;
@@ -300,41 +183,50 @@ fn check_ais_model_tolerances(
 }
 
 fn run_ais_differential(cells_per_cycle: u64, cycles: usize) {
-    let w = AisWorkload { cycles, scale: 0.05, seed: 21, cells_per_cycle, ..Default::default() };
+    let w = testkit::ais(cycles, cells_per_cycle);
     // ~90 B/row including the derived products; sized so the run crosses
     // the 80 % trigger repeatedly and rebalances move stored chunks.
     let node_capacity = cells_per_cycle * 90;
-    let batches: Vec<Vec<Row>> =
-        (0..cycles).map(|c| w.cell_batch(c).unwrap().remove(0).cells()).collect();
-    let all_rows: Vec<Row> = batches.iter().flatten().cloned().collect();
+    let probe = Probe::ais(&w);
+    let rows0 = Oracle::after(&w, 1).rows(BROADCAST);
+    let all_rows = Oracle::after(&w, cycles).rows(BROADCAST);
 
     let mut knn_reference: Option<Vec<ops::KnnAnswer>> = None;
     for kind in PartitionerKind::ALL {
-        let mut runner = WorkloadRunner::new(&w, config(kind, node_capacity));
+        let mut runner = WorkloadRunner::new(&w, testkit::config(kind, node_capacity));
         // The same run with plain (pre-dictionary) string storage,
         // advanced in lockstep: the dictionary-encoded build's answers
         // must equal the plain build's bit-for-bit at every cycle, even
         // though the two runs' byte accounting — and therefore their
         // placements and rebalances — legitimately diverge.
-        let mut plain_runner =
-            WorkloadRunner::new(&w, config_encoded(kind, node_capacity, StringEncoding::Plain));
+        let plain = StringEncoding::Plain;
+        let cfg = RunnerConfig { string_encoding: plain, ..testkit::config(kind, node_capacity) };
+        let mut plain_runner = WorkloadRunner::new(&w, cfg);
+        let (mut oracle, mut knn) = (Oracle::new(&w), Vec::new());
         for c in 0..cycles {
+            let tag = format!("{kind}/cycle{c}");
             runner.run_cycle(c).unwrap();
             plain_runner.run_cycle(c).unwrap();
             // The cycle-0 probe answers survive every scale-out +
-            // rebalance later cycles trigger.
-            check_ais_probe(runner.cluster(), runner.catalog(), &batches[0], kind, c);
+            // rebalance later cycles trigger, and the whole array is the
+            // oracle's.
+            let got = check_ais_probe(&runner, &probe, &rows0, &tag);
+            oracle.cycle(&w, c);
             assert_eq!(
-                ais_probe_answers(&w, runner.cluster(), runner.catalog()),
-                ais_probe_answers(&w, plain_runner.cluster(), plain_runner.catalog()),
-                "{kind}/cycle{c}: dict-encoded answers diverge from the plain-string build"
+                got.everything,
+                oracle.rows(BROADCAST),
+                "{tag}: cells differ from the oracle"
             );
+            assert_eq!(
+                got,
+                probe.answers(plain_runner.cluster(), plain_runner.catalog()),
+                "{tag}: dict-encoded answers diverge from the plain-string build"
+            );
+            knn = got.knn;
         }
         assert!(runner.cluster().node_count() > 2, "{kind}: the run never scaled out");
-        assert_payload_integrity(&runner, BROADCAST);
-        assert_payload_integrity(&plain_runner, BROADCAST);
-        check_ais_model_tolerances(&runner, &all_rows, kind, StringEncoding::default());
-        check_ais_model_tolerances(&plain_runner, &all_rows, kind, StringEncoding::Plain);
+        check_ais_model_tolerances(&runner, &probe, &all_rows, kind, StringEncoding::default());
+        check_ais_model_tolerances(&plain_runner, &probe, &all_rows, kind, plain);
         // Dictionary encoding must actually shrink the stored bytes —
         // otherwise the "encoding" under test silently fell back to
         // plain storage.
@@ -347,18 +239,15 @@ fn run_ais_differential(cells_per_cycle: u64, cycles: usize) {
 
         // The catalog holds no cells for the scans above to have read.
         assert!(runner.catalog().array(BROADCAST).unwrap().data.is_none());
-        let probe = AisWorkload::cycle_region(0);
         let full_ctx = ExecutionContext::new(runner.cluster(), runner.catalog());
-        assert!(full_ctx.plan_scan(BROADCAST, Some(&probe), None).unwrap().exact);
+        assert!(full_ctx.plan_scan(BROADCAST, Some(&probe.region), None).unwrap().exact);
 
         // kNN is a pure function of the descriptors + cells, so answers
         // are identical whatever the partitioner scattered.
-        let queries = w.knn_queries(0, 8);
-        let (answers, _) = ops::knn(&full_ctx, BROADCAST, &queries, 5).unwrap();
         let dist_pool: BTreeSet<u64> = all_rows
             .iter()
             .flat_map(|(cell, _)| {
-                queries.iter().map(move |q| {
+                probe.knn.iter().map(move |q| {
                     cell.iter()
                         .zip(q)
                         .map(|(a, b)| (*a - *b) as f64 * (*a - *b) as f64)
@@ -367,7 +256,7 @@ fn run_ais_differential(cells_per_cycle: u64, cycles: usize) {
                 })
             })
             .collect();
-        for a in &answers {
+        for a in &knn {
             assert!(!a.neighbor_dist2.is_empty(), "{kind}: knn found no neighbours");
             assert!(
                 a.neighbor_dist2.windows(2).all(|w| w[0] <= w[1]),
@@ -381,24 +270,13 @@ fn run_ais_differential(cells_per_cycle: u64, cycles: usize) {
             }
         }
         match &knn_reference {
-            None => knn_reference = Some(answers),
-            Some(r) => assert_eq!(&answers, r, "{kind}: knn answers are placement-dependent"),
+            None => knn_reference = Some(knn),
+            Some(r) => assert_eq!(&knn, r, "{kind}: knn answers are placement-dependent"),
         }
     }
 }
 
 // -------------------------------------------------------------- MODIS --
-
-fn modis_rows(w: &ModisWorkload, cycles: usize) -> (Vec<Vec<Row>>, Vec<Vec<Row>>) {
-    let mut band1 = Vec::new();
-    let mut band2 = Vec::new();
-    for c in 0..cycles {
-        let mut batches = w.cell_batch(c).unwrap();
-        band2.push(batches.remove(1).cells());
-        band1.push(batches.remove(0).cells());
-    }
-    (band1, band2)
-}
 
 /// Join + window + rolling-aggregate + k-means over materialized MODIS
 /// bands, differentially verified after every cycle.
@@ -438,50 +316,15 @@ fn check_modis_probe(
 
     // window family: brute-force halo window over day 0 (the region stops
     // one minute short of the day boundary so the r=1 halo never reaches
-    // into chunks later cycles append).
+    // into chunks later cycles append). The oracle sums in the operator's
+    // pinned order (centres and neighbours both ascending
+    // lexicographically), so the mean agrees to the bit, not to a
+    // tolerance.
     let wregion = Region::new(vec![0, -180, -90], vec![1438, 180, 90]);
     let (win, _) = ops::window_aggregate(&ctx, BAND1, &wregion, "radiance", 1).unwrap();
-    let grown = Region::new(vec![-1, -181, -91], vec![1439, 181, 91]);
-    let points: BTreeMap<Vec<i64>, f64> = band1_all
-        .iter()
-        .filter(|(c, _)| grown.contains_cell(c))
-        .map(|(c, v)| (c.clone(), num(&v[1])))
-        .collect();
-    let mut total = 0.0;
-    let mut outputs = 0u64;
-    for cell in points.keys() {
-        if !wregion.contains_cell(cell) {
-            continue;
-        }
-        let mut sum = 0.0;
-        let mut n = 0u64;
-        for dt in -1..=1i64 {
-            for dlon in -1..=1i64 {
-                for dlat in -1..=1i64 {
-                    let probe = vec![cell[0] + dt, cell[1] + dlon, cell[2] + dlat];
-                    if let Some(v) = points.get(&probe) {
-                        sum += v;
-                        n += 1;
-                    }
-                }
-            }
-        }
-        if n > 0 {
-            total += sum / n as f64;
-            outputs += 1;
-        }
-    }
-    assert_eq!(win.outputs, outputs, "{tag}: window outputs");
-    // The oracle sums in the operator's pinned order (centres and
-    // neighbours both ascending lexicographically), so the mean agrees to
-    // the bit, not to a tolerance.
-    let mean = win.mean.expect("materialized window");
-    let oracle_mean = total / outputs as f64;
-    assert_eq!(
-        mean.to_bits(),
-        oracle_mean.to_bits(),
-        "{tag}: window mean {mean} vs oracle {oracle_mean}"
-    );
+    let want = window_oracle(band1_all, 1, &wregion, 1);
+    assert!(want.0 > 0, "{tag}: the window holds no cells");
+    assert_eq!((win.outputs, win.mean.map(f64::to_bits)), want, "{tag}: window");
 
     // aggregate family again, through the rolling variant (same answers,
     // extra predecessor fetches on the cost side).
@@ -518,26 +361,20 @@ fn check_modis_probe(
 fn run_modis_differential(cells_per_cycle: u64, days: usize) {
     let w = ModisWorkload { days, scale: 0.05, seed: 33, cells_per_cycle, ..Default::default() };
     let node_capacity = cells_per_cycle * 95;
-    let (band1, band2) = modis_rows(&w, days);
+    let band2_day0 = Oracle::after(&w, 1).rows(BAND2);
 
     for kind in PartitionerKind::ALL {
-        let mut runner = WorkloadRunner::new(&w, config(kind, node_capacity));
-        let mut band1_so_far: Vec<Row> = Vec::new();
-        for (c, day_rows) in band1.iter().enumerate() {
+        let mut runner = WorkloadRunner::new(&w, testkit::config(kind, node_capacity));
+        let mut oracle = Oracle::new(&w);
+        for c in 0..days {
             runner.run_cycle(c).unwrap();
-            band1_so_far.extend(day_rows.iter().cloned());
-            check_modis_probe(
-                runner.cluster(),
-                runner.catalog(),
-                &band1_so_far,
-                &band2[0],
-                kind,
-                c,
-            );
+            oracle.cycle(&w, c);
+            let band1 = oracle.rows(BAND1);
+            check_modis_probe(runner.cluster(), runner.catalog(), &band1, &band2_day0, kind, c);
         }
         assert!(runner.cluster().node_count() > 2, "{kind}: the run never scaled out");
-        assert_payload_integrity(&runner, BAND1);
-        assert_payload_integrity(&runner, BAND2);
+        let band1_cells = assert_books(&runner, BAND1);
+        assert_books(&runner, BAND2);
 
         // Neither join side has cells anywhere but the node stores.
         for id in [BAND1, BAND2] {
@@ -557,7 +394,7 @@ fn run_modis_differential(cells_per_cycle: u64, days: usize) {
         let ctx = ExecutionContext::new(runner.cluster(), &cat);
         let (lookup, stats) =
             ops::lookup_join(&ctx, BAND1, ArrayId(99), None, "platform_id", "id").unwrap();
-        assert_eq!(lookup.matches, 2 * band1_so_far.len() as u64, "{kind}: lookup join");
+        assert_eq!(lookup.matches, 2 * band1_cells, "{kind}: lookup join");
         assert_eq!(stats.bytes_shuffled, 0, "{kind}: replicated build side never ships");
     }
 }
@@ -567,48 +404,39 @@ fn run_modis_differential(cells_per_cycle: u64, days: usize) {
 fn run_synthetic_differential(cells_per_cycle: u64, cycles: usize) {
     let w = SyntheticWorkload { cycles, cells_per_cycle, ..Default::default() };
     let node_capacity = cells_per_cycle * 40;
-    let batches: Vec<Vec<Row>> =
-        (0..cycles).map(|c| w.cell_batch(c).unwrap().remove(0).cells()).collect();
+    // Fixed probe: the cycle-0 plane, re-checked as the cluster grows.
+    // One cell per chunk here, so the op's chunk-order accumulation
+    // equals the coordinate-sorted oracle order and even the
+    // double-valued sum is bit-exact.
+    let plane = Region::new(vec![0, 0, 0], vec![0, w.grid_side - 1, w.grid_side - 1]);
+    let want = Oracle::after(&w, 1).rows(SYNTHETIC);
+    let spec = ops::GroupSpec::coarsened(vec![1, 2], vec![4, 4]);
+    let mut naive: BTreeMap<Vec<i64>, f64> = BTreeMap::new();
+    for (cell, values) in &want {
+        *naive.entry(vec![cell[1].div_euclid(4), cell[2].div_euclid(4)]).or_default() +=
+            num(&values[0]);
+    }
+    let naive: Vec<(Vec<i64>, u64)> =
+        naive.into_iter().map(|(k, sum)| (k, sum.to_bits())).collect();
 
     for kind in PartitionerKind::ALL {
-        let mut runner = WorkloadRunner::new(&w, config(kind, node_capacity));
+        let mut runner = WorkloadRunner::new(&w, testkit::config(kind, node_capacity));
         for c in 0..cycles {
             runner.run_cycle(c).unwrap();
-            let ctx = ExecutionContext::new(runner.cluster(), runner.catalog());
-            // Fixed probe: the cycle-0 plane, re-checked as the cluster
-            // grows. One cell per chunk here, so the op's chunk-order
-            // accumulation equals the coordinate-sorted oracle order and
-            // even the double-valued sum is bit-exact.
-            let plane = Region::new(vec![0, 0, 0], vec![0, w.grid_side - 1, w.grid_side - 1]);
-            let (cells, _) = ops::subarray(&ctx, SYNTHETIC, &plane, &[]).unwrap();
-            let mut got = cells.cells.to_rows();
-            got.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut want = batches[0].clone();
-            want.sort_by(|a, b| a.0.cmp(&b.0));
+            let (cluster, catalog) = (runner.cluster(), runner.catalog());
+            let got = testkit::scan(cluster, catalog, SYNTHETIC, &plane);
             assert_eq!(got, want, "{kind}/cycle{c}: synthetic subarray");
 
-            let spec = ops::GroupSpec::coarsened(vec![1, 2], vec![4, 4]);
+            let ctx = ExecutionContext::new(cluster, catalog);
             let (rows, _) =
                 ops::grid_aggregate(&ctx, SYNTHETIC, Some(&plane), "v", &spec, ops::AggFn::Sum)
                     .unwrap();
-            let mut naive: BTreeMap<Vec<i64>, f64> = BTreeMap::new();
-            for (cell, values) in &want {
-                *naive.entry(vec![cell[1].div_euclid(4), cell[2].div_euclid(4)]).or_default() +=
-                    num(&values[0]);
-            }
-            assert_eq!(rows.len(), naive.len(), "{kind}/cycle{c}: synthetic groups");
-            for row in &rows {
-                let expect = naive.get(&row.key).expect("oracle group");
-                assert_eq!(
-                    row.value.to_bits(),
-                    expect.to_bits(),
-                    "{kind}/cycle{c}: synthetic sum for {:?}",
-                    row.key
-                );
-            }
+            let mut sums: Vec<_> = rows.into_iter().map(|r| (r.key, r.value.to_bits())).collect();
+            sums.sort();
+            assert_eq!(sums, naive, "{kind}/cycle{c}: synthetic sums");
         }
         assert!(runner.cluster().node_count() > 2, "{kind}: synthetic never scaled out");
-        assert_payload_integrity(&runner, SYNTHETIC);
+        assert_books(&runner, SYNTHETIC);
     }
 }
 
@@ -655,33 +483,24 @@ fn dict_smoke() {
     // Spill leg: cap far below the 128 distinct receiver ids, so every
     // busy chunk's receiver column crosses the cap and spills while the
     // constant provenance column stays dictionary-encoded.
-    let w = AisWorkload {
-        cycles: 3,
-        scale: 0.05,
-        seed: 21,
-        cells_per_cycle: 6_000,
-        ..Default::default()
-    };
-    let batches: Vec<Vec<Row>> =
-        (0..3).map(|c| w.cell_batch(c).unwrap().remove(0).cells()).collect();
+    let w = testkit::ais(3, 6_000);
+    let (probe, rows0) = (Probe::ais(&w), Oracle::after(&w, 1).rows(BROADCAST));
     for kind in [PartitionerKind::HilbertCurve, PartitionerKind::ConsistentHash] {
-        let mut capped = WorkloadRunner::new(
-            &w,
-            config_encoded(kind, 6_000 * 90, StringEncoding::Dict { cap: 8 }),
-        );
-        let mut plain =
-            WorkloadRunner::new(&w, config_encoded(kind, 6_000 * 90, StringEncoding::Plain));
+        let cfg =
+            |string_encoding| RunnerConfig { string_encoding, ..testkit::config(kind, 6_000 * 90) };
+        let mut capped = WorkloadRunner::new(&w, cfg(StringEncoding::Dict { cap: 8 }));
+        let mut plain = WorkloadRunner::new(&w, cfg(StringEncoding::Plain));
         for c in 0..3 {
+            let tag = format!("{kind}/cycle{c}");
             capped.run_cycle(c).unwrap();
             plain.run_cycle(c).unwrap();
-            check_ais_probe(capped.cluster(), capped.catalog(), &batches[0], kind, c);
             assert_eq!(
-                ais_probe_answers(&w, capped.cluster(), capped.catalog()),
-                ais_probe_answers(&w, plain.cluster(), plain.catalog()),
-                "{kind}/cycle{c}: spilled dict answers diverge from the plain build"
+                check_ais_probe(&capped, &probe, &rows0, &tag),
+                probe.answers(plain.cluster(), plain.catalog()),
+                "{tag}: spilled dict answers diverge from the plain build"
             );
         }
-        assert_payload_integrity(&capped, BROADCAST);
+        assert_books(&capped, BROADCAST);
         // The cap really bit: at least one chunk's receiver column must
         // have spilled to plain storage while provenance stayed encoded.
         let stored = capped.catalog().array(BROADCAST).unwrap();

@@ -9,6 +9,7 @@
 //! rows in batch order, so parallelism can never reorder or split a
 //! chunk. Also pins the single-home contract: the chunk the build
 //! produced is handed to its node and nothing else keeps hold of it.
+//! The reference is the one-thread run of the same `testkit::config`.
 
 use elastic_array_db::prelude::*;
 use std::sync::Arc;
@@ -16,21 +17,6 @@ use workloads::ais::{AisWorkload, BROADCAST};
 use workloads::build_cell_array;
 use workloads::modis::{ModisWorkload, BAND1, BAND2};
 use workloads::synthetic::{SyntheticWorkload, SYNTHETIC};
-
-fn config(kind: PartitionerKind, node_capacity: u64, threads: usize) -> RunnerConfig {
-    RunnerConfig {
-        node_capacity,
-        initial_nodes: 2,
-        partitioner: kind,
-        partitioner_config: PartitionerConfig::default(),
-        scaling: ScalingPolicy::FixedStep { add: 2, trigger: 0.8 },
-        cost: CostModel::default(),
-        run_queries: false,
-        ingest_threads: threads,
-        string_encoding: StringEncoding::default(),
-        ..RunnerConfig::default()
-    }
-}
 
 /// Everything observable about a finished materialized run.
 struct Snapshot {
@@ -50,7 +36,8 @@ fn run_snapshot(
     node_capacity: u64,
     threads: usize,
 ) -> Snapshot {
-    let mut runner = WorkloadRunner::new(workload, config(kind, node_capacity, threads));
+    let cfg = RunnerConfig { ingest_threads: threads, ..testkit::config(kind, node_capacity) };
+    let mut runner = WorkloadRunner::new(workload, cfg);
     let report = runner.run_all().unwrap_or_else(|e| panic!("{kind} x{threads}: {e}"));
     let cycles = report
         .cycles
@@ -105,13 +92,7 @@ fn assert_identical(kind: PartitionerKind, threads: usize, base: &Snapshot, got:
 #[test]
 fn materialized_runs_are_bit_identical_across_thread_counts() {
     // > PARALLEL_BUILD_MIN_ROWS per cycle so the sharded build engages.
-    let w = AisWorkload {
-        cycles: 2,
-        scale: 0.05,
-        seed: 11,
-        cells_per_cycle: 6_000,
-        ..Default::default()
-    };
+    let w = AisWorkload { seed: 11, ..testkit::ais(2, 6_000) };
     for kind in PartitionerKind::ALL {
         let base = run_snapshot(&w, &[BROADCAST], kind, 600_000, 1);
         for threads in [2usize, 4, 8] {
@@ -130,13 +111,7 @@ fn build_cell_array_matches_sequential_at_every_thread_count() {
         SyntheticWorkload { cycles: 1, grid_side: 24, cells_per_cycle: 576, ..Default::default() };
     let schema = w.schema();
     let synth = w.cell_batch(0).unwrap().remove(0);
-    let ais = AisWorkload {
-        cycles: 1,
-        scale: 0.05,
-        seed: 3,
-        cells_per_cycle: 9_000,
-        ..Default::default()
-    };
+    let ais = AisWorkload { seed: 3, ..testkit::ais(1, 9_000) };
     let ais_batch = ais.cell_batch(0).unwrap().remove(0);
     let cases: Vec<(ArrayId, ArraySchema, CellBuffer)> = vec![
         (SYNTHETIC, schema, synth.into_rows()),
@@ -167,13 +142,7 @@ fn build_cell_array_matches_sequential_at_every_thread_count() {
 #[test]
 #[ignore = "CI smoke: heavier differential, run explicitly"]
 fn parallel_materialize_smoke() {
-    let ais = AisWorkload {
-        cycles: 3,
-        scale: 0.05,
-        seed: 5,
-        cells_per_cycle: 12_000,
-        ..Default::default()
-    };
+    let ais = AisWorkload { seed: 5, ..testkit::ais(3, 12_000) };
     let modis = ModisWorkload {
         days: 3,
         scale: 0.02,

@@ -1,12 +1,14 @@
 //! Integration tests for the leading-staircase provisioner driving a live
 //! simulated cluster, plus cross-checks of the tuning machinery against
-//! hand-computed scenarios.
+//! hand-computed scenarios. The demand trough is `testkit::GrowRetract`
+//! under its own `GrowRetract::staircase` config.
 
 use elastic_array_db::elastic::provision::{
     estimate_cost, tune_plan_ahead, ClusterSnapshot, CostModelParams,
 };
 use elastic_array_db::elastic::{prediction_error, tune_samples};
 use elastic_array_db::prelude::*;
+use testkit::{assert_books, GrowRetract};
 
 /// A synthetic workload with an exactly linear demand ramp.
 struct LinearWorkload {
@@ -51,70 +53,9 @@ impl Workload for LinearWorkload {
     }
 }
 
-/// A materialized insert-then-delete script: `grow` cycles of inserts,
-/// then wholesale retraction of every grow cycle except cycle 0, which
-/// survives so the shrunken cluster still holds (and balances) data.
-struct TroughWorkload {
-    cycles: usize,
-    grow: usize,
-    cells: usize,
-}
-
-const TROUGH: ArrayId = ArrayId(7);
-
-impl TroughWorkload {
-    fn schema() -> ArraySchema {
-        ArraySchema::parse("T<v:double>[x=0:*,64]").unwrap()
-    }
-}
-
-impl Workload for TroughWorkload {
-    fn name(&self) -> &'static str {
-        "trough"
-    }
-    fn cycles(&self) -> usize {
-        self.cycles
-    }
-    fn register_arrays(&self, catalog: &mut Catalog) {
-        catalog.register(StoredArray::from_descriptors(TROUGH, Self::schema(), []));
-    }
-    fn insert_batch(&self, _cycle: usize) -> Vec<ChunkDescriptor> {
-        Vec::new()
-    }
-    fn cell_batch(&self, cycle: usize) -> Option<Vec<workloads::CellBatch>> {
-        let mut batch = workloads::CellBatch::new(TROUGH, &Self::schema());
-        if cycle < self.grow {
-            let mut vals = Vec::with_capacity(1);
-            for i in 0..self.cells {
-                let x = (cycle * self.cells + i) as i64;
-                vals.push(ScalarValue::Double(x as f64));
-                batch.push(&[x], &mut vals);
-            }
-        } else {
-            let old = cycle - self.grow + 1;
-            for i in 0..self.cells {
-                batch.push_retraction(&[(old * self.cells + i) as i64]);
-            }
-        }
-        Some(vec![batch])
-    }
-    fn derived_batch(&self, _cycle: usize) -> Vec<ChunkDescriptor> {
-        Vec::new()
-    }
-    fn grid_hint(&self) -> GridHint {
-        GridHint::new(vec![1024])
-    }
-    fn run_suites(&self, _ctx: &ExecutionContext<'_>, _cycle: usize) -> SuiteReport {
-        SuiteReport::default()
-    }
-}
-
 fn staircase_config(p: usize) -> RunnerConfig {
     RunnerConfig {
-        node_capacity: 10_000_000_000,
         initial_nodes: 1,
-        partitioner: PartitionerKind::ConsistentHash,
-        partitioner_config: PartitionerConfig::default(),
         scaling: ScalingPolicy::Staircase(StaircaseConfig {
             node_capacity_gb: 10.0,
             samples: 2,
@@ -122,11 +63,7 @@ fn staircase_config(p: usize) -> RunnerConfig {
             trigger: 1.0,
             shrink_margin: 0.0,
         }),
-        cost: CostModel::default(),
-        run_queries: false,
-        ingest_threads: 1,
-        string_encoding: StringEncoding::default(),
-        ..RunnerConfig::default()
+        ..testkit::config(PartitionerKind::ConsistentHash, 10_000_000_000)
     }
 }
 
@@ -134,15 +71,7 @@ fn staircase_config(p: usize) -> RunnerConfig {
 fn staircase_always_covers_demand() {
     let workload = LinearWorkload { cycles: 12, gb_per_cycle: 4.0 };
     for p in [1usize, 3, 6] {
-        let mut cfg = staircase_config(p);
-        cfg.scaling = ScalingPolicy::Staircase(StaircaseConfig {
-            node_capacity_gb: 10.0,
-            samples: 2,
-            plan_ahead: p,
-            trigger: 1.0,
-            shrink_margin: 0.0,
-        });
-        let report = WorkloadRunner::new(&workload, cfg).run_all().unwrap();
+        let report = WorkloadRunner::new(&workload, staircase_config(p)).run_all().unwrap();
         for c in &report.cycles {
             assert!(
                 c.demand_gb <= c.nodes as f64 * 10.0 + 1e-9,
@@ -226,23 +155,18 @@ fn estimates_scale_with_the_horizon() {
 /// fault-free run itself maintained while growing.
 #[test]
 fn demand_trough_releases_nodes_and_stays_balanced() {
-    let w = TroughWorkload { cycles: 5, grow: 3, cells: 2048 };
+    // Every grown cycle but cycle 0 is retracted, so the shrunken cluster
+    // still holds (and balances) data.
+    let w = GrowRetract {
+        array: ArrayId(7),
+        cycles: 5,
+        grow: 3,
+        cells: 2048,
+        first_doomed: 1,
+        value: |x| x as f64,
+    };
     for kind in [PartitionerKind::ConsistentHash, PartitionerKind::RoundRobin] {
-        let cfg = RunnerConfig {
-            node_capacity: 16_384,
-            initial_nodes: 2,
-            partitioner: kind,
-            run_queries: false,
-            scaling: ScalingPolicy::Staircase(StaircaseConfig {
-                node_capacity_gb: 16_384.0 / 1e9,
-                samples: 2,
-                plan_ahead: 1,
-                trigger: 1.0,
-                shrink_margin: 0.75,
-            }),
-            ..RunnerConfig::default()
-        };
-        let mut runner = WorkloadRunner::new(&w, cfg);
+        let mut runner = WorkloadRunner::new(&w, GrowRetract::staircase(kind));
         let report = runner.run_all().unwrap();
         assert!(report.failures.is_empty(), "{kind}: {:?}", report.failures);
 
@@ -276,10 +200,49 @@ fn demand_trough_releases_nodes_and_stays_balanced() {
         );
         // And the surviving cells are all still there.
         assert!(runner.cluster().total_chunks() > 0, "{kind}: survivors evicted");
-        let stored = runner.catalog().array(TROUGH).unwrap();
-        let live: u64 = stored.descriptors.values().map(|d| d.cells).sum();
+        let live = assert_books(&runner, w.array);
         assert_eq!(live, w.cells as u64, "{kind}: cycle-0 survivors lost in the descent");
     }
+}
+
+/// A trough that retracts every cell it inserted drains the cluster down
+/// to the one-node floor, with every drained byte priced as
+/// reorganization.
+#[test]
+fn demand_trough_shrinks_the_cluster() {
+    let w = GrowRetract {
+        array: ArrayId(3),
+        cycles: 6,
+        grow: 3,
+        cells: 2048,
+        first_doomed: 0,
+        value: |x| x as f64,
+    };
+    let mut runner = WorkloadRunner::new(&w, GrowRetract::staircase(PartitionerKind::RoundRobin));
+    let report = runner.run_all().expect("trough run completes");
+    let peak = report.cycles.iter().map(|c| c.nodes).max().unwrap();
+    let last = report.cycles.last().unwrap();
+    assert!(peak > 2, "cluster must grow first (peak {peak})");
+    assert!(last.nodes < peak, "must end below the {peak}-node peak, got {}", last.nodes);
+    assert_eq!(last.nodes, 1, "an emptied store releases down to the one-node floor");
+    let removed: usize = report.cycles.iter().map(|c| c.removed_nodes).sum();
+    assert_eq!(removed, peak - 1, "every step above the floor was released");
+    let retracted: u64 = report.cycles.iter().map(|c| c.retracted_cells).sum();
+    assert_eq!(retracted, 3 * 2048, "every inserted cell was retracted");
+    let evicted: usize = report.cycles.iter().map(|c| c.evicted_chunks).sum();
+    assert_eq!(evicted, 96, "3 retracted cycles x 32 chunks each (64-cell chunks)");
+    // The books drain to zero and stay balanced: retired slots keep
+    // zero load, the placement holds no chunks, and the census is
+    // empty rather than under-replicated.
+    let cluster = runner.cluster();
+    assert_eq!(cluster.total_used(), 0);
+    assert_eq!(cluster.total_chunks(), 0);
+    assert_eq!(cluster.active_node_count(), 1);
+    assert_eq!(cluster.node_count() - cluster.active_node_count(), removed);
+    assert_eq!(cluster.balance_rsd(), 0.0);
+    // Drained bytes are accounted as reorg movement and time.
+    assert!(report.cycles.iter().any(|c| c.removed_nodes > 0 && c.moved_bytes > 0));
+    assert!(report.phase_totals().reorg_secs > 0.0);
 }
 
 #[test]

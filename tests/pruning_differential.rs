@@ -29,27 +29,18 @@
 //! The runner evicts a chunk the moment its last cell is retracted, so a
 //! run never holds an *emptied* chunk; the hand-built leg at the bottom
 //! covers that shape (the only one that prunes kNN's ring exploration).
+//!
+//! The reference is the same probe with pruning off. This suite keeps its
+//! own `Answers` rather than `testkit::Probe`'s, because it pairs every
+//! answer with the scan work behind it; runs start from `testkit::config`.
 
 use durability::{shared, FsyncPolicy, MemLog};
 use elastic_array_db::prelude::*;
 use query_engine::ops;
 use std::collections::BTreeMap;
+use testkit::Row;
 use workloads::ais::{AisWorkload, BROADCAST, VESSEL};
 use workloads::DurabilityConfig;
-
-type Row = (Vec<i64>, Vec<ScalarValue>);
-
-fn config(kind: PartitionerKind, node_capacity: u64, encoding: StringEncoding) -> RunnerConfig {
-    RunnerConfig {
-        node_capacity,
-        initial_nodes: 2,
-        partitioner: kind,
-        scaling: ScalingPolicy::FixedStep { add: 2, trigger: 0.8 },
-        run_queries: false,
-        string_encoding: encoding,
-        ..RunnerConfig::default()
-    }
-}
 
 /// Every operator family's answer in bit-comparable form, plus the scan
 /// accounting that proves whether pruning fired.
@@ -168,7 +159,7 @@ fn probe(
     let (trajectory, stats) =
         ops::trajectory(&ctx, BROADCAST, &sliver, "speed", "course", 0.25).unwrap();
     track("trajectory", &stats);
-    let knn_queries = ais(cycles, 0).knn_queries(0, 8);
+    let knn_queries = testkit::ais(cycles, 0).knn_queries(0, 8);
     let (knn, stats) = ops::knn(&ctx, BROADCAST, &knn_queries, 5).unwrap();
     track("knn", &stats);
 
@@ -235,7 +226,8 @@ fn assert_pruning_neutral(cluster: &Cluster, catalog: &Catalog, cycles: usize, t
 fn run_pruning_pair(w: &AisWorkload, kind: PartitionerKind, encoding: StringEncoding) {
     let tag = format!("{kind}/{encoding:?}");
     let node_capacity = w.cells_per_cycle * 90;
-    let mut runner = WorkloadRunner::new(w, config(kind, node_capacity, encoding));
+    let cfg = RunnerConfig { string_encoding: encoding, ..testkit::config(kind, node_capacity) };
+    let mut runner = WorkloadRunner::new(w, cfg);
     for c in 0..w.cycles {
         runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
     }
@@ -247,17 +239,13 @@ fn run_pruning_pair(w: &AisWorkload, kind: PartitionerKind, encoding: StringEnco
     assert_pruning_neutral(runner.cluster(), runner.catalog(), w.cycles, &tag);
 }
 
-fn ais(cycles: usize, cells_per_cycle: u64) -> AisWorkload {
-    AisWorkload { cycles, scale: 0.05, seed: 21, cells_per_cycle, dark_vessel_rate: 4 }
-}
-
 // --------------------------------------------------------------- tests --
 
 /// All 8 partitioners at the default (dictionary) encoding, after a run
 /// with retractions, compactions, and rebalances.
 #[test]
 fn ais_pruning_differential_all_partitioners() {
-    let w = ais(3, 1_200);
+    let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(3, 1_200) };
     for kind in PartitionerKind::ALL {
         run_pruning_pair(&w, kind, StringEncoding::default());
     }
@@ -267,7 +255,7 @@ fn ais_pruning_differential_all_partitioners() {
 /// the full matrix runs in release via `scan_smoke`.
 #[test]
 fn ais_pruning_differential_dict_and_plain() {
-    let w = ais(3, 900);
+    let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(3, 900) };
     for kind in [PartitionerKind::HilbertCurve, PartitionerKind::ConsistentHash] {
         for encoding in [StringEncoding::default(), StringEncoding::Plain] {
             run_pruning_pair(&w, kind, encoding);
@@ -281,14 +269,14 @@ fn ais_pruning_differential_dict_and_plain() {
 /// actually firing.
 #[test]
 fn pruning_survives_a_wal_crash_and_recovery() {
-    let w = ais(3, 900);
+    let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(3, 900) };
     let kind = PartitionerKind::ConsistentHash;
-    let mut cfg = config(kind, w.cells_per_cycle * 90, StringEncoding::default());
-    cfg.durability = Some(DurabilityConfig {
+    let durability = Some(DurabilityConfig {
         log: shared(MemLog::new()),
         checkpoint_every: 2,
         fsync_policy: FsyncPolicy::Always,
     });
+    let cfg = RunnerConfig { durability, ..testkit::config(kind, w.cells_per_cycle * 90) };
     let mut live = WorkloadRunner::new(&w, cfg.clone());
     live.run_all().expect("durable run completes");
     let (want, _) = probe(live.cluster(), live.catalog(), w.cycles, false);
@@ -409,7 +397,7 @@ fn emptied_chunks_prune_in_every_operator() {
 #[test]
 #[ignore = "heavy: run in release via the scan-smoke CI job"]
 fn scan_smoke() {
-    let w = ais(4, 6_000);
+    let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(4, 6_000) };
     for kind in PartitionerKind::ALL {
         for encoding in [StringEncoding::default(), StringEncoding::Plain] {
             run_pruning_pair(&w, kind, encoding);

@@ -12,197 +12,21 @@
 //! not.
 //!
 //! The never-inserted baseline is constructed mechanically from the
-//! retracting workload itself (`SurvivorsOnly`): replay the generator,
-//! collect every coordinate any cycle retracts, and emit only the
-//! surviving inserts with no retractions. Cells a run retracts are
+//! retracting workload itself (`testkit::SurvivorsOnly`): replay the
+//! generator, collect every coordinate any cycle retracts, and emit only
+//! the surviving inserts with no retractions. Cells a run retracts are
 //! exactly the cells its baseline never sees, so after the *last*
-//! retraction lands the two runs describe the same array.
+//! retraction lands the two runs describe the same array. Both are asked
+//! through `testkit::Probe::ais`, and the whole array is held to
+//! `testkit::Oracle`, the generator's batches folded from scratch.
 
 use elastic_array_db::array::Chunk;
 use elastic_array_db::prelude::*;
 use query_engine::ops;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use testkit::{assert_books, Oracle, Probe, SurvivorsOnly};
 use workloads::ais::{AisWorkload, BROADCAST};
 use workloads::modis::{ModisWorkload, BAND1, BAND2};
-use workloads::CellBatch;
-
-type Row = (Vec<i64>, Vec<ScalarValue>);
-
-// ------------------------------------------------------------ baseline --
-
-/// The never-inserted twin of a retracting workload: emits the inner
-/// generator's cell batches minus every coordinate that any cycle of
-/// the run retracts, and emits no retractions itself.
-struct SurvivorsOnly<W: Workload> {
-    inner: W,
-    schemas: BTreeMap<ArrayId, ArraySchema>,
-    doomed: BTreeMap<ArrayId, BTreeSet<Vec<i64>>>,
-}
-
-impl<W: Workload> SurvivorsOnly<W> {
-    fn new(inner: W) -> Self {
-        let mut catalog = Catalog::new();
-        inner.register_arrays(&mut catalog);
-        let mut schemas = BTreeMap::new();
-        let mut doomed: BTreeMap<ArrayId, BTreeSet<Vec<i64>>> = BTreeMap::new();
-        for cycle in 0..inner.cycles() {
-            for batch in inner.cell_batch(cycle).unwrap_or_default() {
-                let schema = catalog.array(batch.array).expect("registered array").schema.clone();
-                let dims = schema.dimensions.len();
-                schemas.entry(batch.array).or_insert(schema);
-                let set = doomed.entry(batch.array).or_default();
-                for coords in batch.retractions_flat().chunks(dims) {
-                    set.insert(coords.to_vec());
-                }
-            }
-        }
-        SurvivorsOnly { inner, schemas, doomed }
-    }
-
-    /// Total retractions the inner run will issue — the differential is
-    /// vacuous if the generator never goes dark.
-    fn doomed_cells(&self) -> usize {
-        self.doomed.values().map(|s| s.len()).sum()
-    }
-}
-
-impl<W: Workload> Workload for SurvivorsOnly<W> {
-    fn name(&self) -> &'static str {
-        "survivors-only"
-    }
-    fn cycles(&self) -> usize {
-        self.inner.cycles()
-    }
-    fn register_arrays(&self, catalog: &mut Catalog) {
-        self.inner.register_arrays(catalog);
-    }
-    fn insert_batch(&self, cycle: usize) -> Vec<ChunkDescriptor> {
-        self.inner.insert_batch(cycle)
-    }
-    fn cell_batch(&self, cycle: usize) -> Option<Vec<CellBatch>> {
-        let batches = self.inner.cell_batch(cycle)?;
-        Some(
-            batches
-                .into_iter()
-                .map(|b| {
-                    let schema = &self.schemas[&b.array];
-                    let doomed = self.doomed.get(&b.array);
-                    let mut out = CellBatch::new(b.array, schema);
-                    let mut scratch = Vec::new();
-                    for (coords, values) in b.cells() {
-                        if doomed.is_some_and(|d| d.contains(&coords)) {
-                            continue;
-                        }
-                        scratch.extend(values);
-                        out.push(&coords, &mut scratch);
-                    }
-                    out
-                })
-                .collect(),
-        )
-    }
-    fn derived_batch(&self, cycle: usize) -> Vec<ChunkDescriptor> {
-        self.inner.derived_batch(cycle)
-    }
-    fn grid_hint(&self) -> GridHint {
-        self.inner.grid_hint()
-    }
-    fn quad_plane(&self) -> (usize, usize) {
-        self.inner.quad_plane()
-    }
-    fn run_suites(&self, ctx: &ExecutionContext<'_>, cycle: usize) -> SuiteReport {
-        self.inner.run_suites(ctx, cycle)
-    }
-}
-
-// -------------------------------------------------------------- probes --
-
-fn config(
-    kind: PartitionerKind,
-    node_capacity: u64,
-    encoding: StringEncoding,
-    k: usize,
-) -> RunnerConfig {
-    RunnerConfig {
-        node_capacity,
-        initial_nodes: 2,
-        partitioner: kind,
-        scaling: ScalingPolicy::FixedStep { add: 2, trigger: 0.8 },
-        run_queries: false,
-        string_encoding: encoding,
-        replication: k,
-        ..RunnerConfig::default()
-    }
-}
-
-/// Every operator family's answer in bit-comparable form (floats stored
-/// as `to_bits()`), over a fixed probe region *and* the whole array —
-/// the retracting run and its never-inserted baseline must agree on all
-/// of it, so a tombstone leaking into any operator's iteration fails.
-#[derive(Debug, PartialEq)]
-struct ProbeAnswers {
-    everything: Vec<Row>,
-    probe_rows: Vec<Row>,
-    filter_count: u64,
-    distinct_ids: Vec<i64>,
-    median_bits: Option<u64>,
-    groups: Vec<(Vec<i64>, u64, u64)>,
-    knn: Vec<ops::KnnAnswer>,
-}
-
-fn ais_probe_answers(w: &AisWorkload, cluster: &Cluster, catalog: &Catalog) -> ProbeAnswers {
-    let ctx = ExecutionContext::new(cluster, catalog);
-    let all = Region::new(vec![0, -180, 0], vec![i64::MAX / 2, -66, 90]);
-    let (cells, _) = ops::subarray(&ctx, BROADCAST, &all, &[]).unwrap();
-    let mut everything = cells.cells.to_rows();
-    everything.sort_by(|a, b| a.0.cmp(&b.0));
-    let probe = AisWorkload::cycle_region(0);
-    let (cells, _) = ops::subarray(&ctx, BROADCAST, &probe, &[]).unwrap();
-    let mut probe_rows = cells.cells.to_rows();
-    probe_rows.sort_by(|a, b| a.0.cmp(&b.0));
-    let (filter_count, _) =
-        ops::filter_count(&ctx, BROADCAST, &probe, "speed", &Predicate::ge(10.0)).unwrap();
-    let (distinct_ids, _) = ops::distinct_sorted(&ctx, BROADCAST, Some(&probe), "ship_id").unwrap();
-    let (q, _) = ops::quantile(&ctx, BROADCAST, Some(&probe), "speed", 0.5, 1.0).unwrap();
-    let spec = ops::GroupSpec::coarsened(vec![1, 2], vec![8, 8]);
-    let (rows, _) =
-        ops::grid_aggregate(&ctx, BROADCAST, Some(&probe), "speed", &spec, ops::AggFn::Sum)
-            .unwrap();
-    let mut groups: Vec<(Vec<i64>, u64, u64)> =
-        rows.iter().map(|r| (r.key.clone(), r.value.to_bits(), r.cells)).collect();
-    groups.sort();
-    let (knn, _) = ops::knn(&ctx, BROADCAST, &w.knn_queries(0, 8), 5).unwrap();
-    ProbeAnswers {
-        everything,
-        probe_rows,
-        filter_count,
-        distinct_ids,
-        median_bits: q.value.map(f64::to_bits),
-        groups,
-        knn,
-    }
-}
-
-/// The independent raw-cell oracle: the surviving rows of the retracting
-/// generator, computed from the batches alone (inserts minus every
-/// retracted coordinate) without touching runner, cluster, or catalog.
-fn surviving_rows(w: &AisWorkload) -> Vec<Row> {
-    let dims = AisWorkload::broadcast_schema().dimensions.len();
-    let mut rows: BTreeMap<Vec<i64>, Vec<ScalarValue>> = BTreeMap::new();
-    let mut retracted = 0usize;
-    for c in 0..w.cycles {
-        let batch = w.cell_batch(c).unwrap().remove(0);
-        for coords in batch.retractions_flat().chunks(dims) {
-            assert!(rows.remove(coords).is_some(), "retraction of a never-inserted cell");
-            retracted += 1;
-        }
-        for (coords, values) in batch.cells() {
-            assert!(rows.insert(coords, values).is_none(), "duplicate insert");
-        }
-    }
-    assert!(retracted > 0, "the dark-vessel generator never retracted anything");
-    rows.into_iter().collect()
-}
 
 // --------------------------------------------------------------- legs --
 
@@ -222,8 +46,13 @@ fn run_ais_retraction_pair(
     let baseline_w = SurvivorsOnly::new(w.clone());
     assert!(baseline_w.doomed_cells() > 0, "{tag}: no vessel went dark — vacuous differential");
 
-    let mut dark = WorkloadRunner::new(w, config(kind, node_capacity, encoding, k));
-    let mut baseline = WorkloadRunner::new(&baseline_w, config(kind, node_capacity, encoding, k));
+    let cfg = RunnerConfig {
+        string_encoding: encoding,
+        replication: k,
+        ..testkit::config(kind, node_capacity)
+    };
+    let mut dark = WorkloadRunner::new(w, cfg.clone());
+    let mut baseline = WorkloadRunner::new(&baseline_w, cfg);
     for c in 0..w.cycles {
         dark.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: dark cycle {c}: {e}"));
         baseline.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: baseline cycle {c}: {e}"));
@@ -234,27 +63,22 @@ fn run_ais_retraction_pair(
 
     // The insert+delete run equals the never-inserted baseline bit for
     // bit, across every operator family.
-    let want = ais_probe_answers(w, baseline.cluster(), baseline.catalog());
-    let got = ais_probe_answers(w, dark.cluster(), dark.catalog());
+    let probe = Probe::ais(w);
+    let want = probe.answers(baseline.cluster(), baseline.catalog());
+    let got = probe.answers(dark.cluster(), dark.catalog());
     assert_eq!(got, want, "{tag}: insert+delete answers differ from the never-inserted baseline");
 
     // Both agree with the independent raw-cell oracle.
-    let oracle = surviving_rows(w);
+    let oracle = Oracle::after(w, w.cycles).rows(BROADCAST);
     assert_eq!(got.everything, oracle, "{tag}: stored cells differ from the survivor oracle");
 
     // Descriptor books track the retracted payloads exactly.
-    let stored = dark.catalog().array(BROADCAST).unwrap();
-    let live: u64 = stored.descriptors.values().map(|d| d.cells).sum();
+    let live = assert_books(&dark, BROADCAST);
     assert_eq!(live, oracle.len() as u64, "{tag}: descriptor cell totals ignore tombstones");
-    for desc in stored.descriptors.values() {
-        let payload = dark.cluster().payload(&desc.key).expect("placed chunk has a payload");
-        assert_eq!(payload.cell_count(), desc.cells, "{}: live-cell count drifted", desc.key);
-        assert_eq!(payload.byte_size(), desc.bytes, "{}: byte accounting drifted", desc.key);
-    }
 }
 
 fn run_ais_matrix(cells_per_cycle: u64, cycles: usize, kinds: &[PartitionerKind]) {
-    let w = AisWorkload { cycles, scale: 0.05, seed: 21, cells_per_cycle, dark_vessel_rate: 4 };
+    let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(cycles, cells_per_cycle) };
     let node_capacity = cells_per_cycle * 90;
     for &kind in kinds {
         for k in [1usize, 2] {
@@ -275,10 +99,9 @@ fn run_modis_ttl_pair(cells_per_cycle: u64, days: usize, kind: PartitionerKind, 
     let baseline_w = SurvivorsOnly::new(w.clone());
     assert!(baseline_w.doomed_cells() > 0, "{tag}: TTL never expired a tile");
 
-    let node_capacity = cells_per_cycle * 95;
-    let encoding = StringEncoding::default();
-    let mut ttl = WorkloadRunner::new(&w, config(kind, node_capacity, encoding, k));
-    let mut baseline = WorkloadRunner::new(&baseline_w, config(kind, node_capacity, encoding, k));
+    let cfg = RunnerConfig { replication: k, ..testkit::config(kind, cells_per_cycle * 95) };
+    let mut ttl = WorkloadRunner::new(&w, cfg.clone());
+    let mut baseline = WorkloadRunner::new(&baseline_w, cfg);
     for c in 0..days {
         ttl.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: ttl cycle {c}: {e}"));
         baseline.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: baseline cycle {c}: {e}"));
@@ -287,13 +110,7 @@ fn run_modis_ttl_pair(cells_per_cycle: u64, days: usize, kind: PartitionerKind, 
     let scan = |cluster: &Cluster, catalog: &Catalog| {
         let ctx = ExecutionContext::new(cluster, catalog);
         let all = Region::new(vec![0, -180, -90], vec![i64::MAX / 2, 180, 90]);
-        let mut bands = Vec::new();
-        for id in [BAND1, BAND2] {
-            let (cells, _) = ops::subarray(&ctx, id, &all, &[]).unwrap();
-            let mut rows = cells.cells.to_rows();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            bands.push(rows);
-        }
+        let bands = [BAND1, BAND2].map(|id| testkit::scan(cluster, catalog, id, &all));
         // The surviving day still joins: band1 x band2 NDVI over the
         // last (never-expired) day.
         let day = ModisWorkload::day_region((days - 1) as i64, (days - 1) as i64);
@@ -359,8 +176,13 @@ fn run_ais_sharing(
     k: usize,
 ) {
     let tag = format!("{kind}/{encoding:?}/k{k}/sharing");
-    let w = AisWorkload { cycles: 3, scale: 0.05, seed: 21, cells_per_cycle, dark_vessel_rate: 4 };
-    let mut runner = WorkloadRunner::new(&w, config(kind, cells_per_cycle * 90, encoding, k));
+    let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(3, cells_per_cycle) };
+    let cfg = RunnerConfig {
+        string_encoding: encoding,
+        replication: k,
+        ..testkit::config(kind, cells_per_cycle * 90)
+    };
+    let mut runner = WorkloadRunner::new(&w, cfg);
     let mut tombstoned = 0;
     for c in 0..w.cycles {
         runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
@@ -391,8 +213,8 @@ fn run_modis_whole_chunk_expiry(cells_per_cycle: u64, kind: PartitionerKind, k: 
             })
             .sum()
     };
-    let encoding = StringEncoding::default();
-    let mut runner = WorkloadRunner::new(&w, config(kind, cells_per_cycle * 95, encoding, k));
+    let cfg = RunnerConfig { replication: k, ..testkit::config(kind, cells_per_cycle * 95) };
+    let mut runner = WorkloadRunner::new(&w, cfg);
     for c in 0..w.days {
         let report = runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
         let expired = if c >= w.ttl_days { day_chunks(c - w.ttl_days) } else { 0 };
@@ -410,13 +232,7 @@ fn run_modis_whole_chunk_expiry(cells_per_cycle: u64, kind: PartitionerKind, k: 
 /// All 8 partitioners at dict/k=1: the broad sweep.
 #[test]
 fn ais_retraction_equals_never_inserted_baseline() {
-    let w = AisWorkload {
-        cycles: 3,
-        scale: 0.05,
-        seed: 21,
-        cells_per_cycle: 1_200,
-        dark_vessel_rate: 4,
-    };
+    let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(3, 1_200) };
     for kind in PartitionerKind::ALL {
         run_ais_retraction_pair(&w, kind, w.cells_per_cycle * 90, StringEncoding::default(), 1);
     }
