@@ -53,11 +53,9 @@ impl BalanceStats {
 
 /// What one shard-phase worker reports back from a parallel batch.
 struct ShardWorkerOut {
-    /// Per-node byte deltas contributed by this worker's shards — the
+    /// Per-node `(chunks, bytes)` admitted by this worker's shards — the
     /// mergeable census moments of the sharded ingest path.
-    deltas: Vec<u64>,
-    /// Chunks inserted by this worker.
-    inserted: usize,
+    loads: Vec<(usize, u64)>,
     /// `(shard index, completed inserts)` per processed shard, for
     /// duplicate rollback.
     progress: Vec<(usize, usize)>,
@@ -65,21 +63,21 @@ struct ShardWorkerOut {
     duplicate: Option<usize>,
 }
 
-/// Shard-phase worker: writes the placement slabs / spill maps of the
-/// shards it exclusively owns. On a duplicate it stops that shard (later
-/// entries stay uninserted) and records the batch index; other shards
-/// still complete so the rollback bookkeeping stays uniform.
+/// Shard-phase worker: files `batch[i]` under its reserved slab slot
+/// `slots[i]` in the key-map shards it exclusively owns. On a duplicate
+/// it stops that shard (later entries stay unfiled) and records the batch
+/// index; other shards still complete so the rollback bookkeeping stays
+/// uniform.
 fn place_shards(
     dense: &[Option<DenseMeta>],
     batch: &[ChunkDescriptor],
-    routes: &[NodeId],
+    (slots, routes): (&[u32], &[NodeId]),
     buckets: &[Vec<u32>],
     shards: Vec<(usize, &mut PlacementShard)>,
     node_count: usize,
 ) -> ShardWorkerOut {
     let mut out = ShardWorkerOut {
-        deltas: vec![0; node_count],
-        inserted: 0,
+        loads: vec![(0, 0); node_count],
         progress: Vec::with_capacity(shards.len()),
         duplicate: None,
     };
@@ -88,52 +86,33 @@ fn place_shards(
         for &i in &buckets[s] {
             let i = i as usize;
             let desc = &batch[i];
-            match shard.try_insert(dense, desc.key, routes[i]) {
-                Ok(()) => {
-                    done += 1;
-                    out.deltas[routes[i].slot()] += desc.bytes;
-                }
-                Err(_occupant) => {
-                    // Bucket order follows batch order, so the first hit
-                    // per shard is that shard's earliest duplicate; the
-                    // minimum across shards is the batch's earliest.
-                    out.duplicate = Some(out.duplicate.map_or(i, |d| d.min(i)));
-                    break;
-                }
+            if shard.try_insert(dense, desc.key, slots[i]).is_err() {
+                // Bucket order follows batch order, so the first hit per
+                // shard is that shard's earliest duplicate; the minimum
+                // across shards is the batch's earliest.
+                out.duplicate = Some(out.duplicate.map_or(i, |d| d.min(i)));
+                break;
             }
+            done += 1;
+            let load = &mut out.loads[routes[i].slot()];
+            *load = (load.0 + 1, load.1.saturating_add(desc.bytes));
         }
-        out.inserted += done;
         out.progress.push((s, done));
     }
     out
 }
 
-/// Node-phase worker: admit the descriptors at `indices` (all routed into
-/// `group`'s contiguous node-id range starting at `lo`). Byte loads are
-/// NOT applied here — the census merge folds them in afterwards.
-fn admit_group(
-    batch: &[ChunkDescriptor],
-    routes: &[NodeId],
-    indices: &[u32],
-    group: &mut [Node],
-    lo: usize,
-) {
-    for &i in indices {
-        let i = i as usize;
-        group[routes[i].slot() - lo].admit_descriptor(batch[i]);
-    }
-}
-
 /// The cluster: an append-only roster of nodes and the authoritative
-/// chunk→node placement map.
+/// placement index, which holds every chunk's one record and the node
+/// holding it.
 ///
 /// The first node doubles as the **coordinator** (§3.4: "inserts are
 /// submitted to a coordinator node, and it distributes the incoming chunks
 /// over the entire cluster").
 ///
-/// Placement lookups and inserts are O(1) and allocation-free for arrays
-/// registered via [`Cluster::register_array`]; unregistered arrays fall
-/// back to hashing. The per-insert balance census ([`Cluster::balance_rsd`])
+/// Placement lookups and inserts are O(1) for arrays registered via
+/// [`Cluster::register_array`] (lookups allocation-free, inserts only
+/// when the record slab grows); unregistered arrays fall back to hashing. The per-insert balance census ([`Cluster::balance_rsd`])
 /// is O(1) thanks to incrementally maintained load moments.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -306,22 +285,23 @@ impl Cluster {
         self.placement.get(key)
     }
 
-    /// Place a brand-new chunk on `node`. O(1) and allocation-free for
-    /// registered arrays at `k = 1`; with `k ≥ 2` the chunk's replica set
-    /// is admitted on its deterministic secondary route as well.
+    /// Place a brand-new chunk on `node`: its record takes a slot of the
+    /// placement index's slab. O(1) for registered arrays at `k = 1`,
+    /// allocating only when the slab grows; with `k ≥ 2` the chunk's
+    /// replica set is admitted on its deterministic secondary route as
+    /// well.
     pub fn place(&mut self, desc: ChunkDescriptor, node: NodeId) -> Result<()> {
         let n = self.nodes.get_mut(node.slot()).ok_or(ClusterError::UnknownNode(node.0))?;
         if !n.state().accepts_data() {
             return Err(ClusterError::NodeUnavailable { node: node.0, state: n.state() });
         }
-        if self.placement.get(&desc.key).is_some() {
+        let record = Some(Resident::new(desc, None));
+        if self.placement.insert(desc.key, node, record).is_err() {
             return Err(ClusterError::DuplicateChunk(desc.key));
         }
-        self.placement.insert(desc.key, node);
         let old = n.used_bytes();
-        n.admit(Resident::new(desc, None));
-        let new = n.used_bytes();
-        self.balance.on_change(old, new);
+        n.admit(1, desc.bytes);
+        self.balance.on_change(old, n.used_bytes());
         let replicas = if self.replication > 1 { self.place_replicas(&desc) } else { 0 };
         self.copies.add(1 + replicas, 1);
         Ok(())
@@ -352,21 +332,20 @@ impl Cluster {
     }
 
     /// Place a whole routed batch (`batch[i]` → `routes[i]`), fanning the
-    /// work out over up to `threads` OS threads.
+    /// key-map writes out over up to `threads` OS threads.
     ///
     /// The batch is partitioned by placement shard (a pure function of
     /// each chunk key, see [`crate::placement::PlacementIndex::shard_of`])
     /// and executed in three phases:
     ///
-    /// 1. **shard phase** — one worker per shard group writes the dense
-    ///    slabs / spill maps it exclusively owns and accumulates per-shard
-    ///    per-node byte deltas;
-    /// 2. **node phase** — workers over disjoint node ranges admit the
-    ///    descriptors into each node's store;
-    /// 3. **census merge** — the per-shard deltas fold into the byte
-    ///    ledgers and the incremental balance moments in
-    ///    O(shards × nodes), exactly (integer moments), so
-    ///    [`Cluster::balance_rsd`] stays O(1) and bit-identical to the
+    /// 1. **reserve** — one slab slot per chunk, taken in batch order;
+    /// 2. **shard phase** — one worker per shard group files each chunk's
+    ///    slot in the dense grids / spill maps it exclusively owns and
+    ///    accumulates per-shard per-node chunk and byte tallies;
+    /// 3. **settle and merge** — the records go into their slots, and the
+    ///    per-shard tallies fold into the node books and the incremental
+    ///    balance moments in O(shards × nodes), exactly (integer moments),
+    ///    so [`Cluster::balance_rsd`] stays O(1) and bit-identical to the
     ///    sequential path.
     ///
     /// `threads == 1` runs the same phases inline, producing bit-identical
@@ -403,12 +382,14 @@ impl Cluster {
             buckets[self.placement.shard_of(&desc.key)].push(i as u32);
         }
         let workers = threads.clamp(1, SHARD_COUNT);
+        let slots = self.placement.reserve(batch.len());
+        let filing = (slots.as_slice(), routes);
 
-        // Phase 1: single-writer shard workers.
+        // Single-writer shard workers.
         let (dense, shards) = self.placement.parts_mut();
         let outs: Vec<ShardWorkerOut> = if workers == 1 {
             let all: Vec<(usize, &mut PlacementShard)> = shards.iter_mut().enumerate().collect();
-            vec![place_shards(dense, batch, routes, &buckets, all, node_count)]
+            vec![place_shards(dense, batch, filing, &buckets, all, node_count)]
         } else {
             let mut assign: Vec<Vec<(usize, &mut PlacementShard)>> =
                 (0..workers).map(|_| Vec::new()).collect();
@@ -421,7 +402,7 @@ impl Cluster {
                     .map(|set| {
                         let buckets = &buckets;
                         scope.spawn(move || {
-                            place_shards(dense, batch, routes, buckets, set, node_count)
+                            place_shards(dense, batch, filing, buckets, set, node_count)
                         })
                     })
                     .collect();
@@ -432,45 +413,25 @@ impl Cluster {
             let progress: Vec<(usize, usize)> =
                 outs.iter().flat_map(|o| o.progress.iter().copied()).collect();
             let keys: Vec<ChunkKey> = batch.iter().map(|d| d.key).collect();
-            self.placement.rollback(&keys, &buckets, &progress);
+            self.placement.rollback(&keys, &buckets, &progress, &slots);
             return Err(ClusterError::DuplicateChunk(batch[dup].key));
         }
-        let inserted: usize = outs.iter().map(|o| o.inserted).sum();
-        debug_assert_eq!(inserted, batch.len(), "every fresh chunk inserts exactly once");
-        self.placement.add_len(inserted);
+        let records = batch.iter().map(|desc| Resident::new(*desc, None));
+        self.placement.settle(&slots, routes, records);
 
-        // Phase 2: descriptor admission over disjoint node ranges.
-        if workers == 1 || node_count == 1 {
-            for (desc, node) in batch.iter().zip(routes) {
-                self.nodes[node.slot()].admit_descriptor(*desc);
-            }
-        } else {
-            // One bucketing pass keeps total work O(batch + nodes): each
-            // worker walks only the indices routed into its node group.
-            let group_size = node_count.div_ceil(workers);
-            let mut node_buckets: Vec<Vec<u32>> = vec![Vec::new(); node_count.div_ceil(group_size)];
-            for (i, node) in routes.iter().enumerate() {
-                node_buckets[node.slot() / group_size].push(i as u32);
-            }
-            std::thread::scope(|scope| {
-                for ((g, group), indices) in
-                    self.nodes.chunks_mut(group_size).enumerate().zip(&node_buckets)
-                {
-                    scope.spawn(move || admit_group(batch, routes, indices, group, g * group_size));
-                }
-            });
-        }
-
-        // Phase 3: census merge — fold the per-shard per-node deltas into
-        // the byte ledgers and the incremental balance moments. Integer
-        // sums commute, so the final moments are bit-identical to what
-        // per-chunk sequential placement would have produced.
+        // Census merge — fold the per-shard per-node tallies into the node
+        // books and the incremental balance moments. Integer sums commute,
+        // so the final moments are bit-identical to what per-chunk
+        // sequential placement would have produced.
         for idx in 0..node_count {
-            let delta: u64 = outs.iter().map(|o| o.deltas[idx]).sum();
-            if delta > 0 {
+            let (chunks, bytes) = outs
+                .iter()
+                .map(|o| o.loads[idx])
+                .fold((0, 0u64), |acc, load| (acc.0 + load.0, acc.1.saturating_add(load.1)));
+            if chunks > 0 {
                 let node = &mut self.nodes[idx];
                 let old = node.used_bytes();
-                node.add_load(delta);
+                node.admit(chunks, bytes);
                 self.balance.on_change(old, node.used_bytes());
             }
         }
@@ -512,7 +473,7 @@ impl Cluster {
     /// does not change, so no ledger moves.
     pub fn attach_payload(&mut self, key: ChunkKey, chunk: impl Into<Arc<Chunk>>) -> Result<()> {
         let chunk = chunk.into();
-        let (holder, record) = self.primary_record(&key)?;
+        let (_, slot, record) = self.primary_record(&key)?;
         let desc = record.descriptor();
         if desc.bytes != chunk.byte_size() || desc.cells != chunk.cell_count() {
             return Err(ClusterError::PayloadMismatch(Box::new(crate::error::PayloadMismatch {
@@ -526,9 +487,8 @@ impl Cluster {
         if record.payload().is_some() {
             return Err(ClusterError::PayloadExists(key));
         }
-        // `primary_record` has just read this slot's record.
-        if let Some(slot) = self.nodes[holder].payload_slot(&key) {
-            *slot = Some(chunk);
+        if let Some(record) = self.placement.record_mut(slot) {
+            *record.payload_slot() = Some(chunk);
         }
         Ok(())
     }
@@ -550,7 +510,8 @@ impl Cluster {
     pub fn apply_rebalance(&mut self, plan: &RebalancePlan) -> Result<FlowSet> {
         // Validate first so a bad plan leaves the cluster untouched.
         for m in &plan.moves {
-            let actual = self.placement.get(&m.key).ok_or(ClusterError::MissingChunk(m.key))?;
+            let slot = self.placement.slot(&m.key).ok_or(ClusterError::MissingChunk(m.key))?;
+            let actual = self.placement.home(slot);
             if actual != m.from {
                 return Err(ClusterError::WrongSource {
                     key: m.key,
@@ -566,28 +527,31 @@ impl Cluster {
             }
             // A crashed source's chunks were wiped (its placement entries
             // may linger as k=1 orphans); moving one is impossible.
-            if self.nodes[m.from.slot()].resident(&m.key).is_none() {
+            if self.placement.record(slot).is_none() {
                 return Err(ClusterError::MissingChunk(m.key));
             }
         }
         let mut flows = FlowSet::new();
         for m in &plan.moves {
             let copies = self.serving_copies(&m.key);
-            let src = &mut self.nodes[m.from.slot()];
-            let src_old = src.used_bytes();
-            // The validation pass found the record there, and a plan
-            // moves a key once.
-            let record = src.evict(&m.key).expect("validated above");
-            self.balance.on_change(src_old, src.used_bytes());
+            // The validation pass found the record on `m.from`, and a plan
+            // moves a key once: the move rewrites the record's home.
+            let slot = self.placement.slot(&m.key).expect("validated above");
+            debug_assert_eq!(self.placement.home(slot), m.from, "a plan moves a key once");
+            let record = self.placement.record(slot).expect("validated above");
             // Materialized chunks time the wire transfer off the payload's
             // actual size (identical to desc.bytes by the attach-time
             // invariant, but read from the cells to keep the flow honest).
             let bytes = record.descriptor().bytes;
             flows.push(m.from, m.to, record.payload().map_or(bytes, |c| c.byte_size()));
-            self.placement.insert(m.key, m.to);
+            self.placement.rehome(slot, m.to);
+            let src = &mut self.nodes[m.from.slot()];
+            let src_old = src.used_bytes();
+            src.release(bytes);
+            self.balance.on_change(src_old, src.used_bytes());
             let dst = &mut self.nodes[m.to.slot()];
             let dst_old = dst.used_bytes();
-            dst.admit(record);
+            dst.admit(1, bytes);
             self.balance.on_change(dst_old, dst.used_bytes());
             // The destination may have held a replica of this chunk; the
             // arriving primary supersedes it.
@@ -611,8 +575,8 @@ impl Cluster {
     /// become holders of its record and ledger its bytes, one repair flow
     /// per new copy.
     fn top_up_replicas(&mut self, key: &ChunkKey, flows: &mut FlowSet) {
-        let Ok((primary, record)) = self.primary_record(key) else { return };
-        let (primary, bytes) = (self.nodes[primary].id, record.descriptor().bytes);
+        let Ok((primary, _, record)) = self.primary_record(key) else { return };
+        let bytes = record.descriptor().bytes;
         let missing = (self.replication - 1).saturating_sub(self.replica_holders(key).len());
         let fresh: Vec<NodeId> = self.replica_ring(key).take(missing).collect();
         if fresh.is_empty() {
@@ -653,14 +617,15 @@ impl Cluster {
     ///
     /// For every lost primary with at least one surviving holder, the
     /// first in replica-route order is **promoted** deterministically:
-    /// the chunk's record (the very one the holder served) moves onto it,
-    /// the placement index repoints, and the byte ledgers follow
+    /// the chunk's record (the very one the holder served) is rehomed
+    /// onto it in the placement index, and the byte ledgers follow
     /// (promotion is a local bookkeeping flip — the bytes are already on
     /// the node — so it records no flow). Promotion is synchronous, so a
     /// primary that does not serve never has a serving replica. Chunks
     /// with no surviving copy (`k = 1`, or deeper failures than `k−1`)
-    /// are reported as orphaned; their placement entries keep naming the
-    /// wreck so reads surface typed losses instead of silent misses.
+    /// are reported as orphaned: their records are dropped, and their
+    /// placement entries keep naming the wreck so reads surface typed
+    /// losses instead of silent misses.
     ///
     /// Refuses to crash the last serving node
     /// ([`ClusterError::NoHealthyNodes`]) or an already-crashed one.
@@ -673,7 +638,9 @@ impl Cluster {
         if !self.nodes.iter().any(|n| n.id != id && n.state().serves_reads()) {
             return Err(ClusterError::NoHealthyNodes);
         }
-        let primary_keys: Vec<ChunkKey> = self.nodes[idx].descriptors().map(|d| d.key).collect();
+        let slots = self.placement.record_slots(Some(id));
+        let key_of = |slot: &usize| self.placement.record(*slot).map(|r| r.descriptor().key);
+        let primary_keys: Vec<ChunkKey> = slots.iter().filter_map(key_of).collect();
         let replica_keys = self.held_by(id);
         // Only the chunks with a copy on this node can change strength:
         // the census pays for the wreck, not for the cluster.
@@ -681,25 +648,27 @@ impl Cluster {
             primary_keys.iter().chain(&replica_keys).map(|k| self.serving_copies(k)).collect();
         let node = &mut self.nodes[idx];
         let old_used = node.used_bytes();
-        let records = node.wipe();
+        node.wipe();
         node.set_state(NodeState::Crashed);
         self.balance.on_change(old_used, 0);
         for key in &replica_keys {
             self.drop_holder(key, id);
         }
         let mut orphaned = Vec::new();
-        for (key, record) in records {
-            let Some(&h) = self.replica_holders(&key).first() else {
-                orphaned.push(key);
+        for (slot, key) in slots.into_iter().zip(&primary_keys) {
+            let Some(&h) = self.replica_holders(key).first() else {
+                self.placement.lose(slot);
+                orphaned.push(*key);
                 continue;
             };
-            self.drop_holder(&key, h);
+            self.drop_holder(key, h);
+            let bytes = self.placement.record(slot).map_or(0, |r| r.descriptor().bytes);
             let hn = &mut self.nodes[h.slot()];
             let old = hn.used_bytes();
-            hn.reledger_held(record.descriptor().bytes, 0);
-            hn.admit(record);
+            hn.reledger_held(bytes, 0);
+            hn.admit(1, bytes);
             self.balance.on_change(old, hn.used_bytes());
-            self.placement.insert(key, h);
+            self.placement.rehome(slot, h);
         }
         for (key, before) in primary_keys.iter().chain(&replica_keys).zip(copies) {
             self.retally(key, before);
@@ -774,36 +743,69 @@ impl Cluster {
     /// [`ClusterError::NodeUnavailable`] (a k=1 orphan on a wreck),
     /// [`ClusterError::NoPayload`] (metadata only).
     pub fn primary_payload(&self, key: &ChunkKey) -> Result<&Arc<Chunk>> {
-        Ok(self.payload_holder(key)?.1)
+        Ok(self.payload_holder(key)?.2)
     }
 
     /// [`Cluster::primary_payload`], to write through.
     fn primary_payload_mut(&mut self, key: &ChunkKey) -> Result<&mut Arc<Chunk>> {
-        let (holder, _) = self.payload_holder(key)?;
-        let slot = self.nodes[holder].payload_slot(key);
+        let (_, slot, _) = self.payload_holder(key)?;
+        let record = self.placement.record_mut(slot).map(Resident::payload_slot);
         // `payload_holder` has just read the cells out of this slot.
-        Ok(slot.and_then(Option::as_mut).expect("payload_holder found it"))
+        Ok(record.and_then(Option::as_mut).expect("payload_holder found it"))
     }
 
-    /// Slot of the node holding `key`'s primary and the record there —
-    /// one probe of its store — or why there is none:
+    /// Where `key`'s primary lives and its record there — one probe of
+    /// the placement index. `None` when the chunk is not placed; no
+    /// record when a crash lost every copy of it (a k=1 orphan, whose
+    /// entry still names the wreck). A planned chunk resolves its node
+    /// and its cells through this one call.
+    #[inline]
+    pub fn home(&self, key: &ChunkKey) -> Option<(NodeId, Option<&Resident>)> {
+        let slot = self.placement.slot(key)?;
+        Some((self.placement.home(slot), self.placement.record(slot)))
+    }
+
+    /// The descriptor on `key`'s record, when it is placed and not lost.
+    pub fn descriptor(&self, key: &ChunkKey) -> Option<&ChunkDescriptor> {
+        self.home(key)?.1.map(Resident::descriptor)
+    }
+
+    /// The records of the primaries `id` holds, in key order — read off
+    /// the placement index, which is the only book of where a chunk is.
+    /// O(placed chunks + m log m) for the node's `m`: reorganization,
+    /// recovery and reporting paths, not a per-chunk loop.
+    pub fn residents_on(&self, id: NodeId) -> impl Iterator<Item = &Resident> {
+        let slots = self.placement.record_slots(Some(id));
+        slots.into_iter().filter_map(|slot| self.placement.record(slot))
+    }
+
+    /// Every record the cluster holds, in key order (a crash's orphans
+    /// have none).
+    pub fn residents(&self) -> impl Iterator<Item = &Resident> {
+        let slots = self.placement.record_slots(None);
+        slots.into_iter().filter_map(|slot| self.placement.record(slot))
+    }
+
+    /// The node holding `key`'s primary, its slab slot and the record
+    /// there — one probe of the placement index — or why there is none:
     /// [`ClusterError::MissingChunk`] (not placed),
     /// [`ClusterError::NodeUnavailable`] (a k=1 orphan whose placement
     /// still names the wreck).
-    pub(crate) fn primary_record(&self, key: &ChunkKey) -> Result<(usize, &Resident)> {
-        let node = self.placement.get(key).ok_or(ClusterError::MissingChunk(*key))?;
-        let holder = &self.nodes[node.slot()];
-        let record = holder
-            .resident(key)
-            .ok_or(ClusterError::NodeUnavailable { node: node.0, state: holder.state() })?;
-        Ok((node.slot(), record))
+    pub(crate) fn primary_record(&self, key: &ChunkKey) -> Result<(NodeId, usize, &Resident)> {
+        let slot = self.placement.slot(key).ok_or(ClusterError::MissingChunk(*key))?;
+        let home = self.placement.home(slot);
+        let Some(record) = self.placement.record(slot) else {
+            let state = self.nodes[home.slot()].state();
+            return Err(ClusterError::NodeUnavailable { node: home.0, state });
+        };
+        Ok((home, slot, record))
     }
 
-    /// [`Cluster::primary_record`]'s slot and the cells on the record
-    /// (see [`Cluster::primary_payload`]).
-    fn payload_holder(&self, key: &ChunkKey) -> Result<(usize, &Arc<Chunk>)> {
-        let (holder, record) = self.primary_record(key)?;
-        Ok((holder, record.payload().ok_or(ClusterError::NoPayload(*key))?))
+    /// [`Cluster::primary_record`] with the cells on the record in its
+    /// place (see [`Cluster::primary_payload`]).
+    fn payload_holder(&self, key: &ChunkKey) -> Result<(NodeId, usize, &Arc<Chunk>)> {
+        let (home, slot, record) = self.primary_record(key)?;
+        Ok((home, slot, record.payload().ok_or(ClusterError::NoPayload(*key))?))
     }
 
     /// Replace a placed chunk's payload with `chunk` — a rebuilt version
@@ -815,15 +817,15 @@ impl Cluster {
     /// changing nothing, under the conditions of
     /// [`Cluster::retract_cells`].
     pub fn install_payload(&mut self, key: &ChunkKey, chunk: Arc<Chunk>) -> Result<()> {
-        let (holder, _) = self.payload_holder(key)?;
+        let (home, slot, _) = self.payload_holder(key)?;
         let desc = ChunkDescriptor::new(*key, chunk.byte_size(), chunk.cell_count());
-        let n = &mut self.nodes[holder];
+        // `payload_holder` has just found the record in this slot.
+        let record = self.placement.record_mut(slot).expect("payload_holder found the record");
+        let old = record.resize(desc);
+        *record.payload_slot() = Some(chunk);
+        let n = &mut self.nodes[home.slot()];
         let old_used = n.used_bytes();
-        // `payload_holder` has just found the record on this node.
-        let old = n.resize(desc).expect("payload_holder found the record");
-        if let Some(slot) = n.payload_slot(key) {
-            *slot = Some(chunk);
-        }
+        n.resize(old.bytes, desc.bytes);
         self.balance.on_change(old_used, n.used_bytes());
         // Field-level split borrow: the holders are `self.replicas`, the
         // ledgers live in `self.nodes`.
@@ -840,15 +842,15 @@ impl Cluster {
     /// slot, descriptor bytes, and replica upkeep forever. The primary
     /// must actually hold the chunk (crashed-orphan entries fail typed).
     pub fn evict_chunk(&mut self, key: &ChunkKey) -> Result<ChunkEviction> {
-        let (idx, _) = self.primary_record(key)?;
+        let (node, _, _) = self.primary_record(key)?;
         self.copies.remove(self.serving_copies(key));
-        let n = &mut self.nodes[idx];
-        let (node, old) = (n.id, n.used_bytes());
-        // `primary_record` has just found the record on this node.
-        let evicted = n.evict(key).expect("primary_record found it");
-        let desc = evicted.descriptor();
+        // `primary_record` has just found the entry and its record.
+        let (_, evicted) = self.placement.remove(key).expect("primary_record found it");
+        let desc = *evicted.expect("primary_record found it").descriptor();
+        let n = &mut self.nodes[node.slot()];
+        let old = n.used_bytes();
+        n.release(desc.bytes);
         self.balance.on_change(old, n.used_bytes());
-        self.placement.remove(key);
         let holders = self.replicas.remove(key).unwrap_or_default();
         for &h in &holders {
             self.nodes[h.slot()].reledger_held(desc.bytes, 0);
@@ -881,7 +883,7 @@ impl Cluster {
             return Err(ClusterError::NoHealthyNodes);
         }
         let mut plan = RebalancePlan::empty();
-        for desc in node.descriptors() {
+        for desc in self.residents_on(id).map(Resident::descriptor) {
             let dest = {
                 // The loop body runs only when the node has chunks, and
                 // then the check above required a destination.
@@ -925,7 +927,8 @@ impl Cluster {
         for key in &replica_keys {
             let copies = self.serving_copies(key);
             self.drop_holder(key, id);
-            let bytes = self.primary_record(key).map_or(0, |(_, record)| record.descriptor().bytes);
+            let bytes =
+                self.primary_record(key).map_or(0, |(.., record)| record.descriptor().bytes);
             self.nodes[idx].reledger_held(bytes, 0);
             self.retally(key, copies);
         }
@@ -991,12 +994,13 @@ impl Cluster {
     /// to fail over. Returns the first violation as a typed error
     /// ([`ClusterError::DuplicateChunk`] for a second copy on one node).
     /// Debug builds also audit the kept replica census against its
-    /// definition (see [`crate::census`]) and each node's replica ledger
-    /// against the bytes of the records it holds.
+    /// definition (see [`crate::census`]), and each node's books — its
+    /// primary count and both byte ledgers — against the records the
+    /// placement and replica indexes put on it.
     pub fn verify_replica_books(&self) -> Result<()> {
         debug_assert_eq!(self.copies, self.walked_copies(), "replica census drifted");
         for (key, holders) in &self.replicas {
-            let primary = self.nodes[self.primary_record(key)?.0].id;
+            let primary = self.primary_record(key)?.0;
             for (i, h) in holders.iter().enumerate() {
                 if *h == primary || holders[..i].contains(h) {
                     return Err(ClusterError::DuplicateChunk(*key));
@@ -1010,18 +1014,30 @@ impl Cluster {
             }
         }
         if cfg!(debug_assertions) {
-            for (node, held) in self.nodes.iter().zip(self.held_records()) {
-                let bytes =
-                    held.iter().fold(0u64, |sum, r| sum.saturating_add(r.descriptor().bytes));
-                debug_assert_eq!(
-                    node.replica_bytes(),
-                    bytes,
-                    "replica ledger of {} drifted",
-                    node.id
-                );
+            let bytes = |records: &[&Resident]| {
+                records.iter().fold(0u64, |sum, r| sum.saturating_add(r.descriptor().bytes))
+            };
+            let books = self.primary_records().into_iter().zip(self.held_records());
+            for (node, (primaries, held)) in self.nodes.iter().zip(books) {
+                let kept = (node.chunk_count(), node.used_bytes(), node.replica_bytes());
+                let derived = (primaries.len(), bytes(&primaries), bytes(&held));
+                debug_assert_eq!(kept, derived, "the books of {} drifted", node.id);
             }
         }
         Ok(())
+    }
+
+    /// Per roster slot, the records of the primaries that node holds, in
+    /// key order: what its checkpoint section lists. One pass over the
+    /// placement index for the whole roster.
+    pub(crate) fn primary_records(&self) -> Vec<Vec<&Resident>> {
+        let mut primaries = vec![Vec::new(); self.nodes.len()];
+        for slot in self.placement.record_slots(None) {
+            if let Some(record) = self.placement.record(slot) {
+                primaries[self.placement.home(slot).slot()].push(record);
+            }
+        }
+        primaries
     }
 
     /// Per roster slot, the records of the chunks that node holds a
@@ -1031,7 +1047,7 @@ impl Cluster {
         let mut held = vec![Vec::new(); self.nodes.len()];
         for (key, holders) in &self.replicas {
             // A replicated key's record is resident (`verify_replica_books`).
-            let Ok((_, record)) = self.primary_record(key) else { continue };
+            let Ok((_, _, record)) = self.primary_record(key) else { continue };
             for h in holders {
                 held[h.slot()].push(record);
             }
@@ -1384,7 +1400,8 @@ mod tests {
         plan.push(key, NodeId(0), NodeId(1), desc.bytes);
         let flows = c.apply_rebalance(&plan).unwrap();
         assert_eq!(flows.network_bytes(), chunk.byte_size());
-        assert!(c.node(NodeId(0)).unwrap().resident(&key).is_none());
+        assert_eq!(c.residents_on(NodeId(0)).count(), 0);
+        assert_eq!(c.home(&key).map(|(home, _)| home), Some(NodeId(1)));
         assert_eq!(c.payload(&key), Some(&chunk));
 
         // Equal bytes but a different cell count is still a drift. Under
@@ -1645,7 +1662,7 @@ mod tests {
 
         let stored = c.primary_payload(&key).unwrap();
         assert_eq!(stored.cell_count(), 2);
-        let new_desc = c.node(NodeId(0)).unwrap().descriptor(&key).copied().unwrap();
+        let new_desc = *c.home(&key).and_then(|(_, record)| record).unwrap().descriptor();
         assert_eq!(new_desc.bytes, stored.byte_size());
         assert_eq!(new_desc.cells, 2);
         assert_eq!(c.loads()[0], stored.byte_size());
@@ -1716,7 +1733,7 @@ mod tests {
         assert_eq!(stored.tombstone_count(), 0);
         assert_eq!(stored.cell_count(), 3);
         assert_eq!(out.bytes, stored.byte_size());
-        let new_desc = c.node(NodeId(0)).unwrap().descriptor(&key).copied().unwrap();
+        let new_desc = *c.home(&key).and_then(|(_, record)| record).unwrap().descriptor();
         assert_eq!((new_desc.bytes, new_desc.cells), (stored.byte_size(), 3));
         assert_eq!(c.total_used(), stored.byte_size());
         let holder = c.replica_holders(&key)[0];

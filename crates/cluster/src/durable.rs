@@ -7,15 +7,16 @@
 //! - the replication factor and the placement index's dense-grid
 //!   registrations (geometry is re-derived by re-running
 //!   `register_dense`);
-//! - every node — lifecycle state, byte ledgers, its primaries'
-//!   descriptors and *which* of them carry payloads, but not the payload
-//!   cells themselves: the caller writes each chunk's cells once, beside
-//!   this snapshot, and restore re-wires the handles through a
-//!   `payload_of` lookup;
-//! - the placement index entries, separately from the node stores.
-//!   They are not redundant: after a crash, an orphaned chunk keeps a
-//!   placement entry naming the wreck while its record is gone, so
-//!   placement ⊋ union-of-node-chunks;
+//! - every node — lifecycle state, byte ledgers, the descriptors of the
+//!   primaries the placement index puts on it and *which* of them carry
+//!   payloads, but not the payload cells themselves: the caller writes
+//!   each chunk's cells once, beside this snapshot, and restore re-wires
+//!   the handles through a `payload_of` lookup;
+//! - the placement index entries, separately from the records. They are
+//!   not redundant: after a crash, an orphaned chunk keeps a placement
+//!   entry naming the wreck while its record is gone, so placement ⊋
+//!   records. Restore files every entry, then puts each record in its
+//!   entry's slot — only where the entry names the node that listed it;
 //! - the replica index verbatim, holder order preserved (it is route
 //!   order, consumed by crash promotion).
 //!
@@ -53,8 +54,9 @@ impl Cluster {
             w.put_list(extents, |w, &e| w.put_i64(e));
         });
         w.put_usize(self.nodes.len());
-        for (node, held) in self.nodes.iter().zip(self.held_records()) {
-            node.snapshot_into(&held, w);
+        let books = self.primary_records().into_iter().zip(self.held_records());
+        for (node, (primaries, held)) in self.nodes.iter().zip(books) {
+            node.snapshot_into(&primaries, &held, w);
         }
         let entries = self.placement.collect_sorted();
         w.put_list(&entries, |w, (key, node)| {
@@ -110,11 +112,12 @@ impl Cluster {
         }
         let n = r.count("node count", Node::MIN_SNAPSHOT_LEN)?;
         let mut nodes = Vec::with_capacity(n);
+        let mut records = Vec::with_capacity(n);
         let mut sections = Vec::with_capacity(n);
         let mut balance = BalanceStats::default();
         let mut retired = 0usize;
         for i in 0..n {
-            let (node, held) = Node::restore_from(r, payload_of)?;
+            let (node, primaries, held) = Node::restore_from(r, payload_of)?;
             if u32::try_from(i).ok() != Some(node.id.0) {
                 return Err(DurabilityError::Mismatch {
                     what: "node roster order".to_string(),
@@ -127,6 +130,7 @@ impl Cluster {
                 retired += 1;
             }
             nodes.push(node);
+            records.push(primaries);
             sections.push(held);
         }
         let mut last_key = None;
@@ -140,7 +144,7 @@ impl Cluster {
                     actual: format!("{node}"),
                 });
             }
-            if placement.insert(key, node).is_some() {
+            if placement.insert(key, node, None).is_err() {
                 return Err(DurabilityError::Mismatch {
                     what: format!("placement of {key}"),
                     expected: "a single entry per key".to_string(),
@@ -150,17 +154,23 @@ impl Cluster {
             ascending("placement key", last_key.as_ref(), &key)?;
             last_key = Some(key);
         }
-        // Every primary record is placed where it is. (A placement with
-        // no record is a crash's orphan, naming the wreck or its revival.)
-        for node in &nodes {
-            let misplaced = |d: &&ChunkDescriptor| placement.get(&d.key) != Some(node.id);
-            if let Some(d) = node.descriptors().find(misplaced) {
-                let placed = placement.get(&d.key);
-                return Err(DurabilityError::Mismatch {
-                    what: format!("placement of {}", d.key),
-                    expected: format!("{}, which holds its record", node.id),
-                    actual: placed.map_or("no entry".to_string(), |n| n.to_string()),
-                });
+        // Every primary record is placed where it is, and goes in its
+        // entry's slot. (An entry left with no record is a crash's orphan,
+        // naming the wreck or its revival.)
+        for (node, primaries) in nodes.iter().zip(records) {
+            for record in primaries {
+                let key = record.descriptor().key;
+                match placement.slot(&key).filter(|&slot| placement.home(slot) == node.id) {
+                    Some(slot) => placement.restore_record(slot, record),
+                    None => {
+                        let placed = placement.get(&key);
+                        return Err(DurabilityError::Mismatch {
+                            what: format!("placement of {key}"),
+                            expected: format!("{}, which holds its record", node.id),
+                            actual: placed.map_or("no entry".to_string(), |n| n.to_string()),
+                        });
+                    }
+                }
             }
         }
         let mut replicas = BTreeMap::new();
@@ -302,12 +312,10 @@ mod tests {
         // Every restored record aliases the one handle the lookup gave
         // out (zero-copy restore); holders serve those same records.
         let mut aliased = 0;
-        for node in restored.nodes() {
-            for payload in node.residents().filter_map(|record| record.payload()) {
-                let handed = &cells[&payload.descriptor(ArrayId(0)).key];
-                assert!(Arc::ptr_eq(payload, handed), "a record on {} was rebuilt", node.id);
-                aliased += 1;
-            }
+        for payload in restored.residents().filter_map(|record| record.payload()) {
+            let key = payload.descriptor(ArrayId(0)).key;
+            assert!(Arc::ptr_eq(payload, &cells[&key]), "the record of {key} was rebuilt");
+            aliased += 1;
         }
         assert_eq!(aliased, cells.len(), "at k = 2 every chunk survives one crash");
     }

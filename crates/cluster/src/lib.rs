@@ -1,11 +1,12 @@
 //! # cluster-sim
 //!
 //! A deterministic shared-nothing cluster simulator: the substrate that
-//! stands in for the paper's 8-node SciDB testbed. Nodes hold chunk
-//! descriptors against a storage budget; all data movement (insert
-//! distribution, rebalances, query shuffles) reduces to [`FlowSet`]s whose
-//! elapsed time comes from an explicit byte-flow cost model with
-//! half-duplex endpoints and a fabric bisection floor.
+//! stands in for the paper's 8-node SciDB testbed. The placement index
+//! keeps one record per chunk — descriptor, cells, and the node holding
+//! it — and nodes keep a storage budget and byte ledgers; all data
+//! movement (insert distribution, rebalances, query shuffles) reduces to
+//! [`FlowSet`]s whose elapsed time comes from an explicit byte-flow cost
+//! model with half-duplex endpoints and a fabric bisection floor.
 //!
 //! ```
 //! use cluster_sim::{Cluster, CostModel, NodeId};

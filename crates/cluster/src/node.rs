@@ -97,12 +97,13 @@ impl fmt::Display for NodeState {
 }
 
 /// The one record of a chunk: its descriptor and, on a materialized run,
-/// its cells, resident on the node that holds the primary. A chunk has
-/// exactly one, so no path can hold a payload without its descriptor,
-/// move one without the other, or keep a second version of either. The
-/// nodes holding a replica (`k ≥ 2`) are names in the cluster's replica
-/// index and serve this same record; the cells are a shared `Arc<Chunk>`,
-/// so a rebalance moves the handle, never the cells.
+/// its cells. A chunk has exactly one, in one slot of the cluster's
+/// record slab (see `placement`), which also names the node holding the
+/// primary — so no path can hold a payload without its descriptor, move
+/// one without the other, or keep a second version of either. The nodes
+/// holding a replica (`k ≥ 2`) are names in the cluster's replica index
+/// and serve this same record; the cells are a shared `Arc<Chunk>`, so
+/// nothing ever copies them to move or serve a chunk.
 #[derive(Debug, Clone)]
 pub struct Resident {
     desc: ChunkDescriptor,
@@ -123,6 +124,18 @@ impl Resident {
     pub fn payload(&self) -> Option<&Arc<Chunk>> {
         self.payload.as_ref()
     }
+
+    /// Replace the descriptor (a retraction shrank the chunk); the
+    /// previous one. The caller moves the byte ledgers by the delta.
+    pub(crate) fn resize(&mut self, desc: ChunkDescriptor) -> ChunkDescriptor {
+        std::mem::replace(&mut self.desc, desc)
+    }
+
+    /// Where the cells go: attaching writes the slot; the retraction
+    /// path tombstones through it (`Arc::make_mut`).
+    pub(crate) fn payload_slot(&mut self) -> &mut Option<Arc<Chunk>> {
+        &mut self.payload
+    }
 }
 
 /// A node's replica section as a checkpoint lists it: for each chunk the
@@ -131,10 +144,11 @@ impl Resident {
 /// and on restore checked against them, entry for entry.
 pub(crate) type HeldSection = BTreeMap<ChunkKey, (ChunkDescriptor, bool)>;
 
-/// One node: a storage budget, the records of the chunks whose primary
-/// it holds, and two byte ledgers — its primaries' bytes and the bytes
-/// of the replicas it holds. Which replicas those are is the cluster's
-/// replica index, not the node's.
+/// One node: a storage budget, a lifecycle state, and its books — how
+/// many primaries it holds and two byte ledgers, its primaries' bytes and
+/// the bytes of the replicas it holds. *Which* chunks those are is not
+/// the node's to keep: the cluster's placement index names each
+/// primary's node, and its replica index each replica's.
 #[derive(Debug, Clone)]
 pub struct Node {
     /// This node's identifier.
@@ -144,7 +158,7 @@ pub struct Node {
     state: NodeState,
     used_bytes: u64,
     replica_bytes: u64,
-    primaries: BTreeMap<ChunkKey, Resident>,
+    primaries: usize,
 }
 
 /// Move a byte ledger from a copy's `old` size to its `new` one (`0` for
@@ -174,7 +188,7 @@ impl Node {
             state: NodeState::Healthy,
             used_bytes: 0,
             replica_bytes: 0,
-            primaries: BTreeMap::new(),
+            primaries: 0,
         }
     }
 
@@ -201,65 +215,26 @@ impl Node {
 
     /// Number of resident primaries.
     pub fn chunk_count(&self) -> usize {
-        self.primaries.len()
+        self.primaries
     }
 
-    /// The record of `key`, when this node holds its primary —
-    /// descriptor and cells in one probe.
-    pub fn resident(&self, key: &ChunkKey) -> Option<&Resident> {
-        self.primaries.get(key)
-    }
-
-    /// Every primary record here, in deterministic (key) order.
-    pub fn residents(&self) -> impl Iterator<Item = &Resident> {
-        self.primaries.values()
-    }
-
-    /// The resident primary descriptor for `key`, if any.
-    pub fn descriptor(&self, key: &ChunkKey) -> Option<&ChunkDescriptor> {
-        self.primaries.get(key).map(Resident::descriptor)
-    }
-
-    /// Iterate resident primaries in deterministic (key) order.
-    pub fn descriptors(&self) -> impl Iterator<Item = &ChunkDescriptor> {
-        self.primaries.values().map(Resident::descriptor)
-    }
-
-    /// Take a primary record in, ledgering its bytes.
-    pub(crate) fn admit(&mut self, record: Resident) {
-        self.used_bytes = self.used_bytes.saturating_add(record.desc.bytes);
-        self.primaries.insert(record.desc.key, record);
-    }
-
-    /// Store a primary descriptor without touching the byte ledger. The
-    /// parallel batch-placement path admits descriptors from per-node
-    /// workers and applies the byte loads afterwards from the merged
-    /// per-shard deltas (see `Cluster::place_batch`); the pair must
-    /// always be used together.
-    pub(crate) fn admit_descriptor(&mut self, desc: ChunkDescriptor) {
-        self.primaries.insert(desc.key, Resident::new(desc, None));
-    }
-
-    /// Apply a byte-load delta accumulated by [`Node::admit_descriptor`].
-    pub(crate) fn add_load(&mut self, bytes: u64) {
+    /// Ledger `chunks` primaries of `bytes` in all taken in.
+    pub(crate) fn admit(&mut self, chunks: usize, bytes: u64) {
+        self.primaries += chunks;
         self.used_bytes = self.used_bytes.saturating_add(bytes);
     }
 
-    /// Remove a primary record — descriptor and whatever cells it
-    /// carries, in one piece — releasing its bytes.
-    pub(crate) fn evict(&mut self, key: &ChunkKey) -> Option<Resident> {
-        let record = self.primaries.remove(key)?;
-        reledger(&mut self.used_bytes, record.desc.bytes, 0, "byte", self.id);
-        Some(record)
+    /// Ledger one primary of `bytes` let go.
+    pub(crate) fn release(&mut self, bytes: u64) {
+        debug_assert!(self.primaries > 0, "no primary to release on {}", self.id);
+        self.primaries = self.primaries.saturating_sub(1);
+        reledger(&mut self.used_bytes, bytes, 0, "byte", self.id);
     }
 
-    /// Replace a primary's descriptor in place (a retraction shrank it),
-    /// adjusting the ledger by the exact delta. Returns the previous
-    /// descriptor, or `None` when the primary is not resident here.
-    pub(crate) fn resize(&mut self, desc: ChunkDescriptor) -> Option<ChunkDescriptor> {
-        let old = std::mem::replace(&mut self.primaries.get_mut(&desc.key)?.desc, desc);
-        reledger(&mut self.used_bytes, old.bytes, desc.bytes, "byte", self.id);
-        Some(old)
+    /// Move the primary ledger from a chunk's `old` size to its `new` one
+    /// (a retraction shrank it).
+    pub(crate) fn resize(&mut self, old: u64, new: u64) {
+        reledger(&mut self.used_bytes, old, new, "byte", self.id);
     }
 
     /// Move the replica ledger from a held copy's `old` size to its `new`
@@ -269,23 +244,19 @@ impl Node {
         reledger(&mut self.replica_bytes, old, new, "replica", self.id);
     }
 
-    /// Where a primary's cells go: `None` inside when it is metadata
-    /// only, `None` outside when the primary is not resident here.
-    /// Attaching writes the slot; the retraction path tombstones through
-    /// it (`Arc::make_mut`). The descriptor is out of reach from here —
-    /// only [`Node::resize`] changes it, with the ledger.
-    pub(crate) fn payload_slot(&mut self, key: &ChunkKey) -> Option<&mut Option<Arc<Chunk>>> {
-        self.primaries.get_mut(key).map(|record| &mut record.payload)
-    }
-
     /// Serialize this node for a checkpoint: identity, budget, lifecycle
     /// state, both byte ledgers (as cross-check values), then its
-    /// primaries and the replicas it holds (`held`, the primary records
-    /// of those chunks in key order), each as descriptors followed by
-    /// *which* of them carry cells. The cells themselves are not written
-    /// here — the checkpoint writes each chunk's once, in a section of
-    /// its own, and restore re-wires the handles.
-    pub(crate) fn snapshot_into(&self, held: &[&Resident], w: &mut ByteWriter) {
+    /// primaries and the replicas it holds (each the records of those
+    /// chunks in key order), each as descriptors followed by *which* of
+    /// them carry cells. The cells themselves are not written here — the
+    /// checkpoint writes each chunk's once, in a section of its own, and
+    /// restore re-wires the handles.
+    pub(crate) fn snapshot_into(
+        &self,
+        primaries: &[&Resident],
+        held: &[&Resident],
+        w: &mut ByteWriter,
+    ) {
         w.put_u32(self.id.0);
         w.put_u64(self.capacity_bytes);
         w.put_u8(match self.state {
@@ -297,23 +268,24 @@ impl Node {
         });
         w.put_u64(self.used_bytes);
         w.put_u64(self.replica_bytes);
-        put_section(self.primaries.values(), w);
-        put_section(held.iter().copied(), w);
+        put_section(primaries, w);
+        put_section(held, w);
     }
 
     /// Rebuild a node from [`Node::snapshot_into`], re-attaching payload
     /// handles through `payload_of` (the checkpoint's cells), and return
-    /// its replica section for the cluster to check against the replica
-    /// index. Nothing in the bytes is taken on trust: a descriptor is
-    /// listed once, a payload key must name a descriptor of its section,
-    /// once, and cells whose size its descriptor declares (the
-    /// attach-time check), and the byte ledgers are recomputed from the
-    /// descriptors and compared with the serialized values — each a
+    /// its primary records in key order, for the cluster to file in its
+    /// placement index, and its replica section, for the cluster to check
+    /// against the replica index. Nothing in the bytes is taken on trust:
+    /// a descriptor is listed once, a payload key must name a descriptor
+    /// of its section, once, and cells whose size its descriptor declares
+    /// (the attach-time check), and the byte ledgers are recomputed from
+    /// the descriptors and compared with the serialized values — each a
     /// typed [`DurabilityError::Mismatch`], never absorbed.
     pub(crate) fn restore_from(
         r: &mut ByteReader<'_>,
         payload_of: &dyn Fn(&ChunkKey) -> Option<Arc<Chunk>>,
-    ) -> Result<(Node, HeldSection), DurabilityError> {
+    ) -> Result<(Node, Vec<Resident>, HeldSection), DurabilityError> {
         let id = NodeId(r.u32("node id")?);
         let capacity_bytes = r.u64("node capacity")?;
         let state = match r.u8("node state")? {
@@ -331,6 +303,7 @@ impl Node {
         let want_replica = r.u64("node replica bytes")?;
         let mut node = Node::new(id, capacity_bytes);
         node.state = state;
+        let mut primaries = Vec::new();
         for (key, (desc, with_cells)) in read_section(r, id, "primary")? {
             let refused = |expected: &str, actual: &str| DurabilityError::Mismatch {
                 what: format!("primary payload for {key} on {id}"),
@@ -346,7 +319,8 @@ impl Node {
                     return Err(refused(&size(desc.bytes, desc.cells), &size(held.0, held.1)));
                 }
             }
-            node.admit(Resident::new(desc, payload));
+            node.admit(1, desc.bytes);
+            primaries.push(Resident::new(desc, payload));
         }
         let held = read_section(r, id, "replica")?;
         for (desc, _) in held.values() {
@@ -360,39 +334,36 @@ impl Node {
             });
         }
         // A crash wipes a node, and only an empty node retires.
-        let (primaries, replicas) = (node.primaries.len(), held.len());
-        if matches!(state, NodeState::Crashed | NodeState::Retired) && primaries + replicas > 0 {
+        let (primary_count, replicas) = (node.primaries, held.len());
+        if matches!(state, NodeState::Crashed | NodeState::Retired) && primary_count + replicas > 0
+        {
             return Err(DurabilityError::Mismatch {
                 what: format!("records of {id}"),
                 expected: format!("none on a {state:?} node"),
-                actual: format!("{primaries} primaries, {replicas} replicas"),
+                actual: format!("{primary_count} primaries, {replicas} replicas"),
             });
         }
-        Ok((node, held))
+        Ok((node, primaries, held))
     }
 
-    /// Drop every primary on this node and zero both byte ledgers,
-    /// handing the records back — crash injection promotes them onto
-    /// surviving holders. The caller is responsible for the replica
+    /// Zero the node's books — a crash wiped its store. The caller moves
+    /// its records (promotes or loses them), and settles the replica
     /// index and the cluster-level balance census.
-    pub(crate) fn wipe(&mut self) -> BTreeMap<ChunkKey, Resident> {
+    pub(crate) fn wipe(&mut self) {
+        self.primaries = 0;
         self.used_bytes = 0;
         self.replica_bytes = 0;
-        std::mem::take(&mut self.primaries)
     }
 }
 
 /// One section of [`Node::snapshot_into`]: the records' descriptors, then
 /// the keys of those with cells.
-fn put_section<'r>(
-    records: impl ExactSizeIterator<Item = &'r Resident> + Clone,
-    w: &mut ByteWriter,
-) {
+fn put_section(records: &[&Resident], w: &mut ByteWriter) {
     w.put_usize(records.len());
-    for record in records.clone() {
+    for record in records {
         record.desc.encode_into(w);
     }
-    let with_cells = records.filter(|record| record.payload.is_some());
+    let with_cells = records.iter().filter(|record| record.payload.is_some());
     w.put_usize(with_cells.clone().count());
     for record in with_cells {
         record.desc.key.encode_into(w);
@@ -441,28 +412,16 @@ fn read_section(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use array_model::{ArrayId, ChunkCoords};
-
-    fn desc(i: i64, bytes: u64) -> ChunkDescriptor {
-        ChunkDescriptor::new(ChunkKey::new(ArrayId(0), ChunkCoords::new([i])), bytes, 1)
-    }
-
-    fn bare(i: i64, bytes: u64) -> Resident {
-        Resident::new(desc(i, bytes), None)
-    }
 
     #[test]
     fn admit_and_evict_track_usage() {
         let mut n = Node::new(NodeId(0), 1000);
-        n.admit(bare(1, 300));
-        n.admit(bare(2, 200));
+        n.admit(1, 300);
+        n.admit(1, 200);
         assert_eq!(n.used_bytes(), 500);
         assert_eq!(n.chunk_count(), 2);
-        let evicted = n.evict(&desc(1, 300).key).unwrap();
-        assert_eq!(evicted.descriptor().bytes, 300);
-        assert!(evicted.payload().is_none(), "no payload was attached");
-        assert_eq!(n.used_bytes(), 200);
-        assert!(n.evict(&desc(9, 0).key).is_none());
+        n.release(300);
+        assert_eq!((n.used_bytes(), n.chunk_count()), (200, 1));
         n.reledger_held(0, 70);
         assert_eq!((n.used_bytes(), n.replica_bytes()), (200, 70), "the ledgers are separate");
     }
@@ -470,10 +429,10 @@ mod tests {
     #[test]
     fn byte_ledgers_saturate_on_admit() {
         let mut n = Node::new(NodeId(0), u64::MAX);
-        n.admit(bare(1, u64::MAX - 10));
-        n.admit(bare(2, 100));
+        n.admit(1, u64::MAX - 10);
+        n.admit(1, 100);
         assert_eq!(n.used_bytes(), u64::MAX, "admit saturates, never wraps");
-        n.add_load(u64::MAX);
+        n.admit(0, u64::MAX);
         assert_eq!(n.used_bytes(), u64::MAX);
         let mut r = Node::new(NodeId(1), u64::MAX);
         r.reledger_held(0, u64::MAX - 1);
@@ -482,7 +441,7 @@ mod tests {
         assert_eq!(r.used_bytes(), 0, "replica bytes stay out of the primary ledger");
     }
 
-    // Over-eviction is an accounting bug, not a condition to paper over:
+    // Over-release is an accounting bug, not a condition to paper over:
     // the checked subtraction panics in debug builds (tests run debug),
     // so a retraction that double-counts bytes surfaces immediately.
     #[cfg(debug_assertions)]
@@ -490,10 +449,10 @@ mod tests {
     #[should_panic(expected = "byte ledger underflow")]
     fn over_eviction_panics_in_debug() {
         let mut n = Node::new(NodeId(0), u64::MAX);
-        n.admit(bare(1, u64::MAX - 10));
-        n.admit(bare(2, 100)); // ledger saturates at u64::MAX
-        n.evict(&desc(1, 0).key); // ledger: 10
-        n.evict(&desc(2, 0).key); // 100 > 10: underflow
+        n.admit(1, u64::MAX - 10);
+        n.admit(1, 100); // ledger saturates at u64::MAX
+        n.release(u64::MAX - 10); // ledger: 10
+        n.release(100); // 100 > 10: underflow
     }
 
     #[cfg(debug_assertions)]
@@ -510,16 +469,13 @@ mod tests {
     #[test]
     fn resize_adjusts_the_ledger_exactly() {
         let mut n = Node::new(NodeId(0), 1000);
-        n.admit(bare(1, 300));
-        n.admit(bare(2, 200));
-        let old = n.resize(ChunkDescriptor::new(desc(1, 0).key, 120, 1)).unwrap();
-        assert_eq!(old.bytes, 300);
-        assert_eq!(n.used_bytes(), 320);
-        assert_eq!(n.descriptor(&desc(1, 0).key).unwrap().bytes, 120);
+        n.admit(1, 300);
+        n.admit(1, 200);
+        n.resize(300, 120);
+        assert_eq!((n.used_bytes(), n.chunk_count()), (320, 2));
         // Growth works too (an insert into an existing chunk).
-        n.resize(ChunkDescriptor::new(desc(1, 0).key, 150, 2)).unwrap();
+        n.resize(120, 150);
         assert_eq!(n.used_bytes(), 350);
-        assert!(n.resize(desc(9, 10)).is_none(), "not resident: cannot resize");
         // A held copy follows its primary's resize on the replica ledger.
         n.reledger_held(0, 80);
         n.reledger_held(80, 30);
@@ -548,25 +504,33 @@ mod tests {
     #[test]
     fn wipe_clears_every_store() {
         let mut n = Node::new(NodeId(0), 1000);
-        n.admit(bare(1, 100));
+        n.admit(1, 100);
         n.reledger_held(0, 50);
-        let records = n.wipe();
-        assert_eq!(records.keys().collect::<Vec<_>>(), vec![&desc(1, 0).key], "handed back");
+        n.wipe();
         assert_eq!(n.used_bytes(), 0);
         assert_eq!(n.replica_bytes(), 0);
         assert_eq!(n.chunk_count(), 0);
-        assert_eq!(n.residents().count(), 0);
     }
 
+    /// A node's chunks are read off the cluster's placement index: the
+    /// one probe that finds a record also names the node holding it.
     #[test]
     fn holds_and_descriptor_lookup() {
-        let mut n = Node::new(NodeId(1), 1000);
-        let d = desc(5, 42);
-        n.admit(Resident::new(d, None));
-        assert_eq!(n.resident(&d.key).map(Resident::descriptor), Some(&d));
-        assert_eq!(n.descriptor(&d.key), Some(&d));
-        assert!(n.resident(&desc(6, 0).key).is_none());
-        assert!(n.payload_slot(&d.key).is_some_and(|slot| slot.is_none()));
-        assert!(n.payload_slot(&desc(6, 0).key).is_none(), "no record, nowhere to attach");
+        use crate::{Cluster, CostModel};
+        use array_model::{ArrayId, ChunkCoords};
+        let key = |i: i64| ChunkKey::new(ArrayId(0), ChunkCoords::new([i]));
+        let mut c = Cluster::new(2, 1000, CostModel::default()).unwrap();
+        let d = ChunkDescriptor::new(key(5), 42, 1);
+        c.place(d, NodeId(1)).unwrap();
+        let (home, record) = c.home(&d.key).expect("placed");
+        assert_eq!((home, record.map(Resident::descriptor)), (NodeId(1), Some(&d)));
+        assert!(c.home(&key(6)).is_none());
+        let on = |n: u32| c.residents_on(NodeId(n)).map(|r| r.descriptor().key).collect::<Vec<_>>();
+        assert_eq!((on(0), on(1)), (vec![], vec![key(5)]));
+        assert_eq!(c.node(NodeId(1)).unwrap().chunk_count(), 1);
+        let mut record = Resident::new(d, None);
+        assert!(record.payload_slot().is_none(), "no cells attached");
+        let old = record.resize(ChunkDescriptor::new(d.key, 40, 1));
+        assert_eq!((old.bytes, record.descriptor().bytes), (42, 40));
     }
 }

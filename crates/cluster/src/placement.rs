@@ -1,29 +1,53 @@
-//! The cluster's chunk→node placement index, sharded for parallel ingest.
+//! The cluster's placement index: every placed chunk's one record, and
+//! the key → record map that finds it.
 //!
-//! PR 1 replaced the original `BTreeMap<ChunkKey, NodeId>` with a
-//! per-array dense grid (flat row-major `Vec<u32>`), making insert and
-//! lookup O(1). This revision splits every dense grid into
+//! **The record slab.** Every placed chunk has one slot in one
+//! cluster-wide slab: the node holding its primary and its record —
+//! descriptor and cells ([`Resident`]). A node keeps no map of
+//! its own: which chunks it holds is read off the slab, so a rebalance
+//! move or a crash promotion rewrites one `NodeId` and never moves a
+//! record between maps. A slot freed by an eviction is reused before the
+//! slab grows. Nothing iterates the slab in slot order: every ordered walk
+//! sorts by key, so where a record sits in the slab is never observable.
+//!
+//! **The key map.** A per-array dense grid (flat row-major `Vec<u32>`)
+//! makes insert and lookup O(1). Every dense grid is split into
 //! **coordinate-range shards**: shard `s` owns the disjoint row-major
-//! slab `[s << slab_shift, (s+1) << slab_shift)` of the slot vector,
-//! plus its own spill map for everything that cannot live in a slab
+//! slab `[s << slab_shift, (s+1) << slab_shift)` of the slot vector, plus
+//! its own spill map for everything that cannot live in a grid
 //! (coordinates past the registered extents, unregistered arrays, and
-//! array ids beyond the indexed range, which hash onto a shard).
+//! array ids beyond the indexed range, which hash onto a shard). A grid
+//! cell holds the chunk's slab slot.
 //!
 //! Because a chunk's shard is a pure function of its key
 //! ([`PlacementIndex::shard_of`]), a batch of placements can be
 //! partitioned by shard and executed by one thread per shard group with
-//! no synchronization: every write lands in shard-owned state. The
-//! sequential API (`get`/`insert`) is unchanged and routes through the
-//! same shards, so single-chunk and batched placement see one
+//! no synchronization: every key-map write lands in shard-owned state,
+//! and the slab slots are reserved up front. The sequential API routes
+//! through the same shards, so single-chunk and batched placement see one
 //! authoritative map.
 
-use crate::node::NodeId;
+use crate::node::{NodeId, Resident};
 use array_model::{ArrayId, ChunkCoords, ChunkKey, MAX_DIMS};
 use std::collections::HashMap;
 
-/// Vacant-slot sentinel in dense slabs (`NodeId`s are join-order indices
-/// and can never reach it: clusters hold well under 4 billion nodes).
+/// Vacant-slot sentinel in the dense grids (slab slots are indices into
+/// vectors that never reach 4 billion entries).
 const VACANT: u32 = u32::MAX;
+
+/// Record-slab slots per page, as a power of two. A page is allocated once
+/// and stays where it is, so the slab grows without copying a record and
+/// without freeing a large block: a doubling `Vec` frees ever larger
+/// buffers as it grows, and glibc answers each such free by raising its
+/// mmap threshold, which moves every later large allocation — the cells
+/// of the next store to load — from fresh mappings onto the heap. A page
+/// (≈ 60 KB) stays below the initial threshold.
+const PAGE_BITS: u32 = 9;
+const PAGE: usize = 1 << PAGE_BITS;
+
+/// One record-slab slot: the node holding the chunk's primary, and the
+/// chunk's one record.
+type Entry = (NodeId, Option<Resident>);
 
 /// Largest dense grid we will allocate, in slots (16M slots = 64 MB).
 /// Bigger registrations silently stay sparse.
@@ -119,10 +143,10 @@ impl DenseMeta {
     }
 }
 
-/// One shard's slab of an array's row-major slot vector.
+/// One shard's slab of an array's row-major grid.
 #[derive(Debug, Clone)]
 struct Slab {
-    /// `NodeId.0` per owned slot, or [`VACANT`].
+    /// Record-slab slot per owned grid cell, or [`VACANT`].
     slots: Vec<u32>,
     /// Occupied entries in `slots`.
     resident: usize,
@@ -136,8 +160,8 @@ pub(crate) struct PlacementShard {
     /// Slab per array id; present iff the array is registered dense and
     /// this shard's slot range intersects its volume.
     slabs: Vec<Option<Slab>>,
-    /// Sparse entries hashed to this shard.
-    spill: HashMap<ChunkKey, NodeId>,
+    /// Sparse entries hashed to this shard: key → record-slab slot.
+    spill: HashMap<ChunkKey, u32>,
 }
 
 impl PlacementShard {
@@ -147,23 +171,24 @@ impl PlacementShard {
 
     /// Check-then-insert for batch placement: never overwrites, so a
     /// duplicate leaves the original untouched. `Err` reports the prior
-    /// occupant. The caller guarantees this shard owns `key`.
+    /// occupant's record slot. The caller guarantees this shard owns
+    /// `key`.
     #[inline]
     pub(crate) fn try_insert(
         &mut self,
         dense: &[Option<DenseMeta>],
         key: ChunkKey,
-        node: NodeId,
-    ) -> Result<(), NodeId> {
+        slot: u32,
+    ) -> Result<(), u32> {
         if let Some(meta) = dense.get(key.array.0 as usize).and_then(Option::as_ref) {
             if let Some(lin) = meta.linearize(&key.coords) {
                 let off = meta.slab_offset(lin);
                 let slab = self.slab_mut(key.array).expect("dense meta implies a slab");
                 let prev = slab.slots[off];
                 if prev != VACANT {
-                    return Err(NodeId(prev));
+                    return Err(prev);
                 }
-                slab.slots[off] = node.0;
+                slab.slots[off] = slot;
                 slab.resident += 1;
                 return Ok(());
             }
@@ -171,31 +196,32 @@ impl PlacementShard {
         match self.spill.get(&key) {
             Some(&prev) => Err(prev),
             None => {
-                self.spill.insert(key, node);
+                self.spill.insert(key, slot);
                 Ok(())
             }
         }
     }
 
-    /// Undo a [`PlacementShard::try_insert`] (duplicate-rollback path).
-    fn remove(&mut self, dense: &[Option<DenseMeta>], key: &ChunkKey) {
+    /// Clear `key`'s entry here; the record-slab slot it named, if any.
+    fn remove(&mut self, dense: &[Option<DenseMeta>], key: &ChunkKey) -> Option<u32> {
         if let Some(meta) = dense.get(key.array.0 as usize).and_then(Option::as_ref) {
             if let Some(lin) = meta.linearize(&key.coords) {
                 let off = meta.slab_offset(lin);
                 let slab = self.slab_mut(key.array).expect("dense meta implies a slab");
-                if slab.slots[off] != VACANT {
-                    slab.slots[off] = VACANT;
-                    slab.resident -= 1;
+                let prev = std::mem::replace(&mut slab.slots[off], VACANT);
+                if prev == VACANT {
+                    return None;
                 }
-                return;
+                slab.resident -= 1;
+                return Some(prev);
             }
         }
-        self.spill.remove(key);
+        self.spill.remove(key)
     }
 }
 
-/// The authoritative chunk→node map across all arrays, sharded by
-/// coordinate range.
+/// The authoritative chunk → record map across all arrays, sharded by
+/// coordinate range, and the record slab it points into.
 #[derive(Debug, Clone)]
 pub(crate) struct PlacementIndex {
     /// Dense geometry per array id below [`ARRAY_ID_CAP`]; `None` for
@@ -203,6 +229,15 @@ pub(crate) struct PlacementIndex {
     dense: Vec<Option<DenseMeta>>,
     /// The coordinate-range shards ([`SHARD_COUNT`] of them).
     shards: Vec<PlacementShard>,
+    /// The record slab, [`PAGE`] slots a page. A slot's record is `None`
+    /// when the slot is free, and for a chunk a crash lost with no
+    /// surviving copy — an orphan, whose home still names the wreck so
+    /// reads fail typed.
+    pages: Vec<Vec<Entry>>,
+    /// Slots in the slab, free ones included.
+    slots: usize,
+    /// Slots no key names, reused (last freed first) before the slab grows.
+    free: Vec<u32>,
     len: usize,
 }
 
@@ -211,6 +246,9 @@ impl Default for PlacementIndex {
         PlacementIndex {
             dense: Vec::new(),
             shards: (0..SHARD_COUNT).map(|_| PlacementShard::default()).collect(),
+            pages: Vec::new(),
+            slots: 0,
+            free: Vec::new(),
             len: 0,
         }
     }
@@ -276,22 +314,24 @@ impl PlacementIndex {
         }
         // Migrate sparse entries of this array out of the spill maps: the
         // in-extent ones move to their slab (and possibly to a different
-        // shard, since sparse placement hashes while dense slices).
-        let mut migrate: Vec<(ChunkKey, NodeId)> = Vec::new();
+        // shard, since sparse placement hashes while dense slices). Their
+        // records stay in their slab slots.
+        let mut migrate: Vec<(ChunkKey, u32)> = Vec::new();
         for shard in &mut self.shards {
-            shard.spill.retain(|key, node| {
+            shard.spill.retain(|key, slot| {
                 if key.array == array && meta.linearize(&key.coords).is_some() {
-                    migrate.push((*key, *node));
+                    migrate.push((*key, *slot));
                     false
                 } else {
                     true
                 }
             });
         }
-        for (key, node) in migrate {
-            self.len -= 1; // insert() re-counts it
-            let prev = self.insert(key, node);
-            debug_assert!(prev.is_none(), "migration cannot collide");
+        for (key, slot) in migrate {
+            let s = self.shard_of(&key);
+            let (dense, shards) = self.parts_mut();
+            let moved = shards[s].try_insert(dense, key, slot);
+            debug_assert!(moved.is_ok(), "migration cannot collide");
         }
         true
     }
@@ -313,18 +353,63 @@ impl PlacementIndex {
         (&self.dense, &mut self.shards)
     }
 
-    /// Account for `n` entries inserted through [`PlacementShard`]s.
-    pub(crate) fn add_len(&mut self, n: usize) {
-        self.len += n;
+    #[inline]
+    fn entry(&self, slot: usize) -> &Entry {
+        &self.pages[slot >> PAGE_BITS][slot & (PAGE - 1)]
+    }
+
+    #[inline]
+    fn entry_mut(&mut self, slot: usize) -> &mut Entry {
+        &mut self.pages[slot >> PAGE_BITS][slot & (PAGE - 1)]
+    }
+
+    /// Take a free slab slot, or grow the slab by one (by a page when the
+    /// last is full).
+    fn alloc(&mut self) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            return slot;
+        }
+        let slot = u32::try_from(self.slots).ok().filter(|&s| s != VACANT);
+        let slot = slot.expect("fewer than 2^32 - 1 placed chunks");
+        if self.slots.is_multiple_of(PAGE) {
+            self.pages.push(Vec::with_capacity(PAGE));
+        }
+        self.pages.last_mut().expect("a page with room").push((NodeId(0), None));
+        self.slots += 1;
+        slot
+    }
+
+    /// Reserve `n` slab slots for a batch whose key-map entries the shard
+    /// workers write; [`PlacementIndex::settle`] fills them, and
+    /// [`PlacementIndex::rollback`] hands them back.
+    pub(crate) fn reserve(&mut self, n: usize) -> Vec<u32> {
+        (0..n).map(|_| self.alloc()).collect()
+    }
+
+    /// Fill the reserved `slots`: `slots[i]` becomes `records[i]`'s, on
+    /// `homes[i]`.
+    pub(crate) fn settle(
+        &mut self,
+        slots: &[u32],
+        homes: &[NodeId],
+        records: impl Iterator<Item = Resident>,
+    ) {
+        for ((&slot, &home), record) in slots.iter().zip(homes).zip(records) {
+            *self.entry_mut(slot as usize) = (home, Some(record));
+        }
+        self.len += slots.len();
     }
 
     /// Undo the first `done` insertions of each listed shard's `bucket`
-    /// (indices into `batch`) after a failed parallel batch.
+    /// (indices into `keys`) after a failed parallel batch, and release
+    /// its reserved `slots`: the slab shrinks back over those at its end,
+    /// the rest are free again.
     pub(crate) fn rollback(
         &mut self,
         keys: &[ChunkKey],
         buckets: &[Vec<u32>],
         progress: &[(usize, usize)],
+        slots: &[u32],
     ) {
         for &(s, done) in progress {
             for &i in &buckets[s][..done] {
@@ -334,84 +419,130 @@ impl PlacementIndex {
                 shards[s].remove(dense, &key);
             }
         }
+        for &slot in slots.iter().rev() {
+            if slot as usize + 1 != self.slots {
+                self.free.push(slot);
+                continue;
+            }
+            self.slots -= 1;
+            if let Some(page) = self.pages.last_mut() {
+                page.pop();
+                if page.is_empty() {
+                    self.pages.pop();
+                }
+            }
+        }
     }
 
+    /// The slab slot `key`'s entry names, if it is placed.
     #[inline]
-    pub(crate) fn get(&self, key: &ChunkKey) -> Option<NodeId> {
-        match self.meta(key.array).and_then(|m| m.linearize(&key.coords).map(|l| (m, l))) {
+    pub(crate) fn slot(&self, key: &ChunkKey) -> Option<usize> {
+        let slot = match self.meta(key.array).and_then(|m| m.linearize(&key.coords).map(|l| (m, l)))
+        {
             Some((meta, lin)) => {
                 let shard = &self.shards[meta.shard_of_lin(lin)];
-                let slab = shard.slabs[key.array.0 as usize].as_ref()?;
-                match slab.slots[meta.slab_offset(lin)] {
-                    VACANT => None,
-                    id => Some(NodeId(id)),
-                }
+                shard.slabs[key.array.0 as usize].as_ref()?.slots[meta.slab_offset(lin)]
             }
-            None => self.shards[spill_shard(key)].spill.get(key).copied(),
-        }
+            None => *self.shards[spill_shard(key)].spill.get(key)?,
+        };
+        (slot != VACANT).then_some(slot as usize)
     }
 
-    /// Insert or overwrite; returns the previous occupant. The sequential
-    /// path — batches go through the shards directly.
+    /// The node holding `key`'s primary, if it is placed.
     #[inline]
-    pub(crate) fn insert(&mut self, key: ChunkKey, node: NodeId) -> Option<NodeId> {
-        let prev = match self
-            .meta(key.array)
-            .and_then(|m| m.linearize(&key.coords).map(|l| (m.shard_of_lin(l), m.slab_offset(l))))
-        {
-            Some((shard_idx, off)) => {
-                let slab = self.shards[shard_idx].slabs[key.array.0 as usize]
-                    .as_mut()
-                    .expect("dense meta implies a slab");
-                let prev = slab.slots[off];
-                slab.slots[off] = node.0;
-                if prev == VACANT {
-                    slab.resident += 1;
-                    None
-                } else {
-                    Some(NodeId(prev))
-                }
-            }
-            None => self.shards[spill_shard(&key)].spill.insert(key, node),
-        };
-        if prev.is_none() {
-            self.len += 1;
-        }
-        prev
+    pub(crate) fn get(&self, key: &ChunkKey) -> Option<NodeId> {
+        self.slot(key).map(|slot| self.entry(slot).0)
     }
 
-    /// Remove a placement entirely (chunk eviction, the retraction path's
-    /// end state); returns the node it lived on. Dense slots go back to
-    /// [`VACANT`], sparse entries leave their spill map, and the length
-    /// decrements exactly — the inverse of [`PlacementIndex::insert`].
-    pub(crate) fn remove(&mut self, key: &ChunkKey) -> Option<NodeId> {
-        let prev = match self
-            .meta(key.array)
-            .and_then(|m| m.linearize(&key.coords).map(|l| (m.shard_of_lin(l), m.slab_offset(l))))
-        {
-            Some((shard_idx, off)) => {
-                let slab = self.shards[shard_idx].slabs[key.array.0 as usize]
-                    .as_mut()
-                    .expect("dense meta implies a slab");
-                match slab.slots[off] {
-                    VACANT => None,
-                    id => {
-                        slab.slots[off] = VACANT;
-                        slab.resident -= 1;
-                        Some(NodeId(id))
-                    }
-                }
-            }
-            None => self.shards[spill_shard(key)].spill.remove(key),
-        };
-        if prev.is_some() {
-            self.len -= 1;
+    /// The node holding slot `slot`'s primary.
+    #[inline]
+    pub(crate) fn home(&self, slot: usize) -> NodeId {
+        self.entry(slot).0
+    }
+
+    /// Slot `slot`'s record, unless a crash lost it.
+    #[inline]
+    pub(crate) fn record(&self, slot: usize) -> Option<&Resident> {
+        self.entry(slot).1.as_ref()
+    }
+
+    /// [`PlacementIndex::record`], to write through.
+    pub(crate) fn record_mut(&mut self, slot: usize) -> Option<&mut Resident> {
+        self.entry_mut(slot).1.as_mut()
+    }
+
+    /// Point slot `slot` at a new home (a rebalance move, a promotion).
+    pub(crate) fn rehome(&mut self, slot: usize, home: NodeId) {
+        self.entry_mut(slot).0 = home;
+    }
+
+    /// Drop slot `slot`'s record — a crash lost it — keeping the entry,
+    /// which goes on naming the wreck.
+    pub(crate) fn lose(&mut self, slot: usize) -> Option<Resident> {
+        self.entry_mut(slot).1.take()
+    }
+
+    /// Put `record` in slot `slot`, whose entry a checkpoint listed with
+    /// no record (restore files entries first, then their records).
+    pub(crate) fn restore_record(&mut self, slot: usize, record: Resident) {
+        let entry = self.entry_mut(slot);
+        debug_assert!(entry.1.is_none(), "a checkpoint lists a record once");
+        entry.1 = Some(record);
+    }
+
+    /// File a new entry: `key` on `home`, with `record` (`None`: an
+    /// orphan, as a checkpoint lists one). Refuses a key already placed,
+    /// changing nothing, and names the node it is on.
+    pub(crate) fn insert(
+        &mut self,
+        key: ChunkKey,
+        home: NodeId,
+        record: Option<Resident>,
+    ) -> Result<usize, NodeId> {
+        if let Some(slot) = self.slot(&key) {
+            return Err(self.entry(slot).0);
         }
-        prev
+        let slot = self.alloc();
+        let s = self.shard_of(&key);
+        let (dense, shards) = self.parts_mut();
+        let filed = shards[s].try_insert(dense, key, slot);
+        debug_assert!(filed.is_ok(), "the key was vacant");
+        let at = slot as usize;
+        *self.entry_mut(at) = (home, record);
+        self.len += 1;
+        Ok(at)
+    }
+
+    /// Remove an entry entirely (chunk eviction, the retraction path's
+    /// end state): the node it lived on and its record. The grid cell
+    /// goes back to [`VACANT`] or the spill entry leaves its map, the
+    /// slab slot is freed, and the length decrements exactly — the
+    /// inverse of [`PlacementIndex::insert`].
+    pub(crate) fn remove(&mut self, key: &ChunkKey) -> Option<(NodeId, Option<Resident>)> {
+        let s = self.shard_of(key);
+        let (dense, shards) = self.parts_mut();
+        let slot = shards[s].remove(dense, key)?;
+        self.free.push(slot);
+        self.len -= 1;
+        let (home, record) = self.entry_mut(slot as usize);
+        Some((*home, record.take()))
     }
 
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// The slots holding a record — on `node` only, when given — in
+    /// ascending key order: a node's chunks, read off the slab. O(slab +
+    /// m log m) for `m` matches; reorganization, crash, checkpoint and
+    /// reporting paths, not the per-chunk hot path.
+    pub(crate) fn record_slots(&self, node: Option<NodeId>) -> Vec<usize> {
+        let held = |(home, record): &Entry| record.is_some() && node.is_none_or(|n| *home == n);
+        let entries = self.pages.iter().flatten().enumerate();
+        let mut slots: Vec<usize> = entries.filter(|(_, e)| held(e)).map(|(s, _)| s).collect();
+        let key = |slot: &usize| self.record(*slot).map(|r| &r.descriptor().key);
+        slots.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
+        slots
     }
 
     /// Registered dense grids as `(array, extents)` pairs, in array-id
@@ -460,7 +591,7 @@ impl PlacementIndex {
                 let ndims = meta.ndims as usize;
                 for &slot in &slab.slots {
                     if slot != VACANT {
-                        dense_out.push((ChunkKey::new(array, cur), NodeId(slot)));
+                        dense_out.push((ChunkKey::new(array, cur), self.entry(slot as usize).0));
                         remaining -= 1;
                         if remaining == 0 {
                             break 'slabs;
@@ -478,8 +609,9 @@ impl PlacementIndex {
             }
         }
         // Sparse entries from every shard, sorted, then a two-run merge.
+        let spilled = self.shards.iter().flat_map(|s| s.spill.iter());
         let mut sparse: Vec<(ChunkKey, NodeId)> =
-            self.shards.iter().flat_map(|s| s.spill.iter().map(|(&k, &n)| (k, n))).collect();
+            spilled.map(|(&k, &slot)| (k, self.entry(slot as usize).0)).collect();
         if sparse.is_empty() {
             return dense_out;
         }
@@ -504,28 +636,40 @@ impl PlacementIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use array_model::ChunkDescriptor;
 
     fn key(array: u32, coords: &[i64]) -> ChunkKey {
         ChunkKey::new(ArrayId(array), ChunkCoords::new(coords))
+    }
+
+    fn record(key: ChunkKey) -> Option<Resident> {
+        Some(Resident::new(ChunkDescriptor::new(key, 1, 1), None))
+    }
+
+    /// File `key` on `node` with a record.
+    fn put(idx: &mut PlacementIndex, key: ChunkKey, node: u32) -> Result<usize, NodeId> {
+        idx.insert(key, NodeId(node), record(key))
     }
 
     #[test]
     fn sparse_roundtrip() {
         let mut idx = PlacementIndex::new();
         assert_eq!(idx.get(&key(0, &[1, 2])), None);
-        assert_eq!(idx.insert(key(0, &[1, 2]), NodeId(3)), None);
+        assert!(put(&mut idx, key(0, &[1, 2]), 3).is_ok());
         assert_eq!(idx.get(&key(0, &[1, 2])), Some(NodeId(3)));
-        assert_eq!(idx.insert(key(0, &[1, 2]), NodeId(5)), Some(NodeId(3)));
+        assert_eq!(put(&mut idx, key(0, &[1, 2]), 5), Err(NodeId(3)), "refused, unchanged");
+        assert_eq!(idx.get(&key(0, &[1, 2])), Some(NodeId(3)));
         assert_eq!(idx.len(), 1);
     }
 
     #[test]
     fn dense_registration_migrates_existing_entries() {
         let mut idx = PlacementIndex::new();
-        idx.insert(key(0, &[1, 1]), NodeId(7));
+        let slot = put(&mut idx, key(0, &[1, 1]), 7).unwrap();
         assert!(idx.register_dense(ArrayId(0), &[4, 4]));
         assert_eq!(idx.get(&key(0, &[1, 1])), Some(NodeId(7)));
-        idx.insert(key(0, &[3, 2]), NodeId(1));
+        assert_eq!(idx.slot(&key(0, &[1, 1])), Some(slot), "the record stays in its slot");
+        put(&mut idx, key(0, &[3, 2]), 1).unwrap();
         assert_eq!(idx.get(&key(0, &[3, 2])), Some(NodeId(1)));
         assert_eq!(idx.len(), 2);
     }
@@ -534,8 +678,8 @@ mod tests {
     fn dense_spills_beyond_extents() {
         let mut idx = PlacementIndex::new();
         assert!(idx.register_dense(ArrayId(1), &[4, 4]));
-        idx.insert(key(1, &[100, 0]), NodeId(2)); // beyond the hint
-        idx.insert(key(1, &[-1, 0]), NodeId(4)); // negative -> spill
+        put(&mut idx, key(1, &[100, 0]), 2).unwrap(); // beyond the hint
+        put(&mut idx, key(1, &[-1, 0]), 4).unwrap(); // negative -> spill
         assert_eq!(idx.get(&key(1, &[100, 0])), Some(NodeId(2)));
         assert_eq!(idx.get(&key(1, &[-1, 0])), Some(NodeId(4)));
         assert_eq!(idx.len(), 2);
@@ -545,7 +689,7 @@ mod tests {
     fn oversized_grids_stay_sparse() {
         let mut idx = PlacementIndex::new();
         assert!(!idx.register_dense(ArrayId(0), &[1 << 20, 1 << 20]));
-        idx.insert(key(0, &[9, 9]), NodeId(0));
+        put(&mut idx, key(0, &[9, 9]), 0).unwrap();
         assert_eq!(idx.get(&key(0, &[9, 9])), Some(NodeId(0)));
     }
 
@@ -554,7 +698,7 @@ mod tests {
         let mut idx = PlacementIndex::new();
         let k = key(u32::MAX - 1, &[0]);
         assert!(!idx.register_dense(ArrayId(u32::MAX - 1), &[8]));
-        assert_eq!(idx.insert(k, NodeId(1)), None);
+        assert!(put(&mut idx, k, 1).is_ok());
         assert_eq!(idx.get(&k), Some(NodeId(1)));
         assert_eq!(idx.len(), 1);
     }
@@ -563,27 +707,77 @@ mod tests {
     fn remove_clears_dense_and_sparse_entries() {
         let mut idx = PlacementIndex::new();
         idx.register_dense(ArrayId(0), &[4, 4]);
-        idx.insert(key(0, &[1, 1]), NodeId(2));
-        idx.insert(key(0, &[9, 9]), NodeId(3)); // spill
-        assert_eq!(idx.remove(&key(0, &[1, 1])), Some(NodeId(2)));
+        put(&mut idx, key(0, &[1, 1]), 2).unwrap();
+        put(&mut idx, key(0, &[9, 9]), 3).unwrap(); // spill
+        let (home, gone) = idx.remove(&key(0, &[1, 1])).unwrap();
+        assert_eq!(home, NodeId(2));
+        assert_eq!(gone.map(|r| r.descriptor().key), Some(key(0, &[1, 1])));
         assert_eq!(idx.get(&key(0, &[1, 1])), None);
-        assert_eq!(idx.remove(&key(0, &[1, 1])), None, "double remove is a no-op");
-        assert_eq!(idx.remove(&key(0, &[9, 9])), Some(NodeId(3)));
+        assert!(idx.remove(&key(0, &[1, 1])).is_none(), "double remove is a no-op");
+        assert_eq!(idx.remove(&key(0, &[9, 9])).map(|(home, _)| home), Some(NodeId(3)));
         assert_eq!(idx.len(), 0);
-        // The vacated slot is reusable.
-        assert_eq!(idx.insert(key(0, &[1, 1]), NodeId(5)), None);
+        // The vacated grid cell is reusable, and so is the slab slot.
+        assert!(put(&mut idx, key(0, &[1, 1]), 5).is_ok());
         assert_eq!(idx.len(), 1);
+        assert_eq!(idx.slots, 2, "the slab did not grow");
+        assert!(idx.slot(&key(0, &[1, 1])).is_some_and(|s| s < 2));
+    }
+
+    #[test]
+    fn a_lost_record_keeps_its_entry() {
+        let mut idx = PlacementIndex::new();
+        let slot = put(&mut idx, key(0, &[1]), 4).unwrap();
+        assert!(idx.lose(slot).is_some());
+        assert_eq!(idx.get(&key(0, &[1])), Some(NodeId(4)), "the entry names the wreck");
+        assert!(idx.record(slot).is_none());
+        assert!(idx.record_slots(Some(NodeId(4))).is_empty(), "no record, not the node's");
+        idx.rehome(slot, NodeId(2));
+        assert_eq!(idx.get(&key(0, &[1])), Some(NodeId(2)));
+    }
+
+    #[test]
+    fn the_slab_grows_a_page_at_a_time_and_shrinks_back() {
+        let mut idx = PlacementIndex::new();
+        for i in 0..PAGE as i64 {
+            put(&mut idx, key(0, &[i]), 0).unwrap();
+        }
+        assert_eq!((idx.pages.len(), idx.slots), (1, PAGE));
+        let keys: Vec<ChunkKey> = (0..3).map(|i| key(1, &[i])).collect();
+        let slots = idx.reserve(keys.len());
+        assert_eq!((idx.pages.len(), idx.slots), (2, PAGE + 3));
+        idx.rollback(&keys, &vec![Vec::new(); SHARD_COUNT], &[], &slots);
+        assert_eq!((idx.pages.len(), idx.slots), (1, PAGE), "the emptied page goes");
+        assert!((0..PAGE as i64).all(|i| idx.get(&key(0, &[i])) == Some(NodeId(0))));
+    }
+
+    #[test]
+    fn record_slots_are_in_key_order_per_node() {
+        let mut idx = PlacementIndex::new();
+        idx.register_dense(ArrayId(1), &[4]);
+        for (k, node) in
+            [(key(1, &[3]), 0), (key(0, &[7]), 1), (key(1, &[0]), 0), (key(0, &[2]), 0)]
+        {
+            put(&mut idx, k, node).unwrap();
+        }
+        let keys = |node: Option<NodeId>| -> Vec<ChunkKey> {
+            let slots = idx.record_slots(node);
+            slots.iter().map(|&s| idx.record(s).unwrap().descriptor().key).collect()
+        };
+        assert_eq!(keys(Some(NodeId(0))), vec![key(0, &[2]), key(1, &[0]), key(1, &[3])]);
+        assert_eq!(keys(Some(NodeId(1))), vec![key(0, &[7])]);
+        assert_eq!(keys(None).len(), 4);
+        assert!(keys(None).windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn collect_sorted_is_globally_ordered() {
         let mut idx = PlacementIndex::new();
         idx.register_dense(ArrayId(1), &[4, 4]);
-        idx.insert(key(1, &[2, 1]), NodeId(0));
-        idx.insert(key(1, &[0, 3]), NodeId(1));
-        idx.insert(key(1, &[9, 9]), NodeId(2)); // spill
-        idx.insert(key(0, &[5]), NodeId(3)); // sparse array
-        idx.insert(key(u32::MAX - 1, &[1]), NodeId(4)); // overflow id
+        put(&mut idx, key(1, &[2, 1]), 0).unwrap();
+        put(&mut idx, key(1, &[0, 3]), 1).unwrap();
+        put(&mut idx, key(1, &[9, 9]), 2).unwrap(); // spill
+        put(&mut idx, key(0, &[5]), 3).unwrap(); // sparse array
+        put(&mut idx, key(u32::MAX - 1, &[1]), 4).unwrap(); // overflow id
         let all = idx.collect_sorted();
         assert_eq!(all.len(), idx.len());
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "unsorted: {all:?}");
@@ -612,7 +806,9 @@ mod tests {
     fn try_insert_reports_duplicates_and_rollback_restores() {
         let mut idx = PlacementIndex::new();
         assert!(idx.register_dense(ArrayId(0), &[8, 8]));
-        idx.insert(key(0, &[1, 1]), NodeId(9));
+        let held = put(&mut idx, key(0, &[1, 1]), 9).unwrap();
+        let spare = put(&mut idx, key(0, &[7, 7]), 9).unwrap();
+        idx.remove(&key(0, &[7, 7])); // one free slot to reuse
         let keys = [key(0, &[1, 2]), key(0, &[1, 1]), key(0, &[1, 3])];
         let shard = idx.shard_of(&keys[0]);
         let buckets: Vec<Vec<u32>> = {
@@ -624,11 +820,14 @@ mod tests {
         };
         // All three land in the same slab shard (same row).
         assert!(buckets[shard].len() == 3);
+        let slots = idx.reserve(keys.len());
+        assert_eq!(slots[0] as usize, spare, "the free slot goes first");
         let (dense, shards) = idx.parts_mut();
-        assert!(shards[shard].try_insert(dense, keys[0], NodeId(1)).is_ok());
-        assert_eq!(shards[shard].try_insert(dense, keys[1], NodeId(1)), Err(NodeId(9)));
-        idx.rollback(&keys, &buckets, &[(shard, 1)]);
+        assert!(shards[shard].try_insert(dense, keys[0], slots[0]).is_ok());
+        assert_eq!(shards[shard].try_insert(dense, keys[1], slots[1]), Err(held as u32));
+        idx.rollback(&keys, &buckets, &[(shard, 1)], &slots);
         assert_eq!(idx.get(&keys[0]), None, "rolled back");
         assert_eq!(idx.get(&keys[1]), Some(NodeId(9)), "original survives");
+        assert_eq!(idx.slots - idx.free.len(), idx.len(), "no slab slot leaked");
     }
 }

@@ -200,8 +200,8 @@ impl Cluster {
     /// sources from the first of them.
     pub(crate) fn serving_nodes(&self, key: &ChunkKey) -> impl Iterator<Item = NodeId> + '_ {
         let serves = |id: &NodeId| self.nodes[id.slot()].state().serves_reads();
-        let holds = |p: &NodeId| self.nodes[p.slot()].resident(key).is_some();
-        let primary = self.placement.get(key).filter(|p| serves(p) && holds(p));
+        let held = self.home(key).filter(|(_, record)| record.is_some());
+        let primary = held.map(|(home, _)| home).filter(serves);
         primary.into_iter().chain(self.replica_holders(key).iter().copied().filter(serves))
     }
 
@@ -232,7 +232,7 @@ impl Cluster {
             if copies >= target {
                 continue;
             }
-            let bytes = self.primary_record(&key).map_or(0, |(_, r)| r.descriptor().bytes);
+            let bytes = self.primary_record(&key).map_or(0, |(.., r)| r.descriptor().bytes);
             let targets = self.replica_ring(&key).take(target - copies);
             plan.jobs.extend(targets.map(|target| RepairJob { key, bytes, source, target }));
         }
@@ -312,7 +312,7 @@ impl Cluster {
                 };
                 // `src` serves a copy, so the record is resident: `src`
                 // holds it, or holds a replica of it (`verify_replica_books`).
-                let (_, record) = self.primary_record(&job.key).expect("a serving copy's record");
+                let (.., record) = self.primary_record(&job.key).expect("a serving copy's record");
                 let bytes = record.descriptor().bytes;
                 self.nodes[tgt.slot()].reledger_held(0, bytes);
                 let copies = self.serving_copies(&job.key);

@@ -1,8 +1,10 @@
 //! Model-based property tests: the dense placement index must behave
 //! exactly like the `BTreeMap<ChunkKey, NodeId>` it replaced, under
-//! arbitrary interleavings of placements, rebalances, and scale-outs —
-//! with and without dense registration, including coordinates that spill
-//! past the registered extents.
+//! arbitrary interleavings of placements, rebalances, evictions and
+//! scale-outs — with and without dense registration, including
+//! coordinates that spill past the registered extents. Evictions free
+//! record-slab slots that later placements reuse, and each node's chunks,
+//! read off the index, must be the model's, in key order.
 
 use array_model::{ArrayId, ChunkCoords, ChunkDescriptor, ChunkKey};
 use cluster_sim::{relative_std_dev, Cluster, CostModel, NodeId, RebalancePlan};
@@ -16,6 +18,8 @@ enum Op {
     Place(u32, [i64; 3], u64, u32),
     /// Move the i-th resident chunk (modulo count) to node (modulo roster).
     Move(usize, u32),
+    /// Evict the i-th resident chunk (modulo count).
+    Evict(usize),
     /// Add one node.
     Grow,
 }
@@ -25,6 +29,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u32..3, (0i64..40, 0i64..8, 0i64..8), 1u64..1_000_000, 0u32..16)
             .prop_map(|(array, (t, x, y), bytes, node)| Op::Place(array, [t, x, y], bytes, node)),
         (0usize..512, 0u32..16).prop_map(|(i, node)| Op::Move(i, node)),
+        (0usize..512).prop_map(Op::Evict),
         Just(Op::Grow),
     ]
 }
@@ -88,6 +93,17 @@ fn run_script(ops: &[Op], register: bool) {
                 *model.loads.get_mut(&from).unwrap() -= bytes;
                 *model.loads.entry(to).or_insert(0) += bytes;
             }
+            Op::Evict(i) => {
+                let Some((&key, &from)) =
+                    model.placement.iter().nth(i % model.placement.len().max(1))
+                else {
+                    continue;
+                };
+                let evicted = cluster.evict_chunk(&key).unwrap();
+                assert_eq!((evicted.node, evicted.bytes), (from, model.sizes[&key]));
+                model.placement.remove(&key);
+                *model.loads.get_mut(&from).unwrap() -= model.sizes.remove(&key).unwrap();
+            }
             Op::Grow => {
                 if cluster.node_count() < 16 {
                     for id in cluster.add_nodes(1, u64::MAX) {
@@ -118,6 +134,20 @@ fn run_script(ops: &[Op], register: bool) {
     let reference: Vec<(ChunkKey, NodeId)> =
         model.placement.iter().map(|(k, n)| (*k, *n)).collect();
     assert_eq!(snapshot, reference, "placements() order or content diverged");
+    for node in cluster.node_ids() {
+        let ours: Vec<(ChunkKey, u64)> = cluster
+            .residents_on(node)
+            .map(|r| (r.descriptor().key, r.descriptor().bytes))
+            .collect();
+        let theirs: Vec<(ChunkKey, u64)> = model
+            .placement
+            .iter()
+            .filter(|(_, n)| **n == node)
+            .map(|(k, _)| (*k, model.sizes[k]))
+            .collect();
+        assert_eq!(ours, theirs, "{node}'s chunks diverged");
+        assert_eq!(cluster.node(node).unwrap().chunk_count(), theirs.len());
+    }
 }
 
 proptest! {

@@ -13,7 +13,7 @@
 //! network time the workload would stop paying every cycle.
 
 use array_model::ChunkKey;
-use cluster_sim::{gb, Cluster, CostModel, NodeId, RebalancePlan};
+use cluster_sim::{gb, Cluster, CostModel, NodeId, RebalancePlan, Resident};
 use std::collections::BTreeMap;
 
 /// Accumulated statistics for one (unordered) chunk pair.
@@ -104,9 +104,9 @@ impl AffinityAnalyzer {
             cluster.nodes().map(|n| (n.id, n.used_bytes())).collect();
         let mut location: BTreeMap<&ChunkKey, NodeId> = BTreeMap::new();
         let mut sizes: BTreeMap<&ChunkKey, u64> = BTreeMap::new();
-        for node in cluster.nodes() {
-            for desc in node.descriptors() {
-                location.insert(&desc.key, node.id);
+        for desc in cluster.residents().map(Resident::descriptor) {
+            if let Some((node, _)) = cluster.home(&desc.key) {
+                location.insert(&desc.key, node);
                 sizes.insert(&desc.key, desc.bytes);
             }
         }

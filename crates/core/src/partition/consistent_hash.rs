@@ -104,12 +104,7 @@ impl Partitioner for ConsistentHash {
         for (key, current) in cluster.placements() {
             let target = self.owner(hash_chunk_key(&key));
             if target != current {
-                let bytes = cluster
-                    .node(current)
-                    .expect("placement points at live node")
-                    .descriptor(&key)
-                    .expect("placement is authoritative")
-                    .bytes;
+                let bytes = cluster.descriptor(&key).expect("placement is authoritative").bytes;
                 plan.push(key, current, target, bytes);
             }
         }

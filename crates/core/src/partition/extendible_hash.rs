@@ -11,7 +11,7 @@
 use super::{Partitioner, PartitionerKind, RouteEpoch};
 use crate::hashing::hash_chunk_key;
 use array_model::{ChunkDescriptor, ChunkKey};
-use cluster_sim::{Cluster, NodeId, RebalancePlan};
+use cluster_sim::{Cluster, NodeId, RebalancePlan, Resident};
 use durability::CodecError;
 use std::collections::BTreeMap;
 
@@ -165,18 +165,16 @@ impl Partitioner for ExtendibleHash {
             let mut chunk_homes: Vec<(ChunkKey, u64, Bucket)> = Vec::new();
             let moved_keys: std::collections::HashSet<&ChunkKey> =
                 plan.moves.iter().map(|m| &m.key).collect();
-            if let Ok(node) = cluster.node(victim) {
-                for d in node.descriptors() {
-                    // Skip chunks already re-routed by an earlier split in
-                    // this same scale-out.
-                    if moved_keys.contains(&d.key) {
-                        continue;
-                    }
-                    let h = hash_chunk_key(&d.key);
-                    if let Some(&b) = victim_buckets.iter().find(|b| b.matches(h)) {
-                        *bucket_bytes.entry(b).or_default() += d.bytes;
-                        chunk_homes.push((d.key, d.bytes, b));
-                    }
+            for d in cluster.residents_on(victim).map(Resident::descriptor) {
+                // Skip chunks already re-routed by an earlier split in
+                // this same scale-out.
+                if moved_keys.contains(&d.key) {
+                    continue;
+                }
+                let h = hash_chunk_key(&d.key);
+                if let Some(&b) = victim_buckets.iter().find(|b| b.matches(h)) {
+                    *bucket_bytes.entry(b).or_default() += d.bytes;
+                    chunk_homes.push((d.key, d.bytes, b));
                 }
             }
             // Split the heaviest bucket on its next significant bit. A

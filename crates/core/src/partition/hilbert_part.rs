@@ -9,7 +9,7 @@
 
 use super::{GridHint, Partitioner, PartitionerKind, RouteEpoch};
 use array_model::{ChunkDescriptor, ChunkKey, HilbertOrder};
-use cluster_sim::{Cluster, NodeId, RebalancePlan};
+use cluster_sim::{Cluster, NodeId, RebalancePlan, Resident};
 use durability::CodecError;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -152,16 +152,12 @@ impl Partitioner for HilbertCurve {
             let moved_keys: std::collections::HashSet<&ChunkKey> =
                 plan.moves.iter().map(|m| &m.key).collect();
             let mut resident: Vec<(u128, u64, ChunkKey)> = cluster
-                .node(victim)
-                .ok()
-                .map(|node| {
-                    node.descriptors()
-                        .filter(|d| !moved_keys.contains(&d.key))
-                        .map(|d| (self.index_of(&d.key), d.bytes, d.key))
-                        .filter(|(index, ..)| (lo..hi).contains(index))
-                        .collect()
-                })
-                .unwrap_or_default();
+                .residents_on(victim)
+                .map(Resident::descriptor)
+                .filter(|d| !moved_keys.contains(&d.key))
+                .map(|d| (self.index_of(&d.key), d.bytes, d.key))
+                .filter(|(index, ..)| (lo..hi).contains(index))
+                .collect();
             resident.sort();
 
             // Byte-weighted median over the curve order. The split must be

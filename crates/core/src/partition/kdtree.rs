@@ -8,7 +8,7 @@
 
 use super::{GridHint, Partitioner, PartitionerKind, RouteEpoch};
 use array_model::{ChunkCoords, ChunkDescriptor, ChunkKey};
-use cluster_sim::{Cluster, NodeId, RebalancePlan};
+use cluster_sim::{Cluster, NodeId, RebalancePlan, Resident};
 use durability::CodecError;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -304,15 +304,11 @@ impl Partitioner for KdTree {
             let moved_keys: std::collections::HashSet<&ChunkKey> =
                 plan.moves.iter().map(|m| &m.key).collect();
             let resident: Vec<(ChunkCoords, u64, ChunkKey)> = cluster
-                .node(victim)
-                .ok()
-                .map(|node| {
-                    node.descriptors()
-                        .filter(|d| !moved_keys.contains(&d.key))
-                        .map(|d| (d.key.coords, d.bytes, d.key))
-                        .collect()
-                })
-                .unwrap_or_default();
+                .residents_on(victim)
+                .map(Resident::descriptor)
+                .filter(|d| !moved_keys.contains(&d.key))
+                .map(|d| (d.key.coords, d.bytes, d.key))
+                .collect();
             let total: u64 = resident.iter().map(|(_, b, _)| *b).sum();
 
             // Cycle dimensions starting at depth % ndims until one admits a

@@ -15,7 +15,7 @@
 
 use super::{GridHint, Partitioner, PartitionerKind, RouteEpoch};
 use array_model::{ChunkDescriptor, ChunkKey};
-use cluster_sim::{Cluster, NodeId, RebalancePlan};
+use cluster_sim::{Cluster, NodeId, RebalancePlan, Resident};
 use durability::CodecError;
 use std::collections::BTreeMap;
 
@@ -331,15 +331,11 @@ impl Partitioner for IncrementalQuadtree {
             let moved_keys: std::collections::HashSet<&ChunkKey> =
                 plan.moves.iter().map(|m| &m.key).collect();
             let resident: Vec<(ChunkKey, u64)> = cluster
-                .node(victim)
-                .ok()
-                .map(|node| {
-                    node.descriptors()
-                        .filter(|d| !moved_keys.contains(&d.key))
-                        .map(|d| (d.key, d.bytes))
-                        .collect()
-                })
-                .unwrap_or_default();
+                .residents_on(victim)
+                .map(Resident::descriptor)
+                .filter(|d| !moved_keys.contains(&d.key))
+                .map(|d| (d.key, d.bytes))
+                .collect();
 
             if self.host_regions(victim).is_empty() {
                 // A maximally-subdivided victim handed over its last region

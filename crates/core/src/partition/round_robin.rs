@@ -86,12 +86,7 @@ impl Partitioner for RoundRobin {
             let seq = self.seq_of.get(&key).expect("round robin saw every placement");
             let target = self.home(seq);
             if target != current {
-                let bytes = cluster
-                    .node(current)
-                    .expect("placement points at live node")
-                    .descriptor(&key)
-                    .expect("placement is authoritative")
-                    .bytes;
+                let bytes = cluster.descriptor(&key).expect("placement is authoritative").bytes;
                 plan.push(key, current, target, bytes);
             }
         }

@@ -121,12 +121,7 @@ impl Partitioner for UniformRange {
         for (key, current) in cluster.placements() {
             let target = self.home(&key);
             if target != current {
-                let bytes = cluster
-                    .node(current)
-                    .expect("placement points at live node")
-                    .descriptor(&key)
-                    .expect("placement is authoritative")
-                    .bytes;
+                let bytes = cluster.descriptor(&key).expect("placement is authoritative").bytes;
                 plan.push(key, current, target, bytes);
             }
         }

@@ -10,10 +10,11 @@ use crate::ops::keys::{CellBox, CellIndex};
 use crate::ops::scan::SelectionMask;
 use crate::predicate::Predicate;
 use crate::stats::{scaled_bytes, WorkTracker};
-use array_model::{ArrayId, Chunk, ChunkCoords, ChunkDescriptor, Region, MAX_DIMS};
-use cluster_sim::{Cluster, CostModel, NodeId};
+use array_model::{ArrayId, Chunk, ChunkCoords, ChunkDescriptor, ChunkKey, Region, MAX_DIMS};
+use cluster_sim::{Cluster, CostModel, NodeId, Resident};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Everything an operator needs to run.
 #[derive(Debug)]
@@ -242,14 +243,20 @@ impl<'a> ExecutionContext<'a> {
         if array.replicated {
             return Ok(reader.unwrap_or_else(|| self.cluster.coordinator()));
         }
-        let key = array.key_for(coords);
-        // `ChunkKey` is `Copy`, so even the miss branch builds no string —
-        // the error renders itself lazily at display time. This lookup
-        // runs once per chunk per operator; the healthy path must stay
-        // allocation-free (pinned by `tests/alloc_free_routing.rs`).
-        let primary = self.cluster.locate(&key).ok_or(QueryError::Unplaced(key))?;
+        Ok(self.serving_home(array.key_for(coords))?.0)
+    }
+
+    /// The node serving a partitioned array's chunk and the chunk's
+    /// record there — one probe of the placement index. `ChunkKey` is
+    /// `Copy`, so even the miss branch builds no string — the error
+    /// renders itself lazily at display time. This lookup runs once per
+    /// chunk per operator; the healthy path must stay allocation-free
+    /// (pinned by `tests/alloc_free_routing.rs`).
+    #[inline]
+    fn serving_home(&self, key: ChunkKey) -> Result<(NodeId, Option<&'a Resident>)> {
+        let (primary, record) = self.cluster.home(&key).ok_or(QueryError::Unplaced(key))?;
         match self.cluster.node(primary) {
-            Ok(node) if node.state().serves_reads() => Ok(primary),
+            Ok(node) if node.state().serves_reads() => Ok((primary, record)),
             _ => Err(QueryError::NodeLost(key)),
         }
     }
@@ -258,13 +265,30 @@ impl<'a> ExecutionContext<'a> {
     /// live. A replicated array lives whole on every node — its cells are
     /// the catalog's `data`, read locally. Every other array's cells are
     /// its record's, on the node holding its primary
-    /// ([`Cluster::primary_payload`]). `None` when that node does not hold
-    /// them — the chunk is metadata only, or lost.
+    /// ([`Cluster::home`]). `None` when that node does not hold them — the
+    /// chunk is metadata only, or lost.
     pub fn chunk_payload(&self, array: &'a StoredArray, coords: &ChunkCoords) -> Option<&'a Chunk> {
         if array.replicated {
             return array.data.as_ref()?.chunk(coords);
         }
-        self.cluster.primary_payload(&array.key_for(coords)).ok().map(|chunk| chunk.as_ref())
+        let (_, record) = self.cluster.home(&array.key_for(coords))?;
+        record?.payload().map(Arc::as_ref)
+    }
+
+    /// A planned chunk's serving node ([`ExecutionContext::node_of`],
+    /// for no particular reader) and its cells
+    /// ([`ExecutionContext::chunk_payload`]), in one probe of the
+    /// placement index for a partitioned array.
+    fn resolve(
+        &self,
+        array: &'a StoredArray,
+        coords: &ChunkCoords,
+    ) -> Result<(NodeId, Option<&'a Chunk>)> {
+        if array.replicated {
+            return Ok((self.cluster.coordinator(), self.chunk_payload(array, coords)));
+        }
+        let (node, record) = self.serving_home(array.key_for(coords))?;
+        Ok((node, record.and_then(Resident::payload).map(Arc::as_ref)))
     }
 
     /// The [`ScanPlan::exact`] gate, evaluated once per array: it costs
@@ -314,8 +338,9 @@ impl<'a> ExecutionContext<'a> {
     ///    (`StoredArray::descriptors_near`), so planning costs what the
     ///    query names, not what the array has accumulated;
     /// 2. when the array is cell-exact, every intersecting chunk's
-    ///    payload is fetched once here and shared by the cost and answer
-    ///    loops;
+    ///    payload is fetched once here — by the same probe of the
+    ///    placement index that routed it — and shared by the cost and
+    ///    answer loops;
     /// 3. with pruning enabled, a fetched chunk the query
     ///    [refutes](ExecutionContext::refuted) is dropped from the visit
     ///    list and counted as pruned.
@@ -344,8 +369,8 @@ impl<'a> ExecutionContext<'a> {
             if !region.is_none_or(|r| r.intersects_chunk(&array.schema, coords)) {
                 continue;
             }
-            let node = self.node_of(array, coords, None)?;
-            let payload = if exact { self.chunk_payload(array, coords) } else { None };
+            let (node, cells) = self.resolve(array, coords)?;
+            let payload = if exact { cells } else { None };
             if payload.is_some_and(|chunk| self.refuted(chunk, region, pred)) {
                 dead.push((*desc, node));
             } else {

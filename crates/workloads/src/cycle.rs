@@ -845,8 +845,7 @@ mod tests {
         assert!(broadcast.data.is_none());
         // Derived products stayed metadata-only; only broadcast chunks
         // carry payloads.
-        let with_cells =
-            cluster.nodes().flat_map(|n| n.residents()).filter(|r| r.payload().is_some());
+        let with_cells = cluster.residents().filter(|r| r.payload().is_some());
         assert_eq!(with_cells.count(), broadcast.descriptors.len());
         assert!(cluster.total_chunks() > broadcast.descriptors.len());
     }
@@ -1154,11 +1153,12 @@ mod tests {
         assert_eq!(cluster.loads(), reference.loads());
         assert_eq!(cluster.total_chunks(), 2);
         assert_eq!(cluster.balance_rsd().to_bits(), reference.balance_rsd().to_bits());
-        let with_cells =
-            |n: &cluster_sim::Node| n.residents().filter(|r| r.payload().is_some()).count();
+        let with_cells = |c: &Cluster, n: &cluster_sim::Node| {
+            c.residents_on(n.id).filter(|r| r.payload().is_some()).count()
+        };
         for (ours, theirs) in cluster.nodes().zip(reference.nodes()) {
             assert_eq!(ours.replica_bytes(), theirs.replica_bytes());
-            assert_eq!(with_cells(ours), with_cells(theirs));
+            assert_eq!(with_cells(cluster, ours), with_cells(&reference, theirs));
         }
         cluster.verify_replica_books().expect("replica books balance");
         assert_eq!(runner.catalog().array(CHURN).unwrap().descriptors.len(), 2);

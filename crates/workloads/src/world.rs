@@ -379,7 +379,7 @@ impl World {
     /// Every chunk payload the node stores hold, by key: one per chunk,
     /// on its record (a replica holder serves that same record).
     fn stored_cells(&self) -> BTreeMap<ChunkKey, &Arc<Chunk>> {
-        let records = self.cluster.nodes().flat_map(|node| node.residents());
+        let records = self.cluster.residents();
         records.filter_map(|r| Some((r.descriptor().key, r.payload()?))).collect()
     }
 

@@ -389,7 +389,7 @@ fn churn_config(log: durability::SharedLog) -> RunnerConfig {
 fn world_bytes(runner: &WorkloadRunner<'_>) -> Vec<u8> {
     encoded(|w| {
         runner.catalog().encode_into(w);
-        let records = runner.cluster().nodes().flat_map(|node| node.residents());
+        let records = runner.cluster().residents();
         let cells: BTreeMap<ChunkKey, &Arc<Chunk>> =
             records.filter_map(|r| Some((r.descriptor().key, r.payload()?))).collect();
         w.put_usize(cells.len());

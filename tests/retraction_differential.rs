@@ -140,9 +140,9 @@ fn assert_holders_follow_one_record<'r>(
 ) -> Vec<&'r Chunk> {
     let cluster = runner.cluster();
     let mut held = vec![0u64; cluster.node_count()];
-    for (key, node) in cluster.placements() {
+    for (key, _) in cluster.placements() {
         // A k = 1 orphan keeps its placement but has no record, and no holder.
-        let Some(desc) = cluster.node(node).unwrap().descriptor(&key) else { continue };
+        let Some(desc) = cluster.descriptor(&key) else { continue };
         for h in cluster.replica_holders(&key) {
             held[h.0 as usize] += desc.bytes;
         }
@@ -156,8 +156,7 @@ fn assert_holders_follow_one_record<'r>(
         for desc in runner.catalog().array(id).unwrap().descriptors.values() {
             let key = desc.key;
             let chunk = cluster.primary_payload(&key).unwrap_or_else(|e| panic!("{tag}: {e}"));
-            let node = cluster.node(cluster.locate(&key).unwrap()).unwrap();
-            let record = node.descriptor(&key).unwrap();
+            let record = cluster.descriptor(&key).unwrap();
             let sizes = (chunk.byte_size(), chunk.cell_count());
             assert_eq!((record.bytes, record.cells), sizes, "{tag}: {key} left its cells");
             records.push(chunk.as_ref());
