@@ -1,21 +1,11 @@
 //! Reproduce Figure 6: MODIS vegetation-index join duration per workload
 //! cycle (unskewed data), for every partitioner.
 
-use bench_harness::experiments::fig6_series;
-use bench_harness::table::{out_dir, TextTable};
+use bench_harness::experiments::{fig6_series, series_table};
+use bench_harness::table::out_dir;
 
 fn main() {
-    let series = fig6_series();
-    let cycles = series[0].mins_per_cycle.len();
-    let mut header: Vec<String> = vec!["Partitioning Scheme".into()];
-    header.extend((1..=cycles).map(|c| format!("c{c}")));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = TextTable::new(&header_refs);
-    for row in &series {
-        let mut cells = vec![row.kind.label().to_string()];
-        cells.extend(row.mins_per_cycle.iter().map(|m| format!("{m:.2}")));
-        t.row(cells);
-    }
+    let t = series_table(&fig6_series());
     println!("Figure 6: join duration (minutes) per cycle, unskewed MODIS data.\n");
     print!("{}", t.render());
     if let Some(path) = t.write_csv(&out_dir(), "fig6") {

@@ -1,21 +1,11 @@
 //! Reproduce Figure 7: AIS k-nearest-neighbour duration per workload
 //! cycle (skewed data), for every partitioner.
 
-use bench_harness::experiments::fig7_series;
-use bench_harness::table::{out_dir, TextTable};
+use bench_harness::experiments::{fig7_series, series_table};
+use bench_harness::table::out_dir;
 
 fn main() {
-    let series = fig7_series();
-    let cycles = series[0].mins_per_cycle.len();
-    let mut header: Vec<String> = vec!["Partitioning Scheme".into()];
-    header.extend((1..=cycles).map(|c| format!("c{c}")));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = TextTable::new(&header_refs);
-    for row in &series {
-        let mut cells = vec![row.kind.label().to_string()];
-        cells.extend(row.mins_per_cycle.iter().map(|m| format!("{m:.2}")));
-        t.row(cells);
-    }
+    let t = series_table(&fig7_series());
     println!("Figure 7: k-nearest-neighbour duration (minutes) per cycle, skewed AIS data.\n");
     print!("{}", t.render());
     if let Some(path) = t.write_csv(&out_dir(), "fig7") {

@@ -168,6 +168,22 @@ pub fn fig7_series() -> Vec<SeriesRow> {
     query_series(&workload, "science/modeling")
 }
 
+/// Figure 6 or 7 as its binary prints it and writes its CSV: one row per
+/// scheme, one column of minutes per cycle.
+pub fn series_table(series: &[SeriesRow]) -> TextTable {
+    let cycles = series[0].mins_per_cycle.len();
+    let mut header: Vec<String> = vec!["Partitioning Scheme".into()];
+    header.extend((1..=cycles).map(|c| format!("c{c}")));
+    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
+    let mut t = TextTable::new(&header_refs);
+    for row in series {
+        let mut cells = vec![row.kind.label().to_string()];
+        cells.extend(row.mins_per_cycle.iter().map(|m| format!("{m:.2}")));
+        t.row(cells);
+    }
+    t
+}
+
 fn query_series(workload: &dyn Workload, query: &str) -> Vec<SeriesRow> {
     PartitionerKind::ALL
         .iter()

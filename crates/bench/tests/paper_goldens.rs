@@ -1,4 +1,4 @@
-//! The paper's §6.2 numbers as tests: Figures 4 and 5 byte for byte
+//! The paper's §6.2 numbers as tests: Figures 4 to 7 byte for byte
 //! against their committed CSVs, and every query's cost to the bit.
 //!
 //! `fig5.csv` rounds each suite to 0.1 simulated minutes, so a change that
@@ -7,14 +7,17 @@
 //! unseen. The digest below folds every per-query `QueryStats` of all 16
 //! `section62_run(kind, workload, true)` runs (8 partitioners × MODIS,
 //! AIS): each query's name, `elapsed_secs` as bits, and every count.
+//! Figures 6 and 7 are per-cycle series of one query each (`spj/join` on
+//! MODIS, `science/modeling` on AIS) and read the same 16 runs.
 //!
 //! `UPDATE_GOLDEN=1 cargo test -p bench-harness --test paper_goldens`
-//! rewrites the two CSVs from the simulator (the diff then belongs in the
+//! rewrites the four CSVs from the simulator (the diff then belongs in the
 //! change that moved them). The digest is not re-blessed: it is edited by
 //! hand, with the reason.
 
 use bench_harness::experiments::{
-    fig4_rows, fig4_table, fig5_table, section62_run, Fig5Row, AIS_SEED, MODIS_SEED,
+    fig4_rows, fig4_table, fig5_table, section62_run, series_table, Fig5Row, SeriesRow, AIS_SEED,
+    MODIS_SEED,
 };
 use bench_harness::table::{out_dir, TextTable};
 use elastic_core::hashing::fnv1a;
@@ -71,20 +74,25 @@ fn section62_query_costs_and_fig5_reproduce() {
     let ais = AisWorkload::with_seed(AIS_SEED);
     let mut h = 0;
     let mut queries = 0;
-    let mut rows = |workload: &dyn Workload| -> Vec<Fig5Row> {
+    // Each workload's Figure 5 bars and the per-cycle series of `query`.
+    let mut rows = |workload: &dyn Workload, query: &str| -> (Vec<Fig5Row>, Vec<SeriesRow>) {
         let runs = PartitionerKind::ALL.iter().map(|&kind| section62_run(kind, workload, true));
         runs.map(|report| {
             let suites = report.cycles.iter().filter_map(|c| c.suites.as_ref());
             queries += suites.map(|s| s.queries.len()).sum::<usize>();
             h = fold(h, &report);
-            Fig5Row::of(&report)
+            let mins_per_cycle = report.query_series(query).iter().map(|s| s / 60.0).collect();
+            (Fig5Row::of(&report), SeriesRow { kind: report.partitioner, mins_per_cycle })
         })
-        .collect()
+        .unzip()
     };
-    let (modis_rows, ais_rows) = (rows(&modis), rows(&ais));
+    let (modis_rows, fig6) = rows(&modis, "spj/join");
+    let (ais_rows, fig7) = rows(&ais, "science/modeling");
     assert_eq!(queries, 1_264);
     assert_eq!(h, SECTION62_QUERY_STATS, "the §6.2 query costs moved: {h:#018x}");
     assert_csv("fig5", &fig5_table(&modis_rows, &ais_rows));
+    assert_csv("fig6", &series_table(&fig6));
+    assert_csv("fig7", &series_table(&fig7));
 }
 
 #[test]

@@ -291,7 +291,7 @@ impl Cluster {
     /// replica set is admitted on its deterministic secondary route as
     /// well.
     pub fn place(&mut self, desc: ChunkDescriptor, node: NodeId) -> Result<()> {
-        let n = self.nodes.get_mut(node.slot()).ok_or(ClusterError::UnknownNode(node.0))?;
+        let n = self.nodes.get(node.slot()).ok_or(ClusterError::UnknownNode(node.0))?;
         if !n.state().accepts_data() {
             return Err(ClusterError::NodeUnavailable { node: node.0, state: n.state() });
         }
@@ -299,12 +299,20 @@ impl Cluster {
         if self.placement.insert(desc.key, node, record).is_err() {
             return Err(ClusterError::DuplicateChunk(desc.key));
         }
-        let old = n.used_bytes();
-        n.admit(1, desc.bytes);
-        self.balance.on_change(old, n.used_bytes());
+        self.ledger(node, |n| n.admit(1, desc.bytes));
         let replicas = if self.replication > 1 { self.place_replicas(&desc) } else { 0 };
         self.copies.add(1 + replicas, 1);
         Ok(())
+    }
+
+    /// Edit node `id`'s books through `edit`, with the balance moments
+    /// following its primary ledger: every change to a node's
+    /// [`Node::used_bytes`] after a restore goes through here.
+    fn ledger(&mut self, id: NodeId, edit: impl FnOnce(&mut Node)) {
+        let n = &mut self.nodes[id.slot()];
+        let old = n.used_bytes();
+        edit(n);
+        self.balance.on_change(old, n.used_bytes());
     }
 
     /// Name the first `k−1` nodes of the freshly placed `desc`'s
@@ -429,10 +437,7 @@ impl Cluster {
                 .map(|o| o.loads[idx])
                 .fold((0, 0u64), |acc, load| (acc.0 + load.0, acc.1.saturating_add(load.1)));
             if chunks > 0 {
-                let node = &mut self.nodes[idx];
-                let old = node.used_bytes();
-                node.admit(chunks, bytes);
-                self.balance.on_change(old, node.used_bytes());
+                self.ledger(self.nodes[idx].id, |n| n.admit(chunks, bytes));
             }
         }
 
@@ -545,14 +550,8 @@ impl Cluster {
             let bytes = record.descriptor().bytes;
             flows.push(m.from, m.to, record.payload().map_or(bytes, |c| c.byte_size()));
             self.placement.rehome(slot, m.to);
-            let src = &mut self.nodes[m.from.slot()];
-            let src_old = src.used_bytes();
-            src.release(bytes);
-            self.balance.on_change(src_old, src.used_bytes());
-            let dst = &mut self.nodes[m.to.slot()];
-            let dst_old = dst.used_bytes();
-            dst.admit(1, bytes);
-            self.balance.on_change(dst_old, dst.used_bytes());
+            self.ledger(m.from, |n| n.release(bytes));
+            self.ledger(m.to, |n| n.admit(1, bytes));
             // The destination may have held a replica of this chunk; the
             // arriving primary supersedes it.
             if self.drop_holder(&m.key, m.to) {
@@ -630,8 +629,7 @@ impl Cluster {
     /// Refuses to crash the last serving node
     /// ([`ClusterError::NoHealthyNodes`]) or an already-crashed one.
     pub fn crash_node(&mut self, id: NodeId) -> Result<CrashReport> {
-        let idx = id.slot();
-        let state = self.nodes.get(idx).ok_or(ClusterError::UnknownNode(id.0))?.state();
+        let state = self.nodes.get(id.slot()).ok_or(ClusterError::UnknownNode(id.0))?.state();
         if matches!(state, NodeState::Crashed | NodeState::Retired) {
             return Err(ClusterError::NodeUnavailable { node: id.0, state });
         }
@@ -646,11 +644,10 @@ impl Cluster {
         // the census pays for the wreck, not for the cluster.
         let copies: Vec<usize> =
             primary_keys.iter().chain(&replica_keys).map(|k| self.serving_copies(k)).collect();
-        let node = &mut self.nodes[idx];
-        let old_used = node.used_bytes();
-        node.wipe();
-        node.set_state(NodeState::Crashed);
-        self.balance.on_change(old_used, 0);
+        self.ledger(id, |n| {
+            n.wipe();
+            n.set_state(NodeState::Crashed);
+        });
         for key in &replica_keys {
             self.drop_holder(key, id);
         }
@@ -663,11 +660,10 @@ impl Cluster {
             };
             self.drop_holder(key, h);
             let bytes = self.placement.record(slot).map_or(0, |r| r.descriptor().bytes);
-            let hn = &mut self.nodes[h.slot()];
-            let old = hn.used_bytes();
-            hn.reledger_held(bytes, 0);
-            hn.admit(1, bytes);
-            self.balance.on_change(old, hn.used_bytes());
+            self.ledger(h, |n| {
+                n.reledger_held(bytes, 0);
+                n.admit(1, bytes);
+            });
             self.placement.rehome(slot, h);
         }
         for (key, before) in primary_keys.iter().chain(&replica_keys).zip(copies) {
@@ -823,10 +819,7 @@ impl Cluster {
         let record = self.placement.record_mut(slot).expect("payload_holder found the record");
         let old = record.resize(desc);
         *record.payload_slot() = Some(chunk);
-        let n = &mut self.nodes[home.slot()];
-        let old_used = n.used_bytes();
-        n.resize(old.bytes, desc.bytes);
-        self.balance.on_change(old_used, n.used_bytes());
+        self.ledger(home, |n| n.resize(old.bytes, desc.bytes));
         // Field-level split borrow: the holders are `self.replicas`, the
         // ledgers live in `self.nodes`.
         for h in self.replicas.get(key).into_iter().flatten() {
@@ -847,10 +840,7 @@ impl Cluster {
         // `primary_record` has just found the entry and its record.
         let (_, evicted) = self.placement.remove(key).expect("primary_record found it");
         let desc = *evicted.expect("primary_record found it").descriptor();
-        let n = &mut self.nodes[node.slot()];
-        let old = n.used_bytes();
-        n.release(desc.bytes);
-        self.balance.on_change(old, n.used_bytes());
+        self.ledger(node, |n| n.release(desc.bytes));
         let holders = self.replicas.remove(key).unwrap_or_default();
         for &h in &holders {
             self.nodes[h.slot()].reledger_held(desc.bytes, 0);

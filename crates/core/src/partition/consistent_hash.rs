@@ -98,17 +98,7 @@ impl Partitioner for ConsistentHash {
         for &n in new_nodes {
             self.insert_node(n);
         }
-        // Chunks whose ring owner changed migrate; ownership can only have
-        // moved to a new node, so the plan is incremental by construction.
-        let mut plan = RebalancePlan::empty();
-        for (key, current) in cluster.placements() {
-            let target = self.owner(hash_chunk_key(&key));
-            if target != current {
-                let bytes = cluster.descriptor(&key).expect("placement is authoritative").bytes;
-                plan.push(key, current, target, bytes);
-            }
-        }
-        plan
+        super::reshuffle(cluster, |key| self.owner(hash_chunk_key(key)))
     }
 }
 

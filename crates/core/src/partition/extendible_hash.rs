@@ -11,7 +11,7 @@
 use super::{Partitioner, PartitionerKind, RouteEpoch};
 use crate::hashing::hash_chunk_key;
 use array_model::{ChunkDescriptor, ChunkKey};
-use cluster_sim::{Cluster, NodeId, RebalancePlan, Resident};
+use cluster_sim::{Cluster, NodeId, RebalancePlan};
 use durability::CodecError;
 use std::collections::BTreeMap;
 
@@ -144,65 +144,32 @@ impl Partitioner for ExtendibleHash {
     }
 
     fn scale_out(&mut self, cluster: &Cluster, new_nodes: &[NodeId]) -> RebalancePlan {
-        let mut plan = RebalancePlan::empty();
-        // Track per-node byte loads locally so consecutive splits within
-        // one scale-out see the effect of earlier splits.
-        let mut loads: BTreeMap<NodeId, u64> =
-            cluster.nodes().map(|n| (n.id, n.used_bytes())).collect();
-        for &fresh in new_nodes {
-            // Skew-aware victim choice: the most loaded preexisting node.
-            // New nodes are never victims, so data flows only old -> new.
-            let victim = *loads
-                .iter()
-                .filter(|(n, _)| !new_nodes.contains(n))
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0 .0.cmp(&a.0 .0)))
-                .expect("cluster has nodes")
-                .0;
+        super::split_heaviest(cluster, new_nodes, |victim, fresh, residents| {
             // Weigh the victim's buckets by resident bytes.
-            let victim_buckets = self.buckets_of(victim);
-            let mut bucket_bytes: BTreeMap<Bucket, u64> =
-                victim_buckets.iter().map(|&b| (b, 0)).collect();
-            let mut chunk_homes: Vec<(ChunkKey, u64, Bucket)> = Vec::new();
-            let moved_keys: std::collections::HashSet<&ChunkKey> =
-                plan.moves.iter().map(|m| &m.key).collect();
-            for d in cluster.residents_on(victim).map(Resident::descriptor) {
-                // Skip chunks already re-routed by an earlier split in
-                // this same scale-out.
-                if moved_keys.contains(&d.key) {
-                    continue;
-                }
+            let owned = self.buckets_of(victim);
+            let mut weight: BTreeMap<Bucket, u64> = owned.iter().map(|&b| (b, 0)).collect();
+            let mut homed = Vec::new();
+            for d in residents {
                 let h = hash_chunk_key(&d.key);
-                if let Some(&b) = victim_buckets.iter().find(|b| b.matches(h)) {
-                    *bucket_bytes.entry(b).or_default() += d.bytes;
-                    chunk_homes.push((d.key, d.bytes, b));
+                if let Some(&b) = owned.iter().find(|b| b.matches(h)) {
+                    *weight.entry(b).or_default() += d.bytes;
+                    homed.push((d, b, h));
                 }
             }
             // Split the heaviest bucket on its next significant bit. A
             // victim that owns none cannot be split.
-            let Some((&heavy, _)) =
-                bucket_bytes.iter().max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
+            let Some((&heavy, _)) = weight.iter().max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
             else {
-                continue;
+                return Vec::new();
             };
             let (low, high) = split_bucket(heavy);
             self.buckets.remove(&heavy);
             self.buckets.insert(low, victim);
             self.buckets.insert(high, fresh);
             // Chunks matching the high half migrate to the new node.
-            let mut moved = 0u64;
-            for (key, bytes, home) in &chunk_homes {
-                if *home == heavy {
-                    let h = hash_chunk_key(key);
-                    if high.matches(h) {
-                        plan.push(*key, victim, fresh, *bytes);
-                        moved += bytes;
-                    }
-                }
-            }
-            *loads.entry(victim).or_default() -= moved;
-            *loads.entry(fresh).or_default() += moved;
-        }
-        plan
+            let moving = homed.into_iter().filter(|&(_, b, h)| b == heavy && high.matches(h));
+            moving.map(|(d, ..)| d).collect()
+        })
     }
 }
 

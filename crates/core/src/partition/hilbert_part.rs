@@ -9,9 +9,9 @@
 
 use super::{GridHint, Partitioner, PartitionerKind, RouteEpoch};
 use array_model::{ChunkDescriptor, ChunkKey, HilbertOrder};
-use cluster_sim::{Cluster, NodeId, RebalancePlan, Resident};
+use cluster_sim::{Cluster, NodeId, RebalancePlan};
 use durability::CodecError;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Hilbert-range partitioner state.
 #[derive(Debug, Clone)]
@@ -128,89 +128,34 @@ impl Partitioner for HilbertCurve {
     }
 
     fn scale_out(&mut self, cluster: &Cluster, new_nodes: &[NodeId]) -> RebalancePlan {
-        let mut plan = RebalancePlan::empty();
-        let mut loads: BTreeMap<NodeId, u64> =
-            cluster.nodes().map(|n| (n.id, n.used_bytes())).collect();
-        for &fresh in new_nodes {
-            // Skew-aware: split the most heavily loaded preexisting node.
-            let victim = *loads
-                .iter()
-                .filter(|(n, _)| !new_nodes.contains(n))
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0 .0.cmp(&a.0 .0)))
-                .expect("cluster has preexisting nodes")
-                .0;
+        super::split_heaviest(cluster, new_nodes, |victim, fresh, residents| {
             // A node owns at most one range; one that owns none (a split
             // skipped for want of room) cannot be split.
             let Some(pos) = self.owners.iter().position(|&o| o == victim) else {
-                continue;
+                return Vec::new();
             };
             let (lo, hi) = self.range_bounds(pos);
-
-            // Victim's chunks inside its range, netted against moves
-            // already planned in this scale-out, sorted along the curve.
-            // (Only a fault's diverted route puts a chunk outside it.)
-            let moved_keys: std::collections::HashSet<&ChunkKey> =
-                plan.moves.iter().map(|m| &m.key).collect();
-            let mut resident: Vec<(u128, u64, ChunkKey)> = cluster
-                .residents_on(victim)
-                .map(Resident::descriptor)
-                .filter(|d| !moved_keys.contains(&d.key))
-                .map(|d| (self.index_of(&d.key), d.bytes, d.key))
+            // The victim's chunks inside its range, along the curve. (Only
+            // a fault's diverted route puts a chunk outside it.)
+            let mut along: Vec<_> = residents
+                .into_iter()
+                .map(|d| (self.index_of(&d.key), d.bytes, d))
                 .filter(|(index, ..)| (lo..hi).contains(index))
                 .collect();
-            resident.sort();
-
-            // Byte-weighted median over the curve order. The split must be
-            // strictly above the first resident index so at least one chunk
-            // stays with the victim.
-            let total: u64 = resident.iter().map(|(_, b, _)| *b).sum();
-            let mut split = None;
-            if total > 0 && resident.len() >= 2 {
-                let first = resident[0].0;
-                let mut acc = 0u64;
-                for (idx, bytes, _) in &resident {
-                    if acc * 2 >= total && *idx > first {
-                        split = Some(*idx);
-                        break;
-                    }
-                    acc += bytes;
-                }
-                if split.is_none() {
-                    // Weight concentrated at the tail (or duplicate indices):
-                    // split before the last distinct curve position.
-                    split = resident.iter().rev().map(|(i, _, _)| *i).find(|&i| i > first);
-                }
-            }
-            // Fall back to the index-space midpoint when the victim holds
-            // too little data to compute a meaningful median.
-            let split = match split {
-                Some(s) => s,
-                None => {
-                    if hi - lo < 2 {
-                        // Range cannot be subdivided further; skip this node.
-                        continue;
-                    }
-                    lo + (hi - lo) / 2
-                }
+            along.sort_unstable_by(|a, b| (a.0, a.1, &a.2.key).cmp(&(b.0, b.1, &b.2.key)));
+            // Without a median (too little data), split the range at its
+            // midpoint; a range too narrow for that stays whole.
+            let split = match super::weighted_median(along.iter().map(|&(i, b, _)| (i, b))) {
+                Some(split) => split,
+                None if hi - lo >= 2 => lo + (hi - lo) / 2,
+                None => return Vec::new(),
             };
             debug_assert!(split > lo && split < hi);
-
-            // Insert the new range: victim keeps [lo, split), fresh node
-            // takes [split, hi).
+            // The victim keeps [lo, split), the fresh node takes [split, hi).
             self.boundaries.insert(pos, split);
             self.owners.insert(pos + 1, fresh);
-
-            let mut moved = 0u64;
-            for (idx, bytes, key) in resident {
-                if idx >= split {
-                    plan.push(key, victim, fresh, bytes);
-                    moved += bytes;
-                }
-            }
-            *loads.entry(victim).or_default() -= moved;
-            *loads.entry(fresh).or_default() += moved;
-        }
-        plan
+            along.into_iter().filter(|&(index, ..)| index >= split).map(|(.., d)| d).collect()
+        })
     }
 }
 

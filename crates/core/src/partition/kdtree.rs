@@ -8,9 +8,9 @@
 
 use super::{GridHint, Partitioner, PartitionerKind, RouteEpoch};
 use array_model::{ChunkCoords, ChunkDescriptor, ChunkKey};
-use cluster_sim::{Cluster, NodeId, RebalancePlan, Resident};
+use cluster_sim::{Cluster, NodeId, RebalancePlan};
 use durability::CodecError;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone)]
 enum Tree {
@@ -287,92 +287,39 @@ impl Partitioner for KdTree {
     }
 
     fn scale_out(&mut self, cluster: &Cluster, new_nodes: &[NodeId]) -> RebalancePlan {
-        let mut plan = RebalancePlan::empty();
-        let mut loads: BTreeMap<NodeId, u64> =
-            cluster.nodes().map(|n| (n.id, n.used_bytes())).collect();
-        for &fresh in new_nodes {
-            let victim = *loads
-                .iter()
-                .filter(|(n, _)| !new_nodes.contains(n))
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0 .0.cmp(&a.0 .0)))
-                .expect("cluster has preexisting nodes")
-                .0;
+        super::split_heaviest(cluster, new_nodes, |victim, fresh, residents| {
             let Some((depth, lo, hi)) = self.leaf_info(victim) else {
-                continue;
+                return Vec::new();
             };
-            // Victim's chunks, net of earlier planned moves.
-            let moved_keys: std::collections::HashSet<&ChunkKey> =
-                plan.moves.iter().map(|m| &m.key).collect();
-            let resident: Vec<(ChunkCoords, u64, ChunkKey)> = cluster
-                .residents_on(victim)
-                .map(Resident::descriptor)
-                .filter(|d| !moved_keys.contains(&d.key))
-                .map(|d| (d.key.coords, d.bytes, d.key))
-                .collect();
-            let total: u64 = resident.iter().map(|(_, b, _)| *b).sum();
-
-            // Cycle dimensions starting at depth % ndims until one admits a
-            // byte-weighted median split.
-            let mut done = false;
-            if total > 0 && resident.len() >= 2 {
-                for probe in 0..self.priority.len() {
-                    let dim = self.priority[(depth as usize + probe) % self.priority.len()];
-                    let mut coords_sorted: Vec<(i64, u64)> =
-                        resident.iter().map(|(c, b, _)| (c[dim], *b)).collect();
-                    coords_sorted.sort_unstable();
-                    let first = coords_sorted[0].0;
-                    let mut acc = 0u64;
-                    let mut split = None;
-                    for &(coord, bytes) in &coords_sorted {
-                        if acc * 2 >= total && coord > first {
-                            split = Some(coord);
-                            break;
-                        }
-                        acc += bytes;
-                    }
-                    if split.is_none() {
-                        split = coords_sorted.iter().rev().map(|&(c, _)| c).find(|&c| c > first);
-                    }
-                    let Some(split) = split else { continue };
-                    // The split must be interior to the leaf's box on this
-                    // dimension (hint overflow can put chunks outside).
-                    if split <= lo[dim] || (hi[dim] > lo[dim] && split >= hi[dim]) {
-                        continue;
-                    }
-                    if !self.split_leaf_at(victim, dim, split, fresh) {
-                        continue;
-                    }
-                    let mut moved = 0u64;
-                    for (coords, bytes, key) in &resident {
-                        if coords[dim] >= split {
-                            plan.push(*key, victim, fresh, *bytes);
-                            moved += bytes;
-                        }
-                    }
-                    *loads.entry(victim).or_default() -= moved;
-                    *loads.entry(fresh).or_default() += moved;
-                    done = true;
+            // Cycle dimensions from the leaf's depth until one admits a
+            // byte-weighted median split interior to the leaf's box on that
+            // dimension (hint overflow can put chunks outside it).
+            let mut plane = None;
+            for probe in 0..self.priority.len() {
+                let dim = self.priority[(depth as usize + probe) % self.priority.len()];
+                let mut along: Vec<(i64, u64)> =
+                    residents.iter().map(|d| (d.key.coords[dim], d.bytes)).collect();
+                along.sort_unstable();
+                let Some(split) = super::weighted_median(along.iter().copied()) else { continue };
+                let interior = split > lo[dim] && (hi[dim] <= lo[dim] || split < hi[dim]);
+                if interior && self.split_leaf_at(victim, dim, split, fresh) {
+                    plane = Some((dim, split));
                     break;
                 }
             }
-            if !done && self.split_leaf_midpoint(victim, fresh) {
-                // No byte-weighted median existed (e.g. the victim holds a
-                // single chunk), so the leaf split at its midpoint. Any
-                // resident chunk that now descends to the fresh leaf must
-                // still move — the table and the placement may never
-                // disagree.
-                let mut moved = 0u64;
-                for (coords, bytes, key) in &resident {
-                    if self.descend(coords.as_slice()) == fresh {
-                        plan.push(*key, victim, fresh, *bytes);
-                        moved += bytes;
-                    }
-                }
-                *loads.entry(victim).or_default() -= moved;
-                *loads.entry(fresh).or_default() += moved;
+            // No median split (the victim holds a single chunk, say): the
+            // leaf splits at its midpoint, and whatever now descends to the
+            // fresh leaf must still move — the table and the placement may
+            // never disagree.
+            if plane.is_none() && !self.split_leaf_midpoint(victim, fresh) {
+                return Vec::new();
             }
-        }
-        plan
+            let moves = |coords: &ChunkCoords| match plane {
+                Some((dim, split)) => coords[dim] >= split,
+                None => self.descend(coords.as_slice()) == fresh,
+            };
+            residents.into_iter().filter(|d| moves(&d.key.coords)).collect()
+        })
     }
 }
 

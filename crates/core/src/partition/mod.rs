@@ -35,6 +35,23 @@
 //! table (ring walk, directory probe, tree descent, ...) and must agree
 //! with the cluster's placement map at all times — the test suites assert
 //! this invariant for every scheme.
+//!
+//! Scale-out follows one of three rules, by Table 1's columns:
+//!
+//! * **Skew-Aware** (K-d Tree, Incremental Quadtree, Hilbert Curve,
+//!   Extendible Hash): each new node splits the most loaded preexisting
+//!   node, which hands it part of its table and the chunks under that
+//!   part ([`split_heaviest`]). Only the split node's data moves, so the
+//!   scale-out is also incremental. Each scheme supplies just its table
+//!   split.
+//! * **not Skew-Aware**, table-wide (Consistent Hash, Round Robin,
+//!   Uniform Range): the table takes the new nodes in, every chunk's
+//!   owner is re-derived, and each chunk whose owner changed moves
+//!   ([`reshuffle`]). Only Consistent Hash is incremental: a new ring
+//!   point claims arcs for a new node alone. Round Robin and Uniform
+//!   Range ship chunks between preexisting nodes.
+//! * **Append** moves nothing: new nodes only become its next spill
+//!   targets.
 
 mod append;
 mod consistent_hash;
@@ -56,9 +73,10 @@ pub use round_robin::RoundRobin;
 pub use uniform_range::UniformRange;
 
 use array_model::{ChunkDescriptor, ChunkKey};
-use cluster_sim::{Cluster, NodeId, RebalancePlan};
+use cluster_sim::{Cluster, NodeId, RebalancePlan, Resident};
 use durability::{ByteReader, CodecError};
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// The four traits of elastic data placement (paper Table 1).
@@ -404,6 +422,74 @@ pub(super) fn tiles(mut spans: Vec<(u128, u128)>, whole: u128) -> bool {
     spans.sort_unstable();
     let next = |at: u128, &(start, len): &(u128, u128)| at.checked_add(len).filter(|_| start == at);
     spans.iter().try_fold(0, next) == Some(whole)
+}
+
+/// The skew-aware scale-out: each of `new_nodes` in turn splits the most
+/// loaded preexisting node (ties to the lowest id). `split(victim, fresh,
+/// residents)` splits the victim's part of the table and returns the
+/// residents that move to `fresh`, in plan order; `residents` are the
+/// victim's records in key order, less the chunks earlier splits of this
+/// scale-out move. Loads are projected across the splits, so each victim
+/// choice sees the moves planned before it.
+pub(super) fn split_heaviest<'c>(
+    cluster: &'c Cluster,
+    new_nodes: &[NodeId],
+    mut split: impl FnMut(NodeId, NodeId, Vec<&'c ChunkDescriptor>) -> Vec<&'c ChunkDescriptor>,
+) -> RebalancePlan {
+    let mut plan = RebalancePlan::empty();
+    let mut loads: BTreeMap<NodeId, u64> =
+        cluster.nodes().map(|n| (n.id, n.used_bytes())).collect();
+    for &fresh in new_nodes {
+        let preexisting = loads.iter().filter(|(n, _)| !new_nodes.contains(n));
+        let (&victim, _) = preexisting
+            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
+            .expect("cluster has preexisting nodes");
+        let moved: HashSet<&ChunkKey> = plan.moves.iter().map(|m| &m.key).collect();
+        let residents = cluster.residents_on(victim).map(Resident::descriptor);
+        let residents = residents.filter(|d| !moved.contains(&d.key)).collect();
+        for d in split(victim, fresh, residents) {
+            plan.push(d.key, victim, fresh, d.bytes);
+            *loads.entry(victim).or_default() -= d.bytes;
+            *loads.entry(fresh).or_default() += d.bytes;
+        }
+    }
+    plan
+}
+
+/// The table-wide scale-out: every placed chunk whose `owner` changed
+/// moves to it, in key order, with the bytes on its record. A k = 1
+/// orphan has no record (a crash took it) and keeps naming the wreck.
+pub(super) fn reshuffle(cluster: &Cluster, owner: impl Fn(&ChunkKey) -> NodeId) -> RebalancePlan {
+    let mut plan = RebalancePlan::empty();
+    for (key, from) in cluster.placements() {
+        let to = owner(&key);
+        if to == from {
+            continue;
+        }
+        if let Some(desc) = cluster.descriptor(&key) {
+            plan.push(key, from, to, desc.bytes);
+        }
+    }
+    plan
+}
+
+/// The byte-weighted median of chunks given as `(position, bytes)` in
+/// ascending order: the first position above the lowest with at least
+/// half the bytes before it, else the last position above the lowest, so
+/// a split there leaves chunks on both sides. `None` when the chunks
+/// weigh nothing or all share one position.
+pub(super) fn weighted_median<T: Copy + PartialOrd>(
+    sorted: impl DoubleEndedIterator<Item = (T, u64)> + Clone,
+) -> Option<T> {
+    let total: u64 = sorted.clone().map(|(_, bytes)| bytes).sum();
+    let (first, _) = sorted.clone().next().filter(|_| total > 0)?;
+    let mut before = 0u64;
+    let half_before = sorted.clone().find(|&(at, bytes)| {
+        let found = before * 2 >= total && at > first;
+        before += bytes;
+        found
+    });
+    half_before.or_else(|| sorted.rev().find(|&(at, _)| at > first)).map(|(at, _)| at)
 }
 
 /// The elastic partitioner interface (see module docs for the protocol).

@@ -15,7 +15,7 @@
 
 use super::{GridHint, Partitioner, PartitionerKind, RouteEpoch};
 use array_model::{ChunkDescriptor, ChunkKey};
-use cluster_sim::{Cluster, NodeId, RebalancePlan, Resident};
+use cluster_sim::{Cluster, NodeId, RebalancePlan};
 use durability::CodecError;
 use std::collections::BTreeMap;
 
@@ -247,11 +247,6 @@ impl IncrementalQuadtree {
             }
         }
     }
-
-    /// Number of regions in the cover (tests/ablation).
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
 }
 
 impl Partitioner for IncrementalQuadtree {
@@ -316,54 +311,30 @@ impl Partitioner for IncrementalQuadtree {
     }
 
     fn scale_out(&mut self, cluster: &Cluster, new_nodes: &[NodeId]) -> RebalancePlan {
-        let mut plan = RebalancePlan::empty();
-        let mut loads: BTreeMap<NodeId, u64> =
-            cluster.nodes().map(|n| (n.id, n.used_bytes())).collect();
-        for &fresh in new_nodes {
-            let victim = *loads
-                .iter()
-                .filter(|(n, _)| !new_nodes.contains(n))
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0 .0.cmp(&a.0 .0)))
-                .expect("cluster has preexisting nodes")
-                .0;
-
-            // Victim's chunks, net of earlier planned moves.
-            let moved_keys: std::collections::HashSet<&ChunkKey> =
-                plan.moves.iter().map(|m| &m.key).collect();
-            let resident: Vec<(ChunkKey, u64)> = cluster
-                .residents_on(victim)
-                .map(Resident::descriptor)
-                .filter(|d| !moved_keys.contains(&d.key))
-                .map(|d| (d.key, d.bytes))
-                .collect();
-
+        super::split_heaviest(cluster, new_nodes, |victim, fresh, residents| {
             if self.host_regions(victim).is_empty() {
                 // A maximally-subdivided victim handed over its last region
                 // earlier; it cannot be split again.
-                continue;
+                return Vec::new();
             }
-            let chunk_points: Vec<(u64, u64, u64)> = resident
+            let points: Vec<(u64, u64, u64)> = residents
                 .iter()
-                .map(|(key, bytes)| {
-                    let (px, py) = self.plane_point(key);
-                    (px, py, *bytes)
+                .map(|d| {
+                    let (px, py) = self.plane_point(&d.key);
+                    (px, py, d.bytes)
                 })
                 .collect();
-
-            let moved_regions = self.split_host(victim, fresh, &chunk_points);
-
-            let mut moved = 0u64;
-            for (key, bytes) in resident {
-                let (px, py) = self.plane_point(&key);
-                if moved_regions.iter().any(|r| r.contains(px, py, self.max_bits)) {
-                    plan.push(key, victim, fresh, bytes);
-                    moved += bytes;
-                }
-            }
-            *loads.entry(victim).or_default() -= moved;
-            *loads.entry(fresh).or_default() += moved;
-        }
-        plan
+            let moved = self.split_host(victim, fresh, &points);
+            let on_moved = |&(px, py, _): &(u64, u64, u64)| {
+                moved.iter().any(|r| r.contains(px, py, self.max_bits))
+            };
+            residents
+                .into_iter()
+                .zip(&points)
+                .filter(|(_, p)| on_moved(p))
+                .map(|(d, _)| d)
+                .collect()
+        })
     }
 }
 

@@ -80,17 +80,7 @@ impl Partitioner for RoundRobin {
 
     fn scale_out(&mut self, cluster: &Cluster, new_nodes: &[NodeId]) -> RebalancePlan {
         self.nodes.extend_from_slice(new_nodes);
-        // Recompute i mod k for every resident chunk; emit the diff.
-        let mut plan = RebalancePlan::empty();
-        for (key, current) in cluster.placements() {
-            let seq = self.seq_of.get(&key).expect("round robin saw every placement");
-            let target = self.home(seq);
-            if target != current {
-                let bytes = cluster.descriptor(&key).expect("placement is authoritative").bytes;
-                plan.push(key, current, target, bytes);
-            }
-        }
-        plan
+        super::reshuffle(cluster, |key| self.locate(key).expect("round robin saw every placement"))
     }
 }
 

@@ -115,17 +115,7 @@ impl Partitioner for UniformRange {
 
     fn scale_out(&mut self, cluster: &Cluster, new_nodes: &[NodeId]) -> RebalancePlan {
         self.nodes.extend_from_slice(new_nodes);
-        // Linear pass over the leaves via the resident chunks: every chunk
-        // whose leaf block changed owner moves (possibly old -> old).
-        let mut plan = RebalancePlan::empty();
-        for (key, current) in cluster.placements() {
-            let target = self.home(&key);
-            if target != current {
-                let bytes = cluster.descriptor(&key).expect("placement is authoritative").bytes;
-                plan.push(key, current, target, bytes);
-            }
-        }
-        plan
+        super::reshuffle(cluster, |key| self.home(key))
     }
 }
 

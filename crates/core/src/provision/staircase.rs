@@ -59,11 +59,6 @@ impl StaircaseConfig {
             shrink_margin: 0.75,
         }
     }
-
-    /// The paper's climb-only behaviour: defaults with scale-IN disabled.
-    pub fn climb_only() -> Self {
-        StaircaseConfig { shrink_margin: 0.0, ..StaircaseConfig::paper_defaults() }
-    }
 }
 
 /// The controller's verdict for one insert batch.
@@ -108,17 +103,6 @@ impl StaircaseProvisioner {
     /// The configuration in force.
     pub fn config(&self) -> &StaircaseConfig {
         &self.config
-    }
-
-    /// Retune the derivative window (e.g. after running Algorithm 1).
-    pub fn set_samples(&mut self, samples: usize) {
-        assert!(samples >= 1);
-        self.config.samples = samples;
-    }
-
-    /// Retune the planning horizon (e.g. after running the cost model).
-    pub fn set_plan_ahead(&mut self, plan_ahead: usize) {
-        self.config.plan_ahead = plan_ahead;
     }
 
     /// Record the observed storage demand after a workload cycle completes.

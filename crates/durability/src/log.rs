@@ -305,11 +305,6 @@ impl MemLog {
         self.data.is_empty()
     }
 
-    /// Bytes guaranteed durable by the last [`LogStore::flush`].
-    pub fn flushed_len(&self) -> u64 {
-        self.flushed as u64
-    }
-
     /// The raw log image, for offline inspection.
     pub fn bytes(&self) -> &[u8] {
         &self.data

@@ -183,6 +183,48 @@ fn k1_crash_is_typed_loss_never_a_wrong_answer() {
     }
 }
 
+/// Leg 4, grown: the roster keeps growing after a k = 1 crash, so every
+/// scheme plans scale-outs around the orphans, whose placements name the
+/// wreck and whose records are gone. The plans leave them where the crash
+/// did, and the census still reports them lost.
+#[test]
+fn k1_orphans_ride_through_later_scale_outs() {
+    let w = testkit::ais(4, 1_200);
+    // Small nodes: the roster grows in the crash cycle and after it.
+    let node_capacity = w.cells_per_cycle * 30;
+    // Node 1 holds none of Hilbert Curve's data at this scale; node 3
+    // does, so every scheme loses chunks.
+    let wrecks = [NodeId(1), NodeId(3)];
+    for kind in PartitionerKind::ALL {
+        let tag = format!("{kind}/k1-orphans");
+        let faults = FaultPlan::new(7).at(1, FaultKind::Crash(1)).at(1, FaultKind::Crash(3));
+        let fault_plan = Some(faults);
+        let cfg =
+            RunnerConfig { initial_nodes: 4, fault_plan, ..testkit::config(kind, node_capacity) };
+        let mut faulted = WorkloadRunner::new(&w, cfg);
+        let mut added_after_crash = 0;
+        for c in 0..w.cycles {
+            let report = faulted.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
+            if c >= 1 {
+                added_after_crash += report.added_nodes;
+            }
+        }
+        assert!(added_after_crash > 0, "{tag}: no scale-out met the orphans");
+
+        let cluster = faulted.cluster();
+        let census = cluster.replica_census();
+        let orphans: Vec<(ChunkKey, NodeId)> = cluster
+            .placements()
+            .filter(|(key, _)| cluster.home(key).is_some_and(|(_, record)| record.is_none()))
+            .collect();
+        assert!(!orphans.is_empty(), "{tag}: the crash orphaned nothing");
+        assert_eq!(census.lost, orphans.len(), "{tag}: census {census:?}");
+        for (key, node) in orphans {
+            assert!(wrecks.contains(&node), "{tag}: orphan {key} left the wreck for {node}");
+        }
+    }
+}
+
 /// Leg 5: replication is a separate ledger. A fault-free k = 2 run
 /// pins bit-identical placements, loads, balance, scaling, and byte
 /// accounting against the k = 1 run (the pre-replication behavior);

@@ -35,6 +35,12 @@ fn drive(
     (cluster, partitioner)
 }
 
+/// The most loaded node, ties going to the lowest id.
+fn heaviest_node(cluster: &Cluster) -> NodeId {
+    let loads = cluster.nodes().map(|n| (n.used_bytes(), std::cmp::Reverse(n.id)));
+    loads.max().expect("a cluster has nodes").1 .0
+}
+
 fn chunk_stream() -> impl Strategy<Value = Vec<(i64, i64, i64, u64)>> {
     proptest::collection::vec((0i64..64, 0i64..32, 0i64..32, 1u64..100_000_000), 20..200)
 }
@@ -92,6 +98,25 @@ proptest! {
             prop_assert!(cluster.node_count() >= 2);
             for (key, _) in cluster.placements() {
                 prop_assert!(partitioner.locate(&key).is_some(), "{} lost {}", kind, key);
+            }
+        }
+    }
+
+    /// Table 1's Skew-Aware column: a one-node scale-out of a skew-aware
+    /// scheme moves data only off the most loaded preexisting node, ties
+    /// going to the lowest id, and only onto the new node.
+    #[test]
+    fn skew_aware_scale_out_splits_the_heaviest_node(
+        chunks in chunk_stream(),
+        scales in scale_points(),
+    ) {
+        for kind in PartitionerKind::ALL.into_iter().filter(|k| k.features().skew_aware) {
+            let (mut cluster, mut partitioner) = drive(kind, &chunks, &scales);
+            let heaviest = heaviest_node(&cluster);
+            let new = cluster.add_nodes(1, u64::MAX);
+            let plan = partitioner.scale_out(&cluster, &new);
+            for m in &plan.moves {
+                prop_assert_eq!((m.from, m.to), (heaviest, new[0]), "{} moved {}", kind, m.key);
             }
         }
     }
@@ -157,5 +182,36 @@ fn global_schemes_rebalance_globally() {
         let loads: Vec<u64> = counts.iter().map(|&c| c as u64).collect();
         let rsd = relative_std_dev(&loads);
         assert!(rsd < 0.5, "{kind} failed to rebalance: {counts:?}");
+    }
+}
+
+/// The Skew-Aware victim rule's tie: two nodes holding equal loads. Equal
+/// chunks go in at scattered coordinates until the two carry the same
+/// bytes, eight chunks or more each; a one-node scale-out then splits
+/// node 0, the lower id.
+#[test]
+fn skew_aware_ties_split_the_lowest_id() {
+    for kind in PartitionerKind::ALL.into_iter().filter(|k| k.features().skew_aware) {
+        let mut cluster = Cluster::new(2, u64::MAX, CostModel::default()).unwrap();
+        let grid = GridHint::new(vec![64, 32, 32]);
+        let mut p = build_partitioner(kind, &cluster, &grid, &PartitionerConfig::default());
+        for i in 0..4096i64 {
+            let coords = [(i * 37) % 64, (i * 11 + i / 64) % 32, (i * 7 + i / 32) % 32];
+            let desc =
+                ChunkDescriptor::new(ChunkKey::new(ArrayId(0), ChunkCoords::new(coords)), 1_000, 1);
+            let node = p.place(&desc, &cluster);
+            cluster.place(desc, node).unwrap();
+            let loads = cluster.loads();
+            if loads[0] == loads[1] && loads[0] >= 8_000 {
+                break;
+            }
+        }
+        let loads = cluster.loads();
+        assert!(loads[0] == loads[1] && loads[0] > 0, "{kind}: no tie to break: {loads:?}");
+        let new = cluster.add_nodes(1, u64::MAX);
+        let plan = p.scale_out(&cluster, &new);
+        assert!(!plan.is_empty(), "{kind}: the tie split moved nothing");
+        let stray = plan.moves.iter().find(|m| m.from != NodeId(0));
+        assert!(stray.is_none(), "{kind}: {stray:?} is off a node other than node 0");
     }
 }
