@@ -216,19 +216,6 @@ impl Array {
         empty
     }
 
-    /// Compact every chunk that carries tombstones (see
-    /// [`Chunk::compact`]), returning the total byte-size delta
-    /// (positive = bytes reclaimed).
-    pub fn compact_chunks(&mut self) -> i64 {
-        let mut delta = 0i64;
-        for chunk in self.chunks.values_mut() {
-            if chunk.tombstone_count() > 0 {
-                delta += Arc::make_mut(chunk).compact();
-            }
-        }
-        delta
-    }
-
     /// Compact one chunk (see [`Chunk::compact`]), returning the byte
     /// delta, or `None` when the position is vacant or tombstone-free.
     /// The whole-array counterpart of the cluster's per-chunk
@@ -476,7 +463,9 @@ mod tests {
         assert_eq!(again.missing, 2);
         // Compaction reclaims the tombstoned rows; counters are unchanged.
         let (cells, bytes) = (a.cell_count(), a.byte_size());
-        a.compact_chunks();
+        for coords in &out.touched {
+            a.compact_chunk(coords);
+        }
         assert_eq!((a.cell_count(), a.byte_size()), (cells, bytes));
         assert!(a.chunks().all(|(_, c)| c.tombstone_count() == 0));
     }

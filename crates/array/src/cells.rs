@@ -303,7 +303,7 @@ const DENSE_GROUP_MAX_VOLUME: usize = 1 << 20;
 /// 2. **Group.** Each row's chunk index is linearised against that box
 ///    straight into a dense slot table that hands out group ids in
 ///    first-seen order; a [`ChunkCoords`] is materialised once per
-///    *group*. A box wider than [`DENSE_GROUP_MAX_VOLUME`] positions (or
+///    *group*. A box wider than `DENSE_GROUP_MAX_VOLUME` positions (or
 ///    one whose span overflows) keys a tree on a stack [`ChunkCoords`]
 ///    per row instead.
 /// 3. **Sort.** The groups (a few hundred) are ranked by position, their

@@ -61,7 +61,7 @@ impl DimensionDef {
     /// (`x=-10:*,1` holds `i64::MAX`, whose index is 2^63 + 9).
     /// [`crate::chunk_of`] asks this; the batch grouping
     /// ([`crate::RowGroups`]) bounds-checks against
-    /// [`DimensionDef::last_indexable`] and then runs the same division
+    /// `DimensionDef::last_indexable` and then runs the same division
     /// (`chunks_from_start`) with the parameters hoisted.
     #[inline]
     pub fn try_chunk_index(&self, coord: i64) -> Option<i64> {

@@ -6,7 +6,7 @@ use bench_harness::table::{out_dir, TextTable};
 
 fn main() {
     // Cycles 4..13 (1-based), straddling the second expansion wave the
-    // way the paper's window straddles its first (see EXPERIMENTS.md).
+    // way the paper's window straddles its first.
     let (rows, best) = table3_data((3, 12));
     let mut t = TextTable::new(&["", "Cost Estimate (nh)", "Measured Cost (nh)"]);
     for r in &rows {

@@ -293,7 +293,7 @@ fn holdout_error(history: &[f64], train_len: usize, s: usize) -> Option<f64> {
 /// Table 2 for both workloads: AIS on monthly demand (40 samples, train on
 /// the first third as the paper does), MODIS on daily demand (14 samples,
 /// train on the first two thirds — the paper's one-third prefix of a
-/// 14-cycle history cannot even evaluate s = 4; see EXPERIMENTS.md).
+/// 14-cycle history cannot even evaluate s = 4).
 pub fn table2_data() -> (Table2Data, Table2Data) {
     let ais = AisWorkload::with_seed(AIS_SEED);
     let modis = ModisWorkload::with_seed(MODIS_SEED);

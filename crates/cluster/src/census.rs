@@ -3,16 +3,20 @@
 //!
 //! The census is a value the cluster **keeps**, not one it recomputes: a
 //! [`CopyTally`] — placed chunks counted by how many serving copies each
-//! has — that every mutator able to change a chunk's
-//! [`Cluster::serving_copies`] moves between buckets as it goes (`place` /
-//! `place_batch`, `evict_chunk`, a replica superseded by an arriving
-//! primary in `apply_rebalance`, replica top-up, `retire_node`,
-//! promotion and orphaning in `crash_node`, a completed repair job).
+//! has. A chunk enters it with its one primary copy (`place` /
+//! `place_batch`) and leaves it in `evict_chunk`. In between, its count
+//! moves only with its holders, in the two writers of the replica books:
+//! `Cluster::add_holder` (placement, rebalance and retirement top-up, a
+//! completed repair job) and `Cluster::drop_holder` (a replica superseded
+//! by an arriving primary, eviction, retirement, and a crash's strike and
+//! promotion), each moving the index, the holder's ledger and the tally
+//! together. The one count that moves without a holder is a crash's
+//! orphan, whose only copy went with the node.
 //! [`Cluster::replica_census`] folds those few counters against the
 //! effective copy target, so a cycle's report pays for what the cycle
 //! changed, never for what the cluster holds. The definition — walk every
 //! placement, count its serving copies — survives as
-//! [`Cluster::walked_copies`]: it rebuilds the tally on restore (the
+//! `Cluster::walked_copies`: it rebuilds the tally on restore (the
 //! tally is derived state, no checkpoint byte carries it), audits it in
 //! debug builds inside [`Cluster::verify_replica_books`], and is the
 //! model the property suite below holds every mutator to.
@@ -111,7 +115,7 @@ impl Cluster {
     /// effective target `min(k, nodes able to host data)`.
     ///
     /// O(k + nodes) and allocation-free, whatever the cluster holds: the
-    /// per-copy-count tally is maintained by the mutators (module docs),
+    /// per-copy-count tally is maintained by the writers (module docs),
     /// and only the target is computed here, from the roster.
     pub fn replica_census(&self) -> ReplicaCensus {
         self.copies.census(self.effective_target())
@@ -143,9 +147,10 @@ mod tests {
     use crate::node::NodeId;
     use crate::rebalance::RebalancePlan;
     use crate::recovery::{BackoffPolicy, Flakiness, MidCrash};
-    use array_model::{ArrayId, ChunkCoords, ChunkDescriptor};
+    use array_model::{ArrayId, ArraySchema, Chunk, ChunkCoords, ChunkDescriptor, ScalarValue};
     use durability::{ByteReader, ByteWriter};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     /// One scripted step. Node and chunk picks are reduced modulo what
     /// exists when the step runs, so every script is runnable; many
@@ -166,6 +171,15 @@ mod tests {
             threads: usize,
         },
         Evict(usize),
+        /// Place a chunk whose descriptor comes from a real one-column
+        /// payload of `rows` cells, attach it, then install a rebuild
+        /// keeping `keep` of them: every holder's ledger follows.
+        Resize {
+            chunk: i64,
+            node: u32,
+            rows: u8,
+            keep: u8,
+        },
         /// Move the picked chunks, each onto one of its replica holders
         /// when it has any (the arriving primary supersedes that copy),
         /// else onto the picked node.
@@ -192,6 +206,9 @@ mod tests {
                 |(chunks, dup, threads)| Op::PlaceBatch { chunks, dup: dup == 0, threads }
             ),
             (0usize..64).prop_map(Op::Evict),
+            (0i64..48, 0u32..16, 2u8..12, 0u8..64).prop_map(|(chunk, node, rows, keep)| {
+                Op::Resize { chunk, node, rows, keep: 1 + keep % (rows - 1) }
+            }),
             proptest::collection::vec((0usize..64, 0u32..16), 1..8).prop_map(Op::Rebalance),
             (1usize..3).prop_map(Op::AddNodes),
             (0u32..16).prop_map(Op::Crash),
@@ -232,6 +249,17 @@ mod tests {
         census
     }
 
+    /// A one-column payload of `rows` cells for `key`'s chunk.
+    fn payload(key: &ChunkKey, rows: u8) -> Chunk {
+        let schema = ArraySchema::parse("R<v:double>[x=0:*,8, y=0:*,8]").unwrap();
+        let mut chunk = Chunk::new(&schema, key.coords);
+        for r in 0..i64::from(rows) {
+            let cell = vec![key.coords[0] * 8 + r % 8, key.coords[1] * 8 + r / 8];
+            chunk.push_cell(&schema, cell, vec![ScalarValue::Double(r as f64)]).unwrap();
+        }
+        chunk
+    }
+
     fn nth_key(c: &Cluster, i: usize) -> Option<ChunkKey> {
         let n = c.total_chunks();
         (n > 0).then(|| c.placements().nth(i % n).expect("i % n is in range").0)
@@ -253,6 +281,18 @@ mod tests {
                 c.place_batch(&batch, &routes, *threads).is_ok()
             }
             Op::Evict(i) => nth_key(c, *i).is_some_and(|key| c.evict_chunk(&key).is_ok()),
+            Op::Resize { chunk, node: n, rows, keep } => {
+                let key = desc(*chunk, 0).key;
+                let full = payload(&key, *rows);
+                let d = ChunkDescriptor::new(key, full.byte_size(), full.cell_count());
+                if c.place(d, node(*n)).is_err() {
+                    return false;
+                }
+                c.attach_payload(key, full).expect("the descriptor is the payload's");
+                let rebuilt = Arc::new(payload(&key, *keep));
+                c.install_payload(&key, rebuilt).expect("an attached payload resizes");
+                true
+            }
             Op::Rebalance(picks) => {
                 let mut plan = RebalancePlan::empty();
                 for &(i, to) in picks {
@@ -288,8 +328,9 @@ mod tests {
                 let mut w = ByteWriter::new();
                 c.snapshot_into(&mut w);
                 let bytes = w.into_bytes();
+                let cells = |key: &ChunkKey| c.primary_payload(key).ok().cloned();
                 let restored =
-                    Cluster::restore_from(&mut ByteReader::new(&bytes), c.cost.clone(), &|_| None)
+                    Cluster::restore_from(&mut ByteReader::new(&bytes), c.cost.clone(), &cells)
                         .expect("a snapshot restores");
                 assert_eq!(restored.copies, c.copies, "restore recounts the same census");
                 *c = restored;

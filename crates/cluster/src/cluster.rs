@@ -127,16 +127,19 @@ pub struct Cluster {
     /// The replica index, the only book of who holds a copy: which nodes
     /// carry a secondary copy of each chunk, in replica-route order. A
     /// holder serves the chunk's one record (the primary's) and ledgers
-    /// its bytes in [`Node::replica_bytes`]. Empty at `k = 1`.
+    /// its bytes in [`Node::replica_bytes`]. Empty at `k = 1`. Written
+    /// only by `add_holder` and `drop_holder`, which move the holder's
+    /// ledger and the census with it.
     pub(crate) replicas: BTreeMap<ChunkKey, Vec<NodeId>>,
     /// Nodes in the terminal `Retired` state. They keep their roster slot
     /// (node ids are join-order indices and every hash route takes
     /// `nodes.len()` as its modulus) but leave every census denominator;
     /// tracked as a counter so [`Cluster::balance_rsd`] stays O(1).
     pub(crate) retired: usize,
-    /// Placed chunks by number of serving copies — the replica census,
-    /// kept current by every mutator that can change a chunk's
-    /// [`Cluster::serving_copies`] (see [`crate::census`]).
+    /// Placed chunks by number of serving copies — the replica census.
+    /// Placement, eviction and a crash's orphans move a chunk in or out
+    /// of it; `add_holder` and `drop_holder` move it as its holders
+    /// change (see [`crate::census`]).
     pub(crate) copies: CopyTally,
 }
 
@@ -300,8 +303,10 @@ impl Cluster {
             return Err(ClusterError::DuplicateChunk(desc.key));
         }
         self.ledger(node, |n| n.admit(1, desc.bytes));
-        let replicas = if self.replication > 1 { self.place_replicas(&desc) } else { 0 };
-        self.copies.add(1 + replicas, 1);
+        self.copies.add(1, 1);
+        if self.replication > 1 {
+            self.top_up_replicas(&desc.key, None);
+        }
         Ok(())
     }
 
@@ -315,23 +320,6 @@ impl Cluster {
         self.balance.on_change(old, n.used_bytes());
     }
 
-    /// Name the first `k−1` nodes of the freshly placed `desc`'s
-    /// [`Cluster::replica_ring`] its holders — fewer when the roster is
-    /// too small, which the census reports as the effective target — and
-    /// return how many.
-    fn place_replicas(&mut self, desc: &ChunkDescriptor) -> usize {
-        let holders: Vec<NodeId> =
-            self.replica_ring(&desc.key).take(self.replication - 1).collect();
-        for &h in &holders {
-            self.nodes[h.slot()].reledger_held(0, desc.bytes);
-        }
-        let placed = holders.len();
-        if placed > 0 {
-            self.replicas.insert(desc.key, holders);
-        }
-        placed
-    }
-
     /// Which nodes hold a secondary copy of `key`, in replica-route
     /// order. Empty at `k = 1` or for unreplicated chunks. O(log n) and
     /// allocation-free.
@@ -343,8 +331,8 @@ impl Cluster {
     /// key-map writes out over up to `threads` OS threads.
     ///
     /// The batch is partitioned by placement shard (a pure function of
-    /// each chunk key, see [`crate::placement::PlacementIndex::shard_of`])
-    /// and executed in three phases:
+    /// each chunk key, see `PlacementIndex::shard_of`) and executed in
+    /// three phases:
     ///
     /// 1. **reserve** — one slab slot per chunk, taken in batch order;
     /// 2. **shard phase** — one worker per shard group files each chunk's
@@ -441,19 +429,16 @@ impl Cluster {
             }
         }
 
-        // Replica admission rides after the primary batch, sequentially:
-        // the secondary route is a pure function of each key, so the
-        // outcome is identical whatever the thread count, and the k=1
-        // hot path never pays for it. Every primary landed on a node that
-        // accepts data, so each chunk enters the census with that copy
-        // plus the replicas just admitted.
+        // Every primary landed on a node that accepts data, so each chunk
+        // enters the census with that one copy. Replica admission rides
+        // after the primary batch, sequentially: the secondary route is a
+        // pure function of each key, so the outcome is identical whatever
+        // the thread count, and the k=1 hot path never pays for it.
+        self.copies.add(1, batch.len());
         if self.replication > 1 {
             for desc in batch {
-                let replicas = self.place_replicas(desc);
-                self.copies.add(1 + replicas, 1);
+                self.top_up_replicas(&desc.key, None);
             }
-        } else {
-            self.copies.add(1, batch.len());
         }
         Ok(())
     }
@@ -538,7 +523,6 @@ impl Cluster {
         }
         let mut flows = FlowSet::new();
         for m in &plan.moves {
-            let copies = self.serving_copies(&m.key);
             // The validation pass found the record on `m.from`, and a plan
             // moves a key once: the move rewrites the record's home.
             let slot = self.placement.slot(&m.key).expect("validated above");
@@ -549,70 +533,87 @@ impl Cluster {
             // invariant, but read from the cells to keep the flow honest).
             let bytes = record.descriptor().bytes;
             flows.push(m.from, m.to, record.payload().map_or(bytes, |c| c.byte_size()));
+            // The destination may have held a replica of this chunk; the
+            // arriving primary supersedes it, one copy fewer until the
+            // top-up below. The move itself changes only an address.
+            self.drop_holder(&m.key, m.to, bytes);
             self.placement.rehome(slot, m.to);
             self.ledger(m.from, |n| n.release(bytes));
             self.ledger(m.to, |n| n.admit(1, bytes));
-            // The destination may have held a replica of this chunk; the
-            // arriving primary supersedes it.
-            if self.drop_holder(&m.key, m.to) {
-                self.nodes[m.to.slot()].reledger_held(bytes, 0);
-            }
-            // The primary only changed address; a superseded replica is
-            // one copy fewer until the top-up below.
-            self.retally(&m.key, copies);
         }
         if self.replication > 1 {
             for m in &plan.moves {
-                self.top_up_replicas(&m.key, &mut flows);
+                self.top_up_replicas(&m.key, Some(&mut flows));
             }
         }
         Ok(flows)
     }
 
-    /// Restore `key`'s replica set to `k−1` distinct copies after its
-    /// primary moved: the next nodes of its [`Cluster::replica_ring`]
-    /// become holders of its record and ledger its bytes, one repair flow
-    /// per new copy.
-    fn top_up_replicas(&mut self, key: &ChunkKey, flows: &mut FlowSet) {
+    /// Top `key`'s replica set up to `k−1` distinct holders (fewer when
+    /// the roster is too small, which the census reports as the effective
+    /// target): the next nodes of its [`Cluster::replica_ring`] are each
+    /// added with [`Cluster::add_holder`]. With `flows`, every new copy
+    /// is one repair transfer from the primary.
+    fn top_up_replicas(&mut self, key: &ChunkKey, mut flows: Option<&mut FlowSet>) {
         let Ok((primary, _, record)) = self.primary_record(key) else { return };
         let bytes = record.descriptor().bytes;
         let missing = (self.replication - 1).saturating_sub(self.replica_holders(key).len());
         let fresh: Vec<NodeId> = self.replica_ring(key).take(missing).collect();
-        if fresh.is_empty() {
-            return;
+        for node in fresh {
+            self.add_holder(key, node, bytes);
+            if let Some(flows) = flows.as_deref_mut() {
+                flows.push(primary, node, bytes);
+            }
         }
+    }
+
+    /// Name `node` a holder of `key` (after the holders it has, so ring
+    /// order is kept): the replica index lists it, its replica ledger
+    /// takes the chunk's `bytes`, and the census counts the copy. One of
+    /// the two writers of the replica books; [`Cluster::drop_holder`] is
+    /// the other.
+    pub(crate) fn add_holder(&mut self, key: &ChunkKey, node: NodeId, bytes: u64) {
         let copies = self.serving_copies(key);
-        for &node in &fresh {
-            self.nodes[node.slot()].reledger_held(0, bytes);
-            flows.push(primary, node, bytes);
-        }
-        self.replicas.entry(*key).or_default().extend(fresh);
+        self.replicas.entry(*key).or_default().push(node);
+        self.nodes[node.slot()].reledger_held(0, bytes);
         self.retally(key, copies);
     }
 
     /// Strike `node` from `key`'s holders (the whole index entry once its
-    /// last holder goes). Whether it was one; its replica ledger is the
-    /// caller's to settle.
-    fn drop_holder(&mut self, key: &ChunkKey, node: NodeId) -> bool {
-        let Some(holders) = self.replicas.get_mut(key) else { return false };
-        let Some(at) = holders.iter().position(|&h| h == node) else { return false };
-        holders.remove(at);
-        if holders.is_empty() {
-            self.replicas.remove(key);
+    /// last holder goes), take the chunk's `bytes` off its replica ledger
+    /// and move the census. The inverse of [`Cluster::add_holder`]; a
+    /// node that is not a holder changes nothing.
+    fn drop_holder(&mut self, key: &ChunkKey, node: NodeId, bytes: u64) {
+        if !self.replica_holders(key).contains(&node) {
+            return;
         }
-        true
+        let copies = self.serving_copies(key);
+        if let Some(holders) = self.replicas.get_mut(key) {
+            holders.retain(|&h| h != node);
+            if holders.is_empty() {
+                self.replicas.remove(key);
+            }
+        }
+        self.nodes[node.slot()].reledger_held(bytes, 0);
+        self.retally(key, copies);
     }
 
-    /// The chunks `node` holds a replica of, in key order: one pass over
-    /// the replica index.
-    fn held_by(&self, node: NodeId) -> Vec<ChunkKey> {
+    /// Strike `node` from every replica set it is in, in key order, each
+    /// through [`Cluster::drop_holder`] while the node still serves; the
+    /// chunks it held. A crash and a retirement start here.
+    fn strike_holder(&mut self, node: NodeId) -> Vec<ChunkKey> {
         let held = self.replicas.iter().filter(|(_, holders)| holders.contains(&node));
-        held.map(|(key, _)| *key).collect()
+        let keys: Vec<ChunkKey> = held.map(|(key, _)| *key).collect();
+        for key in &keys {
+            let bytes = self.primary_record(key).map_or(0, |(.., r)| r.descriptor().bytes);
+            self.drop_holder(key, node, bytes);
+        }
+        keys
     }
 
-    /// Crash `id`: wipe its store (the failure model is fail-stop with
-    /// total local-storage loss), mark it `Crashed`, strike it from every
-    /// replica set, and fail its lost primaries over to surviving holders.
+    /// Crash `id`: strike it from every replica set, fail its primaries
+    /// over to surviving holders, wipe its store (the failure model is
+    /// fail-stop with total local-storage loss) and mark it `Crashed`.
     ///
     /// For every lost primary with at least one surviving holder, the
     /// first in replica-route order is **promoted** deterministically:
@@ -636,44 +637,36 @@ impl Cluster {
         if !self.nodes.iter().any(|n| n.id != id && n.state().serves_reads()) {
             return Err(ClusterError::NoHealthyNodes);
         }
+        // The books move while the node still serves: each copy it held
+        // is one fewer, and a promotion trades the first holder's copy
+        // for this node's primary, one fewer as well.
+        let dropped_replicas = self.strike_holder(id).len();
         let slots = self.placement.record_slots(Some(id));
-        let key_of = |slot: &usize| self.placement.record(*slot).map(|r| r.descriptor().key);
-        let primary_keys: Vec<ChunkKey> = slots.iter().filter_map(key_of).collect();
-        let replica_keys = self.held_by(id);
-        // Only the chunks with a copy on this node can change strength:
-        // the census pays for the wreck, not for the cluster.
-        let copies: Vec<usize> =
-            primary_keys.iter().chain(&replica_keys).map(|k| self.serving_copies(k)).collect();
+        let lost_primaries = slots.len();
+        let mut orphaned = Vec::new();
+        for slot in slots {
+            let record = self.placement.record(slot).expect("record_slots lists held slots");
+            let desc = *record.descriptor();
+            if let Some(&h) = self.replica_holders(&desc.key).first() {
+                self.drop_holder(&desc.key, h, desc.bytes);
+                self.placement.rehome(slot, h);
+                self.ledger(h, |n| n.admit(1, desc.bytes));
+            } else {
+                // An orphan's one serving copy goes with the node.
+                self.placement.lose(slot);
+                self.retally(&desc.key, 1);
+                orphaned.push(desc.key);
+            }
+        }
         self.ledger(id, |n| {
             n.wipe();
             n.set_state(NodeState::Crashed);
         });
-        for key in &replica_keys {
-            self.drop_holder(key, id);
-        }
-        let mut orphaned = Vec::new();
-        for (slot, key) in slots.into_iter().zip(&primary_keys) {
-            let Some(&h) = self.replica_holders(key).first() else {
-                self.placement.lose(slot);
-                orphaned.push(*key);
-                continue;
-            };
-            self.drop_holder(key, h);
-            let bytes = self.placement.record(slot).map_or(0, |r| r.descriptor().bytes);
-            self.ledger(h, |n| {
-                n.reledger_held(bytes, 0);
-                n.admit(1, bytes);
-            });
-            self.placement.rehome(slot, h);
-        }
-        for (key, before) in primary_keys.iter().chain(&replica_keys).zip(copies) {
-            self.retally(key, before);
-        }
         Ok(CrashReport {
             node: id,
-            lost_primaries: primary_keys.len(),
-            promoted: primary_keys.len() - orphaned.len(),
-            dropped_replicas: replica_keys.len(),
+            lost_primaries,
+            promoted: lost_primaries - orphaned.len(),
+            dropped_replicas,
             orphaned,
         })
     }
@@ -820,8 +813,10 @@ impl Cluster {
         let old = record.resize(desc);
         *record.payload_slot() = Some(chunk);
         self.ledger(home, |n| n.resize(old.bytes, desc.bytes));
-        // Field-level split borrow: the holders are `self.replicas`, the
-        // ledgers live in `self.nodes`.
+        // The holders keep their copies, resized: the one replica-ledger
+        // write outside `add_holder`/`drop_holder`. Field-level split
+        // borrow: the holders are `self.replicas`, the ledgers live in
+        // `self.nodes`.
         for h in self.replicas.get(key).into_iter().flatten() {
             self.nodes[h.slot()].reledger_held(old.bytes, desc.bytes);
         }
@@ -835,22 +830,16 @@ impl Cluster {
     /// slot, descriptor bytes, and replica upkeep forever. The primary
     /// must actually hold the chunk (crashed-orphan entries fail typed).
     pub fn evict_chunk(&mut self, key: &ChunkKey) -> Result<ChunkEviction> {
-        let (node, _, _) = self.primary_record(key)?;
-        self.copies.remove(self.serving_copies(key));
-        // `primary_record` has just found the entry and its record.
-        let (_, evicted) = self.placement.remove(key).expect("primary_record found it");
-        let desc = *evicted.expect("primary_record found it").descriptor();
-        self.ledger(node, |n| n.release(desc.bytes));
-        let holders = self.replicas.remove(key).unwrap_or_default();
-        for &h in &holders {
-            self.nodes[h.slot()].reledger_held(desc.bytes, 0);
+        let (node, _, record) = self.primary_record(key)?;
+        let desc = *record.descriptor();
+        let replicas_dropped = self.replica_holders(key).len();
+        while let Some(&h) = self.replica_holders(key).last() {
+            self.drop_holder(key, h, desc.bytes);
         }
-        Ok(ChunkEviction {
-            node,
-            bytes: desc.bytes,
-            cells: desc.cells,
-            replicas_dropped: holders.len(),
-        })
+        self.copies.remove(self.serving_copies(key));
+        self.placement.remove(key);
+        self.ledger(node, |n| n.release(desc.bytes));
+        Ok(ChunkEviction { node, bytes: desc.bytes, cells: desc.cells, replicas_dropped })
     }
 
     /// Plan the rebalance that empties `id` of primary chunks: each chunk
@@ -913,23 +902,13 @@ impl Cluster {
         if !self.nodes.iter().any(|n| n.id != id && n.state().serves_reads()) {
             return Err(ClusterError::NoHealthyNodes);
         }
-        let replica_keys = self.held_by(id);
-        for key in &replica_keys {
-            let copies = self.serving_copies(key);
-            self.drop_holder(key, id);
-            let bytes =
-                self.primary_record(key).map_or(0, |(.., record)| record.descriptor().bytes);
-            self.nodes[idx].reledger_held(bytes, 0);
-            self.retally(key, copies);
-        }
+        let replica_keys = self.strike_holder(id);
         self.nodes[idx].set_state(NodeState::Retired);
         self.retired += 1;
         debug_assert_eq!(self.nodes[idx].used_bytes(), 0, "an empty node carries no load");
         let mut flows = FlowSet::new();
-        if self.replication > 1 {
-            for key in &replica_keys {
-                self.top_up_replicas(key, &mut flows);
-            }
+        for key in &replica_keys {
+            self.top_up_replicas(key, Some(&mut flows));
         }
         Ok(flows)
     }
@@ -984,7 +963,7 @@ impl Cluster {
     /// to fail over. Returns the first violation as a typed error
     /// ([`ClusterError::DuplicateChunk`] for a second copy on one node).
     /// Debug builds also audit the kept replica census against its
-    /// definition (see [`crate::census`]), and each node's books — its
+    /// definition (see the `census` module), and each node's books — its
     /// primary count and both byte ledgers — against the records the
     /// placement and replica indexes put on it.
     pub fn verify_replica_books(&self) -> Result<()> {

@@ -239,7 +239,9 @@ impl Node {
 
     /// Move the replica ledger from a held copy's `old` size to its `new`
     /// one: `(0, bytes)` takes a copy on, `(bytes, 0)` drops it, anything
-    /// else follows its primary's resize.
+    /// else follows its primary's resize. Called by the replica books'
+    /// two writers, `Cluster::add_holder` and `Cluster::drop_holder`, by
+    /// `Cluster::install_payload` for a resize, and on restore.
     pub(crate) fn reledger_held(&mut self, old: u64, new: u64) {
         reledger(&mut self.replica_bytes, old, new, "replica", self.id);
     }
@@ -346,9 +348,11 @@ impl Node {
         Ok((node, primaries, held))
     }
 
-    /// Zero the node's books — a crash wiped its store. The caller moves
-    /// its records (promotes or loses them), and settles the replica
-    /// index and the cluster-level balance census.
+    /// Zero the node's books — a crash wiped its store. By then
+    /// `Cluster::crash_node` has moved its records (promoted or lost
+    /// them) and struck it from every replica set through
+    /// `Cluster::drop_holder`, which emptied its replica ledger; the
+    /// balance census follows through `Cluster::ledger`.
     pub(crate) fn wipe(&mut self) {
         self.primaries = 0;
         self.used_bytes = 0;

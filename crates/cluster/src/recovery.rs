@@ -16,9 +16,11 @@
 //! ```
 //!
 //! The failure model is **fail-stop with total local-storage loss**: a
-//! crash wipes the node's store and zeroes both byte ledgers, strikes it
-//! from every replica set, and promotes each lost primary onto its first
-//! surviving holder before it returns. `Draining` (scale-IN
+//! crash strikes the node from every replica set and promotes each of
+//! its primaries onto the first surviving holder (both through
+//! `Cluster::drop_holder`, which moves the holder's ledger and the census
+//! with the index), then wipes the node's store and zeroes its books
+//! before it returns. `Draining` (scale-IN
 //! preparation) keeps serving reads but accepts no new data, so every
 //! routing path — primary placement diversion, replica rings, repair
 //! targets — walks around it.
@@ -45,11 +47,12 @@
 //! since planning — or *during* execution, which the `mid_crash` hook of
 //! [`Cluster::execute_recovery_with`] injects deterministically) and
 //! falls over to an alternate serving source or the next ring target.
-//! A completed copy names its target a holder in the replica index and
-//! adds the chunk's bytes to the target's replica ledger, and every
-//! transfer is pushed into one [`FlowSet`] so recovery time runs through
-//! the same half-duplex/fabric contention solver as rebalance — repair is
-//! costed, never free.
+//! A completed copy lands through `Cluster::add_holder`, the replica
+//! books' one writer for a new copy: the target becomes a holder in the
+//! replica index, its replica ledger takes the chunk's bytes and the
+//! census counts the copy. Every transfer is pushed into one [`FlowSet`]
+//! so recovery time runs through the same half-duplex/fabric contention
+//! solver as rebalance — repair is costed, never free.
 //!
 //! # Backoff policy
 //!
@@ -314,10 +317,7 @@ impl Cluster {
                 // holds it, or holds a replica of it (`verify_replica_books`).
                 let (.., record) = self.primary_record(&job.key).expect("a serving copy's record");
                 let bytes = record.descriptor().bytes;
-                self.nodes[tgt.slot()].reledger_held(0, bytes);
-                let copies = self.serving_copies(&job.key);
-                self.replicas.entry(job.key).or_default().push(tgt);
-                self.retally(&job.key, copies);
+                self.add_holder(&job.key, tgt, bytes);
                 out.flows.push(src, tgt, bytes);
                 out.repaired += 1;
                 break;

@@ -79,11 +79,6 @@ impl ExtendibleHash {
     fn buckets_of(&self, node: NodeId) -> Vec<Bucket> {
         self.buckets.iter().filter(|(_, &n)| n == node).map(|(b, _)| *b).collect()
     }
-
-    /// Number of buckets (for tests/ablation).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 fn split_bucket(b: Bucket) -> (Bucket, Bucket) {
@@ -196,7 +191,7 @@ mod tests {
         for n in 1..=8usize {
             let nodes: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
             let p = ExtendibleHash::new(&nodes);
-            assert_eq!(p.bucket_count(), n);
+            assert_eq!(p.buckets.len(), n);
             // Every hash must resolve.
             for h in [0u64, 1, u64::MAX, 0xdead_beef] {
                 let _ = p.owner(h);

@@ -41,13 +41,13 @@
 //! * **Skew-Aware** (K-d Tree, Incremental Quadtree, Hilbert Curve,
 //!   Extendible Hash): each new node splits the most loaded preexisting
 //!   node, which hands it part of its table and the chunks under that
-//!   part ([`split_heaviest`]). Only the split node's data moves, so the
+//!   part (`split_heaviest`). Only the split node's data moves, so the
 //!   scale-out is also incremental. Each scheme supplies just its table
 //!   split.
 //! * **not Skew-Aware**, table-wide (Consistent Hash, Round Robin,
 //!   Uniform Range): the table takes the new nodes in, every chunk's
 //!   owner is re-derived, and each chunk whose owner changed moves
-//!   ([`reshuffle`]). Only Consistent Hash is incremental: a new ring
+//!   (`reshuffle`). Only Consistent Hash is incremental: a new ring
 //!   point claims arcs for a new node alone. Round Robin and Uniform
 //!   Range ship chunks between preexisting nodes.
 //! * **Append** moves nothing: new nodes only become its next spill

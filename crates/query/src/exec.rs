@@ -342,7 +342,7 @@ impl<'a> ExecutionContext<'a> {
     ///    placement index that routed it — and shared by the cost and
     ///    answer loops;
     /// 3. with pruning enabled, a fetched chunk the query
-    ///    [refutes](ExecutionContext::refuted) is dropped from the visit
+    ///    refutes (`ExecutionContext::refuted`) is dropped from the visit
     ///    list and counted as pruned.
     pub fn plan_scan<'p>(
         &self,

@@ -145,7 +145,7 @@ pub struct KnnAnswer {
 ///
 /// The rings oversample — a query point sees thousands of candidate cells
 /// to keep `k` — so the answer is a selection, not a sort, and the
-/// candidates are never all held: see [`Nearest`].
+/// candidates are never all held: see `Nearest`.
 pub fn knn(
     ctx: &ExecutionContext<'_>,
     array_id: ArrayId,

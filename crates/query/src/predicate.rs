@@ -156,7 +156,7 @@ impl Predicate {
     }
 
     /// Check the predicate against the attribute's declared type; a
-    /// mismatch is a typed [`QueryError::AttributeType`].
+    /// mismatch is a typed [`crate::QueryError::AttributeType`].
     pub fn check_type(&self, attribute: &str, ty: AttributeType) -> Result<()> {
         match self {
             Predicate::Num(_) => require_type(attribute, ty, "numeric", NUMERIC),

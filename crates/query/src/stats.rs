@@ -29,19 +29,6 @@ pub struct QueryStats {
     pub remote_fetches: u64,
 }
 
-impl QueryStats {
-    /// Merge another query's stats into this one, **sequentially** (the
-    /// benchmark suites run query after query).
-    pub fn merge_sequential(&mut self, other: &QueryStats) {
-        self.elapsed_secs += other.elapsed_secs;
-        self.bytes_scanned += other.bytes_scanned;
-        self.bytes_shuffled += other.bytes_shuffled;
-        self.chunks_visited += other.chunks_visited;
-        self.chunks_pruned += other.chunks_pruned;
-        self.remote_fetches += other.remote_fetches;
-    }
-}
-
 /// Scale a chunk's (or column slice's) byte size by a fractional
 /// selectivity, **rounding up** with a one-byte floor for non-empty
 /// inputs. The naive `(bytes as f64 * fraction) as u64` truncates — a
@@ -242,15 +229,6 @@ mod tests {
         let mut w2 = WorkTracker::new(&c);
         w2.shuffle(NodeId(0), NodeId(0), GB);
         assert_eq!(w2.finish().bytes_shuffled, 0);
-    }
-
-    #[test]
-    fn merge_sequential_adds_time() {
-        let mut a = QueryStats { elapsed_secs: 2.0, ..Default::default() };
-        let b = QueryStats { elapsed_secs: 3.0, bytes_scanned: 7, ..Default::default() };
-        a.merge_sequential(&b);
-        assert!((a.elapsed_secs - 5.0).abs() < 1e-12);
-        assert_eq!(a.bytes_scanned, 7);
     }
 
     #[test]

@@ -129,7 +129,7 @@ pub fn row_key(coords: &[i64], values: &[ScalarValue]) -> RowKey {
 /// `cmp_rows(a, b) == row_key(a).cmp(&row_key(b))` for any two rows,
 /// without allocating. A tuple of `Vec`s compares its parts in turn and
 /// each `Vec` lexicographically — so do the slices here, the values
-/// through [`KeyImage`].
+/// through `KeyImage`.
 pub fn cmp_rows(a: (&[i64], &[ScalarValue]), b: (&[i64], &[ScalarValue])) -> Ordering {
     a.0.cmp(b.0).then_with(|| a.1.iter().map(KeyImage::of).cmp(b.1.iter().map(KeyImage::of)))
 }
@@ -222,7 +222,7 @@ pub struct ZSet {
 
 impl ZSet {
     /// Add `weight` copies of the (unkeyed) row; returns the row's new
-    /// net weight. The one-row form of [`ZSet::merge`], at the same cost:
+    /// net weight. The one-row form of `ZSet::merge`, at the same cost:
     /// a pass over the run.
     pub fn add(&mut self, coords: &[i64], values: &[ScalarValue], weight: i64) -> i64 {
         self.merge(vec![StagedRow { key: Vec::new(), row: Staged::Lent(coords, values), weight }]);

@@ -19,7 +19,7 @@
 //! * [`ScalingPolicy::Staircase`] — the §6.3 leading-staircase controller.
 
 use crate::durable::{self, mismatch, DurabilityConfig, Wal};
-use crate::faults::{ErrorPolicy, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::spec::{SuiteReport, Workload};
 use crate::world::{CycleFaults, RetractTally, World};
 use array_model::{Array, ArrayError, ArrayId, ChunkDescriptor, StringEncoding};
@@ -220,8 +220,6 @@ pub struct RunnerConfig {
     pub replication: usize,
     /// Scheduled fault injection; `None` runs fault-free.
     pub fault_plan: Option<FaultPlan>,
-    /// What [`WorkloadRunner::run_all`] does when a cycle fails.
-    pub on_error: ErrorPolicy,
     /// Automatic tombstone GC: a placed chunk whose tombstone count
     /// reaches this fraction of its physical rows is compacted in the
     /// retraction step (every copy takes the one rebuilt handle), bounding
@@ -234,9 +232,8 @@ pub struct RunnerConfig {
     /// runner state checkpoints periodically, so
     /// [`WorkloadRunner::recover`] can rebuild the exact pre-crash
     /// state. `None` (the default) runs purely in memory with zero
-    /// logging overhead. A durable [`WorkloadRunner::run_all`] stops at
-    /// the first failing cycle whatever [`RunnerConfig::on_error`] says:
-    /// that cycle never committed, and recovery rolls it back.
+    /// logging overhead. A failing cycle of a durable run never
+    /// committed, and recovery rolls it back.
     pub durability: Option<DurabilityConfig>,
 }
 
@@ -264,7 +261,6 @@ impl Default for RunnerConfig {
             string_encoding: StringEncoding::default(),
             replication: 1,
             fault_plan: None,
-            on_error: ErrorPolicy::default(),
             gc_tombstone_ratio: 0.5,
             durability: None,
         }
@@ -336,16 +332,6 @@ pub struct CycleReport {
     pub suites: Option<SuiteReport>,
 }
 
-/// A cycle [`WorkloadRunner::run_all`] abandoned under
-/// [`ErrorPolicy::RecordAndContinue`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FailedCycle {
-    /// The cycle that failed.
-    pub cycle: usize,
-    /// The rendered [`CycleError`].
-    pub error: String,
-}
-
 /// Full-run summary.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunReport {
@@ -353,9 +339,6 @@ pub struct RunReport {
     pub partitioner: PartitionerKind,
     /// Per-cycle detail.
     pub cycles: Vec<CycleReport>,
-    /// Cycles that failed and were skipped — empty under
-    /// [`ErrorPolicy::Abort`] (the run errors instead) and on clean runs.
-    pub failures: Vec<FailedCycle>,
 }
 
 impl RunReport {
@@ -634,26 +617,16 @@ impl<'w> WorkloadRunner<'w> {
         })
     }
 
-    /// Run every cycle of the workload. Under [`ErrorPolicy::Abort`] (the
-    /// default) the run stops at the first failure; under
-    /// [`ErrorPolicy::RecordAndContinue`] the failing cycle is recorded in
-    /// [`RunReport::failures`] and the run presses on against whatever
-    /// state survives — unless the run is durable, which always stops
-    /// (see [`RunnerConfig::durability`]).
-    /// A recovered runner resumes at [`WorkloadRunner::start_cycle`]
-    /// (the recovered prefix is not re-run).
+    /// Run every cycle of the workload, stopping at the first failing
+    /// one with its error. A recovered runner resumes at
+    /// [`WorkloadRunner::start_cycle`] (the recovered prefix is not
+    /// re-run).
     pub fn run_all(&mut self) -> Result<RunReport, CycleError> {
         let mut cycles = Vec::with_capacity(self.workload.get().cycles());
-        let mut failures = Vec::new();
-        let press_on = self.config.on_error == ErrorPolicy::RecordAndContinue && self.wal.is_none();
         for c in self.start_cycle..self.workload.get().cycles() {
-            match self.run_cycle(c) {
-                Ok(report) => cycles.push(report),
-                Err(e) if press_on => failures.push(FailedCycle { cycle: c, error: e.to_string() }),
-                Err(e) => return Err(e),
-            }
+            cycles.push(self.run_cycle(c)?);
         }
-        Ok(RunReport { partitioner: self.config.partitioner, cycles, failures })
+        Ok(RunReport { partitioner: self.config.partitioner, cycles })
     }
 
     /// Rebuild a runner from its durable log, borrowing the workload.
@@ -894,23 +867,11 @@ mod tests {
             WorkloadRunner::new_owned(CollidingWorkload, config(PartitionerKind::RoundRobin));
         let err = runner.run_all().expect_err("cycle 1 replays cycle 0's keys");
         assert!(matches!(err, CycleError::Ingest { cycle: 1, .. }), "got {err}");
-    }
-
-    #[test]
-    fn record_and_continue_policy_survives_failing_cycles() {
-        let mut cfg = config(PartitionerKind::RoundRobin);
-        cfg.on_error = ErrorPolicy::RecordAndContinue;
-        let mut runner = WorkloadRunner::new_owned(CollidingWorkload, cfg);
-        let report = runner.run_all().expect("failures are recorded, not raised");
-        assert_eq!(report.cycles.iter().map(|c| c.cycle).collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].cycle, 1);
-        assert!(report.failures[0].error.contains("cycle 1"), "{}", report.failures[0].error);
-        // The colliding batch rolled back wholesale: cycle 2's books
-        // balance exactly as if cycle 1 had never run.
+        // The colliding batch rolled back wholesale: the books balance
+        // exactly as if cycle 1 had never run.
         let total: u64 = runner.cluster().loads().iter().sum();
         assert_eq!(total, runner.cluster().total_used());
-        assert_eq!(total, 16_000_000, "cycles 0 and 2 landed, cycle 1 did not");
+        assert_eq!(total, 8_000_000, "cycle 0 landed, cycle 1 did not");
     }
 
     /// Sustained churn: every cycle inserts a fresh coordinate range and

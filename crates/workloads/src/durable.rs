@@ -116,7 +116,7 @@ const TAG_CYCLE_END: u8 = 7;
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalEvent {
     /// Written once, first, on an empty log: pins the log to one
-    /// `(workload, config)` via [`config_fingerprint`].
+    /// `(workload, config)` via `config_fingerprint`.
     Genesis {
         /// The writing run's config fingerprint.
         fingerprint: u64,
@@ -131,7 +131,7 @@ pub enum WalEvent {
     Faults {
         /// The cycle the faults belong to.
         cycle: u64,
-        /// [`fault_digest`] over the cycle's events.
+        /// `fault_digest` over the cycle's events.
         digest: u64,
     },
     /// The cycle's materialized insert payload, verbatim.
@@ -305,8 +305,8 @@ fn fold_f64(h: u64, v: f64) -> u64 {
 /// scaling policy, encoding, replication, fault schedule, and GC
 /// thresholds. Deliberately excludes `ingest_threads` (the driver is
 /// thread-count invariant), `run_queries` (queries are read-only),
-/// `cost` (costing shapes reports, not placement), `on_error`, and the
-/// durability wiring itself. A recovering config whose fingerprint
+/// `cost` (costing shapes reports, not placement), and the durability
+/// wiring itself. A recovering config whose fingerprint
 /// disagrees with the log's genesis record is a different run, and
 /// recovery refuses it.
 ///

@@ -12,7 +12,6 @@
 
 use cluster_sim::BackoffPolicy;
 use elastic_core::hashing::splitmix64;
-use serde::{Deserialize, Serialize};
 
 /// One scheduled fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,24 +90,6 @@ impl FaultPlan {
     pub fn cycle_seed(&self, cycle: usize) -> u64 {
         splitmix64(self.seed ^ cycle as u64)
     }
-}
-
-/// What [`run_all`](crate::WorkloadRunner::run_all) does when a cycle
-/// fails.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ErrorPolicy {
-    /// Stop at the first failing cycle and return its error (the
-    /// pre-fault behavior, and the default).
-    #[default]
-    Abort,
-    /// Record the failure in [`RunReport::failures`]
-    /// (crate::RunReport::failures) and keep driving the remaining
-    /// cycles against whatever state survives. A durable run
-    /// ([`RunnerConfig::durability`](crate::RunnerConfig::durability))
-    /// stops at its first failing cycle regardless: the failed cycle's
-    /// partial effects were never logged, so nothing after it could be
-    /// replayed.
-    RecordAndContinue,
 }
 
 #[cfg(test)]

@@ -28,11 +28,9 @@ pub mod synthetic;
 mod world;
 
 pub use ais::AisWorkload;
-pub use cycle::{
-    CycleError, CycleReport, FailedCycle, RunReport, RunnerConfig, ScalingPolicy, WorkloadRunner,
-};
+pub use cycle::{CycleError, CycleReport, RunReport, RunnerConfig, ScalingPolicy, WorkloadRunner};
 pub use durable::{DurabilityConfig, WalEvent};
-pub use faults::{ErrorPolicy, FaultEvent, FaultKind, FaultPlan};
+pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use modis::ModisWorkload;
 pub use rand_util::{lognormal, rng_for, standard_normal, zipf_weight};
 pub use spec::{CellBatch, QueryRecord, SuiteReport, Workload};

@@ -12,7 +12,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`array`] | `array-model` | schemas, chunks, coordinates, Hilbert curves |
+//! | [`array`](mod@array) | `array-model` | schemas, chunks, coordinates, Hilbert curves |
 //! | [`cluster`] | `cluster-sim` | nodes, placement, byte-flow cost model |
 //! | [`elastic`] | `elastic-core` | the 8 partitioners + the staircase provisioner |
 //! | [`query`] | `query-engine` | distributed array operators with cost accounting |
@@ -65,8 +65,7 @@ pub mod prelude {
     };
     pub use query_engine::{ops, Catalog, ExecutionContext, Predicate, QueryStats, StoredArray};
     pub use workloads::{
-        AisWorkload, CycleError, ErrorPolicy, FailedCycle, FaultEvent, FaultKind, FaultPlan,
-        ModisWorkload, RunReport, RunnerConfig, ScalingPolicy, SuiteReport, Workload,
-        WorkloadRunner,
+        AisWorkload, CycleError, FaultEvent, FaultKind, FaultPlan, ModisWorkload, RunReport,
+        RunnerConfig, ScalingPolicy, SuiteReport, Workload, WorkloadRunner,
     };
 }

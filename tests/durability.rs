@@ -448,8 +448,6 @@ fn mismatched_config_is_refused() {
 // Checkpoint eligibility, fsync policies, and what a crash really loses.
 // ---------------------------------------------------------------------
 
-use workloads::ErrorPolicy;
-
 /// A [`MemLog`] the test keeps a typed handle to (to crash it, misfile
 /// its checkpoints, read its bytes) while runners append through the
 /// same store.
@@ -550,12 +548,11 @@ fn checkpoint_ahead_of_the_durable_log_is_skipped() {
 
 /// A failed cycle's partial effects were never logged, so a durable
 /// run cannot press on past it and stay replayable: it stops at the
-/// first failing cycle even under `RecordAndContinue`, and the log it
-/// leaves behind recovers to the last committed cycle.
+/// first failing cycle, and the log it leaves behind recovers to the
+/// last committed cycle.
 #[test]
 fn durable_run_stops_at_its_first_failing_cycle() {
-    let mut cfg = meta_config();
-    cfg.on_error = ErrorPolicy::RecordAndContinue;
+    let cfg = meta_config();
     let w = MetaWorkload { cycles: 3, collide: true };
     let mut oracle = WorkloadRunner::new(&w, cfg.clone());
     oracle.run_cycle(0).expect("cycle 0 is clean");
