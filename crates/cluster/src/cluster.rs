@@ -9,8 +9,9 @@ use crate::placement::{
 };
 use crate::rebalance::RebalancePlan;
 use crate::transfer::FlowSet;
-use array_model::{ArrayId, Chunk, ChunkDescriptor, ChunkKey};
+use array_model::{ArrayId, Chunk, ChunkCoords, ChunkDescriptor, ChunkKey};
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Salt mixed into the chunk-key hash so the replica ring start is
@@ -112,8 +113,10 @@ fn place_shards(
 ///
 /// Placement lookups and inserts are O(1) for arrays registered via
 /// [`Cluster::register_array`] (lookups allocation-free, inserts only
-/// when the record slab grows); unregistered arrays fall back to hashing. The per-insert balance census ([`Cluster::balance_rsd`])
-/// is O(1) thanks to incrementally maintained load moments.
+/// when the record slab grows); unregistered arrays fall back to the
+/// ordered spill maps, O(log n). The per-insert balance census
+/// ([`Cluster::balance_rsd`]) is O(1) thanks to incrementally maintained
+/// load moments.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     pub(crate) nodes: Vec<Node>,
@@ -178,10 +181,10 @@ impl Cluster {
     }
 
     /// Register the chunk-grid extents of an array so its placements use
-    /// the dense O(1) index. Optional — unregistered arrays work through a
-    /// hash fallback — and a performance hint only: coordinates beyond the
-    /// extents (unbounded dimensions outgrowing the hint) spill to a hash
-    /// map transparently. Returns whether the dense grid was installed.
+    /// the dense O(1) index. Optional — unregistered arrays work through
+    /// the ordered spill maps — and a performance hint only: coordinates
+    /// beyond the extents (unbounded dimensions outgrowing the hint) spill
+    /// there transparently. Returns whether the dense grid was installed.
     pub fn register_array(&mut self, array: ArrayId, chunk_extents: &[i64]) -> bool {
         self.placement.register_dense(array, chunk_extents)
     }
@@ -752,6 +755,23 @@ impl Cluster {
     pub fn home(&self, key: &ChunkKey) -> Option<(NodeId, Option<&Resident>)> {
         let slot = self.placement.slot(key)?;
         Some((self.placement.home(slot), self.placement.record(slot)))
+    }
+
+    /// Every placed chunk of `array` inside the box of chunk positions
+    /// `first..=last` (keys of another arity lie outside it), in
+    /// ascending key order — its coordinates, the node holding its
+    /// primary and its record, as [`Cluster::home`] gives them — handed
+    /// to `visit` until it breaks. One streaming walk of the placement
+    /// index with no per-call buffer: it costs the box ∩ the array's
+    /// registered grid, plus the spilled keys in the box.
+    pub fn band<'c, B>(
+        &'c self,
+        array: ArrayId,
+        first: &ChunkCoords,
+        last: &ChunkCoords,
+        visit: impl FnMut(&ChunkCoords, NodeId, Option<&'c Resident>) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        self.placement.band(array, first, last, visit)
     }
 
     /// The descriptor on `key`'s record, when it is placed and not lost.

@@ -17,7 +17,17 @@
 //! its own spill map for everything that cannot live in a grid
 //! (coordinates past the registered extents, unregistered arrays, and
 //! array ids beyond the indexed range, which hash onto a shard). A grid
-//! cell holds the chunk's slab slot.
+//! cell holds the chunk's slab slot. A spill map is ordered by key
+//! (`(array, coords)`), so a box of one array can be sought in it.
+//!
+//! **The band walk.** [`PlacementIndex::band`] hands out every placed
+//! chunk of one array inside a box of chunk positions, in ascending key
+//! order, with no per-call buffer: the grid cells of the box, one
+//! contiguous run of the inner dimension at a time (cut where a slab
+//! ends, an empty slab skipped whole), merged with each shard's spilled
+//! keys in the box. It costs the box ∩ the registered grid cells, plus
+//! the spilled keys in the box and one seek per shard (and per run of
+//! spilled keys it skips) — never every spilled key.
 //!
 //! Because a chunk's shard is a pure function of its key
 //! ([`PlacementIndex::shard_of`]), a batch of placements can be
@@ -29,7 +39,8 @@
 
 use crate::node::{NodeId, Resident};
 use array_model::{ArrayId, ChunkCoords, ChunkKey, MAX_DIMS};
-use std::collections::HashMap;
+use std::collections::{btree_map, BTreeMap};
+use std::ops::ControlFlow;
 
 /// Vacant-slot sentinel in the dense grids (slab slots are indices into
 /// vectors that never reach 4 billion entries).
@@ -120,7 +131,8 @@ impl DenseMeta {
         Some(lin)
     }
 
-    /// Inverse of [`DenseMeta::linearize`] (reporting paths only).
+    /// Inverse of [`DenseMeta::linearize`] (reporting paths, and the band
+    /// walk past an empty slab).
     fn delinearize(&self, mut lin: usize) -> ChunkCoords {
         let ndims = self.ndims as usize;
         let mut out = ChunkCoords::zeros(ndims);
@@ -160,8 +172,9 @@ pub(crate) struct PlacementShard {
     /// Slab per array id; present iff the array is registered dense and
     /// this shard's slot range intersects its volume.
     slabs: Vec<Option<Slab>>,
-    /// Sparse entries hashed to this shard: key → record-slab slot.
-    spill: HashMap<ChunkKey, u32>,
+    /// Sparse entries hashed to this shard, in key order: key →
+    /// record-slab slot.
+    spill: BTreeMap<ChunkKey, u32>,
 }
 
 impl PlacementShard {
@@ -193,10 +206,10 @@ impl PlacementShard {
                 return Ok(());
             }
         }
-        match self.spill.get(&key) {
-            Some(&prev) => Err(prev),
-            None => {
-                self.spill.insert(key, slot);
+        match self.spill.entry(key) {
+            btree_map::Entry::Occupied(prior) => Err(*prior.get()),
+            btree_map::Entry::Vacant(vacant) => {
+                vacant.insert(slot);
                 Ok(())
             }
         }
@@ -217,6 +230,118 @@ impl PlacementShard {
             }
         }
         self.spill.remove(key)
+    }
+}
+
+/// Where an ascending walk of the box `first..=last` goes from `coords`:
+/// `Ok(())` when `coords` lies in the box on every dimension both have;
+/// otherwise the smallest in-box position above `coords`
+/// (`Err(Some(next))`), or `Err(None)` when no position above it lies in
+/// the box. That position keeps `coords`' prefix up to the first
+/// dimension that leaves the box, then takes the box's first corner —
+/// after a carry into the nearest earlier dimension with room when
+/// `coords` ran past the box rather than short of it.
+fn seek(
+    first: &ChunkCoords,
+    last: &ChunkCoords,
+    coords: &ChunkCoords,
+) -> Result<(), Option<ChunkCoords>> {
+    let dims = first.ndims().min(coords.ndims());
+    let Some(d) = (0..dims).find(|&d| coords[d] < first[d] || coords[d] > last[d]) else {
+        return Ok(());
+    };
+    let mut next = *first;
+    let keep = if coords[d] < first[d] {
+        d
+    } else {
+        let Some(carry) = (0..d).rev().find(|&j| coords[j] < last[j]) else {
+            return Err(None);
+        };
+        next[carry] = coords[carry] + 1;
+        carry
+    };
+    next.as_mut_slice()[..keep].copy_from_slice(&coords.as_slice()[..keep]);
+    Err(Some(next))
+}
+
+/// One shard's spilled keys of one array inside a box, in key order: its
+/// spill map sought at the box's first corner and re-sought past every
+/// run of keys outside the box ([`seek`]).
+struct SpillRun<'a> {
+    map: &'a BTreeMap<ChunkKey, u32>,
+    run: btree_map::Range<'a, ChunkKey, u32>,
+    array: ArrayId,
+}
+
+impl<'a> SpillRun<'a> {
+    /// The next key in the box and its slab slot; `None` once there is
+    /// none (not to be called again).
+    fn next(&mut self, first: &ChunkCoords, last: &ChunkCoords) -> Option<(&'a ChunkCoords, u32)> {
+        loop {
+            let (key, &slot) = self.run.next()?;
+            if key.array != self.array {
+                return None;
+            }
+            match seek(first, last, &key.coords) {
+                Ok(()) if key.coords.ndims() == first.ndims() => return Some((&key.coords, slot)),
+                Ok(()) => {}
+                Err(Some(next)) => self.run = self.map.range(ChunkKey::new(self.array, next)..),
+                Err(None) => return None,
+            }
+        }
+    }
+}
+
+/// Every shard's [`SpillRun`] over one box, merged into key order: each
+/// shard's next key, and which of them is the least.
+struct Spilled<'a> {
+    runs: [SpillRun<'a>; SHARD_COUNT],
+    heads: [Option<(&'a ChunkCoords, u32)>; SHARD_COUNT],
+    /// The shard whose head is the least, while any is left.
+    next: Option<usize>,
+}
+
+impl<'a> Spilled<'a> {
+    fn open(
+        shards: &'a [PlacementShard],
+        array: ArrayId,
+        first: &ChunkCoords,
+        last: &ChunkCoords,
+    ) -> Self {
+        let mut runs: [SpillRun<'a>; SHARD_COUNT] = std::array::from_fn(|s| {
+            let map = &shards[s].spill;
+            SpillRun { map, run: map.range(ChunkKey::new(array, *first)..), array }
+        });
+        let heads = std::array::from_fn(|s| runs[s].next(first, last));
+        let mut spilled = Spilled { runs, heads, next: None };
+        spilled.next = spilled.least();
+        spilled
+    }
+
+    fn least(&self) -> Option<usize> {
+        let heads = self.heads.iter().enumerate();
+        heads.filter_map(|(s, head)| Some((head.as_ref()?.0, s))).min().map(|(_, s)| s)
+    }
+
+    /// Hand `visit` every spilled key below `bound` (all that are left
+    /// when `None`), in key order.
+    fn drain<B>(
+        &mut self,
+        bound: Option<&ChunkCoords>,
+        first: &ChunkCoords,
+        last: &ChunkCoords,
+        visit: &mut impl FnMut(&ChunkCoords, usize) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        while let Some(s) = self.next {
+            let (coords, slot) = self.heads[s].expect("the least shard has a head");
+            if bound.is_some_and(|b| coords > b) {
+                break;
+            }
+            visit(coords, slot as usize)?;
+            self.heads[s] = self.runs[s].next(first, last);
+            self.next = self.least();
+        }
+        ControlFlow::Continue(())
     }
 }
 
@@ -267,8 +392,8 @@ impl PlacementIndex {
     /// sharded dense representation. Returns `true` when the slabs were
     /// installed (extent product within the allocation cap, id in range).
     /// Existing placements are migrated. Unbounded dimensions should pass
-    /// their expected chunk-count hint; coordinates beyond it spill to a
-    /// hash map, so the hint affects only performance.
+    /// their expected chunk-count hint; coordinates beyond it spill to
+    /// the spill maps, so the hint affects only performance.
     pub(crate) fn register_dense(&mut self, array: ArrayId, extents: &[i64]) -> bool {
         assert!(
             !extents.is_empty() && extents.len() <= MAX_DIMS,
@@ -560,6 +685,111 @@ impl PlacementIndex {
             .collect()
     }
 
+    /// Every placed chunk of `array` whose coordinates lie in the box
+    /// `first..=last` (and have its arity), in ascending key order: its
+    /// coordinates, home and record, handed to `visit` until it breaks.
+    /// Streams — nothing is collected — at the cost the module docs give.
+    pub(crate) fn band<'s, B>(
+        &'s self,
+        array: ArrayId,
+        first: &ChunkCoords,
+        last: &ChunkCoords,
+        mut visit: impl FnMut(&ChunkCoords, NodeId, Option<&'s Resident>) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let n = first.ndims();
+        if last.ndims() != n || (0..n).any(|d| first[d] > last[d]) {
+            return ControlFlow::Continue(());
+        }
+        let mut visit = |coords: &ChunkCoords, slot: usize| {
+            let (home, record) = self.entry(slot);
+            visit(coords, *home, record.as_ref())
+        };
+        let mut spilled = Spilled::open(&self.shards, array, first, last);
+        let meta = self.meta(array).filter(|m| m.ndims as usize == n);
+        if let Some(meta) = meta {
+            self.walk_grid(array, meta, first, last, &mut spilled, &mut visit)?;
+        }
+        spilled.drain(None, first, last, &mut visit)
+    }
+
+    /// [`PlacementIndex::band`]'s grid part: the box clipped to the
+    /// registered extents, row by row, each row's inner run read off the
+    /// slabs it crosses; spilled keys below each hit go first.
+    fn walk_grid<B>(
+        &self,
+        array: ArrayId,
+        meta: &DenseMeta,
+        first: &ChunkCoords,
+        last: &ChunkCoords,
+        spilled: &mut Spilled<'_>,
+        visit: &mut impl FnMut(&ChunkCoords, usize) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let n = meta.ndims as usize;
+        let (mut low, mut high) = (*first, *last);
+        for d in 0..n {
+            (low[d], high[d]) = (low[d].max(0), high[d].min(meta.extents[d] - 1));
+            if low[d] > high[d] {
+                return ControlFlow::Continue(());
+            }
+        }
+        let volume: usize = meta.extents[..n].iter().map(|&e| e as usize).product();
+        let inner = n - 1;
+        let mut pos = low;
+        loop {
+            let lin = meta.linearize(&pos).expect("the clipped box lies in the grid");
+            let s = meta.shard_of_lin(lin);
+            let slab = self.shards[s].slabs[array.0 as usize].as_ref();
+            let slab = slab.expect("every grid cell has a slab");
+            let start = s << meta.slab_shift;
+            let end = start + slab.slots.len();
+            if slab.resident == 0 {
+                // Skip the slab whole: on at the first box position past it.
+                if end >= volume {
+                    return ControlFlow::Continue(());
+                }
+                let past = meta.delinearize(end);
+                match seek(&low, &high, &past) {
+                    Ok(()) => pos = past,
+                    Err(Some(next)) => pos = next,
+                    Err(None) => return ControlFlow::Continue(()),
+                }
+                continue;
+            }
+            // The rest of this row, cut where the slab ends.
+            let row_end = lin + (high[inner] - pos[inner]) as usize;
+            let piece_end = row_end.min(end - 1);
+            let mut at = pos;
+            for (i, &slot) in slab.slots[lin - start..=piece_end - start].iter().enumerate() {
+                if slot == VACANT {
+                    continue;
+                }
+                at[inner] = pos[inner] + i as i64;
+                if spilled.next.is_some() {
+                    spilled.drain(Some(&at), first, last, visit)?;
+                }
+                visit(&at, slot as usize)?;
+            }
+            if piece_end < row_end {
+                pos[inner] += (piece_end + 1 - lin) as i64;
+                continue;
+            }
+            // The next row: an odometer over the outer dimensions.
+            pos[inner] = low[inner];
+            let mut d = inner;
+            loop {
+                if d == 0 {
+                    return ControlFlow::Continue(());
+                }
+                d -= 1;
+                pos[d] += 1;
+                if pos[d] <= high[d] {
+                    break;
+                }
+                pos[d] = low[d];
+            }
+        }
+    }
+
     /// Every `(key, node)` pair in ascending key order — the same
     /// deterministic order the original `BTreeMap` iteration produced.
     /// O(n) over dense slabs plus O(s log s) over sparse entries; intended
@@ -800,6 +1030,115 @@ mod tests {
         let k = key(7, &[3, 3]);
         assert_eq!(idx.shard_of(&k), idx.shard_of(&k));
         assert!(idx.shard_of(&k) < SHARD_COUNT);
+    }
+
+    /// One draw of the band property: a cluster whose arrays cover every
+    /// way a key is filed — a registered 1–3 dimensional grid (cells in
+    /// it, keys past its extents and below zero, keys of another arity),
+    /// an unregistered array, an id at or past [`ARRAY_ID_CAP`] — with
+    /// some chunks evicted again, walked over boxes near the grid, at the
+    /// ends of `i64`, inverted and of the wrong arity. Each walk equals
+    /// the box filter of `collect_sorted` (node included), and a walk
+    /// that breaks after `m` chunks has handed out exactly its first `m`.
+    /// `scale` multiplies the chunk and box counts.
+    fn check_band(seed: u64, scale: u64) {
+        use crate::{Cluster, CostModel};
+        use array_model::ChunkDescriptor;
+        let mut state = seed;
+        let mut below = |n: u64| {
+            state = splitmix64(state);
+            (state % n) as i64
+        };
+        let grid_dims = 1 + below(3) as usize;
+        let extents: Vec<i64> = (0..grid_dims).map(|_| 1 + below(7)).collect();
+        let big = ARRAY_ID_CAP + below(3) as u32;
+        let arrays = [(0, grid_dims), (1, 1 + below(3) as usize), (big, 2)];
+        let mut cluster = Cluster::new(3, u64::MAX, CostModel::default()).unwrap();
+        assert!(cluster.register_array(ArrayId(0), &extents));
+        assert!(!cluster.register_array(ArrayId(big), &[4, 4]), "past the indexed ids");
+        // A position near the grid, or at an end of the type.
+        let coord = |below: &mut dyn FnMut(u64) -> i64, d: usize| match below(10) {
+            0 => i64::MIN + below(2),
+            1 => i64::MAX - below(2),
+            2 => -1 - below(2),
+            _ => below(extents.get(d).map_or(6, |&e| e as u64 + 2)),
+        };
+        let mut placed = Vec::new();
+        for _ in 0..below(40 * scale) {
+            let (id, mut n) = arrays[below(3) as usize];
+            if below(12) == 0 {
+                n = 1 + (n % 3); // another arity under the same id
+            }
+            let coords: Vec<i64> = (0..n).map(|d| coord(&mut below, d)).collect();
+            let key = ChunkKey::new(ArrayId(id), ChunkCoords::new(coords));
+            let node = NodeId(below(3) as u32);
+            if cluster.place(ChunkDescriptor::new(key, 1 + below(9) as u64, 1), node).is_ok() {
+                placed.push(key);
+            }
+        }
+        for _ in 0..below(1 + placed.len() as u64 / 2) {
+            let key = placed.swap_remove(below(placed.len() as u64) as usize);
+            cluster.evict_chunk(&key).unwrap();
+        }
+        let all = cluster.placements().collect::<Vec<_>>();
+        for _ in 0..8 * scale {
+            let (id, mut n) = arrays[below(3) as usize];
+            let id = if below(10) == 0 { 2 } else { id }; // nothing placed
+            if below(10) == 0 {
+                n = 1 + (n % 3);
+            }
+            let (mut first, mut last) = (ChunkCoords::zeros(n), ChunkCoords::zeros(n));
+            for d in 0..n {
+                let (a, b) = (coord(&mut below, d), coord(&mut below, d));
+                // One corner pair in eight stays inverted.
+                (first[d], last[d]) =
+                    if below(8) == 0 { (a.max(b), a.min(b)) } else { (a.min(b), a.max(b)) };
+            }
+            let inside = |c: &ChunkCoords| {
+                c.ndims() == n && (0..n).all(|d| first[d] <= c[d] && c[d] <= last[d])
+            };
+            let expect: Vec<(ChunkCoords, NodeId)> = all
+                .iter()
+                .filter(|(key, _)| key.array == ArrayId(id) && inside(&key.coords))
+                .map(|&(key, node)| (key.coords, node))
+                .collect();
+            let mut got = Vec::new();
+            let flow = cluster.band(ArrayId(id), &first, &last, |coords, node, record| {
+                let record = record.expect("no crash, so every chunk has its record");
+                assert_eq!(record.descriptor().key, ChunkKey::new(ArrayId(id), *coords));
+                got.push((*coords, node));
+                ControlFlow::<()>::Continue(())
+            });
+            assert!(flow.is_continue());
+            assert_eq!(got, expect, "array {id} over {first:?}..={last:?} on {extents:?}");
+            let stop = below(1 + expect.len() as u64) as usize;
+            let mut head = Vec::new();
+            let flow = cluster.band(ArrayId(id), &first, &last, |coords, _, _| {
+                if head.len() == stop {
+                    return ControlFlow::Break(head.len());
+                }
+                head.push(*coords);
+                ControlFlow::Continue(())
+            });
+            let stopped = (stop < expect.len()).then_some(stop);
+            assert_eq!(flow.break_value(), stopped);
+            assert!(head.iter().eq(expect[..stop].iter().map(|(c, _)| c)));
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn band_equals_the_box_filter_of_collect_sorted(seed in proptest::prelude::any::<u64>()) {
+            check_band(seed, 1);
+        }
+    }
+
+    #[test]
+    #[ignore = "release-scale leg: cargo test --release -p cluster-sim -p query-engine --lib -- --ignored band_smoke"]
+    fn band_smoke() {
+        for seed in 0..20_000 {
+            check_band(seed, 8);
+        }
     }
 
     #[test]

@@ -5,27 +5,32 @@
 //! registration.
 
 use crate::error::{QueryError, Result};
-use array_model::{Array, ArrayId, ArraySchema, ChunkCoords, ChunkDescriptor, ChunkKey, Region};
+use array_model::{Array, ArrayId, ArraySchema, ChunkCoords, ChunkDescriptor, ChunkKey};
 use cluster_sim::{Cluster, NodeId};
-use std::collections::{btree_map, BTreeMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One array registered with the engine.
 ///
-/// `descriptors` always carries the byte/cell metadata every operator's
-/// cost accounting needs. `replicated` marks small dimension arrays (the
-/// paper's 25 MB Vessel array) that live in full on every node, so reads
-/// are always local — and `data` is where such an array's cells are: the
-/// engine reads it for replicated arrays only. For a partitioned array it
-/// is whatever the caller keeps there (a differential's reference copy);
-/// queries read that array's cells from the node stores.
+/// `replicated` marks small dimension arrays (the paper's 25 MB Vessel
+/// array) that live in full on every node, so reads are always local —
+/// and `data` is where such an array's cells are: the engine reads it for
+/// replicated arrays only. For a partitioned array it is whatever the
+/// caller keeps there (a differential's reference copy); queries read
+/// that array's chunks — descriptors and cells — off the cluster's
+/// placement index.
 #[derive(Debug, Clone)]
 pub struct StoredArray {
     /// The array's identity.
     pub id: ArrayId,
     /// Schema (dimensions, attributes).
     pub schema: ArraySchema,
-    /// Chunk metadata, keyed by chunk position.
+    /// Chunk metadata, keyed by chunk position. The workload runner
+    /// writes it as it places, retracts and evicts chunks, so it equals
+    /// the descriptors on the cluster's records. Only a replicated
+    /// array's scans and the checkpoint codec read it: a partitioned
+    /// array is planned off the placement index, and this copy waits for
+    /// a restore.
     pub descriptors: BTreeMap<ChunkCoords, ChunkDescriptor>,
     /// The whole array's cells: a replicated array's one copy; never
     /// read by the engine otherwise (see the type docs).
@@ -64,7 +69,8 @@ impl StoredArray {
         self
     }
 
-    /// Total stored bytes.
+    /// Total stored bytes, from `descriptors`: a replicated array's size
+    /// (what each node reads of a lookup join's build side).
     pub fn byte_size(&self) -> u64 {
         self.descriptors.values().map(|d| d.bytes).sum()
     }
@@ -79,64 +85,6 @@ impl StoredArray {
         self.schema
             .attribute_index(name)
             .map_err(|_| QueryError::UnknownAttribute(name.to_string()))
-    }
-
-    /// The descriptors `region` can intersect (all of them when `None`),
-    /// in row-major chunk order: the map is sought at the region's chunk
-    /// band ([`Region::chunk_band`]) and re-sought whenever an entry
-    /// leaves the band on an inner dimension, so a scan touches about as
-    /// many entries as it keeps, not as many as the array stores. A
-    /// superset of the intersecting chunks, never a subset — callers
-    /// still decide with [`Region::intersects_chunk`].
-    pub(crate) fn descriptors_near(&self, region: Option<&Region>) -> BandScan<'_> {
-        let none = ChunkCoords::zeros(0);
-        let (first, last) = region.map_or((none, none), |r| r.chunk_band(&self.schema));
-        let run = if first.iter().zip(&last).any(|(f, l)| f > l) {
-            self.descriptors.range(first..first)
-        } else {
-            self.descriptors.range(first..)
-        };
-        BandScan { map: &self.descriptors, run, first, last }
-    }
-}
-
-/// The walk behind [`StoredArray::descriptors_near`]: map order, minus
-/// every run of entries outside the box `first..=last` (a box of no
-/// dimensions holds everything).
-pub(crate) struct BandScan<'a> {
-    map: &'a BTreeMap<ChunkCoords, ChunkDescriptor>,
-    run: btree_map::Range<'a, ChunkCoords, ChunkDescriptor>,
-    first: ChunkCoords,
-    last: ChunkCoords,
-}
-
-impl<'a> Iterator for BandScan<'a> {
-    type Item = (&'a ChunkCoords, &'a ChunkDescriptor);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let (coords, desc) = self.run.next()?;
-            let dims = self.first.ndims().min(coords.ndims());
-            let Some(d) =
-                (0..dims).find(|&d| coords[d] < self.first[d] || coords[d] > self.last[d])
-            else {
-                return Some((coords, desc));
-            };
-            // Resume at the smallest in-box position above `coords`: its
-            // prefix up to `d`, then the box's first corner — after a
-            // carry into the nearest earlier dimension with room when
-            // `coords` ran past the box rather than short of it.
-            let mut next = self.first;
-            let keep = if coords[d] < self.first[d] {
-                d
-            } else {
-                let carry = (0..d).rev().find(|&j| coords[j] < self.last[j])?;
-                next[carry] = coords[carry] + 1;
-                carry
-            };
-            next.as_mut_slice()[..keep].copy_from_slice(&coords.as_slice()[..keep]);
-            self.run = self.map.range(next..);
-        }
     }
 }
 

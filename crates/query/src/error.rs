@@ -17,16 +17,17 @@ pub enum QueryError {
         /// Dimensions the region supplied.
         got: usize,
     },
-    /// A chunk is resident in the catalog but missing from the cluster
-    /// placement (catalog/cluster desynchronization). Carries the `Copy`
-    /// key itself — the error text is rendered only when displayed, so
+    /// A chunk asked for by position ([`crate::ExecutionContext::node_of`]) is
+    /// not placed on any node. A scan never sees it: it plans only the
+    /// chunks the placement index holds. Carries the `Copy` key itself — the error text is rendered only when displayed, so
     /// constructing (let alone not taking) the miss branch never
     /// allocates on the per-chunk lookup path.
     Unplaced(ChunkKey),
     /// A chunk's only copies sat on nodes that crashed and no surviving
-    /// replica can serve it — at `k = 1` this is the
-    /// typed face of data loss, returned instead of a panic or a silent
-    /// wrong answer. `Copy` key, lazily rendered, like
+    /// replica can serve it — at `k = 1` this is the typed face of data
+    /// loss, returned instead of a panic or a silent wrong answer. Its
+    /// placement keeps naming the wreck with no record, and stays lost
+    /// after that node is revived. `Copy` key, lazily rendered, like
     /// [`QueryError::Unplaced`].
     NodeLost(ChunkKey),
     /// Operator-specific invalid argument.

@@ -3,6 +3,13 @@
 //! [`ExecutionContext::plan_scan`] decides which chunks a query touches,
 //! and the resulting [`ScanPlan`] charges them to the cost model and
 //! hands their selected rows to the operator.
+//!
+//! A partitioned array is planned off the cluster's placement index
+//! alone: one walk of its chunk grid over the query's band
+//! ([`Cluster::band`]) gives each chunk's key, home node and record —
+//! descriptor and cells — together. The catalog's copy of the array's
+//! descriptors is not read; only a replicated array, which no node
+//! places, is planned from the catalog.
 
 use crate::catalog::{Catalog, StoredArray};
 use crate::error::{QueryError, Result};
@@ -14,6 +21,7 @@ use array_model::{ArrayId, Chunk, ChunkCoords, ChunkDescriptor, ChunkKey, Region
 use cluster_sim::{Cluster, CostModel, NodeId, Resident};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Everything an operator needs to run.
@@ -34,19 +42,20 @@ pub struct ExecutionContext<'a> {
 }
 
 /// One operator's scan, planned chunk-by-chunk by
-/// [`ExecutionContext::plan_scan`]: the chunks to visit (with payloads
-/// pre-fetched when the array is cell-exact) plus the count of chunks the
-/// zone maps refuted. Routing (`node_of`) and payload fetching run for
-/// **every** intersecting chunk before the prune decision, so failure
-/// modes (`NodeLost`, `Unplaced`) are identical whether pruning is on or
-/// off — pruning can only remove
-/// work, never change an answer or mask an error. The plan is also the
+/// [`ExecutionContext::plan_scan`] off one walk of the placement index:
+/// the chunks to visit (with payloads pre-fetched when the array is
+/// cell-exact) plus the count of chunks the zone maps refuted. Every
+/// intersecting chunk is routed and its record read before the prune
+/// decision, so a failure (`NodeLost`) is identical whether pruning is on
+/// or off — pruning can only remove work, never change an answer or mask
+/// an error. Descriptors are borrowed from the chunks' records (from the
+/// catalog for a replicated array), never copied. The plan is also the
 /// crate's only way to charge a scan and to read its rows, so tombstones,
 /// the region and the pushed-down predicate are honoured in one place.
 pub struct ScanPlan<'a> {
     /// Chunks the operator must touch: descriptor, resident node, and the
     /// materialized payload (`None` on the metadata-only path).
-    pub visit: Vec<(ChunkDescriptor, NodeId, Option<&'a Chunk>)>,
+    pub visit: Vec<(&'a ChunkDescriptor, NodeId, Option<&'a Chunk>)>,
     /// Chunks skipped because their zone map refuted the region or
     /// predicate (or they held no live cells). Zero when pruning is off.
     pub pruned: u64,
@@ -58,7 +67,7 @@ pub struct ScanPlan<'a> {
     pub exact: bool,
     /// The pruned chunks (`pruned` counts them), for operators that must
     /// also count the chunk-to-chunk pulls pruning removed.
-    pub(crate) dead: Vec<(ChunkDescriptor, NodeId)>,
+    pub(crate) dead: Vec<(&'a ChunkDescriptor, NodeId)>,
     /// What the plan was made for; the row driver filters by both.
     region: Option<&'a Region>,
     pred: Option<(usize, &'a Predicate)>,
@@ -68,7 +77,7 @@ impl<'a> ScanPlan<'a> {
     /// A plan over chunks the operator picked itself (kNN's ring
     /// exploration is not a region scan), read unfiltered.
     pub(crate) fn over(
-        visit: Vec<(ChunkDescriptor, NodeId, Option<&'a Chunk>)>,
+        visit: Vec<(&'a ChunkDescriptor, NodeId, Option<&'a Chunk>)>,
         exact: bool,
     ) -> Self {
         ScanPlan { visit, pruned: 0, exact, dead: Vec::new(), region: None, pred: None }
@@ -85,19 +94,19 @@ impl<'a> ScanPlan<'a> {
         fraction: f64,
         mut also: impl FnMut(&mut WorkTracker<'_>, &ChunkDescriptor, NodeId, u64),
     ) {
-        for (desc, node, _) in &self.visit {
+        for &(desc, node, _) in &self.visit {
             let bytes = scaled_bytes(desc.bytes, fraction);
-            tracker.scan_chunk(*node, bytes);
-            also(tracker, desc, *node, bytes);
+            tracker.scan_chunk(node, bytes);
+            also(tracker, desc, node, bytes);
         }
         tracker.prune_chunks(self.pruned);
     }
 
     /// Every chunk of the scan by position, visited and pruned: a
     /// [`ChunkIndex`].
-    pub(crate) fn homes(&self) -> ChunkIndex<'_> {
-        let live = self.visit.iter().map(|(d, n, _)| (d, *n, true));
-        let dead = self.dead.iter().map(|(d, n)| (d, *n, false));
+    pub(crate) fn homes(&self) -> ChunkIndex<'a> {
+        let live = self.visit.iter().map(|&(d, n, _)| (d, n, true));
+        let dead = self.dead.iter().map(|&(d, n)| (d, n, false));
         ChunkIndex::new(live.chain(dead).collect())
     }
 
@@ -230,10 +239,11 @@ impl<'a> ExecutionContext<'a> {
     /// Replicated arrays are "held" by every node; callers pass the node
     /// that wants to read, and get it back.
     ///
-    /// A primary that does not serve is a typed [`QueryError::NodeLost`]
-    /// — never a panic, never a silent wrong answer. No replica can stand
-    /// in: a crash promotes a surviving holder before it returns, so a
-    /// chunk whose primary is down has no serving copy left.
+    /// A chunk whose record a crash lost, or whose primary does not
+    /// serve, is a typed [`QueryError::NodeLost`] — never a panic, never a
+    /// silent wrong answer. No replica can stand in: a crash promotes a
+    /// surviving holder before it returns, so a chunk whose primary is
+    /// down has no serving copy left.
     pub fn node_of(
         &self,
         array: &StoredArray,
@@ -253,12 +263,21 @@ impl<'a> ExecutionContext<'a> {
     /// chunk per operator; the healthy path must stay allocation-free
     /// (pinned by `tests/alloc_free_routing.rs`).
     #[inline]
-    fn serving_home(&self, key: ChunkKey) -> Result<(NodeId, Option<&'a Resident>)> {
-        let (primary, record) = self.cluster.home(&key).ok_or(QueryError::Unplaced(key))?;
-        match self.cluster.node(primary) {
-            Ok(node) if node.state().serves_reads() => Ok((primary, record)),
-            _ => Err(QueryError::NodeLost(key)),
-        }
+    fn serving_home(&self, key: ChunkKey) -> Result<(NodeId, &'a Resident)> {
+        let (home, record) = self.cluster.home(&key).ok_or(QueryError::Unplaced(key))?;
+        let record = self.readable(home, record).ok_or(QueryError::NodeLost(key))?;
+        Ok((home, record))
+    }
+
+    /// A placed chunk's record, when a read can reach it. `None` — to the
+    /// caller, [`QueryError::NodeLost`] — for a chunk whose record a crash
+    /// lost (a k = 1 orphan), whatever state its home is in now: revived
+    /// or not, that node no longer holds the cells. `None` too for a
+    /// record on a home that does not serve reads.
+    #[inline]
+    fn readable(&self, home: NodeId, record: Option<&'a Resident>) -> Option<&'a Resident> {
+        let serves = self.cluster.node(home).is_ok_and(|node| node.state().serves_reads());
+        record.filter(|_| serves)
     }
 
     /// The materialized cells of one chunk, from the one place they
@@ -271,24 +290,28 @@ impl<'a> ExecutionContext<'a> {
         if array.replicated {
             return array.data.as_ref()?.chunk(coords);
         }
-        let (_, record) = self.cluster.home(&array.key_for(coords))?;
-        record?.payload().map(Arc::as_ref)
+        self.cluster.home(&array.key_for(coords))?.1.and_then(cells)
     }
 
-    /// A planned chunk's serving node ([`ExecutionContext::node_of`],
-    /// for no particular reader) and its cells
-    /// ([`ExecutionContext::chunk_payload`]), in one probe of the
-    /// placement index for a partitioned array.
-    fn resolve(
+    /// The chunk at `coords`, for an operator that reads chunks by
+    /// position rather than by region (kNN's ring): its descriptor, the
+    /// node holding it (`None` for a replicated array: every node does)
+    /// and its cells. One probe of the placement index for a partitioned
+    /// array. `None` when no chunk is there; a chunk whose record is lost
+    /// is [`QueryError::NodeLost`], as in [`ExecutionContext::plan_scan`].
+    pub(crate) fn chunk_at(
         &self,
         array: &'a StoredArray,
         coords: &ChunkCoords,
-    ) -> Result<(NodeId, Option<&'a Chunk>)> {
+    ) -> Result<Option<Reading<'a>>> {
         if array.replicated {
-            return Ok((self.cluster.coordinator(), self.chunk_payload(array, coords)));
+            let payload = self.chunk_payload(array, coords);
+            return Ok(array.descriptors.get(coords).map(|desc| (desc, None, payload)));
         }
-        let (node, record) = self.serving_home(array.key_for(coords))?;
-        Ok((node, record.and_then(Resident::payload).map(Arc::as_ref)))
+        let key = array.key_for(coords);
+        let Some((home, record)) = self.cluster.home(&key) else { return Ok(None) };
+        let record = self.readable(home, record).ok_or(QueryError::NodeLost(key))?;
+        Ok(Some((record.descriptor(), Some(home), cells(record))))
     }
 
     /// The [`ScanPlan::exact`] gate, evaluated once per array: it costs
@@ -304,11 +327,25 @@ impl<'a> ExecutionContext<'a> {
         exact
     }
 
-    /// One probe per chunk, stopping at the first without cells (a
+    /// Whether the array has chunks and every one has cells: a walk of
+    /// the placement index for a partitioned array (of the catalog for a
+    /// replicated one), stopping at the first chunk without cells (a
     /// metadata-only array answers at its first chunk).
     fn every_chunk_readable(&self, array: &'a StoredArray) -> bool {
-        !array.descriptors.is_empty()
-            && array.descriptors.keys().all(|coords| self.chunk_payload(array, coords).is_some())
+        if array.replicated {
+            return !array.descriptors.is_empty()
+                && array.descriptors.keys().all(|c| self.chunk_payload(array, c).is_some());
+        }
+        let (first, last) = whole_band(array);
+        let mut any = false;
+        let flow = self.cluster.band(array.id, &first, &last, |_, _, record| {
+            any = true;
+            match record.and_then(cells) {
+                Some(_) => ControlFlow::Continue(()),
+                None => ControlFlow::Break(()),
+            }
+        });
+        any && flow.is_continue()
     }
 
     /// Whether pruning may drop `chunk` from a scan of `region` under
@@ -331,15 +368,18 @@ impl<'a> ExecutionContext<'a> {
     /// optionally pushing down a predicate on attribute `pred.0`. Every
     /// operator plans through here:
     ///
-    /// 1. every intersecting chunk is **routed** (`node_of`), in row-major
-    ///    chunk order, so placement errors surface exactly as they would
-    ///    unpruned — and only those are touched: the descriptor map is
-    ///    sought at the region's chunk band
-    ///    (`StoredArray::descriptors_near`), so planning costs what the
-    ///    query names, not what the array has accumulated;
+    /// 1. a partitioned array's chunks come from one walk of the
+    ///    cluster's placement index over the region's chunk band
+    ///    ([`Cluster::band`], [`Region::chunk_band`]), in row-major chunk
+    ///    order: each step yields a chunk's key, home node and record
+    ///    together, so planning costs what the query names, not what the
+    ///    array has accumulated, and reads no catalog descriptor. Every
+    ///    intersecting chunk is routed, so a lost record
+    ///    ([`QueryError::NodeLost`]) surfaces exactly as it would
+    ///    unpruned. A replicated array is planned by filtering the
+    ///    catalog's descriptors, each read locally;
     /// 2. when the array is cell-exact, every intersecting chunk's
-    ///    payload is fetched once here — by the same probe of the
-    ///    placement index that routed it — and shared by the cost and
+    ///    payload comes off the same record, shared by the cost and
     ///    answer loops;
     /// 3. with pruning enabled, a fetched chunk the query
     ///    refutes (`ExecutionContext::refuted`) is dropped from the visit
@@ -365,16 +405,41 @@ impl<'a> ExecutionContext<'a> {
         let exact = self.cells_available(array);
         let mut visit = Vec::new();
         let mut dead = Vec::new();
-        for (coords, desc) in array.descriptors_near(region) {
-            if !region.is_none_or(|r| r.intersects_chunk(&array.schema, coords)) {
-                continue;
-            }
-            let (node, cells) = self.resolve(array, coords)?;
-            let payload = if exact { cells } else { None };
+        let mut plan = |desc, node, payload: Option<&'a Chunk>| {
+            let payload = payload.filter(|_| exact);
             if payload.is_some_and(|chunk| self.refuted(chunk, region, pred)) {
-                dead.push((*desc, node));
+                dead.push((desc, node));
             } else {
-                visit.push((*desc, node, payload));
+                visit.push((desc, node, payload));
+            }
+        };
+        let meets =
+            |coords: &ChunkCoords| region.is_none_or(|r| r.intersects_chunk(&array.schema, coords));
+        if array.replicated {
+            let reader = self.cluster.coordinator();
+            for (coords, desc) in array.descriptors.iter().filter(|(c, _)| meets(c)) {
+                plan(desc, reader, self.chunk_payload(array, coords));
+            }
+        } else {
+            let (first, last) =
+                region.map_or_else(|| whole_band(array), |r| r.chunk_band(&array.schema));
+            // On each dimension the chunk indexes that meet the region
+            // are a run (both ends of a chunk's range grow with its
+            // index) inside the band. When both corners of the band meet
+            // it, that run is the whole band: no chunk needs the test.
+            let tight = meets(&first) && meets(&last);
+            let walk = self.cluster.band(array.id, &first, &last, |coords, home, record| {
+                if !tight && !meets(coords) {
+                    return ControlFlow::Continue(());
+                }
+                let Some(record) = self.readable(home, record) else {
+                    return ControlFlow::Break(QueryError::NodeLost(array.key_for(coords)));
+                };
+                plan(record.descriptor(), home, cells(record));
+                ControlFlow::Continue(())
+            });
+            if let ControlFlow::Break(lost) = walk {
+                return Err(lost);
             }
         }
         Ok(ScanPlan { visit, pruned: dead.len() as u64, exact, dead, region, pred })
@@ -404,6 +469,21 @@ impl<'a> ExecutionContext<'a> {
         }
         Ok((wanted / total).clamp(0.0, 1.0))
     }
+}
+
+/// What [`ExecutionContext::chunk_at`] finds at a position: descriptor,
+/// holder and cells.
+pub(crate) type Reading<'a> = (&'a ChunkDescriptor, Option<NodeId>, Option<&'a Chunk>);
+
+/// A record's cells, when they are materialized.
+fn cells(record: &Resident) -> Option<&Chunk> {
+    record.payload().map(Arc::as_ref)
+}
+
+/// The box of every chunk position of `array`'s arity.
+fn whole_band(array: &StoredArray) -> (ChunkCoords, ChunkCoords) {
+    let n = array.schema.ndims();
+    (ChunkCoords::new(&[i64::MIN; MAX_DIMS][..n]), ChunkCoords::new(&[i64::MAX; MAX_DIMS][..n]))
 }
 
 #[cfg(test)]
@@ -635,14 +715,19 @@ mod tests {
         }
     }
 
-    /// What the plan must equal: the whole descriptor map, filtered by
-    /// `Region::intersects_chunk`, in map order.
-    fn walked<'s>(array: &'s StoredArray, region: Option<&Region>) -> Vec<&'s ChunkDescriptor> {
-        array
-            .descriptors
-            .iter()
-            .filter(|(c, _)| region.is_none_or(|r| r.intersects_chunk(&array.schema, c)))
-            .map(|(_, d)| d)
+    /// What the plan must equal: every chunk of `array` the cluster
+    /// places — read off its records, not the catalog — filtered by
+    /// `Region::intersects_chunk`, in key order.
+    fn walked<'s>(
+        cluster: &'s Cluster,
+        array: &StoredArray,
+        region: Option<&Region>,
+    ) -> Vec<&'s ChunkDescriptor> {
+        cluster
+            .residents()
+            .map(Resident::descriptor)
+            .filter(|d| d.key.array == array.id)
+            .filter(|d| region.is_none_or(|r| r.intersects_chunk(&array.schema, &d.key.coords)))
             .collect()
     }
 
@@ -674,104 +759,106 @@ mod tests {
         ArraySchema::new("E", vec![AttributeDef::new("v", AttributeType::Int32)], dims).unwrap()
     }
 
+    /// One draw of the plan property. Band vs walk, metadata only: over
+    /// schemas, sparse chunk sets (indexes no cell could file under
+    /// included) and regions at the ends of `i64` — inside, straddling,
+    /// wholly outside, inverted, absent — the plan visits exactly the
+    /// chunks the filter of the placed chunks keeps, in key order, on the
+    /// nodes that hold them, with their records' descriptors; a
+    /// descriptor only the catalog holds is not planned; the wrong arity
+    /// is `RegionArity`.
+    fn check_plan(seed: u64) {
+        let mut draw = Draw(seed);
+        let schema = edge_schema(&mut draw);
+        let n = schema.ndims();
+        // Chunk indexes cluster near 0 (so regions hit them), with
+        // strays: negative, past a bounded end, at the type's ends.
+        let index = |draw: &mut Draw, dim: &array_model::DimensionDef| match draw.below(8) {
+            0 => -1 - draw.below(3),
+            1 => dim.chunk_index(dim.end.unwrap_or(i64::MAX)).saturating_add(draw.below(3)),
+            2 => draw.edge(),
+            _ => draw.below(6),
+        };
+        let mut descs = Vec::new();
+        for i in 0..draw.below(40) {
+            let mut coords = ChunkCoords::zeros(n);
+            for (d, dim) in schema.dimensions.iter().enumerate() {
+                coords[d] = index(&mut draw, dim);
+            }
+            let key = array_model::ChunkKey::new(ArrayId(2), coords);
+            descs.push(ChunkDescriptor::new(key, 100 + i as u64, 1));
+        }
+        let array = StoredArray::from_descriptors(ArrayId(2), schema.clone(), descs);
+        let mut cluster = Cluster::new(3, u64::MAX, CostModel::default()).unwrap();
+        let unplaced = match draw.below(3) {
+            0 => array.descriptors.keys().nth(draw.below(40) as usize).copied(),
+            _ => None,
+        };
+        for (i, (coords, d)) in array.descriptors.iter().enumerate() {
+            if Some(*coords) != unplaced {
+                cluster.place(*d, NodeId((i % 3) as u32)).unwrap();
+            }
+        }
+        let mut cat = Catalog::new();
+        cat.register(array);
+        let array = cat.array(ArrayId(2)).unwrap();
+        let ctx = ExecutionContext::new(&cluster, &cat);
+
+        let mut regions = vec![None];
+        for _ in 0..24 {
+            // A corner: an end of some nearby chunk, nudged, or an
+            // end of the type.
+            let corner = |draw: &mut Draw, dim: &array_model::DimensionDef| {
+                let (lo, hi) = dim.chunk_range(draw.below(9) - 2);
+                match draw.below(8) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    2 => draw.edge(),
+                    3 | 4 => lo.saturating_add(draw.below(5) - 2),
+                    _ => hi.saturating_add(draw.below(5) - 2),
+                }
+            };
+            let (mut low, mut high) = (Vec::new(), Vec::new());
+            for dim in &schema.dimensions {
+                let (a, b) = (corner(&mut draw, dim), corner(&mut draw, dim));
+                // One corner pair in eight stays inverted.
+                let (a, b) =
+                    if draw.below(8) == 0 { (a.max(b), a.min(b)) } else { (a.min(b), a.max(b)) };
+                low.push(a);
+                high.push(b);
+            }
+            regions.push(Some(Region::new(low, high)));
+        }
+        for region in &regions {
+            let region = region.as_ref();
+            let expect = walked(&cluster, array, region);
+            assert!(expect.iter().all(|d| Some(d.key.coords) != unplaced));
+            let plan = ctx.plan_scan(ArrayId(2), region, None).unwrap();
+            assert!(plan.dead.is_empty() && plan.pruned == 0);
+            let got: Vec<_> = plan.visit.iter().map(|&(d, node, _)| (d, node)).collect();
+            let want: Vec<_> = expect
+                .iter()
+                .map(|d| (*d, cluster.locate(&d.key).expect("placed above")))
+                .collect();
+            assert_eq!(got, want, "{schema} over {region:?}");
+            assert!(got.iter().all(|(d, _)| std::ptr::eq(*d, cluster.descriptor(&d.key).unwrap())));
+        }
+        let bad = Region::new(vec![0; n + 1], vec![9; n + 1]);
+        assert!(matches!(
+            ctx.plan_scan(ArrayId(2), Some(&bad), None),
+            Err(QueryError::RegionArity { expected, got }) if expected == n && got == n + 1
+        ));
+    }
+
     proptest::proptest! {
-        /// Band vs walk, metadata only: over schemas, sparse chunk sets
-        /// (indexes no cell could file under included) and regions at
-        /// the ends of `i64` — inside, straddling, wholly outside,
-        /// inverted, absent — the plan visits exactly the chunks the
-        /// full-map filter keeps, in its order, on the nodes that hold
-        /// them; a chunk left unplaced is `Unplaced` exactly when the
-        /// filter reaches it first; the wrong arity is `RegionArity`.
         #[test]
         fn plan_scan_equals_the_filter_of_the_whole_map(seed in proptest::prelude::any::<u64>()) {
-            let mut draw = Draw(seed);
-            let schema = edge_schema(&mut draw);
-            let n = schema.ndims();
-            // Chunk indexes cluster near 0 (so regions hit them), with
-            // strays: negative, past a bounded end, at the type's ends.
-            let index = |draw: &mut Draw, dim: &array_model::DimensionDef| match draw.below(8) {
-                0 => -1 - draw.below(3),
-                1 => dim.chunk_index(dim.end.unwrap_or(i64::MAX)).saturating_add(draw.below(3)),
-                2 => draw.edge(),
-                _ => draw.below(6),
-            };
-            let mut descs = Vec::new();
-            for i in 0..draw.below(40) {
-                let mut coords = ChunkCoords::zeros(n);
-                for (d, dim) in schema.dimensions.iter().enumerate() {
-                    coords[d] = index(&mut draw, dim);
-                }
-                let key = array_model::ChunkKey::new(ArrayId(2), coords);
-                descs.push(ChunkDescriptor::new(key, 100 + i as u64, 1));
-            }
-            let array = StoredArray::from_descriptors(ArrayId(2), schema.clone(), descs);
-            let mut cluster = Cluster::new(3, u64::MAX, CostModel::default()).unwrap();
-            let unplaced = match draw.below(3) {
-                0 => array.descriptors.keys().nth(draw.below(40) as usize).copied(),
-                _ => None,
-            };
-            for (i, (coords, d)) in array.descriptors.iter().enumerate() {
-                if Some(*coords) != unplaced {
-                    cluster.place(*d, NodeId((i % 3) as u32)).unwrap();
-                }
-            }
-            let mut cat = Catalog::new();
-            cat.register(array);
-            let array = cat.array(ArrayId(2)).unwrap();
-            let ctx = ExecutionContext::new(&cluster, &cat);
-
-            let mut regions = vec![None];
-            for _ in 0..24 {
-                // A corner: an end of some nearby chunk, nudged, or an
-                // end of the type.
-                let corner = |draw: &mut Draw, dim: &array_model::DimensionDef| {
-                    let (lo, hi) = dim.chunk_range(draw.below(9) - 2);
-                    match draw.below(8) {
-                        0 => i64::MIN,
-                        1 => i64::MAX,
-                        2 => draw.edge(),
-                        3 | 4 => lo.saturating_add(draw.below(5) - 2),
-                        _ => hi.saturating_add(draw.below(5) - 2),
-                    }
-                };
-                let (mut low, mut high) = (Vec::new(), Vec::new());
-                for dim in &schema.dimensions {
-                    let (a, b) = (corner(&mut draw, dim), corner(&mut draw, dim));
-                    // One corner pair in eight stays inverted.
-                    let (a, b) = if draw.below(8) == 0 { (a.max(b), a.min(b)) } else { (a.min(b), a.max(b)) };
-                    low.push(a);
-                    high.push(b);
-                }
-                regions.push(Some(Region::new(low, high)));
-            }
-            for region in &regions {
-                let region = region.as_ref();
-                let expect = walked(array, region);
-                let lost = expect.iter().find(|d| Some(d.key.coords) == unplaced);
-                match (ctx.plan_scan(ArrayId(2), region, None), lost) {
-                    (Err(QueryError::Unplaced(key)), Some(d)) => assert_eq!(key, d.key),
-                    (Ok(plan), None) => {
-                        assert!(plan.dead.is_empty() && plan.pruned == 0);
-                        let got: Vec<_> = plan.visit.iter().map(|(d, node, _)| (d, *node)).collect();
-                        let want: Vec<_> = expect
-                            .iter()
-                            .map(|d| (*d, cluster.locate(&d.key).expect("placed above")))
-                            .collect();
-                        assert_eq!(got, want, "{schema} over {region:?}");
-                    }
-                    (other, _) => panic!("{schema} over {region:?}: {:?}", other.map(|p| p.visit)),
-                }
-            }
-            let bad = Region::new(vec![0; n + 1], vec![9; n + 1]);
-            assert!(matches!(
-                ctx.plan_scan(ArrayId(2), Some(&bad), None),
-                Err(QueryError::RegionArity { expected, got }) if expected == n && got == n + 1
-            ));
+            check_plan(seed);
         }
 
         /// Band vs walk over real cells: `visit` and `dead` together are
-        /// the filter of the whole map, each in map order — pruning only
-        /// moves a chunk from one list to the other.
+        /// the filter of the placed chunks, each in key order — pruning
+        /// only moves a chunk from one list to the other.
         #[test]
         fn visit_and_dead_partition_the_filter_of_the_whole_map(seed in proptest::prelude::any::<u64>()) {
             use array_model::{AttributeDef, AttributeType, DimensionDef};
@@ -804,12 +891,12 @@ mod tests {
                     high.push(a.max(b));
                 }
                 let region = Region::new(low, high);
-                let expect = walked(array, Some(&region));
+                let expect = walked(&cluster, array, Some(&region));
                 let ctx = ExecutionContext::new(&cluster, &cat);
                 let plan = ctx.plan_scan(ArrayId(3), Some(&region), None).unwrap();
                 assert_eq!(plan.dead.len() as u64, plan.pruned);
                 let mut got: Vec<_> =
-                    plan.visit.iter().map(|(d, ..)| d).chain(plan.dead.iter().map(|(d, _)| d)).collect();
+                    plan.visit.iter().map(|&(d, ..)| d).chain(plan.dead.iter().map(|&(d, _)| d)).collect();
                 assert!(plan.visit.windows(2).all(|w| w[0].0.key < w[1].0.key));
                 assert!(plan.dead.windows(2).all(|w| w[0].0.key < w[1].0.key));
                 got.sort_by_key(|d| d.key);
@@ -817,7 +904,7 @@ mod tests {
                 let unpruned = ExecutionContext::new(&cluster, &cat).with_pruning(false);
                 let plan = unpruned.plan_scan(ArrayId(3), Some(&region), None).unwrap();
                 assert!(plan.dead.is_empty());
-                assert_eq!(plan.visit.iter().map(|(d, ..)| d).collect::<Vec<_>>(), expect);
+                assert_eq!(plan.visit.iter().map(|&(d, ..)| d).collect::<Vec<_>>(), expect);
             }
         }
     }
@@ -842,10 +929,10 @@ mod tests {
 
     /// What `homes` was: every chunk of the scan in one ordered map.
     fn homes_map<'p>(
-        plan: &'p ScanPlan<'_>,
+        plan: &ScanPlan<'p>,
     ) -> BTreeMap<ChunkCoords, (&'p ChunkDescriptor, NodeId, bool)> {
-        let live = plan.visit.iter().map(|(d, n, _)| (d.key.coords, (d, *n, true)));
-        let dead = plan.dead.iter().map(|(d, n)| (d.key.coords, (d, *n, false)));
+        let live = plan.visit.iter().map(|&(d, n, _)| (d.key.coords, (d, n, true)));
+        let dead = plan.dead.iter().map(|&(d, n)| (d.key.coords, (d, n, false)));
         live.chain(dead).collect()
     }
 
@@ -989,6 +1076,12 @@ mod tests {
         fn the_chunk_index_answers_every_probe_like_the_map(seed in proptest::prelude::any::<u64>()) {
             check_chunk_index(seed);
         }
+    }
+
+    #[test]
+    #[ignore = "release-scale leg: cargo test --release -p cluster-sim -p query-engine --lib -- --ignored band_smoke"]
+    fn plan_band_smoke() {
+        (0..20_000).for_each(check_plan);
     }
 
     #[test]

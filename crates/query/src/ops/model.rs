@@ -201,11 +201,11 @@ pub fn knn(
                 let slot = positions.slot_of(position);
                 if slot == reached.len() {
                     let coords = ChunkCoords::new(&position[..nd]);
-                    reached.push(array.descriptors.get(&coords).map(|desc| {
-                        let payload = if exact { ctx.chunk_payload(array, &coords) } else { None };
+                    reached.push(ctx.chunk_at(array, &coords)?.map(|(desc, holder, cells)| {
+                        let payload = cells.filter(|_| exact);
                         Reached {
                             desc,
-                            holder: ctx.cluster.locate(&desc.key),
+                            holder,
                             payload,
                             refuted: payload.is_some_and(|chunk| ctx.refuted(chunk, None, None)),
                         }
@@ -232,7 +232,7 @@ pub fn knn(
                     // chunk: touches a small fraction of its pages.
                     tracker.compute(home_node, ctx.cost().cpu_secs(bytes / 50) + 0.001);
                 }
-                visited.push((*chunk.desc, holder, chunk.payload));
+                visited.push((chunk.desc, holder, chunk.payload));
             }
             // Stop once we have enough candidates and looked at least one
             // ring beyond the first hit (so the true neighbours cannot
@@ -272,8 +272,8 @@ pub fn knn(
 #[derive(Clone, Copy)]
 struct Reached<'a> {
     desc: &'a ChunkDescriptor,
-    /// The node holding its primary (`None`: unplaced, so read where the
-    /// query runs).
+    /// The node holding its primary (`None`: a replicated array, read
+    /// where the query runs).
     holder: Option<NodeId>,
     /// Its cells, when the array is cell-exact.
     payload: Option<&'a Chunk>,

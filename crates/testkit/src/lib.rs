@@ -75,3 +75,34 @@ pub fn assert_books(runner: &WorkloadRunner<'_>, array: ArrayId) -> u64 {
     }
     stored.descriptors.values().map(|d| d.cells).sum()
 }
+
+/// Panics unless every partitioned array's catalog descriptors are the
+/// chunks the cluster's placement index holds for it: key for key, in
+/// key order, with their records' bytes and cells ([`Cluster::band`]
+/// over the whole array). No query reads the catalog's copy of a
+/// partitioned array, so a drift between the two would surface only
+/// after a checkpoint restores that copy.
+///
+/// [`Cluster::band`]: cluster_sim::Cluster::band
+pub fn assert_catalog_is_the_index(runner: &WorkloadRunner<'_>, tag: &str) {
+    use std::ops::ControlFlow;
+    for stored in runner.catalog().arrays().filter(|a| !a.replicated) {
+        let n = stored.schema.ndims();
+        let first = array_model::ChunkCoords::new(&[i64::MIN; array_model::MAX_DIMS][..n]);
+        let last = array_model::ChunkCoords::new(&[i64::MAX; array_model::MAX_DIMS][..n]);
+        let mut indexed = Vec::new();
+        let walk = runner.cluster().band(stored.id, &first, &last, |coords, _, record| {
+            let books = record.map(|r| (r.descriptor().bytes, r.descriptor().cells));
+            indexed.push((stored.key_for(coords), books));
+            ControlFlow::<()>::Continue(())
+        });
+        assert!(walk.is_continue());
+        let catalog: Vec<_> =
+            stored.descriptors.values().map(|d| (d.key, Some((d.bytes, d.cells)))).collect();
+        assert_eq!(
+            catalog, indexed,
+            "{tag}: {}'s catalog copy left the placement index",
+            stored.id
+        );
+    }
+}

@@ -852,3 +852,55 @@ fn cost_model_bookkeeping_allocates_per_call_not_per_chunk() {
         assert!(allocs <= most, "{what} over 4 096 chunks allocated {allocs} times, budget {most}");
     }
 }
+
+/// Planning reads the placement index alone: a `plan_scan` over a dense
+/// band allocates only as its `visit` list doubles — nothing per chunk,
+/// no descriptor copied — and the band walk under it
+/// ([`Cluster::band`]) allocates nothing when no spilled key falls in its
+/// box. Measured on a warmed context over 4 096 chunks, beside four keys
+/// spilled past the registered time extent.
+#[test]
+fn plan_scan_allocates_per_doubling_and_the_band_walk_never() {
+    use std::ops::ControlFlow;
+
+    let schema = ArraySchema::parse("A<v:double>[t=0:*,16, x=0:511,16, y=0:511,16]").unwrap();
+    let mut cluster = Cluster::new(8, u64::MAX, CostModel::default()).unwrap();
+    assert!(cluster.register_array(ArrayId(0), &[4, 32, 32]));
+    let mut descs = Vec::new();
+    let spilled = (8..12i64).map(|t| [t, 0, 0]);
+    let grid = (0..4_096i64).map(|i| [i / 1_024, (i / 32) % 32, i % 32]);
+    for (i, coords) in grid.chain(spilled).enumerate() {
+        let key = ChunkKey::new(ArrayId(0), ChunkCoords::new(coords));
+        let desc = ChunkDescriptor::new(key, 4_096, 64);
+        cluster.place(desc, NodeId((i % 8) as u32)).unwrap();
+        descs.push(desc);
+    }
+    let mut catalog = Catalog::new();
+    catalog.register(StoredArray::from_descriptors(ArrayId(0), schema.clone(), descs));
+    let ctx = ExecutionContext::new(&cluster, &catalog);
+    // The grid's four time chunks, not the spilled ones past them.
+    let band = Region::new(vec![0, 0, 0], vec![63, 511, 511]);
+    ctx.plan_scan(ArrayId(0), Some(&band), None).unwrap();
+
+    let start = allocation_count();
+    let plan = ctx.plan_scan(ArrayId(0), Some(&band), None).unwrap();
+    let allocs = allocation_count() - start;
+    assert_eq!(plan.visit.len(), 4_096);
+    let doublings = 4_096usize.ilog2() as usize + 1;
+    assert!(
+        allocs <= doublings,
+        "planning 4 096 chunks allocated {allocs} times; the budget is the visit list's doublings"
+    );
+    drop(plan);
+
+    let (first, last) = band.chunk_band(&schema);
+    let mut walked = 0;
+    let start = allocation_count();
+    let walk = cluster.band(ArrayId(0), &first, &last, |_, _, record| {
+        walked += u64::from(record.is_some());
+        ControlFlow::<()>::Continue(())
+    });
+    assert_eq!(allocation_count() - start, 0, "the band walk allocated");
+    assert!(walk.is_continue());
+    assert_eq!(walked, 4_096);
+}

@@ -33,7 +33,7 @@
 
 use elastic_array_db::prelude::*;
 use query_engine::QueryError;
-use testkit::{scripted_faults, GrowRetract, Oracle, Probe};
+use testkit::{assert_catalog_is_the_index, scripted_faults, GrowRetract, Oracle, Probe};
 use workloads::ais::{AisWorkload, BROADCAST};
 
 /// Lockstep faulted-vs-fault-free twin runs under one partitioner.
@@ -64,6 +64,9 @@ fn run_fault_differential(
         let tag = format!("{kind}/k{k}/cycle{c}");
         let fr = faulted.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: faulted run: {e}"));
         let cr = clean.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: clean run: {e}"));
+        // Crashes, promotions, repairs and the revival leave the catalog's
+        // copy of the descriptors equal to the placement index.
+        assert_catalog_is_the_index(&faulted, &tag);
 
         // Answers: faulted vs fault-free, bit for bit — the surviving
         // copies alone hold every cell — and the twin vs the oracle.
@@ -181,6 +184,56 @@ fn k1_crash_is_typed_loss_never_a_wrong_answer() {
             "{tag}: availability gate ignored the data loss"
         );
     }
+}
+
+/// Leg 4, revived: a wreck that comes back holds none of the cells the
+/// crash lost. Its orphans keep naming it, and their records stay gone,
+/// so a scan and a kNN ring that reach one are refused `NodeLost` — not
+/// answered from the catalog's descriptors as a metadata-only estimate.
+#[test]
+fn k1_a_revived_wreck_does_not_serve_its_lost_chunks() {
+    use query_engine::ops;
+    let w = testkit::ais(3, 1_200);
+    let kind = PartitionerKind::ConsistentHash;
+    let tag = format!("{kind}/k1-revive");
+    let fault_plan = Some(FaultPlan::new(7).at(1, FaultKind::Crash(1)).at(2, FaultKind::Revive(1)));
+    let cfg = RunnerConfig {
+        initial_nodes: 4,
+        fault_plan,
+        ..testkit::config(kind, w.cells_per_cycle * 90)
+    };
+    let mut faulted = WorkloadRunner::new(&w, cfg);
+    for c in 0..w.cycles {
+        faulted.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
+    }
+    let cluster = faulted.cluster();
+    assert!(cluster.node(NodeId(1)).unwrap().state().serves_reads(), "{tag}: node 1 not revived");
+    let orphan = cluster
+        .placements()
+        .find(|(key, _)| {
+            key.array == BROADCAST && cluster.home(key).is_some_and(|(_, r)| r.is_none())
+        })
+        .map(|(key, _)| key)
+        .unwrap_or_else(|| panic!("{tag}: the crash orphaned nothing"));
+    let ctx = ExecutionContext::new(cluster, faulted.catalog());
+    let plan = ctx.plan_scan(BROADCAST, None, None).map(|p| p.exact);
+    assert!(
+        matches!(plan, Err(QueryError::NodeLost(key)) if cluster.home(&key).is_some_and(|(_, r)| r.is_none())),
+        "{tag}: a whole-array scan planned: {plan:?}"
+    );
+    // A query point in the orphan: its ring starts there.
+    let schema = &faulted.catalog().array(BROADCAST).unwrap().schema;
+    let point: Vec<i64> = schema
+        .dimensions
+        .iter()
+        .enumerate()
+        .map(|(d, dim)| dim.chunk_range(orphan.coords[d]).0)
+        .collect();
+    let knn = ops::knn(&ctx, BROADCAST, &[point], 3).map(|(answers, _)| answers.len());
+    assert!(
+        matches!(knn, Err(QueryError::NodeLost(key)) if key == orphan),
+        "{tag}: kNN read {orphan}: {knn:?}"
+    );
 }
 
 /// Leg 4, grown: the roster keeps growing after a k = 1 crash, so every

@@ -24,7 +24,7 @@ use elastic_array_db::array::Chunk;
 use elastic_array_db::prelude::*;
 use query_engine::ops;
 use std::collections::BTreeSet;
-use testkit::{assert_books, Oracle, Probe, SurvivorsOnly};
+use testkit::{assert_books, assert_catalog_is_the_index, Oracle, Probe, SurvivorsOnly};
 use workloads::ais::{AisWorkload, BROADCAST};
 use workloads::modis::{ModisWorkload, BAND1, BAND2};
 
@@ -251,6 +251,31 @@ fn modis_ttl_expiry_equals_never_inserted_baseline() {
         run_modis_ttl_pair(900, 3, kind, 1);
     }
     run_modis_ttl_pair(900, 3, PartitionerKind::ConsistentHash, 2);
+}
+
+/// The runner writes the catalog's copy of a partitioned array's
+/// descriptors beside the node stores, and nothing but a restore reads
+/// it: after every cycle of a dark-vessel AIS run and a MODIS TTL run, at
+/// k = 1 and k = 2, it equals what the placement index holds, chunk for
+/// chunk, bytes and cells included.
+#[test]
+fn the_catalog_copy_follows_the_placement_index_every_cycle() {
+    let ais = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(3, 1_200) };
+    let modis = ModisWorkload { days: 3, scale: 0.05, seed: 33, cells_per_cycle: 900, ttl_days: 1 };
+    let runs: [(&str, &dyn Workload, usize, u64); 2] =
+        [("ais-dark", &ais, ais.cycles, 1_200 * 90), ("modis-ttl", &modis, modis.days, 900 * 95)];
+    for (name, w, cycles, node_capacity) in runs {
+        for (kind, k) in [(PartitionerKind::HilbertCurve, 1), (PartitionerKind::ConsistentHash, 2)]
+        {
+            let cfg = RunnerConfig { replication: k, ..testkit::config(kind, node_capacity) };
+            let mut runner = WorkloadRunner::new(w, cfg);
+            for c in 0..cycles {
+                let tag = format!("{kind}/{name}/k{k}/cycle{c}");
+                runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: {e}"));
+                assert_catalog_is_the_index(&runner, &tag);
+            }
+        }
+    }
 }
 
 /// Heavier CI smoke: the full partitioner × encoding × replication
