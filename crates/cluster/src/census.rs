@@ -10,8 +10,8 @@
 //! completed repair job) and `Cluster::drop_holder` (a replica superseded
 //! by an arriving primary, eviction, retirement, and a crash's strike and
 //! promotion), each moving the index, the holder's ledger and the tally
-//! together. The one count that moves without a holder is a crash's
-//! orphan, whose only copy went with the node.
+//! together. The one count that moves without a holder is a chunk a
+//! crash loses, whose only copy went with the node.
 //! [`Cluster::replica_census`] folds those few counters against the
 //! effective copy target, so a cycle's report pays for what the cycle
 //! changed, never for what the cluster holds. The definition — walk every
@@ -147,6 +147,7 @@ mod tests {
     use crate::node::NodeId;
     use crate::rebalance::RebalancePlan;
     use crate::recovery::{BackoffPolicy, Flakiness, MidCrash};
+    use crate::Slot;
     use array_model::{ArrayId, ArraySchema, Chunk, ChunkCoords, ChunkDescriptor, ScalarValue};
     use durability::{ByteReader, ByteWriter};
     use proptest::prelude::*;
@@ -339,6 +340,27 @@ mod tests {
         }
     }
 
+    /// A placed slot's home serves reads; a lost slot has no serving
+    /// copy and no replica holder; the census's `lost` counts the lost
+    /// slots.
+    fn assert_lost_is_a_state(c: &Cluster, tag: &str) {
+        let mut lost = 0;
+        for (key, _) in c.placements() {
+            match c.home(&key).expect("a placed key has a slot") {
+                Slot::Placed { home, .. } => {
+                    let state = c.nodes[home.slot()].state();
+                    assert!(state.serves_reads(), "{tag}: {key} is placed on a {state} node");
+                }
+                Slot::Lost { .. } => {
+                    lost += 1;
+                    assert_eq!(c.serving_copies(&key), 0, "{tag}: lost {key} serves a copy");
+                    assert!(c.replica_holders(&key).is_empty(), "{tag}: lost {key} has holders");
+                }
+            }
+        }
+        assert_eq!(c.replica_census().lost, lost, "{tag}: the census miscounts the lost");
+    }
+
     fn run_script(k: usize, ops: &[Op]) {
         let mut c = Cluster::with_replication(3, u64::MAX, CostModel::default(), k).unwrap();
         c.register_array(ArrayId(0), &[4, 8]);
@@ -351,6 +373,7 @@ mod tests {
             c.verify_replica_books().unwrap_or_else(|e| panic!("k={k} step {i} {op:?}: {e}"));
             assert_eq!(c.copies, c.walked_copies(), "k={k} step {i} {op:?}: tally drifted");
             assert_eq!(c.replica_census(), walked_census(&c), "k={k} step {i} {op:?}");
+            assert_lost_is_a_state(&c, &format!("k={k} step {i} {op:?}"));
             if !accepted {
                 assert_eq!(c.copies, before, "k={k} step {i} {op:?}: a refusal moved the census");
             }

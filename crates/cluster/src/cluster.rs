@@ -5,7 +5,7 @@ use crate::cost::CostModel;
 use crate::error::{ClusterError, Result};
 use crate::node::{Node, NodeId, NodeState, Resident};
 use crate::placement::{
-    key_hash, splitmix64, DenseMeta, PlacementIndex, PlacementShard, SHARD_COUNT,
+    key_hash, splitmix64, DenseMeta, PlacementIndex, PlacementShard, Slot, SHARD_COUNT,
 };
 use crate::rebalance::RebalancePlan;
 use crate::transfer::FlowSet;
@@ -104,8 +104,8 @@ fn place_shards(
 }
 
 /// The cluster: an append-only roster of nodes and the authoritative
-/// placement index, which holds every chunk's one record and the node
-/// holding it.
+/// placement index, which holds every chunk's one [`Slot`]: its record
+/// and the node holding it, or that a crash lost it.
 ///
 /// The first node doubles as the **coordinator** (§3.4: "inserts are
 /// submitted to a coordinator node, and it distributes the incoming chunks
@@ -140,9 +140,9 @@ pub struct Cluster {
     /// tracked as a counter so [`Cluster::balance_rsd`] stays O(1).
     pub(crate) retired: usize,
     /// Placed chunks by number of serving copies — the replica census.
-    /// Placement, eviction and a crash's orphans move a chunk in or out
-    /// of it; `add_holder` and `drop_holder` move it as its holders
-    /// change (see [`crate::census`]).
+    /// Placement and eviction move a chunk in or out of it, a crash that
+    /// loses one moves it to zero; `add_holder` and `drop_holder` move it
+    /// as its holders change (see [`crate::census`]).
     pub(crate) copies: CopyTally,
 }
 
@@ -286,24 +286,28 @@ impl Cluster {
         added
     }
 
-    /// Where a chunk lives, if resident. O(1).
+    /// The node a placed chunk's slot names — its home, or the wreck of
+    /// a lost one. O(1).
     pub fn locate(&self, key: &ChunkKey) -> Option<NodeId> {
-        self.placement.get(key)
+        self.placement.node(key)
     }
 
     /// Place a brand-new chunk on `node`: its record takes a slot of the
     /// placement index's slab. O(1) for registered arrays at `k = 1`,
     /// allocating only when the slab grows; with `k ≥ 2` the chunk's
     /// replica set is admitted on its deterministic secondary route as
-    /// well.
+    /// well. A key already placed is refused, changing nothing:
+    /// [`ClusterError::ChunkLost`] when a crash lost it — new cells there
+    /// would answer the lost cells' box as if nothing were missing — and
+    /// [`ClusterError::DuplicateChunk`] otherwise.
     pub fn place(&mut self, desc: ChunkDescriptor, node: NodeId) -> Result<()> {
         let n = self.nodes.get(node.slot()).ok_or(ClusterError::UnknownNode(node.0))?;
         if !n.state().accepts_data() {
             return Err(ClusterError::NodeUnavailable { node: node.0, state: n.state() });
         }
-        let record = Some(Resident::new(desc, None));
-        if self.placement.insert(desc.key, node, record).is_err() {
-            return Err(ClusterError::DuplicateChunk(desc.key));
+        let record = Resident::new(desc, None);
+        if self.placement.insert(desc.key, Slot::Placed { home: node, record }).is_err() {
+            return Err(self.taken(desc.key));
         }
         self.ledger(node, |n| n.admit(1, desc.bytes));
         self.copies.add(1, 1);
@@ -311,6 +315,14 @@ impl Cluster {
             self.top_up_replicas(&desc.key, None);
         }
         Ok(())
+    }
+
+    /// Why placing `key`, which is placed, was refused.
+    fn taken(&self, key: ChunkKey) -> ClusterError {
+        match self.placement.get(&key) {
+            Some(Slot::Lost { .. }) => ClusterError::ChunkLost(key),
+            Some(Slot::Placed { .. }) | None => ClusterError::DuplicateChunk(key),
+        }
     }
 
     /// Edit node `id`'s books through `edit`, with the balance moments
@@ -350,9 +362,9 @@ impl Cluster {
     /// `threads == 1` runs the same phases inline, producing bit-identical
     /// state to per-chunk [`Cluster::place`] calls over the batch.
     ///
-    /// On a duplicate chunk the batch is **rolled back** entirely and the
-    /// first (lowest-index) offending key is returned, leaving the cluster
-    /// unchanged.
+    /// On a key already placed the batch is **rolled back** entirely and
+    /// the first (lowest-index) offending key is returned, refused as
+    /// [`Cluster::place`] refuses it, leaving the cluster unchanged.
     pub fn place_batch(
         &mut self,
         batch: &[ChunkDescriptor],
@@ -413,7 +425,7 @@ impl Cluster {
                 outs.iter().flat_map(|o| o.progress.iter().copied()).collect();
             let keys: Vec<ChunkKey> = batch.iter().map(|d| d.key).collect();
             self.placement.rollback(&keys, &buckets, &progress, &slots);
-            return Err(ClusterError::DuplicateChunk(batch[dup].key));
+            return Err(self.taken(batch[dup].key));
         }
         let records = batch.iter().map(|desc| Resident::new(*desc, None));
         self.placement.settle(&slots, routes, records);
@@ -449,10 +461,9 @@ impl Cluster {
     /// Attach the materialized payload of an already-placed chunk to its
     /// record. The payload then follows the descriptor through every
     /// rebalance move, and every replica holder serves it. Fails when the
-    /// chunk is not placed ([`ClusterError::MissingChunk`]), when its
-    /// record sat on a node that has since crashed
-    /// ([`ClusterError::NodeUnavailable`], a k=1 orphan), when the cells
-    /// are already attached ([`ClusterError::PayloadExists`]), or when the
+    /// chunk is not placed ([`ClusterError::MissingChunk`]) or lost
+    /// ([`ClusterError::ChunkLost`]), when the cells are already attached
+    /// ([`ClusterError::PayloadExists`]), or when the
     /// payload's actual [`Chunk::byte_size`] / [`Chunk::cell_count`]
     /// disagree with what the placed descriptor declares
     /// ([`ClusterError::PayloadMismatch`]) — the materialized ingest path
@@ -480,9 +491,7 @@ impl Cluster {
         if record.payload().is_some() {
             return Err(ClusterError::PayloadExists(key));
         }
-        if let Some(record) = self.placement.record_mut(slot) {
-            *record.payload_slot() = Some(chunk);
-        }
+        *self.record_mut(slot).payload_slot() = Some(chunk);
         Ok(())
     }
 
@@ -503,8 +512,7 @@ impl Cluster {
     pub fn apply_rebalance(&mut self, plan: &RebalancePlan) -> Result<FlowSet> {
         // Validate first so a bad plan leaves the cluster untouched.
         for m in &plan.moves {
-            let slot = self.placement.slot(&m.key).ok_or(ClusterError::MissingChunk(m.key))?;
-            let actual = self.placement.home(slot);
+            let (actual, ..) = self.primary_record(&m.key)?;
             if actual != m.from {
                 return Err(ClusterError::WrongSource {
                     key: m.key,
@@ -518,19 +526,13 @@ impl Cluster {
             if !dst.state().accepts_data() {
                 return Err(ClusterError::NodeUnavailable { node: m.to.0, state: dst.state() });
             }
-            // A crashed source's chunks were wiped (its placement entries
-            // may linger as k=1 orphans); moving one is impossible.
-            if self.placement.record(slot).is_none() {
-                return Err(ClusterError::MissingChunk(m.key));
-            }
         }
         let mut flows = FlowSet::new();
         for m in &plan.moves {
             // The validation pass found the record on `m.from`, and a plan
             // moves a key once: the move rewrites the record's home.
-            let slot = self.placement.slot(&m.key).expect("validated above");
-            debug_assert_eq!(self.placement.home(slot), m.from, "a plan moves a key once");
-            let record = self.placement.record(slot).expect("validated above");
+            let (home, slot, record) = self.primary_record(&m.key).expect("validated above");
+            debug_assert_eq!(home, m.from, "a plan moves a key once");
             // Materialized chunks time the wire transfer off the payload's
             // actual size (identical to desc.bytes by the attach-time
             // invariant, but read from the cells to keep the flow honest).
@@ -624,11 +626,9 @@ impl Cluster {
     /// onto it in the placement index, and the byte ledgers follow
     /// (promotion is a local bookkeeping flip — the bytes are already on
     /// the node — so it records no flow). Promotion is synchronous, so a
-    /// primary that does not serve never has a serving replica. Chunks
-    /// with no surviving copy (`k = 1`, or deeper failures than `k−1`)
-    /// are reported as orphaned: their records are dropped, and their
-    /// placement entries keep naming the wreck so reads surface typed
-    /// losses instead of silent misses.
+    /// primary that does not serve never has a serving replica. A chunk
+    /// with no surviving copy becomes [`Slot::Lost`], and is reported
+    /// lost.
     ///
     /// Refuses to crash the last serving node
     /// ([`ClusterError::NoHealthyNodes`]) or an already-crashed one.
@@ -644,21 +644,21 @@ impl Cluster {
         // is one fewer, and a promotion trades the first holder's copy
         // for this node's primary, one fewer as well.
         let dropped_replicas = self.strike_holder(id).len();
-        let slots = self.placement.record_slots(Some(id));
-        let lost_primaries = slots.len();
-        let mut orphaned = Vec::new();
-        for slot in slots {
-            let record = self.placement.record(slot).expect("record_slots lists held slots");
-            let desc = *record.descriptor();
+        let held = self.placement.placed(Some(id));
+        let held: Vec<ChunkDescriptor> = held.into_iter().map(|r| *r.descriptor()).collect();
+        let lost_primaries = held.len();
+        let mut lost = Vec::new();
+        for desc in held {
+            let slot = self.placement.slot(&desc.key).expect("a held chunk is placed");
             if let Some(&h) = self.replica_holders(&desc.key).first() {
                 self.drop_holder(&desc.key, h, desc.bytes);
                 self.placement.rehome(slot, h);
                 self.ledger(h, |n| n.admit(1, desc.bytes));
             } else {
-                // An orphan's one serving copy goes with the node.
-                self.placement.lose(slot);
+                // Its one serving copy goes with the node.
+                *self.placement.at_mut(slot) = Slot::Lost { wreck: id };
                 self.retally(&desc.key, 1);
-                orphaned.push(desc.key);
+                lost.push(desc.key);
             }
         }
         self.ledger(id, |n| {
@@ -668,9 +668,9 @@ impl Cluster {
         Ok(CrashReport {
             node: id,
             lost_primaries,
-            promoted: lost_primaries - orphaned.len(),
+            promoted: lost_primaries - lost.len(),
             dropped_replicas,
-            orphaned,
+            lost,
         })
     }
 
@@ -687,8 +687,8 @@ impl Cluster {
     /// key's arity; a ragged slice is [`ClusterError::RaggedCells`].
     /// Cells with no live match count as `missing` — retraction is
     /// idempotent, not an error. Requires the payload to be attached
-    /// ([`ClusterError::NoPayload`] otherwise) and the primary to
-    /// actually hold the chunk (a k=1 orphan on a wreck cannot retract).
+    /// ([`ClusterError::NoPayload`] otherwise) and the chunk not to be
+    /// lost ([`ClusterError::ChunkLost`]).
     pub fn retract_cells(&mut self, key: &ChunkKey, cells_flat: &[i64]) -> Result<ChunkRetraction> {
         let arity = key.coords.ndims().max(1);
         if !cells_flat.len().is_multiple_of(arity) {
@@ -732,8 +732,8 @@ impl Cluster {
 
     /// The payload handle of a placed chunk's record, or why its cells
     /// cannot be reached: [`ClusterError::MissingChunk`] (not placed),
-    /// [`ClusterError::NodeUnavailable`] (a k=1 orphan on a wreck),
-    /// [`ClusterError::NoPayload`] (metadata only).
+    /// [`ClusterError::ChunkLost`], [`ClusterError::NoPayload`] (metadata
+    /// only).
     pub fn primary_payload(&self, key: &ChunkKey) -> Result<&Arc<Chunk>> {
         Ok(self.payload_holder(key)?.2)
     }
@@ -741,42 +741,39 @@ impl Cluster {
     /// [`Cluster::primary_payload`], to write through.
     fn primary_payload_mut(&mut self, key: &ChunkKey) -> Result<&mut Arc<Chunk>> {
         let (_, slot, _) = self.payload_holder(key)?;
-        let record = self.placement.record_mut(slot).map(Resident::payload_slot);
         // `payload_holder` has just read the cells out of this slot.
-        Ok(record.and_then(Option::as_mut).expect("payload_holder found it"))
+        Ok(self.record_mut(slot).payload_slot().as_mut().expect("payload_holder found it"))
     }
 
-    /// Where `key`'s primary lives and its record there — one probe of
-    /// the placement index. `None` when the chunk is not placed; no
-    /// record when a crash lost every copy of it (a k=1 orphan, whose
-    /// entry still names the wreck). A planned chunk resolves its node
-    /// and its cells through this one call.
+    /// `key`'s slot — its home and record, or that it is lost — in one
+    /// probe of the placement index; `None` when the chunk is not
+    /// placed. A planned chunk resolves its node and its cells through
+    /// this one call.
     #[inline]
-    pub fn home(&self, key: &ChunkKey) -> Option<(NodeId, Option<&Resident>)> {
-        let slot = self.placement.slot(key)?;
-        Some((self.placement.home(slot), self.placement.record(slot)))
+    pub fn home(&self, key: &ChunkKey) -> Option<&Slot> {
+        self.placement.get(key)
     }
 
     /// Every placed chunk of `array` inside the box of chunk positions
     /// `first..=last` (keys of another arity lie outside it), in
-    /// ascending key order — its coordinates, the node holding its
-    /// primary and its record, as [`Cluster::home`] gives them — handed
-    /// to `visit` until it breaks. One streaming walk of the placement
-    /// index with no per-call buffer: it costs the box ∩ the array's
-    /// registered grid, plus the spilled keys in the box.
+    /// ascending key order — its coordinates and its slot, as
+    /// [`Cluster::home`] gives it — handed to `visit` until it breaks.
+    /// One streaming walk of the placement index with no per-call
+    /// buffer: it costs the box ∩ the array's registered grid, plus the
+    /// spilled keys in the box.
     pub fn band<'c, B>(
         &'c self,
         array: ArrayId,
         first: &ChunkCoords,
         last: &ChunkCoords,
-        visit: impl FnMut(&ChunkCoords, NodeId, Option<&'c Resident>) -> ControlFlow<B>,
+        visit: impl FnMut(&ChunkCoords, &'c Slot) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
         self.placement.band(array, first, last, visit)
     }
 
     /// The descriptor on `key`'s record, when it is placed and not lost.
     pub fn descriptor(&self, key: &ChunkKey) -> Option<&ChunkDescriptor> {
-        self.home(key)?.1.map(Resident::descriptor)
+        self.primary_record(key).ok().map(|(.., record)| record.descriptor())
     }
 
     /// The records of the primaries `id` holds, in key order — read off
@@ -784,30 +781,35 @@ impl Cluster {
     /// O(placed chunks + m log m) for the node's `m`: reorganization,
     /// recovery and reporting paths, not a per-chunk loop.
     pub fn residents_on(&self, id: NodeId) -> impl Iterator<Item = &Resident> {
-        let slots = self.placement.record_slots(Some(id));
-        slots.into_iter().filter_map(|slot| self.placement.record(slot))
+        self.placement.placed(Some(id)).into_iter()
     }
 
-    /// Every record the cluster holds, in key order (a crash's orphans
-    /// have none).
+    /// Every record the cluster holds, in key order (a lost chunk has
+    /// none).
     pub fn residents(&self) -> impl Iterator<Item = &Resident> {
-        let slots = self.placement.record_slots(None);
-        slots.into_iter().filter_map(|slot| self.placement.record(slot))
+        self.placement.placed(None).into_iter()
     }
 
     /// The node holding `key`'s primary, its slab slot and the record
     /// there — one probe of the placement index — or why there is none:
-    /// [`ClusterError::MissingChunk`] (not placed),
-    /// [`ClusterError::NodeUnavailable`] (a k=1 orphan whose placement
-    /// still names the wreck).
+    /// [`ClusterError::MissingChunk`] (not placed) or
+    /// [`ClusterError::ChunkLost`]. Every operation on a chunk's record
+    /// decides a lost chunk here.
     pub(crate) fn primary_record(&self, key: &ChunkKey) -> Result<(NodeId, usize, &Resident)> {
         let slot = self.placement.slot(key).ok_or(ClusterError::MissingChunk(*key))?;
-        let home = self.placement.home(slot);
-        let Some(record) = self.placement.record(slot) else {
-            let state = self.nodes[home.slot()].state();
-            return Err(ClusterError::NodeUnavailable { node: home.0, state });
-        };
-        Ok((home, slot, record))
+        match self.placement.at(slot) {
+            Slot::Placed { home, record } => Ok((*home, slot, record)),
+            Slot::Lost { .. } => Err(ClusterError::ChunkLost(*key)),
+        }
+    }
+
+    /// The record in slot `slot`, which [`Cluster::primary_record`] has
+    /// just found placed, to write through.
+    fn record_mut(&mut self, slot: usize) -> &mut Resident {
+        match self.placement.at_mut(slot) {
+            Slot::Placed { record, .. } => record,
+            Slot::Lost { .. } => unreachable!("primary_record refuses a lost chunk"),
+        }
     }
 
     /// [`Cluster::primary_record`] with the cells on the record in its
@@ -828,8 +830,7 @@ impl Cluster {
     pub fn install_payload(&mut self, key: &ChunkKey, chunk: Arc<Chunk>) -> Result<()> {
         let (home, slot, _) = self.payload_holder(key)?;
         let desc = ChunkDescriptor::new(*key, chunk.byte_size(), chunk.cell_count());
-        // `payload_holder` has just found the record in this slot.
-        let record = self.placement.record_mut(slot).expect("payload_holder found the record");
+        let record = self.record_mut(slot);
         let old = record.resize(desc);
         *record.payload_slot() = Some(chunk);
         self.ledger(home, |n| n.resize(old.bytes, desc.bytes));
@@ -847,8 +848,8 @@ impl Cluster {
     /// (descriptor and payload), and every holder's copy. The inverse of
     /// [`Cluster::place`] and the retraction path's end state: once a
     /// chunk's last live cell is gone, keeping it would pin a placement
-    /// slot, descriptor bytes, and replica upkeep forever. The primary
-    /// must actually hold the chunk (crashed-orphan entries fail typed).
+    /// slot, descriptor bytes, and replica upkeep forever. A lost chunk
+    /// is refused ([`ClusterError::ChunkLost`]).
     pub fn evict_chunk(&mut self, key: &ChunkKey) -> Result<ChunkEviction> {
         let (node, _, record) = self.primary_record(key)?;
         let desc = *record.descriptor();
@@ -975,30 +976,33 @@ impl Cluster {
             .map(|n| n.id)
     }
 
-    /// Check what the replica index must keep true; the post-recovery
-    /// and post-restore consistency gate. Every replicated key's record
-    /// is resident on a serving node, and its holders are distinct roster
-    /// nodes that serve reads and are not the primary — so a primary that
-    /// does not serve never has a serving replica, and no read ever needs
-    /// to fail over. Returns the first violation as a typed error
-    /// ([`ClusterError::DuplicateChunk`] for a second copy on one node).
+    /// Check what the placement and replica indexes must keep true; the
+    /// post-recovery and post-restore consistency gate. Every placed
+    /// slot's home serves reads (so a lost chunk is the only one no read
+    /// reaches); every replicated key is placed, not lost, and its
+    /// holders are distinct roster nodes that serve reads and are not the
+    /// primary — so no read ever needs to fail over. Returns the first
+    /// violation as a typed error ([`ClusterError::DuplicateChunk`] for a
+    /// second copy on one node).
     /// Debug builds also audit the kept replica census against its
     /// definition (see the `census` module), and each node's books — its
     /// primary count and both byte ledgers — against the records the
     /// placement and replica indexes put on it.
     pub fn verify_replica_books(&self) -> Result<()> {
         debug_assert_eq!(self.copies, self.walked_copies(), "replica census drifted");
+        let mut homes = self.placement.homes().map(|home| &self.nodes[home.slot()]);
+        if let Some(node) = homes.find(|node| !node.state().serves_reads()) {
+            return Err(ClusterError::NodeUnavailable { node: node.id.0, state: node.state() });
+        }
         for (key, holders) in &self.replicas {
             let primary = self.primary_record(key)?.0;
             for (i, h) in holders.iter().enumerate() {
                 if *h == primary || holders[..i].contains(h) {
                     return Err(ClusterError::DuplicateChunk(*key));
                 }
-            }
-            for &id in std::iter::once(&primary).chain(holders) {
-                let state = self.node(id)?.state();
+                let state = self.node(*h)?.state();
                 if !state.serves_reads() {
-                    return Err(ClusterError::NodeUnavailable { node: id.0, state });
+                    return Err(ClusterError::NodeUnavailable { node: h.0, state });
                 }
             }
         }
@@ -1021,10 +1025,9 @@ impl Cluster {
     /// placement index for the whole roster.
     pub(crate) fn primary_records(&self) -> Vec<Vec<&Resident>> {
         let mut primaries = vec![Vec::new(); self.nodes.len()];
-        for slot in self.placement.record_slots(None) {
-            if let Some(record) = self.placement.record(slot) {
-                primaries[self.placement.home(slot).slot()].push(record);
-            }
+        for record in self.placement.placed(None) {
+            let home = self.placement.node(&record.descriptor().key).expect("a placed key");
+            primaries[home.slot()].push(record);
         }
         primaries
     }
@@ -1101,7 +1104,7 @@ impl Cluster {
         let len = self.nodes.len();
         // The roster is never empty and the remainder is below its length.
         let start = (splitmix64(key_hash(key) ^ REPLICA_ROUTE_SALT) % len as u64) as usize;
-        let (primary, holders) = (self.placement.get(key), self.replica_holders(key));
+        let (primary, holders) = (self.placement.node(key), self.replica_holders(key));
         (0..len)
             .map(move |step| &self.nodes[(start + step) % len])
             .filter(move |n| {
@@ -1123,9 +1126,8 @@ pub struct CrashReport {
     /// Replica copies that vanished with the node.
     pub dropped_replicas: usize,
     /// Lost primaries with **no** surviving copy anywhere (k=1, or more
-    /// simultaneous failures than `k−1`): their placement entries still
-    /// name the crashed node so reads fail typed, never silently.
-    pub orphaned: Vec<ChunkKey>,
+    /// simultaneous failures than `k−1`), now [`Slot::Lost`].
+    pub lost: Vec<ChunkKey>,
 }
 
 /// What a cell retraction did to one placed chunk
@@ -1390,7 +1392,7 @@ mod tests {
         let flows = c.apply_rebalance(&plan).unwrap();
         assert_eq!(flows.network_bytes(), chunk.byte_size());
         assert_eq!(c.residents_on(NodeId(0)).count(), 0);
-        assert_eq!(c.home(&key).map(|(home, _)| home), Some(NodeId(1)));
+        assert_eq!(c.locate(&key), Some(NodeId(1)));
         assert_eq!(c.payload(&key), Some(&chunk));
 
         // Equal bytes but a different cell count is still a drift. Under
@@ -1538,12 +1540,55 @@ mod tests {
         c.place(d, NodeId(1)).unwrap();
         c.crash_node(NodeId(1)).unwrap();
         let loads = c.loads();
-        assert!(matches!(
-            c.attach_payload(key, chunk),
-            Err(ClusterError::NodeUnavailable { node: 1, .. })
-        ));
+        assert_eq!(c.attach_payload(key, chunk), Err(ClusterError::ChunkLost(key)));
         assert!(c.payload(&key).is_none());
         assert_eq!(c.loads(), loads);
+    }
+
+    /// The cluster's every book, as its checkpoint bytes.
+    fn snapshot(c: &Cluster) -> Vec<u8> {
+        let mut w = durability::ByteWriter::new();
+        c.snapshot_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// A lost chunk refuses every write, typed, and the cluster stays as
+    /// it was: a place or a batch into its coordinates (rolled back
+    /// whole), an eviction, an attach and an install — before and after
+    /// its wreck is revived to full service.
+    #[test]
+    fn a_lost_chunk_refuses_every_write_and_changes_nothing() {
+        let (_, chunk, key, d) = payload_chunk();
+        let mut c = cluster(3);
+        c.place(d, NodeId(1)).unwrap();
+        c.attach_payload(key, chunk.clone()).unwrap();
+        c.place(desc(5, 10), NodeId(0)).unwrap();
+        assert_eq!(c.crash_node(NodeId(1)).unwrap().lost, vec![key]);
+        for revived in [false, true] {
+            if revived {
+                c.revive_node(NodeId(1)).unwrap();
+                c.mark_recovered(NodeId(1)).unwrap();
+            }
+            let before = snapshot(&c);
+            let lost = Err(ClusterError::ChunkLost(key));
+            assert_eq!(c.place(d, NodeId(0)), lost);
+            for threads in [1, 2] {
+                let batch = [desc(7, 10), d];
+                assert_eq!(c.place_batch(&batch, &[NodeId(0), NodeId(2)], threads), lost);
+            }
+            assert_eq!(c.evict_chunk(&key).map(|_| ()), lost);
+            assert_eq!(c.attach_payload(key, chunk.clone()), lost);
+            assert_eq!(c.install_payload(&key, Arc::new(chunk.clone())), lost);
+            assert_eq!(snapshot(&c), before, "revived: {revived}");
+            assert_eq!(c.locate(&desc(7, 0).key), None, "the batch rolled back");
+            assert!(matches!(c.home(&key), Some(Slot::Lost { wreck: NodeId(1) })));
+            assert_eq!(c.replica_census().lost, 1);
+            c.verify_replica_books().unwrap();
+        }
+        assert_eq!(
+            ClusterError::ChunkLost(key).to_string(),
+            format!("chunk {key} is lost: a crash took every copy of it")
+        );
     }
 
     #[test]
@@ -1651,7 +1696,7 @@ mod tests {
 
         let stored = c.primary_payload(&key).unwrap();
         assert_eq!(stored.cell_count(), 2);
-        let new_desc = *c.home(&key).and_then(|(_, record)| record).unwrap().descriptor();
+        let new_desc = *c.descriptor(&key).unwrap();
         assert_eq!(new_desc.bytes, stored.byte_size());
         assert_eq!(new_desc.cells, 2);
         assert_eq!(c.loads()[0], stored.byte_size());
@@ -1722,7 +1767,7 @@ mod tests {
         assert_eq!(stored.tombstone_count(), 0);
         assert_eq!(stored.cell_count(), 3);
         assert_eq!(out.bytes, stored.byte_size());
-        let new_desc = *c.home(&key).and_then(|(_, record)| record).unwrap().descriptor();
+        let new_desc = *c.descriptor(&key).unwrap();
         assert_eq!((new_desc.bytes, new_desc.cells), (stored.byte_size(), 3));
         assert_eq!(c.total_used(), stored.byte_size());
         let holder = c.replica_holders(&key)[0];

@@ -12,11 +12,10 @@
 //!   payloads, but not the payload cells themselves: the caller writes
 //!   each chunk's cells once, beside this snapshot, and restore re-wires
 //!   the handles through a `payload_of` lookup;
-//! - the placement index entries, separately from the records. They are
-//!   not redundant: after a crash, an orphaned chunk keeps a placement
-//!   entry naming the wreck while its record is gone, so placement ⊋
-//!   records. Restore files every entry, then puts each record in its
-//!   entry's slot — only where the entry names the node that listed it;
+//! - the placement index entries, separately from the records: a lost
+//!   chunk's entry names its wreck and has no record. Restore files
+//!   every entry as lost, then puts each record in its entry's slot —
+//!   only where the entry names the node that listed it;
 //! - the replica index verbatim, holder order preserved (it is route
 //!   order, consumed by crash promotion).
 //!
@@ -37,7 +36,7 @@
 use crate::cluster::{BalanceStats, Cluster};
 use crate::cost::CostModel;
 use crate::node::{HeldSection, Node, NodeId, NodeState, Resident};
-use crate::placement::PlacementIndex;
+use crate::placement::{PlacementIndex, Slot};
 use array_model::{ArrayId, Chunk, ChunkDescriptor, ChunkKey};
 use durability::{ascending, ByteReader, ByteWriter, CodecError, DurabilityError};
 use std::collections::BTreeMap;
@@ -144,7 +143,7 @@ impl Cluster {
                     actual: format!("{node}"),
                 });
             }
-            if placement.insert(key, node, None).is_err() {
+            if placement.insert(key, Slot::Lost { wreck: node }).is_err() {
                 return Err(DurabilityError::Mismatch {
                     what: format!("placement of {key}"),
                     expected: "a single entry per key".to_string(),
@@ -155,15 +154,17 @@ impl Cluster {
             last_key = Some(key);
         }
         // Every primary record is placed where it is, and goes in its
-        // entry's slot. (An entry left with no record is a crash's orphan,
-        // naming the wreck or its revival.)
+        // entry's slot; an entry no record claims stays lost.
         for (node, primaries) in nodes.iter().zip(records) {
             for record in primaries {
                 let key = record.descriptor().key;
-                match placement.slot(&key).filter(|&slot| placement.home(slot) == node.id) {
-                    Some(slot) => placement.restore_record(slot, record),
-                    None => {
-                        let placed = placement.get(&key);
+                let slot = placement.slot(&key);
+                match slot.map(|slot| (slot, placement.at(slot))) {
+                    Some((slot, Slot::Lost { wreck })) if *wreck == node.id => {
+                        *placement.at_mut(slot) = Slot::Placed { home: node.id, record };
+                    }
+                    Some((_, Slot::Lost { .. } | Slot::Placed { .. })) | None => {
+                        let placed = placement.node(&key);
                         return Err(DurabilityError::Mismatch {
                             what: format!("placement of {key}"),
                             expected: format!("{}, which holds its record", node.id),
@@ -250,8 +251,8 @@ mod tests {
         Arc::new(c)
     }
 
-    /// A cluster with history: replication, payloads, a crash (orphans +
-    /// promoted replicas), and a retirement. The round-trip must survive
+    /// A cluster with history: replication, payloads, a crash (promoted
+    /// replicas), and a retirement. The round-trip must survive
     /// every lifecycle state at once.
     fn build_eventful_cluster() -> (Cluster, BTreeMap<ChunkKey, Arc<Chunk>>) {
         let mut cluster = Cluster::with_replication(4, u64::MAX, CostModel::default(), 2).unwrap();

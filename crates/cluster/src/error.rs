@@ -14,6 +14,9 @@ pub enum ClusterError {
     DuplicateChunk(ChunkKey),
     /// Moved or looked up a chunk that is not resident.
     MissingChunk(ChunkKey),
+    /// The chunk is placed but lost: a crash took every copy of it
+    /// (`Slot::Lost`). Nothing can read, write, move or overwrite it.
+    ChunkLost(ChunkKey),
     /// A move's `from` node disagrees with the chunk's actual location.
     WrongSource {
         /// The chunk being moved.
@@ -31,8 +34,7 @@ pub enum ClusterError {
     /// fatten every `Result` on the ingest path.
     PayloadMismatch(Box<PayloadMismatch>),
     /// An operation targeted a node whose lifecycle state cannot serve
-    /// it (e.g. attaching a payload to a `Crashed` node, or an invalid
-    /// lifecycle transition).
+    /// it (placing on a `Crashed` node, an invalid lifecycle transition).
     NodeUnavailable {
         /// The node that was targeted.
         node: u32,
@@ -89,6 +91,9 @@ impl fmt::Display for ClusterError {
             ClusterError::UnknownNode(id) => write!(f, "unknown node {id}"),
             ClusterError::DuplicateChunk(key) => write!(f, "chunk {key} already placed"),
             ClusterError::MissingChunk(key) => write!(f, "chunk {key} is not resident"),
+            ClusterError::ChunkLost(key) => {
+                write!(f, "chunk {key} is lost: a crash took every copy of it")
+            }
             ClusterError::WrongSource { key, claimed, actual } => {
                 write!(f, "move of {key} claims source node {claimed} but it lives on {actual}")
             }

@@ -40,6 +40,7 @@ pub use cost::{gb, CostModel, BYTES_PER_GB};
 pub use error::{ClusterError, PayloadMismatch, Result};
 pub use metrics::{relative_std_dev, NodeHoursLedger, PhaseBreakdown};
 pub use node::{Node, NodeId, NodeState, Resident};
+pub use placement::Slot;
 pub use rebalance::{ChunkMove, RebalancePlan};
 pub use recovery::{BackoffPolicy, Flakiness, MidCrash, RecoveryOutcome, RepairJob, RepairPlan};
 pub use transfer::{Flow, FlowSet};

@@ -526,8 +526,10 @@ mod tests {
         let mut c = Cluster::new(2, 1000, CostModel::default()).unwrap();
         let d = ChunkDescriptor::new(key(5), 42, 1);
         c.place(d, NodeId(1)).unwrap();
-        let (home, record) = c.home(&d.key).expect("placed");
-        assert_eq!((home, record.map(Resident::descriptor)), (NodeId(1), Some(&d)));
+        let slot = c.home(&d.key).expect("placed");
+        assert!(
+            matches!(slot, crate::Slot::Placed { home: NodeId(1), record } if record.descriptor() == &d)
+        );
         assert!(c.home(&key(6)).is_none());
         let on = |n: u32| c.residents_on(NodeId(n)).map(|r| r.descriptor().key).collect::<Vec<_>>();
         assert_eq!((on(0), on(1)), (vec![], vec![key(5)]));

@@ -67,7 +67,7 @@
 use crate::cluster::Cluster;
 use crate::cost::CostModel;
 use crate::node::NodeId;
-use crate::placement::{key_hash, splitmix64};
+use crate::placement::{key_hash, splitmix64, Slot};
 use crate::transfer::FlowSet;
 use array_model::ChunkKey;
 
@@ -196,15 +196,17 @@ impl RecoveryOutcome {
 }
 
 impl Cluster {
-    /// The nodes serving a copy of `key`: the primary first (when its
-    /// node serves reads and still holds the record), then every serving
-    /// holder the replica index names, in route order. The one definition
-    /// of a *serving copy* — the census counts these, repair planning
-    /// sources from the first of them.
+    /// The nodes serving a copy of `key`: the primary first (a placed
+    /// chunk's home serves reads; a lost one has none), then every
+    /// serving holder the replica index names, in route order. The one
+    /// definition of a *serving copy* — the census counts these, repair
+    /// planning sources from the first of them.
     pub(crate) fn serving_nodes(&self, key: &ChunkKey) -> impl Iterator<Item = NodeId> + '_ {
         let serves = |id: &NodeId| self.nodes[id.slot()].state().serves_reads();
-        let held = self.home(key).filter(|(_, record)| record.is_some());
-        let primary = held.map(|(home, _)| home).filter(serves);
+        let primary = match self.home(key) {
+            Some(Slot::Placed { home, .. }) => Some(*home),
+            Some(Slot::Lost { .. }) | None => None,
+        };
         primary.into_iter().chain(self.replica_holders(key).iter().copied().filter(serves))
     }
 
@@ -380,7 +382,7 @@ mod tests {
         let report = c.crash_node(NodeId(1)).unwrap();
         assert_eq!(report.lost_primaries, 8);
         assert_eq!(report.promoted, 8, "every k=2 chunk has a surviving replica");
-        assert!(report.orphaned.is_empty());
+        assert!(report.lost.is_empty());
         // Promotion restores primaries; the census is under-replicated
         // until recovery rebuilds the consumed replicas.
         let census = c.replica_census();
@@ -405,7 +407,7 @@ mod tests {
         let mut c = replicated_cluster(3, 1, 9);
         let report = c.crash_node(NodeId(2)).unwrap();
         assert_eq!(report.promoted, 0);
-        assert_eq!(report.orphaned.len(), 3);
+        assert_eq!(report.lost.len(), 3);
         let plan = c.plan_recovery();
         assert!(plan.jobs.is_empty(), "no source exists for k=1 losses");
         assert_eq!(plan.unrecoverable.len(), 3);

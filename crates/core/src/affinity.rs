@@ -105,7 +105,7 @@ impl AffinityAnalyzer {
         let mut location: BTreeMap<&ChunkKey, NodeId> = BTreeMap::new();
         let mut sizes: BTreeMap<&ChunkKey, u64> = BTreeMap::new();
         for desc in cluster.residents().map(Resident::descriptor) {
-            if let Some((node, _)) = cluster.home(&desc.key) {
+            if let Some(node) = cluster.locate(&desc.key) {
                 location.insert(&desc.key, node);
                 sizes.insert(&desc.key, desc.bytes);
             }

@@ -457,8 +457,8 @@ pub(super) fn split_heaviest<'c>(
 }
 
 /// The table-wide scale-out: every placed chunk whose `owner` changed
-/// moves to it, in key order, with the bytes on its record. A k = 1
-/// orphan has no record (a crash took it) and keeps naming the wreck.
+/// moves to it, in key order, with the bytes on its record. A lost chunk
+/// has no record and stays on its wreck.
 pub(super) fn reshuffle(cluster: &Cluster, owner: impl Fn(&ChunkKey) -> NodeId) -> RebalancePlan {
     let mut plan = RebalancePlan::empty();
     for (key, from) in cluster.placements() {

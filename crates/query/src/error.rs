@@ -23,12 +23,9 @@ pub enum QueryError {
     /// constructing (let alone not taking) the miss branch never
     /// allocates on the per-chunk lookup path.
     Unplaced(ChunkKey),
-    /// A chunk's only copies sat on nodes that crashed and no surviving
-    /// replica can serve it — at `k = 1` this is the typed face of data
-    /// loss, returned instead of a panic or a silent wrong answer. Its
-    /// placement keeps naming the wreck with no record, and stays lost
-    /// after that node is revived. `Copy` key, lazily rendered, like
-    /// [`QueryError::Unplaced`].
+    /// The chunk is lost (`cluster_sim::Slot::Lost`): the typed face of
+    /// data loss, returned instead of a panic or a silent wrong answer.
+    /// `Copy` key, lazily rendered, like [`QueryError::Unplaced`].
     NodeLost(ChunkKey),
     /// Operator-specific invalid argument.
     InvalidArgument(String),
@@ -79,7 +76,7 @@ impl fmt::Display for QueryError {
             }
             QueryError::Unplaced(key) => write!(f, "chunk {key} is not placed on any node"),
             QueryError::NodeLost(key) => {
-                write!(f, "chunk {key} is unreadable: every holding node is crashed")
+                write!(f, "chunk {key} is lost: a crash took every copy of it")
             }
             QueryError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             QueryError::AttributeType { attribute, expected, got } => {

@@ -18,7 +18,7 @@ use crate::ops::scan::SelectionMask;
 use crate::predicate::Predicate;
 use crate::stats::{scaled_bytes, WorkTracker};
 use array_model::{ArrayId, Chunk, ChunkCoords, ChunkDescriptor, ChunkKey, Region, MAX_DIMS};
-use cluster_sim::{Cluster, CostModel, NodeId, Resident};
+use cluster_sim::{Cluster, CostModel, NodeId, Resident, Slot};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -239,11 +239,8 @@ impl<'a> ExecutionContext<'a> {
     /// Replicated arrays are "held" by every node; callers pass the node
     /// that wants to read, and get it back.
     ///
-    /// A chunk whose record a crash lost, or whose primary does not
-    /// serve, is a typed [`QueryError::NodeLost`] — never a panic, never a
-    /// silent wrong answer. No replica can stand in: a crash promotes a
-    /// surviving holder before it returns, so a chunk whose primary is
-    /// down has no serving copy left.
+    /// A lost chunk ([`Slot::Lost`]) is a typed [`QueryError::NodeLost`]
+    /// — never a panic, never a silent wrong answer.
     pub fn node_of(
         &self,
         array: &StoredArray,
@@ -264,20 +261,7 @@ impl<'a> ExecutionContext<'a> {
     /// (pinned by `tests/alloc_free_routing.rs`).
     #[inline]
     fn serving_home(&self, key: ChunkKey) -> Result<(NodeId, &'a Resident)> {
-        let (home, record) = self.cluster.home(&key).ok_or(QueryError::Unplaced(key))?;
-        let record = self.readable(home, record).ok_or(QueryError::NodeLost(key))?;
-        Ok((home, record))
-    }
-
-    /// A placed chunk's record, when a read can reach it. `None` — to the
-    /// caller, [`QueryError::NodeLost`] — for a chunk whose record a crash
-    /// lost (a k = 1 orphan), whatever state its home is in now: revived
-    /// or not, that node no longer holds the cells. `None` too for a
-    /// record on a home that does not serve reads.
-    #[inline]
-    fn readable(&self, home: NodeId, record: Option<&'a Resident>) -> Option<&'a Resident> {
-        let serves = self.cluster.node(home).is_ok_and(|node| node.state().serves_reads());
-        record.filter(|_| serves)
+        placed(self.cluster.home(&key).ok_or(QueryError::Unplaced(key))?, || key)
     }
 
     /// The materialized cells of one chunk, from the one place they
@@ -290,15 +274,16 @@ impl<'a> ExecutionContext<'a> {
         if array.replicated {
             return array.data.as_ref()?.chunk(coords);
         }
-        self.cluster.home(&array.key_for(coords))?.1.and_then(cells)
+        let key = array.key_for(coords);
+        placed(self.cluster.home(&key)?, || key).ok().and_then(|(_, record)| cells(record))
     }
 
     /// The chunk at `coords`, for an operator that reads chunks by
     /// position rather than by region (kNN's ring): its descriptor, the
     /// node holding it (`None` for a replicated array: every node does)
     /// and its cells. One probe of the placement index for a partitioned
-    /// array. `None` when no chunk is there; a chunk whose record is lost
-    /// is [`QueryError::NodeLost`], as in [`ExecutionContext::plan_scan`].
+    /// array. `None` when no chunk is there; a lost chunk is
+    /// [`QueryError::NodeLost`], as in [`ExecutionContext::plan_scan`].
     pub(crate) fn chunk_at(
         &self,
         array: &'a StoredArray,
@@ -309,8 +294,8 @@ impl<'a> ExecutionContext<'a> {
             return Ok(array.descriptors.get(coords).map(|desc| (desc, None, payload)));
         }
         let key = array.key_for(coords);
-        let Some((home, record)) = self.cluster.home(&key) else { return Ok(None) };
-        let record = self.readable(home, record).ok_or(QueryError::NodeLost(key))?;
+        let Some(slot) = self.cluster.home(&key) else { return Ok(None) };
+        let (home, record) = placed(slot, || key)?;
         Ok(Some((record.descriptor(), Some(home), cells(record))))
     }
 
@@ -338,9 +323,10 @@ impl<'a> ExecutionContext<'a> {
         }
         let (first, last) = whole_band(array);
         let mut any = false;
-        let flow = self.cluster.band(array.id, &first, &last, |_, _, record| {
+        let flow = self.cluster.band(array.id, &first, &last, |coords, slot| {
             any = true;
-            match record.and_then(cells) {
+            match placed(slot, || array.key_for(coords)).ok().and_then(|(_, record)| cells(record))
+            {
                 Some(_) => ControlFlow::Continue(()),
                 None => ControlFlow::Break(()),
             }
@@ -371,10 +357,10 @@ impl<'a> ExecutionContext<'a> {
     /// 1. a partitioned array's chunks come from one walk of the
     ///    cluster's placement index over the region's chunk band
     ///    ([`Cluster::band`], [`Region::chunk_band`]), in row-major chunk
-    ///    order: each step yields a chunk's key, home node and record
-    ///    together, so planning costs what the query names, not what the
-    ///    array has accumulated, and reads no catalog descriptor. Every
-    ///    intersecting chunk is routed, so a lost record
+    ///    order: each step yields a chunk's key and slot — home node and
+    ///    record — together, so planning costs what the query names, not
+    ///    what the array has accumulated, and reads no catalog
+    ///    descriptor. Every intersecting chunk is routed, so a lost chunk
     ///    ([`QueryError::NodeLost`]) surfaces exactly as it would
     ///    unpruned. A replicated array is planned by filtering the
     ///    catalog's descriptors, each read locally;
@@ -428,14 +414,14 @@ impl<'a> ExecutionContext<'a> {
             // index) inside the band. When both corners of the band meet
             // it, that run is the whole band: no chunk needs the test.
             let tight = meets(&first) && meets(&last);
-            let walk = self.cluster.band(array.id, &first, &last, |coords, home, record| {
+            let walk = self.cluster.band(array.id, &first, &last, |coords, slot| {
                 if !tight && !meets(coords) {
                     return ControlFlow::Continue(());
                 }
-                let Some(record) = self.readable(home, record) else {
-                    return ControlFlow::Break(QueryError::NodeLost(array.key_for(coords)));
-                };
-                plan(record.descriptor(), home, cells(record));
+                match placed(slot, || array.key_for(coords)) {
+                    Ok((home, record)) => plan(record.descriptor(), home, cells(record)),
+                    Err(lost) => return ControlFlow::Break(lost),
+                }
                 ControlFlow::Continue(())
             });
             if let ControlFlow::Break(lost) = walk {
@@ -474,6 +460,15 @@ impl<'a> ExecutionContext<'a> {
 /// What [`ExecutionContext::chunk_at`] finds at a position: descriptor,
 /// holder and cells.
 pub(crate) type Reading<'a> = (&'a ChunkDescriptor, Option<NodeId>, Option<&'a Chunk>);
+
+/// A placed chunk's home and record: the one place a read decides a
+/// lost chunk, as [`QueryError::NodeLost`] naming `key()`.
+fn placed(slot: &Slot, key: impl FnOnce() -> ChunkKey) -> Result<(NodeId, &Resident)> {
+    match slot {
+        Slot::Placed { home, record } => Ok((*home, record)),
+        Slot::Lost { .. } => Err(QueryError::NodeLost(key())),
+    }
+}
 
 /// A record's cells, when they are materialized.
 fn cells(record: &Resident) -> Option<&Chunk> {

@@ -24,6 +24,7 @@ pub use oracle::{window_oracle, Oracle};
 pub use probe::{scan, Answers, Probe, State};
 
 use array_model::{ArrayId, ScalarValue};
+use cluster_sim::Slot;
 use elastic_core::PartitionerKind;
 use workloads::ais::AisWorkload;
 use workloads::{FaultKind, FaultPlan, RunnerConfig, WorkloadRunner};
@@ -79,9 +80,10 @@ pub fn assert_books(runner: &WorkloadRunner<'_>, array: ArrayId) -> u64 {
 /// Panics unless every partitioned array's catalog descriptors are the
 /// chunks the cluster's placement index holds for it: key for key, in
 /// key order, with their records' bytes and cells ([`Cluster::band`]
-/// over the whole array). No query reads the catalog's copy of a
-/// partitioned array, so a drift between the two would surface only
-/// after a checkpoint restores that copy.
+/// over the whole array). A lost chunk has no record, so only its key is
+/// compared: the catalog's copy is the one book of its size. No query
+/// reads the catalog's copy of a partitioned array, so a drift between
+/// the two would surface only after a checkpoint restores that copy.
 ///
 /// [`Cluster::band`]: cluster_sim::Cluster::band
 pub fn assert_catalog_is_the_index(runner: &WorkloadRunner<'_>, tag: &str) {
@@ -91,9 +93,12 @@ pub fn assert_catalog_is_the_index(runner: &WorkloadRunner<'_>, tag: &str) {
         let first = array_model::ChunkCoords::new(&[i64::MIN; array_model::MAX_DIMS][..n]);
         let last = array_model::ChunkCoords::new(&[i64::MAX; array_model::MAX_DIMS][..n]);
         let mut indexed = Vec::new();
-        let walk = runner.cluster().band(stored.id, &first, &last, |coords, _, record| {
-            let books = record.map(|r| (r.descriptor().bytes, r.descriptor().cells));
-            indexed.push((stored.key_for(coords), books));
+        let walk = runner.cluster().band(stored.id, &first, &last, |coords, slot| {
+            let desc = match slot {
+                Slot::Placed { record, .. } => Some(record.descriptor()),
+                Slot::Lost { .. } => stored.descriptors.get(coords),
+            };
+            indexed.push((stored.key_for(coords), desc.map(|d| (d.bytes, d.cells))));
             ControlFlow::<()>::Continue(())
         });
         assert!(walk.is_continue());

@@ -99,8 +99,8 @@ pub enum CycleError {
         source: ClusterError,
     },
     /// The cycle's retraction script could not be applied to the
-    /// cluster's stored payloads (a chunk lost its payload, or the
-    /// shrink left the books inconsistent).
+    /// cluster's stored payloads (a chunk has no payload, or the shrink
+    /// left the books inconsistent).
     Retract {
         /// Cycle that failed.
         cycle: usize,

@@ -441,9 +441,11 @@ impl World {
     const MAX_RECOVERY_PASSES: usize = 4;
 
     /// Drive recovery to convergence: plan → execute passes until the
-    /// plan comes back empty or stops making progress, then return any
-    /// refilled `Recovering` nodes to full service and audit the replica
-    /// books. Repair flows and backoff waits accumulate into `tally`.
+    /// plan comes back empty or stops making progress, then — once no
+    /// repairable chunk is under strength, whatever a crash lost — return
+    /// any refilled `Recovering` nodes to full service and audit the
+    /// replica books. Repair flows and backoff waits accumulate into
+    /// `tally`.
     fn repair(
         &mut self,
         cycle: usize,
@@ -469,7 +471,7 @@ impl World {
                 break;
             }
         }
-        if self.cluster.replica_census().is_full_strength() {
+        if self.cluster.replica_census().under == 0 {
             for id in self.nodes_in(NodeState::Recovering) {
                 let refused = |source| CycleError::Fault { cycle, source };
                 self.cluster.mark_recovered(id).map_err(refused)?;
@@ -502,9 +504,9 @@ impl World {
     ///   primary and every replica ([`Cluster::install_payload`]).
     ///
     /// A group whose chunk is not placed — never inserted, or already
-    /// retracted whole — misses throughout: retraction is idempotent. A
-    /// chunk that is placed but cannot be read — a crashed k = 1 primary,
-    /// a descriptor with no payload — refuses the script, typed.
+    /// retracted whole — or is lost misses throughout: retraction is
+    /// idempotent, and a lost chunk's cells are gone already. A chunk
+    /// with no payload refuses the script, typed.
     pub(crate) fn retract(
         &mut self,
         cycle: usize,
@@ -530,7 +532,7 @@ impl World {
                 let (coords, key) = (group.coords, ChunkKey::new(b.array, group.coords));
                 let chunk = match self.cluster.primary_payload(&key) {
                     Ok(handle) => handle,
-                    Err(ClusterError::MissingChunk(_)) => continue,
+                    Err(ClusterError::MissingChunk(_) | ClusterError::ChunkLost(_)) => continue,
                     Err(refused) => return Err(rejected(refused)),
                 };
                 matched.clear();
@@ -703,7 +705,7 @@ impl World {
     /// partitioners are deliberately fault-blind — their ring/tree view
     /// stays stable across crashes so fault-free runs stay bit-identical —
     /// which means a plan can move chunks that a crash already promoted
-    /// elsewhere (or orphaned), or target a node that no longer accepts
+    /// elsewhere, or target a node that no longer accepts
     /// data. Stale sources are dropped (there is nothing left to move);
     /// unavailable destinations are diverted exactly like ingest routes.
     /// Fault-free runs return the plan untouched.
@@ -713,9 +715,7 @@ impl World {
         }
         let mut out = RebalancePlan::empty();
         for m in plan.moves {
-            let source_live = self.cluster.locate(&m.key) == Some(m.from)
-                && self.cluster.node(m.from).is_ok_and(|n| n.state().serves_reads());
-            if !source_live {
+            if self.cluster.locate(&m.key) != Some(m.from) {
                 continue;
             }
             // A diverted move may land on a replica holder; the cluster

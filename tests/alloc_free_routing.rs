@@ -7,6 +7,7 @@
 //! must stay amortized — container growth only, not per-chunk.
 
 use elastic_array_db::array::chunk_of;
+use elastic_array_db::cluster::Slot;
 use elastic_array_db::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -234,7 +235,7 @@ fn replica_census_never_allocates() {
     // its replicas are gone, so about two chunks in five are a copy short.
     let crash = cluster.crash_node(NodeId(3)).unwrap();
     let short = crash.promoted + crash.dropped_replicas;
-    assert!(crash.orphaned.is_empty() && short > 3_000);
+    assert!(crash.lost.is_empty() && short > 3_000);
 
     let start = allocation_count();
     let mut under = 0;
@@ -896,8 +897,8 @@ fn plan_scan_allocates_per_doubling_and_the_band_walk_never() {
     let (first, last) = band.chunk_band(&schema);
     let mut walked = 0;
     let start = allocation_count();
-    let walk = cluster.band(ArrayId(0), &first, &last, |_, _, record| {
-        walked += u64::from(record.is_some());
+    let walk = cluster.band(ArrayId(0), &first, &last, |_, slot| {
+        walked += u64::from(matches!(slot, Slot::Placed { .. }));
         ControlFlow::<()>::Continue(())
     });
     assert_eq!(allocation_count() - start, 0, "the band walk allocated");

@@ -700,3 +700,43 @@ fn the_log_folds_into_the_oracle_the_workload_feeds() {
     assert_eq!(rec.start_cycle(), w.cycles);
     from_log.assert_stored(&rec, CHURN, "recovered from the log");
 }
+
+/// At k = 1 a crash loses chunks and the run goes on: a retraction that
+/// reaches a lost chunk skips it, so every cycle after the crash is
+/// logged. The fault suite's `Crash(0)` run (node 0 revived at cycle 2),
+/// logged to a `MemLog` under every scheme, recovers to the live run's
+/// state — from its final image, whose checkpoint lists the lost chunks'
+/// entries with no record, and from its log alone, which replays the
+/// crash.
+#[test]
+fn a_k1_run_that_loses_chunks_recovers_to_its_live_state() {
+    let w = churn(6, 512);
+    let defs = view_defs();
+    let mut lost = 0;
+    for kind in PartitionerKind::ALL {
+        let faults = FaultPlan::new(7).at(1, FaultKind::Crash(0)).at(2, FaultKind::Revive(0));
+        let cfg = RunnerConfig {
+            initial_nodes: 4,
+            fault_plan: Some(faults),
+            ..testkit::config(kind, 8 * 1024)
+        };
+        let mem = mem_log();
+        let mut live = WorkloadRunner::new(&w, durable(&cfg, mem.clone()));
+        defs.iter().for_each(|def| live.register_view(def.clone()));
+        live.run_all().unwrap_or_else(|e| panic!("{kind}: live run: {e}"));
+        lost += live.cluster().replica_census().lost;
+        let want = State::of(&live);
+        let mut image = mem.lock().expect("mem log").clone();
+        for from in ["its final image", "its log alone"] {
+            let cfg = durable(&cfg, shared(image.clone()));
+            let rec = WorkloadRunner::recover(&w, cfg, defs.clone())
+                .unwrap_or_else(|e| panic!("{kind}: recovery from {from}: {e}"));
+            assert_eq!(rec.start_cycle(), w.cycles, "{kind}: recovery from {from}");
+            State::of(&rec).assert_same(&want, &format!("{kind}: recovered from {from}"));
+            for seq in image.checkpoint_seqs().expect("seqs") {
+                image.drop_checkpoint(seq);
+            }
+        }
+    }
+    assert!(lost > 0, "no scheme lost a chunk to the crash");
+}
