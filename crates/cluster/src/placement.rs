@@ -76,7 +76,8 @@ pub enum Slot {
     /// reaches it refuses typed — a read `NodeLost`, a write
     /// `ChunkLost` — and `wreck`, the node whose crash lost it, keeps
     /// naming it whatever becomes of that node. No serving copy, no
-    /// replica holder, no ledger: only the catalog still knows its size.
+    /// replica holder, no ledger, and no book keeps its size: that went
+    /// with the node.
     /// A view keeps the contribution of the cells it saw before the
     /// crash; taking them out would need the values that are gone.
     Lost {

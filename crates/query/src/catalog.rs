@@ -1,8 +1,8 @@
-//! The catalog: which arrays exist, their schemas and chunk metadata. The
-//! cells of a partitioned array are not here — they live in the cluster's
-//! node stores, each chunk on the nodes that own it; only a *replicated*
-//! array, which every node holds whole, keeps its cells with its
-//! registration.
+//! The catalog: which arrays exist and their schemas. A partitioned
+//! array's chunks are not here — descriptors and cells are the cluster's,
+//! each chunk one record in its placement index, its cells on the nodes
+//! that own it; only a *replicated* array, which every node holds whole,
+//! keeps its chunks with its registration.
 
 use crate::error::{QueryError, Result};
 use array_model::{Array, ArrayId, ArraySchema, ChunkCoords, ChunkDescriptor, ChunkKey};
@@ -13,24 +13,22 @@ use std::sync::Arc;
 /// One array registered with the engine.
 ///
 /// `replicated` marks small dimension arrays (the paper's 25 MB Vessel
-/// array) that live in full on every node, so reads are always local —
-/// and `data` is where such an array's cells are: the engine reads it for
-/// replicated arrays only. For a partitioned array it is whatever the
-/// caller keeps there (a differential's reference copy); queries read
-/// that array's chunks — descriptors and cells — off the cluster's
-/// placement index.
+/// array) that live in full on every node, so reads are always local;
+/// `descriptors` and `data` are where such an array's chunks are. A
+/// partitioned array's chunks — descriptors and cells — are the
+/// cluster's: queries read them off its placement index, and the
+/// engine reads neither field of a partitioned registration.
 #[derive(Debug, Clone)]
 pub struct StoredArray {
     /// The array's identity.
     pub id: ArrayId,
     /// Schema (dimensions, attributes).
     pub schema: ArraySchema,
-    /// Chunk metadata, keyed by chunk position. The workload runner
-    /// writes it as it places, retracts and evicts chunks, so it equals
-    /// the descriptors on the cluster's records. Only a replicated
-    /// array's scans and the checkpoint codec read it: a partitioned
-    /// array is planned off the placement index, and this copy waits for
-    /// a restore.
+    /// A replicated array's chunk metadata, keyed by chunk position.
+    /// Empty for a partitioned array in the engine and the workload
+    /// runner, whose chunks are the cluster's. For a partitioned array
+    /// the field stays only because the benchmark harness's ledger
+    /// (`benchmark/src/ledger.rs`) files a copy of its own here.
     pub descriptors: BTreeMap<ChunkCoords, ChunkDescriptor>,
     /// The whole array's cells: a replicated array's one copy; never
     /// read by the engine otherwise (see the type docs).
@@ -69,8 +67,8 @@ impl StoredArray {
         self
     }
 
-    /// Total stored bytes, from `descriptors`: a replicated array's size
-    /// (what each node reads of a lookup join's build side).
+    /// Total bytes of `descriptors`: a replicated array's size (what each
+    /// node reads of a lookup join's build side).
     pub fn byte_size(&self) -> u64 {
         self.descriptors.values().map(|d| d.bytes).sum()
     }
@@ -110,7 +108,7 @@ impl Catalog {
         self.arrays.get(&id).ok_or(QueryError::UnknownArray(id))
     }
 
-    /// Mutable fetch (workload drivers append chunks between cycles).
+    /// Mutable fetch.
     pub fn array_mut(&mut self, id: ArrayId) -> Result<&mut StoredArray> {
         self.arrays.get_mut(&id).ok_or(QueryError::UnknownArray(id))
     }
@@ -123,9 +121,10 @@ impl Catalog {
     /// The fixture of tests and examples: store `array` partitioned —
     /// each chunk placed on the node `node_for(cluster, i, descriptor)`
     /// picks (`i` counts chunks in row-major order), its cells attached
-    /// there — and register the schema and descriptors. The caller keeps
-    /// `array` itself as the oracle to compare answers against; chunks
-    /// are shared with it, not copied.
+    /// there — and register its schema only, as the workload runner
+    /// does: the chunks are the cluster's. The caller keeps `array`
+    /// itself as the oracle to compare answers against; chunks are
+    /// shared with it, not copied.
     #[doc(hidden)]
     pub fn place_array(
         &mut self,
@@ -133,15 +132,13 @@ impl Catalog {
         array: &Array,
         mut node_for: impl FnMut(&Cluster, usize, &ChunkDescriptor) -> NodeId,
     ) -> cluster_sim::Result<()> {
-        let mut descriptors = Vec::with_capacity(array.chunk_count());
         for (i, (_, chunk)) in array.shared_chunks().enumerate() {
             let desc = chunk.descriptor(array.id);
             let node = node_for(cluster, i, &desc);
             cluster.place(desc, node)?;
             cluster.attach_payload(desc.key, Arc::clone(chunk))?;
-            descriptors.push(desc);
         }
-        self.register(StoredArray::from_descriptors(array.id, array.schema.clone(), descriptors));
+        self.register(StoredArray::from_descriptors(array.id, array.schema.clone(), []));
         Ok(())
     }
 }
@@ -149,8 +146,8 @@ impl Catalog {
 // ---------------------------------------------------------------------
 // Durable codecs: a checkpoint carries every registration — schema,
 // chunk metadata, and `data` where an array has it (a replicated array's
-// cells). A partitioned array's cells are the node stores' to
-// checkpoint, not the catalog's.
+// chunks). A partitioned array's chunks are the cluster's to checkpoint,
+// not the catalog's.
 // ---------------------------------------------------------------------
 
 use durability::{ascending, ByteReader, ByteWriter, CodecError};

@@ -7,8 +7,8 @@
 //! A partitioned array is planned off the cluster's placement index
 //! alone: one walk of its chunk grid over the query's band
 //! ([`Cluster::band`]) gives each chunk's key, home node and record —
-//! descriptor and cells — together. The catalog's copy of the array's
-//! descriptors is not read; only a replicated array, which no node
+//! descriptor and cells — together: the catalog gives its schema, and
+//! holds none of its chunks. Only a replicated array, which no node
 //! places, is planned from the catalog.
 
 use crate::catalog::{Catalog, StoredArray};
@@ -595,7 +595,7 @@ mod tests {
         cluster.crash_node(NodeId(0)).unwrap();
         let ctx = ExecutionContext::new(&cluster, &cat);
         let array = cat.array(ArrayId(0)).unwrap();
-        for coords in array.descriptors.keys() {
+        for (coords, _) in grid().shared_chunks() {
             assert_ne!(ctx.node_of(array, coords, None).unwrap(), NodeId(0));
             assert!(ctx.chunk_payload(array, coords).is_some());
         }
@@ -650,14 +650,13 @@ mod tests {
         let ctx = ExecutionContext::new(&cluster, &cat);
         let array = cat.array(ArrayId(0)).unwrap();
         // setup() places even-indexed chunks on node 0: eight are lost.
-        let lost = array.descriptors.keys().filter(|c| ctx.chunk_payload(array, c).is_none());
+        let oracle = grid();
+        let coords: Vec<_> = oracle.shared_chunks().map(|(c, _)| *c).collect();
+        let lost = coords.iter().filter(|c| ctx.chunk_payload(array, c).is_none());
         assert_eq!(lost.count(), 8);
         assert!(!ctx.cells_available(array));
         assert!(matches!(ctx.plan_scan(ArrayId(0), None, None), Err(QueryError::NodeLost(_))));
-        assert!(matches!(
-            ctx.node_of(array, array.descriptors.keys().next().unwrap(), None),
-            Err(QueryError::NodeLost(_))
-        ));
+        assert!(matches!(ctx.node_of(array, &coords[0], None), Err(QueryError::NodeLost(_))));
     }
 
     #[test]

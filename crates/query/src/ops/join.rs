@@ -20,7 +20,7 @@
 
 use super::keys::{BoxEncoding, Encoding, KeySlots};
 use super::scan::{int_key, integer_attr, numeric_attr, NumericSlice};
-use crate::error::Result;
+use crate::error::{QueryError, Result};
 use crate::exec::{ExecutionContext, ScanPlan};
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
 use array_model::{ArrayId, Region};
@@ -160,7 +160,9 @@ fn probe_pairs<E: Encoding>(
 
 /// Probe-side join against a replicated build array keyed on an integer
 /// attribute: every probe chunk joins locally against the local replica.
-/// Both keys must be integer-valued (`int32`/`int64`/`char`).
+/// Both keys must be integer-valued (`int32`/`int64`/`char`); a build
+/// array that is not replicated is [`QueryError::InvalidArgument`] — no
+/// node holds it whole, and nothing here ships it.
 pub fn lookup_join(
     ctx: &ExecutionContext<'_>,
     probe: ArrayId,
@@ -171,6 +173,10 @@ pub fn lookup_join(
 ) -> Result<(JoinResult, QueryStats)> {
     let pa = ctx.catalog.array(probe)?;
     let ba = ctx.catalog.array(build)?;
+    if !ba.replicated {
+        let why = format!("lookup join build side {build} is not replicated");
+        return Err(QueryError::InvalidArgument(why));
+    }
     let pfrac = ctx.attr_fraction(pa, &[probe_key])?;
     let pidx = integer_attr(pa, probe_key)?;
     let bidx = integer_attr(ba, build_key)?;
@@ -359,6 +365,24 @@ mod tests {
     }
 
     #[test]
+    fn lookup_join_refuses_a_partitioned_build_side() {
+        // Used to charge each probe node a local read of the build side's
+        // catalog bytes — a replica no node holds — and answer.
+        let mut cluster = Cluster::new(2, u64::MAX, CostModel::default()).unwrap();
+        let mut cat = Catalog::new();
+        for id in [0, 1] {
+            let mut a = Array::new(ArrayId(id), ArraySchema::parse("P<k:int64>[x=0:3,2]").unwrap());
+            for x in 0..4 {
+                a.insert_cell(vec![x], vec![ScalarValue::Int64(x)]).unwrap();
+            }
+            cat.place_array(&mut cluster, &a, |_, i, _| NodeId((i % 2) as u32)).unwrap();
+        }
+        let ctx = ExecutionContext::new(&cluster, &cat);
+        let err = lookup_join(&ctx, ArrayId(0), ArrayId(1), None, "k", "k").unwrap_err();
+        assert!(matches!(err, crate::QueryError::InvalidArgument(_)), "{err}");
+    }
+
+    #[test]
     fn missing_partner_chunks_are_pruned() {
         let (mut cluster, mut cat) = setup(true);
         // An array whose only chunk position (4,4) has no partner in
@@ -367,8 +391,8 @@ mod tests {
         let mut extra = Array::new(ArrayId(2), schema);
         extra.insert_cell(vec![9, 9], vec![ScalarValue::Double(1.0)]).unwrap();
         register(&mut cluster, &mut cat, extra);
-        let only = cat.array(ArrayId(2)).unwrap().descriptors.keys().next();
-        assert_eq!(only, Some(&ChunkCoords::new([4, 4])));
+        let only = cluster.residents().map(|r| r.descriptor().key).find(|k| k.array == ArrayId(2));
+        assert_eq!(only.map(|k| k.coords), Some(ChunkCoords::new([4, 4])));
         let ctx = ExecutionContext::new(&cluster, &cat);
         let region = Region::new(vec![8, 8], vec![9, 9]);
         let (result, stats) =

@@ -23,9 +23,10 @@ pub use fixtures::{CellChurn, GrowRetract, SurvivorsOnly, CHURN};
 pub use oracle::{window_oracle, Oracle};
 pub use probe::{scan, Answers, Probe, State};
 
-use array_model::{ArrayId, ScalarValue};
+use array_model::{ArrayId, ChunkCoords, ChunkKey, ScalarValue, MAX_DIMS};
 use cluster_sim::Slot;
 use elastic_core::PartitionerKind;
+use std::ops::ControlFlow;
 use workloads::ais::AisWorkload;
 use workloads::{FaultKind, FaultPlan, RunnerConfig, WorkloadRunner};
 
@@ -63,51 +64,29 @@ pub fn num(v: &ScalarValue) -> f64 {
 }
 
 /// Panics unless `array` holds chunks and every one carries a payload
-/// whose bytes and cells equal its descriptor: the books placement, the
-/// census and the cost model read. Returns the live cells they count.
-pub fn assert_books(runner: &WorkloadRunner<'_>, array: ArrayId) -> u64 {
-    let stored = runner.catalog().array(array).expect("a registered array");
-    assert!(!stored.descriptors.is_empty(), "nothing ingested for {array}");
-    for desc in stored.descriptors.values() {
-        let key = desc.key;
-        let payload = runner.cluster().payload(&key).unwrap_or_else(|| panic!("{key}: no payload"));
-        assert_eq!(payload.byte_size(), desc.bytes, "{key}: descriptor bytes drifted");
-        assert_eq!(payload.cell_count(), desc.cells, "{key}: descriptor cells drifted");
-    }
-    stored.descriptors.values().map(|d| d.cells).sum()
-}
-
-/// Panics unless every partitioned array's catalog descriptors are the
-/// chunks the cluster's placement index holds for it: key for key, in
-/// key order, with their records' bytes and cells ([`Cluster::band`]
-/// over the whole array). A lost chunk has no record, so only its key is
-/// compared: the catalog's copy is the one book of its size. No query
-/// reads the catalog's copy of a partitioned array, so a drift between
-/// the two would surface only after a checkpoint restores that copy.
+/// whose bytes and cells equal its record's descriptor: the books
+/// placement, the census and the cost model read. Reads each record off
+/// the placement index ([`Cluster::band`] over the array's whole box); a
+/// lost chunk has no payload. Returns the live cells they count.
 ///
 /// [`Cluster::band`]: cluster_sim::Cluster::band
-pub fn assert_catalog_is_the_index(runner: &WorkloadRunner<'_>, tag: &str) {
-    use std::ops::ControlFlow;
-    for stored in runner.catalog().arrays().filter(|a| !a.replicated) {
-        let n = stored.schema.ndims();
-        let first = array_model::ChunkCoords::new(&[i64::MIN; array_model::MAX_DIMS][..n]);
-        let last = array_model::ChunkCoords::new(&[i64::MAX; array_model::MAX_DIMS][..n]);
-        let mut indexed = Vec::new();
-        let walk = runner.cluster().band(stored.id, &first, &last, |coords, slot| {
-            let desc = match slot {
-                Slot::Placed { record, .. } => Some(record.descriptor()),
-                Slot::Lost { .. } => stored.descriptors.get(coords),
-            };
-            indexed.push((stored.key_for(coords), desc.map(|d| (d.bytes, d.cells))));
-            ControlFlow::<()>::Continue(())
-        });
-        assert!(walk.is_continue());
-        let catalog: Vec<_> =
-            stored.descriptors.values().map(|d| (d.key, Some((d.bytes, d.cells)))).collect();
-        assert_eq!(
-            catalog, indexed,
-            "{tag}: {}'s catalog copy left the placement index",
-            stored.id
-        );
-    }
+pub fn assert_books(runner: &WorkloadRunner<'_>, array: ArrayId) -> u64 {
+    let n = runner.catalog().array(array).expect("a registered array").schema.ndims();
+    let first = ChunkCoords::new(&[i64::MIN; MAX_DIMS][..n]);
+    let last = ChunkCoords::new(&[i64::MAX; MAX_DIMS][..n]);
+    let (mut chunks, mut cells) = (0usize, 0u64);
+    let walk = runner.cluster().band(array, &first, &last, |coords, slot| {
+        let key = ChunkKey::new(array, *coords);
+        let Slot::Placed { record, .. } = slot else { panic!("{key}: lost") };
+        let (desc, payload) = (record.descriptor(), record.payload());
+        let payload = payload.unwrap_or_else(|| panic!("{key}: no payload"));
+        assert_eq!(payload.byte_size(), desc.bytes, "{key}: descriptor bytes drifted");
+        assert_eq!(payload.cell_count(), desc.cells, "{key}: descriptor cells drifted");
+        chunks += 1;
+        cells += desc.cells;
+        ControlFlow::<()>::Continue(())
+    });
+    assert!(walk.is_continue());
+    assert!(chunks > 0, "nothing ingested for {array}");
+    cells
 }

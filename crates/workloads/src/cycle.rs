@@ -485,10 +485,11 @@ impl<'w> WorkloadRunner<'w> {
         &self.world.cluster
     }
 
-    /// The catalog — schemas and chunk metadata; the cells are in
-    /// [`WorkloadRunner::cluster`]'s node stores (for inspection between
-    /// cycles — e.g. running operators directly against the current
-    /// placement).
+    /// The catalog: the workload's registrations, which the run never
+    /// writes. A partitioned array's chunks — descriptors and cells — are
+    /// [`WorkloadRunner::cluster`]'s placement index and node stores.
+    /// Pair the two to run operators directly against the current
+    /// placement between cycles.
     pub fn catalog(&self) -> &Catalog {
         &self.world.catalog
     }
@@ -805,22 +806,25 @@ mod tests {
         // Every broadcast chunk placed in the cluster carries its payload,
         // and the payload's real bytes equal the descriptor the placement
         // and census saw.
-        let broadcast = runner.catalog().array(BROADCAST).unwrap();
-        assert!(!broadcast.descriptors.is_empty());
         let cluster = runner.cluster();
-        for desc in broadcast.descriptors.values() {
-            let payload = cluster.payload(&desc.key).expect("payload travels with the chunk");
+        let broadcast: Vec<_> =
+            cluster.residents().filter(|r| r.descriptor().key.array == BROADCAST).collect();
+        assert!(!broadcast.is_empty());
+        for record in &broadcast {
+            let (desc, payload) = (record.descriptor(), record.payload());
+            let payload = payload.expect("payload travels with the chunk");
             assert_eq!(payload.byte_size(), desc.bytes);
             assert_eq!(payload.cell_count(), desc.cells);
         }
-        // The catalog keeps metadata only: the cells' one home is the
-        // node stores.
-        assert!(broadcast.data.is_none());
+        // The catalog keeps the registration only: the chunks' one book
+        // is the placement index, the cells' one home the node stores.
+        let registered = runner.catalog().array(BROADCAST).unwrap();
+        assert!(registered.data.is_none() && registered.descriptors.is_empty());
         // Derived products stayed metadata-only; only broadcast chunks
         // carry payloads.
         let with_cells = cluster.residents().filter(|r| r.payload().is_some());
-        assert_eq!(with_cells.count(), broadcast.descriptors.len());
-        assert!(cluster.total_chunks() > broadcast.descriptors.len());
+        assert_eq!(with_cells.count(), broadcast.len());
+        assert!(cluster.total_chunks() > broadcast.len());
     }
 
     /// Re-emits cycle 0's chunk keys at cycle 1 — a typed ingest
@@ -940,16 +944,13 @@ mod tests {
     }
 
     /// Physical rows and tombstones resident in placed payloads,
-    /// enumerated through the catalog's descriptor index.
+    /// enumerated through the placement index's records.
     fn resident_rows(runner: &WorkloadRunner<'_>) -> (u64, u64) {
         let (mut physical, mut dead) = (0u64, 0u64);
-        for stored in runner.catalog().arrays() {
-            for coords in stored.descriptors.keys() {
-                let key = ChunkKey::new(stored.id, *coords);
-                let payload = runner.cluster().payload(&key).expect("materialized run");
-                physical += payload.physical_cell_count() as u64;
-                dead += payload.tombstone_count();
-            }
+        for record in runner.cluster().residents() {
+            let payload = record.payload().expect("materialized run");
+            physical += payload.physical_cell_count() as u64;
+            dead += payload.tombstone_count();
         }
         (physical, dead)
     }
@@ -991,13 +992,11 @@ mod tests {
         // invariant (desc.bytes == payload.byte_size()) holds per chunk
         // after GC's descriptor rewrites.
         for runner in [&gc_runner, &off_runner] {
-            for stored in runner.catalog().arrays() {
-                for (coords, desc) in &stored.descriptors {
-                    let key = ChunkKey::new(stored.id, *coords);
-                    let payload = runner.cluster().payload(&key).expect("materialized run");
-                    assert_eq!(payload.byte_size(), desc.bytes);
-                    assert_eq!(payload.cell_count(), desc.cells);
-                }
+            for record in runner.cluster().residents() {
+                let (desc, payload) = (record.descriptor(), record.payload());
+                let payload = payload.expect("materialized run");
+                assert_eq!(payload.byte_size(), desc.bytes);
+                assert_eq!(payload.cell_count(), desc.cells);
             }
         }
         // Compaction also dropped dangling dictionary entries, which
@@ -1072,6 +1071,54 @@ mod tests {
         assert!(refusal(&with_extra(&stray)).contains("held by none"));
     }
 
+    /// A checkpoint whose catalog section files a partitioned chunk's
+    /// descriptor — what every checkpoint carried while the runner kept a
+    /// copy of the placement index in its catalog — is refused typed, and
+    /// recovery falls back past it, to the older checkpoint and a replay
+    /// of the log, ending in the live run's state.
+    #[test]
+    fn a_checkpoint_that_files_a_partitioned_descriptor_is_refused_and_skipped() {
+        use durability::{frame_record, LogStore, MemLog, RecordReader};
+        use std::sync::{Arc, Mutex};
+        let w = ChurnWorkload { cycles: 4, cells: 3 * 64 };
+        let log = Arc::new(Mutex::new(MemLog::new()));
+        let mut cfg = config(PartitionerKind::RoundRobin);
+        cfg.run_queries = false;
+        cfg.durability = Some(DurabilityConfig {
+            log: log.clone(),
+            checkpoint_every: 2,
+            fsync_policy: durability::FsyncPolicy::PerCycle,
+        });
+        let mut live = WorkloadRunner::new(&w, cfg.clone());
+        live.run_all().expect("the live run commits four cycles");
+        let encode = |world: &World| {
+            let mut w = ByteWriter::new();
+            world.encode_into(&mut w);
+            w.into_bytes()
+        };
+
+        // Checkpoint 4 with one placed chunk's descriptor filed under its
+        // array, as the runner used to file it.
+        let blob = log.lock().unwrap().read_checkpoint(4).expect("checkpoint 4");
+        let payload = RecordReader::new(&blob).next_record().unwrap().expect("one record");
+        let (header, state) = payload.split_at(16);
+        let decode = |bytes: &[u8]| World::decode(bytes, &w, &cfg, Vec::new());
+        let mut world = decode(state).unwrap_or_else(|e| panic!("checkpoint 4 restores: {e}"));
+        let desc = *world.cluster.residents().next().expect("placed chunks").descriptor();
+        world.catalog.array_mut(CHURN).unwrap().descriptors.insert(desc.key.coords, desc);
+        let filed = encode(&world);
+        match decode(&filed) {
+            Err(DurabilityError::Mismatch { what, .. }) => assert_eq!(what, "catalog section"),
+            other => panic!("expected a typed mismatch, got {:?}", other.map(|_| "a world").err()),
+        }
+
+        let tampered = [header, &filed[..]].concat();
+        log.lock().unwrap().write_checkpoint(4, &frame_record(&tampered)).unwrap();
+        let recovered = WorkloadRunner::recover(&w, cfg.clone(), Vec::new()).expect("recovers");
+        assert_eq!(recovered.start_cycle(), 4);
+        assert!(encode(&recovered.world) == encode(&live.world), "recovered another state");
+    }
+
     /// The whole-chunk drop against the sequence it replaces. Cycle 1's
     /// script names exactly the live rows of four of six
     /// dictionary-string chunks; the runner drops them without
@@ -1122,7 +1169,7 @@ mod tests {
             assert_eq!(with_cells(cluster, ours), with_cells(&reference, theirs));
         }
         cluster.verify_replica_books().expect("replica books balance");
-        assert_eq!(runner.catalog().array(CHURN).unwrap().descriptors.len(), 2);
+        assert!(runner.catalog().array(CHURN).unwrap().descriptors.is_empty(), "never filed");
 
         // The same script again: its chunks are no longer placed, so every
         // group misses — retraction is idempotent, not an error.

@@ -3,8 +3,10 @@
 //! [`World`] is five values — exactly what a checkpoint serializes and
 //! recovery rebuilds: the `cluster` (roster, placement, loads, replicas,
 //! and the node stores, which are the only home a partitioned array's
-//! cells have), the `catalog` (schemas and the descriptor map — metadata,
-//! no cells), the `partitioner`'s routing table, the staircase `provisioner`'s demand
+//! cells have; the placement index is the one book of a partitioned
+//! chunk), the `catalog` (the workload's registrations, as
+//! [`Workload::register_arrays`] made them: the run never writes it),
+//! the `partitioner`'s routing table, the staircase `provisioner`'s demand
 //! history (present exactly under the staircase policy, which is
 //! *decided* from it — one source for that fact), and the incremental
 //! `views`. Construction, the partitioner recipe and the checkpoint
@@ -58,7 +60,7 @@ use elastic_core::{
     RouteEpoch, StaircaseProvisioner,
 };
 use query_engine::view::{ViewApplyStats, ViewDef, ViewRegistry};
-use query_engine::{Catalog, ExecutionContext, StoredArray};
+use query_engine::{Catalog, ExecutionContext};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -287,7 +289,7 @@ impl World {
         }
     }
 
-    /// A checkpoint's state section: catalog (schemas, descriptors),
+    /// A checkpoint's state section: catalog (the registrations),
     /// cells (every chunk payload the node stores hold, once), cluster
     /// (roster, placement, loads, replicas, which copies carry cells),
     /// partitioner table, provisioner history, view states.
@@ -311,26 +313,29 @@ impl World {
     /// Rebuild a world from a checkpoint's state section, for the same
     /// `(workload, config)` and view definitions the writer had. Besides
     /// what each section's codec checks, the sections are checked against
-    /// each other and against the workload: the catalog registers the
-    /// workload's arrays, each chunk's cells fit their array's schema and
-    /// are held by a node, and the partitioner's table — on the restored
-    /// roster — locates every chunk the cluster places.
+    /// each other and against the workload: the catalog section is, byte
+    /// for byte, the workload's registrations; each chunk's cells fit
+    /// their array's schema and are held by a node; and the partitioner's
+    /// table — on the restored roster — locates every chunk the cluster
+    /// places.
     pub(crate) fn decode(
         bytes: &[u8],
         workload: &dyn Workload,
         config: &RunnerConfig,
         view_defs: Vec<ViewDef>,
     ) -> Result<World, DurabilityError> {
-        let mut r = ByteReader::new(bytes);
-        let catalog = Catalog::decode_from(&mut r)?;
-        fn registration(a: &StoredArray) -> (ArrayId, &ArraySchema, bool) {
-            (a.id, &a.schema, a.replicated)
-        }
-        let mut registered = Catalog::new();
-        workload.register_arrays(&mut registered);
-        if !catalog.arrays().map(registration).eq(registered.arrays().map(registration)) {
-            return Err(mismatch("catalog", "the workload's arrays and schemas", "others"));
-        }
+        // The run never writes its catalog, so a checkpoint's must be the
+        // registrations a fresh world starts from, compared as bytes the
+        // way replay compares log records.
+        let mut catalog = Catalog::new();
+        workload.register_arrays(&mut catalog);
+        let mut registered = ByteWriter::new();
+        catalog.encode_into(&mut registered);
+        let Some(rest) = bytes.strip_prefix(registered.into_bytes().as_slice()) else {
+            let want = "the workload's registrations";
+            return Err(mismatch("catalog section", want, "other bytes"));
+        };
+        let mut r = ByteReader::new(rest);
         let mut cells = BTreeMap::new();
         for _ in 0..r.count("cells section length", 4 + 1)? {
             let array = ArrayId::decode_from(&mut r)?;
@@ -481,7 +486,7 @@ impl World {
     }
 
     /// Phase 2. Apply every batch's retraction script to the node stores,
-    /// once per chunk, and keep the catalog's descriptor map in step.
+    /// once per chunk.
     ///
     /// The script is grouped by owning chunk ([`ScriptGroups`]); each
     /// group is matched, read-only, against the chunk's primary copy
@@ -493,8 +498,8 @@ impl World {
     /// from the input alone:
     ///
     /// * **Drop.** The script names every live row of the chunk: the
-    ///   chunk is evicted — placement entry, primary, replicas, catalog
-    ///   descriptor — without being copied or tombstoned first. Retired
+    ///   chunk is evicted — placement entry, primary, replicas — without
+    ///   being copied or tombstoned first. Retired
     ///   bytes stop counting against demand immediately, which is what
     ///   lets the provisioner see the trough.
     /// * **Install.** Otherwise the rows are tombstoned on **one** copy
@@ -524,12 +529,12 @@ impl World {
                 continue;
             }
             let unknown = |_| CycleError::UnknownArray { cycle, array: b.array };
-            let stored = self.catalog.array_mut(b.array).map_err(unknown)?;
-            let script = ScriptGroups::of(&stored.schema, flat).map_err(malformed)?;
+            let schema = &self.catalog.array(b.array).map_err(unknown)?.schema;
+            let script = ScriptGroups::of(schema, flat).map_err(malformed)?;
             let viewed = self.views.reads(b.array);
             self.delta.clear();
             for group in script.groups() {
-                let (coords, key) = (group.coords, ChunkKey::new(b.array, group.coords));
+                let key = ChunkKey::new(b.array, group.coords);
                 let chunk = match self.cluster.primary_payload(&key) {
                     Ok(handle) => handle,
                     Err(ClusterError::MissingChunk(_) | ClusterError::ChunkLost(_)) => continue,
@@ -549,14 +554,11 @@ impl World {
                     Fate::Stands => {}
                     Fate::Dropped { residual } => {
                         self.cluster.evict_chunk(&key).map_err(rejected)?;
-                        stored.descriptors.remove(&coords);
                         tally.evicted_chunks += 1;
                         tally.evicted_bytes += residual;
                     }
                     Fate::Rebuilt { chunk, reclaimed } => {
-                        let desc = chunk.descriptor(b.array);
                         self.cluster.install_payload(&key, chunk).map_err(rejected)?;
-                        stored.descriptors.insert(coords, desc);
                         tally.gc_compacted_chunks += usize::from(reclaimed.is_some());
                         tally.gc_reclaimed_bytes += reclaimed.unwrap_or(0);
                     }
@@ -805,13 +807,6 @@ impl World {
             // Empty at k = 1.
             for &holder in self.cluster.replica_holders(&desc.key) {
                 flows.push(coordinator, holder, desc.bytes);
-            }
-        }
-        // File the descriptors in the catalog, one array lookup per run of
-        // equal array ids (a batch is usually one or two runs).
-        for run in batch.chunk_by(|a, b| a.key.array == b.key.array) {
-            if let Ok(array) = self.catalog.array_mut(run[0].key.array) {
-                array.descriptors.extend(run.iter().map(|desc| (desc.key.coords, *desc)));
             }
         }
         Ok(flows)

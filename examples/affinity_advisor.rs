@@ -57,7 +57,6 @@ fn main() {
         for desc in workload.insert_batch(cycle) {
             let node = partitioner.place(&desc, &cluster);
             cluster.place(desc, node).unwrap();
-            catalog.array_mut(desc.key.array).unwrap().descriptors.insert(desc.key.coords, desc);
         }
     }
 
@@ -69,18 +68,20 @@ fn main() {
         before.bytes_shuffled as f64 / 1e9
     );
 
-    // Observe the spatial adjacencies the query exercises.
+    // Observe the spatial adjacencies the query exercises, reading each
+    // chunk and its neighbours off the placement index.
     let mut advisor = AffinityAnalyzer::new();
-    let broadcast = catalog.array(workloads::ais::BROADCAST).unwrap();
-    for (coords, desc) in &broadcast.descriptors {
-        let node = cluster.locate(&desc.key).unwrap();
+    let broadcast = cluster.residents().map(|r| r.descriptor().key);
+    for key in broadcast.filter(|key| key.array == workloads::ais::BROADCAST) {
+        let node = cluster.locate(&key).unwrap();
         for dim in [1usize, 2] {
             for delta in [-1i64, 1] {
-                let mut ncoords = *coords;
+                let mut ncoords = key.coords;
                 ncoords[dim] += delta;
-                if let Some(ndesc) = broadcast.descriptors.get(&ncoords) {
-                    if cluster.locate(&ndesc.key) != Some(node) {
-                        advisor.observe(&desc.key, &ndesc.key, ndesc.bytes / 50);
+                let nkey = ChunkKey::new(key.array, ncoords);
+                if let Some(ndesc) = cluster.descriptor(&nkey) {
+                    if cluster.locate(&nkey) != Some(node) {
+                        advisor.observe(&key, &nkey, ndesc.bytes / 50);
                     }
                 }
             }

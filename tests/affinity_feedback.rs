@@ -23,19 +23,19 @@ fn scattered_setup() -> (Cluster, Catalog) {
 }
 
 /// Feed the analyzer exactly the pairs the windowed aggregate exchanges:
-/// face-adjacent chunks on different nodes.
-fn observe_halo_traffic(cluster: &Cluster, catalog: &Catalog, analyzer: &mut AffinityAnalyzer) {
-    let array = catalog.array(ArrayId(0)).unwrap();
-    for (coords, desc) in &array.descriptors {
-        let node = cluster.locate(&desc.key).unwrap();
+/// face-adjacent chunks on different nodes, read off the placement index.
+fn observe_halo_traffic(cluster: &Cluster, analyzer: &mut AffinityAnalyzer) {
+    for record in cluster.residents() {
+        let key = record.descriptor().key;
+        let node = cluster.locate(&key).unwrap();
         for dim in 0..2 {
             for delta in [-1i64, 1] {
-                let mut ncoords = *coords;
+                let mut ncoords = key.coords;
                 ncoords[dim] += delta;
-                if let Some(ndesc) = array.descriptors.get(&ncoords) {
-                    let nnode = cluster.locate(&ndesc.key).unwrap();
-                    if nnode != node {
-                        analyzer.observe(&desc.key, &ndesc.key, ndesc.bytes / 6);
+                let nkey = ChunkKey::new(key.array, ncoords);
+                if let Some(ndesc) = cluster.descriptor(&nkey) {
+                    if cluster.locate(&nkey).unwrap() != node {
+                        analyzer.observe(&key, &nkey, ndesc.bytes / 6);
                     }
                 }
             }
@@ -60,7 +60,7 @@ fn affinity_moves_reduce_window_cost() {
 
     // Observe, propose, apply.
     let mut analyzer = AffinityAnalyzer::new();
-    observe_halo_traffic(&cluster, &catalog, &mut analyzer);
+    observe_halo_traffic(&cluster, &mut analyzer);
     assert!(analyzer.pair_count() > 0);
     let plan = analyzer.propose_moves(&cluster, 1.6, 12);
     assert!(!plan.is_empty(), "hot cross-node pairs must yield advice");
@@ -89,9 +89,9 @@ fn affinity_moves_reduce_window_cost() {
 
 #[test]
 fn balance_cap_limits_affinity_greed() {
-    let (cluster, catalog) = scattered_setup();
+    let (cluster, _) = scattered_setup();
     let mut analyzer = AffinityAnalyzer::new();
-    observe_halo_traffic(&cluster, &catalog, &mut analyzer);
+    observe_halo_traffic(&cluster, &mut analyzer);
     // A tight cap accepts few or no moves; a loose one accepts more.
     let tight = analyzer.propose_moves(&cluster, 1.05, 100).len();
     let loose = analyzer.propose_moves(&cluster, 3.0, 100).len();

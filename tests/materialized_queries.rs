@@ -112,6 +112,12 @@ fn check_ais_probe(
     got
 }
 
+/// The bytes `array`'s records on the placement index carry.
+fn stored_bytes(cluster: &Cluster, array: ArrayId) -> u64 {
+    let records = cluster.residents().filter(|r| r.descriptor().key.array == array);
+    records.map(|r| r.descriptor().bytes).sum()
+}
+
 /// Model-vs-exact validation at the end of a run: the metadata estimates
 /// the cost path uses must agree with (full-width scans) or bracket
 /// (fixed-width attribute fractions) the stored payloads.
@@ -148,7 +154,6 @@ fn check_ais_model_tolerances(
     let catalog = runner.catalog();
     let cluster = runner.cluster();
     let ctx = ExecutionContext::new(cluster, catalog);
-    let broadcast = catalog.array(BROADCAST).unwrap();
 
     // Descriptor books are exact: they were derived from the payloads.
     let model_cells = assert_books(runner, BROADCAST);
@@ -158,7 +163,8 @@ fn check_ais_model_tolerances(
     // the encoding, descriptors carry the payloads' true byte sizes.
     let (cells, stats) = ops::subarray(&ctx, BROADCAST, &probe.whole, &[]).unwrap();
     assert_eq!(cells.len(), all_rows.len(), "{kind}: full scan returns every cell");
-    assert_eq!(stats.bytes_scanned, broadcast.byte_size(), "{kind}: full-width scan bytes");
+    let stored = stored_bytes(cluster, BROADCAST);
+    assert_eq!(stats.bytes_scanned, stored, "{kind}: full-width scan bytes");
 
     // Single-attribute scans use the fixed-width fraction estimate; the
     // encoding-specific bounds are derived in the doc comment above.
@@ -230,8 +236,8 @@ fn run_ais_differential(cells_per_cycle: u64, cycles: usize) {
         // Dictionary encoding must actually shrink the stored bytes —
         // otherwise the "encoding" under test silently fell back to
         // plain storage.
-        let dict_bytes = runner.catalog().array(BROADCAST).unwrap().byte_size();
-        let plain_bytes = plain_runner.catalog().array(BROADCAST).unwrap().byte_size();
+        let dict_bytes = stored_bytes(runner.cluster(), BROADCAST);
+        let plain_bytes = stored_bytes(plain_runner.cluster(), BROADCAST);
         assert!(
             dict_bytes < plain_bytes,
             "{kind}: dict bytes {dict_bytes} not below plain bytes {plain_bytes}"
@@ -503,11 +509,11 @@ fn dict_smoke() {
         assert_books(&capped, BROADCAST);
         // The cap really bit: at least one chunk's receiver column must
         // have spilled to plain storage while provenance stayed encoded.
-        let stored = capped.catalog().array(BROADCAST).unwrap();
         let chunks = || {
-            stored.descriptors.values().map(|desc| {
-                capped.cluster().payload(&desc.key).expect("integrity checked just above")
-            })
+            let records = capped.cluster().residents();
+            records
+                .filter(|r| r.descriptor().key.array == BROADCAST)
+                .map(|r| r.payload().expect("integrity checked just above"))
         };
         let receiver_idx = 8;
         let provenance_idx = 9;

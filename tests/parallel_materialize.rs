@@ -50,23 +50,23 @@ fn run_snapshot(
     let mut payloads = Vec::new();
     for &id in ids {
         let stored = runner.catalog().array(id).unwrap();
-        assert!(!stored.descriptors.is_empty(), "{kind} x{threads}: nothing ingested for {id}");
         assert!(stored.data.is_none(), "{kind} x{threads}: the catalog kept cells of {id}");
-        for desc in stored.descriptors.values() {
-            let shared = cluster
-                .primary_payload(&desc.key)
-                .unwrap_or_else(|e| panic!("{kind} x{threads}: {e}"));
-            payloads.push((desc.key, shared.as_ref().clone()));
+        let before = payloads.len();
+        for record in cluster.residents().filter(|r| r.descriptor().key.array == id) {
+            let key = record.descriptor().key;
+            let shared =
+                cluster.primary_payload(&key).unwrap_or_else(|e| panic!("{kind} x{threads}: {e}"));
+            payloads.push((key, shared.as_ref().clone()));
             // One home: at k = 1 the node store holds the only handle to
             // the chunk — attach took the build's handle, every rebalance
             // moved it, and nothing (no catalog, no builder) kept another.
             assert_eq!(
                 Arc::strong_count(shared),
                 1,
-                "{kind} x{threads}: something besides the node store holds {}",
-                desc.key
+                "{kind} x{threads}: something besides the node store holds {key}"
             );
         }
+        assert!(payloads.len() > before, "{kind} x{threads}: nothing ingested for {id}");
     }
     Snapshot {
         cycles,

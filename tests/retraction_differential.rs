@@ -20,11 +20,12 @@
 //! through `testkit::Probe::ais`, and the whole array is held to
 //! `testkit::Oracle`, the generator's batches folded from scratch.
 
+use durability::ByteWriter;
 use elastic_array_db::array::Chunk;
 use elastic_array_db::prelude::*;
 use query_engine::ops;
 use std::collections::BTreeSet;
-use testkit::{assert_books, assert_catalog_is_the_index, Oracle, Probe, SurvivorsOnly};
+use testkit::{assert_books, CellChurn, Oracle, Probe, SurvivorsOnly};
 use workloads::ais::{AisWorkload, BROADCAST};
 use workloads::modis::{ModisWorkload, BAND1, BAND2};
 
@@ -152,16 +153,14 @@ fn assert_holders_follow_one_record<'r>(
         assert_eq!(node.replica_bytes(), want, "{tag}: {}'s replica ledger drifted", node.id);
     }
     let mut records = Vec::new();
-    for &id in arrays {
-        for desc in runner.catalog().array(id).unwrap().descriptors.values() {
-            let key = desc.key;
-            let chunk = cluster.primary_payload(&key).unwrap_or_else(|e| panic!("{tag}: {e}"));
-            let record = cluster.descriptor(&key).unwrap();
-            let sizes = (chunk.byte_size(), chunk.cell_count());
-            assert_eq!((record.bytes, record.cells), sizes, "{tag}: {key} left its cells");
-            records.push(chunk.as_ref());
-        }
+    for record in cluster.residents().filter(|r| arrays.contains(&r.descriptor().key.array)) {
+        let (key, desc) = (record.descriptor().key, record.descriptor());
+        let chunk = cluster.primary_payload(&key).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        let sizes = (chunk.byte_size(), chunk.cell_count());
+        assert_eq!((desc.bytes, desc.cells), sizes, "{tag}: {key} left its cells");
+        records.push(chunk.as_ref());
     }
+    assert!(!records.is_empty(), "{tag}: no chunk placed");
     records
 }
 
@@ -253,28 +252,52 @@ fn modis_ttl_expiry_equals_never_inserted_baseline() {
     run_modis_ttl_pair(900, 3, PartitionerKind::ConsistentHash, 2);
 }
 
-/// The runner writes the catalog's copy of a partitioned array's
-/// descriptors beside the node stores, and nothing but a restore reads
-/// it: after every cycle of a dark-vessel AIS run and a MODIS TTL run, at
-/// k = 1 and k = 2, it equals what the placement index holds, chunk for
-/// chunk, bytes and cells included.
+/// A catalog as checkpoint bytes.
+fn encoded(catalog: &Catalog) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    catalog.encode_into(&mut w);
+    w.into_bytes()
+}
+
+/// The runner's catalog is what the workload registered, for the whole
+/// run: it files no chunk — a partitioned chunk's one book is the
+/// placement index — through inserts, retractions, evictions and
+/// compactions, crashes and the chunks they lose. Checked as checkpoint
+/// bytes after every cycle of a dark-vessel AIS run and a MODIS TTL run,
+/// at k = 1 and k = 2, and of a k = 1 churn run whose crash of node 0
+/// loses chunks.
 #[test]
-fn the_catalog_copy_follows_the_placement_index_every_cycle() {
+fn the_catalog_stays_the_registrations_every_cycle() {
     let ais = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(3, 1_200) };
     let modis = ModisWorkload { days: 3, scale: 0.05, seed: 33, cells_per_cycle: 900, ttl_days: 1 };
-    let runs: [(&str, &dyn Workload, usize, u64); 2] =
-        [("ais-dark", &ais, ais.cycles, 1_200 * 90), ("modis-ttl", &modis, modis.days, 900 * 95)];
-    for (name, w, cycles, node_capacity) in runs {
-        for (kind, k) in [(PartitionerKind::HilbertCurve, 1), (PartitionerKind::ConsistentHash, 2)]
-        {
-            let cfg = RunnerConfig { replication: k, ..testkit::config(kind, node_capacity) };
-            let mut runner = WorkloadRunner::new(w, cfg);
-            for c in 0..cycles {
-                let tag = format!("{kind}/{name}/k{k}/cycle{c}");
-                runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: {e}"));
-                assert_catalog_is_the_index(&runner, &tag);
-            }
+    let churn =
+        CellChurn { cycles: 4, cells: 512, chunk: 64, tags: 37, grid: 32, derived: [4096, 17, 10] };
+    let crash = FaultPlan::new(7).at(1, FaultKind::Crash(0));
+    let mut runs: Vec<(&str, &dyn Workload, RunnerConfig)> = Vec::new();
+    for (kind, k) in [(PartitionerKind::HilbertCurve, 1), (PartitionerKind::ConsistentHash, 2)] {
+        let cfg = |cap| RunnerConfig { replication: k, ..testkit::config(kind, cap) };
+        runs.push(("ais-dark", &ais, cfg(1_200 * 90)));
+        runs.push(("modis-ttl", &modis, cfg(900 * 95)));
+    }
+    let lossy = RunnerConfig {
+        initial_nodes: 4,
+        fault_plan: Some(crash),
+        ..testkit::config(PartitionerKind::RoundRobin, 16 * 512)
+    };
+    runs.push(("churn-crash0", &churn, lossy));
+    for (name, w, cfg) in runs {
+        let mut registered = Catalog::new();
+        w.register_arrays(&mut registered);
+        let registered = encoded(&registered);
+        let (kind, k, lossy) = (cfg.partitioner, cfg.replication, cfg.fault_plan.is_some());
+        let mut runner = WorkloadRunner::new(w, cfg);
+        for c in 0..w.cycles() {
+            let tag = format!("{kind}/{name}/k{k}/cycle{c}");
+            runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert!(encoded(runner.catalog()) == registered, "{tag}: the run wrote its catalog");
         }
+        let lost = runner.cluster().replica_census().lost;
+        assert_eq!(lost > 0, lossy, "{kind}/{name}/k{k}: {lost} chunks lost");
     }
 }
 
