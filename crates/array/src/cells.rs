@@ -530,6 +530,13 @@ impl<'a> ScriptGroup<'a> {
     pub fn cells(&self) -> std::slice::ChunksExact<'a, i64> {
         self.cells.chunks_exact(self.nd)
     }
+
+    /// The group's cells as one flat buffer (stride = the schema's
+    /// dimensionality), in script order — the layout of
+    /// [`Chunk::coords_flat`].
+    pub fn cells_flat(&self) -> &'a [i64] {
+        self.cells
+    }
 }
 
 impl ScriptGroups {

@@ -31,18 +31,22 @@
 //!   and stage → own side.
 //!
 //! **Cost.** O(|Δ|) closure calls, O(|Δ′| log |Δ′|) comparisons for the
-//! |Δ′| ≤ |Δ| rows the filters keep, plus a memmove-speed pass over the
-//! touched state: the whole output run and own-side run for
-//! select/join, each *touched* group's multiset for aggregates (which
-//! the sorted re-fold of that group costs anyway). So an apply is not
-//! independent of the state's size — it is linear in it with a small
-//! constant, and never a function of the base array's size. That is the
-//! right trade for the traffic there is: [`ViewRegistry::apply`] has two
-//! callers in the runner, `World::retract` and `World::ingest`, and both
-//! hand over a whole cycle's rows for one array (on the benchmark's
-//! `modis_churn`, 15k–30k rows against 45k–90k rows of state). A spine of
-//! geometrically merged runs would make single-row deltas cheap and is
-//! deliberately not built.
+//! |Δ′| ≤ |Δ| rows the filters keep, plus the touched state: for
+//! select/join, the *span* of the output run and of the own-side run
+//! between the first and the last staged row, rewritten and spliced back
+//! in place (one memmove of the rows after it); for aggregates, each
+//! *touched* group's multiset (which the sorted re-fold of that group
+//! costs anyway). An apply is never a function of the base array's
+//! size, and on a time-keyed view it is not one of the state's either: a
+//! newer day lands past the end of the run and the oldest day cancels at
+//! its front, so each costs O(|Δ|) plus, for the cancel, one memmove of
+//! the rest. A delta spread across the whole run rewrites the whole run.
+//! [`ViewRegistry::apply`] has two callers in the runner,
+//! `World::retract` and `World::ingest`, and both hand over a whole
+//! cycle's rows for one array (on the benchmark's `modis_churn`, the
+//! `ndvi` join's sides hold 3.5k–10k rows and take deltas of 1.7k–3.5k
+//! rows after its belt filter). A spine of geometrically merged runs
+//! would make single-row deltas cheap and is deliberately not built.
 //!
 //! Determinism is load-bearing: view state depends only on the logical
 //! delta stream, never on placement — rebalances, scale-in drains,

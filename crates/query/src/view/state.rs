@@ -27,18 +27,30 @@
 //! The invariant is "the run is the consolidated, ordered Z-set of
 //! everything applied", and a delta maintains it by **one sort and one
 //! merge** ([`ZSet::merge`], [`GroupState::merge`]): the staged rows are
-//! sorted, then merged with the run in one linear pass that sums the
-//! weights of equal rows and drops zeros. That is O(|Δ| log |Δ|)
-//! comparisons plus a memmove-speed pass over the run — the right shape
-//! for the deltas the runner hands over (a whole cycle's rows for one
-//! array, a third to two thirds of the state). [`ZSet::add`] and
-//! [`GroupState::update`] are the one-entry forms over the same runs and
-//! cost a pass over the run *per row*; a spine of geometrically merged
-//! runs is the known way to make single-row deltas cheap and is
-//! deliberately not built, because no caller sends them.
+//! sorted, then merged with the run, summing the weights of equal rows
+//! and dropping zeros.
+//!
+//! A Z-set's merge rewrites only the **span** of the run between the
+//! first and the last staged row (two binary searches find it) and
+//! splices the merged span back in place. That is O(|Δ| log |Δ|)
+//! comparisons, plus a clone of the run's rows inside the span, plus one
+//! memmove of the rows after it when the span changes length. On the
+//! shapes a time-keyed view sees, the cost follows the delta, not the
+//! state: a newer day staged past the end is an append, O(|Δ|); the
+//! oldest day cancelled at the front is O(|Δ|) plus one memmove of the
+//! rest. A delta spread across the whole run rewrites the whole run.
+//! A group's merge is one linear pass over the group's multiset, which
+//! [`GroupState::fold_sum`] pays per touched group anyway.
+//!
+//! [`ZSet::add`] and [`GroupState::update`] are the one-entry forms over
+//! the same runs: a binary search and a one-row splice or insert, which
+//! moves the rows after it. A spine of geometrically merged runs is the
+//! known way to make single-row deltas cheap and is deliberately not
+//! built, because no caller sends them.
 
 use array_model::ScalarValue;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// A deterministic, totally ordered image of a [`ScalarValue`]: integers
 /// widen to `i64`, floats become their raw bit patterns, strings stay
@@ -223,7 +235,8 @@ pub struct ZSet {
 impl ZSet {
     /// Add `weight` copies of the (unkeyed) row; returns the row's new
     /// net weight. The one-row form of `ZSet::merge`, at the same cost:
-    /// a pass over the run.
+    /// two binary searches and a splice of one row, which moves the rows
+    /// after it.
     pub fn add(&mut self, coords: &[i64], values: &[ScalarValue], weight: i64) -> i64 {
         self.merge(vec![StagedRow { key: Vec::new(), row: Staged::Lent(coords, values), weight }]);
         self.weight_of(coords, values)
@@ -336,26 +349,18 @@ impl ZSet {
         self.end_row(staged.weight);
     }
 
-    /// Move rows `range` of `old` onto the end of this run, leaving
-    /// placeholders behind: three block copies and an offset rebase.
-    fn move_rows(&mut self, old: &mut ZSet, range: std::ops::Range<usize>) {
+    /// Copy rows `range` of `run` onto the end of this one: three block
+    /// clones and an offset rebase.
+    fn clone_rows(&mut self, run: &ZSet, range: Range<usize>) {
         if range.is_empty() {
             return;
         }
-        let (start, end) = (old.start_of(range.start), old.ends[range.end - 1]);
+        let (start, end) = (run.start_of(range.start), run.ends[range.end - 1]);
         let (keys, coords, values) = (self.keys.len(), self.coords.len(), self.values.len());
-        self.keys.extend(
-            old.keys[start.key..end.key]
-                .iter_mut()
-                .map(|k| std::mem::replace(k, KeyScalar::Int(0))),
-        );
-        self.coords.extend_from_slice(&old.coords[start.coords..end.coords]);
-        self.values.extend(
-            old.values[start.values..end.values]
-                .iter_mut()
-                .map(|v| std::mem::replace(v, ScalarValue::Char(0))),
-        );
-        self.ends.extend(old.ends[range].iter().map(|e| RowEnd {
+        self.keys.extend_from_slice(&run.keys[start.key..end.key]);
+        self.coords.extend_from_slice(&run.coords[start.coords..end.coords]);
+        self.values.extend_from_slice(&run.values[start.values..end.values]);
+        self.ends.extend(run.ends[range].iter().map(|e| RowEnd {
             key: e.key - start.key + keys,
             coords: e.coords - start.coords + coords,
             values: e.values - start.values + values,
@@ -363,23 +368,57 @@ impl ZSet {
         }));
     }
 
-    /// Fold a batch of staged rows — **sorted** by [`sort_staged`] — into
-    /// the run: one linear merge into fresh buffers, weights of equal
-    /// rows summed, zeros dropped. Rows of the old run between two staged
-    /// rows move as a block.
-    pub(super) fn merge(&mut self, staged: Vec<StagedRow<'_>>) {
-        if staged.is_empty() {
-            return;
+    /// Replace rows `range` of the run with the rows of `span`, in place:
+    /// one splice per buffer (a memmove of the rows after `range` when
+    /// the lengths differ), then the rows after it have their ends
+    /// rebased by what the span grew or shrank.
+    fn splice(&mut self, range: Range<usize>, span: ZSet) {
+        let (start, end) = (self.start_of(range.start), self.start_of(range.end));
+        let new_end = RowEnd {
+            key: start.key + span.keys.len(),
+            coords: start.coords + span.coords.len(),
+            values: start.values + span.values.len(),
+            weight: 0,
+        };
+        self.keys.splice(start.key..end.key, span.keys);
+        self.coords.splice(start.coords..end.coords, span.coords);
+        self.values.splice(start.values..end.values, span.values);
+        let suffix = range.start + span.ends.len();
+        self.ends.splice(
+            range,
+            span.ends.into_iter().map(|e| RowEnd {
+                key: e.key + start.key,
+                coords: e.coords + start.coords,
+                values: e.values + start.values,
+                weight: e.weight,
+            }),
+        );
+        for e in &mut self.ends[suffix..] {
+            e.key = e.key - end.key + new_end.key;
+            e.coords = e.coords - end.coords + new_end.coords;
+            e.values = e.values - end.values + new_end.values;
         }
+    }
+
+    /// Fold a batch of staged rows — **sorted** by [`sort_staged`] — into
+    /// the run, weights of equal rows summed, zeros dropped. Only the
+    /// span of the run between the first and the last staged row is
+    /// rewritten: it is merged with the batch into a fresh span (rows of
+    /// the run between two staged rows cloned as a block) and spliced
+    /// back in place. A batch past the end of the run is an append; one
+    /// that cancels the run's first rows is a splice that removes them.
+    pub(super) fn merge(&mut self, staged: Vec<StagedRow<'_>>) {
+        let (Some(first), Some(last)) = (staged.first(), staged.last()) else {
+            return;
+        };
         debug_assert!(staged
             .windows(2)
             .all(|w| cmp_keyed(w[0].sort_key(), w[1].sort_key()).is_le()));
-        let mut old = std::mem::take(self);
-        self.keys.reserve(old.keys.len());
-        self.coords.reserve(old.coords.len());
-        self.values.reserve(old.values.len());
-        self.ends.reserve(old.ends.len() + staged.len());
-        let mut next = 0; // first row of `old` not yet merged
+        let lo = self.lower_bound(0, |e| cmp_keyed(e.sort_key(), first.sort_key()).is_lt());
+        let hi = self.lower_bound(lo, |e| cmp_keyed(e.sort_key(), last.sort_key()).is_le());
+        let mut span = ZSet::default();
+        span.ends.reserve(hi - lo + staged.len());
+        let mut next = lo; // first row of the span not yet merged
         let mut staged = staged.into_iter().peekable();
         while let Some(mut row) = staged.next() {
             while let Some(dup) =
@@ -387,23 +426,26 @@ impl ZSet {
             {
                 row.weight += dup.weight;
             }
-            let at = old.lower_bound(next, |e| cmp_keyed(e.sort_key(), row.sort_key()).is_lt());
-            self.move_rows(&mut old, next..at);
+            let at = self.lower_bound(next, |e| cmp_keyed(e.sort_key(), row.sort_key()).is_lt());
+            span.clone_rows(self, next..at);
             next = at;
-            if at < old.len() && cmp_keyed(old.entry(at).sort_key(), row.sort_key()).is_eq() {
+            if at < hi && cmp_keyed(self.entry(at).sort_key(), row.sort_key()).is_eq() {
                 // The row is in the run already: it keeps its place with
-                // the summed weight, or cancels and is left behind.
-                old.ends[at].weight += row.weight;
+                // the summed weight, or cancels and is left out.
                 next = at + 1;
-                if old.ends[at].weight != 0 {
-                    self.move_rows(&mut old, at..next);
+                let weight = self.ends[at].weight + row.weight;
+                if weight != 0 {
+                    span.clone_rows(self, at..next);
+                    if let Some(kept) = span.ends.last_mut() {
+                        kept.weight = weight;
+                    }
                 }
             } else if row.weight != 0 {
-                self.push_staged(row);
+                span.push_staged(row);
             }
         }
-        let rest = next..old.len();
-        self.move_rows(&mut old, rest);
+        debug_assert_eq!(next, hi, "the span ends at the last staged row");
+        self.splice(lo..hi, span);
     }
 }
 

@@ -3,7 +3,9 @@
 //! implementation over `BTreeMap`s it replaced — same snapshots, same
 //! counters, same exported bytes — for every view shape and aggregate,
 //! under random consistent insert/retract streams, and whatever order a
-//! delta's rows arrive in.
+//! delta's rows arrive in. Time-keyed streams — days appended past the
+//! end of a run and expired at its front, the shapes a Z-set merge
+//! rewrites only a span for — get their own property.
 //!
 //! The model below *is* the replaced implementation in miniature: a
 //! `BTreeMap<RowKey, _>` per Z-set, a `BTreeMap` of one-row maps per
@@ -419,6 +421,141 @@ fn arb_row() -> impl Strategy<Value = Row> {
         .prop_map(|(coords, raws)| (coords, raws.into_iter().map(scalar_of).collect()))
 }
 
+// ------------------------------------------------- time-keyed streams --
+
+/// Days a time-keyed stream keeps live: a cycle's expiry retracts the
+/// days at or before `day - WINDOW`.
+const WINDOW: i64 = 3;
+
+/// A row of `day` decoded from raw bits: `[day, x, y] → [double, string,
+/// int64]`, so its coordinates — and the join keys below — order it by
+/// day first.
+fn timed_row(day: i64, raw: u64) -> Row {
+    let (c, v) = row_of(raw);
+    (vec![day, c[0], c[1]], v)
+}
+
+/// Views keyed by time, the runner's shape: a select whose output run is
+/// in day order, a join of `A` and `B` on `[day, x]` (keyed sides in day
+/// order, several rows per key) unfiltered and behind a belt filter, and
+/// `A` joined with itself on the day alone.
+fn timed_defs() -> Vec<ViewDef> {
+    let by_cell: JoinKeyFn = Arc::new(|c, _| vec![KeyScalar::Int(c[0]), KeyScalar::Int(c[1])]);
+    let by_day: JoinKeyFn = Arc::new(|c, _| vec![KeyScalar::Int(c[0])]);
+    let belt: PredFn = Arc::new(|c, _| c[2] != 1);
+    let emit: EmitFn = Arc::new(|l, r| {
+        (vec![l.0[0], l.0[1], l.0[2], r.0[2]], vec![l.1[0].clone(), r.1[1].clone()])
+    });
+    let join = |name, right, ops: Vec<RowOp>, key: &JoinKeyFn| {
+        ViewDef::join(name, A, right, ops.clone(), ops, key.clone(), key.clone(), emit.clone())
+    };
+    vec![
+        ViewDef::select("timed-select", A, Vec::new()),
+        join("timed-join", B, Vec::new(), &by_cell),
+        join("belt-join", B, vec![RowOp::Filter(belt)], &by_cell),
+        join("timed-self-join", A, Vec::new(), &by_day),
+    ]
+}
+
+/// One cycle of a time-keyed stream for `A` and `B`, as the runner
+/// hands it over: an expiry delta at the old end of the run, then an
+/// insert delta for `day` past its new end — or, when `ctl` says so,
+/// both in one delta, whose span is the whole run.
+///
+/// `ctl` picks the expiry: every row of the expiring days, every other
+/// one of them (a partial cancel; the rest wait for a later expiry), every
+/// live row (the run empties), or none. Each raw draw is one insert: a
+/// fresh row of `day`, a second copy of one, a row staged twice with
+/// weights that sum to zero, a row of an older live day (inside the
+/// run), or the retraction of a live row from anywhere in the run.
+fn timed_cycle(day: i64, ctl: u64, raws: &[u64], live: &mut [Vec<Row>; 2]) -> Vec<[DeltaSet; 2]> {
+    let mut expiry = [DeltaSet::new(), DeltaSet::new()];
+    for (live, delta) in live.iter_mut().zip(&mut expiry) {
+        let mut expiring = 0;
+        live.retain(|row| {
+            let retract = match ctl % 4 {
+                0 => row.0[0] <= day - WINDOW,
+                1 if row.0[0] <= day - WINDOW => {
+                    expiring += 1;
+                    expiring % 2 == 1
+                }
+                2 => true,
+                _ => false,
+            };
+            if retract {
+                delta.push(row.0.clone(), row.1.clone(), -1);
+            }
+            !retract
+        });
+    }
+    let mut insert = [DeltaSet::new(), DeltaSet::new()];
+    for &raw in raws {
+        let side = (raw >> 14) as usize % 2;
+        let (live, delta) = (&mut live[side], &mut insert[side]);
+        let row = match (raw >> 12) % 8 {
+            4 => live.iter().rev().find(|r| r.0[0] == day).cloned(),
+            5 => {
+                let (c, v) = timed_row(day, raw);
+                let first = if raw >> 20 & 1 == 0 { 1 } else { -1 };
+                delta.push(c.clone(), v.clone(), first);
+                delta.push(c, v, -first);
+                continue;
+            }
+            6 => {
+                let older = day - 1 - (raw >> 20) as i64 % (WINDOW - 1);
+                (older >= 0).then(|| timed_row(older, raw))
+            }
+            7 if !live.is_empty() => {
+                let (c, v) = live.swap_remove((raw >> 16) as usize % live.len());
+                delta.push(c, v, -1);
+                continue;
+            }
+            _ => None,
+        };
+        let row = row.unwrap_or_else(|| timed_row(day, raw));
+        delta.push(row.0.clone(), row.1.clone(), 1);
+        live.push(row);
+    }
+    if ctl >> 2 & 3 != 0 {
+        return vec![expiry, insert];
+    }
+    let [mut a, mut b] = expiry;
+    for (both, delta) in [&mut a, &mut b].into_iter().zip(&insert) {
+        delta.rows().for_each(|r| both.push(r.coords.to_vec(), r.values.to_vec(), r.weight));
+    }
+    vec![[a, b]]
+}
+
+/// Feed a time-keyed stream of `(ctl, raws)` cycles to every time-keyed
+/// view and to the model, and require the same snapshot and the same
+/// exported bytes after every delta.
+fn check_timed_stream(cycles: &[(u64, Vec<u64>)]) {
+    for def in timed_defs() {
+        let mut model = Model::new(&def);
+        let mut view = def.instantiate();
+        let mut live = [Vec::new(), Vec::new()];
+        for (day, (ctl, raws)) in (0..).zip(cycles) {
+            for (step, deltas) in timed_cycle(day, *ctl, raws, &mut live).iter().enumerate() {
+                for (array, delta) in [A, B].into_iter().zip(deltas) {
+                    model.apply(array, delta);
+                    view.apply(array, delta);
+                    let at = format!("{}: day {day}, step {step}, {array:?}", def.name);
+                    assert_eq!(view.snapshot(), model.snapshot(), "{at}: snapshot");
+                    assert_eq!(export(&view), model.export(), "{at}: bytes");
+                }
+            }
+        }
+    }
+}
+
+/// A time-keyed stream: up to `days` cycles of up to `rows` draws each.
+fn timed_stream(days: usize, rows: usize) -> impl Strategy<Value = Vec<(u64, Vec<u64>)>> {
+    proptest::collection::vec(
+        (any::<u64>(), proptest::collection::vec(any::<u64>(), 0..rows)),
+        1..days,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -505,5 +642,26 @@ proptest! {
             prop_assert_eq!(merged.min().map(f64::to_bits), cached(model.min_bits));
             prop_assert_eq!(merged.max().map(f64::to_bits), cached(model.max_bits));
         }
+    }
+
+    /// (v) a Z-set merge that rewrites only the span its delta touches
+    /// is the model on time-keyed streams: days appended past the end,
+    /// the oldest day cancelled at the front (whole, in part, or down to
+    /// an empty run), rows inside the run, and staged rows that cancel.
+    #[test]
+    fn span_merges_are_the_model_on_time_keyed_streams(cycles in timed_stream(14, 30)) {
+        check_timed_stream(&cycles);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// (v) at release scale:
+    /// `cargo test --release --test view_model -- --ignored zset_merge_smoke`.
+    #[test]
+    #[ignore = "heavy: run in release via the smoke CI matrix"]
+    fn zset_merge_smoke(cycles in timed_stream(40, 160)) {
+        check_timed_stream(&cycles);
     }
 }

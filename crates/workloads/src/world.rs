@@ -49,7 +49,7 @@ use crate::faults::{FaultKind, FaultPlan};
 use crate::spec::{CellBatch, SuiteReport, Workload};
 use array_model::{
     Array, ArrayError, ArrayId, ArraySchema, CellBuffer, Chunk, ChunkCoords, ChunkDescriptor,
-    ChunkKey, DeltaSet, RowGroups, ScriptGroups, StringEncoding,
+    ChunkKey, DeltaSet, RowGroups, ScriptGroup, ScriptGroups, StringEncoding,
 };
 use cluster_sim::{
     gb, Cluster, ClusterError, Flakiness, FlowSet, MidCrash, NodeId, NodeState, RebalancePlan,
@@ -169,6 +169,24 @@ fn gc_trips(config: &RunnerConfig, payload: &Chunk) -> bool {
     config.gc_tombstone_ratio.is_finite()
         && physical > 0.0
         && dead >= config.gc_tombstone_ratio * physical
+}
+
+/// Match `group`, one chunk's share of a retraction script, against
+/// `chunk`: into `out`, one entry per script cell — the physical row it
+/// retracts, or `None` for a miss. A script that re-lists a chunk with
+/// no tombstones row by row, in order (equal flat coordinate buffers,
+/// so equal cell counts too), retracts every row exactly once: that
+/// takes one comparison, not the per-cell kernel. Any other script goes
+/// to [`Chunk::match_retractions`]. The two may pair duplicate
+/// coordinates with their rows differently, never a different set of
+/// rows.
+fn match_group(chunk: &Chunk, group: &ScriptGroup<'_>, out: &mut Vec<Option<u32>>) {
+    out.clear();
+    if chunk.tombstone_count() == 0 && group.cells_flat() == chunk.coords_flat() {
+        out.extend(chunk.live_rows().map(Some));
+    } else {
+        chunk.match_retractions(group.cells(), out);
+    }
 }
 
 /// What a retraction script does to one chunk: how many of its cells
@@ -490,9 +508,13 @@ impl World {
     ///
     /// The script is grouped by owning chunk ([`ScriptGroups`]); each
     /// group is matched, read-only, against the chunk's primary copy
-    /// ([`Cluster::primary_payload`]) by the array model's batch kernel.
-    /// The matched rows leave the chunk as the views' negative delta — a
-    /// column at a time, into the world's kept buffer
+    /// ([`Cluster::primary_payload`]). A group that re-lists a
+    /// tombstone-free chunk's rows in order — a day replayed for expiry
+    /// — matches every row at the cost of one buffer comparison; any
+    /// other goes through the array model's batch kernel
+    /// ([`Chunk::match_retractions`]). The matched rows leave the chunk
+    /// as the views' negative delta — a column at a time, into the
+    /// world's kept buffer
     /// ([`DeltaSet::extend_from_chunk`]; chunk order, which the views do
     /// not depend on) — and the chunk gets one [`Retirement`], decided
     /// from the input alone:
@@ -540,8 +562,7 @@ impl World {
                     Err(ClusterError::MissingChunk(_) | ClusterError::ChunkLost(_)) => continue,
                     Err(refused) => return Err(rejected(refused)),
                 };
-                matched.clear();
-                chunk.match_retractions(group.cells(), &mut matched);
+                match_group(chunk, &group, &mut matched);
                 let rows = matched.iter().flatten().copied();
                 if viewed {
                     // Tombstoning keeps a row's values, but a dropped or
@@ -910,4 +931,97 @@ pub(crate) struct RetractTally {
     pub(crate) gc_compacted_chunks: usize,
     /// Net bytes those compactions reclaimed (store side).
     pub(crate) gc_reclaimed_bytes: i64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use array_model::ScalarValue;
+
+    /// One 8 × 8 chunk of `[t, x] → [double, string]`, with the cell
+    /// `[0, 1]` inserted twice.
+    fn chunk() -> (ArraySchema, Chunk) {
+        let schema = ArraySchema::parse("A<v:double, s:string>[t=0:7,8, x=0:7,8]").unwrap();
+        let mut chunk = Chunk::new(&schema, ChunkCoords::from_slice(&[0, 0]));
+        for (i, cell) in [[0, 0], [0, 1], [1, 1], [0, 1], [2, 3]].into_iter().enumerate() {
+            let values =
+                vec![ScalarValue::Double(i as f64), ScalarValue::Str(format!("s{}", i % 2))];
+            chunk.push_cell(&schema, cell.to_vec(), values).unwrap();
+        }
+        (schema, chunk)
+    }
+
+    /// What retracting `rows` does: the chunk's `Retirement` as (kind,
+    /// retracted, residual — or the rebuilt chunk's size) and the
+    /// negative delta's rows as a multiset.
+    fn outcome(chunk: &Chunk, rows: &[Option<u32>]) -> ((&'static str, u64, u64), Vec<String>) {
+        let rows = rows.iter().flatten().copied();
+        let mut delta = DeltaSet::new();
+        delta.extend_from_chunk(chunk, rows.clone(), -1);
+        let mut delta: Vec<String> = delta.rows().map(|r| format!("{r:?}")).collect();
+        delta.sort();
+        let Retirement { retracted, fate } = Retirement::of(&RunnerConfig::default(), chunk, rows);
+        let kind = match fate {
+            Fate::Stands => ("stands", retracted, 0),
+            Fate::Dropped { residual } => ("dropped", retracted, residual),
+            Fate::Rebuilt { chunk, .. } => ("rebuilt", retracted, chunk.byte_size()),
+        };
+        (kind, delta)
+    }
+
+    /// `script`'s matches on `chunk` through the runner's `match_group`
+    /// and through the kernel alone.
+    fn matches(schema: &ArraySchema, chunk: &Chunk, script: &[[i64; 2]]) -> [Vec<Option<u32>>; 2] {
+        let flat: Vec<i64> = script.iter().flatten().copied().collect();
+        let groups = ScriptGroups::of(schema, &flat).unwrap();
+        let group = groups.groups().next().unwrap();
+        let (mut runner, mut kernel) = (Vec::new(), Vec::new());
+        match_group(chunk, &group, &mut runner);
+        chunk.match_retractions(group.cells(), &mut kernel);
+        [runner, kernel]
+    }
+
+    #[test]
+    fn a_script_that_relists_its_chunk_drops_it_as_the_kernel_would() {
+        let (schema, chunk) = chunk();
+        let relisted: Vec<[i64; 2]> =
+            chunk.coords_flat().chunks_exact(2).map(|c| [c[0], c[1]]).collect();
+        let [runner, kernel] = matches(&schema, &chunk, &relisted);
+        // Every row once, in row order; the kernel pairs the two `[0, 1]`
+        // cells with their rows the other way round.
+        assert_eq!(runner, (0..5).map(Some).collect::<Vec<_>>());
+        assert_eq!(kernel, [0, 3, 2, 1, 4].map(Some));
+        let (retirement, delta) = outcome(&chunk, &runner);
+        assert_eq!(retirement.0, "dropped");
+        assert_eq!(retirement.1, 5);
+        assert!(retirement.2 > 0, "the dictionary outlives the rows");
+        assert_eq!((retirement, delta), outcome(&chunk, &kernel));
+    }
+
+    #[test]
+    fn any_other_script_goes_to_the_kernel() {
+        let (schema, chunk) = chunk();
+        let relisted: Vec<[i64; 2]> =
+            chunk.coords_flat().chunks_exact(2).map(|c| [c[0], c[1]]).collect();
+        let mut tombstoned = chunk.clone();
+        tombstoned.tombstone_rows([2]);
+        let permuted: Vec<[i64; 2]> = relisted.iter().rev().copied().collect();
+        let short = &relisted[..4];
+        let extra: Vec<[i64; 2]> = relisted.iter().copied().chain([[2, 3]]).collect();
+        let cases = [
+            ("permuted", &chunk, &permuted[..]),
+            ("tombstoned", &tombstoned, &relisted[..]),
+            ("one cell short", &chunk, short),
+            ("one cell extra", &chunk, &extra[..]),
+        ];
+        let kinds = cases.map(|(name, chunk, script)| {
+            let [runner, kernel] = matches(&schema, chunk, script);
+            assert_eq!(runner, kernel, "{name}");
+            outcome(chunk, &runner).0 .0
+        });
+        // The kernel's answers: a permuted script, one that re-lists a
+        // tombstoned row too, and one with an extra cell empty the chunk;
+        // one cell short leaves a row standing.
+        assert_eq!(kinds, ["dropped", "dropped", "rebuilt", "dropped"]);
+    }
 }

@@ -838,3 +838,90 @@ fn a_ten_thousand_deep_kd_table_is_refused() {
         "{refused:?}"
     );
 }
+
+/// Replace the first occurrence of `from` in `bytes` with `to`.
+fn replaced(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+    let at = bytes.windows(from.len()).position(|w| w == from).expect("the bytes to replace");
+    [&bytes[..at], to, &bytes[at + from.len()..]].concat()
+}
+
+/// A length-prefixed string as `ByteWriter::put_str` writes it.
+fn put_str(s: &str) -> Vec<u8> {
+    encoded(|w| w.put_str(s))
+}
+
+/// The decode checks no single-byte edit reaches, each fed a built
+/// input. (1) A schema whose attribute type is `int`, an alias `parse`
+/// accepts for `int32` but no encoder writes.
+#[test]
+fn a_schema_type_alias_is_refused() {
+    let schema = ArraySchema::parse("S<n:int32>[x=0:7,8]").unwrap();
+    let clean = encoded(|w| schema.encode_into(w));
+    assert_eq!(ArraySchema::decode_from(&mut ByteReader::new(&clean)).as_ref(), Ok(&schema));
+    let alias = replaced(&clean, &put_str("int32"), &put_str("int"));
+    let refused = ArraySchema::decode_from(&mut ByteReader::new(&alias));
+    assert!(
+        matches!(refused, Err(CodecError::Invalid { context: "attribute type", .. })),
+        "{refused:?}"
+    );
+}
+
+/// (2) Append ranges that do not start at sequence 0, or where two
+/// neighbouring ranges name the same node: `commit` opens a range only at
+/// the first placement and at each change of node.
+#[test]
+fn append_ranges_no_commit_writes_are_refused() {
+    let (p, cluster) = sample_table(PartitionerKind::Append);
+    let clean = p.table_snapshot();
+    let mut r = ByteReader::new(&clean);
+    r.list("nodes", 4, |r| r.u32("node")).unwrap();
+    r.usize("cursor").unwrap();
+    let next_seq = r.u64("next seq").unwrap();
+    let head = clean.len() - r.remaining();
+    let ranges = r.list("ranges", 12, |r| Ok((r.u64("seq")?, r.u32("node")?))).unwrap();
+    let tail = &clean[clean.len() - r.remaining()..];
+    let table = |ranges: &[(u64, u32)]| {
+        let section = encoded(|w| {
+            w.put_list(ranges, |w, &(seq, node)| {
+                w.put_u64(seq);
+                w.put_u32(node);
+            })
+        });
+        [&clean[..head], &section, tail].concat()
+    };
+    let restore = |bytes: &[u8]| {
+        let (grid, config) = (GridHint::new(vec![12, 12]), PartitionerConfig::default());
+        let mut q = build_partitioner(PartitionerKind::Append, &cluster, &grid, &config);
+        q.table_restore(bytes, &cluster.node_ids())
+    };
+    assert_eq!(table(&ranges), clean);
+    assert_eq!(restore(&clean), Ok(()));
+    let late_start: Vec<_> = ranges.iter().map(|&(seq, node)| (seq + 1, node)).collect();
+    // A range opened one placement after the last, on the same node.
+    let &(last, node) = ranges.last().expect("placing opened a range");
+    assert!(last + 1 < next_seq, "{ranges:?} of {next_seq}");
+    let repeated: Vec<_> = ranges.iter().copied().chain([(last + 1, node)]).collect();
+    for (what, ranges) in [("late start", late_start), ("repeated node", repeated)] {
+        let refused = restore(&table(&ranges));
+        assert!(
+            matches!(refused, Err(CodecError::Invalid { context: "append range", .. })),
+            "{what}: {refused:?}"
+        );
+    }
+}
+
+/// (3) A catalog that lists one array twice.
+#[test]
+fn a_catalog_listing_an_array_twice_is_refused() {
+    let array = StoredArray::from_array(sample_array()).replicated();
+    let listed =
+        |times: usize| encoded(|w| w.put_list(vec![&array; times], |w, a| a.encode_into(w)));
+    let once = Catalog::decode_from(&mut ByteReader::new(&listed(1))).expect("one listing");
+    assert_eq!(encoded(|w| once.encode_into(w)), listed(1));
+    let refused = Catalog::decode_from(&mut ByteReader::new(&listed(2)));
+    assert!(
+        matches!(refused, Err(CodecError::Invalid { context: "catalog array id", .. })),
+        "{:?}",
+        refused.err()
+    );
+}
