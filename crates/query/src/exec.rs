@@ -19,8 +19,6 @@ use crate::predicate::Predicate;
 use crate::stats::{scaled_bytes, WorkTracker};
 use array_model::{ArrayId, Chunk, ChunkCoords, ChunkDescriptor, ChunkKey, Region, MAX_DIMS};
 use cluster_sim::{Cluster, CostModel, NodeId, Resident, Slot};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -31,10 +29,6 @@ pub struct ExecutionContext<'a> {
     pub cluster: &'a Cluster,
     /// The arrays.
     pub catalog: &'a Catalog,
-    /// [`ExecutionContext::cells_available`] per array, evaluated on first
-    /// use: the context borrows cluster and catalog immutably, so the
-    /// answer cannot change during its life.
-    exact: RefCell<BTreeMap<ArrayId, bool>>,
     /// Whether [`ExecutionContext::plan_scan`] may skip chunks whose zone
     /// map refutes the query. On by default; the pruning differentials
     /// turn it off to prove pruned answers are bit-identical.
@@ -43,27 +37,30 @@ pub struct ExecutionContext<'a> {
 
 /// One operator's scan, planned chunk-by-chunk by
 /// [`ExecutionContext::plan_scan`] off one walk of the placement index:
-/// the chunks to visit (with payloads pre-fetched when the array is
-/// cell-exact) plus the count of chunks the zone maps refuted. Every
-/// intersecting chunk is routed and its record read before the prune
-/// decision, so a failure (`NodeLost`) is identical whether pruning is on
-/// or off — pruning can only remove work, never change an answer or mask
-/// an error. Descriptors are borrowed from the chunks' records (from the
+/// the chunks to visit (with payloads pre-fetched when the plan is exact)
+/// plus the count of chunks the zone maps refuted. Every intersecting
+/// chunk is routed and its record read before the prune decision, so a
+/// failure (`NodeLost`) is identical whether pruning is on or off —
+/// pruning can only remove work, never change an answer or mask an
+/// error. Descriptors are borrowed from the chunks' records (from the
 /// catalog for a replicated array), never copied. The plan is also the
 /// crate's only way to charge a scan and to read its rows, so tombstones,
 /// the region and the pushed-down predicate are honoured in one place.
 pub struct ScanPlan<'a> {
     /// Chunks the operator must touch: descriptor, resident node, and the
-    /// materialized payload (`None` on the metadata-only path).
+    /// materialized payload (`None` unless the plan is exact).
     pub visit: Vec<(&'a ChunkDescriptor, NodeId, Option<&'a Chunk>)>,
     /// Chunks skipped because their zone map refuted the region or
-    /// predicate (or they held no live cells). Zero when pruning is off.
+    /// predicate (or they held no live cells). Zero when pruning is off
+    /// or the plan is not exact.
     pub pruned: u64,
-    /// Whether *every* placed chunk's cells are readable, i.e. whether the
-    /// operator may answer cell-exactly. A partially materialized array
-    /// (one cycle ingested as cells, the next as bare descriptors) is not:
-    /// its operators return cost-model-only estimates rather than answer
-    /// over a subset of its cells.
+    /// Whether every chunk this plan reaches — visited or pruned — holds
+    /// cells, i.e. whether the operator may answer cell-exactly. A plan
+    /// that reaches no chunk is. One that reaches a chunk placed as a bare
+    /// descriptor (a metadata-only run, or a cycle ingested without
+    /// cells) is not: its operator returns a cost-model-only estimate
+    /// rather than answer over a subset of the cells it names. Decided
+    /// from the records the plan read, never from the rest of the array.
     pub exact: bool,
     /// The pruned chunks (`pruned` counts them), for operators that must
     /// also count the chunk-to-chunk pulls pruning removed.
@@ -73,13 +70,15 @@ pub struct ScanPlan<'a> {
     pred: Option<(usize, &'a Predicate)>,
 }
 
+/// A chunk a plan visits: its descriptor, resident node and cells.
+pub(crate) type Visit<'a> = (&'a ChunkDescriptor, NodeId, Option<&'a Chunk>);
+
 impl<'a> ScanPlan<'a> {
     /// A plan over chunks the operator picked itself (kNN's ring
-    /// exploration is not a region scan), read unfiltered.
-    pub(crate) fn over(
-        visit: Vec<(&'a ChunkDescriptor, NodeId, Option<&'a Chunk>)>,
-        exact: bool,
-    ) -> Self {
+    /// exploration is not a region scan), read unfiltered: exact when
+    /// every one of them holds cells.
+    pub(crate) fn over(mut visit: Vec<Visit<'a>>) -> Self {
+        let exact = settle(&mut visit);
         ScanPlan { visit, pruned: 0, exact, dead: Vec::new(), region: None, pred: None }
     }
 
@@ -218,7 +217,7 @@ impl<'p> ChunkIndex<'p> {
 impl<'a> ExecutionContext<'a> {
     /// Bundle a cluster and catalog.
     pub fn new(cluster: &'a Cluster, catalog: &'a Catalog) -> Self {
-        ExecutionContext { cluster, catalog, exact: RefCell::default(), pruning: true }
+        ExecutionContext { cluster, catalog, pruning: true }
     }
 
     /// Disable zone-map chunk pruning: the differential suites' reference
@@ -299,41 +298,6 @@ impl<'a> ExecutionContext<'a> {
         Ok(Some((record.descriptor(), Some(home), cells(record))))
     }
 
-    /// The [`ScanPlan::exact`] gate, evaluated once per array: it costs
-    /// what the array holds, and an operator may plan many scans.
-    pub(crate) fn cells_available(&self, array: &'a StoredArray) -> bool {
-        if let Some(&known) = self.exact.borrow().get(&array.id) {
-            return known;
-        }
-        // Not `entry().or_insert_with`: the evaluation reads payloads
-        // through `&self` and must not run under the borrow.
-        let exact = self.every_chunk_readable(array);
-        self.exact.borrow_mut().insert(array.id, exact);
-        exact
-    }
-
-    /// Whether the array has chunks and every one has cells: a walk of
-    /// the placement index for a partitioned array (of the catalog for a
-    /// replicated one), stopping at the first chunk without cells (a
-    /// metadata-only array answers at its first chunk).
-    fn every_chunk_readable(&self, array: &'a StoredArray) -> bool {
-        if array.replicated {
-            return !array.descriptors.is_empty()
-                && array.descriptors.keys().all(|c| self.chunk_payload(array, c).is_some());
-        }
-        let (first, last) = whole_band(array);
-        let mut any = false;
-        let flow = self.cluster.band(array.id, &first, &last, |coords, slot| {
-            any = true;
-            match placed(slot, || array.key_for(coords)).ok().and_then(|(_, record)| cells(record))
-            {
-                Some(_) => ControlFlow::Continue(()),
-                None => ControlFlow::Break(()),
-            }
-        });
-        any && flow.is_continue()
-    }
-
     /// Whether pruning may drop `chunk` from a scan of `region` under
     /// `pred`: it has no live cells, its zone map refutes the region, or
     /// the predicate refutes its value summary / dictionary. Such a chunk
@@ -364,12 +328,13 @@ impl<'a> ExecutionContext<'a> {
     ///    ([`QueryError::NodeLost`]) surfaces exactly as it would
     ///    unpruned. A replicated array is planned by filtering the
     ///    catalog's descriptors, each read locally;
-    /// 2. when the array is cell-exact, every intersecting chunk's
-    ///    payload comes off the same record, shared by the cost and
-    ///    answer loops;
-    /// 3. with pruning enabled, a fetched chunk the query
-    ///    refutes (`ExecutionContext::refuted`) is dropped from the visit
-    ///    list and counted as pruned.
+    /// 2. the plan is exact when every chunk it reaches holds cells; then
+    ///    each chunk's payload comes off the same record, shared by the
+    ///    cost and answer loops. Otherwise no payload is kept and every
+    ///    chunk is visited, in walk order;
+    /// 3. with pruning enabled, an exact plan drops each chunk the query
+    ///    refutes (`ExecutionContext::refuted`) from the visit list and
+    ///    counts it as pruned.
     pub fn plan_scan<'p>(
         &self,
         array_id: ArrayId,
@@ -388,17 +353,8 @@ impl<'a> ExecutionContext<'a> {
                 });
             }
         }
-        let exact = self.cells_available(array);
         let mut visit = Vec::new();
-        let mut dead = Vec::new();
-        let mut plan = |desc, node, payload: Option<&'a Chunk>| {
-            let payload = payload.filter(|_| exact);
-            if payload.is_some_and(|chunk| self.refuted(chunk, region, pred)) {
-                dead.push((desc, node));
-            } else {
-                visit.push((desc, node, payload));
-            }
-        };
+        let mut plan = |desc, node, payload| visit.push((desc, node, payload));
         let meets =
             |coords: &ChunkCoords| region.is_none_or(|r| r.intersects_chunk(&array.schema, coords));
         if array.replicated {
@@ -427,6 +383,17 @@ impl<'a> ExecutionContext<'a> {
             if let ControlFlow::Break(lost) = walk {
                 return Err(lost);
             }
+        }
+        let exact = settle(&mut visit);
+        let mut dead = Vec::new();
+        if exact && self.pruning {
+            visit.retain(|&(desc, node, payload)| {
+                let refuted = payload.is_some_and(|chunk| self.refuted(chunk, region, pred));
+                if refuted {
+                    dead.push((desc, node));
+                }
+                !refuted
+            });
         }
         Ok(ScanPlan { visit, pruned: dead.len() as u64, exact, dead, region, pred })
     }
@@ -470,6 +437,17 @@ fn placed(slot: &Slot, key: impl FnOnce() -> ChunkKey) -> Result<(NodeId, &Resid
     }
 }
 
+/// Whether every chunk of `visit` holds cells. When one does not, the
+/// plan is the cost model's alone: every payload is dropped, so no
+/// operator can answer over a subset of the cells it reached.
+fn settle(visit: &mut [Visit<'_>]) -> bool {
+    let exact = visit.iter().all(|(_, _, payload)| payload.is_some());
+    if !exact {
+        visit.iter_mut().for_each(|(_, _, payload)| *payload = None);
+    }
+    exact
+}
+
 /// A record's cells, when they are materialized.
 fn cells(record: &Resident) -> Option<&Chunk> {
     record.payload().map(Arc::as_ref)
@@ -487,6 +465,7 @@ mod tests {
     use crate::catalog::StoredArray;
     use array_model::{Array, ArraySchema, ScalarValue};
     use cluster_sim::CostModel;
+    use std::collections::BTreeMap;
 
     /// 8 x 8 cells in sixteen 2 x 2 chunks.
     fn grid() -> Array {
@@ -560,6 +539,11 @@ mod tests {
             assert!(!plan.exact, "half-materialized must fail the gate");
             assert_eq!(plan.visit.len(), 2, "both chunks are still routed and costed");
             assert!(driven_rows(&plan).is_empty(), "an inexact plan must yield no rows");
+            // A plan that reaches only the materialized chunk answers it.
+            let first = Region::new(vec![0], vec![1]);
+            let plan = ctx.plan_scan(ArrayId(5), Some(&first), None).unwrap();
+            assert!(plan.exact, "a plan reaching only cells is exact");
+            assert_eq!(driven_rows(&plan), vec![1]);
         }
         // Attaching the missing payload opens the gate.
         cluster.attach_payload(d1.key, c1).unwrap();
@@ -599,7 +583,7 @@ mod tests {
             assert_ne!(ctx.node_of(array, coords, None).unwrap(), NodeId(0));
             assert!(ctx.chunk_payload(array, coords).is_some());
         }
-        assert!(ctx.cells_available(array));
+        assert!(ctx.plan_scan(ArrayId(0), None, None).unwrap().exact);
     }
 
     #[test]
@@ -630,7 +614,11 @@ mod tests {
         // The surviving chunk is untouched.
         assert_eq!(ctx.node_of(array, &ChunkCoords::new([1]), None).unwrap(), NodeId(1));
         assert!(ctx.chunk_payload(array, &ChunkCoords::new([1])).is_some());
-        assert!(!ctx.cells_available(array), "lost cells must close the exactness gate");
+        // A plan over the surviving chunk reaches no lost one: it answers.
+        let survivor = Region::new(vec![2], vec![3]);
+        let plan = ctx.plan_scan(ArrayId(11), Some(&survivor), None).unwrap();
+        assert!(plan.exact, "the survivor's plan reaches only cells");
+        assert_eq!(driven_rows(&plan), vec![1]);
         // Planning routes every chunk, so the lost one is a typed refusal.
         assert!(matches!(
             ctx.plan_scan(ArrayId(11), None, None),
@@ -654,7 +642,13 @@ mod tests {
         let coords: Vec<_> = oracle.shared_chunks().map(|(c, _)| *c).collect();
         let lost = coords.iter().filter(|c| ctx.chunk_payload(array, c).is_none());
         assert_eq!(lost.count(), 8);
-        assert!(!ctx.cells_available(array));
+        // A surviving chunk answers from its node store alone.
+        let survivor = coords.iter().find(|c| ctx.chunk_payload(array, c).is_some()).unwrap();
+        let (x, y) = (survivor[0] * 2, survivor[1] * 2);
+        let its_box = Region::new(vec![x, y], vec![x + 1, y + 1]);
+        let plan = ctx.plan_scan(ArrayId(0), Some(&its_box), None).unwrap();
+        assert!(plan.exact);
+        assert_eq!(driven_rows(&plan), vec![4]);
         assert!(matches!(ctx.plan_scan(ArrayId(0), None, None), Err(QueryError::NodeLost(_))));
         assert!(matches!(ctx.node_of(array, &coords[0], None), Err(QueryError::NodeLost(_))));
     }

@@ -1,9 +1,10 @@
 //! Distributed array operators.
 //!
 //! Every operator follows the same contract: compute a **real answer**
-//! from materialized cells when the catalog has them, and always produce
-//! [`crate::QueryStats`] whose elapsed time is derived from chunk
-//! metadata, the cluster placement, and the byte-flow cost model.
+//! from materialized cells when every chunk its plan reaches holds them
+//! ([`crate::ScanPlan::exact`]), and always produce [`crate::QueryStats`]
+//! whose elapsed time is derived from chunk metadata, the cluster
+//! placement, and the byte-flow cost model.
 
 mod aggregate;
 mod filter;

@@ -163,7 +163,6 @@ pub fn knn(
 
     const MAX_RING: i64 = 3;
     const OVERSAMPLE: u64 = 3;
-    let exact = ctx.cells_available(array);
     let nd = array.schema.ndims();
     // Every ring position reached, filed under its padded coordinates:
     // its slot in `reached` says what is there, looked up once per call
@@ -178,8 +177,9 @@ pub fn knn(
     // below 2^32 positions — a table that holds that many does not fit in
     // memory.)
     let mut warm = KeySlots::with_room_for(0);
-    // One ring at a time, and the chunks one query reads, in kept buffers.
-    let mut ring = Vec::new();
+    // The slots of the chunks one query's rings reach, and the chunks it
+    // reads, in kept buffers.
+    let mut staged = Vec::new();
     let mut visited = Vec::new();
     for q in queries {
         if q.len() != nd {
@@ -192,17 +192,20 @@ pub fn knn(
         let home_node =
             ctx.cluster.locate(&array.key_for(&home)).unwrap_or_else(|| ctx.cluster.coordinator());
 
+        // The chunks this query reaches: ring exploration is not a region
+        // scan, so the operator assembles its own plan. Whether it is
+        // exact — every chunk reached holds cells — is known only once
+        // the rings stop, so the chunks are staged first and charged
+        // after, in the order they were reached.
         let mut cells_found = 0u64;
-        // The chunks this query reads: ring exploration is not a region
-        // scan, so the operator assembles its own visit list.
-        'rings: for r in 0..=MAX_RING {
-            ring_into(&home, r, &mut ring);
-            for &position in &ring {
+        let mut exact = true;
+        staged.clear();
+        for r in 0..=MAX_RING {
+            for_each_in_ring(&home, r, |position| {
                 let slot = positions.slot_of(position);
                 if slot == reached.len() {
                     let coords = ChunkCoords::new(&position[..nd]);
-                    reached.push(ctx.chunk_at(array, &coords)?.map(|(desc, holder, cells)| {
-                        let payload = cells.filter(|_| exact);
+                    reached.push(ctx.chunk_at(array, &coords)?.map(|(desc, holder, payload)| {
                         Reached {
                             desc,
                             holder,
@@ -211,41 +214,48 @@ pub fn knn(
                         }
                     }));
                 }
-                let Some(chunk) = reached[slot] else { continue };
-                cells_found += chunk.desc.cells;
-                // `usize` to `u64` is lossless on every supported target.
-                let first_touch = warm.insert((slot as u64) << 32 | u64::from(home_node.0));
-                if chunk.refuted {
-                    // An emptied chunk is never fetched; like a fetch, the
-                    // skip is counted once per node that would have made it.
-                    if first_touch {
-                        tracker.prune_chunks(1);
-                    }
-                    continue;
+                if let Some(chunk) = reached[slot] {
+                    cells_found += chunk.desc.cells;
+                    exact &= chunk.payload.is_some();
+                    staged.push(slot);
                 }
-                let holder = chunk.holder.unwrap_or(home_node);
-                let bytes = scaled_bytes(chunk.desc.bytes, fraction);
-                if first_touch {
-                    tracker.remote_fetch(home_node, holder, bytes);
-                } else {
-                    // In-memory spatial-index probe of an already-warm
-                    // chunk: touches a small fraction of its pages.
-                    tracker.compute(home_node, ctx.cost().cpu_secs(bytes / 50) + 0.001);
-                }
-                visited.push((chunk.desc, holder, chunk.payload));
-            }
+                Ok(())
+            })?;
             // Stop once we have enough candidates and looked at least one
             // ring beyond the first hit (so the true neighbours cannot
             // hide in an unvisited adjacent chunk). `usize` to `u64` is
             // lossless on every supported target.
             if cells_found >= (k as u64).saturating_mul(OVERSAMPLE) && r >= 1 {
-                break 'rings;
+                break;
             }
+        }
+        for &slot in &staged {
+            let Some(chunk) = reached[slot] else { continue };
+            // `usize` to `u64` is lossless on every supported target.
+            let first_touch = warm.insert((slot as u64) << 32 | u64::from(home_node.0));
+            if exact && chunk.refuted {
+                // An emptied chunk is never fetched; like a fetch, the
+                // skip is counted once per node that would have made it.
+                if first_touch {
+                    tracker.prune_chunks(1);
+                }
+                continue;
+            }
+            let holder = chunk.holder.unwrap_or(home_node);
+            let bytes = scaled_bytes(chunk.desc.bytes, fraction);
+            if first_touch {
+                tracker.remote_fetch(home_node, holder, bytes);
+            } else {
+                // In-memory spatial-index probe of an already-warm
+                // chunk: touches a small fraction of its pages.
+                tracker.compute(home_node, ctx.cost().cpu_secs(bytes / 50) + 0.001);
+            }
+            visited.push((chunk.desc, holder, chunk.payload));
         }
 
         // Materialized answer: distances within the visited chunks.
         let mut nearest = Nearest::new(k);
-        let plan = ScanPlan::over(std::mem::take(&mut visited), exact);
+        let plan = ScanPlan::over(std::mem::take(&mut visited));
         plan.for_each_chunk(|chunk, mask| {
             mask.for_each_cell(chunk, |_, cell| {
                 // Two coordinates can be further apart than `i64::MAX`;
@@ -275,9 +285,11 @@ struct Reached<'a> {
     /// The node holding its primary (`None`: a replicated array, read
     /// where the query runs).
     holder: Option<NodeId>,
-    /// Its cells, when the array is cell-exact.
+    /// Its cells, when it holds them; a query whose rings reach one
+    /// chunk without cells answers from the cost model alone.
     payload: Option<&'a Chunk>,
-    /// Pruning refutes it (no live cells): it is never fetched.
+    /// Pruning refutes it (no live cells): a query whose plan is exact
+    /// never fetches it.
     refuted: bool,
 }
 
@@ -331,18 +343,21 @@ impl Nearest {
     }
 }
 
-/// The chunk positions at exactly Chebyshev distance `r` from `home`,
-/// first dimension fastest, into `ring` as padded coordinates. Clipped to
-/// non-negative indices, and to chunk-index space: a home within `r` of
-/// `i64::MAX` has fewer neighbours, not wrapped ones.
-fn ring_into(home: &ChunkCoords, r: i64, ring: &mut Vec<[i64; MAX_DIMS]>) {
-    ring.clear();
+/// `f` over the chunk positions at exactly Chebyshev distance `r` from
+/// `home`, first dimension fastest, as padded coordinates; the first
+/// error stops the walk. Clipped to non-negative indices, and to
+/// chunk-index space: a home within `r` of `i64::MAX` has fewer
+/// neighbours, not wrapped ones.
+fn for_each_in_ring(
+    home: &ChunkCoords,
+    r: i64,
+    mut f: impl FnMut([i64; MAX_DIMS]) -> Result<()>,
+) -> Result<()> {
     let n = home.ndims();
     let mut position = [0; MAX_DIMS];
     if r == 0 {
         position[..n].copy_from_slice(home.as_slice());
-        ring.push(position);
-        return;
+        return f(position);
     }
     let mut offsets = [-r; MAX_DIMS];
     loop {
@@ -352,14 +367,14 @@ fn ring_into(home: &ChunkCoords, r: i64, ring: &mut Vec<[i64; MAX_DIMS]>) {
                 position[d] >= 0
             });
             if inside {
-                ring.push(position);
+                f(position)?;
             }
         }
         // The odometer: bump the first dimension, carrying upwards.
         let mut d = 0;
         loop {
             if d == n {
-                return;
+                return Ok(());
             }
             offsets[d] += 1;
             if offsets[d] <= r {
@@ -696,9 +711,9 @@ mod tests {
         }
     }
 
-    /// The ring walk the kept buffer replaced — a `Vec` per ring and per
-    /// candidate — with its sum widened so it cannot overflow: the order
-    /// and the clipping `ring_into` must reproduce.
+    /// The ring walk `for_each_in_ring` replaced — a `Vec` per ring and
+    /// per candidate — with its sum widened so it cannot overflow: the
+    /// order and the clipping `for_each_in_ring` must reproduce.
     fn ring_by_vecs(home: &ChunkCoords, r: i64) -> Vec<Vec<i64>> {
         if r == 0 {
             return vec![home.as_slice().to_vec()];
@@ -733,9 +748,12 @@ mod tests {
     #[test]
     fn ring_enumeration_counts_match() {
         let ring_of = |home: &ChunkCoords, r| {
-            let mut ring = vec![[7; MAX_DIMS]];
-            ring_into(home, r, &mut ring);
-            ring.iter().map(|p| p[..home.ndims()].to_vec()).collect::<Vec<_>>()
+            let mut ring = Vec::new();
+            let walk = for_each_in_ring(home, r, |p| {
+                ring.push(p[..home.ndims()].to_vec());
+                Ok(())
+            });
+            walk.map(|()| ring).unwrap()
         };
         let counts = |home: [i64; 2]| -> Vec<usize> {
             (0..3).map(|r| ring_of(&ChunkCoords::new(home), r).len()).collect()

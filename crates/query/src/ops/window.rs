@@ -111,19 +111,23 @@ pub fn window_aggregate(
 
     // Materialized answer: the sorted sweep over the cells of the region
     // grown by the halo (a second plan: the halo read reaches chunks, and
-    // rows, the costed region does not).
+    // rows, the costed region does not). It answers only when that plan
+    // is exact too: a window never averages over some of its halo.
     let mut result = WindowResult::default();
     if plan.exact {
-        let mut cells = FlatKeys::new(array.schema.ndims());
-        let mut values: Vec<f64> = Vec::new();
-        ctx.plan_scan(array_id, Some(&grown), None)?.for_each_chunk(|chunk, mask| {
-            let col = NumericSlice::of(chunk, attr_idx);
-            mask.for_each_cell(chunk, |row, cell| {
-                cells.push(cell);
-                values.push(col.get(row));
-            });
-        })?;
-        result = window_means(cells, values, region, radius)?;
+        let halo = ctx.plan_scan(array_id, Some(&grown), None)?;
+        if halo.exact {
+            let mut cells = FlatKeys::new(array.schema.ndims());
+            let mut values: Vec<f64> = Vec::new();
+            halo.for_each_chunk(|chunk, mask| {
+                let col = NumericSlice::of(chunk, attr_idx);
+                mask.for_each_cell(chunk, |row, cell| {
+                    cells.push(cell);
+                    values.push(col.get(row));
+                });
+            })?;
+            result = window_means(cells, values, region, radius)?;
+        }
     }
     Ok((result, tracker.finish()))
 }
