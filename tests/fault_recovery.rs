@@ -18,10 +18,10 @@
 //!    repair traffic priced through the shared flow solver (bytes and
 //!    seconds), with retries when flows are flaky;
 //! 4. **typed loss at `k = 1`** — with no replicas a crash loses
-//!    chunks (`Slot::Lost`): the runner's own stores answer
+//!    chunks (`Slot::Lost`): a query that reaches one is answered
 //!    `QueryError::NodeLost` — never a panic, never a silent wrong
-//!    answer — and the run goes on, every other chunk equal to the
-//!    oracle;
+//!    answer — one that reaches none answers the oracle's cells, and the
+//!    run goes on;
 //! 5. **zero-interference ledger** — a fault-free `k = 2` run is
 //!    bit-identical to the `k = 1` run in everything the paper measures
 //!    (placements, loads, balance, scaling, moved/inserted bytes);
@@ -146,9 +146,11 @@ fn faulted_runs_answer_bit_identically_and_recover_full_strength() {
 
 /// Leg 4: at k = 1 a crash is typed data loss, not a wrong answer. The
 /// census says `lost`, and the runner's own cluster and catalog say the
-/// same to a query: `QueryError::NodeLost`.
+/// same to a query that reaches a lost chunk: `QueryError::NodeLost`. A
+/// query that reaches none answers the oracle's cells.
 #[test]
 fn k1_crash_is_typed_loss_never_a_wrong_answer() {
+    use query_engine::ops;
     let w = testkit::ais(3, 1_200);
     let node_capacity = w.cells_per_cycle * 90;
     // Hash and round-robin spreads guarantee node 1 holds chunks by the
@@ -178,13 +180,22 @@ fn k1_crash_is_typed_loss_never_a_wrong_answer() {
             .err()
             .expect("orphaned chunks must not route silently");
         assert!(matches!(err, QueryError::NodeLost(_)), "{tag}: wrong error: {err}");
-        // The newest cycle landed after the crash and holds no orphan: it
-        // still routes, but the array-wide exactness gate stays closed.
+        // The newest cycle landed after the crash and holds no orphan: its
+        // plan reaches only surviving cells, so it is exact and its scan
+        // answers the oracle, not a cost-model estimate.
         let newest = AisWorkload::cycle_region(w.cycles - 1);
         assert!(
-            !ctx.plan_scan(BROADCAST, Some(&newest), None).unwrap().exact,
-            "{tag}: availability gate ignored the data loss"
+            ctx.plan_scan(BROADCAST, Some(&newest), None).unwrap().exact,
+            "{tag}: the lost chunks closed a plan that reaches none of them"
         );
+        let (cells, _) = ops::subarray(&ctx, BROADCAST, &newest, &[]).unwrap();
+        let mut got = cells.cells.to_rows();
+        got.sort_by(|a, b| a.0.cmp(&b.0));
+        let oracle = Oracle::after(&w, w.cycles);
+        let want: Vec<Row> =
+            oracle.rows(BROADCAST).into_iter().filter(|(c, _)| newest.contains_cell(c)).collect();
+        assert!(!want.is_empty(), "{tag}: the newest cycle holds no cell");
+        assert_eq!(got, want, "{tag}: the newest cycle differs from the oracle");
     }
 }
 
