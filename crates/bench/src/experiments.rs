@@ -6,6 +6,7 @@
 //! only chunk metadata flows through the simulator.
 
 use crate::table::{pct, TextTable};
+use cluster_sim::CostModel;
 use elastic_core::provision::{
     estimate_cost, tune_plan_ahead, ClusterSnapshot, CostEstimate, CostModelParams,
 };
@@ -325,12 +326,7 @@ pub fn table3_data(window: (usize, usize)) -> (Vec<Table3Row>, usize) {
     let (start, end) = window;
     assert!(end >= start);
     let horizon = end - start + 1;
-    let params = CostModelParams {
-        node_capacity_gb: 100.0,
-        delta_secs_per_gb: 8.0,
-        t_secs_per_gb: 12.0,
-        horizon,
-    };
+    let params = CostModelParams { node_capacity_gb: 100.0, cost: CostModel::default(), horizon };
 
     // Common snapshot from the lazy baseline run.
     let baseline = fig8_trace(1);
@@ -384,6 +380,19 @@ mod tests {
         // Test errors correlate with train: same winner side.
         assert!(ais.test[0] <= ais.test[3]);
         assert!(modis.test[3] <= modis.test[0]);
+    }
+
+    /// The tuner prices a scale-out the way the simulator does, so on
+    /// Table 3's window (cycles 4–13) and on its two neighbours it picks
+    /// the horizon whose measured run is cheapest.
+    #[test]
+    fn table3_tuner_picks_the_measured_argmin() {
+        for window in [(3, 12), (2, 11), (4, 13)] {
+            let (rows, best) = table3_data(window);
+            let cheapest = rows.iter().min_by(|a, b| a.measured.total_cmp(&b.measured));
+            let cheapest = cheapest.expect("three horizons").plan_ahead;
+            assert_eq!(best, cheapest, "window {window:?}: {rows:?}");
+        }
     }
 
     #[test]

@@ -7,18 +7,18 @@
 //! A lazy horizon reorganizes often; an eager one over-provisions. The
 //! candidate with the fewest projected node-hours wins.
 
+use cluster_sim::{CostModel, BYTES_PER_GB};
 use serde::{Deserialize, Serialize};
 
 /// Workload-independent constants of the analytical model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostModelParams {
     /// Node capacity `c` in GB.
     pub node_capacity_gb: f64,
-    /// δ — seconds per GB of local I/O (derived empirically; the harness
-    /// feeds in the simulator's constant).
-    pub delta_secs_per_gb: f64,
-    /// t — seconds per GB of network transfer.
-    pub t_secs_per_gb: f64,
+    /// The simulator's cost model: δ is its `disk_secs_per_gb`, t its
+    /// `net_secs_per_gb`, and a scale-out is priced by its rules, so the
+    /// estimate and the measured run share one set of constants.
+    pub cost: CostModel,
     /// m — how many future cycles to simulate.
     pub horizon: usize,
 }
@@ -70,6 +70,11 @@ pub fn estimate_cost(p: usize, snap: &ClusterSnapshot, params: &CostModelParams)
     assert!(snap.nodes >= 1, "cluster has at least one node");
     assert!(params.node_capacity_gb > 0.0);
     let c = params.node_capacity_gb;
+    let cost = &params.cost;
+    let (delta, t) = (cost.disk_secs_per_gb, cost.net_secs_per_gb);
+    // A projected share in bytes, for the simulator's per-byte prices
+    // (`as` saturates; a share is far below `u64::MAX` bytes).
+    let bytes = |gb: f64| (gb * BYTES_PER_GB).round() as u64;
     let mu = snap.insert_rate_gb.max(0.0);
     let l0 = snap.load_gb;
     let n0 = snap.nodes as f64;
@@ -91,13 +96,23 @@ pub fn estimate_cost(p: usize, snap: &ClusterSnapshot, params: &CostModelParams)
         let n_i = nodes as f64;
         // Eq. 6: the coordinator writes 1/N locally at δ and ships the
         // rest over the network at t.
-        let insert_secs =
-            mu * params.delta_secs_per_gb / n_i + mu * (n_i - 1.0) / n_i * params.t_secs_per_gb;
-        // Eq. 7: rebalancing ships the new nodes' share of the data.
+        let insert_secs = mu * delta / n_i + mu * (n_i - 1.0) / n_i * t;
+        // Eq. 7: rebalancing ships the new nodes' share of the data,
+        // spread evenly and priced as the simulator prices a batch of
+        // flows (`FlowSet::elapsed_secs`): each newcomer ingests l_i/n_i,
+        // each preexisting node sends its part of all that, and the
+        // fabric carries all of it. The slowest of the three sets the
+        // pace. (The per-chunk overhead is left out: the projection
+        // counts no chunks.)
         let added = nodes.saturating_sub(prev_nodes);
         let reorg_secs = if added > 0 {
             reorgs += 1;
-            l_i / n_i * added as f64 * params.t_secs_per_gb
+            let share = l_i / n_i;
+            let moved = share * added as f64;
+            let ingest = cost.remote_ingest_secs(bytes(share));
+            let egress = cost.egress_secs(bytes(moved / prev_nodes as f64));
+            let fabric = moved * cost.fabric_secs_per_gb;
+            ingest.max(egress).max(fabric)
         } else {
             0.0
         };
@@ -145,12 +160,7 @@ mod tests {
     use super::*;
 
     fn params() -> CostModelParams {
-        CostModelParams {
-            node_capacity_gb: 100.0,
-            delta_secs_per_gb: 8.0,
-            t_secs_per_gb: 12.0,
-            horizon: 8,
-        }
+        CostModelParams { node_capacity_gb: 100.0, cost: CostModel::default(), horizon: 8 }
     }
 
     fn snapshot() -> ClusterSnapshot {

@@ -35,12 +35,8 @@ fn main() {
     // Snapshot a mid-run MODIS cluster: 3 nodes, 229 GB, growing 45 GB/cycle.
     let snapshot =
         ClusterSnapshot { nodes: 3, load_gb: 229.0, insert_rate_gb: 45.6, last_query_secs: 420.0 };
-    let params = CostModelParams {
-        node_capacity_gb: 100.0,
-        delta_secs_per_gb: 8.0,
-        t_secs_per_gb: 12.0,
-        horizon: 10,
-    };
+    let params =
+        CostModelParams { node_capacity_gb: 100.0, cost: CostModel::default(), horizon: 10 };
     let report = tune_plan_ahead(&[1, 2, 3, 4, 6, 8], &snapshot, &params);
     println!("analytical cost model for the planning horizon p (Eqs. 5-9):\n");
     println!("  {:>3} {:>12} {:>8} {:>11}", "p", "node-hours", "reorgs", "peak nodes");

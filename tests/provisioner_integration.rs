@@ -115,12 +115,8 @@ fn linear_demand_makes_every_window_exact() {
 fn cost_model_penalizes_gross_overprovisioning() {
     let snap =
         ClusterSnapshot { nodes: 2, load_gb: 19.0, insert_rate_gb: 4.0, last_query_secs: 60.0 };
-    let params = CostModelParams {
-        node_capacity_gb: 10.0,
-        delta_secs_per_gb: 8.0,
-        t_secs_per_gb: 12.0,
-        horizon: 10,
-    };
+    let params =
+        CostModelParams { node_capacity_gb: 10.0, cost: CostModel::default(), horizon: 10 };
     let report = tune_plan_ahead(&[1, 20], &snap, &params);
     let lazy = &report.estimates[0];
     let absurd = &report.estimates[1];
@@ -139,8 +135,7 @@ fn estimates_scale_with_the_horizon() {
         ClusterSnapshot { nodes: 2, load_gb: 19.0, insert_rate_gb: 4.0, last_query_secs: 60.0 };
     let mk = |m: usize| CostModelParams {
         node_capacity_gb: 10.0,
-        delta_secs_per_gb: 8.0,
-        t_secs_per_gb: 12.0,
+        cost: CostModel::default(),
         horizon: m,
     };
     let short = estimate_cost(2, &snap, &mk(4)).node_hours;
