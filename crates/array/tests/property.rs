@@ -66,9 +66,11 @@ fn arb_type() -> impl Strategy<Value = AttributeType> {
 }
 
 /// A degenerate dict scatter — so many chunks × so many distinct strings
-/// that the dense per-group remap tables would outweigh the data — must
-/// take the row-wise fallback and still build exactly what per-cell
-/// insertion builds (including per-chunk spill decisions).
+/// that a dense remap table per chunk would outweigh the data — must
+/// still build exactly what per-cell insertion builds (including
+/// per-chunk spill decisions). The chunk builder keeps one remap table
+/// the size of the transport dictionary and resets only the entries a
+/// chunk used, so this shape needs no fallback path.
 #[test]
 fn huge_remap_footprint_falls_back_without_changing_results() {
     let schema = ArraySchema::new(
@@ -77,8 +79,9 @@ fn huge_remap_footprint_falls_back_without_changing_results() {
         vec![DimensionDef::bounded("x", 0, 8191, 2)],
     )
     .unwrap();
-    // 8192 rows → 4096 chunks; ~4200 distinct strings pushes the
-    // chunks × dictionary product past the dense-remap cap (1 << 24).
+    // 8192 rows → 4096 chunks; ~4200 distinct strings make the chunks ×
+    // dictionary product about 17 M remap entries, were each chunk to
+    // keep its own table.
     let rows: Vec<(Vec<i64>, Vec<ScalarValue>)> = (0..8192i64)
         .map(|x| (vec![x], vec![ScalarValue::Str(format!("u{}", (x * 11) % 4200))]))
         .collect();

@@ -22,8 +22,9 @@ use array_model::{ArrayId, AttributeColumn, Chunk, Region, ScalarValue};
 pub struct CellSet {
     /// The returned rows, in scan order: iterate `&set.cells` (or
     /// [`CellRows::iter`]) for borrowed `(cell coordinates, attribute
-    /// values)` pairs. Empty when the array is metadata-only (cost
-    /// simulation at paper scale).
+    /// values)` pairs. Empty unless the scan's plan is exact: it is not
+    /// when a chunk it reaches is metadata only (cost simulation at
+    /// paper scale).
     pub cells: CellRows,
 }
 

@@ -298,7 +298,8 @@ fn lost_chunk_churn(cycles: usize, cells: usize) -> CellChurn {
 }
 
 /// Holds every placed chunk to the oracle: a placed chunk's box plans,
-/// and its cells, read where they are stored, are the oracle's cells in
+/// exact exactly when the chunk holds cells (the derived chunks are bare
+/// descriptors), and a subarray over it answers the oracle's cells in
 /// that box; a lost chunk's box is refused `NodeLost`, naming it; and no
 /// cell the oracle holds lies in a chunk that is not placed. Returns the
 /// lost keys in key order.
@@ -322,19 +323,14 @@ fn assert_chunks_answer_the_oracle(
             let dims = schema.dimensions.iter().zip(key.coords.iter());
             let (low, high) = dims.map(|(dim, &c)| dim.chunk_range(c)).unzip();
             let chunk_box = Region::new(low, high);
-            let plan = ctx.plan_scan(stored.id, Some(&chunk_box), None).map(|_| ());
+            let plan = ctx.plan_scan(stored.id, Some(&chunk_box), None).map(|plan| plan.exact);
             let cells = want.remove(&key.coords).unwrap_or_default();
             match cluster.home(key).expect("a placed key has a slot") {
-                Slot::Placed { .. } => {
-                    assert!(plan.is_ok(), "{tag}: the box of {key} did not plan");
-                    let chunk = ctx.chunk_payload(stored, &key.coords);
-                    let mut got: Vec<Row> = (chunk.iter())
-                        .flat_map(|c| {
-                            let values = |row| c.row_values(row).expect("a live row");
-                            c.iter_cells().map(move |(cell, row)| (cell.to_vec(), values(row)))
-                        })
-                        .collect();
-                    got.sort_by(|a, b| a.0.cmp(&b.0));
+                Slot::Placed { record, .. } => {
+                    let exact = plan.unwrap_or_else(|e| panic!("{tag}: the box of {key}: {e}"));
+                    let holds = record.payload().is_some();
+                    assert_eq!(exact, holds, "{tag}: {key} holds cells {holds}, exact {exact}");
+                    let got = testkit::scan(cluster, catalog, stored.id, &chunk_box);
                     assert_eq!(got, cells, "{tag}: {key} differs from the oracle");
                 }
                 Slot::Lost { .. } => {
