@@ -108,5 +108,6 @@ mod tests {
             }
         }
         assert_eq!(crc32(&buf), crc32_bytewise(&buf));
+        assert_eq!(crc32(&buf), 0xF51E_EFF7);
     }
 }

@@ -30,8 +30,8 @@
 //! panics on integer overflow, which a release build wraps.
 
 use array_model::{
-    Array, ArrayId, ArraySchema, CellBuffer, Chunk, ChunkCoords, ChunkDescriptor, ChunkKey,
-    DeltaSet, ScalarValue, StringEncoding, ZoneMap,
+    Array, ArrayId, ArraySchema, AttributeColumn, AttributeType, CellBuffer, Chunk, ChunkCoords,
+    ChunkDescriptor, ChunkKey, DeltaSet, ScalarValue, StringEncoding, ZoneMap,
 };
 use cluster_sim::{Cluster, CostModel, NodeId};
 use durability::{
@@ -924,4 +924,160 @@ fn a_catalog_listing_an_array_twice_is_refused() {
         "{:?}",
         refused.err()
     );
+}
+
+// ---------------------------------------------------------------------
+// The fixed-width lists — the four fixed-width columns, a dictionary's
+// codes, a chunk's coordinates and tombstone words, a batch's
+// coordinates and retractions — each refused by its list's own count.
+// ---------------------------------------------------------------------
+
+fn fixed_width_schema() -> ArraySchema {
+    ArraySchema::parse("F<i:int32, l:int64, f:float, d:double, s:string>[x=0:15,8, y=0:7,4]")
+        .unwrap()
+}
+
+fn fixed_width_values(k: i64) -> Vec<ScalarValue> {
+    let f = match k % 5 {
+        0 => f32::NAN,
+        1 => -0.0,
+        _ => k as f32 * 0.25 - 3.0,
+    };
+    vec![
+        ScalarValue::Int32((k * 37 % 101) as i32 - 50),
+        ScalarValue::Int64(k * -123_456_789_012),
+        ScalarValue::Float(f),
+        ScalarValue::Double(if k % 7 == 3 { f64::NAN } else { k as f64 * -1.5 }),
+        ScalarValue::Str(format!("tag{}", k % 5)),
+    ]
+}
+
+/// A chunk of every fixed-width column and a dictionary column, with
+/// retracted rows in two tombstone words.
+fn fixed_width_chunk() -> Chunk {
+    let schema = fixed_width_schema();
+    let encoding = StringEncoding::Dict { cap: 8 };
+    let mut chunk = Chunk::with_encoding(&schema, ChunkCoords::new([0, 1]), encoding);
+    for k in 0..96i64 {
+        chunk.push_cell(&schema, vec![k % 8, 4 + k % 4], fixed_width_values(k)).unwrap();
+    }
+    for cell in [[0, 4], [3, 7], [5, 5]] {
+        chunk.retract_cell(&cell).expect("a live cell");
+    }
+    assert_eq!(chunk.tombstone_words().len(), 2, "rows 64.. hold a retraction");
+    chunk
+}
+
+fn fixed_width_batch() -> CellBuffer {
+    let mut buf = CellBuffer::new(&fixed_width_schema());
+    for k in 0..20i64 {
+        buf.push_row(&[k % 16, k % 8], &mut fixed_width_values(k)).unwrap();
+    }
+    for cell in [[2, 2], [9, 1]] {
+        buf.push_retraction(&cell).unwrap();
+    }
+    buf
+}
+
+/// Decode `bytes` whole, and require the value to write them back.
+fn reencodes<T>(
+    bytes: &[u8],
+    decode: impl FnOnce(&mut ByteReader<'_>) -> Result<T, CodecError>,
+    encode: impl FnOnce(&T, &mut ByteWriter),
+) {
+    let mut r = ByteReader::new(bytes);
+    let value = decode(&mut r).expect("clean bytes decode");
+    r.finish("tail").unwrap();
+    assert_eq!(encoded(|w| encode(&value, w)), bytes);
+}
+
+/// Stamp the `u64` count at `at` one `width`-byte item past the bytes
+/// left behind it, and require the refusal to name `context`, the bytes
+/// that count wants and the bytes that were left.
+fn overlong_count_truncates<T: std::fmt::Debug>(
+    bytes: &[u8],
+    (context, at, width): (&'static str, usize, usize),
+    decode: impl Fn(&mut ByteReader<'_>) -> Result<T, CodecError>,
+) {
+    let remaining = bytes.len() - at - 8;
+    let count = remaining / width + 1;
+    let mut hostile = bytes.to_vec();
+    hostile[at..at + 8].copy_from_slice(&(count as u64).to_le_bytes());
+    let refused = decode(&mut ByteReader::new(&hostile)).unwrap_err();
+    assert_eq!(refused, CodecError::Truncated { context, wanted: count * width, remaining });
+}
+
+#[test]
+fn a_fixed_width_column_count_past_its_bytes_is_truncated() {
+    let chunk = fixed_width_chunk();
+    let contexts = [
+        ("int32 column len", 4),
+        ("int64 column len", 8),
+        ("float column len", 4),
+        ("double column len", 8),
+    ];
+    for (column, (context, width)) in chunk.columns().iter().zip(contexts) {
+        let bytes = encoded(|w| column.encode_into(w));
+        assert_eq!(bytes.len(), 1 + 8 + column.len() * width, "{context}");
+        reencodes(&bytes, AttributeColumn::decode_from, AttributeColumn::encode_into);
+        // The column tag, then the count.
+        overlong_count_truncates(&bytes, (context, 1, width), AttributeColumn::decode_from);
+    }
+    let empty = AttributeColumn::new(AttributeType::Int64);
+    let bytes = encoded(|w| empty.encode_into(w));
+    reencodes(&bytes, AttributeColumn::decode_from, AttributeColumn::encode_into);
+    overlong_count_truncates(&bytes, ("int64 column len", 1, 8), AttributeColumn::decode_from);
+}
+
+#[test]
+fn a_dict_code_past_its_entries_names_the_first() {
+    let chunk = fixed_width_chunk();
+    let column = &chunk.columns()[4];
+    let dict = column.as_dict().expect("a dictionary column");
+    let (codes, entries) = (dict.codes().len(), dict.dict().len());
+    let bytes = encoded(|w| column.encode_into(w));
+    reencodes(&bytes, AttributeColumn::decode_from, AttributeColumn::encode_into);
+    let codes_at = bytes.len() - 4 * codes;
+    let code = |i: usize| codes_at + 4 * i;
+    overlong_count_truncates(
+        &bytes,
+        ("dict code count", codes_at - 8, 4),
+        AttributeColumn::decode_from,
+    );
+    // The last entry is a code; one past it is not, wherever it sits.
+    let mut last = bytes.clone();
+    last[code(codes - 1)..code(codes)].copy_from_slice(&(entries as u32 - 1).to_le_bytes());
+    reencodes(&last, AttributeColumn::decode_from, AttributeColumn::encode_into);
+    let mut hostile = bytes.clone();
+    for (i, c) in [(3, entries + 6), (9, entries), (codes - 1, entries + 1)] {
+        hostile[code(i)..code(i + 1)].copy_from_slice(&(c as u32).to_le_bytes());
+    }
+    let refused = AttributeColumn::decode_from(&mut ByteReader::new(&hostile)).unwrap_err();
+    let detail = format!("code {} out of range for {entries} entries", entries + 6);
+    assert_eq!(refused, CodecError::Invalid { context: "dict code", detail });
+}
+
+#[test]
+fn a_chunk_coordinate_or_tombstone_count_past_its_bytes_is_truncated() {
+    let chunk = fixed_width_chunk();
+    let bytes = encoded(|w| chunk.encode_into(w));
+    reencodes(&bytes, Chunk::decode_from, Chunk::encode_into);
+    // The chunk's coordinates and its stride byte, then the count.
+    let coords_at = encoded(|w| ChunkCoords::new([0, 1]).encode_into(w)).len() + 1;
+    overlong_count_truncates(&bytes, ("cell coords", coords_at, 8), Chunk::decode_from);
+    let tombstones_at = tombstones_end(&chunk) - 8 * chunk.tombstone_words().len() - 8;
+    let tombstones = ("tombstone word count", tombstones_at, 8);
+    overlong_count_truncates(&bytes, tombstones, Chunk::decode_from);
+}
+
+#[test]
+fn a_batch_coordinate_or_retraction_count_past_its_bytes_is_truncated() {
+    let batch = fixed_width_batch();
+    let bytes = encoded(|w| batch.encode_into(w));
+    reencodes(&bytes, CellBuffer::decode_from, CellBuffer::encode_into);
+    // The stride, then the count.
+    overlong_count_truncates(&bytes, ("cell coords", 8, 8), CellBuffer::decode_from);
+    let retractions_at = bytes.len() - 8 * batch.retractions_flat().len() - 8;
+    let retractions = ("batch retraction coords", retractions_at, 8);
+    overlong_count_truncates(&bytes, retractions, CellBuffer::decode_from);
 }
