@@ -180,9 +180,9 @@ impl CellBuffer {
     /// insert path is bit-identical to replaying the original.
     pub fn encode_into(&self, w: &mut durability::ByteWriter) {
         w.put_usize(self.ndims);
-        w.put_list(&self.coords, |w, &c| w.put_i64(c));
+        w.put_words(&self.coords, i64::to_le_bytes);
         w.put_list(&self.columns, |w, col| col.encode_into(w));
-        w.put_list(&self.retractions, |w, &c| w.put_i64(c));
+        w.put_words(&self.retractions, i64::to_le_bytes);
     }
 
     /// Decode a batch written by [`CellBuffer::encode_into`].
@@ -264,7 +264,7 @@ fn read_coords(
     context: &'static str,
     ndims: usize,
 ) -> std::result::Result<Vec<i64>, CodecError> {
-    let coords = r.list(context, 8, |r| r.i64(context))?;
+    let coords = r.words(context, i64::from_le_bytes)?;
     if coords.len() % ndims != 0 {
         let detail = format!("{} not a multiple of ndims {ndims}", coords.len());
         return Err(CodecError::invalid(context, detail));

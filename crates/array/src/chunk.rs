@@ -792,11 +792,11 @@ impl Chunk {
     pub fn encode_into(&self, w: &mut ByteWriter) {
         self.coords.encode_into(w);
         w.put_u8(self.ndims);
-        w.put_list(&self.cell_coords, |w, &v| w.put_i64(v));
+        w.put_words(&self.cell_coords, i64::to_le_bytes);
         w.put_list(&self.columns, |w, col| col.encode_into(w));
         w.put_u64(self.bytes);
         w.put_u64(self.cells);
-        w.put_list(&self.tombstones, |w, &word| w.put_u64(word));
+        w.put_words(&self.tombstones, u64::to_le_bytes);
         self.encoding.encode_into(w);
         self.zone.encode_into(w);
     }
@@ -816,7 +816,7 @@ impl Chunk {
         let rows = cell_coords.len() / usize::from(ndims);
         let bytes = r.u64("chunk bytes")?;
         let cells = r.u64("chunk cells")?;
-        let tombstones = r.list("tombstone word count", 8, |r| r.u64("tombstone word"))?;
+        let tombstones = r.words("tombstone word count", u64::from_le_bytes)?;
         // A retraction marks a row that exists, and the bitmap grows only
         // to the word that row is in.
         let past_the_rows = |(i, &word): (usize, &u64)| match rows.checked_sub(i * 64) {

@@ -21,6 +21,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod array;
 mod cells;

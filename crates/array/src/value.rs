@@ -1022,20 +1022,17 @@ impl DictColumn {
     fn encode_into(&self, w: &mut ByteWriter) {
         w.put_u32(self.cap);
         self.dict.encode_into(w);
-        w.put_list(&self.codes, |w, &c| w.put_u32(c));
+        w.put_words(&self.codes, u32::to_le_bytes);
     }
 
     fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let cap = r.u32("dict cap")?;
         let dict = StringDict::decode_from(r)?;
-        let codes = r.list("dict code count", 4, |r| {
-            let c = r.u32("dict code")?;
-            if c as usize >= dict.len() {
-                let detail = format!("code {c} out of range for {} entries", dict.len());
-                return Err(CodecError::invalid("dict code", detail));
-            }
-            Ok(c)
-        })?;
+        let codes = r.words("dict code count", u32::from_le_bytes)?;
+        if let Some(c) = codes.iter().find(|&&c| c as usize >= dict.len()) {
+            let detail = format!("code {c} out of range for {} entries", dict.len());
+            return Err(CodecError::invalid("dict code", detail));
+        }
         Ok(DictColumn { codes, dict, cap })
     }
 }
@@ -1046,19 +1043,19 @@ impl AttributeColumn {
         match self {
             AttributeColumn::Int32(v) => {
                 w.put_u8(0);
-                w.put_list(v, |w, &x| w.put_u32(x as u32));
+                w.put_words(v, i32::to_le_bytes);
             }
             AttributeColumn::Int64(v) => {
                 w.put_u8(1);
-                w.put_list(v, |w, &x| w.put_i64(x));
+                w.put_words(v, i64::to_le_bytes);
             }
             AttributeColumn::Float(v) => {
                 w.put_u8(2);
-                w.put_list(v, |w, &x| w.put_u32(x.to_bits()));
+                w.put_words(v, f32::to_le_bytes);
             }
             AttributeColumn::Double(v) => {
                 w.put_u8(3);
-                w.put_list(v, |w, &x| w.put_f64(x));
+                w.put_words(v, f64::to_le_bytes);
             }
             AttributeColumn::Char(v) => {
                 w.put_u8(4);
@@ -1081,14 +1078,10 @@ impl AttributeColumn {
     /// crashed process stored them.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match r.u8("column tag")? {
-            0 => AttributeColumn::Int32(
-                r.list("int32 column len", 4, |r| Ok(r.u32("int32 cell")? as i32))?,
-            ),
-            1 => AttributeColumn::Int64(r.list("int64 column len", 8, |r| r.i64("int64 cell"))?),
-            2 => AttributeColumn::Float(
-                r.list("float column len", 4, |r| Ok(f32::from_bits(r.u32("float cell")?)))?,
-            ),
-            3 => AttributeColumn::Double(r.list("double column len", 8, |r| r.f64("double cell"))?),
+            0 => AttributeColumn::Int32(r.words("int32 column len", i32::from_le_bytes)?),
+            1 => AttributeColumn::Int64(r.words("int64 column len", i64::from_le_bytes)?),
+            2 => AttributeColumn::Float(r.words("float column len", f32::from_le_bytes)?),
+            3 => AttributeColumn::Double(r.words("double column len", f64::from_le_bytes)?),
             4 => AttributeColumn::Char(r.bytes("char column")?.to_vec()),
             5 => AttributeColumn::Str(r.list("string column len", 4, |r| r.str("string cell"))?),
             6 => AttributeColumn::Dict(DictColumn::decode_from(r)?),

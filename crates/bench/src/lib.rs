@@ -6,6 +6,7 @@
 //! root, not here.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod table;

@@ -19,6 +19,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod census;
 mod cluster;

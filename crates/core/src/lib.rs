@@ -16,6 +16,7 @@
 //!   observations ranked into co-location advice under a balance cap.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod affinity;
 pub mod hashing;

@@ -12,6 +12,11 @@
 //!    bytes its encoder writes per item. A count whose items cannot fit
 //!    in the bytes left is [`CodecError::Truncated`] before anything is
 //!    allocated, so a reserve is the count itself.
+//!    [`ByteWriter::put_words`] and [`ByteReader::words`] are the
+//!    fixed-width form of [`ByteWriter::put_list`]: the same bytes for a
+//!    column of numbers, a coordinate buffer or a bitmap's words, copied
+//!    as one block rather than one call a value, with the count as the
+//!    block's one check.
 //! 2. **A list written in key order is read strictly ascending**
 //!    ([`ascending`]): a repeated or out-of-order key is refused, never a
 //!    silent overwrite of the earlier entry.
@@ -115,6 +120,35 @@ impl ByteWriter {
         let items = items.into_iter();
         self.put_usize(items.len());
         items.for_each(|item| put_one(self, item));
+    }
+
+    /// Append a counted list whose length is known only once its items
+    /// are written: `put_items` writes them and returns how many, and the
+    /// count is patched in ahead of them. The bytes of
+    /// [`ByteWriter::put_list`], without a first walk to count the items.
+    pub fn put_counted(&mut self, put_items: impl FnOnce(&mut Self) -> usize) {
+        let at = self.buf.len();
+        self.put_usize(0);
+        let n = put_items(self);
+        self.buf[at..at + 8].copy_from_slice(&(n as u64).to_le_bytes());
+    }
+
+    /// Append a counted list of fixed-width values as one block: the
+    /// bytes [`ByteWriter::put_list`] writes with a per-item `put_*`
+    /// (its `u64` length, then each value's `N` little-endian bytes),
+    /// which [`ByteReader::words`] reads back.
+    pub fn put_words<T: Copy, const N: usize>(
+        &mut self,
+        items: &[T],
+        to_le: impl Fn(T) -> [u8; N],
+    ) {
+        self.put_usize(items.len());
+        let start = self.buf.len();
+        self.buf.resize(start + items.len() * N, 0);
+        let (block, _) = self.buf[start..].as_chunks_mut::<N>();
+        for (out, &item) in block.iter_mut().zip(items) {
+            *out = to_le(item);
+        }
     }
 
     /// Append a length-prefixed byte slice.
@@ -315,6 +349,20 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
+    /// Read a counted list of fixed-width values written by
+    /// [`ByteWriter::put_words`]. The count ([`ByteReader::count`], `N`
+    /// bytes an item) is the only length check: once it holds, the
+    /// block is there, so a refusal names `context`.
+    pub fn words<T, const N: usize>(
+        &mut self,
+        context: &'static str,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, CodecError> {
+        let n = self.count(context, N)?;
+        let (block, _) = self.take(context, n * N)?.as_chunks::<N>();
+        Ok(block.iter().map(|&b| from_le(b)).collect())
+    }
+
     /// Read a length-prefixed byte slice.
     pub fn bytes(&mut self, context: &'static str) -> Result<&'a [u8], CodecError> {
         let len = self.u32(context)? as usize;
@@ -332,6 +380,7 @@ impl<'a> ByteReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn primitives_round_trip() {
@@ -418,5 +467,95 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert!(matches!(r.str("name"), Err(CodecError::Invalid { .. })));
+    }
+
+    /// What [`ByteWriter::put_words`] must equal: the counted list with
+    /// one `put_*` call per value.
+    fn per_item<T: Copy>(items: &[T], put_one: impl Fn(&mut ByteWriter, T)) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_list(items, |w, &x| put_one(w, x));
+        w.into_bytes()
+    }
+
+    fn block<T: Copy, const N: usize>(items: &[T], to_le: impl Fn(T) -> [u8; N]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_words(items, to_le);
+        w.into_bytes()
+    }
+
+    /// Read `bytes` as one block, requiring every byte consumed.
+    fn read_block<T, const N: usize>(bytes: &[u8], from_le: impl Fn([u8; N]) -> T) -> Vec<T> {
+        let mut r = ByteReader::new(bytes);
+        let out = r.words("words", from_le).unwrap();
+        r.finish("words").unwrap();
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A block is the per-item list's bytes at both widths, the empty
+        /// slice included, and reads back bit for bit (NaN payloads and
+        /// signed zeros too: floats travel as their bits).
+        #[test]
+        fn words_write_the_bytes_of_a_per_item_list(
+            raw in proptest::collection::vec(any::<u64>(), 0..40),
+            len in 0usize..40,
+        ) {
+            for raw in [&raw[..], &raw[..len.min(raw.len())], &[]] {
+                let wide: Vec<i64> = raw.iter().map(|&x| x as i64).collect();
+                let bytes = block(&wide, i64::to_le_bytes);
+                prop_assert_eq!(&bytes, &per_item(&wide, ByteWriter::put_i64));
+                prop_assert_eq!(&block(raw, u64::to_le_bytes), &bytes);
+                prop_assert_eq!(read_block(&bytes, i64::from_le_bytes), wide);
+                let doubles: Vec<f64> = raw.iter().map(|&x| f64::from_bits(x)).collect();
+                let per_double = per_item(&doubles, ByteWriter::put_f64);
+                prop_assert_eq!(&block(&doubles, f64::to_le_bytes), &per_double);
+                let back = read_block(&bytes, f64::from_le_bytes);
+                prop_assert!(back.iter().map(|x| x.to_bits()).eq(raw.iter().copied()));
+
+                let narrow: Vec<u32> = raw.iter().map(|&x| (x >> 17) as u32).collect();
+                let bytes = block(&narrow, u32::to_le_bytes);
+                prop_assert_eq!(&bytes, &per_item(&narrow, ByteWriter::put_u32));
+                prop_assert_eq!(read_block(&bytes, u32::from_le_bytes), narrow.clone());
+                let ints: Vec<i32> = narrow.iter().map(|&x| x as i32).collect();
+                prop_assert_eq!(&block(&ints, i32::to_le_bytes), &bytes);
+                prop_assert_eq!(read_block(&bytes, i32::from_le_bytes), ints);
+                let floats: Vec<f32> = narrow.iter().map(|&x| f32::from_bits(x)).collect();
+                prop_assert_eq!(&block(&floats, f32::to_le_bytes), &bytes);
+                let back = read_block(&bytes, f32::from_le_bytes);
+                prop_assert!(back.iter().map(|x| x.to_bits()).eq(narrow.iter().copied()));
+            }
+        }
+    }
+
+    /// A list counted as it is written is the bytes of `put_list`, empty
+    /// or not, wherever it starts.
+    #[test]
+    fn a_counted_list_writes_the_bytes_of_put_list() {
+        for items in [&[3u32, 1, 4, 1, 5][..], &[]] {
+            let mut w = ByteWriter::new();
+            w.put_u8(9);
+            w.put_counted(|w| {
+                items.iter().for_each(|&x| w.put_u32(x));
+                items.len()
+            });
+            let mut want = ByteWriter::new();
+            want.put_u8(9);
+            want.put_list(items, |w, &x| w.put_u32(x));
+            assert_eq!(w.into_bytes(), want.into_bytes());
+        }
+    }
+
+    /// A block's count is checked as a list's is: one item past the bytes
+    /// left is `Truncated` under the block's context, before any value.
+    #[test]
+    fn a_block_count_past_its_bytes_is_truncated() {
+        let mut bytes = block(&[1u64, 2, 3], u64::to_le_bytes);
+        bytes[..8].copy_from_slice(&4u64.to_le_bytes());
+        let err = ByteReader::new(&bytes).words("ids", u64::from_le_bytes).unwrap_err();
+        assert_eq!(err, CodecError::Truncated { context: "ids", wanted: 32, remaining: 24 });
+        let err = ByteReader::new(&bytes[..5]).words("ids", u32::from_le_bytes).unwrap_err();
+        assert_eq!(err, CodecError::Truncated { context: "ids", wanted: 8, remaining: 5 });
     }
 }

@@ -61,6 +61,10 @@
 //! tombstones, and view accumulators included.
 
 #![warn(missing_docs)]
+// The CRC fold in `crc.rs` is the one place in the workspace that the
+// compiler cannot prove memory-safe; every other crate root forbids such
+// code, and each block of it states why it is sound.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 mod codec;
 mod crc;

@@ -19,6 +19,7 @@
 //!   misplaced join partners, latency per cross-node halo/kNN hop).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod catalog;
 mod error;

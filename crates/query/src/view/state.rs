@@ -601,8 +601,10 @@ impl KeyScalar {
 }
 
 impl ZSet {
-    fn encode_rows(w: &mut ByteWriter, rows: &[Entry<'_>]) {
-        w.put_list(rows, |w, e| {
+    /// Write rows `rows` of the run, straight from its buffers: their
+    /// count, then each row.
+    fn encode_rows(&self, w: &mut ByteWriter, rows: Range<usize>) {
+        w.put_list(rows.map(|i| self.entry(i)), |w, e| {
             w.put_list(e.coords, |w, &c| w.put_i64(c));
             w.put_list(e.values, |w, v| v.encode_into(w));
             w.put_i64(e.weight);
@@ -645,7 +647,7 @@ impl ZSet {
 
     /// Serialize every (unkeyed) row with its net weight, in run order.
     pub fn encode_into(&self, w: &mut ByteWriter) {
-        Self::encode_rows(w, &self.entries().collect::<Vec<_>>());
+        self.encode_rows(w, 0..self.len());
     }
 
     /// Decode a Z-set written by [`ZSet::encode_into`]: the rows must be
@@ -659,11 +661,16 @@ impl ZSet {
     /// Serialize a join side: its distinct keys in order, each followed
     /// by the Z-set of the rows filed under it.
     pub(super) fn encode_index_into(&self, w: &mut ByteWriter) {
-        let rows: Vec<Entry<'_>> = self.entries().collect();
-        let slots: Vec<&[Entry<'_>]> = rows.chunk_by(|a, b| a.key == b.key).collect();
-        w.put_list(slots, |w, slot| {
-            w.put_list(slot[0].key, |w, k| k.encode_into(w));
-            Self::encode_rows(w, slot);
+        w.put_counted(|w| {
+            let (mut start, mut slots) = (0, 0);
+            while start < self.len() {
+                let key = self.entry(start).key;
+                let more = self.entries_from(start + 1).take_while(|e| e.key == key).count();
+                w.put_list(key, |w, k| k.encode_into(w));
+                self.encode_rows(w, start..start + 1 + more);
+                (start, slots) = (start + 1 + more, slots + 1);
+            }
+            slots
         });
     }
 

@@ -15,6 +15,8 @@
 //! A differential runs the system and a reference — a twin run or the
 //! oracle — on the same input and compares what the probe sees.
 
+#![forbid(unsafe_code)]
+
 mod fixtures;
 mod oracle;
 mod probe;

@@ -16,6 +16,7 @@
 //!   (the write-ahead log, checkpoints, recovery's eligibility rule).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ais;
 mod cycle;

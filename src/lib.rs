@@ -42,6 +42,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use array_model as array;
 pub use cluster_sim as cluster;

@@ -979,16 +979,13 @@ fn fixed_width_batch() -> CellBuffer {
     buf
 }
 
-/// Decode `bytes` whole, and require the value to write them back.
+/// Require `bytes` accepted, and written back byte for byte.
 fn reencodes<T>(
     bytes: &[u8],
     decode: impl FnOnce(&mut ByteReader<'_>) -> Result<T, CodecError>,
     encode: impl FnOnce(&T, &mut ByteWriter),
 ) {
-    let mut r = ByteReader::new(bytes);
-    let value = decode(&mut r).expect("clean bytes decode");
-    r.finish("tail").unwrap();
-    assert_eq!(encoded(|w| encode(&value, w)), bytes);
+    assert!(matches!(round_trip(bytes, decode, encode), Ok(Verdict::Accepted)));
 }
 
 /// Stamp the `u64` count at `at` one `width`-byte item past the bytes
