@@ -212,37 +212,32 @@ impl Cluster {
     /// but stops accepting placements, replicas, and repairs — the
     /// scale-IN preparation state.
     pub fn start_draining(&mut self, id: NodeId) -> Result<()> {
-        let node = self.nodes.get_mut(id.slot()).ok_or(ClusterError::UnknownNode(id.0))?;
-        if node.state() != NodeState::Healthy {
-            return Err(ClusterError::NodeUnavailable { node: id.0, state: node.state() });
-        }
-        node.set_state(NodeState::Draining);
-        Ok(())
+        self.transition(id, &[NodeState::Healthy], NodeState::Draining)
     }
 
     /// Revive a `Crashed` node into `Recovering`: it rejoins empty,
     /// accepts data again (that is how it refills), and serves what it
     /// holds until [`Cluster::mark_recovered`] promotes it.
     pub fn revive_node(&mut self, id: NodeId) -> Result<()> {
-        let node = self.nodes.get_mut(id.slot()).ok_or(ClusterError::UnknownNode(id.0))?;
-        if node.state() != NodeState::Crashed {
-            return Err(ClusterError::NodeUnavailable { node: id.0, state: node.state() });
-        }
-        node.set_state(NodeState::Recovering);
-        Ok(())
+        self.transition(id, &[NodeState::Crashed], NodeState::Recovering)
     }
 
     /// Return a `Recovering` (or `Draining`, cancelling the drain) node
     /// to full `Healthy` service.
     pub fn mark_recovered(&mut self, id: NodeId) -> Result<()> {
+        let from = [NodeState::Recovering, NodeState::Draining];
+        self.transition(id, &from, NodeState::Healthy)
+    }
+
+    /// The node lifecycle rule: move node `id` to `to` if its state is
+    /// one of `from`; otherwise refuse, naming the state it is in.
+    fn transition(&mut self, id: NodeId, from: &[NodeState], to: NodeState) -> Result<()> {
         let node = self.nodes.get_mut(id.slot()).ok_or(ClusterError::UnknownNode(id.0))?;
-        match node.state() {
-            NodeState::Recovering | NodeState::Draining => {
-                node.set_state(NodeState::Healthy);
-                Ok(())
-            }
-            state => Err(ClusterError::NodeUnavailable { node: id.0, state }),
+        if !from.contains(&node.state()) {
+            return Err(ClusterError::NodeUnavailable { node: id.0, state: node.state() });
         }
+        node.set_state(to);
+        Ok(())
     }
 
     /// Current node count, retired slots included (the roster is

@@ -21,7 +21,7 @@
 use crate::durable::{self, mismatch, DurabilityConfig, Wal};
 use crate::faults::FaultPlan;
 use crate::spec::{SuiteReport, Workload};
-use crate::world::{CycleFaults, RetractTally, World};
+use crate::world::{CycleFaults, World};
 use array_model::{Array, ArrayError, ArrayId, ChunkDescriptor, StringEncoding};
 use cluster_sim::{
     gb, Cluster, ClusterError, CostModel, NodeHoursLedger, NodeState, PhaseBreakdown,
@@ -30,7 +30,7 @@ use durability::{ByteWriter, DurabilityError};
 use elastic_core::{
     Partitioner, PartitionerConfig, PartitionerKind, StaircaseConfig, StaircaseProvisioner,
 };
-use query_engine::view::{ViewApplyStats, ViewDef, ViewRegistry};
+use query_engine::view::{ViewDef, ViewRegistry};
 use query_engine::Catalog;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -268,7 +268,29 @@ impl Default for RunnerConfig {
 }
 
 /// What happened in one workload cycle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The cycle's phases write it as they run, each adding its own
+/// counters, so what a phase did is the change in the report across it:
+///
+/// * cycle-start faults, then the rebalance-window crashes of
+///   provisioning: `repair_bytes`, `repair_retries`,
+///   `phases.repair_secs`, in that order;
+/// * retraction: `retracted_cells`, `evicted_chunks`, `evicted_bytes`,
+///   `gc_compacted_chunks`, `gc_reclaimed_bytes`, and the negative
+///   deltas' share of `view_delta_rows` and `view_rows_changed`;
+/// * provisioning: `moved_bytes`, `removed_nodes`, `phases.reorg_secs`
+///   (scale-out flows, then drains);
+/// * ingest: `phases.insert_secs`, and the positive deltas' share of the
+///   view counters;
+/// * storing the derived chunks: their flows' share of
+///   `phases.query_secs`.
+///
+/// [`WorkloadRunner::run_cycle`] sets the rest: `cycle`,
+/// `insert_bytes`, `added_nodes` and `scale_saturated` (from the logged
+/// scale decision), `rsd_after_insert`, `suites` and their share of
+/// `phases.query_secs`, and the census when the cycle ends (`nodes`,
+/// `demand_gb`, `crashed_nodes`, `under_replicated`).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CycleReport {
     /// Cycle index (0-based).
     pub cycle: usize,
@@ -300,7 +322,7 @@ pub struct CycleReport {
     pub evicted_bytes: u64,
     /// True when the scaling policy wanted more nodes than its per-cycle
     /// safety cap allows: demand exceeded the trigger level even after
-    /// this cycle's scale-out. Previously this was dropped silently.
+    /// this cycle's scale-out.
     pub scale_saturated: bool,
     /// Nodes in the `Crashed` state when the cycle ended.
     pub crashed_nodes: usize,
@@ -352,14 +374,7 @@ impl RunReport {
 
     /// Total seconds in each phase across the run.
     pub fn phase_totals(&self) -> PhaseBreakdown {
-        let mut out = PhaseBreakdown::default();
-        for c in &self.cycles {
-            out.insert_secs += c.phases.insert_secs;
-            out.reorg_secs += c.phases.reorg_secs;
-            out.query_secs += c.phases.query_secs;
-            out.repair_secs += c.phases.repair_secs;
-        }
-        out
+        self.ledger().phase_totals()
     }
 
     /// Total SPJ-suite seconds (Figure 5).
@@ -388,11 +403,16 @@ impl RunReport {
 
     /// Equation 1 node-hours for the whole run.
     pub fn node_hours(&self) -> f64 {
+        self.ledger().node_hours()
+    }
+
+    /// The run's cycles as an Equation 1 ledger, in cycle order.
+    fn ledger(&self) -> NodeHoursLedger {
         let mut ledger = NodeHoursLedger::new();
         for c in &self.cycles {
             ledger.record(c.nodes, c.phases);
         }
-        ledger.node_hours()
+        ledger
     }
 }
 
@@ -513,66 +533,65 @@ impl<'w> WorkloadRunner<'w> {
     }
 
     /// Execute one workload cycle: the phases of `world.rs`, in order,
-    /// each one's input logged before it runs.
+    /// each one's input logged before it runs. The report starts empty
+    /// and each phase adds its counters into it; this loop sets only the
+    /// fields no phase owns (see [`CycleReport`]).
     pub fn run_cycle(&mut self, cycle: usize) -> Result<CycleReport, CycleError> {
         let Self { workload, config, world, wal, .. } = self;
         let workload = workload.get();
         let plan = config.fault_plan.as_ref();
+        let mut report = CycleReport { cycle, ..CycleReport::default() };
         record(wal, cycle, |w| durable::write_cycle_start(w, cycle as u64))?;
         record(wal, cycle, |w| {
             durable::write_faults(w, cycle as u64, durable::fault_digest(plan, cycle))
         })?;
 
         let faults = CycleFaults::scheduled(plan, cycle);
-        let mut repair = world.inject_faults(cycle, config, &faults)?;
+        world.inject_faults(cycle, config, &faults, &mut report)?;
 
         // Materialized workloads stream cells through the chunk builder
         // and ingest descriptors derived from the real payloads; metadata
         // workloads place their sampled descriptors directly. The batch
         // is logged verbatim (cells, transport dictionaries, retraction
         // script) before any of it is applied.
-        let mut view_stats = ViewApplyStats::default();
-        let (batch, arrays, retract) = match workload.cell_batch(cycle) {
+        let (batch, arrays) = match workload.cell_batch(cycle) {
             Some(cells) => {
                 record(wal, cycle, |w| durable::write_insert_cells(w, &cells))?;
-                let retract = world.retract(cycle, config, &cells, &mut view_stats)?;
+                world.retract(cycle, config, &cells, &mut report)?;
                 let arrays = world.build_chunks(cycle, config, cells)?;
                 let descs: Vec<ChunkDescriptor> =
                     arrays.iter().flat_map(Array::descriptors).collect();
-                (descs, Some(arrays), retract)
+                (descs, Some(arrays))
             }
             None => {
                 let descs = workload.insert_batch(cycle);
                 record(wal, cycle, |w| durable::write_insert_meta(w, &descs))?;
-                (descs, None, RetractTally::default())
+                (descs, None)
             }
         };
-        let insert_bytes: u64 = batch.iter().map(|d| d.bytes).sum();
+        report.insert_bytes = batch.iter().map(|d| d.bytes).sum();
 
-        let step =
-            world.scale_decision(config, world.cluster.total_used().saturating_add(insert_bytes));
+        let demand = world.cluster.total_used().saturating_add(report.insert_bytes);
+        let step = world.scale_decision(config, demand);
         record(wal, cycle, |w| {
             durable::write_scale(w, step.add as u64, step.remove as u64, step.saturated)
         })?;
-        let reorg = world.provision(cycle, config, &step, &faults, &mut repair)?;
+        (report.added_nodes, report.scale_saturated) = (step.add, step.saturated);
+        world.provision(cycle, config, &step, &faults, &mut report)?;
 
-        let insert_secs = world.ingest(cycle, config, &batch, arrays, &mut view_stats)?;
+        world.ingest(cycle, config, &batch, arrays, &mut report)?;
         // O(1): the cluster maintains its load moments incrementally.
-        // The rest of the report is as cheap — every field below is a
-        // counter a phase returned, a value the cluster keeps
-        // (`total_used`, `active_node_count`; `under_replicated` folds
-        // the kept replica census, k + 1 counters) or one pass over the
-        // roster (`crashed_nodes`): nothing in it grows with the chunks
-        // the run has placed.
-        let rsd_after_insert = world.cluster.balance_rsd();
+        report.rsd_after_insert = world.cluster.balance_rsd();
 
         // Queries are read-only and their report is discarded during
         // replay, so a recovering runner skips them outright.
         let replaying = wal.as_ref().is_some_and(Wal::replaying);
-        let suites = (config.run_queries && !replaying).then(|| world.run_queries(workload, cycle));
+        report.suites =
+            (config.run_queries && !replaying).then(|| world.run_queries(workload, cycle));
+        report.phases.query_secs = report.suites.as_ref().map_or(0.0, SuiteReport::total_secs);
         let derived = workload.derived_batch(cycle);
         record(wal, cycle, |w| durable::write_derived(w, &derived))?;
-        let derived_secs = world.store_derived(cycle, config, &derived)?;
+        world.store_derived(cycle, config, &derived, &mut report)?;
 
         // Commit point: everything this cycle did is now logged (and,
         // per the fsync policy, durable). A crash before this line rolls
@@ -582,40 +601,16 @@ impl<'w> WorkloadRunner<'w> {
             wal.commit(cycle, |w| world.encode_into(w))?;
         }
 
-        Ok(CycleReport {
-            cycle,
-            nodes: world.cluster.active_node_count(),
-            added_nodes: step.add,
-            removed_nodes: reorg.removed_nodes,
-            demand_gb: gb(world.cluster.total_used()),
-            phases: PhaseBreakdown {
-                insert_secs,
-                reorg_secs: reorg.reorg_secs,
-                query_secs: suites.as_ref().map_or(0.0, SuiteReport::total_secs) + derived_secs,
-                repair_secs: repair.secs,
-            },
-            rsd_after_insert,
-            moved_bytes: reorg.moved_bytes,
-            insert_bytes,
-            retracted_cells: retract.retracted,
-            evicted_chunks: retract.evicted_chunks,
-            evicted_bytes: retract.evicted_bytes,
-            gc_compacted_chunks: retract.gc_compacted_chunks,
-            gc_reclaimed_bytes: retract.gc_reclaimed_bytes,
-            view_delta_rows: view_stats.delta_rows,
-            view_rows_changed: view_stats.rows_changed,
-            scale_saturated: step.saturated,
-            crashed_nodes: world
-                .cluster
-                .nodes()
-                .filter(|n| n.state() == NodeState::Crashed)
-                .count(),
-            under_replicated: world.cluster.replica_census().under_replicated(),
-            repair_bytes: repair.bytes,
-            repair_retries: repair.retries,
-            degraded_reads: 0,
-            suites,
-        })
+        // The census as the cycle leaves the cluster. As cheap as the
+        // rest of the report: values the cluster keeps (`total_used`,
+        // `active_node_count`; `under_replicated` folds the kept replica
+        // census, k + 1 counters) or one pass over the roster
+        // (`crashed_nodes`), nothing that grows with the placed chunks.
+        report.nodes = world.cluster.active_node_count();
+        report.demand_gb = gb(world.cluster.total_used());
+        report.crashed_nodes = world.nodes_in(NodeState::Crashed).len();
+        report.under_replicated = world.cluster.replica_census().under_replicated();
+        Ok(report)
     }
 
     /// Run every cycle of the workload, stopping at the first failing
@@ -1152,9 +1147,9 @@ mod tests {
         }
         assert!(evicted_bytes > 0, "dictionary entries outlive their rows");
 
-        let mut stats = ViewApplyStats::default();
-        let tally = runner.world.retract(1, &cfg, &[script], &mut stats).expect("script applies");
-        assert_eq!(tally.retracted, retracted);
+        let mut tally = CycleReport::default();
+        runner.world.retract(1, &cfg, &[script], &mut tally).expect("script applies");
+        assert_eq!(tally.retracted_cells, retracted);
         assert_eq!((tally.evicted_chunks, tally.evicted_bytes), (4, evicted_bytes));
         assert_eq!((tally.gc_compacted_chunks, tally.gc_reclaimed_bytes), (0, 0));
         let cluster = runner.cluster();
@@ -1175,8 +1170,9 @@ mod tests {
         // group misses — retraction is idempotent, not an error.
         let mut again = CellBatch::new(CHURN, &ChurnWorkload::schema());
         (0..4 * 64).for_each(|x| again.push_retraction(&[x]));
-        let tally = runner.world.retract(2, &cfg, &[again], &mut stats).expect("script applies");
-        assert_eq!((tally.retracted, tally.evicted_chunks), (0, 0));
+        let mut tally = CycleReport::default();
+        runner.world.retract(2, &cfg, &[again], &mut tally).expect("script applies");
+        assert_eq!((tally.retracted_cells, tally.evicted_chunks), (0, 0));
         assert_eq!(runner.cluster().loads(), reference.loads());
     }
 
@@ -1201,6 +1197,116 @@ mod tests {
         assert_eq!(report.cycles[1].phases.repair_secs, 0.0);
         assert!(report.cycles[3..].iter().all(|c| c.under_replicated == 0));
         assert!(report.cycles.iter().all(|c| !c.scale_saturated));
+    }
+
+    /// A demand trough that takes every retraction path. Cycles
+    /// `0..grow` are [`ChurnWorkload`]'s — each chunk of the previous
+    /// cycle ends half dead, so the GC trips — and also retract the rest
+    /// of that cycle's first chunk, emptying it (an eviction); the
+    /// cycles after retract every cell inserted. Each cycle stores one
+    /// derived metadata chunk, and the suites are empty, so all of
+    /// `phases.query_secs` is the derived chunks' flows.
+    struct Trough {
+        cycles: usize,
+        grow: usize,
+        cells: usize,
+    }
+
+    const DERIVED: ArrayId = ArrayId(5);
+
+    impl Workload for Trough {
+        fn name(&self) -> &'static str {
+            "trough"
+        }
+        fn cycles(&self) -> usize {
+            self.cycles
+        }
+        fn register_arrays(&self, catalog: &mut Catalog) {
+            ChurnWorkload { cycles: 0, cells: 0 }.register_arrays(catalog);
+            let schema = ArraySchema::parse("D<v:double>[x=0:*,1]").unwrap();
+            catalog.register(query_engine::StoredArray::from_descriptors(DERIVED, schema, []));
+        }
+        fn insert_batch(&self, _cycle: usize) -> Vec<ChunkDescriptor> {
+            Vec::new()
+        }
+        fn cell_batch(&self, cycle: usize) -> Option<Vec<CellBatch>> {
+            let cells = self.cells as i64;
+            if cycle >= self.grow {
+                let mut batch = CellBatch::new(CHURN, &ChurnWorkload::schema());
+                (0..self.grow as i64 * cells).for_each(|x| batch.push_retraction(&[x]));
+                return Some(vec![batch]);
+            }
+            let mut batches = ChurnWorkload { cycles: self.cycles, cells: self.cells }
+                .cell_batch(cycle)
+                .expect("materialized");
+            if cycle > 0 {
+                let first = (cycle as i64 - 1) * cells;
+                (first + 1..first + 64).step_by(2).for_each(|x| batches[0].push_retraction(&[x]));
+            }
+            Some(batches)
+        }
+        fn derived_batch(&self, cycle: usize) -> Vec<ChunkDescriptor> {
+            let key = ChunkKey::new(DERIVED, ChunkCoords::new([cycle as i64]));
+            vec![ChunkDescriptor::new(key, 4_096, 16)]
+        }
+        fn grid_hint(&self) -> elastic_core::GridHint {
+            elastic_core::GridHint::new(vec![1024])
+        }
+        fn run_suites(&self, _ctx: &ExecutionContext<'_>, _cycle: usize) -> SuiteReport {
+            SuiteReport::default()
+        }
+    }
+
+    /// Every counter a phase adds into the report reaches it. Two runs
+    /// of [`Trough`] with a view registered: a FixedStep scale-out at
+    /// k = 2 under a crash with flaky repair flows, a revival and a
+    /// drain; and a staircase that climbs the trough and releases nodes
+    /// down it. Each additive counter is non-zero in some cycle, and the
+    /// two sources of `moved_bytes` and `phases.reorg_secs` — scale-out
+    /// flows and drains — are each seen alone.
+    #[test]
+    fn every_phase_writes_its_counters_into_the_report() {
+        let w = Trough { cycles: 8, grow: 5, cells: 1024 };
+        let run = |cfg: RunnerConfig| {
+            let mut runner = WorkloadRunner::new(&w, cfg);
+            runner.register_view(ViewDef::select("all", CHURN, Vec::new()));
+            runner.run_all().expect("the trough runs").cycles
+        };
+        let mut cfg = config(PartitionerKind::RoundRobin);
+        (cfg.initial_nodes, cfg.node_capacity, cfg.replication) = (4, 16_384, 2);
+        let plan = FaultPlan::new(3)
+            .at(1, FaultKind::Crash(1))
+            .at(1, FaultKind::FlakyFlows { p: 0.5 })
+            .at(2, FaultKind::Revive(1))
+            .at(3, FaultKind::Drain(2));
+        let fixed = run(RunnerConfig { fault_plan: Some(plan), ..cfg.clone() });
+        cfg.replication = 1;
+        cfg.scaling = ScalingPolicy::Staircase(StaircaseConfig {
+            node_capacity_gb: 16_384.0 / 1e9,
+            samples: 2,
+            plan_ahead: 1,
+            trigger: 1.0,
+            shrink_margin: 0.75,
+        });
+        let staircase = run(cfg);
+
+        let seen = |what: &str, hit: fn(&CycleReport) -> bool| {
+            assert!(fixed.iter().chain(&staircase).any(hit), "no cycle reports {what}");
+        };
+        seen("inserted bytes", |c| c.insert_bytes > 0);
+        seen("insert seconds", |c| c.phases.insert_secs > 0.0);
+        seen("derived-chunk query seconds", |c| c.phases.query_secs > 0.0);
+        seen("retracted cells", |c| c.retracted_cells > 0);
+        seen("an eviction", |c| c.evicted_chunks > 0 && c.evicted_bytes > 0);
+        seen("a compaction", |c| c.gc_compacted_chunks > 0 && c.gc_reclaimed_bytes > 0);
+        seen("a repair", |c| c.repair_bytes > 0 && c.phases.repair_secs > 0.0);
+        seen("a repair retry", |c| c.repair_retries > 0);
+        seen("view upkeep", |c| c.view_delta_rows > 0 && c.view_rows_changed > 0);
+        // A cycle adds nodes or removes them, never both: what it moved
+        // came from one source.
+        let moved = |c: &CycleReport| c.moved_bytes > 0 && c.phases.reorg_secs > 0.0;
+        assert!(fixed.iter().any(|c| c.added_nodes > 0 && moved(c)), "no FixedStep scale-out");
+        assert!(staircase.iter().any(|c| c.removed_nodes > 0 && moved(c)), "no scale-in");
     }
 
     #[test]

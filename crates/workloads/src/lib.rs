@@ -36,4 +36,4 @@ pub use modis::ModisWorkload;
 pub use rand_util::{lognormal, rng_for, standard_normal, zipf_weight};
 pub use spec::{CellBatch, QueryRecord, SuiteReport, Workload};
 pub use synthetic::{SpatialDistribution, SyntheticWorkload};
-pub use world::{build_cell_array, build_cell_array_encoded};
+pub use world::build_cell_array_encoded;

@@ -18,8 +18,10 @@
 //!
 //! [`WorkloadRunner::run_cycle`](crate::WorkloadRunner::run_cycle) calls
 //! one method per phase of the paper's §3.4 cycle, logging each one's
-//! input first (nothing here touches the log); each returns the small
-//! tally the cycle report is assembled from.
+//! input first (nothing here touches the log). Each phase adds its
+//! counters straight into the cycle's [`CycleReport`]: what a phase did
+//! is the change in the report across it, and no phase keeps a tally of
+//! its own.
 //!
 //! 1. [`World::inject_faults`] — cycle-start crashes, drains, revivals,
 //!    then repair to full replica strength: every later phase runs on
@@ -43,7 +45,7 @@
 //! 7. [`World::store_derived`] — the suites' products are placed like
 //!    any batch, then the controller sees the demand it faces next.
 
-use crate::cycle::{CycleError, RunnerConfig, ScalingPolicy};
+use crate::cycle::{CycleError, CycleReport, RunnerConfig, ScalingPolicy};
 use crate::durable::mismatch;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::spec::{CellBatch, SuiteReport, Workload};
@@ -59,7 +61,7 @@ use elastic_core::{
     batch_prefix_bytes, build_partitioner, route_batch, unlocated, Partitioner, ProvisionDecision,
     RouteEpoch, StaircaseProvisioner,
 };
-use query_engine::view::{ViewApplyStats, ViewDef, ViewRegistry};
+use query_engine::view::{ViewDef, ViewRegistry};
 use query_engine::{Catalog, ExecutionContext};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -101,20 +103,12 @@ fn build_worker_of(coords: &ChunkCoords, workers: usize) -> usize {
 /// ([`Array::insert_batch_owned`] — zero per-value allocations), while
 /// the sharded path clones from the shared buffer (workers cannot move
 /// out of a batch they all read) and drops it afterwards.
-pub fn build_cell_array(
-    id: ArrayId,
-    schema: ArraySchema,
-    rows: CellBuffer,
-    threads: usize,
-) -> Result<Array, ArrayError> {
-    build_cell_array_encoded(id, schema, rows, threads, StringEncoding::default())
-}
-
-/// [`build_cell_array`] with an explicit storage-side string encoding:
-/// the default dictionary-encodes chunk string columns (a batch whose
-/// transport is also dictionary-encoded builds them as `u32` code
-/// remaps); [`StringEncoding::Plain`] reproduces the one-`String`-per-
-/// value representation for differential comparison.
+///
+/// `encoding` is the storage-side string encoding: the default
+/// ([`StringEncoding::default`]) dictionary-encodes chunk string columns
+/// (a batch whose transport is also dictionary-encoded builds them as
+/// `u32` code remaps); [`StringEncoding::Plain`] reproduces the
+/// one-`String`-per-value representation for differential comparison.
 pub fn build_cell_array_encoded(
     id: ArrayId,
     schema: ArraySchema,
@@ -411,12 +405,12 @@ impl World {
     }
 
     /// Fold the extracted delta — one array's — into the views, counting
-    /// rows in and out.
-    fn apply_delta(&mut self, array: ArrayId, stats: &mut ViewApplyStats) {
+    /// rows in and out into `report`.
+    fn apply_delta(&mut self, array: ArrayId, report: &mut CycleReport) {
         if !self.delta.is_empty() {
             let applied = self.views.apply(array, &self.delta);
-            stats.delta_rows += applied.delta_rows;
-            stats.rows_changed += applied.rows_changed;
+            report.view_delta_rows += applied.delta_rows;
+            report.view_rows_changed += applied.rows_changed;
         }
     }
 
@@ -437,7 +431,8 @@ impl World {
         cycle: usize,
         config: &RunnerConfig,
         faults: &CycleFaults,
-    ) -> Result<RepairTally, CycleError> {
+        report: &mut CycleReport,
+    ) -> Result<(), CycleError> {
         let refused = |source| CycleError::Fault { cycle, source };
         for kind in config.fault_plan.iter().flat_map(|plan| plan.events_at(cycle)) {
             match kind {
@@ -449,11 +444,10 @@ impl World {
             }
             .map_err(refused)?;
         }
-        let mut repair = RepairTally::default();
         if self.cluster.has_faulted_nodes() {
-            self.repair(cycle, config, faults.flaky, faults.mid_crash, &mut repair)?;
+            self.repair(cycle, config, faults.flaky, faults.mid_crash, report)?;
         }
-        Ok(repair)
+        Ok(())
     }
 
     /// Upper bound on plan → execute recovery passes per invocation. A
@@ -467,15 +461,15 @@ impl World {
     /// plan comes back empty or stops making progress, then — once no
     /// repairable chunk is under strength, whatever a crash lost — return
     /// any refilled `Recovering` nodes to full service and audit the
-    /// replica books. Repair flows and backoff waits accumulate into
-    /// `tally`.
+    /// replica books. Repair bytes, seconds (flows and backoff waits) and
+    /// retries add into `report`.
     fn repair(
         &mut self,
         cycle: usize,
         config: &RunnerConfig,
         flaky: Option<Flakiness>,
         mut mid_crash: Option<MidCrash>,
-        tally: &mut RepairTally,
+        report: &mut CycleReport,
     ) -> Result<(), CycleError> {
         let policy = config.fault_plan.as_ref().map(|p| p.backoff).unwrap_or_default();
         for _ in 0..Self::MAX_RECOVERY_PASSES {
@@ -485,9 +479,10 @@ impl World {
             }
             let outcome =
                 self.cluster.execute_recovery_with(&plan, &policy, flaky, mid_crash.take());
-            tally.bytes = tally.bytes.saturating_add(outcome.repair_bytes());
-            tally.secs += outcome.repair_secs(&config.cost);
-            tally.retries = tally.retries.saturating_add(u64::from(outcome.retries));
+            report.repair_bytes = report.repair_bytes.saturating_add(outcome.repair_bytes());
+            report.phases.repair_secs += outcome.repair_secs(&config.cost);
+            report.repair_retries =
+                report.repair_retries.saturating_add(u64::from(outcome.retries));
             if outcome.repaired == 0 {
                 // No forward progress (retry budgets exhausted, or nothing
                 // repairable remains): stop rather than spin.
@@ -539,11 +534,10 @@ impl World {
         cycle: usize,
         config: &RunnerConfig,
         batches: &[CellBatch],
-        view_stats: &mut ViewApplyStats,
-    ) -> Result<RetractTally, CycleError> {
+        report: &mut CycleReport,
+    ) -> Result<(), CycleError> {
         let rejected = |source| CycleError::Retract { cycle, source };
         let malformed = |source| CycleError::Materialize { cycle, source };
-        let mut tally = RetractTally::default();
         let mut matched = Vec::new();
         for b in batches {
             let flat = b.retractions_flat();
@@ -570,29 +564,29 @@ impl World {
                     self.delta.extend_from_chunk(chunk, rows.clone(), -1);
                 }
                 let Retirement { retracted, fate } = Retirement::of(config, chunk, rows);
-                tally.retracted += retracted;
+                report.retracted_cells += retracted;
                 match fate {
                     Fate::Stands => {}
                     Fate::Dropped { residual } => {
                         self.cluster.evict_chunk(&key).map_err(rejected)?;
-                        tally.evicted_chunks += 1;
-                        tally.evicted_bytes += residual;
+                        report.evicted_chunks += 1;
+                        report.evicted_bytes += residual;
                     }
                     Fate::Rebuilt { chunk, reclaimed } => {
                         self.cluster.install_payload(&key, chunk).map_err(rejected)?;
-                        tally.gc_compacted_chunks += usize::from(reclaimed.is_some());
-                        tally.gc_reclaimed_bytes += reclaimed.unwrap_or(0);
+                        report.gc_compacted_chunks += usize::from(reclaimed.is_some());
+                        report.gc_reclaimed_bytes += reclaimed.unwrap_or(0);
                     }
                 }
             }
-            self.apply_delta(b.array, view_stats);
+            self.apply_delta(b.array, report);
         }
-        Ok(tally)
+        Ok(())
     }
 
     /// Phase 3. Build each cell batch into real chunks via the
     /// array-model chunk builder, fanning the chunk construction out
-    /// over `ingest_threads` scoped workers (see [`build_cell_array`]).
+    /// over `ingest_threads` scoped workers (see [`build_cell_array_encoded`]).
     /// The returned arrays hold the cycle's fresh chunks only;
     /// descriptors derived from them carry actual `byte_size()` /
     /// `cell_count()` instead of sampled sizes.
@@ -675,24 +669,24 @@ impl World {
 
     /// Phase 4, the execution: grow and rebalance, or drain and retire;
     /// then the rebalance-window crashes — after any data movement,
-    /// before the ingest — and the repair behind them.
+    /// before the ingest — and the repair behind them, whose costs add to
+    /// those of the cycle-start repair.
     pub(crate) fn provision(
         &mut self,
         cycle: usize,
         config: &RunnerConfig,
         step: &ScaleStep,
         faults: &CycleFaults,
-        repair: &mut RepairTally,
-    ) -> Result<ReorgTally, CycleError> {
-        let mut tally = ReorgTally::default();
+        report: &mut CycleReport,
+    ) -> Result<(), CycleError> {
         if step.add > 0 {
             let new_nodes = self.cluster.add_nodes(step.add, config.node_capacity);
             let plan = self.partitioner.scale_out(&self.cluster, &new_nodes);
             let plan = self.sanitize_rebalance(plan);
-            tally.moved_bytes = plan.moved_bytes();
+            report.moved_bytes += plan.moved_bytes();
             let rejected = |source| CycleError::Reorg { cycle, source };
             let flows = self.cluster.apply_rebalance(&plan).map_err(rejected)?;
-            tally.reorg_secs = flows.elapsed_secs(&config.cost);
+            report.phases.reorg_secs += flows.elapsed_secs(&config.cost);
         }
         // Scale-in: drain the highest-id healthy nodes through the flow
         // solver and retire them (the staircase releases its newest steps
@@ -707,21 +701,21 @@ impl World {
             let mut drain_secs = 0.0;
             let failed = |source| CycleError::ScaleIn { cycle, source };
             for &id in healthy.iter().rev().take(step.remove.min(spare)) {
-                let report = self.cluster.decommission_node(id).map_err(failed)?;
-                drain_secs += report.flows.elapsed_secs(&config.cost);
-                tally.moved_bytes += report.drained_bytes;
-                tally.removed_nodes += 1;
+                let drained = self.cluster.decommission_node(id).map_err(failed)?;
+                drain_secs += drained.flows.elapsed_secs(&config.cost);
+                report.moved_bytes += drained.drained_bytes;
+                report.removed_nodes += 1;
             }
-            tally.reorg_secs += drain_secs;
+            report.phases.reorg_secs += drain_secs;
         }
         if !faults.rebalance_crashes.is_empty() {
             let refused = |source| CycleError::Fault { cycle, source };
             for &node in &faults.rebalance_crashes {
                 self.cluster.crash_node(node).map_err(refused)?;
             }
-            self.repair(cycle, config, faults.flaky, None, repair)?;
+            self.repair(cycle, config, faults.flaky, None, report)?;
         }
-        Ok(tally)
+        Ok(())
     }
 
     /// Rewrite a scale-out rebalance plan against the faulted roster. The
@@ -755,16 +749,16 @@ impl World {
     /// Phase 5. Place the cycle's descriptors, hand each fresh chunk to
     /// the nodes that own it (§3.4: the coordinator distributes the
     /// incoming chunks; nothing of them stays behind), fold the inserted
-    /// cells into the views as `+1` deltas. Returns the insert's
-    /// simulated seconds.
+    /// cells into the views as `+1` deltas. The insert's simulated
+    /// seconds add into `report`.
     pub(crate) fn ingest(
         &mut self,
         cycle: usize,
         config: &RunnerConfig,
         batch: &[ChunkDescriptor],
         arrays: Option<Vec<Array>>,
-        view_stats: &mut ViewApplyStats,
-    ) -> Result<f64, CycleError> {
+        report: &mut CycleReport,
+    ) -> Result<(), CycleError> {
         let rejected = |source| CycleError::Ingest { cycle, source };
         let flows = self.place_batch(config, batch).map_err(rejected)?;
         // Attach the chunks to the nodes that just received their
@@ -784,9 +778,10 @@ impl World {
                 let key = ChunkKey::new(id, *coords);
                 self.cluster.attach_payload(key, Arc::clone(chunk)).map_err(rejected)?;
             }
-            self.apply_delta(id, view_stats);
+            self.apply_delta(id, report);
         }
-        Ok(flows.elapsed_secs(&config.cost))
+        report.phases.insert_secs += flows.elapsed_secs(&config.cost);
+        Ok(())
     }
 
     /// Place a batch of chunks through the sharded route → place → commit
@@ -838,24 +833,25 @@ impl World {
         workload.run_suites(&ExecutionContext::new(&self.cluster, &self.catalog), cycle)
     }
 
-    /// Phase 7. Place the derived (query-product) chunks — returning the
-    /// simulated seconds that took — then feed the controller the demand
-    /// it will see next cycle.
+    /// Phase 7. Place the derived (query-product) chunks — the simulated
+    /// seconds that took add to the suites' query seconds — then feed the
+    /// controller the demand it will see next cycle.
     pub(crate) fn store_derived(
         &mut self,
         cycle: usize,
         config: &RunnerConfig,
         derived: &[ChunkDescriptor],
-    ) -> Result<f64, CycleError> {
-        let mut secs = 0.0;
+        report: &mut CycleReport,
+    ) -> Result<(), CycleError> {
         if !derived.is_empty() {
             let rejected = |source| CycleError::Derived { cycle, source };
-            secs = self.place_batch(config, derived).map_err(rejected)?.elapsed_secs(&config.cost);
+            let flows = self.place_batch(config, derived).map_err(rejected)?;
+            report.phases.query_secs += flows.elapsed_secs(&config.cost);
         }
         if let Some(p) = self.provisioner.as_mut() {
             p.observe(gb(self.cluster.total_used()));
         }
-        Ok(secs)
+        Ok(())
     }
 }
 
@@ -892,14 +888,6 @@ impl CycleFaults {
     }
 }
 
-/// Accumulated repair cost across a cycle's recovery passes.
-#[derive(Default)]
-pub(crate) struct RepairTally {
-    pub(crate) bytes: u64,
-    pub(crate) secs: f64,
-    pub(crate) retries: u64,
-}
-
 /// One cycle's provisioning verdict: nodes to add, nodes to release,
 /// and whether the policy saturated its per-cycle cap. `add` and
 /// `remove` are never both nonzero — the staircase's hysteresis band
@@ -908,29 +896,6 @@ pub(crate) struct ScaleStep {
     pub(crate) add: usize,
     pub(crate) remove: usize,
     pub(crate) saturated: bool,
-}
-
-/// What executing a [`ScaleStep`] cost, and the nodes actually retired.
-#[derive(Default)]
-pub(crate) struct ReorgTally {
-    pub(crate) removed_nodes: usize,
-    pub(crate) reorg_secs: f64,
-    pub(crate) moved_bytes: u64,
-}
-
-/// What a cycle's retraction script did, accumulated across batches.
-#[derive(Default)]
-pub(crate) struct RetractTally {
-    /// Cells tombstoned in placed chunks.
-    pub(crate) retracted: u64,
-    /// Chunks emptied outright and evicted from the placement.
-    pub(crate) evicted_chunks: usize,
-    /// Bytes those evicted chunks still carried.
-    pub(crate) evicted_bytes: u64,
-    /// Chunks the tombstone-ratio GC compacted.
-    pub(crate) gc_compacted_chunks: usize,
-    /// Net bytes those compactions reclaimed (store side).
-    pub(crate) gc_reclaimed_bytes: i64,
 }
 
 #[cfg(test)]

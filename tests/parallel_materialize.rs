@@ -14,7 +14,7 @@
 use elastic_array_db::prelude::*;
 use std::sync::Arc;
 use workloads::ais::{AisWorkload, BROADCAST};
-use workloads::build_cell_array;
+use workloads::build_cell_array_encoded;
 use workloads::modis::{ModisWorkload, BAND1, BAND2};
 use workloads::synthetic::{SyntheticWorkload, SYNTHETIC};
 
@@ -118,10 +118,14 @@ fn build_cell_array_matches_sequential_at_every_thread_count() {
         (BROADCAST, AisWorkload::broadcast_schema(), ais_batch.into_rows()),
     ];
     for (id, schema, rows) in cases {
-        let base = build_cell_array(id, schema.clone(), rows.clone(), 1).expect("in bounds");
+        let build = |rows: &CellBuffer, threads| {
+            let encoding = StringEncoding::default();
+            build_cell_array_encoded(id, schema.clone(), rows.clone(), threads, encoding)
+                .expect("in bounds")
+        };
+        let base = build(&rows, 1);
         for threads in [2usize, 3, 4, 8] {
-            let built =
-                build_cell_array(id, schema.clone(), rows.clone(), threads).expect("in bounds");
+            let built = build(&rows, threads);
             assert_eq!(built.chunk_count(), base.chunk_count(), "{id} x{threads}");
             assert_eq!(built.descriptors(), base.descriptors(), "{id} x{threads}");
             for (coords, chunk) in base.chunks() {
@@ -189,7 +193,6 @@ const BUILD_ENCODINGS: [StringEncoding; 3] =
 /// (`6f46c27`), where this test passes too.
 #[test]
 fn chunk_build_bytes_match_the_scatter_implementation() {
-    use workloads::build_cell_array_encoded;
     let ais = AisWorkload { cells_per_cycle: 20_000, ..Default::default() };
     let modis = ModisWorkload { cells_per_cycle: 10_000, ..Default::default() };
     let band = ModisWorkload::band_schema("b");
@@ -234,7 +237,6 @@ fn chunk_build_bytes_match_the_scatter_implementation() {
 #[test]
 #[ignore = "CI smoke: release-scale chunk build differential, run explicitly"]
 fn chunk_build_smoke() {
-    use workloads::build_cell_array_encoded;
     let ais = AisWorkload { cycles: 3, cells_per_cycle: 200_000, ..Default::default() };
     let modis = ModisWorkload { days: 1, cells_per_cycle: 100_000, ..Default::default() };
     let band = ModisWorkload::band_schema("b");
