@@ -272,9 +272,9 @@ impl Default for RunnerConfig {
 /// The cycle's phases write it as they run, each adding its own
 /// counters, so what a phase did is the change in the report across it:
 ///
-/// * cycle-start faults, then the rebalance-window crashes of
-///   provisioning: `repair_bytes`, `repair_retries`,
-///   `phases.repair_secs`, in that order;
+/// * the repair behind the cycle-start faults, then the one behind
+///   provisioning's rebalance-window crashes: `repair_bytes`,
+///   `repair_retries`, `phases.repair_secs`;
 /// * retraction: `retracted_cells`, `evicted_chunks`, `evicted_bytes`,
 ///   `gc_compacted_chunks`, `gc_reclaimed_bytes`, and the negative
 ///   deltas' share of `view_delta_rows` and `view_rows_changed`;

@@ -118,14 +118,14 @@ fn build_cell_array_matches_sequential_at_every_thread_count() {
         (BROADCAST, AisWorkload::broadcast_schema(), ais_batch.into_rows()),
     ];
     for (id, schema, rows) in cases {
-        let build = |rows: &CellBuffer, threads| {
+        let build = |threads| {
             let encoding = StringEncoding::default();
             build_cell_array_encoded(id, schema.clone(), rows.clone(), threads, encoding)
                 .expect("in bounds")
         };
-        let base = build(&rows, 1);
+        let base = build(1);
         for threads in [2usize, 3, 4, 8] {
-            let built = build(&rows, threads);
+            let built = build(threads);
             assert_eq!(built.chunk_count(), base.chunk_count(), "{id} x{threads}");
             assert_eq!(built.descriptors(), base.descriptors(), "{id} x{threads}");
             for (coords, chunk) in base.chunks() {
