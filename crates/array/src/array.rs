@@ -1,13 +1,17 @@
 //! Arrays: a schema plus the (sparse) set of chunks that hold its cells.
 
 use crate::cells::{CellBuffer, RowGroups, ScriptGroups};
-use crate::chunk::{ArrayId, Chunk, ChunkDescriptor, ChunkKey, ColumnSet, Group};
+use crate::chunk::{ArrayId, Chunk, ChunkDescriptor, ChunkKey, ColumnSet};
 use crate::coords::{chunk_of, ChunkCoords};
-use crate::error::{ArrayError, Result};
+use crate::error::Result;
 use crate::schema::ArraySchema;
 use crate::value::{ScalarValue, StringEncoding};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+// A child of this module, so the fenced methods keep their private access.
+#[path = "bench_only.rs"]
+mod bench_only;
 
 /// What a batch retraction ([`Array::delete_cells`]) did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -88,8 +92,7 @@ impl Array {
     pub fn insert_batch(&mut self, src: &CellBuffer) -> Result<()> {
         src.matches(&self.schema)?;
         let groups = RowGroups::of(&self.schema, src.coords_flat())?;
-        let all: Vec<_> = groups.iter().collect();
-        self.build(ColumnSet::Shared(src.columns()), src.coords_flat(), &all);
+        self.build(ColumnSet::Shared(src.columns()), src.coords_flat(), &groups);
         Ok(())
     }
 
@@ -97,50 +100,12 @@ impl Array {
     /// values copy as before, while strings are **moved** into their
     /// chunks — each one keeps the allocation the generator gave it, so
     /// the whole batch adds zero per-value allocations. Semantically
-    /// identical to the borrowing form. This is the single-threaded
-    /// ingest hot path; the sharded parallel build borrows instead
-    /// (workers cannot move out of a shared batch).
+    /// identical to the borrowing form. This is the ingest hot path.
     pub fn insert_batch_owned(&mut self, mut src: CellBuffer) -> Result<()> {
         src.matches(&self.schema)?;
         let groups = RowGroups::of(&self.schema, src.coords_flat())?;
-        let all: Vec<_> = groups.iter().collect();
         let (flat, cols) = src.parts_mut();
-        self.build(ColumnSet::Taken(cols), flat, &all);
-        Ok(())
-    }
-
-    /// Insert the rows of the listed groups of `groups`, which must be
-    /// `src`'s own grouping under this array's schema
-    /// (`RowGroups::of(&array.schema, src.coords_flat())`).
-    ///
-    /// This is the worker half of sharded parallel chunk building: the
-    /// caller groups the batch once, deals whole groups — whole chunks —
-    /// onto workers, and each worker builds its disjoint chunk set with
-    /// this method through the same kernel as [`Array::insert_batch`].
-    /// A group keeps its rows in batch order whoever builds it, so the
-    /// result does not depend on the split. Shape is validated once per
-    /// call; the first row of each listed group is debug-asserted to
-    /// route where the group says (a foreign-schema grouping would
-    /// otherwise file cells into chunks that do not own them).
-    ///
-    /// # Panics
-    ///
-    /// If `groups` does not cover exactly `src`'s rows, or `which` names
-    /// a group it does not have — index errors, as with slice indexing,
-    /// not validation errors.
-    pub fn insert_groups(
-        &mut self,
-        src: &CellBuffer,
-        groups: &RowGroups,
-        which: &[u32],
-    ) -> Result<()> {
-        src.matches(&self.schema)?;
-        assert_eq!(groups.rows(), src.len(), "the grouping is not this batch's");
-        let listed: Vec<_> = which.iter().map(|&g| groups.group(g as usize)).collect();
-        for &(coords, rows) in &listed {
-            debug_assert_eq!(Ok(coords), chunk_of(&self.schema, src.cell(rows[0] as usize)));
-        }
-        self.build(ColumnSet::Shared(src.columns()), src.coords_flat(), &listed);
+        self.build(ColumnSet::Taken(cols), flat, &groups);
         Ok(())
     }
 
@@ -150,19 +115,17 @@ impl Array {
     /// ([`Chunk::match_retractions`]) — per cell, the most recently
     /// inserted live cell there is tombstoned. A cell with no live match
     /// counts as `missing` rather than failing the batch — a replayed
-    /// delete script may find its chunk already pruned. A ragged or out-of-bounds script
-    /// fails before anything is retracted. Emptied chunks are left in
-    /// place; callers that need them gone follow up with
-    /// [`Array::prune_empty`].
+    /// delete script may find its chunk already gone. A ragged or
+    /// out-of-bounds script fails before anything is retracted. Emptied
+    /// chunks are left in place.
     pub fn delete_cells(&mut self, flat: &[i64]) -> Result<RetractOutcome> {
-        self.delete_cells_capturing(flat, |_, _| {})
+        self.retract(flat, |_, _| {})
     }
 
-    /// [`Array::delete_cells`], additionally handing each retracted
-    /// row's coordinates and attribute values to `captured`, **in script
-    /// order** — the negative half of a cycle's logical delta, read
-    /// before storage is reclaimed. Missing cells produce no capture.
-    pub fn delete_cells_capturing(
+    /// [`Array::delete_cells`], handing each retracted row's coordinates
+    /// and attribute values to `captured`, **in script order**, before
+    /// storage is touched. Missing cells produce no capture.
+    fn retract(
         &mut self,
         flat: &[i64],
         mut captured: impl FnMut(&[i64], Vec<ScalarValue>),
@@ -199,38 +162,18 @@ impl Array {
     /// Put `chunk` at its own position, returning the handle it
     /// replaced. The door for a caller that rebuilt one chunk elsewhere
     /// (retraction, compaction) and wants every store to hold that one
-    /// handle; like [`Array::absorb`], it trusts the chunk to have been
-    /// built against this array's schema.
+    /// handle. It trusts the chunk to have been built against this
+    /// array's schema.
     pub fn install_chunk(&mut self, chunk: Arc<Chunk>) -> Option<Arc<Chunk>> {
         self.chunks.insert(chunk.coords, chunk)
     }
 
-    /// Drop every empty chunk (all cells retracted), returning the
-    /// positions removed in row-major order.
-    pub fn prune_empty(&mut self) -> Vec<ChunkCoords> {
-        let empty: Vec<ChunkCoords> =
-            self.chunks.iter().filter(|(_, c)| c.is_empty()).map(|(c, _)| *c).collect();
-        for c in &empty {
-            self.chunks.remove(c);
-        }
-        empty
-    }
-
-    /// Compact one chunk (see [`Chunk::compact`]), returning the byte
-    /// delta, or `None` when the position is vacant or tombstone-free.
-    /// The whole-array counterpart of the cluster's per-chunk
-    /// `compact_chunk`, for a caller that keeps a reference copy in step
-    /// with the node stores.
-    pub fn compact_chunk(&mut self, coords: &ChunkCoords) -> Option<i64> {
-        let chunk = self.chunks.get_mut(coords)?;
-        (chunk.tombstone_count() > 0).then(|| Arc::make_mut(chunk).compact())
-    }
-
-    /// Build one chunk per group and fold them into storage: a vacant
-    /// position takes the chunk wholesale; a revisited position appends —
-    /// identical to per-cell insertion order.
-    fn build(&mut self, src: ColumnSet<'_>, flat: &[i64], groups: &[Group<'_>]) {
-        for chunk in Chunk::gather_cells(&self.schema, src, flat, groups, self.encoding) {
+    /// Build one chunk per group of `flat`'s grouping and fold them into
+    /// storage: a vacant position takes the chunk wholesale; a revisited
+    /// position appends — identical to per-cell insertion order.
+    fn build(&mut self, src: ColumnSet<'_>, flat: &[i64], groups: &RowGroups) {
+        let groups: Vec<_> = groups.iter().collect();
+        for chunk in Chunk::gather_cells(&self.schema, src, flat, &groups, self.encoding) {
             match self.chunks.entry(chunk.coords) {
                 std::collections::btree_map::Entry::Vacant(e) => {
                     e.insert(Arc::new(chunk));
@@ -248,29 +191,6 @@ impl Array {
     /// chunk is unshared.
     pub fn into_chunks(self) -> impl Iterator<Item = (ChunkCoords, Arc<Chunk>)> {
         self.chunks.into_iter()
-    }
-
-    /// Move every chunk of `other` into this array. The schemas must be
-    /// identical — checked once up front, which is all the validation a
-    /// wholesale move needs: cells only ever enter an `Array` through
-    /// `insert_cell`'s per-cell checks or the batch inserts' whole-batch
-    /// validation against this same schema (or, inductively, through
-    /// this method), so `other`'s chunks are already schema-valid and
-    /// only occupancy can conflict. All-or-nothing: every position is
-    /// checked before any chunk moves, so an occupied position leaves
-    /// `self` untouched instead of half-merged.
-    pub fn absorb(&mut self, other: Array) -> Result<()> {
-        if other.schema != self.schema {
-            return Err(ArrayError::InvalidSchema(format!(
-                "cannot absorb `{}` into `{}`: schemas differ",
-                other.schema.name, self.schema.name
-            )));
-        }
-        if let Some(dup) = other.chunks.keys().find(|c| self.chunks.contains_key(c)) {
-            return Err(ArrayError::ChunkOccupied(dup.to_string()));
-        }
-        self.chunks.extend(other.chunks);
-        Ok(())
     }
 
     /// Number of non-empty chunks.
@@ -303,13 +223,6 @@ impl Array {
     /// node payload stores — a refcount bump per chunk, no cell copies.
     pub fn shared_chunks(&self) -> impl Iterator<Item = (&ChunkCoords, &Arc<Chunk>)> {
         self.chunks.iter()
-    }
-
-    /// The shared handle of the chunk at `coords`, if one exists. O(log
-    /// chunks) — checkpoint recovery re-aliases node payload stores
-    /// through this without scanning the whole array.
-    pub fn shared_chunk(&self, coords: &ChunkCoords) -> Option<&Arc<Chunk>> {
-        self.chunks.get(coords)
     }
 
     /// Metadata descriptors for every chunk, in deterministic order.
@@ -357,6 +270,7 @@ impl Array {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ArrayError;
     use crate::schema::{AttributeDef, DimensionDef};
     use crate::value::AttributeType;
 
@@ -411,6 +325,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(deprecated)]
     fn absorb_moves_arrays_wholesale() {
         let src = figure1_array();
         let mut dst = Array::new(src.id, src.schema.clone());
@@ -443,6 +358,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(deprecated)]
     fn delete_cells_tombstones_and_prunes() {
         let mut a = figure1_array();
         let before_bytes = a.byte_size();

@@ -279,8 +279,7 @@ const DENSE_GROUP_MAX_VOLUME: usize = 1 << 20;
 
 /// The row → chunk partition of one flat coordinate buffer: which
 /// distinct chunks the rows touch and, per chunk, which rows — the one
-/// grouping batch insert, the sharded build and retraction scripts all
-/// start from.
+/// grouping batch insert and retraction scripts both start from.
 ///
 /// Groups ascend by chunk position (row-major). `order` lists every row
 /// **group-major**: group `g` owns `order[starts[g]..starts[g + 1]]`,
@@ -479,18 +478,11 @@ impl RowGroups {
         &self.order
     }
 
-    /// Group `g`: its chunk position and its rows in batch order.
-    ///
-    /// # Panics
-    ///
-    /// If `g` is not a group.
-    pub fn group(&self, g: usize) -> (ChunkCoords, &[u32]) {
-        (self.coords[g], &self.order[self.starts[g] as usize..self.starts[g + 1] as usize])
-    }
-
-    /// Every group, ascending by chunk position.
+    /// Every group, ascending by chunk position: its chunk position and
+    /// its rows in batch order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (ChunkCoords, &[u32])> + '_ {
-        (0..self.len()).map(|g| self.group(g))
+        let rows = self.starts.windows(2).map(|w| &self.order[w[0] as usize..w[1] as usize]);
+        self.coords.iter().copied().zip(rows)
     }
 }
 

@@ -13,10 +13,8 @@
 //! coordinates, then each attribute column — is gathered through that
 //! one group-major row order into its final, exactly sized allocation.
 //! [`Array::insert_batch`](crate::Array::insert_batch), its consuming
-//! twin, [`Chunk::push_cells`] (one group) and the sharded build's
-//! workers ([`Array::insert_groups`](crate::Array::insert_groups)) all
-//! run it; per-cell [`Chunk::push_cell`] is the reference it is held
-//! equal to.
+//! twin and [`Chunk::push_cells`] (one group) all run it; per-cell
+//! [`Chunk::push_cell`] is the reference it is held equal to.
 
 use crate::cells::CellBuffer;
 use crate::coords::{ChunkCoords, MAX_DIMS};

@@ -5,8 +5,7 @@
 //! (`+1` insert, `-1` retraction). Inserts are extracted from the
 //! freshly built per-cycle arrays ([`DeltaSet::from_live_cells`]);
 //! retractions are captured from the rows a retraction script matched
-//! ([`DeltaSet::extend_from_chunk`], [`Array::delete_cells_capturing`])
-//! before storage is reclaimed. Downstream consumers (the query crate's
+//! ([`DeltaSet::extend_from_chunk`]) before storage is reclaimed. Downstream consumers (the query crate's
 //! incremental views) fold each delta into their own state, never
 //! rescanning the base array — so the transport here is deliberately *logical*: rebalances,
 //! failovers, and chunk compactions move bytes around without producing
@@ -32,14 +31,10 @@
 //! its replay extract the same sequence: chunk order (row-major) then
 //! physical row order for [`DeltaSet::from_live_cells`], and **chunk-major**
 //! for the retractions the cycle runner captures (each touched chunk's
-//! rows in the order the script listed them);
-//! [`Array::delete_cells_capturing`] hands its rows out in script order.
-//! Consumers **must not depend on it**: a delta means its multiset of
+//! rows in the order the script listed them). Consumers **must not depend on it**: a delta means its multiset of
 //! `(coords, values, weight)`, and the incremental views fold one to the
 //! same bits whatever order its rows arrive in (`view/mod.rs`,
 //! "Determinism").
-//!
-//! [`Array::delete_cells_capturing`]: crate::Array::delete_cells_capturing
 
 use crate::array::Array;
 use crate::chunk::Chunk;
@@ -226,6 +221,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(deprecated)]
     fn capturing_delete_reports_the_retracted_values() {
         let mut a = sample();
         let mut captured = DeltaSet::new();
@@ -251,6 +247,7 @@ mod tests {
     /// `Vec` pair per live cell, and one per cell the one-cell reference
     /// (`retract_cell_indexed`) tombstones as it walks the script.
     #[test]
+    #[allow(deprecated)]
     fn flat_buffers_carry_the_rows_per_row_pushes_did() {
         let mut a = sample();
         a.delete_cells(&[4]).unwrap(); // an earlier tombstone to skip
@@ -371,6 +368,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(deprecated)]
     fn per_chunk_compaction_is_threshold_ready() {
         let mut a = sample();
         a.delete_cells(&[0, 1, 2]).unwrap(); // chunk [0]: 3 of 4 rows dead

@@ -177,8 +177,7 @@ fn arb_build_schema() -> impl Strategy<Value = ArraySchema> {
 }
 
 /// Row counts for the chunk-build model: none, one, a handful, and —
-/// one case in four — enough that `build_cell_array_encoded` really
-/// fans out (it builds inline under 4 096 rows).
+/// one case in four — a few thousand.
 fn arb_row_count() -> impl Strategy<Value = usize> {
     prop_oneof![0usize..2, 2usize..90, 2usize..90, 4_096usize..4_400]
 }
@@ -302,9 +301,9 @@ proptest! {
         prop_assert_eq!(groups.is_empty(), count == 0);
         prop_assert_eq!(groups.coords().to_vec(), model.keys().copied().collect::<Vec<_>>());
         let mut start = 0u32;
-        for (g, members) in model.values().enumerate() {
+        for ((g, members), (_, rows)) in model.values().enumerate().zip(groups.iter()) {
             prop_assert_eq!(groups.starts()[g], start);
-            prop_assert_eq!(groups.group(g).1, &members[..], "ascending: batch order in a group");
+            prop_assert_eq!(rows, &members[..], "ascending: batch order in a group");
             start += members.len() as u32;
         }
         prop_assert_eq!(groups.starts().len(), groups.len() + 1);
@@ -319,11 +318,9 @@ proptest! {
     }
 
     /// Every way into the chunk-build kernel against per-cell inserts:
-    /// `insert_batch`, `insert_batch_owned`, the sharded
-    /// `build_cell_array_encoded` and a hand-dealt `insert_groups` split
-    /// store chunk-for-chunk `==` arrays with equal encoded bytes; and a
-    /// second batch into the same array appends exactly as per-cell
-    /// inserts would.
+    /// `insert_batch` and `insert_batch_owned` store chunk-for-chunk `==`
+    /// arrays with equal encoded bytes; and a second batch into the same
+    /// array appends exactly as per-cell inserts would.
     #[test]
     fn every_chunk_build_path_equals_per_cell_inserts(
         schema in arb_build_schema(),
@@ -332,7 +329,6 @@ proptest! {
         spread_bits in prop_oneof![Just(4u32), Just(18u32), Just(40u32)],
         encoding in arb_encoding(),
         plain_transport in any::<bool>(),
-        threads in 1usize..4,
     ) {
         let id = ArrayId(0);
         let rows = build_rows(&schema, seed, count, spread_bits);
@@ -354,22 +350,6 @@ proptest! {
         let mut owned = fresh();
         owned.insert_batch_owned(buffer.clone()).expect("in bounds");
         prop_assert_eq!(contents(&owned), want.clone(), "insert_batch_owned");
-        let sharded = workloads::build_cell_array_encoded(
-            id, schema.clone(), buffer.clone(), threads, encoding,
-        ).expect("in bounds");
-        prop_assert_eq!(contents(&sharded), want.clone(), "build_cell_array_encoded x{}", threads);
-        // The worker half on its own, whatever the batch size: groups
-        // dealt round-robin onto `threads` arrays, absorbed back.
-        let groups = RowGroups::of(&schema, buffer.coords_flat()).expect("in bounds");
-        let mut dealt = fresh();
-        for worker in 0..threads {
-            let share: Vec<u32> =
-                (0..groups.len() as u32).filter(|g| *g as usize % threads == worker).collect();
-            let mut part = fresh();
-            part.insert_groups(&buffer, &groups, &share).expect("schema-shaped");
-            dealt.absorb(part).expect("disjoint chunk sets");
-        }
-        prop_assert_eq!(contents(&dealt), want.clone(), "insert_groups dealt {} ways", threads);
 
         // Two batches, split anywhere (an empty half included).
         let k = (seed >> 17) as usize % (count + 1);
@@ -379,7 +359,7 @@ proptest! {
         prop_assert_eq!(contents(&appended), want, "two batches split at {}", k);
         // `==` above holds the builder's zone maps to per-cell insertion's;
         // this holds both to the definition, signed zeros included.
-        for built in [&per_cell, &batched, &owned, &sharded, &dealt, &appended] {
+        for built in [&per_cell, &batched, &owned, &appended] {
             assert_zones_are_canonical(built);
         }
     }
@@ -427,9 +407,7 @@ proptest! {
         count in 1usize..90,
         at in any::<u64>(),
         encoding in arb_encoding(),
-        threads in 1usize..4,
     ) {
-        let id = ArrayId(0);
         let mut rows = build_rows(&schema, seed, count, 18);
         // Push one row out on one dimension — and, half the time, on a
         // second one too, so "first dimension" is a real question.
@@ -446,7 +424,7 @@ proptest! {
             }
         }
         let buffer = buffer_of(&schema, &rows);
-        let fresh = || Array::with_encoding(id, schema.clone(), encoding);
+        let fresh = || Array::with_encoding(ArrayId(0), schema.clone(), encoding);
         let mut per_cell = fresh();
         let want = rows
             .iter()
@@ -462,10 +440,7 @@ proptest! {
         prop_assert_eq!(target.insert_batch(&buffer), Err(want.clone()));
         prop_assert_eq!(target.insert_batch_owned(buffer.clone()), Err(want.clone()));
         prop_assert_eq!(contents(&target), before);
-        prop_assert_eq!(RowGroups::of(&schema, buffer.coords_flat()), Err(want.clone()));
-        let sharded =
-            workloads::build_cell_array_encoded(id, schema.clone(), buffer, threads, encoding);
-        prop_assert_eq!(sharded.err(), Some(want));
+        prop_assert_eq!(RowGroups::of(&schema, buffer.coords_flat()), Err(want));
     }
 
     /// `Display` output must parse back to an identical schema.
@@ -1048,6 +1023,7 @@ proptest! {
     /// insert path over dictionary-encoded columns — including when a
     /// small cap forces mid-stream spills to plain storage.
     #[test]
+    #[allow(deprecated)]
     fn dict_batches_merges_and_absorb_match_per_cell_path(
         seed in any::<u64>(),
         count in 2usize..60,
@@ -1343,6 +1319,7 @@ proptest! {
 /// cell (~1.25 G coordinate compares). Through the batch path it is one
 /// sort; the test asserts the outcome, not a time.
 #[test]
+#[allow(deprecated)]
 fn retracting_a_whole_chunk_in_insertion_order_is_one_pass() {
     let n = 50_000i64;
     let schema = ArraySchema::parse("L<v:double>[x=0:*,65536]").unwrap();

@@ -4,7 +4,7 @@
 //! The census is a value the cluster **keeps**, not one it recomputes: a
 //! [`CopyTally`] — placed chunks counted by how many serving copies each
 //! has. A chunk enters it with its one primary copy (`place` /
-//! `place_batch`) and leaves it in `evict_chunk`. In between, its count
+//! `place_all`) and leaves it in `evict_chunk`. In between, its count
 //! moves only with its holders, in the two writers of the replica books:
 //! `Cluster::add_holder` (placement, rebalance and retirement top-up, a
 //! completed repair job) and `Cluster::drop_holder` (a replica superseded
@@ -169,7 +169,6 @@ mod tests {
         PlaceBatch {
             chunks: Vec<(i64, u64, u32)>,
             dup: bool,
-            threads: usize,
         },
         Evict(usize),
         /// Place a chunk whose descriptor comes from a real one-column
@@ -203,9 +202,8 @@ mod tests {
         prop_oneof![
             placed().prop_map(|(chunk, bytes, node)| Op::Place { chunk, bytes, node }),
             placed().prop_map(|(chunk, bytes, node)| Op::Place { chunk, bytes, node }),
-            (proptest::collection::vec(placed(), 1..12), 0u32..4, 1usize..4).prop_map(
-                |(chunks, dup, threads)| Op::PlaceBatch { chunks, dup: dup == 0, threads }
-            ),
+            (proptest::collection::vec(placed(), 1..12), 0u32..4)
+                .prop_map(|(chunks, dup)| Op::PlaceBatch { chunks, dup: dup == 0 }),
             (0usize..64).prop_map(Op::Evict),
             (0i64..48, 0u32..16, 2u8..12, 0u8..64).prop_map(|(chunk, node, rows, keep)| {
                 Op::Resize { chunk, node, rows, keep: 1 + keep % (rows - 1) }
@@ -271,7 +269,7 @@ mod tests {
         let node = |n: u32| NodeId(n % c.node_count() as u32);
         match op {
             Op::Place { chunk, bytes, node: n } => c.place(desc(*chunk, *bytes), node(*n)).is_ok(),
-            Op::PlaceBatch { chunks, dup, threads } => {
+            Op::PlaceBatch { chunks, dup } => {
                 let mut batch: Vec<ChunkDescriptor> =
                     chunks.iter().map(|&(chunk, bytes, _)| desc(chunk, bytes)).collect();
                 let mut routes: Vec<NodeId> = chunks.iter().map(|&(_, _, n)| node(n)).collect();
@@ -279,7 +277,7 @@ mod tests {
                     batch.push(batch[0]);
                     routes.push(routes[0]);
                 }
-                c.place_batch(&batch, &routes, *threads).is_ok()
+                c.place_all(&batch, &routes).is_ok()
             }
             Op::Evict(i) => nth_key(c, *i).is_some_and(|key| c.evict_chunk(&key).is_ok()),
             Op::Resize { chunk, node: n, rows, keep } => {

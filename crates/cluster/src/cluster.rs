@@ -4,15 +4,18 @@ use crate::census::CopyTally;
 use crate::cost::CostModel;
 use crate::error::{ClusterError, Result};
 use crate::node::{Node, NodeId, NodeState, Resident};
-use crate::placement::{
-    key_hash, splitmix64, DenseMeta, PlacementIndex, PlacementShard, Slot, SHARD_COUNT,
-};
+use crate::placement::{key_hash, splitmix64, PlacementIndex, Slot};
 use crate::rebalance::RebalancePlan;
 use crate::transfer::FlowSet;
 use array_model::{ArrayId, Chunk, ChunkCoords, ChunkDescriptor, ChunkKey};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
+
+// A child of this module, so the fenced methods keep their private access.
+#[path = "bench_only.rs"]
+mod bench_only;
+pub use bench_only::{ChunkCompaction, ChunkRetraction};
 
 /// Salt mixed into the chunk-key hash so the replica ring start is
 /// decorrelated from the spill-shard and diversion hashes of the same key.
@@ -50,57 +53,6 @@ impl BalanceStats {
         let num = (n as u128 * self.sumsq).saturating_sub(self.sum * self.sum);
         (num as f64).sqrt() / self.sum as f64
     }
-}
-
-/// What one shard-phase worker reports back from a parallel batch.
-struct ShardWorkerOut {
-    /// Per-node `(chunks, bytes)` admitted by this worker's shards — the
-    /// mergeable census moments of the sharded ingest path.
-    loads: Vec<(usize, u64)>,
-    /// `(shard index, completed inserts)` per processed shard, for
-    /// duplicate rollback.
-    progress: Vec<(usize, usize)>,
-    /// Lowest batch index whose key was already resident, if any.
-    duplicate: Option<usize>,
-}
-
-/// Shard-phase worker: files `batch[i]` under its reserved slab slot
-/// `slots[i]` in the key-map shards it exclusively owns. On a duplicate
-/// it stops that shard (later entries stay unfiled) and records the batch
-/// index; other shards still complete so the rollback bookkeeping stays
-/// uniform.
-fn place_shards(
-    dense: &[Option<DenseMeta>],
-    batch: &[ChunkDescriptor],
-    (slots, routes): (&[u32], &[NodeId]),
-    buckets: &[Vec<u32>],
-    shards: Vec<(usize, &mut PlacementShard)>,
-    node_count: usize,
-) -> ShardWorkerOut {
-    let mut out = ShardWorkerOut {
-        loads: vec![(0, 0); node_count],
-        progress: Vec::with_capacity(shards.len()),
-        duplicate: None,
-    };
-    for (s, shard) in shards {
-        let mut done = 0usize;
-        for &i in &buckets[s] {
-            let i = i as usize;
-            let desc = &batch[i];
-            if shard.try_insert(dense, desc.key, slots[i]).is_err() {
-                // Bucket order follows batch order, so the first hit per
-                // shard is that shard's earliest duplicate; the minimum
-                // across shards is the batch's earliest.
-                out.duplicate = Some(out.duplicate.map_or(i, |d| d.min(i)));
-                break;
-            }
-            done += 1;
-            let load = &mut out.loads[routes[i].slot()];
-            *load = (load.0 + 1, load.1.saturating_add(desc.bytes));
-        }
-        out.progress.push((s, done));
-    }
-    out
 }
 
 /// The cluster: an append-only roster of nodes and the authoritative
@@ -337,35 +289,21 @@ impl Cluster {
         self.replicas.get(key).map_or(&[], |v| v.as_slice())
     }
 
-    /// Place a whole routed batch (`batch[i]` → `routes[i]`), fanning the
-    /// key-map writes out over up to `threads` OS threads.
+    /// Place a whole routed batch (`batch[i]` → `routes[i]`) in one pass,
+    /// in batch order. The state it leaves is bit-identical to one
+    /// [`Cluster::place`] per chunk over the batch.
     ///
-    /// The batch is partitioned by placement shard (a pure function of
-    /// each chunk key, see `PlacementIndex::shard_of`) and executed in
-    /// three phases:
+    /// The batch reserves one slab slot per chunk, files each key under
+    /// its slot in batch order, then fills the slots and admits each
+    /// node's chunk and byte totals once. The balance moments are
+    /// integers, so [`Cluster::balance_rsd`] stays O(1) and exact.
     ///
-    /// 1. **reserve** — one slab slot per chunk, taken in batch order;
-    /// 2. **shard phase** — one worker per shard group files each chunk's
-    ///    slot in the dense grids / spill maps it exclusively owns and
-    ///    accumulates per-shard per-node chunk and byte tallies;
-    /// 3. **settle and merge** — the records go into their slots, and the
-    ///    per-shard tallies fold into the node books and the incremental
-    ///    balance moments in O(shards × nodes), exactly (integer moments),
-    ///    so [`Cluster::balance_rsd`] stays O(1) and bit-identical to the
-    ///    sequential path.
-    ///
-    /// `threads == 1` runs the same phases inline, producing bit-identical
-    /// state to per-chunk [`Cluster::place`] calls over the batch.
-    ///
-    /// On a key already placed the batch is **rolled back** entirely and
-    /// the first (lowest-index) offending key is returned, refused as
-    /// [`Cluster::place`] refuses it, leaving the cluster unchanged.
-    pub fn place_batch(
-        &mut self,
-        batch: &[ChunkDescriptor],
-        routes: &[NodeId],
-        threads: usize,
-    ) -> Result<()> {
+    /// On a key already placed, or listed twice, the batch is **rolled
+    /// back** entirely: the keys filed before it are unfiled and the
+    /// reserved slots freed, leaving the cluster unchanged. The error
+    /// names that first (lowest-index) offending key, refused as
+    /// [`Cluster::place`] refuses it.
+    pub fn place_all(&mut self, batch: &[ChunkDescriptor], routes: &[NodeId]) -> Result<()> {
         assert_eq!(batch.len(), routes.len(), "each chunk needs exactly one route");
         if batch.is_empty() {
             return Ok(());
@@ -381,59 +319,20 @@ impl Cluster {
                 return Err(ClusterError::NodeUnavailable { node: bad.0, state });
             }
         }
-        // Bucket batch indices by owning shard (pure in the key, so the
-        // partition is identical whatever the thread count).
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); SHARD_COUNT];
-        for (i, desc) in batch.iter().enumerate() {
-            buckets[self.placement.shard_of(&desc.key)].push(i as u32);
-        }
-        let workers = threads.clamp(1, SHARD_COUNT);
         let slots = self.placement.reserve(batch.len());
-        let filing = (slots.as_slice(), routes);
-
-        // Single-writer shard workers.
-        let (dense, shards) = self.placement.parts_mut();
-        let outs: Vec<ShardWorkerOut> = if workers == 1 {
-            let all: Vec<(usize, &mut PlacementShard)> = shards.iter_mut().enumerate().collect();
-            vec![place_shards(dense, batch, filing, &buckets, all, node_count)]
-        } else {
-            let mut assign: Vec<Vec<(usize, &mut PlacementShard)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (s, shard) in shards.iter_mut().enumerate() {
-                assign[s % workers].push((s, shard));
+        // Per-node `(chunks, bytes)` of the batch, admitted once per node.
+        let mut loads = vec![(0usize, 0u64); node_count];
+        for (i, (desc, route)) in batch.iter().zip(routes).enumerate() {
+            if self.placement.file(desc.key, slots[i]).is_err() {
+                self.placement.rollback(batch[..i].iter().map(|d| &d.key), &slots);
+                return Err(self.taken(desc.key));
             }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = assign
-                    .into_iter()
-                    .map(|set| {
-                        let buckets = &buckets;
-                        scope.spawn(move || {
-                            place_shards(dense, batch, filing, buckets, set, node_count)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-            })
-        };
-        if let Some(dup) = outs.iter().filter_map(|o| o.duplicate).min() {
-            let progress: Vec<(usize, usize)> =
-                outs.iter().flat_map(|o| o.progress.iter().copied()).collect();
-            let keys: Vec<ChunkKey> = batch.iter().map(|d| d.key).collect();
-            self.placement.rollback(&keys, &buckets, &progress, &slots);
-            return Err(self.taken(batch[dup].key));
+            let load = &mut loads[route.slot()];
+            *load = (load.0 + 1, load.1.saturating_add(desc.bytes));
         }
         let records = batch.iter().map(|desc| Resident::new(*desc, None));
         self.placement.settle(&slots, routes, records);
-
-        // Census merge — fold the per-shard per-node tallies into the node
-        // books and the incremental balance moments. Integer sums commute,
-        // so the final moments are bit-identical to what per-chunk
-        // sequential placement would have produced.
-        for idx in 0..node_count {
-            let (chunks, bytes) = outs
-                .iter()
-                .map(|o| o.loads[idx])
-                .fold((0, 0u64), |acc, load| (acc.0 + load.0, acc.1.saturating_add(load.1)));
+        for (idx, (chunks, bytes)) in loads.into_iter().enumerate() {
             if chunks > 0 {
                 self.ledger(self.nodes[idx].id, |n| n.admit(chunks, bytes));
             }
@@ -441,9 +340,8 @@ impl Cluster {
 
         // Every primary landed on a node that accepts data, so each chunk
         // enters the census with that one copy. Replica admission rides
-        // after the primary batch, sequentially: the secondary route is a
-        // pure function of each key, so the outcome is identical whatever
-        // the thread count, and the k=1 hot path never pays for it.
+        // after the primary batch: the secondary route is a pure function
+        // of each key, and the k=1 hot path never pays for it.
         self.copies.add(1, batch.len());
         if self.replication > 1 {
             for desc in batch {
@@ -669,75 +567,12 @@ impl Cluster {
         })
     }
 
-    /// Retract materialized cells from a placed chunk: the script is
-    /// matched against the chunk's payload by the array model's batch
-    /// kernel (`Chunk::match_retractions`), the matched rows are
-    /// tombstoned on one copy of it, and that handle is installed
-    /// ([`Cluster::install_payload`]) — the shrunken descriptor replaces
-    /// the record's (byte ledgers, every holder's replica ledger and the
-    /// O(1) census moments follow the delta exactly), so the attach-time
-    /// invariant (`desc.bytes == chunk.byte_size()`) keeps holding.
-    ///
-    /// `cells_flat` is row-major flattened cell coordinates at the chunk
-    /// key's arity; a ragged slice is [`ClusterError::RaggedCells`].
-    /// Cells with no live match count as `missing` — retraction is
-    /// idempotent, not an error. Requires the payload to be attached
-    /// ([`ClusterError::NoPayload`] otherwise) and the chunk not to be
-    /// lost ([`ClusterError::ChunkLost`]).
-    pub fn retract_cells(&mut self, key: &ChunkKey, cells_flat: &[i64]) -> Result<ChunkRetraction> {
-        let arity = key.coords.ndims().max(1);
-        if !cells_flat.len().is_multiple_of(arity) {
-            return Err(ClusterError::RaggedCells { key: *key, len: cells_flat.len() });
-        }
-        let handle = self.primary_payload_mut(key)?;
-        let mut matched = Vec::with_capacity(cells_flat.len() / arity);
-        handle.match_retractions(cells_flat.chunks_exact(arity), &mut matched);
-        let rows = matched.iter().flatten().copied();
-        let retracted = rows.clone().count() as u64;
-        let mut freed_bytes = 0;
-        if retracted > 0 {
-            // Copy-on-write: a handle a caller still shares is copied
-            // once here, and the copy is installed below.
-            freed_bytes = Arc::make_mut(handle).tombstone_rows(rows);
-        }
-        let fresh = Arc::clone(handle);
-        let remaining_cells = fresh.cell_count();
-        if retracted > 0 {
-            self.install_payload(key, fresh)?;
-        }
-        let missing = matched.len() as u64 - retracted;
-        Ok(ChunkRetraction { retracted, missing, freed_bytes, remaining_cells })
-    }
-
-    /// Compact a placed chunk's payload: rebuild it from its surviving
-    /// rows (see `Chunk::compact`), dropping tombstones and dangling
-    /// dictionary entries, and install the rebuilt handle — the same
-    /// invariant discipline as [`Cluster::retract_cells`].
-    pub fn compact_chunk(&mut self, key: &ChunkKey) -> Result<ChunkCompaction> {
-        let handle = self.primary_payload_mut(key)?;
-        let mut reclaimed_bytes = 0;
-        if handle.tombstone_count() > 0 {
-            reclaimed_bytes = Arc::make_mut(handle).compact();
-        }
-        let fresh = Arc::clone(handle);
-        let (bytes, cells) = (fresh.byte_size(), fresh.cell_count());
-        self.install_payload(key, fresh)?;
-        Ok(ChunkCompaction { reclaimed_bytes, bytes, cells })
-    }
-
     /// The payload handle of a placed chunk's record, or why its cells
     /// cannot be reached: [`ClusterError::MissingChunk`] (not placed),
     /// [`ClusterError::ChunkLost`], [`ClusterError::NoPayload`] (metadata
     /// only).
     pub fn primary_payload(&self, key: &ChunkKey) -> Result<&Arc<Chunk>> {
         Ok(self.payload_holder(key)?.2)
-    }
-
-    /// [`Cluster::primary_payload`], to write through.
-    fn primary_payload_mut(&mut self, key: &ChunkKey) -> Result<&mut Arc<Chunk>> {
-        let (_, slot, _) = self.payload_holder(key)?;
-        // `payload_holder` has just read the cells out of this slot.
-        Ok(self.record_mut(slot).payload_slot().as_mut().expect("payload_holder found it"))
     }
 
     /// `key`'s slot — its home and record, or that it is lost — in one
@@ -820,8 +655,9 @@ impl Cluster {
     /// handle's `byte_size()` / `cell_count()`; the primary's ledger, the
     /// census and each holder's replica ledger follow by the byte delta,
     /// so `desc.bytes == chunk.byte_size()` keeps holding. Fails,
-    /// changing nothing, under the conditions of
-    /// [`Cluster::retract_cells`].
+    /// changing nothing, when the chunk is not placed
+    /// ([`ClusterError::MissingChunk`]), lost ([`ClusterError::ChunkLost`])
+    /// or metadata only ([`ClusterError::NoPayload`]).
     pub fn install_payload(&mut self, key: &ChunkKey, chunk: Arc<Chunk>) -> Result<()> {
         let (home, slot, _) = self.payload_holder(key)?;
         let desc = ChunkDescriptor::new(*key, chunk.byte_size(), chunk.cell_count());
@@ -1125,34 +961,6 @@ pub struct CrashReport {
     pub lost: Vec<ChunkKey>,
 }
 
-/// What a cell retraction did to one placed chunk
-/// ([`Cluster::retract_cells`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChunkRetraction {
-    /// Cells tombstoned (each counted once, however many copies hold it).
-    pub retracted: u64,
-    /// Requested cells with no live match — already retracted or never
-    /// inserted. Retraction is idempotent, not an error.
-    pub missing: u64,
-    /// Bytes freed on the primary copy (each replica ledger shrinks by
-    /// the same amount).
-    pub freed_bytes: u64,
-    /// Live cells the chunk still holds afterwards.
-    pub remaining_cells: u64,
-}
-
-/// What compacting a placed chunk reclaimed ([`Cluster::compact_chunk`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkCompaction {
-    /// Byte-size delta (positive = bytes reclaimed; a spill reversal can
-    /// make the rebuilt column marginally larger).
-    pub reclaimed_bytes: i64,
-    /// The chunk's byte size after the rebuild.
-    pub bytes: u64,
-    /// Live cells — unchanged by compaction.
-    pub cells: u64,
-}
-
 /// What evicting a chunk dropped ([`Cluster::evict_chunk`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkEviction {
@@ -1300,9 +1108,9 @@ mod tests {
         assert!((c.balance_rsd() - relative_std_dev(&c.loads())).abs() < 1e-12);
     }
 
-    /// Drive the same stream through per-chunk `place` and through
-    /// `place_batch` at several thread counts; every observable (sorted
-    /// placements, loads, census bits) must agree.
+    /// Drive the same stream through per-chunk `place` and through one
+    /// `place_all`; every observable (sorted placements, loads, census
+    /// bits) must agree.
     #[test]
     fn place_batch_is_bit_identical_to_sequential_place() {
         let stream: Vec<(i64, u64, u32)> =
@@ -1312,52 +1120,83 @@ mod tests {
         for &(i, bytes, node) in &stream {
             seq.place(desc(i, bytes), NodeId(node)).unwrap();
         }
-        for threads in [1usize, 2, 4, 8] {
-            let mut par = cluster(3);
-            assert!(par.register_array(ArrayId(0), &[400]));
-            let batch: Vec<ChunkDescriptor> =
-                stream.iter().map(|&(i, bytes, _)| desc(i, bytes)).collect();
-            let routes: Vec<NodeId> = stream.iter().map(|&(_, _, n)| NodeId(n)).collect();
-            par.place_batch(&batch, &routes, threads).unwrap();
-            assert_eq!(par.loads(), seq.loads(), "threads={threads}");
-            assert_eq!(par.total_chunks(), seq.total_chunks(), "threads={threads}");
-            assert_eq!(
-                par.balance_rsd().to_bits(),
-                seq.balance_rsd().to_bits(),
-                "threads={threads}: census must be bit-identical"
-            );
-            let a: Vec<_> = par.placements().collect();
-            let b: Vec<_> = seq.placements().collect();
-            assert_eq!(a, b, "threads={threads}");
-        }
+        let mut batched = cluster(3);
+        assert!(batched.register_array(ArrayId(0), &[400]));
+        let batch: Vec<ChunkDescriptor> =
+            stream.iter().map(|&(i, bytes, _)| desc(i, bytes)).collect();
+        let routes: Vec<NodeId> = stream.iter().map(|&(_, _, n)| NodeId(n)).collect();
+        batched.place_all(&batch, &routes).unwrap();
+        assert_eq!(batched.loads(), seq.loads());
+        assert_eq!(batched.total_chunks(), seq.total_chunks());
+        assert_eq!(batched.balance_rsd().to_bits(), seq.balance_rsd().to_bits());
+        let a: Vec<_> = batched.placements().collect();
+        let b: Vec<_> = seq.placements().collect();
+        assert_eq!(a, b);
     }
 
+    /// A refused batch rolls back whole and names its first offending
+    /// key in batch order. After each refusal, a clean batch lands as it
+    /// does on a twin that never saw the refused one: same placements,
+    /// loads, census bits and slab slots.
     #[test]
     fn place_batch_rolls_back_on_duplicates() {
-        let mut c = cluster(2);
-        assert!(c.register_array(ArrayId(0), &[64]));
-        c.place(desc(5, 10), NodeId(0)).unwrap();
-        let snapshot_loads = c.loads();
-        // Batch with an in-batch duplicate AND a collision with chunk 5.
-        let batch = vec![desc(1, 10), desc(2, 10), desc(5, 10), desc(2, 10)];
-        let routes = vec![NodeId(0); 4];
-        let err = c.place_batch(&batch, &routes, 2).unwrap_err();
-        assert!(matches!(err, ClusterError::DuplicateChunk(k) if k == desc(5, 0).key
-            || k == desc(2, 0).key));
-        // Everything rolled back: only the preexisting chunk remains.
-        assert_eq!(c.total_chunks(), 1);
-        assert_eq!(c.loads(), snapshot_loads);
-        assert_eq!(c.locate(&desc(5, 0).key), Some(NodeId(0)));
-        assert_eq!(c.locate(&desc(1, 0).key), None);
-        // The cluster still accepts a clean batch afterwards.
-        c.place_batch(&[desc(1, 10), desc(2, 10)], &[NodeId(0), NodeId(1)], 2).unwrap();
-        assert_eq!(c.total_chunks(), 3);
+        // Keys 5 and 40 are placed; 41's slab slot is free for reuse. The
+        // grid of 64 keys makes four consecutive keys one shard, so key 40
+        // lies in a later shard than keys 1, 2, 3 and 9.
+        let fresh = || {
+            let mut c = cluster(2);
+            assert!(c.register_array(ArrayId(0), &[64]));
+            c.place(desc(5, 10), NodeId(0)).unwrap();
+            c.place(desc(40, 20), NodeId(1)).unwrap();
+            c.place(desc(41, 30), NodeId(1)).unwrap();
+            c.evict_chunk(&desc(41, 0).key).unwrap();
+            c
+        };
+        let refused: [(&[i64], i64); 4] = [
+            // A collision at index 2 before an in-batch repeat at index 3.
+            (&[1, 2, 5, 2], 5),
+            // The duplicate's shard comes after the clean entries' shards,
+            // and a spilled key (100) is filed before it.
+            (&[1, 100, 9, 40, 3], 40),
+            // Only an in-batch repeat.
+            (&[7, 8, 7], 7),
+            // The collision comes first.
+            (&[5, 1], 5),
+        ];
+        let clean = [desc(1, 10), desc(2, 20), desc(100, 30), desc(9, 40), desc(41, 50)];
+        let clean_routes = [NodeId(0), NodeId(1), NodeId(0), NodeId(1), NodeId(0)];
+        for (keys, first) in refused {
+            let mut c = fresh();
+            let batch: Vec<ChunkDescriptor> = keys.iter().map(|&k| desc(k, 10)).collect();
+            let err = c.place_all(&batch, &vec![NodeId(0); batch.len()]).unwrap_err();
+            assert_eq!(err, ClusterError::DuplicateChunk(desc(first, 0).key), "{keys:?}");
+            // Everything rolled back: only the chunks placed before remain.
+            let twin = fresh();
+            assert_eq!(c.total_chunks(), 2, "{keys:?}");
+            assert_eq!(c.loads(), twin.loads(), "{keys:?}");
+            for &k in keys.iter().filter(|&&k| k != 5 && k != 40) {
+                assert_eq!(c.locate(&desc(k, 0).key), None, "{keys:?}: {k} rolled back");
+            }
+            // A clean batch afterwards lands as on the twin.
+            let mut twin = twin;
+            c.place_all(&clean, &clean_routes).unwrap();
+            twin.place_all(&clean, &clean_routes).unwrap();
+            let (ours, theirs): (Vec<_>, Vec<_>) =
+                (c.placements().collect(), twin.placements().collect());
+            assert_eq!(ours, theirs, "{keys:?}");
+            assert_eq!(c.loads(), twin.loads(), "{keys:?}");
+            assert_eq!(c.balance_rsd().to_bits(), twin.balance_rsd().to_bits(), "{keys:?}");
+            for d in &clean {
+                let slot = c.placement.slot(&d.key);
+                assert_eq!(slot, twin.placement.slot(&d.key), "{keys:?}: slot of {}", d.key);
+            }
+        }
     }
 
     #[test]
     fn place_batch_validates_routes() {
         let mut c = cluster(2);
-        let err = c.place_batch(&[desc(1, 1)], &[NodeId(7)], 1).unwrap_err();
+        let err = c.place_all(&[desc(1, 1)], &[NodeId(7)]).unwrap_err();
         assert!(matches!(err, ClusterError::UnknownNode(7)));
         assert_eq!(c.total_chunks(), 0);
     }
@@ -1567,10 +1406,7 @@ mod tests {
             let before = snapshot(&c);
             let lost = Err(ClusterError::ChunkLost(key));
             assert_eq!(c.place(d, NodeId(0)), lost);
-            for threads in [1, 2] {
-                let batch = [desc(7, 10), d];
-                assert_eq!(c.place_batch(&batch, &[NodeId(0), NodeId(2)], threads), lost);
-            }
+            assert_eq!(c.place_all(&[desc(7, 10), d], &[NodeId(0), NodeId(2)]), lost);
             assert_eq!(c.evict_chunk(&key).map(|_| ()), lost);
             assert_eq!(c.attach_payload(key, chunk.clone()), lost);
             assert_eq!(c.install_payload(&key, Arc::new(chunk.clone())), lost);
@@ -1668,6 +1504,7 @@ mod tests {
     /// byte ledgers, the census moments, and every holder's replica
     /// ledger.
     #[test]
+    #[allow(deprecated)]
     fn retract_cells_shrinks_every_copy() {
         use array_model::{ArraySchema, Chunk, ScalarValue};
         let schema = ArraySchema::parse("A<v:double>[x=0:7,8]").unwrap();
@@ -1718,6 +1555,7 @@ mod tests {
     /// typed error (as `Array::delete_cells` answers `Arity`), not a
     /// panic, and leaves every book unchanged.
     #[test]
+    #[allow(deprecated)]
     fn retract_cells_rejects_a_ragged_slice_typed() {
         use array_model::{ArraySchema, Chunk, ScalarValue};
         let schema = ArraySchema::parse("A<v:double>[x=0:7,8, y=0:7,8]").unwrap();
@@ -1741,6 +1579,7 @@ mod tests {
     /// descriptor, ledgers (the holders' too), census, and the handle all
     /// follow, and the attach invariant keeps holding.
     #[test]
+    #[allow(deprecated)]
     fn compact_chunk_reclaims_on_every_copy() {
         use array_model::{ArraySchema, Chunk, ScalarValue};
         let schema = ArraySchema::parse("A<v:double>[x=0:7,8]").unwrap();

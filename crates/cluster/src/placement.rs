@@ -30,13 +30,11 @@
 //! the spilled keys in the box and one seek per shard (and per run of
 //! spilled keys it skips) — never every spilled key.
 //!
-//! Because a chunk's shard is a pure function of its key
-//! ([`PlacementIndex::shard_of`]), a batch of placements can be
-//! partitioned by shard and executed by one thread per shard group with
-//! no synchronization: every key-map write lands in shard-owned state,
-//! and the slab slots are reserved up front. The sequential API routes
-//! through the same shards, so single-chunk and batched placement see one
-//! authoritative map.
+//! A chunk's shard is a pure function of its key
+//! ([`PlacementIndex::shard_of`]). A batch reserves its slab slots up
+//! front and files its keys in batch order ([`PlacementIndex::file`]); a
+//! refused key rolls the batch back. Single-chunk and batched placement
+//! go through the same shards, so both see one authoritative map.
 
 use crate::node::{NodeId, Resident};
 use array_model::{ArrayId, ChunkCoords, ChunkKey, MAX_DIMS};
@@ -107,8 +105,8 @@ const DENSE_SLOT_CAP: u128 = 1 << 24;
 const ARRAY_ID_CAP: u32 = 4096;
 
 /// Number of coordinate-range shards. A power of two so spill hashing is
-/// a mask; also the upper bound on useful placement-phase parallelism.
-pub(crate) const SHARD_COUNT: usize = 16;
+/// a mask.
+const SHARD_COUNT: usize = 16;
 
 /// SplitMix64 finalizer, local so `cluster-sim` stays dependency-free.
 /// Shared with replica routing and deterministic fault injection.
@@ -140,9 +138,9 @@ fn spill_shard(key: &ChunkKey) -> usize {
 }
 
 /// Registered dense-grid geometry for one array. Immutable after
-/// registration, so the parallel phase shares it read-only.
+/// registration.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DenseMeta {
+struct DenseMeta {
     /// Chunk-count extents per dimension.
     extents: [i64; MAX_DIMS],
     ndims: u8,
@@ -203,10 +201,9 @@ struct Slab {
 }
 
 /// One coordinate-range shard: disjoint slabs of every registered dense
-/// grid plus a spill map for sparse keys hashed here. A shard is the unit
-/// of single-writer ownership during parallel batch placement.
+/// grid plus a spill map for sparse keys hashed here.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PlacementShard {
+struct PlacementShard {
     /// Slab per array id; present iff the array is registered dense and
     /// this shard's slot range intersects its volume.
     slabs: Vec<Option<Slab>>,
@@ -220,12 +217,11 @@ impl PlacementShard {
         self.slabs.get_mut(array.0 as usize).and_then(Option::as_mut)
     }
 
-    /// Check-then-insert for batch placement: never overwrites, so a
-    /// duplicate leaves the original untouched. `Err` reports the prior
-    /// occupant's record slot. The caller guarantees this shard owns
-    /// `key`.
+    /// Check-then-insert: never overwrites, so a duplicate leaves the
+    /// original untouched. `Err` reports the prior occupant's record
+    /// slot. The caller guarantees this shard owns `key`.
     #[inline]
-    pub(crate) fn try_insert(
+    fn try_insert(
         &mut self,
         dense: &[Option<DenseMeta>],
         key: ChunkKey,
@@ -488,29 +484,35 @@ impl PlacementIndex {
             });
         }
         for (key, slot) in migrate {
-            let s = self.shard_of(&key);
-            let (dense, shards) = self.parts_mut();
-            let moved = shards[s].try_insert(dense, key, slot);
+            let moved = self.file(key, slot);
             debug_assert!(moved.is_ok(), "migration cannot collide");
         }
         true
     }
 
     /// The shard that owns `key`: its row-major slab for registered
-    /// in-extent coordinates, a deterministic hash shard otherwise. Pure
-    /// in `key`, so batches can be partitioned by shard up front.
+    /// in-extent coordinates, a deterministic hash shard otherwise.
     #[inline]
-    pub(crate) fn shard_of(&self, key: &ChunkKey) -> usize {
+    fn shard_of(&self, key: &ChunkKey) -> usize {
         match self.meta(key.array).and_then(|m| m.linearize(&key.coords).map(|l| (m, l))) {
             Some((meta, lin)) => meta.shard_of_lin(lin),
             None => spill_shard(key),
         }
     }
 
-    /// Split borrow for the parallel placement phase: read-only dense
-    /// geometry plus single-writer access to each shard.
-    pub(crate) fn parts_mut(&mut self) -> (&[Option<DenseMeta>], &mut [PlacementShard]) {
-        (&self.dense, &mut self.shards)
+    /// File `key` under slab slot `slot` in the shard that owns it.
+    /// Never overwrites: a key already filed keeps its entry, and `Err`
+    /// names that entry's slot.
+    pub(crate) fn file(&mut self, key: ChunkKey, slot: u32) -> Result<(), u32> {
+        let s = self.shard_of(&key);
+        self.shards[s].try_insert(&self.dense, key, slot)
+    }
+
+    /// Clear `key`'s entry from the shard that owns it; the slab slot it
+    /// named, if any. The slot itself is left as it is.
+    fn unfile(&mut self, key: &ChunkKey) -> Option<u32> {
+        let s = self.shard_of(key);
+        self.shards[s].remove(&self.dense, key)
     }
 
     #[inline]
@@ -546,8 +548,9 @@ impl PlacementIndex {
         slot
     }
 
-    /// Reserve `n` slab slots for a batch whose key-map entries the shard
-    /// workers write; [`PlacementIndex::settle`] fills them, and
+    /// Reserve `n` slab slots for a batch, in batch order, whose keys are
+    /// then filed under them ([`PlacementIndex::file`]);
+    /// [`PlacementIndex::settle`] fills them, and
     /// [`PlacementIndex::rollback`] hands them back.
     pub(crate) fn reserve(&mut self, n: usize) -> Vec<u32> {
         (0..n).map(|_| self.alloc()).collect()
@@ -567,24 +570,16 @@ impl PlacementIndex {
         self.len += slots.len();
     }
 
-    /// Undo the first `done` insertions of each listed shard's `bucket`
-    /// (indices into `keys`) after a failed parallel batch, and release
-    /// its reserved `slots`: the slab shrinks back over those at its end,
-    /// the rest are free again.
-    pub(crate) fn rollback(
+    /// Undo a refused batch: unfile `filed`, the keys it filed before the
+    /// refusal, and release its reserved `slots`: the slab shrinks back
+    /// over those at its end, the rest are free again.
+    pub(crate) fn rollback<'k>(
         &mut self,
-        keys: &[ChunkKey],
-        buckets: &[Vec<u32>],
-        progress: &[(usize, usize)],
+        filed: impl IntoIterator<Item = &'k ChunkKey>,
         slots: &[u32],
     ) {
-        for &(s, done) in progress {
-            for &i in &buckets[s][..done] {
-                let key = keys[i as usize];
-                debug_assert_eq!(self.shard_of(&key), s);
-                let (dense, shards) = self.parts_mut();
-                shards[s].remove(dense, &key);
-            }
+        for key in filed {
+            self.unfile(key);
         }
         for &slot in slots.iter().rev() {
             if slot as usize + 1 != self.slots {
@@ -642,9 +637,7 @@ impl PlacementIndex {
             return Err(slot);
         }
         let slot = self.alloc();
-        let s = self.shard_of(&key);
-        let (dense, shards) = self.parts_mut();
-        let vacant = shards[s].try_insert(dense, key, slot);
+        let vacant = self.file(key, slot);
         debug_assert!(vacant.is_ok(), "the key was vacant");
         let at = slot as usize;
         *self.entry_mut(at) = Some(filed);
@@ -657,9 +650,7 @@ impl PlacementIndex {
     /// slot is freed, and the length decrements exactly — the inverse of
     /// [`PlacementIndex::insert`].
     pub(crate) fn remove(&mut self, key: &ChunkKey) -> Option<Slot> {
-        let s = self.shard_of(key);
-        let (dense, shards) = self.parts_mut();
-        let slot = shards[s].remove(dense, key)?;
+        let slot = self.unfile(key)?;
         self.free.push(slot);
         self.len -= 1;
         self.entry_mut(slot as usize).take()
@@ -976,7 +967,7 @@ mod tests {
         let keys: Vec<ChunkKey> = (0..3).map(|i| key(1, &[i])).collect();
         let slots = idx.reserve(keys.len());
         assert_eq!((idx.pages.len(), idx.slots), (2, PAGE + 3));
-        idx.rollback(&keys, &vec![Vec::new(); SHARD_COUNT], &[], &slots);
+        idx.rollback(&[], &slots);
         assert_eq!((idx.pages.len(), idx.slots), (1, PAGE), "the emptied page goes");
         assert!((0..PAGE as i64).all(|i| idx.node(&key(0, &[i])) == Some(NodeId(0))));
     }
@@ -1151,22 +1142,11 @@ mod tests {
         let spare = put(&mut idx, key(0, &[7, 7]), 9).unwrap();
         idx.remove(&key(0, &[7, 7])); // one free slot to reuse
         let keys = [key(0, &[1, 2]), key(0, &[1, 1]), key(0, &[1, 3])];
-        let shard = idx.shard_of(&keys[0]);
-        let buckets: Vec<Vec<u32>> = {
-            let mut b = vec![Vec::new(); SHARD_COUNT];
-            for (i, k) in keys.iter().enumerate() {
-                b[idx.shard_of(k)].push(i as u32);
-            }
-            b
-        };
-        // All three land in the same slab shard (same row).
-        assert!(buckets[shard].len() == 3);
         let slots = idx.reserve(keys.len());
         assert_eq!(slots[0] as usize, spare, "the free slot goes first");
-        let (dense, shards) = idx.parts_mut();
-        assert!(shards[shard].try_insert(dense, keys[0], slots[0]).is_ok());
-        assert_eq!(shards[shard].try_insert(dense, keys[1], slots[1]), Err(held as u32));
-        idx.rollback(&keys, &buckets, &[(shard, 1)], &slots);
+        assert!(idx.file(keys[0], slots[0]).is_ok());
+        assert_eq!(idx.file(keys[1], slots[1]), Err(held as u32));
+        idx.rollback(&keys[..1], &slots);
         assert_eq!(idx.node(&keys[0]), None, "rolled back");
         assert_eq!(idx.node(&keys[1]), Some(NodeId(9)), "original survives");
         assert_eq!(idx.slots - idx.free.len(), idx.len(), "no slab slot leaked");

@@ -19,13 +19,16 @@
 #![forbid(unsafe_code)]
 
 pub mod affinity;
+mod bench_only;
 pub mod hashing;
 pub mod partition;
 pub mod provision;
 
 pub use affinity::{AffinityAnalyzer, AffinityEdge, PairStats};
+#[allow(deprecated)]
+pub use bench_only::route_batch;
 pub use partition::{
-    batch_prefix_bytes, build_partitioner, route_batch, unlocated, Append, ConsistentHash,
+    batch_prefix_bytes, build_partitioner, route_all, unlocated, Append, ConsistentHash,
     ExtendibleHash, GridHint, HilbertCurve, IncrementalQuadtree, KdTree, Partitioner,
     PartitionerConfig, PartitionerFeatures, PartitionerKind, RoundRobin, RouteEpoch, UniformRange,
 };

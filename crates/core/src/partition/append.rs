@@ -267,7 +267,7 @@ mod tests {
                 .chain([NodeId(1), NodeId(1), NodeId(2)])
                 .collect::<Vec<_>>()
         );
-        cluster.place_batch(&batch, &routes, 1).unwrap();
+        cluster.place_all(&batch, &routes).unwrap();
         p.commit(&batch, &routes);
         // Cursor persisted: the next single placement continues on node 2.
         assert_eq!(p.place(&desc(10, 10), &cluster), NodeId(2));

@@ -1,8 +1,8 @@
 //! Elastic partitioners for scientific arrays (paper §4).
 //!
 //! A [`Partitioner`] owns the chunk→node assignment policy for a growing
-//! cluster. Placement is split into two phases so batches can be routed
-//! from many threads:
+//! cluster. Placement is split into two phases, so a whole batch routes
+//! against one snapshot before any of it is placed:
 //!
 //! * **routing** — [`Partitioner::route`] is read-only (`&self`, and the
 //!   trait requires `Send + Sync`): it answers "which node?" for one chunk
@@ -27,9 +27,8 @@
 //!    `let plan = p.scale_out(&cluster, &new_nodes);` followed by
 //!    `cluster.apply_rebalance(&plan)`.
 //!
-//! Batch drivers instead call [`route_batch`] (optionally fanning routing
-//! across threads), then `Cluster::place_batch`, then
-//! [`Partitioner::commit`].
+//! Batch drivers instead call [`route_all`], then `Cluster::place_all`,
+//! then [`Partitioner::commit`].
 //!
 //! [`Partitioner::locate`] answers chunk lookups from the partitioner's own
 //! table (ring walk, directory probe, tree descent, ...) and must agree
@@ -71,6 +70,9 @@ pub use kdtree::KdTree;
 pub use quadtree::IncrementalQuadtree;
 pub use round_robin::RoundRobin;
 pub use uniform_range::UniformRange;
+
+#[allow(deprecated)]
+pub use crate::bench_only::route_batch;
 
 use array_model::{ChunkDescriptor, ChunkKey};
 use cluster_sim::{Cluster, NodeId, RebalancePlan, Resident};
@@ -298,11 +300,11 @@ impl Default for PartitionerConfig {
 /// The epoch snapshot a batch routes against: the cluster at batch start
 /// plus the batch's byte prefix sums.
 ///
-/// Routing is read-only, so every thread of a fan-out shares one epoch.
-/// Order-sensitive schemes (Append) reconstruct "how many bytes arrived
-/// before me" from `prefix_bytes` instead of watching live node loads —
-/// which makes their decisions a pure function of (table, epoch, ordinal)
-/// and therefore identical whatever the thread count.
+/// Routing is read-only, so every chunk of a batch routes against the
+/// same epoch. Order-sensitive schemes (Append) reconstruct "how many
+/// bytes arrived before me" from `prefix_bytes` instead of watching live
+/// node loads, which makes their decisions a pure function of (table,
+/// epoch, ordinal).
 #[derive(Debug, Clone, Copy)]
 pub struct RouteEpoch<'a> {
     cluster: &'a Cluster,
@@ -347,36 +349,14 @@ pub fn batch_prefix_bytes(batch: &[ChunkDescriptor]) -> Vec<u64> {
         .collect()
 }
 
-/// Route a whole batch, writing `out[i] = p.route(batch[i], i, epoch)`,
-/// fanning out over up to `threads` OS threads (contiguous slices of the
-/// batch). The result is independent of `threads` because routing is a
-/// pure function of (table, epoch, ordinal).
-pub fn route_batch(
+/// Route a whole batch against one epoch: `out[i]` is
+/// `p.route(batch[i], i, epoch)`, in batch order.
+pub fn route_all(
     p: &dyn Partitioner,
     batch: &[ChunkDescriptor],
     epoch: &RouteEpoch<'_>,
-    threads: usize,
 ) -> Vec<NodeId> {
-    let mut out = vec![NodeId(0); batch.len()];
-    let threads = threads.max(1);
-    if threads == 1 || batch.len() < 2 * threads {
-        for (i, (d, slot)) in batch.iter().zip(out.iter_mut()).enumerate() {
-            *slot = p.route(d, i, epoch);
-        }
-        return out;
-    }
-    let stride = batch.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (ci, (bs, os)) in batch.chunks(stride).zip(out.chunks_mut(stride)).enumerate() {
-            let base = ci * stride;
-            scope.spawn(move || {
-                for (j, d) in bs.iter().enumerate() {
-                    os[j] = p.route(d, base + j, epoch);
-                }
-            });
-        }
-    });
-    out
+    batch.iter().enumerate().map(|(i, d)| p.route(d, i, epoch)).collect()
 }
 
 /// The first chunk `cluster` places that `p`'s table cannot locate. A
@@ -503,9 +483,9 @@ pub trait Partitioner: Send + Sync {
     }
 
     /// Choose the destination node for the chunk at position `ordinal` of
-    /// the current batch, against `epoch`. Read-only: callable from many
-    /// threads at once; must be a pure function of (table, epoch,
-    /// ordinal, desc).
+    /// the current batch, against `epoch`. Read-only: a pure function of
+    /// (table, epoch, ordinal, desc), so a batch's routes do not depend on
+    /// when each chunk is routed.
     fn route(&self, desc: &ChunkDescriptor, ordinal: usize, epoch: &RouteEpoch<'_>) -> NodeId;
 
     /// Sequentially fold one routed batch's table mutations (sequence

@@ -6,8 +6,8 @@
 //! between preexisting nodes.
 //!
 //! Routing is order-sensitive but pure: the chunk's batch ordinal plus
-//! the table's sequence counter determine its home, so many threads can
-//! route one batch concurrently; [`Partitioner::commit`] then advances
+//! the table's sequence counter determine its home, so a whole batch
+//! routes against one snapshot; [`Partitioner::commit`] then advances
 //! the counter and records the sequence numbers.
 
 use super::{Partitioner, PartitionerKind, RouteEpoch};

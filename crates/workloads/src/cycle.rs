@@ -204,8 +204,9 @@ pub struct RunnerConfig {
     pub cost: CostModel,
     /// Run the query suites each cycle (disable for placement-only runs).
     pub run_queries: bool,
-    /// OS threads for the sharded ingest fan-out (routing + placement).
-    /// `1` runs the same phases inline; results are identical either way.
+    /// Ignored: ingest routes, places and builds chunks in one pass on
+    /// the calling thread. Kept only because the benchmark harness sets it.
+    #[deprecated(note = "benchmark only; deleted by Benchmark PR A")]
     pub ingest_threads: usize,
     /// Physical representation of string columns in materialized chunks.
     /// The default dictionary-encodes them; [`StringEncoding::Plain`]
@@ -248,6 +249,7 @@ impl RunnerConfig {
 impl Default for RunnerConfig {
     /// [`RunnerConfig::paper_section62`] with the consistent-hash
     /// partitioner: the baseline every experiment varies from.
+    #[allow(deprecated)]
     fn default() -> Self {
         RunnerConfig {
             node_capacity: 100_000_000_000,
@@ -336,8 +338,8 @@ pub struct CycleReport {
     /// Query-phase chunk reads a surviving replica served in place of
     /// the primary: structurally zero, since a crash promotes a holder
     /// before it returns and no read path fails over. Kept only because
-    /// the benchmark harness digests it (ROADMAP, "Blocked on a
-    /// benchmark PR").
+    /// the benchmark harness digests it.
+    #[deprecated(note = "benchmark only; deleted by Benchmark PR A")]
     pub degraded_reads: u64,
     /// Chunks the automatic tombstone GC compacted this cycle (each
     /// counted once, however many copies hold it).
@@ -703,7 +705,6 @@ mod tests {
             scaling: ScalingPolicy::FixedStep { add: 2, trigger: 0.8 },
             cost: CostModel::default(),
             run_queries: true,
-            ingest_threads: 1,
             string_encoding: StringEncoding::default(),
             ..RunnerConfig::default()
         }
@@ -1123,6 +1124,7 @@ mod tests {
     /// (non-zero) dictionary residue of each emptied chunk — and leave
     /// the same node ledgers and census behind.
     #[test]
+    #[allow(deprecated)]
     fn whole_chunk_drop_equals_tombstone_then_evict() {
         let w = ChurnWorkload { cycles: 1, cells: 6 * 64 };
         let mut cfg = config(PartitionerKind::RoundRobin);
@@ -1190,7 +1192,9 @@ mod tests {
         assert!(c2.repair_bytes > 0, "re-replication moved bytes");
         assert!(c2.phases.repair_secs > 0.0, "repair time is costed");
         assert_eq!(c2.under_replicated, 0, "recovery converged within the cycle");
-        assert_eq!(c2.degraded_reads, 0, "full-strength replicas leave no degraded reads");
+        #[allow(deprecated)]
+        let degraded = c2.degraded_reads;
+        assert_eq!(degraded, 0, "full-strength replicas leave no degraded reads");
         assert!(report.phase_totals().repair_secs > 0.0);
         // Fault-free cycles carry no repair costs, and later cycles hold
         // full strength without further repair.
@@ -1340,28 +1344,6 @@ mod tests {
                     assert!(!source.to_string().is_empty());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn threaded_ingest_matches_sequential_run_exactly() {
-        let w = mini_modis();
-        let base =
-            WorkloadRunner::new(&w, config(PartitionerKind::HilbertCurve)).run_all().expect("runs");
-        let mut cfg = config(PartitionerKind::HilbertCurve);
-        cfg.ingest_threads = 4;
-        let mut runner = WorkloadRunner::new(&w, cfg);
-        let threaded = runner.run_all().expect("runs");
-        for (a, b) in base.cycles.iter().zip(&threaded.cycles) {
-            assert_eq!(a.nodes, b.nodes);
-            assert_eq!(a.insert_bytes, b.insert_bytes);
-            assert_eq!(a.moved_bytes, b.moved_bytes);
-            assert_eq!(
-                a.rsd_after_insert.to_bits(),
-                b.rsd_after_insert.to_bits(),
-                "cycle {}: census must be bit-identical",
-                a.cycle
-            );
         }
     }
 }

@@ -303,8 +303,8 @@ fn fold_f64(h: u64, v: f64) -> u64 {
 /// Fingerprint of everything that shapes a run's *state* evolution:
 /// workload identity, roster/capacity, partitioner and its tunables,
 /// scaling policy, encoding, replication, fault schedule, and GC
-/// thresholds. Deliberately excludes `ingest_threads` (the driver is
-/// thread-count invariant), `run_queries` (queries are read-only),
+/// thresholds. Deliberately excludes `ingest_threads` (ignored: ingest
+/// runs on one thread), `run_queries` (queries are read-only),
 /// `cost` (costing shapes reports, not placement), and the durability
 /// wiring itself. A recovering config whose fingerprint
 /// disagrees with the log's genesis record is a different run, and

@@ -19,6 +19,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ais;
+mod bench_only;
 mod cycle;
 mod durable;
 mod faults;
@@ -29,6 +30,8 @@ pub mod synthetic;
 mod world;
 
 pub use ais::AisWorkload;
+#[allow(deprecated)]
+pub use bench_only::build_cell_array_encoded;
 pub use cycle::{CycleError, CycleReport, RunReport, RunnerConfig, ScalingPolicy, WorkloadRunner};
 pub use durable::{DurabilityConfig, WalEvent};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
@@ -36,4 +39,3 @@ pub use modis::ModisWorkload;
 pub use rand_util::{lognormal, rng_for, standard_normal, zipf_weight};
 pub use spec::{CellBatch, QueryRecord, SuiteReport, Workload};
 pub use synthetic::{SpatialDistribution, SyntheticWorkload};
-pub use world::build_cell_array_encoded;

@@ -50,109 +50,20 @@ use crate::durable::mismatch;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::spec::{CellBatch, SuiteReport, Workload};
 use array_model::{
-    Array, ArrayError, ArrayId, ArraySchema, CellBuffer, Chunk, ChunkCoords, ChunkDescriptor,
-    ChunkKey, DeltaSet, RowGroups, ScriptGroup, ScriptGroups, StringEncoding,
+    Array, ArrayId, Chunk, ChunkDescriptor, ChunkKey, DeltaSet, ScriptGroup, ScriptGroups,
 };
 use cluster_sim::{
     gb, Cluster, ClusterError, Flakiness, FlowSet, MidCrash, NodeId, NodeState, RebalancePlan,
 };
 use durability::{ascending, ByteReader, ByteWriter, DurabilityError};
 use elastic_core::{
-    batch_prefix_bytes, build_partitioner, route_batch, unlocated, Partitioner, ProvisionDecision,
+    batch_prefix_bytes, build_partitioner, route_all, unlocated, Partitioner, ProvisionDecision,
     RouteEpoch, StaircaseProvisioner,
 };
 use query_engine::view::{ViewDef, ViewRegistry};
 use query_engine::{Catalog, ExecutionContext};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Below this row count a parallel build cannot win: thread spawn and
-/// merge overhead dwarf the copying, so small batches run inline.
-const PARALLEL_BUILD_MIN_ROWS: usize = 4_096;
-
-/// Deterministically assign a chunk to one of `workers` build workers.
-/// Pure in the chunk coordinates, so a chunk is always built whole by
-/// exactly one thread whatever the row order. Uses the in-tree
-/// `splitmix64` fold (the same deterministic hashing discipline as the
-/// hash partitioners); runs once per *chunk* of the batch's grouping,
-/// not per row.
-fn build_worker_of(coords: &ChunkCoords, workers: usize) -> usize {
-    let mut h = coords.ndims() as u64;
-    for &c in coords.as_slice() {
-        h = elastic_core::hashing::splitmix64(h ^ c as u64);
-    }
-    (h % workers as u64) as usize
-}
-
-/// Build one flat cell batch into an [`Array`] of real chunks, fanning
-/// the chunk construction out over up to `threads` scoped workers.
-///
-/// The batch is validated and grouped once (shape via
-/// [`CellBuffer::matches`], bounds and the row → chunk grouping via
-/// [`RowGroups::of`]); the groups — whole chunks — are then dealt onto
-/// workers that build **disjoint** chunk sets out of the one shared
-/// grouping ([`Array::insert_groups`], the kernel the single-threaded
-/// path runs), and the per-worker arrays merge through
-/// [`Array::absorb`] into one deterministic, row-major result. Every
-/// chunk receives its rows in batch order regardless of which worker
-/// built it, so the output is **bit-identical** to the sequential build
-/// at every thread count.
-///
-/// The batch is consumed: the single-threaded path moves its
-/// variable-width values straight into the chunks
-/// ([`Array::insert_batch_owned`] — zero per-value allocations), while
-/// the sharded path clones from the shared buffer (workers cannot move
-/// out of a batch they all read) and drops it afterwards.
-///
-/// `encoding` is the storage-side string encoding: the default
-/// ([`StringEncoding::default`]) dictionary-encodes chunk string columns
-/// (a batch whose transport is also dictionary-encoded builds them as
-/// `u32` code remaps); [`StringEncoding::Plain`] reproduces the
-/// one-`String`-per-value representation for differential comparison.
-pub fn build_cell_array_encoded(
-    id: ArrayId,
-    schema: ArraySchema,
-    rows: CellBuffer,
-    threads: usize,
-    encoding: StringEncoding,
-) -> Result<Array, ArrayError> {
-    let mut fresh = Array::with_encoding(id, schema, encoding);
-    let workers = threads.max(1);
-    if workers == 1 || rows.len() < PARALLEL_BUILD_MIN_ROWS {
-        // Inline build: one validation + grouping pass, values moved.
-        fresh.insert_batch_owned(rows)?;
-        return Ok(fresh);
-    }
-    rows.matches(&fresh.schema)?;
-    let groups = RowGroups::of(&fresh.schema, rows.coords_flat())?;
-    // Deal the groups onto their owning workers (pure in the chunk).
-    let mut shares: Vec<Vec<u32>> = vec![Vec::new(); workers];
-    for (g, coords) in (0u32..).zip(groups.coords()) {
-        shares[build_worker_of(coords, workers)].push(g);
-    }
-    let parts: Vec<Array> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shares
-            .iter()
-            .map(|share| {
-                let schema = fresh.schema.clone();
-                let (rows, groups) = (&rows, &groups);
-                scope.spawn(move || {
-                    let mut part = Array::with_encoding(id, schema, encoding);
-                    part.insert_groups(rows, groups, share)
-                        .expect("batch was validated against this same schema");
-                    part
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("build worker panicked")).collect()
-    });
-    for part in parts {
-        // Worker chunk sets are disjoint by construction, so every merge
-        // is a wholesale move of fresh positions.
-        fresh.absorb(part)?;
-    }
-    Ok(fresh)
-}
 
 /// Threshold-triggered tombstone GC: does `payload` want compacting?
 /// Its tombstones have reached [`RunnerConfig::gc_tombstone_ratio`] of
@@ -584,26 +495,28 @@ impl World {
         Ok(())
     }
 
-    /// Phase 3. Build each cell batch into real chunks via the
-    /// array-model chunk builder, fanning the chunk construction out
-    /// over `ingest_threads` scoped workers (see [`build_cell_array_encoded`]).
-    /// The returned arrays hold the cycle's fresh chunks only;
-    /// descriptors derived from them carry actual `byte_size()` /
-    /// `cell_count()` instead of sampled sizes.
+    /// Phase 3. Build each cell batch into real chunks, under the run's
+    /// string encoding, through the array model's batch kernel
+    /// ([`Array::insert_batch_owned`], which moves each batch's values
+    /// into its chunks). The returned arrays hold the cycle's fresh
+    /// chunks only; descriptors derived from them carry actual
+    /// `byte_size()` / `cell_count()` instead of sampled sizes.
     pub(crate) fn build_chunks(
         &self,
         cycle: usize,
         config: &RunnerConfig,
         batches: Vec<CellBatch>,
     ) -> Result<Vec<Array>, CycleError> {
-        let threads = config.ingest_threads.max(1);
         let build = |b: CellBatch| {
             let Ok(stored) = self.catalog.array(b.array) else {
                 return Err(CycleError::UnknownArray { cycle, array: b.array });
             };
-            let (id, schema, encoding) = (b.array, stored.schema.clone(), config.string_encoding);
-            build_cell_array_encoded(id, schema, b.into_rows(), threads, encoding)
-                .map_err(|source| CycleError::Materialize { cycle, source })
+            let mut fresh =
+                Array::with_encoding(b.array, stored.schema.clone(), config.string_encoding);
+            fresh
+                .insert_batch_owned(b.into_rows())
+                .map_err(|source| CycleError::Materialize { cycle, source })?;
+            Ok(fresh)
         };
         batches.into_iter().map(build).collect()
     }
@@ -760,7 +673,7 @@ impl World {
         report: &mut CycleReport,
     ) -> Result<(), CycleError> {
         let rejected = |source| CycleError::Ingest { cycle, source };
-        let flows = self.place_batch(config, batch).map_err(rejected)?;
+        let flows = self.place_batch(batch).map_err(rejected)?;
         // Attach the chunks to the nodes that just received their
         // descriptors: the primary and every replica take the **same**
         // `Arc<Chunk>` handle — a refcount bump per copy — and rebalances
@@ -784,22 +697,16 @@ impl World {
         Ok(())
     }
 
-    /// Place a batch of chunks through the sharded route → place → commit
-    /// pipeline, returning the coordinator-fed flow set. With
-    /// `ingest_threads > 1` both routing and placement fan out over scoped
-    /// threads; the resulting placements, loads, and census are identical
-    /// to the single-threaded path.
-    fn place_batch(
-        &mut self,
-        config: &RunnerConfig,
-        batch: &[ChunkDescriptor],
-    ) -> Result<FlowSet, ClusterError> {
+    /// Place a batch of chunks through the route → place → commit
+    /// pipeline, returning the coordinator-fed flow set: the whole batch
+    /// routes against one epoch, then places in one pass in batch order
+    /// ([`Cluster::place_all`]).
+    fn place_batch(&mut self, batch: &[ChunkDescriptor]) -> Result<FlowSet, ClusterError> {
         let coordinator = self.cluster.coordinator();
-        let threads = config.ingest_threads.max(1);
         // Route the whole batch against one epoch snapshot...
         let prefix = batch_prefix_bytes(batch);
         let epoch = RouteEpoch::for_batch(&self.cluster, &prefix);
-        let mut routes = route_batch(self.partitioner.as_ref(), batch, &epoch, threads);
+        let mut routes = route_all(self.partitioner.as_ref(), batch, &epoch);
         // Partitioners route against the full roster; with nodes out of
         // service, divert each such hit to a deterministic accepting node.
         // Fault-free runs skip this pass entirely, keeping the healthy
@@ -809,8 +716,8 @@ impl World {
                 *route = self.accepting(*route, &desc.key).ok_or(ClusterError::NoHealthyNodes)?;
             }
         }
-        // ...place it shard-parallel (rolls back wholesale on duplicates)...
-        self.cluster.place_batch(batch, &routes, threads)?;
+        // ...place it (rolls back wholesale on duplicates)...
+        self.cluster.place_all(batch, &routes)?;
         // ...then commit the partitioner's table mutations sequentially
         // (diverted routes included, so later lookups agree with the
         // placement).
@@ -845,7 +752,7 @@ impl World {
     ) -> Result<(), CycleError> {
         if !derived.is_empty() {
             let rejected = |source| CycleError::Derived { cycle, source };
-            let flows = self.place_batch(config, derived).map_err(rejected)?;
+            let flows = self.place_batch(derived).map_err(rejected)?;
             report.phases.query_secs += flows.elapsed_secs(&config.cost);
         }
         if let Some(p) = self.provisioner.as_mut() {
@@ -901,7 +808,7 @@ pub(crate) struct ScaleStep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use array_model::ScalarValue;
+    use array_model::{ArraySchema, ChunkCoords, ScalarValue};
 
     /// One 8 × 8 chunk of `[t, x] → [double, string]`, with the cell
     /// `[0, 1]` inserted twice.

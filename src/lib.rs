@@ -60,9 +60,8 @@ pub mod prelude {
         gb, relative_std_dev, Cluster, CostModel, NodeId, PhaseBreakdown, RebalancePlan,
     };
     pub use elastic_core::{
-        batch_prefix_bytes, build_partitioner, route_batch, GridHint, Partitioner,
-        PartitionerConfig, PartitionerKind, ProvisionDecision, RouteEpoch, StaircaseConfig,
-        StaircaseProvisioner,
+        batch_prefix_bytes, build_partitioner, route_all, GridHint, Partitioner, PartitionerConfig,
+        PartitionerKind, ProvisionDecision, RouteEpoch, StaircaseConfig, StaircaseProvisioner,
     };
     pub use query_engine::{ops, Catalog, ExecutionContext, Predicate, QueryStats, StoredArray};
     pub use workloads::{

@@ -315,8 +315,8 @@ fn materialized_flat_ingest_allocations_are_amortized_per_row() {
     let place_start = allocation_count();
     let prefix = batch_prefix_bytes(&descriptors);
     let epoch = RouteEpoch::for_batch(&cluster, &prefix);
-    let routes = route_batch(partitioner.as_ref(), &descriptors, &epoch, 1);
-    cluster.place_batch(&descriptors, &routes, 1).expect("unique chunks");
+    let routes = route_all(partitioner.as_ref(), &descriptors, &epoch);
+    cluster.place_all(&descriptors, &routes).expect("unique chunks");
     partitioner.commit(&descriptors, &routes);
     let place_allocs = allocation_count() - place_start;
     assert!(

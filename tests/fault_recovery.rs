@@ -114,7 +114,9 @@ fn run_fault_differential(
         // The fault-free twin never sees the fault machinery.
         assert_eq!(cr.repair_bytes, 0, "{tag}: clean run repaired");
         assert_eq!(cr.crashed_nodes, 0, "{tag}: clean run crashed");
-        assert_eq!((fr.degraded_reads, cr.degraded_reads), (0, 0), "{tag}: a read failed over");
+        #[allow(deprecated)]
+        let degraded = (fr.degraded_reads, cr.degraded_reads);
+        assert_eq!(degraded, (0, 0), "{tag}: a read failed over");
 
         // Replica bytes are a separate ledger: the faulted run's demand
         // and roster track the twin's exactly (a crash promotes copies,

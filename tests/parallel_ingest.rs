@@ -1,9 +1,9 @@
-//! Differential suite for the sharded multi-threaded ingest path.
+//! Differential suite for the batched ingest path.
 //!
-//! The contract under test: driving the same chunk stream through the
-//! route → place_batch → commit pipeline must produce **bit-identical**
-//! placements, loads, and balance census whatever the thread count, for
-//! every partitioner — and the incremental census must never drift from
+//! The contract under test: driving a chunk stream through the
+//! route_all → place_all → commit pipeline places it as the per-chunk
+//! protocol does, every partitioner's own table locates each chunk where
+//! the cluster placed it, and the incremental census never drifts from
 //! the O(nodes) rescan under arbitrary interleavings of batched
 //! placement, scale-out, and rebalancing. Also pins the two driver
 //! bugfixes that ride along: colliding derived batches surface as errors
@@ -48,13 +48,12 @@ fn stream(n: usize) -> Vec<ChunkDescriptor> {
         .collect()
 }
 
-/// Drive `chunks` through the sharded pipeline in batches, returning the
-/// final cluster and partitioner.
+/// Drive `chunks` through the batched pipeline, returning the final
+/// cluster and partitioner.
 fn ingest(
     kind: PartitionerKind,
     chunks: &[ChunkDescriptor],
     batch_size: usize,
-    threads: usize,
 ) -> (Cluster, Box<dyn Partitioner>) {
     let mut cluster = Cluster::new(8, u64::MAX, CostModel::default()).unwrap();
     assert!(cluster.register_array(ArrayId(0), &GRID));
@@ -63,55 +62,29 @@ fn ingest(
     for batch in chunks.chunks(batch_size) {
         let prefix = batch_prefix_bytes(batch);
         let epoch = RouteEpoch::for_batch(&cluster, &prefix);
-        let routes = route_batch(partitioner.as_ref(), batch, &epoch, threads);
-        cluster.place_batch(batch, &routes, threads).expect("stream has no duplicates");
+        let routes = route_all(partitioner.as_ref(), batch, &epoch);
+        cluster.place_all(batch, &routes).expect("stream has no duplicates");
         partitioner.commit(batch, &routes);
     }
     (cluster, partitioner)
 }
 
-/// Every partitioner must produce bit-identical placements, loads, and
-/// census at 2 and 4 threads versus the sequential pipeline, and its own
-/// lookup table must agree with the cluster afterwards.
-#[test]
-fn parallel_ingest_is_bit_identical_for_every_partitioner() {
-    let chunks = stream(4_000);
-    for kind in PartitionerKind::ALL {
-        let (seq, _) = ingest(kind, &chunks, 512, 1);
-        let seq_placements: Vec<_> = seq.placements().collect();
-        for threads in [2usize, 4] {
-            let (par, partitioner) = ingest(kind, &chunks, 512, threads);
-            assert_eq!(par.loads(), seq.loads(), "{kind}: loads differ at {threads} threads");
-            assert_eq!(
-                par.balance_rsd().to_bits(),
-                seq.balance_rsd().to_bits(),
-                "{kind}: census differs at {threads} threads"
-            );
-            let par_placements: Vec<_> = par.placements().collect();
-            assert_eq!(par_placements, seq_placements, "{kind}: placements differ");
-            for &(key, node) in &par_placements {
-                assert_eq!(partitioner.locate(&key), Some(node), "{kind}: locate disagrees");
-            }
-        }
-    }
-}
-
-/// The batched pipeline at one thread must also match the classic
-/// per-chunk `place` protocol for the order-insensitive schemes (the
-/// arrival-order schemes route whole batches against one epoch, which is
-/// their documented batch semantics).
+/// Every partitioner's table must locate each chunk where the batched
+/// pipeline placed it, and the batched pipeline must match the classic
+/// per-chunk `place` protocol for the order-insensitive schemes (Append
+/// routes a whole batch against one epoch, which is its documented batch
+/// semantics).
 #[test]
 fn batched_pipeline_matches_per_chunk_protocol() {
     let chunks = stream(2_000);
-    for kind in [
-        PartitionerKind::ConsistentHash,
-        PartitionerKind::ExtendibleHash,
-        PartitionerKind::HilbertCurve,
-        PartitionerKind::IncrementalQuadtree,
-        PartitionerKind::KdTree,
-        PartitionerKind::UniformRange,
-        PartitionerKind::RoundRobin,
-    ] {
+    for kind in PartitionerKind::ALL {
+        let (batched, partitioner) = ingest(kind, &chunks, 256);
+        for (key, node) in batched.placements() {
+            assert_eq!(partitioner.locate(&key), Some(node), "{kind}: locate disagrees");
+        }
+        if kind == PartitionerKind::Append {
+            continue;
+        }
         let mut cluster = Cluster::new(8, u64::MAX, CostModel::default()).unwrap();
         assert!(cluster.register_array(ArrayId(0), &GRID));
         let grid = GridHint::new(GRID.to_vec());
@@ -120,7 +93,6 @@ fn batched_pipeline_matches_per_chunk_protocol() {
             let node = p.place(desc, &cluster);
             cluster.place(*desc, node).unwrap();
         }
-        let (batched, _) = ingest(kind, &chunks, 256, 1);
         assert_eq!(batched.loads(), cluster.loads(), "{kind}");
         assert_eq!(
             batched.placements().collect::<Vec<_>>(),
@@ -130,9 +102,9 @@ fn batched_pipeline_matches_per_chunk_protocol() {
     }
 }
 
-/// Census-drift: after a random script of batched placements (sequential
-/// and sharded-merged), scale-outs, and rebalances, the O(1) incremental
-/// census must agree with the O(nodes) rescan to 1e-12 at every step.
+/// Census-drift: after a random script of batched placements,
+/// scale-outs, and rebalances, the O(1) incremental census must agree
+/// with the O(nodes) rescan to 1e-12 at every step.
 #[test]
 fn census_never_drifts_under_random_scripts() {
     for seed in 0..4u64 {
@@ -152,16 +124,15 @@ fn census_never_drifts_under_random_scripts() {
             step += 1;
             let r = splitmix(seed.wrapping_mul(0x1234_5678).wrapping_add(step));
             match r % 4 {
-                // Batched placement, alternating thread counts.
+                // Batched placement.
                 0..=2 => {
                     let len = (64 + (r >> 8) % 512) as usize;
                     let batch = &chunks[cursor..(cursor + len).min(chunks.len())];
                     cursor += batch.len();
-                    let threads = [1usize, 3, 4][(r >> 24) as usize % 3];
                     let prefix = batch_prefix_bytes(batch);
                     let epoch = RouteEpoch::for_batch(&cluster, &prefix);
-                    let routes = route_batch(partitioner.as_ref(), batch, &epoch, threads);
-                    cluster.place_batch(batch, &routes, threads).unwrap();
+                    let routes = route_all(partitioner.as_ref(), batch, &epoch);
+                    cluster.place_all(batch, &routes).unwrap();
                     partitioner.commit(batch, &routes);
                 }
                 // Scale out + rebalance.
@@ -243,7 +214,6 @@ fn plain_config(kind: PartitionerKind, node_capacity: u64) -> RunnerConfig {
         scaling: ScalingPolicy::FixedStep { add: 2, trigger: 0.8 },
         cost: CostModel::default(),
         run_queries: false,
-        ingest_threads: 2,
         string_encoding: StringEncoding::default(),
         ..RunnerConfig::default()
     }
@@ -353,24 +323,4 @@ fn fixed_step_saturation_is_surfaced() {
     let c = &report.cycles[0];
     assert!(c.scale_saturated, "the cap must be reported");
     assert_eq!(c.nodes, 2 + 4096, "adds exactly the per-cycle cap");
-}
-
-/// CI smoke for the parallel path at a size where races would surface:
-/// the full two-array grid, every partitioner, 4 threads vs sequential.
-/// Run with `cargo test --release -- --ignored parallel_smoke`.
-#[test]
-#[ignore = "CI smoke: heavier differential, run explicitly"]
-fn parallel_smoke_full_grid_differential() {
-    let chunks = stream(30_000);
-    for kind in PartitionerKind::ALL {
-        let (seq, _) = ingest(kind, &chunks, 4_096, 1);
-        let (par, _) = ingest(kind, &chunks, 4_096, 4);
-        assert_eq!(par.loads(), seq.loads(), "{kind}");
-        assert_eq!(par.balance_rsd().to_bits(), seq.balance_rsd().to_bits(), "{kind}");
-        assert_eq!(
-            par.placements().collect::<Vec<_>>(),
-            seq.placements().collect::<Vec<_>>(),
-            "{kind}"
-        );
-    }
 }
