@@ -1,7 +1,7 @@
 //! Arrays: a schema plus the (sparse) set of chunks that hold its cells.
 
 use crate::cells::{CellBuffer, RowGroups, ScriptGroups};
-use crate::chunk::{ArrayId, Chunk, ChunkDescriptor, ChunkKey, ColumnSet};
+use crate::chunk::{ArrayId, Chunk, ChunkDescriptor, ChunkKey};
 use crate::coords::{chunk_of, ChunkCoords};
 use crate::error::Result;
 use crate::schema::ArraySchema;
@@ -80,32 +80,35 @@ impl Array {
         Ok(coords)
     }
 
-    /// Insert a whole flat batch of cells, routing each row to (and
-    /// creating, if needed) its chunk.
+    /// Insert a whole flat batch of cells, consuming it, and route each
+    /// row to (and create, if needed) its chunk.
     ///
     /// Bit-identical to calling [`Array::insert_cell`] once per row in
     /// buffer order, but validated **once per batch** (shape via
     /// [`CellBuffer::matches`], bounds via [`RowGroups::of`]) and built
     /// column-at-a-time per chunk ([`Chunk`]'s gather kernel).
-    /// All-or-nothing: any invalid row fails the whole batch before the
-    /// array is touched.
-    pub fn insert_batch(&mut self, src: &CellBuffer) -> Result<()> {
-        src.matches(&self.schema)?;
-        let groups = RowGroups::of(&self.schema, src.coords_flat())?;
-        self.build(ColumnSet::Shared(src.columns()), src.coords_flat(), &groups);
-        Ok(())
-    }
-
-    /// Like [`Array::insert_batch`], but consumes the buffer: fixed-width
-    /// values copy as before, while strings are **moved** into their
+    /// Fixed-width values copy, while strings are **moved** into their
     /// chunks — each one keeps the allocation the generator gave it, so
-    /// the whole batch adds zero per-value allocations. Semantically
-    /// identical to the borrowing form. This is the ingest hot path.
+    /// the whole batch adds zero per-value allocations. All-or-nothing:
+    /// any invalid row fails the whole batch before the array is touched.
+    /// This is the ingest hot path.
     pub fn insert_batch_owned(&mut self, mut src: CellBuffer) -> Result<()> {
         src.matches(&self.schema)?;
         let groups = RowGroups::of(&self.schema, src.coords_flat())?;
         let (flat, cols) = src.parts_mut();
-        self.build(ColumnSet::Taken(cols), flat, &groups);
+        // One chunk per group; a vacant position takes it wholesale, a
+        // revisited one appends — identical to per-cell insertion order.
+        let groups: Vec<_> = groups.iter().collect();
+        for chunk in Chunk::gather_cells(&self.schema, cols, flat, &groups, self.encoding) {
+            match self.chunks.entry(chunk.coords) {
+                std::collections::btree_map::Entry::Vacant(e) => {
+                    e.insert(Arc::new(chunk));
+                }
+                std::collections::btree_map::Entry::Occupied(mut e) => {
+                    Arc::make_mut(e.get_mut()).append(chunk);
+                }
+            }
+        }
         Ok(())
     }
 
@@ -166,23 +169,6 @@ impl Array {
     /// array's schema.
     pub fn install_chunk(&mut self, chunk: Arc<Chunk>) -> Option<Arc<Chunk>> {
         self.chunks.insert(chunk.coords, chunk)
-    }
-
-    /// Build one chunk per group of `flat`'s grouping and fold them into
-    /// storage: a vacant position takes the chunk wholesale; a revisited
-    /// position appends — identical to per-cell insertion order.
-    fn build(&mut self, src: ColumnSet<'_>, flat: &[i64], groups: &RowGroups) {
-        let groups: Vec<_> = groups.iter().collect();
-        for chunk in Chunk::gather_cells(&self.schema, src, flat, &groups, self.encoding) {
-            match self.chunks.entry(chunk.coords) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(Arc::new(chunk));
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    Arc::make_mut(e.get_mut()).append(chunk);
-                }
-            }
-        }
     }
 
     /// Consume the array, yielding its chunks in row-major order. Shared
@@ -387,7 +373,7 @@ mod tests {
     }
 
     /// The same cells through `insert_cell` one by one and through one
-    /// `insert_batch`: equal chunk for chunk, or the same error.
+    /// `insert_batch_owned`: equal chunk for chunk, or the same error.
     fn per_cell_and_batch_agree(schema: &str, cells: &[i64]) -> Result<Array> {
         let schema = ArraySchema::parse(schema).unwrap();
         let mut buffer = CellBuffer::new(&schema);
@@ -400,7 +386,7 @@ mod tests {
             }
         }
         let mut batched = Array::new(ArrayId(0), schema);
-        match (batched.insert_batch(&buffer), first_error) {
+        match (batched.insert_batch_owned(buffer.clone()), first_error) {
             (Ok(()), None) => {
                 let chunks =
                     |a: &Array| a.chunks().map(|(c, k)| (*c, k.clone())).collect::<Vec<_>>();

@@ -12,8 +12,8 @@
 //! once ([`RowGroups`](crate::RowGroups)) and every chunk buffer —
 //! coordinates, then each attribute column — is gathered through that
 //! one group-major row order into its final, exactly sized allocation.
-//! [`Array::insert_batch`](crate::Array::insert_batch), its consuming
-//! twin and [`Chunk::push_cells`] (one group) all run it; per-cell
+//! [`Array::insert_batch_owned`](crate::Array::insert_batch_owned) and
+//! [`Chunk::push_cells`] (one group) both run it; per-cell
 //! [`Chunk::push_cell`] is the reference it is held equal to.
 
 use crate::cells::CellBuffer;
@@ -208,7 +208,7 @@ impl Chunk {
         Ok(())
     }
 
-    /// Bulk-append the cells of `src` at the given row indices, in order.
+    /// Bulk-append every cell of `src`, in buffer order, consuming it.
     ///
     /// This is the batched counterpart of [`Chunk::push_cell`]: schema
     /// arity and attribute types are validated **once per call** (the
@@ -216,43 +216,25 @@ impl Chunk {
     /// every row), and the copies run column-at-a-time with the type
     /// dispatch hoisted out of the row loop. On any validation error
     /// nothing is appended. The caller is responsible for having routed
-    /// every listed row to this chunk.
+    /// every row to this chunk.
     ///
     /// Convenience API: it gathers the rows into a temporary chunk — the
     /// batch kernel (`Chunk::gather_cells`) over one group — and
     /// appends it, paying one extra copy so the copy/byte-accounting code
-    /// lives only in the kernel. The hot paths ([`crate::Array`]'s batch
-    /// inserts) gather straight into their destination chunks.
-    ///
-    /// # Panics
-    ///
-    /// If a row index is out of range for the buffer — an index error,
-    /// as with slice indexing, not a validation error; checked up front
-    /// so the chunk is untouched.
-    pub fn push_cells(
-        &mut self,
-        schema: &ArraySchema,
-        src: &CellBuffer,
-        rows: &[u32],
-    ) -> Result<()> {
+    /// lives only in the kernel. The hot path
+    /// ([`crate::Array::insert_batch_owned`]) gathers straight into its
+    /// destination chunks.
+    pub fn push_cells(&mut self, schema: &ArraySchema, mut src: CellBuffer) -> Result<()> {
         src.matches(schema)?;
-        if rows.is_empty() {
+        if src.is_empty() {
             return Ok(());
         }
-        assert!(
-            rows.iter().all(|&r| (r as usize) < src.len()),
-            "row index out of range for a {}-row batch",
-            src.len()
-        );
+        let rows: Vec<u32> = (0..src.len() as u32).collect();
+        let (flat, cols) = src.parts_mut();
         // The temporary takes this chunk's own string encoding; `append`
         // reconciles representations either way.
-        let mut built = Chunk::gather_cells(
-            schema,
-            ColumnSet::Shared(src.columns()),
-            src.coords_flat(),
-            &[(self.coords, rows)],
-            self.encoding,
-        );
+        let mut built =
+            Chunk::gather_cells(schema, cols, flat, &[(self.coords, &rows)], self.encoding);
         self.append(built.pop().expect("exactly one group"));
         Ok(())
     }
@@ -318,16 +300,16 @@ impl Chunk {
     /// first probed ([`StringDict`]). No per-row string traffic, no
     /// `groups × dictionary` table.
     ///
-    /// `src` distinguishes a borrowed batch (values cloned) from a
-    /// consumed one (plain strings **moved** out — each listed row must
-    /// then be listed once). `encoding` is the **storage-side** string
+    /// `src` is the batch's columns, consumed: plain strings are
+    /// **moved** out, so each row must be listed once, and the spent
+    /// columns are left behind. `encoding` is the **storage-side** string
     /// representation the built chunks carry. The caller has validated
     /// the batch against `schema` ([`crate::CellBuffer::matches`]) and
     /// every row index against the batch; row order within a chunk is
     /// the listed order, identical to per-cell insertion.
     pub(crate) fn gather_cells(
         schema: &ArraySchema,
-        src: ColumnSet<'_>,
+        src: &mut [AttributeColumn],
         flat: &[i64],
         groups: &[Group<'_>],
         encoding: StringEncoding,
@@ -371,17 +353,8 @@ impl Chunk {
                 chunk
             })
             .collect();
-        match src {
-            ColumnSet::Shared(cols) => {
-                for (a, src_col) in cols.iter().enumerate() {
-                    gather_column(&mut out, a, src_col, groups, encoding);
-                }
-            }
-            ColumnSet::Taken(cols) => {
-                for (a, src_col) in cols.iter_mut().enumerate() {
-                    gather_column_taking(&mut out, a, src_col, groups, encoding);
-                }
-            }
+        for (a, src_col) in src.iter_mut().enumerate() {
+            gather_column(&mut out, a, src_col, groups, encoding);
         }
         // Freshly gathered chunks are tombstone-free, so the folds above
         // (each buffer's, right after it was written) are the canonical,
@@ -839,26 +812,20 @@ impl Chunk {
     }
 }
 
-/// How [`Chunk::gather_cells`] reads the batch's attribute columns:
-/// borrowed (clone each value) or consumed (move variable-width values
-/// out, leaving the spent buffer behind).
-pub(crate) enum ColumnSet<'a> {
-    /// Values are cloned; the batch remains usable.
-    Shared(&'a [AttributeColumn]),
-    /// Variable-width values are moved out; the batch is spent.
-    Taken(&'a mut [AttributeColumn]),
-}
-
 /// One `(chunk position, rows in batch order)` group of a build.
 pub(crate) type Group<'a> = (ChunkCoords, &'a [u32]);
 
 /// One column of [`Chunk::gather_cells`]: each group's chunk column is
 /// gathered from `src` at the group's rows. The type dispatch happens
 /// once per column; the inner loops are exact-size typed gathers.
+/// Fixed-width values and dictionary codes copy; each plain string is
+/// **moved** out of the spent batch — every row is gathered into exactly
+/// one chunk, so the string allocated by the generator is the string the
+/// chunk stores (or the one that seeds its dictionary).
 fn gather_column(
     chunks: &mut [Chunk],
     attr: usize,
-    src: &AttributeColumn,
+    src: &mut AttributeColumn,
     groups: &[Group<'_>],
     encoding: StringEncoding,
 ) {
@@ -882,30 +849,8 @@ fn gather_column(
         AttributeColumn::Char(s) => gather_fixed!(Char, 1, s),
         AttributeColumn::Dict(s) => gather_dict_column(chunks, attr, s, groups, encoding),
         AttributeColumn::Str(s) => {
-            gather_strings(chunks, attr, groups, encoding, |r| s[r as usize].clone())
-        }
-    }
-}
-
-/// The consuming variant of [`gather_column`]: identical for fixed-width
-/// types (a copy is a copy) and for dictionary-encoded sources (codes
-/// copy either way), but **moves** each plain string out of the spent
-/// batch instead of cloning it — every row is gathered into exactly one
-/// chunk, so the string allocated by the generator is the string the
-/// chunk stores (or the one that seeds its dictionary), with no
-/// intermediate allocation.
-fn gather_column_taking(
-    chunks: &mut [Chunk],
-    attr: usize,
-    src: &mut AttributeColumn,
-    groups: &[Group<'_>],
-    encoding: StringEncoding,
-) {
-    match src {
-        AttributeColumn::Str(s) => {
             gather_strings(chunks, attr, groups, encoding, |r| std::mem::take(&mut s[r as usize]))
         }
-        shared => gather_column(chunks, attr, shared, groups, encoding),
     }
 }
 
@@ -1059,27 +1004,28 @@ mod tests {
         let s = schema();
         let rows: [(i64, i64, i32, f32); 4] =
             [(1, 1, 1, 1.3), (2, 2, 9, 2.7), (1, 2, 3, 4.2), (2, 1, 6, 2.5)];
-        let mut buf = CellBuffer::new(&s);
+        // Two halves (appends compose), plus an empty buffer, a no-op.
+        let mut halves = [CellBuffer::new(&s), CellBuffer::new(&s)];
         let mut scratch = Vec::new();
         let mut per_cell = Chunk::new(&s, ChunkCoords::new([0, 0]));
-        for (x, y, i, j) in rows {
+        for (r, (x, y, i, j)) in rows.into_iter().enumerate() {
             per_cell
                 .push_cell(&s, vec![x, y], vec![ScalarValue::Int32(i), ScalarValue::Float(j)])
                 .unwrap();
             scratch.extend([ScalarValue::Int32(i), ScalarValue::Float(j)]);
-            buf.push_row(&[x, y], &mut scratch).unwrap();
+            halves[r / 2].push_row(&[x, y], &mut scratch).unwrap();
         }
-        // Bulk in two slices (appends compose), plus an empty no-op.
         let mut bulk = Chunk::new(&s, ChunkCoords::new([0, 0]));
-        bulk.push_cells(&s, &buf, &[0, 1]).unwrap();
-        bulk.push_cells(&s, &buf, &[2, 3]).unwrap();
-        bulk.push_cells(&s, &buf, &[]).unwrap();
+        let [first, second] = halves;
+        bulk.push_cells(&s, first.clone()).unwrap();
+        bulk.push_cells(&s, second).unwrap();
+        bulk.push_cells(&s, CellBuffer::new(&s)).unwrap();
         assert_eq!(bulk, per_cell);
         assert_eq!(bulk.byte_size(), per_cell.byte_size());
         assert_eq!(bulk.descriptor(ArrayId(1)), per_cell.descriptor(ArrayId(1)));
         // A shape-mismatched buffer is rejected once, before mutation.
         let other = ArraySchema::parse("Z<i:int32>[x=1:4,2, y=1:4,2]").unwrap();
-        let err = bulk.push_cells(&other, &buf, &[0]).unwrap_err();
+        let err = bulk.push_cells(&other, first).unwrap_err();
         assert!(matches!(err, ArrayError::Arity { .. }));
         assert_eq!(bulk.cell_count(), 4);
     }

@@ -95,7 +95,7 @@ fn huge_remap_footprint_falls_back_without_changing_results() {
     }
     assert!(buffer.columns()[0].as_dict().expect("transport dict").dict().len() > 4096);
     let mut batched = Array::new(ArrayId(0), schema.clone());
-    batched.insert_batch(&buffer).expect("in bounds");
+    batched.insert_batch_owned(buffer).expect("in bounds");
     assert_eq!(batched.chunk_count(), 4096);
     assert_eq!(batched.byte_size(), per_cell.byte_size());
     assert_eq!(batched.descriptors(), per_cell.descriptors());
@@ -317,10 +317,10 @@ proptest! {
         );
     }
 
-    /// Every way into the chunk-build kernel against per-cell inserts:
-    /// `insert_batch` and `insert_batch_owned` store chunk-for-chunk `==`
-    /// arrays with equal encoded bytes; and a second batch into the same
-    /// array appends exactly as per-cell inserts would.
+    /// The chunk-build kernel against per-cell inserts:
+    /// `insert_batch_owned` stores a chunk-for-chunk `==` array with
+    /// equal encoded bytes; and a second batch into the same array
+    /// appends exactly as per-cell inserts would.
     #[test]
     fn every_chunk_build_path_equals_per_cell_inserts(
         schema in arb_build_schema(),
@@ -344,9 +344,6 @@ proptest! {
         }
         let want = contents(&per_cell);
 
-        let mut batched = fresh();
-        batched.insert_batch(&buffer).expect("in bounds");
-        prop_assert_eq!(contents(&batched), want.clone(), "insert_batch");
         let mut owned = fresh();
         owned.insert_batch_owned(buffer.clone()).expect("in bounds");
         prop_assert_eq!(contents(&owned), want.clone(), "insert_batch_owned");
@@ -354,12 +351,12 @@ proptest! {
         // Two batches, split anywhere (an empty half included).
         let k = (seed >> 17) as usize % (count + 1);
         let mut appended = fresh();
-        appended.insert_batch(&buffer_of(&schema, &rows[..k])).expect("in bounds");
+        appended.insert_batch_owned(buffer_of(&schema, &rows[..k])).expect("in bounds");
         appended.insert_batch_owned(buffer_of(&schema, &rows[k..])).expect("in bounds");
         prop_assert_eq!(contents(&appended), want, "two batches split at {}", k);
         // `==` above holds the builder's zone maps to per-cell insertion's;
         // this holds both to the definition, signed zeros included.
-        for built in [&per_cell, &batched, &owned, &appended] {
+        for built in [&per_cell, &owned, &appended] {
             assert_zones_are_canonical(built);
         }
     }
@@ -369,7 +366,7 @@ proptest! {
     /// the `==`-comparing suites cannot carry: per-cell insertion, the
     /// batch kernel and the definition agree to the bit (encoded bytes:
     /// the NaN count, `-0.0 < 0.0`, an all-NaN or all-`inf` column's
-    /// `±inf` seeds), borrowed or consumed batch, any storage encoding.
+    /// `±inf` seeds), under any storage encoding.
     #[test]
     fn built_zone_maps_are_the_definition_under_nans_zeros_and_infinities(
         schema in arb_build_schema(),
@@ -384,14 +381,10 @@ proptest! {
         for (cell, values) in &rows {
             per_cell.insert_cell(cell.clone(), values.clone()).expect("in bounds");
         }
-        let mut batched = fresh();
-        batched.insert_batch(&buffer).expect("in bounds");
         let mut owned = fresh();
         owned.insert_batch_owned(buffer).expect("in bounds");
-        let want = contents(&per_cell).1;
-        prop_assert_eq!(contents(&batched).1, want.clone(), "insert_batch");
-        prop_assert_eq!(contents(&owned).1, want, "insert_batch_owned");
-        for built in [&per_cell, &batched, &owned] {
+        prop_assert_eq!(contents(&owned).1, contents(&per_cell).1, "insert_batch_owned");
+        for built in [&per_cell, &owned] {
             assert_zones_are_canonical(built);
         }
     }
@@ -435,9 +428,8 @@ proptest! {
         // Into an array that already holds chunks, so "untouched" is
         // about something.
         let mut target = fresh();
-        target.insert_batch(&buffer_of(&schema, &build_rows(&schema, !seed, 20, 18))).unwrap();
+        target.insert_batch_owned(buffer_of(&schema, &build_rows(&schema, !seed, 20, 18))).unwrap();
         let before = contents(&target);
-        prop_assert_eq!(target.insert_batch(&buffer), Err(want.clone()));
         prop_assert_eq!(target.insert_batch_owned(buffer.clone()), Err(want.clone()));
         prop_assert_eq!(contents(&target), before);
         prop_assert_eq!(RowGroups::of(&schema, buffer.coords_flat()), Err(want));
@@ -661,8 +653,8 @@ proptest! {
         }
     }
 
-    /// The flat-batch inserts (`insert_batch`, and its consuming twin
-    /// `insert_batch_owned`) must be observationally identical to
+    /// The flat-batch insert (`insert_batch_owned`) must be
+    /// observationally identical to
     /// per-cell `insert_cell` over arbitrary schemas and shuffled row
     /// orders: same chunks (coordinates, per-column payloads, in-chunk
     /// cell order), same descriptors, same byte sizes.
@@ -714,30 +706,25 @@ proptest! {
                 scratch.extend(values.iter().cloned());
                 buffer.push_row(cell, &mut scratch).expect("schema-shaped");
             }
-            let mut batched = Array::new(ArrayId(0), schema.clone());
-            batched.insert_batch(&buffer).expect("in bounds");
-            let mut owned = Array::new(ArrayId(0), schema.clone());
-            owned.insert_batch_owned(buffer).expect("in bounds");
-
-            for flat in [&batched, &owned] {
-                prop_assert_eq!(flat.cell_count(), per_cell.cell_count());
-                prop_assert_eq!(flat.byte_size(), per_cell.byte_size());
-                prop_assert_eq!(flat.chunk_count(), per_cell.chunk_count());
-                prop_assert_eq!(flat.descriptors(), per_cell.descriptors());
-                for (coords, chunk) in per_cell.chunks() {
-                    // Full structural equality: coordinates, columns,
-                    // counters, and in-chunk cell order.
-                    prop_assert_eq!(flat.chunk(coords), Some(chunk));
-                    // The running `bytes` counter must equal a rescan of
-                    // the actual stored columns — `byte_size()` no
-                    // longer rescans, so counter drift would otherwise
-                    // stay self-consistent and invisible.
-                    let recomputed: u64 = schema.ndims() as u64 * 8 * chunk.cell_count()
-                        + (0..schema.attributes.len())
-                            .map(|a| chunk.column(a).expect("schema-shaped").byte_size())
-                            .sum::<u64>();
-                    prop_assert_eq!(chunk.byte_size(), recomputed);
-                }
+            let mut flat = Array::new(ArrayId(0), schema.clone());
+            flat.insert_batch_owned(buffer).expect("in bounds");
+            prop_assert_eq!(flat.cell_count(), per_cell.cell_count());
+            prop_assert_eq!(flat.byte_size(), per_cell.byte_size());
+            prop_assert_eq!(flat.chunk_count(), per_cell.chunk_count());
+            prop_assert_eq!(flat.descriptors(), per_cell.descriptors());
+            for (coords, chunk) in per_cell.chunks() {
+                // Full structural equality: coordinates, columns,
+                // counters, and in-chunk cell order.
+                prop_assert_eq!(flat.chunk(coords), Some(chunk));
+                // The running `bytes` counter must equal a rescan of
+                // the actual stored columns — `byte_size()` no
+                // longer rescans, so counter drift would otherwise
+                // stay self-consistent and invisible.
+                let recomputed: u64 = schema.ndims() as u64 * 8 * chunk.cell_count()
+                    + (0..schema.attributes.len())
+                        .map(|a| chunk.column(a).expect("schema-shaped").byte_size())
+                        .sum::<u64>();
+                prop_assert_eq!(chunk.byte_size(), recomputed);
             }
         }
     }
@@ -1072,7 +1059,7 @@ proptest! {
             buffer.push_row(cell, &mut scratch).expect("schema-shaped");
         }
         let mut one_shot = Array::with_encoding(ArrayId(0), schema.clone(), encoding);
-        one_shot.insert_batch(&buffer).expect("in bounds");
+        one_shot.insert_batch_owned(buffer).expect("in bounds");
 
         // Two batches split mid-stream: the second revisits chunks the
         // first created, driving the append path's dictionary remaps
@@ -1105,7 +1092,7 @@ proptest! {
         left.absorb(right).expect("disjoint chunk sets");
 
         for (name, built) in
-            [("insert_batch", &one_shot), ("two-batch merge", &merged), ("absorb", &left)]
+            [("insert_batch_owned", &one_shot), ("two-batch merge", &merged), ("absorb", &left)]
         {
             prop_assert_eq!(built.cell_count(), per_cell.cell_count(), "{}", name);
             prop_assert_eq!(built.byte_size(), per_cell.byte_size(), "{}", name);
@@ -1160,8 +1147,7 @@ proptest! {
                         rows.push((next_x, value, true));
                         next_x += 1;
                     }
-                    let all: Vec<u32> = (0..batch.len() as u32).collect();
-                    chunk.push_cells(&schema, &batch, &all).unwrap();
+                    chunk.push_cells(&schema, batch).unwrap();
                 }
                 7 | 8 => {
                     let live: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].2).collect();
@@ -1330,7 +1316,7 @@ fn retracting_a_whole_chunk_in_insertion_order_is_one_pass() {
         scratch.push(ScalarValue::Double(x as f64));
         buffer.push_row(&[x], &mut scratch).expect("schema-shaped");
     }
-    array.insert_batch(&buffer).expect("in bounds");
+    array.insert_batch_owned(buffer).expect("in bounds");
     assert_eq!(array.chunk_count(), 1);
     let before = array.byte_size();
     let script: Vec<i64> = (0..n).collect();

@@ -18,7 +18,8 @@ mod bench_only;
 pub use bench_only::{ChunkCompaction, ChunkRetraction};
 
 /// Salt mixed into the chunk-key hash so the replica ring start is
-/// decorrelated from the spill-shard and diversion hashes of the same key.
+/// decorrelated from the diversion ring start, which takes the same key's
+/// hash unsalted ([`Cluster::divert_route`]).
 const REPLICA_ROUTE_SALT: u64 = 0x9e37_79b9_85eb_ca77;
 
 /// Running moments of the per-node byte loads, maintained incrementally so
@@ -66,7 +67,7 @@ impl BalanceStats {
 /// Placement lookups and inserts are O(1) for arrays registered via
 /// [`Cluster::register_array`] (lookups allocation-free, inserts only
 /// when the record slab grows); unregistered arrays fall back to the
-/// ordered spill maps, O(log n). The per-insert balance census
+/// ordered spill map, O(log n). The per-insert balance census
 /// ([`Cluster::balance_rsd`]) is O(1) thanks to incrementally maintained
 /// load moments.
 #[derive(Debug, Clone)]
@@ -134,7 +135,7 @@ impl Cluster {
 
     /// Register the chunk-grid extents of an array so its placements use
     /// the dense O(1) index. Optional — unregistered arrays work through
-    /// the ordered spill maps — and a performance hint only: coordinates
+    /// the ordered spill map — and a performance hint only: coordinates
     /// beyond the extents (unbounded dimensions outgrowing the hint) spill
     /// there transparently. Returns whether the dense grid was installed.
     pub fn register_array(&mut self, array: ArrayId, chunk_extents: &[i64]) -> bool {
@@ -1141,8 +1142,7 @@ mod tests {
     #[test]
     fn place_batch_rolls_back_on_duplicates() {
         // Keys 5 and 40 are placed; 41's slab slot is free for reuse. The
-        // grid of 64 keys makes four consecutive keys one shard, so key 40
-        // lies in a later shard than keys 1, 2, 3 and 9.
+        // grid holds keys 0..64, so key 100 is filed in the spill map.
         let fresh = || {
             let mut c = cluster(2);
             assert!(c.register_array(ArrayId(0), &[64]));
@@ -1155,8 +1155,8 @@ mod tests {
         let refused: [(&[i64], i64); 4] = [
             // A collision at index 2 before an in-batch repeat at index 3.
             (&[1, 2, 5, 2], 5),
-            // The duplicate's shard comes after the clean entries' shards,
-            // and a spilled key (100) is filed before it.
+            // Grid keys on both sides of a spilled key (100) are filed
+            // before the collision at 40, and all of them are unfiled.
             (&[1, 100, 9, 40, 3], 40),
             // Only an in-batch repeat.
             (&[7, 8, 7], 7),

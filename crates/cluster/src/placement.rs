@@ -11,30 +11,26 @@
 //! every ordered walk sorts by key, so where a slot sits in the slab is
 //! never observable.
 //!
-//! **The key map.** A per-array dense grid (flat row-major `Vec<u32>`)
-//! makes insert and lookup O(1). Every dense grid is split into
-//! **coordinate-range shards**: shard `s` owns the disjoint row-major
-//! slab `[s << slab_shift, (s+1) << slab_shift)` of the slot vector, plus
-//! its own spill map for everything that cannot live in a grid
-//! (coordinates past the registered extents, unregistered arrays, and
-//! array ids beyond the indexed range, which hash onto a shard). A grid
-//! cell holds the chunk's slab slot. A spill map is ordered by key
+//! **The key map.** A registered array has a dense grid, which makes
+//! insert and lookup O(1): its row-major cells, cut into at most
+//! [`GRID_PIECES`] pieces, each hold a chunk's slab slot or [`VACANT`].
+//! One spill map holds everything that cannot live in a grid:
+//! coordinates past the registered extents, unregistered arrays, and
+//! array ids beyond the indexed range. The spill map is ordered by key
 //! (`(array, coords)`), so a box of one array can be sought in it.
 //!
 //! **The band walk.** [`PlacementIndex::band`] hands out every placed
 //! chunk of one array inside a box of chunk positions, in ascending key
 //! order, with no per-call buffer: the grid cells of the box, one
-//! contiguous run of the inner dimension at a time (cut where a slab
-//! ends, an empty slab skipped whole), merged with each shard's spilled
-//! keys in the box. It costs the box ∩ the registered grid cells, plus
-//! the spilled keys in the box and one seek per shard (and per run of
-//! spilled keys it skips) — never every spilled key.
+//! contiguous run of the inner dimension at a time (cut where a piece
+//! ends, an empty piece skipped whole), merged with the spilled keys in
+//! the box. It costs the box ∩ the registered grid cells, plus the
+//! spilled keys in the box and one seek (and one per run of spilled keys
+//! it skips) — never every spilled key.
 //!
-//! A chunk's shard is a pure function of its key
-//! ([`PlacementIndex::shard_of`]). A batch reserves its slab slots up
-//! front and files its keys in batch order ([`PlacementIndex::file`]); a
-//! refused key rolls the batch back. Single-chunk and batched placement
-//! go through the same shards, so both see one authoritative map.
+//! A batch reserves its slab slots up front and files its keys in batch
+//! order ([`PlacementIndex::file`]); a refused key rolls the batch back.
+//! Single-chunk and batched placement file into the same map.
 
 use crate::node::{NodeId, Resident};
 use array_model::{ArrayId, ChunkCoords, ChunkKey, MAX_DIMS};
@@ -100,13 +96,18 @@ fn named(slot: &Slot) -> NodeId {
 /// Bigger registrations silently stay sparse.
 const DENSE_SLOT_CAP: u128 = 1 << 24;
 
-/// Highest `ArrayId` that gets its own indexed slot; stranger ids share
-/// the sharded spill maps.
+/// Highest `ArrayId` that gets its own indexed slot; stranger ids live in
+/// the spill map.
 const ARRAY_ID_CAP: u32 = 4096;
 
-/// Number of coordinate-range shards. A power of two so spill hashing is
-/// a mask.
-const SHARD_COUNT: usize = 16;
+/// Most pieces a dense grid is cut into. Each piece is its own row-major
+/// run of cells, a power of two long (the last may be shorter), so
+/// - a grid of up to 256 Ki cells needs no allocation of 128 KiB or more,
+///   which glibc would map, and answer on free by raising its mmap
+///   threshold (see [`PAGE`]);
+/// - the band walk and [`PlacementIndex::collect_sorted`] skip an empty
+///   piece whole.
+const GRID_PIECES: usize = 16;
 
 /// SplitMix64 finalizer, local so `cluster-sim` stays dependency-free.
 /// Shared with replica routing and deterministic fault injection.
@@ -131,24 +132,29 @@ pub(crate) fn key_hash(key: &ChunkKey) -> u64 {
     h
 }
 
-/// Deterministic shard hash for keys with no dense slab.
-#[inline]
-fn spill_shard(key: &ChunkKey) -> usize {
-    (key_hash(key) as usize) & (SHARD_COUNT - 1)
-}
-
-/// Registered dense-grid geometry for one array. Immutable after
+/// One registered array's dense grid. Its geometry is fixed at
 /// registration.
-#[derive(Debug, Clone, Copy)]
-struct DenseMeta {
+#[derive(Debug, Clone)]
+struct Grid {
     /// Chunk-count extents per dimension.
     extents: [i64; MAX_DIMS],
     ndims: u8,
-    /// Shard `s` owns linear slots `[s << slab_shift, (s+1) << slab_shift)`.
-    slab_shift: u32,
+    /// Piece `p` holds the cells `[p << piece_shift, (p+1) << piece_shift)`
+    /// of the row-major order.
+    piece_shift: u32,
+    pieces: Vec<Piece>,
 }
 
-impl DenseMeta {
+/// A row-major run of a grid's cells.
+#[derive(Debug, Clone)]
+struct Piece {
+    /// Record-slab slot per grid cell, or [`VACANT`].
+    slots: Vec<u32>,
+    /// Occupied entries in `slots`.
+    resident: usize,
+}
+
+impl Grid {
     /// Row-major linearization of `coords`, or `None` when outside the
     /// registered extents.
     #[inline]
@@ -167,8 +173,8 @@ impl DenseMeta {
         Some(lin)
     }
 
-    /// Inverse of [`DenseMeta::linearize`] (reporting paths, and the band
-    /// walk past an empty slab).
+    /// Inverse of [`Grid::linearize`] (reporting paths, and the band walk
+    /// past an empty piece).
     fn delinearize(&self, mut lin: usize) -> ChunkCoords {
         let ndims = self.ndims as usize;
         let mut out = ChunkCoords::zeros(ndims);
@@ -180,90 +186,87 @@ impl DenseMeta {
         out
     }
 
+    /// The piece holding `coords`' cell and the cell's offset in it, or
+    /// `None` outside the registered extents.
     #[inline]
-    fn shard_of_lin(&self, lin: usize) -> usize {
-        lin >> self.slab_shift
+    fn locate(&self, coords: &ChunkCoords) -> Option<(usize, usize)> {
+        let lin = self.linearize(coords)?;
+        Some((lin >> self.piece_shift, lin & ((1usize << self.piece_shift) - 1)))
     }
 
-    #[inline]
-    fn slab_offset(&self, lin: usize) -> usize {
-        lin & ((1usize << self.slab_shift) - 1)
-    }
-}
-
-/// One shard's slab of an array's row-major grid.
-#[derive(Debug, Clone)]
-struct Slab {
-    /// Record-slab slot per owned grid cell, or [`VACANT`].
-    slots: Vec<u32>,
-    /// Occupied entries in `slots`.
-    resident: usize,
-}
-
-/// One coordinate-range shard: disjoint slabs of every registered dense
-/// grid plus a spill map for sparse keys hashed here.
-#[derive(Debug, Clone, Default)]
-struct PlacementShard {
-    /// Slab per array id; present iff the array is registered dense and
-    /// this shard's slot range intersects its volume.
-    slabs: Vec<Option<Slab>>,
-    /// Sparse entries hashed to this shard, in key order: key →
-    /// record-slab slot.
-    spill: BTreeMap<ChunkKey, u32>,
-}
-
-impl PlacementShard {
-    fn slab_mut(&mut self, array: ArrayId) -> Option<&mut Slab> {
-        self.slabs.get_mut(array.0 as usize).and_then(Option::as_mut)
-    }
-
-    /// Check-then-insert: never overwrites, so a duplicate leaves the
-    /// original untouched. `Err` reports the prior occupant's record
-    /// slot. The caller guarantees this shard owns `key`.
-    #[inline]
-    fn try_insert(
-        &mut self,
-        dense: &[Option<DenseMeta>],
-        key: ChunkKey,
-        slot: u32,
-    ) -> Result<(), u32> {
-        if let Some(meta) = dense.get(key.array.0 as usize).and_then(Option::as_ref) {
-            if let Some(lin) = meta.linearize(&key.coords) {
-                let off = meta.slab_offset(lin);
-                let slab = self.slab_mut(key.array).expect("dense meta implies a slab");
-                let prev = slab.slots[off];
-                if prev != VACANT {
-                    return Err(prev);
+    /// [`PlacementIndex::band`]'s grid part: the box clipped to the
+    /// extents, row by row, each row's inner run read off the pieces it
+    /// crosses; spilled keys below each hit go first.
+    fn walk<B>(
+        &self,
+        first: &ChunkCoords,
+        last: &ChunkCoords,
+        spilled: &mut Spilled<'_>,
+        visit: &mut impl FnMut(&ChunkCoords, usize) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let n = self.ndims as usize;
+        let (mut low, mut high) = (*first, *last);
+        for d in 0..n {
+            (low[d], high[d]) = (low[d].max(0), high[d].min(self.extents[d] - 1));
+            if low[d] > high[d] {
+                return ControlFlow::Continue(());
+            }
+        }
+        let volume: usize = self.extents[..n].iter().map(|&e| e as usize).product();
+        let inner = n - 1;
+        let mut pos = low;
+        loop {
+            let lin = self.linearize(&pos).expect("the clipped box lies in the grid");
+            let p = lin >> self.piece_shift;
+            let piece = &self.pieces[p];
+            let start = p << self.piece_shift;
+            let end = start + piece.slots.len();
+            if piece.resident == 0 {
+                // Skip the piece whole: on at the first box position past it.
+                if end >= volume {
+                    return ControlFlow::Continue(());
                 }
-                slab.slots[off] = slot;
-                slab.resident += 1;
-                return Ok(());
-            }
-        }
-        match self.spill.entry(key) {
-            btree_map::Entry::Occupied(prior) => Err(*prior.get()),
-            btree_map::Entry::Vacant(vacant) => {
-                vacant.insert(slot);
-                Ok(())
-            }
-        }
-    }
-
-    /// Clear `key`'s entry here; the record-slab slot it named, if any.
-    fn remove(&mut self, dense: &[Option<DenseMeta>], key: &ChunkKey) -> Option<u32> {
-        if let Some(meta) = dense.get(key.array.0 as usize).and_then(Option::as_ref) {
-            if let Some(lin) = meta.linearize(&key.coords) {
-                let off = meta.slab_offset(lin);
-                let slab = self.slab_mut(key.array).expect("dense meta implies a slab");
-                let prev = std::mem::replace(&mut slab.slots[off], VACANT);
-                if prev == VACANT {
-                    return None;
+                let past = self.delinearize(end);
+                match seek(&low, &high, &past) {
+                    Ok(()) => pos = past,
+                    Err(Some(next)) => pos = next,
+                    Err(None) => return ControlFlow::Continue(()),
                 }
-                slab.resident -= 1;
-                return Some(prev);
+                continue;
+            }
+            // The rest of this row, cut where the piece ends.
+            let row_end = lin + (high[inner] - pos[inner]) as usize;
+            let piece_end = row_end.min(end - 1);
+            let mut at = pos;
+            for (i, &slot) in piece.slots[lin - start..=piece_end - start].iter().enumerate() {
+                if slot == VACANT {
+                    continue;
+                }
+                at[inner] = pos[inner] + i as i64;
+                if spilled.head.is_some() {
+                    spilled.drain(Some(&at), visit)?;
+                }
+                visit(&at, slot as usize)?;
+            }
+            if piece_end < row_end {
+                pos[inner] += (piece_end + 1 - lin) as i64;
+                continue;
+            }
+            // The next row: an odometer over the outer dimensions.
+            pos[inner] = low[inner];
+            let mut d = inner;
+            loop {
+                if d == 0 {
+                    return ControlFlow::Continue(());
+                }
+                d -= 1;
+                pos[d] += 1;
+                if pos[d] <= high[d] {
+                    break;
+                }
+                pos[d] = low[d];
             }
         }
-        self.spill.remove(key)
     }
 }
 
@@ -298,63 +301,49 @@ fn seek(
     Err(Some(next))
 }
 
-/// One shard's spilled keys of one array inside a box, in key order: its
-/// spill map sought at the box's first corner and re-sought past every
-/// run of keys outside the box ([`seek`]).
-struct SpillRun<'a> {
+/// The spilled keys of one array inside a box, in key order: the spill
+/// map sought at the box's first corner and re-sought past every run of
+/// keys outside the box ([`seek`]), the next key in the box held.
+struct Spilled<'a> {
     map: &'a BTreeMap<ChunkKey, u32>,
     run: btree_map::Range<'a, ChunkKey, u32>,
     array: ArrayId,
+    first: ChunkCoords,
+    last: ChunkCoords,
+    /// The next key in the box and its slab slot, while any is left.
+    head: Option<(&'a ChunkCoords, u32)>,
 }
 
-impl<'a> SpillRun<'a> {
-    /// The next key in the box and its slab slot; `None` once there is
-    /// none (not to be called again).
-    fn next(&mut self, first: &ChunkCoords, last: &ChunkCoords) -> Option<(&'a ChunkCoords, u32)> {
+impl<'a> Spilled<'a> {
+    fn open(
+        map: &'a BTreeMap<ChunkKey, u32>,
+        array: ArrayId,
+        first: &ChunkCoords,
+        last: &ChunkCoords,
+    ) -> Self {
+        let run = map.range(ChunkKey::new(array, *first)..);
+        let mut spilled = Spilled { map, run, array, first: *first, last: *last, head: None };
+        spilled.head = spilled.advance();
+        spilled
+    }
+
+    /// The next key in the box past the head; `None` once there is none
+    /// (not to be called again).
+    fn advance(&mut self) -> Option<(&'a ChunkCoords, u32)> {
         loop {
             let (key, &slot) = self.run.next()?;
             if key.array != self.array {
                 return None;
             }
-            match seek(first, last, &key.coords) {
-                Ok(()) if key.coords.ndims() == first.ndims() => return Some((&key.coords, slot)),
+            match seek(&self.first, &self.last, &key.coords) {
+                Ok(()) if key.coords.ndims() == self.first.ndims() => {
+                    return Some((&key.coords, slot))
+                }
                 Ok(()) => {}
                 Err(Some(next)) => self.run = self.map.range(ChunkKey::new(self.array, next)..),
                 Err(None) => return None,
             }
         }
-    }
-}
-
-/// Every shard's [`SpillRun`] over one box, merged into key order: each
-/// shard's next key, and which of them is the least.
-struct Spilled<'a> {
-    runs: [SpillRun<'a>; SHARD_COUNT],
-    heads: [Option<(&'a ChunkCoords, u32)>; SHARD_COUNT],
-    /// The shard whose head is the least, while any is left.
-    next: Option<usize>,
-}
-
-impl<'a> Spilled<'a> {
-    fn open(
-        shards: &'a [PlacementShard],
-        array: ArrayId,
-        first: &ChunkCoords,
-        last: &ChunkCoords,
-    ) -> Self {
-        let mut runs: [SpillRun<'a>; SHARD_COUNT] = std::array::from_fn(|s| {
-            let map = &shards[s].spill;
-            SpillRun { map, run: map.range(ChunkKey::new(array, *first)..), array }
-        });
-        let heads = std::array::from_fn(|s| runs[s].next(first, last));
-        let mut spilled = Spilled { runs, heads, next: None };
-        spilled.next = spilled.least();
-        spilled
-    }
-
-    fn least(&self) -> Option<usize> {
-        let heads = self.heads.iter().enumerate();
-        heads.filter_map(|(s, head)| Some((head.as_ref()?.0, s))).min().map(|(_, s)| s)
     }
 
     /// Hand `visit` every spilled key below `bound` (all that are left
@@ -362,32 +351,28 @@ impl<'a> Spilled<'a> {
     fn drain<B>(
         &mut self,
         bound: Option<&ChunkCoords>,
-        first: &ChunkCoords,
-        last: &ChunkCoords,
         visit: &mut impl FnMut(&ChunkCoords, usize) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
-        while let Some(s) = self.next {
-            let (coords, slot) = self.heads[s].expect("the least shard has a head");
+        while let Some((coords, slot)) = self.head {
             if bound.is_some_and(|b| coords > b) {
                 break;
             }
             visit(coords, slot as usize)?;
-            self.heads[s] = self.runs[s].next(first, last);
-            self.next = self.least();
+            self.head = self.advance();
         }
         ControlFlow::Continue(())
     }
 }
 
-/// The authoritative chunk → slot map across all arrays, sharded by
-/// coordinate range, and the slot slab it points into.
-#[derive(Debug, Clone)]
+/// The authoritative chunk → slot map across all arrays, and the slot
+/// slab it points into.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct PlacementIndex {
-    /// Dense geometry per array id below [`ARRAY_ID_CAP`]; `None` for
+    /// The dense grid per array id below [`ARRAY_ID_CAP`]; `None` for
     /// unregistered (sparse) arrays.
-    dense: Vec<Option<DenseMeta>>,
-    /// The coordinate-range shards ([`SHARD_COUNT`] of them).
-    shards: Vec<PlacementShard>,
+    grids: Vec<Option<Grid>>,
+    /// Every key without a grid cell, in key order: key → slab slot.
+    spill: BTreeMap<ChunkKey, u32>,
     /// The slot slab, [`PAGE`] slots a page.
     pages: Vec<Vec<Entry>>,
     /// Slots in the slab, free ones included.
@@ -397,34 +382,21 @@ pub(crate) struct PlacementIndex {
     len: usize,
 }
 
-impl Default for PlacementIndex {
-    fn default() -> Self {
-        PlacementIndex {
-            dense: Vec::new(),
-            shards: (0..SHARD_COUNT).map(|_| PlacementShard::default()).collect(),
-            pages: Vec::new(),
-            slots: 0,
-            free: Vec::new(),
-            len: 0,
-        }
-    }
-}
-
 impl PlacementIndex {
     pub(crate) fn new() -> Self {
         PlacementIndex::default()
     }
 
-    fn meta(&self, array: ArrayId) -> Option<&DenseMeta> {
-        self.dense.get(array.0 as usize).and_then(Option::as_ref)
+    fn grid(&self, array: ArrayId) -> Option<&Grid> {
+        self.grids.get(array.0 as usize).and_then(Option::as_ref)
     }
 
-    /// Register the chunk-grid extents of `array`, switching it to the
-    /// sharded dense representation. Returns `true` when the slabs were
-    /// installed (extent product within the allocation cap, id in range).
-    /// Existing placements are migrated. Unbounded dimensions should pass
-    /// their expected chunk-count hint; coordinates beyond it spill to
-    /// the spill maps, so the hint affects only performance.
+    /// Register the chunk-grid extents of `array`, giving it a dense
+    /// grid. Returns `true` when the grid was installed (extent product
+    /// within the allocation cap, id in range). Existing placements are
+    /// migrated. Unbounded dimensions should pass their expected
+    /// chunk-count hint; coordinates beyond it stay in the spill map, so
+    /// the hint affects only performance.
     pub(crate) fn register_dense(&mut self, array: ArrayId, extents: &[i64]) -> bool {
         assert!(
             !extents.is_empty() && extents.len() <= MAX_DIMS,
@@ -438,8 +410,8 @@ impl PlacementIndex {
         if volume > DENSE_SLOT_CAP {
             return false;
         }
-        if self.meta(array).is_some() {
-            // Already dense: keep the existing slabs (re-registration with
+        if self.grid(array).is_some() {
+            // Already dense: keep the existing grid (re-registration with
             // different extents would have to re-linearize; no caller
             // needs that).
             return false;
@@ -447,72 +419,76 @@ impl PlacementIndex {
         let volume = volume as usize;
         let mut ext = [1i64; MAX_DIMS];
         ext[..extents.len()].copy_from_slice(extents);
-        // Slab size: the smallest power of two that covers the volume in
-        // at most SHARD_COUNT slabs (so every shard owns one contiguous
-        // coordinate range and spill hashing stays a mask).
-        let slab_shift = volume.div_ceil(SHARD_COUNT).next_power_of_two().trailing_zeros();
-        let meta = DenseMeta { extents: ext, ndims: extents.len() as u8, slab_shift };
+        // Piece length: the smallest power of two that covers the volume
+        // in at most GRID_PIECES pieces.
+        let piece_shift = volume.div_ceil(GRID_PIECES).next_power_of_two().trailing_zeros();
+        let pieces = (0..volume).step_by(1 << piece_shift);
+        let pieces = pieces.map(|start| {
+            let len = (volume - start).min(1 << piece_shift);
+            Piece { slots: vec![VACANT; len], resident: 0 }
+        });
+        let ndims = extents.len() as u8;
+        let mut grid = Grid { extents: ext, ndims, piece_shift, pieces: pieces.collect() };
+        // Move this array's in-extent keys out of the spill map into the
+        // grid. Their records stay in their slab slots.
+        self.spill.retain(|key, &mut slot| {
+            let cell = (key.array == array).then(|| grid.locate(&key.coords)).flatten();
+            let Some((p, off)) = cell else { return true };
+            grid.pieces[p].slots[off] = slot;
+            grid.pieces[p].resident += 1;
+            false
+        });
         let idx = array.0 as usize;
-        if idx >= self.dense.len() {
-            self.dense.resize(idx + 1, None);
+        if idx >= self.grids.len() {
+            self.grids.resize(idx + 1, None);
         }
-        self.dense[idx] = Some(meta);
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            let start = s << slab_shift;
-            if start >= volume {
-                break;
-            }
-            let len = (volume - start).min(1usize << slab_shift);
-            if idx >= shard.slabs.len() {
-                shard.slabs.resize(idx + 1, None);
-            }
-            shard.slabs[idx] = Some(Slab { slots: vec![VACANT; len], resident: 0 });
-        }
-        // Migrate sparse entries of this array out of the spill maps: the
-        // in-extent ones move to their slab (and possibly to a different
-        // shard, since sparse placement hashes while dense slices). Their
-        // records stay in their slab slots.
-        let mut migrate: Vec<(ChunkKey, u32)> = Vec::new();
-        for shard in &mut self.shards {
-            shard.spill.retain(|key, slot| {
-                if key.array == array && meta.linearize(&key.coords).is_some() {
-                    migrate.push((*key, *slot));
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        for (key, slot) in migrate {
-            let moved = self.file(key, slot);
-            debug_assert!(moved.is_ok(), "migration cannot collide");
-        }
+        self.grids[idx] = Some(grid);
         true
     }
 
-    /// The shard that owns `key`: its row-major slab for registered
-    /// in-extent coordinates, a deterministic hash shard otherwise.
-    #[inline]
-    fn shard_of(&self, key: &ChunkKey) -> usize {
-        match self.meta(key.array).and_then(|m| m.linearize(&key.coords).map(|l| (m, l))) {
-            Some((meta, lin)) => meta.shard_of_lin(lin),
-            None => spill_shard(key),
+    /// File `key` under slab slot `slot`: in its grid cell, or in the
+    /// spill map. Never overwrites: a key already filed keeps its entry,
+    /// and `Err` names that entry's slot.
+    pub(crate) fn file(&mut self, key: ChunkKey, slot: u32) -> Result<(), u32> {
+        if let Some((piece, off)) = self.cell_mut(&key) {
+            let prev = piece.slots[off];
+            if prev != VACANT {
+                return Err(prev);
+            }
+            piece.slots[off] = slot;
+            piece.resident += 1;
+            return Ok(());
+        }
+        match self.spill.entry(key) {
+            btree_map::Entry::Occupied(prior) => Err(*prior.get()),
+            btree_map::Entry::Vacant(vacant) => {
+                vacant.insert(slot);
+                Ok(())
+            }
         }
     }
 
-    /// File `key` under slab slot `slot` in the shard that owns it.
-    /// Never overwrites: a key already filed keeps its entry, and `Err`
-    /// names that entry's slot.
-    pub(crate) fn file(&mut self, key: ChunkKey, slot: u32) -> Result<(), u32> {
-        let s = self.shard_of(&key);
-        self.shards[s].try_insert(&self.dense, key, slot)
+    /// Clear `key`'s entry; the slab slot it named, if any. The slot
+    /// itself is left as it is.
+    fn unfile(&mut self, key: &ChunkKey) -> Option<u32> {
+        let Some((piece, off)) = self.cell_mut(key) else {
+            return self.spill.remove(key);
+        };
+        let prev = std::mem::replace(&mut piece.slots[off], VACANT);
+        if prev == VACANT {
+            return None;
+        }
+        piece.resident -= 1;
+        Some(prev)
     }
 
-    /// Clear `key`'s entry from the shard that owns it; the slab slot it
-    /// named, if any. The slot itself is left as it is.
-    fn unfile(&mut self, key: &ChunkKey) -> Option<u32> {
-        let s = self.shard_of(key);
-        self.shards[s].remove(&self.dense, key)
+    /// The grid piece holding `key`'s cell and the cell's offset in it,
+    /// or `None` when `key` has no grid cell.
+    #[inline]
+    fn cell_mut(&mut self, key: &ChunkKey) -> Option<(&mut Piece, usize)> {
+        let grid = self.grids.get_mut(key.array.0 as usize)?.as_mut()?;
+        let (p, off) = grid.locate(&key.coords)?;
+        Some((&mut grid.pieces[p], off))
     }
 
     #[inline]
@@ -599,13 +575,13 @@ impl PlacementIndex {
     /// The slab index of `key`'s slot, if it is placed.
     #[inline]
     pub(crate) fn slot(&self, key: &ChunkKey) -> Option<usize> {
-        let slot = match self.meta(key.array).and_then(|m| m.linearize(&key.coords).map(|l| (m, l)))
-        {
-            Some((meta, lin)) => {
-                let shard = &self.shards[meta.shard_of_lin(lin)];
-                shard.slabs[key.array.0 as usize].as_ref()?.slots[meta.slab_offset(lin)]
-            }
-            None => *self.shards[spill_shard(key)].spill.get(key)?,
+        let cell = self.grid(key.array).and_then(|grid| {
+            let (p, off) = grid.locate(&key.coords)?;
+            Some(grid.pieces[p].slots[off])
+        });
+        let slot = match cell {
+            Some(slot) => slot,
+            None => *self.spill.get(key)?,
         };
         (slot != VACANT).then_some(slot as usize)
     }
@@ -680,14 +656,14 @@ impl PlacementIndex {
     /// Registered dense grids as `(array, extents)` pairs, in array-id
     /// order. Checkpointing serializes these so recovery can re-run
     /// [`PlacementIndex::register_dense`] before replaying placements —
-    /// the slab geometry itself is derived, not stored.
+    /// the grid geometry itself is derived, not stored.
     pub(crate) fn dense_registrations(&self) -> Vec<(ArrayId, Vec<i64>)> {
-        self.dense
+        self.grids
             .iter()
             .enumerate()
-            .filter_map(|(idx, meta)| {
-                let meta = meta.as_ref()?;
-                Some((ArrayId(idx as u32), meta.extents[..meta.ndims as usize].to_vec()))
+            .filter_map(|(idx, grid)| {
+                let grid = grid.as_ref()?;
+                Some((ArrayId(idx as u32), grid.extents[..grid.ndims as usize].to_vec()))
             })
             .collect()
     }
@@ -708,108 +684,28 @@ impl PlacementIndex {
             return ControlFlow::Continue(());
         }
         let mut visit = |coords: &ChunkCoords, slot: usize| visit(coords, self.at(slot));
-        let mut spilled = Spilled::open(&self.shards, array, first, last);
-        let meta = self.meta(array).filter(|m| m.ndims as usize == n);
-        if let Some(meta) = meta {
-            self.walk_grid(array, meta, first, last, &mut spilled, &mut visit)?;
+        let mut spilled = Spilled::open(&self.spill, array, first, last);
+        if let Some(grid) = self.grid(array).filter(|g| g.ndims as usize == n) {
+            grid.walk(first, last, &mut spilled, &mut visit)?;
         }
-        spilled.drain(None, first, last, &mut visit)
-    }
-
-    /// [`PlacementIndex::band`]'s grid part: the box clipped to the
-    /// registered extents, row by row, each row's inner run read off the
-    /// slabs it crosses; spilled keys below each hit go first.
-    fn walk_grid<B>(
-        &self,
-        array: ArrayId,
-        meta: &DenseMeta,
-        first: &ChunkCoords,
-        last: &ChunkCoords,
-        spilled: &mut Spilled<'_>,
-        visit: &mut impl FnMut(&ChunkCoords, usize) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        let n = meta.ndims as usize;
-        let (mut low, mut high) = (*first, *last);
-        for d in 0..n {
-            (low[d], high[d]) = (low[d].max(0), high[d].min(meta.extents[d] - 1));
-            if low[d] > high[d] {
-                return ControlFlow::Continue(());
-            }
-        }
-        let volume: usize = meta.extents[..n].iter().map(|&e| e as usize).product();
-        let inner = n - 1;
-        let mut pos = low;
-        loop {
-            let lin = meta.linearize(&pos).expect("the clipped box lies in the grid");
-            let s = meta.shard_of_lin(lin);
-            let slab = self.shards[s].slabs[array.0 as usize].as_ref();
-            let slab = slab.expect("every grid cell has a slab");
-            let start = s << meta.slab_shift;
-            let end = start + slab.slots.len();
-            if slab.resident == 0 {
-                // Skip the slab whole: on at the first box position past it.
-                if end >= volume {
-                    return ControlFlow::Continue(());
-                }
-                let past = meta.delinearize(end);
-                match seek(&low, &high, &past) {
-                    Ok(()) => pos = past,
-                    Err(Some(next)) => pos = next,
-                    Err(None) => return ControlFlow::Continue(()),
-                }
-                continue;
-            }
-            // The rest of this row, cut where the slab ends.
-            let row_end = lin + (high[inner] - pos[inner]) as usize;
-            let piece_end = row_end.min(end - 1);
-            let mut at = pos;
-            for (i, &slot) in slab.slots[lin - start..=piece_end - start].iter().enumerate() {
-                if slot == VACANT {
-                    continue;
-                }
-                at[inner] = pos[inner] + i as i64;
-                if spilled.next.is_some() {
-                    spilled.drain(Some(&at), first, last, visit)?;
-                }
-                visit(&at, slot as usize)?;
-            }
-            if piece_end < row_end {
-                pos[inner] += (piece_end + 1 - lin) as i64;
-                continue;
-            }
-            // The next row: an odometer over the outer dimensions.
-            pos[inner] = low[inner];
-            let mut d = inner;
-            loop {
-                if d == 0 {
-                    return ControlFlow::Continue(());
-                }
-                d -= 1;
-                pos[d] += 1;
-                if pos[d] <= high[d] {
-                    break;
-                }
-                pos[d] = low[d];
-            }
-        }
+        spilled.drain(None, &mut visit)
     }
 
     /// Every `(key, node)` pair in ascending key order, the node being
-    /// the one each slot names. O(n) over dense slabs plus O(s log s)
-    /// over sparse entries; intended for reorganization and reporting,
-    /// not the per-chunk hot path.
+    /// the one each slot names. O(n) over the grids and the spill map;
+    /// intended for reorganization and reporting, not the per-chunk hot
+    /// path.
     pub(crate) fn collect_sorted(&self) -> Vec<(ChunkKey, NodeId)> {
-        // Dense arrays in id order, slabs in shard order: ascending
+        // Grids in array-id order, pieces in row-major order: ascending
         // row-major linear index is ascending lexicographic coordinates.
         let mut out: Vec<(ChunkKey, NodeId)> = Vec::with_capacity(self.len);
-        for (idx, meta) in self.dense.iter().enumerate() {
-            let Some(meta) = meta else { continue };
-            for (s, shard) in self.shards.iter().enumerate() {
-                let Some(Some(slab)) = shard.slabs.get(idx) else { continue };
-                // Stop at the slab's last resident: its tail may be long.
-                let mut left = slab.resident;
-                let mut cur = meta.delinearize(s << meta.slab_shift);
-                for &slot in &slab.slots {
+        for (idx, grid) in self.grids.iter().enumerate() {
+            let Some(grid) = grid else { continue };
+            for (p, piece) in grid.pieces.iter().enumerate() {
+                // Stop at the piece's last resident: its tail may be long.
+                let mut left = piece.resident;
+                let mut cur = grid.delinearize(p << grid.piece_shift);
+                for &slot in &piece.slots {
                     if left == 0 {
                         break;
                     }
@@ -819,9 +715,9 @@ impl PlacementIndex {
                         left -= 1;
                     }
                     // Odometer over the extents, row-major.
-                    for d in (0..meta.ndims as usize).rev() {
+                    for d in (0..grid.ndims as usize).rev() {
                         cur[d] += 1;
-                        if cur[d] < meta.extents[d] {
+                        if cur[d] < grid.extents[d] {
                             break;
                         }
                         cur[d] = 0;
@@ -829,13 +725,11 @@ impl PlacementIndex {
                 }
             }
         }
-        // Sparse entries from every shard, sorted, then the two sorted
-        // runs merged (a stable sort finds the runs and merges them).
-        let dense = out.len();
-        let spilled = self.shards.iter().flat_map(|s| s.spill.iter());
-        out.extend(spilled.map(|(&k, &slot)| (k, named(self.at(slot as usize)))));
-        if dense < out.len() {
-            out[dense..].sort_unstable_by_key(|e| e.0);
+        // The spill map is in key order too: a stable sort finds the two
+        // runs and merges them.
+        let gridded = out.len();
+        out.extend(self.spill.iter().map(|(&k, &slot)| (k, named(self.at(slot as usize)))));
+        if gridded < out.len() {
             out.sort_by_key(|e| e.0);
         }
         out
@@ -1002,25 +896,6 @@ mod tests {
         let all = idx.collect_sorted();
         assert_eq!(all.len(), idx.len());
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "unsorted: {all:?}");
-    }
-
-    #[test]
-    fn shard_of_is_stable_and_partitions_dense_grids_by_range() {
-        let mut idx = PlacementIndex::new();
-        assert!(idx.register_dense(ArrayId(0), &[64, 64])); // 4096 slots
-                                                            // Row-major slabs: consecutive linear indices share shards, and
-                                                            // shards are visited in ascending order.
-        let mut last = 0usize;
-        for x in 0..64 {
-            let s = idx.shard_of(&key(0, &[x, 0]));
-            assert!(s >= last, "shards must ascend with row-major order");
-            last = s;
-        }
-        assert_eq!(last, SHARD_COUNT - 1, "a full grid uses every shard");
-        // Sparse keys hash deterministically.
-        let k = key(7, &[3, 3]);
-        assert_eq!(idx.shard_of(&k), idx.shard_of(&k));
-        assert!(idx.shard_of(&k) < SHARD_COUNT);
     }
 
     /// One draw of the band property: a cluster whose arrays cover every

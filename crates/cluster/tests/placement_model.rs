@@ -1,15 +1,22 @@
 //! Model-based property tests: the dense placement index must behave
 //! exactly like the `BTreeMap<ChunkKey, NodeId>` it replaced, under
-//! arbitrary interleavings of placements, rebalances, evictions and
-//! scale-outs — with and without dense registration, including
+//! arbitrary interleavings of placements, batches, rebalances, evictions
+//! and scale-outs — with and without dense registration, including
 //! coordinates that spill past the registered extents. Evictions free
-//! record-slab slots that later placements reuse, and each node's chunks,
-//! read off the index, must be the model's, in key order.
+//! record-slab slots that later placements reuse, a refused batch rolls
+//! back whole, and each node's chunks, read off the index, must be the
+//! model's, in key order; so must a band walk over each array.
 
 use array_model::{ArrayId, ChunkCoords, ChunkDescriptor, ChunkKey};
-use cluster_sim::{relative_std_dev, Cluster, CostModel, NodeId, RebalancePlan};
+use cluster_sim::{
+    relative_std_dev, Cluster, ClusterError, CostModel, NodeId, RebalancePlan, Slot,
+};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
+
+/// The op domain's chunk positions: `t` in `0..40`, `x` and `y` in `0..8`.
+const DOMAIN: [i64; 3] = [40, 8, 8];
 
 /// One scripted operation against both implementations.
 #[derive(Debug, Clone)]
@@ -22,15 +29,42 @@ enum Op {
     Evict(usize),
     /// Add one node.
     Grow,
+    /// Place a batch through `Cluster::place_all`, each chunk on its node
+    /// (modulo roster).
+    Batch(Vec<(BatchKey, u32)>),
+}
+
+/// One chunk of an [`Op::Batch`].
+#[derive(Debug, Clone)]
+enum BatchKey {
+    /// A chunk (array, coords, bytes), as [`Op::Place`] names one.
+    Fresh(u32, [i64; 3], u64),
+    /// The i-th placed chunk (modulo count) again: the batch is refused.
+    Placed(usize),
+    /// The i-th earlier chunk of this batch (modulo count) again: the
+    /// batch is refused.
+    Repeat(usize),
+}
+
+fn arb_chunk() -> impl Strategy<Value = (u32, [i64; 3], u64)> {
+    (0u32..3, (0..DOMAIN[0], 0..DOMAIN[1], 0..DOMAIN[2]), 1u64..1_000_000)
+        .prop_map(|(array, (t, x, y), bytes)| (array, [t, x, y], bytes))
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
+    // One chunk in ten names a placed key, one in ten repeats one.
+    let batch_key = (0u32..10, arb_chunk(), 0usize..512).prop_map(|(pick, chunk, i)| match pick {
+        0 => BatchKey::Placed(i),
+        1 => BatchKey::Repeat(i),
+        _ => BatchKey::Fresh(chunk.0, chunk.1, chunk.2),
+    });
     prop_oneof![
-        (0u32..3, (0i64..40, 0i64..8, 0i64..8), 1u64..1_000_000, 0u32..16)
-            .prop_map(|(array, (t, x, y), bytes, node)| Op::Place(array, [t, x, y], bytes, node)),
+        (arb_chunk(), 0u32..16)
+            .prop_map(|((array, coords, bytes), node)| Op::Place(array, coords, bytes, node)),
         (0usize..512, 0u32..16).prop_map(|(i, node)| Op::Move(i, node)),
         (0usize..512).prop_map(Op::Evict),
         Just(Op::Grow),
+        proptest::collection::vec((batch_key, 0u32..16), 2..7).prop_map(Op::Batch),
     ]
 }
 
@@ -111,6 +145,45 @@ fn run_script(ops: &[Op], register: bool) {
                     }
                 }
             }
+            Op::Batch(ref chunks) => {
+                let mut batch: Vec<ChunkDescriptor> = Vec::new();
+                let mut routes = Vec::new();
+                for (chunk, node) in chunks {
+                    let desc = match *chunk {
+                        BatchKey::Fresh(array, coords, bytes) => {
+                            let key = ChunkKey::new(ArrayId(array), ChunkCoords::new(coords));
+                            ChunkDescriptor::new(key, bytes, 1)
+                        }
+                        BatchKey::Placed(i) => {
+                            let placed =
+                                model.placement.keys().nth(i % model.placement.len().max(1));
+                            let Some(&key) = placed else { continue };
+                            ChunkDescriptor::new(key, model.sizes[&key], 1)
+                        }
+                        BatchKey::Repeat(i) if !batch.is_empty() => batch[i % batch.len()],
+                        BatchKey::Repeat(_) => continue,
+                    };
+                    batch.push(desc);
+                    routes.push(NodeId(node % cluster.node_count() as u32));
+                }
+                // The model refuses at the first key already placed or
+                // listed earlier in the batch, and then changes nothing.
+                let mut seen = BTreeSet::new();
+                let refused = batch
+                    .iter()
+                    .find(|d| model.placement.contains_key(&d.key) || !seen.insert(d.key));
+                let placed = cluster.place_all(&batch, &routes);
+                if let Some(d) = refused {
+                    assert_eq!(placed, Err(ClusterError::DuplicateChunk(d.key)), "{batch:?}");
+                    continue;
+                }
+                placed.unwrap();
+                for (d, &node) in batch.iter().zip(&routes) {
+                    model.placement.insert(d.key, node);
+                    model.sizes.insert(d.key, d.bytes);
+                    *model.loads.entry(node).or_insert(0) += d.bytes;
+                }
+            }
         }
 
         // Invariants after every step.
@@ -148,6 +221,21 @@ fn run_script(ops: &[Op], register: bool) {
         assert_eq!(ours, theirs, "{node}'s chunks diverged");
         assert_eq!(cluster.node(node).unwrap().chunk_count(), theirs.len());
     }
+    // A band over a box that covers the whole domain, and so each
+    // array's grid, and runs past it on every side.
+    let (first, last) = (ChunkCoords::new([-1; 3]), ChunkCoords::new(DOMAIN));
+    for array in (0..3).map(ArrayId) {
+        let mut walked = Vec::new();
+        let flow = cluster.band(array, &first, &last, |coords, slot| {
+            let Slot::Placed { home, .. } = slot else { panic!("nothing crashed: {slot:?}") };
+            walked.push((ChunkKey::new(array, *coords), *home));
+            ControlFlow::<()>::Continue(())
+        });
+        assert!(flow.is_continue());
+        let want: Vec<(ChunkKey, NodeId)> =
+            reference.iter().filter(|(k, _)| k.array == array).copied().collect();
+        assert_eq!(walked, want, "band over {array:?} diverged");
+    }
 }
 
 proptest! {
@@ -159,9 +247,22 @@ proptest! {
         run_script(&ops, true);
     }
 
-    /// Unregistered (hash fallback) index ≡ BTreeMap reference model.
+    /// Unregistered (spill map only) index ≡ BTreeMap reference model.
     #[test]
     fn sparse_index_matches_btreemap_model(ops in proptest::collection::vec(arb_op(), 1..120)) {
+        run_script(&ops, false);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    /// Both models at release scale: `cargo test --release -p cluster-sim
+    /// --test placement_model -- --ignored placement_model_smoke`.
+    #[test]
+    #[ignore = "heavy: run in release via the smoke CI matrix"]
+    fn placement_model_smoke(ops in proptest::collection::vec(arb_op(), 1..240)) {
+        run_script(&ops, true);
         run_script(&ops, false);
     }
 }

@@ -4,13 +4,12 @@
 //! cluster. Placement is split into two phases, so a whole batch routes
 //! against one snapshot before any of it is placed:
 //!
-//! * **routing** — [`Partitioner::route`] is read-only (`&self`, and the
-//!   trait requires `Send + Sync`): it answers "which node?" for one chunk
-//!   against an **epoch snapshot** of the partitioning table and the
-//!   cluster ([`RouteEpoch`]). Within a batch, every chunk routes against
-//!   the same epoch; order-sensitive schemes receive the chunk's batch
-//!   `ordinal` and the epoch's byte prefix sums instead of observing live
-//!   state.
+//! * **routing** — [`Partitioner::route`] is read-only (`&self`): it
+//!   answers "which node?" for one chunk against an **epoch snapshot** of
+//!   the partitioning table and the cluster ([`RouteEpoch`]). Within a
+//!   batch, every chunk routes against the same epoch; order-sensitive
+//!   schemes receive the chunk's batch `ordinal` and the epoch's byte
+//!   prefix sums instead of observing live state.
 //! * **commit** — [`Partitioner::commit`] applies the batch's table
 //!   mutations (sequence-map inserts, cursor advances) sequentially, once
 //!   the cluster has durably placed the batch. Table-structural changes
@@ -473,7 +472,7 @@ pub(super) fn weighted_median<T: Copy + PartialOrd>(
 }
 
 /// The elastic partitioner interface (see module docs for the protocol).
-pub trait Partitioner: Send + Sync {
+pub trait Partitioner {
     /// Which scheme this is.
     fn kind(&self) -> PartitionerKind;
 

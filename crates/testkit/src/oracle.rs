@@ -96,7 +96,7 @@ impl Oracle {
             rows.push_row(coords, &mut scratch).expect("cells of the array's schema");
         }
         let mut out = Array::new(array, schema.clone());
-        out.insert_batch(&rows).expect("cells inside the array");
+        out.insert_batch_owned(rows).expect("cells inside the array");
         out
     }
 

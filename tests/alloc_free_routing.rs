@@ -295,7 +295,7 @@ fn materialized_flat_ingest_allocations_are_amortized_per_row() {
     }
 
     // Measured: the whole materialized pipeline — batch validation +
-    // routing + sharded chunk build + descriptor derivation + batched
+    // routing + chunk build + descriptor derivation + batched
     // placement + payload attach.
     let build_start = allocation_count();
     let mut array = Array::new(ArrayId(0), schema);
@@ -449,15 +449,20 @@ fn chunk_build_allocates_per_chunk_and_keeps_eight_bytes_per_row() {
         batch.push_row(&cell, &mut vals).expect("schema-shaped row");
     }
 
-    // Borrowing insert: the batch outlives the build, so every byte
-    // freed while it runs was the build's own scratch.
+    // The build consumes a clone of the batch and frees it when done.
+    // The clone's own calls and bytes are counted apart and taken out, so
+    // every byte left freed was the build's own scratch.
     let mut array = Array::new(ArrayId(0), schema);
     let (calls_before, (allocated_before, freed_before)) = (allocation_count(), byte_counts());
-    array.insert_batch(&batch).expect("in bounds");
+    let owned = batch.clone();
+    let clone_calls = allocation_count() - calls_before;
+    let clone_bytes = byte_counts().0 - allocated_before;
+    array.insert_batch_owned(owned).expect("in bounds");
     let (calls, (allocated, freed)) = (allocation_count(), byte_counts());
-    let calls = calls - calls_before;
-    let held = (allocated - allocated_before) - (freed - freed_before);
-    let transient = (allocated - allocated_before) - held;
+    let calls = calls - calls_before - clone_calls;
+    let allocated = allocated - allocated_before - clone_bytes;
+    let transient = freed - freed_before - clone_bytes;
+    let held = allocated - transient;
 
     let chunks = array.chunk_count();
     assert!(chunks >= 256, "want a real chunk population, got {chunks}");

@@ -24,8 +24,8 @@ fn splitmix(mut x: u64) -> u64 {
 }
 
 /// A deterministic stream of `n` distinct chunks spread over two arrays:
-/// array 0 is dense-registered, array 1 stays sparse (hash-sharded), and
-/// a sprinkle of out-of-extent coordinates exercises the spill maps.
+/// array 0 is dense-registered, array 1 stays sparse (in the spill map),
+/// and a sprinkle of out-of-extent coordinates spills there too.
 fn stream(n: usize) -> Vec<ChunkDescriptor> {
     let volume = (GRID[0] * GRID[1] * GRID[2]) as usize;
     assert!(n <= 2 * volume, "stream exceeds the two-array grid");
