@@ -22,10 +22,9 @@ use crate::error::{ArrayError, Result};
 use crate::schema::ArraySchema;
 use crate::value::{AttributeColumn, DictColumn, ScalarValue, StringDict, StringEncoding};
 use crate::zone::{DimZone, ZoneMap};
-use serde::{Deserialize, Serialize};
 
 /// Identifier for an array within a catalog/cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArrayId(pub u32);
 
 impl std::fmt::Display for ArrayId {
@@ -38,7 +37,7 @@ impl std::fmt::Display for ArrayId {
 ///
 /// `Copy` since the coordinate vector is stored inline: keys move through
 /// the placement hot path by value, with no heap traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChunkKey {
     /// Owning array.
     pub array: ArrayId,
@@ -64,7 +63,7 @@ impl std::fmt::Display for ChunkKey {
 /// Physical chunk size is variable: it reflects the number of non-empty
 /// cells actually stored, not the declared chunk volume (§2). Skew shows
 /// up as high variance in `bytes` across descriptors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkDescriptor {
     /// Chunk identity.
     pub key: ChunkKey,
@@ -99,7 +98,7 @@ impl ChunkDescriptor {
 /// cells vanish from answers immediately. A dictionary entry whose last referencing row was
 /// tombstoned keeps its bytes until [`Chunk::compact`] rebuilds the
 /// columns from the surviving rows (deferred compaction).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Chunk {
     /// Chunk position within its array.
     pub coords: ChunkCoords,

@@ -12,7 +12,6 @@
 
 use crate::error::{ArrayError, Result};
 use crate::schema::ArraySchema;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -34,17 +33,6 @@ pub struct ChunkCoords {
     len: u8,
     idx: [i64; MAX_DIMS],
 }
-
-// Serde wire contract: a `ChunkCoords` serializes as the plain `i64`
-// sequence of its live indices — the same payload the old `Vec<i64>`
-// representation produced — NOT as the `{len, idx}` struct (which would
-// leak the inactive tail and, on deserialize, could smuggle in a length
-// above `MAX_DIMS`). The in-tree serde is a marker stub, so these impls
-// carry no methods today; when swapping in real serde, implement them
-// via `serializer.collect_seq(self.iter())` and a seq visitor that
-// rejects more than `MAX_DIMS` elements.
-impl Serialize for ChunkCoords {}
-impl<'de> Deserialize<'de> for ChunkCoords {}
 
 impl ChunkCoords {
     /// Construct from raw indices. Accepts anything slice-like (`Vec`,
@@ -175,8 +163,8 @@ impl ChunkCoords {
 }
 
 impl ChunkCoords {
-    /// Serialize as the live index sequence (the same shape the serde
-    /// contract above promises): a length byte plus `ndims` raw `i64`s.
+    /// Serialize as the live index sequence — a length byte plus `ndims`
+    /// raw `i64`s — never the inactive tail of the inline array.
     pub fn encode_into(&self, w: &mut durability::ByteWriter) {
         w.put_u8(self.len);
         for &v in self.as_slice() {
@@ -298,7 +286,7 @@ pub fn chunk_of(schema: &ArraySchema, cell: &[i64]) -> Result<ChunkCoords> {
 
 /// An axis-aligned rectangular region of array space, in cell coordinates
 /// (both bounds inclusive). Queries subset arrays with these.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
     /// Inclusive lower corner, one entry per dimension.
     pub low: Vec<i64>,

@@ -12,11 +12,10 @@
 
 use crate::error::{ArrayError, Result};
 use crate::value::AttributeType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One named dimension of an array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DimensionDef {
     /// Dimension name (`x`, `latitude`, ...).
     pub name: String,
@@ -144,7 +143,7 @@ impl fmt::Display for DimensionDef {
 }
 
 /// One named, typed attribute of an array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttributeDef {
     /// Attribute name.
     pub name: String,
@@ -166,7 +165,7 @@ impl fmt::Display for AttributeDef {
 }
 
 /// A complete array schema: name, attributes, and dimensions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArraySchema {
     /// Array name.
     pub name: String,

@@ -4,7 +4,6 @@
 //! ("vertical partitioning", §2 of the paper). [`AttributeColumn`] mirrors
 //! that: one typed, densely packed vector per attribute per chunk.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -14,7 +13,7 @@ use std::sync::OnceLock;
 /// The set mirrors the types used by the paper's two schemas (`int`,
 /// `double`, `float`, `char`, `string`) plus 64-bit integers, which the
 /// AIS `ship_id`/`voyageId` values need at scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttributeType {
     /// 32-bit signed integer (`int32` / `int`).
     Int32,
@@ -82,7 +81,7 @@ impl fmt::Display for AttributeType {
 }
 
 /// One scalar attribute value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScalarValue {
     /// 32-bit signed integer.
     Int32(i32),
@@ -159,7 +158,7 @@ pub const DEFAULT_DICT_CAP: u32 = 4096;
 ///
 /// Fixed-width types ignore the encoding; it only selects the
 /// representation of `string` attributes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StringEncoding {
     /// One heap `String` per value (the pre-dictionary representation).
     Plain,
@@ -256,7 +255,7 @@ type HashIndex = HashMap<u64, u32, std::hash::BuildHasherDefault<HashIsKey>>;
 /// a repeated entry, so a decoded dictionary carries its table. A lookup
 /// hashes the string once (FNV-1a) and the table takes that hash as it is
 /// (`HashIsKey`).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StringDict {
     /// Every entry's text, end to end, in code order.
     text: String,
@@ -416,7 +415,7 @@ impl StringDict {
 /// column's own [`StringDict`]. Codes are order-preserving (first
 /// appearance wins), so equal value sequences produce structurally equal
 /// columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DictColumn {
     /// One code per stored value, in insertion order.
     codes: Vec<u32>,
@@ -516,7 +515,7 @@ impl DictColumn {
 /// ([`AttributeColumn::Dict`]); both report
 /// [`AttributeType::Str`] as their logical type and decode to identical
 /// [`ScalarValue`]s, so query operators are encoding-blind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttributeColumn {
     /// Column of `int32` values.
     Int32(Vec<i32>),

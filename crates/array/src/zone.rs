@@ -44,11 +44,10 @@
 use crate::coords::Region;
 use crate::value::AttributeColumn;
 use crate::ScalarValue;
-use serde::{Deserialize, Serialize};
 
 /// Live-cell bounds for one dimension. An empty chunk is represented by
 /// the inverted range `min > max`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DimZone {
     /// Smallest live coordinate observed on this dimension.
     pub min: i64,
@@ -93,7 +92,7 @@ impl DimZone {
 
 /// Per-attribute zone statistics, shaped by the column's physical
 /// representation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttrZone {
     /// Integer-valued columns (`int32`, `int64`, `char`): exact min/max.
     /// Empty is the inverted range `min > max`.
@@ -245,7 +244,7 @@ impl AttrZone {
 
 /// Zone map for one chunk: per-dimension bounds plus per-attribute stats,
 /// in schema order. See the module docs for the invariants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZoneMap {
     dims: Vec<DimZone>,
     attrs: Vec<AttrZone>,

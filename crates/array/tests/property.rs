@@ -523,8 +523,7 @@ proptest! {
         let inline: Vec<ChunkCoords> =
             vecs.iter().map(|v| ChunkCoords::new(v.as_slice())).collect();
 
-        // Round trip through the wire form (the old representation's
-        // serde payload was exactly this Vec<i64>).
+        // Round trip through the old representation, a Vec<i64>.
         for (v, c) in vecs.iter().zip(&inline) {
             prop_assert_eq!(&c.to_vec(), v);
             prop_assert_eq!(ChunkCoords::new(c.to_vec()), *c);

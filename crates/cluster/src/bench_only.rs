@@ -1,11 +1,14 @@
 //! What only the benchmark harness still calls, kept for it until it stops
-//! naming these items: the old retraction walk over placed payloads and
-//! the threaded form of [`Cluster::place_all`]. Every method here is
-//! deprecated, so a new caller in the workspace fails `clippy -D warnings`.
+//! naming these items: the old retraction walk over placed payloads, the
+//! threaded form of [`Cluster::place_all`], an `Option` form of
+//! [`Cluster::primary_payload`] and the fault-free form of
+//! [`Cluster::execute_recovery_with`]. Every method here is deprecated,
+//! so a new caller in the workspace fails `clippy -D warnings`.
 
 use super::Cluster;
 use crate::error::{ClusterError, Result};
 use crate::node::NodeId;
+use crate::recovery::{BackoffPolicy, RecoveryOutcome, RepairPlan};
 use array_model::{Chunk, ChunkDescriptor, ChunkKey};
 use std::sync::Arc;
 
@@ -47,6 +50,23 @@ impl Cluster {
         _threads: usize,
     ) -> Result<()> {
         self.place_all(batch, routes)
+    }
+
+    /// The materialized payload of a chunk, read from its record:
+    /// [`Cluster::primary_payload`], `None` for every refusal.
+    #[deprecated(note = "benchmark only; deleted by Benchmark PR A")]
+    pub fn payload(&self, key: &ChunkKey) -> Option<&Chunk> {
+        self.primary_payload(key).ok().map(Arc::as_ref)
+    }
+
+    /// [`Cluster::execute_recovery_with`] with no injected fault.
+    #[deprecated(note = "benchmark only; deleted by Benchmark PR A")]
+    pub fn execute_recovery(
+        &mut self,
+        plan: &RepairPlan,
+        policy: &BackoffPolicy,
+    ) -> RecoveryOutcome {
+        self.execute_recovery_with(plan, policy, None, None)
     }
 
     /// Retract materialized cells from a placed chunk: the script is

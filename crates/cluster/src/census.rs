@@ -260,7 +260,7 @@ mod tests {
     }
 
     fn nth_key(c: &Cluster, i: usize) -> Option<ChunkKey> {
-        let n = c.total_chunks();
+        let n = c.placements().count();
         (n > 0).then(|| c.placements().nth(i % n).expect("i % n is in range").0)
     }
 

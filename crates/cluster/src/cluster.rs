@@ -240,37 +240,16 @@ impl Cluster {
         self.placement.node(key)
     }
 
-    /// Place a brand-new chunk on `node`: its record takes a slot of the
-    /// placement index's slab. O(1) for registered arrays at `k = 1`,
-    /// allocating only when the slab grows; with `k ≥ 2` the chunk's
-    /// replica set is admitted on its deterministic secondary route as
-    /// well. A key already placed is refused, changing nothing:
+    /// Place a brand-new chunk on `node`: [`Cluster::place_all`] of a
+    /// batch of one. Its record takes a slot of the placement index's
+    /// slab, in O(1) for registered arrays at `k = 1`; with `k ≥ 2` the
+    /// chunk's replica set is admitted on its deterministic secondary
+    /// route as well. A key already placed is refused, changing nothing:
     /// [`ClusterError::ChunkLost`] when a crash lost it — new cells there
     /// would answer the lost cells' box as if nothing were missing — and
     /// [`ClusterError::DuplicateChunk`] otherwise.
     pub fn place(&mut self, desc: ChunkDescriptor, node: NodeId) -> Result<()> {
-        let n = self.nodes.get(node.slot()).ok_or(ClusterError::UnknownNode(node.0))?;
-        if !n.state().accepts_data() {
-            return Err(ClusterError::NodeUnavailable { node: node.0, state: n.state() });
-        }
-        let record = Resident::new(desc, None);
-        if self.placement.insert(desc.key, Slot::Placed { home: node, record }).is_err() {
-            return Err(self.taken(desc.key));
-        }
-        self.ledger(node, |n| n.admit(1, desc.bytes));
-        self.copies.add(1, 1);
-        if self.replication > 1 {
-            self.top_up_replicas(&desc.key, None);
-        }
-        Ok(())
-    }
-
-    /// Why placing `key`, which is placed, was refused.
-    fn taken(&self, key: ChunkKey) -> ClusterError {
-        match self.placement.get(&key) {
-            Some(Slot::Lost { .. }) => ClusterError::ChunkLost(key),
-            Some(Slot::Placed { .. }) | None => ClusterError::DuplicateChunk(key),
-        }
+        self.place_all(&[desc], &[node])
     }
 
     /// Edit node `id`'s books through `edit`, with the balance moments
@@ -291,13 +270,15 @@ impl Cluster {
     }
 
     /// Place a whole routed batch (`batch[i]` → `routes[i]`) in one pass,
-    /// in batch order. The state it leaves is bit-identical to one
-    /// [`Cluster::place`] per chunk over the batch.
+    /// in batch order: the one placement path. The state it leaves is
+    /// bit-identical to one [`Cluster::place`] per chunk over the batch.
     ///
     /// The batch reserves one slab slot per chunk, files each key under
     /// its slot in batch order, then fills the slots and admits each
-    /// node's chunk and byte totals once. The balance moments are
-    /// integers, so [`Cluster::balance_rsd`] stays O(1) and exact.
+    /// chunk on its node's ledgers. The balance moments are integers, so
+    /// [`Cluster::balance_rsd`] stays O(1) and exact. Once the slot
+    /// buffer has grown, placing allocates nothing at `k = 1` (for a
+    /// registered array, until the slab needs a page).
     ///
     /// On a key already placed, or listed twice, the batch is **rolled
     /// back** entirely: the keys filed before it are unfiled and the
@@ -309,8 +290,7 @@ impl Cluster {
         if batch.is_empty() {
             return Ok(());
         }
-        let node_count = self.nodes.len();
-        if let Some(bad) = routes.iter().find(|r| r.slot() >= node_count) {
+        if let Some(bad) = routes.iter().find(|r| r.slot() >= self.nodes.len()) {
             return Err(ClusterError::UnknownNode(bad.0));
         }
         if self.has_faulted_nodes() {
@@ -321,22 +301,23 @@ impl Cluster {
             }
         }
         let slots = self.placement.reserve(batch.len());
-        // Per-node `(chunks, bytes)` of the batch, admitted once per node.
-        let mut loads = vec![(0usize, 0u64); node_count];
-        for (i, (desc, route)) in batch.iter().zip(routes).enumerate() {
+        for (i, desc) in batch.iter().enumerate() {
             if self.placement.file(desc.key, slots[i]).is_err() {
-                self.placement.rollback(batch[..i].iter().map(|d| &d.key), &slots);
-                return Err(self.taken(desc.key));
+                self.placement.rollback(batch[..i].iter().map(|d| &d.key), slots);
+                // Placed before the batch, or listed twice in it.
+                return Err(match self.placement.get(&desc.key) {
+                    Some(Slot::Lost { .. }) => ClusterError::ChunkLost(desc.key),
+                    Some(Slot::Placed { .. }) | None => ClusterError::DuplicateChunk(desc.key),
+                });
             }
-            let load = &mut loads[route.slot()];
-            *load = (load.0 + 1, load.1.saturating_add(desc.bytes));
         }
-        let records = batch.iter().map(|desc| Resident::new(*desc, None));
-        self.placement.settle(&slots, routes, records);
-        for (idx, (chunks, bytes)) in loads.into_iter().enumerate() {
-            if chunks > 0 {
-                self.ledger(self.nodes[idx].id, |n| n.admit(chunks, bytes));
-            }
+        let filled = batch.iter().zip(routes).map(|(desc, &home)| {
+            let record = Resident::new(*desc, None);
+            Slot::Placed { home, record }
+        });
+        self.placement.settle(slots, filled);
+        for (desc, &home) in batch.iter().zip(routes) {
+            self.ledger(home, |n| n.admit(1, desc.bytes));
         }
 
         // Every primary landed on a node that accepts data, so each chunk
@@ -387,11 +368,6 @@ impl Cluster {
         }
         *self.record_mut(slot).payload_slot() = Some(chunk);
         Ok(())
-    }
-
-    /// The materialized payload of a chunk, read from its record.
-    pub fn payload(&self, key: &ChunkKey) -> Option<&Chunk> {
-        self.primary_payload(key).ok().map(Arc::as_ref)
     }
 
     /// Execute a rebalance plan, validating each move against the actual
@@ -497,17 +473,33 @@ impl Cluster {
         self.retally(key, copies);
     }
 
-    /// Strike `node` from every replica set it is in, in key order, each
-    /// through [`Cluster::drop_holder`] while the node still serves; the
-    /// chunks it held. A crash and a retirement start here.
-    fn strike_holder(&mut self, node: NodeId) -> Vec<ChunkKey> {
-        let held = self.replicas.iter().filter(|(_, holders)| holders.contains(&node));
+    /// The one way off the serving roster, where a crash and a
+    /// retirement start. Refuses, changing nothing, unless `id`'s state
+    /// is one of `from` ([`ClusterError::NodeUnavailable`]); when
+    /// `empty` is asked and `id` holds primaries
+    /// ([`ClusterError::RetireNonEmpty`]); and when `id` is the last
+    /// serving node ([`ClusterError::NoHealthyNodes`]). Then strikes `id`
+    /// from every replica set it is in, in key order, each through
+    /// [`Cluster::drop_holder`] while the node still serves, and returns
+    /// the chunks it held a copy of.
+    fn depart(&mut self, id: NodeId, from: &[NodeState], empty: bool) -> Result<Vec<ChunkKey>> {
+        let node = self.node(id)?;
+        if !from.contains(&node.state()) {
+            return Err(ClusterError::NodeUnavailable { node: id.0, state: node.state() });
+        }
+        if empty && node.chunk_count() > 0 {
+            return Err(ClusterError::RetireNonEmpty { node: id.0, chunks: node.chunk_count() });
+        }
+        if !self.nodes.iter().any(|n| n.id != id && n.state().serves_reads()) {
+            return Err(ClusterError::NoHealthyNodes);
+        }
+        let held = self.replicas.iter().filter(|(_, holders)| holders.contains(&id));
         let keys: Vec<ChunkKey> = held.map(|(key, _)| *key).collect();
         for key in &keys {
             let bytes = self.primary_record(key).map_or(0, |(.., r)| r.descriptor().bytes);
-            self.drop_holder(key, node, bytes);
+            self.drop_holder(key, id, bytes);
         }
-        keys
+        Ok(keys)
     }
 
     /// Crash `id`: strike it from every replica set, fail its primaries
@@ -527,19 +519,12 @@ impl Cluster {
     /// Refuses to crash the last serving node
     /// ([`ClusterError::NoHealthyNodes`]) or an already-crashed one.
     pub fn crash_node(&mut self, id: NodeId) -> Result<CrashReport> {
-        let state = self.nodes.get(id.slot()).ok_or(ClusterError::UnknownNode(id.0))?.state();
-        if matches!(state, NodeState::Crashed | NodeState::Retired) {
-            return Err(ClusterError::NodeUnavailable { node: id.0, state });
-        }
-        if !self.nodes.iter().any(|n| n.id != id && n.state().serves_reads()) {
-            return Err(ClusterError::NoHealthyNodes);
-        }
         // The books move while the node still serves: each copy it held
         // is one fewer, and a promotion trades the first holder's copy
         // for this node's primary, one fewer as well.
-        let dropped_replicas = self.strike_holder(id).len();
-        let held = self.placement.placed(Some(id));
-        let held: Vec<ChunkDescriptor> = held.into_iter().map(|r| *r.descriptor()).collect();
+        let serving = [NodeState::Healthy, NodeState::Draining, NodeState::Recovering];
+        let dropped_replicas = self.depart(id, &serving, false)?.len();
+        let held: Vec<ChunkDescriptor> = self.residents_on(id).map(|r| *r.descriptor()).collect();
         let lost_primaries = held.len();
         let mut lost = Vec::new();
         for desc in held {
@@ -608,15 +593,15 @@ impl Cluster {
     }
 
     /// The records of the primaries `id` holds, in key order — read off
-    /// the placement index, which is the only book of where a chunk is.
-    /// O(placed chunks + m log m) for the node's `m`: reorganization,
-    /// recovery and reporting paths, not a per-chunk loop.
+    /// the placement index's ordered walk; the index is the only book of
+    /// where a chunk is. O(placed chunks): reorganization, recovery and
+    /// reporting paths, not a per-chunk loop.
     pub fn residents_on(&self, id: NodeId) -> impl Iterator<Item = &Resident> {
         self.placement.placed(Some(id)).into_iter()
     }
 
     /// Every record the cluster holds, in key order (a lost chunk has
-    /// none).
+    /// none). O(placed chunks), as [`Cluster::residents_on`].
     pub fn residents(&self) -> impl Iterator<Item = &Resident> {
         self.placement.placed(None).into_iter()
     }
@@ -703,7 +688,7 @@ impl Cluster {
     /// node is typically `Draining`; the plan is only computed here,
     /// [`Cluster::apply_rebalance`] executes it through the same flow
     /// solver scale-OUT uses.
-    pub fn plan_drain(&self, id: NodeId) -> Result<RebalancePlan> {
+    pub(crate) fn plan_drain(&self, id: NodeId) -> Result<RebalancePlan> {
         let node = self.node(id)?;
         let mut projected: Vec<(u64, NodeId)> = self
             .nodes
@@ -742,23 +727,13 @@ impl Cluster {
     /// and every hash route takes `nodes.len()` as its modulus — but
     /// leaves every census denominator and never serves or accepts
     /// anything again. Refuses to retire the last serving node.
-    pub fn retire_node(&mut self, id: NodeId) -> Result<FlowSet> {
-        let idx = id.slot();
-        let node = self.nodes.get(idx).ok_or(ClusterError::UnknownNode(id.0))?;
-        match node.state() {
-            NodeState::Healthy | NodeState::Draining => {}
-            state => return Err(ClusterError::NodeUnavailable { node: id.0, state }),
-        }
-        if node.chunk_count() > 0 {
-            return Err(ClusterError::RetireNonEmpty { node: id.0, chunks: node.chunk_count() });
-        }
-        if !self.nodes.iter().any(|n| n.id != id && n.state().serves_reads()) {
-            return Err(ClusterError::NoHealthyNodes);
-        }
-        let replica_keys = self.strike_holder(id);
-        self.nodes[idx].set_state(NodeState::Retired);
+    pub(crate) fn retire_node(&mut self, id: NodeId) -> Result<FlowSet> {
+        let from = [NodeState::Healthy, NodeState::Draining];
+        let replica_keys = self.depart(id, &from, true)?;
+        let node = &mut self.nodes[id.slot()];
+        node.set_state(NodeState::Retired);
+        debug_assert_eq!(node.used_bytes(), 0, "an empty node carries no load");
         self.retired += 1;
-        debug_assert_eq!(self.nodes[idx].used_bytes(), 0, "an empty node carries no load");
         let mut flows = FlowSet::new();
         for key in &replica_keys {
             self.top_up_replicas(key, Some(&mut flows));
@@ -767,9 +742,12 @@ impl Cluster {
     }
 
     /// Scale the cluster IN by one node, end to end:
-    /// [`Cluster::start_draining`] → [`Cluster::plan_drain`] →
+    /// [`Cluster::start_draining`] → `plan_drain` (each of its primaries,
+    /// in key order, to the least-loaded node that accepts data) →
     /// [`Cluster::apply_rebalance`] (the same flow solver every scale-OUT
-    /// reorganization uses) → [`Cluster::retire_node`]. On any failure
+    /// reorganization uses) → `retire_node` (its replica copies dropped
+    /// and re-made on the survivors; it keeps its roster slot and leaves
+    /// every census denominator). On any failure
     /// along the way the drain is cancelled — the node returns to
     /// `Healthy` — and the error propagates, so a failed decommission
     /// always leaves a working cluster.
@@ -857,10 +835,12 @@ impl Cluster {
     /// placement index for the whole roster.
     pub(crate) fn primary_records(&self) -> Vec<Vec<&Resident>> {
         let mut primaries = vec![Vec::new(); self.nodes.len()];
-        for record in self.placement.placed(None) {
-            let home = self.placement.node(&record.descriptor().key).expect("a placed key");
-            primaries[home.slot()].push(record);
-        }
+        let _ = self.placement.walk(|_, slot| {
+            if let Slot::Placed { home, record } = slot {
+                primaries[home.slot()].push(record);
+            }
+            ControlFlow::<()>::Continue(())
+        });
         primaries
     }
 
@@ -883,11 +863,6 @@ impl Cluster {
     /// metric and to the skew-aware partitioners.
     pub fn loads(&self) -> Vec<u64> {
         self.nodes.iter().map(Node::used_bytes).collect()
-    }
-
-    /// Per-node chunk counts, in join order.
-    pub fn chunk_counts(&self) -> Vec<usize> {
-        self.nodes.iter().map(Node::chunk_count).collect()
     }
 
     /// Total bytes stored across the cluster. O(1).
@@ -913,17 +888,13 @@ impl Cluster {
         self.balance.rsd(self.active_node_count())
     }
 
-    /// Number of resident chunks cluster-wide. O(1).
-    pub fn total_chunks(&self) -> usize {
-        self.placement.len()
-    }
-
-    /// Every `(key, node)` placement in deterministic (ascending key)
-    /// order. Materializes a sorted snapshot — O(n) over dense-indexed
-    /// arrays — so it belongs in reorganization and reporting paths, not
-    /// per-chunk loops.
+    /// Every placed chunk and the node its slot names — its home, or
+    /// the wreck of a lost one — in ascending key order, read off the
+    /// placement index's ordered walk with no sort. O(placed chunks +
+    /// registered grid cells), collected into one buffer: reorganization
+    /// and reporting paths, not per-chunk loops.
     pub fn placements(&self) -> impl Iterator<Item = (ChunkKey, NodeId)> {
-        self.placement.collect_sorted().into_iter()
+        self.placement.entries().into_iter()
     }
 
     /// `key`'s deterministic secondary route: the nodes that may take a
@@ -1005,6 +976,11 @@ mod tests {
         Cluster::new(n, 1_000, CostModel::default()).unwrap()
     }
 
+    /// The primaries the nodes hold, together.
+    fn chunks(c: &Cluster) -> usize {
+        c.nodes().map(Node::chunk_count).sum()
+    }
+
     #[test]
     fn rejects_empty_cluster() {
         assert!(Cluster::new(0, 1_000, CostModel::default()).is_err());
@@ -1076,7 +1052,7 @@ mod tests {
         }
         // Beyond the hint: spills, still correct.
         c.place(desc(1000, 10), NodeId(0)).unwrap();
-        assert_eq!(c.total_chunks(), 65);
+        assert_eq!(chunks(&c), 65);
         for i in 0..64 {
             assert_eq!(c.locate(&desc(i, 0).key), Some(NodeId((i % 3) as u32)));
         }
@@ -1128,7 +1104,7 @@ mod tests {
         let routes: Vec<NodeId> = stream.iter().map(|&(_, _, n)| NodeId(n)).collect();
         batched.place_all(&batch, &routes).unwrap();
         assert_eq!(batched.loads(), seq.loads());
-        assert_eq!(batched.total_chunks(), seq.total_chunks());
+        assert_eq!(chunks(&batched), chunks(&seq));
         assert_eq!(batched.balance_rsd().to_bits(), seq.balance_rsd().to_bits());
         let a: Vec<_> = batched.placements().collect();
         let b: Vec<_> = seq.placements().collect();
@@ -1172,7 +1148,7 @@ mod tests {
             assert_eq!(err, ClusterError::DuplicateChunk(desc(first, 0).key), "{keys:?}");
             // Everything rolled back: only the chunks placed before remain.
             let twin = fresh();
-            assert_eq!(c.total_chunks(), 2, "{keys:?}");
+            assert_eq!(chunks(&c), 2, "{keys:?}");
             assert_eq!(c.loads(), twin.loads(), "{keys:?}");
             for &k in keys.iter().filter(|&&k| k != 5 && k != 40) {
                 assert_eq!(c.locate(&desc(k, 0).key), None, "{keys:?}: {k} rolled back");
@@ -1198,7 +1174,7 @@ mod tests {
         let mut c = cluster(2);
         let err = c.place_all(&[desc(1, 1)], &[NodeId(7)]).unwrap_err();
         assert!(matches!(err, ClusterError::UnknownNode(7)));
-        assert_eq!(c.total_chunks(), 0);
+        assert_eq!(chunks(&c), 0);
     }
 
     #[test]
@@ -1218,7 +1194,7 @@ mod tests {
         fat.push_cell(&schema, vec![0], vec![ScalarValue::Double(1.0)]).unwrap();
         assert!(matches!(c.attach_payload(key, fat), Err(ClusterError::PayloadMismatch(_))));
         c.attach_payload(key, chunk.clone()).unwrap();
-        assert_eq!(c.payload(&key).unwrap().cell_count(), 1);
+        assert_eq!(c.primary_payload(&key).unwrap().cell_count(), 1);
         // A rebalance move carries the payload and times the flow off the
         // cells' actual bytes.
         let mut plan = RebalancePlan::empty();
@@ -1227,7 +1203,7 @@ mod tests {
         assert_eq!(flows.network_bytes(), chunk.byte_size());
         assert_eq!(c.residents_on(NodeId(0)).count(), 0);
         assert_eq!(c.locate(&key), Some(NodeId(1)));
-        assert_eq!(c.payload(&key), Some(&chunk));
+        assert_eq!(**c.primary_payload(&key).unwrap(), chunk);
 
         // Equal bytes but a different cell count is still a drift. Under
         // the default dictionary encoding, one 12-char string weighs
@@ -1287,7 +1263,7 @@ mod tests {
         let flows = c.apply_rebalance(&plan).unwrap();
         assert_eq!(flows.network_bytes(), chunk.byte_size());
         assert_eq!(c.locate(&key), Some(NodeId(1)));
-        assert_eq!(c.payload(&key), Some(&chunk));
+        assert_eq!(**c.primary_payload(&key).unwrap(), chunk);
         assert_eq!(c.loads()[1], chunk.byte_size());
     }
 
@@ -1363,7 +1339,11 @@ mod tests {
         assert!(
             matches!(c.attach_payload(key, chunk), Err(ClusterError::PayloadExists(k)) if k == key)
         );
-        assert_eq!(c.payload(&key).map(Chunk::cell_count), Some(1), "the original is untouched");
+        assert_eq!(
+            c.primary_payload(&key).map(|p| p.cell_count()),
+            Ok(1),
+            "the original is untouched"
+        );
         assert_eq!(c.loads(), loads);
     }
 
@@ -1375,7 +1355,7 @@ mod tests {
         c.crash_node(NodeId(1)).unwrap();
         let loads = c.loads();
         assert_eq!(c.attach_payload(key, chunk), Err(ClusterError::ChunkLost(key)));
-        assert!(c.payload(&key).is_none());
+        assert!(c.primary_payload(&key).is_err());
         assert_eq!(c.loads(), loads);
     }
 
@@ -1434,7 +1414,7 @@ mod tests {
         let mut fat = chunk.clone();
         fat.push_cell(&schema, vec![0], vec![ScalarValue::Double(9.0)]).unwrap();
         assert!(matches!(c.attach_payload(key, fat), Err(ClusterError::PayloadMismatch(_))));
-        assert!(c.payload(&key).is_none());
+        assert!(c.primary_payload(&key).is_err());
         assert_eq!(c.node(holder).unwrap().replica_bytes(), d.bytes);
         // The well-formed attach still lands, and a second one is a
         // double-attach.
@@ -1465,7 +1445,7 @@ mod tests {
         assert_ne!(new_holder, holder, "replica may not co-locate with its primary");
         assert_eq!(c.node(new_holder).unwrap().replica_bytes(), d.bytes, "top-up ledgers it");
         assert_eq!(c.node(holder).unwrap().replica_bytes(), 0, "the superseded copy is gone");
-        assert!(c.payload(&key).is_some(), "the record moved with its payload handle");
+        assert!(c.primary_payload(&key).is_ok(), "the record moved with its payload handle");
     }
 
     #[test]
@@ -1571,7 +1551,7 @@ mod tests {
             Err(ClusterError::RaggedCells { key, len: 3 })
         );
         assert_eq!(c.total_used(), before);
-        assert_eq!(c.payload(&key).unwrap().cell_count(), 1);
+        assert_eq!(c.primary_payload(&key).unwrap().cell_count(), 1);
         assert_eq!(c.retract_cells(&key, &[1, 2]).unwrap().retracted, 1);
     }
 
@@ -1633,7 +1613,7 @@ mod tests {
         assert_eq!(ev.bytes, 100);
         assert_eq!(ev.replicas_dropped, 1);
         assert_eq!(c.locate(&key), None);
-        assert_eq!(c.total_chunks(), 1);
+        assert_eq!(chunks(&c), 1);
         assert_eq!(c.loads()[0], 0);
         assert!(c.replica_holders(&key).is_empty());
         assert_eq!(c.nodes().map(Node::replica_bytes).sum::<u64>(), 100, "chunk 2's copy only");
@@ -1674,7 +1654,7 @@ mod tests {
         assert!(matches!(c.start_draining(NodeId(2)), Err(ClusterError::NodeUnavailable { .. })));
         // Subsequent placements and rebalances keep working on survivors.
         c.place(desc(9, 50), NodeId(0)).unwrap();
-        assert_eq!(c.total_chunks(), 7);
+        assert_eq!(chunks(&c), 7);
     }
 
     /// Retirement drops the node's replica copies and tops the affected

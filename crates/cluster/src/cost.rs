@@ -14,8 +14,6 @@
 //!   of concurrent full-rate streams, so reshuffles that move more total
 //!   bytes cannot hide them all behind per-node parallelism.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per gigabyte (decimal, as the paper uses storage GB).
 pub const BYTES_PER_GB: f64 = 1_000_000_000.0;
 
@@ -25,7 +23,7 @@ pub fn gb(bytes: u64) -> f64 {
 }
 
 /// Cost constants for the simulated cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// δ — seconds per GB of local disk I/O (read or write). Default 8 s/GB
     /// (~125 MB/s, a 2014-era SATA array).

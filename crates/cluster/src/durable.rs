@@ -57,7 +57,7 @@ impl Cluster {
         for (node, (primaries, held)) in self.nodes.iter().zip(books) {
             node.snapshot_into(&primaries, &held, w);
         }
-        let entries = self.placement.collect_sorted();
+        let entries = self.placement.entries();
         w.put_list(&entries, |w, (key, node)| {
             key.encode_into(w);
             w.put_u32(node.0);
@@ -143,13 +143,17 @@ impl Cluster {
                     actual: format!("{node}"),
                 });
             }
-            if placement.insert(key, Slot::Lost { wreck: node }).is_err() {
+            // Each entry files as a batch of one, lost until its record
+            // claims it; a slot is taken only for an entry read.
+            let slot = placement.reserve(1);
+            if placement.file(key, slot[0]).is_err() {
                 return Err(DurabilityError::Mismatch {
                     what: format!("placement of {key}"),
                     expected: "a single entry per key".to_string(),
                     actual: "duplicate entry in snapshot".to_string(),
                 });
             }
+            placement.settle(slot, std::iter::once(Slot::Lost { wreck: node }));
             ascending("placement key", last_key.as_ref(), &key)?;
             last_key = Some(key);
         }
@@ -298,7 +302,8 @@ mod tests {
 
         // Spot-check the derived state too.
         assert_eq!(cluster.loads(), restored.loads());
-        assert_eq!(cluster.chunk_counts(), restored.chunk_counts());
+        let counts = |c: &Cluster| c.nodes().map(Node::chunk_count).collect::<Vec<_>>();
+        assert_eq!(counts(&cluster), counts(&restored));
         assert_eq!(cluster.total_used(), restored.total_used());
         assert_eq!(
             cluster.balance_rsd().to_bits(),

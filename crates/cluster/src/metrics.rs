@@ -8,8 +8,6 @@
 //! * **node hours** — Equation 1's provisioning cost,
 //!   `cost = Σ_i N_i (I_i + r_i + w_i)`.
 
-use serde::{Deserialize, Serialize};
-
 /// Relative standard deviation of node loads, as a *fraction* (0.13 =
 /// 13 %). Uses the population standard deviation, matching the paper's
 /// per-insert census of every host. Returns 0 for empty or all-zero input.
@@ -37,7 +35,7 @@ pub fn relative_std_dev(loads: &[u64]) -> f64 {
 /// zero in fault-free runs, so Equation 1 is unchanged there, and costed
 /// like reorganization when faults are injected (recovery holds the
 /// provisioned nodes busy just as a rebalance does).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Ingest duration `I_i` (seconds).
     pub insert_secs: f64,
@@ -58,7 +56,7 @@ impl PhaseBreakdown {
 }
 
 /// Accumulates Equation 1 over workload cycles.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeHoursLedger {
     cycles: Vec<(usize, PhaseBreakdown)>,
 }

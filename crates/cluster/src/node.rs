@@ -2,7 +2,6 @@
 
 use array_model::{Chunk, ChunkDescriptor, ChunkKey};
 use durability::{ascending, ByteReader, ByteWriter, CodecError, DurabilityError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -12,7 +11,7 @@ use std::sync::Arc;
 /// *service* by retiring it ([`NodeState::Retired`]), never by
 /// compacting the roster, so every historical id (and the replica
 /// ring's modular arithmetic over the roster length) stays stable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -7,30 +7,33 @@
 //! node keeps no map of its own: which chunks it holds is read off the
 //! slab, so a rebalance move or a crash promotion rewrites one `NodeId`
 //! and never moves a record between maps. A slot freed by an eviction is
-//! reused before the slab grows. Nothing iterates the slab in slot order:
-//! every ordered walk sorts by key, so where a slot sits in the slab is
+//! reused before the slab grows. Every walk that hands out chunks goes in
+//! key order through the key map, so where a slot sits in the slab is
 //! never observable.
 //!
 //! **The key map.** A registered array has a dense grid, which makes
 //! insert and lookup O(1): its row-major cells, cut into at most
 //! [`GRID_PIECES`] pieces, each hold a chunk's slab slot or [`VACANT`].
 //! One spill map holds everything that cannot live in a grid:
-//! coordinates past the registered extents, unregistered arrays, and
-//! array ids beyond the indexed range. The spill map is ordered by key
-//! (`(array, coords)`), so a box of one array can be sought in it.
+//! coordinates past the registered extents or of another arity,
+//! unregistered arrays, and array ids beyond the indexed range. The
+//! spill map is ordered by key (`(array, coords)`), so a box of one array
+//! can be sought in it.
 //!
-//! **The band walk.** [`PlacementIndex::band`] hands out every placed
-//! chunk of one array inside a box of chunk positions, in ascending key
-//! order, with no per-call buffer: the grid cells of the box, one
-//! contiguous run of the inner dimension at a time (cut where a piece
-//! ends, an empty piece skipped whole), merged with the spilled keys in
-//! the box. It costs the box ∩ the registered grid cells, plus the
-//! spilled keys in the box and one seek (and one per run of spilled keys
-//! it skips) — never every spilled key.
+//! **The ordered walk.** One streaming walk hands out chunks in ascending
+//! key order, with no per-call buffer and no sort: each grid's cells of a
+//! box, one contiguous run of the inner dimension at a time (cut where a
+//! piece ends, an empty piece skipped whole), merged with the spilled
+//! keys in key order. [`PlacementIndex::band`] walks one array's box: it
+//! costs the box ∩ the registered grid cells, plus the spilled keys in
+//! the box and one seek (and one per run of spilled keys it skips) —
+//! never every spilled key. [`PlacementIndex::walk`] walks every grid
+//! whole and every spilled key, whatever its array or arity; every list
+//! of the placed chunks is read off it.
 //!
-//! A batch reserves its slab slots up front and files its keys in batch
-//! order ([`PlacementIndex::file`]); a refused key rolls the batch back.
-//! Single-chunk and batched placement file into the same map.
+//! Placing files keys into the map one batch at a time: the batch
+//! reserves its slab slots up front and files its keys in batch order
+//! ([`PlacementIndex::file`]); a refused key rolls the batch back.
 
 use crate::node::{NodeId, Resident};
 use array_model::{ArrayId, ChunkCoords, ChunkKey, MAX_DIMS};
@@ -105,8 +108,7 @@ const ARRAY_ID_CAP: u32 = 4096;
 /// - a grid of up to 256 Ki cells needs no allocation of 128 KiB or more,
 ///   which glibc would map, and answer on free by raising its mmap
 ///   threshold (see [`PAGE`]);
-/// - the band walk and [`PlacementIndex::collect_sorted`] skip an empty
-///   piece whole.
+/// - the ordered walk skips an empty piece whole.
 const GRID_PIECES: usize = 16;
 
 /// SplitMix64 finalizer, local so `cluster-sim` stays dependency-free.
@@ -194,15 +196,16 @@ impl Grid {
         Some((lin >> self.piece_shift, lin & ((1usize << self.piece_shift) - 1)))
     }
 
-    /// [`PlacementIndex::band`]'s grid part: the box clipped to the
-    /// extents, row by row, each row's inner run read off the pieces it
-    /// crosses; spilled keys below each hit go first.
+    /// The ordered walk's grid part, for `array`'s grid: the box clipped
+    /// to the extents, row by row, each row's inner run read off the
+    /// pieces it crosses; spilled keys below each hit go first.
     fn walk<B>(
         &self,
+        array: ArrayId,
         first: &ChunkCoords,
         last: &ChunkCoords,
         spilled: &mut Spilled<'_>,
-        visit: &mut impl FnMut(&ChunkCoords, usize) -> ControlFlow<B>,
+        visit: &mut impl FnMut(&ChunkKey, usize) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
         let n = self.ndims as usize;
         let (mut low, mut high) = (*first, *last);
@@ -237,12 +240,12 @@ impl Grid {
             // The rest of this row, cut where the piece ends.
             let row_end = lin + (high[inner] - pos[inner]) as usize;
             let piece_end = row_end.min(end - 1);
-            let mut at = pos;
+            let mut at = ChunkKey::new(array, pos);
             for (i, &slot) in piece.slots[lin - start..=piece_end - start].iter().enumerate() {
                 if slot == VACANT {
                     continue;
                 }
-                at[inner] = pos[inner] + i as i64;
+                at.coords[inner] = pos[inner] + i as i64;
                 if spilled.head.is_some() {
                     spilled.drain(Some(&at), visit)?;
                 }
@@ -301,63 +304,64 @@ fn seek(
     Err(Some(next))
 }
 
-/// The spilled keys of one array inside a box, in key order: the spill
-/// map sought at the box's first corner and re-sought past every run of
-/// keys outside the box ([`seek`]), the next key in the box held.
+/// The spilled keys in key order, each with its slab slot: every key, or
+/// those of one array inside a box — the spill map sought at the box's
+/// first corner and re-sought past every run of keys outside the box
+/// ([`seek`]). The next key to hand out is held.
 struct Spilled<'a> {
     map: &'a BTreeMap<ChunkKey, u32>,
     run: btree_map::Range<'a, ChunkKey, u32>,
-    array: ArrayId,
-    first: ChunkCoords,
-    last: ChunkCoords,
-    /// The next key in the box and its slab slot, while any is left.
-    head: Option<(&'a ChunkCoords, u32)>,
+    /// The array and the box `first..=last` the keys must lie in (and
+    /// whose arity they must have); `None` for every key.
+    within: Option<(ArrayId, ChunkCoords, ChunkCoords)>,
+    /// The next key and its slab slot, while any is left.
+    head: Option<(&'a ChunkKey, u32)>,
 }
 
 impl<'a> Spilled<'a> {
     fn open(
         map: &'a BTreeMap<ChunkKey, u32>,
-        array: ArrayId,
-        first: &ChunkCoords,
-        last: &ChunkCoords,
+        within: Option<(ArrayId, ChunkCoords, ChunkCoords)>,
     ) -> Self {
-        let run = map.range(ChunkKey::new(array, *first)..);
-        let mut spilled = Spilled { map, run, array, first: *first, last: *last, head: None };
+        let run = match within {
+            Some((array, first, _)) => map.range(ChunkKey::new(array, first)..),
+            None => map.range(..),
+        };
+        let mut spilled = Spilled { map, run, within, head: None };
         spilled.head = spilled.advance();
         spilled
     }
 
-    /// The next key in the box past the head; `None` once there is none
+    /// The next key to hand out past the head; `None` once there is none
     /// (not to be called again).
-    fn advance(&mut self) -> Option<(&'a ChunkCoords, u32)> {
+    fn advance(&mut self) -> Option<(&'a ChunkKey, u32)> {
         loop {
             let (key, &slot) = self.run.next()?;
-            if key.array != self.array {
+            let Some((array, first, last)) = &self.within else { return Some((key, slot)) };
+            if key.array != *array {
                 return None;
             }
-            match seek(&self.first, &self.last, &key.coords) {
-                Ok(()) if key.coords.ndims() == self.first.ndims() => {
-                    return Some((&key.coords, slot))
-                }
+            match seek(first, last, &key.coords) {
+                Ok(()) if key.coords.ndims() == first.ndims() => return Some((key, slot)),
                 Ok(()) => {}
-                Err(Some(next)) => self.run = self.map.range(ChunkKey::new(self.array, next)..),
+                Err(Some(next)) => self.run = self.map.range(ChunkKey::new(*array, next)..),
                 Err(None) => return None,
             }
         }
     }
 
-    /// Hand `visit` every spilled key below `bound` (all that are left
-    /// when `None`), in key order.
+    /// Hand `visit` every key left below `bound` (all that are left when
+    /// `None`), in key order.
     fn drain<B>(
         &mut self,
-        bound: Option<&ChunkCoords>,
-        visit: &mut impl FnMut(&ChunkCoords, usize) -> ControlFlow<B>,
+        bound: Option<&ChunkKey>,
+        visit: &mut impl FnMut(&ChunkKey, usize) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
-        while let Some((coords, slot)) = self.head {
-            if bound.is_some_and(|b| coords > b) {
+        while let Some((key, slot)) = self.head {
+            if bound.is_some_and(|b| key > b) {
                 break;
             }
-            visit(coords, slot as usize)?;
+            visit(key, slot as usize)?;
             self.head = self.advance();
         }
         ControlFlow::Continue(())
@@ -379,7 +383,10 @@ pub(crate) struct PlacementIndex {
     slots: usize,
     /// Slots no key names, reused (last freed first) before the slab grows.
     free: Vec<u32>,
-    len: usize,
+    /// The buffer [`PlacementIndex::reserve`] hands a batch its slots in,
+    /// taken back when the batch settles or rolls back: once it has grown,
+    /// placing a batch allocates nothing.
+    batch: Vec<u32>,
 }
 
 impl PlacementIndex {
@@ -529,21 +536,19 @@ impl PlacementIndex {
     /// [`PlacementIndex::settle`] fills them, and
     /// [`PlacementIndex::rollback`] hands them back.
     pub(crate) fn reserve(&mut self, n: usize) -> Vec<u32> {
-        (0..n).map(|_| self.alloc()).collect()
+        let mut slots = std::mem::take(&mut self.batch);
+        slots.clear();
+        slots.extend((0..n).map(|_| self.alloc()));
+        slots
     }
 
-    /// Fill the reserved `slots`: `slots[i]` becomes `records[i]`'s, on
-    /// `homes[i]`.
-    pub(crate) fn settle(
-        &mut self,
-        slots: &[u32],
-        homes: &[NodeId],
-        records: impl Iterator<Item = Resident>,
-    ) {
-        for ((&slot, &home), record) in slots.iter().zip(homes).zip(records) {
-            *self.entry_mut(slot as usize) = Some(Slot::Placed { home, record });
+    /// Fill the reserved `slots`, whose keys are filed: `slots[i]`
+    /// becomes `filled[i]`.
+    pub(crate) fn settle(&mut self, slots: Vec<u32>, filled: impl Iterator<Item = Slot>) {
+        for (&slot, filled) in slots.iter().zip(filled) {
+            *self.entry_mut(slot as usize) = Some(filled);
         }
-        self.len += slots.len();
+        self.batch = slots;
     }
 
     /// Undo a refused batch: unfile `filed`, the keys it filed before the
@@ -552,7 +557,7 @@ impl PlacementIndex {
     pub(crate) fn rollback<'k>(
         &mut self,
         filed: impl IntoIterator<Item = &'k ChunkKey>,
-        slots: &[u32],
+        slots: Vec<u32>,
     ) {
         for key in filed {
             self.unfile(key);
@@ -570,6 +575,7 @@ impl PlacementIndex {
                 }
             }
         }
+        self.batch = slots;
     }
 
     /// The slab index of `key`'s slot, if it is placed.
@@ -606,51 +612,24 @@ impl PlacementIndex {
         }
     }
 
-    /// File `key` in a new slot. Refuses a key already placed, changing
-    /// nothing, and names the slab index of the slot it has.
-    pub(crate) fn insert(&mut self, key: ChunkKey, filed: Slot) -> Result<usize, usize> {
-        if let Some(slot) = self.slot(&key) {
-            return Err(slot);
-        }
-        let slot = self.alloc();
-        let vacant = self.file(key, slot);
-        debug_assert!(vacant.is_ok(), "the key was vacant");
-        let at = slot as usize;
-        *self.entry_mut(at) = Some(filed);
-        self.len += 1;
-        Ok(at)
-    }
-
     /// Remove `key`'s slot entirely (an eviction): the grid cell goes
-    /// back to [`VACANT`] or the spill entry leaves its map, the slab
-    /// slot is freed, and the length decrements exactly — the inverse of
-    /// [`PlacementIndex::insert`].
+    /// back to [`VACANT`] or the spill entry leaves its map, and the slab
+    /// slot is freed — the inverse of filing and settling it.
     pub(crate) fn remove(&mut self, key: &ChunkKey) -> Option<Slot> {
         let slot = self.unfile(key)?;
         self.free.push(slot);
-        self.len -= 1;
         self.entry_mut(slot as usize).take()
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
     /// The records of the placed slots — on `node` only, when given — in
-    /// ascending key order: a node's chunks, read off the slab. O(slab +
-    /// m log m) for `m` matches; reorganization, crash, checkpoint and
-    /// reporting paths, not the per-chunk hot path.
+    /// ascending key order: a node's chunks, read off the ordered walk.
+    /// O(placed chunks); reorganization, crash, checkpoint and reporting
+    /// paths, not the per-chunk hot path.
     pub(crate) fn placed(&self, node: Option<NodeId>) -> Vec<&Resident> {
-        let mut placed: Vec<&Resident> = (self.pages.iter().flatten())
-            .filter_map(|entry| match entry {
-                Some(Slot::Placed { home, record }) if node.is_none_or(|n| *home == n) => {
-                    Some(record)
-                }
-                Some(Slot::Placed { .. } | Slot::Lost { .. }) | None => None,
-            })
-            .collect();
-        placed.sort_unstable_by_key(|record| record.descriptor().key);
-        placed
+        self.collect(|_, slot| match slot {
+            Slot::Placed { home, record } if node.is_none_or(|n| *home == n) => Some(record),
+            Slot::Placed { .. } | Slot::Lost { .. } => None,
+        })
     }
 
     /// Registered dense grids as `(array, extents)` pairs, in array-id
@@ -683,56 +662,58 @@ impl PlacementIndex {
         if last.ndims() != n || (0..n).any(|d| first[d] > last[d]) {
             return ControlFlow::Continue(());
         }
-        let mut visit = |coords: &ChunkCoords, slot: usize| visit(coords, self.at(slot));
-        let mut spilled = Spilled::open(&self.spill, array, first, last);
+        let mut visit = |key: &ChunkKey, slot: usize| visit(&key.coords, self.at(slot));
+        let mut spilled = Spilled::open(&self.spill, Some((array, *first, *last)));
         if let Some(grid) = self.grid(array).filter(|g| g.ndims as usize == n) {
-            grid.walk(first, last, &mut spilled, &mut visit)?;
+            grid.walk(array, first, last, &mut spilled, &mut visit)?;
         }
         spilled.drain(None, &mut visit)
     }
 
-    /// Every `(key, node)` pair in ascending key order, the node being
-    /// the one each slot names. O(n) over the grids and the spill map;
-    /// intended for reorganization and reporting, not the per-chunk hot
-    /// path.
-    pub(crate) fn collect_sorted(&self) -> Vec<(ChunkKey, NodeId)> {
-        // Grids in array-id order, pieces in row-major order: ascending
-        // row-major linear index is ascending lexicographic coordinates.
-        let mut out: Vec<(ChunkKey, NodeId)> = Vec::with_capacity(self.len);
+    /// Every placed chunk, in ascending key order: its key and slot,
+    /// handed to `visit` until it breaks. The grids whole, in array-id
+    /// order, merged with the whole spill map — keys past a grid's
+    /// extents or of another arity than its array's included. Streams;
+    /// O(the registered grid cells + the placed chunks).
+    pub(crate) fn walk<'s, B>(
+        &'s self,
+        mut visit: impl FnMut(&ChunkKey, &'s Slot) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let mut visit = |key: &ChunkKey, slot: usize| visit(key, self.at(slot));
+        let mut spilled = Spilled::open(&self.spill, None);
         for (idx, grid) in self.grids.iter().enumerate() {
             let Some(grid) = grid else { continue };
-            for (p, piece) in grid.pieces.iter().enumerate() {
-                // Stop at the piece's last resident: its tail may be long.
-                let mut left = piece.resident;
-                let mut cur = grid.delinearize(p << grid.piece_shift);
-                for &slot in &piece.slots {
-                    if left == 0 {
-                        break;
-                    }
-                    if slot != VACANT {
-                        let key = ChunkKey::new(ArrayId(idx as u32), cur);
-                        out.push((key, named(self.at(slot as usize))));
-                        left -= 1;
-                    }
-                    // Odometer over the extents, row-major.
-                    for d in (0..grid.ndims as usize).rev() {
-                        cur[d] += 1;
-                        if cur[d] < grid.extents[d] {
-                            break;
-                        }
-                        cur[d] = 0;
-                    }
-                }
-            }
+            // The box of the whole grid: from its first cell to its last.
+            let n = grid.ndims as usize;
+            let mut last = ChunkCoords::from_slice(&grid.extents[..n]);
+            last.as_mut_slice().iter_mut().for_each(|e| *e -= 1);
+            grid.walk(
+                ArrayId(idx as u32),
+                &ChunkCoords::zeros(n),
+                &last,
+                &mut spilled,
+                &mut visit,
+            )?;
         }
-        // The spill map is in key order too: a stable sort finds the two
-        // runs and merges them.
-        let gridded = out.len();
-        out.extend(self.spill.iter().map(|(&k, &slot)| (k, named(self.at(slot as usize)))));
-        if gridded < out.len() {
-            out.sort_by_key(|e| e.0);
-        }
+        spilled.drain(None, &mut visit)
+    }
+
+    /// What `pick` makes of each placed chunk, in ascending key order
+    /// ([`PlacementIndex::walk`]).
+    fn collect<'s, T>(&'s self, mut pick: impl FnMut(&ChunkKey, &'s Slot) -> Option<T>) -> Vec<T> {
+        // Room for every placed chunk: each fills one slab slot.
+        let mut out = Vec::with_capacity(self.slots - self.free.len());
+        let _ = self.walk(|key, slot| {
+            out.extend(pick(key, slot));
+            ControlFlow::<()>::Continue(())
+        });
         out
+    }
+
+    /// Every `(key, node)` pair in ascending key order, the node being
+    /// the one each slot names ([`PlacementIndex::walk`]).
+    pub(crate) fn entries(&self) -> Vec<(ChunkKey, NodeId)> {
+        self.collect(|key, slot| Some((*key, named(slot))))
     }
 
     /// The home of every placed slot, in slab order.
@@ -753,10 +734,23 @@ mod tests {
         ChunkKey::new(ArrayId(array), ChunkCoords::new(coords))
     }
 
-    /// File `key` on `node` with a record.
+    /// How many keys are placed, by the ordered walk.
+    fn len(idx: &PlacementIndex) -> usize {
+        idx.entries().len()
+    }
+
+    /// File `key` on `node` with a record, as a batch of one: its slab
+    /// slot, or the slot of the key already placed (changing nothing).
     fn put(idx: &mut PlacementIndex, key: ChunkKey, node: u32) -> Result<usize, usize> {
-        let record = Resident::new(ChunkDescriptor::new(key, 1, 1), None);
-        idx.insert(key, Slot::Placed { home: NodeId(node), record })
+        let slots = idx.reserve(1);
+        if let Err(held) = idx.file(key, slots[0]) {
+            idx.rollback(&[], slots);
+            return Err(held as usize);
+        }
+        let (slot, record) =
+            (slots[0] as usize, Resident::new(ChunkDescriptor::new(key, 1, 1), None));
+        idx.settle(slots, std::iter::once(Slot::Placed { home: NodeId(node), record }));
+        Ok(slot)
     }
 
     /// The one slot fits where the old `(NodeId, Option<Resident>)` pair
@@ -776,7 +770,7 @@ mod tests {
         let slot = idx.slot(&key(0, &[1, 2]));
         assert_eq!(put(&mut idx, key(0, &[1, 2]), 5).err(), slot, "refused, unchanged");
         assert_eq!(idx.node(&key(0, &[1, 2])), Some(NodeId(3)));
-        assert_eq!(idx.len(), 1);
+        assert_eq!(len(&idx), 1);
     }
 
     #[test]
@@ -788,7 +782,7 @@ mod tests {
         assert_eq!(idx.slot(&key(0, &[1, 1])), Some(slot), "the record stays in its slot");
         put(&mut idx, key(0, &[3, 2]), 1).unwrap();
         assert_eq!(idx.node(&key(0, &[3, 2])), Some(NodeId(1)));
-        assert_eq!(idx.len(), 2);
+        assert_eq!(len(&idx), 2);
     }
 
     #[test]
@@ -799,7 +793,7 @@ mod tests {
         put(&mut idx, key(1, &[-1, 0]), 4).unwrap(); // negative -> spill
         assert_eq!(idx.node(&key(1, &[100, 0])), Some(NodeId(2)));
         assert_eq!(idx.node(&key(1, &[-1, 0])), Some(NodeId(4)));
-        assert_eq!(idx.len(), 2);
+        assert_eq!(len(&idx), 2);
     }
 
     #[test]
@@ -817,7 +811,7 @@ mod tests {
         assert!(!idx.register_dense(ArrayId(u32::MAX - 1), &[8]));
         assert!(put(&mut idx, k, 1).is_ok());
         assert_eq!(idx.node(&k), Some(NodeId(1)));
-        assert_eq!(idx.len(), 1);
+        assert_eq!(len(&idx), 1);
     }
 
     #[test]
@@ -832,10 +826,10 @@ mod tests {
         assert_eq!(idx.node(&key(0, &[1, 1])), None);
         assert!(idx.remove(&key(0, &[1, 1])).is_none(), "double remove is a no-op");
         assert_eq!(idx.remove(&key(0, &[9, 9])).as_ref().map(named), Some(NodeId(3)));
-        assert_eq!(idx.len(), 0);
+        assert_eq!(len(&idx), 0);
         // The vacated grid cell is reusable, and so is the slab slot.
         assert!(put(&mut idx, key(0, &[1, 1]), 5).is_ok());
-        assert_eq!(idx.len(), 1);
+        assert_eq!(len(&idx), 1);
         assert_eq!(idx.slots, 2, "the slab did not grow");
         assert!(idx.slot(&key(0, &[1, 1])).is_some_and(|s| s < 2));
     }
@@ -848,7 +842,7 @@ mod tests {
         assert!(matches!(idx.get(&key(0, &[1])), Some(Slot::Lost { wreck: NodeId(4) })));
         assert!(idx.placed(Some(NodeId(4))).is_empty(), "no record, not the node's");
         assert!(idx.placed(None).is_empty());
-        assert_eq!(idx.len(), 1, "still placed");
+        assert_eq!(len(&idx), 1, "still placed");
     }
 
     #[test]
@@ -861,7 +855,7 @@ mod tests {
         let keys: Vec<ChunkKey> = (0..3).map(|i| key(1, &[i])).collect();
         let slots = idx.reserve(keys.len());
         assert_eq!((idx.pages.len(), idx.slots), (2, PAGE + 3));
-        idx.rollback(&[], &slots);
+        idx.rollback(&[], slots);
         assert_eq!((idx.pages.len(), idx.slots), (1, PAGE), "the emptied page goes");
         assert!((0..PAGE as i64).all(|i| idx.node(&key(0, &[i])) == Some(NodeId(0))));
     }
@@ -870,20 +864,29 @@ mod tests {
     fn placed_slots_are_in_key_order_per_node() {
         let mut idx = PlacementIndex::new();
         idx.register_dense(ArrayId(1), &[4]);
-        for (k, node) in
-            [(key(1, &[3]), 0), (key(0, &[7]), 1), (key(1, &[0]), 0), (key(0, &[2]), 0)]
-        {
+        for (k, node) in [
+            (key(1, &[3]), 0),
+            (key(0, &[7]), 1),
+            (key(1, &[0]), 0),
+            (key(0, &[2]), 0),
+            (key(1, &[0, 5]), 0), // another arity: between [0] and [3]
+        ] {
             put(&mut idx, k, node).unwrap();
         }
         let keys = |node: Option<NodeId>| -> Vec<ChunkKey> {
             idx.placed(node).iter().map(|record| record.descriptor().key).collect()
         };
-        assert_eq!(keys(Some(NodeId(0))), vec![key(0, &[2]), key(1, &[0]), key(1, &[3])]);
+        let on_0 = vec![key(0, &[2]), key(1, &[0]), key(1, &[0, 5]), key(1, &[3])];
+        assert_eq!(keys(Some(NodeId(0))), on_0);
         assert_eq!(keys(Some(NodeId(1))), vec![key(0, &[7])]);
-        assert_eq!(keys(None).len(), 4);
+        assert_eq!(keys(None).len(), 5);
         assert!(keys(None).windows(2).all(|w| w[0] < w[1]));
     }
 
+    /// The ordered walk merges the grid with the spill map in key order:
+    /// spilled keys of the grid's array (past its extents, below zero, of
+    /// another arity) fall between its cells, and other arrays' keys
+    /// before and after them.
     #[test]
     fn collect_sorted_is_globally_ordered() {
         let mut idx = PlacementIndex::new();
@@ -891,11 +894,24 @@ mod tests {
         put(&mut idx, key(1, &[2, 1]), 0).unwrap();
         put(&mut idx, key(1, &[0, 3]), 1).unwrap();
         put(&mut idx, key(1, &[9, 9]), 2).unwrap(); // spill
+        put(&mut idx, key(1, &[1]), 2).unwrap(); // another arity: spill
+        put(&mut idx, key(1, &[2, 1, 0]), 2).unwrap(); // another arity: spill
+        put(&mut idx, key(1, &[-1, 2]), 2).unwrap(); // below zero: spill
         put(&mut idx, key(0, &[5]), 3).unwrap(); // sparse array
         put(&mut idx, key(u32::MAX - 1, &[1]), 4).unwrap(); // overflow id
-        let all = idx.collect_sorted();
-        assert_eq!(all.len(), idx.len());
-        assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "unsorted: {all:?}");
+        let all = idx.entries();
+        let keys: Vec<ChunkKey> = all.iter().map(|e| e.0).collect();
+        let want = [
+            key(0, &[5]),
+            key(1, &[-1, 2]),
+            key(1, &[0, 3]),
+            key(1, &[1]),
+            key(1, &[2, 1]),
+            key(1, &[2, 1, 0]),
+            key(1, &[9, 9]),
+            key(u32::MAX - 1, &[1]),
+        ];
+        assert_eq!(keys, want, "unsorted: {all:?}");
     }
 
     /// One draw of the band property: a cluster whose arrays cover every
@@ -903,9 +919,10 @@ mod tests {
     /// it, keys past its extents and below zero, keys of another arity),
     /// an unregistered array, an id at or past [`ARRAY_ID_CAP`] — with
     /// some chunks evicted again, walked over boxes near the grid, at the
-    /// ends of `i64`, inverted and of the wrong arity. Each walk equals
-    /// the box filter of `collect_sorted` (node included), and a walk
-    /// that breaks after `m` chunks has handed out exactly its first `m`.
+    /// ends of `i64`, inverted and of the wrong arity. Each band equals
+    /// the box filter of the whole ordered walk (node included), and a
+    /// band that breaks after `m` chunks has handed out exactly its first
+    /// `m`; the whole walk is in strictly ascending key order.
     /// `scale` multiplies the chunk and box counts.
     fn check_band(seed: u64, scale: u64) {
         use crate::{Cluster, CostModel};
@@ -947,6 +964,7 @@ mod tests {
             cluster.evict_chunk(&key).unwrap();
         }
         let all = cluster.placements().collect::<Vec<_>>();
+        assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "the walk is out of order");
         for _ in 0..8 * scale {
             let (id, mut n) = arrays[below(3) as usize];
             let id = if below(10) == 0 { 2 } else { id }; // nothing placed
@@ -1021,9 +1039,9 @@ mod tests {
         assert_eq!(slots[0] as usize, spare, "the free slot goes first");
         assert!(idx.file(keys[0], slots[0]).is_ok());
         assert_eq!(idx.file(keys[1], slots[1]), Err(held as u32));
-        idx.rollback(&keys[..1], &slots);
+        idx.rollback(&keys[..1], slots);
         assert_eq!(idx.node(&keys[0]), None, "rolled back");
         assert_eq!(idx.node(&keys[1]), Some(NodeId(9)), "original survives");
-        assert_eq!(idx.slots - idx.free.len(), idx.len(), "no slab slot leaked");
+        assert_eq!(idx.slots - idx.free.len(), len(&idx), "no slab slot leaked");
     }
 }

@@ -3,11 +3,10 @@
 use crate::node::NodeId;
 use crate::transfer::FlowSet;
 use array_model::ChunkKey;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One chunk relocation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkMove {
     /// The chunk to relocate.
     pub key: ChunkKey,
@@ -20,7 +19,7 @@ pub struct ChunkMove {
 }
 
 /// An ordered batch of chunk moves produced by one scale-out decision.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RebalancePlan {
     /// The moves, in emission order.
     pub moves: Vec<ChunkMove>,

@@ -20,7 +20,10 @@
 //! its primaries onto the first surviving holder (both through
 //! `Cluster::drop_holder`, which moves the holder's ledger and the census
 //! with the index), then wipes the node's store and zeroes its books
-//! before it returns. `Draining` (scale-IN
+//! before it returns. A scale-IN retirement, the last step of
+//! `Cluster::decommission_node`, leaves the roster through the same
+//! departure step — the same refusals and the same strike — from
+//! `Healthy` or `Draining`, and only empty. `Draining` (scale-IN
 //! preparation) keeps serving reads but accepts no new data, so every
 //! routing path — primary placement diversion, replica rings, repair
 //! targets — walks around it.
@@ -29,23 +32,23 @@
 //!
 //! # Repair-plan derivation
 //!
-//! [`Cluster::plan_recovery`] scans placements in deterministic
-//! (ascending-key) order and counts each chunk's **serving copies**: its
-//! primary when the record is resident on a serving node, plus every
-//! serving holder the replica index names — the ground truth, never a
-//! re-derived route. A chunk below the effective target
-//! `min(k, data-hosting nodes)` gets one [`RepairJob`] per missing copy:
-//! the source is the serving primary (crash-time promotion keeps
-//! primaries alive whenever any copy survived), else the first serving
-//! replica holder; targets come from the chunk's deterministic replica
-//! ring, skipping the primary, current holders, and every node not
-//! accepting data. Chunks with zero serving copies are unrecoverable
+//! [`Cluster::plan_recovery`] takes the placements in ascending key
+//! order, off the placement index's ordered walk, and counts each
+//! chunk's **serving copies**: its primary when the record is resident
+//! on a serving node, plus every serving holder the replica index names
+//! — the ground truth, never a re-derived route. A chunk below the
+//! effective target `min(k, data-hosting nodes)` gets one [`RepairJob`]
+//! per missing copy: the source is the serving primary (crash-time
+//! promotion keeps primaries alive whenever any copy survived), else the
+//! first serving replica holder; targets come from the chunk's
+//! deterministic replica ring, skipping the primary, current holders,
+//! and every node not accepting data. Chunks with zero serving copies are unrecoverable
 //! from within the cluster and are reported, not silently dropped.
 //!
-//! [`Cluster::execute_recovery`] replays the plan against live state:
-//! each job re-validates its source and target (both may have failed
-//! since planning — or *during* execution, which the `mid_crash` hook of
-//! [`Cluster::execute_recovery_with`] injects deterministically) and
+//! [`Cluster::execute_recovery_with`] replays the plan against live
+//! state, with or without injected faults: each job re-validates its
+//! source and target (both may have failed since planning — or *during*
+//! execution, which its `mid_crash` hook injects deterministically) and
 //! falls over to an alternate serving source or the next ring target.
 //! A completed copy lands through `Cluster::add_holder`, the replica
 //! books' one writer for a new copy: the target becomes a holder in the
@@ -223,7 +226,8 @@ impl Cluster {
 
     /// Derive the deterministic repair plan for the cluster's current
     /// state (see the module docs for the derivation rules). Read-only;
-    /// execute with [`Cluster::execute_recovery`].
+    /// execute with [`Cluster::execute_recovery_with`] (`None` for both
+    /// faults runs it fault-free).
     pub fn plan_recovery(&self) -> RepairPlan {
         let target = self.effective_target();
         let mut plan = RepairPlan::default();
@@ -242,15 +246,6 @@ impl Cluster {
             plan.jobs.extend(targets.map(|target| RepairJob { key, bytes, source, target }));
         }
         plan
-    }
-
-    /// Execute a repair plan with the default fault-free environment.
-    pub fn execute_recovery(
-        &mut self,
-        plan: &RepairPlan,
-        policy: &BackoffPolicy,
-    ) -> RecoveryOutcome {
-        self.execute_recovery_with(plan, policy, None, None)
     }
 
     /// Execute a repair plan under injected faults: optional
@@ -392,7 +387,7 @@ mod tests {
         let plan = c.plan_recovery();
         assert!(!plan.jobs.is_empty());
         assert!(plan.unrecoverable.is_empty());
-        let outcome = c.execute_recovery(&plan, &BackoffPolicy::default());
+        let outcome = c.execute_recovery_with(&plan, &BackoffPolicy::default(), None, None);
         assert_eq!(outcome.unrecovered, vec![]);
         assert_eq!(outcome.retries, 0);
         assert!(outcome.repair_bytes() > 0, "repair moved real bytes");
@@ -411,7 +406,7 @@ mod tests {
         let plan = c.plan_recovery();
         assert!(plan.jobs.is_empty(), "no source exists for k=1 losses");
         assert_eq!(plan.unrecoverable.len(), 3);
-        let outcome = c.execute_recovery(&plan, &BackoffPolicy::default());
+        let outcome = c.execute_recovery_with(&plan, &BackoffPolicy::default(), None, None);
         assert_eq!(outcome.unrecovered.len(), 3);
         assert_eq!(c.replica_census().lost, 3);
     }
@@ -437,7 +432,7 @@ mod tests {
             if p.jobs.is_empty() {
                 break;
             }
-            c.execute_recovery(&p, &policy);
+            c.execute_recovery_with(&p, &policy, None, None);
         }
         assert!(c.replica_census().is_full_strength());
     }
@@ -477,7 +472,7 @@ mod tests {
         for job in &plan.jobs {
             assert_ne!(job.target, NodeId(3), "draining nodes accept no repairs");
         }
-        let outcome = c.execute_recovery(&plan, &BackoffPolicy::default());
+        let outcome = c.execute_recovery_with(&plan, &BackoffPolicy::default(), None, None);
         assert!(outcome.unrecovered.is_empty());
         c.verify_replica_books().unwrap();
     }
@@ -487,7 +482,7 @@ mod tests {
         let mut c = replicated_cluster(3, 2, 12);
         c.crash_node(NodeId(1)).unwrap();
         let plan = c.plan_recovery();
-        let outcome = c.execute_recovery(&plan, &BackoffPolicy::default());
+        let outcome = c.execute_recovery_with(&plan, &BackoffPolicy::default(), None, None);
         assert!(outcome.unrecovered.is_empty());
         // Revive: the node rejoins empty, in Recovering, and subsequent
         // repair passes may land copies on it again.

@@ -1,7 +1,7 @@
 //! Append: spill-over range partitioning by insert order (paper §4.2).
 //!
-//! New chunks go to the first node that is not yet at its fill target;
-//! when the current target fills, the coordinator spills to the next node
+//! New chunks go to the first node that is not yet full; when the
+//! current target fills, the coordinator spills to the next node
 //! in join order. The partitioning table is a list of insert-sequence
 //! ranges, one per node, so adding a node is O(1) and scale-out moves no
 //! data at all — at the price of poor balance and no dimensional locality.
@@ -15,8 +15,8 @@
 //! overflows its node and correspondingly reduces the next node's share —
 //! the batched analogue of the old live-load spill — and the last node
 //! absorbs everything past the staircase. For one-chunk epochs (`P = 0`)
-//! this degenerates exactly to the classic "first node under its fill
-//! target" walk.
+//! this degenerates exactly to the classic "first node under its
+//! capacity" walk.
 
 use super::{GridHint, Partitioner, PartitionerKind, RouteEpoch};
 use crate::partition::seq_index::SeqIndex;
@@ -30,8 +30,6 @@ pub struct Append {
     /// Nodes in join order; `cursor` indexes the current fill target.
     nodes: Vec<NodeId>,
     cursor: usize,
-    /// Fraction of capacity filled before spilling to the next node.
-    fill: f64,
     /// Insert sequence counter.
     next_seq: u64,
     /// The range table: `(first_seq, node)` entries, ascending by seq.
@@ -42,26 +40,18 @@ pub struct Append {
 }
 
 impl Append {
-    /// Build for the cluster's initial nodes. `fill` ∈ (0, 1] is the
-    /// fraction of a node's capacity used before spilling; `grid` sizes
-    /// the dense sequence index.
-    pub fn new(nodes: &[NodeId], fill: f64, grid: &GridHint) -> Self {
+    /// Build for the cluster's initial nodes, each filled to its
+    /// capacity before the next takes chunks; `grid` sizes the dense
+    /// sequence index.
+    pub fn new(nodes: &[NodeId], grid: &GridHint) -> Self {
         assert!(!nodes.is_empty(), "need at least one node");
-        assert!(fill > 0.0 && fill <= 1.0, "fill must be in (0, 1]");
         Append {
             nodes: nodes.to_vec(),
             cursor: 0,
-            fill,
             next_seq: 0,
             ranges: Vec::new(),
             seq_of: SeqIndex::new(&grid.chunk_counts),
         }
-    }
-
-    /// A node's fill target in bytes.
-    fn target(&self, cluster: &Cluster, node: NodeId) -> u64 {
-        let n = cluster.node(node).expect("append tracks live nodes");
-        (n.capacity_bytes as f64 * self.fill) as u64
     }
 }
 
@@ -125,7 +115,7 @@ impl Partitioner for Append {
             }
             let node = self.nodes[i];
             let n = cluster.node(node).expect("append tracks live nodes");
-            let remaining = self.target(cluster, node).saturating_sub(n.used_bytes());
+            let remaining = n.capacity_bytes.saturating_sub(n.used_bytes());
             cum = cum.saturating_add(remaining);
             if prefix < cum {
                 return node;
@@ -196,7 +186,7 @@ mod tests {
     #[test]
     fn fills_nodes_in_join_order() {
         let mut cluster = Cluster::new(2, 100, CostModel::default()).unwrap();
-        let mut p = Append::new(&cluster.node_ids(), 1.0, &grid());
+        let mut p = Append::new(&cluster.node_ids(), &grid());
         run(&mut p, &mut cluster, 0, 4, 30); // 120 bytes total
                                              // Node 0 takes 30+30+30 (90 < 100), the 4th lands on node 0 too
                                              // (90 < 100 still true before placement), then spills.
@@ -208,7 +198,7 @@ mod tests {
     #[test]
     fn scale_out_moves_nothing() {
         let mut cluster = Cluster::new(2, 100, CostModel::default()).unwrap();
-        let mut p = Append::new(&cluster.node_ids(), 1.0, &grid());
+        let mut p = Append::new(&cluster.node_ids(), &grid());
         run(&mut p, &mut cluster, 0, 8, 30);
         let new = cluster.add_nodes(2, 100);
         let plan = p.scale_out(&cluster, &new);
@@ -221,7 +211,7 @@ mod tests {
     #[test]
     fn locate_agrees_with_cluster() {
         let mut cluster = Cluster::new(3, 100, CostModel::default()).unwrap();
-        let mut p = Append::new(&cluster.node_ids(), 1.0, &grid());
+        let mut p = Append::new(&cluster.node_ids(), &grid());
         run(&mut p, &mut cluster, 0, 10, 40);
         for (key, node) in cluster.placements() {
             assert_eq!(p.locate(&key), Some(node), "mismatch for {key}");
@@ -232,19 +222,10 @@ mod tests {
     #[test]
     fn last_node_absorbs_overflow() {
         let mut cluster = Cluster::new(2, 100, CostModel::default()).unwrap();
-        let mut p = Append::new(&cluster.node_ids(), 1.0, &grid());
+        let mut p = Append::new(&cluster.node_ids(), &grid());
         run(&mut p, &mut cluster, 0, 10, 100); // way past total capacity
         assert_eq!(cluster.loads()[0], 100);
         assert_eq!(cluster.loads()[1], 900);
-    }
-
-    #[test]
-    fn fill_factor_spills_early() {
-        let mut cluster = Cluster::new(2, 100, CostModel::default()).unwrap();
-        let mut p = Append::new(&cluster.node_ids(), 0.5, &grid());
-        run(&mut p, &mut cluster, 0, 4, 25);
-        // Node 0 reaches 50 (its 0.5 target) after two chunks.
-        assert_eq!(cluster.loads(), vec![50, 50]);
     }
 
     #[test]
@@ -252,7 +233,7 @@ mod tests {
         // Routed as one epoch: the prefix sums alone must spill the batch
         // across nodes exactly like live sequential fills would.
         let mut cluster = Cluster::new(3, 100, CostModel::default()).unwrap();
-        let mut p = Append::new(&cluster.node_ids(), 1.0, &grid());
+        let mut p = Append::new(&cluster.node_ids(), &grid());
         let batch: Vec<ChunkDescriptor> = (0..6).map(|i| desc(i, 40)).collect();
         let prefix = super::super::batch_prefix_bytes(&batch);
         let epoch = RouteEpoch::for_batch(&cluster, &prefix);

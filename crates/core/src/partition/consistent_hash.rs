@@ -125,7 +125,7 @@ mod tests {
         let mut cluster = Cluster::new(4, u64::MAX, CostModel::default()).unwrap();
         let mut p = ConsistentHash::new(&cluster.node_ids(), 64);
         run(&mut p, &mut cluster, 0, 2000, 10);
-        let counts = cluster.chunk_counts();
+        let counts: Vec<usize> = cluster.nodes().map(|n| n.chunk_count()).collect();
         let loads: Vec<u64> = counts.iter().map(|&c| c as u64).collect();
         assert!(relative_std_dev(&loads) < 0.25, "ring too uneven: {counts:?}");
     }

@@ -238,7 +238,7 @@ mod tests {
             }
         }
         assert_eq!(cluster.node_count(), 8);
-        assert!(cluster.chunk_counts().iter().all(|&c| c > 0), "every node got data");
+        assert!(cluster.nodes().all(|n| n.chunk_count() > 0), "every node got data");
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   (tree splits, directory doublings, ring arcs) only ever happen in
 //!   [`Partitioner::scale_out`], which remains sequential.
 //!
-//! The single-chunk driver protocol still works — [`Partitioner::place`]
-//! is a provided method that routes a one-chunk epoch and commits it
-//! immediately:
+//! The single-chunk protocol is the batch protocol at batch size
+//! one — [`Partitioner::place`] is a provided method that routes a
+//! one-chunk epoch and commits it immediately, and `Cluster::place` is
+//! `Cluster::place_all` of that one chunk:
 //!
 //! 1. for each incoming chunk: `let node = p.place(&desc, &cluster);`
 //!    followed immediately by `cluster.place(desc, node)`;
@@ -76,12 +77,11 @@ pub use crate::bench_only::route_batch;
 use array_model::{ChunkDescriptor, ChunkKey};
 use cluster_sim::{Cluster, NodeId, RebalancePlan, Resident};
 use durability::{ByteReader, CodecError};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// The four traits of elastic data placement (paper Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionerFeatures {
     /// Scale-out only transfers data from preexisting nodes to new ones.
     pub incremental_scale_out: bool,
@@ -94,7 +94,7 @@ pub struct PartitionerFeatures {
 }
 
 /// Which partitioning scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PartitionerKind {
     /// Spill-over range partitioning by insert order.
     Append,
@@ -208,7 +208,7 @@ impl fmt::Display for PartitionerKind {
 /// of chunks along each dimension. Unbounded dimensions supply an expected
 /// extent (e.g. days of data anticipated); exceeding the hint degrades
 /// balance but never correctness.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridHint {
     /// Chunk count (or expected chunk count) per dimension.
     pub chunk_counts: Vec<i64>,
@@ -272,7 +272,7 @@ impl GridHint {
 }
 
 /// Tuning knobs shared by the partitioner constructors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionerConfig {
     /// Virtual nodes per host on the consistent-hash ring.
     pub virtual_nodes: u32,
@@ -281,18 +281,11 @@ pub struct PartitionerConfig {
     /// The two dimensions the quadtree quarters (defaults to the last two,
     /// which are the spatial lon/lat dims in both of the paper's schemas).
     pub quad_plane: Option<(usize, usize)>,
-    /// Fraction of a node Append fills before spilling to the next.
-    pub append_fill: f64,
 }
 
 impl Default for PartitionerConfig {
     fn default() -> Self {
-        PartitionerConfig {
-            virtual_nodes: 64,
-            uniform_height: 9,
-            quad_plane: None,
-            append_fill: 1.0,
-        }
+        PartitionerConfig { virtual_nodes: 64, uniform_height: 9, quad_plane: None }
     }
 }
 
@@ -537,7 +530,7 @@ pub fn build_partitioner(
 ) -> Box<dyn Partitioner> {
     let nodes = cluster.node_ids();
     match kind {
-        PartitionerKind::Append => Box::new(Append::new(&nodes, config.append_fill, grid)),
+        PartitionerKind::Append => Box::new(Append::new(&nodes, grid)),
         PartitionerKind::ConsistentHash => {
             Box::new(ConsistentHash::new(&nodes, config.virtual_nodes))
         }

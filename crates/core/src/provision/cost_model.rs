@@ -8,10 +8,9 @@
 //! candidate with the fewest projected node-hours wins.
 
 use cluster_sim::{CostModel, BYTES_PER_GB};
-use serde::{Deserialize, Serialize};
 
 /// Workload-independent constants of the analytical model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModelParams {
     /// Node capacity `c` in GB.
     pub node_capacity_gb: f64,
@@ -25,7 +24,7 @@ pub struct CostModelParams {
 
 /// The cluster state the projection starts from (the paper's iteration d,
 /// when demand first reaches capacity).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSnapshot {
     /// N₀ — nodes currently provisioned.
     pub nodes: usize,
@@ -38,7 +37,7 @@ pub struct ClusterSnapshot {
 }
 
 /// Per-cycle projection detail.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CycleEstimate {
     /// Projected load l_i (Eq. 5).
     pub load_gb: f64,
@@ -53,7 +52,7 @@ pub struct CycleEstimate {
 }
 
 /// The full projection for one candidate `p`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostEstimate {
     /// The candidate planning horizon.
     pub plan_ahead: usize,
@@ -130,7 +129,7 @@ pub fn estimate_cost(p: usize, snap: &ClusterSnapshot, params: &CostModelParams)
 }
 
 /// The tuner's report: one estimate per candidate, plus the argmin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanAheadReport {
     /// Cost projections, in candidate order.
     pub estimates: Vec<CostEstimate>,

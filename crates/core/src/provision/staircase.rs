@@ -19,10 +19,8 @@
 //! thresholds strictly apart, so a load sitting exactly at the post-shrink
 //! capacity boundary never flaps back into a `ScaleOut`.
 
-use serde::{Deserialize, Serialize};
-
 /// Tunables of the control loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaircaseConfig {
     /// Per-node storage capacity `c` in GB (paper §6.1 uses 100 GB).
     pub node_capacity_gb: f64,
@@ -62,7 +60,7 @@ impl StaircaseConfig {
 }
 
 /// The controller's verdict for one insert batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProvisionDecision {
     /// Capacity suffices; no change.
     Stay,

@@ -7,10 +7,8 @@
 //! with its seasonal shipping patterns) favour small `s`; steady ones
 //! (MODIS) favour larger windows that smooth noise.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of running Algorithm 1 over a demand history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleTuningReport {
     /// Mean absolute prediction error (GB) for each s = 1..=ψ.
     /// `errors[k]` is the error of window `s = k + 1`; `NaN` when the

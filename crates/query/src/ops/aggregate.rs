@@ -22,10 +22,9 @@ use crate::exec::{ExecutionContext, ScanPlan};
 use crate::stats::{scaled_bytes, QueryStats, WorkTracker};
 use array_model::{ArrayId, ChunkDescriptor, Region, MAX_DIMS};
 use cluster_sim::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Which aggregate to compute per group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFn {
     /// Count non-empty cells.
     Count,
@@ -41,7 +40,7 @@ pub enum AggFn {
 /// cell coordinate by the matching `coarsen` factor. The fields are public,
 /// so the operators validate a spec when they run it (a typed
 /// [`QueryError::InvalidArgument`]), not when it is built.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupSpec {
     /// Dimension indices retained in the group key.
     pub dims: Vec<usize>,
@@ -63,7 +62,7 @@ impl GroupSpec {
 }
 
 /// One output group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupRow {
     /// The (possibly coarsened) retained-dimension coordinates.
     pub key: Vec<i64>,

@@ -7,10 +7,9 @@
 //! cross-node fetches (halo exchange, kNN hops) pay per-request latency.
 
 use cluster_sim::{CostModel, FlowSet, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// What one query cost.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryStats {
     /// Simulated elapsed seconds.
     pub elapsed_secs: f64,

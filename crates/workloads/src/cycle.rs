@@ -32,7 +32,6 @@ use elastic_core::{
 };
 use query_engine::view::{ViewDef, ViewRegistry};
 use query_engine::Catalog;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What went wrong while driving a cycle. Workload batches are supposed to
@@ -170,7 +169,7 @@ impl std::error::Error for CycleError {
 }
 
 /// When and how the cluster grows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScalingPolicy {
     /// Never scale (baseline for tests).
     Fixed,
@@ -292,7 +291,7 @@ impl Default for RunnerConfig {
 /// scale decision), `rsd_after_insert`, `suites` and their share of
 /// `phases.query_secs`, and the census when the cycle ends (`nodes`,
 /// `demand_gb`, `crashed_nodes`, `under_replicated`).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CycleReport {
     /// Cycle index (0-based).
     pub cycle: usize,
@@ -357,7 +356,7 @@ pub struct CycleReport {
 }
 
 /// Full-run summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Scheme that produced the run.
     pub partitioner: PartitionerKind,
@@ -749,7 +748,10 @@ mod tests {
             // cluster's books balance instead.)
             let total: u64 = runner.cluster().loads().iter().sum();
             assert_eq!(total, runner.cluster().total_used(), "{kind}: ledger mismatch");
-            assert!(runner.cluster().total_chunks() > 0, "{kind}: no chunks placed");
+            assert!(
+                runner.cluster().nodes().any(|n| n.chunk_count() > 0),
+                "{kind}: no chunks placed"
+            );
         }
     }
 
@@ -820,7 +822,7 @@ mod tests {
         // carry payloads.
         let with_cells = cluster.residents().filter(|r| r.payload().is_some());
         assert_eq!(with_cells.count(), broadcast.len());
-        assert!(cluster.total_chunks() > broadcast.len());
+        assert!(cluster.nodes().map(|n| n.chunk_count()).sum::<usize>() > broadcast.len());
     }
 
     /// Re-emits cycle 0's chunk keys at cycle 1 — a typed ingest
@@ -1156,7 +1158,7 @@ mod tests {
         assert_eq!((tally.gc_compacted_chunks, tally.gc_reclaimed_bytes), (0, 0));
         let cluster = runner.cluster();
         assert_eq!(cluster.loads(), reference.loads());
-        assert_eq!(cluster.total_chunks(), 2);
+        assert_eq!(cluster.nodes().map(|n| n.chunk_count()).sum::<usize>(), 2);
         assert_eq!(cluster.balance_rsd().to_bits(), reference.balance_rsd().to_bits());
         let with_cells = |c: &Cluster, n: &cluster_sim::Node| {
             c.residents_on(n.id).filter(|r| r.payload().is_some()).count()

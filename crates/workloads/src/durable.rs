@@ -344,7 +344,6 @@ pub(crate) fn config_fingerprint(
         }
         None => h = fold(h, 0),
     }
-    h = fold_f64(h, config.partitioner_config.append_fill);
     match &config.scaling {
         ScalingPolicy::Fixed => h = fold(h, 1),
         ScalingPolicy::FixedStep { add, trigger } => {

@@ -4,10 +4,9 @@
 use array_model::{ArrayId, ArraySchema, CellBuffer, CellCoords, ChunkDescriptor, ScalarValue};
 use elastic_core::GridHint;
 use query_engine::{Catalog, ExecutionContext, QueryStats};
-use serde::{Deserialize, Serialize};
 
 /// One benchmark query's name and cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRecord {
     /// Query name (e.g. `"spj/selection"`).
     pub name: String,
@@ -17,7 +16,7 @@ pub struct QueryRecord {
 
 /// The per-cycle benchmark outcome: the SPJ suite and the Science suite
 /// of §3.3, measured separately as in Figure 5.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SuiteReport {
     /// Every query, in execution order.
     pub queries: Vec<QueryRecord>,

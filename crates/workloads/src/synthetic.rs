@@ -12,13 +12,12 @@ use array_model::{
 };
 use elastic_core::GridHint;
 use query_engine::{ops, Catalog, ExecutionContext, StoredArray};
-use serde::{Deserialize, Serialize};
 
 /// The synthetic array's id.
 pub const SYNTHETIC: ArrayId = ArrayId(100);
 
 /// How chunk bytes distribute over the spatial grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SpatialDistribution {
     /// Log-normal sizes, no spatial structure (MODIS-like when σ is small).
     Uniform {
@@ -35,7 +34,7 @@ pub enum SpatialDistribution {
 }
 
 /// A fully configurable cyclic workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyntheticWorkload {
     /// Number of workload cycles.
     pub cycles: usize,

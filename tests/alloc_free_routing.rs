@@ -334,7 +334,7 @@ fn materialized_flat_ingest_allocations_are_amortized_per_row() {
             .expect("placed above");
     }
     let attach_allocs = allocation_count() - attach_start;
-    assert!(cluster.placements().all(|(key, _)| cluster.payload(&key).is_some()));
+    assert!(cluster.placements().all(|(key, _)| cluster.primary_payload(&key).is_ok()));
     assert!(
         attach_allocs < 3 * chunks,
         "attaching {chunks} payloads allocated {attach_allocs} times — \
@@ -629,7 +629,7 @@ fn dense_placement_insert_is_allocation_free_after_warmup() {
         "placing {n} chunks allocated {allocs} times — not amortized container growth"
     );
     assert!(acc >= 0.0);
-    assert_eq!(cluster.total_chunks(), 65_536);
+    assert_eq!(cluster.nodes().map(|n| n.chunk_count()).sum::<usize>(), 65_536);
 }
 
 /// View maintenance allocates for what the public closure types hand

@@ -488,7 +488,8 @@ fn misfiled_checkpoint_is_skipped_not_trusted_by_name() {
     let mut rec = WorkloadRunner::recover(&w, durable(&cfg, shared(image)), Vec::new())
         .expect("recovery falls back to the honest checkpoint");
     assert_eq!(rec.start_cycle(), 5);
-    assert_eq!(rec.cluster().total_chunks(), 10, "five cycles x two chunks");
+    let chunks: usize = rec.cluster().nodes().map(|n| n.chunk_count()).sum();
+    assert_eq!(chunks, 10, "five cycles x two chunks");
     State::of(&rec).assert_same(&states[5], "misfiled checkpoint");
     rec.run_all().expect("continuation");
     State::of(&rec).assert_same(states.last().unwrap(), "misfiled checkpoint continuation");

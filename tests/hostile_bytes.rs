@@ -289,9 +289,7 @@ fn sample_cluster() -> (Cluster, BTreeMap<ChunkKey, Arc<Chunk>>) {
     }
     cluster.crash_node(NodeId(3)).unwrap();
     cluster.add_nodes(1, u64::MAX);
-    let plan = cluster.plan_drain(NodeId(2)).unwrap();
-    cluster.apply_rebalance(&plan).unwrap();
-    cluster.retire_node(NodeId(2)).unwrap();
+    cluster.decommission_node(NodeId(2)).unwrap();
     (cluster, cells)
 }
 

@@ -178,7 +178,7 @@ fn global_schemes_rebalance_globally() {
         (0..240).map(|i| ((i % 16) * 4, ((i / 16) * 2) % 32, (i * 13) % 32, 1_000_000)).collect();
     for kind in [PartitionerKind::RoundRobin, PartitionerKind::UniformRange] {
         let (cluster, _) = drive(kind, &chunks, &[120]);
-        let counts = cluster.chunk_counts();
+        let counts: Vec<usize> = cluster.nodes().map(|n| n.chunk_count()).collect();
         let loads: Vec<u64> = counts.iter().map(|&c| c as u64).collect();
         let rsd = relative_std_dev(&loads);
         assert!(rsd < 0.5, "{kind} failed to rebalance: {counts:?}");
