@@ -569,6 +569,16 @@ impl Chunk {
         rows.into_iter().map(|row| self.row_byte_cost(row as usize)).sum()
     }
 
+    /// What the chunk still weighs once every live row is retracted:
+    /// [`Chunk::byte_size`] minus [`Chunk::rows_byte_cost`] of its live
+    /// rows, computed a column at a time
+    /// ([`AttributeColumn::retained_bytes`]) — O(columns), not O(rows). A
+    /// tombstoned row's cost is off [`Chunk::byte_size`] already, so the
+    /// two agree on any chunk.
+    pub fn retained_bytes(&self) -> u64 {
+        self.columns.iter().map(AttributeColumn::retained_bytes).sum()
+    }
+
     /// Tombstone the listed physical rows (the matches of
     /// [`Chunk::match_retractions`] against this same chunk), returning
     /// the bytes freed.

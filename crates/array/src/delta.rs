@@ -2,43 +2,65 @@
 //!
 //! A [`DeltaSet`] is a Z-set over logical rows — each [`RowDelta`] is a
 //! cell's coordinates and attribute values with a signed multiplicity
-//! (`+1` insert, `-1` retraction). Inserts are extracted from the
-//! freshly built per-cycle arrays ([`DeltaSet::from_live_cells`]);
-//! retractions are captured from the rows a retraction script matched
-//! ([`DeltaSet::extend_from_chunk`]) before storage is reclaimed. Downstream consumers (the query crate's
-//! incremental views) fold each delta into their own state, never
-//! rescanning the base array — so the transport here is deliberately *logical*: rebalances,
-//! failovers, and chunk compactions move bytes around without producing
-//! any delta at all.
+//! (`+1` insert, `-1` retraction). Inserts are the rows of the freshly
+//! built per-cycle arrays; retractions are the rows a retraction script
+//! matched, taken before storage is reclaimed. Downstream consumers (the
+//! query crate's incremental views) fold each delta into their own
+//! state, never rescanning the base array — so the transport here is
+//! deliberately *logical*: rebalances, failovers, and chunk compactions
+//! move bytes around without producing any delta at all.
 //!
 //! # Layout and order
 //!
-//! Three flat buffers, no allocation per row: every row's coordinates
-//! end to end, every row's values end to end, and per row the two end
-//! offsets plus the weight. [`DeltaSet::rows`] lends each row out as
-//! slices of the first two, and [`DeltaSet::clear`] empties all three
-//! keeping their capacity, so a caller that extracts a delta every cycle
-//! refills one set instead of allocating three buffers a cycle.
+//! A row reaches a set in one of two ways, and neither allocates per
+//! row:
 //!
-//! Rows leave a chunk **a column at a time**
-//! ([`DeltaSet::extend_from_chunk`]): the listed rows' coordinates as one
-//! strided copy, then each attribute column as one typed loop into its
-//! slot of the row-major value buffer — the column's type is matched once
-//! per chunk, not once per value.
+//! * **Lent.** A chunk's rows are named, not copied
+//!   ([`DeltaSet::lend_rows`], [`DeltaSet::lend_live_rows`],
+//!   [`DeltaSet::lend_live_cells`]): the set keeps the chunk's shared
+//!   handle (`Arc<Chunk>`, a refcount bump), the weight, and either
+//!   "every physical row" — a plain row range, for a chunk with no
+//!   tombstone, which every fresh array's chunk is and every chunk a TTL
+//!   script drops whole — or a range of one kept list of row numbers.
+//!   Chunks are immutable once shared, so a lent row reads what it held
+//!   when it was lent, even after the store evicts or rebuilds the chunk.
+//!   This is how the cycle runner extracts, inserts and retractions
+//!   alike: O(chunks), plus four bytes per listed row.
+//! * **Copied.** [`DeltaSet::push`], [`DeltaSet::extend_from_chunk`] and
+//!   [`DeltaSet::extend_live_cells`] (so [`DeltaSet::from_live_cells`])
+//!   write rows into three flat buffers: every row's coordinates end to
+//!   end, every row's values end to end, and per row the two end offsets
+//!   plus the weight. A set that copies owns its rows and keeps no chunk
+//!   alive.
+//!
+//! Values leave a chunk through one kernel, a **block** of 64 rows at a
+//! time: the block's row numbers are gathered, then each column fills
+//! its strided slots of the block's row-major values in one typed loop —
+//! the column's type matched once per block, the writes inside 14 KiB
+//! that stay in L1. Copying runs it straight into the value buffer;
+//! [`DeltaSet::visit`], the consumers' walk, runs it for lent rows into
+//! one block of scratch rows that the whole walk reuses, and hands copied
+//! rows out as slices of the buffers. [`DeltaSet::rows`] lends every row
+//! as slices; a set that holds lent rows copies them out once, on the
+//! first call. [`DeltaSet::clear`] forgets every row keeping every
+//! buffer's capacity, so a caller that extracts a delta every cycle
+//! allocates nothing once warm.
 //!
 //! The order of the rows is **deterministic** — a function of the stored
 //! arrays and the script, never of hashing or addresses — so a run and
-//! its replay extract the same sequence: chunk order (row-major) then
-//! physical row order for [`DeltaSet::from_live_cells`], and **chunk-major**
-//! for the retractions the cycle runner captures (each touched chunk's
-//! rows in the order the script listed them). Consumers **must not depend on it**: a delta means its multiset of
-//! `(coords, values, weight)`, and the incremental views fold one to the
-//! same bits whatever order its rows arrive in (`view/mod.rs`,
-//! "Determinism").
+//! its replay extract the same sequence: copied rows first, in capture
+//! order, then lent rows in the order they were lent; a chunk's live
+//! rows in physical row order, in row-major chunk order for a whole
+//! array, and listed rows in the order the script listed them. Consumers
+//! **must not depend on it**: a delta means its multiset of `(coords,
+//! values, weight)`, and the incremental views fold one to the same bits
+//! whatever order its rows arrive in (`view/mod.rs`, "Determinism").
 
 use crate::array::Array;
 use crate::chunk::Chunk;
 use crate::value::ScalarValue;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// One logical row change, borrowed from its [`DeltaSet`]: cell
 /// coordinates, attribute values, and a signed multiplicity (Z-set
@@ -53,7 +75,7 @@ pub struct RowDelta<'a> {
     pub weight: i64,
 }
 
-/// Where one row ends in the two flat buffers, and its weight.
+/// Where one copied row ends in the two flat buffers, and its weight.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct RowEnd {
     coords: usize,
@@ -61,14 +83,31 @@ struct RowEnd {
     weight: i64,
 }
 
+/// Rows one shared chunk lends, at one weight.
+#[derive(Debug, Clone)]
+struct Lent {
+    chunk: Arc<Chunk>,
+    /// Every physical row (the chunk has no tombstone), or the rows
+    /// listed in this range of [`DeltaSet::listed`].
+    rows: Option<Range<usize>>,
+    weight: i64,
+}
+
 /// An ordered collection of row changes for one array — the logical
 /// change one cycle step produced (see the module docs for the layout
-/// and the order).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// and the order). Two sets are equal when they carry the same rows in
+/// the same order, however each row got there.
+#[derive(Clone, Default)]
 pub struct DeltaSet {
     coords: Vec<i64>,
     values: Vec<ScalarValue>,
     ends: Vec<RowEnd>,
+    lent: Vec<Lent>,
+    listed: Vec<u32>,
+    lent_rows: usize,
+    /// Every row copied out, built by the first [`DeltaSet::rows`] of a
+    /// set that holds lent rows; any change forgets it.
+    copied: OnceLock<Box<DeltaSet>>,
 }
 
 impl DeltaSet {
@@ -79,15 +118,15 @@ impl DeltaSet {
 
     /// Append one row change.
     pub fn push(&mut self, coords: Vec<i64>, values: Vec<ScalarValue>, weight: i64) {
+        self.copied.take();
         self.coords.extend(coords);
         self.values.extend(values);
         self.end_row(weight);
     }
 
-    /// Append the physical rows `rows` of `chunk` (tombstoned or not —
-    /// values survive until compaction), each at `weight`, a column at a
-    /// time (module docs): `rows` is walked once for the coordinates and
-    /// once per attribute.
+    /// Copy in the physical rows `rows` of `chunk` (tombstoned or not —
+    /// values survive until compaction), each at `weight`, a block of
+    /// rows at a time (module docs).
     ///
     /// # Panics
     ///
@@ -95,47 +134,89 @@ impl DeltaSet {
     pub fn extend_from_chunk(
         &mut self,
         chunk: &Chunk,
-        rows: impl Iterator<Item = u32> + Clone,
+        rows: impl Iterator<Item = u32>,
         weight: i64,
     ) {
-        let (nd, columns) = (chunk.ndims(), chunk.columns());
-        let flat = chunk.coords_flat();
-        let mut n = 0;
-        for row in rows.clone() {
-            self.coords.extend_from_slice(&flat[row as usize * nd..][..nd]);
-            n += 1;
-        }
-        if n == 0 {
-            return;
-        }
-        // Row-major slots first (a fixed-width placeholder: nothing to
-        // drop when it is overwritten), then one typed sweep per column.
-        let (width, base) = (columns.len(), self.values.len());
-        self.values.resize_with(base + n * width, || ScalarValue::Char(0));
-        for (attr, column) in columns.iter().enumerate() {
-            column.fill_rows(rows.clone(), self.values[base + attr..].iter_mut().step_by(width));
-        }
-        let (mut coords, mut values) = (self.coords.len() - n * nd, base);
-        self.ends.extend((0..n).map(|_| {
-            coords += nd;
-            values += width;
-            RowEnd { coords, values, weight }
-        }));
+        self.copy_rows(chunk, rows.map(|row| row as usize), weight);
     }
 
-    /// Forget every row, keeping the buffers' capacity.
+    /// The one copying kernel: `rows` of `chunk` in blocks, each block's
+    /// coordinates, then its values boxed in place ([`box_rows`]).
+    fn copy_rows(&mut self, chunk: &Chunk, rows: impl Iterator<Item = usize>, weight: i64) {
+        self.copied.take();
+        let (nd, width, flat) = (chunk.ndims(), chunk.columns().len(), chunk.coords_flat());
+        in_blocks(rows, |block| {
+            for &row in block {
+                self.coords.extend_from_slice(&flat[row * nd..][..nd]);
+            }
+            let base = self.values.len();
+            // A fixed-width placeholder: nothing to drop when it is overwritten.
+            self.values.resize_with(base + block.len() * width, || ScalarValue::Char(0));
+            box_rows(chunk, block, &mut self.values[base..]);
+            let (mut coords, mut values) = (self.coords.len() - block.len() * nd, base);
+            self.ends.extend(block.iter().map(|_| {
+                coords += nd;
+                values += width;
+                RowEnd { coords, values, weight }
+            }));
+        });
+    }
+
+    /// Lend the physical rows `rows` of the shared `chunk` (tombstoned or
+    /// not), each at `weight`: the handle and the row numbers are kept,
+    /// nothing is copied (module docs).
+    ///
+    /// # Panics
+    ///
+    /// If a row is past the chunk's physical rows.
+    pub fn lend_rows(&mut self, chunk: &Arc<Chunk>, rows: impl Iterator<Item = u32>, weight: i64) {
+        let start = self.listed.len();
+        self.listed.extend(rows);
+        let physical = chunk.physical_cell_count();
+        assert!(
+            self.listed[start..].iter().all(|&row| (row as usize) < physical),
+            "a lent row is past the chunk's {physical} physical rows"
+        );
+        let n = self.listed.len() - start;
+        self.lend(chunk, Some(start..start + n), n, weight);
+    }
+
+    /// Lend every live row of the shared `chunk` at `weight`: a chunk
+    /// with no tombstone as "every physical row", with no list at all.
+    pub fn lend_live_rows(&mut self, chunk: &Arc<Chunk>, weight: i64) {
+        if chunk.tombstone_count() == 0 {
+            self.lend(chunk, None, chunk.physical_cell_count(), weight);
+        } else {
+            self.lend_rows(chunk, chunk.live_rows(), weight);
+        }
+    }
+
+    fn lend(&mut self, chunk: &Arc<Chunk>, rows: Option<Range<usize>>, n: usize, weight: i64) {
+        if n > 0 {
+            self.copied.take();
+            self.lent.push(Lent { chunk: Arc::clone(chunk), rows, weight });
+            self.lent_rows += n;
+        }
+    }
+
+    /// Forget every row — and every lent handle — keeping the buffers'
+    /// capacity.
     pub fn clear(&mut self) {
         self.coords.clear();
         self.values.clear();
         self.ends.clear();
+        self.lent.clear();
+        self.listed.clear();
+        self.lent_rows = 0;
+        self.copied.take();
     }
 
     fn end_row(&mut self, weight: i64) {
         self.ends.push(RowEnd { coords: self.coords.len(), values: self.values.len(), weight });
     }
 
-    /// The row changes, in capture order.
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = RowDelta<'_>> {
+    /// The copied rows, in capture order.
+    fn copied_rows(&self) -> impl ExactSizeIterator<Item = RowDelta<'_>> {
         let mut start = RowEnd { coords: 0, values: 0, weight: 0 };
         self.ends.iter().map(move |&end| {
             let row = RowDelta {
@@ -148,32 +229,99 @@ impl DeltaSet {
         })
     }
 
+    /// The row changes, in order (module docs), as slices. A set that
+    /// holds lent rows copies every row out on the first call and keeps
+    /// the copy until it changes; [`DeltaSet::visit`] never copies.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = RowDelta<'_>> {
+        let all = match self.lent.is_empty() {
+            true => self,
+            false => self.copied.get_or_init(|| {
+                let mut all = Box::new(DeltaSet::new());
+                self.visit(|row| {
+                    all.coords.extend_from_slice(row.coords);
+                    all.values.extend_from_slice(row.values);
+                    all.end_row(row.weight);
+                });
+                all
+            }),
+        };
+        all.copied_rows()
+    }
+
+    /// Hand every row change to `visit`, in the order of
+    /// [`DeltaSet::rows`]: a copied row as slices of the set's buffers, a
+    /// lent row with its coordinates read in place and its values boxed,
+    /// 64 rows at a time, into one block of scratch rows that the whole
+    /// walk reuses (module docs).
+    pub fn visit(&self, mut visit: impl FnMut(RowDelta<'_>)) {
+        self.copied_rows().for_each(&mut visit);
+        let mut scratch: Vec<ScalarValue> = Vec::new();
+        for lent in &self.lent {
+            let (chunk, weight) = (&lent.chunk, lent.weight);
+            let (nd, width, flat) = (chunk.ndims(), chunk.columns().len(), chunk.coords_flat());
+            // A fixed-width placeholder: nothing to drop when it is overwritten.
+            scratch.resize_with(BLOCK * width, || ScalarValue::Char(0));
+            let emit = |block: &[usize]| {
+                let values = &mut scratch[..block.len() * width];
+                box_rows(chunk, block, values);
+                for (i, &row) in block.iter().enumerate() {
+                    let (coords, values) = (&flat[row * nd..][..nd], &values[i * width..][..width]);
+                    visit(RowDelta { coords, values, weight });
+                }
+            };
+            match &lent.rows {
+                None => in_blocks(0..chunk.physical_cell_count(), emit),
+                Some(listed) => {
+                    in_blocks(self.listed[listed.clone()].iter().map(|&r| r as usize), emit)
+                }
+            }
+        }
+    }
+
     /// Number of row changes carried (counting multiplicities as 1 each).
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.ends.len() + self.lent_rows
     }
 
     /// True when no changes are carried.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.len() == 0
     }
 
     /// Net weight: inserts minus retractions.
     pub fn net_weight(&self) -> i64 {
-        self.ends.iter().map(|r| r.weight).sum()
+        let copied: i64 = self.ends.iter().map(|r| r.weight).sum();
+        let lent = self.lent.iter().map(|lent| {
+            let rows = lent.rows.as_ref().map_or(lent.chunk.physical_cell_count(), Range::len);
+            lent.weight * rows as i64
+        });
+        copied + lent.sum::<i64>()
     }
 
-    /// Every live cell of `array` as a `+1` delta, in row-major chunk
-    /// order and physical row order within each chunk. Two uses: turning a
-    /// cycle's freshly built insert arrays into their Δ, and feeding a
-    /// from-scratch recompute of a view from a whole-array reference copy.
+    /// Every live cell of `array` as a `+1` delta, copied
+    /// ([`DeltaSet::extend_live_cells`]), in row-major chunk order and
+    /// physical row order within each chunk: a set that owns its rows
+    /// and keeps no chunk alive. Two uses: turning a freshly built insert
+    /// array into its Δ, and feeding a from-scratch recompute of a view
+    /// from a whole-array reference copy. The cycle runner, which folds
+    /// the Δ before it lets the chunks go, lends them instead
+    /// ([`DeltaSet::lend_live_cells`]).
     pub fn from_live_cells(array: &Array) -> Self {
         let mut delta = DeltaSet::new();
         delta.extend_live_cells(array);
         delta
     }
 
-    /// Append every live cell of `array` at weight `+1`
+    /// Lend every live cell of `array` at weight `+1` — the rows of
+    /// [`DeltaSet::from_live_cells`], in its order, lent into a set that
+    /// is being refilled.
+    pub fn lend_live_cells(&mut self, array: &Array) {
+        for (_, chunk) in array.shared_chunks() {
+            self.lend_live_rows(chunk, 1);
+        }
+    }
+
+    /// Copy in every live cell of `array` at weight `+1`
     /// ([`DeltaSet::from_live_cells`] into a set that is being refilled).
     pub fn extend_live_cells(&mut self, array: &Array) {
         // Sized exactly: three doubling buffers would otherwise peak at
@@ -183,8 +331,55 @@ impl DeltaSet {
         self.values.reserve(rows * array.schema.attributes.len());
         self.ends.reserve(rows);
         for (_, chunk) in array.shared_chunks() {
-            self.extend_from_chunk(chunk, chunk.live_rows(), 1);
+            if chunk.tombstone_count() == 0 {
+                self.copy_rows(chunk, 0..chunk.physical_cell_count(), 1);
+            } else {
+                self.extend_from_chunk(chunk, chunk.live_rows(), 1);
+            }
         }
+    }
+}
+
+/// Rows one block of the boxing kernel holds: 64 rows of seven 32-byte
+/// values are 14 KiB, so a block's strided column writes stay in L1.
+const BLOCK: usize = 64;
+
+/// Hand `rows` to `f` in blocks of at most [`BLOCK`].
+fn in_blocks(rows: impl Iterator<Item = usize>, mut f: impl FnMut(&[usize])) {
+    let (mut block, mut n) = ([0; BLOCK], 0);
+    for row in rows {
+        block[n] = row;
+        n += 1;
+        if n == BLOCK {
+            f(&block);
+            n = 0;
+        }
+    }
+    if n > 0 {
+        f(&block[..n]);
+    }
+}
+
+/// Box the values of `rows` of `chunk` into `out`, row-major — row `i`'s
+/// values are `out[i * width..][..width]` — a column at a time: each
+/// column's type is matched once per block, then one typed loop writes
+/// its strided slots.
+fn box_rows(chunk: &Chunk, rows: &[usize], out: &mut [ScalarValue]) {
+    let width = chunk.columns().len();
+    for (attr, column) in chunk.columns().iter().enumerate() {
+        column.fill_rows(rows.iter().copied(), out[attr..].iter_mut().step_by(width));
+    }
+}
+
+impl PartialEq for DeltaSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.rows().eq(other.rows())
+    }
+}
+
+impl std::fmt::Debug for DeltaSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.rows()).finish()
     }
 }
 

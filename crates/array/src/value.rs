@@ -686,13 +686,13 @@ impl AttributeColumn {
     /// If a row is past the column.
     pub(crate) fn fill_rows<'a>(
         &self,
-        rows: impl Iterator<Item = u32>,
+        rows: impl Iterator<Item = usize>,
         slots: impl Iterator<Item = &'a mut ScalarValue>,
     ) {
         macro_rules! fill {
             ($values:expr, $variant:ident) => {
                 for (slot, row) in slots.zip(rows) {
-                    *slot = ScalarValue::$variant($values[row as usize]);
+                    *slot = ScalarValue::$variant($values[row]);
                 }
             };
         }
@@ -704,12 +704,12 @@ impl AttributeColumn {
             AttributeColumn::Char(v) => fill!(v, Char),
             AttributeColumn::Str(v) => {
                 for (slot, row) in slots.zip(rows) {
-                    *slot = ScalarValue::Str(v[row as usize].clone());
+                    *slot = ScalarValue::Str(v[row].clone());
                 }
             }
             AttributeColumn::Dict(d) => {
                 for (slot, row) in slots.zip(rows) {
-                    let s = d.get(row as usize).expect("row within the column");
+                    let s = d.get(row).expect("row within the column");
                     *slot = ScalarValue::Str(s.to_string());
                 }
             }
@@ -899,6 +899,17 @@ impl AttributeColumn {
             AttributeColumn::Char(v) => v.get(idx).map(|_| 1),
             AttributeColumn::Str(v) => v.get(idx).map(|s| s.len() as u64 + 4),
             AttributeColumn::Dict(d) => d.codes().get(idx).map(|_| 4),
+        }
+    }
+
+    /// The bytes the column keeps once every row is retracted — its
+    /// dictionary's entries, which are not any row's to free
+    /// ([`AttributeColumn::row_byte_cost`]); nothing for any other
+    /// column. O(1).
+    pub fn retained_bytes(&self) -> u64 {
+        match self {
+            AttributeColumn::Dict(d) => d.dict().byte_size(),
+            _ => 0,
         }
     }
 

@@ -1299,6 +1299,35 @@ proptest! {
     }
 }
 
+proptest! {
+    /// A chunk's residual once every live row is retracted, counted a
+    /// column at a time, is the per-row sum's: every attribute type,
+    /// plain strings and dictionaries (spilled or not), with no
+    /// tombstone, with some, and compacted after them.
+    #[test]
+    fn retained_bytes_is_the_per_row_residual(
+        schema in arb_build_schema(),
+        seed in any::<u64>(),
+        count in arb_row_count(),
+        encoding in arb_encoding(),
+        kill in any::<u64>(),
+    ) {
+        let rows = build_rows(&schema, seed, count, 4);
+        let mut array = Array::with_encoding(ArrayId(0), schema.clone(), encoding);
+        array.insert_batch_owned(buffer_of(&schema, &rows)).expect("in bounds");
+        let per_row = |chunk: &Chunk| chunk.byte_size() - chunk.rows_byte_cost(chunk.live_rows());
+        for (coords, chunk) in array.chunks() {
+            prop_assert_eq!(chunk.retained_bytes(), per_row(chunk), "fresh chunk {}", coords);
+            let mut dead = chunk.clone();
+            let killed: Vec<u32> = dead.live_rows().filter(|r| kill >> (r % 64) & 1 == 1).collect();
+            dead.tombstone_rows(killed);
+            prop_assert_eq!(dead.retained_bytes(), per_row(&dead), "tombstoned chunk {}", coords);
+            dead.compact();
+            prop_assert_eq!(dead.retained_bytes(), per_row(&dead), "compacted chunk {}", coords);
+        }
+    }
+}
+
 /// The reverse scan's worst case: every one of 50 000 rows retracted in
 /// insertion order, so the one-cell reference walks the whole chunk per
 /// cell (~1.25 G coordinate compares). Through the batch path it is one

@@ -16,37 +16,56 @@
 //! All state is flat sorted runs (the `state` module docs have the
 //! layout), and [`MaterializedView::apply`] folds a delta as **one
 //! sorted run**: run every row through the linear stages and the
-//! key/value closures, sort what survives once, merge it into the state
-//! in one linear pass. There is no row-at-a-time path beside it and no
-//! size threshold.
+//! key/value closures into buffers the view keeps from one apply to the
+//! next, sort what survives once, merge it into the state in one linear
+//! pass. There is no row-at-a-time path beside it and no size
+//! threshold. [`ViewRegistry::apply`] runs the same steps with **one
+//! walk** of the delta ([`DeltaSet::visit`]) staging every view that
+//! reads the array, so a lent row's values are boxed once however many
+//! views read them.
 //!
 //! * `Select` stages the surviving rows, sorts, and merges them into
 //!   the output Z-set.
-//! * `Aggregate` stages `(ord_bits(value), weight)` per touched group,
-//!   sorts each stage, merges it into the group's multiset and finalizes
-//!   the group once.
-//! * `Join` stages the surviving rows under their join keys, sorts by
-//!   (key, row), walks the *other* side's run with one forward cursor,
-//!   collects the emitted rows into a batch, then merges batch → output
-//!   and stage → own side.
+//! * `Aggregate` stages `(ord_bits(value), weight)` under a slot per
+//!   touched group (consecutive rows almost always share one, so the
+//!   group map is searched only when the key changes), radix-sorts each
+//!   group's values, merges them into the group's multiset and
+//!   finalizes the group once.
+//! * `Join` stages the surviving rows under their join keys, sorts them
+//!   by (key, row) through a fixed-width prefix, walks the *other*
+//!   side's run with one forward cursor, collects the emitted rows into
+//!   a second kept stage, then merges emitted → output and staged → own
+//!   side.
 //!
-//! **Cost.** O(|Δ|) closure calls, O(|Δ′| log |Δ′|) comparisons for the
-//! |Δ′| ≤ |Δ| rows the filters keep, plus the touched state: for
-//! select/join, the *span* of the output run and of the own-side run
-//! between the first and the last staged row, rewritten and spliced back
-//! in place (one memmove of the rows after it); for aggregates, each
+//! **Cost.** O(|Δ|) closure calls, then for the |Δ′| ≤ |Δ| rows the
+//! filters keep: one stable LSD radix sort, a byte a pass — of an
+//! aggregate's values, or of a Z-set stage's 128-bit prefixes, with
+//! whole rows compared only where two prefixes tie — and the touched
+//! state. For select/join that is one of a merge's two
+//! shapes (`ZSet::merge`): a batch past the end of the run is
+//! appended; any other rewrites the *span* of the run between its first
+//! and last row and splices it back in place (one memmove of the rows
+//! after it), at one comparison per staged row while the batch and the
+//! run walk in step — so a batch that cancels the run's first rows
+//! drains them at one comparison each. For aggregates, the cost is each
 //! *touched* group's multiset (which the sorted re-fold of that group
 //! costs anyway). An apply is never a function of the base array's
 //! size, and on a time-keyed view it is not one of the state's either: a
 //! newer day lands past the end of the run and the oldest day cancels at
 //! its front, so each costs O(|Δ|) plus, for the cancel, one memmove of
 //! the rest. A delta spread across the whole run rewrites the whole run.
+//! Every apply counts its work ([`ViewWork`]: rows staged, state rows
+//! written and dropped, values sorted, groups re-folded, and what a
+//! recompute would stage), so a test can hold it to the delta where a
+//! timing could not (`crates/query/tests/delta_scaling.rs`).
+//!
 //! [`ViewRegistry::apply`] has two callers in the runner,
 //! `World::retract` and `World::ingest`, and both hand over a whole
-//! cycle's rows for one array (on the benchmark's `modis_churn`, the
-//! `ndvi` join's sides hold 3.5k–10k rows and take deltas of 1.7k–3.5k
-//! rows after its belt filter). A spine of geometrically merged runs
-//! would make single-row deltas cheap and is deliberately not built.
+//! cycle's rows for one array, lent from the chunks (on the benchmark's
+//! `modis_churn`, the `ndvi` join's sides hold 3.5k–10k rows and take
+//! deltas of 1.7k–3.5k rows after its belt filter). A spine of
+//! geometrically merged runs would make single-row deltas cheap and is
+//! deliberately not built.
 //!
 //! Determinism is load-bearing: view state depends only on the logical
 //! delta stream, never on placement — rebalances, scale-in drains,
@@ -63,8 +82,8 @@ pub use state::{
     cmp_rows, from_ord_bits, ord_bits, row_key, Entry, GroupState, KeyScalar, Row, RowKey, ZSet,
 };
 
-use array_model::{ArrayId, DeltaSet, ScalarValue};
-use state::{sort_staged, Staged, StagedRow};
+use array_model::{ArrayId, DeltaSet, RowDelta, ScalarValue};
+use state::{MergeWork, Stage, Staged, ValueStage};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -252,6 +271,49 @@ pub struct ViewStats {
     pub applies: u64,
 }
 
+/// The work one `apply` did, counted: deterministic, so a test can hold
+/// it to the size of the delta where a timing could not. None of it is
+/// state — a view's exported bytes and [`ViewStats`] do not carry it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ViewWork {
+    /// Rows that passed the linear stages and were staged (a join's own
+    /// side; the rows it emits are counted in `values_sorted`).
+    pub rows_staged: u64,
+    /// State rows the merges wrote: Z-set rows appended, inserted,
+    /// re-weighted or copied inside a rewritten span, and each touched
+    /// group's multiset entries, which its merge rewrites.
+    pub rows_written: u64,
+    /// State rows (Z-set rows, multiset entries) the merges dropped
+    /// because their weight summed to zero.
+    pub rows_dropped: u64,
+    /// Entries sorted: staged and emitted rows, aggregate values.
+    pub values_sorted: u64,
+    /// Aggregate groups merged and finalized.
+    pub groups_refolded: u64,
+    /// The recompute estimate: the input rows the view holds after the
+    /// apply — a Z-set's distinct rows, an aggregate's net row count —
+    /// times its stages (the linear stages plus one). What running the
+    /// view from scratch would stage; it does not fall with the delta.
+    pub recompute_rows: u64,
+}
+
+impl ViewWork {
+    fn merged(&mut self, merge: MergeWork) {
+        self.rows_written += merge.written;
+        self.rows_dropped += merge.dropped;
+    }
+
+    fn absorb(&mut self, other: ViewWork) {
+        let sum = |a: &mut u64, b: u64| *a = a.saturating_add(b);
+        sum(&mut self.rows_staged, other.rows_staged);
+        sum(&mut self.rows_written, other.rows_written);
+        sum(&mut self.rows_dropped, other.rows_dropped);
+        sum(&mut self.values_sorted, other.values_sorted);
+        sum(&mut self.groups_refolded, other.groups_refolded);
+        sum(&mut self.recompute_rows, other.recompute_rows);
+    }
+}
+
 /// What one `apply` call did, summed across views by the registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ViewApplyStats {
@@ -259,12 +321,15 @@ pub struct ViewApplyStats {
     pub delta_rows: u64,
     /// Output rows/groups changed.
     pub rows_changed: u64,
+    /// The work in between, counted.
+    pub work: ViewWork,
 }
 
 impl ViewApplyStats {
     fn absorb(&mut self, other: ViewApplyStats) {
         self.delta_rows += other.delta_rows;
         self.rows_changed += other.rows_changed;
+        self.work.absorb(other.work);
     }
 }
 
@@ -283,9 +348,11 @@ enum ViewState {
     Select {
         out: ZSet,
     },
-    /// Each group's accumulator beside its finalized output row.
+    /// Each group's accumulator beside its finalized output row, and the
+    /// net row count of all groups.
     Aggregate {
         groups: BTreeMap<Vec<i64>, (GroupState, Option<AggRow>)>,
+        rows: i64,
     },
     /// `left` and `right` file each side's rows under their join keys.
     Join {
@@ -295,6 +362,44 @@ enum ViewState {
     },
 }
 
+/// The buffers an apply stages into, kept from one apply to the next so
+/// that a warmed view allocates only what its closures hand back
+/// (module docs, "Cost"). Scratch, not state: every apply clears it
+/// first, and no export holds it.
+#[derive(Default)]
+struct Scratch {
+    /// Select rows; a join's left and right rows under their keys.
+    sides: [Stage; 2],
+    /// The rows a join emits.
+    emitted: Stage,
+    /// An aggregate's values, each under its group's slot.
+    values: ValueStage,
+    /// The slot of every group an aggregate apply touches, and the
+    /// current row's group: consecutive rows almost always share one, so
+    /// the map is searched only when the group changes.
+    slots: BTreeMap<Vec<i64>, u32>,
+    current: Option<(Vec<i64>, u32)>,
+    /// A join's two input rows, as the emit closure takes them.
+    pair: (Row, Row),
+}
+
+impl Scratch {
+    fn clear(&mut self) {
+        self.sides.iter_mut().for_each(Stage::clear);
+        self.emitted.clear();
+        self.values.clear();
+        self.slots.clear();
+        self.current = None;
+    }
+}
+
+/// Which of a view's inputs an array's delta feeds.
+#[derive(Debug, Clone, Copy)]
+struct Inputs {
+    left: bool,
+    right: bool,
+}
+
 /// A registered incremental view: definition, state, and the
 /// materialized output. [`MaterializedView::apply`] folds a delta in as
 /// one sorted run (cost: the module docs).
@@ -302,30 +407,46 @@ pub struct MaterializedView {
     def: ViewDef,
     state: ViewState,
     stats: ViewStats,
+    work: ViewWork,
+    scratch: Scratch,
 }
 
-/// One group's share of a delta: `(ord_bits(value), weight)` per row.
-type Stage = Vec<(u64, i64)>;
-
 /// Run a row through the linear stages; `None` when a filter drops it.
+/// Filters before the first map read the lent row in place; the first
+/// map's output is owned from there on.
+#[inline(always)]
 fn apply_ops<'a>(
     ops: &[RowOp],
     coords: &'a [i64],
     values: &'a [ScalarValue],
 ) -> Option<Staged<'a>> {
-    let mut row = Staged::Lent(coords, values);
+    let mut ops = ops.iter();
+    let mut row = loop {
+        match ops.next() {
+            None => return Some(Staged::Lent(coords, values)),
+            Some(RowOp::Filter(p)) if !p(coords, values) => return None,
+            Some(RowOp::Filter(_)) => {}
+            Some(RowOp::Map(m)) => break m(coords, values),
+        }
+    };
     for op in ops {
-        let (c, v) = row.parts();
         match op {
-            RowOp::Filter(p) => {
-                if !p(c, v) {
-                    return None;
-                }
-            }
-            RowOp::Map(m) => row = Staged::Mapped(m(c, v)),
+            RowOp::Filter(p) if !p(&row.0, &row.1) => return None,
+            RowOp::Filter(_) => {}
+            RowOp::Map(m) => row = m(&row.0, &row.1),
         }
     }
-    Some(row)
+    Some(Staged::Mapped(row))
+}
+
+/// Stage one delta row on a join side: through the side's linear stages,
+/// then filed under its join key.
+#[inline(always)]
+fn stage_keyed(stage: &mut Stage, ops: &[RowOp], key_fn: &JoinKeyFn, rd: RowDelta<'_>) {
+    if let Some(row) = apply_ops(ops, rd.coords, rd.values) {
+        let (c, v) = row.parts();
+        stage.push(key_fn(c, v), row, rd.weight);
+    }
 }
 
 /// The output row of a group, or `None` when it has none: only a group
@@ -348,14 +469,19 @@ impl MaterializedView {
     pub fn new(def: ViewDef) -> Self {
         let state = match &def.kind {
             ViewKind::Select { .. } => ViewState::Select { out: ZSet::default() },
-            ViewKind::Aggregate { .. } => ViewState::Aggregate { groups: BTreeMap::new() },
+            ViewKind::Aggregate { .. } => ViewState::Aggregate { groups: BTreeMap::new(), rows: 0 },
             ViewKind::Join { .. } => ViewState::Join {
                 left: ZSet::default(),
                 right: ZSet::default(),
                 out: ZSet::default(),
             },
         };
-        MaterializedView { def, state, stats: ViewStats::default() }
+        MaterializedView::with_state(def, state, ViewStats::default())
+    }
+
+    fn with_state(def: ViewDef, state: ViewState, stats: ViewStats) -> Self {
+        let (work, scratch) = (ViewWork::default(), Scratch::default());
+        MaterializedView { def, state, stats, work, scratch }
     }
 
     /// The definition this view maintains.
@@ -373,84 +499,126 @@ impl MaterializedView {
         self.stats
     }
 
+    /// The work of every apply since this view was instantiated or
+    /// imported, summed — but `recompute_rows`, which is the estimate
+    /// after the latest apply ([`ViewWork`]; not exported).
+    pub fn work(&self) -> ViewWork {
+        self.work
+    }
+
     /// Fold one array's delta into the view as one sorted run — stage,
-    /// sort once, merge (cost: the module docs).
+    /// sort once, merge (cost: the module docs). The registry runs the
+    /// same three steps, with one walk of the delta staging every view
+    /// that reads it.
     pub fn apply(&mut self, array: ArrayId, delta: &DeltaSet) -> ViewApplyStats {
-        let mut stats = ViewApplyStats::default();
-        let is_left = array == self.def.source;
-        let is_right = self.def.reads_right(array);
-        if !is_left && !is_right {
-            return stats;
+        let Some(inputs) = self.inputs(array) else { return ViewApplyStats::default() };
+        self.scratch.clear();
+        delta.visit(|rd| self.stage(inputs, rd));
+        self.finish(inputs, delta.len())
+    }
+
+    /// Which inputs `array` feeds, if any.
+    fn inputs(&self, array: ArrayId) -> Option<Inputs> {
+        let inputs = Inputs { left: array == self.def.source, right: self.def.reads_right(array) };
+        (inputs.left || inputs.right).then_some(inputs)
+    }
+
+    /// Run one delta row through the linear stages and the key and value
+    /// closures into the kept buffers. Inlined into the delta walk's row
+    /// loop, as are [`apply_ops`] and [`stage_keyed`]: on a 30k-row
+    /// aggregate delta the staging ran about a tenth slower called.
+    #[inline(always)]
+    fn stage(&mut self, inputs: Inputs, rd: RowDelta<'_>) {
+        let scratch = &mut self.scratch;
+        match &self.def.kind {
+            ViewKind::Select { ops } => {
+                if let Some(row) = apply_ops(ops, rd.coords, rd.values) {
+                    scratch.sides[0].push(Vec::new(), row, rd.weight);
+                }
+            }
+            ViewKind::Aggregate { ops, group_by, value, .. } => {
+                let Some(row) = apply_ops(ops, rd.coords, rd.values) else { return };
+                let (c, v) = row.parts();
+                let gk = group_by(c, v);
+                let slot = match &scratch.current {
+                    Some((key, slot)) if *key == gk => *slot,
+                    _ => {
+                        let values = &mut scratch.values;
+                        let slot =
+                            *scratch.slots.entry(gk.clone()).or_insert_with(|| values.open());
+                        scratch.current = Some((gk, slot));
+                        slot
+                    }
+                };
+                scratch.values.push(ord_bits(value(c, v)), rd.weight, slot);
+            }
+            ViewKind::Join { ops, right_ops, left_key, right_key, .. } => {
+                let [left, right] = &mut scratch.sides;
+                if inputs.left {
+                    stage_keyed(left, ops, left_key, rd);
+                }
+                if inputs.right {
+                    stage_keyed(right, right_ops, right_key, rd);
+                }
+            }
         }
+    }
+
+    /// Sort what [`MaterializedView::stage`] staged from a delta of
+    /// `delta_rows` rows and merge it into the state.
+    fn finish(&mut self, inputs: Inputs, delta_rows: usize) -> ViewApplyStats {
+        let mut stats = ViewApplyStats::default();
+        let work = &mut stats.work;
+        let scratch = &mut self.scratch;
         match (&self.def.kind, &mut self.state) {
             (ViewKind::Select { ops }, ViewState::Select { out }) => {
-                let mut staged: Vec<StagedRow<'_>> = delta
-                    .rows()
-                    .filter_map(|rd| {
-                        let row = apply_ops(ops, rd.coords, rd.values)?;
-                        Some(StagedRow { key: Vec::new(), row, weight: rd.weight })
-                    })
-                    .collect();
-                stats.delta_rows += delta.len() as u64;
-                stats.rows_changed += staged.len() as u64;
-                sort_staged(&mut staged);
-                out.merge(staged);
+                let stage = &mut scratch.sides[0];
+                stats.delta_rows += delta_rows as u64;
+                stats.rows_changed += stage.len() as u64;
+                (work.rows_staged, work.values_sorted) = (stage.len() as u64, stage.len() as u64);
+                stage.sort();
+                work.merged(out.merge(stage));
+                work.recompute_rows = stages(ops).saturating_mul(out.len() as u64);
             }
-            (
-                ViewKind::Aggregate { ops, group_by, value, agg },
-                ViewState::Aggregate { groups },
-            ) => {
-                stats.delta_rows += delta.len() as u64;
-                // One stage per touched group. Consecutive rows almost
-                // always share a group, so the current group's stage is
-                // held out of the map and filed back when the key changes.
-                let mut stages: BTreeMap<Vec<i64>, Stage> = BTreeMap::new();
-                let mut current: Option<(Vec<i64>, Stage)> = None;
-                for rd in delta.rows() {
-                    let Some(row) = apply_ops(ops, rd.coords, rd.values) else { continue };
-                    let (c, v) = row.parts();
-                    let gk = group_by(c, v);
-                    let entry = (ord_bits(value(c, v)), rd.weight);
-                    match &mut current {
-                        Some((key, stage)) if *key == gk => stage.push(entry),
-                        _ => {
-                            let mut stage = stages.remove(&gk).unwrap_or_default();
-                            stage.push(entry);
-                            if let Some((key, stage)) = current.replace((gk, stage)) {
-                                stages.insert(key, stage);
-                            }
-                        }
-                    }
-                }
-                stages.extend(current);
-                for (gk, mut stage) in stages {
+            (ViewKind::Aggregate { ops, agg, .. }, ViewState::Aggregate { groups, rows }) => {
+                stats.delta_rows += delta_rows as u64;
+                let stage = &mut scratch.values;
+                (work.rows_staged, work.values_sorted) = (stage.len() as u64, stage.len() as u64);
+                stage.sort();
+                for (gk, slot) in std::mem::take(&mut scratch.slots) {
                     stats.rows_changed += 1;
+                    work.groups_refolded += 1;
                     let (mut group, _) = groups.remove(&gk).unwrap_or_default();
-                    group.merge(&mut stage);
-                    if !group.is_empty() {
+                    let before = group.count;
+                    work.merged(stage.merge_into(slot, &mut group));
+                    *rows = rows.saturating_add(group.count - before);
+                    if group.is_empty() {
+                        stage.recycle(group);
+                    } else {
                         let row = finalize(&group, *agg);
                         groups.insert(gk, (group, row));
                     }
                 }
+                work.recompute_rows = stages(ops).saturating_mul(rows.unsigned_abs());
             }
-            (
-                ViewKind::Join { ops, right_ops, left_key, right_key, emit, .. },
-                ViewState::Join { left, right, out },
-            ) => {
+            (ViewKind::Join { ops, right_ops, emit, .. }, ViewState::Join { left, right, out }) => {
                 // Bilinear update: ΔL ⋈ R, fold ΔL into L, then
                 // (L+ΔL) ⋈ ΔR, fold ΔR into R. When the same array
                 // feeds both sides this ordering computes
                 // ΔL⋈R + L'⋈ΔR exactly — no double counting.
-                if is_left {
-                    stats.rows_changed +=
-                        join_side(delta, ops, left_key, left, right, emit, false, out);
-                    stats.delta_rows += delta.len() as u64;
+                let Scratch { sides: [l, r], emitted, pair, .. } = scratch;
+                if inputs.left {
+                    let side = JoinSide { stage: l, emitted, pair, swapped: false };
+                    stats.rows_changed += side.fold(left, right, emit, out, work);
+                    stats.delta_rows += delta_rows as u64;
                 }
-                if is_right {
-                    stats.rows_changed +=
-                        join_side(delta, right_ops, right_key, right, left, emit, true, out);
-                    stats.delta_rows += delta.len() as u64;
+                if inputs.right {
+                    let side = JoinSide { stage: r, emitted, pair, swapped: true };
+                    stats.rows_changed += side.fold(right, left, emit, out, work);
+                    stats.delta_rows += delta_rows as u64;
                 }
+                work.recompute_rows = (stages(ops) * left.len() as u64)
+                    .saturating_add(stages(right_ops) * right.len() as u64);
             }
             _ => unreachable!("state matches the definition by construction"),
         }
@@ -458,6 +626,8 @@ impl MaterializedView {
         total.delta_rows = total.delta_rows.saturating_add(stats.delta_rows);
         total.rows_changed = total.rows_changed.saturating_add(stats.rows_changed);
         total.applies = total.applies.saturating_add(1);
+        self.work.absorb(stats.work);
+        self.work.recompute_rows = stats.work.recompute_rows;
         stats
     }
 
@@ -492,12 +662,18 @@ impl MaterializedView {
     /// The finalized group table of an aggregate view.
     pub fn group_rows(&self) -> Vec<(Vec<i64>, AggRow)> {
         match &self.state {
-            ViewState::Aggregate { groups } => {
+            ViewState::Aggregate { groups, .. } => {
                 groups.iter().filter_map(|(k, (_, row))| Some((k.clone(), (*row)?))).collect()
             }
             _ => Vec::new(),
         }
     }
+}
+
+/// A view's stages per input row, for the recompute estimate: its
+/// linear stages plus the keyed one (the merge's sort key).
+fn stages(ops: &[RowOp]) -> u64 {
+    ops.len() as u64 + 1
 }
 
 /// Copy a lent row into `scratch`, reusing its buffers — an [`EmitFn`]
@@ -509,56 +685,53 @@ fn fill(scratch: &mut Row, coords: &[i64], values: &[ScalarValue]) {
     scratch.1.extend_from_slice(values);
 }
 
-/// One side's delta against a join: stage the rows that survive the
-/// stages under their join keys and sort them, probe the other side's
-/// run with one forward cursor, then merge the emitted batch into `out`
-/// and the stage into this side. Returns output rows changed.
-#[allow(clippy::too_many_arguments)]
-fn join_side(
-    delta: &DeltaSet,
-    ops: &[RowOp],
-    key_fn: &JoinKeyFn,
-    mine: &mut ZSet,
-    other: &ZSet,
-    emit: &EmitFn,
+/// One side's staged delta against a join, with the buffers its fold
+/// uses, and whether it is the right side (whose rows go second into the
+/// emit closure).
+struct JoinSide<'a> {
+    stage: &'a mut Stage,
+    emitted: &'a mut Stage,
+    pair: &'a mut (Row, Row),
     swapped: bool,
-    out: &mut ZSet,
-) -> u64 {
-    let mut staged: Vec<StagedRow<'_>> = delta
-        .rows()
-        .filter_map(|rd| {
-            let row = apply_ops(ops, rd.coords, rd.values)?;
-            let (c, v) = row.parts();
-            Some(StagedRow { key: key_fn(c, v), row, weight: rd.weight })
-        })
-        .collect();
-    sort_staged(&mut staged);
-    let mut emitted: Vec<StagedRow<'_>> = Vec::new();
-    let (mut this, mut that) = (Row::default(), Row::default());
-    let mut cursor = 0;
-    for s in &staged {
-        // Staged keys ascend, so the other side is walked once.
-        cursor = other.lower_bound(cursor, |e| e.key < &s.key[..]);
-        let mut partners = other.entries_from(cursor).take_while(|e| e.key == s.key).peekable();
-        if partners.peek().is_some() {
-            let (c, v) = s.row.parts();
-            fill(&mut this, c, v);
+}
+
+impl JoinSide<'_> {
+    /// Sort the staged rows, probe the other side's run with one forward
+    /// cursor, then merge the emitted rows into `out` and the staged rows
+    /// into this side. Returns output rows changed.
+    fn fold(
+        self,
+        mine: &mut ZSet,
+        other: &ZSet,
+        emit: &EmitFn,
+        out: &mut ZSet,
+        work: &mut ViewWork,
+    ) -> u64 {
+        let JoinSide { stage, emitted, pair: (this, that), swapped } = self;
+        stage.sort();
+        emitted.clear();
+        let mut cursor = 0;
+        for s in stage.sorted() {
+            // Staged keys ascend, so the other side is walked once.
+            cursor = other.lower_bound(cursor, |e| e.key < s.key);
+            let mut partners = other.entries_from(cursor).take_while(|e| e.key == s.key).peekable();
+            if partners.peek().is_some() {
+                fill(this, s.coords, s.values);
+            }
+            for partner in partners {
+                fill(that, partner.coords, partner.values);
+                let (l, r) = if swapped { (&*that, &*this) } else { (&*this, &*that) };
+                emitted.push(Vec::new(), Staged::Mapped(emit(l, r)), s.weight * partner.weight);
+            }
         }
-        for partner in partners {
-            fill(&mut that, partner.coords, partner.values);
-            let (l, r) = if swapped { (&that, &this) } else { (&this, &that) };
-            emitted.push(StagedRow {
-                key: Vec::new(),
-                row: Staged::Mapped(emit(l, r)),
-                weight: s.weight * partner.weight,
-            });
-        }
+        let changed = emitted.len() as u64;
+        work.rows_staged += stage.len() as u64;
+        work.values_sorted += (stage.len() + emitted.len()) as u64;
+        emitted.sort();
+        work.merged(out.merge(emitted));
+        work.merged(mine.merge(stage));
+        changed
     }
-    let changed = emitted.len() as u64;
-    sort_staged(&mut emitted);
-    out.merge(emitted);
-    mine.merge(staged);
-    changed
 }
 
 /// The set of views the workload runner maintains: routes each cycle's
@@ -601,11 +774,29 @@ impl ViewRegistry {
         self.views.iter().any(|v| v.def().reads(array))
     }
 
-    /// Fold one array's delta into every view that reads it.
+    /// Fold one array's delta into every view that reads it: the steps
+    /// of [`MaterializedView::apply`], with one walk of the delta staging
+    /// every such view row by row, so a lent row's values are boxed once
+    /// however many views read them.
     pub fn apply(&mut self, array: ArrayId, delta: &DeltaSet) -> ViewApplyStats {
         let mut stats = ViewApplyStats::default();
+        if !self.reads(array) {
+            return stats;
+        }
+        for v in self.views.iter_mut().filter(|v| v.def.reads(array)) {
+            v.scratch.clear();
+        }
+        delta.visit(|rd| {
+            for v in &mut self.views {
+                if let Some(inputs) = v.inputs(array) {
+                    v.stage(inputs, rd);
+                }
+            }
+        });
         for v in &mut self.views {
-            stats.absorb(v.apply(array, delta));
+            if let Some(inputs) = v.inputs(array) {
+                stats.absorb(v.finish(inputs, delta.len()));
+            }
         }
         stats
     }
@@ -638,7 +829,7 @@ impl MaterializedView {
                 w.put_u8(0);
                 out.encode_into(w);
             }
-            ViewState::Aggregate { groups } => {
+            ViewState::Aggregate { groups, .. } => {
                 w.put_u8(1);
                 w.put_list(groups, |w, (key, (state, _))| {
                     put_group_key(w, key);
@@ -695,7 +886,9 @@ impl MaterializedView {
                     *row = Some(AggRow { value, cells });
                     last = Some(key);
                 }
-                ViewState::Aggregate { groups }
+                let rows =
+                    groups.values().fold(0i64, |rows, (group, _)| rows.saturating_add(group.count));
+                ViewState::Aggregate { groups, rows }
             }
             (2, ViewKind::Join { .. }) => ViewState::Join {
                 left: ZSet::decode_index_from(r)?,
@@ -710,7 +903,7 @@ impl MaterializedView {
                 return Err(CodecError::invalid("view state tag", format!("unknown tag {tag}")))
             }
         };
-        Ok(MaterializedView { def, state, stats })
+        Ok(MaterializedView::with_state(def, state, stats))
     }
 }
 

@@ -22,25 +22,54 @@
 //!   `Vec<(ord_bits, multiplicity)>`; minimum and maximum are its first
 //!   and last entry.
 //!
+//! Beside the state, a view keeps the buffers an apply stages into, so a
+//! warmed view allocates only what its closures hand back: a `Stage` —
+//! the staged rows in a Z-set's layout in arrival order, the `(prefix,
+//! row)` permutation that sorts them, and the span buffer a merge
+//! rewrites into — per join side and for the rows a join emits; and a
+//! `ValueStage` for an aggregate — per touched group its `(ord_bits,
+//! weight)` values, a radix sort's second buffer and counts, and the
+//! buffer a group's multiset is merged into (a group that empties hands
+//! its buffer back). Scratch, not state: no export holds them, and an
+//! apply clears them first.
+//!
 //! # Maintenance
 //!
 //! The invariant is "the run is the consolidated, ordered Z-set of
 //! everything applied", and a delta maintains it by **one sort and one
-//! merge** ([`ZSet::merge`], [`GroupState::merge`]): the staged rows are
+//! merge** ([`GroupState::merge`] and `ZSet::merge`): the staged rows are
 //! sorted, then merged with the run, summing the weights of equal rows
 //! and dropping zeros.
 //!
-//! A Z-set's merge rewrites only the **span** of the run between the
-//! first and the last staged row (two binary searches find it) and
-//! splices the merged span back in place. That is O(|Δ| log |Δ|)
-//! comparisons, plus a clone of the run's rows inside the span, plus one
-//! memmove of the rows after it when the span changes length. On the
-//! shapes a time-keyed view sees, the cost follows the delta, not the
-//! state: a newer day staged past the end is an append, O(|Δ|); the
-//! oldest day cancelled at the front is O(|Δ|) plus one memmove of the
-//! rest. A delta spread across the whole run rewrites the whole run.
-//! A group's merge is one linear pass over the group's multiset, which
-//! [`GroupState::fold_sum`] pays per touched group anyway.
+//! * **Sorts.** One kernel, a stable LSD radix sort on a 64-bit key, a
+//!   byte a pass, skipping a byte every key shares. A group's values
+//!   sort by their bits: equal values' weights are summed, so their
+//!   order never shows. Staged Z-set rows sort as a permutation keyed by
+//!   a 128-bit prefix of their `(join key, row)` order — the first
+//!   element's 64-bit digit, and the second's behind an exact first —
+//!   that never contradicts it: two radix sorts, by the prefix's low half
+//!   then its high half, and rows compared whole only where two prefixes
+//!   tie, then by staging position, so the order is the same on every
+//!   run. An integer's digit puts zero off every power of two, so small
+//!   coordinates of either sign differ only in their low bytes.
+//! * **Z-set merge**, in one of two shapes. *Append*: a batch whose
+//!   first row sorts after the run's last is appended in place — one
+//!   comparison, then O(|Δ|). *Span*: any other batch rewrites only the
+//!   **span** of the run between its first and last row (two galloping
+//!   searches find it), merged into the kept span buffer and spliced
+//!   back in place: one comparison per staged row while batch and run
+//!   walk in step, a gallop where run rows lie between two staged ones
+//!   (copied as one block), plus one memmove of the rows after the span
+//!   when it changes length. On the shapes a time-keyed view sees, the
+//!   cost follows the delta, not the state: a newer day staged past the
+//!   end is an append; the oldest day cancelled at the front drains the
+//!   run's first rows at one comparison each, then one memmove of the
+//!   rest. A delta spread across the whole run rewrites the whole run.
+//! * **Group merge**: one linear pass over the group's multiset, which
+//!   [`GroupState::fold_sum`] pays per touched group anyway.
+//!
+//! Each merge reports what it wrote and dropped (`MergeWork`), which the
+//! view sums into its counted work.
 //!
 //! [`ZSet::add`] and [`GroupState::update`] are the one-entry forms over
 //! the same runs: a binary search and a one-row splice or insert, which
@@ -141,9 +170,28 @@ pub fn row_key(coords: &[i64], values: &[ScalarValue]) -> RowKey {
 /// `cmp_rows(a, b) == row_key(a).cmp(&row_key(b))` for any two rows,
 /// without allocating. A tuple of `Vec`s compares its parts in turn and
 /// each `Vec` lexicographically — so do the slices here, the values
-/// through `KeyImage`.
+/// through their key images.
 pub fn cmp_rows(a: (&[i64], &[ScalarValue]), b: (&[i64], &[ScalarValue])) -> Ordering {
-    a.0.cmp(b.0).then_with(|| a.1.iter().map(KeyImage::of).cmp(b.1.iter().map(KeyImage::of)))
+    a.0.cmp(b.0).then_with(|| cmp_values(a.1, b.1))
+}
+
+/// The order of two value lists' key images, lexicographic: two values
+/// of the same variant — what one column holds — are compared directly,
+/// any other pair through [`KeyImage`], whose order this is.
+fn cmp_values(a: &[ScalarValue], b: &[ScalarValue]) -> Ordering {
+    for (x, y) in a.iter().zip(b) {
+        let order = match (x, y) {
+            (ScalarValue::Double(x), ScalarValue::Double(y)) => x.to_bits().cmp(&y.to_bits()),
+            (ScalarValue::Float(x), ScalarValue::Float(y)) => x.to_bits().cmp(&y.to_bits()),
+            (ScalarValue::Int32(x), ScalarValue::Int32(y)) => x.cmp(y),
+            (ScalarValue::Int64(x), ScalarValue::Int64(y)) => x.cmp(y),
+            (x, y) => KeyImage::of(x).cmp(&KeyImage::of(y)),
+        };
+        if order.is_ne() {
+            return order;
+        }
+    }
+    a.len().cmp(&b.len())
 }
 
 /// A delta row after a view's linear stages: still the slices the
@@ -162,32 +210,197 @@ impl Staged<'_> {
     }
 }
 
-/// One row staged for [`ZSet::merge`]: the join key it files under
-/// (empty for a view's output), the row, and its weight.
-pub(super) struct StagedRow<'a> {
-    pub(super) key: Vec<KeyScalar>,
-    pub(super) row: Staged<'a>,
-    pub(super) weight: i64,
-}
-
-impl StagedRow<'_> {
-    fn sort_key(&self) -> (&[KeyScalar], (&[i64], &[ScalarValue])) {
-        (&self.key, self.row.parts())
-    }
-}
-
 /// `(join key, row)` order — the order of a [`ZSet`]'s run.
-fn cmp_keyed(
+pub(super) fn cmp_keyed(
     a: (&[KeyScalar], (&[i64], &[ScalarValue])),
     b: (&[KeyScalar], (&[i64], &[ScalarValue])),
 ) -> Ordering {
     a.0.cmp(b.0).then_with(|| cmp_rows(a.1, b.1))
 }
 
-/// Sort staged rows into run order. Stable, so a delta that arrives in
-/// run order (chunks are walked in coordinate order) costs one pass.
-pub(super) fn sort_staged(staged: &mut [StagedRow<'_>]) {
-    staged.sort_by(|a, b| cmp_keyed(a.sort_key(), b.sort_key()));
+// ---------------------------------------------------------------------
+// The sort prefix. A row's place in `(join key, row)` order is the
+// lexicographic order of one sequence of elements: the key's scalars, an
+// end mark, the coordinates, an end mark, the values' images, an end
+// mark (an end mark sorts before every element, which is how a shorter
+// slice sorts before a longer one it begins). Each element maps to a
+// 64-bit digit that never inverts the order: a 3-bit class (end, int,
+// f32, f64, string — the order of `KeyScalar`'s variants) above 61 bits
+// of payload. A digit is *exact* when no other element maps to it; the
+// prefix is the first digit, then the second only behind an exact first,
+// so `prefix(a) < prefix(b)` implies `a < b`, and equal prefixes leave
+// the order to `cmp_keyed`.
+// ---------------------------------------------------------------------
+
+const CLASS_SHIFT: u32 = 61;
+const PAYLOAD: u64 = (1 << CLASS_SHIFT) - 1;
+const END_DIGIT: u64 = 0;
+
+/// Where zero lands in an integer digit's payload: near the middle, and
+/// off every power of two, so that small integers of either sign differ
+/// only in their low bytes — the bytes a radix sort does not skip.
+const INT_ZERO: i128 = (1 << 60) + (1 << 31) + (1 << 15);
+
+/// An integer, offset into the payload: exact for `|i|` up to about
+/// 2⁶⁰, clamped (and so inexact) at the two payload ends beyond.
+fn int_digit(i: i64) -> u64 {
+    let payload = (i128::from(i) + INT_ZERO).clamp(0, i128::from(PAYLOAD));
+    (1 << CLASS_SHIFT) | payload as u64
+}
+
+fn image_digit(image: KeyImage<'_>) -> u64 {
+    match image {
+        KeyImage::Int(i) => int_digit(i),
+        KeyImage::F32(bits) => (2 << CLASS_SHIFT) | u64::from(bits),
+        // The top 61 of 64 bits: ordered, not exact.
+        KeyImage::F64(bits) => (3 << CLASS_SHIFT) | (bits >> 3),
+        // The first seven bytes, zero-padded: ordered, not exact.
+        KeyImage::Str(s) => {
+            let mut bytes = [0u8; 8];
+            let n = s.len().min(7);
+            bytes[1..=n].copy_from_slice(&s.as_bytes()[..n]);
+            (4 << CLASS_SHIFT) | u64::from_be_bytes(bytes)
+        }
+    }
+}
+
+fn key_digit(k: &KeyScalar) -> u64 {
+    image_digit(match k {
+        KeyScalar::Int(i) => KeyImage::Int(*i),
+        KeyScalar::F32(b) => KeyImage::F32(*b),
+        KeyScalar::F64(b) => KeyImage::F64(*b),
+        KeyScalar::Str(s) => KeyImage::Str(s),
+    })
+}
+
+fn is_exact(digit: u64) -> bool {
+    match digit >> CLASS_SHIFT {
+        0 | 2 => true,
+        1 => !matches!(digit & PAYLOAD, 0 | PAYLOAD),
+        _ => false,
+    }
+}
+
+/// The 128-bit sort prefix of a row filed under `key` (see above).
+pub(super) fn prefix(key: &[KeyScalar], coords: &[i64], values: &[ScalarValue]) -> u128 {
+    let mut digits = key
+        .iter()
+        .map(key_digit)
+        .chain([END_DIGIT])
+        .chain(coords.iter().map(|&c| int_digit(c)))
+        .chain([END_DIGIT])
+        .chain(values.iter().map(|v| image_digit(KeyImage::of(v))))
+        .chain([END_DIGIT]);
+    let first = digits.next().unwrap_or(END_DIGIT);
+    let second = if is_exact(first) { digits.next().unwrap_or(END_DIGIT) } else { 0 };
+    (u128::from(first) << 64) | u128::from(second)
+}
+
+/// Rows staged for one [`ZSet::merge`], in buffers a view keeps from one
+/// apply to the next (module docs, "Maintenance"): the rows as they were
+/// staged, in a [`ZSet`]'s layout but in arrival order; the permutation
+/// that puts them in run order, and the radix sort's buffers that build
+/// it; and the span a merge rewrites.
+#[derive(Debug, Default)]
+pub(super) struct Stage {
+    rows: ZSet,
+    /// `(prefix, row)` per staged row, in run order once sorted.
+    order: Vec<(u128, u32)>,
+    radix: Radix<(u128, u32)>,
+    span: ZSet,
+}
+
+impl Stage {
+    /// Forget the staged rows, keeping every buffer's capacity.
+    pub(super) fn clear(&mut self) {
+        self.rows.clear();
+        self.order.clear();
+    }
+
+    /// Rows staged.
+    pub(super) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Stage one row under `key` (moved in) at `weight`: a lent row's
+    /// values are cloned, a mapped row's moved.
+    pub(super) fn push(&mut self, key: Vec<KeyScalar>, row: Staged<'_>, weight: i64) {
+        let rows = &mut self.rows;
+        rows.keys.extend(key);
+        match row {
+            Staged::Lent(coords, values) => {
+                rows.coords.extend_from_slice(coords);
+                rows.values.extend_from_slice(values);
+            }
+            Staged::Mapped((coords, values)) => {
+                rows.coords.extend(coords);
+                rows.values.extend(values);
+            }
+        }
+        rows.end_row(weight);
+    }
+
+    /// Put the staged rows in run order: a stable radix sort of the
+    /// `(prefix, row)` pairs in staging order — by the prefix's low half,
+    /// then its high half — then each run of tied prefixes sorted by
+    /// whole rows, stably, so equal rows keep their staging order and the
+    /// order is the same on every run.
+    pub(super) fn sort(&mut self) {
+        let rows = &self.rows;
+        self.order.clear();
+        self.order.extend(
+            rows.entries().zip(0u32..).map(|(e, i)| (prefix(e.key, e.coords, e.values), i)),
+        );
+        self.radix.sort(&mut self.order, |&(prefix, _)| prefix as u64);
+        self.radix.sort(&mut self.order, |&(prefix, _)| (prefix >> 64) as u64);
+        let mut ties = self.order.as_mut_slice();
+        while let Some(&(first, _)) = ties.first() {
+            let n = ties.iter().take_while(|&&(prefix, _)| prefix == first).count();
+            let (tied, rest) = ties.split_at_mut(n);
+            if n > 1 {
+                tied.sort_by(|a, b| {
+                    let (x, y) = (rows.entry(a.1 as usize), rows.entry(b.1 as usize));
+                    cmp_keyed(x.sort_key(), y.sort_key())
+                });
+            }
+            ties = rest;
+        }
+    }
+
+    /// The staged rows in run order (after [`Stage::sort`]).
+    pub(super) fn sorted(&self) -> impl Iterator<Item = Entry<'_>> {
+        self.order.iter().map(|&(_, i)| self.rows.entry(i as usize))
+    }
+
+    /// The sorted rows with equal rows folded into their first, weights
+    /// summed (a summed weight may be zero).
+    fn consolidated(&self) -> impl Iterator<Item = (Entry<'_>, i64)> {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let &(first_prefix, first) = self.order.get(at)?;
+            let row = self.rows.entry(first as usize);
+            let mut weight = row.weight;
+            at += 1;
+            while let Some(&(_, i)) = self.order.get(at).filter(|&&(p, _)| p == first_prefix) {
+                let dup = self.rows.entry(i as usize);
+                if cmp_keyed(dup.sort_key(), row.sort_key()).is_ne() {
+                    break;
+                }
+                weight += dup.weight;
+                at += 1;
+            }
+            Some((row, weight))
+        })
+    }
+}
+
+/// What one [`ZSet::merge`] did to the run: rows written (appended,
+/// inserted, re-weighted, or copied inside the rewritten span) and rows
+/// dropped (cancelled to zero weight).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(super) struct MergeWork {
+    pub(super) written: u64,
+    pub(super) dropped: u64,
 }
 
 /// Where one row ends in a [`ZSet`]'s three flat buffers, and its weight.
@@ -238,7 +451,10 @@ impl ZSet {
     /// two binary searches and a splice of one row, which moves the rows
     /// after it.
     pub fn add(&mut self, coords: &[i64], values: &[ScalarValue], weight: i64) -> i64 {
-        self.merge(vec![StagedRow { key: Vec::new(), row: Staged::Lent(coords, values), weight }]);
+        let mut stage = Stage::default();
+        stage.push(Vec::new(), Staged::Lent(coords, values), weight);
+        stage.sort();
+        self.merge(&mut stage);
         self.weight_of(coords, values)
     }
 
@@ -333,20 +549,21 @@ impl ZSet {
         });
     }
 
-    /// Append a staged row (the caller keeps the run ordered).
-    fn push_staged(&mut self, staged: StagedRow<'_>) {
-        self.keys.extend(staged.key);
-        match staged.row {
-            Staged::Lent(coords, values) => {
-                self.coords.extend_from_slice(coords);
-                self.values.extend_from_slice(values);
-            }
-            Staged::Mapped((coords, values)) => {
-                self.coords.extend(coords);
-                self.values.extend(values);
-            }
-        }
-        self.end_row(staged.weight);
+    /// Append a row lent by another run at `weight` (the caller keeps
+    /// the run ordered).
+    fn push_entry(&mut self, row: Entry<'_>, weight: i64) {
+        self.keys.extend_from_slice(row.key);
+        self.coords.extend_from_slice(row.coords);
+        self.values.extend_from_slice(row.values);
+        self.end_row(weight);
+    }
+
+    /// Forget every row, keeping the buffers' capacity.
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.coords.clear();
+        self.values.clear();
+        self.ends.clear();
     }
 
     /// Copy rows `range` of `run` onto the end of this one: three block
@@ -371,8 +588,9 @@ impl ZSet {
     /// Replace rows `range` of the run with the rows of `span`, in place:
     /// one splice per buffer (a memmove of the rows after `range` when
     /// the lengths differ), then the rows after it have their ends
-    /// rebased by what the span grew or shrank.
-    fn splice(&mut self, range: Range<usize>, span: ZSet) {
+    /// rebased by what the span grew or shrank. `span` is left empty,
+    /// its buffers kept.
+    fn splice(&mut self, range: Range<usize>, span: &mut ZSet) {
         let (start, end) = (self.start_of(range.start), self.start_of(range.end));
         let new_end = RowEnd {
             key: start.key + span.keys.len(),
@@ -380,13 +598,13 @@ impl ZSet {
             values: start.values + span.values.len(),
             weight: 0,
         };
-        self.keys.splice(start.key..end.key, span.keys);
-        self.coords.splice(start.coords..end.coords, span.coords);
-        self.values.splice(start.values..end.values, span.values);
+        self.keys.splice(start.key..end.key, span.keys.drain(..));
+        self.coords.splice(start.coords..end.coords, span.coords.drain(..));
+        self.values.splice(start.values..end.values, span.values.drain(..));
         let suffix = range.start + span.ends.len();
         self.ends.splice(
             range,
-            span.ends.into_iter().map(|e| RowEnd {
+            span.ends.drain(..).map(|e| RowEnd {
                 key: e.key + start.key,
                 coords: e.coords + start.coords,
                 values: e.values + start.values,
@@ -400,52 +618,77 @@ impl ZSet {
         }
     }
 
-    /// Fold a batch of staged rows — **sorted** by [`sort_staged`] — into
-    /// the run, weights of equal rows summed, zeros dropped. Only the
-    /// span of the run between the first and the last staged row is
-    /// rewritten: it is merged with the batch into a fresh span (rows of
-    /// the run between two staged rows cloned as a block) and spliced
-    /// back in place. A batch past the end of the run is an append; one
-    /// that cancels the run's first rows is a splice that removes them.
-    pub(super) fn merge(&mut self, staged: Vec<StagedRow<'_>>) {
-        let (Some(first), Some(last)) = (staged.first(), staged.last()) else {
-            return;
+    /// Fold a sorted [`Stage`] into the run, weights of equal rows
+    /// summed, zeros dropped, in one of two shapes:
+    ///
+    /// * **Append.** The first staged row sorts after the run's last:
+    ///   the batch is appended in place — one comparison, then O(|Δ|).
+    /// * **Span.** Otherwise only the span of the run between the first
+    ///   and the last staged row is rewritten: merged with the batch into
+    ///   the stage's kept span buffer (rows of the run between two staged
+    ///   rows copied as a block) and spliced back in place. Each staged
+    ///   row costs one comparison with the run row at the cursor, and a
+    ///   gallop only when run rows lie before it — so a batch that
+    ///   cancels the run's first rows drains them with one comparison
+    ///   each, then one memmove of the rest.
+    pub(super) fn merge(&mut self, stage: &mut Stage) -> MergeWork {
+        let mut work = MergeWork::default();
+        let (Some(&(_, first)), Some(&(_, last))) = (stage.order.first(), stage.order.last())
+        else {
+            return work;
         };
-        debug_assert!(staged
-            .windows(2)
-            .all(|w| cmp_keyed(w[0].sort_key(), w[1].sort_key()).is_le()));
+        let (first, last) = (stage.rows.entry(first as usize), stage.rows.entry(last as usize));
+        let past_end = match self.len().checked_sub(1) {
+            Some(end) => cmp_keyed(self.entry(end).sort_key(), first.sort_key()).is_lt(),
+            None => true,
+        };
+        let mut span = std::mem::take(&mut stage.span);
+        if past_end {
+            for (row, weight) in stage.consolidated().filter(|&(_, weight)| weight != 0) {
+                self.push_entry(row, weight);
+                work.written += 1;
+            }
+            stage.span = span;
+            return work;
+        }
         let lo = self.lower_bound(0, |e| cmp_keyed(e.sort_key(), first.sort_key()).is_lt());
         let hi = self.lower_bound(lo, |e| cmp_keyed(e.sort_key(), last.sort_key()).is_le());
-        let mut span = ZSet::default();
-        span.ends.reserve(hi - lo + staged.len());
+        span.ends.reserve(hi - lo + stage.len());
         let mut next = lo; // first row of the span not yet merged
-        let mut staged = staged.into_iter().peekable();
-        while let Some(mut row) = staged.next() {
-            while let Some(dup) =
-                staged.next_if(|s| cmp_keyed(s.sort_key(), row.sort_key()).is_eq())
-            {
-                row.weight += dup.weight;
+        for (row, weight) in stage.consolidated() {
+            let cmp = |at: usize| cmp_keyed(self.entry(at).sort_key(), row.sort_key());
+            let mut at = next;
+            let mut order = if at < hi { cmp(at) } else { Ordering::Greater };
+            if order.is_lt() {
+                at = self.lower_bound(at + 1, |e| cmp_keyed(e.sort_key(), row.sort_key()).is_lt());
+                order = if at < hi { cmp(at) } else { Ordering::Greater };
             }
-            let at = self.lower_bound(next, |e| cmp_keyed(e.sort_key(), row.sort_key()).is_lt());
             span.clone_rows(self, next..at);
+            work.written += (at - next) as u64;
             next = at;
-            if at < hi && cmp_keyed(self.entry(at).sort_key(), row.sort_key()).is_eq() {
+            if order.is_eq() {
                 // The row is in the run already: it keeps its place with
                 // the summed weight, or cancels and is left out.
                 next = at + 1;
-                let weight = self.ends[at].weight + row.weight;
-                if weight != 0 {
+                let weight = self.ends[at].weight + weight;
+                if weight == 0 {
+                    work.dropped += 1;
+                } else {
                     span.clone_rows(self, at..next);
                     if let Some(kept) = span.ends.last_mut() {
                         kept.weight = weight;
                     }
+                    work.written += 1;
                 }
-            } else if row.weight != 0 {
-                span.push_staged(row);
+            } else if weight != 0 {
+                span.push_entry(row, weight);
+                work.written += 1;
             }
         }
         debug_assert_eq!(next, hi, "the span ends at the last staged row");
-        self.splice(lo..hi, span);
+        self.splice(lo..hi, &mut span);
+        stage.span = span;
+        work
     }
 }
 
@@ -489,39 +732,48 @@ impl GroupState {
     }
 
     /// Fold a batch of `(ord_bits(value), weight)` pairs into the group:
-    /// one sort of the batch and one linear merge, multiplicities of
-    /// equal values summed, zeros dropped. O(|staged| log |staged| +
-    /// |group|) — the pass over the group is what
-    /// [`GroupState::fold_sum`] pays per touched group anyway.
+    /// one radix sort of the batch and one linear merge, multiplicities
+    /// of equal values summed, zeros dropped — the kernel a view runs,
+    /// with buffers of its own instead of the view's kept ones.
     pub fn merge(&mut self, staged: &mut [(u64, i64)]) {
-        staged.sort_unstable();
-        let old = std::mem::take(&mut self.values);
-        let mut merged: Vec<(u64, i64)> = Vec::with_capacity(old.len() + staged.len());
+        let mut sorted = staged.to_vec();
+        Radix::default().sort(&mut sorted, |&(bits, _)| bits);
+        self.merge_sorted(&sorted, &mut Vec::new());
+    }
+
+    /// Merge `staged`, ascending by bits, with the multiset into
+    /// `merged`, which then becomes the multiset: the old multiset's
+    /// buffer is handed back in `merged`, emptied, for the next group.
+    fn merge_sorted(&mut self, staged: &[(u64, i64)], merged: &mut Vec<(u64, i64)>) -> MergeWork {
+        let mut dropped = 0;
+        merged.clear();
+        merged.reserve(self.values.len() + staged.len());
         let mut fold = |bits: u64, weight: i64| match merged.last_mut() {
             Some(last) if last.0 == bits => last.1 += weight,
             _ => {
                 // The previous value is complete: keep it unless it cancelled.
                 if merged.last().is_some_and(|last| last.1 == 0) {
                     merged.pop();
+                    dropped += 1;
                 }
                 merged.push((bits, weight));
             }
         };
-        let mut old = old.into_iter().peekable();
-        for &(bits, weight) in staged.iter() {
+        let mut old = self.values.iter().copied().peekable();
+        for &(bits, weight) in staged {
             self.count += weight;
             while let Some((b, m)) = old.next_if(|&(b, _)| b <= bits) {
                 fold(b, m);
             }
             fold(bits, weight);
         }
-        for (b, m) in old {
-            fold(b, m);
-        }
+        old.for_each(|(b, m)| fold(b, m));
         if merged.last().is_some_and(|last| last.1 == 0) {
             merged.pop();
+            dropped += 1;
         }
-        self.values = merged;
+        std::mem::swap(&mut self.values, merged);
+        MergeWork { written: self.values.len() as u64, dropped }
     }
 
     /// True when the group carries no rows and can be dropped.
@@ -548,6 +800,125 @@ impl GroupState {
     /// Maximum (numeric), if the group is non-empty.
     pub fn max(&self) -> Option<f64> {
         self.values.last().map(|&(bits, _)| from_ord_bits(bits))
+    }
+}
+
+/// The values one aggregate apply stages, in buffers the view keeps from
+/// one apply to the next: per touched group, `(ord_bits(value), weight)`
+/// in arrival order (a pool of vectors, the first `used` of them in use),
+/// the radix sort's buffers, and the buffer a group's multiset is merged
+/// into.
+#[derive(Debug, Default)]
+pub(super) struct ValueStage {
+    groups: Vec<Vec<(u64, i64)>>,
+    used: usize,
+    radix: Radix<(u64, i64)>,
+    merged: Vec<(u64, i64)>,
+}
+
+impl ValueStage {
+    /// Forget the staged values, keeping every buffer's capacity.
+    pub(super) fn clear(&mut self) {
+        self.used = 0;
+    }
+
+    /// Values staged.
+    pub(super) fn len(&self) -> usize {
+        self.groups[..self.used].iter().map(Vec::len).sum()
+    }
+
+    /// A fresh slot for a group this apply touches.
+    pub(super) fn open(&mut self) -> u32 {
+        if self.used == self.groups.len() {
+            self.groups.push(Vec::new());
+        }
+        self.groups[self.used].clear();
+        self.used += 1;
+        u32::try_from(self.used - 1).expect("fewer touched groups than u32")
+    }
+
+    /// Stage `weight` copies of the value whose [`ord_bits`] are `bits`
+    /// for the group in `slot`.
+    pub(super) fn push(&mut self, bits: u64, weight: i64, slot: u32) {
+        self.groups[slot as usize].push((bits, weight));
+    }
+
+    /// Sort each group's values by bits ([`Radix`]). Equal bits keep
+    /// their staging order, which no fold reads: their weights are
+    /// summed.
+    pub(super) fn sort(&mut self) {
+        for values in &mut self.groups[..self.used] {
+            self.radix.sort(values, |&(bits, _)| bits);
+        }
+    }
+
+    /// Keep the multiset buffer of a group that emptied, if it is larger
+    /// than the kept merge buffer: a merge swaps its buffer into the
+    /// group it fills, so without this the next one would allocate anew.
+    pub(super) fn recycle(&mut self, group: GroupState) {
+        if group.values.capacity() > self.merged.capacity() {
+            self.merged = group.values;
+        }
+    }
+
+    /// Fold the sorted values of `slot` into `group` (after
+    /// [`ValueStage::sort`]).
+    pub(super) fn merge_into(&mut self, slot: u32, group: &mut GroupState) -> MergeWork {
+        group.merge_sorted(&self.groups[slot as usize], &mut self.merged)
+    }
+}
+
+/// A stable LSD radix sort on a 64-bit key, a byte a pass, with kept
+/// buffers: its second buffer and the counts of all eight digits. (Wider
+/// digits scatter into more places than the cache holds: 11-bit digits
+/// ran slower than bytes on a 30k-value stage.)
+#[derive(Debug)]
+pub(super) struct Radix<T> {
+    scratch: Vec<T>,
+    /// Eight digits' counts, allocated by the first sort.
+    counts: Vec<[u32; 256]>,
+}
+
+impl<T> Default for Radix<T> {
+    fn default() -> Self {
+        Radix { scratch: Vec::new(), counts: Vec::new() }
+    }
+}
+
+impl<T: Copy> Radix<T> {
+    /// Sort `items` by `key`, stably: one pass counts every byte of
+    /// every key, then each byte that is not the same in every key moves
+    /// the items once between the two buffers, least significant first.
+    /// A byte all keys share is skipped.
+    pub(super) fn sort(&mut self, items: &mut Vec<T>, key: impl Fn(&T) -> u64) {
+        let n = items.len();
+        self.counts.clear();
+        self.counts.resize(8, [0; 256]);
+        let counts: &mut [[u32; 256]; 8] =
+            self.counts.as_mut_slice().try_into().expect("eight digits");
+        for item in items.iter() {
+            for (d, byte) in key(item).to_le_bytes().into_iter().enumerate() {
+                counts[d][usize::from(byte)] += 1;
+            }
+        }
+        for (d, counts) in counts.iter_mut().enumerate() {
+            if counts.iter().any(|&c| c as usize == n) {
+                continue; // one byte throughout: the pass would move nothing
+            }
+            let mut at = 0;
+            for c in counts.iter_mut() {
+                (*c, at) = (at, at + *c);
+            }
+            // Sized, not cleared: every slot is written before it is read.
+            self.scratch.truncate(n);
+            self.scratch.resize(n, items[0]);
+            for item in items.iter() {
+                let to = &mut counts[usize::from(key(item).to_le_bytes()[d])];
+                self.scratch[*to as usize] = *item;
+                *to += 1;
+            }
+            std::mem::swap(items, &mut self.scratch);
+        }
     }
 }
 
@@ -813,5 +1184,160 @@ mod tests {
             b.update(v, 1);
         }
         assert_eq!(a.fold_sum().to_bits(), b.fold_sum().to_bits());
+    }
+
+    // ------------------------------------------- kernels vs references --
+
+    /// Doubles at the edges of the order: both zeros, both infinities,
+    /// NaNs of both signs with several payloads, the smallest subnormal
+    /// and normal, and a few ordinary values.
+    const EDGE_BITS: [u64; 14] = [
+        0x0000_0000_0000_0000, // +0.0
+        0x8000_0000_0000_0000, // -0.0
+        0x7ff0_0000_0000_0000, // +inf
+        0xfff0_0000_0000_0000, // -inf
+        0x7ff8_0000_0000_0000, // quiet NaN
+        0xfff8_0000_0000_0000, // negative quiet NaN
+        0x7ff0_0000_0000_0001, // signalling NaN, payload 1
+        0x7fff_ffff_ffff_ffff, // NaN, every payload bit
+        0xfff0_0000_dead_beef, // negative NaN, another payload
+        0x0000_0000_0000_0001, // smallest subnormal
+        0x0010_0000_0000_0000, // smallest normal
+        0x3ff0_0000_0000_0000, // 1.0
+        0xbff8_0000_0000_0000, // -1.5
+        0x405e_0000_0000_0000, // 120.0
+    ];
+
+    /// A stage of `(ord_bits, weight)` drawn from raw bits: mostly edge
+    /// values (so duplicates are common), some arbitrary doubles; the
+    /// weight is the staging position, so a reordering of equal bits shows.
+    fn value_stage(raws: &[u64]) -> Vec<(u64, i64)> {
+        let bits = |raw: u64| match raw % 4 {
+            0 => raw,
+            _ => EDGE_BITS[(raw >> 2) as usize % EDGE_BITS.len()],
+        };
+        (0..).zip(raws).map(|(i, &raw)| (ord_bits(f64::from_bits(bits(raw))), i)).collect()
+    }
+
+    /// The radix sort is `sort_unstable`'s order, and stable: equal bits
+    /// keep their staging order.
+    fn assert_radix_sorts(raws: &[u64]) {
+        let mut staged = value_stage(raws);
+        let mut unstable = staged.clone();
+        unstable.sort_unstable_by_key(|&(bits, _)| bits);
+        let mut stable = staged.clone();
+        stable.sort_by_key(|&(bits, _)| bits);
+        Radix::default().sort(&mut staged, |&(bits, _)| bits);
+        let keys = |v: &[(u64, i64)]| v.iter().map(|&(bits, _)| bits).collect::<Vec<_>>();
+        assert_eq!(keys(&staged), keys(&unstable), "sort_unstable's order");
+        assert_eq!(staged, stable, "stable");
+    }
+
+    #[test]
+    fn radix_sort_handles_empty_single_and_uniform_stages() {
+        assert_radix_sorts(&[]);
+        assert_radix_sorts(&[7]);
+        assert_radix_sorts(&[4; 50]); // one value throughout: every pass skipped
+        let every_edge: Vec<u64> = (0..EDGE_BITS.len() as u64).map(|i| (i << 2) | 1).collect();
+        assert_radix_sorts(
+            &every_edge.iter().chain(&every_edge).rev().copied().collect::<Vec<_>>(),
+        );
+    }
+
+    /// One keyed row drawn from raw bits: a key of 0–3 scalars of every
+    /// [`KeyScalar`] variant, 0–3 coordinates and 0–3 values of every
+    /// [`ScalarValue`] variant — each from a small pool at the prefix's
+    /// edges (integers at ±2⁶⁰ and the ends of `i64`, floats at zero, NaN
+    /// and the infinities, strings that share their first seven bytes).
+    fn keyed_row(raw: u64) -> KeyedRow {
+        const INTS: [i64; 10] = [
+            i64::MIN,
+            -(1 << 60) - 1,
+            -(1 << 60),
+            -(1 << 60) + 1,
+            -1,
+            0,
+            1,
+            (1 << 60) - 1,
+            1 << 60,
+            i64::MAX,
+        ];
+        const STRS: [&str; 6] = ["", "a", "ab", "abcdefg", "abcdefgh", "abcdefgz"];
+        let mut draws = raw;
+        let mut next = |n: u64| {
+            let d = draws % n;
+            draws = (draws / n) ^ draws.rotate_left(17);
+            d as usize
+        };
+        let edge = |i: usize| EDGE_BITS[i % EDGE_BITS.len()];
+        let key = (0..next(4))
+            .map(|_| match next(4) {
+                0 => KeyScalar::Int(INTS[next(10)]),
+                1 => KeyScalar::F32((edge(next(14)) >> 32) as u32),
+                2 => KeyScalar::F64(edge(next(14))),
+                _ => KeyScalar::Str(STRS[next(6)].to_string()),
+            })
+            .collect();
+        let coords = (0..next(4)).map(|_| INTS[next(10)]).collect();
+        let values = (0..next(4))
+            .map(|_| match next(6) {
+                0 => ScalarValue::Int32(INTS[next(10)] as i32),
+                1 => ScalarValue::Int64(INTS[next(10)]),
+                2 => ScalarValue::Char(next(3) as u8),
+                3 => ScalarValue::Float(f32::from_bits((edge(next(14)) >> 32) as u32)),
+                4 => ScalarValue::Double(f64::from_bits(edge(next(14)))),
+                _ => ScalarValue::Str(STRS[next(6)].to_string()),
+            })
+            .collect();
+        (key, coords, values)
+    }
+
+    type KeyedRow = (Vec<KeyScalar>, Vec<i64>, Vec<ScalarValue>);
+
+    fn sort_key(r: &KeyedRow) -> (&[KeyScalar], (&[i64], &[ScalarValue])) {
+        (&r.0, (&r.1, &r.2))
+    }
+
+    #[test]
+    fn the_empty_key_and_the_empty_row_sort_first() {
+        let rows = [keyed_row(0), keyed_row(1 << 40), keyed_row(u64::MAX)];
+        let empty = prefix(&[], &[], &[]);
+        for row in &rows {
+            assert!(empty <= prefix(&row.0, &row.1, &row.2));
+            assert!(cmp_keyed((&[], (&[], &[])), sort_key(row)).is_le());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn radix_sort_is_a_stable_sort_unstable(raws in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..400)) {
+            assert_radix_sorts(&raws);
+        }
+
+        /// The prefix never contradicts `(join key, row)` order, and a
+        /// staged batch sorts into exactly a stable `cmp_keyed` sort.
+        #[test]
+        fn prefix_order_is_cmp_keyed_order(raws in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..64)) {
+            let rows: Vec<_> = raws.iter().map(|&raw| keyed_row(raw)).collect();
+            for a in &rows {
+                for b in &rows {
+                    let by_prefix = prefix(&a.0, &a.1, &a.2).cmp(&prefix(&b.0, &b.1, &b.2));
+                    let by_row = cmp_keyed(sort_key(a), sort_key(b));
+                    proptest::prop_assert!(by_prefix.is_eq() || by_prefix == by_row, "{:?} vs {:?}", a, b);
+                }
+            }
+            let mut stage = Stage::default();
+            for (i, r) in (0..).zip(&rows) {
+                stage.push(r.0.clone(), Staged::Lent(&r.1, &r.2), i);
+            }
+            stage.sort();
+            let mut want: Vec<(usize, _)> = rows.iter().enumerate().collect();
+            want.sort_by(|a, b| cmp_keyed(sort_key(a.1), sort_key(b.1)));
+            let got: Vec<i64> = stage.sorted().map(|e| e.weight).collect();
+            let want: Vec<i64> = want.iter().map(|&(i, _)| i as i64).collect();
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }

@@ -548,6 +548,55 @@ fn check_timed_stream(cycles: &[(u64, Vec<u64>)]) {
     }
 }
 
+/// Each shape a time-keyed Z-set merge meets, on its own, against the
+/// model after every delta: (0) days only appended past the end of every
+/// run; (1) every day inserted, then the days only cancelled at the front
+/// of the runs, oldest first, one whole day a delta; (2) interleaved —
+/// expiry and insert in one delta, inside-the-run rows and cancels among
+/// them ([`timed_cycle`] with the expiry and the insert combined).
+fn check_merge_shape(shape: u64, days: &[Vec<u64>]) {
+    for def in timed_defs() {
+        let mut model = Model::new(&def);
+        let mut view = def.instantiate();
+        let mut feed = |deltas: &[DeltaSet; 2], at: String| {
+            for (array, delta) in [A, B].into_iter().zip(deltas) {
+                model.apply(array, delta);
+                view.apply(array, delta);
+                assert_eq!(view.snapshot(), model.snapshot(), "{}: {at}, {array:?}", def.name);
+                assert_eq!(export(&view), model.export(), "{}: {at}, {array:?} bytes", def.name);
+            }
+        };
+        let day_deltas = |day: i64, raws: &[u64], weight: i64| {
+            let mut deltas = [DeltaSet::new(), DeltaSet::new()];
+            for &raw in raws {
+                let (c, v) = timed_row(day, raw);
+                deltas[(raw >> 14) as usize % 2].push(c, v, weight);
+            }
+            deltas
+        };
+        match shape {
+            0 | 1 => {
+                for (day, raws) in (0..).zip(days) {
+                    feed(&day_deltas(day, raws, 1), format!("append day {day}"));
+                }
+                if shape == 1 {
+                    for (day, raws) in (0..).zip(days) {
+                        feed(&day_deltas(day, raws, -1), format!("cancel day {day}"));
+                    }
+                }
+            }
+            _ => {
+                let mut live = [Vec::new(), Vec::new()];
+                for (day, raws) in (0..).zip(days) {
+                    for deltas in timed_cycle(day, 0, raws, &mut live) {
+                        feed(&deltas, format!("interleaved day {day}"));
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A time-keyed stream: up to `days` cycles of up to `rows` draws each.
 fn timed_stream(days: usize, rows: usize) -> impl Strategy<Value = Vec<(u64, Vec<u64>)>> {
     proptest::collection::vec(
@@ -651,6 +700,20 @@ proptest! {
     #[test]
     fn span_merges_are_the_model_on_time_keyed_streams(cycles in timed_stream(14, 30)) {
         check_timed_stream(&cycles);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// (vi) each merge shape alone — pure append, pure front cancel,
+    /// interleaved — is the model.
+    #[test]
+    fn each_merge_shape_is_the_model(
+        shape in 0u64..3,
+        days in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..30), 1..10),
+    ) {
+        check_merge_shape(shape, &days);
     }
 }
 

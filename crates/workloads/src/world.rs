@@ -84,14 +84,16 @@ fn gc_trips(config: &RunnerConfig, payload: &Chunk) -> bool {
 /// takes one comparison, not the per-cell kernel. Any other script goes
 /// to [`Chunk::match_retractions`]. The two may pair duplicate
 /// coordinates with their rows differently, never a different set of
-/// rows.
-fn match_group(chunk: &Chunk, group: &ScriptGroup<'_>, out: &mut Vec<Option<u32>>) {
+/// rows. Returns whether the script re-listed the chunk.
+fn match_group(chunk: &Chunk, group: &ScriptGroup<'_>, out: &mut Vec<Option<u32>>) -> bool {
     out.clear();
-    if chunk.tombstone_count() == 0 && group.cells_flat() == chunk.coords_flat() {
+    let relisted = chunk.tombstone_count() == 0 && group.cells_flat() == chunk.coords_flat();
+    if relisted {
         out.extend(chunk.live_rows().map(Some));
     } else {
         chunk.match_retractions(group.cells(), out);
     }
+    relisted
 }
 
 /// What a retraction script does to one chunk: how many of its cells
@@ -123,7 +125,11 @@ impl Retirement {
         // usize → u64 widens on every target this builds for.
         let retracted = rows.clone().count() as u64;
         let fate = if retracted == chunk.cell_count() {
-            Fate::Dropped { residual: chunk.byte_size() - chunk.rows_byte_cost(rows) }
+            // Every live row: what is left is the dictionaries, counted a
+            // column at a time.
+            let residual = chunk.retained_bytes();
+            debug_assert_eq!(residual, chunk.byte_size() - chunk.rows_byte_cost(rows));
+            Fate::Dropped { residual }
         } else if retracted == 0 && !gc_trips(config, chunk) {
             Fate::Stands
         } else {
@@ -323,6 +329,8 @@ impl World {
             report.view_delta_rows += applied.delta_rows;
             report.view_rows_changed += applied.rows_changed;
         }
+        // Drop the lent chunk handles: the store may have let them go.
+        self.delta.clear();
     }
 
     /// `node` if it accepts data; otherwise the deterministic accepting
@@ -418,12 +426,13 @@ impl World {
     /// tombstone-free chunk's rows in order — a day replayed for expiry
     /// — matches every row at the cost of one buffer comparison; any
     /// other goes through the array model's batch kernel
-    /// ([`Chunk::match_retractions`]). The matched rows leave the chunk
-    /// as the views' negative delta — a column at a time, into the
-    /// world's kept buffer
-    /// ([`DeltaSet::extend_from_chunk`]; chunk order, which the views do
-    /// not depend on) — and the chunk gets one [`Retirement`], decided
-    /// from the input alone:
+    /// ([`Chunk::match_retractions`]). The matched rows are lent to the
+    /// views' negative delta — the chunk's shared handle and the row
+    /// numbers, or a plain row range for a re-listed chunk, in the
+    /// world's kept set ([`DeltaSet::lend_rows`],
+    /// [`DeltaSet::lend_live_rows`]; chunk order, which the views do not
+    /// depend on) — and the chunk gets one [`Retirement`], decided from
+    /// the input alone:
     ///
     /// * **Drop.** The script names every live row of the chunk: the
     ///   chunk is evicted — placement entry, primary, replicas — without
@@ -467,12 +476,15 @@ impl World {
                     Err(ClusterError::MissingChunk(_) | ClusterError::ChunkLost(_)) => continue,
                     Err(refused) => return Err(rejected(refused)),
                 };
-                match_group(chunk, &group, &mut matched);
+                let relisted = match_group(chunk, &group, &mut matched);
                 let rows = matched.iter().flatten().copied();
                 if viewed {
-                    // Tombstoning keeps a row's values, but a dropped or
-                    // compacted chunk does not: read them out first.
-                    self.delta.extend_from_chunk(chunk, rows.clone(), -1);
+                    // The delta keeps the handle: an evicted or rebuilt
+                    // chunk's rows stay readable until the views fold it.
+                    match relisted {
+                        true => self.delta.lend_live_rows(chunk, -1),
+                        false => self.delta.lend_rows(chunk, rows.clone(), -1),
+                    }
                 }
                 let Retirement { retracted, fate } = Retirement::of(config, chunk, rows);
                 report.retracted_cells += retracted;
@@ -681,11 +693,11 @@ impl World {
         for fresh in arrays.unwrap_or_default() {
             let id = fresh.id;
             // A fresh array holds exactly this cycle's inserted cells:
-            // its +1 delta is read out of it, and folded into the views
+            // its +1 delta is lent out of it, and folded into the views
             // once the chunks are in the stores.
             self.delta.clear();
             if self.views.reads(id) {
-                self.delta.extend_live_cells(&fresh);
+                self.delta.lend_live_cells(&fresh);
             }
             for (coords, chunk) in fresh.shared_chunks() {
                 let key = ChunkKey::new(id, *coords);
