@@ -5,13 +5,15 @@ use crate::chunk::{ArrayId, Chunk, ChunkDescriptor, ChunkKey};
 use crate::coords::{chunk_of, ChunkCoords};
 use crate::error::Result;
 use crate::schema::ArraySchema;
-use crate::value::{ScalarValue, StringEncoding};
+use crate::value::ScalarValue;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 // A child of this module, so the fenced methods keep their private access.
 #[path = "bench_only.rs"]
 mod bench_only;
+#[allow(deprecated)]
+pub use bench_only::StringEncoding;
 
 /// What a batch retraction ([`Array::delete_cells`]) did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -47,35 +49,19 @@ pub struct Array {
     /// The array's schema.
     pub schema: ArraySchema,
     chunks: BTreeMap<ChunkCoords, Arc<Chunk>>,
-    /// Physical representation of string columns in chunks this array
-    /// builds (per-cell inserts and the batch kernel alike).
-    encoding: StringEncoding,
 }
 
 impl Array {
-    /// An empty array under the default string encoding (dictionary,
-    /// [`crate::DEFAULT_DICT_CAP`]).
+    /// An empty array.
     pub fn new(id: ArrayId, schema: ArraySchema) -> Self {
-        Self::with_encoding(id, schema, StringEncoding::default())
-    }
-
-    /// An empty array whose chunks store string columns under `encoding`.
-    pub fn with_encoding(id: ArrayId, schema: ArraySchema, encoding: StringEncoding) -> Self {
-        Array { id, schema, chunks: BTreeMap::new(), encoding }
-    }
-
-    /// The string encoding this array builds chunks with.
-    pub fn string_encoding(&self) -> StringEncoding {
-        self.encoding
+        Array { id, schema, chunks: BTreeMap::new() }
     }
 
     /// Insert one cell, routing it to (and creating, if needed) its chunk.
     pub fn insert_cell(&mut self, cell: Vec<i64>, values: Vec<ScalarValue>) -> Result<ChunkCoords> {
         let coords = chunk_of(&self.schema, &cell)?;
-        let chunk = self
-            .chunks
-            .entry(coords)
-            .or_insert_with(|| Arc::new(Chunk::with_encoding(&self.schema, coords, self.encoding)));
+        let chunk =
+            self.chunks.entry(coords).or_insert_with(|| Arc::new(Chunk::new(&self.schema, coords)));
         Arc::make_mut(chunk).push_cell(&self.schema, cell, values)?;
         Ok(coords)
     }
@@ -87,19 +73,18 @@ impl Array {
     /// buffer order, but validated **once per batch** (shape via
     /// [`CellBuffer::matches`], bounds via [`RowGroups::of`]) and built
     /// column-at-a-time per chunk ([`Chunk`]'s gather kernel).
-    /// Fixed-width values copy, while strings are **moved** into their
-    /// chunks — each one keeps the allocation the generator gave it, so
-    /// the whole batch adds zero per-value allocations. All-or-nothing:
+    /// Fixed-width values and string codes copy; a chunk's dictionary is
+    /// cut out of the batch's, so the whole batch adds zero per-value
+    /// allocations. All-or-nothing:
     /// any invalid row fails the whole batch before the array is touched.
     /// This is the ingest hot path.
-    pub fn insert_batch_owned(&mut self, mut src: CellBuffer) -> Result<()> {
+    pub fn insert_batch_owned(&mut self, src: CellBuffer) -> Result<()> {
         src.matches(&self.schema)?;
         let groups = RowGroups::of(&self.schema, src.coords_flat())?;
-        let (flat, cols) = src.parts_mut();
         // One chunk per group; a vacant position takes it wholesale, a
         // revisited one appends — identical to per-cell insertion order.
         let groups: Vec<_> = groups.iter().collect();
-        for chunk in Chunk::gather_cells(&self.schema, cols, flat, &groups, self.encoding) {
+        for chunk in Chunk::gather_cells(&self.schema, src.columns(), src.coords_flat(), &groups) {
             match self.chunks.entry(chunk.coords) {
                 std::collections::btree_map::Entry::Vacant(e) => {
                     e.insert(Arc::new(chunk));
@@ -221,12 +206,11 @@ impl Array {
         ChunkKey::new(self.id, *coords)
     }
 
-    /// Serialize the whole array — id, schema, build encoding, and every
-    /// chunk verbatim — for checkpoints.
+    /// Serialize the whole array — id, schema, and every chunk verbatim —
+    /// for checkpoints.
     pub fn encode_into(&self, w: &mut durability::ByteWriter) {
         self.id.encode_into(w);
         self.schema.encode_into(w);
-        self.encoding.encode_into(w);
         w.put_list(self.chunks.values(), |w, chunk| chunk.encode_into(w));
     }
 
@@ -239,7 +223,6 @@ impl Array {
         use durability::CodecError;
         let id = ArrayId::decode_from(r)?;
         let schema = ArraySchema::decode_from(r)?;
-        let encoding = StringEncoding::decode_from(r)?;
         let mut chunks = BTreeMap::new();
         for _ in 0..r.count("array chunk count", 1)? {
             let chunk = Chunk::decode_from(r)?;
@@ -249,7 +232,7 @@ impl Array {
             })?;
             chunks.insert(chunk.coords, Arc::new(chunk));
         }
-        Ok(Array { id, schema, chunks, encoding })
+        Ok(Array { id, schema, chunks })
     }
 }
 

@@ -1,9 +1,17 @@
 //! What only the benchmark harness still calls, kept for it until it stops
-//! naming these items: the whole-array retraction walk and the chunk
-//! handles it re-aliases. Every method here is deprecated, so a new
-//! caller in the workspace fails `clippy -D warnings`.
+//! naming these items: the whole-array retraction walk, the chunk
+//! handles it re-aliases, and the type of the string-encoding settings it
+//! passes along. Every item here is deprecated, so a new caller in the
+//! workspace fails `clippy -D warnings`.
 
 use super::*;
+
+/// Ignored: every string column is dictionary-encoded. Only the type of
+/// `RunnerConfig::string_encoding` and of `build_cell_array_encoded`'s
+/// `encoding` argument, which the benchmark harness passes along.
+#[deprecated(note = "benchmark only; deleted by Benchmark PR A")]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StringEncoding;
 
 impl Array {
     /// [`Array::delete_cells`], additionally handing each retracted

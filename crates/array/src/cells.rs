@@ -9,10 +9,10 @@
 //! columns, not per-cell `Vec`s: [`RowGroups`] reads coordinate slices
 //! in place and sorts the batch's row *indices* by owning chunk, and
 //! chunk building gathers each column through that one row order (see
-//! [`Chunk::push_cells`]). String values intern into a per-column
-//! transport dictionary as they are emitted, so a buffered string is a
-//! `u32` code and building dictionary-encoded chunks is a code remap,
-//! not a string move.
+//! [`Chunk::push_cells`]). A string column is a dictionary column here
+//! as in a chunk: values intern into the batch's per-column dictionary
+//! as they are emitted, so a buffered string is a `u32` code and
+//! building a chunk's string column is a code remap, not a string move.
 //!
 //! [`Chunk::push_cells`]: crate::chunk::Chunk::push_cells
 
@@ -20,7 +20,7 @@ use crate::chunk::Chunk;
 use crate::coords::{chunk_of, ChunkCoords, MAX_DIMS};
 use crate::error::{ArrayError, Result};
 use crate::schema::{chunks_from_start, ArraySchema};
-use crate::value::{AttributeColumn, ScalarValue, StringEncoding};
+use crate::value::{AttributeColumn, ScalarValue};
 use durability::{ByteReader, CodecError};
 
 /// A batch of raw cells in flat columnar form, shaped by one schema.
@@ -46,30 +46,13 @@ pub struct CellBuffer {
 
 impl CellBuffer {
     /// An empty buffer shaped by `schema`'s dimensions and attributes.
-    ///
-    /// String columns use the **transport** encoding
-    /// ([`StringEncoding::transport`]): generators intern each emitted
-    /// string into an uncapped per-column dictionary, so a buffered row's
-    /// string values are `u32` codes and the whole batch carries each
-    /// distinct string once. The storage-side cardinality cap is applied
-    /// per *chunk* column when the rows are gathered into chunks.
+    /// Generators intern each emitted string into its column's
+    /// dictionary, so the whole batch carries each distinct string once.
     pub fn new(schema: &ArraySchema) -> Self {
-        Self::with_encoding(schema, StringEncoding::transport())
-    }
-
-    /// An empty buffer whose string columns use `encoding` —
-    /// [`StringEncoding::Plain`] reproduces the pre-dictionary pipeline
-    /// (one heap `String` per buffered value, moved into the chunks by
-    /// the consuming insert).
-    pub fn with_encoding(schema: &ArraySchema, encoding: StringEncoding) -> Self {
         CellBuffer {
             ndims: schema.ndims(),
             coords: Vec::new(),
-            columns: schema
-                .attributes
-                .iter()
-                .map(|a| AttributeColumn::with_encoding(a.ty, encoding))
-                .collect(),
+            columns: schema.attributes.iter().map(|a| AttributeColumn::new(a.ty)).collect(),
             retractions: Vec::new(),
         }
     }
@@ -156,12 +139,6 @@ impl CellBuffer {
         &self.coords
     }
 
-    /// Split borrow for the consuming build: the coordinate buffer
-    /// (read) alongside mutable columns (values are *moved* out).
-    pub(crate) fn parts_mut(&mut self) -> (&[i64], &mut [AttributeColumn]) {
-        (&self.coords, &mut self.columns)
-    }
-
     /// The typed attribute columns, in schema order.
     pub fn columns(&self) -> &[AttributeColumn] {
         &self.columns
@@ -175,7 +152,7 @@ impl CellBuffer {
     }
 
     /// Serialize the batch verbatim — stride, flat coordinates, typed
-    /// columns (transport dictionaries included), and retractions — for
+    /// columns (dictionaries included), and retractions — for
     /// the write-ahead log. Replaying a decoded batch through the same
     /// insert path is bit-identical to replaying the original.
     pub fn encode_into(&self, w: &mut durability::ByteWriter) {

@@ -20,7 +20,7 @@ use crate::cells::CellBuffer;
 use crate::coords::{ChunkCoords, MAX_DIMS};
 use crate::error::{ArrayError, Result};
 use crate::schema::ArraySchema;
-use crate::value::{AttributeColumn, DictColumn, ScalarValue, StringDict, StringEncoding};
+use crate::value::{AttributeColumn, DictColumn, ScalarValue, StringDict};
 use crate::zone::{DimZone, ZoneMap};
 
 /// Identifier for an array within a catalog/cluster.
@@ -118,12 +118,6 @@ pub struct Chunk {
     /// was retracted. May be shorter than the row count — absent bits
     /// are live. Empty on every freshly built or compacted chunk.
     tombstones: Vec<u64>,
-    /// The string encoding this chunk was built with. [`Chunk::compact`]
-    /// rebuilds columns under it, so a column that spilled to plain
-    /// storage re-encodes when the surviving cardinality fits the cap —
-    /// a compacted chunk is structurally identical to one built from
-    /// only the surviving cells.
-    encoding: StringEncoding,
     /// Pruning metadata: live-cell bounding box + per-attribute stats.
     /// Maintained on every mutation (see [`crate::zone`] for the
     /// conservatism/path-independence invariants); participates in the
@@ -133,24 +127,10 @@ pub struct Chunk {
 }
 
 impl Chunk {
-    /// An empty chunk at `coords` shaped by `schema`'s attributes, under
-    /// the default string encoding (dictionary, [`crate::DEFAULT_DICT_CAP`]).
+    /// An empty chunk at `coords` shaped by `schema`'s attributes.
     pub fn new(schema: &ArraySchema, coords: ChunkCoords) -> Self {
-        Self::with_encoding(schema, coords, StringEncoding::default())
-    }
-
-    /// An empty chunk at `coords`; `encoding` selects the physical
-    /// representation of its string columns.
-    pub fn with_encoding(
-        schema: &ArraySchema,
-        coords: ChunkCoords,
-        encoding: StringEncoding,
-    ) -> Self {
-        let columns: Vec<AttributeColumn> = schema
-            .attributes
-            .iter()
-            .map(|a| AttributeColumn::with_encoding(a.ty, encoding))
-            .collect();
+        let columns: Vec<AttributeColumn> =
+            schema.attributes.iter().map(|a| AttributeColumn::new(a.ty)).collect();
         let zone = ZoneMap::empty_for(schema.ndims(), &columns);
         Chunk {
             coords,
@@ -160,7 +140,6 @@ impl Chunk {
             bytes: 0,
             cells: 0,
             tombstones: Vec::new(),
-            encoding,
             zone,
         }
     }
@@ -193,16 +172,15 @@ impl Chunk {
         self.zone.observe_cell(&cell, &values);
         for (col, value) in self.columns.iter_mut().zip(values) {
             // The delta accounts dictionary bytes once per distinct
-            // string plus 4 B per code (and any spill conversion);
-            // plain values cost their full payload.
-            let delta = col.push(value).expect("types were validated above");
-            self.bytes = self.bytes.checked_add_signed(delta).expect("byte counter underflow");
+            // string plus 4 B per code.
+            // Invariant: every value's type was checked against its column above.
+            self.bytes += col.push(value).expect("types were validated above");
         }
         self.bytes += (cell.len() * 8) as u64;
         self.cell_coords.extend_from_slice(&cell);
         self.cells += 1;
-        // After the values land: the push may have grown or spilled a
-        // dictionary, which the zone's string summaries track.
+        // After the values land: the push may have grown a dictionary,
+        // whose size the zone's string summaries track.
         self.zone.sync_strings(&self.columns);
         Ok(())
     }
@@ -223,18 +201,17 @@ impl Chunk {
     /// lives only in the kernel. The hot path
     /// ([`crate::Array::insert_batch_owned`]) gathers straight into its
     /// destination chunks.
-    pub fn push_cells(&mut self, schema: &ArraySchema, mut src: CellBuffer) -> Result<()> {
+    pub fn push_cells(&mut self, schema: &ArraySchema, src: CellBuffer) -> Result<()> {
         src.matches(schema)?;
         if src.is_empty() {
             return Ok(());
         }
         let rows: Vec<u32> = (0..src.len() as u32).collect();
-        let (flat, cols) = src.parts_mut();
-        // The temporary takes this chunk's own string encoding; `append`
-        // reconciles representations either way.
-        let mut built =
-            Chunk::gather_cells(schema, cols, flat, &[(self.coords, &rows)], self.encoding);
-        self.append(built.pop().expect("exactly one group"));
+        let group = [(self.coords, &rows[..])];
+        // One group, so one chunk.
+        for built in Chunk::gather_cells(schema, src.columns(), src.coords_flat(), &group) {
+            self.append(built);
+        }
         Ok(())
     }
 
@@ -283,14 +260,13 @@ impl Chunk {
     ///
     /// # Strings
     ///
-    /// A dictionary-encoded source column walks **one group at a time**
-    /// with one reusable `source code → chunk code` table for the whole
-    /// column: a code the group has not seen takes the next chunk code
-    /// and joins the group's seen-list; after the group the table is
-    /// reset through that list. A group that saw more distinct strings
-    /// than the cap has its column rebuilt plain from the same rows —
-    /// the state sequential insertion reaches; otherwise its dictionary
-    /// is cut out of the batch's through the seen-list
+    /// A string column is a code column, so it is gathered like a
+    /// fixed-width one, with one remap on the way: the source column
+    /// walks **one group at a time** with one reusable `source code →
+    /// chunk code` table for the whole column. A code the group has not
+    /// seen takes the next chunk code and joins the group's seen-list;
+    /// after the group the table is reset through that list. The group's
+    /// dictionary is cut out of the batch's through the seen-list
     /// (`StringDict::from_distinct`): the entries' text appended to one
     /// arena, their end offsets to one list, both sized once — two
     /// allocations a dictionary, where a `String` per entry and a hash
@@ -299,19 +275,15 @@ impl Chunk {
     /// first probed ([`StringDict`]). No per-row string traffic, no
     /// `groups × dictionary` table.
     ///
-    /// `src` is the batch's columns, consumed: plain strings are
-    /// **moved** out, so each row must be listed once, and the spent
-    /// columns are left behind. `encoding` is the **storage-side** string
-    /// representation the built chunks carry. The caller has validated
-    /// the batch against `schema` ([`crate::CellBuffer::matches`]) and
-    /// every row index against the batch; row order within a chunk is
-    /// the listed order, identical to per-cell insertion.
+    /// `src` is the batch's columns; the caller has validated the batch
+    /// against `schema` ([`crate::CellBuffer::matches`]) and every row
+    /// index against the batch. Row order within a chunk is the listed
+    /// order, identical to per-cell insertion.
     pub(crate) fn gather_cells(
         schema: &ArraySchema,
-        src: &mut [AttributeColumn],
+        src: &[AttributeColumn],
         flat: &[i64],
         groups: &[Group<'_>],
-        encoding: StringEncoding,
     ) -> Vec<Chunk> {
         let nd = schema.ndims();
         // Specialize on the (tiny) dimensionality: a cell is then a
@@ -327,7 +299,7 @@ impl Chunk {
         let mut out: Vec<Chunk> = groups
             .iter()
             .map(|&(coords, rows)| {
-                let mut chunk = Chunk::with_encoding(schema, coords, encoding);
+                let mut chunk = Chunk::new(schema, coords);
                 chunk.cell_coords = match nd {
                     1 => coords_of::<1>(flat, rows, &mut chunk.zone),
                     2 => coords_of::<2>(flat, rows, &mut chunk.zone),
@@ -352,21 +324,13 @@ impl Chunk {
                 chunk
             })
             .collect();
-        for (a, src_col) in src.iter_mut().enumerate() {
-            gather_column(&mut out, a, src_col, groups, encoding);
+        for (a, src_col) in src.iter().enumerate() {
+            gather_column(&mut out, a, src_col, groups);
         }
         // Freshly gathered chunks are tombstone-free, so the folds above
         // (each buffer's, right after it was written) are the canonical,
         // tight zone map.
         out
-    }
-
-    /// Take a gathered variable-width column as attribute `attr` of a
-    /// chunk under construction: count its bytes, fold its zone.
-    fn install_column(&mut self, attr: usize, column: AttributeColumn) {
-        self.bytes += column.byte_size();
-        self.zone.set_attr(attr, &column);
-        self.columns[attr] = column;
     }
 
     /// Move every cell of `other` onto the end of this chunk, preserving
@@ -387,15 +351,14 @@ impl Chunk {
             "append source must be tombstone-free"
         );
         self.cell_coords.extend_from_slice(&other.cell_coords);
-        let mut delta = other.cell_coords.len() as i64 * 8;
+        self.bytes += other.cell_coords.len() as u64 * 8;
         for (dst, src) in self.columns.iter_mut().zip(other.columns) {
-            delta += dst.append(src);
+            self.bytes += dst.append(src);
         }
-        self.bytes = self.bytes.checked_add_signed(delta).expect("byte counter underflow");
         self.cells += other.cells;
         // Merging canonical zone maps equals the canonical map of the
         // union, so grown chunks stay `==` to batch-built ones. String
-        // summaries re-read the merged columns (appends can spill).
+        // summaries re-read the merged dictionaries' sizes.
         self.zone.merge(&other.zone);
         self.zone.sync_strings(&self.columns);
     }
@@ -434,6 +397,7 @@ impl Chunk {
 
     /// The live physical rows, ascending.
     pub fn live_rows(&self) -> impl Iterator<Item = u32> + Clone + '_ {
+        // Invariant: a chunk's rows are `u32`-indexed, like a batch's (`RowGroups::of`).
         let rows = u32::try_from(self.physical_cell_count()).expect("a chunk's rows fit u32");
         (0..rows).filter(|&row| !self.is_tombstoned(row as usize))
     }
@@ -466,12 +430,6 @@ impl Chunk {
     /// True when physical row `row` has been retracted.
     pub fn is_tombstoned(&self, row: usize) -> bool {
         self.tombstones.get(row / 64).is_some_and(|w| w & (1u64 << (row % 64)) != 0)
-    }
-
-    /// The string encoding this chunk was built with (and that
-    /// [`Chunk::compact`] rebuilds under).
-    pub fn string_encoding(&self) -> StringEncoding {
-        self.encoding
     }
 
     /// Validate the chunk's shape against `schema`: coordinate stride and
@@ -596,17 +554,16 @@ impl Chunk {
     /// when `row` is past the physical row count.
     pub fn row_values(&self, row: usize) -> Option<Vec<ScalarValue>> {
         (row < self.physical_cell_count()).then(|| {
+            // Invariant: every column holds one value per physical row.
             self.columns.iter().map(|c| c.get(row).expect("columns cover every row")).collect()
         })
     }
 
     /// What physical row `row` costs: coordinates plus per-column bytes.
     fn row_byte_cost(&self, row: usize) -> u64 {
-        let cols: u64 = self
-            .columns
-            .iter()
-            .map(|col| col.row_byte_cost(row).expect("columns cover every physical row"))
-            .sum();
+        // Invariant: every column holds one value per physical row.
+        let cost = |col: &AttributeColumn| col.row_byte_cost(row).expect("columns cover the row");
+        let cols: u64 = self.columns.iter().map(cost).sum();
         (self.ndims as usize * 8) as u64 + cols
     }
 
@@ -620,22 +577,22 @@ impl Chunk {
             self.tombstones.resize(word + 1, 0);
         }
         self.tombstones[word] |= 1u64 << (row % 64);
+        // Invariant: the counters include this live row, and `freed` is its cost.
         self.bytes = self.bytes.checked_sub(freed).expect("byte counter underflow on retraction");
+        // Invariant: the row was live, so it is among the counted cells.
         self.cells = self.cells.checked_sub(1).expect("cell counter underflow on retraction");
         freed
     }
 
     /// Reclaim tombstoned rows: rebuild the coordinate buffer and every
-    /// column from the surviving rows, under the chunk's original string
-    /// encoding — so dictionary entries with no remaining references are
-    /// dropped, and a column that spilled to plain storage re-encodes
-    /// when the surviving cardinality fits the cap again. The result is
-    /// structurally identical to a chunk built from only the surviving
-    /// cells in their original order.
+    /// column from the surviving rows, so dictionary entries with no
+    /// remaining references are dropped. The result is structurally
+    /// identical to a chunk built from only the surviving cells in their
+    /// original order.
     ///
-    /// Returns the byte-size delta (positive = bytes reclaimed; a spill
-    /// reversal can make the rebuilt column marginally larger). No-op on
-    /// a tombstone-free chunk.
+    /// Returns the bytes reclaimed, never negative: the rebuilt
+    /// dictionaries hold a subset of the old entries. No-op on a
+    /// tombstone-free chunk.
     pub fn compact(&mut self) -> i64 {
         if self.tombstones.iter().all(|w| *w == 0) {
             self.tombstones.clear();
@@ -644,20 +601,17 @@ impl Chunk {
         let nd = (self.ndims as usize).max(1);
         let before = self.bytes;
         let mut coords = Vec::with_capacity(self.cells as usize * nd);
-        let mut columns: Vec<AttributeColumn> = self
-            .columns
-            .iter()
-            .map(|c| AttributeColumn::with_encoding(c.column_type(), self.encoding))
-            .collect();
+        let mut columns: Vec<AttributeColumn> =
+            self.columns.iter().map(|c| AttributeColumn::new(c.column_type())).collect();
         let mut bytes = 0u64;
         for (cell, row) in self.iter_cells() {
             coords.extend_from_slice(cell);
             bytes += (nd * 8) as u64;
             for (dst, src) in columns.iter_mut().zip(&self.columns) {
-                let delta = dst
-                    .push(src.get(row).expect("live rows have values"))
-                    .expect("rebuilt columns share the source types");
-                bytes = bytes.checked_add_signed(delta).expect("byte counter underflow");
+                // Invariant: every column holds one value per physical row.
+                let value = src.get(row).expect("live rows have values");
+                // Invariant: each rebuilt column was made from its source's type.
+                bytes += dst.push(value).expect("rebuilt columns share the source types");
             }
         }
         self.cell_coords = coords;
@@ -766,9 +720,8 @@ impl ChunkDescriptor {
 
 impl Chunk {
     /// Serialize every field verbatim: coordinates, the flat SoA cell
-    /// coordinate buffer, each attribute column in its current physical
-    /// representation, the running counters, the tombstone bitmap, and
-    /// the build encoding.
+    /// coordinate buffer, each attribute column, the running counters,
+    /// the tombstone bitmap, and the zone map.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         self.coords.encode_into(w);
         w.put_u8(self.ndims);
@@ -777,7 +730,6 @@ impl Chunk {
         w.put_u64(self.bytes);
         w.put_u64(self.cells);
         w.put_words(&self.tombstones, u64::to_le_bytes);
-        self.encoding.encode_into(w);
         self.zone.encode_into(w);
     }
 
@@ -813,11 +765,10 @@ impl Chunk {
             let detail = format!("counter says {cells} live cells, bitmap leaves {live}");
             return Err(CodecError::invalid("chunk cells", detail));
         }
-        let encoding = StringEncoding::decode_from(r)?;
         let zone = ZoneMap::decode_from(r)?;
         zone.check_covers(&ZoneMap::compute(ndims as usize, &cell_coords, &columns))
             .map_err(|detail| CodecError::invalid("chunk zone map", detail))?;
-        Ok(Chunk { coords, ndims, cell_coords, columns, bytes, cells, tombstones, encoding, zone })
+        Ok(Chunk { coords, ndims, cell_coords, columns, bytes, cells, tombstones, zone })
     }
 }
 
@@ -827,17 +778,7 @@ pub(crate) type Group<'a> = (ChunkCoords, &'a [u32]);
 /// One column of [`Chunk::gather_cells`]: each group's chunk column is
 /// gathered from `src` at the group's rows. The type dispatch happens
 /// once per column; the inner loops are exact-size typed gathers.
-/// Fixed-width values and dictionary codes copy; each plain string is
-/// **moved** out of the spent batch — every row is gathered into exactly
-/// one chunk, so the string allocated by the generator is the string the
-/// chunk stores (or the one that seeds its dictionary).
-fn gather_column(
-    chunks: &mut [Chunk],
-    attr: usize,
-    src: &mut AttributeColumn,
-    groups: &[Group<'_>],
-    encoding: StringEncoding,
-) {
+fn gather_column(chunks: &mut [Chunk], attr: usize, src: &AttributeColumn, groups: &[Group<'_>]) {
     macro_rules! gather_fixed {
         ($variant:ident, $width:expr, $src:expr) => {{
             for (chunk, &(_, rows)) in chunks.iter_mut().zip(groups) {
@@ -856,63 +797,14 @@ fn gather_column(
         AttributeColumn::Float(s) => gather_fixed!(Float, 4, s),
         AttributeColumn::Double(s) => gather_fixed!(Double, 8, s),
         AttributeColumn::Char(s) => gather_fixed!(Char, 1, s),
-        AttributeColumn::Dict(s) => gather_dict_column(chunks, attr, s, groups, encoding),
-        AttributeColumn::Str(s) => {
-            gather_strings(chunks, attr, groups, encoding, |r| std::mem::take(&mut s[r as usize]))
-        }
+        AttributeColumn::Dict(s) => gather_dict_column(chunks, attr, s, groups),
     }
 }
 
-/// A plain-string source column (the compatibility path — the batch
-/// transport is normally dictionary-encoded). Plain chunks take each
-/// group's strings as one exact-size collect; dictionary chunks intern
-/// them row by row through the column's own `push_str` (insert with
-/// spill), which *is* sequential insertion.
-fn gather_strings(
-    chunks: &mut [Chunk],
-    attr: usize,
-    groups: &[Group<'_>],
-    encoding: StringEncoding,
-    mut take: impl FnMut(u32) -> String,
-) {
-    for (chunk, &(_, rows)) in chunks.iter_mut().zip(groups) {
-        match encoding {
-            StringEncoding::Plain => {
-                let column = AttributeColumn::Str(rows.iter().map(|&r| take(r)).collect());
-                chunk.install_column(attr, column);
-            }
-            StringEncoding::Dict { .. } => {
-                let col = &mut chunk.columns[attr];
-                col.reserve(rows.len());
-                let delta: i64 = rows.iter().map(|&r| col.push_str(take(r))).sum();
-                chunk.bytes =
-                    chunk.bytes.checked_add_signed(delta).expect("byte counter underflow");
-                chunk.zone.set_attr(attr, &chunk.columns[attr]);
-            }
-        }
-    }
-}
-
-/// A dictionary-encoded source column, into dictionary or plain chunks:
-/// the walk [`Chunk::gather_cells`] documents under *Strings*.
-fn gather_dict_column(
-    chunks: &mut [Chunk],
-    attr: usize,
-    src: &DictColumn,
-    groups: &[Group<'_>],
-    encoding: StringEncoding,
-) {
+/// A string column: the walk [`Chunk::gather_cells`] documents under
+/// *Strings*.
+fn gather_dict_column(chunks: &mut [Chunk], attr: usize, src: &DictColumn, groups: &[Group<'_>]) {
     let (codes, dict) = (src.codes(), src.dict());
-    let entry = |code: u32| dict.get(code).expect("codes index the dictionary");
-    let decoded = |rows: &[u32]| {
-        AttributeColumn::Str(rows.iter().map(|&r| entry(codes[r as usize]).to_string()).collect())
-    };
-    let StringEncoding::Dict { cap } = encoding else {
-        for (chunk, &(_, rows)) in chunks.iter_mut().zip(groups) {
-            chunk.install_column(attr, decoded(rows));
-        }
-        return;
-    };
     // Source code → this group's chunk code, `u32::MAX` while unseen; and
     // the source codes the group has seen, in first-seen order. A group
     // has fewer rows than `u32::MAX`, so fewer distinct codes.
@@ -929,15 +821,11 @@ fn gather_dict_column(
             }
             *slot
         }));
-        let column = if seen.len() > cap as usize {
-            // More distinct strings than the cap: sequential insertion
-            // would have spilled this chunk's column to plain storage.
-            decoded(rows)
-        } else {
-            let dict = StringDict::from_distinct(seen.iter().map(|&code| entry(code)));
-            AttributeColumn::Dict(DictColumn::from_parts(chunk_codes, dict, cap))
-        };
-        chunk.install_column(attr, column);
+        let dict = StringDict::from_distinct(seen.iter().map(|&code| dict.entry(code)));
+        let column = AttributeColumn::Dict(DictColumn::from_parts(chunk_codes, dict));
+        chunk.bytes += column.byte_size();
+        chunk.zone.set_attr(attr, &column);
+        chunk.columns[attr] = column;
         for code in seen.drain(..) {
             remap[code as usize] = u32::MAX;
         }
@@ -1084,47 +972,38 @@ mod tests {
     #[test]
     fn compact_equals_building_only_survivors() {
         let s = ArraySchema::parse("A<i:int32, s:string>[x=1:8,8, y=1:8,8]").unwrap();
-        for encoding in [
-            StringEncoding::Plain,
-            StringEncoding::Dict { cap: 2 }, // spill-forcing
-            StringEncoding::Dict { cap: 64 },
-        ] {
-            let mut c = Chunk::with_encoding(&s, ChunkCoords::new([0, 0]), encoding);
-            let vals = ["a", "b", "c", "d", "a", "b"];
-            for (k, v) in vals.iter().enumerate() {
-                let x = k as i64 + 1;
-                c.push_cell(
+        let mut c = Chunk::new(&s, ChunkCoords::new([0, 0]));
+        let vals = ["a", "b", "c", "d", "a", "b"];
+        for (k, v) in vals.iter().enumerate() {
+            let x = k as i64 + 1;
+            c.push_cell(
+                &s,
+                vec![x, x],
+                vec![ScalarValue::Int32(k as i32), ScalarValue::Str((*v).to_string())],
+            )
+            .unwrap();
+        }
+        // Kill the rows carrying "c" and "d": their entries outlive them
+        // until the compaction drops them.
+        assert!(c.retract_cell(&[3, 3]).is_some());
+        assert!(c.retract_cell(&[4, 4]).is_some());
+        let live_bytes = c.byte_size();
+        assert_eq!(c.compact(), (1 + 4) * 2);
+        let mut survivors = Chunk::new(&s, ChunkCoords::new([0, 0]));
+        for (k, v) in [(0usize, "a"), (1, "b"), (4, "a"), (5, "b")] {
+            let x = k as i64 + 1;
+            survivors
+                .push_cell(
                     &s,
                     vec![x, x],
-                    vec![ScalarValue::Int32(k as i32), ScalarValue::Str((*v).to_string())],
+                    vec![ScalarValue::Int32(k as i32), ScalarValue::Str(v.to_string())],
                 )
                 .unwrap();
-            }
-            // Kill the rows carrying "c" and "d": survivors fit cap 2 again.
-            assert!(c.retract_cell(&[3, 3]).is_some());
-            assert!(c.retract_cell(&[4, 4]).is_some());
-            let live_bytes = c.byte_size();
-            c.compact();
-            let mut survivors = Chunk::with_encoding(&s, ChunkCoords::new([0, 0]), encoding);
-            for (k, v) in [(0usize, "a"), (1, "b"), (4, "a"), (5, "b")] {
-                let x = k as i64 + 1;
-                survivors
-                    .push_cell(
-                        &s,
-                        vec![x, x],
-                        vec![ScalarValue::Int32(k as i32), ScalarValue::Str(v.to_string())],
-                    )
-                    .unwrap();
-            }
-            assert_eq!(c, survivors, "compact under {encoding:?}");
-            assert_eq!(c.byte_size(), survivors.byte_size());
-            assert_eq!(c.cell_count(), 4);
-            if encoding == StringEncoding::Plain {
-                // Plain columns carry no shared state: the tombstone
-                // decrements already matched the survivors exactly.
-                assert_eq!(live_bytes, survivors.byte_size());
-            }
         }
+        assert_eq!(c, survivors);
+        assert_eq!(c.byte_size(), survivors.byte_size());
+        assert_eq!(live_bytes, survivors.byte_size() + (1 + 4) * 2);
+        assert_eq!(c.cell_count(), 4);
     }
 
     #[test]

@@ -490,76 +490,67 @@ mod tests {
 
     /// The column-at-a-time fill against the per-row form it replaced —
     /// one `push` of `cell` + `row_values` per listed row — for every
-    /// column type, strings as dictionary codes, as a dictionary spilled
-    /// to plain and as plain; tombstoned and repeated rows in the list;
-    /// an empty list; and a set that is cleared and refilled.
+    /// column type, strings as dictionary codes; tombstoned and repeated
+    /// rows in the list; an empty list; and a set that is cleared and
+    /// refilled.
     #[test]
     fn chunk_fill_equals_per_row_pushes_for_every_column_type() {
-        use crate::value::StringEncoding;
         let schema = ArraySchema::parse(
             "T<a:int32, b:int64, c:float, d:double, e:char, s:string, t:string>[x=0:*,64, y=0:9,10]",
         )
         .unwrap();
-        for encoding in
-            [StringEncoding::default(), StringEncoding::Dict { cap: 2 }, StringEncoding::Plain]
-        {
-            let mut a = Array::with_encoding(ArrayId(1), schema.clone(), encoding);
-            for i in 0..40i64 {
-                let values = vec![
-                    ScalarValue::Int32(i as i32 - 7),
-                    ScalarValue::Int64(i << 40),
-                    ScalarValue::Float(if i == 3 { f32::NAN } else { i as f32 / 3.0 }),
-                    ScalarValue::Double(-(i as f64)),
-                    ScalarValue::Char(b'a' + (i % 26) as u8),
-                    ScalarValue::Str(format!("s{}", i % 5)),
-                    ScalarValue::Str(if i % 2 == 0 { String::new() } else { "odd".into() }),
-                ];
-                a.insert_cell(vec![i, i % 10], values).unwrap();
-            }
-            a.delete_cells(&[5, 5, 11, 1]).unwrap();
-            let chunk = a.chunks().next().unwrap().1;
-            assert_eq!(
-                chunk.column(5).unwrap().as_dict().is_some(),
-                encoding == StringEncoding::default(),
-                "five strings spill a cap of two"
-            );
-            let per_row = |lists: &[(&[u32], i64)]| {
-                let mut delta = DeltaSet::new();
-                for &(rows, weight) in lists {
-                    for &row in rows {
-                        let row = row as usize;
-                        let values = chunk.row_values(row).unwrap();
-                        delta.push(chunk.cell(row).unwrap().to_vec(), values, weight);
-                    }
-                }
-                delta
-            };
-            // NaN != NaN: compare what the rows say, not the values.
-            let same = |a: &DeltaSet, b: &DeltaSet| format!("{a:?}") == format!("{b:?}");
-
-            let listed: &[u32] = &[39, 5, 0, 11, 11, 3, 20];
-            let mut filled = DeltaSet::new();
-            filled.extend_from_chunk(chunk, listed.iter().copied(), -1);
-            filled.extend_from_chunk(chunk, [].into_iter(), -1);
-            filled.extend_from_chunk(chunk, chunk.live_rows(), 1);
-            let live: Vec<u32> = chunk.iter_cells().map(|(_, row)| row as u32).collect();
-            assert_eq!(live.len(), 38);
-            assert!(same(&filled, &per_row(&[(listed, -1), (&live, 1)])));
-            assert_eq!((filled.len(), filled.net_weight()), (7 + 38, 38 - 7));
-            assert!(same(&DeltaSet::from_live_cells(&a), &per_row(&[(&live, 1)])));
-
-            // Refill: nothing of the first fill survives `clear`, and the
-            // buffers are not given back.
-            let held = (filled.coords.capacity(), filled.values.capacity(), filled.ends.capacity());
-            filled.clear();
-            assert!(filled.is_empty() && filled.rows().next().is_none());
-            filled.extend_from_chunk(chunk, [11, 2].into_iter(), 1);
-            assert!(same(&filled, &per_row(&[(&[11, 2], 1)])));
-            assert_eq!(
-                (filled.coords.capacity(), filled.values.capacity(), filled.ends.capacity()),
-                held
-            );
+        let mut a = Array::new(ArrayId(1), schema);
+        for i in 0..40i64 {
+            let values = vec![
+                ScalarValue::Int32(i as i32 - 7),
+                ScalarValue::Int64(i << 40),
+                ScalarValue::Float(if i == 3 { f32::NAN } else { i as f32 / 3.0 }),
+                ScalarValue::Double(-(i as f64)),
+                ScalarValue::Char(b'a' + (i % 26) as u8),
+                ScalarValue::Str(format!("s{}", i % 5)),
+                ScalarValue::Str(if i % 2 == 0 { String::new() } else { "odd".into() }),
+            ];
+            a.insert_cell(vec![i, i % 10], values).unwrap();
         }
+        a.delete_cells(&[5, 5, 11, 1]).unwrap();
+        let chunk = a.chunks().next().unwrap().1;
+        assert_eq!(chunk.column(5).unwrap().as_dict().map(|d| d.dict().len()), Some(5));
+        let per_row = |lists: &[(&[u32], i64)]| {
+            let mut delta = DeltaSet::new();
+            for &(rows, weight) in lists {
+                for &row in rows {
+                    let row = row as usize;
+                    let values = chunk.row_values(row).unwrap();
+                    delta.push(chunk.cell(row).unwrap().to_vec(), values, weight);
+                }
+            }
+            delta
+        };
+        // NaN != NaN: compare what the rows say, not the values.
+        let same = |a: &DeltaSet, b: &DeltaSet| format!("{a:?}") == format!("{b:?}");
+
+        let listed: &[u32] = &[39, 5, 0, 11, 11, 3, 20];
+        let mut filled = DeltaSet::new();
+        filled.extend_from_chunk(chunk, listed.iter().copied(), -1);
+        filled.extend_from_chunk(chunk, [].into_iter(), -1);
+        filled.extend_from_chunk(chunk, chunk.live_rows(), 1);
+        let live: Vec<u32> = chunk.iter_cells().map(|(_, row)| row as u32).collect();
+        assert_eq!(live.len(), 38);
+        assert!(same(&filled, &per_row(&[(listed, -1), (&live, 1)])));
+        assert_eq!((filled.len(), filled.net_weight()), (7 + 38, 38 - 7));
+        assert!(same(&DeltaSet::from_live_cells(&a), &per_row(&[(&live, 1)])));
+
+        // Refill: nothing of the first fill survives `clear`, and the
+        // buffers are not given back.
+        let held = (filled.coords.capacity(), filled.values.capacity(), filled.ends.capacity());
+        filled.clear();
+        assert!(filled.is_empty() && filled.rows().next().is_none());
+        filled.extend_from_chunk(chunk, [11, 2].into_iter(), 1);
+        assert!(same(&filled, &per_row(&[(&[11, 2], 1)])));
+        assert_eq!(
+            (filled.coords.capacity(), filled.values.capacity(), filled.ends.capacity()),
+            held
+        );
     }
 
     #[test]

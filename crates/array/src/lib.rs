@@ -34,6 +34,8 @@ mod schema;
 mod value;
 pub mod zone;
 
+#[allow(deprecated)]
+pub use array::StringEncoding;
 pub use array::{Array, RetractOutcome};
 pub use cells::{CellBuffer, RowGroups, ScriptGroup, ScriptGroups, ScriptMatch};
 pub use chunk::{ArrayId, Chunk, ChunkDescriptor, ChunkKey};
@@ -42,8 +44,5 @@ pub use delta::{DeltaSet, RowDelta};
 pub use error::{ArrayError, Result};
 pub use hilbert::{gilbert2d, hilbert_coords, hilbert_index, HilbertOrder};
 pub use schema::{ArraySchema, AttributeDef, DimensionDef};
-pub use value::{
-    AttributeColumn, AttributeType, DictColumn, ScalarValue, StringDict, StringEncoding,
-    DEFAULT_DICT_CAP,
-};
+pub use value::{AttributeColumn, AttributeType, DictColumn, ScalarValue, StringDict};
 pub use zone::{AttrZone, DimZone, ZoneMap};

@@ -2,7 +2,11 @@
 //!
 //! SciDB stores each attribute of a chunk in its own physical column
 //! ("vertical partitioning", §2 of the paper). [`AttributeColumn`] mirrors
-//! that: one typed, densely packed vector per attribute per chunk.
+//! that: one typed, densely packed vector per attribute per chunk. A
+//! string column has one representation, dictionary codes
+//! ([`DictColumn`]): a `u32` per value plus each distinct string once,
+//! which is what the paper's only string data (AIS receiver ids and a
+//! provenance constant, §3.2) wants.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -57,13 +61,11 @@ impl AttributeType {
 
     /// Width in bytes of one value of this type as stored on disk.
     ///
-    /// Strings are dictionary-encoded by default ([`StringEncoding`]),
-    /// so the per-value width is one `u32` code; the dictionary's own
-    /// bytes are stored once per column and amortize toward zero for the
-    /// low-cardinality columns the encoding targets. (Before dictionary
-    /// encoding this reported a 16 B average payload width, which the
-    /// AIS feed's 8–12 B strings already undershot.) The actual footprint
-    /// of a column is always computed from its contents.
+    /// Strings are dictionary-encoded ([`DictColumn`]), so the per-value
+    /// width is one `u32` code; the dictionary's own bytes are stored once
+    /// per column and amortize toward zero for low-cardinality columns.
+    /// The actual footprint of a column is always computed from its
+    /// contents.
     pub fn fixed_width(self) -> usize {
         match self {
             AttributeType::Int32 | AttributeType::Float => 4,
@@ -146,48 +148,6 @@ impl fmt::Display for ScalarValue {
     }
 }
 
-/// Default cardinality cap for dictionary-encoded **chunk** columns: a
-/// column that accumulates more distinct strings than this spills to
-/// plain per-value storage (`Vec<String>`), where codes would no longer
-/// pay for themselves. Generously above the low-cardinality columns the
-/// encoding targets (AIS carries 128 distinct receiver ids plus one
-/// provenance string).
-pub const DEFAULT_DICT_CAP: u32 = 4096;
-
-/// How string-typed attribute columns are physically stored.
-///
-/// Fixed-width types ignore the encoding; it only selects the
-/// representation of `string` attributes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StringEncoding {
-    /// One heap `String` per value (the pre-dictionary representation).
-    Plain,
-    /// Dictionary encoding: a `u32` code per value plus each distinct
-    /// string stored once, spilling to [`StringEncoding::Plain`] when a
-    /// column exceeds `cap` distinct strings.
-    Dict {
-        /// Cardinality cap: the largest dictionary a column will carry.
-        cap: u32,
-    },
-}
-
-impl Default for StringEncoding {
-    fn default() -> Self {
-        StringEncoding::Dict { cap: DEFAULT_DICT_CAP }
-    }
-}
-
-impl StringEncoding {
-    /// The transport encoding cell *batches* use: dictionary-encoded with
-    /// an effectively unbounded cap. Batches are transient (they exist to
-    /// move rows into chunks), so spilling them would only forfeit the
-    /// fast code-remap build; the storage-side cap is applied per chunk
-    /// column when the rows are gathered into chunks.
-    pub fn transport() -> Self {
-        StringEncoding::Dict { cap: u32::MAX }
-    }
-}
-
 /// FNV-1a over the string's bytes: the dictionary's deterministic,
 /// allocation-free lookup hash. (64-bit collisions between *different*
 /// strings are handled correctly — see [`StringDict::code_of`] — they
@@ -246,7 +206,7 @@ type HashIndex = HashMap<u64, u32, std::hash::BuildHasherDefault<HashIsKey>>;
 /// # The probe table
 ///
 /// Looking a *string* up ([`StringDict::code_of`], and through it
-/// [`StringDict::intern`], a column's `push_str` and `append`) goes
+/// [`StringDict::intern`], a column's `push` and `append`) goes
 /// through a `hash → code` table that re-stores no key. It is a cache
 /// over the arena, excluded from equality, and built — once, sized for
 /// the entries there are — by the first lookup: a dictionary that is only
@@ -329,6 +289,7 @@ impl StringDict {
 
     /// [`StringDict::len`] as the `u32` the zone maps store.
     pub(crate) fn distinct(&self) -> u32 {
+        // Invariant: a dictionary's one bound is the u32 code space.
         u32::try_from(self.ends.len()).expect("codes are u32, so are dictionary sizes")
     }
 
@@ -339,10 +300,16 @@ impl StringDict {
 
     /// Decode one code.
     pub fn get(&self, code: u32) -> Option<&str> {
+        ((code as usize) < self.ends.len()).then(|| self.entry(code))
+    }
+
+    /// Decode a code this dictionary issued; panics past the entries.
+    /// Every code a column holds is one: the column interned it, the
+    /// chunk builder remapped it, or the decoder range-checked it.
+    pub(crate) fn entry(&self, code: u32) -> &str {
         let code = code as usize;
-        let end = *self.ends.get(code)?;
         let start = code.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-        Some(&self.text[start..end])
+        &self.text[start..self.ends[code]]
     }
 
     /// The distinct strings, in code order.
@@ -362,16 +329,19 @@ impl StringDict {
 
     /// The probe table, built from the arena on first use.
     fn probe(&self) -> &Probe {
-        self.probe.get_or_init(|| {
-            let mut probe = Probe {
-                index: HashIndex::with_capacity_and_hasher(self.len(), Default::default()),
-                collisions: Vec::new(),
-            };
-            for (code, s) in (0u32..).zip(self.iter()) {
-                probe.insert(dict_hash(s), code);
-            }
-            Box::new(probe)
-        })
+        self.probe.get_or_init(|| self.build_probe())
+    }
+
+    /// A probe table filing every entry of the arena.
+    fn build_probe(&self) -> Box<Probe> {
+        let mut probe = Probe {
+            index: HashIndex::with_capacity_and_hasher(self.len(), Default::default()),
+            collisions: Vec::new(),
+        };
+        for (code, s) in (0u32..).zip(self.iter()) {
+            probe.insert(dict_hash(s), code);
+        }
+        Box::new(probe)
     }
 
     /// [`StringDict::code_of`] for a string whose hash the caller holds.
@@ -397,8 +367,9 @@ impl StringDict {
     fn push_new(&mut self, hash: u64, s: &str) -> u32 {
         let code = self.distinct();
         // Built before the entry lands, so the build does not file it too.
-        self.probe();
-        self.probe.get_mut().expect("built on the line above").insert(hash, code);
+        let mut probe = self.probe.take().unwrap_or_else(|| self.build_probe());
+        probe.insert(hash, code);
+        self.probe = OnceLock::from(probe);
         self.text.push_str(s);
         self.ends.push(self.text.len());
         code
@@ -414,22 +385,20 @@ impl StringDict {
 /// A dictionary-encoded string column: one `u32` code per value plus the
 /// column's own [`StringDict`]. Codes are order-preserving (first
 /// appearance wins), so equal value sequences produce structurally equal
-/// columns.
-#[derive(Debug, Clone, PartialEq)]
+/// columns. A column has no cardinality cap: its one bound is the `u32`
+/// code space ([`StringDict`]).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DictColumn {
     /// One code per stored value, in insertion order.
     codes: Vec<u32>,
     /// The column's dictionary.
     dict: StringDict,
-    /// Cardinality cap: interning a `cap + 1`-th distinct string spills
-    /// the whole column to plain storage.
-    cap: u32,
 }
 
 impl DictColumn {
-    /// An empty dictionary column with the given cardinality cap.
-    pub fn with_cap(cap: u32) -> Self {
-        DictColumn { codes: Vec::new(), dict: StringDict::new(), cap }
+    /// An empty dictionary column.
+    pub fn new() -> Self {
+        DictColumn::default()
     }
 
     /// Number of stored values.
@@ -457,50 +426,49 @@ impl DictColumn {
         &self.dict
     }
 
-    /// The cardinality cap this column spills at.
-    pub fn cap(&self) -> u32 {
-        self.cap
-    }
-
     /// Stored bytes: the dictionary once plus 4 B per code.
     pub fn byte_size(&self) -> u64 {
         self.dict.byte_size() + 4 * self.codes.len() as u64
     }
 
-    /// Append one value, interning it. `Err` returns the string untouched
-    /// when storing it would exceed the cardinality cap — the caller
-    /// spills the column to plain storage. `Ok` carries the byte delta
-    /// (4 for a repeat, `4 + len + 4` when a dictionary entry was added).
-    fn try_push(&mut self, s: String) -> std::result::Result<i64, String> {
-        let hash = dict_hash(&s);
-        if let Some(code) = self.dict.find(hash, &s) {
-            self.codes.push(code);
-            return Ok(4);
-        }
-        if self.dict.len() >= self.cap as usize {
-            return Err(s);
-        }
-        let code = self.dict.push_new(hash, &s);
+    /// Append one value, interning it. Returns its code and the byte
+    /// delta: 4 for a repeat, `4 + len + 4` when a dictionary entry was
+    /// added.
+    fn push(&mut self, s: &str) -> (u32, u64) {
+        let entries = self.dict.len();
+        let code = self.dict.intern(s);
         self.codes.push(code);
-        Ok(s.len() as i64 + 4 + 4)
+        let entry = if self.dict.len() > entries { s.len() as u64 + 4 } else { 0 };
+        (code, 4 + entry)
     }
 
-    /// A column from its parts: `codes` index `dict`, which holds at most
-    /// `cap` strings (the chunk builder remaps a group's codes, then cuts
-    /// its dictionary out of the batch's).
-    pub(crate) fn from_parts(codes: Vec<u32>, dict: StringDict, cap: u32) -> Self {
-        debug_assert!(dict.len() <= cap as usize);
+    /// Move every value of `src` onto the end of this column, **remapping
+    /// its codes** through a flat `src code → code` table: each distinct
+    /// source string is looked up once, and the result equals sequential
+    /// insertion of the same values. Returns the byte delta.
+    fn append(&mut self, src: DictColumn) -> u64 {
+        let mut remap = vec![u32::MAX; src.dict.len()];
+        let mut delta = 0;
+        for &code in &src.codes {
+            let slot = &mut remap[code as usize];
+            if *slot == u32::MAX {
+                let (mapped, added) = self.push(src.dict.entry(code));
+                *slot = mapped;
+                delta += added;
+            } else {
+                self.codes.push(*slot);
+                delta += 4;
+            }
+        }
+        delta
+    }
+
+    /// A column from its parts: `codes` index `dict` (the chunk builder
+    /// remaps a group's codes, then cuts its dictionary out of the
+    /// batch's).
+    pub(crate) fn from_parts(codes: Vec<u32>, dict: StringDict) -> Self {
         debug_assert!(codes.iter().all(|&c| (c as usize) < dict.len()));
-        DictColumn { codes, dict, cap }
-    }
-
-    /// Decode every value into plain per-value storage (the spill
-    /// conversion).
-    fn decode_all(&self) -> Vec<String> {
-        self.codes
-            .iter()
-            .map(|&c| self.dict.get(c).expect("codes index the dictionary").to_string())
-            .collect()
+        DictColumn { codes, dict }
     }
 }
 
@@ -509,12 +477,9 @@ impl DictColumn {
 ///
 /// This is the unit of vertical partitioning: each column's bytes are
 /// accounted separately, and queries that touch a subset of attributes
-/// scan only those columns. String columns come in two physical
-/// representations (see [`StringEncoding`]): plain per-value storage
-/// ([`AttributeColumn::Str`]) and dictionary encoding
-/// ([`AttributeColumn::Dict`]); both report
-/// [`AttributeType::Str`] as their logical type and decode to identical
-/// [`ScalarValue`]s, so query operators are encoding-blind.
+/// scan only those columns. A `string` attribute is always a
+/// [`AttributeColumn::Dict`]; its values decode to [`ScalarValue::Str`]
+/// at the result boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttributeColumn {
     /// Column of `int32` values.
@@ -527,35 +492,20 @@ pub enum AttributeColumn {
     Double(Vec<f64>),
     /// Column of `char` values.
     Char(Vec<u8>),
-    /// Column of `string` values, one heap `String` per value (plain
-    /// encoding, and the spill target past the dictionary cap).
-    Str(Vec<String>),
     /// Column of dictionary-encoded `string` values.
     Dict(DictColumn),
 }
 
 impl AttributeColumn {
-    /// An empty column of the given type under the **default** encoding:
-    /// string columns are dictionary-encoded with
-    /// [`DEFAULT_DICT_CAP`].
+    /// An empty column of the given type.
     pub fn new(ty: AttributeType) -> Self {
-        Self::with_encoding(ty, StringEncoding::default())
-    }
-
-    /// An empty column of the given type; `encoding` selects the physical
-    /// representation of string columns and is ignored for fixed-width
-    /// types.
-    pub fn with_encoding(ty: AttributeType, encoding: StringEncoding) -> Self {
         match ty {
             AttributeType::Int32 => AttributeColumn::Int32(Vec::new()),
             AttributeType::Int64 => AttributeColumn::Int64(Vec::new()),
             AttributeType::Float => AttributeColumn::Float(Vec::new()),
             AttributeType::Double => AttributeColumn::Double(Vec::new()),
             AttributeType::Char => AttributeColumn::Char(Vec::new()),
-            AttributeType::Str => match encoding {
-                StringEncoding::Plain => AttributeColumn::Str(Vec::new()),
-                StringEncoding::Dict { cap } => AttributeColumn::Dict(DictColumn::with_cap(cap)),
-            },
+            AttributeType::Str => AttributeColumn::Dict(DictColumn::new()),
         }
     }
 
@@ -567,7 +517,7 @@ impl AttributeColumn {
             AttributeColumn::Float(_) => AttributeType::Float,
             AttributeColumn::Double(_) => AttributeType::Double,
             AttributeColumn::Char(_) => AttributeType::Char,
-            AttributeColumn::Str(_) | AttributeColumn::Dict(_) => AttributeType::Str,
+            AttributeColumn::Dict(_) => AttributeType::Str,
         }
     }
 
@@ -579,7 +529,6 @@ impl AttributeColumn {
             AttributeColumn::Float(v) => v.len(),
             AttributeColumn::Double(v) => v.len(),
             AttributeColumn::Char(v) => v.len(),
-            AttributeColumn::Str(v) => v.len(),
             AttributeColumn::Dict(d) => d.len(),
         }
     }
@@ -591,17 +540,8 @@ impl AttributeColumn {
 
     /// Append one value. Fails on type mismatch. `Ok` carries the
     /// column's byte-size delta — the increment the running chunk byte
-    /// counters are maintained from. The delta is negative only when a
-    /// dictionary column spills to plain storage and the dropped
-    /// per-value codes outweighed the duplicated dictionary payloads.
-    pub fn push(&mut self, value: ScalarValue) -> Result<i64, (AttributeType, AttributeType)> {
-        if let ScalarValue::Str(x) = value {
-            return if self.column_type() == AttributeType::Str {
-                Ok(self.push_str(x))
-            } else {
-                Err((self.column_type(), AttributeType::Str))
-            };
-        }
+    /// counters are maintained from.
+    pub fn push(&mut self, value: ScalarValue) -> Result<u64, (AttributeType, AttributeType)> {
         let delta = match (&mut *self, value) {
             (AttributeColumn::Int32(v), ScalarValue::Int32(x)) => {
                 v.push(x);
@@ -623,44 +563,10 @@ impl AttributeColumn {
                 v.push(x);
                 1
             }
+            (AttributeColumn::Dict(d), ScalarValue::Str(x)) => d.push(&x).1,
             (col, value) => return Err((col.column_type(), value.value_type())),
         };
         Ok(delta)
-    }
-
-    /// Append one string to a string-typed column, interning it when the
-    /// column is dictionary-encoded and spilling the column to plain
-    /// storage when the dictionary would exceed its cardinality cap.
-    /// Returns the column's byte-size delta (which includes the spill
-    /// conversion, when one happens).
-    ///
-    /// # Panics
-    ///
-    /// If the column is not string-typed — callers validate types first.
-    pub(crate) fn push_str(&mut self, s: String) -> i64 {
-        if let AttributeColumn::Dict(d) = self {
-            match d.try_push(s) {
-                Ok(delta) => return delta,
-                Err(s) => {
-                    // Cardinality cap exceeded: decode the whole column
-                    // into plain storage, then store the new value there.
-                    let old = d.byte_size() as i64;
-                    let mut plain = d.decode_all();
-                    plain.push(s);
-                    let new: i64 = plain.iter().map(|x| x.len() as i64 + 4).sum();
-                    *self = AttributeColumn::Str(plain);
-                    return new - old;
-                }
-            }
-        }
-        match self {
-            AttributeColumn::Str(v) => {
-                let delta = s.len() as i64 + 4;
-                v.push(s);
-                delta
-            }
-            _ => panic!("push_str on a {} column", self.column_type()),
-        }
     }
 
     /// The value at `idx`, boxed back into a [`ScalarValue`]. Dictionary
@@ -672,7 +578,6 @@ impl AttributeColumn {
             AttributeColumn::Float(v) => v.get(idx).copied().map(ScalarValue::Float),
             AttributeColumn::Double(v) => v.get(idx).copied().map(ScalarValue::Double),
             AttributeColumn::Char(v) => v.get(idx).copied().map(ScalarValue::Char),
-            AttributeColumn::Str(v) => v.get(idx).cloned().map(ScalarValue::Str),
             AttributeColumn::Dict(d) => d.get(idx).map(|s| ScalarValue::Str(s.to_string())),
         }
     }
@@ -702,14 +607,9 @@ impl AttributeColumn {
             AttributeColumn::Float(v) => fill!(v, Float),
             AttributeColumn::Double(v) => fill!(v, Double),
             AttributeColumn::Char(v) => fill!(v, Char),
-            AttributeColumn::Str(v) => {
-                for (slot, row) in slots.zip(rows) {
-                    *slot = ScalarValue::Str(v[row].clone());
-                }
-            }
             AttributeColumn::Dict(d) => {
                 for (slot, row) in slots.zip(rows) {
-                    let s = d.get(row).expect("row within the column");
+                    let s = d.dict.entry(d.codes[row]);
                     *slot = ScalarValue::Str(s.to_string());
                 }
             }
@@ -720,11 +620,7 @@ impl AttributeColumn {
     /// columns (and out-of-range rows). Operators that scan string
     /// columns read through this without materializing per-row clones.
     pub fn get_str(&self, idx: usize) -> Option<&str> {
-        match self {
-            AttributeColumn::Str(v) => v.get(idx).map(String::as_str),
-            AttributeColumn::Dict(d) => d.get(idx),
-            _ => None,
-        }
+        self.as_dict().and_then(|d| d.get(idx))
     }
 
     /// Numeric view of the value at `idx` (see [`ScalarValue::as_f64`]).
@@ -734,21 +630,11 @@ impl AttributeColumn {
             AttributeColumn::Int64(v) => v.get(idx).map(|x| *x as f64),
             AttributeColumn::Float(v) => v.get(idx).map(|x| f64::from(*x)),
             AttributeColumn::Double(v) => v.get(idx).copied(),
-            AttributeColumn::Char(_) | AttributeColumn::Str(_) | AttributeColumn::Dict(_) => None,
+            AttributeColumn::Char(_) | AttributeColumn::Dict(_) => None,
         }
     }
 
-    /// The physical representation of a string-typed column; `None` for
-    /// fixed-width types.
-    pub fn string_encoding(&self) -> Option<StringEncoding> {
-        match self {
-            AttributeColumn::Str(_) => Some(StringEncoding::Plain),
-            AttributeColumn::Dict(d) => Some(StringEncoding::Dict { cap: d.cap }),
-            _ => None,
-        }
-    }
-
-    /// The dictionary column, when this column is dictionary-encoded.
+    /// The dictionary column, when this is a string column.
     pub fn as_dict(&self) -> Option<&DictColumn> {
         match self {
             AttributeColumn::Dict(d) => Some(d),
@@ -756,75 +642,40 @@ impl AttributeColumn {
         }
     }
 
-    /// Reserve capacity for `additional` more values.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        match self {
-            AttributeColumn::Int32(v) => v.reserve(additional),
-            AttributeColumn::Int64(v) => v.reserve(additional),
-            AttributeColumn::Float(v) => v.reserve(additional),
-            AttributeColumn::Double(v) => v.reserve(additional),
-            AttributeColumn::Char(v) => v.reserve(additional),
-            AttributeColumn::Str(v) => v.reserve(additional),
-            AttributeColumn::Dict(d) => d.codes.reserve(additional),
-        }
-    }
-
     /// Move every value of `other` onto the end of this column,
     /// returning this column's byte-size delta. Panics on a type
     /// mismatch — the callers merge columns of chunks built against one
-    /// schema.
-    ///
-    /// String columns merge across representations: appending a
-    /// dictionary column **remaps its codes** through this column's
-    /// dictionary (row order preserved, so the merged column equals the
-    /// one sequential insertion would have built), spilling to plain if
-    /// the union's cardinality crosses the cap; plain values append into
-    /// a dictionary column by interning, and dictionary values into a
-    /// plain column by decoding.
-    pub(crate) fn append(&mut self, other: AttributeColumn) -> i64 {
-        if self.column_type() == AttributeType::Str && other.column_type() == AttributeType::Str {
-            return match other {
-                AttributeColumn::Str(mut vals) => {
-                    if let AttributeColumn::Str(d) = self {
-                        let delta: i64 = vals.iter().map(|x| x.len() as i64 + 4).sum();
-                        d.append(&mut vals);
-                        delta
-                    } else {
-                        // Plain source into a dictionary column: intern
-                        // row-wise (spill handled by `push_str`).
-                        vals.drain(..).map(|s| self.push_str(s)).sum()
-                    }
-                }
-                AttributeColumn::Dict(src) => self.append_dict(src),
-                _ => unreachable!("column_type() said Str"),
-            };
-        }
+    /// schema. String columns remap codes ([`DictColumn`]'s `append`), so
+    /// the merged column equals the one sequential insertion would have
+    /// built.
+    pub(crate) fn append(&mut self, other: AttributeColumn) -> u64 {
         match (&mut *self, other) {
             (AttributeColumn::Int32(d), AttributeColumn::Int32(mut s)) => {
-                let delta = (s.len() * 4) as i64;
+                let delta = (s.len() * 4) as u64;
                 d.append(&mut s);
                 delta
             }
             (AttributeColumn::Int64(d), AttributeColumn::Int64(mut s)) => {
-                let delta = (s.len() * 8) as i64;
+                let delta = (s.len() * 8) as u64;
                 d.append(&mut s);
                 delta
             }
             (AttributeColumn::Float(d), AttributeColumn::Float(mut s)) => {
-                let delta = (s.len() * 4) as i64;
+                let delta = (s.len() * 4) as u64;
                 d.append(&mut s);
                 delta
             }
             (AttributeColumn::Double(d), AttributeColumn::Double(mut s)) => {
-                let delta = (s.len() * 8) as i64;
+                let delta = (s.len() * 8) as u64;
                 d.append(&mut s);
                 delta
             }
             (AttributeColumn::Char(d), AttributeColumn::Char(mut s)) => {
-                let delta = s.len() as i64;
+                let delta = s.len() as u64;
                 d.append(&mut s);
                 delta
             }
+            (AttributeColumn::Dict(d), AttributeColumn::Dict(s)) => d.append(s),
             (d, s) => panic!(
                 "cannot append a {} column onto a {} column",
                 s.column_type(),
@@ -833,57 +684,9 @@ impl AttributeColumn {
         }
     }
 
-    /// The dictionary-source half of [`AttributeColumn::append`]: remap
-    /// `src`'s codes through this column's dictionary with a flat
-    /// `src code → dst code` table (no per-row hashing while both sides
-    /// stay dictionaries), falling back to row-wise decoded pushes from
-    /// the first row that spills this column — identical to sequential
-    /// insertion either way.
-    fn append_dict(&mut self, src: DictColumn) -> i64 {
-        let mut delta = 0i64;
-        let mut resume = None;
-        if let AttributeColumn::Dict(dst) = &mut *self {
-            let mut remap = vec![u32::MAX; src.dict.len()];
-            for (i, &code) in src.codes.iter().enumerate() {
-                let mapped = remap[code as usize];
-                if mapped != u32::MAX {
-                    dst.codes.push(mapped);
-                    delta += 4;
-                    continue;
-                }
-                let s = src.dict.get(code).expect("codes index the dictionary");
-                if let Some(c) = dst.dict.code_of(s) {
-                    remap[code as usize] = c;
-                    dst.codes.push(c);
-                    delta += 4;
-                } else if dst.dict.len() < dst.cap as usize {
-                    let c = dst.dict.intern(s);
-                    remap[code as usize] = c;
-                    dst.codes.push(c);
-                    delta += 4 + s.len() as i64 + 4;
-                } else {
-                    // The union crosses the cap at this row: spill (via
-                    // push_str below) and finish decoded.
-                    resume = Some(i);
-                    break;
-                }
-            }
-        } else {
-            resume = Some(0);
-        }
-        if let Some(start) = resume {
-            for &code in &src.codes[start..] {
-                let s = src.dict.get(code).expect("codes index the dictionary").to_string();
-                delta += self.push_str(s);
-            }
-        }
-        delta
-    }
-
     /// Stored bytes attributable to the value at `idx` **alone** — the
     /// exact amount a chunk's running byte counter decrements when the
-    /// row is tombstoned. Fixed-width types cost their width; plain
-    /// strings their payload plus the 4 B length prefix; dictionary
+    /// row is tombstoned. Fixed-width types cost their width, dictionary
     /// codes 4 B. A tombstoned row's dictionary *entry* is not charged
     /// here: other rows may still reference it, so its bytes are
     /// reclaimed only when [`compact`] rebuilds the column (deferred
@@ -897,7 +700,6 @@ impl AttributeColumn {
             AttributeColumn::Float(v) => v.get(idx).map(|_| 4),
             AttributeColumn::Double(v) => v.get(idx).map(|_| 8),
             AttributeColumn::Char(v) => v.get(idx).map(|_| 1),
-            AttributeColumn::Str(v) => v.get(idx).map(|s| s.len() as u64 + 4),
             AttributeColumn::Dict(d) => d.codes().get(idx).map(|_| 4),
         }
     }
@@ -907,10 +709,7 @@ impl AttributeColumn {
     /// ([`AttributeColumn::row_byte_cost`]); nothing for any other
     /// column. O(1).
     pub fn retained_bytes(&self) -> u64 {
-        match self {
-            AttributeColumn::Dict(d) => d.dict().byte_size(),
-            _ => 0,
-        }
+        self.as_dict().map_or(0, |d| d.dict().byte_size())
     }
 
     /// On-disk footprint of the column in bytes. Dictionary columns count
@@ -922,7 +721,6 @@ impl AttributeColumn {
             AttributeColumn::Float(v) => (v.len() * 4) as u64,
             AttributeColumn::Double(v) => (v.len() * 8) as u64,
             AttributeColumn::Char(v) => v.len() as u64,
-            AttributeColumn::Str(v) => v.iter().map(|s| s.len() as u64 + 4).sum(),
             AttributeColumn::Dict(d) => d.byte_size(),
         }
     }
@@ -982,28 +780,6 @@ impl ScalarValue {
     }
 }
 
-impl StringEncoding {
-    /// Serialize as a tag byte (0 = plain, 1 = dict + cap).
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        match self {
-            StringEncoding::Plain => w.put_u8(0),
-            StringEncoding::Dict { cap } => {
-                w.put_u8(1);
-                w.put_u32(*cap);
-            }
-        }
-    }
-
-    /// Decode an encoding written by [`StringEncoding::encode_into`].
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        match r.u8("string encoding tag")? {
-            0 => Ok(StringEncoding::Plain),
-            1 => Ok(StringEncoding::Dict { cap: r.u32("dict cap")? }),
-            t => Err(CodecError::invalid("string encoding tag", format!("unknown tag {t}"))),
-        }
-    }
-}
-
 impl StringDict {
     fn encode_into(&self, w: &mut ByteWriter) {
         w.put_list(self.iter(), |w, s| w.put_str(s));
@@ -1030,25 +806,25 @@ impl StringDict {
 
 impl DictColumn {
     fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_u32(self.cap);
         self.dict.encode_into(w);
         w.put_words(&self.codes, u32::to_le_bytes);
     }
 
     fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let cap = r.u32("dict cap")?;
         let dict = StringDict::decode_from(r)?;
         let codes = r.words("dict code count", u32::from_le_bytes)?;
         if let Some(c) = codes.iter().find(|&&c| c as usize >= dict.len()) {
             let detail = format!("code {c} out of range for {} entries", dict.len());
             return Err(CodecError::invalid("dict code", detail));
         }
-        Ok(DictColumn { codes, dict, cap })
+        Ok(DictColumn { codes, dict })
     }
 }
 
 impl AttributeColumn {
-    /// Serialize as a one-byte representation tag plus the packed values.
+    /// Serialize as a one-byte type tag plus the packed values. Tag 5 is
+    /// never reused: bytes that hold a plain string column under it must
+    /// stay refused.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         match self {
             AttributeColumn::Int32(v) => {
@@ -1071,10 +847,6 @@ impl AttributeColumn {
                 w.put_u8(4);
                 w.put_bytes(v);
             }
-            AttributeColumn::Str(v) => {
-                w.put_u8(5);
-                w.put_list(v, |w, x| w.put_str(x));
-            }
             AttributeColumn::Dict(d) => {
                 w.put_u8(6);
                 d.encode_into(w);
@@ -1082,10 +854,10 @@ impl AttributeColumn {
         }
     }
 
-    /// Decode a column written by [`AttributeColumn::encode_into`]. The
-    /// physical representation (plain vs dict, spilled or not) round-trips
-    /// exactly — recovery must not re-encode columns differently than the
-    /// crashed process stored them.
+    /// Decode a column written by [`AttributeColumn::encode_into`]: a
+    /// dictionary column round-trips code for code, so recovery rebuilds
+    /// exactly what the crashed process stored. An unknown tag (5
+    /// included) is a typed error.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match r.u8("column tag")? {
             0 => AttributeColumn::Int32(r.words("int32 column len", i32::from_le_bytes)?),
@@ -1093,7 +865,6 @@ impl AttributeColumn {
             2 => AttributeColumn::Float(r.words("float column len", f32::from_le_bytes)?),
             3 => AttributeColumn::Double(r.words("double column len", f64::from_le_bytes)?),
             4 => AttributeColumn::Char(r.bytes("char column")?.to_vec()),
-            5 => AttributeColumn::Str(r.list("string column len", 4, |r| r.str("string cell"))?),
             6 => AttributeColumn::Dict(DictColumn::decode_from(r)?),
             t => return Err(CodecError::invalid("column tag", format!("unknown tag {t}"))),
         })
@@ -1141,18 +912,13 @@ mod tests {
 
     #[test]
     fn byte_size_counts_payload() {
-        // Default encoding: strings dictionary-encode — each distinct
-        // string once (len + 4) plus a 4 B code per value.
+        // Strings dictionary-encode: each distinct string once (len + 4)
+        // plus a 4 B code per value.
         let mut col = AttributeColumn::new(AttributeType::Str);
         assert_eq!(col.push(ScalarValue::Str("port".into())).unwrap(), (4 + 4) + 4);
         assert_eq!(col.byte_size(), (4 + 4) + 4);
         assert_eq!(col.push(ScalarValue::Str("port".into())).unwrap(), 4);
         assert_eq!(col.byte_size(), (4 + 4) + 2 * 4);
-        // Plain encoding: every value stores its own payload.
-        let mut plain = AttributeColumn::with_encoding(AttributeType::Str, StringEncoding::Plain);
-        plain.push(ScalarValue::Str("port".into())).unwrap();
-        plain.push(ScalarValue::Str("port".into())).unwrap();
-        assert_eq!(plain.byte_size(), 2 * (4 + 4));
         let mut ints = AttributeColumn::new(AttributeType::Int64);
         assert_eq!(ints.push(ScalarValue::Int64(7)).unwrap(), 8);
         assert_eq!(ints.byte_size(), 8);
@@ -1160,14 +926,11 @@ mod tests {
 
     #[test]
     fn dict_column_interns_and_decodes() {
-        let mut col = AttributeColumn::with_encoding(
-            AttributeType::Str,
-            StringEncoding::Dict { cap: DEFAULT_DICT_CAP },
-        );
+        let mut col = AttributeColumn::new(AttributeType::Str);
         for s in ["a", "b", "a", "", "b"] {
             col.push(ScalarValue::Str(s.into())).unwrap();
         }
-        let d = col.as_dict().expect("under the cap stays dictionary-encoded");
+        let d = col.as_dict().expect("a string column is a dictionary column");
         assert_eq!(d.codes(), &[0, 1, 0, 2, 1]);
         assert_eq!(d.dict().iter().collect::<Vec<_>>(), ["a", "b", ""]);
         assert_eq!(col.get(3), Some(ScalarValue::Str(String::new())));
@@ -1179,72 +942,25 @@ mod tests {
     }
 
     #[test]
-    fn dict_column_spills_past_the_cap() {
-        let mut col =
-            AttributeColumn::with_encoding(AttributeType::Str, StringEncoding::Dict { cap: 2 });
-        col.push(ScalarValue::Str("x".into())).unwrap();
-        col.push(ScalarValue::Str("y".into())).unwrap();
-        col.push(ScalarValue::Str("x".into())).unwrap();
-        let before = col.byte_size() as i64;
-        // The third distinct string crosses cap = 2: the column converts
-        // to plain storage, and the delta accounts for the conversion.
-        let delta = col.push(ScalarValue::Str("z".into())).unwrap();
-        assert!(col.as_dict().is_none(), "column must have spilled to plain");
-        assert_eq!(col.byte_size() as i64, before + delta);
-        assert_eq!(col.byte_size(), 4 * (1 + 4));
-        let got: Vec<_> = (0..4).map(|i| col.get_str(i).unwrap().to_string()).collect();
-        assert_eq!(got, ["x", "y", "x", "z"]);
-        // Further pushes stay plain.
-        assert_eq!(col.push(ScalarValue::Str("w".into())).unwrap(), 1 + 4);
-        assert_eq!(col.len(), 5);
-    }
-
-    #[test]
     fn append_remaps_codes_across_dictionaries() {
-        let mk = |vals: &[&str], cap: u32| {
-            let mut c =
-                AttributeColumn::with_encoding(AttributeType::Str, StringEncoding::Dict { cap });
+        let mk = |vals: &[&str]| {
+            let mut c = AttributeColumn::new(AttributeType::Str);
             for v in vals {
                 c.push(ScalarValue::Str((*v).into())).unwrap();
             }
             c
         };
         // Overlapping dictionaries with different code assignments.
-        let mut dst = mk(&["a", "b"], 16);
-        let src = mk(&["c", "b", "c"], 16);
-        let before = dst.byte_size() as i64;
+        let mut dst = mk(&["a", "b"]);
+        let src = mk(&["c", "b", "c"]);
+        let before = dst.byte_size();
         let delta = dst.append(src);
-        assert_eq!(dst.byte_size() as i64, before + delta);
+        assert_eq!(dst.byte_size(), before + delta);
         let d = dst.as_dict().unwrap();
         assert_eq!(d.dict().iter().collect::<Vec<_>>(), ["a", "b", "c"]);
         assert_eq!(d.codes(), &[0, 1, 2, 1, 2]);
         // Sequential insertion builds the identical column.
-        assert_eq!(dst, mk(&["a", "b", "c", "b", "c"], 16));
-
-        // A union that crosses the cap spills mid-append, identically to
-        // sequential insertion.
-        let mut tight = mk(&["a", "b"], 2);
-        let delta = tight.append(mk(&["b", "c"], 16));
-        assert!(tight.as_dict().is_none());
-        assert_eq!(tight, {
-            let mut seq = mk(&["a", "b", "b"], 2);
-            seq.push(ScalarValue::Str("c".into())).unwrap();
-            seq
-        });
-        assert_eq!(tight.byte_size() as i64, mk(&["a", "b"], 2).byte_size() as i64 + delta);
-
-        // Cross-representation merges: plain into dict, dict into plain.
-        let mut dict_dst = mk(&["a"], 16);
-        let mut plain = AttributeColumn::with_encoding(AttributeType::Str, StringEncoding::Plain);
-        plain.push(ScalarValue::Str("b".into())).unwrap();
-        dict_dst.append(plain.clone());
-        assert_eq!(dict_dst, mk(&["a", "b"], 16));
-        let pre = plain.byte_size() as i64;
-        let delta = plain.append(mk(&["c", "c"], 16));
-        assert_eq!(plain.byte_size() as i64, pre + delta);
-        assert_eq!(plain.get_str(1), Some("c"));
-        assert_eq!(plain.get_str(2), Some("c"));
-        assert!(plain.as_dict().is_none());
+        assert_eq!(dst, mk(&["a", "b", "c", "b", "c"]));
     }
 
     /// The probe table is a cache: a bulk-built dictionary has none, a

@@ -90,8 +90,7 @@ impl DimZone {
     }
 }
 
-/// Per-attribute zone statistics, shaped by the column's physical
-/// representation.
+/// Per-attribute zone statistics, shaped by the column's type.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrZone {
     /// Integer-valued columns (`int32`, `int64`, `char`): exact min/max.
@@ -113,20 +112,18 @@ pub enum AttrZone {
         /// Number of NaN cells observed.
         nans: u64,
     },
-    /// Dictionary-encoded string columns: the dictionary's cardinality.
-    /// Valid codes are exactly `0..distinct`, so this doubles as the
-    /// code range; membership itself is answered by probing the
-    /// dictionary, which the scan layer does per chunk.
+    /// String columns: the dictionary's cardinality. Valid codes are
+    /// exactly `0..distinct`, so this doubles as the code range;
+    /// membership itself is answered by probing the dictionary, which
+    /// the scan layer does per chunk.
     Dict {
         /// Number of distinct strings in the chunk dictionary.
         distinct: u32,
     },
-    /// Plain string columns: no summary (never refutes).
-    Str,
 }
 
 impl AttrZone {
-    /// The empty zone for a column's physical representation.
+    /// The empty zone for a column's type.
     fn empty_for(col: &AttributeColumn) -> Self {
         match col {
             AttributeColumn::Int32(_) | AttributeColumn::Int64(_) | AttributeColumn::Char(_) => {
@@ -136,7 +133,6 @@ impl AttrZone {
                 AttrZone::Real { min: f64::INFINITY, max: f64::NEG_INFINITY, nans: 0 }
             }
             AttributeColumn::Dict(d) => AttrZone::Dict { distinct: d.dict().distinct() },
-            AttributeColumn::Str(_) => AttrZone::Str,
         }
     }
 
@@ -186,7 +182,7 @@ impl AttrZone {
             AttributeColumn::Char(v) => int(v),
             AttributeColumn::Float(v) => real!(v, f32, i32),
             AttributeColumn::Double(v) => real!(v, f64, i64),
-            AttributeColumn::Dict(_) | AttributeColumn::Str(_) => AttrZone::empty_for(col),
+            AttributeColumn::Dict(_) => AttrZone::empty_for(col),
         }
     }
 
@@ -234,9 +230,8 @@ impl AttrZone {
                 }
                 *nans += *onans;
             }
-            // String representations are refreshed from the merged column
-            // by `sync_strings` (a dict append can spill to plain), and a
-            // spilled/unspilled pair has nothing numeric to fold.
+            // A merged dictionary's size is re-read from the merged column
+            // by `sync_strings`: the union's cardinality is not a sum.
             _ => {}
         }
     }
@@ -282,9 +277,9 @@ impl ZoneMap {
                 AttributeColumn::Char(v) => v.iter().for_each(|&x| zone.observe_i64(i64::from(x))),
                 AttributeColumn::Float(v) => v.iter().for_each(|&x| zone.observe_f64(f64::from(x))),
                 AttributeColumn::Double(v) => v.iter().for_each(|&x| zone.observe_f64(x)),
-                // Dict/Str summaries are the column's cardinality / nothing
-                // (`empty_for` above) and need no per-row fold.
-                AttributeColumn::Dict(_) | AttributeColumn::Str(_) => {}
+                // A dictionary's summary is its cardinality (`empty_for`
+                // above) and needs no per-row fold.
+                AttributeColumn::Dict(_) => {}
             }
         }
         zone
@@ -304,8 +299,8 @@ impl ZoneMap {
 
     /// Fold one incoming cell (coordinates + schema-order values) into
     /// the map. String values are skipped here; callers follow up with
-    /// [`ZoneMap::sync_strings`] after the row lands, because the push
-    /// may change the column's representation (dictionary spill).
+    /// [`ZoneMap::sync_strings`] after the row lands, because only the
+    /// column knows whether the string was a new dictionary entry.
     pub(crate) fn observe_cell(&mut self, cell: &[i64], values: &[ScalarValue]) {
         debug_assert_eq!(cell.len(), self.dims.len());
         debug_assert_eq!(values.len(), self.attrs.len());
@@ -326,7 +321,7 @@ impl ZoneMap {
 
     /// Merge another chunk's map into this one (numeric dimensions and
     /// attributes only). Callers follow up with [`ZoneMap::sync_strings`]
-    /// on the merged columns, since appending can spill a dictionary.
+    /// on the merged columns, since two dictionaries can share entries.
     pub(crate) fn merge(&mut self, other: &ZoneMap) {
         debug_assert_eq!(self.dims.len(), other.dims.len());
         debug_assert_eq!(self.attrs.len(), other.attrs.len());
@@ -338,18 +333,13 @@ impl ZoneMap {
         }
     }
 
-    /// Refresh the string-column summaries from the columns' current
-    /// representation: dictionary cardinalities move, and a capped
-    /// dictionary can spill to plain strings mid-push or mid-append.
+    /// Refresh the string-column summaries from the columns: a push or
+    /// an append moves a dictionary's cardinality.
     pub(crate) fn sync_strings(&mut self, columns: &[AttributeColumn]) {
         debug_assert_eq!(self.attrs.len(), columns.len());
         for (zone, col) in self.attrs.iter_mut().zip(columns) {
-            match col {
-                AttributeColumn::Dict(d) => {
-                    *zone = AttrZone::Dict { distinct: d.dict().distinct() }
-                }
-                AttributeColumn::Str(_) => *zone = AttrZone::Str,
-                _ => {}
+            if let AttributeColumn::Dict(d) = col {
+                *zone = AttrZone::Dict { distinct: d.dict().distinct() }
             }
         }
     }
@@ -410,7 +400,8 @@ use durability::{ByteReader, ByteWriter, CodecError};
 const TAG_INT: u8 = 0;
 const TAG_REAL: u8 = 1;
 const TAG_DICT: u8 = 2;
-const TAG_STR: u8 = 3;
+// Tag 3 is never reused: a plain string column's zone under it must stay
+// refused.
 
 impl ZoneMap {
     /// Serialize the map.
@@ -435,7 +426,6 @@ impl ZoneMap {
                 w.put_u8(TAG_DICT);
                 w.put_u32(*distinct);
             }
-            AttrZone::Str => w.put_u8(TAG_STR),
         });
     }
 
@@ -460,7 +450,6 @@ impl ZoneMap {
                     AttrZone::Real { min, max, nans }
                 }
                 TAG_DICT => AttrZone::Dict { distinct: r.u32("zone map dict distinct")? },
-                TAG_STR => AttrZone::Str,
                 other => {
                     let detail = format!("unknown tag {other}");
                     return Err(CodecError::invalid("zone map attr tag", detail));
@@ -498,8 +487,7 @@ impl ZoneMap {
                     AttrZone::Real { min: lo, max: hi, nans: n },
                 ) => min.total_cmp(lo).is_le() && max.total_cmp(hi).is_ge() && nans >= n,
                 (AttrZone::Dict { distinct }, AttrZone::Dict { distinct: d }) => distinct == d,
-                (AttrZone::Str, AttrZone::Str) => true,
-                _ => return Err(format!("attr zone {i} does not match its column representation")),
+                _ => return Err(format!("attr zone {i} does not match its column type")),
             };
             if !covers {
                 return Err(format!("attr zone {i} does not cover its column"));
@@ -576,7 +564,10 @@ mod tests {
         let cols = vec![
             AttributeColumn::Int32(vec![1, 2]),
             AttributeColumn::Double(vec![0.5, f64::NAN]),
-            AttributeColumn::Str(vec!["a".into(), "b".into()]),
+            AttributeColumn::Dict(crate::value::DictColumn::from_parts(
+                vec![0, 1],
+                crate::value::StringDict::from_distinct(["a", "b"].into_iter()),
+            )),
         ];
         let z = zone_of(&cols, &[0, 7], 1);
         let mut w = ByteWriter::new();
@@ -597,8 +588,9 @@ mod tests {
         }
 
         let mut bad = bytes.clone();
-        let tag_pos = bytes.len() - (1 + 8 + 8 + 8) - (1 + 8 + 8) - 1;
-        bad[tag_pos + 1 + 8 + 8] = 9; // corrupt the Real tag into an unknown one
+        let real_tag = bytes.len() - (1 + 4) - (1 + 8 + 8 + 8);
+        assert_eq!(bytes[real_tag], TAG_REAL);
+        bad[real_tag] = 9; // corrupt the Real tag into an unknown one
         let mut r = ByteReader::new(&bad);
         assert!(ZoneMap::decode_from(&mut r).is_err());
     }
@@ -625,7 +617,6 @@ mod tests {
             AttributeColumn::Dict(crate::value::DictColumn::from_parts(
                 vec![0, 0],
                 crate::value::StringDict::from_distinct(["a"].into_iter()),
-                4,
             )),
         ];
         let exact = ZoneMap::compute(1, &[2, 7], &cols);

@@ -1,12 +1,13 @@
 //! Round-trip coverage for the array crate's durable codecs: every
 //! serialized shape must decode `==` to the original (bit-identical
-//! floats, verbatim tombstone bitmaps, preserved physical string
-//! representations). Hostile bytes — every strict prefix of a chunk
-//! among them — are the workspace harness's (`tests/hostile_bytes.rs`).
+//! floats, verbatim tombstone bitmaps, dictionaries code for code), and
+//! the retired plain-string layouts are refused. Hostile bytes — every
+//! strict prefix of a chunk among them — are the workspace harness's
+//! (`tests/hostile_bytes.rs`).
 
 use array_model::{
     Array, ArrayId, ArraySchema, AttributeColumn, AttributeType, CellBuffer, Chunk, ChunkCoords,
-    ScalarValue, StringEncoding,
+    ScalarValue, ZoneMap,
 };
 use durability::{ByteReader, ByteWriter, CodecError};
 
@@ -78,8 +79,8 @@ fn scalar_values_round_trip_bit_exactly() {
     assert!(matches!(ScalarValue::decode_from(&mut r), Err(CodecError::Invalid { .. })));
 }
 
-fn str_column(encoding: StringEncoding, vals: &[&str]) -> AttributeColumn {
-    let mut col = AttributeColumn::with_encoding(AttributeType::Str, encoding);
+fn str_column(vals: &[&str]) -> AttributeColumn {
+    let mut col = AttributeColumn::new(AttributeType::Str);
     for v in vals {
         col.push(ScalarValue::Str((*v).into())).unwrap();
     }
@@ -94,10 +95,8 @@ fn columns_round_trip_preserving_physical_representation() {
         AttributeColumn::Float(vec![1.5, -0.0]),
         AttributeColumn::Double(vec![f64::MAX, f64::MIN_POSITIVE]),
         AttributeColumn::Char(vec![0, 255, b'x']),
-        str_column(StringEncoding::Plain, &["a", "", "a"]),
-        str_column(StringEncoding::Dict { cap: 64 }, &["a", "b", "a", ""]),
-        // Spilled: cap 1 forces conversion to plain mid-stream.
-        str_column(StringEncoding::Dict { cap: 1 }, &["a", "b", "a"]),
+        str_column(&["a", "", "a"]),
+        str_column(&["a", "b", "a", ""]),
     ];
     cases.push(AttributeColumn::new(AttributeType::Str)); // empty dict column
     for col in &cases {
@@ -107,10 +106,9 @@ fn columns_round_trip_preserving_physical_representation() {
         r.finish("column tail").unwrap();
         assert_eq!(&back, col);
         assert_eq!(back.byte_size(), col.byte_size());
-        assert_eq!(back.string_encoding(), col.string_encoding());
     }
     // A dictionary code past the dictionary is invalid.
-    let good = str_column(StringEncoding::Dict { cap: 64 }, &["a"]);
+    let good = str_column(&["a"]);
     let mut bytes = encode(|w| good.encode_into(w));
     let n = bytes.len();
     bytes[n - 4..].copy_from_slice(&7u32.to_le_bytes()); // last code -> 7
@@ -118,9 +116,9 @@ fn columns_round_trip_preserving_physical_representation() {
     assert!(matches!(AttributeColumn::decode_from(&mut r), Err(CodecError::Invalid { .. })));
 }
 
-fn sample_chunk(encoding: StringEncoding, tombstone: bool) -> Chunk {
+fn sample_chunk(tombstone: bool) -> Chunk {
     let schema = ArraySchema::parse("A<i:int32, s:string>[x=1:8,8, y=1:8,8]").unwrap();
-    let mut c = Chunk::with_encoding(&schema, ChunkCoords::new([0, 0]), encoding);
+    let mut c = Chunk::new(&schema, ChunkCoords::new([0, 0]));
     for (k, v) in ["a", "b", "c", "a"].iter().enumerate() {
         let x = k as i64 + 1;
         c.push_cell(
@@ -138,27 +136,63 @@ fn sample_chunk(encoding: StringEncoding, tombstone: bool) -> Chunk {
 
 #[test]
 fn chunks_round_trip_including_tombstones() {
-    for encoding in
-        [StringEncoding::Plain, StringEncoding::Dict { cap: 2 }, StringEncoding::Dict { cap: 64 }]
-    {
-        for tombstone in [false, true] {
-            let chunk = sample_chunk(encoding, tombstone);
-            let bytes = encode(|w| chunk.encode_into(w));
-            let mut r = ByteReader::new(&bytes);
-            let back = Chunk::decode_from(&mut r).unwrap();
-            r.finish("chunk tail").unwrap();
-            assert_eq!(back, chunk, "encoding {encoding:?}, tombstone {tombstone}");
-            assert_eq!(back.byte_size(), chunk.byte_size());
-            assert_eq!(back.cell_count(), chunk.cell_count());
-            assert_eq!(back.tombstone_count(), chunk.tombstone_count());
-        }
+    for tombstone in [false, true] {
+        let chunk = sample_chunk(tombstone);
+        let bytes = encode(|w| chunk.encode_into(w));
+        let mut r = ByteReader::new(&bytes);
+        let back = Chunk::decode_from(&mut r).unwrap();
+        r.finish("chunk tail").unwrap();
+        assert_eq!(back, chunk, "tombstone {tombstone}");
+        assert_eq!(back.byte_size(), chunk.byte_size());
+        assert_eq!(back.cell_count(), chunk.cell_count());
+        assert_eq!(back.tombstone_count(), chunk.tombstone_count());
     }
+}
+
+/// Plain string storage is gone: a column under its tag (5) and a zone
+/// map entry under its string tag (3) are typed errors, not a panic and
+/// not a column.
+#[test]
+fn the_retired_plain_string_layouts_are_refused() {
+    let plain_column = encode(|w| {
+        w.put_u8(5);
+        w.put_list(["a", "", "a"], |w, s| w.put_str(s));
+    });
+    let mut r = ByteReader::new(&plain_column);
+    let err = AttributeColumn::decode_from(&mut r).unwrap_err();
+    assert!(matches!(err, CodecError::Invalid { context: "column tag", .. }), "{err}");
+
+    let plain_zone = encode(|w| {
+        w.put_list([(0i64, 7i64)], |w, (min, max)| {
+            w.put_i64(min);
+            w.put_i64(max);
+        });
+        w.put_list([3u8], |w, tag| w.put_u8(tag));
+    });
+    let mut r = ByteReader::new(&plain_zone);
+    let err = ZoneMap::decode_from(&mut r).unwrap_err();
+    assert!(matches!(err, CodecError::Invalid { context: "zone map attr tag", .. }), "{err}");
+
+    // Today's layouts decode: the refusal is the retired tags'.
+    let dict_column = encode(|w| str_column(&["a", "", "a"]).encode_into(w));
+    assert!(AttributeColumn::decode_from(&mut ByteReader::new(&dict_column)).is_ok());
+    let dict_zone = encode(|w| {
+        w.put_list([(0i64, 7i64)], |w, (min, max)| {
+            w.put_i64(min);
+            w.put_i64(max);
+        });
+        w.put_list([(2u8, 2u32)], |w, (tag, distinct)| {
+            w.put_u8(tag);
+            w.put_u32(distinct);
+        });
+    });
+    assert!(ZoneMap::decode_from(&mut ByteReader::new(&dict_zone)).is_ok());
 }
 
 #[test]
 fn arrays_round_trip_with_all_their_chunks() {
     let schema = ArraySchema::parse("A<i:int32, s:string>[x=1:8,2, y=1:8,2]").unwrap();
-    let mut a = Array::with_encoding(ArrayId(3), schema, StringEncoding::Dict { cap: 16 });
+    let mut a = Array::new(ArrayId(3), schema);
     for k in 0..8i64 {
         a.insert_cell(
             vec![k + 1, (k % 4) + 1],
@@ -173,7 +207,6 @@ fn arrays_round_trip_with_all_their_chunks() {
     r.finish("array tail").unwrap();
     assert_eq!(back.id, a.id);
     assert_eq!(back.schema, a.schema);
-    assert_eq!(back.string_encoding(), a.string_encoding());
     assert_eq!(back.chunk_count(), a.chunk_count());
     assert_eq!(back.cell_count(), a.cell_count());
     assert_eq!(back.byte_size(), a.byte_size());

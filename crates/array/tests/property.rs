@@ -3,8 +3,8 @@
 
 use array_model::{
     chunk_of, gilbert2d, hilbert_coords, hilbert_index, Array, ArrayId, ArraySchema, AttributeDef,
-    AttributeType, CellBuffer, Chunk, ChunkCoords, DimensionDef, RowGroups, ScalarValue,
-    StringEncoding, ZoneMap, MAX_DIMS,
+    AttributeType, CellBuffer, Chunk, ChunkCoords, DimensionDef, RowGroups, ScalarValue, ZoneMap,
+    MAX_DIMS,
 };
 use proptest::prelude::*;
 
@@ -67,10 +67,10 @@ fn arb_type() -> impl Strategy<Value = AttributeType> {
 
 /// A degenerate dict scatter — so many chunks × so many distinct strings
 /// that a dense remap table per chunk would outweigh the data — must
-/// still build exactly what per-cell insertion builds (including
-/// per-chunk spill decisions). The chunk builder keeps one remap table
-/// the size of the transport dictionary and resets only the entries a
-/// chunk used, so this shape needs no fallback path.
+/// still build exactly what per-cell insertion builds. The chunk
+/// builder keeps one remap table the size of the batch's dictionary and
+/// resets only the entries a chunk used, so this shape needs no fallback
+/// path.
 #[test]
 fn huge_remap_footprint_falls_back_without_changing_results() {
     let schema = ArraySchema::new(
@@ -223,17 +223,9 @@ fn build_rows_with(
     rows
 }
 
+/// `rows` as a batch.
 fn buffer_of(schema: &ArraySchema, rows: &[(Vec<i64>, Vec<ScalarValue>)]) -> CellBuffer {
-    buffer_with(schema, rows, StringEncoding::transport())
-}
-
-/// `rows` as a batch whose string columns travel under `transport`.
-fn buffer_with(
-    schema: &ArraySchema,
-    rows: &[(Vec<i64>, Vec<ScalarValue>)],
-    transport: StringEncoding,
-) -> CellBuffer {
-    let mut buffer = CellBuffer::with_encoding(schema, transport);
+    let mut buffer = CellBuffer::new(schema);
     let mut scratch = Vec::new();
     for (cell, values) in rows {
         scratch.extend(values.iter().cloned());
@@ -265,17 +257,6 @@ fn contents(array: &Array) -> (Vec<Chunk>, Vec<u8>) {
     let mut w = durability::ByteWriter::new();
     array.encode_into(&mut w);
     (array.chunks().map(|(_, chunk)| chunk.clone()).collect(), w.into_bytes())
-}
-
-/// The storage-side encodings the model runs under: plain, the default
-/// cap, and caps small enough that `string_for`'s numbered tail lands on
-/// both sides of them.
-fn arb_encoding() -> impl Strategy<Value = StringEncoding> {
-    prop_oneof![
-        Just(StringEncoding::Plain),
-        Just(StringEncoding::default()),
-        (1u32..12).prop_map(|cap| StringEncoding::Dict { cap }),
-    ]
 }
 
 proptest! {
@@ -327,17 +308,11 @@ proptest! {
         seed in any::<u64>(),
         count in arb_row_count(),
         spread_bits in prop_oneof![Just(4u32), Just(18u32), Just(40u32)],
-        encoding in arb_encoding(),
-        plain_transport in any::<bool>(),
     ) {
         let id = ArrayId(0);
         let rows = build_rows(&schema, seed, count, spread_bits);
-        // Strings travel as transport-dictionary codes, or (the
-        // compatibility path) as one `String` per value.
-        let transport =
-            if plain_transport { StringEncoding::Plain } else { StringEncoding::transport() };
-        let buffer = buffer_with(&schema, &rows, transport);
-        let fresh = || Array::with_encoding(id, schema.clone(), encoding);
+        let buffer = buffer_of(&schema, &rows);
+        let fresh = || Array::new(id, schema.clone());
         let mut per_cell = fresh();
         for (cell, values) in &rows {
             per_cell.insert_cell(cell.clone(), values.clone()).expect("in bounds");
@@ -366,17 +341,16 @@ proptest! {
     /// the `==`-comparing suites cannot carry: per-cell insertion, the
     /// batch kernel and the definition agree to the bit (encoded bytes:
     /// the NaN count, `-0.0 < 0.0`, an all-NaN or all-`inf` column's
-    /// `±inf` seeds), under any storage encoding.
+    /// `±inf` seeds).
     #[test]
     fn built_zone_maps_are_the_definition_under_nans_zeros_and_infinities(
         schema in arb_build_schema(),
         seed in any::<u64>(),
         count in 0usize..200,
-        encoding in arb_encoding(),
     ) {
         let rows = build_rows_with(&schema, seed, count, 4, true);
         let buffer = buffer_of(&schema, &rows);
-        let fresh = || Array::with_encoding(ArrayId(0), schema.clone(), encoding);
+        let fresh = || Array::new(ArrayId(0), schema.clone());
         let mut per_cell = fresh();
         for (cell, values) in &rows {
             per_cell.insert_cell(cell.clone(), values.clone()).expect("in bounds");
@@ -399,7 +373,6 @@ proptest! {
         seed in any::<u64>(),
         count in 1usize..90,
         at in any::<u64>(),
-        encoding in arb_encoding(),
     ) {
         let mut rows = build_rows(&schema, seed, count, 18);
         // Push one row out on one dimension — and, half the time, on a
@@ -417,7 +390,7 @@ proptest! {
             }
         }
         let buffer = buffer_of(&schema, &rows);
-        let fresh = || Array::with_encoding(ArrayId(0), schema.clone(), encoding);
+        let fresh = || Array::new(ArrayId(0), schema.clone());
         let mut per_cell = fresh();
         let want = rows
             .iter()
@@ -821,22 +794,17 @@ proptest! {
 
     /// Dictionary encode → decode round-trips over arbitrary string
     /// distributions (empty, unicode, long payloads, high-cardinality
-    /// tails) and arbitrary caps: every value reads back intact, the
-    /// byte size equals both the incremental deltas and an independent
-    /// recomputation, and the column spills to plain storage exactly
-    /// when the distinct count crosses the cap.
+    /// tails): every value reads back intact, the codes and entries are
+    /// first-seen order, and the byte size equals both the incremental
+    /// deltas and an independent recomputation.
     #[test]
-    fn dict_column_round_trips_and_spills_at_the_cap(
+    fn dict_column_round_trips(
         seeds in proptest::collection::vec(any::<u64>(), 1..120),
-        cap in 1u32..12,
     ) {
         use array_model::AttributeColumn;
         let values: Vec<String> = seeds.iter().map(|&s| string_for(s)).collect();
-        let mut col = AttributeColumn::with_encoding(
-            AttributeType::Str,
-            StringEncoding::Dict { cap },
-        );
-        let mut delta_sum = 0i64;
+        let mut col = AttributeColumn::new(AttributeType::Str);
+        let mut delta_sum = 0;
         for v in &values {
             delta_sum += col.push(ScalarValue::Str(v.clone())).expect("string column");
         }
@@ -846,47 +814,35 @@ proptest! {
             prop_assert_eq!(col.get_str(i), Some(v.as_str()));
             prop_assert_eq!(col.get(i), Some(ScalarValue::Str(v.clone())));
         }
-        // Spill iff the distinct count crossed the cap.
-        let distinct: std::collections::BTreeSet<&str> =
-            values.iter().map(String::as_str).collect();
-        prop_assert_eq!(
-            col.as_dict().is_none(),
-            distinct.len() > cap as usize,
-            "cap {} with {} distinct strings", cap, distinct.len()
-        );
         // Bytes: incremental deltas == byte_size() == independent model.
-        prop_assert_eq!(col.byte_size() as i64, delta_sum);
-        let expected: u64 = match col.as_dict() {
-            Some(d) => {
-                // Codes are first-seen order — check against a naive model.
-                let mut model: Vec<&str> = Vec::new();
-                let codes: Vec<u32> = values
-                    .iter()
-                    .map(|v| {
-                        match model.iter().position(|m| m == v) {
-                            Some(p) => p as u32,
-                            None => {
-                                model.push(v);
-                                (model.len() - 1) as u32
-                            }
-                        }
-                    })
-                    .collect();
-                prop_assert_eq!(d.codes(), &codes[..]);
-                let dict: Vec<&str> = d.dict().iter().collect();
-                prop_assert_eq!(dict, model.clone());
-                model.iter().map(|s| s.len() as u64 + 4).sum::<u64>()
-                    + 4 * values.len() as u64
-            }
-            None => values.iter().map(|s| s.len() as u64 + 4).sum(),
-        };
+        prop_assert_eq!(col.byte_size(), delta_sum);
+        let d = col.as_dict().expect("a string column is a dictionary column");
+        // Codes are first-seen order — check against a naive model.
+        let mut model: Vec<&str> = Vec::new();
+        let codes: Vec<u32> = values
+            .iter()
+            .map(|v| {
+                match model.iter().position(|m| m == v) {
+                    Some(p) => p as u32,
+                    None => {
+                        model.push(v);
+                        (model.len() - 1) as u32
+                    }
+                }
+            })
+            .collect();
+        prop_assert_eq!(d.codes(), &codes[..]);
+        let dict: Vec<&str> = d.dict().iter().collect();
+        prop_assert_eq!(dict, model.clone());
+        let expected =
+            model.iter().map(|s| s.len() as u64 + 4).sum::<u64>() + 4 * values.len() as u64;
         prop_assert_eq!(col.byte_size(), expected);
     }
 
     /// An arbitrary interleaved insert/retract/compact script on a
-    /// `Chunk` — dictionary encoding under spill-forcing caps, and
-    /// plain storage — must leave `byte_size`/`cell_count`/dict state
-    /// **structurally equal** to a chunk built from only the surviving
+    /// `Chunk` with two string columns must leave
+    /// `byte_size`/`cell_count`/dict state **structurally equal** to a
+    /// chunk built from only the surviving
     /// cells in their original order. Checked at every compact point in
     /// the script, not just the end, and the running byte counter must
     /// equal an independent rescan of the compacted columns (counter
@@ -894,8 +850,6 @@ proptest! {
     #[test]
     fn interleaved_insert_retract_compact_matches_survivors_only_build(
         script in proptest::collection::vec((0u8..8, any::<u64>()), 1..120),
-        cap in 1u32..8,
-        use_plain in any::<bool>(),
     ) {
         use array_model::Chunk;
         let schema = ArraySchema::new(
@@ -910,17 +864,15 @@ proptest! {
                 DimensionDef::bounded("y", 0, 15, 16),
             ],
         ).unwrap();
-        let encoding =
-            if use_plain { StringEncoding::Plain } else { StringEncoding::Dict { cap } };
         let coords = ChunkCoords::new([0i64, 0]);
 
         // The script target and its row-level model: every inserted row
         // in order, with a live flag retraction clears. Survivor builds
         // replay the live rows in original order.
-        let mut chunk = Chunk::with_encoding(&schema, coords, encoding);
+        let mut chunk = Chunk::new(&schema, coords);
         let mut model: Vec<(Vec<i64>, Vec<ScalarValue>, bool)> = Vec::new();
         let survivors_only = |model: &[(Vec<i64>, Vec<ScalarValue>, bool)]| -> Chunk {
-            let mut c = Chunk::with_encoding(&schema, coords, encoding);
+            let mut c = Chunk::new(&schema, coords);
             for (cell, values, live) in model {
                 if *live {
                     c.push_cell(&schema, cell.clone(), values.clone()).expect("in bounds");
@@ -1006,14 +958,12 @@ proptest! {
     /// Batched inserts, incremental two-batch merges (the append path
     /// that remaps codes across dictionaries), and `absorb` of disjoint
     /// chunk sets are all **structurally identical** to the per-cell
-    /// insert path over dictionary-encoded columns — including when a
-    /// small cap forces mid-stream spills to plain storage.
+    /// insert path over dictionary-encoded columns.
     #[test]
     #[allow(deprecated)]
     fn dict_batches_merges_and_absorb_match_per_cell_path(
         seed in any::<u64>(),
         count in 2usize..60,
-        cap in 1u32..8,
         split_pct in 0u64..100,
     ) {
         let schema = ArraySchema::new(
@@ -1028,7 +978,6 @@ proptest! {
                 DimensionDef::bounded("y", 0, 63, 8),
             ],
         ).unwrap();
-        let encoding = StringEncoding::Dict { cap };
         let cells: Vec<(Vec<i64>, Vec<ScalarValue>)> = (0..count)
             .map(|i| {
                 let s = seed
@@ -1044,8 +993,8 @@ proptest! {
             })
             .collect();
 
-        // Reference: per-cell inserts under the same (tiny) cap.
-        let mut per_cell = Array::with_encoding(ArrayId(0), schema.clone(), encoding);
+        // Reference: per-cell inserts.
+        let mut per_cell = Array::new(ArrayId(0), schema.clone());
         for (cell, values) in &cells {
             per_cell.insert_cell(cell.clone(), values.clone()).expect("in bounds");
         }
@@ -1057,12 +1006,11 @@ proptest! {
             scratch.extend(values.iter().cloned());
             buffer.push_row(cell, &mut scratch).expect("schema-shaped");
         }
-        let mut one_shot = Array::with_encoding(ArrayId(0), schema.clone(), encoding);
+        let mut one_shot = Array::new(ArrayId(0), schema.clone());
         one_shot.insert_batch_owned(buffer).expect("in bounds");
 
         // Two batches split mid-stream: the second revisits chunks the
-        // first created, driving the append path's dictionary remaps
-        // (and spills, when the union crosses the cap).
+        // first created, driving the append path's dictionary remaps.
         let k = ((count as u64 * split_pct / 100) as usize).clamp(1, count - 1);
         let mut first = CellBuffer::new(&schema);
         let mut second = CellBuffer::new(&schema);
@@ -1071,14 +1019,14 @@ proptest! {
             let dst = if i < k { &mut first } else { &mut second };
             dst.push_row(cell, &mut scratch).expect("schema-shaped");
         }
-        let mut merged = Array::with_encoding(ArrayId(0), schema.clone(), encoding);
+        let mut merged = Array::new(ArrayId(0), schema.clone());
         merged.insert_batch_owned(first).expect("in bounds");
         merged.insert_batch_owned(second).expect("in bounds");
 
         // Absorb: rows partitioned by owning chunk, so the two halves
         // hold disjoint chunk sets and merge wholesale.
-        let mut left = Array::with_encoding(ArrayId(0), schema.clone(), encoding);
-        let mut right = Array::with_encoding(ArrayId(0), schema.clone(), encoding);
+        let mut left = Array::new(ArrayId(0), schema.clone());
+        let mut right = Array::new(ArrayId(0), schema.clone());
         for (cell, values) in &cells {
             let coords = chunk_of(&schema, cell).expect("in bounds");
             let dst = if (coords.index(0) + coords.index(1)) % 2 == 0 {
@@ -1097,8 +1045,8 @@ proptest! {
             prop_assert_eq!(built.byte_size(), per_cell.byte_size(), "{}", name);
             prop_assert_eq!(built.descriptors(), per_cell.descriptors(), "{}", name);
             for (coords, chunk) in per_cell.chunks() {
-                // Full structural equality: codes, dictionaries, spill
-                // state, counters, and in-chunk cell order.
+                // Full structural equality: codes, dictionaries,
+                // counters, and in-chunk cell order.
                 prop_assert_eq!(built.chunk(coords), Some(chunk), "{} at {}", name, coords);
             }
         }
@@ -1107,9 +1055,9 @@ proptest! {
     /// column of one chunk goes through a random script — per-cell pushes,
     /// batches (the builder cuts the batch's dictionary: `from_distinct`,
     /// then `append` remaps it into the chunk's), retractions, compactions
-    /// — under a cap small enough to spill, over `string_for`'s strings
-    /// (the empty one included). After every step the column is the one
-    /// interning the physical rows in order gives: representation, codes,
+    /// — over `string_for`'s strings (the empty one included). After
+    /// every step the column is the one interning the physical rows in
+    /// order gives: codes,
     /// entries through `get` and `iter`, `code_of` of every entry and of
     /// an absent string (on the live dictionary and on a clone that is
     /// probed before the original is), byte size, and the
@@ -1118,12 +1066,10 @@ proptest! {
     #[test]
     fn arena_dictionary_equals_a_vec_of_strings_interner(
         script in proptest::collection::vec((0u8..10, any::<u64>()), 1..60),
-        cap in 1u32..9,
     ) {
         use array_model::AttributeColumn;
         let schema = ArraySchema::parse("S<s:string>[x=0:*,1000000]").unwrap();
-        let encoding = StringEncoding::Dict { cap };
-        let mut chunk = Chunk::with_encoding(&schema, ChunkCoords::new([0]), encoding);
+        let mut chunk = Chunk::new(&schema, ChunkCoords::new([0]));
         // The physical rows since the last compaction: (x, value, live).
         let mut rows: Vec<(i64, String, bool)> = Vec::new();
         let mut next_x = 0i64;
@@ -1161,37 +1107,22 @@ proptest! {
                 }
             }
 
-            // The model: intern the physical rows in order, spilling for
-            // good at the first string past the cap.
+            // The model: intern the physical rows in order.
             let mut entries: Vec<&str> = Vec::new();
             let mut codes: Vec<u32> = Vec::new();
-            let mut spilled = false;
             for (_, value, _) in &rows {
                 match entries.iter().position(|e| e == value) {
                     Some(code) => codes.push(code as u32),
-                    None if entries.len() < cap as usize => {
+                    None => {
                         codes.push(entries.len() as u32);
                         entries.push(value);
                     }
-                    None => spilled = true,
-                }
-                if spilled {
-                    break;
                 }
             }
             let live = || rows.iter().filter(|row| row.2);
             let column = chunk.column(0).unwrap();
-            prop_assert_eq!(column.as_dict().is_none(), spilled);
             let mut model_bytes = durability::ByteWriter::new();
-            let Some(dc) = column.as_dict() else {
-                // (A spill carries tombstoned rows' payloads along until
-                // the next compaction; only the all-live size is modelled.)
-                if live().count() == rows.len() {
-                    let plain: u64 = rows.iter().map(|row| row.1.len() as u64 + 4).sum();
-                    prop_assert_eq!(chunk.byte_size(), 8 * rows.len() as u64 + plain);
-                }
-                continue;
-            };
+            let dc = column.as_dict().expect("a string column is a dictionary column");
             let dict = dc.dict();
             prop_assert_eq!(dc.codes(), &codes[..]);
             prop_assert_eq!(dict.iter().collect::<Vec<_>>(), entries.clone());
@@ -1211,7 +1142,6 @@ proptest! {
                 prop_assert_eq!(probed.code_of("never interned"), None);
             }
             model_bytes.put_u8(6);
-            model_bytes.put_u32(cap);
             model_bytes.put_usize(entries.len());
             entries.iter().for_each(|e| model_bytes.put_str(e));
             model_bytes.put_usize(codes.len());
@@ -1244,7 +1174,6 @@ proptest! {
         inserts in proptest::collection::vec(any::<u64>(), 0..90),
         earlier in proptest::collection::vec(any::<u64>(), 0..20),
         script in proptest::collection::vec((0u8..8, any::<u64>()), 0..80),
-        cap in 1u32..8,
     ) {
         use array_model::Chunk;
         let schema = ArraySchema::new(
@@ -1257,8 +1186,7 @@ proptest! {
         ).unwrap();
         // A 6 x 6 grid under up to 90 inserts: duplicates are the norm.
         let cell_of = |s: u64| vec![(s % 6) as i64, (s.rotate_left(21) % 6) as i64];
-        let mut chunk =
-            Chunk::with_encoding(&schema, ChunkCoords::new([0i64, 0]), StringEncoding::Dict { cap });
+        let mut chunk = Chunk::new(&schema, ChunkCoords::new([0i64, 0]));
         for &s in &inserts {
             let values = vec![ScalarValue::Str(string_for(s)), ScalarValue::Int32(s as i32)];
             chunk.push_cell(&schema, cell_of(s), values).expect("in bounds");
@@ -1302,18 +1230,16 @@ proptest! {
 proptest! {
     /// A chunk's residual once every live row is retracted, counted a
     /// column at a time, is the per-row sum's: every attribute type,
-    /// plain strings and dictionaries (spilled or not), with no
-    /// tombstone, with some, and compacted after them.
+    /// with no tombstone, with some, and compacted after them.
     #[test]
     fn retained_bytes_is_the_per_row_residual(
         schema in arb_build_schema(),
         seed in any::<u64>(),
         count in arb_row_count(),
-        encoding in arb_encoding(),
         kill in any::<u64>(),
     ) {
         let rows = build_rows(&schema, seed, count, 4);
-        let mut array = Array::with_encoding(ArrayId(0), schema.clone(), encoding);
+        let mut array = Array::new(ArrayId(0), schema.clone());
         array.insert_batch_owned(buffer_of(&schema, &rows)).expect("in bounds");
         let per_row = |chunk: &Chunk| chunk.byte_size() - chunk.rows_byte_cost(chunk.live_rows());
         for (coords, chunk) in array.chunks() {

@@ -1205,12 +1205,10 @@ mod tests {
         assert_eq!(c.locate(&key), Some(NodeId(1)));
         assert_eq!(**c.primary_payload(&key).unwrap(), chunk);
 
-        // Equal bytes but a different cell count is still a drift. Under
-        // the default dictionary encoding, one 12-char string weighs
-        // exactly as much as two empty ones: (12+4) dictionary bytes +
-        // one 4 B code + 8 coord bytes = 28, vs (0+4) + two codes + 16
-        // coord bytes = 28. (The same equality held for plain storage,
-        // 24 = 24 — the guard is encoding-independent.)
+        // Equal bytes but a different cell count is still a drift. One
+        // 12-char string weighs exactly as much as two empty ones: (12+4)
+        // dictionary bytes + one 4 B code + 8 coord bytes = 28, vs (0+4)
+        // + two codes + 16 coord bytes = 28.
         let sschema = ArraySchema::parse("S<s:string>[x=0:7,8]").unwrap();
         let mut one = Chunk::new(&sschema, ChunkCoords::new([0]));
         one.push_cell(&sschema, vec![0], vec![ScalarValue::Str("abcdefghijkl".into())]).unwrap();
@@ -1227,34 +1225,31 @@ mod tests {
     /// Rebalance byte accounting over dictionary-encoded payloads: the
     /// descriptor (what placement and the census see) and the flow bytes
     /// (what transfer timing sees) both carry the **encoded** size —
-    /// dictionary once plus 4 B per code — which is strictly below the
-    /// plain representation of the same cells, and a plain-encoded twin
-    /// of the chunk cannot masquerade as the encoded one.
+    /// dictionary once plus 4 B per code — and a chunk of other bytes
+    /// cannot masquerade as the described one.
     #[test]
     fn rebalance_accounts_encoded_bytes_for_dict_payloads() {
-        use array_model::{ArraySchema, Chunk, ScalarValue, StringEncoding};
+        use array_model::{ArraySchema, Chunk, ScalarValue};
         let schema = ArraySchema::parse("D<r:string>[x=0:63,64]").unwrap();
         let mut chunk = Chunk::new(&schema, ChunkCoords::new([0]));
-        let mut plain_twin =
-            Chunk::with_encoding(&schema, ChunkCoords::new([0]), StringEncoding::Plain);
         for x in 0..32i64 {
             let v = format!("receiver-{}", x % 4); // 4 distinct, 32 rows
-            chunk.push_cell(&schema, vec![x], vec![ScalarValue::Str(v.clone())]).unwrap();
-            plain_twin.push_cell(&schema, vec![x], vec![ScalarValue::Str(v)]).unwrap();
+            chunk.push_cell(&schema, vec![x], vec![ScalarValue::Str(v)]).unwrap();
         }
         // Encoded: 32 coords x 8 + 4 dictionary entries x (10+4) + 32
-        // codes x 4 = 440; plain stores every value's payload: 704.
+        // codes x 4 = 440, where storing every value's payload would take
+        // 32 x 8 + 32 x 14 = 704.
         assert_eq!(chunk.byte_size(), 32 * 8 + 4 * 14 + 32 * 4);
-        assert_eq!(plain_twin.byte_size(), 32 * 8 + 32 * 14);
-        assert!(chunk.byte_size() < plain_twin.byte_size());
+        let mut twin = chunk.clone();
+        twin.push_cell(&schema, vec![32], vec![ScalarValue::Str("receiver-0".into())]).unwrap();
 
         let key = ChunkKey::new(ArrayId(0), ChunkCoords::new([0]));
         let desc = ChunkDescriptor::new(key, chunk.byte_size(), chunk.cell_count());
         let mut c = cluster(2);
         c.place(desc, NodeId(0)).unwrap();
-        // The plain twin's bytes disagree with the encoded descriptor:
-        // attach validation catches the representation mismatch.
-        assert!(matches!(c.attach_payload(key, plain_twin), Err(ClusterError::PayloadMismatch(_))));
+        // The twin's bytes disagree with the descriptor: attach
+        // validation catches the mismatch.
+        assert!(matches!(c.attach_payload(key, twin), Err(ClusterError::PayloadMismatch(_))));
         c.attach_payload(key, chunk.clone()).unwrap();
         // The move times off the encoded bytes, and the load ledger holds
         // exactly the encoded size on the receiving node.

@@ -405,12 +405,9 @@ impl<'a> ExecutionContext<'a> {
     ///
     /// The estimate weights each attribute by `fixed_width()`; strings
     /// count their 4 B dictionary code (the column's dictionary bytes
-    /// amortize toward zero at low cardinality). Against dictionary-
-    /// encoded AIS payloads the estimate lands within a few percent of
-    /// the true column bytes; against plain-encoded payloads it
-    /// undercounts the string columns' per-value payloads and lands
-    /// within the ±25 % bound documented (and re-derived) in
-    /// `tests/materialized_queries.rs`.
+    /// amortize toward zero at low cardinality). Against AIS payloads
+    /// the estimate lands within the ±20 % bound documented (and
+    /// re-derived) in `tests/materialized_queries.rs`.
     pub fn attr_fraction(&self, array: &StoredArray, attrs: &[&str]) -> Result<f64> {
         let coord_bytes = (array.schema.ndims() * 8) as f64;
         let total: f64 = coord_bytes

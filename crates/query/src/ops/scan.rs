@@ -126,9 +126,6 @@ impl SelectionMask {
                     accept[c / 64] & (1 << (c % 64)) != 0
                 })
             }
-            (Predicate::Str(p), AttributeColumn::Str(values)) => {
-                self.retain(|row| p.matches(&values[row]))
-            }
             // The operators type-check before scanning, so a mismatch here
             // is a caller bug — still a typed error, never a silent skip.
             _ => return pred.check_type(&format!("#{attr}"), col.column_type()),
@@ -268,7 +265,7 @@ fn typed_attr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use array_model::{ArraySchema, ChunkCoords, ScalarValue, StringEncoding};
+    use array_model::{ArraySchema, ChunkCoords, ScalarValue};
     use proptest::prelude::*;
 
     fn chunk_with(values: &[(i64, f64)]) -> (ArraySchema, Chunk) {
@@ -353,11 +350,11 @@ mod tests {
 
     /// A one-chunk array of `bits.len()` rows at scattered coordinates,
     /// then `retract` (row indices, modulo) tombstoned.
-    fn scattered_chunk(bits: &[u64], retract: &[usize], encoding: StringEncoding) -> Chunk {
+    fn scattered_chunk(bits: &[u64], retract: &[usize]) -> Chunk {
         let schema =
             ArraySchema::parse("A<i:int32, l:int64, f:float, d:double, s:string>[x=0:255,256]")
                 .unwrap();
-        let mut chunk = Chunk::with_encoding(&schema, ChunkCoords::new([0]), encoding);
+        let mut chunk = Chunk::new(&schema, ChunkCoords::new([0]));
         for &b in bits {
             chunk.push_cell(&schema, vec![(b >> 24) as i64 % 256], row_values(b)).unwrap();
         }
@@ -434,14 +431,6 @@ mod tests {
         }
     }
 
-    /// Dictionary-encoded, plain, and a dictionary capped below the five
-    /// tags so the column spills to plain storage mid-build.
-    const ENCODINGS: [StringEncoding; 3] = [
-        StringEncoding::Dict { cap: 4096 },
-        StringEncoding::Plain,
-        StringEncoding::Dict { cap: 2 },
-    ];
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -452,10 +441,8 @@ mod tests {
             low in 0i64..256,
             len in 0i64..256,
         ) {
-            for encoding in ENCODINGS {
-                let chunk = scattered_chunk(&bits, &retract, encoding);
-                assert_retain_matches_per_row(&chunk, low, low + len);
-            }
+            let chunk = scattered_chunk(&bits, &retract);
+            assert_retain_matches_per_row(&chunk, low, low + len);
         }
     }
 
@@ -476,13 +463,8 @@ mod tests {
             // whole word's worth so a zero word is skipped.
             let mut retract: Vec<usize> = vec![rows.saturating_sub(1), 0];
             retract.extend(64..128.min(rows));
-            for encoding in ENCODINGS {
-                let chunk = scattered_chunk(&bits, &retract, encoding);
-                if encoding == (StringEncoding::Dict { cap: 2 }) && rows >= 63 {
-                    assert!(matches!(chunk.column(4), Some(AttributeColumn::Str(_))), "spilled");
-                }
-                assert_retain_matches_per_row(&chunk, 16, 200);
-            }
+            let chunk = scattered_chunk(&bits, &retract);
+            assert_retain_matches_per_row(&chunk, 16, 200);
         }
     }
 }

@@ -20,8 +20,8 @@
 //!
 //! **The summation order is part of the answer.** `mean` is a sum of
 //! per-window means, each a sum of `f64`s, and float addition does not
-//! associate: the differential suites (pruned vs unpruned, dictionary vs
-//! plain, faulted vs fault-free, recovered vs live) and the benchmark's
+//! associate: the differential suites (pruned vs unpruned, faulted vs
+//! fault-free, recovered vs live) and the benchmark's
 //! digests compare `mean` by its bits. So the sweep adds in exactly the
 //! order the brute-force definition does — centres ascending
 //! lexicographically; within a window, neighbours ascending

@@ -105,7 +105,7 @@ impl StrPred {
 pub enum Predicate {
     /// Numeric comparison (int32/int64/float/double attributes).
     Num(NumPred),
-    /// String comparison (string attributes, plain or dict-encoded).
+    /// String comparison (string attributes).
     Str(StrPred),
 }
 
@@ -198,9 +198,9 @@ impl Predicate {
                     StrPred::Between(..) => dc.dict().iter().all(|s| !p.matches(s)),
                 }
             }
-            // Plain string columns carry no summary; numeric zones under
-            // a string predicate (or vice versa) mean the operator's type
-            // check was skipped — never refute on a mismatch.
+            // Numeric zones under a string predicate (or vice versa) mean
+            // the operator's type check was skipped — never refute on a
+            // mismatch.
             _ => false,
         }
     }

@@ -4,20 +4,20 @@
 //! here, because a field is declared in its struct:
 //! `RunnerConfig::ingest_threads` and `CycleReport::degraded_reads`.
 
-use array_model::{Array, ArrayError, ArrayId, ArraySchema, CellBuffer, StringEncoding};
+use array_model::{Array, ArrayError, ArrayId, ArraySchema, CellBuffer};
 
-/// Build one flat cell batch into an [`Array`] of real chunks whose
-/// string columns are stored under `encoding`, moving the batch's values
-/// into them ([`Array::insert_batch_owned`]). `threads` is ignored.
+/// Build one flat cell batch into an [`Array`] of real chunks
+/// ([`Array::insert_batch_owned`]). `threads` and `encoding` are ignored.
 #[deprecated(note = "benchmark only; deleted by Benchmark PR A")]
+#[allow(deprecated)]
 pub fn build_cell_array_encoded(
     id: ArrayId,
     schema: ArraySchema,
     rows: CellBuffer,
     _threads: usize,
-    encoding: StringEncoding,
+    _encoding: array_model::StringEncoding,
 ) -> Result<Array, ArrayError> {
-    let mut fresh = Array::with_encoding(id, schema, encoding);
+    let mut fresh = Array::new(id, schema);
     fresh.insert_batch_owned(rows)?;
     Ok(fresh)
 }

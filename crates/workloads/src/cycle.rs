@@ -22,7 +22,7 @@ use crate::durable::{self, mismatch, DurabilityConfig, Wal};
 use crate::faults::FaultPlan;
 use crate::spec::{SuiteReport, Workload};
 use crate::world::{CycleFaults, World};
-use array_model::{Array, ArrayError, ArrayId, ChunkDescriptor, StringEncoding};
+use array_model::{Array, ArrayError, ArrayId, ChunkDescriptor};
 use cluster_sim::{
     gb, Cluster, ClusterError, CostModel, NodeHoursLedger, NodeState, PhaseBreakdown,
 };
@@ -207,12 +207,11 @@ pub struct RunnerConfig {
     /// the calling thread. Kept only because the benchmark harness sets it.
     #[deprecated(note = "benchmark only; deleted by Benchmark PR A")]
     pub ingest_threads: usize,
-    /// Physical representation of string columns in materialized chunks.
-    /// The default dictionary-encodes them; [`StringEncoding::Plain`]
-    /// stores one heap `String` per value. Query answers are identical
-    /// either way (pinned by `tests/materialized_queries.rs`); byte
-    /// accounting, and therefore placement, legitimately differs.
-    pub string_encoding: StringEncoding,
+    /// Ignored: every string column is dictionary-encoded. Kept only
+    /// because the benchmark harness reads it.
+    #[deprecated(note = "benchmark only; deleted by Benchmark PR A")]
+    #[allow(deprecated)]
+    pub string_encoding: array_model::StringEncoding,
     /// Copies kept of every chunk (`k`). The default `1` is the paper's
     /// single-copy model and is bit-identical to the pre-replication
     /// runner (pinned by `tests/fault_recovery.rs`); `k ≥ 2` adds
@@ -259,7 +258,7 @@ impl Default for RunnerConfig {
             cost: CostModel::default(),
             run_queries: true,
             ingest_threads: 1,
-            string_encoding: StringEncoding::default(),
+            string_encoding: Default::default(),
             replication: 1,
             fault_plan: None,
             gc_tombstone_ratio: 0.5,
@@ -317,9 +316,9 @@ pub struct CycleReport {
     /// Chunks the retraction script emptied outright and the driver
     /// evicted from the placement.
     pub evicted_chunks: usize,
-    /// Bytes still carried by those evicted chunks (dangling dictionary
-    /// entries and the like — fully-retracted plain columns evict at
-    /// zero bytes, since every cell's bytes were already freed).
+    /// Bytes still carried by those evicted chunks: their dangling
+    /// dictionary entries. A chunk without string columns evicts at zero
+    /// bytes, since every cell's bytes were already freed.
     pub evicted_bytes: u64,
     /// True when the scaling policy wanted more nodes than its per-cycle
     /// safety cap allows: demand exceeded the trigger level even after
@@ -343,8 +342,7 @@ pub struct CycleReport {
     /// Chunks the automatic tombstone GC compacted this cycle (each
     /// counted once, however many copies hold it).
     pub gc_compacted_chunks: usize,
-    /// Net bytes the GC compactions reclaimed (negative if a spill
-    /// reversal grew a rebuilt column).
+    /// Net bytes the GC compactions reclaimed.
     pub gc_reclaimed_bytes: i64,
     /// Delta rows (inserts + retractions) consumed by registered
     /// incremental views this cycle.
@@ -482,10 +480,10 @@ impl<'w> WorkloadRunner<'w> {
     /// Register an incremental materialized view. From now on each
     /// cycle's logical deltas — retractions first, then the cycle's
     /// inserts — are folded into the view's state instead of the view
-    /// being recomputed. Registering mid-run starts the view empty: it
-    /// reflects changes from the *next* cycle on (seed it from the
-    /// stored chunks via [`array_model::DeltaSet::extend_from_chunk`] to
-    /// backfill).
+    /// being recomputed. A view registered mid-run starts empty and sees
+    /// the cycles after it only: nothing backfills it from the stored
+    /// chunks. [`WorkloadRunner::recover`] rebuilds only views that were
+    /// registered before cycle 0.
     pub fn register_view(&mut self, def: ViewDef) {
         self.world.views.register(def);
     }
@@ -559,7 +557,7 @@ impl<'w> WorkloadRunner<'w> {
             Some(cells) => {
                 record(wal, cycle, |w| durable::write_insert_cells(w, &cells))?;
                 world.retract(cycle, config, &cells, &mut report)?;
-                let arrays = world.build_chunks(cycle, config, cells)?;
+                let arrays = world.build_chunks(cycle, cells)?;
                 let descs: Vec<ChunkDescriptor> =
                     arrays.iter().flat_map(Array::descriptors).collect();
                 (descs, Some(arrays))
@@ -704,7 +702,6 @@ mod tests {
             scaling: ScalingPolicy::FixedStep { add: 2, trigger: 0.8 },
             cost: CostModel::default(),
             run_queries: true,
-            string_encoding: StringEncoding::default(),
             ..RunnerConfig::default()
         }
     }

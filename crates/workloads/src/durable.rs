@@ -66,7 +66,7 @@
 use crate::cycle::{CycleError, RunnerConfig, ScalingPolicy};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::spec::{CellBatch, Workload};
-use array_model::{ChunkDescriptor, StringEncoding};
+use array_model::ChunkDescriptor;
 use durability::{
     begin_record, seal_record, ByteReader, ByteWriter, CodecError, DurabilityError, FsyncPolicy,
     LogStore, RecordReader, SharedLog, MAX_RECORD_LEN, RECORD_HEADER_LEN,
@@ -322,7 +322,7 @@ pub(crate) fn config_fingerprint(
     workload_name: &str,
     workload_cycles: usize,
 ) -> u64 {
-    let mut h = fold(0x57414c5f46503032, 1); // "WAL_FP02", format version
+    let mut h = fold(0x57414c5f46503033, 1); // "WAL_FP03", format version
     for b in workload_name.bytes() {
         h = fold(h, u64::from(b));
     }
@@ -358,13 +358,6 @@ pub(crate) fn config_fingerprint(
             h = fold(h, cfg.plan_ahead as u64);
             h = fold_f64(h, cfg.trigger);
             h = fold_f64(h, cfg.shrink_margin);
-        }
-    }
-    match config.string_encoding {
-        StringEncoding::Plain => h = fold(h, 1),
-        StringEncoding::Dict { cap } => {
-            h = fold(h, 2);
-            h = fold(h, u64::from(cap));
         }
     }
     h = fold(h, config.replication as u64);

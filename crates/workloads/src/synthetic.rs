@@ -213,7 +213,6 @@ mod tests {
             scaling: ScalingPolicy::FixedStep { add: 2, trigger: 0.8 },
             cost: CostModel::default(),
             run_queries: true,
-            string_encoding: array_model::StringEncoding::default(),
             ..RunnerConfig::default()
         }
     }

@@ -516,15 +516,13 @@ impl World {
     pub(crate) fn build_chunks(
         &self,
         cycle: usize,
-        config: &RunnerConfig,
         batches: Vec<CellBatch>,
     ) -> Result<Vec<Array>, CycleError> {
         let build = |b: CellBatch| {
             let Ok(stored) = self.catalog.array(b.array) else {
                 return Err(CycleError::UnknownArray { cycle, array: b.array });
             };
-            let mut fresh =
-                Array::with_encoding(b.array, stored.schema.clone(), config.string_encoding);
+            let mut fresh = Array::new(b.array, stored.schema.clone());
             fresh
                 .insert_batch_owned(b.into_rows())
                 .map_err(|source| CycleError::Materialize { cycle, source })?;

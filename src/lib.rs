@@ -54,7 +54,7 @@ pub use workloads;
 pub mod prelude {
     pub use array_model::{
         Array, ArrayId, ArraySchema, AttributeDef, CellBuffer, ChunkCoords, ChunkDescriptor,
-        ChunkKey, DimensionDef, Region, ScalarValue, StringEncoding,
+        ChunkKey, DimensionDef, Region, ScalarValue,
     };
     pub use cluster_sim::{
         gb, relative_std_dev, Cluster, CostModel, NodeId, PhaseBreakdown, RebalancePlan,

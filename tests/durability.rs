@@ -11,7 +11,7 @@
 //! workload is `testkit::CellChurn`. One leg folds the log's own records into
 //! a `testkit::Oracle` and holds it to the workload-fed one.
 
-use array_model::{ArrayId, ArraySchema, ChunkCoords, ChunkDescriptor, ChunkKey, StringEncoding};
+use array_model::{ArrayId, ArraySchema, ChunkCoords, ChunkDescriptor, ChunkKey};
 use durability::{shared, DurabilityError, FsyncPolicy, LogStore, MemLog};
 use elastic_core::{GridHint, PartitionerKind};
 use query_engine::view::{AggKind, GroupKeyFn, ValueFn, ViewDef};
@@ -141,14 +141,13 @@ fn view_defs() -> Vec<ViewDef> {
     vec![ViewDef::aggregate("sum-by-chunk", CHURN, Vec::new(), group, value, AggKind::Sum)]
 }
 
-fn base_config(kind: PartitionerKind, encoding: StringEncoding, k: usize) -> RunnerConfig {
+fn base_config(kind: PartitionerKind, k: usize) -> RunnerConfig {
     // Fault coverage at k > 1: a crash with failover, then a revival —
     // both logged as the cycle's fault digest and replayed on recovery.
     let fault_plan =
         (k > 1).then(|| FaultPlan::new(7).at(1, FaultKind::Crash(1)).at(2, FaultKind::Revive(1)));
     RunnerConfig {
         initial_nodes: if k > 1 { 3 } else { 2 },
-        string_encoding: encoding,
         replication: k,
         fault_plan,
         ..testkit::config(kind, 8 * 1024)
@@ -156,7 +155,7 @@ fn base_config(kind: PartitionerKind, encoding: StringEncoding, k: usize) -> Run
 }
 
 fn meta_config() -> RunnerConfig {
-    let mut cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 1);
+    let mut cfg = base_config(PartitionerKind::ConsistentHash, 1);
     cfg.node_capacity = 100_000; // metadata bytes are sampled, keep roster stable
     cfg
 }
@@ -204,9 +203,9 @@ fn oracle_states(w: &dyn Workload, cfg: &RunnerConfig, defs: &[ViewDef]) -> Vec<
 /// boundary the log ever reached and demand recovery lands on the
 /// oracle state for its cycle count — then finishes the workload to
 /// the oracle's end state.
-fn crash_at_every_boundary(kind: PartitionerKind, encoding: StringEncoding, k: usize) {
+fn crash_at_every_boundary(kind: PartitionerKind, k: usize) {
     let w = churn(4, 512);
-    let cfg = base_config(kind, encoding, k);
+    let cfg = base_config(kind, k);
     let defs = view_defs();
     let states = oracle_states(&w, &cfg, &defs);
 
@@ -215,7 +214,7 @@ fn crash_at_every_boundary(kind: PartitionerKind, encoding: StringEncoding, k: u
         WorkloadRunner::new(&w, durable(&cfg, shared(SnapshottingLog::new(Arc::clone(&snaps)))));
     defs.iter().for_each(|def| live.register_view(def.clone()));
     live.run_all().expect("durable run completes");
-    let ctx = format!("{kind} {encoding:?} k={k}");
+    let ctx = format!("{kind} k={k}");
     State::of(&live).assert_same(states.last().unwrap(), &format!("{ctx}: live end"));
 
     let snaps = snaps.lock().expect("snaps mutex");
@@ -238,23 +237,21 @@ fn crash_at_every_boundary(kind: PartitionerKind, encoding: StringEncoding, k: u
 // ---------------------------------------------------------------------
 
 /// The always-on slice of the matrix: the default partitioner,
-/// dictionary strings, replicas, and a fault schedule.
+/// replicas, and a fault schedule.
 #[test]
 fn crash_at_every_record_boundary_recovers_bit_identically() {
-    crash_at_every_boundary(PartitionerKind::ConsistentHash, StringEncoding::default(), 2);
+    crash_at_every_boundary(PartitionerKind::ConsistentHash, 2);
 }
 
-/// The full matrix — every partitioner × dict/plain × k ∈ {1, 2}.
+/// The full matrix — every partitioner × k ∈ {1, 2}.
 /// Release-mode CI runs this (`durability-smoke`); too slow for the
 /// default debug test pass.
 #[test]
 #[ignore = "full matrix: run in release via cargo test --release -- --ignored"]
 fn full_crash_matrix_all_partitioners() {
     for kind in PartitionerKind::ALL {
-        for encoding in [StringEncoding::default(), StringEncoding::Plain] {
-            for k in [1usize, 2] {
-                crash_at_every_boundary(kind, encoding, k);
-            }
+        for k in [1usize, 2] {
+            crash_at_every_boundary(kind, k);
         }
     }
 }
@@ -265,7 +262,7 @@ fn full_crash_matrix_all_partitioners() {
 fn staircase_provisioner_history_survives_recovery() {
     use workloads::ScalingPolicy;
     let w = churn(3, 256);
-    let mut cfg = base_config(PartitionerKind::RoundRobin, StringEncoding::default(), 1);
+    let mut cfg = base_config(PartitionerKind::RoundRobin, 1);
     cfg.scaling = ScalingPolicy::Staircase(elastic_core::StaircaseConfig {
         node_capacity_gb: 8.0 * 1024.0 / 1e9,
         ..elastic_core::StaircaseConfig::paper_defaults()
@@ -417,11 +414,11 @@ fn file_backend_survives_a_process_restart() {
 #[test]
 fn mismatched_config_is_refused() {
     let w = MetaWorkload { cycles: 2, collide: false };
-    let cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 1);
+    let cfg = base_config(PartitionerKind::ConsistentHash, 1);
 
     let full = durable_image(&w, &cfg, &[]);
 
-    let mut other = base_config(PartitionerKind::RoundRobin, StringEncoding::default(), 1);
+    let mut other = base_config(PartitionerKind::RoundRobin, 1);
     other.durability = durable(&cfg, shared(full)).durability;
     let err = WorkloadRunner::recover(&w, other, Vec::new())
         .err()
@@ -595,14 +592,14 @@ fn recover_and_finish(
 /// the whole log and keeps checkpoints the log no longer covers. Then
 /// the newest surviving checkpoint is lost as well, and recovery must
 /// still succeed from what is left.
-fn crash_under_every_fsync_policy(kind: PartitionerKind, encoding: StringEncoding, k: usize) {
+fn crash_under_every_fsync_policy(kind: PartitionerKind, k: usize) {
     let w = churn(4, 512);
-    let cfg = base_config(kind, encoding, k);
+    let cfg = base_config(kind, k);
     let defs = view_defs();
     let states = oracle_states(&w, &cfg, &defs);
     for policy in [FsyncPolicy::Always, FsyncPolicy::PerCycle, FsyncPolicy::Never] {
         for c in 0..=w.cycles() {
-            let ctx = format!("{kind} {encoding:?} k={k} {policy:?} crash after {c}");
+            let ctx = format!("{kind} k={k} {policy:?} crash after {c}");
             let mem = mem_log();
             let mut live = WorkloadRunner::new(&w, durable_with(&cfg, mem.clone(), policy));
             defs.iter().for_each(|def| live.register_view(def.clone()));
@@ -633,17 +630,15 @@ fn crash_under_every_fsync_policy(kind: PartitionerKind, encoding: StringEncodin
 /// The always-on slice: the default partitioner, replicas, a fault plan.
 #[test]
 fn crash_under_every_fsync_policy_recovers_a_durable_prefix() {
-    crash_under_every_fsync_policy(PartitionerKind::ConsistentHash, StringEncoding::default(), 2);
+    crash_under_every_fsync_policy(PartitionerKind::ConsistentHash, 2);
 }
 
-/// Every partitioner × dict/plain strings, k = 2 with the fault plan.
+/// Every partitioner, k = 2 with the fault plan.
 #[test]
 #[ignore = "full matrix: run in release via cargo test --release -- --ignored"]
 fn fsync_policy_matrix() {
     for kind in PartitionerKind::ALL {
-        for encoding in [StringEncoding::default(), StringEncoding::Plain] {
-            crash_under_every_fsync_policy(kind, encoding, 2);
-        }
+        crash_under_every_fsync_policy(kind, 2);
     }
 }
 
@@ -654,7 +649,7 @@ fn fsync_policy_matrix() {
 #[test]
 fn recovered_run_writes_the_same_log_and_checkpoints() {
     let w = churn(4, 256);
-    let cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 2);
+    let cfg = base_config(PartitionerKind::ConsistentHash, 2);
     let defs = view_defs();
 
     let mut a = durable_image(&w, &cfg, &defs);
@@ -691,7 +686,7 @@ fn recovered_run_writes_the_same_log_and_checkpoints() {
 #[test]
 fn the_log_folds_into_the_oracle_the_workload_feeds() {
     let w = churn(4, 512);
-    let cfg = base_config(PartitionerKind::ConsistentHash, StringEncoding::default(), 2);
+    let cfg = base_config(PartitionerKind::ConsistentHash, 2);
     let image = durable_image(&w, &cfg, &[]);
     let from_log = Oracle::from_log(&w, image.bytes());
     assert!(from_log == Oracle::after(&w, w.cycles), "the log's cells differ from the workload's");

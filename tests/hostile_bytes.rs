@@ -31,7 +31,7 @@
 
 use array_model::{
     Array, ArrayId, ArraySchema, AttributeColumn, AttributeType, CellBuffer, Chunk, ChunkCoords,
-    ChunkDescriptor, ChunkKey, DeltaSet, ScalarValue, StringEncoding, ZoneMap,
+    ChunkDescriptor, ChunkKey, DeltaSet, ScalarValue, ZoneMap,
 };
 use cluster_sim::{Cluster, CostModel, NodeId};
 use durability::{
@@ -210,11 +210,10 @@ fn sample_schema() -> ArraySchema {
     ArraySchema::parse("H<v:double, n:int32, c:char, s:string>[x=0:15,8, y=0:7,4]").unwrap()
 }
 
-/// Two-dimensional cells over four chunks: dictionary strings that spill
-/// in one chunk (cap 4), NaN and signed zeros, and retractions that
-/// leave tombstones.
+/// Two-dimensional cells over four chunks: dictionary strings, NaN and
+/// signed zeros, and retractions that leave tombstones.
 fn sample_array() -> Array {
-    let mut a = Array::with_encoding(ArrayId(3), sample_schema(), StringEncoding::Dict { cap: 4 });
+    let mut a = Array::new(ArrayId(3), sample_schema());
     for k in 0..40i64 {
         let v = match k % 7 {
             0 => f64::NAN,
@@ -661,13 +660,10 @@ fn hostile_bytes_smoke() {
 // input.
 // ---------------------------------------------------------------------
 
-/// Where, in a chunk's bytes, its tombstone words end: the string
-/// encoding and the zone map follow them.
+/// Where, in a chunk's bytes, its tombstone words end: the zone map
+/// follows them.
 fn tombstones_end(chunk: &Chunk) -> usize {
-    let tail = encoded(|w| {
-        chunk.string_encoding().encode_into(w);
-        chunk.zone().encode_into(w);
-    });
+    let tail = encoded(|w| chunk.zone().encode_into(w));
     encoded(|w| chunk.encode_into(w)).len() - tail.len()
 }
 
@@ -954,8 +950,7 @@ fn fixed_width_values(k: i64) -> Vec<ScalarValue> {
 /// retracted rows in two tombstone words.
 fn fixed_width_chunk() -> Chunk {
     let schema = fixed_width_schema();
-    let encoding = StringEncoding::Dict { cap: 8 };
-    let mut chunk = Chunk::with_encoding(&schema, ChunkCoords::new([0, 1]), encoding);
+    let mut chunk = Chunk::new(&schema, ChunkCoords::new([0, 1]));
     for k in 0..96i64 {
         chunk.push_cell(&schema, vec![k % 8, 4 + k % 4], fixed_width_values(k)).unwrap();
     }

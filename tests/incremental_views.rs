@@ -3,8 +3,8 @@
 //! Contract under test: a [`MaterializedView`] maintained in O(|Δ|) per
 //! cycle holds **bit-identical** state to a from-scratch recompute over
 //! the surviving cells — after every scale-out and rebalance, across
-//! all 8 partitioners, for dictionary-encoded and plain string storage,
-//! at replication k ∈ {1, 2}, through retraction cycles (with the
+//! all 8 partitioners, at replication k ∈ {1, 2}, through retraction
+//! cycles (with the
 //! automatic tombstone GC on, at its default threshold), through a
 //! scale-in trough that drains the array to nothing, and on a
 //! fault-injected twin whose crashes and failovers move bytes around
@@ -17,7 +17,7 @@
 //! from a whole-array copy of `testkit::Oracle`'s cells, folded from the
 //! generator's batches alone — the runner keeps none. Because view state
 //! depends only on the logical delta stream — never on placement — every
-//! leg's snapshots must also agree *across* partitioners, encodings, and
+//! leg's snapshots must also agree *across* partitioners and
 //! replication factors, and the maintained identity view must equal the
 //! oracle's raw cells, as must the arrays the views read (not re-scanned
 //! in the benchmark-shaped `view_batch_smoke`). The scale-in trough is
@@ -78,15 +78,10 @@ fn run_ais_views(
     w: &AisWorkload,
     kind: PartitionerKind,
     node_capacity: u64,
-    encoding: StringEncoding,
     k: usize,
 ) -> Vec<(String, ViewSnapshot)> {
-    let tag = format!("{kind}/{encoding:?}/k{k}");
-    let cfg = RunnerConfig {
-        string_encoding: encoding,
-        replication: k,
-        ..testkit::config(kind, node_capacity)
-    };
+    let tag = format!("{kind}/k{k}");
+    let cfg = RunnerConfig { replication: k, ..testkit::config(kind, node_capacity) };
     let mut runner = WorkloadRunner::new(w, cfg);
     for def in ais_views() {
         runner.register_view(def);
@@ -134,14 +129,11 @@ fn run_ais_matrix(cells_per_cycle: u64, cycles: usize, kinds: &[PartitionerKind]
     let mut reference: Option<Vec<(String, ViewSnapshot)>> = None;
     for &kind in kinds {
         for &k in ks {
-            for encoding in [StringEncoding::default(), StringEncoding::Plain] {
-                let got = run_ais_views(&w, kind, node_capacity, encoding, k);
-                match &reference {
-                    None => reference = Some(got),
-                    Some(want) => assert_eq!(
-                        &got, want,
-                        "{kind}/{encoding:?}/k{k}: view state depends on placement"
-                    ),
+            let got = run_ais_views(&w, kind, node_capacity, k);
+            match &reference {
+                None => reference = Some(got),
+                Some(want) => {
+                    assert_eq!(&got, want, "{kind}/k{k}: view state depends on placement")
                 }
             }
         }
@@ -302,15 +294,15 @@ fn run_faulted_twin(w: &AisWorkload, kind: PartitionerKind, k: usize) -> usize {
 
 // -------------------------------------------------------------- tests --
 
-/// All 8 partitioners at dict/k=1: per-cycle recompute agreement plus
+/// All 8 partitioners at k=1: per-cycle recompute agreement plus
 /// placement independence (every partitioner ends with the same bits).
 #[test]
 fn ais_views_match_recompute_across_all_partitioners() {
     run_ais_matrix(1_200, 3, &PartitionerKind::ALL, &[1]);
 }
 
-/// The encoding × replication matrix on a space partitioner and a hash
-/// spread; the full 8-way matrix runs in release via `delta_smoke`.
+/// The replication matrix on a space partitioner and a hash spread; the
+/// full 8-way matrix runs in release via `delta_smoke`.
 #[test]
 fn ais_views_encoding_replication_matrix() {
     run_ais_matrix(

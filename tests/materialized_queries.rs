@@ -21,20 +21,16 @@
 //!    validated against the payloads: descriptor `bytes`/`cells` equal
 //!    the stored chunks exactly, full-width scans account every stored
 //!    byte exactly, and the fixed-width attribute-fraction estimate lands
-//!    within a documented, encoding-specific bound of the true column
-//!    bytes (see `check_ais_model_tolerances` for the derivation);
-//! 4. **encoding invariance** — the same run executed with
-//!    dictionary-encoded string columns (the default) and with plain
-//!    per-value strings must produce **bit-identical** answers for every
-//!    operator family, for all 8 partitioners, at every cycle (so across
-//!    every scale-out + rebalance either run triggers). Byte accounting
-//!    legitimately differs between the encodings — placement may too —
-//!    but the answer space may not.
+//!    within a documented bound of the true column bytes (see
+//!    `check_ais_model_tolerances` for the derivation); every string
+//!    column is a dictionary column, and the dictionaries store fewer
+//!    bytes than one payload per value would.
 //!
 //! The raw cells come from `testkit::Oracle`, folded from the generator's
 //! batches alone; the AIS answers are `testkit::Probe::ais`'s, and the
 //! descriptor books are checked by `testkit::assert_books`.
 
+use elastic_array_db::array::AttributeType;
 use elastic_array_db::prelude::*;
 use query_engine::ops;
 use testkit::{assert_books, num, window_oracle, Answers, Oracle, Probe, Row};
@@ -48,9 +44,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// The probe's answers over AIS cycle 0's fixed region, held against the
 /// raw-cell oracle `rows0` (the region's cells as the generator emitted
-/// them) and returned for the dict-vs-plain comparison. Run after every
-/// cycle: later cycles only append later time chunks, so these answers
-/// must survive every scale-out + rebalance bit for bit.
+/// them) and returned. Run after every cycle: later cycles only append
+/// later time chunks, so these answers must survive every scale-out +
+/// rebalance bit for bit.
 fn check_ais_probe(
     runner: &WorkloadRunner<'_>,
     probe: &Probe,
@@ -118,38 +114,65 @@ fn stored_bytes(cluster: &Cluster, array: ArrayId) -> u64 {
     records.map(|r| r.descriptor().bytes).sum()
 }
 
+/// Every string column of every placed BROADCAST chunk is a dictionary
+/// column, and dictionary encoding shrinks the stored bytes: they stay
+/// below what one payload per value would cost the oracle's rows —
+/// coordinates and fixed-width values at their widths, each string its
+/// bytes plus a 4 B length.
+fn check_dictionaries(runner: &WorkloadRunner<'_>, all_rows: &[Row], kind: PartitionerKind) {
+    let schema = AisWorkload::broadcast_schema();
+    let strings: Vec<usize> = (0..schema.attributes.len())
+        .filter(|&a| schema.attributes[a].ty == AttributeType::Str)
+        .collect();
+    assert_eq!(strings.len(), 2, "receiver_id and provenance");
+    let records = runner.cluster().residents();
+    for record in records.filter(|r| r.descriptor().key.array == BROADCAST) {
+        let chunk = record.payload().expect("a placed chunk holds cells");
+        for &a in &strings {
+            let column = chunk.column(a).expect("schema-shaped");
+            assert!(column.as_dict().is_some(), "{kind}: string column {a} is not a dictionary");
+        }
+    }
+    let value_bytes = |v: &ScalarValue| match v {
+        ScalarValue::Str(s) => s.len() as u64 + 4,
+        v => v.value_type().fixed_width() as u64,
+    };
+    let plain_bytes: u64 = all_rows
+        .iter()
+        .map(|(cell, values)| cell.len() as u64 * 8 + values.iter().map(value_bytes).sum::<u64>())
+        .sum();
+    let dict_bytes = stored_bytes(runner.cluster(), BROADCAST);
+    assert!(
+        dict_bytes < plain_bytes,
+        "{kind}: dict bytes {dict_bytes} not below the plain cost {plain_bytes}"
+    );
+}
+
 /// Model-vs-exact validation at the end of a run: the metadata estimates
 /// the cost path uses must agree with (full-width scans) or bracket
 /// (fixed-width attribute fractions) the stored payloads.
 ///
-/// The attribute-fraction bound is re-derived per string encoding. A
-/// broadcast row stores 24 coordinate bytes + 37 B of fixed-width
+/// The attribute-fraction bound is derived here. A broadcast row stores
+/// 24 coordinate bytes + 37 B of fixed-width
 /// attributes; its two strings are a 4 B receiver id and the 8 B
 /// `"ais-feed"` provenance constant. The model estimates every string at
 /// `fixed_width() = 4` (one dictionary code; dictionary payloads
 /// amortize toward zero), so the modeled row is 24 + 37 + 4 + 4 = 69 B:
 ///
-/// * **dictionary-encoded** payloads store 69 B/row of codes plus the
-///   per-chunk dictionaries, so the speed-scan estimate
-///   `(28 / 69) × descriptor_bytes` overshoots the exact `28 B/row` by
-///   the per-row dictionary share. That share is scale-dependent: it is
-///   bounded above by the degenerate every-string-distinct case
-///   (`89/69 − 1 ≈ 29 %`) and falls toward zero as rows-per-chunk grow
-///   (the AIS columns carry ≤ 129 distinct strings per chunk however
-///   many rows land there). At this suite's deliberately tiny scale —
-///   a few rows per chunk — the measured overshoot is ≈ 13 %.
-///   Documented bound: **±20 %**.
-/// * **plain** payloads store the full 81 B/row (each string re-stores
-///   its payload + a 4 B length) at any scale, so the same estimate
-///   overshoots by `81/69 − 1 ≈ 17.4 %`. Documented bound: **±25 %**
-///   (the pre-dictionary model estimated strings at 16 B and needed
-///   ±35 %).
+/// payloads store 69 B/row of codes plus the per-chunk dictionaries, so
+/// the speed-scan estimate `(28 / 69) × descriptor_bytes` overshoots the
+/// exact `28 B/row` by the per-row dictionary share. That share is
+/// scale-dependent: it is bounded above by the degenerate
+/// every-string-distinct case (`89/69 − 1 ≈ 29 %`) and falls toward zero
+/// as rows-per-chunk grow (the AIS columns carry ≤ 129 distinct strings
+/// per chunk however many rows land there). At this suite's deliberately
+/// tiny scale — a few rows per chunk — the measured overshoot is ≈ 13 %.
+/// Documented bound: **±20 %**.
 fn check_ais_model_tolerances(
     runner: &WorkloadRunner<'_>,
     probe: &Probe,
     all_rows: &[Row],
     kind: PartitionerKind,
-    encoding: StringEncoding,
 ) {
     let catalog = runner.catalog();
     let cluster = runner.cluster();
@@ -159,19 +182,16 @@ fn check_ais_model_tolerances(
     let model_cells = assert_books(runner, BROADCAST);
     assert_eq!(model_cells, all_rows.len() as u64, "{kind}: descriptor cell totals");
 
-    // A full-width scan accounts every stored byte exactly — whatever
-    // the encoding, descriptors carry the payloads' true byte sizes.
+    // A full-width scan accounts every stored byte exactly: descriptors
+    // carry the payloads' true byte sizes.
     let (cells, stats) = ops::subarray(&ctx, BROADCAST, &probe.whole, &[]).unwrap();
     assert_eq!(cells.len(), all_rows.len(), "{kind}: full scan returns every cell");
     let stored = stored_bytes(cluster, BROADCAST);
     assert_eq!(stats.bytes_scanned, stored, "{kind}: full-width scan bytes");
 
     // Single-attribute scans use the fixed-width fraction estimate; the
-    // encoding-specific bounds are derived in the doc comment above.
-    let bound = match encoding {
-        StringEncoding::Dict { .. } => 0.20,
-        StringEncoding::Plain => 0.25,
-    };
+    // bound is derived in the doc comment above.
+    let bound = 0.20;
     // The deliberately unsatisfiable predicate would be zone-map-refuted
     // in every chunk; disable pruning so the probe measures a full scan.
     let unpruned = ExecutionContext::new(cluster, catalog).with_pruning(false);
@@ -182,7 +202,7 @@ fn check_ais_model_tolerances(
     let rel = (stats.bytes_scanned as f64 - exact_bytes as f64).abs() / exact_bytes as f64;
     assert!(
         rel < bound,
-        "{kind}/{encoding:?}: attribute-fraction model off by {rel:.3} \
+        "{kind}: attribute-fraction model off by {rel:.3} \
          (model {} vs exact {exact_bytes}, documented bound {bound})",
         stats.bytes_scanned
     );
@@ -200,19 +220,10 @@ fn run_ais_differential(cells_per_cycle: u64, cycles: usize) {
     let mut knn_reference: Option<Vec<ops::KnnAnswer>> = None;
     for kind in PartitionerKind::ALL {
         let mut runner = WorkloadRunner::new(&w, testkit::config(kind, node_capacity));
-        // The same run with plain (pre-dictionary) string storage,
-        // advanced in lockstep: the dictionary-encoded build's answers
-        // must equal the plain build's bit-for-bit at every cycle, even
-        // though the two runs' byte accounting — and therefore their
-        // placements and rebalances — legitimately diverge.
-        let plain = StringEncoding::Plain;
-        let cfg = RunnerConfig { string_encoding: plain, ..testkit::config(kind, node_capacity) };
-        let mut plain_runner = WorkloadRunner::new(&w, cfg);
         let (mut oracle, mut knn) = (Oracle::new(&w), Vec::new());
         for c in 0..cycles {
             let tag = format!("{kind}/cycle{c}");
             runner.run_cycle(c).unwrap();
-            plain_runner.run_cycle(c).unwrap();
             // The cycle-0 probe answers survive every scale-out +
             // rebalance later cycles trigger, and the whole array is the
             // oracle's.
@@ -223,25 +234,11 @@ fn run_ais_differential(cells_per_cycle: u64, cycles: usize) {
                 oracle.rows(BROADCAST),
                 "{tag}: cells differ from the oracle"
             );
-            assert_eq!(
-                got,
-                probe.answers(plain_runner.cluster(), plain_runner.catalog()),
-                "{tag}: dict-encoded answers diverge from the plain-string build"
-            );
             knn = got.knn;
         }
         assert!(runner.cluster().node_count() > 2, "{kind}: the run never scaled out");
-        check_ais_model_tolerances(&runner, &probe, &all_rows, kind, StringEncoding::default());
-        check_ais_model_tolerances(&plain_runner, &probe, &all_rows, kind, plain);
-        // Dictionary encoding must actually shrink the stored bytes —
-        // otherwise the "encoding" under test silently fell back to
-        // plain storage.
-        let dict_bytes = stored_bytes(runner.cluster(), BROADCAST);
-        let plain_bytes = stored_bytes(plain_runner.cluster(), BROADCAST);
-        assert!(
-            dict_bytes < plain_bytes,
-            "{kind}: dict bytes {dict_bytes} not below plain bytes {plain_bytes}"
-        );
+        check_ais_model_tolerances(&runner, &probe, &all_rows, kind);
+        check_dictionaries(&runner, &all_rows, kind);
 
         // The catalog holds no cells for the scans above to have read.
         assert!(runner.catalog().array(BROADCAST).unwrap().data.is_none());
@@ -465,65 +462,12 @@ fn synthetic_differential_all_partitioners() {
 
 /// The heavier release-mode differential CI runs in the
 /// `materialized_smoke` job: same assertions, bigger arrays, one extra
-/// cycle of scale-outs.
+/// cycle of scale-outs. The AIS leg has enough rows that every port
+/// chunk's receiver dictionary saturates its 128 distinct ids.
 #[test]
 #[ignore = "heavy: run in release via the materialized_smoke CI job"]
 fn materialized_smoke() {
-    run_ais_differential(8_000, 4);
+    run_ais_differential(10_000, 4);
     run_modis_differential(5_000, 4);
     run_synthetic_differential(250, 6);
-}
-
-/// The dictionary-encoding differential at CI smoke scale, run in
-/// release by the `dict-smoke` job: the string-bearing AIS run, with
-/// enough rows that every port chunk's receiver dictionary saturates its
-/// 128 distinct ids, compared dict-vs-plain at every cycle (the
-/// comparison is built into `run_ais_differential`), plus a spill
-/// exercise: a run whose chunk columns use a tiny cardinality cap must
-/// spill to plain storage per chunk and *still* answer bit-identically.
-#[test]
-#[ignore = "heavy: run in release via the dict-smoke CI job"]
-fn dict_smoke() {
-    run_ais_differential(10_000, 4);
-
-    // Spill leg: cap far below the 128 distinct receiver ids, so every
-    // busy chunk's receiver column crosses the cap and spills while the
-    // constant provenance column stays dictionary-encoded.
-    let w = testkit::ais(3, 6_000);
-    let (probe, rows0) = (Probe::ais(&w), Oracle::after(&w, 1).rows(BROADCAST));
-    for kind in [PartitionerKind::HilbertCurve, PartitionerKind::ConsistentHash] {
-        let cfg =
-            |string_encoding| RunnerConfig { string_encoding, ..testkit::config(kind, 6_000 * 90) };
-        let mut capped = WorkloadRunner::new(&w, cfg(StringEncoding::Dict { cap: 8 }));
-        let mut plain = WorkloadRunner::new(&w, cfg(StringEncoding::Plain));
-        for c in 0..3 {
-            let tag = format!("{kind}/cycle{c}");
-            capped.run_cycle(c).unwrap();
-            plain.run_cycle(c).unwrap();
-            assert_eq!(
-                check_ais_probe(&capped, &probe, &rows0, &tag),
-                probe.answers(plain.cluster(), plain.catalog()),
-                "{tag}: spilled dict answers diverge from the plain build"
-            );
-        }
-        assert_books(&capped, BROADCAST);
-        // The cap really bit: at least one chunk's receiver column must
-        // have spilled to plain storage while provenance stayed encoded.
-        let chunks = || {
-            let records = capped.cluster().residents();
-            records
-                .filter(|r| r.descriptor().key.array == BROADCAST)
-                .map(|r| r.payload().expect("integrity checked just above"))
-        };
-        let receiver_idx = 8;
-        let provenance_idx = 9;
-        assert!(
-            chunks().any(|ch| ch.column(receiver_idx).unwrap().as_dict().is_none()),
-            "{kind}: no receiver column spilled under cap 8"
-        );
-        assert!(
-            chunks().all(|ch| ch.column(provenance_idx).unwrap().as_dict().is_some()),
-            "{kind}: the single-string provenance column must never spill"
-        );
-    }
 }

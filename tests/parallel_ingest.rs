@@ -214,7 +214,6 @@ fn plain_config(kind: PartitionerKind, node_capacity: u64) -> RunnerConfig {
         scaling: ScalingPolicy::FixedStep { add: 2, trigger: 0.8 },
         cost: CostModel::default(),
         run_queries: false,
-        string_encoding: StringEncoding::default(),
         ..RunnerConfig::default()
     }
 }

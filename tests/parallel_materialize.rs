@@ -36,21 +36,16 @@ fn materialized_runs_leave_one_home_per_chunk() {
     }
 }
 
-/// The three storage-side string encodings the chunk build is pinned
-/// under: the default dictionary, plain strings, and a dictionary whose
-/// cap of 8 spills AIS `receiver_id` (128 distinct) in most chunks while
-/// `provenance` (one string) stays encoded.
-const BUILD_ENCODINGS: [StringEncoding; 3] =
-    [StringEncoding::Dict { cap: 4096 }, StringEncoding::Plain, StringEncoding::Dict { cap: 8 }];
-
 /// Cross-version golden. Every differential in the tree runs the gather
 /// kernel on both sides, so this pins the implementation it replaced
 /// (the per-column scatter over routed `ChunkCoords`): the CRC-32 of
 /// `Array::encode_into` — chunk order, coordinates, columns,
 /// dictionaries in code order, byte counters, zone maps — for one AIS
-/// cycle and one MODIS day, per encoding. The constants were computed at
-/// the commit before the kernel changed (`6f46c27`), where this test
-/// passes too.
+/// cycle and one MODIS day. The constants were computed at the commit
+/// before the kernel changed (`6f46c27`) under the then-default
+/// dictionary encoding, from its bytes with the since-retired fields cut
+/// out (the array's and each chunk's encoding tag and cap, each
+/// dictionary column's cap); nothing else in the bytes moved.
 #[test]
 fn chunk_build_bytes_match_the_scatter_implementation() {
     let ais = AisWorkload { cells_per_cycle: 20_000, ..Default::default() };
@@ -61,34 +56,32 @@ fn chunk_build_bytes_match_the_scatter_implementation() {
     let mut batches = modis.cell_batch(0).expect("materialized").into_iter();
     let (band1, band2) = (batches.next().expect("band 1"), batches.next().expect("band 2"));
     assert_eq!((broadcast.array, band1.array, band2.array), (BROADCAST, BAND1, BAND2));
-    // (rows, schema, [CRC per BUILD_ENCODINGS entry])
-    let golden: [(workloads::CellBatch, ArraySchema, [u32; 3]); 3] = [
-        (broadcast, AisWorkload::broadcast_schema(), [0x2a2e_576a, 0xd023_fe86, 0xff29_7570]),
-        (band1, band.clone(), [0x13b7_4a86, 0x4852_d218, 0x3d2a_ead7]),
-        (band2, band, [0x9916_c053, 0xcee2_d7e8, 0x743e_9749]),
+    // (rows, schema, CRC)
+    let golden: [(workloads::CellBatch, ArraySchema, u32); 3] = [
+        (broadcast, AisWorkload::broadcast_schema(), 0x7e4b_a993),
+        (band1, band.clone(), 0x8f75_7928),
+        (band2, band, 0xf221_875c),
     ];
-    for (batch, schema, crcs) in golden {
+    for (batch, schema, want) in golden {
         let (id, rows) = (batch.array, batch.into_rows());
-        for (encoding, want) in BUILD_ENCODINGS.into_iter().zip(crcs) {
-            let mut built = Array::with_encoding(id, schema.clone(), encoding);
-            built.insert_batch_owned(rows.clone()).expect("in bounds");
-            let mut w = durability::ByteWriter::new();
-            built.encode_into(&mut w);
-            assert_eq!(
-                durability::crc32(&w.into_bytes()),
-                want,
-                "{id} under {encoding:?}: {} rows, {} chunks",
-                rows.len(),
-                built.chunk_count()
-            );
-        }
+        let mut built = Array::new(id, schema);
+        built.insert_batch_owned(rows.clone()).expect("in bounds");
+        let mut w = durability::ByteWriter::new();
+        built.encode_into(&mut w);
+        assert_eq!(
+            durability::crc32(&w.into_bytes()),
+            want,
+            "{id}: {} rows, {} chunks",
+            rows.len(),
+            built.chunk_count()
+        );
     }
 }
 
 /// Release-scale leg of the chunk-build differential: three 200 k-row
 /// AIS cycles into one array and one 100 k-pixel MODIS day (both bands),
-/// built one batch at a time under each of [`BUILD_ENCODINGS`] — every
-/// build chunk-for-chunk `==` to the per-cell build of the same rows. Run
+/// built one batch at a time — every build chunk-for-chunk `==` to the
+/// per-cell build of the same rows. Run
 /// with
 /// `cargo test --release --test parallel_materialize -- --ignored chunk_build_smoke`.
 #[test]
@@ -108,23 +101,17 @@ fn chunk_build_smoke() {
         slot.2.push(batch.into_rows());
     }
     for (id, schema, batches) in &arrays {
-        for encoding in BUILD_ENCODINGS {
-            let mut per_cell = Array::with_encoding(*id, schema.clone(), encoding);
-            for (cell, values) in batches.iter().flat_map(CellBuffer::rows) {
-                per_cell.insert_cell(cell, values).expect("in bounds");
-            }
-            let mut built = Array::with_encoding(*id, schema.clone(), encoding);
-            for rows in batches {
-                built.insert_batch_owned(rows.clone()).expect("in bounds");
-            }
-            assert_eq!(built.chunk_count(), per_cell.chunk_count(), "{id}");
-            for (coords, chunk) in per_cell.chunks() {
-                assert_eq!(
-                    built.chunk(coords),
-                    Some(chunk),
-                    "{id} under {encoding:?}: chunk {coords} differs"
-                );
-            }
+        let mut per_cell = Array::new(*id, schema.clone());
+        for (cell, values) in batches.iter().flat_map(CellBuffer::rows) {
+            per_cell.insert_cell(cell, values).expect("in bounds");
+        }
+        let mut built = Array::new(*id, schema.clone());
+        for rows in batches {
+            built.insert_batch_owned(rows.clone()).expect("in bounds");
+        }
+        assert_eq!(built.chunk_count(), per_cell.chunk_count(), "{id}");
+        for (coords, chunk) in per_cell.chunks() {
+            assert_eq!(built.chunk(coords), Some(chunk), "{id}: chunk {coords} differs");
         }
     }
 }

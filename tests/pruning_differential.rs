@@ -6,8 +6,8 @@
 //! visiting strictly fewer chunks on selective probes. The differential
 //! runs the materialized AIS workload (inserts, dark-vessel
 //! retractions, tombstone-GC compactions, capacity-triggered
-//! scale-outs and rebalances) across all 8 partitioners and both
-//! string encodings, probes the chunks placed on the cluster's nodes,
+//! scale-outs and rebalances) across all 8 partitioners, probes the
+//! chunks placed on the cluster's nodes,
 //! and replays a WAL crash/recover cycle to prove zone maps survive
 //! the durability codecs still able to prune.
 //!
@@ -223,10 +223,10 @@ fn assert_pruning_neutral(cluster: &Cluster, catalog: &Catalog, cycles: usize, t
 /// One full run: inserts + retractions + GC compactions + scale-outs,
 /// probed where the cells are — the chunks placed on the cluster's
 /// nodes, whose zone maps do the pruning.
-fn run_pruning_pair(w: &AisWorkload, kind: PartitionerKind, encoding: StringEncoding) {
-    let tag = format!("{kind}/{encoding:?}");
+fn run_pruning_pair(w: &AisWorkload, kind: PartitionerKind) {
+    let tag = format!("{kind}");
     let node_capacity = w.cells_per_cycle * 90;
-    let cfg = RunnerConfig { string_encoding: encoding, ..testkit::config(kind, node_capacity) };
+    let cfg = testkit::config(kind, node_capacity);
     let mut runner = WorkloadRunner::new(w, cfg);
     for c in 0..w.cycles {
         runner.run_cycle(c).unwrap_or_else(|e| panic!("{tag}: cycle {c}: {e}"));
@@ -241,25 +241,13 @@ fn run_pruning_pair(w: &AisWorkload, kind: PartitionerKind, encoding: StringEnco
 
 // --------------------------------------------------------------- tests --
 
-/// All 8 partitioners at the default (dictionary) encoding, after a run
-/// with retractions, compactions, and rebalances.
+/// All 8 partitioners, after a run with retractions, compactions, and
+/// rebalances.
 #[test]
 fn ais_pruning_differential_all_partitioners() {
     let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(3, 1_200) };
     for kind in PartitionerKind::ALL {
-        run_pruning_pair(&w, kind, StringEncoding::default());
-    }
-}
-
-/// Dictionary vs plain string storage on two contrasting partitioners;
-/// the full matrix runs in release via `scan_smoke`.
-#[test]
-fn ais_pruning_differential_dict_and_plain() {
-    let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(3, 900) };
-    for kind in [PartitionerKind::HilbertCurve, PartitionerKind::ConsistentHash] {
-        for encoding in [StringEncoding::default(), StringEncoding::Plain] {
-            run_pruning_pair(&w, kind, encoding);
-        }
+        run_pruning_pair(&w, kind);
     }
 }
 
@@ -392,15 +380,13 @@ fn emptied_chunks_prune_in_every_operator() {
     }
 }
 
-/// Heavier CI smoke: the full partitioner × encoding matrix at scale.
+/// Heavier CI smoke: every partitioner at scale.
 /// Run with `cargo test --release --test pruning_differential -- --ignored scan_smoke`.
 #[test]
 #[ignore = "heavy: run in release via the scan-smoke CI job"]
 fn scan_smoke() {
     let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(4, 6_000) };
     for kind in PartitionerKind::ALL {
-        for encoding in [StringEncoding::default(), StringEncoding::Plain] {
-            run_pruning_pair(&w, kind, encoding);
-        }
+        run_pruning_pair(&w, kind);
     }
 }

@@ -4,9 +4,8 @@
 //! that inserts cells and later retracts some of them must end up
 //! answering every query bit-identically to a twin workload that never
 //! inserted the retracted cells at all — across all 8 partitioners,
-//! after every scale-out and rebalance either run triggers, for
-//! dictionary-encoded and plain string storage, and at replication
-//! k ∈ {1, 2}. The runs' *placements and byte accounting* legitimately
+//! after every scale-out and rebalance either run triggers, and at
+//! replication k ∈ {1, 2}. The runs' *placements and byte accounting* legitimately
 //! diverge (the insert+delete run carried the doomed cells for a cycle,
 //! so its demand curve and rebalances differ); the *answer space* may
 //! not.
@@ -36,22 +35,12 @@ use workloads::modis::{ModisWorkload, BAND1, BAND2};
 /// two describe the same array) with each other and against the
 /// independent raw-cell oracle. Every answer is read off the tombstoned
 /// chunks in the node stores — the cells have no other home.
-fn run_ais_retraction_pair(
-    w: &AisWorkload,
-    kind: PartitionerKind,
-    node_capacity: u64,
-    encoding: StringEncoding,
-    k: usize,
-) {
-    let tag = format!("{kind}/{encoding:?}/k{k}");
+fn run_ais_retraction_pair(w: &AisWorkload, kind: PartitionerKind, node_capacity: u64, k: usize) {
+    let tag = format!("{kind}/k{k}");
     let baseline_w = SurvivorsOnly::new(w.clone());
     assert!(baseline_w.doomed_cells() > 0, "{tag}: no vessel went dark — vacuous differential");
 
-    let cfg = RunnerConfig {
-        string_encoding: encoding,
-        replication: k,
-        ..testkit::config(kind, node_capacity)
-    };
+    let cfg = RunnerConfig { replication: k, ..testkit::config(kind, node_capacity) };
     let mut dark = WorkloadRunner::new(w, cfg.clone());
     let mut baseline = WorkloadRunner::new(&baseline_w, cfg);
     for c in 0..w.cycles {
@@ -83,9 +72,7 @@ fn run_ais_matrix(cells_per_cycle: u64, cycles: usize, kinds: &[PartitionerKind]
     let node_capacity = cells_per_cycle * 90;
     for &kind in kinds {
         for k in [1usize, 2] {
-            for encoding in [StringEncoding::default(), StringEncoding::Plain] {
-                run_ais_retraction_pair(&w, kind, node_capacity, encoding, k);
-            }
+            run_ais_retraction_pair(&w, kind, node_capacity, k);
         }
     }
 }
@@ -167,19 +154,10 @@ fn assert_holders_follow_one_record<'r>(
 /// Dark-vessel retractions empty few chunks outright — most only lose
 /// rows, the case that used to un-share a chunk's holders — checked
 /// after every cycle.
-fn run_ais_sharing(
-    cells_per_cycle: u64,
-    kind: PartitionerKind,
-    encoding: StringEncoding,
-    k: usize,
-) {
-    let tag = format!("{kind}/{encoding:?}/k{k}/sharing");
+fn run_ais_sharing(cells_per_cycle: u64, kind: PartitionerKind, k: usize) {
+    let tag = format!("{kind}/k{k}/sharing");
     let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(3, cells_per_cycle) };
-    let cfg = RunnerConfig {
-        string_encoding: encoding,
-        replication: k,
-        ..testkit::config(kind, cells_per_cycle * 90)
-    };
+    let cfg = RunnerConfig { replication: k, ..testkit::config(kind, cells_per_cycle * 90) };
     let mut runner = WorkloadRunner::new(&w, cfg);
     let mut tombstoned = 0;
     for c in 0..w.cycles {
@@ -227,20 +205,20 @@ fn run_modis_whole_chunk_expiry(cells_per_cycle: u64, kind: PartitionerKind, k: 
 
 // -------------------------------------------------------------- tests --
 
-/// All 8 partitioners at dict/k=1: the broad sweep.
+/// All 8 partitioners at k=1: the broad sweep.
 #[test]
 fn ais_retraction_equals_never_inserted_baseline() {
     let w = AisWorkload { dark_vessel_rate: 4, ..testkit::ais(3, 1_200) };
     for kind in PartitionerKind::ALL {
-        run_ais_retraction_pair(&w, kind, w.cells_per_cycle * 90, StringEncoding::default(), 1);
+        run_ais_retraction_pair(&w, kind, w.cells_per_cycle * 90, 1);
     }
 }
 
-/// The encoding × replication matrix on two contrasting partitioners
-/// (a space partitioner and a hash spread); the full 8-way matrix runs
-/// in release via `retraction_smoke`.
+/// The replication matrix on two contrasting partitioners (a space
+/// partitioner and a hash spread); the full 8-way matrix runs in release
+/// via `retraction_smoke`.
 #[test]
-fn ais_retraction_matrix_dict_plain_k1_k2() {
+fn ais_retraction_matrix_k1_k2() {
     run_ais_matrix(900, 3, &[PartitionerKind::HilbertCurve, PartitionerKind::ConsistentHash]);
 }
 
@@ -301,8 +279,8 @@ fn the_catalog_stays_the_registrations_every_cycle() {
     }
 }
 
-/// Heavier CI smoke: the full partitioner × encoding × replication
-/// matrix at scale, plus MODIS TTL. Run with
+/// Heavier CI smoke: the full partitioner × replication matrix at
+/// scale, plus MODIS TTL. Run with
 /// `cargo test --release --test retraction_differential -- --ignored retraction_smoke`.
 #[test]
 #[ignore = "heavy: run in release via the retraction-smoke CI job"]
@@ -322,22 +300,20 @@ fn retraction_smoke() {
 /// its one record.
 #[test]
 fn partial_retraction_keeps_the_stores_on_one_handle() {
-    run_ais_sharing(4_000, PartitionerKind::ConsistentHash, StringEncoding::default(), 2);
+    run_ais_sharing(4_000, PartitionerKind::ConsistentHash, 2);
 }
 
 /// Heavier CI smoke for the batch retraction path: one record per chunk,
 /// its holders' ledgers following it, after every AIS cycle and
-/// whole-chunk MODIS expiry, over all 8 partitioners × both string
-/// encodings × k ∈ {1, 2}. Run with
+/// whole-chunk MODIS expiry, over all 8 partitioners × k ∈ {1, 2}. Run
+/// with
 /// `cargo test --release --test retraction_differential -- --ignored batch_retraction_smoke`.
 #[test]
 #[ignore = "heavy: run in release via the batch-retraction-smoke CI job"]
 fn batch_retraction_smoke() {
     for kind in PartitionerKind::ALL {
         for k in [1usize, 2] {
-            for encoding in [StringEncoding::default(), StringEncoding::Plain] {
-                run_ais_sharing(6_000, kind, encoding, k);
-            }
+            run_ais_sharing(6_000, kind, k);
             run_modis_whole_chunk_expiry(4_000, kind, k);
         }
     }
